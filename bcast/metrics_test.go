@@ -50,8 +50,8 @@ func TestClusterMetricsEndToEnd(t *testing.T) {
 	// 16 KiB rides the eager path, 256 KiB and 1 MiB force rendezvous;
 	// binomial sends whole buffers, so both protocols must show up.
 	for _, n := range []int{16 << 10, 256 << 10, 1 << 20} {
-		buf := make([]byte, n)
 		err := cl.Run(context.Background(), func(c Comm) error {
+			buf := make([]byte, n) // per rank: a shared buffer is a data race
 			if c.Rank() == 0 {
 				buf[0], buf[n-1] = 0x5A, 0xA5
 			}

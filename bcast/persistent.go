@@ -53,8 +53,8 @@ type Persistent struct {
 
 // BcastInit builds a persistent broadcast of buf from root: it resolves
 // the cluster defaults merged with opts into a tuner decision, binds
-// and validates the registry dispatch, caches the static schedule when
-// the algorithm has one, and pre-registers pooled staging for the
+// and validates the registry dispatch, compiles this rank's operations
+// of the static schedule when the algorithm has one, and pre-registers pooled staging for the
 // payload so the first Start/Wait already runs allocation-free.
 // Collective: every rank must call it with the same root, length and
 // options, like the Bcast it replaces.

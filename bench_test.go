@@ -18,6 +18,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/topology"
 	"repro/internal/transport"
+	"repro/internal/tune"
 )
 
 // ---------------------------------------------------------------------
@@ -115,12 +116,20 @@ func BenchmarkFig8(b *testing.B) { benchFig6(b, 129, bench.Fig8Sizes()) }
 // themselves; each b.N iteration is one broadcast.
 // ---------------------------------------------------------------------
 
+// pinned is the broadcast that runs one registry algorithm by name.
+func pinned(algo string) func(mpi.Comm, []byte, int) error {
+	o := collective.Options{Algorithm: algo}
+	return func(c mpi.Comm, buf []byte, root int) error { return collective.Broadcast(c, buf, root, o) }
+}
+
+var ringOpt = pinned(tune.RingOpt)
+
 func benchUserLevel(b *testing.B, variant bench.Variant, np, n int) {
-	fn := map[bench.Variant]func(mpi.Comm, []byte, int) error{
-		bench.Native:   collective.BcastScatterRingAllgather,
-		bench.Opt:      collective.BcastScatterRingAllgatherOpt,
-		bench.Binomial: collective.BcastBinomial,
-	}[variant]
+	fn := pinned(map[bench.Variant]string{
+		bench.Native:   tune.RingNative,
+		bench.Opt:      tune.RingOpt,
+		bench.Binomial: tune.Binomial,
+	}[variant])
 	w, err := engine.NewWorld(engine.Options{NP: np, Timeout: 10 * time.Minute})
 	if err != nil {
 		b.Fatal(err)
@@ -281,7 +290,7 @@ func BenchmarkAblationEagerLimit(b *testing.B) {
 			err = w.Run(func(c mpi.Comm) error {
 				buf := make([]byte, n)
 				for i := 0; i < b.N; i++ {
-					if err := collective.BcastScatterRingAllgatherOpt(c, buf, 0); err != nil {
+					if err := ringOpt(c, buf, 0); err != nil {
 						return err
 					}
 				}
@@ -463,7 +472,7 @@ func BenchmarkExtensionSMPBcast(b *testing.B) {
 	const np, n = 12, 256 << 10
 	topo := topology.Blocked(np, 4)
 	variants := map[string]func(mpi.Comm, []byte, int) error{
-		"flat-opt": collective.BcastScatterRingAllgatherOpt,
+		"flat-opt": pinned(tune.RingOpt),
 		"smp-opt":  collective.BcastSMPOpt,
 	}
 	for name, fn := range variants {
@@ -531,7 +540,7 @@ func BenchmarkExecutorWorldBcast(b *testing.B) {
 						if c.Rank() == 0 {
 							copy(buf, src)
 						}
-						return collective.BcastScatterRingAllgatherOpt(c, buf, 0)
+						return ringOpt(c, buf, 0)
 					})
 					if err != nil {
 						b.Fatal(err)
@@ -681,7 +690,7 @@ func BenchmarkWireThroughput(b *testing.B) {
 						return err
 					}
 					for i := 0; i < b.N; i++ {
-						if err := collective.BcastScatterRingAllgatherOpt(c, buf, 0); err != nil {
+						if err := ringOpt(c, buf, 0); err != nil {
 							return err
 						}
 					}

@@ -115,13 +115,17 @@ func ParseVariant(s string) (Variant, error) {
 
 // fn returns the executable collective for the variant.
 func (v Variant) fn() func(mpi.Comm, []byte, int) error {
+	pinned := func(algo string) func(mpi.Comm, []byte, int) error {
+		o := collective.Options{Algorithm: algo}
+		return func(c mpi.Comm, buf []byte, root int) error { return collective.Broadcast(c, buf, root, o) }
+	}
 	switch v {
 	case Native:
-		return collective.BcastScatterRingAllgather
+		return pinned(tune.RingNative)
 	case Opt:
-		return collective.BcastScatterRingAllgatherOpt
+		return pinned(tune.RingOpt)
 	case Binomial:
-		return collective.BcastBinomial
+		return pinned(tune.Binomial)
 	case AutoNative:
 		return collective.Bcast
 	case AutoOpt:

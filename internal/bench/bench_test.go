@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/netsim"
+	"repro/internal/tune"
 )
 
 func TestMeasureRealProtocol(t *testing.T) {
@@ -68,14 +69,14 @@ func TestAutoVariantProgramFollowsDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(prN.Name, "bcast-native") {
+	if prN.Name != tune.RingNative {
 		t.Fatalf("auto-native selected %q", prN.Name)
 	}
 	prO, err := AutoOpt.Program(9, 0, 12288)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(prO.Name, "bcast-opt") {
+	if prO.Name != tune.RingOpt {
 		t.Fatalf("auto-opt selected %q", prO.Name)
 	}
 	// Short message: binomial for both.
@@ -83,7 +84,7 @@ func TestAutoVariantProgramFollowsDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prS.Name != "binomial-bcast" {
+	if prS.Name != tune.Binomial {
 		t.Fatalf("short message selected %q", prS.Name)
 	}
 	// Medium power-of-two: recursive doubling.
@@ -91,7 +92,7 @@ func TestAutoVariantProgramFollowsDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(prR.Name, "rdb") {
+	if prR.Name != tune.ScatterRdb {
 		t.Fatalf("medium pow2 selected %q", prR.Name)
 	}
 }

@@ -45,7 +45,7 @@ func (cfg SimConfig) placedMap(pl tune.Placement, p int) (*topology.Map, error) 
 // their segmented and overlap-aware segmented variants) — the set the
 // paper tunes among. Extensions
 // like the pipelined chain are excluded, so an auto-tuned table over this
-// set is directly comparable to SelectAlgorithm's static thresholds.
+// set is directly comparable to tune.MPICH3's static thresholds.
 func FamilyCandidates() []tune.Candidate {
 	family := map[string]bool{
 		tune.Binomial:     true,

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/mpi"
@@ -68,7 +69,7 @@ func startAllocHarness(t *testing.T, np int, exec engine.ExecPolicy, mx *metrics
 				if r == 0 {
 					binary.LittleEndian.PutUint64(ctl, uint64(int64(<-h.jobs)))
 				}
-				if err := BcastBinomial(c, ctl, 0); err != nil {
+				if err := runStatic(c, ctl, 0, 0, core.BinomialOps, false); err != nil {
 					return err
 				}
 				idx := int(int64(binary.LittleEndian.Uint64(ctl)))
@@ -106,14 +107,18 @@ func (h *allocHarness) stop(t *testing.T) {
 	}
 }
 
-// TestBcastOptSegSteadyStateAllocs is the allocs/op gate for the paper's
-// segmented scatter-ring-allgather broadcast: on a long-lived world the
-// per-broadcast allocation count must be (a) small — the engine's pooled
-// staging, envelopes, posted receives and requests leave only incidental
+// TestBcastOptSegSteadyStateAllocs is the allocs/op gate for per-call
+// broadcasts through the executor: on a long-lived world the
+// per-broadcast allocation count must be (a) small — the rank's ops are
+// emitted into pooled scratch, and the engine's pooled staging,
+// envelopes, posted receives and requests leave only incidental
 // allocations — and (b) independent of the message size. (b) is the
-// sharp edge: a 1 MiB broadcast with 8 KiB segments moves 128x the
-// segments of a 4 KiB one, so any leaked per-segment or per-byte
-// allocation shows up as a slope across the sizes.
+// sharp edge: a 1 MiB opt-seg broadcast with 8 KiB segments moves 128x
+// the segments (and emits 128x the ops) of a 4 KiB one, so any leaked
+// per-op, per-segment or per-byte allocation shows up as a slope across
+// the sizes. The paper's segmented ring is the headline cell; the other
+// cells cover each shape of schedule the executor runs per call (tree,
+// scatter + exchange rounds, scatter + unsegmented ring, pipeline).
 func TestBcastOptSegSteadyStateAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -132,71 +137,75 @@ func TestBcastOptSegSteadyStateAllocs(t *testing.T) {
 		flatSlack = 32.0
 	)
 	sizes := []int{4 << 10, 64 << 10, 1 << 20}
+	cells := []Options{
+		{Algorithm: tune.RingOptSeg, SegSize: segSize},
+		{Algorithm: tune.Binomial},
+		{Algorithm: tune.ScatterRdb},
+		{Algorithm: tune.RingOpt},
+		{Algorithm: tune.Chain, SegSize: segSize},
+	}
 
-	// The grid's second axis proves the observability layer free: the
-	// "spans" cells dispatch through the selection path (Broadcast) with
-	// span recording on, and must meet the exact same budgets as the
-	// direct-call cells. Counters are always on in both.
-	for _, exec := range []engine.ExecPolicy{engine.Goroutine, engine.Pooled} {
-		for _, spans := range []bool{false, true} {
-			name := exec.String()
-			bcastFn := func(c mpi.Comm, buf []byte) error {
-				return BcastScatterRingAllgatherOptSeg(c, buf, 0, segSize)
-			}
-			var mx *metrics.Metrics
-			if spans {
-				name += "/spans"
-				mx = metrics.New(np, 256)
-				o := Options{Algorithm: tune.RingOptSeg, SegSize: segSize}
-				bcastFn = func(c mpi.Comm, buf []byte) error {
+	// The grid's last axis proves the observability layer free: the
+	// "spans" cells run with span recording on and must meet the exact
+	// same budgets. Counters are always on in both.
+	for _, o := range cells {
+		for _, exec := range []engine.ExecPolicy{engine.Goroutine, engine.Pooled} {
+			for _, spans := range []bool{false, true} {
+				name := o.Algorithm + "/" + exec.String()
+				var mx *metrics.Metrics
+				if spans {
+					name += "/spans"
+					mx = metrics.New(np, 256)
+				}
+				bcastFn := func(c mpi.Comm, buf []byte) error {
 					return Broadcast(c, buf, 0, o)
 				}
-			}
-			t.Run(name, func(t *testing.T) {
-				h := startAllocHarness(t, np, exec, mx, sizes, bcastFn)
-				defer h.stop(t)
+				t.Run(name, func(t *testing.T) {
+					h := startAllocHarness(t, np, exec, mx, sizes, bcastFn)
+					defer h.stop(t)
 
-				// Warm the pools: the first broadcast at each size populates
-				// the size classes the steady state reuses.
-				for i := range sizes {
-					if err := h.round(i); err != nil {
-						t.Fatal(err)
-					}
-				}
-
-				got := make([]float64, len(sizes))
-				for i, n := range sizes {
-					i := i
-					got[i] = testing.AllocsPerRun(20, func() {
+					// Warm the pools: the first broadcast at each size populates
+					// the size classes the steady state reuses.
+					for i := range sizes {
 						if err := h.round(i); err != nil {
 							t.Fatal(err)
 						}
-					})
-					t.Logf("size=%-8d allocs/broadcast=%.1f", n, got[i])
-				}
-				for i, n := range sizes {
-					if got[i] > perRoundBudget {
-						t.Errorf("size %d: %.1f allocs per broadcast round, budget %.0f", n, got[i], perRoundBudget)
 					}
-				}
-				if d := got[len(sizes)-1] - got[0]; d > flatSlack {
-					t.Errorf("allocs not flat across sizes: %.1f more at %d B than at %d B (slack %.0f)",
-						d, sizes[len(sizes)-1], sizes[0], flatSlack)
-				}
-				// Spot-check the payload actually traveled.
-				for i, n := range sizes {
-					for r := 1; r < np; r++ {
-						if h.bufs[i][r][0] != 0xAB || h.bufs[i][r][n-1] != 0xCD {
-							t.Fatalf("size %d rank %d: payload not broadcast", n, r)
+
+					got := make([]float64, len(sizes))
+					for i, n := range sizes {
+						i := i
+						got[i] = testing.AllocsPerRun(20, func() {
+							if err := h.round(i); err != nil {
+								t.Fatal(err)
+							}
+						})
+						t.Logf("size=%-8d allocs/broadcast=%.1f", n, got[i])
+					}
+					for i, n := range sizes {
+						if got[i] > perRoundBudget {
+							t.Errorf("size %d: %.1f allocs per broadcast round, budget %.0f", n, got[i], perRoundBudget)
 						}
 					}
-				}
-				if mx != nil {
-					if rec := mx.Snapshot().SpansRecorded; rec == 0 {
-						t.Error("spans cell recorded no spans")
+					if d := got[len(sizes)-1] - got[0]; d > flatSlack {
+						t.Errorf("allocs not flat across sizes: %.1f more at %d B than at %d B (slack %.0f)",
+							d, sizes[len(sizes)-1], sizes[0], flatSlack)
 					}
-				}
-			})
+					// Spot-check the payload actually traveled.
+					for i, n := range sizes {
+						for r := 1; r < np; r++ {
+							if h.bufs[i][r][0] != 0xAB || h.bufs[i][r][n-1] != 0xCD {
+								t.Fatalf("size %d rank %d: payload not broadcast", n, r)
+							}
+						}
+					}
+					if mx != nil {
+						if rec := mx.Snapshot().SpansRecorded; rec == 0 {
+							t.Error("spans cell recorded no spans")
+						}
+					}
+				})
+			}
 		}
 	}
 }

@@ -3,7 +3,6 @@ package collective
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/tune"
 )
@@ -13,277 +12,6 @@ func checkRoot(c mpi.Comm, root int) error {
 		return fmt.Errorf("collective: %w: root %d (size %d)", mpi.ErrRank, root, c.Size())
 	}
 	return nil
-}
-
-// BcastBinomial broadcasts buf from root along a binomial tree, sending
-// the whole buffer in each message — MPICH's short-message algorithm.
-func BcastBinomial(c mpi.Comm, buf []byte, root int) error {
-	if err := checkRoot(c, root); err != nil {
-		return err
-	}
-	p, rank := c.Size(), c.Rank()
-	if p == 1 {
-		return nil
-	}
-	mpi.AdvanceTagStream(c)
-	rel := core.RelRank(rank, root, p)
-
-	recvMask := core.CeilPow2(p)
-	if rel != 0 {
-		recvMask = rel & (-rel)
-		src := core.AbsRank(rel-recvMask, root, p)
-		if _, err := c.Recv(buf, src, core.TagBinomial); err != nil {
-			return fmt.Errorf("collective: binomial bcast recv: %w", err)
-		}
-	}
-	for mask := recvMask >> 1; mask > 0; mask >>= 1 {
-		child := rel + mask
-		if child >= p {
-			continue
-		}
-		dst := core.AbsRank(child, root, p)
-		if err := c.Send(buf, dst, core.TagBinomial); err != nil {
-			return fmt.Errorf("collective: binomial bcast send: %w", err)
-		}
-	}
-	return nil
-}
-
-// scatterForBcast is the binomial scatter phase shared by the
-// scatter-allgather broadcasts: a direct port of MPICH's
-// scatter_for_bcast. On return, the buffer of relative rank rel holds
-// valid data for chunks [rel, rel+Extent(rel)) (its own chunk plus the
-// subtree it forwarded).
-func scatterForBcast(c mpi.Comm, buf []byte, root int) error {
-	p, rank := c.Size(), c.Rank()
-	n := len(buf)
-	l := core.NewLayout(n, p)
-	rel := core.RelRank(rank, root, p)
-
-	curr := 0
-	if rank == root {
-		curr = n
-	}
-	recvMask := core.CeilPow2(p)
-	if rel != 0 {
-		recvMask = rel & (-rel)
-		recvSize := n - rel*l.ScatterSize
-		if recvSize <= 0 {
-			curr = 0 // uneven division: nothing for this subtree
-		} else {
-			src := core.AbsRank(rel-recvMask, root, p)
-			// Post the whole remaining range; the parent sends only the
-			// subtree's bytes and the status reports the actual count.
-			st, err := c.Recv(buf[rel*l.ScatterSize:n], src, core.TagScatter)
-			if err != nil {
-				return fmt.Errorf("collective: scatter recv: %w", err)
-			}
-			curr = st.Count
-		}
-	}
-	for mask := recvMask >> 1; mask > 0; mask >>= 1 {
-		child := rel + mask
-		if child >= p {
-			continue
-		}
-		sendSize := curr - l.ScatterSize*mask
-		if sendSize <= 0 {
-			continue
-		}
-		dst := core.AbsRank(child, root, p)
-		off := l.ScatterSize * child
-		if err := c.Send(buf[off:off+sendSize], dst, core.TagScatter); err != nil {
-			return fmt.Errorf("collective: scatter send: %w", err)
-		}
-		curr -= sendSize
-	}
-	return nil
-}
-
-// ringAllgather runs the P-1-step ring allgather phase. With tuned=false
-// it is the enclosed ring of MPICH (the paper's Figure 3); with
-// tuned=true it is the paper's non-enclosed ring (Listing 1): each rank
-// computes (step, flag) and degenerates to send-only or receive-only for
-// its final step-1 iterations.
-func ringAllgather(c mpi.Comm, buf []byte, root int, tuned bool) error {
-	p, rank := c.Size(), c.Rank()
-	l := core.NewLayout(len(buf), p)
-	left := (p + rank - 1) % p
-	right := (rank + 1) % p
-
-	var sf core.StepFlag
-	if tuned {
-		sf = core.ComputeStepFlag(core.RelRank(rank, root, p), p)
-	}
-
-	j, jnext := rank, left
-	for i := 1; i < p; i++ {
-		relJ := core.RelRank(j, root, p)
-		relJnext := core.RelRank(jnext, root, p)
-		sendBuf := buf[l.Disp(relJ) : l.Disp(relJ)+l.Count(relJ)]
-		recvBuf := buf[l.Disp(relJnext) : l.Disp(relJnext)+l.Count(relJnext)]
-
-		switch {
-		case !tuned || sf.Step <= p-i:
-			if _, err := c.Sendrecv(sendBuf, right, core.TagRing, recvBuf, left, core.TagRing); err != nil {
-				return fmt.Errorf("collective: ring step %d sendrecv: %w", i, err)
-			}
-		case sf.RecvOnly:
-			if _, err := c.Recv(recvBuf, left, core.TagRing); err != nil {
-				return fmt.Errorf("collective: ring step %d recv: %w", i, err)
-			}
-		default:
-			if err := c.Send(sendBuf, right, core.TagRing); err != nil {
-				return fmt.Errorf("collective: ring step %d send: %w", i, err)
-			}
-		}
-		j = jnext
-		jnext = (p + jnext - 1) % p
-	}
-	return nil
-}
-
-// BcastScatterRingAllgather is MPI_Bcast_native: MPICH3's long-message
-// broadcast, a binomial scatter followed by the enclosed ring allgather.
-func BcastScatterRingAllgather(c mpi.Comm, buf []byte, root int) error {
-	if err := checkRoot(c, root); err != nil {
-		return err
-	}
-	if c.Size() == 1 {
-		return nil
-	}
-	mpi.AdvanceTagStream(c)
-	if err := scatterForBcast(c, buf, root); err != nil {
-		return err
-	}
-	return ringAllgather(c, buf, root, false)
-}
-
-// BcastScatterRingAllgatherOpt is MPI_Bcast_opt: the paper's tuned
-// broadcast, a binomial scatter followed by the non-enclosed ring
-// allgather that skips transfers of chunks the receiver already owns.
-func BcastScatterRingAllgatherOpt(c mpi.Comm, buf []byte, root int) error {
-	if err := checkRoot(c, root); err != nil {
-		return err
-	}
-	if c.Size() == 1 {
-		return nil
-	}
-	mpi.AdvanceTagStream(c)
-	if err := scatterForBcast(c, buf, root); err != nil {
-		return err
-	}
-	return ringAllgather(c, buf, root, true)
-}
-
-// rdbAllgather is the recursive-doubling allgather phase (power-of-two
-// communicators only): round k exchanges the currently owned 2^k-chunk
-// block with the partner rel XOR 2^k.
-func rdbAllgather(c mpi.Comm, buf []byte, root int) error {
-	p, rank := c.Size(), c.Rank()
-	l := core.NewLayout(len(buf), p)
-	rel := core.RelRank(rank, root, p)
-	for i, mask := 0, 1; mask < p; i, mask = i+1, mask<<1 {
-		relDst := rel ^ mask
-		dst := core.AbsRank(relDst, root, p)
-		myRoot := rel &^ (mask - 1)
-		dstRoot := relDst &^ (mask - 1)
-		sendBuf := buf[l.Disp(myRoot):l.Disp(myRoot+mask)]
-		recvBuf := buf[l.Disp(dstRoot):l.Disp(dstRoot+mask)]
-		if _, err := c.Sendrecv(sendBuf, dst, core.TagRdb, recvBuf, dst, core.TagRdb); err != nil {
-			return fmt.Errorf("collective: rdb round %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// BcastScatterRdbAllgather is MPICH3's medium-message power-of-two
-// broadcast: binomial scatter followed by recursive-doubling allgather.
-// The communicator size must be a power of two.
-func BcastScatterRdbAllgather(c mpi.Comm, buf []byte, root int) error {
-	if err := checkRoot(c, root); err != nil {
-		return err
-	}
-	p := c.Size()
-	if p == 1 {
-		return nil
-	}
-	if !core.IsPow2(p) {
-		return fmt.Errorf("collective: scatter-rdb-allgather requires a power-of-two communicator, got %d", p)
-	}
-	mpi.AdvanceTagStream(c)
-	if err := scatterForBcast(c, buf, root); err != nil {
-		return err
-	}
-	return rdbAllgather(c, buf, root)
-}
-
-// Algorithm identifies which broadcast algorithm the dispatcher selected.
-// It predates the named registry (registry.go) and remains as the compact
-// identifier of MPICH3's own dispatch family; Name maps it onto the
-// registry namespace.
-type Algorithm int
-
-// Broadcast algorithm identifiers, in dispatch order.
-const (
-	AlgBinomial Algorithm = iota
-	AlgScatterRdbAllgather
-	AlgScatterRingAllgather
-	AlgScatterRingAllgatherOpt
-)
-
-// String names the algorithm like the paper does.
-func (a Algorithm) String() string {
-	switch a {
-	case AlgBinomial:
-		return "binomial"
-	case AlgScatterRdbAllgather:
-		return "scatter-rdb-allgather"
-	case AlgScatterRingAllgather:
-		return "scatter-ring-allgather(native)"
-	case AlgScatterRingAllgatherOpt:
-		return "scatter-ring-allgather(opt)"
-	default:
-		return fmt.Sprintf("Algorithm(%d)", int(a))
-	}
-}
-
-// Name returns the algorithm's registry name (see registry.go and
-// internal/tune); the default tuner's decisions are golden-tested to be
-// identical to SelectAlgorithm through this mapping.
-func (a Algorithm) Name() string {
-	switch a {
-	case AlgBinomial:
-		return tune.Binomial
-	case AlgScatterRdbAllgather:
-		return tune.ScatterRdb
-	case AlgScatterRingAllgather:
-		return tune.RingNative
-	case AlgScatterRingAllgatherOpt:
-		return tune.RingOpt
-	default:
-		return fmt.Sprintf("algorithm-%d", int(a))
-	}
-}
-
-// SelectAlgorithm reproduces MPICH3's broadcast dispatch for an n-byte
-// message over p ranks. With tuned=true, the long-message/mmsg-npof2 ring
-// path selects the paper's optimized ring.
-//
-// It is the golden reference for tune.MPICH3, the default Tuner that
-// Bcast and BcastOpt dispatch through; a test asserts the two agree on
-// every (n, p, tuned) input.
-func SelectAlgorithm(n, p int, tuned bool) Algorithm {
-	switch {
-	case n < BcastShortMsgSize || p < BcastMinProcs:
-		return AlgBinomial
-	case n < BcastLongMsgSize && core.IsPow2(p):
-		return AlgScatterRdbAllgather
-	case tuned:
-		return AlgScatterRingAllgatherOpt
-	default:
-		return AlgScatterRingAllgather
-	}
 }
 
 // Bcast broadcasts buf from root using MPICH3's native algorithm

@@ -11,6 +11,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/mpi"
 	"repro/internal/topology"
+	"repro/internal/tune"
 )
 
 // pattern fills deterministic, offset-dependent bytes so any misplaced
@@ -24,6 +25,12 @@ func pattern(n int) []byte {
 }
 
 type bcastFn func(mpi.Comm, []byte, int) error
+
+// pinned is the broadcast that runs one registry algorithm by name.
+func pinned(algo string, seg int) bcastFn {
+	o := Options{Algorithm: algo, SegSize: seg}
+	return func(c mpi.Comm, buf []byte, root int) error { return Broadcast(c, buf, root, o) }
+}
 
 // runBcast executes algo on a fresh world and checks every rank ends with
 // the full pattern.
@@ -66,15 +73,25 @@ var algorithms = []struct {
 	fn       bcastFn
 	pow2Only bool
 }{
-	{"binomial", BcastBinomial, false},
-	{"scatter-ring-native", BcastScatterRingAllgather, false},
-	{"scatter-ring-opt", BcastScatterRingAllgatherOpt, false},
-	{"scatter-rdb", BcastScatterRdbAllgather, true},
+	{"binomial", pinned(tune.Binomial, 0), false},
+	{"scatter-ring-native", pinned(tune.RingNative, 0), false},
+	{"scatter-ring-opt", pinned(tune.RingOpt, 0), false},
+	{"scatter-rdb", pinned(tune.ScatterRdb, 0), true},
 	{"dispatch-native", Bcast, false},
 	{"dispatch-opt", BcastOpt, false},
 	{"smp-native", BcastSMP, false},
 	{"smp-opt", BcastSMPOpt, false},
 }
+
+// protocolAlgorithms are the broadcasts the eager/rendezvous protocol
+// tests run: the tree, both rings, and the tuned ring in overlap mode
+// with two segments per chunk (pre-posted receives against blocked
+// rendezvous senders).
+var protocolAlgorithms = append(algorithms[:3:3], struct {
+	name     string
+	fn       bcastFn
+	pow2Only bool
+}{"scatter-ring-opt-seg-nb", pinned(tune.RingOptSegNB, 40), false})
 
 func TestBcastCorrectnessGrid(t *testing.T) {
 	for _, alg := range algorithms {
@@ -99,8 +116,8 @@ func TestBcastCorrectnessGrid(t *testing.T) {
 
 func TestBcastRendezvousOnly(t *testing.T) {
 	// All transports rendezvous: exercises blocked senders inside the
-	// ring. Smaller grid, both ring variants.
-	for _, alg := range algorithms[:3] {
+	// ring. Smaller grid, both ring variants and the overlap mode.
+	for _, alg := range protocolAlgorithms {
 		for _, p := range []int{2, 5, 8, 10} {
 			opts := engine.Options{NP: p, EagerLimit: -1}
 			runBcast(t, alg.name+"/rdv", alg.fn, opts, 0, 64*p+3)
@@ -111,7 +128,7 @@ func TestBcastRendezvousOnly(t *testing.T) {
 func TestBcastTinyEagerLimit(t *testing.T) {
 	// Eager limit of 16 bytes mixes the protocols within one broadcast
 	// (short tail chunks eager, full chunks rendezvous).
-	for _, alg := range algorithms[:3] {
+	for _, alg := range protocolAlgorithms {
 		for _, p := range []int{4, 9, 12} {
 			opts := engine.Options{NP: p, EagerLimit: 16}
 			runBcast(t, alg.name+"/mixed", alg.fn, opts, 1%p, 24*p+5)
@@ -149,7 +166,7 @@ func TestBcastSMPSingleNodeFallsBack(t *testing.T) {
 
 func TestBcastRejectsBadRoot(t *testing.T) {
 	err := engine.Run(2, func(c mpi.Comm) error {
-		err := BcastBinomial(c, nil, 5)
+		err := pinned(tune.Binomial, 0)(c, nil, 5)
 		if !errors.Is(err, mpi.ErrRank) {
 			return fmt.Errorf("want ErrRank, got %v", err)
 		}
@@ -162,7 +179,7 @@ func TestBcastRejectsBadRoot(t *testing.T) {
 
 func TestRdbRejectsNonPow2(t *testing.T) {
 	err := engine.Run(3, func(c mpi.Comm) error {
-		err := BcastScatterRdbAllgather(c, make([]byte, 3), 0)
+		err := pinned(tune.ScatterRdb, 0)(c, make([]byte, 3), 0)
 		if err == nil {
 			return errors.New("want power-of-two error")
 		}
@@ -173,79 +190,16 @@ func TestRdbRejectsNonPow2(t *testing.T) {
 	}
 }
 
-func TestSelectAlgorithm(t *testing.T) {
-	cases := []struct {
-		n, p  int
-		tuned bool
-		want  Algorithm
-	}{
-		// Short messages: always binomial.
-		{0, 64, false, AlgBinomial},
-		{12287, 64, false, AlgBinomial},
-		{12287, 64, true, AlgBinomial},
-		// Small communicators: always binomial, even long messages.
-		{1 << 20, 7, false, AlgBinomial},
-		{1 << 20, 7, true, AlgBinomial},
-		// Medium, power-of-two: recursive doubling.
-		{12288, 64, false, AlgScatterRdbAllgather},
-		{524287, 16, false, AlgScatterRdbAllgather},
-		{524287, 16, true, AlgScatterRdbAllgather},
-		// Medium, non-power-of-two: the ring path (the paper's
-		// mmsg-npof2 case).
-		{12288, 9, false, AlgScatterRingAllgather},
-		{12288, 9, true, AlgScatterRingAllgatherOpt},
-		{524287, 129, false, AlgScatterRingAllgather},
-		{524287, 129, true, AlgScatterRingAllgatherOpt},
-		// Long messages: the ring path regardless of process count.
-		{524288, 16, false, AlgScatterRingAllgather},
-		{524288, 16, true, AlgScatterRingAllgatherOpt},
-		{1 << 25, 256, false, AlgScatterRingAllgather},
-		{1 << 25, 256, true, AlgScatterRingAllgatherOpt},
-	}
-	for _, tc := range cases {
-		if got := SelectAlgorithm(tc.n, tc.p, tc.tuned); got != tc.want {
-			t.Errorf("SelectAlgorithm(%d, %d, %v) = %v want %v", tc.n, tc.p, tc.tuned, got, tc.want)
-		}
-	}
-}
-
-func TestAlgorithmString(t *testing.T) {
-	names := map[Algorithm]string{
-		AlgBinomial:                "binomial",
-		AlgScatterRdbAllgather:     "scatter-rdb-allgather",
-		AlgScatterRingAllgather:    "scatter-ring-allgather(native)",
-		AlgScatterRingAllgatherOpt: "scatter-ring-allgather(opt)",
-	}
-	for a, want := range names {
-		if a.String() != want {
-			t.Errorf("%d.String() = %q want %q", int(a), a.String(), want)
-		}
-	}
-}
-
 // TestDispatchUsesThresholdSizes runs the dispatcher at exactly the
 // paper's threshold sizes end-to-end (correctness at the seams).
 func TestDispatchUsesThresholdSizes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("threshold sizes move hundreds of KiB per rank")
 	}
-	for _, n := range []int{BcastShortMsgSize - 1, BcastShortMsgSize, BcastLongMsgSize - 1, BcastLongMsgSize} {
+	for _, n := range []int{tune.ShortMsgSize - 1, tune.ShortMsgSize, tune.LongMsgSize - 1, tune.LongMsgSize} {
 		for _, p := range []int{8, 9} {
 			runBcast(t, "dispatch-threshold", Bcast, engine.Options{NP: p}, 0, n)
 			runBcast(t, "dispatch-threshold-opt", BcastOpt, engine.Options{NP: p}, 0, n)
 		}
 	}
-}
-
-func TestBcastNBCorrectnessGrid(t *testing.T) {
-	for _, p := range []int{1, 2, 5, 8, 9, 10, 16} {
-		for _, root := range []int{0, p - 1} {
-			for _, n := range []int{0, 1, p, 32*p + 5} {
-				runBcast(t, "nb-opt", BcastScatterRingAllgatherOptNB, engine.Options{NP: p}, root, n)
-			}
-		}
-	}
-	// Rendezvous-only pass.
-	runBcast(t, "nb-opt-rdv", BcastScatterRingAllgatherOptNB,
-		engine.Options{NP: 10, EagerLimit: -1}, 3, 640)
 }

@@ -1,36 +1,44 @@
 // Package collective implements executable MPI collectives over the
 // mpi.Comm interface.
 //
-// The broadcast family is the subject of the reproduced paper:
+// The broadcast family is the subject of the reproduced paper. A static
+// broadcast exists in exactly one executable form: a per-rank op emitter
+// in internal/core (sched.Emitter). That one function feeds
 //
-//   - BcastBinomial — MPICH's short-message whole-buffer binomial tree;
-//   - BcastScatterRingAllgather — MPICH's long-message algorithm
-//     (binomial scatter + enclosed ring allgather), the paper's
-//     MPI_Bcast_native;
-//   - BcastScatterRingAllgatherOpt — the paper's contribution
-//     (binomial scatter + non-enclosed ring allgather), a faithful port
-//     of Listing 1, the paper's MPI_Bcast_opt;
-//   - BcastScatterRingAllgatherSeg / BcastScatterRingAllgatherOptSeg —
-//     segmented variants of the two rings that pipeline the allgather
-//     phase in SegSize chunks (segmentation generalized from the chain
-//     broadcast to the scatter-ring family);
-//   - BcastScatterRdbAllgather — MPICH's medium-message power-of-two
+//	emitter -> sched.Generate -> { verifier, simulator, tuner }
+//	        -> the executor (exec.go) -> the engine
+//
+// so the schedule that is proven deadlock-free and costed is, by
+// construction, the code every rank runs. The registry (registry.go)
+// names the family:
+//
+//   - binomial — MPICH's short-message whole-buffer binomial tree;
+//   - scatter-ring-allgather — MPICH's long-message algorithm (binomial
+//     scatter + enclosed ring allgather), the paper's MPI_Bcast_native;
+//   - scatter-ring-allgather-opt — the paper's contribution (binomial
+//     scatter + non-enclosed ring allgather, Listing 1), MPI_Bcast_opt;
+//   - the -seg variants of the two rings, which pipeline the allgather
+//     phase in SegSize pieces, and their -seg-nb rows: the same ops run
+//     in the executor's overlap mode (receives pre-posted per ring step);
+//   - scatter-rdb-allgather — MPICH's medium-message power-of-two
 //     algorithm (binomial scatter + recursive-doubling allgather);
-//   - Bcast / BcastOpt — MPICH3's size/process-count dispatch over the
-//     above (native vs tuned ring path);
-//   - BcastSMP / BcastSMPOpt — the multi-core aware variant described in
-//     the paper's introduction (intra-node binomial on the root's node,
-//     inter-node scatter-ring-allgather among node leaders, intra-node
-//     binomial everywhere else).
+//   - chain — the segmented pipeline chain (extension baseline);
+//   - smp / smp-opt (BcastSMP / BcastSMPOpt) — the multi-core aware
+//     variant described in the paper's introduction: static phases
+//     (intra-node binomial, inter-node scatter-ring among node leaders)
+//     composed over Split sub-communicators at run time.
+//
+// Bcast / BcastOpt are MPICH3's size/process-count dispatch over the
+// above (native vs tuned ring path).
 //
 // # Registry and tuning
 //
-// Every broadcast registers into a named registry (registry.go) as a
-// Registration: a stable name (the tune.* name constants), the
-// executable implementation, capability predicates (power-of-two-only,
-// minimum processes, multi-node-only, segmented), and — for algorithms
-// whose communication pattern is static — a schedule generator shared
-// with the verifier, the simulator, and the auto-tuner.
+// A Registration is a stable name (the tune.* name constants),
+// capability predicates (power-of-two-only, minimum processes,
+// multi-node-only, segmented) and, for a static algorithm, its emitter
+// alone — Register derives the whole-program generator and the
+// executable Run from it. Only the SMP rows, whose pattern depends on
+// runtime communicator state, supply a Run of their own.
 //
 // Selection is delegated to internal/tune and flows through exactly one
 // path: every entry point resolves its arguments into an Options value
@@ -41,7 +49,7 @@
 // and the bench harness build the same struct, so "which algorithm runs"
 // has a single answer per (Options, Env) everywhere in the system.
 // tune.MPICH3 reproduces MPICH3's hardcoded dispatch bit-for-bit
-// (golden-tested against SelectAlgorithm), and tune.TableTuner
+// (pinned by a literal golden table in internal/tune), and tune.TableTuner
 // dispatches through a JSON tuning table derived by the auto-tuner from
 // measured crossover points. RunDecision executes a single decision
 // after checking it against the registered capabilities, so a mis-keyed
@@ -63,10 +71,7 @@
 // compatible arguments.
 package collective
 
-import (
-	"repro/internal/core"
-	"repro/internal/tune"
-)
+import "repro/internal/core"
 
 // Reserved tags for collectives not covered by internal/core's phase tags.
 const (
@@ -74,20 +79,6 @@ const (
 	tagGather    = 0x7F07
 	tagScatter   = 0x7F08
 	tagAllgather = 0x7F09
-)
-
-// MPICH3 broadcast dispatch thresholds, re-exported from internal/tune
-// (the selection subsystem owns them; see tune.ShortMsgSize and friends
-// for the paper's Section V provenance).
-const (
-	// BcastShortMsgSize: messages strictly below this use the binomial tree.
-	BcastShortMsgSize = tune.ShortMsgSize
-	// BcastLongMsgSize: messages at or above this always use
-	// scatter-ring-allgather.
-	BcastLongMsgSize = tune.LongMsgSize
-	// BcastMinProcs: communicators smaller than this always use the
-	// binomial tree (MPIR_BCAST_MIN_PROCS in MPICH).
-	BcastMinProcs = tune.MinRingProcs
 )
 
 // Re-exported phase tags (defined next to the schedule generators so that

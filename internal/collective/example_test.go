@@ -6,17 +6,18 @@ import (
 	"repro/internal/collective"
 	"repro/internal/engine"
 	"repro/internal/mpi"
+	"repro/internal/tune"
 )
 
 // The tuned broadcast in three lines: run ranks, fill the root's buffer,
-// call the collective.
-func ExampleBcastScatterRingAllgatherOpt() {
+// pin the paper's algorithm by its registry name.
+func ExampleBroadcast() {
 	err := engine.Run(4, func(c mpi.Comm) error {
 		buf := make([]byte, 4)
 		if c.Rank() == 0 {
 			copy(buf, []byte{10, 20, 30, 40})
 		}
-		if err := collective.BcastScatterRingAllgatherOpt(c, buf, 0); err != nil {
+		if err := collective.Broadcast(c, buf, 0, collective.Options{Algorithm: tune.RingOpt}); err != nil {
 			return err
 		}
 		if c.Rank() == 3 {
@@ -29,22 +30,6 @@ func ExampleBcastScatterRingAllgatherOpt() {
 	}
 	// Output:
 	// rank 3 received [10 20 30 40]
-}
-
-// SelectAlgorithm reproduces MPICH3's dispatch; the tuned ring serves
-// the paper's two target cases.
-func ExampleSelectAlgorithm() {
-	fmt.Println(collective.SelectAlgorithm(1024, 64, true))   // short
-	fmt.Println(collective.SelectAlgorithm(65536, 64, true))  // medium pow2
-	fmt.Println(collective.SelectAlgorithm(65536, 129, true)) // medium npof2
-	fmt.Println(collective.SelectAlgorithm(1<<20, 64, true))  // long
-	fmt.Println(collective.SelectAlgorithm(1<<20, 64, false)) // long, native
-	// Output:
-	// binomial
-	// scatter-rdb-allgather
-	// scatter-ring-allgather(opt)
-	// scatter-ring-allgather(opt)
-	// scatter-ring-allgather(native)
 }
 
 // Allreduce gives every rank the global sum.

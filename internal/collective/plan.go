@@ -2,20 +2,20 @@ package collective
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/mpi"
-	"repro/internal/sched"
 	"repro/internal/tune"
 )
 
 // Plan is a pre-resolved broadcast: the tuner decision, the registry
-// entry it names and (for static algorithms) the communication
-// schedule, all computed and validated once so repeated executions skip
-// selection entirely. It is the engine-side half of the facade's
-// persistent handles: Broadcast does envOf + Decide + Lookup + Caps
-// per call; a Plan does them at build time and Execute goes straight
-// to the registered implementation.
+// entry it names and (for static algorithms) the calling rank's compiled
+// operations, all computed and validated once so repeated executions skip
+// selection and emission entirely. It is the engine-side half of the
+// facade's persistent handles — and, bound for a single call, it is
+// RunDecision: per-call and persistent broadcasts are one
+// bind-validate-run-span path.
 //
 // A Plan belongs to one rank of one communicator group (every rank of
 // a persistent collective builds its own), is not safe for concurrent
@@ -26,8 +26,8 @@ type Plan struct {
 	root int
 	opts Options
 	dec  tune.Decision
-	reg  Registration
-	prog *sched.Program // nil for schedule-less (Split-based) algorithms
+	reg  *Registration
+	ops  rankOps // the rank's compiled schedule; unused by schedule-less rows
 
 	// cache memoizes the tuner decision across Rebinds keyed on the full
 	// environment: double-buffered serving (two buffers, same length)
@@ -35,14 +35,16 @@ type Plan struct {
 	cache tune.CachedDecision
 }
 
+// planPool holds the Plans per-call broadcasts borrow (RunDecision for
+// the whole plan, runStatic for its ops scratch), so in the steady state
+// they allocate as little as a kept Plan does.
+var planPool = sync.Pool{New: func() any { return new(Plan) }}
+
 // NewPlan resolves o against (c, n, root) and validates the outcome the
 // same way RunDecision would, so an Init-time Plan failure is exactly
 // the failure the equivalent Broadcast call would have produced — just
 // earlier, before anything is in flight.
 func NewPlan(c mpi.Comm, n, root int, o Options) (*Plan, error) {
-	if err := checkRoot(c, root); err != nil {
-		return nil, err
-	}
 	if n < 0 {
 		return nil, fmt.Errorf("collective: plan: negative length %d", n)
 	}
@@ -56,31 +58,40 @@ func NewPlan(c mpi.Comm, n, root int, o Options) (*Plan, error) {
 	return p, nil
 }
 
-// resolve decides and validates for a byte count, caching the schedule
-// of static algorithms for introspection.
+// resolve decides for a byte count and binds the decision.
 func (p *Plan) resolve(c mpi.Comm, n int) error {
-	e := envOf(c, n)
-	d := p.cache.Get(e, p.opts.Decide)
-	r, ok := Lookup(d.Algorithm)
-	if !ok {
-		return fmt.Errorf("collective: plan: unknown algorithm %q (registered: %v)", d.Algorithm, Names())
+	return p.bind(c, n, p.cache.Get(envOf(c, n), p.opts.Decide))
+}
+
+// bind validates decision d for an n-byte broadcast from p.root on c —
+// the algorithm is registered, the segment size is not negative, the
+// capabilities admit the environment — and, for a static algorithm,
+// compiles the calling rank's operations: O(own ops), never the other
+// ranks' lists. A rejected decision leaves the previous binding intact.
+func (p *Plan) bind(c mpi.Comm, n int, d tune.Decision) error {
+	if err := checkRoot(c, p.root); err != nil {
+		return err
+	}
+	r := lookup(d.Algorithm)
+	if r == nil {
+		return fmt.Errorf("collective: unknown algorithm %q (registered: %v)", d.Algorithm, Names())
 	}
 	if d.SegSize < 0 {
-		return fmt.Errorf("collective: plan: negative segment size %d for %q", d.SegSize, d.Algorithm)
+		// The segmented algorithms treat any non-positive segment as
+		// their default; a negative one is a caller bug that must not
+		// silently run with a different pipeline than asked for.
+		return fmt.Errorf("collective: negative segment size %d for %q", d.SegSize, d.Algorithm)
 	}
-	if !r.Caps.Match(e) {
-		return fmt.Errorf("collective: plan: algorithm %q cannot run with %d bytes on %d ranks over %d node(s)",
+	if e := envOf(c, n); !r.Caps.Match(e) {
+		return fmt.Errorf("collective: algorithm %q cannot run with %d bytes on %d ranks over %d node(s)",
 			d.Algorithm, e.Bytes, e.Procs, e.NumNodes)
 	}
-	var prog *sched.Program
-	if r.Program != nil {
-		pr, err := r.Program(c.Size(), p.root, n, d.SegSize)
-		if err != nil {
-			return fmt.Errorf("collective: plan: schedule for %q: %w", d.Algorithm, err)
+	if r.Ops != nil {
+		if err := p.ops.compile(c, r.Ops, p.root, n, d.SegSize); err != nil {
+			return err
 		}
-		prog = pr
 	}
-	p.n, p.dec, p.reg, p.prog = n, d, r, prog
+	p.n, p.dec, p.reg = n, d, r
 	return nil
 }
 
@@ -110,21 +121,24 @@ func (p *Plan) SetOptions(c mpi.Comm, o Options) error {
 }
 
 // Execute runs the planned broadcast on c. The buffer must have the
-// planned length (use Rebind for a different size). It dispatches
-// through the registration's Run — the exact code path Broadcast takes
-// after selection — so a plan execution is byte- and traffic-identical
-// to the equivalent per-call broadcast by construction (including the
-// overlap behavior of the nonblocking variants, which a generic
-// schedule interpreter would lose). Like RunDecision, it emits an
-// operation span on success when the communicator carries a span ring,
-// so persistent Start/Wait rounds appear on the same timeline as
-// per-call broadcasts — and stays allocation-free doing it.
+// planned length (use Rebind for a different size). A static algorithm
+// runs its compiled operations in the executor's loop, allocation-free;
+// a schedule-less one runs its registered Run. On success it records an
+// operation span when the communicator carries a span ring, so
+// persistent Start/Wait rounds and per-call broadcasts appear on one
+// timeline — this is the broadcast span-emission site.
 func (p *Plan) Execute(c mpi.Comm, buf []byte) error {
 	if len(buf) != p.n {
 		return fmt.Errorf("collective: plan executed with %d bytes, built for %d (Rebind first)", len(buf), p.n)
 	}
 	ring, start := spanStart(c)
-	if err := p.reg.Run(c, buf, p.root, p.dec.SegSize); err != nil {
+	var err error
+	if p.reg.Ops != nil {
+		err = p.ops.run(c, buf, p.reg.Overlap)
+	} else {
+		err = p.reg.Run(c, buf, p.root, p.dec.SegSize)
+	}
+	if err != nil {
 		return err
 	}
 	if ring != nil {
@@ -141,8 +155,3 @@ func (p *Plan) Root() int { return p.root }
 
 // Decision returns the resolved tuner decision.
 func (p *Plan) Decision() tune.Decision { return p.dec }
-
-// Program returns the cached static schedule, or nil when the planned
-// algorithm's communication pattern depends on runtime communicator
-// state.
-func (p *Plan) Program() *sched.Program { return p.prog }

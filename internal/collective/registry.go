@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/mpi"
@@ -74,47 +73,79 @@ func (cp Capabilities) Match(e tune.Env) bool {
 	return true
 }
 
-// Registration is one pluggable broadcast algorithm: a stable name, the
-// executable implementation, its capability constraints, and (when the
-// algorithm's communication pattern is data-independent and static) a
-// schedule generator for the verifier, the simulator, and the auto-tuner.
+// Registration is one pluggable broadcast algorithm: a stable name, its
+// capability constraints, and the algorithm itself.
+//
+// A static algorithm — one whose communication pattern depends only on
+// (ranks, root, bytes, segment) — supplies exactly one function, Ops, the
+// per-rank emitter of its schedule. Register derives the other two from
+// it: Program is sched.Generate over Ops (for the verifier, the simulator
+// and the tuner) and Run is the executor over Ops, so the row cannot
+// describe one algorithm and run another. An algorithm whose pattern
+// depends on runtime communicator state (the Split-based SMP broadcasts)
+// supplies Run instead and has no Program.
 type Registration struct {
 	// Name is the registry key (one of the tune.* algorithm names for the
 	// built-ins; extensions pick fresh names).
 	Name string
 	// Summary is a one-line human description, shown by the CLI tools.
 	Summary string
-	// Run executes the broadcast. segSize is meaningful only for
-	// Capabilities.Segmented algorithms (0 = the algorithm's default).
-	Run func(c mpi.Comm, buf []byte, root, segSize int) error
 	// Caps are the algorithm's hard constraints.
 	Caps Capabilities
-	// Program generates the static communication schedule, or is nil for
-	// algorithms whose schedule depends on runtime communicator state
-	// (the Split-based SMP broadcasts).
+	// Ops emits one rank's operations; nil for schedule-less algorithms.
+	// The segment argument is meaningful only for Capabilities.Segmented
+	// algorithms (0 = the algorithm's default).
+	Ops sched.Emitter
+	// Overlap selects the executor's overlap mode for Ops: within one
+	// ring step every receive is pre-posted and every send started before
+	// any is awaited (see rankOps.exec for when that is sound). It is a
+	// fixed property of the row — the "-nb" rows are their blocking rows'
+	// Ops with Overlap set — never a per-call choice.
+	Overlap bool
+	// Run executes the broadcast. Derived for rows with Ops; supplied by
+	// schedule-less rows.
+	Run func(c mpi.Comm, buf []byte, root, segSize int) error
+	// Program generates the whole static schedule. Derived for rows with
+	// Ops; nil for schedule-less rows.
 	Program func(p, root, n, segSize int) (*sched.Program, error)
 }
 
 var (
 	regMu    sync.RWMutex
-	registry = map[string]Registration{}
+	registry = map[string]*Registration{} // rows are immutable once registered
 )
 
 // Register adds an algorithm to the registry. Names must be unique and
-// non-empty, and a Run implementation is mandatory.
+// non-empty, and a row supplies either Ops or Run, not both.
 func Register(r Registration) error {
 	if r.Name == "" {
 		return fmt.Errorf("collective: register: empty name")
 	}
-	if r.Run == nil {
-		return fmt.Errorf("collective: register %q: nil Run", r.Name)
+	switch {
+	case r.Ops == nil && r.Run == nil:
+		return fmt.Errorf("collective: register %q: neither Ops nor Run", r.Name)
+	case r.Ops == nil && r.Overlap:
+		return fmt.Errorf("collective: register %q: Overlap needs Ops", r.Name)
+	case r.Ops != nil && (r.Run != nil || r.Program != nil):
+		return fmt.Errorf("collective: register %q: Run and Program are derived from Ops; supply Ops alone", r.Name)
+	case r.Ops != nil:
+		ops, overlap, name, caps := r.Ops, r.Overlap, r.Name, r.Caps
+		r.Run = func(c mpi.Comm, buf []byte, root, segSize int) error {
+			return runStatic(c, buf, root, segSize, ops, overlap)
+		}
+		r.Program = func(p, root, n, segSize int) (*sched.Program, error) {
+			if p < caps.MinProcs || (caps.Pow2Only && !core.IsPow2(p)) {
+				return nil, fmt.Errorf("collective: %s has no schedule for %d ranks %s", name, p, caps.Label())
+			}
+			return sched.Generate(name, ops, p, root, n, segSize), nil
+		}
 	}
 	regMu.Lock()
 	defer regMu.Unlock()
 	if _, dup := registry[r.Name]; dup {
 		return fmt.Errorf("collective: register %q: duplicate name", r.Name)
 	}
-	registry[r.Name] = r
+	registry[r.Name] = &r
 	return nil
 }
 
@@ -128,10 +159,18 @@ func MustRegister(r Registration) {
 
 // Lookup returns the registration for name.
 func Lookup(name string) (Registration, bool) {
+	if r := lookup(name); r != nil {
+		return *r, true
+	}
+	return Registration{}, false
+}
+
+// lookup returns the registered row itself (nil when unknown), sparing
+// the per-broadcast paths a copy of the struct.
+func lookup(name string) *Registration {
 	regMu.RLock()
 	defer regMu.RUnlock()
-	r, ok := registry[name]
-	return r, ok
+	return registry[name]
 }
 
 // Names returns every registered algorithm name, sorted.
@@ -152,7 +191,7 @@ func Algorithms() []Registration {
 	defer regMu.RUnlock()
 	out := make([]Registration, 0, len(registry))
 	for _, r := range registry {
-		out = append(out, r)
+		out = append(out, *r)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
@@ -206,33 +245,20 @@ func envOf(c mpi.Comm, n int) tune.Env {
 // RunDecision executes a tuner decision through the registry, after
 // checking the decided algorithm exists and its capabilities admit the
 // environment (a mis-keyed tuning table fails loudly, not with a hang or
-// a wrong answer deep inside an algorithm). As the one selection path's
-// execution point it is also the broadcast span-emission site: when the
-// communicator carries a span ring, every successful run records a
-// {rank, op, algorithm, seg, bytes, start, duration} span.
+// a wrong answer deep inside an algorithm). It is a Plan bound for one
+// call: the same bind-then-Execute path a persistent handle takes, with
+// the rank's ops emitted into a pooled Plan instead of a kept one — so the
+// per-call and persistent broadcasts cannot drift apart, and both record
+// the same {rank, op, algorithm, seg, bytes, start, duration} span when
+// the communicator carries a span ring.
 func RunDecision(c mpi.Comm, buf []byte, root int, d tune.Decision) error {
-	r, ok := Lookup(d.Algorithm)
-	if !ok {
-		return fmt.Errorf("collective: unknown algorithm %q (registered: %v)", d.Algorithm, Names())
-	}
-	if d.SegSize < 0 {
-		// The segmented algorithms treat any non-positive segment as
-		// their default; a negative one is a caller bug that must not
-		// silently run with a different pipeline than asked for.
-		return fmt.Errorf("collective: negative segment size %d for %q", d.SegSize, d.Algorithm)
-	}
-	if e := envOf(c, len(buf)); !r.Caps.Match(e) {
-		return fmt.Errorf("collective: algorithm %q cannot run with %d bytes on %d ranks over %d node(s)",
-			d.Algorithm, e.Bytes, e.Procs, e.NumNodes)
-	}
-	ring, start := spanStart(c)
-	if err := r.Run(c, buf, root, d.SegSize); err != nil {
+	p := planPool.Get().(*Plan)
+	defer planPool.Put(p)
+	p.root = root
+	if err := p.bind(c, len(buf), d); err != nil {
 		return err
 	}
-	if ring != nil {
-		ring.Record(opBcast, d.Algorithm, d.SegSize, len(buf), start, time.Since(start))
-	}
-	return nil
+	return p.Execute(c, buf)
 }
 
 // BcastWith broadcasts buf from root using the algorithm t selects for
@@ -242,125 +268,77 @@ func BcastWith(c mpi.Comm, buf []byte, root int, t tune.Tuner) error {
 	return Broadcast(c, buf, root, Options{Tuner: t})
 }
 
-// The built-in broadcast family. Every Bcast* entry point in this package
-// routes through these registrations (Bcast/BcastOpt via the default
-// tuner, the named functions via the same implementations).
+// The built-in broadcast family. Each static row is its emitter from
+// internal/core and nothing else; the two overlap rows are their blocking
+// rows' emitters in the executor's overlap mode.
 func init() {
 	MustRegister(Registration{
 		Name:    tune.Binomial,
 		Summary: "whole-buffer binomial tree (MPICH short-message)",
-		Run: func(c mpi.Comm, buf []byte, root, _ int) error {
-			return BcastBinomial(c, buf, root)
-		},
-		Program: func(p, root, n, _ int) (*sched.Program, error) {
-			return core.BinomialBcast(p, root, n), nil
-		},
+		Ops:     core.BinomialOps,
 	})
 	MustRegister(Registration{
 		Name:    tune.ScatterRdb,
 		Summary: "binomial scatter + recursive-doubling allgather (MPICH medium-message, pow2 only)",
-		Run: func(c mpi.Comm, buf []byte, root, _ int) error {
-			return BcastScatterRdbAllgather(c, buf, root)
-		},
-		Caps: Capabilities{Pow2Only: true},
-		Program: func(p, root, n, _ int) (*sched.Program, error) {
-			if !core.IsPow2(p) {
-				return nil, fmt.Errorf("collective: %s requires a power-of-two communicator, got %d", tune.ScatterRdb, p)
-			}
-			return core.BcastRdbProgram(p, root, n), nil
-		},
+		Caps:    Capabilities{Pow2Only: true},
+		Ops:     core.BcastRdbOps,
 	})
 	MustRegister(Registration{
 		Name:    tune.RingNative,
 		Summary: "binomial scatter + enclosed ring allgather (MPI_Bcast_native)",
-		Run: func(c mpi.Comm, buf []byte, root, _ int) error {
-			return BcastScatterRingAllgather(c, buf, root)
-		},
-		Program: func(p, root, n, _ int) (*sched.Program, error) {
-			return core.BcastNativeProgram(p, root, n), nil
-		},
+		Ops:     core.BcastNativeOps,
 	})
 	MustRegister(Registration{
 		Name:    tune.RingOpt,
 		Summary: "binomial scatter + non-enclosed ring allgather (the paper's MPI_Bcast_opt)",
-		Run: func(c mpi.Comm, buf []byte, root, _ int) error {
-			return BcastScatterRingAllgatherOpt(c, buf, root)
-		},
-		Program: func(p, root, n, _ int) (*sched.Program, error) {
-			return core.BcastOptProgram(p, root, n), nil
-		},
+		Ops:     core.BcastOptOps,
 	})
 	MustRegister(Registration{
 		Name:    tune.RingSeg,
 		Summary: "binomial scatter + segmented enclosed ring allgather (pipelined native)",
-		Run: func(c mpi.Comm, buf []byte, root, segSize int) error {
-			return BcastScatterRingAllgatherSeg(c, buf, root, segSize)
-		},
-		Caps: Capabilities{Segmented: true},
-		Program: func(p, root, n, segSize int) (*sched.Program, error) {
-			return core.BcastNativeSegProgram(p, root, n, segSize), nil
-		},
+		Caps:    Capabilities{Segmented: true},
+		Ops:     core.BcastNativeSegOps,
 	})
 	MustRegister(Registration{
 		Name:    tune.RingOptSeg,
 		Summary: "binomial scatter + segmented non-enclosed ring allgather (pipelined MPI_Bcast_opt)",
-		Run: func(c mpi.Comm, buf []byte, root, segSize int) error {
-			return BcastScatterRingAllgatherOptSeg(c, buf, root, segSize)
-		},
-		Caps: Capabilities{Segmented: true},
-		Program: func(p, root, n, segSize int) (*sched.Program, error) {
-			return core.BcastOptSegProgram(p, root, n, segSize), nil
-		},
+		Caps:    Capabilities{Segmented: true},
+		Ops:     core.BcastOptSegOps,
 	})
 	MustRegister(Registration{
 		Name:    tune.RingSegNB,
 		Summary: "segmented enclosed ring with pre-posted nonblocking segment transfers (overlap pipeline)",
-		Run: func(c mpi.Comm, buf []byte, root, segSize int) error {
-			return BcastScatterRingAllgatherSegNB(c, buf, root, segSize)
-		},
-		Caps: Capabilities{Segmented: true},
-		// Message-for-message the blocking segmented ring's traffic, so
-		// the same schedule describes it.
-		Program: func(p, root, n, segSize int) (*sched.Program, error) {
-			return core.BcastNativeSegProgram(p, root, n, segSize), nil
-		},
+		Caps:    Capabilities{Segmented: true},
+		Ops:     core.BcastNativeSegOps,
+		Overlap: true,
 	})
 	MustRegister(Registration{
 		Name:    tune.RingOptSegNB,
 		Summary: "segmented non-enclosed ring with pre-posted nonblocking segment transfers (overlap pipeline)",
-		Run: func(c mpi.Comm, buf []byte, root, segSize int) error {
-			return BcastScatterRingAllgatherOptSegNB(c, buf, root, segSize)
-		},
-		Caps: Capabilities{Segmented: true},
-		Program: func(p, root, n, segSize int) (*sched.Program, error) {
-			return core.BcastOptSegProgram(p, root, n, segSize), nil
-		},
+		Caps:    Capabilities{Segmented: true},
+		Ops:     core.BcastOptSegOps,
+		Overlap: true,
 	})
 	MustRegister(Registration{
 		Name:    tune.Chain,
 		Summary: "segmented pipeline-chain broadcast (extension baseline)",
-		Run: func(c mpi.Comm, buf []byte, root, segSize int) error {
-			return BcastChain(c, buf, root, segSize)
-		},
-		Caps: Capabilities{Segmented: true},
-		Program: func(p, root, n, segSize int) (*sched.Program, error) {
-			return core.ChainBcast(p, root, n, segSize), nil
-		},
+		Caps:    Capabilities{Segmented: true},
+		Ops:     core.ChainOps,
 	})
 	MustRegister(Registration{
 		Name:    tune.SMP,
 		Summary: "multi-core aware: intra-node binomial + native inter-node ring between leaders",
+		Caps:    Capabilities{MultiNodeOnly: true},
 		Run: func(c mpi.Comm, buf []byte, root, _ int) error {
 			return BcastSMP(c, buf, root)
 		},
-		Caps: Capabilities{MultiNodeOnly: true},
 	})
 	MustRegister(Registration{
 		Name:    tune.SMPOpt,
 		Summary: "multi-core aware: intra-node binomial + tuned inter-node ring between leaders",
+		Caps:    Capabilities{MultiNodeOnly: true},
 		Run: func(c mpi.Comm, buf []byte, root, _ int) error {
 			return BcastSMPOpt(c, buf, root)
 		},
-		Caps: Capabilities{MultiNodeOnly: true},
 	})
 }

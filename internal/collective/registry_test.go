@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/mpi"
 	"repro/internal/topology"
@@ -98,40 +99,6 @@ func TestRegistryCapabilities(t *testing.T) {
 	}
 }
 
-// TestDefaultTunerGolden proves tune.MPICH3 — the tuner behind Bcast and
-// BcastOpt — reproduces SelectAlgorithm bit-for-bit across a grid of
-// (n, p, tuned) values, including every threshold seam.
-func TestDefaultTunerGolden(t *testing.T) {
-	sizes := []int{
-		0, 1, 1024,
-		BcastShortMsgSize - 1, BcastShortMsgSize, BcastShortMsgSize + 1,
-		1 << 16, 1 << 18,
-		BcastLongMsgSize - 1, BcastLongMsgSize, BcastLongMsgSize + 1,
-		1 << 20, 1 << 25,
-	}
-	procs := []int{1, 2, 3, 4, 7, 8, 9, 10, 16, 17, 64, 100, 128, 129, 256, 257}
-	for _, tuned := range []bool{false, true} {
-		tuner := tune.MPICH3{Tuned: tuned}
-		for _, n := range sizes {
-			for _, p := range procs {
-				want := SelectAlgorithm(n, p, tuned).Name()
-				// The default dispatch must not depend on topology: check
-				// both single- and multi-node environments.
-				for _, nodes := range []int{1, 4} {
-					d := tuner.Decide(tune.Env{Bytes: n, Procs: p, NumNodes: nodes})
-					if d.Algorithm != want {
-						t.Fatalf("MPICH3{Tuned:%v}.Decide(n=%d, p=%d, nodes=%d) = %q, SelectAlgorithm says %q",
-							tuned, n, p, nodes, d.Algorithm, want)
-					}
-					if d.SegSize != 0 {
-						t.Fatalf("default tuner must not set SegSize, got %d", d.SegSize)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestRunDecisionExecutesEveryAlgorithm broadcasts through RunDecision
 // for every registered algorithm in an environment its capabilities
 // admit, checking payload delivery on all ranks.
@@ -220,18 +187,45 @@ func TestBcastWithTableTuner(t *testing.T) {
 	}
 }
 
-// TestRegisterRejects covers registry hygiene: empty names, nil Run,
-// duplicates.
+// TestRegisterRejects covers registry hygiene: empty names, rows with no
+// algorithm, rows that supply what Register derives, duplicates.
 func TestRegisterRejects(t *testing.T) {
 	if err := Register(Registration{Name: ""}); err == nil {
 		t.Error("empty name must fail")
 	}
 	if err := Register(Registration{Name: "x"}); err == nil {
-		t.Error("nil Run must fail")
+		t.Error("neither Ops nor Run must fail")
 	}
 	dummy := func(mpi.Comm, []byte, int, int) error { return nil }
+	if err := Register(Registration{Name: "x", Ops: core.BinomialOps, Run: dummy}); err == nil {
+		t.Error("Ops with a hand-paired Run must fail")
+	}
+	if err := Register(Registration{Name: "x", Run: dummy, Overlap: true}); err == nil {
+		t.Error("Overlap without Ops must fail")
+	}
 	if err := Register(Registration{Name: tune.Binomial, Run: dummy}); err == nil {
 		t.Error("duplicate name must fail")
+	}
+	if _, ok := Lookup("x"); ok {
+		t.Error("a rejected row must not be registered")
+	}
+}
+
+// TestStaticRowsDeriveRunAndProgram: a row that supplies Ops gets both
+// derived functions, and the derived Program refuses rank counts the
+// row's capabilities exclude instead of panicking in the emitter.
+func TestStaticRowsDeriveRunAndProgram(t *testing.T) {
+	for _, r := range Algorithms() {
+		if (r.Ops != nil) != (r.Program != nil) || r.Run == nil {
+			t.Errorf("%s: Ops=%v Program=%v Run=%v", r.Name, r.Ops != nil, r.Program != nil, r.Run != nil)
+		}
+	}
+	rdb, _ := Lookup(tune.ScatterRdb)
+	if _, err := rdb.Program(6, 0, 64, 0); err == nil {
+		t.Error("scatter-rdb schedule for 6 ranks must fail")
+	}
+	if pr, err := rdb.Program(8, 3, 64, 0); err != nil || pr.P != 8 || pr.Root != 3 || pr.N != 64 {
+		t.Errorf("scatter-rdb schedule for 8 ranks: %+v, %v", pr, err)
 	}
 }
 
@@ -277,5 +271,32 @@ func TestIndexOf(t *testing.T) {
 	}
 	if got := indexOf(nil, 0); got != -1 {
 		t.Errorf("indexOf(nil) = %d want -1", got)
+	}
+}
+
+// TestCapabilityTags pins the CLI flag labels the tools print next to
+// registry names.
+func TestCapabilityTags(t *testing.T) {
+	cases := []struct {
+		caps Capabilities
+		want string
+	}{
+		{Capabilities{}, ""},
+		{Capabilities{Segmented: true}, "segmented"},
+		{Capabilities{Pow2Only: true}, "pow2-only"},
+		{Capabilities{MultiNodeOnly: true}, "multi-node-only"},
+		{Capabilities{MinProcs: 2, Pow2Only: true, Segmented: true}, "min-procs=2 pow2-only segmented"},
+	}
+	for _, tc := range cases {
+		got := ""
+		for i, tag := range tc.caps.Tags() {
+			if i > 0 {
+				got += " "
+			}
+			got += tag
+		}
+		if got != tc.want {
+			t.Errorf("Tags(%+v) = %q, want %q", tc.caps, got, tc.want)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package collective
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/mpi"
 )
 
@@ -15,14 +16,15 @@ import (
 //  3. intra-node binomial broadcast on every other node.
 //
 // Sub-communicators are built with Split: one per node, plus a leaders
-// communicator ordered by node id.
+// communicator ordered by node id. Each phase is a static schedule run by
+// the executor on its sub-communicator.
 func bcastSMP(c mpi.Comm, buf []byte, root int, tuned bool) error {
 	if err := checkRoot(c, root); err != nil {
 		return err
 	}
 	topo := c.Topology()
 	if topo.NumNodes() == 1 {
-		return BcastBinomial(c, buf, root)
+		return runStatic(c, buf, root, 0, core.BinomialOps, false)
 	}
 	rank := c.Rank()
 	myNode := topo.NodeOf(rank)
@@ -51,7 +53,7 @@ func bcastSMP(c mpi.Comm, buf []byte, root int, tuned bool) error {
 			return fmt.Errorf("collective: smp bcast: root %d not among ranks %v of its node %d (inconsistent topology)",
 				root, topo.RanksOnNode(rootNode), rootNode)
 		}
-		if err := BcastBinomial(nodeComm, buf, localRoot); err != nil {
+		if err := runStatic(nodeComm, buf, localRoot, 0, core.BinomialOps, false); err != nil {
 			return fmt.Errorf("collective: smp bcast phase 1: %w", err)
 		}
 	}
@@ -59,11 +61,11 @@ func bcastSMP(c mpi.Comm, buf []byte, root int, tuned bool) error {
 	// Phase 2: inter-node broadcast among leaders (keys were node ids, so
 	// leader of node k has leaders-comm rank k).
 	if leadersComm != nil {
-		bcast := BcastScatterRingAllgather
+		ring := core.BcastNativeOps
 		if tuned {
-			bcast = BcastScatterRingAllgatherOpt
+			ring = core.BcastOptOps
 		}
-		if err := bcast(leadersComm, buf, rootNode); err != nil {
+		if err := runStatic(leadersComm, buf, rootNode, 0, ring, false); err != nil {
 			return fmt.Errorf("collective: smp bcast phase 2: %w", err)
 		}
 	}
@@ -71,7 +73,7 @@ func bcastSMP(c mpi.Comm, buf []byte, root int, tuned bool) error {
 	// Phase 3: intra-node broadcast everywhere else, from the local
 	// leader (lowest world rank on the node = local rank 0).
 	if myNode != rootNode {
-		if err := BcastBinomial(nodeComm, buf, 0); err != nil {
+		if err := runStatic(nodeComm, buf, 0, 0, core.BinomialOps, false); err != nil {
 			return fmt.Errorf("collective: smp bcast phase 3: %w", err)
 		}
 	}

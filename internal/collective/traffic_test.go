@@ -8,6 +8,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/topology"
 	"repro/internal/trace"
+	"repro/internal/tune"
 )
 
 // measureBcast runs algo under the trace collector and returns the stats.
@@ -29,16 +30,16 @@ func measureBcast(t *testing.T, algo bcastFn, opts engine.Options, root, n int) 
 }
 
 // TestMeasuredTrafficMatchesAnalyticModel is the central cross-validation:
-// the hand-written collectives (ports of the paper's pseudo-code) must
-// produce exactly the per-phase message and byte counts that the analytic
-// model in internal/core predicts — for both ring variants, across
-// process counts, roots, and uneven chunk sizes.
+// the broadcasts as executed on the engine must produce exactly the
+// per-phase message and byte counts that the analytic model in
+// internal/core predicts — for both ring variants, across process
+// counts, roots, and uneven chunk sizes.
 func TestMeasuredTrafficMatchesAnalyticModel(t *testing.T) {
 	for _, p := range []int{2, 3, 5, 8, 9, 10, 16, 17} {
 		for _, root := range []int{0, p - 1} {
 			for _, n := range []int{p, 8*p + 3, 1 << 10} {
-				natStats := measureBcast(t, BcastScatterRingAllgather, engine.Options{NP: p}, root, n)
-				optStats := measureBcast(t, BcastScatterRingAllgatherOpt, engine.Options{NP: p}, root, n)
+				natStats := measureBcast(t, pinned(tune.RingNative, 0), engine.Options{NP: p}, root, n)
+				optStats := measureBcast(t, pinned(tune.RingOpt, 0), engine.Options{NP: p}, root, n)
 
 				scat := core.ScatterTraffic(p, n)
 				nat := core.RingTrafficNative(p, n)
@@ -76,8 +77,8 @@ func TestMeasuredPaperCounts(t *testing.T) {
 	}
 	for _, tc := range cases {
 		n := 64 * tc.p
-		nat := measureBcast(t, BcastScatterRingAllgather, engine.Options{NP: tc.p}, 0, n)
-		opt := measureBcast(t, BcastScatterRingAllgatherOpt, engine.Options{NP: tc.p}, 0, n)
+		nat := measureBcast(t, pinned(tune.RingNative, 0), engine.Options{NP: tc.p}, 0, n)
+		opt := measureBcast(t, pinned(tune.RingOpt, 0), engine.Options{NP: tc.p}, 0, n)
 		if got := nat.ByTag[core.TagRing].Messages; got != int64(tc.native) {
 			t.Errorf("P=%d native ring messages = %d want %d", tc.p, got, tc.native)
 		}
@@ -94,8 +95,8 @@ func TestMeasuredPaperCounts(t *testing.T) {
 func TestIntraInterSplitOnBlockedPlacement(t *testing.T) {
 	const p, n = 8, 1 << 10
 	topo := topology.Blocked(p, 4)
-	nat := measureBcast(t, BcastScatterRingAllgather, engine.Options{NP: p, Topology: topo}, 0, n)
-	opt := measureBcast(t, BcastScatterRingAllgatherOpt, engine.Options{NP: p, Topology: topo}, 0, n)
+	nat := measureBcast(t, pinned(tune.RingNative, 0), engine.Options{NP: p, Topology: topo}, 0, n)
+	opt := measureBcast(t, pinned(tune.RingOpt, 0), engine.Options{NP: p, Topology: topo}, 0, n)
 
 	if nat.Intra.Messages+nat.Inter.Messages != nat.Total.Messages {
 		t.Fatalf("classification does not partition: %+v", nat)
@@ -121,7 +122,7 @@ func TestSMPTrafficConcentratesInterNodeOnLeaders(t *testing.T) {
 	const p, n = 12, 1 << 10
 	topo := topology.Blocked(p, 4) // 3 nodes, leaders 0, 4, 8
 	smp := measureBcast(t, BcastSMP, engine.Options{NP: p, Topology: topo}, 0, n)
-	flat := measureBcast(t, BcastScatterRingAllgather, engine.Options{NP: p, Topology: topo}, 0, n)
+	flat := measureBcast(t, pinned(tune.RingNative, 0), engine.Options{NP: p, Topology: topo}, 0, n)
 
 	// All SMP inter-node traffic comes from the 3-leader ring phase:
 	// scatter 2 msgs + enclosed ring 3*2 = 6 msgs -> 8 inter messages.
@@ -145,8 +146,8 @@ func TestSMPTrafficConcentratesInterNodeOnLeaders(t *testing.T) {
 func TestTunedNeverSendsMore(t *testing.T) {
 	for _, p := range []int{2, 4, 6, 11, 13} {
 		n := 16 * p
-		nat := measureBcast(t, BcastScatterRingAllgather, engine.Options{NP: p}, 0, n)
-		opt := measureBcast(t, BcastScatterRingAllgatherOpt, engine.Options{NP: p}, 0, n)
+		nat := measureBcast(t, pinned(tune.RingNative, 0), engine.Options{NP: p}, 0, n)
+		opt := measureBcast(t, pinned(tune.RingOpt, 0), engine.Options{NP: p}, 0, n)
 		want := int64(core.TunedSavedMessages(p))
 		if nat.Total.Messages-opt.Total.Messages != want {
 			t.Fatalf("p=%d: savings %d want %d", p, nat.Total.Messages-opt.Total.Messages, want)
@@ -168,9 +169,7 @@ func TestOptMovesFewerInterNodeBytes(t *testing.T) {
 		t.Skip("moves megabytes per grid point")
 	}
 	const seg = 48 << 10 // below the chunk size at every grid point
-	optSeg := func(c mpi.Comm, buf []byte, root int) error {
-		return BcastScatterRingAllgatherOptSeg(c, buf, root, seg)
-	}
+	optSeg := pinned(tune.RingOptSeg, seg)
 	for _, p := range []int{8, 10, 12} {
 		for _, topo := range []*topology.Map{
 			topology.Blocked(p, 4),
@@ -178,8 +177,8 @@ func TestOptMovesFewerInterNodeBytes(t *testing.T) {
 		} {
 			for _, n := range []int{512 << 10, 1 << 20} { // the paper's long-message regime
 				opts := engine.Options{NP: p, Topology: topo}
-				nat := measureBcast(t, BcastScatterRingAllgather, opts, 0, n)
-				opt := measureBcast(t, BcastScatterRingAllgatherOpt, opts, 0, n)
+				nat := measureBcast(t, pinned(tune.RingNative, 0), opts, 0, n)
+				opt := measureBcast(t, pinned(tune.RingOpt, 0), opts, 0, n)
 				optS := measureBcast(t, optSeg, opts, 0, n)
 
 				if opt.Inter.Bytes >= nat.Inter.Bytes {
@@ -198,52 +197,6 @@ func TestOptMovesFewerInterNodeBytes(t *testing.T) {
 						topo, n, optS.Inter.Bytes, optS.Intra.Bytes, opt.Inter.Bytes, opt.Intra.Bytes)
 				}
 			}
-		}
-	}
-}
-
-// TestSegCollectivesMatchSchedules cross-validates the hand-written
-// segmented collectives against their generated schedules: the traced
-// message and byte totals of an execution must equal the program stats,
-// for both variants, across segment sizes that split chunks unevenly.
-func TestSegCollectivesMatchSchedules(t *testing.T) {
-	for _, p := range []int{2, 5, 8, 10, 13} {
-		for _, seg := range []int{1, 7, 64} {
-			n := 32*p + 5
-			for _, root := range []int{0, p - 1} {
-				natStats := measureBcast(t, func(c mpi.Comm, buf []byte, r int) error {
-					return BcastScatterRingAllgatherSeg(c, buf, r, seg)
-				}, engine.Options{NP: p}, root, n)
-				natProg := core.BcastNativeSegProgram(p, root, n, seg).Stats()
-				if natStats.Total.Messages != int64(natProg.Messages) || natStats.Total.Bytes != int64(natProg.Bytes) {
-					t.Fatalf("p=%d root=%d seg=%d: native-seg traced %d/%d != schedule %d/%d",
-						p, root, seg, natStats.Total.Messages, natStats.Total.Bytes, natProg.Messages, natProg.Bytes)
-				}
-				optStats := measureBcast(t, func(c mpi.Comm, buf []byte, r int) error {
-					return BcastScatterRingAllgatherOptSeg(c, buf, r, seg)
-				}, engine.Options{NP: p}, root, n)
-				optProg := core.BcastOptSegProgram(p, root, n, seg).Stats()
-				if optStats.Total.Messages != int64(optProg.Messages) || optStats.Total.Bytes != int64(optProg.Bytes) {
-					t.Fatalf("p=%d root=%d seg=%d: opt-seg traced %d/%d != schedule %d/%d",
-						p, root, seg, optStats.Total.Messages, optStats.Total.Bytes, optProg.Messages, optProg.Bytes)
-				}
-			}
-		}
-	}
-}
-
-// TestNBRingIdenticalTraffic: the nonblocking tuned ring transfers
-// exactly the blocking tuned ring's messages and bytes.
-func TestNBRingIdenticalTraffic(t *testing.T) {
-	for _, p := range []int{2, 8, 10, 13} {
-		n := 32 * p
-		blocking := measureBcast(t, BcastScatterRingAllgatherOpt, engine.Options{NP: p}, 0, n)
-		nb := measureBcast(t, BcastScatterRingAllgatherOptNB, engine.Options{NP: p}, 0, n)
-		if blocking.Total != nb.Total {
-			t.Fatalf("p=%d: nb traffic %+v != blocking %+v", p, nb.Total, blocking.Total)
-		}
-		if blocking.ByTag[core.TagRing] != nb.ByTag[core.TagRing] {
-			t.Fatalf("p=%d: nb ring traffic differs", p)
 		}
 	}
 }

@@ -8,16 +8,20 @@
 //     per-rank data ownership intervals;
 //   - the (step, flag) computation from the paper's Listing 1, which is
 //     the heart of the tuned non-enclosed ring allgather;
-//   - schedule generators for every algorithm involved: binomial scatter,
-//     native enclosed ring allgather (Figure 3), tuned non-enclosed ring
-//     allgather (Figures 4 and 5), recursive-doubling allgather (the
-//     MPICH medium-message power-of-two path), and whole-buffer binomial
-//     broadcast (the short-message path);
+//   - one per-rank op emitter (sched.Emitter) for every algorithm
+//     involved: binomial scatter, native enclosed ring allgather
+//     (Figure 3), tuned non-enclosed ring allgather (Figures 4 and 5),
+//     their segmented variants, recursive-doubling allgather (the MPICH
+//     medium-message power-of-two path), whole-buffer binomial broadcast
+//     (the short-message path) and the pipelined chain;
 //   - the analytic traffic model, including the closed-form message
 //     savings the paper quotes (P=8: 56 -> 44, P=10: 90 -> 75).
 //
-// Everything here is side-effect free and independent of any runtime:
-// the executable collectives (internal/collective) and the network
-// simulator (internal/netsim) both consume this package, and tests
-// cross-validate the three against each other.
+// Everything here is side-effect free and independent of any runtime.
+// An emitter is the only form an algorithm takes: sched.Generate loops it
+// over all ranks for the verifier, the network simulator
+// (internal/netsim) and the auto-tuner, and the executor in
+// internal/collective runs the calling rank's ops from the same function
+// on the real engine. The closed-form traffic model shares no code with
+// the emitters, and tests hold traced executions to both.
 package core

@@ -70,48 +70,39 @@ func BcastNativeNodeAware(topo *topology.Map, root, n int) (*sched.Program, erro
 // caller passes segSize <= 0 (a typical pipeline depth trade-off).
 const DefaultChainSegment = 8 << 10
 
-// ChainBcast generates the segmented pipeline-chain broadcast: the buffer
-// is cut into ceil(n/segSize) segments; relative rank r receives each
+// ChainOps emits the segmented pipeline-chain broadcast: the buffer is
+// cut into ceil(n/segSize) segments; relative rank r receives each
 // segment from r-1 and forwards it to r+1, interleaving receive and
 // forward so segments stream down the chain. It is the classic
 // long-message broadcast baseline (one full wavefront of latency, then
 // bandwidth-bound), against which the scatter-ring family is compared in
-// the extension benchmarks.
-func ChainBcast(p, root, n, segSize int) *sched.Program {
-	checkArgs(p, root, n)
+// the extension benchmarks. An empty buffer sends nothing.
+func ChainOps(dst []sched.Op, rank, p, root, n, segSize int) []sched.Op {
 	if segSize <= 0 {
 		segSize = DefaultChainSegment
 	}
-	pr := sched.New("chain-bcast", p, n, root)
-	if p == 1 || n == 0 {
-		// Still emit the zero-byte chain for n == 0 so the collective
-		// has uniform behaviour? No: MPI sends nothing for an empty
-		// buffer in a segmented chain; keep the program empty.
-		if n == 0 {
-			return pr
+	rel := RelRank(rank, root, p)
+	for s, off := 1, 0; off < n; s, off = s+1, off+segSize {
+		length := min(segSize, n-off)
+		if rel > 0 {
+			dst = append(dst, sched.Op{
+				Kind: sched.OpRecv, From: AbsRank(rel-1, root, p),
+				RecvOff: off, RecvLen: length,
+				Tag: TagChain, Step: s,
+			})
+		}
+		if rel < p-1 {
+			dst = append(dst, sched.Op{
+				Kind: sched.OpSend, To: AbsRank(rel+1, root, p),
+				SendOff: off, SendLen: length,
+				Tag: TagChain, Step: s,
+			})
 		}
 	}
-	segs := (n + segSize - 1) / segSize
-	for rel := 0; rel < p; rel++ {
-		rank := AbsRank(rel, root, p)
-		for s := 0; s < segs; s++ {
-			off := s * segSize
-			length := min(segSize, n-off)
-			if rel > 0 {
-				pr.Add(rank, sched.Op{
-					Kind: sched.OpRecv, From: AbsRank(rel-1, root, p),
-					RecvOff: off, RecvLen: length,
-					Tag: TagChain, Step: s + 1,
-				})
-			}
-			if rel < p-1 {
-				pr.Add(rank, sched.Op{
-					Kind: sched.OpSend, To: AbsRank(rel+1, root, p),
-					SendOff: off, SendLen: length,
-					Tag: TagChain, Step: s + 1,
-				})
-			}
-		}
-	}
-	return pr
+	return dst
+}
+
+// ChainBcast generates the whole pipeline-chain broadcast (see ChainOps).
+func ChainBcast(p, root, n, segSize int) *sched.Program {
+	return sched.Generate("chain-bcast", ChainOps, p, root, n, segSize)
 }

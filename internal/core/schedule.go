@@ -6,9 +6,10 @@ import (
 	"repro/internal/sched"
 )
 
-// Reserved message tags used by the collective algorithms. The executable
-// collectives in internal/collective use the same values, so traces
-// recorded there can be matched against schedules generated here.
+// Reserved message tags used by the collective algorithms. The executor
+// in internal/collective sends with the tags the emitters put on each
+// op, so traces recorded there can be matched against schedules
+// generated here.
 const (
 	// TagScatter marks binomial-scatter-phase messages.
 	TagScatter = 0x7F01
@@ -24,74 +25,81 @@ const (
 	TagChain = 0x7F0A
 )
 
-func checkArgs(p, root, n int) {
-	if p <= 0 {
-		panic(fmt.Sprintf("core: schedule requires p > 0, got %d", p))
-	}
-	if root < 0 || root >= p {
-		panic(fmt.Sprintf("core: root %d out of range for p=%d", root, p))
-	}
-	if n < 0 {
-		panic(fmt.Sprintf("core: schedule requires n >= 0, got %d", n))
-	}
-}
+// Every algorithm in this package is written once, as a sched.Emitter
+// that lists one rank's operations (the *Ops functions). The
+// whole-program generators beside them are sched.Generate over that
+// emitter, and the executor in internal/collective calls the same
+// emitter for the calling rank — so the schedule the verifier, simulator
+// and tuner see and the operations a rank runs are the same code.
+
+// The composed broadcasts: a binomial scatter followed by an allgather.
+var (
+	// BcastNativeOps is MPI_Bcast_native: scatter + enclosed ring.
+	BcastNativeOps = sched.Emitter(ScatterOps).Then(RingNativeOps)
+	// BcastOptOps is the paper's MPI_Bcast_opt: scatter + non-enclosed ring.
+	BcastOptOps = sched.Emitter(ScatterOps).Then(RingTunedOps)
+	// BcastRdbOps is MPICH's medium-message power-of-two broadcast:
+	// scatter + recursive doubling.
+	BcastRdbOps = sched.Emitter(ScatterOps).Then(RdbOps)
+	// BcastNativeSegOps is scatter + segmented enclosed ring.
+	BcastNativeSegOps = sched.Emitter(ScatterOps).Then(RingNativeSegOps)
+	// BcastOptSegOps is scatter + segmented non-enclosed ring.
+	BcastOptSegOps = sched.Emitter(ScatterOps).Then(RingTunedSegOps)
+)
 
 // coverEnd returns the byte offset just past the last chunk relative rank
 // rel receives in the scatter phase (its subtree's end, clamped to n).
 func coverEnd(l Layout, rel, p int) int {
-	lo, hi := OwnedChunks(rel, p)
-	_ = lo
+	_, hi := OwnedChunks(rel, p)
 	return l.Disp(hi)
 }
 
-// ScatterSchedule generates the binomial scatter tree of Figures 1 and 2:
-// the root splits the buffer into P chunks and sends each subtree's chunk
-// range down the tree; relative rank rel ends up holding chunks
+// ScatterOps emits the binomial scatter tree of Figures 1 and 2: the root
+// splits the buffer into P chunks and sends each subtree's chunk range
+// down the tree; relative rank rel ends up holding chunks
 // [rel, rel+Extent(rel)).
 //
 // Messages carry exactly the bytes MPICH's scatter_for_bcast transfers:
 // the subtree byte range clamped to the buffer, and a transfer is omitted
 // entirely when uneven division leaves it empty (MPICH only posts the
 // send/recv pair when send_size > 0).
-func ScatterSchedule(p, root, n int) *sched.Program {
-	checkArgs(p, root, n)
+func ScatterOps(dst []sched.Op, rank, p, root, n, _ int) []sched.Op {
 	l := NewLayout(n, p)
-	pr := sched.New("binomial-scatter", p, n, root)
-	for rel := 0; rel < p; rel++ {
-		rank := AbsRank(rel, root, p)
-		// Receive from parent (all ranks except the root).
-		recvMask := CeilPow2(p)
-		if rel != 0 {
-			recvMask = rel & (-rel) // lowest set bit: distance to parent
-			parent := AbsRank(rel-recvMask, root, p)
-			off := l.Disp(rel)
-			length := coverEnd(l, rel, p) - off
-			if length > 0 {
-				pr.Add(rank, sched.Op{
-					Kind: sched.OpRecv, From: parent,
-					RecvOff: off, RecvLen: length,
-					Tag: TagScatter, Step: 0,
-				})
-			}
-		}
-		// Forward to children, largest subtree first.
-		for mask := recvMask >> 1; mask > 0; mask >>= 1 {
-			child := rel + mask
-			if child >= p {
-				continue
-			}
-			off := l.Disp(child)
-			length := coverEnd(l, child, p) - off
-			if length > 0 {
-				pr.Add(rank, sched.Op{
-					Kind: sched.OpSend, To: AbsRank(child, root, p),
-					SendOff: off, SendLen: length,
-					Tag: TagScatter, Step: 0,
-				})
-			}
+	rel := RelRank(rank, root, p)
+	// Receive from parent (all ranks except the root).
+	recvMask := CeilPow2(p)
+	if rel != 0 {
+		recvMask = rel & (-rel) // lowest set bit: distance to parent
+		off := l.Disp(rel)
+		if length := coverEnd(l, rel, p) - off; length > 0 {
+			dst = append(dst, sched.Op{
+				Kind: sched.OpRecv, From: AbsRank(rel-recvMask, root, p),
+				RecvOff: off, RecvLen: length,
+				Tag: TagScatter, Step: 0,
+			})
 		}
 	}
-	return pr
+	// Forward to children, largest subtree first.
+	for mask := recvMask >> 1; mask > 0; mask >>= 1 {
+		child := rel + mask
+		if child >= p {
+			continue
+		}
+		off := l.Disp(child)
+		if length := coverEnd(l, child, p) - off; length > 0 {
+			dst = append(dst, sched.Op{
+				Kind: sched.OpSend, To: AbsRank(child, root, p),
+				SendOff: off, SendLen: length,
+				Tag: TagScatter, Step: 0,
+			})
+		}
+	}
+	return dst
+}
+
+// ScatterSchedule generates the whole binomial scatter (see ScatterOps).
+func ScatterSchedule(p, root, n int) *sched.Program {
+	return sched.Generate("binomial-scatter", ScatterOps, p, root, n, 0)
 }
 
 // ringPeers returns the ring neighbours of rank in a P-rank communicator.
@@ -99,170 +107,162 @@ func ringPeers(rank, p int) (left, right int) {
 	return (rank - 1 + p) % p, (rank + 1) % p
 }
 
-// RingAllgatherNative generates the enclosed-ring allgather of Figure 3:
-// every rank runs P-1 Sendrecv steps, forwarding in step i the chunk it
-// received in step i-1 (starting from its own chunk), regardless of what
-// it already owns from the scatter phase. Exactly P messages flow in every
-// step, P*(P-1) in total — the waste the paper eliminates.
-func RingAllgatherNative(p, root, n int) *sched.Program {
-	checkArgs(p, root, n)
+// ringOps emits one rank's P-1 ring steps. In step i the rank forwards to
+// its right neighbour the chunk it received in step i-1 (starting from
+// its own) and receives the next one from its left neighbour. With
+// tuned=true it computes (step, flag) as in the paper's Listing 1 and,
+// once i > P - step, drops the half of the exchange nobody needs.
+func ringOps(dst []sched.Op, rank, p, root, n int, tuned bool) []sched.Op {
 	l := NewLayout(n, p)
-	pr := sched.New("ring-allgather-native", p, n, root)
-	for rank := 0; rank < p; rank++ {
-		left, right := ringPeers(rank, p)
-		j, jnext := rank, left
-		for i := 1; i < p; i++ {
-			relJ := RelRank(j, root, p)
-			relJnext := RelRank(jnext, root, p)
-			pr.Add(rank, sched.Op{
+	var sf StepFlag // zero value: never degenerate
+	if tuned {
+		sf = ComputeStepFlag(RelRank(rank, root, p), p)
+	}
+	left, right := ringPeers(rank, p)
+	j, jnext := rank, left
+	for i := 1; i < p; i++ {
+		relJ := RelRank(j, root, p)
+		relJnext := RelRank(jnext, root, p)
+		switch {
+		case sf.Step <= p-i:
+			dst = append(dst, sched.Op{
 				Kind: sched.OpSendrecv,
 				To:   right, SendOff: l.Disp(relJ), SendLen: l.Count(relJ),
 				From: left, RecvOff: l.Disp(relJnext), RecvLen: l.Count(relJnext),
 				Tag: TagRing, Step: i,
 			})
-			j = jnext
-			jnext = (jnext - 1 + p) % p
+		case sf.RecvOnly:
+			dst = append(dst, sched.Op{
+				Kind: sched.OpRecv,
+				From: left, RecvOff: l.Disp(relJnext), RecvLen: l.Count(relJnext),
+				Tag: TagRing, Step: i,
+			})
+		default:
+			dst = append(dst, sched.Op{
+				Kind: sched.OpSend,
+				To:   right, SendOff: l.Disp(relJ), SendLen: l.Count(relJ),
+				Tag: TagRing, Step: i,
+			})
 		}
+		j = jnext
+		jnext = (jnext - 1 + p) % p
 	}
-	return pr
+	return dst
 }
 
-// RingAllgatherTuned generates the paper's non-enclosed ring allgather
-// (Figures 4 and 5, Listing 1): the same P-1-step ring as
-// RingAllgatherNative, except that each rank computes (step, flag) with
-// ComputeStepFlag and, once i > P - step, degenerates to send-only
-// (subtree roots, which already own the incoming chunks) or receive-only
-// (their left neighbours, whose outgoing chunks the subtree root does not
-// need).
+// RingNativeOps emits the enclosed-ring allgather of Figure 3: every rank
+// runs P-1 Sendrecv steps, forwarding in step i the chunk it received in
+// step i-1 (starting from its own chunk), regardless of what it already
+// owns from the scatter phase. Exactly P messages flow in every step,
+// P*(P-1) in total — the waste the paper eliminates.
+func RingNativeOps(dst []sched.Op, rank, p, root, n, _ int) []sched.Op {
+	return ringOps(dst, rank, p, root, n, false)
+}
+
+// RingTunedOps emits the paper's non-enclosed ring allgather (Figures 4
+// and 5, Listing 1): the same P-1-step ring as RingNativeOps, except that
+// each rank computes (step, flag) with ComputeStepFlag and, once
+// i > P - step, degenerates to send-only (subtree roots, which already
+// own the incoming chunks) or receive-only (their left neighbours, whose
+// outgoing chunks the subtree root does not need).
+func RingTunedOps(dst []sched.Op, rank, p, root, n, _ int) []sched.Op {
+	return ringOps(dst, rank, p, root, n, true)
+}
+
+// RingAllgatherNative generates the whole enclosed ring (see RingNativeOps).
+func RingAllgatherNative(p, root, n int) *sched.Program {
+	return sched.Generate("ring-allgather-native", RingNativeOps, p, root, n, 0)
+}
+
+// RingAllgatherTuned generates the whole non-enclosed ring (see
+// RingTunedOps).
 func RingAllgatherTuned(p, root, n int) *sched.Program {
-	checkArgs(p, root, n)
-	l := NewLayout(n, p)
-	pr := sched.New("ring-allgather-tuned", p, n, root)
-	for rank := 0; rank < p; rank++ {
-		rel := RelRank(rank, root, p)
-		sf := ComputeStepFlag(rel, p)
-		left, right := ringPeers(rank, p)
-		j, jnext := rank, left
-		for i := 1; i < p; i++ {
-			relJ := RelRank(j, root, p)
-			relJnext := RelRank(jnext, root, p)
-			switch {
-			case sf.Step <= p-i:
-				pr.Add(rank, sched.Op{
-					Kind: sched.OpSendrecv,
-					To:   right, SendOff: l.Disp(relJ), SendLen: l.Count(relJ),
-					From: left, RecvOff: l.Disp(relJnext), RecvLen: l.Count(relJnext),
-					Tag: TagRing, Step: i,
-				})
-			case sf.RecvOnly:
-				pr.Add(rank, sched.Op{
-					Kind: sched.OpRecv,
-					From: left, RecvOff: l.Disp(relJnext), RecvLen: l.Count(relJnext),
-					Tag: TagRing, Step: i,
-				})
-			default:
-				pr.Add(rank, sched.Op{
-					Kind: sched.OpSend,
-					To:   right, SendOff: l.Disp(relJ), SendLen: l.Count(relJ),
-					Tag: TagRing, Step: i,
-				})
-			}
-			j = jnext
-			jnext = (jnext - 1 + p) % p
-		}
-	}
-	return pr
+	return sched.Generate("ring-allgather-tuned", RingTunedOps, p, root, n, 0)
 }
 
-// RdbAllgather generates the recursive-doubling allgather MPICH uses for
-// medium messages with power-of-two communicators: in round k (mask =
-// 2^k), relative rank rel exchanges its current 2^k-chunk block with
-// partner rel XOR mask, doubling the owned block each round. p must be a
-// power of two.
-func RdbAllgather(p, root, n int) *sched.Program {
-	checkArgs(p, root, n)
+// RdbOps emits the recursive-doubling allgather MPICH uses for medium
+// messages with power-of-two communicators: in round k (mask = 2^k),
+// relative rank rel exchanges its current 2^k-chunk block with partner
+// rel XOR mask, doubling the owned block each round. p must be a power
+// of two.
+func RdbOps(dst []sched.Op, rank, p, root, n, _ int) []sched.Op {
 	if !IsPow2(p) {
-		panic(fmt.Sprintf("core: RdbAllgather requires power-of-two p, got %d", p))
+		panic(fmt.Sprintf("core: RdbOps requires power-of-two p, got %d", p))
 	}
 	l := NewLayout(n, p)
-	pr := sched.New("rdb-allgather", p, n, root)
-	for rank := 0; rank < p; rank++ {
-		rel := RelRank(rank, root, p)
-		step := 1
-		for mask := 1; mask < p; mask <<= 1 {
-			relDst := rel ^ mask
-			dst := AbsRank(relDst, root, p)
-			myRoot := rel &^ (mask - 1)
-			dstRoot := relDst &^ (mask - 1)
-			sendOff := l.Disp(myRoot)
-			sendLen := l.Disp(myRoot+mask) - sendOff
-			recvOff := l.Disp(dstRoot)
-			recvLen := l.Disp(dstRoot+mask) - recvOff
-			pr.Add(rank, sched.Op{
-				Kind: sched.OpSendrecv,
-				To:   dst, SendOff: sendOff, SendLen: sendLen,
-				From: dst, RecvOff: recvOff, RecvLen: recvLen,
-				Tag: TagRdb, Step: step,
-			})
-			step++
-		}
+	rel := RelRank(rank, root, p)
+	step := 1
+	for mask := 1; mask < p; mask <<= 1 {
+		relDst := rel ^ mask
+		peer := AbsRank(relDst, root, p)
+		myRoot := rel &^ (mask - 1)
+		dstRoot := relDst &^ (mask - 1)
+		sendOff := l.Disp(myRoot)
+		recvOff := l.Disp(dstRoot)
+		dst = append(dst, sched.Op{
+			Kind: sched.OpSendrecv,
+			To:   peer, SendOff: sendOff, SendLen: l.Disp(myRoot+mask) - sendOff,
+			From: peer, RecvOff: recvOff, RecvLen: l.Disp(dstRoot+mask) - recvOff,
+			Tag: TagRdb, Step: step,
+		})
+		step++
 	}
-	return pr
+	return dst
 }
 
-// BinomialBcast generates the whole-buffer binomial-tree broadcast MPICH
-// uses for short messages (and for communicators smaller than
-// MinRingProcs): every message carries all n bytes.
-func BinomialBcast(p, root, n int) *sched.Program {
-	checkArgs(p, root, n)
-	pr := sched.New("binomial-bcast", p, n, root)
-	for rel := 0; rel < p; rel++ {
-		rank := AbsRank(rel, root, p)
-		recvMask := CeilPow2(p)
-		if rel != 0 {
-			recvMask = rel & (-rel)
-			parent := AbsRank(rel-recvMask, root, p)
-			pr.Add(rank, sched.Op{
-				Kind: sched.OpRecv, From: parent,
-				RecvOff: 0, RecvLen: n,
-				Tag: TagBinomial, Step: 0,
-			})
-		}
-		for mask := recvMask >> 1; mask > 0; mask >>= 1 {
-			child := rel + mask
-			if child >= p {
-				continue
-			}
-			pr.Add(rank, sched.Op{
-				Kind: sched.OpSend, To: AbsRank(child, root, p),
-				SendOff: 0, SendLen: n,
-				Tag: TagBinomial, Step: 0,
-			})
-		}
+// RdbAllgather generates the whole recursive-doubling allgather (see
+// RdbOps).
+func RdbAllgather(p, root, n int) *sched.Program {
+	return sched.Generate("rdb-allgather", RdbOps, p, root, n, 0)
+}
+
+// BinomialOps emits the whole-buffer binomial-tree broadcast MPICH uses
+// for short messages (and for communicators smaller than MinRingProcs):
+// every message carries all n bytes.
+func BinomialOps(dst []sched.Op, rank, p, root, n, _ int) []sched.Op {
+	rel := RelRank(rank, root, p)
+	recvMask := CeilPow2(p)
+	if rel != 0 {
+		recvMask = rel & (-rel)
+		dst = append(dst, sched.Op{
+			Kind: sched.OpRecv, From: AbsRank(rel-recvMask, root, p),
+			RecvOff: 0, RecvLen: n,
+			Tag: TagBinomial, Step: 0,
+		})
 	}
-	return pr
+	for mask := recvMask >> 1; mask > 0; mask >>= 1 {
+		child := rel + mask
+		if child >= p {
+			continue
+		}
+		dst = append(dst, sched.Op{
+			Kind: sched.OpSend, To: AbsRank(child, root, p),
+			SendOff: 0, SendLen: n,
+			Tag: TagBinomial, Step: 0,
+		})
+	}
+	return dst
+}
+
+// BinomialBcast generates the whole binomial broadcast (see BinomialOps).
+func BinomialBcast(p, root, n int) *sched.Program {
+	return sched.Generate("binomial-bcast", BinomialOps, p, root, n, 0)
 }
 
 // BcastNativeProgram is the full native long-message broadcast: binomial
 // scatter followed by the enclosed ring allgather (MPI_Bcast_native).
 func BcastNativeProgram(p, root, n int) *sched.Program {
-	pr := ScatterSchedule(p, root, n).MustConcat(RingAllgatherNative(p, root, n))
-	pr.Name = "bcast-native"
-	return pr
+	return sched.Generate("bcast-native", BcastNativeOps, p, root, n, 0)
 }
 
 // BcastOptProgram is the paper's tuned broadcast: binomial scatter
 // followed by the non-enclosed ring allgather (MPI_Bcast_opt).
 func BcastOptProgram(p, root, n int) *sched.Program {
-	pr := ScatterSchedule(p, root, n).MustConcat(RingAllgatherTuned(p, root, n))
-	pr.Name = "bcast-opt"
-	return pr
+	return sched.Generate("bcast-opt", BcastOptOps, p, root, n, 0)
 }
 
 // BcastRdbProgram is MPICH's medium-message power-of-two broadcast:
 // binomial scatter followed by recursive-doubling allgather.
 func BcastRdbProgram(p, root, n int) *sched.Program {
-	pr := ScatterSchedule(p, root, n).MustConcat(RdbAllgather(p, root, n))
-	pr.Name = "bcast-scatter-rdb"
-	return pr
+	return sched.Generate("bcast-scatter-rdb", BcastRdbOps, p, root, n, 0)
 }

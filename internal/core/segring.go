@@ -43,102 +43,95 @@ func SegSpan(count, segSize, s int) (off, length int) {
 	return off, length
 }
 
-// segRing generates the segmented ring allgather. With tuned=false every
-// rank runs the full enclosed exchange; with tuned=true each rank
-// computes (step, flag) and degenerates to send-only or receive-only for
-// its final step-1 ring steps, exactly like RingAllgatherTuned — the
-// degeneration applies to every segment of the affected steps.
-func segRing(p, root, n, segSize int, tuned bool, name string) *sched.Program {
-	checkArgs(p, root, n)
+// segRingOps emits one rank's segmented ring allgather. With tuned=false
+// the rank runs the full enclosed exchange; with tuned=true it computes
+// (step, flag) and degenerates to send-only or receive-only for its final
+// step-1 ring steps, exactly like RingTunedOps — the degeneration applies
+// to every segment of the affected steps.
+func segRingOps(dst []sched.Op, rank, p, root, n, segSize int, tuned bool) []sched.Op {
 	if segSize <= 0 {
 		segSize = DefaultRingSegment
 	}
 	l := NewLayout(n, p)
-	pr := sched.New(name, p, n, root)
-	for rank := 0; rank < p; rank++ {
-		var sf StepFlag
-		if tuned {
-			sf = ComputeStepFlag(RelRank(rank, root, p), p)
-		}
-		left, right := ringPeers(rank, p)
-		j, jnext := rank, left
-		for i := 1; i < p; i++ {
-			relJ := RelRank(j, root, p)
-			relJnext := RelRank(jnext, root, p)
-			sendCnt, recvCnt := l.Count(relJ), l.Count(relJnext)
-			sendDisp, recvDisp := l.Disp(relJ), l.Disp(relJnext)
-
-			doSend, doRecv := true, true
-			if tuned && sf.Step > p-i {
-				doSend, doRecv = !sf.RecvOnly, sf.RecvOnly
-			}
-			rounds := 0
-			if doSend {
-				rounds = RingSegments(sendCnt, segSize)
-			}
-			if doRecv {
-				if r := RingSegments(recvCnt, segSize); r > rounds {
-					rounds = r
-				}
-			}
-			for s := 0; s < rounds; s++ {
-				sOK := doSend && s < RingSegments(sendCnt, segSize)
-				rOK := doRecv && s < RingSegments(recvCnt, segSize)
-				op := sched.Op{Tag: TagRing, Step: i}
-				if sOK {
-					off, length := SegSpan(sendCnt, segSize, s)
-					op.To, op.SendOff, op.SendLen = right, sendDisp+off, length
-				}
-				if rOK {
-					off, length := SegSpan(recvCnt, segSize, s)
-					op.From, op.RecvOff, op.RecvLen = left, recvDisp+off, length
-				}
-				switch {
-				case sOK && rOK:
-					op.Kind = sched.OpSendrecv
-				case rOK:
-					op.Kind = sched.OpRecv
-				case sOK:
-					op.Kind = sched.OpSend
-				default:
-					continue
-				}
-				pr.Add(rank, op)
-			}
-			j = jnext
-			jnext = (jnext - 1 + p) % p
-		}
+	var sf StepFlag
+	if tuned {
+		sf = ComputeStepFlag(RelRank(rank, root, p), p)
 	}
-	return pr
+	left, right := ringPeers(rank, p)
+	j, jnext := rank, left
+	for i := 1; i < p; i++ {
+		relJ := RelRank(j, root, p)
+		relJnext := RelRank(jnext, root, p)
+		sendCnt, recvCnt := l.Count(relJ), l.Count(relJnext)
+		sendDisp, recvDisp := l.Disp(relJ), l.Disp(relJnext)
+
+		// Segment rounds of each half; a dropped half has none.
+		sendSegs, recvSegs := RingSegments(sendCnt, segSize), RingSegments(recvCnt, segSize)
+		if tuned && sf.Step > p-i {
+			if sf.RecvOnly {
+				sendSegs = 0
+			} else {
+				recvSegs = 0
+			}
+		}
+		for s := 0; s < max(sendSegs, recvSegs); s++ {
+			op := sched.Op{Tag: TagRing, Step: i}
+			if s < sendSegs {
+				off, length := SegSpan(sendCnt, segSize, s)
+				op.To, op.SendOff, op.SendLen = right, sendDisp+off, length
+			}
+			if s < recvSegs {
+				off, length := SegSpan(recvCnt, segSize, s)
+				op.From, op.RecvOff, op.RecvLen = left, recvDisp+off, length
+			}
+			switch {
+			case s < sendSegs && s < recvSegs:
+				op.Kind = sched.OpSendrecv
+			case s < recvSegs:
+				op.Kind = sched.OpRecv
+			default:
+				op.Kind = sched.OpSend
+			}
+			dst = append(dst, op)
+		}
+		j = jnext
+		jnext = (jnext - 1 + p) % p
+	}
+	return dst
 }
 
-// RingAllgatherNativeSeg generates the segmented enclosed ring allgather:
-// RingAllgatherNative with every chunk transfer pipelined in segSize
-// pieces.
+// RingNativeSegOps emits the segmented enclosed ring allgather:
+// RingNativeOps with every chunk transfer pipelined in segSize pieces.
+func RingNativeSegOps(dst []sched.Op, rank, p, root, n, segSize int) []sched.Op {
+	return segRingOps(dst, rank, p, root, n, segSize, false)
+}
+
+// RingTunedSegOps emits the segmented non-enclosed ring allgather: the
+// paper's tuned ring with every retained chunk transfer pipelined in
+// segSize pieces. The ownership-aware skips apply to whole steps, so the
+// tuned saving carries over segment by segment.
+func RingTunedSegOps(dst []sched.Op, rank, p, root, n, segSize int) []sched.Op {
+	return segRingOps(dst, rank, p, root, n, segSize, true)
+}
+
+// RingAllgatherNativeSeg generates the whole segmented enclosed ring.
 func RingAllgatherNativeSeg(p, root, n, segSize int) *sched.Program {
-	return segRing(p, root, n, segSize, false, "ring-allgather-native-seg")
+	return sched.Generate("ring-allgather-native-seg", RingNativeSegOps, p, root, n, segSize)
 }
 
-// RingAllgatherTunedSeg generates the segmented non-enclosed ring
-// allgather: the paper's tuned ring with every retained chunk transfer
-// pipelined in segSize pieces. The ownership-aware skips apply to whole
-// steps, so the tuned saving carries over segment by segment.
+// RingAllgatherTunedSeg generates the whole segmented non-enclosed ring.
 func RingAllgatherTunedSeg(p, root, n, segSize int) *sched.Program {
-	return segRing(p, root, n, segSize, true, "ring-allgather-tuned-seg")
+	return sched.Generate("ring-allgather-tuned-seg", RingTunedSegOps, p, root, n, segSize)
 }
 
 // BcastNativeSegProgram is the segmented native broadcast: binomial
 // scatter followed by the segmented enclosed ring allgather.
 func BcastNativeSegProgram(p, root, n, segSize int) *sched.Program {
-	pr := ScatterSchedule(p, root, n).MustConcat(RingAllgatherNativeSeg(p, root, n, segSize))
-	pr.Name = "bcast-native-seg"
-	return pr
+	return sched.Generate("bcast-native-seg", BcastNativeSegOps, p, root, n, segSize)
 }
 
 // BcastOptSegProgram is the segmented tuned broadcast: binomial scatter
 // followed by the segmented non-enclosed ring allgather.
 func BcastOptSegProgram(p, root, n, segSize int) *sched.Program {
-	pr := ScatterSchedule(p, root, n).MustConcat(RingAllgatherTunedSeg(p, root, n, segSize))
-	pr.Name = "bcast-opt-seg"
-	return pr
+	return sched.Generate("bcast-opt-seg", BcastOptSegOps, p, root, n, segSize)
 }

@@ -10,19 +10,18 @@
 // data-independent, so their entire schedule can be generated up front
 // from (P, root, nbytes).
 //
-// Three consumers share this IR:
+// An algorithm is written once, as an Emitter: the function that lists one
+// rank's operations. Everything else consumes that one definition:
 //
-//   - internal/core generates Programs for each algorithm and derives
-//     analytic traffic counts from them;
-//   - the schedule verifier in this package checks deadlock-freedom and
-//     data validity (no transfer may carry bytes the sender does not hold);
+//   - Generate loops an Emitter over all ranks into a Program;
+//   - the schedule verifier in this package checks a Program's
+//     deadlock-freedom and data validity (no transfer may carry bytes the
+//     sender does not hold);
 //   - internal/netsim replays Programs against a virtual-time network
-//     model to predict completion times at paper scale.
-//
-// The executable collectives in internal/collective are hand-written
-// against the mpi.Comm interface (faithful to the paper's pseudo-code);
-// tests cross-validate their observed message traces against the
-// Programs generated here.
+//     model to predict completion times at paper scale, which is what the
+//     auto-tuner in internal/tune measures;
+//   - the executor in internal/collective calls the Emitter for the
+//     calling rank alone and runs those operations on the real engine.
 package sched
 
 import (
@@ -109,6 +108,36 @@ func (o Op) String() string {
 	}
 }
 
+// Check reports whether the op is well-formed for rank self of a p-rank
+// collective over an n-byte buffer: a known kind, peers inside the
+// communicator and distinct from self, byte ranges inside the buffer.
+func (o *Op) Check(p, n, self int) error {
+	if o.Kind > OpSendrecv {
+		return fmt.Errorf("unknown kind %d", o.Kind)
+	}
+	if o.Kind != OpRecv {
+		switch {
+		case o.To < 0 || o.To >= p:
+			return fmt.Errorf("dest out of range")
+		case o.To == self:
+			return fmt.Errorf("self send")
+		case o.SendLen < 0 || o.SendOff < 0 || o.SendLen > n || o.SendOff > n-o.SendLen:
+			return fmt.Errorf("send range outside buffer of %d bytes", n)
+		}
+	}
+	if o.Kind != OpSend {
+		switch {
+		case o.From < 0 || o.From >= p:
+			return fmt.Errorf("source out of range")
+		case o.From == self:
+			return fmt.Errorf("self receive")
+		case o.RecvLen < 0 || o.RecvOff < 0 || o.RecvLen > n || o.RecvOff > n-o.RecvLen:
+			return fmt.Errorf("recv range outside buffer of %d bytes", n)
+		}
+	}
+	return nil
+}
+
 // Program is a complete static communication schedule for one collective
 // over P ranks and an N-byte buffer.
 type Program struct {
@@ -135,30 +164,40 @@ func (pr *Program) Add(rank int, op Op) {
 	pr.Ranks[rank] = append(pr.Ranks[rank], op)
 }
 
-// Concat returns a new Program that runs pr to completion and then next
-// (per rank, next's ops are appended after pr's). Both programs must have
-// identical P, N and Root.
-func (pr *Program) Concat(next *Program) (*Program, error) {
-	if pr.P != next.P || pr.N != next.N || pr.Root != next.Root {
-		return nil, fmt.Errorf("sched: concat mismatch: (%d,%d,%d) vs (%d,%d,%d)",
-			pr.P, pr.N, pr.Root, next.P, next.N, next.Root)
+// Emitter appends to dst the operations one rank executes, in program
+// order, in a collective over p ranks rooted at root with an n-byte
+// buffer, and returns the extended slice. seg is the segment size of
+// pipelined algorithms; the others ignore it. It is a pure function of
+// its arguments, allocates nothing beyond growing dst, and requires
+// 0 <= rank, root < p and n >= 0.
+type Emitter func(dst []Op, rank, p, root, n, seg int) []Op
+
+// Then returns the emitter of the two-phase algorithm that runs e's
+// operations and then next's on every rank.
+func (e Emitter) Then(next Emitter) Emitter {
+	return func(dst []Op, rank, p, root, n, seg int) []Op {
+		return next(e(dst, rank, p, root, n, seg), rank, p, root, n, seg)
 	}
-	out := New(pr.Name+"+"+next.Name, pr.P, pr.N, pr.Root)
-	for r := 0; r < pr.P; r++ {
-		out.Ranks[r] = append(out.Ranks[r], pr.Ranks[r]...)
-		out.Ranks[r] = append(out.Ranks[r], next.Ranks[r]...)
-	}
-	return out, nil
 }
 
-// MustConcat is Concat that panics on mismatch; generators use it with
-// programs they construct themselves.
-func (pr *Program) MustConcat(next *Program) *Program {
-	out, err := pr.Concat(next)
-	if err != nil {
-		panic(err)
+// Generate builds the whole program of an algorithm by running its
+// emitter for every rank. It panics on arguments no collective accepts
+// (p <= 0, root outside [0, p), n < 0).
+func Generate(name string, e Emitter, p, root, n, seg int) *Program {
+	if p <= 0 {
+		panic(fmt.Sprintf("sched: schedule requires p > 0, got %d", p))
 	}
-	return out
+	if root < 0 || root >= p {
+		panic(fmt.Sprintf("sched: root %d out of range for p=%d", root, p))
+	}
+	if n < 0 {
+		panic(fmt.Sprintf("sched: schedule requires n >= 0, got %d", n))
+	}
+	pr := New(name, p, n, root)
+	for rank := range pr.Ranks {
+		pr.Ranks[rank] = e(nil, rank, p, root, n, seg)
+	}
+	return pr
 }
 
 // Stats summarizes the traffic a Program generates.
@@ -227,30 +266,14 @@ func (pr *Program) Validate() error {
 	recvs := map[chanKey][]int{}
 	for r := 0; r < pr.P; r++ {
 		for i, op := range pr.Ranks[r] {
-			where := func() string { return fmt.Sprintf("program %q rank %d op %d (%s)", pr.Name, r, i, op) }
-			if op.Kind == OpSend || op.Kind == OpSendrecv {
-				if op.To < 0 || op.To >= pr.P {
-					return fmt.Errorf("sched: %s: dest out of range", where())
-				}
-				if op.To == r {
-					return fmt.Errorf("sched: %s: self send", where())
-				}
-				if op.SendLen < 0 || op.SendOff < 0 || op.SendOff+op.SendLen > pr.N {
-					return fmt.Errorf("sched: %s: send range outside buffer of %d bytes", where(), pr.N)
-				}
+			if err := op.Check(pr.P, pr.N, r); err != nil {
+				return fmt.Errorf("sched: program %q rank %d op %d (%s): %w", pr.Name, r, i, op, err)
+			}
+			if op.Kind != OpRecv {
 				k := chanKey{r, op.To, op.Tag}
 				sends[k] = append(sends[k], op.SendLen)
 			}
-			if op.Kind == OpRecv || op.Kind == OpSendrecv {
-				if op.From < 0 || op.From >= pr.P {
-					return fmt.Errorf("sched: %s: source out of range", where())
-				}
-				if op.From == r {
-					return fmt.Errorf("sched: %s: self receive", where())
-				}
-				if op.RecvLen < 0 || op.RecvOff < 0 || op.RecvOff+op.RecvLen > pr.N {
-					return fmt.Errorf("sched: %s: recv range outside buffer of %d bytes", where(), pr.N)
-				}
+			if op.Kind != OpSend {
 				k := chanKey{op.From, r, op.Tag}
 				recvs[k] = append(recvs[k], op.RecvLen)
 			}

@@ -105,26 +105,40 @@ func TestStatsCountsSendrecvOnceAndEmpties(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	a := pingPong()
-	b := pingPong()
-	c, err := a.Concat(b)
-	if err != nil {
-		t.Fatal(err)
+// pingOps is pingPong's first exchange written as an Emitter.
+func pingOps(dst []Op, rank, p, root, n, seg int) []Op {
+	if rank == root {
+		return append(dst, Op{Kind: OpSend, To: 1 - root, SendLen: n, Tag: 1})
 	}
-	if len(c.OpsOf(0)) != 4 || len(c.OpsOf(1)) != 4 {
-		t.Fatalf("concat op counts: %d, %d", len(c.OpsOf(0)), len(c.OpsOf(1)))
+	return append(dst, Op{Kind: OpRecv, From: root, RecvLen: n, Tag: 1})
+}
+
+func TestGenerateRunsTheEmitterPerRank(t *testing.T) {
+	pr := Generate("ping-twice", Emitter(pingOps).Then(pingOps), 2, 1, 4, 0)
+	if pr.P != 2 || pr.N != 4 || pr.Root != 1 || pr.Name != "ping-twice" {
+		t.Fatalf("header: %+v", pr)
 	}
-	if err := c.Validate(); err != nil {
+	if len(pr.OpsOf(0)) != 2 || len(pr.OpsOf(1)) != 2 {
+		t.Fatalf("op counts: %d, %d", len(pr.OpsOf(0)), len(pr.OpsOf(1)))
+	}
+	if pr.OpsOf(1)[0].Kind != OpSend || pr.OpsOf(0)[1].Kind != OpRecv {
+		t.Fatalf("phases out of order:\n%s", pr.Dump())
+	}
+	if err := pr.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestConcatMismatch(t *testing.T) {
-	a := pingPong()
-	b := New("other", 3, 8, 0)
-	if _, err := a.Concat(b); err == nil {
-		t.Fatal("expected concat mismatch error")
+func TestGeneratePanicsOnBadArgs(t *testing.T) {
+	for _, args := range [][3]int{{0, 0, 4}, {2, 2, 4}, {2, -1, 4}, {2, 0, -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Generate(p=%d, root=%d, n=%d) did not panic", args[0], args[1], args[2])
+				}
+			}()
+			Generate("bad", pingOps, args[0], args[1], args[2], 0)
+		}()
 	}
 }
 

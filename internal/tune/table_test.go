@@ -182,28 +182,83 @@ func TestTableValidateRejects(t *testing.T) {
 	}
 }
 
-func TestMPICH3KnownPoints(t *testing.T) {
-	// Spot checks straight from the paper's Section V description; the
-	// exhaustive golden comparison against collective.SelectAlgorithm
-	// lives in internal/collective (which owns the legacy dispatcher).
+// TestMPICH3Golden pins MPICH3's broadcast dispatch as a literal
+// (n, p, tuned) -> algorithm table straight from the paper's Section V
+// description, with a row on each side of every threshold seam.
+func TestMPICH3Golden(t *testing.T) {
 	cases := []struct {
 		n, p  int
 		tuned bool
 		want  string
 	}{
+		// Short messages: always binomial.
+		{0, 64, false, Binomial},
 		{1024, 64, false, Binomial},
+		{12287, 64, false, Binomial},
+		{12287, 64, true, Binomial},
+		// Small communicators: always binomial, even long messages.
+		{1 << 20, 7, false, Binomial},
 		{1 << 20, 7, true, Binomial},
+		// Medium, power-of-two: recursive doubling.
 		{12288, 64, false, ScatterRdb},
+		{524287, 16, false, ScatterRdb},
 		{524287, 16, true, ScatterRdb},
+		// Medium, non-power-of-two: the ring path (the paper's
+		// mmsg-npof2 case).
 		{12288, 9, false, RingNative},
 		{12288, 9, true, RingOpt},
+		{524287, 129, false, RingNative},
+		{524287, 129, true, RingOpt},
+		// Long messages: the ring path regardless of process count.
+		{524288, 16, false, RingNative},
+		{524288, 16, true, RingOpt},
 		{1 << 20, 129, false, RingNative},
 		{1 << 20, 129, true, RingOpt},
+		{1 << 25, 256, false, RingNative},
+		{1 << 25, 256, true, RingOpt},
 	}
 	for _, tc := range cases {
 		d := MPICH3{Tuned: tc.tuned}.Decide(Env{Bytes: tc.n, Procs: tc.p})
 		if d.Algorithm != tc.want {
 			t.Errorf("MPICH3{%v}.Decide(n=%d, p=%d) = %q want %q", tc.tuned, tc.n, tc.p, d.Algorithm, tc.want)
+		}
+	}
+}
+
+// TestMPICH3IgnoresTopologyAndSegments: across a grid that includes every
+// threshold seam, the default dispatch does not depend on the node count,
+// never sets a segment size, and Tuned changes nothing but the ring.
+func TestMPICH3IgnoresTopologyAndSegments(t *testing.T) {
+	sizes := []int{
+		0, 1, 1024,
+		ShortMsgSize - 1, ShortMsgSize, ShortMsgSize + 1,
+		1 << 16, 1 << 18,
+		LongMsgSize - 1, LongMsgSize, LongMsgSize + 1,
+		1 << 20, 1 << 25,
+	}
+	procs := []int{1, 2, 3, 4, 7, 8, 9, 10, 16, 17, 64, 100, 128, 129, 256, 257}
+	for _, n := range sizes {
+		for _, p := range procs {
+			native := MPICH3{}.Decide(Env{Bytes: n, Procs: p, NumNodes: 1})
+			tuned := MPICH3{Tuned: true}.Decide(Env{Bytes: n, Procs: p, NumNodes: 1})
+			for _, d := range []struct {
+				tuner MPICH3
+				one   Decision
+			}{{MPICH3{}, native}, {MPICH3{Tuned: true}, tuned}} {
+				if four := d.tuner.Decide(Env{Bytes: n, Procs: p, NumNodes: 4}); four != d.one {
+					t.Fatalf("%+v.Decide(n=%d, p=%d): %+v on one node, %+v on four", d.tuner, n, p, d.one, four)
+				}
+				if d.one.SegSize != 0 {
+					t.Fatalf("default tuner must not set SegSize, got %d", d.one.SegSize)
+				}
+			}
+			want := native.Algorithm
+			if want == RingNative {
+				want = RingOpt
+			}
+			if tuned.Algorithm != want {
+				t.Fatalf("n=%d p=%d: native picks %q, tuned picks %q", n, p, native.Algorithm, tuned.Algorithm)
+			}
 		}
 	}
 }

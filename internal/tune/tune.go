@@ -11,8 +11,8 @@
 //   - Decision names a registered algorithm plus its parameters
 //     (currently the segment size for pipelined schedules);
 //   - Tuner maps Env to Decision. MPICH3 is the default tuner and
-//     reproduces MPICH3's dispatch bit-for-bit (golden-tested against
-//     collective.SelectAlgorithm);
+//     reproduces MPICH3's dispatch bit-for-bit (pinned by a literal
+//     golden table in this package's tests);
 //   - Table is a JSON-serializable rule list (size/procs/topology/
 //     placement-keyed, first match wins) and TableTuner dispatches
 //     through one;
