@@ -75,15 +75,18 @@
 // transport keeps traffic on the in-process channel path — byte- and
 // traffic-identical to the pre-seam engine by construction — while the
 // udp transport carries every message over a real socket with
-// length-prefixed datagram framing, sequence numbers, cumulative
-// acknowledgements and timeout retransmit, so injected loss,
-// duplication and reordering (transport.Faulty) cost latency, never
-// correctness. A transport also decides which ranks a process hosts,
-// letting one world span OS processes: cmd/bcastsoak spawns rank
+// length-prefixed datagram framing, sequence numbers, selective
+// acknowledgements (a datagram the receiver reports holding is never
+// sent again; a hole is re-sent a round trip after three later
+// datagrams arrived) and a retransmit timeout behind them, so injected
+// loss, duplication and reordering (transport.Faulty) cost latency,
+// never correctness. A transport also decides which ranks a process
+// hosts, letting one world span OS processes: cmd/bcastsoak spawns rank
 // processes over loopback UDP and asserts every rank's result hash
-// matches an in-process reference run. Wire activity (datagrams,
-// bytes, retransmits, ack round-trips) surfaces in the metrics
-// Snapshot, and measurements record their transport in provenance.
+// matches an in-process reference run. Wire activity (datagrams, bytes,
+// retransmits, fast retransmits, ack round-trips) surfaces in the
+// metrics Snapshot, and measurements record their transport in
+// provenance.
 //
 // The benchmarks in bench_test.go regenerate every table and figure of
 // the paper's evaluation section; run them with

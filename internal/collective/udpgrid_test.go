@@ -128,3 +128,86 @@ func TestUDPTransportFaultGrid(t *testing.T) {
 		t.Errorf("wire counters dark under the fault grid: %+v", s)
 	}
 }
+
+// TestUDPWrappedSocketKeepsItsWindow is the regression test for the
+// Faulty socket-buffer trap: NewUDP used to size the kernel buffers only
+// of a socket it saw as *net.UDPConn, so one wrapped in a Faulty kept
+// the ~208 KiB default, a 256 × 32 KiB window overflowed it, and a
+// 1 MiB broadcast at 0 % injected loss spent 360 ms in timeouts. With
+// the sizing forwarded through the wrapper, a fault-free wrapped socket
+// behaves like a raw one: under 1 % of its datagrams are re-sent.
+func TestUDPWrappedSocketKeepsItsWindow(t *testing.T) {
+	const (
+		p      = 8
+		n      = 1 << 20
+		warmup = 5 // rounds before counting: the estimator and the window settle
+		rounds = 25
+	)
+	retxShare := func(wrap bool) float64 {
+		conn, err := net.ListenPacket("udp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wrap {
+			conn = transport.NewFaulty(conn, transport.FaultConfig{})
+		}
+		tr, err := transport.NewUDP(transport.UDPConfig{NP: p, Conn: conn, ForceWire: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		m := metrics.New(p, 0)
+		var warm metrics.Snapshot
+		// Back to back inside one run, so the flow never idles: an idle
+		// transport's coarse tick makes the first burst after it look
+		// timed out, which is not what this test is about.
+		err = engine.RunWith(engine.Options{
+			NP: p, Topology: topology.Blocked(p, 4),
+			Timeout: 60 * time.Second, Transport: tr, Metrics: m,
+		}, func(c mpi.Comm) error {
+			// Stamp and spot-check each round, compare in full once: on a
+			// small host eight ranks comparing megabytes every round would
+			// starve the transport's clock into spurious timeouts.
+			want := pattern(n)
+			buf := make([]byte, n)
+			if c.Rank() == 0 {
+				copy(buf, want)
+			}
+			for i := 0; i < rounds; i++ {
+				if i == warmup && c.Rank() == 0 {
+					warm = m.Snapshot()
+				}
+				stamp := byte(i + 1)
+				if c.Rank() == 0 {
+					buf[0], buf[n/2], buf[n-1] = stamp, stamp, stamp
+				}
+				if err := RunDecision(c, buf, 0, tune.Decision{Algorithm: tune.RingOpt}); err != nil {
+					return err
+				}
+				if buf[0] != stamp || buf[n/2] != stamp || buf[n-1] != stamp {
+					return fmt.Errorf("rank %d round %d: stamps %d %d %d, want %d", c.Rank(), i, buf[0], buf[n/2], buf[n-1], stamp)
+				}
+			}
+			want[0], want[n/2], want[n-1] = rounds, rounds, rounds
+			if !bytes.Equal(buf, want) {
+				return fmt.Errorf("rank %d: buffer mismatch (first diff at %d)", c.Rank(), firstDiff(buf, want))
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := m.Snapshot()
+		return float64(s.WireRetransmits-warm.WireRetransmits) / float64(s.WireDatagramsSent-warm.WireDatagramsSent)
+	}
+	raw := retxShare(false)
+	t.Logf("raw %.2f%%", 100*raw)
+	if raw >= 0.005 {
+		t.Skipf("a raw socket already re-sends %.1f%% of its datagrams here (kernel buffer cap?): nothing to compare", 100*raw)
+	}
+	wrapped := retxShare(true)
+	t.Logf("wrapped %.2f%%", 100*wrapped)
+	if wrapped >= 0.01 {
+		t.Errorf("a Faulty-wrapped socket re-sent %.1f%% of its datagrams at 0%% injected loss, want < 1%%", 100*wrapped)
+	}
+}

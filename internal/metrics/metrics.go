@@ -58,8 +58,10 @@ const (
 	ArrivalQueueMax
 	// Wire* counters instrument a real-network transport (zero on the
 	// in-process chan path): datagrams and wire bytes in each direction,
-	// timeout-triggered retransmits, and completed ACK round-trips
-	// (acknowledgements that retired at least one pending datagram).
+	// retransmits (every data datagram written again, whether a timeout
+	// or the receiver's selective ACKs exposed the loss), and completed
+	// ACK round-trips (acknowledgements that retired at least one
+	// pending datagram).
 	// Wire activity is process-level, so transports charge shard 0.
 	WireDatagramsSent
 	WireDatagramsRecv
@@ -69,13 +71,16 @@ const (
 	WireAckRoundTrips
 	// Adaptive wire-path counters: ACK datagrams actually sent vs acks
 	// coalesced away (in-order data packets whose cumulative ack was
-	// deferred), batched send/recv syscalls (sendmmsg/recvmmsg), and
-	// congestion-window halvings (loss events).
+	// deferred), batched send/recv syscalls (sendmmsg/recvmmsg),
+	// congestion-window halvings (loss events, however detected), and
+	// fast retransmits — the subset of WireRetransmits sent as soon as
+	// selective ACKs showed three later datagrams had arrived.
 	WireAcksSent
 	WireAcksCoalesced
 	WireBatchedWrites
 	WireBatchedReads
 	WireCwndHalvings
+	WireFastRetransmits
 	// Adaptive wire-path gauges (max over the run): congestion-window
 	// high water in packets, the window's low water encoded inverted as
 	// CwndLowWaterBase-cwnd (max of the inverse is the minimum; Snapshot
@@ -223,6 +228,7 @@ func (m *Metrics) Snapshot() Snapshot {
 	s.WireBatchedWrites = merged[WireBatchedWrites]
 	s.WireBatchedReads = merged[WireBatchedReads]
 	s.WireCwndHalvings = merged[WireCwndHalvings]
+	s.WireFastRetransmits = merged[WireFastRetransmits]
 	s.WireCwndHighWater = merged[WireCwndHighWater]
 	if inv := merged[WireCwndLowWaterInv]; inv > 0 {
 		s.WireCwndLowWater = CwndLowWaterBase - inv

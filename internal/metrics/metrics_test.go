@@ -145,40 +145,41 @@ func (s spanSourceStub) SpanRing() *SpanRing { return s.r }
 func goldenSnapshot() Snapshot {
 	epoch := time.Unix(1700000000, 0).UTC()
 	return Snapshot{
-		NP:                 4,
-		Executor:           "pooled(4)",
-		Transport:          "udp",
-		EagerSends:         120,
-		RdvSends:           30,
-		EagerRecvs:         120,
-		RdvRecvs:           30,
-		StagedBytes:        1 << 20,
-		Parks:              256,
-		Unparks:            256,
-		SlotWaits:          12,
-		AbortedRuns:        1,
-		WireDatagramsSent:  420,
-		WireDatagramsRecv:  409,
-		WireBytesSent:      3 << 20,
-		WireBytesRecv:      3<<20 - 8192,
-		WireRetransmits:    11,
-		WireAckRoundTrips:  57,
-		WireAcksSent:       60,
-		WireAcksCoalesced:  349,
-		WireBatchedWrites:  14,
-		WireBatchedReads:   19,
-		WireCwndHalvings:   2,
-		WireCwndHighWater:  256,
-		WireCwndLowWater:   16,
-		WireSRTTMaxMicros:  740,
-		WireRTOMaxMicros:   1480,
-		TagStreamHighWater: 7,
-		PostedQueueMax:     3,
-		ArrivalQueueMax:    9,
-		Boots:              2,
-		Runs:               6,
-		FailedRuns:         1,
-		RetiredWorlds:      map[string]int64{"deadlock": 1},
+		NP:                  4,
+		Executor:            "pooled(4)",
+		Transport:           "udp",
+		EagerSends:          120,
+		RdvSends:            30,
+		EagerRecvs:          120,
+		RdvRecvs:            30,
+		StagedBytes:         1 << 20,
+		Parks:               256,
+		Unparks:             256,
+		SlotWaits:           12,
+		AbortedRuns:         1,
+		WireDatagramsSent:   420,
+		WireDatagramsRecv:   409,
+		WireBytesSent:       3 << 20,
+		WireBytesRecv:       3<<20 - 8192,
+		WireRetransmits:     11,
+		WireAckRoundTrips:   57,
+		WireAcksSent:        60,
+		WireAcksCoalesced:   349,
+		WireBatchedWrites:   14,
+		WireBatchedReads:    19,
+		WireCwndHalvings:    2,
+		WireFastRetransmits: 7,
+		WireCwndHighWater:   256,
+		WireCwndLowWater:    16,
+		WireSRTTMaxMicros:   740,
+		WireRTOMaxMicros:    1480,
+		TagStreamHighWater:  7,
+		PostedQueueMax:      3,
+		ArrivalQueueMax:     9,
+		Boots:               2,
+		Runs:                6,
+		FailedRuns:          1,
+		RetiredWorlds:       map[string]int64{"deadlock": 1},
 		BufPool: []PoolClassStats{
 			{Size: 64, Gets: 40, Puts: 40, Misses: 4},
 			{Size: 8 << 10, Gets: 30, Puts: 30, Misses: 3},

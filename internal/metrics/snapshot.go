@@ -45,19 +45,22 @@ type Snapshot struct {
 	AbortedRuns          int64
 
 	// Wire transport counters (zero on the in-process chan path):
-	// datagrams and bytes in each direction, timeout-triggered
-	// retransmits, and ACK round-trips that retired pending datagrams.
+	// datagrams and bytes in each direction, data datagrams written
+	// again (on a timeout or on selective-ACK evidence), and ACK
+	// round-trips that retired pending datagrams.
 	WireDatagramsSent, WireDatagramsRecv int64
 	WireBytesSent, WireBytesRecv         int64
 	WireRetransmits                      int64
 	WireAckRoundTrips                    int64
 
 	// Adaptive wire-path counters: ACK datagrams sent vs acks coalesced
-	// away by delayed cumulative acking, batched send/recv syscalls, and
-	// congestion-window halvings (loss events).
+	// away by delayed cumulative acking, batched send/recv syscalls,
+	// congestion-window halvings (loss events), and the share of
+	// WireRetransmits that selective ACKs triggered ahead of any timeout.
 	WireAcksSent, WireAcksCoalesced     int64
 	WireBatchedWrites, WireBatchedReads int64
 	WireCwndHalvings                    int64
+	WireFastRetransmits                 int64
 	// Adaptive wire-path gauges: congestion-window high/low water in
 	// packets (0 when congestion control never ran) and the largest
 	// smoothed-RTT / RTO estimate any flow reached, in microseconds.
@@ -108,9 +111,9 @@ func (s Snapshot) String() string {
 	if s.wireActive() {
 		fmt.Fprintf(&b, "  wire: datagrams-sent=%d datagrams-recv=%d bytes-sent=%d bytes-recv=%d retransmits=%d ack-rtts=%d\n",
 			s.WireDatagramsSent, s.WireDatagramsRecv, s.WireBytesSent, s.WireBytesRecv, s.WireRetransmits, s.WireAckRoundTrips)
-		fmt.Fprintf(&b, "  wire-cc: srtt-max-us=%d rto-max-us=%d cwnd-hw=%d cwnd-lw=%d cwnd-halvings=%d acks-sent=%d acks-coalesced=%d batched-writes=%d batched-reads=%d\n",
+		fmt.Fprintf(&b, "  wire-cc: srtt-max-us=%d rto-max-us=%d cwnd-hw=%d cwnd-lw=%d cwnd-halvings=%d fast-retx=%d acks-sent=%d acks-coalesced=%d batched-writes=%d batched-reads=%d\n",
 			s.WireSRTTMaxMicros, s.WireRTOMaxMicros, s.WireCwndHighWater, s.WireCwndLowWater,
-			s.WireCwndHalvings, s.WireAcksSent, s.WireAcksCoalesced, s.WireBatchedWrites, s.WireBatchedReads)
+			s.WireCwndHalvings, s.WireFastRetransmits, s.WireAcksSent, s.WireAcksCoalesced, s.WireBatchedWrites, s.WireBatchedReads)
 	}
 	fmt.Fprintf(&b, "  queues: posted-max=%d arrival-max=%d tag-stream-hw=%d\n",
 		s.PostedQueueMax, s.ArrivalQueueMax, s.TagStreamHighWater)
@@ -225,8 +228,10 @@ func (s Snapshot) WriteProm(w io.Writer) error {
 	p.header("bcast_wire_bytes_total", "Transport bytes on the wire (headers included), by direction.", "counter")
 	p.printf("bcast_wire_bytes_total{direction=\"sent\"} %d\n", s.WireBytesSent)
 	p.printf("bcast_wire_bytes_total{direction=\"recv\"} %d\n", s.WireBytesRecv)
-	p.header("bcast_wire_retransmits_total", "Datagrams retransmitted after an ACK timeout.", "counter")
+	p.header("bcast_wire_retransmits_total", "Data datagrams written again, after a timeout or on selective-ACK evidence of loss.", "counter")
 	p.printf("bcast_wire_retransmits_total %d\n", s.WireRetransmits)
+	p.header("bcast_wire_fast_retransmits_total", "Retransmits triggered by selective ACKs (three later datagrams held) ahead of any timeout.", "counter")
+	p.printf("bcast_wire_fast_retransmits_total %d\n", s.WireFastRetransmits)
 	p.header("bcast_wire_ack_round_trips_total", "ACKs received that retired at least one pending datagram.", "counter")
 	p.printf("bcast_wire_ack_round_trips_total %d\n", s.WireAckRoundTrips)
 	p.header("bcast_wire_acks_total", "ACK datagrams, split into sent and coalesced-away (deferred by delayed acking).", "counter")
@@ -235,7 +240,7 @@ func (s Snapshot) WriteProm(w io.Writer) error {
 	p.header("bcast_wire_batched_syscalls_total", "Batched datagram syscalls (sendmmsg/recvmmsg), by direction.", "counter")
 	p.printf("bcast_wire_batched_syscalls_total{direction=\"write\"} %d\n", s.WireBatchedWrites)
 	p.printf("bcast_wire_batched_syscalls_total{direction=\"read\"} %d\n", s.WireBatchedReads)
-	p.header("bcast_wire_cwnd_halvings_total", "Congestion-window halvings (retransmit-timeout loss events).", "counter")
+	p.header("bcast_wire_cwnd_halvings_total", "Congestion-window halvings (one per loss event, detected by timeout or by selective ACKs).", "counter")
 	p.printf("bcast_wire_cwnd_halvings_total %d\n", s.WireCwndHalvings)
 	p.header("bcast_wire_cwnd_packets", "Congestion-window water marks in packets, over every flow.", "gauge")
 	p.printf("bcast_wire_cwnd_packets{bound=\"high\"} %d\n", s.WireCwndHighWater)

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net"
 	"testing"
 	"time"
@@ -67,10 +68,11 @@ func TestBackoffRTO(t *testing.T) {
 }
 
 // TestCongestionWindowDynamics pins slow start, the AIMD crossover,
-// halving on timeout with the once-per-window recover fence, and the
+// halving on loss with the once-per-window recover fence, and the
 // floor under sustained loss.
 func TestCongestionWindowDynamics(t *testing.T) {
-	f := &sendFlow{nextSeq: 1, base: 1, cwnd: initialCwnd, ssthresh: maxCwnd}
+	f := &sendFlow{}
+	f.init(initialRTO, false, 0)
 
 	// Slow start: +1 per acked packet up to the threshold.
 	f.ccOnAck(16)
@@ -85,20 +87,20 @@ func TestCongestionWindowDynamics(t *testing.T) {
 		t.Fatalf("AIMD growth for 16 acked = %v, want small additive step", grown)
 	}
 
-	// Timeout halves cwnd and the threshold...
+	// A loss halves cwnd and the threshold...
 	f.nextSeq = 100
 	f.base = 40
 	cw := f.cwnd
-	if !f.ccOnTimeout() {
-		t.Fatal("first timeout must register a loss event")
+	if !f.ccOnLoss() {
+		t.Fatal("first loss must register a loss event")
 	}
 	if f.cwnd != cw/2 || f.ssthresh != cw/2 {
-		t.Fatalf("after timeout cwnd=%v ssthresh=%v, want both %v", f.cwnd, f.ssthresh, cw/2)
+		t.Fatalf("after loss cwnd=%v ssthresh=%v, want both %v", f.cwnd, f.ssthresh, cw/2)
 	}
-	// ...but only once per outstanding window: another timeout before
-	// base passes the recover fence must not halve again.
-	if f.ccOnTimeout() {
-		t.Fatal("timeout inside the recovery window must not halve again")
+	// ...but only once per outstanding window: another loss before base
+	// passes the recover fence must not halve again.
+	if f.ccOnLoss() {
+		t.Fatal("loss inside the recovery window must not halve again")
 	}
 	if f.cwnd != cw/2 {
 		t.Fatalf("cwnd moved during recovery: %v", f.cwnd)
@@ -108,13 +110,13 @@ func TestCongestionWindowDynamics(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		f.base = f.nextSeq
 		f.nextSeq += 10
-		f.ccOnTimeout()
+		f.ccOnLoss()
 	}
 	if f.cwnd != minCwnd {
 		t.Fatalf("sustained-loss cwnd = %v, want floor %d", f.cwnd, minCwnd)
 	}
-	if f.window(0) != minCwnd {
-		t.Fatalf("window() = %d, want floor %d", f.window(0), minCwnd)
+	if f.window() != minCwnd {
+		t.Fatalf("window() = %d, want floor %d", f.window(), minCwnd)
 	}
 	// Growth resumes from the floor.
 	f.ccOnAck(1)
@@ -123,15 +125,16 @@ func TestCongestionWindowDynamics(t *testing.T) {
 	}
 
 	// A fixed window ignores all of it.
-	if f.window(64) != 64 {
-		t.Fatalf("fixed window = %d, want 64", f.window(64))
+	f.fixedWin = 64
+	if f.window() != 64 {
+		t.Fatalf("fixed window = %d, want 64", f.window())
 	}
 }
 
 // blackHolePair builds an unstarted UDP transport whose peer address is
 // a socket nobody reads: sends queue deterministically and acks can be
 // injected by hand.
-func blackHolePair(t *testing.T) (*UDP, net.Addr) {
+func blackHolePair(t *testing.T) (*UDP, *peer) {
 	t.Helper()
 	hole, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
@@ -147,7 +150,7 @@ func blackHolePair(t *testing.T) (*UDP, net.Addr) {
 	}
 	// Not started: Close skips the drain, so leftover pending is fine.
 	t.Cleanup(func() { u.Close() })
-	return u, u.peers[1]
+	return u, u.sendTo[1]
 }
 
 // TestWindowQueuedDrain extends the windowing coverage past the initial
@@ -162,17 +165,11 @@ func TestWindowQueuedDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f := u.sendFlowFor(peer)
+	f := &peer.send
 	count := func() (pending, queued int) {
 		f.mu.Lock()
 		defer f.mu.Unlock()
-		for _, p := range f.pending {
-			pending++
-			if p.sent.IsZero() {
-				queued++
-			}
-		}
-		return
+		return f.q.len(), int(f.nextSeq - f.sendNext)
 	}
 	pending, queued := count()
 	if pending != frags {
@@ -186,7 +183,7 @@ func TestWindowQueuedDrain(t *testing.T) {
 	// Ack the first 16 packets: slow start grows cwnd by 16, the base
 	// slides to 17, and the reopened window must flush the next batch of
 	// queued packets — everything below base+cwnd is now written.
-	u.handleAck(peer, 16)
+	u.handleAck(peer, &ack{cum: 16})
 	f.mu.Lock()
 	cwnd, base := f.cwnd, f.base
 	f.mu.Unlock()
@@ -202,32 +199,58 @@ func TestWindowQueuedDrain(t *testing.T) {
 		t.Fatalf("queued after window reopened = %d, want %d", queued, want)
 	}
 
-	// Ack everything: the flow must be clean.
-	u.handleAck(peer, uint64(frags))
-	if pending, _ = count(); pending != 0 {
-		t.Fatalf("pending after full ack = %d, want 0", pending)
+	// An ACK beyond what was written retires only what was written — a
+	// bogus ACK must not discard data that never left — and reopens the
+	// window for more; a few such ACKs drain the flow.
+	for i := 0; pending > 0; i++ {
+		if i == frags {
+			t.Fatalf("flow never drained: %d still pending", pending)
+		}
+		f.mu.Lock()
+		written := int(f.sendNext - f.base)
+		f.mu.Unlock()
+		u.handleAck(peer, &ack{cum: uint64(frags)})
+		was := pending
+		if pending, _ = count(); was-pending != written {
+			t.Fatalf("ACK retired %d datagrams, want the %d written ones", was-pending, written)
+		}
 	}
 }
 
-// TestDrainBound pins the Close linger bound: the 5s floor when flows
-// are quiet, and scaling to drainRTOs× the worst backoff-inflated
-// per-packet timeout when they are not.
+// TestDrainBound pins the Close linger bound: the 5s floor when the
+// flows' RTOs are small, drainRTOs× the largest flow RTO when they are
+// not — and never a per-packet backoff-inflated timeout, since a
+// draining flow retransmits every RTO: a packet that reached the 2s
+// backoff ceiling used to stretch the linger to 128s.
 func TestDrainBound(t *testing.T) {
 	u, peer := blackHolePair(t)
 	if got := u.drainBound(); got != minDrain {
 		t.Fatalf("idle drain bound = %v, want %v", got, minDrain)
 	}
-	f := u.sendFlowFor(peer)
+	if err := u.Send(Message{Dst: 1, Kind: Eager, Data: pattern(0, 100)}); err != nil {
+		t.Fatal(err)
+	}
+	f := &peer.send
 	f.mu.Lock()
 	f.rto = 200 * time.Millisecond
-	f.pending[1] = &pendingPkt{backoff: 3} // effective timeout 1.6s
+	f.slot(1).backoff = maxBackoff // effective timeout 2s outside a drain
 	f.mu.Unlock()
-	if got, want := u.drainBound(), time.Duration(drainRTOs)*1600*time.Millisecond; got != want {
-		t.Fatalf("inflated drain bound = %v, want %v", got, want)
+	if got, want := u.drainBound(), time.Duration(drainRTOs)*200*time.Millisecond; got != want {
+		t.Fatalf("drain bound = %v, want %v (estimator RTO, backoff ignored)", got, want)
 	}
+
+	// And the draining clock itself ignores the backoff: one RTO after the
+	// write the packet is due again, where the live clock waits out 2s.
 	f.mu.Lock()
-	f.pending = map[uint64]*pendingPkt{}
-	f.mu.Unlock()
+	defer f.mu.Unlock()
+	due := f.slot(1).sent.Add(f.rto)
+	if retx, _ := f.onTick(due, false); retx != 0 {
+		t.Fatalf("live clock retransmitted %d packets after one RTO despite backoff", retx)
+	}
+	if retx, _ := f.onTick(due, true); retx != 1 || f.slot(1).backoff != maxBackoff {
+		t.Fatalf("draining clock: retx=%d backoff=%d, want 1 and an untouched backoff",
+			retx, f.slot(1).backoff)
+	}
 }
 
 // TestUDPCloseDrainsUnderBackoff is the strand-proof: heavy loss on
@@ -267,10 +290,12 @@ func TestUDPCloseDrainsUnderBackoff(t *testing.T) {
 	}
 }
 
-// TestUDPAckCoalescing proves the delayed-ack math on a bulk flow: the
-// receiver must send far fewer ack datagrams than it receives data
-// datagrams, with the deferrals visible in the coalesced counter and
-// the sender's RTT estimate live in the gauges.
+// TestUDPAckCoalescing checks the delayed-ack path is live on a real
+// bulk flow: deferrals visible in the coalesced counter, the sender's
+// RTT estimate in the gauges, batching engaged. How many acks a bulk
+// flow costs is timing on a real socket (a loaded host fires the flush
+// timer early); TestFlowAckCoalescing asserts the ratio on the
+// deterministic harness instead.
 func TestUDPAckCoalescing(t *testing.T) {
 	a, b := newPair(t, nil, 0)
 	ma, mb := metrics.New(1, 0), metrics.New(1, 0)
@@ -299,10 +324,6 @@ func TestUDPAckCoalescing(t *testing.T) {
 	}
 	if sb.WireAcksSent == 0 {
 		t.Fatal("no acks sent at all")
-	}
-	if sa.WireDatagramsSent < 4*sb.WireAcksSent {
-		t.Errorf("ack reduction < 4×: %d data datagrams vs %d acks",
-			sa.WireDatagramsSent, sb.WireAcksSent)
 	}
 	if sa.WireSRTTMaxMicros <= 0 || sa.WireRTOMaxMicros <= 0 {
 		t.Errorf("RTT gauges not live: srtt=%dus rto=%dus", sa.WireSRTTMaxMicros, sa.WireRTOMaxMicros)
@@ -364,10 +385,11 @@ func TestUDPAdaptiveRTOWithLatency(t *testing.T) {
 	}
 }
 
-// TestFrameRejectsHardened pins the parse hardening added with the
-// adaptive path: sequence number 0 (flows start at 1) and absurd
-// claimed message lengths must be rejected before they reach
-// reassembly.
+// TestFrameRejectsHardened pins the parse hardening: in a data header,
+// sequence number 0 (flows start at 1) and absurd claimed message
+// lengths must be rejected before they reach reassembly; in an ACK,
+// everything putAck cannot produce must be rejected before its ranges
+// index the sender's scoreboard.
 func TestFrameRejectsHardened(t *testing.T) {
 	b := make([]byte, dataHeaderLen+8)
 	putHeader(b, header{seq: 0, totalLen: 8})
@@ -382,20 +404,76 @@ func TestFrameRejectsHardened(t *testing.T) {
 	if _, err := parseHeader(b); err != nil {
 		t.Errorf("valid header rejected: %v", err)
 	}
+
+	mk := func(cum uint64, rs ...seqRange) []byte {
+		a := ack{cum: cum, n: len(rs)}
+		copy(a.ranges[:], rs)
+		var ab [maxAckLen]byte
+		return append([]byte(nil), ab[:putAck(ab[:], &a)]...)
+	}
+	valid := mk(10, seqRange{12, 12}, seqRange{14, 20}, seqRange{22, 22}, seqRange{30, 31})
+	if _, err := parseAck(valid); err != nil {
+		t.Errorf("valid 4-range ack rejected: %v", err)
+	}
+	overCap := append(append([]byte(nil), valid...), make([]byte, ackRangeLen)...)
+	overCap[9] = maxAckRanges + 1
+	top := ^uint64(0)
+	for name, frame := range map[string][]byte{
+		"truncated base":                 valid[:5],
+		"truncated range":                valid[:len(valid)-1],
+		"trailing bytes":                 append(append([]byte(nil), valid...), 0),
+		"range count over the cap":       overCap,
+		"old 9-byte cumulative form":     valid[:9],
+		"first at cum+1":                 mk(10, seqRange{11, 12}),
+		"first below cum":                mk(10, seqRange{3, 4}),
+		"last below first":               mk(10, seqRange{14, 13}),
+		"unsorted ranges":                mk(10, seqRange{20, 21}, seqRange{12, 13}),
+		"overlapping ranges":             mk(10, seqRange{12, 15}, seqRange{15, 16}),
+		"touching ranges":                mk(10, seqRange{12, 13}, seqRange{14, 15}),
+		"range above a top-of-space cum": mk(top, seqRange{top, top}),
+		"range after one ending at top":  mk(10, seqRange{12, top}, seqRange{5, 6}),
+	} {
+		if a, err := parseAck(frame); err == nil {
+			t.Errorf("%s: accepted as %+v", name, a)
+		}
+	}
+}
+
+// checkAck asserts the invariants the sender's scoreboard relies on in
+// any ACK the parser accepts.
+func checkAck(t *testing.T, a ack, frameLen int) {
+	t.Helper()
+	if a.n < 0 || a.n > maxAckRanges || frameLen != ackBaseLen+a.n*ackRangeLen {
+		t.Fatalf("accepted %d ranges in a %d-byte ack", a.n, frameLen)
+	}
+	prev := a.cum
+	for i, r := range a.ranges[:a.n] {
+		// Above cum+1 / not touching the previous range, and not inverted.
+		if r.first < prev || r.first-prev < 2 || r.last < r.first {
+			t.Fatalf("accepted range %d %+v after %d (ack %+v)", i, r, prev, a)
+		}
+		prev = r.last
+	}
 }
 
 // FuzzParseFrame throws arbitrary bytes at the datagram parsers — the
 // exact surface recvLoop exposes to the network — and checks that
-// anything accepted satisfies the invariants reassembly depends on.
+// anything accepted satisfies the invariants reassembly and the
+// scoreboard depend on, and that every ACK the encoder can produce
+// round-trips.
 func FuzzParseFrame(f *testing.F) {
 	valid := make([]byte, dataHeaderLen+16)
 	putHeader(valid, header{seq: 3, msgID: 9, kind: Rdv, src: 1, dst: 0, totalLen: 64, offset: 16})
 	f.Add(valid)
-	var ack [ackLen]byte
-	putAck(ack[:], 77)
-	f.Add(ack[:])
-	f.Add([]byte{ptData, 0, 0})                   // truncated header
-	f.Add(append([]byte(nil), valid[:ackLen]...)) // data byte, ack length
+	var ab [maxAckLen]byte
+	f.Add(append([]byte(nil), ab[:putAck(ab[:], &ack{cum: 77})]...))
+	ranged := ack{cum: 77, n: 2, ranges: [maxAckRanges]seqRange{{79, 80}, {90, 90}}}
+	f.Add(append([]byte(nil), ab[:putAck(ab[:], &ranged)]...))
+	touching := ack{cum: 77, n: 2, ranges: [maxAckRanges]seqRange{{79, 80}, {81, 82}}}
+	f.Add(append([]byte(nil), ab[:putAck(ab[:], &touching)]...))
+	f.Add([]byte{ptAck, 1, 0, 0, 0, 0, 0, 0, 0})      // the old 9-byte ack
+	f.Add([]byte{ptData, 0, 0})                       // truncated header
+	f.Add(append([]byte(nil), valid[:ackBaseLen]...)) // data byte, ack length
 	short := append([]byte(nil), valid...)
 	putHeader(short, header{seq: 0, totalLen: 16}) // zero seq
 	f.Add(short)
@@ -417,9 +495,84 @@ func FuzzParseFrame(f *testing.F) {
 					h.offset, h.offset+frag, h.totalLen)
 			}
 		}
-		// The ack parser must never panic and only needs length checks.
-		if seq, err := parseAck(b); err == nil && len(b) < ackLen {
-			t.Fatalf("short ack accepted: %d", seq)
+		if a, err := parseAck(b); err == nil {
+			checkAck(t, a, len(b))
+			// Accepted frames are exactly the encoder's image.
+			var out [maxAckLen]byte
+			if n := putAck(out[:], &a); !bytes.Equal(out[1:n], b[1:]) {
+				t.Fatalf("ack %+v re-encodes to %x, parsed from %x", a, out[:n], b)
+			}
+		}
+		// putAck→parseAck round-trip: read the input as a cum, a range
+		// count and gap/length pairs, which spans every valid ACK.
+		if len(b) >= 9 {
+			a := ack{cum: binary.LittleEndian.Uint64(b), n: int(b[8]) % (maxAckRanges + 1)}
+			prev, ok := a.cum, true
+			for i := 0; i < a.n && ok; i++ {
+				var gap, span uint64 = 2, 0
+				if len(b) >= 11+2*i {
+					gap, span = 2+uint64(b[9+2*i]), uint64(b[10+2*i])
+				}
+				first := prev + gap
+				last := first + span
+				ok = first > prev && last >= first // no wrap at the top of the space
+				a.ranges[i] = seqRange{first, last}
+				prev = last
+			}
+			if ok {
+				var out [maxAckLen]byte
+				n := putAck(out[:], &a)
+				got, err := parseAck(out[:n])
+				if err != nil || got != a {
+					t.Fatalf("round-trip of %+v: got %+v, err %v", a, got, err)
+				}
+			}
 		}
 	})
+}
+
+// TestUDPSteadyStateAllocs is the allocation gate of the per-datagram
+// path: once a pair is warm, sending a one-datagram message, delivering
+// it and retiring it on its ACK allocates nothing — no address formatted
+// to find the flow, no scoreboard entry on the heap, no per-write
+// sockaddr or syscall closure. It covers both transports' send, receive
+// and tick goroutines, since AllocsPerRun counts the whole process.
+// (AckEvery 1 only spares each round the delayed-ack wait.)
+func TestUDPSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop buffers at random, so bufpool allocates")
+	}
+	a, b := newPairWith(t, nil, UDPConfig{AckEvery: 1})
+	if a.bio == nil {
+		t.Skip("no batched datagram I/O on this platform: ReadFrom allocates an address per datagram")
+	}
+	delivered := make(chan struct{}, 1)
+	if err := a.Start(func(Message) {}); err != nil {
+		t.Fatal(err)
+	}
+	err := b.Start(func(m Message) {
+		m.Buf.Release()
+		delivered <- struct{}{}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := pattern(0, 1024)
+	// Block rather than spin while waiting: AllocsPerRun runs on one P,
+	// and a spinning goroutine keeps it from polling the network.
+	round := func() {
+		if err := a.Send(Message{Ctx: 1, Dst: 1, Kind: Eager, Data: payload}); err != nil {
+			t.Fatal(err)
+		}
+		<-delivered
+		for a.hasPending() {
+			time.Sleep(10 * time.Microsecond)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		round() // grow the rings, the pools and the address cache
+	}
+	if allocs := testing.AllocsPerRun(500, round); allocs != 0 {
+		t.Errorf("steady-state Send + delivery + ACK allocates %.0f objects per message, want 0", allocs)
+	}
 }

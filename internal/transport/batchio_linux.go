@@ -29,9 +29,9 @@ type mmsghdr struct {
 type rawSockaddr [syscall.SizeofSockaddrInet6]byte
 
 // batchIO provides sendmmsg/recvmmsg access to one UDP socket. Write
-// scratch lives on the caller's stack (flows flush concurrently);
-// receive scratch lives here because readBatch has a single caller,
-// the transport's receive loop.
+// scratch is the caller's batchWriter (flows flush concurrently, each
+// under its own lock); receive scratch lives here because readBatch has
+// a single caller, the transport's receive loop.
 type batchIO struct {
 	rc syscall.RawConn
 
@@ -39,6 +39,14 @@ type batchIO struct {
 	riovs  [batchSize]syscall.Iovec
 	rhdrs  [batchSize]mmsghdr
 	rnames [batchSize]rawSockaddr
+
+	// recv is the recvmmsg call handed to rc.Read, built once: a fresh
+	// closure per readBatch would be a heap allocation per batch. It
+	// reads rn and leaves its result in rgot and rerr.
+	recv func(fd uintptr) bool
+	rn   int
+	rgot int
+	rerr syscall.Errno
 
 	// addrs caches decoded source addresses so steady-state receives
 	// from a known peer allocate nothing.
@@ -71,6 +79,15 @@ func newBatchIO(conn net.PacketConn) *batchIO {
 		b.rhdrs[i].hdr.Iov = &b.riovs[i]
 		b.rhdrs[i].hdr.Iovlen = 1
 		b.rhdrs[i].hdr.Name = &b.rnames[i][0]
+	}
+	b.recv = func(fd uintptr) bool {
+		r1, _, e := syscall.Syscall6(sysRecvmmsg, fd,
+			uintptr(unsafe.Pointer(&b.rhdrs[0])), uintptr(b.rn), syscall.MSG_DONTWAIT, 0, 0)
+		if e == syscall.EAGAIN {
+			return false // park on the netpoller until readable
+		}
+		b.rerr, b.rgot = e, int(r1)
+		return true
 	}
 	return b
 }
@@ -133,49 +150,57 @@ func (b *batchIO) decodeSockaddr(raw *rawSockaddr, n uint32) net.Addr {
 	return ua
 }
 
+// batchWriter is one flow's sendmmsg scratch, kept across calls so a
+// batched write allocates nothing: the headers, and the syscall closure
+// handed to rc.Write (a fresh one per call would escape to the heap and
+// take the headers with it). Its user serializes calls.
+type batchWriter struct {
+	iovs  [batchSize]syscall.Iovec
+	hdrs  [batchSize]mmsghdr
+	rsa   rawSockaddr
+	n     int
+	wrote int
+	serr  syscall.Errno
+	send  func(fd uintptr) bool
+}
+
 // writeBatch sends bufs to addr in sendmmsg chunks, reporting how many
 // datagrams the kernel accepted and how many syscalls that took. ok is
 // false when the batch path cannot be used at all (callers fall back to
 // WriteTo); a short or failed send after the first accepted datagram
 // still reports ok, and the unaccepted tail is left to the retransmit
 // clock.
-func (b *batchIO) writeBatch(bufs [][]byte, addr net.Addr) (sent, calls int, ok bool) {
-	var rsa rawSockaddr
-	salen, ok := encodeSockaddr(addr, &rsa)
+func (b *batchIO) writeBatch(w *batchWriter, bufs [][]byte, addr net.Addr) (sent, calls int, ok bool) {
+	salen, ok := encodeSockaddr(addr, &w.rsa)
 	if !ok {
 		return 0, 0, false
 	}
-	var iovs [batchSize]syscall.Iovec
-	var hdrs [batchSize]mmsghdr
-	for sent < len(bufs) {
-		n := len(bufs) - sent
-		if n > batchSize {
-			n = batchSize
-		}
-		for i := 0; i < n; i++ {
-			p := bufs[sent+i]
-			iovs[i].Base = &p[0]
-			iovs[i].SetLen(len(p))
-			hdrs[i].hdr = syscall.Msghdr{Name: &rsa[0], Namelen: salen, Iov: &iovs[i], Iovlen: 1}
-		}
-		wrote := 0
-		var serr syscall.Errno
-		err := b.rc.Write(func(fd uintptr) bool {
+	if w.send == nil {
+		w.send = func(fd uintptr) bool {
 			r1, _, e := syscall.Syscall6(sysSendmmsg, fd,
-				uintptr(unsafe.Pointer(&hdrs[0])), uintptr(n), syscall.MSG_DONTWAIT, 0, 0)
+				uintptr(unsafe.Pointer(&w.hdrs[0])), uintptr(w.n), syscall.MSG_DONTWAIT, 0, 0)
 			if e == syscall.EAGAIN {
 				return false // park on the netpoller until writable
 			}
-			serr = e
-			wrote = int(r1)
+			w.serr, w.wrote = e, int(r1)
 			return true
-		})
-		if err != nil || serr != 0 {
+		}
+	}
+	for sent < len(bufs) {
+		w.n = min(len(bufs)-sent, batchSize)
+		for i := 0; i < w.n; i++ {
+			p := bufs[sent+i]
+			w.iovs[i].Base = &p[0]
+			w.iovs[i].SetLen(len(p))
+			w.hdrs[i].hdr = syscall.Msghdr{Name: &w.rsa[0], Namelen: salen, Iov: &w.iovs[i], Iovlen: 1}
+		}
+		w.wrote, w.serr = 0, 0
+		if err := b.rc.Write(w.send); err != nil || w.serr != 0 {
 			return sent, calls, sent > 0
 		}
 		calls++
-		sent += wrote
-		if wrote < n {
+		sent += w.wrote
+		if w.wrote < w.n {
 			return sent, calls, true
 		}
 	}
@@ -194,27 +219,17 @@ func (b *batchIO) readBatch(pkts []batchPkt) (int, error) {
 		b.rhdrs[i].hdr.Namelen = uint32(len(b.rnames[i]))
 		b.riovs[i].SetLen(maxDatagram)
 	}
-	got := 0
-	var serr syscall.Errno
-	err := b.rc.Read(func(fd uintptr) bool {
-		r1, _, e := syscall.Syscall6(sysRecvmmsg, fd,
-			uintptr(unsafe.Pointer(&b.rhdrs[0])), uintptr(n), syscall.MSG_DONTWAIT, 0, 0)
-		if e == syscall.EAGAIN {
-			return false // park on the netpoller until readable
-		}
-		serr = e
-		got = int(r1)
-		return true
-	})
-	if err != nil {
+	b.rn, b.rgot, b.rerr = n, 0, 0
+	if err := b.rc.Read(b.recv); err != nil {
 		return 0, err
 	}
-	if serr != 0 {
+	if serr := b.rerr; serr != 0 {
 		if serr == syscall.ENOSYS || serr == syscall.EINVAL {
 			return 0, errBatchUnsupported
 		}
 		return 0, serr
 	}
+	got := b.rgot
 	for i := 0; i < got; i++ {
 		pkts[i].b = b.rbufs[i][:b.rhdrs[i].n]
 		pkts[i].addr = b.decodeSockaddr(&b.rnames[i], b.rhdrs[i].hdr.Namelen)

@@ -11,6 +11,8 @@ type batchIO struct{}
 
 func newBatchIO(net.PacketConn) *batchIO { return nil }
 
-func (*batchIO) writeBatch([][]byte, net.Addr) (int, int, bool) { return 0, 0, false }
+type batchWriter struct{}
+
+func (*batchIO) writeBatch(*batchWriter, [][]byte, net.Addr) (int, int, bool) { return 0, 0, false }
 
 func (*batchIO) readBatch([]batchPkt) (int, error) { return 0, errBatchUnsupported }

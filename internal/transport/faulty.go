@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"math/rand"
 	"net"
 	"sync"
@@ -54,6 +55,23 @@ func NewFaulty(conn net.PacketConn, cfg FaultConfig) *Faulty {
 		seed = 1
 	}
 	return &Faulty{PacketConn: conn, cfg: cfg, rng: rand.New(rand.NewSource(seed))}
+}
+
+// SetReadBuffer forwards to the wrapped socket, so a transport sizes the
+// kernel buffers of a fault-injected socket like those of a raw one.
+func (f *Faulty) SetReadBuffer(bytes int) error {
+	if sb, ok := f.PacketConn.(sockBuffers); ok {
+		return sb.SetReadBuffer(bytes)
+	}
+	return errors.ErrUnsupported
+}
+
+// SetWriteBuffer forwards to the wrapped socket; see SetReadBuffer.
+func (f *Faulty) SetWriteBuffer(bytes int) error {
+	if sb, ok := f.PacketConn.(sockBuffers); ok {
+		return sb.SetWriteBuffer(bytes)
+	}
+	return errors.ErrUnsupported
 }
 
 // WriteTo implements net.PacketConn with fault injection. Dropped

@@ -23,9 +23,14 @@ const (
 // sequential fragments of the same flow.
 const (
 	dataHeaderLen = 54
-	ackLen        = 9
-	maxDatagram   = 32 << 10
-	maxPayload    = maxDatagram - dataHeaderLen
+	// An ACK is ackBaseLen bytes plus ackRangeLen per selective range, at
+	// most maxAckRanges of them.
+	ackBaseLen   = 10
+	ackRangeLen  = 16
+	maxAckRanges = 4
+	maxAckLen    = ackBaseLen + maxAckRanges*ackRangeLen
+	maxDatagram  = 32 << 10
+	maxPayload   = maxDatagram - dataHeaderLen
 	// basePacket is the pre-adaptive (PR 9) datagram size, kept as the
 	// benchmark baseline's fragmentation and the conservative choice for
 	// MTU-constrained paths.
@@ -101,16 +106,67 @@ func parseHeader(b []byte) (header, error) {
 	return h, nil
 }
 
-// putAck encodes a cumulative ACK for seq into b[:ackLen].
-func putAck(b []byte, seq uint64) {
-	b[0] = ptAck
-	binary.LittleEndian.PutUint64(b[1:9], seq)
+// seqRange is an inclusive run of sequence numbers.
+type seqRange struct{ first, last uint64 }
+
+// ack is the decoded ACK datagram: every sequence number up to cum has
+// been delivered, and the receiver additionally holds the n ranges of
+// out-of-order datagrams in ranges[:n] — ascending, disjoint, not
+// touching, all above cum+1 (cum+1 itself is by definition missing).
+type ack struct {
+	cum    uint64
+	n      int
+	ranges [maxAckRanges]seqRange
 }
 
-// parseAck decodes an ACK datagram's cumulative sequence number.
-func parseAck(b []byte) (uint64, error) {
-	if len(b) < ackLen {
-		return 0, fmt.Errorf("transport: short ack datagram (%d bytes)", len(b))
+// putAck encodes a into b, which must hold maxAckLen bytes, and returns
+// the encoded length.
+func putAck(b []byte, a *ack) int {
+	b[0] = ptAck
+	binary.LittleEndian.PutUint64(b[1:9], a.cum)
+	b[9] = byte(a.n)
+	off := ackBaseLen
+	for _, r := range a.ranges[:a.n] {
+		binary.LittleEndian.PutUint64(b[off:], r.first)
+		binary.LittleEndian.PutUint64(b[off+8:], r.last)
+		off += ackRangeLen
 	}
-	return binary.LittleEndian.Uint64(b[1:9]), nil
+	return off
+}
+
+// parseAck decodes an ACK datagram. ACKs arrive straight off the socket
+// and their ranges index the sender's retransmit queue, so everything
+// putAck cannot produce is rejected: a truncated frame, more than
+// maxAckRanges ranges, a range at or below cum+1, an inverted range,
+// ranges out of order or touching, and trailing bytes.
+func parseAck(b []byte) (ack, error) {
+	if len(b) < ackBaseLen {
+		return ack{}, fmt.Errorf("transport: short ack datagram (%d bytes)", len(b))
+	}
+	a := ack{cum: binary.LittleEndian.Uint64(b[1:9]), n: int(b[9])}
+	if a.n > maxAckRanges {
+		return ack{}, fmt.Errorf("transport: ack carries %d ranges, cap is %d", a.n, maxAckRanges)
+	}
+	if want := ackBaseLen + a.n*ackRangeLen; len(b) != want {
+		return ack{}, fmt.Errorf("transport: ack with %d ranges is %d bytes, want %d", a.n, len(b), want)
+	}
+	// Each range must start at least two above the end of what precedes
+	// it (cum, then the previous range): one above would be cum+1 itself,
+	// or touch the previous range. Subtracting keeps the test exact at
+	// the top of the sequence space.
+	prev := a.cum
+	for i := 0; i < a.n; i++ {
+		off := ackBaseLen + i*ackRangeLen
+		r := seqRange{
+			first: binary.LittleEndian.Uint64(b[off:]),
+			last:  binary.LittleEndian.Uint64(b[off+8:]),
+		}
+		if r.first <= prev || r.first-prev < 2 || r.last < r.first {
+			return ack{}, fmt.Errorf("transport: ack range %d [%d,%d] is inverted or not clear of %d",
+				i, r.first, r.last, prev)
+		}
+		a.ranges[i] = r
+		prev = r.last
+	}
+	return a, nil
 }

@@ -44,29 +44,62 @@
 //	[46:50] totalLen  — full message payload length
 //	[50:54] offset    — this fragment's offset into the payload
 //
-// An ACK datagram is 9 bytes: type 2 followed by the cumulative
-// sequence number — the highest seq below which every packet of the
-// flow has been delivered.
+// An ACK datagram is 10 + 16·n bytes, n ≤ 4:
+//
+//	[0]      packet type (2 = ack)
+//	[1:9]    cum   — every packet up to cum has been delivered
+//	[9]      n     — number of selective ranges that follow
+//	[10+16i:26+16i]  (first, last) — the receiver holds every packet of
+//	         the inclusive range [first, last], out of order
+//
+// Ranges are ascending, disjoint, not touching, and all above cum+1
+// (cum+1 is by definition the first packet missing). A receiver holding
+// more than four runs reports the four lowest — the holes the sender
+// must fill first. The parser rejects everything the encoder cannot
+// produce (truncation, n > 4, a range at or below cum+1, last < first,
+// unsorted or touching ranges, trailing bytes). There is one ACK
+// format: every process of a world runs the same binary.
 //
 // # Retransmit contract
 //
 // A flow is the ordered packet stream between two socket addresses.
-// Senders keep every packet until it is cumulatively acknowledged and
-// retransmit unacknowledged packets on a timeout; receivers deliver
-// strictly in sequence order, buffer out-of-order packets, drop
-// duplicates, and acknowledge with their cumulative position (possibly
-// coalesced — see Adaptive behavior). Loss, duplication and
-// reordering (see Faulty) therefore cost latency, never correctness:
-// delivery to the Handler is exactly-once and in flow order. Packets
-// are retained and retransmitted without bound — abandoning a flow is
-// the caller's decision (the engine's run watchdog), not the
-// transport's. Close lingers (bounded) until every retained packet is
-// acknowledged, because an Eager send completes at the engine level
-// when it is enqueued: a process exiting right after its last send
-// must not strand a message a peer is still blocked on. The drain bound
-// scales with the live retransmit timeout — max(5s, 64·RTO) — so a
-// backoff-inflated RTO still leaves the final ACK exchange several
-// retransmit opportunities.
+// Receivers deliver strictly in sequence order, hold out-of-order
+// packets (up to 1024 past their position), drop duplicates, and
+// acknowledge with their cumulative position and the ranges they hold
+// (possibly coalesced — see Adaptive behavior). The one invariant the
+// sender relies on: a receiver never drops a held packet before
+// delivering it.
+//
+// Senders keep every packet on a sequence-indexed scoreboard until the
+// cumulative ACK passes it, and recover selectively. A packet the
+// receiver reported holding is marked, its wire buffer released at
+// once, and it is never sent again. A written packet with at least
+// three reported-held sequence numbers above it is lost, not reordered:
+// it is re-sent immediately, once, a round trip after the loss instead
+// of a timeout after it (fast retransmit). Whatever that does not cover
+// — a lost re-send, a loss at the tail with nothing behind it to expose
+// it, a lost ACK — falls to the retransmit clock, which re-sends each
+// written, unreported packet whose timeout has passed. An ACK that
+// neither advances the cumulative position nor carries ranges (the
+// re-ack of a duplicate) triggers nothing. Either detection counts as
+// one congestion event per window.
+//
+// Loss, duplication and reordering (see Faulty) therefore cost latency,
+// never correctness: delivery to the Handler is exactly-once and in
+// flow order. Packets are retained and retransmitted without bound —
+// abandoning a flow is the caller's decision (the engine's run
+// watchdog), not the transport's.
+//
+// Close lingers (bounded) until every retained packet is acknowledged,
+// because an Eager send completes at the engine level when it is
+// enqueued: a process exiting right after its last send must not strand
+// a message a peer is still blocked on. While draining, a flow
+// retransmits every estimator RTO with no per-packet backoff, and the
+// linger is bounded by max(5s, 64·RTO) of that same RTO: a peer that is
+// still there gets 64 chances to acknowledge, and one that already
+// exited costs the bound once rather than a backoff-inflated multiple
+// of it. Close also sends its own deferred ACKs before the socket goes,
+// so a peer draining at the same time is not left waiting for them.
 //
 // # Adaptive behavior
 //
@@ -77,16 +110,18 @@
 // Retransmit timeout: ACK round trips of never-retransmitted packets
 // (Karn's rule) feed a Jacobson/Karels estimator — SRTT and RTTVAR with
 // gains 1/8 and 1/4 — and the flow retransmits after RTO = SRTT +
-// 4·RTTVAR, clamped to [200µs, 1s]. A packet that times out repeatedly
-// backs off exponentially (RTO·2^n, capped). UDPConfig.RetransmitEvery
+// 4·RTTVAR, clamped to [200µs, 1s]. A selectively acknowledged packet
+// is sampled when the ACK naming it arrives, not when the cumulative
+// position finally passes it. A packet that times out repeatedly backs
+// off exponentially (RTO·2^n, capped). UDPConfig.RetransmitEvery
 // pins a fixed timeout and disables estimation and backoff — the
 // deterministic escape hatch for Faulty-based tests.
 //
 // Congestion window: the send window starts at 32 packets in slow start
 // (+1 per acked packet), crosses into AIMD additive growth at the
-// slow-start threshold, and on a retransmit timeout halves both cwnd
-// and the threshold — at most once per outstanding window — flooring at
-// 2 packets and capping at 256. Packets beyond the window queue
+// slow-start threshold, and on a loss — detected by selective ACKs or
+// by a retransmit timeout — halves both cwnd and the threshold, at most
+// once per outstanding window, flooring at 2 packets and capping at 256. Packets beyond the window queue
 // unwritten and flush as ACKs reopen it. UDPConfig.FixedWindow pins a
 // fixed window with no congestion response.
 //
@@ -94,8 +129,9 @@
 // until either UDPConfig.AckEvery of them accumulate (default 8) or a
 // flush timer of ~RTO/4 of the reverse flow (clamped to [100µs, 5ms])
 // expires; duplicates and out-of-order arrivals are acknowledged
-// immediately, since the sender is evidently retransmitting or filling
-// a hole. AckEvery=1 restores ack-per-datagram.
+// immediately, with the held ranges, since the sender is evidently
+// retransmitting or has a hole to fill. AckEvery=1 restores
+// ack-per-datagram.
 //
 // Batched I/O: on Linux, multi-packet flushes go through sendmmsg and
 // the receive loop drains the socket with recvmmsg — one syscall per
@@ -103,7 +139,18 @@
 // transport owns a raw *net.UDPConn; wrapped sockets (Faulty), other
 // platforms, or a runtime refusal (ENOSYS) fall back to per-datagram
 // WriteTo/ReadFrom with identical wire behavior. UDPConfig.NoBatch
-// forces the fallback.
+// forces the fallback. Kernel socket buffers are sized for a full
+// window on any socket that can be sized, wrapped ones included.
+//
+// # Structure
+//
+// The protocol logic lives in methods of the per-flow structs
+// (sendFlow: scoreboard, loss detection, RTT/RTO estimator, congestion
+// window; recvFlow: position, hold, ack schedule, reassembly) that take
+// the current time and return what to write — no socket, clock,
+// goroutine or metric inside them — so the recovery contract above is
+// tested on a deterministic harness with a virtual clock (flow_test.go).
+// The UDP type around them keeps the locks, the I/O and the counters.
 package transport
 
 import (

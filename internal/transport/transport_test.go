@@ -33,14 +33,20 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Errorf("header round-trip:\n got %+v\nwant %+v", out, in)
 	}
 
-	var ab [ackLen]byte
-	putAck(ab[:], 1<<50)
-	seq, err := parseAck(ab[:])
+	var ab [maxAckLen]byte
+	want := ack{cum: 1 << 50, n: 2}
+	want.ranges[0] = seqRange{1<<50 + 2, 1<<50 + 2}
+	want.ranges[1] = seqRange{1<<50 + 9, 1<<50 + 40}
+	n := putAck(ab[:], &want)
+	if n != ackBaseLen+2*ackRangeLen || ab[0] != ptAck {
+		t.Fatalf("ack encoding: %d bytes, type %d", n, ab[0])
+	}
+	got, err := parseAck(ab[:n])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq != 1<<50 {
-		t.Errorf("ack round-trip = %d, want %d", seq, 1<<50)
+	if got != want {
+		t.Errorf("ack round-trip:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -50,7 +56,7 @@ func TestFrameRejectsMalformed(t *testing.T) {
 	if _, err := parseHeader(make([]byte, dataHeaderLen-1)); err == nil {
 		t.Error("short data datagram must be rejected")
 	}
-	if _, err := parseAck(make([]byte, ackLen-1)); err == nil {
+	if _, err := parseAck(make([]byte, ackBaseLen-1)); err == nil {
 		t.Error("short ack datagram must be rejected")
 	}
 	b := make([]byte, dataHeaderLen+10)
@@ -175,6 +181,13 @@ func pattern(i, n int) []byte {
 // other, with an optional fault wrapper around each side's socket.
 func newPair(t *testing.T, faults *FaultConfig, rto time.Duration) (*UDP, *UDP) {
 	t.Helper()
+	return newPairWith(t, faults, UDPConfig{RetransmitEvery: rto})
+}
+
+// newPairWith is newPair with both ends' protocol settings taken from
+// cfg (its NP, Hosted, Conn and Peers are overwritten).
+func newPairWith(t *testing.T, faults *FaultConfig, cfg UDPConfig) (*UDP, *UDP) {
+	t.Helper()
 	mkConn := func(seed int64) net.PacketConn {
 		conn, err := net.ListenPacket("udp", "127.0.0.1:0")
 		if err != nil {
@@ -188,17 +201,14 @@ func newPair(t *testing.T, faults *FaultConfig, rto time.Duration) (*UDP, *UDP) 
 		return NewFaulty(conn, cfg)
 	}
 	connA, connB := mkConn(7), mkConn(11)
-	b, err := NewUDP(UDPConfig{
-		NP: 2, Hosted: []int{1}, Conn: connB, RetransmitEvery: rto,
-		Peers: map[int]string{0: connA.LocalAddr().String()},
-	})
+	cfg.NP = 2
+	cfg.Hosted, cfg.Conn, cfg.Peers = []int{1}, connB, map[int]string{0: connA.LocalAddr().String()}
+	b, err := NewUDP(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := NewUDP(UDPConfig{
-		NP: 2, Hosted: []int{0}, Conn: connA, RetransmitEvery: rto,
-		Peers: map[int]string{1: connB.LocalAddr().String()},
-	})
+	cfg.Hosted, cfg.Conn, cfg.Peers = []int{0}, connA, map[int]string{1: connB.LocalAddr().String()}
+	a, err := NewUDP(cfg)
 	if err != nil {
 		b.Close()
 		t.Fatal(err)
@@ -338,6 +348,34 @@ func TestUDPByteIdentityUnderFaults(t *testing.T) {
 	}
 	if s.WireDatagramsSent == 0 || s.WireDatagramsRecv == 0 || s.WireBytesSent == 0 {
 		t.Errorf("wire counters not threaded: %+v", s)
+	}
+}
+
+// sizedConn records the kernel buffer sizes requested of it.
+type sizedConn struct {
+	net.PacketConn
+	rbuf, wbuf int
+}
+
+func (c *sizedConn) SetReadBuffer(n int) error  { c.rbuf = n; return nil }
+func (c *sizedConn) SetWriteBuffer(n int) error { c.wbuf = n; return nil }
+
+// TestUDPSizesWrappedSocket: NewUDP sizes the kernel buffers of any
+// socket that can be sized, and Faulty forwards the request — a wrapped
+// socket left at the kernel default cannot absorb a send window.
+func TestUDPSizesWrappedSocket(t *testing.T) {
+	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sized := &sizedConn{PacketConn: conn}
+	u, err := NewUDP(UDPConfig{NP: 2, Conn: NewFaulty(sized, FaultConfig{}), ForceWire: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u.Close()
+	if sized.rbuf != socketBuf || sized.wbuf != socketBuf {
+		t.Errorf("wrapped socket sized to read=%d write=%d, want %d both", sized.rbuf, sized.wbuf, socketBuf)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,12 +54,21 @@ const (
 	// and retransmit covers whatever still drops).
 	socketBuf = 1 << 23
 	// minDrain is the floor of Close's linger bound. The effective bound
-	// scales with the live retransmit timeout — max(minDrain,
-	// drainRTOs·RTO) — so a backoff-inflated RTO still leaves the final
-	// ACK exchange several retransmit opportunities, while a dead peer
-	// cannot hang Close forever.
+	// is max(minDrain, drainRTOs·RTO) over the flows' estimator RTOs —
+	// never a backoff-inflated one, since a draining flow retransmits
+	// every RTO — so the final ACK exchange gets drainRTOs retransmit
+	// opportunities while a peer that already exited cannot hang Close.
 	minDrain  = 5 * time.Second
 	drainRTOs = 64
+	// dupThresh is how many higher sequence numbers the receiver must
+	// report holding before an unacknowledged datagram counts as lost
+	// rather than reordered (TCP's three duplicate ACKs).
+	dupThresh = 3
+	// maxHold bounds how far past its in-order position a receiver holds
+	// datagrams: four full windows. Anything further ahead is dropped on
+	// arrival (never held, so never reported) and left to the sender's
+	// timeout — a forged sequence number cannot size the hold.
+	maxHold = 4 * maxCwnd
 )
 
 // UDPConfig describes a UDP transport endpoint.
@@ -115,37 +125,122 @@ type UDP struct {
 	hosted   []bool
 	force    bool
 	conn     net.PacketConn
+	uc       *net.UDPConn  // conn when it is a raw UDP socket: allocation-free single writes
 	rto      time.Duration // initial (or fixed) retransmit timeout
 	fixedRTO bool          // RetransmitEvery pinned: no adaptation, no backoff
 	ackEvery int
 	fixedWin int // >0: fixed send window, congestion control off
 	payload  int // max fragment payload per datagram
 	bio      *batchIO
-	peers    []net.Addr
+	sendTo   []*peer // by destination rank; nil for ranks without an address
 
 	hmu     sync.RWMutex
 	handler Handler
 
-	mu      sync.Mutex
+	mu      sync.Mutex // guards started, closed and writes to peers
 	started bool
 	closed  bool
-	sflows  map[string]*sendFlow
-	rflows  map[string]*recvFlow
-	done    chan struct{}
-	wg      sync.WaitGroup
+	// peers is copy-on-write: the per-datagram paths read it without a
+	// lock, and the rare first sight of an address republishes a copy
+	// under mu.
+	peers atomic.Pointer[map[peerKey]*peer]
+	// draining is set by Close for its linger: retransmit at the
+	// estimator RTO, without per-packet backoff.
+	draining atomic.Bool
+	done     chan struct{}
+	wg       sync.WaitGroup
 
 	met atomic.Pointer[metrics.Metrics]
 }
 
-// sendFlow is the sender half of one address pair's packet stream,
-// including its adaptive retransmit and congestion state.
-type sendFlow struct {
-	addr net.Addr
+// peerKey identifies the remote end of a flow pair by value, so looking
+// a flow up formats nothing.
+type peerKey struct {
+	ap   netip.AddrPort
+	name string // addr.String(), for addresses that are not *net.UDPAddr
+}
 
-	mu      sync.Mutex
-	nextSeq uint64 // next sequence number to assign (first packet is 1)
-	base    uint64 // lowest unacknowledged sequence number
-	pending map[uint64]*pendingPkt
+func keyOf(addr net.Addr) peerKey {
+	if ua, ok := addr.(*net.UDPAddr); ok {
+		ap := ua.AddrPort()
+		// One key for 127.0.0.1 however the IP slice spells it.
+		return peerKey{ap: netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())}
+	}
+	return peerKey{name: addr.String()}
+}
+
+// peer is both halves of the packet stream to one socket address.
+type peer struct {
+	addr net.Addr
+	ap   netip.AddrPort // valid when addr is a *net.UDPAddr
+	send sendFlow
+	recv recvFlow
+}
+
+// seqRing is a queue indexed by sequence number: when its first element
+// stands for sequence number s, element i stands for s+i. Elements are
+// values in one backing array, so queueing a datagram allocates nothing
+// once the ring has grown to the flow's working size.
+type seqRing[T any] struct {
+	buf  []T // length zero or a power of two
+	head int
+	n    int
+}
+
+func (r *seqRing[T]) len() int { return r.n }
+
+func (r *seqRing[T]) at(i int) *T { return &r.buf[(r.head+i)&(len(r.buf)-1)] }
+
+// push appends a zero element and returns it.
+func (r *seqRing[T]) push() *T {
+	if r.n == len(r.buf) {
+		grown := make([]T, max(16, 2*len(r.buf)))
+		for i := 0; i < r.n; i++ {
+			grown[i] = *r.at(i)
+		}
+		r.buf, r.head = grown, 0
+	}
+	r.n++
+	return r.at(r.n - 1)
+}
+
+// pop drops the first element, zeroing it so the ring retains nothing.
+func (r *seqRing[T]) pop() {
+	var zero T
+	*r.at(0) = zero
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+}
+
+// slot is one framed datagram on the sender's scoreboard, from enqueue
+// until the cumulative ACK passes it.
+type slot struct {
+	buf     *bufpool.Buf // the wire bytes; released and nil once sacked
+	n       int
+	sent    time.Time // last write; meaningful below sendFlow.sendNext
+	retx    bool      // re-sent at least once: no RTT sample (Karn)
+	fast    bool      // already repaired by a fast retransmit: further loss is the RTO's
+	sacked  bool      // the receiver reported holding it: never re-sent
+	backoff uint8     // exponential-backoff shift applied to the next timeout
+}
+
+// sendFlow is the sender half of a flow: the scoreboard of datagrams
+// not yet cumulatively acknowledged, loss detection, the RTT/RTO
+// estimator and the congestion window. Apart from the lock, its methods
+// are pure protocol logic: they take the current time, touch no socket,
+// clock or metric, and leave in wlist the sequence numbers the caller
+// must write (then stamp, with stampWritten).
+type sendFlow struct {
+	mu sync.Mutex
+
+	fixedRTO bool // no estimator, no backoff
+	fixedWin int  // >0: fixed window, no congestion response
+
+	base     uint64        // lowest unacknowledged sequence number: q's first element
+	sendNext uint64        // lowest never-written sequence number; writes are in order
+	nextSeq  uint64        // next sequence number to assign (first packet is 1)
+	q        seqRing[slot] // [base, nextSeq); [sendNext, nextSeq) waits for the window
+	sacked   int           // sacked slots in q
 
 	// Adaptive RTO state (Jacobson/Karels; frozen when fixedRTO).
 	srtt   time.Duration
@@ -157,44 +252,392 @@ type sendFlow struct {
 	ssthresh float64
 	recover  uint64 // loss-event fence: halve at most once per window
 
-	// rtoNanos mirrors rto for lock-free reads by the reverse recvFlow
-	// (delayed-ack timing) and the retransmit ticker.
+	// rtoNanos mirrors rto for lock-free reads by the reverse recvFlow's
+	// delayed-ack timing.
 	rtoNanos atomic.Int64
 
-	wlist []*pendingPkt // flush scratch, guarded by mu
-	wbufs [][]byte      // batch-write scratch, guarded by mu
+	wlist []uint64 // sequence numbers to write, set by the last method that returns work
+
+	// Batch-write scratch of the I/O shell.
+	wbufs [][]byte
+	batch batchWriter
 }
 
-// pendingPkt is a framed datagram retained until cumulatively acked.
-// A zero sent time marks a packet queued beyond the send window and
-// not yet written.
-type pendingPkt struct {
-	buf     *bufpool.Buf
-	n       int
-	sent    time.Time
-	retx    bool  // retransmitted at least once: no RTT sample (Karn)
-	backoff uint8 // exponential-backoff shift applied to the next timeout
+func (f *sendFlow) init(rto time.Duration, fixedRTO bool, fixedWin int) {
+	f.fixedRTO, f.fixedWin = fixedRTO, fixedWin
+	f.base, f.sendNext, f.nextSeq = 1, 1, 1
+	f.rto = rto
+	f.rtoNanos.Store(int64(rto))
+	f.cwnd, f.ssthresh = initialCwnd, maxCwnd
 }
 
-// recvFlow is the receiver half: in-order delivery position, held
-// out-of-order datagrams, the current message reassembly buffer, and
-// the delayed-ack state.
+func (f *sendFlow) slot(seq uint64) *slot { return f.q.at(int(seq - f.base)) }
+
+// window is the flow's current send window in packets.
+func (f *sendFlow) window() uint64 {
+	if f.fixedWin > 0 {
+		return uint64(f.fixedWin)
+	}
+	w := uint64(f.cwnd)
+	if w < minCwnd {
+		w = minCwnd
+	}
+	return w
+}
+
+// enqueue frames m into sequenced fragments of at most payload bytes at
+// the tail of the scoreboard, copying m.Data, and leaves in wlist the
+// fragments the window admits now.
+func (f *sendFlow) enqueue(m Message, payload int) {
+	f.wlist = f.wlist[:0]
+	total := len(m.Data)
+	for off := 0; ; {
+		frag := min(total-off, payload)
+		n := dataHeaderLen + frag
+		pb := bufpool.Get(n)
+		putHeader(pb.B, header{
+			seq: f.nextSeq, msgID: m.MsgID, kind: m.Kind, ctx: m.Ctx,
+			src: m.Src, srcWorld: m.SrcWorld, dst: m.Dst, tag: m.Tag,
+			totalLen: total, offset: off,
+		})
+		copy(pb.B[dataHeaderLen:n], m.Data[off:off+frag])
+		*f.q.push() = slot{buf: pb, n: n}
+		f.nextSeq++
+		off += frag
+		if off >= total {
+			break
+		}
+	}
+	f.admit()
+}
+
+// admit appends to wlist every queued datagram the window now covers.
+func (f *sendFlow) admit() {
+	for end := min(f.nextSeq, f.base+f.window()); f.sendNext < end; f.sendNext++ {
+		f.wlist = append(f.wlist, f.sendNext)
+	}
+}
+
+// stampWritten starts the retransmit clock of the datagrams in wlist.
+func (f *sendFlow) stampWritten(now time.Time) {
+	for _, seq := range f.wlist {
+		f.slot(seq).sent = now
+	}
+}
+
+// onAck applies one ACK: it retires everything up to a.cum, marks the
+// ranged slots sacked and releases their wire buffers at once, feeds the
+// estimator and the congestion window, and declares lost — to be re-sent
+// now, once, Karn-marked, without a backoff step — every written,
+// un-sacked slot with at least dupThresh sacked sequence numbers above
+// it. An ACK without ranges that retires nothing (the re-ack of a
+// duplicate) therefore triggers nothing. It leaves in wlist the fast
+// retransmits (the first fast entries) followed by the queued datagrams
+// the advanced window admits, and reports how many slots it retired and
+// whether the loss opened a new congestion event.
+//
+// Marking a slot sacked on the word of a stale or reordered ACK is safe:
+// a receiver never drops a held datagram before delivering it.
+func (f *sendFlow) onAck(a *ack, now time.Time) (retired, fast int, halved bool) {
+	f.wlist = f.wlist[:0]
+	var sampleFrom time.Time // latest first-transmission among the newly acknowledged
+	sample := func(s *slot) {
+		if !s.retx && s.sent.After(sampleFrom) {
+			sampleFrom = s.sent
+		}
+	}
+	for cum := min(a.cum, f.sendNext-1); f.base <= cum; f.base++ {
+		if s := f.q.at(0); s.sacked {
+			f.sacked--
+		} else {
+			sample(s)
+			s.buf.Release()
+		}
+		f.q.pop()
+		retired++
+	}
+	for _, r := range a.ranges[:a.n] {
+		for seq, last := max(r.first, f.base), min(r.last, f.sendNext-1); seq <= last; seq++ {
+			s := f.slot(seq)
+			if s.sacked {
+				continue
+			}
+			sample(s)
+			s.buf.Release()
+			s.buf, s.sacked = nil, true
+			f.sacked++
+		}
+	}
+	if !f.fixedRTO && !sampleFrom.IsZero() {
+		f.observeRTT(now.Sub(sampleFrom))
+	}
+	if f.fixedWin == 0 {
+		f.ccOnAck(retired)
+	}
+	if a.n > 0 {
+		// Walk up from base while at least dupThresh sacked slots remain
+		// above; everything below a sacked slot has been written.
+		below := 0
+		for seq := f.base; f.sacked-below >= dupThresh; seq++ {
+			s := f.slot(seq)
+			if s.sacked {
+				below++
+			} else if !s.fast {
+				s.fast, s.retx = true, true
+				f.wlist = append(f.wlist, seq)
+				fast++
+			}
+		}
+		halved = fast > 0 && f.fixedWin == 0 && f.ccOnLoss()
+	}
+	f.admit()
+	return retired, fast, halved
+}
+
+// onTick is the retransmit clock: it leaves in wlist every written,
+// un-sacked datagram of the window whose timeout has passed
+// (Karn-marked, its next timeout backed off exponentially) followed by
+// the queued datagrams the window admits, and reports how many timed out
+// and whether that opened a new congestion event. A draining flow
+// (Close's linger) retransmits at the estimator RTO with no backoff.
+func (f *sendFlow) onTick(now time.Time, draining bool) (retx int, halved bool) {
+	f.wlist = f.wlist[:0]
+	for seq, end := f.base, min(f.sendNext, f.base+f.window()); seq < end; seq++ {
+		s := f.slot(seq)
+		if s.sacked {
+			continue
+		}
+		timeout := f.rto
+		if !draining {
+			timeout = backoffRTO(f.rto, s.backoff)
+		}
+		if now.Sub(s.sent) < timeout {
+			continue
+		}
+		s.retx = true
+		if !f.fixedRTO && !draining && s.backoff < maxBackoff {
+			s.backoff++
+		}
+		f.wlist = append(f.wlist, seq)
+		retx++
+	}
+	halved = retx > 0 && f.fixedWin == 0 && f.ccOnLoss()
+	f.admit()
+	return retx, halved
+}
+
+// observeRTT folds one ACK round-trip sample into the Jacobson/Karels
+// estimator and refreshes RTO = SRTT + 4·RTTVAR within [minRTO, maxRTO].
+// Callers have already excluded retransmitted packets (Karn's rule).
+func (f *sendFlow) observeRTT(sample time.Duration) {
+	if sample <= 0 {
+		sample = time.Microsecond
+	}
+	if f.srtt == 0 {
+		f.srtt = sample
+		f.rttvar = sample / 2
+	} else {
+		d := f.srtt - sample
+		if d < 0 {
+			d = -d
+		}
+		f.rttvar = (3*f.rttvar + d) / 4
+		f.srtt = (7*f.srtt + sample) / 8
+	}
+	rto := f.srtt + 4*f.rttvar
+	if rto < minRTO {
+		rto = minRTO
+	}
+	if rto > maxRTO {
+		rto = maxRTO
+	}
+	f.rto = rto
+	f.rtoNanos.Store(int64(rto))
+}
+
+// ccOnAck grows the congestion window for acked packets: +1 per packet
+// in slow start up to ssthresh, then +acked/cwnd (AIMD additive phase),
+// capped at maxCwnd.
+func (f *sendFlow) ccOnAck(acked int) {
+	if acked <= 0 {
+		return
+	}
+	a := float64(acked)
+	if f.cwnd < f.ssthresh {
+		f.cwnd += a
+		if f.cwnd > f.ssthresh {
+			f.cwnd = f.ssthresh
+		}
+	} else {
+		f.cwnd += a / f.cwnd
+	}
+	if f.cwnd > maxCwnd {
+		f.cwnd = maxCwnd
+	}
+}
+
+// ccOnLoss registers a loss event, however it was detected (dupThresh
+// sacked datagrams above a hole, or a retransmit timeout): at most once
+// per outstanding window (the recover fence), ssthresh and cwnd halve,
+// flooring at minCwnd. It reports whether this loss started a new event.
+func (f *sendFlow) ccOnLoss() bool {
+	if f.base < f.recover {
+		return false // still recovering from the previous halving
+	}
+	f.recover = f.nextSeq
+	half := f.cwnd / 2
+	if half < minCwnd {
+		half = minCwnd
+	}
+	f.ssthresh = half
+	f.cwnd = half
+	return true
+}
+
+// backoffRTO is the effective timeout of a packet that has already
+// timed out `shift` times: rto<<shift, bounded by maxBackoffRTO.
+func backoffRTO(rto time.Duration, shift uint8) time.Duration {
+	eff := rto << shift
+	if eff > maxBackoffRTO || eff < rto { // overflow-safe
+		return maxBackoffRTO
+	}
+	return eff
+}
+
+// recvFlow is the receiver half of a flow: the in-order delivery
+// position, the hold of out-of-order datagrams, the delayed-ack schedule
+// and the message under reassembly. Like sendFlow's, its methods are
+// pure: the caller supplies the time and writes the ACKs they return.
+//
+// The invariant the sender's scoreboard rests on: a datagram, once held,
+// is never dropped before it is delivered.
 type recvFlow struct {
-	addr net.Addr
-	// peer is the reverse sendFlow, for RTO-derived ack delay. Atomic
-	// because it is bound under t.mu but read under only f.mu (taking
-	// both would invert the handler→Send lock order). Nil until the
-	// first outbound packet to this address.
-	peer atomic.Pointer[sendFlow]
+	mu sync.Mutex
 
-	mu      sync.Mutex
-	nextSeq uint64
-	ooo     map[uint64]*bufpool.Buf
-	asm     *bufpool.Buf
-	asmGot  int
+	ackEvery int
+	nextSeq  uint64
+	// hold element i is the datagram nextSeq+i, nil while missing. When
+	// non-empty it starts with the hole at nextSeq and ends with a held
+	// datagram.
+	hold  seqRing[*bufpool.Buf]
+	ready []*bufpool.Buf // held datagrams the last onData released, in order
+
+	asm    *bufpool.Buf
+	asmGot int
 
 	unacked int       // in-order data datagrams since the last ack sent
 	ackDue  time.Time // deadline for the delayed cumulative ack; zero when none pending
+}
+
+func (f *recvFlow) init(ackEvery int) { f.ackEvery, f.nextSeq = ackEvery, 1 }
+
+// onData places the data datagram pkt with sequence number seq. When it
+// is the next in order, inOrder is set and the caller delivers pkt and
+// then every datagram in ready (releasing each); an early datagram is
+// copied into the hold; a duplicate changes nothing. ackNow asks the
+// caller to write takeAck's ACK at once — always for a duplicate or an
+// early arrival (the sender may be timing out or filling a hole), and
+// once ackEvery in-order datagrams are unacknowledged; otherwise the ACK
+// is deferred until now+delay at the latest (see ackDueAt).
+func (f *recvFlow) onData(seq uint64, pkt []byte, now time.Time, delay time.Duration) (inOrder, ackNow bool) {
+	f.ready = f.ready[:0]
+	if seq < f.nextSeq {
+		return false, true
+	}
+	if off := seq - f.nextSeq; off > 0 {
+		if off >= maxHold {
+			return false, true
+		}
+		for uint64(f.hold.len()) <= off {
+			f.hold.push()
+		}
+		if held := f.hold.at(int(off)); *held == nil {
+			*held = bufpool.Get(len(pkt))
+			copy((*held).B, pkt)
+		}
+		return false, true
+	}
+	f.nextSeq++
+	f.unacked++
+	if f.hold.len() > 0 {
+		f.hold.pop() // the hole pkt filled
+		for f.hold.len() > 0 && *f.hold.at(0) != nil {
+			f.ready = append(f.ready, *f.hold.at(0))
+			f.hold.pop()
+			f.nextSeq++
+			f.unacked++
+		}
+	}
+	if f.unacked >= f.ackEvery {
+		return true, true
+	}
+	if f.ackDue.IsZero() {
+		f.ackDue = now.Add(delay)
+	}
+	return true, false
+}
+
+// ackDueAt reports whether a deferred ACK's deadline has passed.
+func (f *recvFlow) ackDueAt(now time.Time) bool {
+	return f.unacked > 0 && !f.ackDue.IsZero() && !now.Before(f.ackDue)
+}
+
+// takeAck returns the ACK describing the flow now — the cumulative
+// position plus the held ranges, lowest first when there are more than
+// an ACK carries — and clears the delayed-ack schedule.
+func (f *recvFlow) takeAck() ack {
+	a := ack{cum: f.nextSeq - 1}
+	for i, n := 1, f.hold.len(); i < n && a.n < maxAckRanges; i++ {
+		if *f.hold.at(i) == nil {
+			continue
+		}
+		first := i
+		for i+1 < n && *f.hold.at(i + 1) != nil {
+			i++
+		}
+		a.ranges[a.n] = seqRange{f.nextSeq + uint64(first), f.nextSeq + uint64(i)}
+		a.n++
+	}
+	f.unacked = 0
+	f.ackDue = time.Time{}
+	return a
+}
+
+// reassemble folds one in-sequence fragment into the message under
+// reassembly and returns the message once complete; its payload is a
+// pooled buffer the caller owns. Fragments of a message are contiguous
+// in the flow (enqueue frames them in one go), so offset 0 always opens
+// a fresh message.
+func (f *recvFlow) reassemble(h header, frag []byte) (Message, bool) {
+	if h.offset == 0 {
+		if f.asm != nil {
+			f.asm.Release()
+		}
+		f.asm = bufpool.Get(h.totalLen)
+		f.asmGot = 0
+	}
+	if f.asm == nil || h.offset != f.asmGot || h.totalLen != len(f.asm.B) {
+		return Message{}, false
+	}
+	copy(f.asm.B[h.offset:], frag)
+	f.asmGot += len(frag)
+	if f.asmGot < h.totalLen {
+		return Message{}, false
+	}
+	buf := f.asm
+	f.asm = nil
+	return Message{
+		Ctx: h.ctx, Src: h.src, SrcWorld: h.srcWorld, Dst: h.dst,
+		Tag: h.tag, Kind: h.kind, MsgID: h.msgID,
+		Data: buf.B[:h.totalLen], Buf: buf,
+	}, true
+}
+
+// sockBuffers is what NewUDP needs of a socket to size its kernel
+// buffers: *net.UDPConn has it, and Faulty forwards it.
+type sockBuffers interface {
+	SetReadBuffer(bytes int) error
+	SetWriteBuffer(bytes int) error
 }
 
 // NewUDP builds a UDP transport from cfg. The transport is idle until
@@ -215,10 +658,10 @@ func NewUDP(cfg UDPConfig) (*UDP, error) {
 			return nil, fmt.Errorf("transport: %w", err)
 		}
 	}
-	if uc, ok := conn.(*net.UDPConn); ok {
+	if sb, ok := conn.(sockBuffers); ok {
 		// Best effort: absorb a full send window without loopback drops.
-		_ = uc.SetReadBuffer(socketBuf)
-		_ = uc.SetWriteBuffer(socketBuf)
+		_ = sb.SetReadBuffer(socketBuf)
+		_ = sb.SetWriteBuffer(socketBuf)
 	}
 	rto := cfg.RetransmitEvery
 	if rto <= 0 {
@@ -242,11 +685,11 @@ func NewUDP(cfg UDPConfig) (*UDP, error) {
 		fixedWin: cfg.FixedWindow,
 		payload:  pkt - dataHeaderLen,
 		hosted:   make([]bool, cfg.NP),
-		peers:    make([]net.Addr, cfg.NP),
-		sflows:   make(map[string]*sendFlow),
-		rflows:   make(map[string]*recvFlow),
+		sendTo:   make([]*peer, cfg.NP),
 		done:     make(chan struct{}),
 	}
+	t.uc, _ = conn.(*net.UDPConn)
+	t.peers.Store(&map[peerKey]*peer{})
 	if !cfg.NoBatch {
 		t.bio = newBatchIO(conn)
 	}
@@ -273,18 +716,18 @@ func NewUDP(cfg UDPConfig) (*UDP, error) {
 			conn.Close()
 			return nil, fmt.Errorf("transport: peer %d: %w", r, err)
 		}
-		t.peers[r] = addr
+		t.sendTo[r] = t.peerFor(addr)
 	}
 	if cfg.ForceWire {
-		self := conn.LocalAddr()
-		for r := range t.peers {
-			if t.peers[r] == nil {
-				t.peers[r] = self
+		self := t.peerFor(conn.LocalAddr())
+		for r := range t.sendTo {
+			if t.sendTo[r] == nil {
+				t.sendTo[r] = self
 			}
 		}
 	}
-	for r := range t.peers {
-		if t.peers[r] == nil && !t.hosted[r] {
+	for r := range t.sendTo {
+		if t.sendTo[r] == nil && !t.hosted[r] {
 			conn.Close()
 			return nil, fmt.Errorf("transport: rank %d is neither hosted nor addressed", r)
 		}
@@ -305,7 +748,8 @@ func SelfUDP(np int) (*UDP, error) {
 // data datagram, 8KiB datagrams, and one WriteTo/ReadFrom syscall per
 // datagram. It is the comparison baseline for the adaptive path
 // (BenchmarkWireThroughput and the "udp-base" CLI spelling), not a
-// deployment configuration.
+// deployment configuration. It shares the one ACK format and the
+// selective-recovery scoreboard with every other configuration.
 func SelfUDPBase(np int) (*UDP, error) {
 	return NewUDP(UDPConfig{
 		NP: np, ForceWire: true,
@@ -375,86 +819,28 @@ func (t *UDP) Start(h Handler) error {
 	return nil
 }
 
-// window is the flow's current send window in packets. Callers hold
-// f.mu.
-func (f *sendFlow) window(fixedWin int) uint64 {
-	if fixedWin > 0 {
-		return uint64(fixedWin)
+// peerFor returns the flow pair for addr, creating it on first sight.
+func (t *UDP) peerFor(addr net.Addr) *peer {
+	key := keyOf(addr)
+	if p := (*t.peers.Load())[key]; p != nil {
+		return p
 	}
-	w := uint64(f.cwnd)
-	if w < minCwnd {
-		w = minCwnd
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	old := *t.peers.Load()
+	if p := old[key]; p != nil {
+		return p
 	}
-	return w
-}
-
-// observeRTT folds one ACK round-trip sample into the Jacobson/Karels
-// estimator and refreshes RTO = SRTT + 4·RTTVAR within [minRTO, maxRTO].
-// Callers hold f.mu and have already excluded retransmitted packets
-// (Karn's rule).
-func (f *sendFlow) observeRTT(sample time.Duration) {
-	if sample <= 0 {
-		sample = time.Microsecond
+	p := &peer{addr: addr, ap: key.ap}
+	p.send.init(t.rto, t.fixedRTO, t.fixedWin)
+	p.recv.init(t.ackEvery)
+	grown := make(map[peerKey]*peer, len(old)+1)
+	for k, v := range old {
+		grown[k] = v
 	}
-	if f.srtt == 0 {
-		f.srtt = sample
-		f.rttvar = sample / 2
-	} else {
-		d := f.srtt - sample
-		if d < 0 {
-			d = -d
-		}
-		f.rttvar = (3*f.rttvar + d) / 4
-		f.srtt = (7*f.srtt + sample) / 8
-	}
-	rto := f.srtt + 4*f.rttvar
-	if rto < minRTO {
-		rto = minRTO
-	}
-	if rto > maxRTO {
-		rto = maxRTO
-	}
-	f.rto = rto
-	f.rtoNanos.Store(int64(rto))
-}
-
-// ccOnAck grows the congestion window for acked packets: +1 per packet
-// in slow start up to ssthresh, then +acked/cwnd (AIMD additive phase),
-// capped at maxCwnd. Callers hold f.mu.
-func (f *sendFlow) ccOnAck(acked int) {
-	if acked <= 0 {
-		return
-	}
-	a := float64(acked)
-	if f.cwnd < f.ssthresh {
-		f.cwnd += a
-		if f.cwnd > f.ssthresh {
-			f.cwnd = f.ssthresh
-		}
-	} else {
-		f.cwnd += a / f.cwnd
-	}
-	if f.cwnd > maxCwnd {
-		f.cwnd = maxCwnd
-	}
-}
-
-// ccOnTimeout registers a retransmit-timeout loss event: at most once
-// per outstanding window (the recover fence), ssthresh and cwnd halve,
-// flooring at minCwnd. It reports whether this timeout started a new
-// loss event. Callers hold f.mu.
-func (f *sendFlow) ccOnTimeout() bool {
-	if f.base < f.recover {
-		return false // still recovering from the previous halving
-	}
-	f.recover = f.nextSeq
-	half := f.cwnd / 2
-	if half < minCwnd {
-		half = minCwnd
-	}
-	f.ssthresh = half
-	f.cwnd = half
-	return true
+	grown[key] = p
+	t.peers.Store(&grown)
+	return p
 }
 
 // noteCC publishes the flow's congestion and RTT state to the metrics
@@ -482,99 +868,72 @@ func (t *UDP) Send(m Message) error {
 	if m.Dst < 0 || m.Dst >= t.np {
 		return fmt.Errorf("transport: destination rank %d out of range [0,%d)", m.Dst, t.np)
 	}
-	addr := t.peers[m.Dst]
-	if addr == nil {
+	p := t.sendTo[m.Dst]
+	if p == nil {
 		return fmt.Errorf("transport: no peer address for rank %d", m.Dst)
 	}
-	f := t.sendFlowFor(addr)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	total := len(m.Data)
-	off := 0
-	win := f.window(t.fixedWin)
-	f.wlist = f.wlist[:0]
-	for {
-		frag := total - off
-		if frag > t.payload {
-			frag = t.payload
-		}
-		seq := f.nextSeq
-		f.nextSeq++
-		n := dataHeaderLen + frag
-		pb := bufpool.Get(n)
-		putHeader(pb.B, header{
-			seq: seq, msgID: m.MsgID, kind: m.Kind, ctx: m.Ctx,
-			src: m.Src, srcWorld: m.SrcWorld, dst: m.Dst, tag: m.Tag,
-			totalLen: total, offset: off,
-		})
-		copy(pb.B[dataHeaderLen:n], m.Data[off:off+frag])
-		p := &pendingPkt{buf: pb, n: n}
-		f.pending[seq] = p
-		if seq < f.base+win {
-			f.wlist = append(f.wlist, p)
-		}
-		off += frag
-		if off >= total {
-			break
-		}
-	}
-	t.flushPkts(f, f.wlist)
+	p.send.mu.Lock()
+	defer p.send.mu.Unlock()
+	p.send.enqueue(m, t.payload)
+	t.flush(p)
 	return nil
 }
 
-// flushPkts writes the given pending packets to f's peer — one batched
-// sendmmsg when the socket supports it, WriteTo per packet otherwise —
-// and stamps them for the retransmit clock. Write errors are ignored: a
-// failed datagram is indistinguishable from a lost one, and retransmit
-// covers both. Callers hold f.mu.
-func (t *UDP) flushPkts(f *sendFlow, pkts []*pendingPkt) {
-	if len(pkts) == 0 {
+// flush writes the datagrams p.send.wlist names — one batched sendmmsg
+// when the socket supports it, a write per datagram otherwise — and
+// starts their retransmit clocks. Write errors are ignored: a failed
+// datagram is indistinguishable from a lost one, and retransmit covers
+// both (so datagrams the kernel did not take are stamped too). Callers
+// hold p.send.mu.
+func (t *UDP) flush(p *peer) {
+	f := &p.send
+	if len(f.wlist) == 0 {
 		return
 	}
-	if t.bio != nil && len(pkts) > 1 {
+	batched := false
+	if t.bio != nil && len(f.wlist) > 1 {
 		f.wbufs = f.wbufs[:0]
-		for _, p := range pkts {
-			f.wbufs = append(f.wbufs, p.buf.B[:p.n])
+		for _, seq := range f.wlist {
+			s := f.slot(seq)
+			f.wbufs = append(f.wbufs, s.buf.B[:s.n])
 		}
-		if sent, calls, ok := t.bio.writeBatch(f.wbufs, f.addr); ok {
-			now := time.Now()
+		var sent, calls int
+		if sent, calls, batched = t.bio.writeBatch(&f.batch, f.wbufs, p.addr); sent > 0 {
 			var bytes int64
-			for _, p := range pkts[:sent] {
-				p.sent = now
-				bytes += int64(p.n)
+			for _, b := range f.wbufs[:sent] {
+				bytes += int64(len(b))
 			}
-			if sent > 0 {
-				t.count(metrics.WireDatagramsSent, int64(sent))
-				t.count(metrics.WireBytesSent, bytes)
-				t.count(metrics.WireBatchedWrites, int64(calls))
-			}
-			// Packets the kernel did not take are stamped too: the
-			// retransmit clock re-offers them after the flow's RTO.
-			for _, p := range pkts[sent:] {
-				p.sent = now
-			}
-			return
+			t.count(metrics.WireDatagramsSent, int64(sent))
+			t.count(metrics.WireBytesSent, bytes)
+			t.count(metrics.WireBatchedWrites, int64(calls))
 		}
 	}
-	for _, p := range pkts {
-		t.writePkt(f, p)
+	if !batched {
+		for _, seq := range f.wlist {
+			s := f.slot(seq)
+			if t.writeTo(s.buf.B[:s.n], p) == nil {
+				t.count(metrics.WireDatagramsSent, 1)
+				t.count(metrics.WireBytesSent, int64(s.n))
+			}
+		}
 	}
+	f.stampWritten(time.Now())
 }
 
-// writePkt writes p to f's peer and stamps it for the retransmit clock.
-// Callers hold f.mu.
-func (t *UDP) writePkt(f *sendFlow, p *pendingPkt) {
-	if _, err := t.conn.WriteTo(p.buf.B[:p.n], f.addr); err == nil {
-		t.count(metrics.WireDatagramsSent, 1)
-		t.count(metrics.WireBytesSent, int64(p.n))
+// writeTo writes one datagram to p, without allocating when the
+// transport owns a raw UDP socket.
+func (t *UDP) writeTo(b []byte, p *peer) error {
+	if t.uc != nil && p.ap.IsValid() {
+		_, err := t.uc.WriteToUDPAddrPort(b, p.ap)
+		return err
 	}
-	p.sent = time.Now()
+	_, err := t.conn.WriteTo(b, p.addr)
+	return err
 }
 
 // Close implements Transport: drains unacknowledged packets — bounded
-// by max(minDrain, drainRTOs·RTO) so a backoff-inflated timeout still
-// gets its retransmit chances — then stops the loops, closes the
-// socket, and releases every retained wire buffer.
+// by drainBound, retransmitting every estimator RTO — then stops the
+// loops, closes the socket, and releases every retained wire buffer.
 func (t *UDP) Close() error {
 	t.mu.Lock()
 	if t.closed {
@@ -586,12 +945,17 @@ func (t *UDP) Close() error {
 	t.mu.Unlock()
 	if started {
 		// The loops are still running here, so retransmits keep flowing
-		// and inbound acks keep retiring packets while we wait. The bound
-		// is re-evaluated each pass: backoff can inflate the live RTO
-		// mid-drain.
-		start := time.Now()
-		for t.hasPending() && time.Since(start) < t.drainBound() {
-			time.Sleep(time.Millisecond)
+		// and inbound acks keep retiring packets while we wait. Our own
+		// deferred ACKs leave at once meanwhile: the peer may be draining
+		// too, and an ACK that dies with this socket costs it its whole
+		// linger.
+		t.draining.Store(true)
+		ackBuf := make([]byte, maxAckLen)
+		for start := time.Now(); ; time.Sleep(time.Millisecond) {
+			t.ackFlushPass(time.Now().Add(maxAckDelay), ackBuf)
+			if !t.hasPending() || time.Since(start) >= t.drainBound() {
+				break
+			}
 		}
 	}
 	close(t.done)
@@ -599,71 +963,51 @@ func (t *UDP) Close() error {
 	if started {
 		t.wg.Wait()
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, f := range t.sflows {
-		f.mu.Lock()
-		for _, p := range f.pending {
-			p.buf.Release()
+	for _, p := range *t.peers.Load() {
+		p.send.mu.Lock()
+		for f := &p.send; f.q.len() > 0; f.q.pop() {
+			if s := f.q.at(0); !s.sacked {
+				s.buf.Release()
+			}
 		}
-		f.pending = make(map[uint64]*pendingPkt)
-		f.mu.Unlock()
-	}
-	for _, f := range t.rflows {
-		f.mu.Lock()
-		for _, cp := range f.ooo {
-			cp.Release()
+		p.send.mu.Unlock()
+		p.recv.mu.Lock()
+		for f := &p.recv; f.hold.len() > 0; f.hold.pop() {
+			if held := *f.hold.at(0); held != nil {
+				held.Release()
+			}
 		}
-		f.ooo = make(map[uint64]*bufpool.Buf)
-		if f.asm != nil {
-			f.asm.Release()
-			f.asm = nil
+		if p.recv.asm != nil {
+			p.recv.asm.Release()
+			p.recv.asm = nil
 		}
-		f.mu.Unlock()
+		p.recv.mu.Unlock()
 	}
 	return err
 }
 
 // drainBound is Close's linger ceiling: max(minDrain, drainRTOs times
-// the largest live per-packet retransmit timeout, backoff included).
+// the largest flow RTO). Per-packet backoff does not enter it: a
+// draining flow retransmits every RTO, so a peer that is still there
+// gets drainRTOs chances to acknowledge and one that exited costs the
+// bound once, not a backoff-inflated multiple of it.
 func (t *UDP) drainBound() time.Duration {
 	worst := t.rto
-	for _, f := range t.snapshotSendFlows() {
-		f.mu.Lock()
-		rto := f.rto
-		for _, p := range f.pending {
-			if eff := backoffRTO(rto, p.backoff); eff > worst {
-				worst = eff
-			}
-		}
-		if rto > worst {
-			worst = rto
-		}
-		f.mu.Unlock()
+	for _, p := range *t.peers.Load() {
+		p.send.mu.Lock()
+		worst = max(worst, p.send.rto)
+		p.send.mu.Unlock()
 	}
-	if b := time.Duration(drainRTOs) * worst; b > minDrain {
-		return b
-	}
-	return minDrain
-}
-
-// backoffRTO is the effective timeout of a packet that has already
-// timed out `shift` times: rto<<shift, bounded by maxBackoffRTO.
-func backoffRTO(rto time.Duration, shift uint8) time.Duration {
-	eff := rto << shift
-	if eff > maxBackoffRTO || eff < rto { // overflow-safe
-		return maxBackoffRTO
-	}
-	return eff
+	return max(minDrain, time.Duration(drainRTOs)*worst)
 }
 
 // hasPending reports whether any flow still holds unacknowledged
 // packets.
 func (t *UDP) hasPending() bool {
-	for _, f := range t.snapshotSendFlows() {
-		f.mu.Lock()
-		n := len(f.pending)
-		f.mu.Unlock()
+	for _, p := range *t.peers.Load() {
+		p.send.mu.Lock()
+		n := p.send.q.len()
+		p.send.mu.Unlock()
 		if n > 0 {
 			return true
 		}
@@ -671,77 +1015,12 @@ func (t *UDP) hasPending() bool {
 	return false
 }
 
-// snapshotSendFlows copies the send-flow list out from under t.mu so
-// per-flow locks are never taken while holding the transport lock.
-func (t *UDP) snapshotSendFlows() []*sendFlow {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	flows := make([]*sendFlow, 0, len(t.sflows))
-	for _, f := range t.sflows {
-		flows = append(flows, f)
-	}
-	return flows
-}
-
-func (t *UDP) snapshotRecvFlows() []*recvFlow {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	flows := make([]*recvFlow, 0, len(t.rflows))
-	for _, f := range t.rflows {
-		flows = append(flows, f)
-	}
-	return flows
-}
-
-func (t *UDP) sendFlowFor(addr net.Addr) *sendFlow {
-	key := addr.String()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	f := t.sflows[key]
-	if f == nil {
-		f = &sendFlow{
-			addr: addr, nextSeq: 1, base: 1,
-			pending:  make(map[uint64]*pendingPkt),
-			rto:      t.rto,
-			cwnd:     initialCwnd,
-			ssthresh: maxCwnd,
-		}
-		f.rtoNanos.Store(int64(t.rto))
-		t.sflows[key] = f
-		// Bind the reverse recv flow's delayed-ack clock to this flow.
-		if rf := t.rflows[key]; rf != nil {
-			rf.peer.CompareAndSwap(nil, f)
-		}
-	}
-	return f
-}
-
-func (t *UDP) recvFlowFor(addr net.Addr) *recvFlow {
-	key := addr.String()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	f := t.rflows[key]
-	if f == nil {
-		f = &recvFlow{addr: addr, nextSeq: 1, ooo: make(map[uint64]*bufpool.Buf)}
-		if sf := t.sflows[key]; sf != nil {
-			f.peer.Store(sf)
-		}
-		t.rflows[key] = f
-	}
-	return f
-}
-
-// ackDelay is how long f may defer a cumulative ack: ~RTO/4 of the
-// reverse flow's live estimate (the sender whose retransmit clock the
-// deferred ack races), clamped to [minAckDelay, maxAckDelay].
-func (f *recvFlow) ackDelay(fallback time.Duration) time.Duration {
-	rto := fallback
-	if peer := f.peer.Load(); peer != nil {
-		if n := peer.rtoNanos.Load(); n > 0 {
-			rto = time.Duration(n)
-		}
-	}
-	d := rto / 4
+// ackDelay is how long p's receive half may defer a cumulative ack:
+// ~RTO/4 of the reverse flow's live estimate (the sender whose
+// retransmit clock the deferred ack races), clamped to [minAckDelay,
+// maxAckDelay].
+func (p *peer) ackDelay() time.Duration {
+	d := time.Duration(p.send.rtoNanos.Load()) / 4
 	if d < minAckDelay {
 		d = minAckDelay
 	}
@@ -757,9 +1036,9 @@ func (f *recvFlow) ackDelay(fallback time.Duration) time.Duration {
 // packets sharing this socket) are dropped.
 func (t *UDP) recvLoop() {
 	defer t.wg.Done()
-	var ackBuf [ackLen]byte
+	ackBuf := make([]byte, maxAckLen)
 	if t.bio != nil {
-		if done := t.recvBatchLoop(ackBuf[:]); done {
+		if done := t.recvBatchLoop(ackBuf); done {
 			return
 		}
 		// recvmmsg unavailable or broken at runtime: fall back to the
@@ -779,7 +1058,7 @@ func (t *UDP) recvLoop() {
 			}
 			continue
 		}
-		t.dispatch(buf[:n], addr, ackBuf[:])
+		t.dispatch(buf[:n], addr, ackBuf)
 	}
 }
 
@@ -823,176 +1102,102 @@ func (t *UDP) dispatch(pkt []byte, addr net.Addr, ackBuf []byte) {
 	}
 	switch pkt[0] {
 	case ptAck:
-		ack, err := parseAck(pkt)
+		a, err := parseAck(pkt)
 		if err != nil {
 			return
 		}
 		t.count(metrics.WireDatagramsRecv, 1)
 		t.count(metrics.WireBytesRecv, int64(len(pkt)))
-		t.handleAck(addr, ack)
+		t.handleAck(t.peerFor(addr), &a)
 	case ptData:
+		h, err := parseHeader(pkt)
+		if err != nil {
+			return
+		}
 		t.count(metrics.WireDatagramsRecv, 1)
 		t.count(metrics.WireBytesRecv, int64(len(pkt)))
-		t.handleData(addr, pkt, ackBuf)
+		t.handleData(t.peerFor(addr), h, pkt, ackBuf)
 	}
 }
 
-// handleAck retires cumulatively acknowledged packets, samples the RTT
-// from a clean (never-retransmitted) round trip, grows the congestion
-// window, and flushes any queued packets the advanced window now
-// admits.
-func (t *UDP) handleAck(addr net.Addr, ack uint64) {
-	f := t.sendFlowFor(addr)
+// handleAck feeds one ACK to the flow's scoreboard and does what it
+// returns: re-sends the datagrams it declared lost, writes the queued
+// ones the window now admits, and counts.
+func (t *UDP) handleAck(p *peer, a *ack) {
+	f := &p.send
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if ack >= f.nextSeq {
-		ack = f.nextSeq - 1
-	}
-	retired := 0
-	var sampleFrom time.Time
-	for seq := f.base; seq <= ack; seq++ {
-		if p, ok := f.pending[seq]; ok {
-			if !p.retx && !p.sent.IsZero() && p.sent.After(sampleFrom) {
-				sampleFrom = p.sent
-			}
-			p.buf.Release()
-			delete(f.pending, seq)
-			retired++
-		}
-	}
-	if retired > 0 {
-		if !t.fixedRTO && !sampleFrom.IsZero() {
-			f.observeRTT(time.Since(sampleFrom))
-		}
-		if t.fixedWin == 0 {
-			f.ccOnAck(retired)
-		}
-		t.noteCC(f)
-	}
-	if ack+1 > f.base {
-		f.base = ack + 1
-		win := f.window(t.fixedWin)
-		f.wlist = f.wlist[:0]
-		for seq := f.base; seq < f.base+win && seq < f.nextSeq; seq++ {
-			if p, ok := f.pending[seq]; ok && p.sent.IsZero() {
-				f.wlist = append(f.wlist, p)
-			}
-		}
-		t.flushPkts(f, f.wlist)
-	}
+	retired, fast, halved := f.onAck(a, time.Now())
 	if retired > 0 {
 		t.count(metrics.WireAckRoundTrips, 1)
 	}
+	if fast > 0 {
+		t.count(metrics.WireRetransmits, int64(fast))
+		t.count(metrics.WireFastRetransmits, int64(fast))
+	}
+	if halved {
+		t.count(metrics.WireCwndHalvings, 1)
+	}
+	if retired > 0 || halved {
+		t.noteCC(f)
+	}
+	t.flush(p)
 }
 
-// handleData advances the flow's in-order position, holding early
-// packets and re-acking duplicates. In-order arrivals coalesce their
-// cumulative ack — one ack per ackEvery data datagrams, or a delayed
-// flush from the tick loop — while duplicates and out-of-order
-// arrivals ack immediately (the sender may be timing out or filling a
-// hole).
-func (t *UDP) handleData(addr net.Addr, pkt, ackBuf []byte) {
-	h, err := parseHeader(pkt)
-	if err != nil {
-		return
-	}
-	f := t.recvFlowFor(addr)
+// handleData feeds one data datagram to the flow's receive half,
+// delivers what it released to the handler (under the flow lock, so
+// messages reach it in flow order), and writes the ACK it asked for.
+func (t *UDP) handleData(p *peer, h header, pkt, ackBuf []byte) {
+	f := &p.recv
 	f.mu.Lock()
-	ackNow := true
-	switch {
-	case h.seq < f.nextSeq:
-		// Duplicate (our earlier ack was lost, or a retransmit raced the
-		// delayed ack): re-ack immediately below.
-	case h.seq > f.nextSeq:
-		// Out of order: hold, and ack our position immediately so the
-		// sender sees the hole.
-		if _, held := f.ooo[h.seq]; !held {
-			cp := bufpool.Get(len(pkt))
-			copy(cp.B, pkt)
-			f.ooo[h.seq] = cp
+	inOrder, ackNow := f.onData(h.seq, pkt, time.Now(), p.ackDelay())
+	if inOrder {
+		t.deliver(f, h, pkt)
+		for _, held := range f.ready {
+			if h, err := parseHeader(held.B); err == nil { // parsed once already, on arrival
+				t.deliver(f, h, held.B)
+			}
+			held.Release()
 		}
-	default:
-		t.deliverInOrder(f, h, pkt[dataHeaderLen:])
-		f.nextSeq++
-		f.unacked++
-		for {
-			cp, held := f.ooo[f.nextSeq]
-			if !held {
-				break
-			}
-			delete(f.ooo, f.nextSeq)
-			if h2, err := parseHeader(cp.B); err == nil {
-				t.deliverInOrder(f, h2, cp.B[dataHeaderLen:])
-			}
-			cp.Release()
-			f.nextSeq++
-			f.unacked++
-		}
-		if f.unacked < t.ackEvery {
-			// Coalesce: defer the cumulative ack to the flush timer.
-			ackNow = false
-			if f.ackDue.IsZero() {
-				f.ackDue = time.Now().Add(f.ackDelay(t.rto))
-			}
+		if !ackNow {
 			t.count(metrics.WireAcksCoalesced, 1)
 		}
 	}
-	var ack uint64
+	var a ack
 	if ackNow {
-		ack = f.nextSeq - 1
-		f.unacked = 0
-		f.ackDue = time.Time{}
+		a = f.takeAck()
 	}
 	f.mu.Unlock()
 	if ackNow {
-		t.sendAck(addr, ack, ackBuf)
+		t.sendAck(p, &a, ackBuf)
 	}
 }
 
-// sendAck writes one cumulative-ack datagram.
-func (t *UDP) sendAck(addr net.Addr, ack uint64, ackBuf []byte) {
-	putAck(ackBuf, ack)
-	if _, err := t.conn.WriteTo(ackBuf[:ackLen], addr); err == nil {
-		t.count(metrics.WireDatagramsSent, 1)
-		t.count(metrics.WireBytesSent, ackLen)
-		t.count(metrics.WireAcksSent, 1)
-	}
-}
-
-// deliverInOrder folds one in-sequence fragment into the flow's message
-// under reassembly and hands the completed message to the handler.
-// Fragments of a message are contiguous in the flow (Send enqueues them
-// under the flow lock), so offset 0 always opens a fresh message.
-func (t *UDP) deliverInOrder(f *recvFlow, h header, frag []byte) {
-	if h.offset == 0 {
-		if f.asm != nil {
-			f.asm.Release()
-		}
-		f.asm = bufpool.Get(h.totalLen)
-		f.asmGot = 0
-	}
-	if f.asm == nil || h.offset != f.asmGot || h.totalLen != len(f.asm.B) {
+// deliver hands the handler the message the in-order datagram pkt
+// completes, if any.
+func (t *UDP) deliver(f *recvFlow, h header, pkt []byte) {
+	m, ok := f.reassemble(h, pkt[dataHeaderLen:])
+	if !ok {
 		return
 	}
-	copy(f.asm.B[h.offset:], frag)
-	f.asmGot += len(frag)
-	if f.asmGot < h.totalLen {
-		return
-	}
-	buf := f.asm
-	f.asm = nil
 	t.hmu.RLock()
 	hnd := t.handler
 	t.hmu.RUnlock()
 	if hnd == nil {
-		buf.Release()
+		m.Buf.Release()
 		return
 	}
-	hnd(Message{
-		Ctx: h.ctx, Src: h.src, SrcWorld: h.srcWorld, Dst: h.dst,
-		Tag: h.tag, Kind: h.kind, MsgID: h.msgID,
-		Data: buf.B[:h.totalLen], Buf: buf,
-	})
+	hnd(m)
+}
+
+// sendAck writes one ACK datagram.
+func (t *UDP) sendAck(p *peer, a *ack, ackBuf []byte) {
+	n := putAck(ackBuf, a)
+	if t.writeTo(ackBuf[:n], p) == nil {
+		t.count(metrics.WireDatagramsSent, 1)
+		t.count(metrics.WireBytesSent, int64(n))
+		t.count(metrics.WireAcksSent, 1)
+	}
 }
 
 // tickLoop is the transport's clock: it retransmits written-but-unacked
@@ -1004,13 +1209,14 @@ func (t *UDP) tickLoop() {
 	defer t.wg.Done()
 	timer := time.NewTimer(t.tickInterval())
 	defer timer.Stop()
+	ackBuf := make([]byte, maxAckLen)
 	for {
 		select {
 		case <-t.done:
 			return
 		case now := <-timer.C:
 			t.retransmitPass(now)
-			t.ackFlushPass(now)
+			t.ackFlushPass(now, ackBuf)
 			timer.Reset(t.tickInterval())
 		}
 	}
@@ -1022,88 +1228,55 @@ func (t *UDP) tickLoop() {
 func (t *UDP) tickInterval() time.Duration {
 	const idle = 10 * time.Millisecond
 	d := idle
-	for _, f := range t.snapshotSendFlows() {
-		f.mu.Lock()
-		if len(f.pending) > 0 {
-			if h := f.rto / 2; h < d {
-				d = h
-			}
+	for _, p := range *t.peers.Load() {
+		p.send.mu.Lock()
+		if p.send.q.len() > 0 {
+			d = min(d, p.send.rto/2)
 		}
-		f.mu.Unlock()
-	}
-	for _, f := range t.snapshotRecvFlows() {
-		f.mu.Lock()
-		if f.unacked > 0 && !f.ackDue.IsZero() {
-			if u := time.Until(f.ackDue); u < d {
-				d = u
-			}
+		p.send.mu.Unlock()
+		p.recv.mu.Lock()
+		if p.recv.unacked > 0 && !p.recv.ackDue.IsZero() {
+			d = min(d, time.Until(p.recv.ackDue))
 		}
-		f.mu.Unlock()
+		p.recv.mu.Unlock()
 	}
-	if d < minAckDelay {
-		d = minAckDelay
-	}
-	return d
+	return max(d, minAckDelay)
 }
 
-// retransmitPass rewrites timed-out packets (exponential backoff per
-// packet, Karn-marked so their acks never feed the RTT estimator) and
-// registers at most one congestion loss event per pass.
+// retransmitPass runs every flow's retransmit clock and re-sends what
+// timed out.
 func (t *UDP) retransmitPass(now time.Time) {
-	for _, f := range t.snapshotSendFlows() {
+	draining := t.draining.Load()
+	for _, p := range *t.peers.Load() {
+		f := &p.send
 		f.mu.Lock()
-		win := f.window(t.fixedWin)
-		f.wlist = f.wlist[:0]
-		timedOut := false
-		retx := 0
-		for seq := f.base; seq < f.base+win && seq < f.nextSeq; seq++ {
-			p, ok := f.pending[seq]
-			if !ok {
-				continue
-			}
-			if p.sent.IsZero() {
-				f.wlist = append(f.wlist, p)
-				continue
-			}
-			if now.Sub(p.sent) >= backoffRTO(f.rto, p.backoff) {
-				p.retx = true
-				if !t.fixedRTO && p.backoff < maxBackoff {
-					p.backoff++
-				}
-				f.wlist = append(f.wlist, p)
-				retx++
-				timedOut = true
-			}
-		}
-		if timedOut && t.fixedWin == 0 && f.ccOnTimeout() {
+		retx, halved := f.onTick(now, draining)
+		if halved {
 			t.count(metrics.WireCwndHalvings, 1)
 			t.noteCC(f)
 		}
-		t.flushPkts(f, f.wlist)
 		if retx > 0 {
 			t.count(metrics.WireRetransmits, int64(retx))
 		}
+		t.flush(p)
 		f.mu.Unlock()
 	}
 }
 
 // ackFlushPass sends the delayed cumulative ack of every recv flow
 // whose flush deadline has passed.
-func (t *UDP) ackFlushPass(now time.Time) {
-	var ackBuf [ackLen]byte
-	for _, f := range t.snapshotRecvFlows() {
+func (t *UDP) ackFlushPass(now time.Time, ackBuf []byte) {
+	for _, p := range *t.peers.Load() {
+		f := &p.recv
 		f.mu.Lock()
-		due := f.unacked > 0 && !f.ackDue.IsZero() && !now.Before(f.ackDue)
-		var ack uint64
+		due := f.ackDueAt(now)
+		var a ack
 		if due {
-			ack = f.nextSeq - 1
-			f.unacked = 0
-			f.ackDue = time.Time{}
+			a = f.takeAck()
 		}
-		addr := f.addr
 		f.mu.Unlock()
 		if due {
-			t.sendAck(addr, ack, ackBuf[:])
+			t.sendAck(p, &a, ackBuf)
 		}
 	}
 }
