@@ -224,11 +224,11 @@ func WithSpans(n int) Option {
 func WithTransport(spec string) Option {
 	return func(c *config) error {
 		switch spec {
-		case "", transport.ChanName, transport.UDPName, transport.UDPBaseName:
+		case "", transport.ChanName, transport.UDPName:
 			c.transport = spec
 			return nil
 		default:
-			return fmt.Errorf("bcast: unknown transport %q (have %q, %q, %q)", spec, transport.ChanName, transport.UDPName, transport.UDPBaseName)
+			return fmt.Errorf("bcast: unknown transport %q (have %q, %q)", spec, transport.ChanName, transport.UDPName)
 		}
 	}
 }

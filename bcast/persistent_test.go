@@ -6,13 +6,16 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/bcast"
+	"repro/internal/collective"
 	"repro/internal/testutil"
+	"repro/internal/tune"
 )
 
 // persistentPayload writes round's deterministic broadcast payload: the
@@ -171,27 +174,44 @@ func TestPersistentParityGrid(t *testing.T) {
 // here runs through the public Persistent handle. The cluster runs with
 // span recording enabled (and counters are always on), so the budget
 // also proves the observability layer's zero-allocation claim.
+//
+// The SMP cells hold a topology-composed schedule to the same gate and
+// count the engine's sends against it: a round is the handle's schedule,
+// the control broadcast and the barrier, message for message (a handle
+// that rebuilt sub-communicators per round would fail both).
 func TestPersistentStartWaitAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
 	const (
-		np = 8
-		n  = 64 << 10
+		n = 64 << 10
 		// perOpBudget is the acceptance gate: allocations per Start/Wait
 		// per rank in the steady state.
 		perOpBudget = 2.0
 	)
 	ctx := context.Background()
-	for _, pooled := range []bool{false, true} {
-		name := "goroutine"
+	for _, cell := range []struct {
+		algo      string
+		np        int
+		placement string
+		pooled    bool
+	}{
+		{bcast.RingOptSeg, 8, "single", false},
+		{bcast.RingOptSeg, 8, "single", true},
+		{bcast.SMP, 16, "blocked:4", false},
+		{bcast.SMP, 16, "blocked:4", true},
+		{bcast.SMPOpt, 16, "blocked:4", false},
+		{bcast.SMPOpt, 16, "blocked:4", true},
+	} {
+		np, pooled := cell.np, cell.pooled
+		name := cell.algo + "/goroutine"
 		if pooled {
-			name = "pooled"
+			name = cell.algo + "/pooled"
 		}
 		t.Run(name, func(t *testing.T) {
 			opts := []bcast.Option{
 				bcast.Procs(np),
-				bcast.Placement("single"),
+				bcast.Placement(cell.placement),
 				bcast.Timeout(10 * time.Minute),
 				// Small on purpose: the measured rounds wrap the ring many
 				// times over, so the gate also covers drop-oldest overwrites.
@@ -223,7 +243,7 @@ func TestPersistentStartWaitAllocs(t *testing.T) {
 					r := c.Rank()
 					ctl := ctls[r]
 					ph, err := c.BcastInit(bufs[r], 0,
-						bcast.WithAlgorithm(bcast.RingOptSeg), bcast.WithSegSize(8<<10))
+						bcast.WithAlgorithm(cell.algo), bcast.WithSegSize(8<<10))
 					if err != nil {
 						return err
 					}
@@ -273,7 +293,7 @@ func TestPersistentStartWaitAllocs(t *testing.T) {
 			// of np ranks, plus a barrier; attribute everything to the 2*np
 			// persistent operations — the gate holds even with the barrier
 			// counted against it.
-			perOp := perRound / (2 * np)
+			perOp := perRound / float64(2*np)
 			t.Logf("allocs: %.1f per round, %.2f per Start/Wait per rank", perRound, perOp)
 			if perOp > perOpBudget {
 				t.Errorf("%.2f allocs per Start/Wait per rank, budget %.1f", perOp, perOpBudget)
@@ -291,6 +311,28 @@ func TestPersistentStartWaitAllocs(t *testing.T) {
 			// machinery: recording, retention bounded by the ring size,
 			// and drop-oldest wraparound.
 			m := cl.Metrics()
+			// The run is over, so the send counters are final: 3 warm-up
+			// rounds and AllocsPerRun's 21, each the payload schedule plus
+			// the control tree and the dissemination barrier, and the
+			// control tree once more to shut down.
+			pl, err := tune.ParsePlacement(cell.placement)
+			if err != nil {
+				t.Fatal(err)
+			}
+			topo, err := pl.Map(np)
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload, err := collective.Schedule(tune.Decision{Algorithm: cell.algo, SegSize: 8 << 10}, topo, 0, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctl := np - 1
+			want := 24*(payload.Messages()+ctl+np*bits.Len(uint(np-1))) + ctl
+			if sent := m.EagerSends + m.RdvSends; sent != int64(want) {
+				t.Errorf("engine sent %d messages; the schedule says %d per payload broadcast, %d with the harness's own traffic",
+					sent, payload.Messages(), want)
+			}
 			if m.SpansRecorded == 0 {
 				t.Error("no spans recorded with WithSpans enabled")
 			}

@@ -55,13 +55,13 @@ func BenchmarkTableTransferCounts(b *testing.B) {
 // count, native vs opt, reporting simulated bandwidth.
 func benchFig6(b *testing.B, np int, sizes []int) {
 	cfg := simCfg()
-	for _, variant := range []bench.Variant{bench.Native, bench.Opt} {
+	for name, d := range map[string]tune.Decision{"MPI_Bcast_native": bench.Native, "MPI_Bcast_opt": bench.Opt} {
 		for _, n := range sizes {
-			b.Run(fmt.Sprintf("%s/size=%d", variant, n), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/size=%d", name, n), func(b *testing.B) {
 				var res bench.Result
 				var err error
 				for i := 0; i < b.N; i++ {
-					res, err = bench.MeasureSim(cfg, variant, np, n)
+					res, err = bench.MeasureSimDecision(cfg, d, np, n)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -91,11 +91,11 @@ func BenchmarkFig7(b *testing.B) {
 			b.Run(fmt.Sprintf("ms=%d/np=%d", n, p), func(b *testing.B) {
 				var speedup float64
 				for i := 0; i < b.N; i++ {
-					nat, err := bench.MeasureSim(cfg, bench.Native, p, n)
+					nat, err := bench.MeasureSimDecision(cfg, bench.Native, p, n)
 					if err != nil {
 						b.Fatal(err)
 					}
-					opt, err := bench.MeasureSim(cfg, bench.Opt, p, n)
+					opt, err := bench.MeasureSimDecision(cfg, bench.Opt, p, n)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -124,12 +124,8 @@ func pinned(algo string) func(mpi.Comm, []byte, int) error {
 
 var ringOpt = pinned(tune.RingOpt)
 
-func benchUserLevel(b *testing.B, variant bench.Variant, np, n int) {
-	fn := pinned(map[bench.Variant]string{
-		bench.Native:   tune.RingNative,
-		bench.Opt:      tune.RingOpt,
-		bench.Binomial: tune.Binomial,
-	}[variant])
+func benchUserLevel(b *testing.B, algo string, np, n int) {
+	fn := pinned(algo)
 	w, err := engine.NewWorld(engine.Options{NP: np, Timeout: 10 * time.Minute})
 	if err != nil {
 		b.Fatal(err)
@@ -162,7 +158,7 @@ func BenchmarkUserLevelNative(b *testing.B) {
 	for _, np := range []int{8, 16} {
 		for _, n := range []int{64 << 10, 1 << 20} {
 			b.Run(fmt.Sprintf("np=%d/size=%d", np, n), func(b *testing.B) {
-				benchUserLevel(b, bench.Native, np, n)
+				benchUserLevel(b, tune.RingNative, np, n)
 			})
 		}
 	}
@@ -172,7 +168,7 @@ func BenchmarkUserLevelOpt(b *testing.B) {
 	for _, np := range []int{8, 16} {
 		for _, n := range []int{64 << 10, 1 << 20} {
 			b.Run(fmt.Sprintf("np=%d/size=%d", np, n), func(b *testing.B) {
-				benchUserLevel(b, bench.Opt, np, n)
+				benchUserLevel(b, tune.RingOpt, np, n)
 			})
 		}
 	}
@@ -180,7 +176,7 @@ func BenchmarkUserLevelOpt(b *testing.B) {
 
 func BenchmarkUserLevelBinomial(b *testing.B) {
 	b.Run("np=8/size=65536", func(b *testing.B) {
-		benchUserLevel(b, bench.Binomial, 8, 64<<10)
+		benchUserLevel(b, tune.Binomial, 8, 64<<10)
 	})
 }
 
@@ -414,21 +410,16 @@ func BenchmarkExtensionNodeAwareRing(b *testing.B) {
 	const np, n = 48, 1 << 20
 	topo := topology.RoundRobin(np, topology.HornetCoresPerNode)
 	m := netsim.Hornet()
-	cases := map[string]func() (*sched.Program, error){
-		"plain-opt": func() (*sched.Program, error) { return core.BcastOptProgram(np, 0, n), nil },
-		"nodeaware-opt": func() (*sched.Program, error) {
-			return core.BcastOptNodeAware(topo, 0, n)
-		},
+	cases := map[string]func() *sched.Program{
+		"plain-opt":     func() *sched.Program { return core.BcastOptProgram(np, 0, n) },
+		"nodeaware-opt": func() *sched.Program { return core.BcastOptNodeAware(topo, 0, n) },
 	}
 	for name, gen := range cases {
 		b.Run(name, func(b *testing.B) {
 			var dt float64
 			for i := 0; i < b.N; i++ {
-				pr, err := gen()
-				if err != nil {
-					b.Fatal(err)
-				}
-				dt, err = netsim.SteadyStateIterTime(pr, topo, m, 1, 3)
+				var err error
+				dt, err = netsim.SteadyStateIterTime(gen(), topo, m, 1, 3)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -473,7 +464,7 @@ func BenchmarkExtensionSMPBcast(b *testing.B) {
 	topo := topology.Blocked(np, 4)
 	variants := map[string]func(mpi.Comm, []byte, int) error{
 		"flat-opt": pinned(tune.RingOpt),
-		"smp-opt":  collective.BcastSMPOpt,
+		"smp-opt":  pinned(tune.SMPOpt),
 	}
 	for name, fn := range variants {
 		b.Run(name, func(b *testing.B) {
@@ -649,20 +640,20 @@ func BenchmarkPersistentBcast(b *testing.B) {
 // pinned baseline. Every rank is hosted in-process but ForceWire routes
 // each broadcast hop through the real datagram socket, so this measures
 // the transport — framing, adaptive RTO, congestion windowing, ACK
-// coalescing, sendmmsg batching — not the network. "udp-base" pins the
-// PR 9 behavior (fixed 20ms timeout, fixed 256-packet window, one ack
-// and one syscall per datagram); the per-op wire metrics expose where
-// the adaptive path's gain comes from. Run it with
+// coalescing, sendmmsg batching — not the network; the per-op wire
+// metrics expose where the time goes. Run it with
 //
 //	go test -bench=BenchmarkWireThroughput -benchmem .
 //
 // and compare against BENCH_wire_throughput.json (the recorded
-// trajectory of the adaptive wire-path work).
+// trajectory of the wire-path work; its rows for the previous, fixed
+// wire generation were recorded at commit 72c2127, the last to carry
+// that generation in the binary).
 // ---------------------------------------------------------------------
 
 func BenchmarkWireThroughput(b *testing.B) {
 	const np = 8
-	for _, spec := range []string{transport.UDPBaseName, transport.UDPName} {
+	for _, spec := range []string{transport.UDPName} {
 		for _, n := range []int{4 << 10, 64 << 10, 1 << 20} {
 			b.Run(fmt.Sprintf("transport=%s/size=%d", spec, n), func(b *testing.B) {
 				tr, err := transport.New(spec, np)

@@ -10,12 +10,14 @@
 //	bcastbench -np 12 -cores 4 -algo smp-opt      # multi-node placement
 //
 // Comparing -algo native against -algo opt reproduces the paper's
-// MPI_Bcast_native / MPI_Bcast_opt comparison at laptop scale. -algo also
-// accepts any algorithm registered in internal/collective (see -list,
+// MPI_Bcast_native / MPI_Bcast_opt comparison at laptop scale. -algo
+// names any algorithm registered in internal/collective (see -list,
 // which prints each algorithm's capability flags) — including the
 // segmented ring family and its overlap-aware -seg-nb variants, whose
-// segment size -seg selects — and -tune-table dispatches every broadcast
-// through a JSON tuning table produced by the auto-tuner.
+// segment size -seg selects; native and opt are short for the two ring
+// broadcasts, auto and auto-opt select through the MPICH3 dispatch —
+// and -tune-table dispatches every broadcast through a JSON tuning table
+// produced by the auto-tuner.
 //
 // Beyond the fixed-algorithm benchmark, the tool drives the auto-tuner
 // from real wall-clock measurements (internal/measure), reaching feature
@@ -99,7 +101,7 @@ import (
 func main() {
 	var (
 		npFlag    = flag.String("np", "8", "comma-separated rank counts (benchmark: one section per count; -autotune/-crosscheck: the grid's process axis)")
-		algoFlag  = flag.String("algo", "opt", "broadcast: a legacy variant (native|opt|binomial|auto|auto-opt|smp|smp-opt) or a registry algorithm (see -list)")
+		algoFlag  = flag.String("algo", "opt", "broadcast: a registry algorithm (see -list), native|opt for the two ring broadcasts, or auto|auto-opt for the MPICH3 dispatch")
 		listFlag  = flag.Bool("list", false, "list registered algorithms with their capability flags and exit")
 		tableFlag = flag.String("tune-table", "", "JSON tuning table; dispatch each broadcast through it (overrides -algo)")
 		segFlag   = flag.Int("seg", 0, "segment size in bytes for segmented algorithms (0 = default)")
@@ -121,7 +123,7 @@ func main() {
 
 		autotuneFlag = flag.Bool("autotune", false, "auto-tune over the registry on the real engine and emit a JSON tuning table")
 		crossFlag    = flag.Bool("crosscheck", false, "derive tables from both netsim and the engine over the same grid and report per-cell agreement")
-		candFlag     = flag.String("candidates", "all", "tuning candidate set: all (whole registry, SMP included; -crosscheck: its schedule-static subset) | mpich (the dispatcher's own family)")
+		candFlag     = flag.String("candidates", "all", "tuning candidate set: all (whole registry) | mpich (the dispatcher's own family)")
 		segsFlag     = flag.String("segs", "", "comma-separated segment sizes for -autotune/-crosscheck: sweep every segmented candidate over these instead of its default")
 		placeFlag    = flag.String("placements", "", "comma-separated placements for -autotune/-crosscheck: single|blocked:N|round-robin:N; emits per-topology rule groups")
 		repsFlag     = flag.Int("reps", measure.DefaultReps, "timed repetitions per measured grid point")
@@ -171,9 +173,9 @@ func main() {
 		os.Exit(2)
 	}
 	switch *transFlag {
-	case "", transport.ChanName, transport.UDPName, transport.UDPBaseName:
+	case "", transport.ChanName, transport.UDPName:
 	default:
-		fmt.Fprintf(os.Stderr, "bcastbench: unknown -transport %q (chan|udp|udp-base)\n", *transFlag)
+		fmt.Fprintf(os.Stderr, "bcastbench: unknown -transport %q (chan|udp)\n", *transFlag)
 		os.Exit(2)
 	}
 	if *minFlag < 0 || *maxFlag < *minFlag {
@@ -301,9 +303,14 @@ func main() {
 		}
 	}
 
+	sel, err := bench.ParseAlgo(*algoFlag)
+	if err != nil && *tableFlag == "" {
+		fmt.Fprintf(os.Stderr, "bcastbench: %v\n", err)
+		os.Exit(2)
+	}
 	if *persFlag {
 		if err := runPersistent(nps, persistOpts{
-			algo: *algoFlag, table: *tableFlag, seg: *segFlag,
+			sel: sel, algo: *algoFlag, table: *tableFlag, seg: *segFlag,
 			min: *minFlag, max: *maxFlag, iters: *itersFlag,
 			cores: *coresFlag, eager: *eagerFlag, root: *rootFlag,
 			exec: execPol, workers: *workFlag, transport: *transFlag,
@@ -320,14 +327,15 @@ func main() {
 		EagerLimit:   *eagerFlag,
 		Iterations:   *itersFlag,
 		Root:         *rootFlag,
+		Algo:         sel.Algorithm,
 		SegSize:      *segFlag,
+		Tuner:        sel.Tuner,
 		Executor:     execPol,
 		MaxWorkers:   *workFlag,
 		Transport:    *transFlag,
 	}
 	label := *algoFlag
-	switch {
-	case *tableFlag != "":
+	if *tableFlag != "" {
 		table, err := tune.LoadTable(*tableFlag)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "bcastbench:", err)
@@ -335,17 +343,6 @@ func main() {
 		}
 		cfg.Tuner = tune.TableTuner{Table: table, Fallback: tune.MPICH3{}}
 		label = fmt.Sprintf("tune-table %q", table.Name)
-	default:
-		if variant, err := bench.ParseVariant(*algoFlag); err == nil {
-			cfg.Variant = variant
-			label = variant.String()
-		} else if _, ok := collective.Lookup(*algoFlag); ok {
-			cfg.Algo = *algoFlag
-		} else {
-			fmt.Fprintf(os.Stderr, "bcastbench: unknown algorithm %q (registry: %s)\n",
-				*algoFlag, strings.Join(collective.Names(), ", "))
-			os.Exit(2)
-		}
 	}
 	for _, np := range nps {
 		cfg.NP = np
@@ -549,6 +546,7 @@ func runTuning(procs []int, o tuningOpts) error {
 
 // persistOpts bundles the -persistent benchmark options.
 type persistOpts struct {
+	sel         collective.Options // what -algo resolved to
 	algo, table string
 	seg         int
 	min, max    int
@@ -563,30 +561,6 @@ type persistOpts struct {
 	timeline    string
 }
 
-// persistSelection maps the -algo spelling onto facade cluster options
-// (the legacy variant names resolve to their registry algorithms, the
-// auto modes to the MPICH3 tuner) and returns the printable label.
-func persistSelection(algo string) ([]bcast.Option, string, error) {
-	legacy := map[string]string{
-		"native": bcast.RingNative, "opt": bcast.RingOpt,
-		"binomial": bcast.Binomial, "smp": bcast.SMP, "smp-opt": bcast.SMPOpt,
-	}
-	switch {
-	case algo == "auto":
-		return []bcast.Option{bcast.Tuner(bcast.MPICH3Tuner(false))}, "auto (mpich3)", nil
-	case algo == "auto-opt":
-		return []bcast.Option{bcast.Tuner(bcast.MPICH3Tuner(true))}, "auto-opt (mpich3 tuned)", nil
-	case legacy[algo] != "":
-		return []bcast.Option{bcast.Algorithm(legacy[algo])}, legacy[algo], nil
-	default:
-		if _, ok := collective.Lookup(algo); ok {
-			return []bcast.Option{bcast.Algorithm(algo)}, algo, nil
-		}
-		return nil, "", fmt.Errorf("unknown algorithm %q (registry: %s)",
-			algo, strings.Join(collective.Names(), ", "))
-	}
-}
-
 // runPersistent benchmarks the serving fast path through the public
 // facade: per process count one cluster, per message size one Run that
 // resolves a persistent handle with BcastInit and drives -iters
@@ -594,20 +568,23 @@ func persistSelection(algo string) ([]bcast.Option, string, error) {
 // cluster — and the world it boots — is reused across every size, so
 // after the first row each printed bandwidth is pure steady state.
 func runPersistent(nps []int, o persistOpts) error {
-	sel, label, err := persistSelection(o.algo)
-	if o.table != "" {
-		sel, label, err = []bcast.Option{bcast.TuneTable(o.table)}, fmt.Sprintf("tune-table %q", o.table), nil
+	// The facade takes the same selection as cluster options: a pinned
+	// algorithm, the MPICH3 dispatch, or a tuning table.
+	sel, label := bcast.Algorithm(o.sel.Algorithm), o.algo
+	if t := o.sel.Tuner; t != nil {
+		sel = bcast.Tuner(func(e bcast.Env) bcast.Decision { return bcast.Decision(t.Decide(tune.Env(e))) })
 	}
-	if err != nil {
-		return err
+	if o.table != "" {
+		sel, label = bcast.TuneTable(o.table), fmt.Sprintf("tune-table %q", o.table)
 	}
 	ctx := context.Background()
 	for _, np := range nps {
-		opts := append([]bcast.Option{
+		opts := []bcast.Option{
 			bcast.Procs(np),
 			bcast.EagerLimit(o.eager),
 			bcast.Timeout(10 * time.Minute),
-		}, sel...)
+			sel,
+		}
 		if o.cores > 0 {
 			opts = append(opts, bcast.Placement(fmt.Sprintf("blocked:%d", o.cores)))
 		}

@@ -14,6 +14,7 @@
 // tuning subsystem:
 //
 //	bcastsim -algo scatter-ring-allgather-opt,chain -np 64   # bandwidth curves by registry name
+//	bcastsim -algo smp-opt,opt,auto -np 48                   # -algo also takes native|opt|auto|auto-opt
 //	bcastsim -autotune -np 16,64,129 -o table.json           # derive a tuning table on the model
 //	bcastsim -autotune -candidates mpich -segs 8192,65536 -placements blocked:24,round-robin:24
 //	                                                         # sweep segment sizes and placements;
@@ -44,7 +45,7 @@ func main() {
 		warmFlag     = flag.Int("warm", 2, "warm-up iterations for steady-state timing")
 		totalFlag    = flag.Int("total", 6, "total iterations for steady-state timing")
 		noContention = flag.Bool("nocontention", false, "ablation: disable NIC/memory contention")
-		algoFlag     = flag.String("algo", "", "comma-separated registry algorithms: simulate bandwidth curves instead of figures")
+		algoFlag     = flag.String("algo", "", "comma-separated algorithms (registry names, native|opt, auto|auto-opt): simulate bandwidth curves instead of figures")
 		npFlag       = flag.String("np", "", "comma-separated process counts for -algo/-autotune/-tune-table (default 16,64,129)")
 		minFlag      = flag.Int("min", 16<<10, "smallest message size for -algo/-autotune/-tune-table sweeps")
 		maxFlag      = flag.Int("max", 4<<20, "largest message size for -algo/-autotune/-tune-table sweeps")
@@ -55,19 +56,8 @@ func main() {
 		candFlag     = flag.String("candidates", "all", "auto-tune candidate set: all (whole registry) | mpich (the dispatcher's own family) | list (print both sets with capability flags and exit)")
 		tableFlag    = flag.String("tune-table", "", "JSON tuning table: report tuned-vs-native dispatch on the model")
 		outFlag      = flag.String("o", "", "write -autotune output to this file instead of stdout")
-		execFlag     = flag.String("exec", "", "engine-only (bcastbench): rank-execution substrate")
-		workFlag     = flag.Int("workers", 0, "engine-only (bcastbench): pooled executor worker count")
 	)
 	flag.Parse()
-
-	// Cross-tool strictness, symmetric with bcastbench's cross-mode
-	// checks: the simulator replays schedules in virtual time and has no
-	// rank-execution substrate, so accepting the engine's -exec/-workers
-	// here would claim a measurement that never happened.
-	if *execFlag != "" || *workFlag != 0 {
-		fmt.Fprintln(os.Stderr, "bcastsim: -exec/-workers select the real engine's execution substrate; they are bcastbench flags")
-		os.Exit(2)
-	}
 
 	if *candFlag == "list" {
 		printCandidates()
@@ -202,11 +192,8 @@ func printCandidates() {
 	for _, c := range bench.FamilyCandidates() {
 		inFamily[c.Name] = true
 	}
-	fmt.Println("# auto-tune candidates (schedule-static registry algorithms):")
+	fmt.Println("# auto-tune candidates (the registry):")
 	for _, r := range collective.Algorithms() {
-		if r.Program == nil {
-			continue
-		}
 		set := "all"
 		if inFamily[r.Name] {
 			set = "all,mpich"
@@ -269,12 +256,17 @@ func runTuning(cfg bench.SimConfig, procs, sizes []int, o tuningOpts) error {
 		var cands []tune.Candidate
 		switch o.candSet {
 		case "all":
-			// nil = the whole registry
+			cands = collective.Candidates()
 		case "mpich":
 			cands = bench.FamilyCandidates()
 		default:
 			return fmt.Errorf("unknown -candidates %q (all|mpich)", o.candSet)
 		}
+		fmt.Print("# candidates measured wherever their capabilities admit the grid point:")
+		for _, c := range cands {
+			fmt.Print(" ", c.Name)
+		}
+		fmt.Println()
 		var (
 			table   *tune.Table
 			winners []tune.Winner
@@ -320,21 +312,23 @@ func runTuning(cfg bench.SimConfig, procs, sizes []int, o tuningOpts) error {
 		return nil
 
 	default:
-		names := strings.Split(o.algos, ",")
-		for i := range names {
-			names[i] = strings.TrimSpace(names[i])
+		algos, err := bench.ParseAlgos(o.algos)
+		if err != nil {
+			return err
 		}
 		for _, p := range procs {
+			topo := topology.Blocked(p, cfg.CoresPerNode)
 			fmt.Printf("# simulated bandwidth (MB/s), model %q, np=%d\n", cfg.Model.Name, p)
 			fmt.Printf("%-12s", "bytes")
-			for _, name := range names {
-				fmt.Printf(" %30s", name)
+			for _, name := range strings.Split(o.algos, ",") {
+				fmt.Printf(" %30s", strings.TrimSpace(name))
 			}
 			fmt.Println()
 			for _, n := range sizes {
 				fmt.Printf("%-12d", n)
-				for _, name := range names {
-					r, err := bench.MeasureSimDecision(cfg, tune.Decision{Algorithm: name, SegSize: o.seg}, p, n)
+				for _, a := range algos {
+					a.SegSize = o.seg
+					r, err := bench.MeasureSimDecision(cfg, a.Decide(tune.EnvOf(n, p, topo)), p, n)
 					if err != nil {
 						return err
 					}

@@ -11,6 +11,7 @@
 //	transfercount
 //	transfercount -p 8,10,16,129 -n 65536 -measure
 //	transfercount -algo binomial,chain,scatter-ring-allgather-opt
+//	transfercount -algo smp-opt,opt,auto -cores 4     # -algo also takes native|opt|auto|auto-opt
 //	transfercount -tune-table table.json
 package main
 
@@ -36,10 +37,10 @@ func main() {
 		pFlag       = flag.String("p", "2,4,8,10,16,32,64,129,256", "comma-separated process counts")
 		nFlag       = flag.Int("n", 1<<20, "broadcast size in bytes for the byte columns")
 		measureFlag = flag.Bool("measure", false, "verify counts by traced execution on the real engine (P <= 64)")
-		algoFlag    = flag.String("algo", "", "comma-separated registry algorithms: tabulate whole-broadcast schedule traffic instead of the ring-phase table")
+		algoFlag    = flag.String("algo", "", "comma-separated algorithms (registry names, native|opt, auto|auto-opt): tabulate whole-broadcast schedule traffic instead of the ring-phase table")
 		segFlag     = flag.Int("seg", 0, "segment size for segmented algorithms (0 = default)")
 		tableFlag   = flag.String("tune-table", "", "JSON tuning table: show the dispatch decision and its traffic per process count")
-		coresFlag   = flag.Int("cores", 0, "cores per node assumed when resolving -tune-table topology rules (0 = single node)")
+		coresFlag   = flag.Int("cores", 0, "cores per node of the blocked placement -algo and -tune-table schedules are generated for (0 = single node)")
 	)
 	flag.Parse()
 
@@ -54,7 +55,7 @@ func main() {
 	}
 
 	if *algoFlag != "" {
-		if err := countAlgos(strings.Split(*algoFlag, ","), ps, *nFlag, *segFlag); err != nil {
+		if err := countAlgos(*algoFlag, ps, *nFlag, *segFlag, *coresFlag); err != nil {
 			fmt.Fprintf(os.Stderr, "transfercount: %v\n", err)
 			os.Exit(1)
 		}
@@ -119,31 +120,40 @@ func measureRing(algo string, p, n int) (int64, error) {
 	return col.Stats().ByTag[core.TagRing].Messages, nil
 }
 
+// placed is the blocked placement of p ranks the tables assume.
+func placed(p, cores int) *topology.Map {
+	if cores <= 0 {
+		return topology.SingleNode(p)
+	}
+	return topology.Blocked(p, cores)
+}
+
+// printTraffic prints one table row: the decision's whole-broadcast
+// schedule traffic on topo, or why it has none there.
+func printTraffic(d tune.Decision, topo *topology.Map, n int) {
+	pr, err := collective.Schedule(d, topo, 0, n)
+	if err != nil {
+		fmt.Printf("%-6d %-30s %12s %s\n", topo.NP(), d.Algorithm, "n/a", err)
+		return
+	}
+	st := pr.Stats()
+	fmt.Printf("%-6d %-30s %12d %14d\n", topo.NP(), d.Algorithm, st.Messages, st.Bytes)
+}
+
 // countAlgos tabulates total schedule traffic (all phases, not just the
-// ring) for registry algorithms, via their generated programs.
-func countAlgos(names []string, ps []int, n, seg int) error {
-	for i := range names {
-		names[i] = strings.TrimSpace(names[i])
+// ring) for the named algorithms, via their generated programs.
+func countAlgos(list string, ps []int, n, seg, cores int) error {
+	algos, err := bench.ParseAlgos(list)
+	if err != nil {
+		return err
 	}
 	fmt.Printf("# whole-broadcast schedule traffic, n=%d bytes\n", n)
 	fmt.Printf("%-6s %-30s %12s %14s\n", "P", "algorithm", "messages", "bytes")
 	for _, p := range ps {
-		for _, name := range names {
-			reg, ok := collective.Lookup(name)
-			if !ok {
-				return fmt.Errorf("unknown algorithm %q (registry: %s)", name, strings.Join(collective.Names(), ", "))
-			}
-			if reg.Program == nil {
-				fmt.Printf("%-6d %-30s %12s %14s\n", p, name, "-", "-")
-				continue
-			}
-			pr, err := reg.Program(p, 0, n, seg)
-			if err != nil {
-				fmt.Printf("%-6d %-30s %12s %14s\n", p, name, "n/a", err.Error())
-				continue
-			}
-			st := pr.Stats()
-			fmt.Printf("%-6d %-30s %12d %14d\n", p, name, st.Messages, st.Bytes)
+		topo := placed(p, cores)
+		for _, a := range algos {
+			a.SegSize = seg
+			printTraffic(a.Decide(tune.EnvOf(n, p, topo)), topo, n)
 		}
 	}
 	return nil
@@ -151,9 +161,9 @@ func countAlgos(names []string, ps []int, n, seg int) error {
 
 // countTable shows, per process count, which algorithm a tuning table
 // dispatches at size n and the traffic of that schedule. The assumed
-// placement (cores per node) matters only for tables with multi_node
-// rules; decisions are resolved exactly as a broadcast on that placement
-// would resolve them.
+// placement (cores per node) matters for tables with placement-keyed
+// rules and for topology-composed schedules; decisions are resolved
+// exactly as a broadcast on that placement would resolve them.
 func countTable(path string, ps []int, n, cores int) error {
 	table, err := tune.LoadTable(path)
 	if err != nil {
@@ -163,22 +173,8 @@ func countTable(path string, ps []int, n, cores int) error {
 	fmt.Printf("# tuning-table dispatch, table %q, n=%d bytes\n", table.Name, n)
 	fmt.Printf("%-6s %-30s %12s %14s\n", "P", "decision", "messages", "bytes")
 	for _, p := range ps {
-		topo := topology.SingleNode(p)
-		if cores > 0 {
-			topo = topology.Blocked(p, cores)
-		}
-		d := tuner.Decide(tune.EnvOf(n, p, topo))
-		reg, ok := collective.Lookup(d.Algorithm)
-		if !ok || reg.Program == nil {
-			fmt.Printf("%-6d %-30s %12s %14s\n", p, d.Algorithm, "-", "-")
-			continue
-		}
-		pr, err := reg.Program(p, 0, n, d.SegSize)
-		if err != nil {
-			return err
-		}
-		st := pr.Stats()
-		fmt.Printf("%-6d %-30s %12d %14d\n", p, d.Algorithm, st.Messages, st.Bytes)
+		topo := placed(p, cores)
+		printTraffic(tuner.Decide(tune.EnvOf(n, p, topo)), topo, n)
 	}
 	return nil
 }

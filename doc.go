@@ -28,11 +28,14 @@
 // The examples import only this package.
 //
 // Algorithm selection is a first-class subsystem with exactly one
-// path: every entry point — the facade's options, Bcast/BcastOpt/
-// BcastWith, the bench harness — resolves to a collective.Options value
+// path: every caller — the facade's options, the bench harness, the
+// tools' shared -algo vocabulary — resolves to a collective.Options value
 // whose Decide turns the call's environment into a tune.Decision that
-// the registry executes. Every broadcast registers into that named
-// registry with capability predicates; the default tuner reproduces
+// the registry executes. Every broadcast is a row of that named
+// registry: capability predicates plus the per-rank emitter of its
+// schedule (for the multi-core aware broadcasts, composed over the
+// communicator's node map), which the verifier, the simulator, the tuner
+// and the executor all consume; the default tuner reproduces
 // MPICH3's thresholds bit-for-bit, and tune.AutoTune derives JSON
 // tuning tables from measured crossover points on the simulated cluster
 // (bcastsim -autotune) or the real engine (bcastbench -autotune), which

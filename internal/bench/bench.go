@@ -14,6 +14,7 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/collective"
@@ -21,7 +22,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/netsim"
-	"repro/internal/sched"
 	"repro/internal/topology"
 	"repro/internal/transport"
 	"repro/internal/tune"
@@ -48,127 +48,48 @@ func newResult(bytes int, seconds float64) Result {
 	return r
 }
 
-// Variant selects the broadcast implementation under test.
-type Variant int
-
-// Broadcast variants measured by the harnesses.
-const (
-	// Native is MPI_Bcast_native: binomial scatter + enclosed ring.
-	Native Variant = iota
-	// Opt is MPI_Bcast_opt: binomial scatter + tuned non-enclosed ring.
-	Opt
-	// Binomial is the short-message whole-buffer tree.
-	Binomial
-	// AutoNative is MPICH3's dispatcher with the native ring path.
-	AutoNative
-	// AutoOpt is the dispatcher with the tuned ring path.
-	AutoOpt
-	// SMPNative is the multi-core aware broadcast, native inter-node ring.
-	SMPNative
-	// SMPOpt is the multi-core aware broadcast, tuned inter-node ring.
-	SMPOpt
-)
-
-// String names the variant like the paper.
-func (v Variant) String() string {
-	switch v {
-	case Native:
-		return "MPI_Bcast_native"
-	case Opt:
-		return "MPI_Bcast_opt"
-	case Binomial:
-		return "binomial"
-	case AutoNative:
-		return "auto(native)"
-	case AutoOpt:
-		return "auto(opt)"
-	case SMPNative:
-		return "smp(native)"
-	case SMPOpt:
-		return "smp(opt)"
-	default:
-		return fmt.Sprintf("Variant(%d)", int(v))
-	}
+// algoAliases are the short -algo spellings of the paper's two
+// broadcasts; every other spelling is a registry name or auto / auto-opt.
+var algoAliases = map[string]string{
+	"native": tune.RingNative,
+	"opt":    tune.RingOpt,
 }
 
-// ParseVariant maps a CLI name to a Variant.
-func ParseVariant(s string) (Variant, error) {
-	switch s {
-	case "native":
-		return Native, nil
-	case "opt":
-		return Opt, nil
-	case "binomial":
-		return Binomial, nil
+// ParseAlgo resolves the -algo vocabulary the CLI tools share onto the
+// module's selection options: a registry algorithm name (or the alias
+// native / opt) pins that algorithm; auto and auto-opt select through the
+// MPICH3 dispatch with the native or the tuned ring.
+func ParseAlgo(name string) (collective.Options, error) {
+	switch name {
 	case "auto":
-		return AutoNative, nil
+		return collective.Options{Tuner: tune.MPICH3{}}, nil
 	case "auto-opt":
-		return AutoOpt, nil
-	case "smp":
-		return SMPNative, nil
-	case "smp-opt":
-		return SMPOpt, nil
-	default:
-		return 0, fmt.Errorf("bench: unknown variant %q (native|opt|binomial|auto|auto-opt|smp|smp-opt)", s)
+		return collective.Options{Tuner: tune.MPICH3{Tuned: true}}, nil
 	}
+	if full, ok := algoAliases[name]; ok {
+		name = full
+	}
+	o := collective.Options{Algorithm: name}
+	if name == "" {
+		return o, fmt.Errorf("bench: -algo: empty algorithm name")
+	}
+	if err := o.Validate(); err != nil {
+		return o, fmt.Errorf("bench: -algo %q: %w (or native|opt|auto|auto-opt)", name, err)
+	}
+	return o, nil
 }
 
-// fn returns the executable collective for the variant.
-func (v Variant) fn() func(mpi.Comm, []byte, int) error {
-	pinned := func(algo string) func(mpi.Comm, []byte, int) error {
-		o := collective.Options{Algorithm: algo}
-		return func(c mpi.Comm, buf []byte, root int) error { return collective.Broadcast(c, buf, root, o) }
+// ParseAlgos is ParseAlgo over a comma-separated list.
+func ParseAlgos(list string) ([]collective.Options, error) {
+	var out []collective.Options
+	for _, name := range strings.Split(list, ",") {
+		o, err := ParseAlgo(strings.TrimSpace(name))
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, o)
 	}
-	switch v {
-	case Native:
-		return pinned(tune.RingNative)
-	case Opt:
-		return pinned(tune.RingOpt)
-	case Binomial:
-		return pinned(tune.Binomial)
-	case AutoNative:
-		return collective.Bcast
-	case AutoOpt:
-		return collective.BcastOpt
-	case SMPNative:
-		return collective.BcastSMP
-	case SMPOpt:
-		return collective.BcastSMPOpt
-	default:
-		return nil
-	}
-}
-
-// ProgramFor returns the static communication schedule of a tuner
-// decision, resolved through the collective registry.
-func ProgramFor(d tune.Decision, p, root, n int) (*sched.Program, error) {
-	reg, ok := collective.Lookup(d.Algorithm)
-	if !ok {
-		return nil, fmt.Errorf("bench: unknown algorithm %q (registered: %v)", d.Algorithm, collective.Names())
-	}
-	if reg.Program == nil {
-		return nil, fmt.Errorf("bench: algorithm %q has no static schedule", d.Algorithm)
-	}
-	return reg.Program(p, root, n, d.SegSize)
-}
-
-// Program returns the variant's communication schedule for the simulated
-// harness (only schedule-static variants are supported there), resolved
-// through the collective registry.
-func (v Variant) Program(p, root, n int) (*sched.Program, error) {
-	switch v {
-	case Native:
-		return ProgramFor(tune.Decision{Algorithm: tune.RingNative}, p, root, n)
-	case Opt:
-		return ProgramFor(tune.Decision{Algorithm: tune.RingOpt}, p, root, n)
-	case Binomial:
-		return ProgramFor(tune.Decision{Algorithm: tune.Binomial}, p, root, n)
-	case AutoNative, AutoOpt:
-		d := tune.MPICH3{Tuned: v == AutoOpt}.Decide(tune.Env{Bytes: n, Procs: p})
-		return ProgramFor(d, p, root, n)
-	default:
-		return nil, fmt.Errorf("bench: variant %v has no static schedule", v)
-	}
+	return out, nil
 }
 
 // RealConfig configures a real-engine measurement.
@@ -184,17 +105,13 @@ type RealConfig struct {
 	Iterations int
 	// Root is the broadcast root.
 	Root int
-	// Variant is the broadcast under test (ignored when Algo or Tuner is
-	// set).
-	Variant Variant
-	// Algo, when non-empty, selects a registry algorithm by name instead
-	// of Variant; SegSize is its segment parameter (segmented algorithms
-	// only, 0 = default).
+	// Algo, when non-empty, pins a registry algorithm by name; SegSize is
+	// its segment parameter (segmented algorithms only, 0 = default).
 	Algo    string
 	SegSize int
-	// Tuner, when non-nil, takes precedence over Algo and Variant: every
-	// broadcast dispatches through it (table-driven or default MPICH3
-	// selection).
+	// Tuner, when non-nil, takes precedence over Algo: every broadcast
+	// dispatches through it (table-driven or MPICH3 selection). With
+	// neither set the default MPICH3 dispatch selects.
 	Tuner tune.Tuner
 	// Executor selects the engine's rank-execution substrate and
 	// MaxWorkers bounds the pooled executor's worker count — see
@@ -228,64 +145,20 @@ func (cfg RealConfig) TransportLabel() string {
 	return cfg.Transport
 }
 
-// bcastFn resolves the broadcast the harness measures: Tuner, then Algo,
-// then the legacy Variant. Tuner- and Algo-driven runs resolve to a
-// collective.Options value and dispatch through collective.Broadcast —
-// the module's one selection path — so the harness measures exactly what
-// a facade caller with the same options would run.
-func (cfg RealConfig) bcastFn() (func(c mpi.Comm, buf []byte, root int) error, error) {
-	switch {
-	case cfg.Tuner != nil, cfg.Algo != "":
-		o := collective.Options{SegSize: cfg.SegSize, Tuner: cfg.Tuner}
-		if cfg.Tuner == nil {
-			o.Algorithm = cfg.Algo
-		} else {
-			// Documented precedence: Tuner beats Algo, and SegSize stays
-			// the pinned-algorithm parameter (tuner decisions keep their
-			// own segment sizes).
-			o.SegSize = 0
-		}
-		if err := o.Validate(); err != nil {
-			return nil, fmt.Errorf("bench: %w", err)
-		}
-		return func(c mpi.Comm, buf []byte, root int) error {
-			return collective.Broadcast(c, buf, root, o)
-		}, nil
-	default:
-		if o, ok := cfg.Variant.options(); ok {
-			return func(c mpi.Comm, buf []byte, root int) error {
-				return collective.Broadcast(c, buf, root, o)
-			}, nil
-		}
-		if fn := cfg.Variant.fn(); fn != nil {
-			return fn, nil
-		}
-		return nil, fmt.Errorf("bench: bad variant %v", cfg.Variant)
+// options resolves what the harness measures into the module's one
+// selection struct, so it runs exactly what a facade caller with the
+// same options would. Tuner beats Algo, and SegSize stays the
+// pinned-algorithm parameter (tuner decisions keep their own segment
+// sizes).
+func (cfg RealConfig) options() (collective.Options, error) {
+	o := collective.Options{Algorithm: cfg.Algo, SegSize: cfg.SegSize}
+	if cfg.Tuner != nil {
+		o = collective.Options{Tuner: cfg.Tuner}
 	}
-}
-
-// options maps the variants that name a registry algorithm (or the
-// default tuner) onto collective.Options, so their measurements dispatch
-// through the module's one selection path and emit operation spans like
-// any facade broadcast. The SMP variants are excluded on purpose: their
-// registrations are capability-gated to multi-node topologies, while the
-// direct entry points serve single-node runs with a binomial fallback —
-// pinning them here would turn that fallback into an error.
-func (v Variant) options() (collective.Options, bool) {
-	switch v {
-	case Native:
-		return collective.Options{Algorithm: tune.RingNative}, true
-	case Opt:
-		return collective.Options{Algorithm: tune.RingOpt}, true
-	case Binomial:
-		return collective.Options{Algorithm: tune.Binomial}, true
-	case AutoNative:
-		return collective.Options{}, true
-	case AutoOpt:
-		return collective.Options{Tuner: tune.MPICH3{Tuned: true}}, true
-	default:
-		return collective.Options{}, false
+	if err := o.Validate(); err != nil {
+		return o, fmt.Errorf("bench: %w", err)
 	}
+	return o, nil
 }
 
 func (cfg RealConfig) topology() *topology.Map {
@@ -302,7 +175,7 @@ func MeasureReal(cfg RealConfig, n int) (Result, error) {
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 100
 	}
-	fn, err := cfg.bcastFn()
+	o, err := cfg.options()
 	if err != nil {
 		return Result{}, err
 	}
@@ -333,7 +206,7 @@ func MeasureReal(cfg RealConfig, n int) (Result, error) {
 		}
 		start := time.Now()
 		for i := 0; i < cfg.Iterations; i++ {
-			if err := fn(c, buf, cfg.Root); err != nil {
+			if err := collective.Broadcast(c, buf, cfg.Root, o); err != nil {
 				return err
 			}
 		}
@@ -376,20 +249,4 @@ func (cfg *SimConfig) fill() {
 	if cfg.Total <= cfg.Warm {
 		cfg.Total = cfg.Warm + 4
 	}
-}
-
-// MeasureSim predicts the steady-state per-broadcast time of the variant
-// on the modelled cluster and reports bandwidth.
-func MeasureSim(cfg SimConfig, v Variant, p, n int) (Result, error) {
-	cfg.fill()
-	pr, err := v.Program(p, cfg.Root, n)
-	if err != nil {
-		return Result{}, err
-	}
-	topo := topology.Blocked(p, cfg.CoresPerNode)
-	dt, err := netsim.SteadyStateIterTime(pr, topo, cfg.Model, cfg.Warm, cfg.Total)
-	if err != nil {
-		return Result{}, err
-	}
-	return newResult(n, dt), nil
 }

@@ -4,12 +4,14 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/collective"
 	"repro/internal/netsim"
+	"repro/internal/topology"
 	"repro/internal/tune"
 )
 
 func TestMeasureRealProtocol(t *testing.T) {
-	res, err := MeasureReal(RealConfig{NP: 4, Iterations: 5, Variant: Opt}, 4096)
+	res, err := MeasureReal(RealConfig{NP: 4, Iterations: 5, Algo: tune.RingOpt}, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,82 +20,81 @@ func TestMeasureRealProtocol(t *testing.T) {
 	}
 }
 
-func TestMeasureRealAllVariants(t *testing.T) {
-	for _, v := range []Variant{Native, Opt, Binomial, AutoNative, AutoOpt, SMPNative, SMPOpt} {
-		cfg := RealConfig{NP: 8, CoresPerNode: 4, Iterations: 3, Variant: v}
-		res, err := MeasureReal(cfg, 2048)
-		if err != nil {
-			t.Fatalf("%v: %v", v, err)
-		}
-		if res.MBps <= 0 {
-			t.Fatalf("%v: bandwidth %v", v, res.MBps)
-		}
-	}
-}
+// algoNames is the -algo vocabulary beyond plain registry names.
+var algoNames = []string{"native", "opt", "binomial", "auto", "auto-opt", "smp", "smp-opt"}
 
-func TestMeasureSimVariants(t *testing.T) {
-	cfg := SimConfig{Model: netsim.Hornet(), CoresPerNode: 24, Warm: 1, Total: 3}
-	for _, v := range []Variant{Native, Opt, Binomial, AutoNative, AutoOpt} {
-		res, err := MeasureSim(cfg, v, 10, 65536)
-		if err != nil {
-			t.Fatalf("%v: %v", v, err)
-		}
-		if res.Seconds <= 0 {
-			t.Fatalf("%v: seconds %v", v, res.Seconds)
-		}
-	}
-	// SMP variants have no static schedule.
-	if _, err := MeasureSim(cfg, SMPNative, 10, 65536); err == nil {
-		t.Fatal("SMP variant must be rejected by the simulated harness")
-	}
-}
-
-func TestVariantParseAndString(t *testing.T) {
-	for _, name := range []string{"native", "opt", "binomial", "auto", "auto-opt", "smp", "smp-opt"} {
-		v, err := ParseVariant(name)
+// TestParseAlgoRunsOnBothHarnesses: every -algo spelling resolves to
+// options that run on the real engine and, decided for the same
+// environment, simulate on the model — the SMP rows included, on the
+// multi-node placement they need.
+func TestParseAlgoRunsOnBothHarnesses(t *testing.T) {
+	sim := SimConfig{Model: netsim.Hornet(), CoresPerNode: 4, Warm: 1, Total: 3}
+	for _, name := range algoNames {
+		o, err := ParseAlgo(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v.String() == "" {
-			t.Fatalf("empty string for %q", name)
+		res, err := MeasureReal(RealConfig{NP: 8, CoresPerNode: 4, Iterations: 3, Algo: o.Algorithm, Tuner: o.Tuner}, 2048)
+		if err != nil || res.MBps <= 0 {
+			t.Fatalf("%s on the engine: %+v, %v", name, res, err)
 		}
-	}
-	if _, err := ParseVariant("bogus"); err == nil {
-		t.Fatal("bogus variant must fail")
+		d := o.Decide(tune.EnvOf(65536, 10, topology.Blocked(10, 4)))
+		if res, err = MeasureSimDecision(sim, d, 10, 65536); err != nil || res.Seconds <= 0 {
+			t.Fatalf("%s (%+v) on the model: %+v, %v", name, d, res, err)
+		}
 	}
 }
 
-func TestAutoVariantProgramFollowsDispatch(t *testing.T) {
-	// 12288 bytes, 9 ranks: medium npof2 -> ring path (native vs opt).
-	prN, err := AutoNative.Program(9, 0, 12288)
-	if err != nil {
-		t.Fatal(err)
+// TestParseAlgoVocabulary pins what each spelling selects, and that the
+// SMP rows on a single node are refused by name instead of silently
+// running a binomial tree.
+func TestParseAlgoVocabulary(t *testing.T) {
+	for name, want := range map[string]string{
+		"native": tune.RingNative, "opt": tune.RingOpt, "binomial": tune.Binomial,
+		"smp": tune.SMP, "smp-opt": tune.SMPOpt, tune.RingOptSegNB: tune.RingOptSegNB,
+	} {
+		if o, err := ParseAlgo(name); err != nil || o.Algorithm != want || o.Tuner != nil {
+			t.Errorf("ParseAlgo(%q) = %+v, %v; want algorithm %q", name, o, err, want)
+		}
 	}
-	if prN.Name != tune.RingNative {
-		t.Fatalf("auto-native selected %q", prN.Name)
+	for name, tuned := range map[string]bool{"auto": false, "auto-opt": true} {
+		if o, err := ParseAlgo(name); err != nil || o.Algorithm != "" || o.Tuner != (tune.MPICH3{Tuned: tuned}) {
+			t.Errorf("ParseAlgo(%q) = %+v, %v", name, o, err)
+		}
 	}
-	prO, err := AutoOpt.Program(9, 0, 12288)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := ParseAlgo("bogus"); err == nil || !strings.Contains(err.Error(), "unknown algorithm") {
+		t.Errorf("bogus name: %v", err)
 	}
-	if prO.Name != tune.RingOpt {
-		t.Fatalf("auto-opt selected %q", prO.Name)
+	if os, err := ParseAlgos("smp-opt, opt,auto"); err != nil || len(os) != 3 || os[1].Algorithm != tune.RingOpt {
+		t.Errorf("ParseAlgos: %+v, %v", os, err)
 	}
-	// Short message: binomial for both.
-	prS, err := AutoOpt.Program(9, 0, 100)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := ParseAlgos("opt,,auto"); err == nil {
+		t.Error("an empty list entry must fail")
 	}
-	if prS.Name != tune.Binomial {
-		t.Fatalf("short message selected %q", prS.Name)
+	_, err := MeasureReal(RealConfig{NP: 8, Iterations: 1, Algo: tune.SMP}, 2048)
+	if err == nil || !strings.Contains(err.Error(), "cannot run") {
+		t.Errorf("smp on one node: %v, want the registry's capability error", err)
 	}
-	// Medium power-of-two: recursive doubling.
-	prR, err := AutoNative.Program(16, 0, 65536)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prR.Name != tune.ScatterRdb {
-		t.Fatalf("medium pow2 selected %q", prR.Name)
+}
+
+// TestAutoFollowsDispatch: the auto spellings decide like MPICH3.
+func TestAutoFollowsDispatch(t *testing.T) {
+	auto, _ := ParseAlgo("auto")
+	autoOpt, _ := ParseAlgo("auto-opt")
+	for _, tc := range []struct {
+		o    collective.Options
+		p, n int
+		want string
+	}{
+		{auto, 9, 12288, tune.RingNative},    // medium npof2 -> ring path
+		{autoOpt, 9, 12288, tune.RingOpt},    // ... tuned
+		{autoOpt, 9, 100, tune.Binomial},     // short message
+		{auto, 16, 65536, tune.ScatterRdb},   // medium power-of-two
+		{autoOpt, 16, 1 << 20, tune.RingOpt}, // long
+	} {
+		if got := tc.o.Decide(tune.Env{Bytes: tc.n, Procs: tc.p}).Algorithm; got != tc.want {
+			t.Errorf("p=%d n=%d: selected %q want %q", tc.p, tc.n, got, tc.want)
+		}
 	}
 }
 

@@ -66,8 +66,8 @@ func FamilyCandidates() []tune.Candidate {
 	return out
 }
 
-// AutoTuneSim runs the auto-tuner over the registry's schedule-static
-// algorithms on the netsim cluster model, deriving a tuning table from
+// AutoTuneSim runs the auto-tuner over the registry on the netsim
+// cluster model, deriving a tuning table from
 // measured crossover points. A nil candidate list tunes over the whole
 // registry (collective.Candidates()).
 func AutoTuneSim(cfg SimConfig, cands []tune.Candidate, procs, sizes []int) (*tune.Table, []tune.Winner, error) {
@@ -176,27 +176,21 @@ func CompareTunedPlaced(cfg SimConfig, table *tune.Table, procs, sizes []int, pl
 }
 
 // MeasureSimDecision predicts the bandwidth of a registry decision on
-// the modelled cluster — MeasureSim generalized from the fixed Variant
-// set to any registered algorithm.
+// the modelled cluster under the config's blocked placement.
 func MeasureSimDecision(cfg SimConfig, d tune.Decision, p, n int) (Result, error) {
-	dt, err := simDecision(cfg, d, p, n)
+	cfg.fill()
+	dt, err := simDecisionOn(cfg, d, p, n, topology.Blocked(p, cfg.CoresPerNode))
 	if err != nil {
 		return Result{}, err
 	}
 	return newResult(n, dt), nil
 }
 
-// simDecision predicts the steady-state per-iteration time of a decided
-// algorithm on the modelled cluster under the config's blocked placement.
-func simDecision(cfg SimConfig, d tune.Decision, p, n int) (float64, error) {
-	cfg.fill()
-	return simDecisionOn(cfg, d, p, n, topology.Blocked(p, cfg.CoresPerNode))
-}
-
-// simDecisionOn is simDecision over an explicit placement map.
+// simDecisionOn predicts the steady-state per-iteration time of a
+// decided algorithm on the modelled cluster over an explicit placement.
 func simDecisionOn(cfg SimConfig, d tune.Decision, p, n int, topo *topology.Map) (float64, error) {
 	cfg.fill()
-	pr, err := ProgramFor(d, p, cfg.Root, n)
+	pr, err := collective.Schedule(d, topo, cfg.Root, n)
 	if err != nil {
 		return 0, err
 	}

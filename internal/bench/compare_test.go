@@ -3,6 +3,9 @@ package bench
 import (
 	"testing"
 
+	"repro/internal/collective"
+	"repro/internal/measure"
+	"repro/internal/topology"
 	"repro/internal/tune"
 )
 
@@ -114,18 +117,48 @@ func TestMeasureRealRegistryPaths(t *testing.T) {
 	}
 }
 
-// TestProgramForResolvesRegistry pins ProgramFor's error behavior.
-func TestProgramForResolvesRegistry(t *testing.T) {
-	if _, err := ProgramFor(tune.Decision{Algorithm: tune.RingOpt}, 10, 0, 4096); err != nil {
-		t.Errorf("ring-opt: %v", err)
-	}
-	if _, err := ProgramFor(tune.Decision{Algorithm: "bogus"}, 10, 0, 4096); err == nil {
-		t.Error("unknown algorithm must fail")
-	}
-	if _, err := ProgramFor(tune.Decision{Algorithm: tune.SMP}, 10, 0, 4096); err == nil {
-		t.Error("schedule-free algorithm must fail")
-	}
-	if _, err := ProgramFor(tune.Decision{Algorithm: tune.ScatterRdb}, 10, 0, 4096); err == nil {
-		t.Error("rdb on non-pow2 must fail")
+// recording notes which candidates a measurer was asked to measure.
+type recording struct {
+	tune.Measurer
+	seen map[string]bool
+}
+
+func (r recording) Measure(c tune.Candidate, p, n int) (float64, error) {
+	r.seen[c.Name] = true
+	return r.Measurer.Measure(c, p, n)
+}
+
+// TestBothSubstratesRankEveryRow: on a multi-node placement the model and
+// the engine are each asked to measure every row of the registry — the
+// SMP rows included, which the model could not replay while they had no
+// schedule — and each returns a winner.
+func TestBothSubstratesRankEveryRow(t *testing.T) {
+	sim := SimConfig{}
+	sim.fill()
+	eng := measure.EngineMeasurer{Warmup: 1, Reps: 2, Stat: measure.StatMin}
+	for name, tc := range map[string]struct {
+		mk    func(tune.Placement) tune.Measurer
+		p     int
+		place tune.Placement
+	}{
+		"netsim": {func(pl tune.Placement) tune.Measurer { return sim.placedMeasurer(pl) }, 48,
+			tune.Placement{Kind: topology.KindBlocked, CoresPerNode: topology.HornetCoresPerNode}},
+		"engine": {eng.Factory(), 6, tune.Placement{Kind: topology.KindBlocked, CoresPerNode: 2}},
+	} {
+		seen := map[string]bool{}
+		_, winners, err := tune.AutoTuneSweep(collective.Candidates(), func(pl tune.Placement) tune.Measurer {
+			return recording{tc.mk(pl), seen}
+		}, tune.SweepConfig{Procs: []int{tc.p}, Sizes: []int{1 << 16}, Placements: []tune.Placement{tc.place}})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(winners) != 1 || winners[0].Seconds <= 0 {
+			t.Fatalf("%s: winners %+v", name, winners)
+		}
+		for _, r := range collective.Algorithms() {
+			if want := !r.Caps.Pow2Only; seen[r.Name] != want {
+				t.Errorf("%s: measured %s = %v, want %v", name, r.Name, seen[r.Name], want)
+			}
+		}
 	}
 }

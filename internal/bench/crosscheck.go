@@ -13,12 +13,10 @@ import (
 // AutoTuneEngine runs the auto-tuner's segment-size and placement sweep
 // on the real engine: the wall-clock counterpart of AutoTuneSweepSim,
 // sharing the same grid semantics so the two tables are comparable
-// cell-for-cell. A nil candidate list sweeps the whole registry — here
-// genuinely the whole registry, SMP broadcasts included, since the
-// engine executes implementations by name and needs no static schedule.
+// cell-for-cell. A nil candidate list sweeps the whole registry.
 func AutoTuneEngine(m measure.EngineMeasurer, cands []tune.Candidate, sweep tune.SweepConfig) (*tune.Table, []tune.Winner, error) {
 	if cands == nil {
-		cands = collective.AllCandidates()
+		cands = collective.Candidates()
 	}
 	t, winners, err := tune.AutoTuneSweep(cands, m.Factory(), sweep)
 	if err != nil {
@@ -75,9 +73,7 @@ func (r *CrossReport) Agreement() float64 {
 //
 // The simulated side is measured under the swept placements too (the
 // measurer pinned per placement, exactly like AutoTuneSweepSim), so each
-// cell compares the two substrates on an identical environment. The
-// default candidate set is the schedule-static registry
-// (collective.Candidates()), the widest set both substrates can measure.
+// cell compares the two substrates on an identical environment.
 func CrossCheck(sim SimConfig, eng measure.EngineMeasurer, cands []tune.Candidate, sweep tune.SweepConfig) (*CrossReport, error) {
 	if cands == nil {
 		cands = collective.Candidates()

@@ -5,6 +5,15 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/tune"
+)
+
+// The paper's two broadcasts, as the decisions the figures compare.
+var (
+	// Native is MPI_Bcast_native: binomial scatter + enclosed ring.
+	Native = tune.Decision{Algorithm: tune.RingNative}
+	// Opt is MPI_Bcast_opt: binomial scatter + non-enclosed ring.
+	Opt = tune.Decision{Algorithm: tune.RingOpt}
 )
 
 // Series is one curve of a figure: a label and aligned X/Y points.
@@ -66,11 +75,11 @@ func Fig6(cfg SimConfig, np int, sizes []int) (Figure, error) {
 	nat := Series{Label: "MPI_Bcast_native"}
 	opt := Series{Label: "MPI_Bcast_opt"}
 	for _, n := range sizes {
-		rn, err := MeasureSim(cfg, Native, np, n)
+		rn, err := MeasureSimDecision(cfg, Native, np, n)
 		if err != nil {
 			return fig, err
 		}
-		ro, err := MeasureSim(cfg, Opt, np, n)
+		ro, err := MeasureSimDecision(cfg, Opt, np, n)
 		if err != nil {
 			return fig, err
 		}
@@ -102,11 +111,11 @@ func Fig7(cfg SimConfig, procs, sizes []int) (Figure, error) {
 	for _, n := range sizes {
 		s := Series{Label: fmt.Sprintf("ms=%d", n)}
 		for _, p := range procs {
-			rn, err := MeasureSim(cfg, Native, p, n)
+			rn, err := MeasureSimDecision(cfg, Native, p, n)
 			if err != nil {
 				return fig, err
 			}
-			ro, err := MeasureSim(cfg, Opt, p, n)
+			ro, err := MeasureSimDecision(cfg, Opt, p, n)
 			if err != nil {
 				return fig, err
 			}

@@ -28,11 +28,11 @@ func TestShapeOptNeverLosesOnRingPath(t *testing.T) {
 	cfg := shapeCfg()
 	for _, p := range []int{9, 16, 64, 129} {
 		for _, n := range []int{12288, 524288, 1 << 21} {
-			nat, err := MeasureSim(cfg, Native, p, n)
+			nat, err := MeasureSimDecision(cfg, Native, p, n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			opt, err := MeasureSim(cfg, Opt, p, n)
+			opt, err := MeasureSimDecision(cfg, Opt, p, n)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,11 +77,11 @@ func TestShapeFig6aCapacityDrop(t *testing.T) {
 		t.Skip("simulated sweeps")
 	}
 	cfg := shapeCfg()
-	before, err := MeasureSim(cfg, Opt, 16, 1<<21) // 2 MB: inside capacity
+	before, err := MeasureSimDecision(cfg, Opt, 16, 1<<21) // 2 MB: inside capacity
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := MeasureSim(cfg, Opt, 16, 1<<23) // 8 MB: beyond capacity
+	after, err := MeasureSimDecision(cfg, Opt, 16, 1<<23) // 8 MB: beyond capacity
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,11 +162,11 @@ func TestShapeContentionDrivesIntraNodeGain(t *testing.T) {
 
 func fig6Gain(t *testing.T, cfg SimConfig, np, n int) float64 {
 	t.Helper()
-	nat, err := MeasureSim(cfg, Native, np, n)
+	nat, err := MeasureSimDecision(cfg, Native, np, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := MeasureSim(cfg, Opt, np, n)
+	opt, err := MeasureSimDecision(cfg, Opt, np, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,11 +182,11 @@ func TestShapeLakiSameTrend(t *testing.T) {
 	cfg := SimConfig{Model: netsim.Laki(), CoresPerNode: topology.LakiCoresPerNode, Warm: 2, Total: 6}
 	for _, p := range []int{9, 16, 33} {
 		for _, n := range []int{12288, 1 << 20} {
-			nat, err := MeasureSim(cfg, Native, p, n)
+			nat, err := MeasureSimDecision(cfg, Native, p, n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			opt, err := MeasureSim(cfg, Opt, p, n)
+			opt, err := MeasureSimDecision(cfg, Opt, p, n)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package collective
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/testutil"
+	"repro/internal/topology"
 	"repro/internal/tune"
 )
 
@@ -28,10 +30,12 @@ type allocHarness struct {
 	jobs    chan int   // size index; -1 shuts down
 	done    chan error
 	runDone chan error
+	stopped bool
 }
 
-func startAllocHarness(t *testing.T, np int, exec engine.ExecPolicy, mx *metrics.Metrics, sizes []int, bcast func(c mpi.Comm, buf []byte) error) *allocHarness {
+func startAllocHarness(t *testing.T, topo *topology.Map, exec engine.ExecPolicy, mx *metrics.Metrics, sizes []int, bcast func(c mpi.Comm, buf []byte) error) *allocHarness {
 	t.Helper()
+	np := topo.NP()
 	h := &allocHarness{
 		np:      np,
 		sizes:   sizes,
@@ -52,6 +56,7 @@ func startAllocHarness(t *testing.T, np int, exec engine.ExecPolicy, mx *metrics
 	}
 	w, err := engine.NewWorld(engine.Options{
 		NP:       np,
+		Topology: topo,
 		Executor: exec,
 		Metrics:  mx,
 		// The world stays up for the whole measurement; keep the
@@ -99,8 +104,14 @@ func (h *allocHarness) round(idx int) error {
 	return <-h.done
 }
 
+// stop shuts the world down and waits for every rank to return (once;
+// later calls do nothing).
 func (h *allocHarness) stop(t *testing.T) {
 	t.Helper()
+	if h.stopped {
+		return
+	}
+	h.stopped = true
 	h.jobs <- -1
 	if err := <-h.runDone; err != nil {
 		t.Fatal(err)
@@ -118,13 +129,20 @@ func (h *allocHarness) stop(t *testing.T) {
 // per-op, per-segment or per-byte allocation shows up as a slope across
 // the sizes. The paper's segmented ring is the headline cell; the other
 // cells cover each shape of schedule the executor runs per call (tree,
-// scatter + exchange rounds, scatter + unsegmented ring, pipeline).
+// scatter + exchange rounds, scatter + unsegmented ring, pipeline, and
+// the SMP rows' three phases over sixteen ranks on four nodes).
+//
+// Every cell also counts what the engine sent: a round is the row's
+// schedule plus the harness's control broadcast and barrier, message for
+// message. A broadcast that builds communicators, negotiates or retries
+// behind the schedule's back — the Split-based SMP broadcast sent
+// 4(P-1) control messages per call and grew a tag-stream table with
+// every call — fails both assertions.
 func TestBcastOptSegSteadyStateAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
 	const (
-		np      = 8
 		segSize = 8 << 10
 		// perRoundBudget bounds the allocations of one full broadcast
 		// round (all np ranks, control traffic and barrier included) at
@@ -137,31 +155,39 @@ func TestBcastOptSegSteadyStateAllocs(t *testing.T) {
 		flatSlack = 32.0
 	)
 	sizes := []int{4 << 10, 64 << 10, 1 << 20}
-	cells := []Options{
-		{Algorithm: tune.RingOptSeg, SegSize: segSize},
-		{Algorithm: tune.Binomial},
-		{Algorithm: tune.ScatterRdb},
-		{Algorithm: tune.RingOpt},
-		{Algorithm: tune.Chain, SegSize: segSize},
+	oneNode, fourNodes := topology.SingleNode(8), topology.Blocked(16, 4)
+	cells := []struct {
+		Options
+		topo *topology.Map
+	}{
+		{Options{Algorithm: tune.RingOptSeg, SegSize: segSize}, oneNode},
+		{Options{Algorithm: tune.Binomial}, oneNode},
+		{Options{Algorithm: tune.ScatterRdb}, oneNode},
+		{Options{Algorithm: tune.RingOpt}, oneNode},
+		{Options{Algorithm: tune.Chain, SegSize: segSize}, oneNode},
+		{Options{Algorithm: tune.SMP}, fourNodes},
+		{Options{Algorithm: tune.SMPOpt}, fourNodes},
 	}
 
 	// The grid's last axis proves the observability layer free: the
 	// "spans" cells run with span recording on and must meet the exact
 	// same budgets. Counters are always on in both.
-	for _, o := range cells {
+	for _, cell := range cells {
+		o, np := cell.Options, cell.topo.NP()
 		for _, exec := range []engine.ExecPolicy{engine.Goroutine, engine.Pooled} {
 			for _, spans := range []bool{false, true} {
 				name := o.Algorithm + "/" + exec.String()
-				var mx *metrics.Metrics
+				spanCap := 0
 				if spans {
 					name += "/spans"
-					mx = metrics.New(np, 256)
+					spanCap = 256
 				}
+				mx := metrics.New(np, spanCap)
 				bcastFn := func(c mpi.Comm, buf []byte) error {
 					return Broadcast(c, buf, 0, o)
 				}
 				t.Run(name, func(t *testing.T) {
-					h := startAllocHarness(t, np, exec, mx, sizes, bcastFn)
+					h := startAllocHarness(t, cell.topo, exec, mx, sizes, bcastFn)
 					defer h.stop(t)
 
 					// Warm the pools: the first broadcast at each size populates
@@ -199,10 +225,26 @@ func TestBcastOptSegSteadyStateAllocs(t *testing.T) {
 							}
 						}
 					}
-					if mx != nil {
-						if rec := mx.Snapshot().SpansRecorded; rec == 0 {
-							t.Error("spans cell recorded no spans")
+					// With every rank returned, the engine's send counters are
+					// final: per size one warm-up round and AllocsPerRun's 21, each
+					// the row's schedule plus the control broadcast and the
+					// dissemination barrier, and one last control broadcast.
+					h.stop(t)
+					ctl := core.BinomialBcast(np, 0, 8).Messages()
+					want := ctl
+					for _, n := range sizes {
+						pr, err := Schedule(o.Decide(tune.EnvOf(n, np, cell.topo)), cell.topo, 0, n)
+						if err != nil {
+							t.Fatal(err)
 						}
+						want += 22 * (pr.Messages() + ctl + np*bits.Len(uint(np-1)))
+					}
+					snap := mx.Snapshot()
+					if sent := snap.EagerSends + snap.RdvSends; sent != int64(want) {
+						t.Errorf("engine sent %d messages, the schedules and the harness's own traffic add up to %d", sent, want)
+					}
+					if spans && snap.SpansRecorded == 0 {
+						t.Error("spans cell recorded no spans")
 					}
 				})
 			}

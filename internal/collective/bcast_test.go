@@ -26,11 +26,19 @@ func pattern(n int) []byte {
 
 type bcastFn func(mpi.Comm, []byte, int) error
 
-// pinned is the broadcast that runs one registry algorithm by name.
-func pinned(algo string, seg int) bcastFn {
-	o := Options{Algorithm: algo, SegSize: seg}
+// with is the broadcast the options select.
+func with(o Options) bcastFn {
 	return func(c mpi.Comm, buf []byte, root int) error { return Broadcast(c, buf, root, o) }
 }
+
+// pinned is the broadcast that runs one registry algorithm by name.
+func pinned(algo string, seg int) bcastFn { return with(Options{Algorithm: algo, SegSize: seg}) }
+
+// The MPICH3 dispatch with the native and with the tuned ring.
+var (
+	dispatchNative = with(Options{})
+	dispatchOpt    = with(Options{Tuner: tune.MPICH3{Tuned: true}})
+)
 
 // runBcast executes algo on a fresh world and checks every rank ends with
 // the full pattern.
@@ -67,7 +75,9 @@ func firstDiff(a, b []byte) int {
 	return -1
 }
 
-// algorithms lists every broadcast implementation with its constraints.
+// algorithms lists the broadcasts that run on any placement, with their
+// constraints (the SMP rows need several nodes: see
+// TestBcastOnBlockedTopology and the registry-wide grids).
 var algorithms = []struct {
 	name     string
 	fn       bcastFn
@@ -77,10 +87,8 @@ var algorithms = []struct {
 	{"scatter-ring-native", pinned(tune.RingNative, 0), false},
 	{"scatter-ring-opt", pinned(tune.RingOpt, 0), false},
 	{"scatter-rdb", pinned(tune.ScatterRdb, 0), true},
-	{"dispatch-native", Bcast, false},
-	{"dispatch-opt", BcastOpt, false},
-	{"smp-native", BcastSMP, false},
-	{"smp-opt", BcastSMPOpt, false},
+	{"dispatch-native", dispatchNative, false},
+	{"dispatch-opt", dispatchOpt, false},
 }
 
 // protocolAlgorithms are the broadcasts the eager/rendezvous protocol
@@ -140,28 +148,25 @@ func TestBcastOnBlockedTopology(t *testing.T) {
 	// Multi-node placement: all algorithms must stay correct regardless
 	// of topology (only performance depends on it).
 	topo := topology.Blocked(12, 4)
+	opts := engine.Options{NP: 12, Topology: topo}
 	for _, alg := range algorithms {
 		if alg.pow2Only {
 			continue
 		}
-		opts := engine.Options{NP: 12, Topology: topo}
 		runBcast(t, alg.name+"/blocked", alg.fn, opts, 5, 4096)
 	}
-}
-
-func TestBcastSMPRootNotLeader(t *testing.T) {
-	// Root 7 is not a node leader under Blocked(9,3) (leaders: 0,3,6).
-	topo := topology.Blocked(9, 3)
-	for _, fn := range []bcastFn{BcastSMP, BcastSMPOpt} {
-		opts := engine.Options{NP: 9, Topology: topo}
-		runBcast(t, "smp-nonleader-root", fn, opts, 7, 1000)
+	for _, name := range []string{tune.SMP, tune.SMPOpt} {
+		runBcast(t, name+"/blocked", pinned(name, 0), opts, 5, 4096)
 	}
 }
 
-func TestBcastSMPSingleNodeFallsBack(t *testing.T) {
-	// On one node the SMP variant degenerates to a plain binomial; it
-	// must still work.
-	runBcast(t, "smp-single-node", BcastSMP, engine.Options{NP: 6}, 2, 512)
+func TestSMPRootNotLeader(t *testing.T) {
+	// Root 7 is not a node leader under Blocked(9,3) (leaders: 0,3,6).
+	topo := topology.Blocked(9, 3)
+	for _, name := range []string{tune.SMP, tune.SMPOpt} {
+		opts := engine.Options{NP: 9, Topology: topo}
+		runBcast(t, "smp-nonleader-root", pinned(name, 0), opts, 7, 1000)
+	}
 }
 
 func TestBcastRejectsBadRoot(t *testing.T) {
@@ -198,8 +203,8 @@ func TestDispatchUsesThresholdSizes(t *testing.T) {
 	}
 	for _, n := range []int{tune.ShortMsgSize - 1, tune.ShortMsgSize, tune.LongMsgSize - 1, tune.LongMsgSize} {
 		for _, p := range []int{8, 9} {
-			runBcast(t, "dispatch-threshold", Bcast, engine.Options{NP: p}, 0, n)
-			runBcast(t, "dispatch-threshold-opt", BcastOpt, engine.Options{NP: p}, 0, n)
+			runBcast(t, "dispatch-threshold", dispatchNative, engine.Options{NP: p}, 0, n)
+			runBcast(t, "dispatch-threshold-opt", dispatchOpt, engine.Options{NP: p}, 0, n)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package collective implements executable MPI collectives over the
 // mpi.Comm interface.
 //
-// The broadcast family is the subject of the reproduced paper. A static
+// The broadcast family is the subject of the reproduced paper. A
 // broadcast exists in exactly one executable form: a per-rank op emitter
 // in internal/core (sched.Emitter). That one function feeds
 //
@@ -23,31 +23,30 @@
 //   - scatter-rdb-allgather — MPICH's medium-message power-of-two
 //     algorithm (binomial scatter + recursive-doubling allgather);
 //   - chain — the segmented pipeline chain (extension baseline);
-//   - smp / smp-opt (BcastSMP / BcastSMPOpt) — the multi-core aware
-//     variant described in the paper's introduction: static phases
-//     (intra-node binomial, inter-node scatter-ring among node leaders)
-//     composed over Split sub-communicators at run time.
-//
-// Bcast / BcastOpt are MPICH3's size/process-count dispatch over the
-// above (native vs tuned ring path).
+//   - smp / smp-opt — the multi-core aware variant described in the
+//     paper's introduction: an intra-node binomial tree on the root's
+//     node, a scatter-ring (native or tuned) among the node leaders, and
+//     an intra-node binomial tree on every other node, composed over the
+//     communicator's node map into one schedule.
 //
 // # Registry and tuning
 //
 // A Registration is a stable name (the tune.* name constants),
 // capability predicates (power-of-two-only, minimum processes,
-// multi-node-only, segmented) and, for a static algorithm, its emitter
-// alone — Register derives the whole-program generator and the
-// executable Run from it. Only the SMP rows, whose pattern depends on
-// runtime communicator state, supply a Run of their own.
+// multi-node-only, segmented) and the algorithm's emitter — given
+// directly, or, for the SMP rows, as the function from the node map to
+// it. There is no other row form: Schedule generates any row's whole
+// program on a topology, and a Plan compiles the calling rank's ops from
+// the same emitter on the communicator's own topology and runs them.
 //
 // Selection is delegated to internal/tune and flows through exactly one
-// path: every entry point resolves its arguments into an Options value
-// (a pinned Algorithm, a SegSize, a Tuner — zero value = stock MPICH3
+// path: every caller resolves its arguments into an Options value (a
+// pinned Algorithm, a SegSize, a Tuner — zero value = stock MPICH3
 // dispatch) and calls Broadcast, which runs Options.Decide to obtain a
-// tune.Decision and hands it to RunDecision. Bcast, BcastOpt and
-// BcastWith are thin wrappers that fill Options; the public bcast facade
-// and the bench harness build the same struct, so "which algorithm runs"
-// has a single answer per (Options, Env) everywhere in the system.
+// tune.Decision and hands it to RunDecision. The public bcast facade,
+// the bench harness and the CLI tools all build that struct, so "which
+// algorithm runs" has a single answer per (Options, Env) everywhere in
+// the system.
 // tune.MPICH3 reproduces MPICH3's hardcoded dispatch bit-for-bit
 // (pinned by a literal golden table in internal/tune), and tune.TableTuner
 // dispatches through a JSON tuning table derived by the auto-tuner from

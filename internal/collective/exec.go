@@ -8,7 +8,7 @@ import (
 	"repro/internal/sched"
 )
 
-// This file is the one place a broadcast touches the wire. Every static
+// This file is the one place a broadcast touches the wire. Every
 // broadcast is a sched.Emitter (internal/core); the executor asks it for
 // the calling rank's operations, checks them, and runs them in order on
 // the communicator. The verifier, the simulator and the tuner consume
@@ -149,11 +149,18 @@ func (s *rankOps) execOverlapped(c mpi.Comm, step []sched.Op, buf []byte) error 
 	return first
 }
 
+func checkRoot(c mpi.Comm, root int) error {
+	if root < 0 || root >= c.Size() {
+		return fmt.Errorf("collective: %w: root %d (size %d)", mpi.ErrRank, root, c.Size())
+	}
+	return nil
+}
+
 // runStatic broadcasts buf from root with the algorithm e describes:
 // emit the calling rank's ops into a pooled Plan's scratch, check them,
-// advance the communicator's tag stream and run. It is what a static
-// registry row's Run is, and what the composed broadcasts (smp.go, the
-// allreduce tail) call for their phases; it records no span.
+// advance the communicator's tag stream and run. It is a Plan without
+// selection, capability check or span, for collectives that embed a
+// fixed broadcast (the allreduce tail).
 func runStatic(c mpi.Comm, buf []byte, root, seg int, e sched.Emitter, overlap bool) error {
 	if err := checkRoot(c, root); err != nil {
 		return err
@@ -181,8 +188,8 @@ func (s *rankOps) run(c mpi.Comm, buf []byte, overlap bool) error {
 // ExecProgram executes the calling rank's portion of an already
 // generated communication schedule against the communicator, moving real
 // bytes in buf — the same executor the registry runs, for programs that
-// do not come from a registry row (relabelled extensions like the
-// node-aware ring, hand-built test programs). The rank's ops are checked
+// do not come from a registry row (extensions like the node-aware
+// ring, hand-built test programs). The rank's ops are checked
 // against (pr.P, pr.N, rank) first, so a malformed program fails with
 // ErrBadOp instead of panicking inside a rank body.
 //

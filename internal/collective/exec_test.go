@@ -67,10 +67,7 @@ func TestExecGeneratedPrograms(t *testing.T) {
 
 func TestExecNodeAwareProgramOnEngine(t *testing.T) {
 	topo := topology.RoundRobin(9, 3)
-	pr, err := core.BcastOptNodeAware(topo, 4, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pr := core.BcastOptNodeAware(topo, 4, 300)
 	runProgram(t, pr, engine.Options{NP: 9, Topology: topo})
 }
 
@@ -135,11 +132,30 @@ func TestCompileRejectsBadEmitter(t *testing.T) {
 	}
 }
 
+// gridTopologies are the placements a row's schedule is checked on at p
+// ranks. A row whose pattern ignores the node map runs on one node; a
+// topology-composed row on every multi-node shape — blocked nodes,
+// round-robin nodes, and an irregular map whose nodes are interleaved and
+// unevenly filled, so the swept roots include non-leaders — plus the one
+// node its capabilities refuse.
+func gridTopologies(t *testing.T, r Registration, p int) []*topology.Map {
+	t.Helper()
+	if r.TopoOps == nil {
+		return []*topology.Map{topology.SingleNode(p)}
+	}
+	irregular, err := topology.Custom([]int{0, 1, 1, 0, 2, 0, 1, 2, 2, 0, 1, 0, 0, 1, 2, 2}[:p])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []*topology.Map{topology.SingleNode(p), topology.Blocked(p, 4), topology.RoundRobin(p, 3), irregular}
+}
+
 // TestStaticRowsRunTheirSchedule is the one conformance table for "the
-// engine runs the schedule": for every registry row that has a Program,
-// across communicator sizes, roots, message sizes (empty, one byte, not
-// divisible by p, several segments per chunk) and segment sizes (the
-// row's default, one byte short of a chunk, a whole chunk), it asserts
+// engine runs the schedule": for every registry row, across communicator
+// sizes, placements (see gridTopologies), roots, message sizes (empty,
+// one byte, not divisible by p, several segments per chunk) and segment
+// sizes (the row's default, one byte short of a chunk, a whole chunk), it
+// asserts
 //
 //   - the generated program verifies: deadlock-free, no transfer of bytes
 //     the sender does not hold, every rank ends with the whole buffer;
@@ -149,58 +165,97 @@ func TestCompileRejectsBadEmitter(t *testing.T) {
 //   - for the unsegmented rings, the traced ring phase equals the
 //     closed-form counts of core/traffic.go — an oracle that shares no
 //     code with the emitters;
+//   - for the SMP rows, the traced intra-/inter-node split equals the
+//     closed form of the three phases (what the Split-based
+//     implementation this schedule replaced moved): one whole-buffer tree
+//     message per non-leader, all inside nodes, and the leaders' scatter
+//     and ring, all between them;
 //   - an overlap ("-nb") row's trace equals its blocking row's, tag by
-//     tag: overlap changes when operations are posted, never what is sent.
+//     tag: overlap changes when operations are posted, never what is sent;
+//   - where the row's capabilities refuse the environment, Schedule and
+//     RunDecision both say so.
 func TestStaticRowsRunTheirSchedule(t *testing.T) {
 	blockingTrace := map[string]trace.Stats{}
 	for _, r := range Algorithms() { // sorted: "x" runs before "x-nb"
-		if r.Program == nil {
-			continue
-		}
 		for _, p := range []int{1, 2, 3, 7, 8, 10, 16} {
-			for _, n := range []int{0, 1, 10*p + 3, 3*p*core.DefaultChainSegment + 5} {
-				chunk := core.NewLayout(n, p).ScatterSize
-				segs := []int{0}
-				if r.Caps.Segmented {
-					segs = []int{0, max(chunk-1, 1), max(chunk, 1)}
-				}
-				for _, root := range []int{0, p / 2, p - 1}[:min(p, 3)] {
-					for _, seg := range segs {
-						e := tune.Env{Bytes: n, Procs: p, NumNodes: 1}
-						if !r.Caps.Match(e) {
-							continue
-						}
-						label := fmt.Sprintf("%s/p=%d/n=%d/root=%d/seg=%d", r.Name, p, n, root, seg)
-						pr, err := r.Program(p, root, n, seg)
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						if _, err := sched.Verify(pr, sched.VerifyConfig{WantFinal: sched.FullBuffer(n)}); err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						got := tracedDecision(t, engine.Options{NP: p, Timeout: time.Minute},
-							tune.Decision{Algorithm: r.Name, SegSize: seg}, root, n)
-						want := pr.Stats()
-						if got.Total.Messages != int64(want.Messages) || got.Total.Bytes != int64(want.Bytes) || got.Recvs != got.Total.Messages {
-							t.Fatalf("%s: traced %d msgs / %d B / %d recvs, schedule says %d msgs / %d B",
-								label, got.Total.Messages, got.Total.Bytes, got.Recvs, want.Messages, want.Bytes)
-						}
-						switch r.Name {
-						case tune.RingNative:
-							assertRingTraffic(t, label, got, core.RingTrafficNative(p, n))
-						case tune.RingOpt:
-							assertRingTraffic(t, label, got, core.RingTrafficTuned(p, n))
-						}
-						key := strings.TrimPrefix(label, r.Name)
-						if !r.Overlap {
-							blockingTrace[r.Name+key] = got
-						} else if blk, ok := blockingTrace[strings.TrimSuffix(r.Name, "-nb")+key]; !ok || !reflect.DeepEqual(got, blk) {
-							t.Fatalf("%s: overlap trace %+v != blocking row's %+v (found=%v)", label, got, blk, ok)
+			for _, topo := range gridTopologies(t, r, p) {
+				for _, n := range []int{0, 1, 10*p + 3, 3*p*core.DefaultChainSegment + 5} {
+					chunk := core.NewLayout(n, p).ScatterSize
+					segs := []int{0}
+					if r.Caps.Segmented {
+						segs = []int{0, max(chunk-1, 1), max(chunk, 1)}
+					}
+					for _, root := range []int{0, p / 2, p - 1}[:min(p, 3)] {
+						for _, seg := range segs {
+							label := fmt.Sprintf("%s/%s/n=%d/root=%d/seg=%d", r.Name, topo, n, root, seg)
+							d := tune.Decision{Algorithm: r.Name, SegSize: seg}
+							opts := engine.Options{NP: p, Topology: topo, Timeout: time.Minute}
+							pr, err := r.Schedule(topo, root, n, seg)
+							if !r.Caps.Match(tune.EnvOf(n, p, topo)) {
+								assertRefused(t, label, opts, d, err)
+								continue
+							}
+							if err != nil {
+								t.Fatalf("%s: %v", label, err)
+							}
+							if _, err := sched.Verify(pr, sched.VerifyConfig{WantFinal: sched.FullBuffer(n)}); err != nil {
+								t.Fatalf("%s: %v", label, err)
+							}
+							got := tracedDecision(t, opts, d, root, n)
+							want := pr.Stats()
+							if got.Total.Messages != int64(want.Messages) || got.Total.Bytes != int64(want.Bytes) || got.Recvs != got.Total.Messages {
+								t.Fatalf("%s: traced %d msgs / %d B / %d recvs, schedule says %d msgs / %d B",
+									label, got.Total.Messages, got.Total.Bytes, got.Recvs, want.Messages, want.Bytes)
+							}
+							switch leaders := topo.NumNodes(); r.Name {
+							case tune.RingNative:
+								assertRingTraffic(t, label, got, core.RingTrafficNative(p, n))
+							case tune.RingOpt:
+								assertRingTraffic(t, label, got, core.RingTrafficTuned(p, n))
+							case tune.SMP:
+								assertSMPSplit(t, label, got, p, n, leaders, core.RingTrafficNative(leaders, n))
+							case tune.SMPOpt:
+								assertSMPSplit(t, label, got, p, n, leaders, core.RingTrafficTuned(leaders, n))
+							}
+							key := strings.TrimPrefix(label, r.Name)
+							if !r.Overlap {
+								blockingTrace[r.Name+key] = got
+							} else if blk, ok := blockingTrace[strings.TrimSuffix(r.Name, "-nb")+key]; !ok || !reflect.DeepEqual(got, blk) {
+								t.Fatalf("%s: overlap trace %+v != blocking row's %+v (found=%v)", label, got, blk, ok)
+							}
 						}
 					}
 				}
 			}
 		}
+	}
+}
+
+// assertRefused: a row outside its capabilities has no schedule
+// (scheduleErr) and does not run.
+func assertRefused(t *testing.T, label string, opts engine.Options, d tune.Decision, scheduleErr error) {
+	t.Helper()
+	if scheduleErr == nil {
+		t.Fatalf("%s: Schedule ignored the row's capabilities", label)
+	}
+	err := engine.RunWith(opts, func(c mpi.Comm) error {
+		if err := RunDecision(c, nil, 0, d); err == nil || !strings.Contains(err.Error(), "cannot run") {
+			return fmt.Errorf("RunDecision: %v, want the capability error", err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+}
+
+func assertSMPSplit(t *testing.T, label string, got trace.Stats, p, n, leaders int, ring core.Traffic) {
+	t.Helper()
+	scatter := core.ScatterTraffic(leaders, n)
+	wantInter := trace.Counts{Messages: int64(scatter.Messages + ring.Messages), Bytes: int64(scatter.Bytes + ring.Bytes)}
+	wantIntra := trace.Counts{Messages: int64(p - leaders), Bytes: int64((p - leaders) * n)}
+	if got.Intra != wantIntra || got.Inter != wantInter {
+		t.Fatalf("%s: traced intra %+v inter %+v, the three phases move %+v / %+v", label, got.Intra, got.Inter, wantIntra, wantInter)
 	}
 }
 

@@ -8,10 +8,10 @@ import (
 )
 
 // Options select the algorithm for one broadcast call. Every selecting
-// entry point in this module — Bcast, BcastOpt, BcastWith, the public
-// bcast facade, and the benchmark harness — resolves its arguments into
-// an Options value and routes through Broadcast, so there is exactly one
-// selection path: Options -> Decide -> tune.Decision -> RunDecision.
+// caller in this module — the public bcast facade, the benchmark harness,
+// the CLI tools — resolves its arguments into an Options value and routes
+// through Broadcast, so there is exactly one selection path:
+// Options -> Decide -> tune.Decision -> RunDecision.
 //
 // The zero value selects like stock MPICH3 (the tune.MPICH3 tuner).
 type Options struct {
@@ -55,16 +55,15 @@ func (o Options) Validate() error {
 		return fmt.Errorf("collective: negative segment size %d", o.SegSize)
 	}
 	if o.Algorithm != "" {
-		if _, ok := Lookup(o.Algorithm); !ok {
-			return fmt.Errorf("collective: unknown algorithm %q (registered: %v)", o.Algorithm, Names())
-		}
+		_, err := find(o.Algorithm)
+		return err
 	}
 	return nil
 }
 
 // Broadcast broadcasts buf from root with the algorithm the options
 // select for this communicator and message — the single selecting entry
-// point behind Bcast, BcastOpt and BcastWith.
+// point.
 func Broadcast(c mpi.Comm, buf []byte, root int, o Options) error {
 	return RunDecision(c, buf, root, o.Decide(envOf(c, len(buf))))
 }

@@ -6,13 +6,15 @@ import (
 	"time"
 
 	"repro/internal/mpi"
+	"repro/internal/sched"
+	"repro/internal/topology"
 	"repro/internal/tune"
 )
 
 // Plan is a pre-resolved broadcast: the tuner decision, the registry
-// entry it names and (for static algorithms) the calling rank's compiled
-// operations, all computed and validated once so repeated executions skip
-// selection and emission entirely. It is the engine-side half of the
+// entry it names and the calling rank's compiled operations, all computed
+// and validated once so repeated executions skip selection and emission
+// entirely. It is the engine-side half of the
 // facade's persistent handles — and, bound for a single call, it is
 // RunDecision: per-call and persistent broadcasts are one
 // bind-validate-run-span path.
@@ -27,7 +29,9 @@ type Plan struct {
 	opts Options
 	dec  tune.Decision
 	reg  *Registration
-	ops  rankOps // the rank's compiled schedule; unused by schedule-less rows
+	topo *topology.Map // the communicator's node map at the last bind
+	emit sched.Emitter // reg's emitter on topo
+	ops  rankOps       // the rank's compiled schedule
 
 	// cache memoizes the tuner decision across Rebinds keyed on the full
 	// environment: double-buffered serving (two buffers, same length)
@@ -65,16 +69,17 @@ func (p *Plan) resolve(c mpi.Comm, n int) error {
 
 // bind validates decision d for an n-byte broadcast from p.root on c —
 // the algorithm is registered, the segment size is not negative, the
-// capabilities admit the environment — and, for a static algorithm,
-// compiles the calling rank's operations: O(own ops), never the other
-// ranks' lists. A rejected decision leaves the previous binding intact.
+// capabilities admit the environment — and compiles the calling rank's
+// operations from the row's emitter on c's topology: O(own ops), never
+// the other ranks' lists. A rejected decision leaves the previous binding
+// intact.
 func (p *Plan) bind(c mpi.Comm, n int, d tune.Decision) error {
 	if err := checkRoot(c, p.root); err != nil {
 		return err
 	}
-	r := lookup(d.Algorithm)
-	if r == nil {
-		return fmt.Errorf("collective: unknown algorithm %q (registered: %v)", d.Algorithm, Names())
+	r, err := find(d.Algorithm)
+	if err != nil {
+		return err
 	}
 	if d.SegSize < 0 {
 		// The segmented algorithms treat any non-positive segment as
@@ -86,12 +91,16 @@ func (p *Plan) bind(c mpi.Comm, n int, d tune.Decision) error {
 		return fmt.Errorf("collective: algorithm %q cannot run with %d bytes on %d ranks over %d node(s)",
 			d.Algorithm, e.Bytes, e.Procs, e.NumNodes)
 	}
-	if r.Ops != nil {
-		if err := p.ops.compile(c, r.Ops, p.root, n, d.SegSize); err != nil {
-			return err
-		}
+	// A pooled Plan meets the same (row, topology) call after call: keep
+	// the emitter a TopoOps row built for it instead of building it anew.
+	e, topo := p.emit, c.Topology()
+	if r != p.reg || topo != p.topo {
+		e = r.emitter(topo)
 	}
-	p.n, p.dec, p.reg = n, d, r
+	if err := p.ops.compile(c, e, p.root, n, d.SegSize); err != nil {
+		return err
+	}
+	p.n, p.dec, p.reg, p.topo, p.emit = n, d, r, topo, e
 	return nil
 }
 
@@ -121,10 +130,9 @@ func (p *Plan) SetOptions(c mpi.Comm, o Options) error {
 }
 
 // Execute runs the planned broadcast on c. The buffer must have the
-// planned length (use Rebind for a different size). A static algorithm
-// runs its compiled operations in the executor's loop, allocation-free;
-// a schedule-less one runs its registered Run. On success it records an
-// operation span when the communicator carries a span ring, so
+// planned length (use Rebind for a different size). The compiled
+// operations run in the executor's loop, allocation-free. On success it
+// records an operation span when the communicator carries a span ring, so
 // persistent Start/Wait rounds and per-call broadcasts appear on one
 // timeline — this is the broadcast span-emission site.
 func (p *Plan) Execute(c mpi.Comm, buf []byte) error {
@@ -132,13 +140,7 @@ func (p *Plan) Execute(c mpi.Comm, buf []byte) error {
 		return fmt.Errorf("collective: plan executed with %d bytes, built for %d (Rebind first)", len(buf), p.n)
 	}
 	ring, start := spanStart(c)
-	var err error
-	if p.reg.Ops != nil {
-		err = p.ops.run(c, buf, p.reg.Overlap)
-	} else {
-		err = p.reg.Run(c, buf, p.root, p.dec.SegSize)
-	}
-	if err != nil {
+	if err := p.ops.run(c, buf, p.reg.Overlap); err != nil {
 		return err
 	}
 	if ring != nil {

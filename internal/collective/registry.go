@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/sched"
+	"repro/internal/topology"
 	"repro/internal/tune"
 )
 
@@ -74,16 +75,17 @@ func (cp Capabilities) Match(e tune.Env) bool {
 }
 
 // Registration is one pluggable broadcast algorithm: a stable name, its
-// capability constraints, and the algorithm itself.
+// capability constraints, and its schedule.
 //
-// A static algorithm — one whose communication pattern depends only on
-// (ranks, root, bytes, segment) — supplies exactly one function, Ops, the
-// per-rank emitter of its schedule. Register derives the other two from
-// it: Program is sched.Generate over Ops (for the verifier, the simulator
-// and the tuner) and Run is the executor over Ops, so the row cannot
-// describe one algorithm and run another. An algorithm whose pattern
-// depends on runtime communicator state (the Split-based SMP broadcasts)
-// supplies Run instead and has no Program.
+// There is one row form: the row supplies the per-rank emitter of its
+// schedule, and everything else is derived from it. An algorithm whose
+// pattern depends only on (ranks, root, bytes, segment) gives the
+// emitter itself (Ops); one whose pattern also depends on which ranks
+// share a node — the SMP broadcasts — gives the function from the node
+// map to its emitter (TopoOps). Either way Schedule generates the whole
+// program for the verifier, the simulator and the tuner, and a Plan
+// compiles the calling rank's ops from the same emitter, so a row cannot
+// describe one algorithm and run another.
 type Registration struct {
 	// Name is the registry key (one of the tune.* algorithm names for the
 	// built-ins; extensions pick fresh names).
@@ -92,22 +94,43 @@ type Registration struct {
 	Summary string
 	// Caps are the algorithm's hard constraints.
 	Caps Capabilities
-	// Ops emits one rank's operations; nil for schedule-less algorithms.
-	// The segment argument is meaningful only for Capabilities.Segmented
-	// algorithms (0 = the algorithm's default).
+	// Ops emits one rank's operations. The segment argument is meaningful
+	// only for Capabilities.Segmented algorithms (0 = the algorithm's
+	// default). A row supplies Ops or TopoOps, never both.
 	Ops sched.Emitter
-	// Overlap selects the executor's overlap mode for Ops: within one
-	// ring step every receive is pre-posted and every send started before
-	// any is awaited (see rankOps.exec for when that is sound). It is a
-	// fixed property of the row — the "-nb" rows are their blocking rows'
-	// Ops with Overlap set — never a per-call choice.
+	// TopoOps returns the emitter for the communicator whose ranks topo
+	// places (topo.NP() ranks, numbered as in topo).
+	TopoOps func(topo *topology.Map) sched.Emitter
+	// Overlap selects the executor's overlap mode: within one ring step
+	// every receive is pre-posted and every send started before any is
+	// awaited (see rankOps.exec for when that is sound). It is a fixed
+	// property of the row — the "-nb" rows are their blocking rows' Ops
+	// with Overlap set — never a per-call choice.
 	Overlap bool
-	// Run executes the broadcast. Derived for rows with Ops; supplied by
-	// schedule-less rows.
-	Run func(c mpi.Comm, buf []byte, root, segSize int) error
-	// Program generates the whole static schedule. Derived for rows with
-	// Ops; nil for schedule-less rows.
+	// Program is Schedule without a node map, derived by Register for Ops
+	// rows only (nil on TopoOps rows); it is kept for callers that have no
+	// topology at hand. In-tree consumers use Schedule, which serves every
+	// row.
 	Program func(p, root, n, segSize int) (*sched.Program, error)
+}
+
+// emitter returns the row's emitter on topo.
+func (r *Registration) emitter(topo *topology.Map) sched.Emitter {
+	if r.Ops != nil {
+		return r.Ops
+	}
+	return r.TopoOps(topo)
+}
+
+// Schedule generates the row's whole static schedule for an n-byte
+// broadcast from root over the ranks topo places, or reports why the row
+// cannot run there.
+func (r *Registration) Schedule(topo *topology.Map, root, n, segSize int) (*sched.Program, error) {
+	if e := tune.EnvOf(n, topo.NP(), topo); !r.Caps.Match(e) {
+		return nil, fmt.Errorf("collective: %s has no schedule for %d ranks on %d node(s) %s",
+			r.Name, e.Procs, e.NumNodes, r.Caps.Label())
+	}
+	return sched.Generate(r.Name, r.emitter(topo), topo.NP(), root, n, segSize), nil
 }
 
 var (
@@ -116,23 +139,18 @@ var (
 )
 
 // Register adds an algorithm to the registry. Names must be unique and
-// non-empty, and a row supplies either Ops or Run, not both.
+// non-empty, and a row supplies exactly one of Ops and TopoOps.
 func Register(r Registration) error {
 	if r.Name == "" {
 		return fmt.Errorf("collective: register: empty name")
 	}
-	switch {
-	case r.Ops == nil && r.Run == nil:
-		return fmt.Errorf("collective: register %q: neither Ops nor Run", r.Name)
-	case r.Ops == nil && r.Overlap:
-		return fmt.Errorf("collective: register %q: Overlap needs Ops", r.Name)
-	case r.Ops != nil && (r.Run != nil || r.Program != nil):
-		return fmt.Errorf("collective: register %q: Run and Program are derived from Ops; supply Ops alone", r.Name)
-	case r.Ops != nil:
-		ops, overlap, name, caps := r.Ops, r.Overlap, r.Name, r.Caps
-		r.Run = func(c mpi.Comm, buf []byte, root, segSize int) error {
-			return runStatic(c, buf, root, segSize, ops, overlap)
-		}
+	if (r.Ops == nil) == (r.TopoOps == nil) {
+		return fmt.Errorf("collective: register %q: a row is exactly one of Ops and TopoOps", r.Name)
+	}
+	if r.Program != nil {
+		return fmt.Errorf("collective: register %q: Program is derived; supply the emitter alone", r.Name)
+	}
+	if ops, name, caps := r.Ops, r.Name, r.Caps; ops != nil {
 		r.Program = func(p, root, n, segSize int) (*sched.Program, error) {
 			if p < caps.MinProcs || (caps.Pow2Only && !core.IsPow2(p)) {
 				return nil, fmt.Errorf("collective: %s has no schedule for %d ranks %s", name, p, caps.Label())
@@ -173,6 +191,25 @@ func lookup(name string) *Registration {
 	return registry[name]
 }
 
+// find is lookup with the error every caller reports for a bad name.
+func find(name string) (*Registration, error) {
+	if r := lookup(name); r != nil {
+		return r, nil
+	}
+	return nil, fmt.Errorf("collective: unknown algorithm %q (registered: %v)", name, Names())
+}
+
+// Schedule generates the whole static schedule of a decision over the
+// ranks topo places — Registration.Schedule by name, and the one
+// generator the simulator, the tuner and the tools go through.
+func Schedule(d tune.Decision, topo *topology.Map, root, n int) (*sched.Program, error) {
+	r, err := find(d.Algorithm)
+	if err != nil {
+		return nil, err
+	}
+	return r.Schedule(topo, root, n, d.SegSize)
+}
+
 // Names returns every registered algorithm name, sorted.
 func Names() []string {
 	regMu.RLock()
@@ -197,41 +234,23 @@ func Algorithms() []Registration {
 	return out
 }
 
-// Candidates adapts the registry to the auto-tuner: every algorithm with
-// a static schedule becomes a tune.Candidate whose applicability is its
-// capability predicate.
+// Candidates adapts the registry to the auto-tuner: every row becomes a
+// tune.Candidate whose applicability is its capability predicate and
+// whose schedule generator is its Schedule.
 func Candidates() []tune.Candidate {
-	var out []tune.Candidate
-	for _, r := range Algorithms() {
-		if r.Program == nil {
-			continue
-		}
-		out = append(out, candidateOf(r))
+	regMu.RLock()
+	defer regMu.RUnlock()
+	out := make([]tune.Candidate, 0, len(registry))
+	for _, r := range registry {
+		out = append(out, tune.Candidate{
+			Name:      r.Name,
+			Segmented: r.Caps.Segmented,
+			Applies:   r.Caps.Match,
+			Program:   r.Schedule,
+		})
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// AllCandidates adapts the whole registry, including algorithms without
-// a static schedule (the SMP broadcasts, whose pattern depends on
-// runtime communicator state). Only measurers that execute candidates by
-// name (tune.ProgramFree, like the real-engine measurer) can measure the
-// schedule-less entries; schedule-replaying measurers skip them.
-func AllCandidates() []tune.Candidate {
-	var out []tune.Candidate
-	for _, r := range Algorithms() {
-		out = append(out, candidateOf(r))
-	}
-	return out
-}
-
-func candidateOf(r Registration) tune.Candidate {
-	caps := r.Caps
-	return tune.Candidate{
-		Name:      r.Name,
-		Segmented: caps.Segmented,
-		Applies:   caps.Match,
-		Program:   r.Program,
-	}
 }
 
 // envOf builds the selection environment of a broadcast call. Node
@@ -261,16 +280,10 @@ func RunDecision(c mpi.Comm, buf []byte, root int, d tune.Decision) error {
 	return p.Execute(c, buf)
 }
 
-// BcastWith broadcasts buf from root using the algorithm t selects for
-// this communicator and message. It is Broadcast with only the Tuner
-// option set; all selection goes through Options.Decide.
-func BcastWith(c mpi.Comm, buf []byte, root int, t tune.Tuner) error {
-	return Broadcast(c, buf, root, Options{Tuner: t})
-}
-
-// The built-in broadcast family. Each static row is its emitter from
+// The built-in broadcast family. Each row is its emitter from
 // internal/core and nothing else; the two overlap rows are their blocking
-// rows' emitters in the executor's overlap mode.
+// rows' emitters in the executor's overlap mode, and the two SMP rows are
+// emitters composed over the node map.
 func init() {
 	MustRegister(Registration{
 		Name:    tune.Binomial,
@@ -329,16 +342,12 @@ func init() {
 		Name:    tune.SMP,
 		Summary: "multi-core aware: intra-node binomial + native inter-node ring between leaders",
 		Caps:    Capabilities{MultiNodeOnly: true},
-		Run: func(c mpi.Comm, buf []byte, root, _ int) error {
-			return BcastSMP(c, buf, root)
-		},
+		TopoOps: core.SMPNativeOps,
 	})
 	MustRegister(Registration{
 		Name:    tune.SMPOpt,
 		Summary: "multi-core aware: intra-node binomial + tuned inter-node ring between leaders",
 		Caps:    Capabilities{MultiNodeOnly: true},
-		Run: func(c mpi.Comm, buf []byte, root, _ int) error {
-			return BcastSMPOpt(c, buf, root)
-		},
+		TopoOps: core.SMPOptOps,
 	})
 }

@@ -3,12 +3,14 @@ package collective
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/mpi"
+	"repro/internal/sched"
 	"repro/internal/topology"
 	"repro/internal/tune"
 )
@@ -27,8 +29,8 @@ func TestRegistryComplete(t *testing.T) {
 		if !ok {
 			t.Fatalf("algorithm %q not registered (have %v)", name, Names())
 		}
-		if r.Run == nil {
-			t.Errorf("algorithm %q has nil Run", name)
+		if (r.Ops == nil) == (r.TopoOps == nil) {
+			t.Errorf("algorithm %q: Ops=%v TopoOps=%v, want exactly one emitter", name, r.Ops != nil, r.TopoOps != nil)
 		}
 		if r.Summary == "" {
 			t.Errorf("algorithm %q has no summary", name)
@@ -155,9 +157,10 @@ func TestRunDecisionRejects(t *testing.T) {
 	}
 }
 
-// TestBcastWithTableTuner drives BcastWith through a hand-written tuning
-// table, checking the table's decision (not the default dispatch) runs.
-func TestBcastWithTableTuner(t *testing.T) {
+// TestBroadcastWithTableTuner drives Broadcast through a hand-written
+// tuning table, checking the table's decision (not the default dispatch)
+// runs.
+func TestBroadcastWithTableTuner(t *testing.T) {
 	table := &tune.Table{
 		Name: "test",
 		Rules: []tune.Rule{
@@ -166,111 +169,86 @@ func TestBcastWithTableTuner(t *testing.T) {
 			{MinProcs: 5, MaxProcs: 5, Decision: tune.Decision{Algorithm: tune.Chain, SegSize: 128}},
 		},
 	}
-	tuner := tune.TableTuner{Table: table, Fallback: tune.MPICH3{}}
+	o := Options{Tuner: tune.TableTuner{Table: table, Fallback: tune.MPICH3{}}}
 	const n, root = 2048, 1
-	want := pattern(n)
-	err := engine.Run(5, func(c mpi.Comm) error {
-		buf := make([]byte, n)
-		if c.Rank() == root {
-			copy(buf, want)
-		}
-		if err := BcastWith(c, buf, root, tuner); err != nil {
-			return err
-		}
-		if !bytes.Equal(buf, want) {
-			return fmt.Errorf("rank %d: buffer mismatch", c.Rank())
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	got := measureBcast(t, with(o), engine.Options{NP: 5}, root, n)
+	if want := core.ChainBcast(5, root, n, 128).Stats(); got.Total.Messages != int64(want.Messages) || got.ByTag[core.TagChain].Messages != int64(want.Messages) {
+		t.Fatalf("traced %s, want the chain's %d messages", got, want.Messages)
 	}
+	runBcast(t, "table-tuner", with(o), engine.Options{NP: 5}, root, n)
 }
 
-// TestRegisterRejects covers registry hygiene: empty names, rows with no
-// algorithm, rows that supply what Register derives, duplicates.
+// TestRegisterRejects covers registry hygiene: empty names, rows without
+// an emitter, rows with two, rows that supply what Register derives,
+// duplicates. There is no way to register a row that has no schedule.
 func TestRegisterRejects(t *testing.T) {
-	if err := Register(Registration{Name: ""}); err == nil {
-		t.Error("empty name must fail")
-	}
-	if err := Register(Registration{Name: "x"}); err == nil {
-		t.Error("neither Ops nor Run must fail")
-	}
-	dummy := func(mpi.Comm, []byte, int, int) error { return nil }
-	if err := Register(Registration{Name: "x", Ops: core.BinomialOps, Run: dummy}); err == nil {
-		t.Error("Ops with a hand-paired Run must fail")
-	}
-	if err := Register(Registration{Name: "x", Run: dummy, Overlap: true}); err == nil {
-		t.Error("Overlap without Ops must fail")
-	}
-	if err := Register(Registration{Name: tune.Binomial, Run: dummy}); err == nil {
-		t.Error("duplicate name must fail")
+	topoOps := func(*topology.Map) sched.Emitter { return core.BinomialOps }
+	program := func(p, root, n, seg int) (*sched.Program, error) { return core.BinomialBcast(p, root, n), nil }
+	for name, r := range map[string]Registration{
+		"empty name":           {Ops: core.BinomialOps},
+		"no emitter":           {Name: "x"},
+		"no emitter, overlap":  {Name: "x", Overlap: true},
+		"both emitters":        {Name: "x", Ops: core.BinomialOps, TopoOps: topoOps},
+		"hand-paired Program":  {Name: "x", Ops: core.BinomialOps, Program: program},
+		"Program alone":        {Name: "x", Program: program},
+		"duplicate name":       {Name: tune.Binomial, Ops: core.BinomialOps},
+		"duplicate, topo form": {Name: tune.SMP, TopoOps: topoOps},
+	} {
+		if err := Register(r); err == nil {
+			t.Errorf("%s: Register accepted %+v", name, r)
+		}
 	}
 	if _, ok := Lookup("x"); ok {
 		t.Error("a rejected row must not be registered")
 	}
 }
 
-// TestStaticRowsDeriveRunAndProgram: a row that supplies Ops gets both
-// derived functions, and the derived Program refuses rank counts the
-// row's capabilities exclude instead of panicking in the emitter.
-func TestStaticRowsDeriveRunAndProgram(t *testing.T) {
+// TestEveryRowHasASchedule: Schedule serves every row on a topology its
+// capabilities admit and refuses the others by name instead of panicking
+// in the emitter; the derived, topology-less Program exists exactly on
+// the rows whose pattern does not depend on the node map.
+func TestEveryRowHasASchedule(t *testing.T) {
+	two := topology.Blocked(8, 4)
 	for _, r := range Algorithms() {
-		if (r.Ops != nil) != (r.Program != nil) || r.Run == nil {
-			t.Errorf("%s: Ops=%v Program=%v Run=%v", r.Name, r.Ops != nil, r.Program != nil, r.Run != nil)
+		if (r.Ops != nil) != (r.Program != nil) {
+			t.Errorf("%s: Ops=%v Program=%v", r.Name, r.Ops != nil, r.Program != nil)
+		}
+		pr, err := r.Schedule(two, 3, 64, 0)
+		if err != nil || pr.P != 8 || pr.Root != 3 || pr.N != 64 || pr.Name != r.Name {
+			t.Errorf("%s schedule for 8 ranks on 2 nodes: %+v, %v", r.Name, pr, err)
 		}
 	}
 	rdb, _ := Lookup(tune.ScatterRdb)
 	if _, err := rdb.Program(6, 0, 64, 0); err == nil {
+		t.Error("scatter-rdb Program for 6 ranks must fail")
+	}
+	if _, err := rdb.Schedule(topology.SingleNode(6), 0, 64, 0); err == nil {
 		t.Error("scatter-rdb schedule for 6 ranks must fail")
 	}
 	if pr, err := rdb.Program(8, 3, 64, 0); err != nil || pr.P != 8 || pr.Root != 3 || pr.N != 64 {
-		t.Errorf("scatter-rdb schedule for 8 ranks: %+v, %v", pr, err)
+		t.Errorf("scatter-rdb Program for 8 ranks: %+v, %v", pr, err)
+	}
+	if _, err := Schedule(tune.Decision{Algorithm: tune.SMPOpt}, topology.SingleNode(8), 0, 64); err == nil ||
+		!strings.Contains(err.Error(), "multi-node-only") {
+		t.Errorf("smp-opt schedule on one node: got %v, want the multi-node-only refusal", err)
+	}
+	if _, err := Schedule(tune.Decision{Algorithm: "bogus"}, two, 0, 64); err == nil {
+		t.Error("unknown algorithm must fail")
 	}
 }
 
-// TestCandidatesCoverStaticAlgorithms asserts the auto-tuner sees exactly
-// the schedule-static registry entries.
-func TestCandidatesCoverStaticAlgorithms(t *testing.T) {
-	got := map[string]bool{}
+// TestCandidatesCoverTheRegistry asserts the auto-tuner sees every row,
+// the SMP broadcasts included, each with a schedule generator.
+func TestCandidatesCoverTheRegistry(t *testing.T) {
+	var got []string
 	for _, c := range Candidates() {
-		got[c.Name] = true
-		if c.Program == nil {
-			t.Errorf("candidate %q has nil Program", c.Name)
-		}
-		if c.Applies == nil {
-			t.Errorf("candidate %q has nil Applies", c.Name)
+		got = append(got, c.Name)
+		if c.Program == nil || c.Applies == nil {
+			t.Errorf("candidate %q: Program=%v Applies=%v", c.Name, c.Program != nil, c.Applies != nil)
 		}
 	}
-	for _, r := range Algorithms() {
-		if (r.Program != nil) != got[r.Name] {
-			t.Errorf("candidate coverage mismatch for %q (static=%v, candidate=%v)",
-				r.Name, r.Program != nil, got[r.Name])
-		}
-	}
-	// The Split-based SMP broadcasts have no static schedule.
-	if got[tune.SMP] || got[tune.SMPOpt] {
-		t.Error("smp variants must not be auto-tuner candidates")
-	}
-}
-
-// TestIndexOf pins the helper behind bcastSMP's local-root resolution,
-// including the -1 miss the defensive guard in bcastSMP now catches
-// (topology.Map is self-consistent today, so the guard is unreachable
-// through the public API; the helper's miss behavior is what it relies
-// on).
-func TestIndexOf(t *testing.T) {
-	xs := []int{3, 7, 11}
-	for i, v := range xs {
-		if got := indexOf(xs, v); got != i {
-			t.Errorf("indexOf(%v, %d) = %d want %d", xs, v, got, i)
-		}
-	}
-	if got := indexOf(xs, 5); got != -1 {
-		t.Errorf("indexOf miss = %d want -1", got)
-	}
-	if got := indexOf(nil, 0); got != -1 {
-		t.Errorf("indexOf(nil) = %d want -1", got)
+	if want := Names(); !reflect.DeepEqual(got, want) {
+		t.Errorf("candidates %v, registry %v", got, want)
 	}
 }
 

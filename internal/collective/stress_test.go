@@ -23,8 +23,8 @@ func TestRandomCollectiveSequences(t *testing.T) {
 		pinned(tune.Binomial, 0),
 		pinned(tune.RingNative, 0),
 		pinned(tune.RingOpt, 0),
-		Bcast,
-		BcastOpt,
+		dispatchNative,
+		dispatchOpt,
 	}
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -125,7 +125,7 @@ func TestNestedSplits(t *testing.T) {
 func TestSMPBcastOnLakiShape(t *testing.T) {
 	for _, np := range []int{9, 17, 33} {
 		topo := topology.Blocked(np, topology.LakiCoresPerNode)
-		runBcast(t, "smp-laki", BcastSMPOpt, engine.Options{NP: np, Topology: topo}, np-1, 3000)
+		runBcast(t, "smp-laki", pinned(tune.SMPOpt, 0), engine.Options{NP: np, Topology: topo}, np-1, 3000)
 	}
 }
 
@@ -150,7 +150,7 @@ func TestConcurrentWorlds(t *testing.T) {
 				if c.Rank() == 0 {
 					copy(buf, pattern(len(buf)))
 				}
-				if err := BcastOpt(c, buf, 0); err != nil {
+				if err := dispatchOpt(c, buf, 0); err != nil {
 					return err
 				}
 				if !bytes.Equal(buf, pattern(len(buf))) {

@@ -121,7 +121,7 @@ func TestIntraInterSplitOnBlockedPlacement(t *testing.T) {
 func TestSMPTrafficConcentratesInterNodeOnLeaders(t *testing.T) {
 	const p, n = 12, 1 << 10
 	topo := topology.Blocked(p, 4) // 3 nodes, leaders 0, 4, 8
-	smp := measureBcast(t, BcastSMP, engine.Options{NP: p, Topology: topo}, 0, n)
+	smp := measureBcast(t, pinned(tune.SMP, 0), engine.Options{NP: p, Topology: topo}, 0, n)
 	flat := measureBcast(t, pinned(tune.RingNative, 0), engine.Options{NP: p, Topology: topo}, 0, n)
 
 	// All SMP inter-node traffic comes from the 3-leader ring phase:

@@ -14,6 +14,10 @@
 //     their segmented variants, recursive-doubling allgather (the MPICH
 //     medium-message power-of-two path), whole-buffer binomial broadcast
 //     (the short-message path) and the pipelined chain;
+//   - the emitters that depend on the node map (topology.Map), built from
+//     the ones above with sched.OnGroup: the multi-core aware broadcasts
+//     (a tree per node around a scatter-ring among the node leaders) and
+//     the node-aware ring order;
 //   - the analytic traffic model, including the closed-form message
 //     savings the paper quotes (P=8: 56 -> 44, P=10: 90 -> 75).
 //

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/sched"
 	"repro/internal/topology"
 )
@@ -10,7 +8,8 @@ import (
 // This file contains extensions beyond the paper: a node-aware ring
 // ordering (reducing inter-node ring crossings to one per node) and a
 // pipelined chain broadcast (a classic long-message baseline the
-// evaluation can be compared against).
+// evaluation can be compared against). The multi-core aware broadcasts
+// the paper itself discusses are in smp.go.
 
 // NodeAwareOrder returns a permutation perm (virtual ring position ->
 // actual rank) that lays the ring out node by node, so consecutive ring
@@ -25,30 +24,16 @@ func NodeAwareOrder(topo *topology.Map) []int {
 	return perm
 }
 
-// positionOf returns the index of rank in perm.
-func positionOf(perm []int, rank int) int {
-	for pos, r := range perm {
-		if r == rank {
-			return pos
-		}
+// NodeAwareOps returns e with its ranks laid out in NodeAwareOrder: ring
+// position i is played by world rank NodeAwareOrder(topo)[i]. A
+// permutation is a full-size group, so this is sched.OnGroup and nothing
+// else; chunk offsets follow ring positions, every rank still ends with
+// the whole buffer, and message and byte counts are e's own.
+func NodeAwareOps(topo *topology.Map, e sched.Emitter) sched.Emitter {
+	order := NodeAwareOrder(topo)
+	return func(dst []sched.Op, rank, _, root, n, seg int) []sched.Op {
+		return sched.OnGroup(dst, e, order, rank, root, n, seg)
 	}
-	return -1
-}
-
-// nodeAwareProgram generates a scatter-ring broadcast whose ring order
-// follows NodeAwareOrder instead of rank order.
-func nodeAwareProgram(gen func(p, root, n int) *sched.Program, topo *topology.Map, root, n int, name string) (*sched.Program, error) {
-	perm := NodeAwareOrder(topo)
-	rootPos := positionOf(perm, root)
-	if rootPos < 0 {
-		return nil, fmt.Errorf("core: node-aware order: root %d not placed", root)
-	}
-	pr, err := sched.Relabel(gen(topo.NP(), rootPos, n), perm)
-	if err != nil {
-		return nil, err
-	}
-	pr.Name = name
-	return pr, nil
 }
 
 // BcastOptNodeAware is the tuned broadcast with a node-aware ring order —
@@ -56,14 +41,14 @@ func nodeAwareProgram(gen func(p, root, n int) *sched.Program, topo *topology.Ma
 // placement awareness. On blocked placements it equals BcastOptProgram;
 // on scattered placements (e.g. round-robin) it restores the blocked
 // ring's inter-node profile.
-func BcastOptNodeAware(topo *topology.Map, root, n int) (*sched.Program, error) {
-	return nodeAwareProgram(BcastOptProgram, topo, root, n, "bcast-opt-nodeaware")
+func BcastOptNodeAware(topo *topology.Map, root, n int) *sched.Program {
+	return sched.Generate("bcast-opt-nodeaware", NodeAwareOps(topo, BcastOptOps), topo.NP(), root, n, 0)
 }
 
 // BcastNativeNodeAware is the native broadcast with a node-aware ring
 // order, isolating the reordering gain from the tuned-ring gain.
-func BcastNativeNodeAware(topo *topology.Map, root, n int) (*sched.Program, error) {
-	return nodeAwareProgram(BcastNativeProgram, topo, root, n, "bcast-native-nodeaware")
+func BcastNativeNodeAware(topo *topology.Map, root, n int) *sched.Program {
+	return sched.Generate("bcast-native-nodeaware", NodeAwareOps(topo, BcastNativeOps), topo.NP(), root, n, 0)
 }
 
 // DefaultChainSegment is the segment size used by ChainBcast when the

@@ -69,13 +69,7 @@ func TestBcastOptNodeAwareVerifies(t *testing.T) {
 	} {
 		for _, root := range []int{0, topo.NP() - 1} {
 			n := 16 * topo.NP()
-			pr, err := BcastOptNodeAware(topo, root, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if pr.Root != root {
-				t.Fatalf("relabelled root = %d want %d", pr.Root, root)
-			}
+			pr := BcastOptNodeAware(topo, root, n)
 			res, err := sched.Verify(pr, sched.VerifyConfig{WantFinal: sched.FullBuffer(n)})
 			if err != nil {
 				t.Fatalf("%s root=%d: %v", topo, root, err)
@@ -89,22 +83,16 @@ func TestBcastOptNodeAwareVerifies(t *testing.T) {
 
 func TestBcastNativeNodeAwareVerifies(t *testing.T) {
 	topo := topology.RoundRobin(8, 3)
-	pr, err := BcastNativeNodeAware(topo, 2, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pr := BcastNativeNodeAware(topo, 2, 64)
 	if _, err := sched.Verify(pr, sched.VerifyConfig{WantFinal: sched.FullBuffer(64)}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestNodeAwareKeepsTrafficCounts(t *testing.T) {
-	// Relabeling permutes endpoints but not message or byte counts.
+	// A full-size group permutes endpoints but not message or byte counts.
 	topo := topology.RoundRobin(10, 3)
-	pr, err := BcastOptNodeAware(topo, 0, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pr := BcastOptNodeAware(topo, 0, 100)
 	base := BcastOptProgram(10, 0, 100).Stats()
 	got := pr.Stats()
 	if got.Messages != base.Messages || got.Bytes != base.Bytes {

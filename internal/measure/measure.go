@@ -125,11 +125,6 @@ func (m EngineMeasurer) topo(p int) (*topology.Map, error) {
 	return m.Place.Map(p)
 }
 
-// ProgramFree implements tune.ProgramFree: this measurer executes the
-// registered implementation by name, so candidates without a static
-// schedule (the SMP broadcasts) are measurable on its grids too.
-func (m EngineMeasurer) ProgramFree() bool { return true }
-
 // Env implements tune.Measurer. The environment is derived from the
 // realized topology map, exactly as a runtime broadcast over that map
 // would present it. As with tune.SimMeasurer, an invalid Place cannot be
@@ -143,10 +138,9 @@ func (m EngineMeasurer) Env(p, n int) tune.Env {
 	return tune.EnvOf(n, p, topo)
 }
 
-// Measure implements tune.Measurer: it executes the candidate's
-// registered implementation (resolved by name — no static schedule is
-// needed, the engine runs the real code) and returns the selected robust
-// statistic over the timed repetitions.
+// Measure implements tune.Measurer: it executes the candidate's registry
+// row (resolved by name, through RunDecision like any broadcast) and
+// returns the selected robust statistic over the timed repetitions.
 func (m EngineMeasurer) Measure(c tune.Candidate, p, n int) (float64, error) {
 	m = m.fill()
 	// An unknown statistic must fail here, not silently measure as the

@@ -181,23 +181,19 @@ func TestAutoTuneOnEngine(t *testing.T) {
 	}
 }
 
-// TestAutoTuneOnEngineMeasuresScheduleless: candidates without a static
-// schedule (the SMP broadcasts) are measurable on the engine's grids —
-// the tune.ProgramFree contract — and win when they are the only
-// applicable candidate.
-func TestAutoTuneOnEngineMeasuresScheduleless(t *testing.T) {
+// TestAutoTuneOnEngineMeasuresSMP: the topology-composed SMP rows are
+// ordinary candidates on the engine's grids and win when they are the
+// only applicable one.
+func TestAutoTuneOnEngineMeasuresSMP(t *testing.T) {
 	m := EngineMeasurer{Warmup: 1, Reps: 2, Stat: StatMin}
 	var smp tune.Candidate
-	for _, c := range collective.AllCandidates() {
+	for _, c := range collective.Candidates() {
 		if c.Name == tune.SMP {
 			smp = c
 		}
 	}
 	if smp.Name == "" {
-		t.Fatal("smp not in AllCandidates")
-	}
-	if smp.Program != nil {
-		t.Fatal("smp unexpectedly grew a static schedule; test needs updating")
+		t.Fatal("smp not in Candidates")
 	}
 	_, winners, err := tune.AutoTuneSweep([]tune.Candidate{smp}, m.Factory(), tune.SweepConfig{
 		Procs:      []int{4},

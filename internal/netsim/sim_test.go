@@ -477,18 +477,53 @@ func TestNodeAwareRingRecoversBlockedProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aware, err := func() (float64, error) {
-		pr, err := core.BcastOptNodeAware(topo, 0, n)
-		if err != nil {
-			return 0, err
-		}
-		return SteadyStateIterTime(pr, topo, m, 2, 5)
-	}()
+	aware, err := SteadyStateIterTime(core.BcastOptNodeAware(topo, 0, n), topo, m, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if aware >= plain {
 		t.Fatalf("node-aware ring not faster on scattered placement: %.6g vs %.6g", aware, plain)
+	}
+}
+
+// TestSMPOptKeepsTheRingOffTheNetwork: the multi-core aware schedule is
+// an ordinary program the simulator replays. On two Hornet nodes
+// (p=48, 24 per node) only the two leaders' exchange crosses the network,
+// so it moves fewer inter-node messages and bytes, and holds the NICs for
+// less time, than the flat tuned ring over all 48 ranks.
+func TestSMPOptKeepsTheRingOffTheNetwork(t *testing.T) {
+	const np, n = 48, 1 << 20
+	m := Hornet()
+	topo := topology.Blocked(np, topology.HornetCoresPerNode)
+	interBytes := func(pr *sched.Program) (bytes int) {
+		for rank, ops := range pr.Ranks {
+			for _, op := range ops {
+				if op.Kind != sched.OpRecv && !topo.SameNode(rank, op.To) {
+					bytes += op.SendLen
+				}
+			}
+		}
+		return bytes
+	}
+	flat := core.BcastOptProgram(np, 0, n)
+	smp := sched.Generate("smp-opt", core.SMPOptOps(topo), np, 0, n, 0)
+	fr, err := Simulate(flat, topo, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := Simulate(smp, topo, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sr.Makespan <= 0 || sr.Messages != smp.Messages() {
+		t.Fatalf("smp-opt replay: %+v, program has %d messages", sr, smp.Messages())
+	}
+	if fb, sb := interBytes(flat), interBytes(smp); sb >= fb || sr.InterMessages >= fr.InterMessages || sr.NICBusy >= fr.NICBusy {
+		t.Fatalf("smp-opt must cross nodes less: inter bytes %d vs flat %d, inter messages %d vs %d, NIC busy %g vs %g",
+			sb, fb, sr.InterMessages, fr.InterMessages, sr.NICBusy, fr.NICBusy)
+	}
+	if _, err := SteadyStateIterTime(smp, topo, m, 2, 5); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -13,6 +13,10 @@
 // An algorithm is written once, as an Emitter: the function that lists one
 // rank's operations. Everything else consumes that one definition:
 //
+//   - Then and OnGroup compose emitters into larger ones: one phase after
+//     another, and a phase run on an ordered sub-group of the ranks (the
+//     multi-core aware broadcasts are three such phases over the node
+//     map; a node-aware ring is a ring on a permutation);
 //   - Generate loops an Emitter over all ranks into a Program;
 //   - the schedule verifier in this package checks a Program's
 //     deadlock-freedom and data validity (no transfer may carry bytes the

@@ -175,25 +175,13 @@ func (m *Map) Kind() string {
 // an intra-node memory copy rather than a network transfer).
 func (m *Map) SameNode(a, b int) bool { return m.nodeOf[a] == m.nodeOf[b] }
 
-// RanksOnNode returns the ranks hosted on node, in ascending order.
-func (m *Map) RanksOnNode(node int) []int {
-	rs := append([]int(nil), m.byNode[node]...)
-	sort.Ints(rs)
-	return rs
-}
+// RanksOnNode returns the ranks hosted on node, in ascending order. The
+// slice is the map's own (maps are immutable): callers must not modify it.
+func (m *Map) RanksOnNode(node int) []int { return m.byNode[node] }
 
 // Leader returns the lowest rank on node — the node's representative in
 // SMP-aware collectives.
-func (m *Map) Leader(node int) int {
-	rs := m.byNode[node]
-	leader := rs[0]
-	for _, r := range rs[1:] {
-		if r < leader {
-			leader = r
-		}
-	}
-	return leader
-}
+func (m *Map) Leader(node int) int { return m.byNode[node][0] }
 
 // IsLeader reports whether rank is its node's leader.
 func (m *Map) IsLeader(rank int) bool { return m.Leader(m.nodeOf[rank]) == rank }

@@ -72,7 +72,7 @@ func TestBackoffRTO(t *testing.T) {
 // floor under sustained loss.
 func TestCongestionWindowDynamics(t *testing.T) {
 	f := &sendFlow{}
-	f.init(initialRTO, false, 0)
+	f.init(initialRTO, false)
 
 	// Slow start: +1 per acked packet up to the threshold.
 	f.ccOnAck(16)
@@ -122,12 +122,6 @@ func TestCongestionWindowDynamics(t *testing.T) {
 	f.ccOnAck(1)
 	if f.cwnd <= minCwnd {
 		t.Fatalf("cwnd must regrow from the floor, got %v", f.cwnd)
-	}
-
-	// A fixed window ignores all of it.
-	f.fixedWin = 64
-	if f.window() != 64 {
-		t.Fatalf("fixed window = %d, want 64", f.window())
 	}
 }
 

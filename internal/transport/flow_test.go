@@ -113,7 +113,7 @@ var simEpoch = time.Unix(1_000_000, 0)
 
 func newSim(t *testing.T, cfg simConfig) *sim {
 	s := &sim{t: t, cfg: cfg, rng: rand.New(rand.NewSource(cfg.seed)), now: simEpoch}
-	s.tx.init(initialRTO, false, 0)
+	s.tx.init(initialRTO, false)
 	s.rx.init(defaultAckEvery)
 	for i := 0; i < cfg.msgs; i++ {
 		size := cfg.size

@@ -31,10 +31,6 @@ const (
 	maxAckLen    = ackBaseLen + maxAckRanges*ackRangeLen
 	maxDatagram  = 32 << 10
 	maxPayload   = maxDatagram - dataHeaderLen
-	// basePacket is the pre-adaptive (PR 9) datagram size, kept as the
-	// benchmark baseline's fragmentation and the conservative choice for
-	// MTU-constrained paths.
-	basePacket = 8 << 10
 	// maxWireMessage caps the totalLen a data header may claim. Untrusted
 	// bytes reach parseHeader straight off the socket, and totalLen sizes
 	// the receiver's reassembly allocation — without a cap, one forged

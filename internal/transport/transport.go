@@ -103,9 +103,11 @@
 //
 // # Adaptive behavior
 //
-// The UDP backend adapts three mechanisms per flow; each has a config
-// escape hatch that pins the pre-adaptive behavior (the "udp-base"
-// spelling pins all of them, as the benchmark baseline).
+// The UDP backend adapts three mechanisms per flow. The previous,
+// fixed-everything wire generation is not a configuration of this code:
+// compare against it by checking out the commit that still carried it
+// (72c2127, where BENCH_wire_throughput.json's baseline rows were
+// recorded).
 //
 // Retransmit timeout: ACK round trips of never-retransmitted packets
 // (Karn's rule) feed a Jacobson/Karels estimator — SRTT and RTTVAR with
@@ -121,9 +123,9 @@
 // (+1 per acked packet), crosses into AIMD additive growth at the
 // slow-start threshold, and on a loss — detected by selective ACKs or
 // by a retransmit timeout — halves both cwnd and the threshold, at most
-// once per outstanding window, flooring at 2 packets and capping at 256. Packets beyond the window queue
-// unwritten and flush as ACKs reopen it. UDPConfig.FixedWindow pins a
-// fixed window with no congestion response.
+// once per outstanding window, flooring at 2 packets and capping at
+// 256. Packets beyond the window queue unwritten and flush as ACKs
+// reopen it.
 //
 // ACK coalescing: in-order data datagrams defer their cumulative ACK
 // until either UDPConfig.AckEvery of them accumulate (default 8) or a
@@ -138,9 +140,9 @@
 // batch instead of per datagram. The batch path engages only when the
 // transport owns a raw *net.UDPConn; wrapped sockets (Faulty), other
 // platforms, or a runtime refusal (ENOSYS) fall back to per-datagram
-// WriteTo/ReadFrom with identical wire behavior. UDPConfig.NoBatch
-// forces the fallback. Kernel socket buffers are sized for a full
-// window on any socket that can be sized, wrapped ones included.
+// WriteTo/ReadFrom with identical wire behavior. Kernel socket buffers
+// are sized for a full window on any socket that can be sized, wrapped
+// ones included.
 //
 // # Structure
 //
@@ -164,10 +166,6 @@ import (
 const (
 	ChanName = "chan"
 	UDPName  = "udp"
-	// UDPBaseName selects the UDP backend with every adaptive mechanism
-	// pinned to its pre-adaptive fixed behavior (see SelfUDPBase) — the
-	// comparison baseline for wire benchmarks, not a deployment choice.
-	UDPBaseName = "udp-base"
 )
 
 // Kind classifies an engine-level message on the wire.
@@ -277,19 +275,16 @@ func (Chan) Close() error { return nil }
 // New builds a transport from its CLI spelling: "chan" (or empty) for
 // the in-process default, "udp" for a loopback self-loop UDP transport
 // hosting all np ranks in this process with every message routed
-// through a real socket (see SelfUDP), "udp-base" for the same wiring
-// with the adaptive wire path pinned off (see SelfUDPBase). Multi-
-// process UDP topologies need the explicit UDPConfig constructor — they
-// cannot be described by a name alone.
+// through a real socket (see SelfUDP). Multi-process UDP topologies need
+// the explicit UDPConfig constructor — they cannot be described by a
+// name alone.
 func New(spec string, np int) (Transport, error) {
 	switch spec {
 	case "", ChanName:
 		return Chan{}, nil
 	case UDPName:
 		return SelfUDP(np)
-	case UDPBaseName:
-		return SelfUDPBase(np)
 	default:
-		return nil, fmt.Errorf("transport: unknown transport %q (%s|%s|%s)", spec, ChanName, UDPName, UDPBaseName)
+		return nil, fmt.Errorf("transport: unknown transport %q (%s|%s)", spec, ChanName, UDPName)
 	}
 }

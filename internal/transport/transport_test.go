@@ -113,19 +113,6 @@ func TestNewFactory(t *testing.T) {
 		t.Error("SelfUDP must host and wire every rank")
 	}
 	u.Close()
-	tr, err = New(UDPBaseName, 4)
-	if err != nil {
-		t.Fatalf("New(udp-base): %v", err)
-	}
-	ub, ok := tr.(*UDP)
-	if !ok {
-		t.Fatalf("New(udp-base) = %T, want *UDP", tr)
-	}
-	if !ub.fixedRTO || ub.fixedWin != maxCwnd || ub.ackEvery != 1 || ub.bio != nil {
-		t.Errorf("udp-base must pin every adaptive mechanism off: fixedRTO=%v fixedWin=%d ackEvery=%d batch=%v",
-			ub.fixedRTO, ub.fixedWin, ub.ackEvery, ub.bio != nil)
-	}
-	ub.Close()
 	if _, err := New("smoke-signals", 4); err == nil {
 		t.Error("unknown transport spec must error")
 	}

@@ -32,9 +32,8 @@ const (
 	// maxBackoffRTO bounds the backoff-inflated per-packet timeout so a
 	// stalled peer is still probed a few times per drain window.
 	maxBackoffRTO = 2 * time.Second
-	// maxCwnd caps the congestion window, and is the send window when
-	// congestion control is disabled (FixedWindow's default). 256
-	// packets is 2MiB of in-flight data at the max datagram size.
+	// maxCwnd caps the congestion window. 256 packets is 8MiB of
+	// in-flight data at the max datagram size.
 	maxCwnd = 256
 	// minCwnd is the congestion-window floor under sustained loss.
 	minCwnd = 2
@@ -99,16 +98,8 @@ type UDPConfig struct {
 	// adaptive path (Jacobson/Karels SRTT/RTTVAR from ACK round-trips).
 	RetransmitEvery time.Duration
 	// AckEvery overrides the delayed-ack coalescing threshold (default
-	// 8). 1 acknowledges every data datagram — the pre-adaptive wire
-	// behavior, kept as a benchmark baseline.
+	// 8). 1 acknowledges every data datagram.
 	AckEvery int
-	// FixedWindow pins the send window to a packet count and disables
-	// slow-start/AIMD congestion control. Zero selects the adaptive
-	// congestion window.
-	FixedWindow int
-	// NoBatch disables sendmmsg/recvmmsg datagram batching even when
-	// the socket supports it, forcing the WriteTo/ReadFrom fallback.
-	NoBatch bool
 	// PacketBytes caps outbound datagram size, header included. Zero
 	// selects maxDatagram (32KiB — right for loopback and jumbo-frame
 	// paths); paths with a 1500-byte MTU should set a value that dodges
@@ -129,7 +120,6 @@ type UDP struct {
 	rto      time.Duration // initial (or fixed) retransmit timeout
 	fixedRTO bool          // RetransmitEvery pinned: no adaptation, no backoff
 	ackEvery int
-	fixedWin int // >0: fixed send window, congestion control off
 	payload  int // max fragment payload per datagram
 	bio      *batchIO
 	sendTo   []*peer // by destination rank; nil for ranks without an address
@@ -234,7 +224,6 @@ type sendFlow struct {
 	mu sync.Mutex
 
 	fixedRTO bool // no estimator, no backoff
-	fixedWin int  // >0: fixed window, no congestion response
 
 	base     uint64        // lowest unacknowledged sequence number: q's first element
 	sendNext uint64        // lowest never-written sequence number; writes are in order
@@ -247,7 +236,7 @@ type sendFlow struct {
 	rttvar time.Duration
 	rto    time.Duration
 
-	// Congestion state (slow start + AIMD; frozen when fixedWin > 0).
+	// Congestion state (slow start + AIMD).
 	cwnd     float64
 	ssthresh float64
 	recover  uint64 // loss-event fence: halve at most once per window
@@ -263,8 +252,8 @@ type sendFlow struct {
 	batch batchWriter
 }
 
-func (f *sendFlow) init(rto time.Duration, fixedRTO bool, fixedWin int) {
-	f.fixedRTO, f.fixedWin = fixedRTO, fixedWin
+func (f *sendFlow) init(rto time.Duration, fixedRTO bool) {
+	f.fixedRTO = fixedRTO
 	f.base, f.sendNext, f.nextSeq = 1, 1, 1
 	f.rto = rto
 	f.rtoNanos.Store(int64(rto))
@@ -275,9 +264,6 @@ func (f *sendFlow) slot(seq uint64) *slot { return f.q.at(int(seq - f.base)) }
 
 // window is the flow's current send window in packets.
 func (f *sendFlow) window() uint64 {
-	if f.fixedWin > 0 {
-		return uint64(f.fixedWin)
-	}
 	w := uint64(f.cwnd)
 	if w < minCwnd {
 		w = minCwnd
@@ -371,9 +357,7 @@ func (f *sendFlow) onAck(a *ack, now time.Time) (retired, fast int, halved bool)
 	if !f.fixedRTO && !sampleFrom.IsZero() {
 		f.observeRTT(now.Sub(sampleFrom))
 	}
-	if f.fixedWin == 0 {
-		f.ccOnAck(retired)
-	}
+	f.ccOnAck(retired)
 	if a.n > 0 {
 		// Walk up from base while at least dupThresh sacked slots remain
 		// above; everything below a sacked slot has been written.
@@ -388,7 +372,7 @@ func (f *sendFlow) onAck(a *ack, now time.Time) (retired, fast int, halved bool)
 				fast++
 			}
 		}
-		halved = fast > 0 && f.fixedWin == 0 && f.ccOnLoss()
+		halved = fast > 0 && f.ccOnLoss()
 	}
 	f.admit()
 	return retired, fast, halved
@@ -421,7 +405,7 @@ func (f *sendFlow) onTick(now time.Time, draining bool) (retx int, halved bool) 
 		f.wlist = append(f.wlist, seq)
 		retx++
 	}
-	halved = retx > 0 && f.fixedWin == 0 && f.ccOnLoss()
+	halved = retx > 0 && f.ccOnLoss()
 	f.admit()
 	return retx, halved
 }
@@ -682,7 +666,6 @@ func NewUDP(cfg UDPConfig) (*UDP, error) {
 		rto:      rto,
 		fixedRTO: cfg.RetransmitEvery > 0,
 		ackEvery: ackEvery,
-		fixedWin: cfg.FixedWindow,
 		payload:  pkt - dataHeaderLen,
 		hosted:   make([]bool, cfg.NP),
 		sendTo:   make([]*peer, cfg.NP),
@@ -690,9 +673,7 @@ func NewUDP(cfg UDPConfig) (*UDP, error) {
 	}
 	t.uc, _ = conn.(*net.UDPConn)
 	t.peers.Store(&map[peerKey]*peer{})
-	if !cfg.NoBatch {
-		t.bio = newBatchIO(conn)
-	}
+	t.bio = newBatchIO(conn)
 	if cfg.Hosted == nil {
 		for r := range t.hosted {
 			t.hosted[r] = true
@@ -741,24 +722,6 @@ func NewUDP(cfg UDPConfig) (*UDP, error) {
 // without spawning processes.
 func SelfUDP(np int) (*UDP, error) {
 	return NewUDP(UDPConfig{NP: np, ForceWire: true})
-}
-
-// SelfUDPBase builds SelfUDP with the pre-adaptive wire behavior: fixed
-// 20ms retransmit timeout, fixed 256-packet send window, one ACK per
-// data datagram, 8KiB datagrams, and one WriteTo/ReadFrom syscall per
-// datagram. It is the comparison baseline for the adaptive path
-// (BenchmarkWireThroughput and the "udp-base" CLI spelling), not a
-// deployment configuration. It shares the one ACK format and the
-// selective-recovery scoreboard with every other configuration.
-func SelfUDPBase(np int) (*UDP, error) {
-	return NewUDP(UDPConfig{
-		NP: np, ForceWire: true,
-		RetransmitEvery: initialRTO,
-		FixedWindow:     maxCwnd,
-		AckEvery:        1,
-		NoBatch:         true,
-		PacketBytes:     basePacket,
-	})
 }
 
 // Name implements Transport.
@@ -832,7 +795,7 @@ func (t *UDP) peerFor(addr net.Addr) *peer {
 		return p
 	}
 	p := &peer{addr: addr, ap: key.ap}
-	p.send.init(t.rto, t.fixedRTO, t.fixedWin)
+	p.send.init(t.rto, t.fixedRTO)
 	p.recv.init(t.ackEvery)
 	grown := make(map[peerKey]*peer, len(old)+1)
 	for k, v := range old {
@@ -849,11 +812,9 @@ func (t *UDP) noteCC(f *sendFlow) {
 	if t.met.Load() == nil {
 		return
 	}
-	if t.fixedWin == 0 {
-		w := int64(f.cwnd)
-		t.gauge(metrics.WireCwndHighWater, w)
-		t.gauge(metrics.WireCwndLowWaterInv, metrics.CwndLowWaterBase-w)
-	}
+	w := int64(f.cwnd)
+	t.gauge(metrics.WireCwndHighWater, w)
+	t.gauge(metrics.WireCwndLowWaterInv, metrics.CwndLowWaterBase-w)
 	if !t.fixedRTO {
 		t.gauge(metrics.WireSRTTMaxMicros, f.srtt.Microseconds())
 		t.gauge(metrics.WireRTOMaxMicros, f.rto.Microseconds())

@@ -13,7 +13,7 @@ import (
 
 // Candidate is one algorithm the auto-tuner may select: a registry name,
 // an applicability predicate, and a schedule generator the measurer can
-// replay. The collective registry adapts its entries to this shape
+// replay. The collective registry adapts every row to this shape
 // (collective.Candidates), keeping this package free of a dependency on
 // the executable implementations.
 type Candidate struct {
@@ -28,8 +28,9 @@ type Candidate struct {
 	Segmented bool
 	// Applies reports whether the algorithm can run in e (nil = always).
 	Applies func(e Env) bool
-	// Program generates the algorithm's communication schedule.
-	Program func(p, root, n, segSize int) (*sched.Program, error)
+	// Program generates the algorithm's communication schedule over the
+	// ranks topo places (the topology the measurer measures under).
+	Program func(topo *topology.Map, root, n, segSize int) (*sched.Program, error)
 }
 
 // Measurer estimates the steady-state per-iteration time of a candidate
@@ -39,22 +40,6 @@ type Candidate struct {
 type Measurer interface {
 	Measure(c Candidate, p, n int) (float64, error)
 	Env(p, n int) Env
-}
-
-// ProgramFree is implemented by measurers that execute candidates by
-// name and need no static schedule (the real-engine measurer): for
-// those, the tuning grid also considers candidates without a Program.
-// Measurers that replay schedules (SimMeasurer) don't implement it, and
-// schedule-less candidates are skipped on their grids.
-type ProgramFree interface {
-	ProgramFree() bool
-}
-
-// needsProgram reports whether m can only measure candidates carrying a
-// static schedule.
-func needsProgram(m Measurer) bool {
-	pf, ok := m.(ProgramFree)
-	return !ok || !pf.ProgramFree()
 }
 
 // Placement names one rank-to-node mapping shape for placement sweeps.
@@ -185,16 +170,13 @@ func (m SimMeasurer) Env(p, n int) Env {
 // Measure implements Measurer.
 func (m SimMeasurer) Measure(c Candidate, p, n int) (float64, error) {
 	m = m.fill()
-	if c.Program == nil {
-		return 0, fmt.Errorf("tune: candidate %q has no static schedule", c.Name)
-	}
-	pr, err := c.Program(p, m.Root, n, c.SegSize)
-	if err != nil {
-		return 0, fmt.Errorf("tune: candidate %q at (p=%d, n=%d): %w", c.Name, p, n, err)
-	}
 	topo, err := m.topo(p)
 	if err != nil {
 		return 0, err
+	}
+	pr, err := c.Program(topo, m.Root, n, c.SegSize)
+	if err != nil {
+		return 0, fmt.Errorf("tune: candidate %q at (p=%d, n=%d): %w", c.Name, p, n, err)
 	}
 	return netsim.SteadyStateIterTime(pr, topo, m.Model, m.Warm, m.Total)
 }
@@ -213,16 +195,12 @@ type Winner struct {
 // point and returns the per-point winners. procs and sizes must be
 // sorted.
 func tuneGrid(cands []Candidate, m Measurer, procs, sizes []int) ([]Winner, error) {
-	skipNoProgram := needsProgram(m)
 	var winners []Winner
 	for _, p := range procs {
 		for _, n := range sizes {
 			e := m.Env(p, n)
 			best := Winner{Procs: p, Bytes: n, Env: e, Seconds: -1}
 			for _, c := range cands {
-				if c.Program == nil && skipNoProgram {
-					continue
-				}
 				if c.Applies != nil && !c.Applies(e) {
 					continue
 				}
@@ -287,9 +265,8 @@ func crossoverRules(winners []Winner, procs []int, mark func(*Rule)) []Rule {
 // reporting.
 //
 // Candidates whose Applies predicate rejects the measurement
-// environment are skipped at that point, as are candidates without a
-// static schedule unless the measurer declares itself ProgramFree; a
-// grid point where no candidate can be measured is an error. For
+// environment are skipped at that point; a grid point where no candidate
+// can be measured is an error. For
 // segment-size and placement sweeps, see AutoTuneSweep.
 func AutoTune(cands []Candidate, m Measurer, procs, sizes []int) (*Table, []Winner, error) {
 	if len(cands) == 0 {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sched"
+	"repro/internal/topology"
 )
 
 // fakeMeasurer scores candidates from a fixed cost function, making the
@@ -20,8 +21,8 @@ func (m fakeMeasurer) Measure(c Candidate, p, n int) (float64, error) {
 	return m.cost(c.Name, p, n), nil
 }
 
-func trivialProgram(p, root, n, _ int) (*sched.Program, error) {
-	return core.BinomialBcast(p, root, n), nil
+func trivialProgram(topo *topology.Map, root, n, _ int) (*sched.Program, error) {
+	return core.BinomialBcast(topo.NP(), root, n), nil
 }
 
 func TestAutoTuneDerivesCrossoverRules(t *testing.T) {
@@ -136,11 +137,11 @@ func TestSimMeasurerSmoke(t *testing.T) {
 	// End-to-end through netsim on a tiny point: a real virtual-time
 	// measurement of the paper's two rings, and opt must not lose.
 	m := SimMeasurer{CoresPerNode: 4}
-	native := Candidate{Name: RingNative, Program: func(p, root, n, _ int) (*sched.Program, error) {
-		return core.BcastNativeProgram(p, root, n), nil
+	native := Candidate{Name: RingNative, Program: func(topo *topology.Map, root, n, _ int) (*sched.Program, error) {
+		return core.BcastNativeProgram(topo.NP(), root, n), nil
 	}}
-	opt := Candidate{Name: RingOpt, Program: func(p, root, n, _ int) (*sched.Program, error) {
-		return core.BcastOptProgram(p, root, n), nil
+	opt := Candidate{Name: RingOpt, Program: func(topo *topology.Map, root, n, _ int) (*sched.Program, error) {
+		return core.BcastOptProgram(topo.NP(), root, n), nil
 	}}
 	const p, n = 10, 1 << 19
 	tn, err := m.Measure(native, p, n)
@@ -160,8 +161,14 @@ func TestSimMeasurerSmoke(t *testing.T) {
 	if e := m.Env(p, n); e.NumNodes != 3 {
 		t.Errorf("Env nodes = %d want 3", e.NumNodes)
 	}
-	// A candidate without a schedule cannot be measured.
-	if _, err := m.Measure(Candidate{Name: "dynamic"}, p, n); err == nil {
-		t.Error("nil Program must fail")
+	// The generator sees the topology the measurement runs under, so a
+	// topology-composed schedule is measured on the map it was built for.
+	var saw *topology.Map
+	smp := Candidate{Name: SMPOpt, Program: func(topo *topology.Map, root, n, _ int) (*sched.Program, error) {
+		saw = topo
+		return sched.Generate(SMPOpt, core.SMPOptOps(topo), topo.NP(), root, n, 0), nil
+	}}
+	if ts, err := m.Measure(smp, p, n); err != nil || ts <= 0 || saw == nil || saw.NumNodes() != 3 {
+		t.Errorf("smp-opt: %g, %v on %v", ts, err, saw)
 	}
 }

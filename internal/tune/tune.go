@@ -40,10 +40,9 @@
 // the communicator (EnvOf over Comm.Topology()) and calls
 // Options.Decide, which yields exactly one Decision; and
 // collective.RunDecision executes it through the registry after
-// checking capabilities. Bcast, BcastOpt, BcastWith and the bench
-// harness fill the same struct, so "which algorithm runs" has a single
-// answer per (Options, Env) everywhere — the one-selection-path
-// invariant. Nothing below the Options layer hardcodes a choice, and
+// checking capabilities. The bench harness and the CLI tools fill the
+// same struct, so "which algorithm runs" has a single answer per
+// (Options, Env) everywhere — the one-selection-path invariant. Nothing below the Options layer hardcodes a choice, and
 // nothing above it re-derives one: a table derived by AutoTuneSweep
 // under a swept placement therefore resolves at run time exactly as it
 // was measured, whether the call came from the facade, a CLI tool, or

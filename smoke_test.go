@@ -37,11 +37,11 @@ func TestSmokePaperCounts(t *testing.T) {
 func TestSmokeSimHarness(t *testing.T) {
 	cfg := simCfg()
 	const np, n = 64, 1 << 20
-	nat, err := bench.MeasureSim(cfg, bench.Native, np, n)
+	nat, err := bench.MeasureSimDecision(cfg, bench.Native, np, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := bench.MeasureSim(cfg, bench.Opt, np, n)
+	opt, err := bench.MeasureSimDecision(cfg, bench.Opt, np, n)
 	if err != nil {
 		t.Fatal(err)
 	}
