@@ -19,11 +19,12 @@ type envelope struct {
 	data     []byte       // eager payload (engine-owned copy); nil for rendezvous
 	dbuf     *bufpool.Buf // pool handle backing data; released on consumption
 	rdv      *rdvState    // non-nil for local rendezvous
-	// fin, when non-nil, marks a remote rendezvous payload: the consuming
-	// receive calls it (after copying out) to send the RdvAck that
-	// unblocks the sender in its process. Remote eager envelopes are
-	// indistinguishable from local ones (data + dbuf, no fin).
-	fin func()
+	// ackID, when nonzero, marks a remote rendezvous payload: the
+	// consuming receive (after copying out) sends the RdvAck carrying it
+	// back to srcWorld, which unblocks the sender in its process. Remote
+	// eager envelopes are indistinguishable from local ones (data +
+	// dbuf, no ackID).
+	ackID uint64
 }
 
 // rdvState links a blocked rendezvous sender to the eventual receiver.
@@ -43,6 +44,10 @@ type posted struct {
 	src, tag int // may be mpi.AnySource / mpi.AnyTag
 	buf      []byte
 	done     chan recvResult // buffered(1): sender never blocks delivering
+	// aborted is the posting world's abort channel: a transport placing
+	// a remote message into buf fragment by fragment (see remote.go)
+	// stops once it is closed.
+	aborted <-chan struct{}
 }
 
 type recvResult struct {
@@ -125,20 +130,35 @@ func copyPayload(dst, src []byte) (int, error) {
 	return len(src), nil
 }
 
-// matchPosted finds and removes the first posted receive matching
-// (ctx, src, tag). Caller holds ep.mu. The vacated tail slot is nil'ed:
-// the shift-down delete otherwise leaves the last pointer duplicated
-// past the new length, pinning a delivered (and possibly recycled)
-// object for the world's lifetime.
-func (ep *endpoint) matchPosted(ctx int64, src, tag int) *posted {
+// findPosted returns the index of the first posted receive matching
+// (ctx, src, tag), -1 when there is none. Caller holds ep.mu.
+func (ep *endpoint) findPosted(ctx int64, src, tag int) int {
 	for i, pr := range ep.recvs {
 		if pr.ctx == ctx && matchSrc(pr.src, src) && matchTag(pr.tag, tag) {
-			last := len(ep.recvs) - 1
-			copy(ep.recvs[i:], ep.recvs[i+1:])
-			ep.recvs[last] = nil
-			ep.recvs = ep.recvs[:last]
-			return pr
+			return i
 		}
+	}
+	return -1
+}
+
+// takePosted removes and returns posted receive i. Caller holds ep.mu.
+// The vacated tail slot is nil'ed: the shift-down delete otherwise
+// leaves the last pointer duplicated past the new length, pinning a
+// delivered (and possibly recycled) object for the world's lifetime.
+func (ep *endpoint) takePosted(i int) *posted {
+	pr := ep.recvs[i]
+	last := len(ep.recvs) - 1
+	copy(ep.recvs[i:], ep.recvs[i+1:])
+	ep.recvs[last] = nil
+	ep.recvs = ep.recvs[:last]
+	return pr
+}
+
+// matchPosted finds and removes the first posted receive matching
+// (ctx, src, tag). Caller holds ep.mu.
+func (ep *endpoint) matchPosted(ctx int64, src, tag int) *posted {
+	if i := ep.findPosted(ctx, src, tag); i >= 0 {
+		return ep.takePosted(i)
 	}
 	return nil
 }

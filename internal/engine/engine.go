@@ -148,7 +148,7 @@ type World struct {
 	hosted []bool
 
 	// Remote rendezvous in flight: correlation id → the blocked
-	// sender's rdvState, signaled by deliverRemote on RdvAck.
+	// sender's rdvState, signaled by remoteHandler.Deliver on RdvAck.
 	rdvSeq    atomic.Uint64
 	remoteMu  sync.Mutex
 	remoteRdv map[uint64]*rdvState
@@ -269,7 +269,7 @@ func NewWorld(opts Options) (*World, error) {
 		bm.BindMetrics(mx)
 	}
 	if wired {
-		if err := trans.Start(w.deliverRemote); err != nil {
+		if err := trans.Start(remoteHandler{w}); err != nil {
 			return nil, fmt.Errorf("engine: transport start: %w", err)
 		}
 	}

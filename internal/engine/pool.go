@@ -27,11 +27,13 @@ import (
 //     receiver that dequeues one (matchArrival) releases it after
 //     reading its fields.
 //   - posted receives: enqueued by the receiver; a matching sender
-//     borrows one only long enough to deliver into pr.done. The
-//     receiver's request recycles it after consuming the result from
-//     the channel — and only then, because until that receive the
-//     sender may still be mid-delivery. On the abort/cancel paths the
-//     object is abandoned to the garbage collector instead.
+//     borrows one only long enough to deliver into pr.done — a remote
+//     message placed fragment by fragment (remoteHandler.Claim) from
+//     its first fragment to its last. The receiver's request recycles
+//     it after consuming the result from the channel — and only then,
+//     because until that receive the sender may still be mid-delivery.
+//     On the abort/cancel paths the object is abandoned to the garbage
+//     collector instead.
 //   - rdvStates: created by the sender; the receiver borrows one to
 //     copy out of rdv.buf and signal rdv.done, after which it must not
 //     touch it. The sender recycles it after consuming the done signal
@@ -81,13 +83,15 @@ func newRdvEnvelope(ctx int64, src, srcWorld, tag int, buf []byte) *envelope {
 }
 
 // newRemoteEnvelope builds a pooled envelope for a transport-delivered
-// message, taking ownership of its payload buffer. fin is non-nil for
-// remote rendezvous payloads (the consumption ack callback).
-func newRemoteEnvelope(m *transport.Message, fin func()) *envelope {
+// message, taking ownership of its payload buffer. A rendezvous payload
+// keeps its correlation id for the consumption ack.
+func newRemoteEnvelope(m *transport.Message) *envelope {
 	env := envelopePool.Get().(*envelope)
 	env.ctx, env.src, env.srcWorld, env.tag = m.Ctx, m.Src, m.SrcWorld, m.Tag
 	env.data, env.dbuf, env.rdv = m.Data, m.Buf, nil
-	env.fin = fin
+	if m.Kind == transport.Rdv {
+		env.ackID = m.MsgID
+	}
 	return env
 }
 
@@ -99,15 +103,15 @@ func putEnvelope(env *envelope) {
 	if env.dbuf != nil {
 		env.dbuf.Release()
 	}
-	env.data, env.dbuf, env.rdv, env.fin = nil, nil, nil, nil
+	env.data, env.dbuf, env.rdv, env.ackID = nil, nil, nil, 0
 	envelopePool.Put(env)
 }
 
 // getPosted builds a pooled posted receive. Its done channel is reused
 // across recycles and is empty on return.
-func getPosted(ctx int64, src, tag int, buf []byte) *posted {
+func getPosted(ctx int64, src, tag int, buf []byte, aborted <-chan struct{}) *posted {
 	pr := postedPool.Get().(*posted)
-	pr.ctx, pr.src, pr.tag, pr.buf = ctx, src, tag, buf
+	pr.ctx, pr.src, pr.tag, pr.buf, pr.aborted = ctx, src, tag, buf, aborted
 	return pr
 }
 

@@ -3,28 +3,41 @@ package engine
 // The engine's transport seam. A world built with a wired transport
 // (see internal/transport) routes sends whose destination the transport
 // declares wired through Transport.Send instead of the in-process
-// endpoint path, and receives inbound messages via deliverRemote on the
-// transport's delivery goroutine. The protocols map as:
+// endpoint path, and receives inbound messages through remoteHandler on
+// the transport's delivery goroutine. The protocols map as:
 //
 //   - Eager: the payload crosses the wire and the send completes at
 //     enqueue time — the transport's copy substitutes for the local
 //     staging copy, so StagedBytes accounting is unchanged. On arrival
-//     the message either completes a posted receive directly or parks
-//     in the unexpected queue as an ordinary eager envelope (charging
-//     the sender's eager-credit account, which the consuming receive
+//     the message either completes a posted receive or parks in the
+//     unexpected queue as an ordinary eager envelope (charging the
+//     sender's eager-credit account, which the consuming receive
 //     releases as usual; remote senders are not credit-blocked — the
 //     transport's send window is their flow control).
 //   - Rendezvous: the payload crosses the wire with a correlation id
 //     and the sender blocks on a pooled rdvState registered under that
-//     id. When the receiver consumes the payload, the envelope's fin
-//     callback sends a RdvAck back over the same reliable stream, and
-//     deliverRemote signals the sender's rdvState. The "sender blocks
-//     until the receiver takes the message" contract survives; only the
-//     single-copy property is traded for wire framing.
+//     id. The sender's buffer is the transport's for that long: it is
+//     written to the wire as it lies, never copied (see the transport
+//     package's message model). When the receiver has the payload, a
+//     RdvAck goes back over the same reliable stream and Deliver
+//     signals the sender's rdvState. The "sender blocks until the
+//     receiver takes the message" contract survives, and so does the
+//     sender's half of the single-copy property.
 //
-// Aborted operations abandon their registered rdvStates to the garbage
-// collector (the map entry is dropped; a late ack finds nothing), the
-// same policy pool.go sets for local aborts.
+// Either kind is placed straight into the receiver's buffer when its
+// receive was posted, with an exactly fitting buffer, before the
+// message's first fragment arrived (Claim): the posted receive leaves
+// the queue at that moment and completes when the last fragment lands.
+// Otherwise the transport reassembles the message in pooled memory and
+// Deliver matches it as a local sender would, one copy later.
+//
+// A rendezvous sender that stops waiting without its RdvAck (abort,
+// cancellation, a failed Send) goes through abandonRdv, which drops the
+// registration — the rdvState is left to the garbage collector, since a
+// late ack may still be heading for it, the same policy pool.go sets
+// for local aborts — and takes the buffer back from the transport. An
+// aborted world accepts no further payloads: its receivers have already
+// returned, so nothing may be written into their buffers.
 
 import (
 	"repro/internal/metrics"
@@ -47,13 +60,23 @@ func (w *World) registerRdv() (uint64, *rdvState) {
 	return id, rdv
 }
 
-// unregisterRdv abandons an in-flight remote rendezvous (abort/cancel):
-// the map entry is dropped and the rdvState left to the garbage
-// collector, since a late ack may still be heading for it.
-func (w *World) unregisterRdv(id uint64) {
+// abandonRdv is the one way a remote rendezvous ends without its
+// RdvAck: the registration is dropped and, before the sender is let go,
+// the transport gives up its view of the sender's buffer.
+func (w *World) abandonRdv(id uint64, dstWorld int) {
 	w.remoteMu.Lock()
 	delete(w.remoteRdv, id)
 	w.remoteMu.Unlock()
+	w.trans.Unpin(dstWorld, id)
+}
+
+// sendRdvAck tells the sender of rendezvous message id, world rank to,
+// that world rank from has consumed it.
+func (w *World) sendRdvAck(ctx int64, from, to int, id uint64) {
+	_ = w.trans.Send(transport.Message{
+		Ctx: ctx, Src: from, SrcWorld: from, Dst: to,
+		Kind: transport.RdvAck, MsgID: id,
+	})
 }
 
 // remoteSend is the blocking send for a wired destination.
@@ -86,7 +109,7 @@ func (w *World) remoteSend(ctx int64, srcRank, srcWorld, dstWorld int, buf []byt
 		Tag: tag, Kind: transport.Rdv, MsgID: id, Data: buf,
 	})
 	if err != nil {
-		w.unregisterRdv(id)
+		w.abandonRdv(id, dstWorld)
 		w.abort(err)
 		return w.abortError()
 	}
@@ -101,10 +124,10 @@ func (w *World) remoteSend(ctx int64, srcRank, srcWorld, dstWorld int, buf []byt
 		putRdv(rdv)
 		return nil
 	case <-w.aborted:
-		w.unregisterRdv(id)
+		w.abandonRdv(id, dstWorld)
 		return w.abortError()
 	case <-cnl.done:
-		w.unregisterRdv(id)
+		w.abandonRdv(id, dstWorld)
 		return cnl.fire(w)
 	}
 }
@@ -143,26 +166,91 @@ func (w *World) isendRemote(ctx int64, srcRank, srcWorld, dstWorld int, buf []by
 		Tag: tag, Kind: transport.Rdv, MsgID: id, Data: buf,
 	})
 	if err != nil {
-		w.unregisterRdv(id)
+		w.abandonRdv(id, dstWorld)
 		w.abort(err)
 		return completedRequest(mpi.Status{}, w.abortError())
 	}
 	w.progress.Add(1)
 	w.metrics.Add(srcWorld, metrics.RdvSends, 1)
 	r := requestPool.Get().(*request)
-	*r = request{w: w, trackRank: srcWorld, rdv: rdv, sendN: len(buf), cancel: cnl}
+	*r = request{w: w, trackRank: srcWorld, rdv: rdv, rdvID: id, rdvDst: dstWorld, sendN: len(buf), cancel: cnl}
 	return r
 }
 
-// deliverRemote is the transport Handler: it runs on the transport's
-// delivery goroutine and injects inbound messages into the destination
-// endpoint exactly where a local sender would — completing a posted
-// receive directly or parking an envelope in the unexpected queue.
-func (w *World) deliverRemote(m transport.Message) {
+// remoteHandler is the world's transport.Handler: it runs on the
+// transport's delivery goroutine and injects inbound messages into the
+// destination endpoint exactly where a local sender would.
+type remoteHandler struct{ w *World }
+
+// accepts reports whether the data message m may still be taken in: its
+// destination is hosted here and the world has not aborted.
+func (w *World) accepts(m *transport.Message) bool {
+	if (m.Kind != transport.Eager && m.Kind != transport.Rdv) ||
+		m.Dst < 0 || m.Dst >= w.np || !w.hosted[m.Dst] {
+		return false
+	}
+	select {
+	case <-w.aborted:
+		return false
+	default:
+		return true
+	}
+}
+
+// Claim implements transport.Handler: a message whose first fragment
+// finds its receive posted with an exactly fitting buffer takes that
+// receive out of the queue — it is matched, as if the whole message had
+// arrived now — and is placed straight into its buffer. A shorter
+// buffer (truncation) or a longer one is left to Deliver.
+func (h remoteHandler) Claim(m transport.Message, size int) transport.Sink {
+	w := h.w
+	if !w.accepts(&m) {
+		return nil
+	}
+	ep := w.eps[m.Dst]
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	i := ep.findPosted(m.Ctx, m.Src, m.Tag)
+	if i < 0 || len(ep.recvs[i].buf) != size {
+		return nil
+	}
+	return ep.takePosted(i)
+}
+
+// Place implements transport.Sink on a claimed receive. Once the world
+// has aborted the receive's caller may have returned, so nothing more
+// is written.
+func (pr *posted) Place(off int, frag []byte) bool {
+	select {
+	case <-pr.aborted:
+		return false
+	default:
+	}
+	copy(pr.buf[off:], frag)
+	return true
+}
+
+// completeRemote finishes the posted receive pr with the n bytes it took
+// of remote message m, and lets a rendezvous sender go.
+func (w *World) completeRemote(pr *posted, m *transport.Message, n int, err error) {
+	// The receiver may recycle pr once it has the result.
+	pr.done <- recvResult{st: mpi.Status{Source: m.Src, Tag: m.Tag, Count: n}, err: err}
+	w.progress.Add(1)
+	eager := m.Kind == transport.Eager
+	w.countRecv(m.Dst, eager)
+	if !eager {
+		w.sendRdvAck(m.Ctx, m.Dst, m.SrcWorld, m.MsgID)
+	}
+}
+
+// Deliver implements transport.Handler: a RdvAck releases its blocked
+// sender; a claimed message completes the receive it was placed into;
+// any other completes a posted receive by copy or parks an envelope in
+// the unexpected queue.
+func (h remoteHandler) Deliver(m transport.Message) {
+	w := h.w
 	if m.Kind == transport.RdvAck {
-		if m.Buf != nil {
-			m.Buf.Release()
-		}
+		m.Buf.Release()
 		w.remoteMu.Lock()
 		rdv := w.remoteRdv[m.MsgID]
 		delete(w.remoteRdv, m.MsgID)
@@ -173,45 +261,26 @@ func (w *World) deliverRemote(m transport.Message) {
 		}
 		return
 	}
-	if (m.Kind != transport.Eager && m.Kind != transport.Rdv) ||
-		m.Dst < 0 || m.Dst >= w.np || !w.hosted[m.Dst] {
-		if m.Buf != nil {
-			m.Buf.Release()
-		}
+	if !w.accepts(&m) {
+		m.Buf.Release()
 		return
 	}
-	eager := m.Kind == transport.Eager
-	var fin func()
-	if !eager {
-		// Consumption notice back to the blocked sender. Captured by
-		// value so the closure does not pin the payload buffer.
-		ctx, from, to, id := m.Ctx, m.Dst, m.SrcWorld, m.MsgID
-		fin = func() {
-			_ = w.trans.Send(transport.Message{
-				Ctx: ctx, Src: from, SrcWorld: from, Dst: to,
-				Kind: transport.RdvAck, MsgID: id,
-			})
-		}
+	if m.Sink != nil {
+		pr := m.Sink.(*posted)
+		w.completeRemote(pr, &m, len(pr.buf), nil)
+		return
 	}
 	ep := w.eps[m.Dst]
 	ep.mu.Lock()
 	if pr := ep.matchPosted(m.Ctx, m.Src, m.Tag); pr != nil {
 		n, err := copyPayload(pr.buf, m.Data)
 		ep.mu.Unlock()
-		pr.done <- recvResult{st: mpi.Status{Source: m.Src, Tag: m.Tag, Count: n}, err: err}
-		if m.Buf != nil {
-			m.Buf.Release()
-		}
-		w.progress.Add(1)
-		w.countRecv(m.Dst, eager)
-		if fin != nil {
-			fin()
-		}
+		m.Buf.Release()
+		w.completeRemote(pr, &m, n, err)
 		return
 	}
-	env := newRemoteEnvelope(&m, fin)
-	ep.arrivals = append(ep.arrivals, env)
-	if eager {
+	ep.arrivals = append(ep.arrivals, newRemoteEnvelope(&m))
+	if m.Kind == transport.Eager {
 		ep.eagerBuffered[m.SrcWorld]++
 	}
 	w.metrics.Max(m.Dst, metrics.ArrivalQueueMax, int64(len(ep.arrivals)))

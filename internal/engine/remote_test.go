@@ -2,12 +2,14 @@ package engine
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/transport"
@@ -227,5 +229,450 @@ func TestChanTransportDefaultUnwired(t *testing.T) {
 	})
 	if err == nil {
 		t.Error("strictness must still fail an unconsumed message on the chan transport")
+	}
+}
+
+// wiredPair boots a two-rank world whose every message crosses a real
+// loopback socket.
+func wiredPair(t *testing.T) *World {
+	t.Helper()
+	const np = 2
+	tr, err := transport.SelfUDP(np)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tr.Close() })
+	w, err := NewWorld(Options{NP: np, EagerLimit: wireLimit, Timeout: 30 * time.Second, Transport: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// largeGets counts bufpool gets of buffers big enough for a payload of
+// at least wireLimit bytes (an empty message's reassembly buffer is not).
+func largeGets() (n int64) {
+	classes, oversize, _ := bufpool.Stats()
+	for _, c := range classes {
+		if c.Size >= wireLimit {
+			n += c.Gets
+		}
+	}
+	return n + oversize
+}
+
+// TestRemotePostedBeforeArrivalPlacesDirectly: a rendezvous message
+// whose receive is already posted, with a buffer that fits exactly,
+// crosses the wire without touching bufpool — the sender's buffer is
+// written to the socket as it lies, and the fragments land in the
+// receiver's buffer as they arrive. An eager message still pays its one
+// copy per fragment on the way out and nothing on the way in.
+func TestRemotePostedBeforeArrivalPlacesDirectly(t *testing.T) {
+	w := wiredPair(t)
+	const rdvSz, eagerSz = 200 << 10, wireLimit
+	for _, tc := range []struct {
+		name     string
+		size     int
+		wantGets int64
+	}{
+		{"rdv", rdvSz, 0},
+		{"eager", eagerSz, 1},
+	} {
+		posted := make(chan struct{})
+		var before, after int64
+		err := w.Run(func(c mpi.Comm) error {
+			if c.Rank() == 1 {
+				in := make([]byte, tc.size)
+				req, err := c.Irecv(in, 0, 3)
+				if err != nil {
+					return err
+				}
+				before = largeGets()
+				close(posted)
+				st, err := req.Wait()
+				after = largeGets()
+				if err != nil {
+					return err
+				}
+				if st.Count != tc.size || st.Source != 0 || st.Tag != 3 || !bytes.Equal(in, wirePattern(5, tc.size)) {
+					return fmt.Errorf("placed receive: status %+v, payload intact=%v", st, bytes.Equal(in, wirePattern(5, tc.size)))
+				}
+				// Tell rank 0 the numbers are taken (and keep the world strict).
+				return c.Send(nil, 0, 4)
+			}
+			<-posted
+			if err := c.Send(wirePattern(5, tc.size), 1, 3); err != nil {
+				return err
+			}
+			_, err := c.Recv(nil, 1, 4)
+			return err
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := after - before; got != tc.wantGets {
+			t.Errorf("%s: %d-byte message posted before arrival cost %d payload-sized bufpool gets, want %d",
+				tc.name, tc.size, got, tc.wantGets)
+		}
+	}
+}
+
+// TestRemoteArrivalBeforePost: a message that finds no receive posted is
+// reassembled by the transport, parks in the unexpected queue, and is
+// copied out by the receive that comes later — which, for a rendezvous,
+// is also what lets the sender go.
+func TestRemoteArrivalBeforePost(t *testing.T) {
+	w := wiredPair(t)
+	for _, size := range []int{wireEagerSz, wireRdvSz, 100 << 10} {
+		err := w.Run(func(c mpi.Comm) error {
+			if c.Rank() == 0 {
+				return c.Send(wirePattern(size, size), 1, 6)
+			}
+			for w.eps[1].pendingArrivals() == 0 {
+				time.Sleep(100 * time.Microsecond)
+			}
+			in := make([]byte, size)
+			st, err := c.Recv(in, mpi.AnySource, mpi.AnyTag)
+			if err != nil {
+				return err
+			}
+			if st.Count != size || st.Source != 0 || st.Tag != 6 || !bytes.Equal(in, wirePattern(size, size)) {
+				return fmt.Errorf("%d-byte unexpected message: status %+v", size, st)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// claimHarness drives the world's transport handler by hand, the way a
+// transport would, against receives a rank body really posted: the
+// deterministic view of Claim, Place and Deliver. body runs on rank 0 of
+// a wired two-rank world with the handler to drive; rank 1 idles.
+func claimHarness(t *testing.T, body func(c mpi.Comm, h remoteHandler) error) error {
+	t.Helper()
+	w := wiredPair(t)
+	return w.Run(func(c mpi.Comm) error {
+		if c.Rank() != 0 {
+			return nil
+		}
+		return body(c, remoteHandler{w})
+	})
+}
+
+// inbound is a message from world rank 1 to rank 0 on c, as its first
+// fragment's header describes it.
+func inbound(c mpi.Comm, kind transport.Kind, tag int, id uint64) transport.Message {
+	return transport.Message{
+		Ctx: c.(*comm).ctx, Src: 1, SrcWorld: 1, Dst: 0, Tag: tag, Kind: kind, MsgID: id,
+	}
+}
+
+// TestRemoteClaimMatching pins what Claim takes and what it leaves:
+// wildcard receives are claimed and report the real source and tag; a
+// buffer that does not fit exactly is left posted (too short: the copy
+// path reports the truncation as ever; too long: the copy path fills
+// its head); and a claim consumes the first matching receive only.
+func TestRemoteClaimMatching(t *testing.T) {
+	err := claimHarness(t, func(c mpi.Comm, h remoteHandler) error {
+		const size = 6000
+		payload := wirePattern(3, size)
+		deliverPooled := func(m transport.Message) {
+			m.Buf = bufpool.Get(size)
+			m.Data = m.Buf.B
+			copy(m.Data, payload)
+			h.Deliver(m)
+		}
+
+		// Wildcards.
+		in := make([]byte, size)
+		req, err := c.Irecv(in, mpi.AnySource, mpi.AnyTag)
+		if err != nil {
+			return err
+		}
+		m := inbound(c, transport.Eager, 21, 0)
+		sink := h.Claim(m, size)
+		if sink == nil {
+			return fmt.Errorf("exactly fitting wildcard receive not claimed")
+		}
+		if n := h.w.eps[0].pendingRecvs(); n != 0 {
+			return fmt.Errorf("claimed receive still posted (%d in the queue)", n)
+		}
+		if !sink.Place(0, payload[:4000]) || !sink.Place(4000, payload[4000:]) {
+			return fmt.Errorf("Place refused on a live world")
+		}
+		if req.Done() {
+			return fmt.Errorf("receive completed before the last fragment was delivered")
+		}
+		m.Sink = sink
+		h.Deliver(m)
+		st, err := req.Wait()
+		if err != nil || st.Source != 1 || st.Tag != 21 || st.Count != size || !bytes.Equal(in, payload) {
+			return fmt.Errorf("claimed wildcard receive: status %+v err %v", st, err)
+		}
+
+		// Too short: not claimed, truncation reported by the copy path.
+		short := make([]byte, size-1)
+		req, err = c.Irecv(short, 1, 22)
+		if err != nil {
+			return err
+		}
+		m = inbound(c, transport.Eager, 22, 0)
+		if h.Claim(m, size) != nil {
+			return fmt.Errorf("truncating receive was claimed")
+		}
+		deliverPooled(m)
+		if st, err = req.Wait(); !errors.Is(err, mpi.ErrTruncate) || st.Count != size-1 || !bytes.Equal(short, payload[:size-1]) {
+			return fmt.Errorf("short buffer: status %+v err %v, want ErrTruncate with the head copied", st, err)
+		}
+
+		// Too long: not claimed either, completed by copy.
+		long := make([]byte, size+1)
+		if req, err = c.Irecv(long, 1, 23); err != nil {
+			return err
+		}
+		m = inbound(c, transport.Eager, 23, 0)
+		if h.Claim(m, size) != nil {
+			return fmt.Errorf("oversized receive was claimed")
+		}
+		deliverPooled(m)
+		if st, err = req.Wait(); err != nil || st.Count != size || !bytes.Equal(long[:size], payload) {
+			return fmt.Errorf("long buffer: status %+v err %v", st, err)
+		}
+
+		// Matching order: the first matching receive decides, even when a
+		// later one would fit.
+		if req, err = c.Irecv(short, 1, 24); err != nil {
+			return err
+		}
+		req2, err := c.Irecv(in, 1, 24)
+		if err != nil {
+			return err
+		}
+		m = inbound(c, transport.Eager, 24, 0)
+		if h.Claim(m, size) != nil {
+			return fmt.Errorf("claim skipped the first matching receive for a later, fitting one")
+		}
+		deliverPooled(m)
+		if _, err = req.Wait(); !errors.Is(err, mpi.ErrTruncate) {
+			return fmt.Errorf("first matching receive: err %v, want ErrTruncate", err)
+		}
+		deliverPooled(m)
+		_, err = req2.Wait()
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRemoteZeroLength: an empty message is never offered for a claim;
+// delivered as it always was, it completes an empty receive or waits in
+// the unexpected queue.
+func TestRemoteZeroLength(t *testing.T) {
+	w := wiredPair(t)
+	for _, limit := range []int{wireLimit, -1} { // eager, then forced rendezvous
+		w.eagerLimit = limit
+		err := w.Run(func(c mpi.Comm) error {
+			peer := 1 - c.Rank()
+			for round := 0; round < 3; round++ {
+				st, err := c.Sendrecv(nil, peer, 8, nil, peer, 8)
+				if err != nil {
+					return err
+				}
+				if st.Count != 0 || st.Source != peer {
+					return fmt.Errorf("empty sendrecv: status %+v", st)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("eager limit %d: %v", limit, err)
+		}
+	}
+}
+
+// TestRemoteInterleavedFlows: two flows place fragments of two messages
+// for the same rank turn and turn about. Each claim took its own
+// receive, so neither disturbs the other, and a rendezvous completion
+// sends its RdvAck without a posted receive being consumed twice.
+func TestRemoteInterleavedFlows(t *testing.T) {
+	err := claimHarness(t, func(c mpi.Comm, h remoteHandler) error {
+		const size, frag = 9000, 3000
+		pa, pb := wirePattern(1, size), wirePattern(2, size)
+		ina, inb := make([]byte, size), make([]byte, size)
+		ra, err := c.Irecv(ina, 1, 31)
+		if err != nil {
+			return err
+		}
+		rb, err := c.Irecv(inb, 1, 32)
+		if err != nil {
+			return err
+		}
+		ma, mb := inbound(c, transport.Rdv, 31, 9001), inbound(c, transport.Eager, 32, 0)
+		// b's first fragment arrives first, though a's receive is older.
+		mb.Sink = h.Claim(mb, size)
+		ma.Sink = h.Claim(ma, size)
+		if ma.Sink == nil || mb.Sink == nil {
+			return fmt.Errorf("claims: a=%v b=%v, want both", ma.Sink, mb.Sink)
+		}
+		for off := 0; off < size; off += frag {
+			if !mb.Sink.Place(off, pb[off:off+frag]) || !ma.Sink.Place(off, pa[off:off+frag]) {
+				return fmt.Errorf("Place refused at offset %d", off)
+			}
+		}
+		h.Deliver(ma)
+		h.Deliver(mb)
+		for _, r := range []struct {
+			req  mpi.Request
+			in   []byte
+			want []byte
+			tag  int
+		}{{ra, ina, pa, 31}, {rb, inb, pb, 32}} {
+			st, err := r.req.Wait()
+			if err != nil || st.Tag != r.tag || st.Count != size || !bytes.Equal(r.in, r.want) {
+				return fmt.Errorf("interleaved message tag %d: status %+v err %v", r.tag, st, err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRemoteAbortedWorldTakesNoPayloads: once the world has aborted its
+// receivers are gone, so a half-placed message writes no further
+// fragment, a new message is not claimed, and a delivered one is
+// dropped — its pooled payload released, nothing parked, nothing copied
+// into a receive that was left posted.
+func TestRemoteAbortedWorldTakesNoPayloads(t *testing.T) {
+	const size, half = 8000, 4000
+	payload := wirePattern(9, size)
+	in, late := make([]byte, size), make([]byte, size)
+	var w *World
+	var sink transport.Sink
+	var m transport.Message
+	err := claimHarness(t, func(c mpi.Comm, h remoteHandler) error {
+		w = h.w
+		if _, err := c.Irecv(in, 1, 41); err != nil {
+			return err
+		}
+		m = inbound(c, transport.Rdv, 41, 77)
+		if sink = h.Claim(m, size); sink == nil {
+			return fmt.Errorf("receive not claimed")
+		}
+		if !sink.Place(0, payload[:half]) {
+			return fmt.Errorf("Place refused on a live world")
+		}
+		if _, err := c.Irecv(late, 1, 42); err != nil {
+			return err
+		}
+		return errors.New("rank 0 gives up")
+	})
+	if err == nil {
+		t.Fatal("the run was meant to abort")
+	}
+	h := remoteHandler{w}
+	if sink.Place(half, payload[half:]) {
+		t.Error("Place accepted a fragment for an aborted world")
+	}
+	if !bytes.Equal(in[:half], payload[:half]) || !bytes.Equal(in[half:], make([]byte, size-half)) {
+		t.Error("the claimed buffer was written after the abort")
+	}
+	m2 := m
+	m2.Tag = 42
+	if h.Claim(m2, size) != nil {
+		t.Error("an aborted world claimed a receive")
+	}
+	m2.Buf = bufpool.Get(size)
+	m2.Data = m2.Buf.B
+	copy(m2.Data, payload)
+	putsBefore := poolPuts()
+	h.Deliver(m2)
+	if poolPuts() != putsBefore+1 {
+		t.Error("an aborted world did not release the payload it was delivered")
+	}
+	if !bytes.Equal(late, make([]byte, size)) {
+		t.Error("a late message was copied into a receive whose caller had returned")
+	}
+	if n := w.eps[0].pendingArrivals(); n != 0 {
+		t.Errorf("an aborted world parked %d late messages", n)
+	}
+}
+
+// poolPuts sums bufpool's releases over every class.
+func poolPuts() (puts int64) {
+	classes, _, _ := bufpool.Stats()
+	for _, c := range classes {
+		puts += c.Puts
+	}
+	return puts
+}
+
+// unpinSpy is a UDP transport that records the Unpin calls it forwards.
+type unpinSpy struct {
+	*transport.UDP
+	mu   sync.Mutex
+	dsts []int
+}
+
+func (s *unpinSpy) Unpin(dst int, msgID uint64) {
+	s.mu.Lock()
+	s.dsts = append(s.dsts, dst)
+	s.mu.Unlock()
+	s.UDP.Unpin(dst, msgID)
+}
+
+// TestRemoteAbandonedRendezvousLeavesNothing: a rendezvous sender that
+// stops waiting — blocking or nonblocking, by abort — first takes its
+// buffer back from the transport and leaves no entry in the world's
+// correlation map (the nonblocking path used to leak its entry for the
+// life of the world).
+func TestRemoteAbandonedRendezvousLeavesNothing(t *testing.T) {
+	for _, nonblocking := range []bool{false, true} {
+		udp, err := transport.SelfUDP(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer udp.Close()
+		spy := &unpinSpy{UDP: udp}
+		w, err := NewWorld(Options{NP: 2, EagerLimit: wireLimit, Timeout: 30 * time.Second, Transport: spy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent := make(chan struct{})
+		err = w.Run(func(c mpi.Comm) error {
+			if c.Rank() == 1 {
+				<-sent
+				return errors.New("rank 1 never receives")
+			}
+			buf := make([]byte, wireRdvSz)
+			if !nonblocking {
+				close(sent)
+				return c.Send(buf, 1, 5)
+			}
+			req, err := c.Isend(buf, 1, 5)
+			if err != nil {
+				return err
+			}
+			close(sent)
+			_, err = req.Wait()
+			return err
+		})
+		if err == nil {
+			t.Fatalf("nonblocking=%v: run did not abort", nonblocking)
+		}
+		w.remoteMu.Lock()
+		n := len(w.remoteRdv)
+		w.remoteMu.Unlock()
+		if n != 0 {
+			t.Errorf("nonblocking=%v: %d rendezvous still registered after the sender gave up", nonblocking, n)
+		}
+		if len(spy.dsts) != 1 || spy.dsts[0] != 1 {
+			t.Errorf("nonblocking=%v: Unpin calls to ranks %v, want exactly one, to rank 1", nonblocking, spy.dsts)
+		}
 	}
 }

@@ -24,6 +24,10 @@ type request struct {
 	pr    *posted   // posted receive (completion delivered via pr.done)
 	rdv   *rdvState // zero-copy send awaiting its receiver
 	sendN int       // payload size for the send status
+	// rdvID, when nonzero, marks rdv as a remote rendezvous to world rank
+	// rdvDst, registered under that correlation id (see remote.go).
+	rdvID  uint64
+	rdvDst int
 
 	// Cached result once complete.
 	complete bool
@@ -65,14 +69,23 @@ func (r *request) Wait() (mpi.Status, error) {
 			r.st, r.err = mpi.Status{Count: r.sendN}, nil
 			putRdv(r.rdv) // signal consumed; the receiver is done with it
 		case <-r.w.aborted:
+			r.abandonRdv()
 			r.st, r.err = mpi.Status{}, r.w.abortError()
 		case <-r.cancel.done:
+			r.abandonRdv()
 			r.st, r.err = mpi.Status{}, r.cancel.fire(r.w)
 		}
 	}
 	r.complete = true
 	r.pr, r.rdv = nil, nil
 	return r.st, r.err
+}
+
+// abandonRdv gives up a pending send without its completion signal.
+func (r *request) abandonRdv() {
+	if r.rdvID != 0 {
+		r.w.abandonRdv(r.rdvID, r.rdvDst)
+	}
 }
 
 func (r *request) Done() bool {
@@ -194,16 +207,16 @@ func (w *World) irecv(ctx int64, myWorld int, buf []byte, src, tag int, cnl canc
 			w.countRecv(myWorld, false)
 			return completedRequest(st, err)
 		}
-		if env.fin != nil {
+		if env.ackID != 0 {
 			// Remote rendezvous: copy out of the wire payload, then ack
 			// the sender's process. No eager credit to release — remote
 			// rendezvous never charged one.
 			n, err := copyPayload(buf, env.data)
 			ep.mu.Unlock()
 			st := mpi.Status{Source: env.src, Tag: env.tag, Count: n}
-			fin := env.fin
+			ctx, to, id := env.ctx, env.srcWorld, env.ackID
 			putEnvelope(env)
-			fin()
+			w.sendRdvAck(ctx, myWorld, to, id)
 			w.progress.Add(1)
 			w.countRecv(myWorld, false)
 			return completedRequest(st, err)
@@ -217,7 +230,7 @@ func (w *World) irecv(ctx int64, myWorld int, buf []byte, src, tag int, cnl canc
 		w.countRecv(myWorld, true)
 		return completedRequest(st, err)
 	}
-	pr := getPosted(ctx, src, tag, buf)
+	pr := getPosted(ctx, src, tag, buf, w.aborted)
 	ep.recvs = append(ep.recvs, pr)
 	w.metrics.Max(myWorld, metrics.PostedQueueMax, int64(len(ep.recvs)))
 	ep.mu.Unlock()

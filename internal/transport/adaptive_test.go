@@ -256,10 +256,10 @@ func TestUDPCloseDrainsUnderBackoff(t *testing.T) {
 	faults := &FaultConfig{Drop: 0.4}
 	a, b := newPair(t, faults, 0) // adaptive RTO, so backoff is live
 	var sink collector
-	if err := a.Start(func(Message) {}); err != nil {
+	if err := a.Start(discard); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Start(sink.handle); err != nil {
+	if err := b.Start(deliverFunc(sink.handle)); err != nil {
 		t.Fatal(err)
 	}
 	const n = 30
@@ -296,10 +296,10 @@ func TestUDPAckCoalescing(t *testing.T) {
 	a.BindMetrics(ma)
 	b.BindMetrics(mb)
 	var sink collector
-	if err := a.Start(func(Message) {}); err != nil {
+	if err := a.Start(discard); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Start(sink.handle); err != nil {
+	if err := b.Start(deliverFunc(sink.handle)); err != nil {
 		t.Fatal(err)
 	}
 	const msgs = 4
@@ -343,10 +343,10 @@ func TestUDPAdaptiveRTOWithLatency(t *testing.T) {
 	m := metrics.New(1, 0)
 	a.BindMetrics(m)
 	var sink collector
-	if err := a.Start(func(Message) {}); err != nil {
+	if err := a.Start(discard); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Start(sink.handle); err != nil {
+	if err := b.Start(deliverFunc(sink.handle)); err != nil {
 		t.Fatal(err)
 	}
 	const n = 10
@@ -541,13 +541,13 @@ func TestUDPSteadyStateAllocs(t *testing.T) {
 		t.Skip("no batched datagram I/O on this platform: ReadFrom allocates an address per datagram")
 	}
 	delivered := make(chan struct{}, 1)
-	if err := a.Start(func(Message) {}); err != nil {
+	if err := a.Start(discard); err != nil {
 		t.Fatal(err)
 	}
-	err := b.Start(func(m Message) {
+	err := b.Start(deliverFunc(func(m Message) {
 		m.Buf.Release()
 		delivered <- struct{}{}
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

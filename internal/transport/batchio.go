@@ -22,3 +22,10 @@ type batchPkt struct {
 	b    []byte
 	addr net.Addr
 }
+
+// datagram is one outbound data datagram as the scoreboard keeps it:
+// the encoded header and a view of the fragment's payload (empty for a
+// header-only datagram), written as one gather.
+type datagram struct {
+	hdr, payload []byte
+}

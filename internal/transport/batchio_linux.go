@@ -155,7 +155,7 @@ func (b *batchIO) decodeSockaddr(raw *rawSockaddr, n uint32) net.Addr {
 // handed to rc.Write (a fresh one per call would escape to the heap and
 // take the headers with it). Its user serializes calls.
 type batchWriter struct {
-	iovs  [batchSize]syscall.Iovec
+	iovs  [batchSize][2]syscall.Iovec // header, payload
 	hdrs  [batchSize]mmsghdr
 	rsa   rawSockaddr
 	n     int
@@ -164,13 +164,14 @@ type batchWriter struct {
 	send  func(fd uintptr) bool
 }
 
-// writeBatch sends bufs to addr in sendmmsg chunks, reporting how many
+// writeBatch sends dgrams to addr in sendmmsg chunks, each datagram a
+// gather of its header and its payload view, reporting how many
 // datagrams the kernel accepted and how many syscalls that took. ok is
 // false when the batch path cannot be used at all (callers fall back to
 // WriteTo); a short or failed send after the first accepted datagram
 // still reports ok, and the unaccepted tail is left to the retransmit
 // clock.
-func (b *batchIO) writeBatch(w *batchWriter, bufs [][]byte, addr net.Addr) (sent, calls int, ok bool) {
+func (b *batchIO) writeBatch(w *batchWriter, dgrams []datagram, addr net.Addr) (sent, calls int, ok bool) {
 	salen, ok := encodeSockaddr(addr, &w.rsa)
 	if !ok {
 		return 0, 0, false
@@ -186,13 +187,19 @@ func (b *batchIO) writeBatch(w *batchWriter, bufs [][]byte, addr net.Addr) (sent
 			return true
 		}
 	}
-	for sent < len(bufs) {
-		w.n = min(len(bufs)-sent, batchSize)
+	for sent < len(dgrams) {
+		w.n = min(len(dgrams)-sent, batchSize)
 		for i := 0; i < w.n; i++ {
-			p := bufs[sent+i]
-			w.iovs[i].Base = &p[0]
-			w.iovs[i].SetLen(len(p))
-			w.hdrs[i].hdr = syscall.Msghdr{Name: &w.rsa[0], Namelen: salen, Iov: &w.iovs[i], Iovlen: 1}
+			d, iov := dgrams[sent+i], &w.iovs[i]
+			iov[0].Base = &d.hdr[0]
+			iov[0].SetLen(len(d.hdr))
+			parts := uint64(1)
+			if len(d.payload) > 0 {
+				iov[1].Base = &d.payload[0]
+				iov[1].SetLen(len(d.payload))
+				parts = 2
+			}
+			w.hdrs[i].hdr = syscall.Msghdr{Name: &w.rsa[0], Namelen: salen, Iov: &iov[0], Iovlen: parts}
 		}
 		w.wrote, w.serr = 0, 0
 		if err := b.rc.Write(w.send); err != nil || w.serr != 0 {

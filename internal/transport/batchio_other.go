@@ -13,6 +13,6 @@ func newBatchIO(net.PacketConn) *batchIO { return nil }
 
 type batchWriter struct{}
 
-func (*batchIO) writeBatch(*batchWriter, [][]byte, net.Addr) (int, int, bool) { return 0, 0, false }
+func (*batchIO) writeBatch(*batchWriter, []datagram, net.Addr) (int, int, bool) { return 0, 0, false }
 
 func (*batchIO) readBatch([]batchPkt) (int, error) { return 0, errBatchUnsupported }

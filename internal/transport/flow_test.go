@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // The flow harness couples one sendFlow and one recvFlow — the pure
@@ -16,8 +17,10 @@ import (
 // socket, no goroutine, no sleep: a run is a deterministic function of
 // its seed, thousands of them fit in a second, and a failing seed
 // replays exactly. It plays the part of udp.go's shell (write what the
-// flows return, feed them what arrives, tick their clocks) and checks
-// what the shell's callers rely on.
+// flows return, feed them what arrives, tick their clocks) and of the
+// engine on both sides of it — a sender that overwrites its buffer the
+// moment it is let go, a receiver that claims some messages into
+// buffers of its own — and checks what the shell's callers rely on.
 
 // firstSeed rotates the seeded schedules: a stress loop passes a
 // different value each round and so covers schedules no earlier round
@@ -43,13 +46,24 @@ const (
 	reordered
 )
 
-// arrival is a datagram in flight.
+// arrival is something in flight: a data or ACK datagram, or the news
+// that the receiver consumed a message (the engine's RdvAck, which rides
+// the reliable reverse stream and so is never lost).
 type arrival struct {
 	at   time.Time
 	ord  int // send order, the tie-break that keeps equal-time arrivals FIFO
-	data bool
+	what arrivalKind
 	b    []byte
+	msg  int // the message consumed
 }
+
+type arrivalKind uint8
+
+const (
+	dataDatagram arrivalKind = iota
+	ackDatagram
+	consumedNotice
+)
 
 type arrivals []arrival
 
@@ -92,8 +106,19 @@ type sim struct {
 	net arrivals
 	ord int
 
-	sizes     []int // message payload sizes, by tag
-	delivered int   // messages delivered so far, in order
+	// Messages, by tag. Message i is Eager when i%4 == 3 and Rdv (sent
+	// under msgID i+1, pinned) otherwise; the receiver claims the even
+	// ones. want is what must arrive; src is the buffer handed to
+	// enqueue, overwritten as soon as the sender may touch it again —
+	// at once for Eager, at the consumed notice for Rdv, or (every fifth
+	// message) when the sender gives up waiting and unpins; dst is the
+	// claimed destination.
+	want, src, dst [][]byte
+	letGo          []bool // src[i] has been overwritten
+	consumed       []bool // onConsumed(i) has returned
+	giveUpAt       []time.Time
+	notices        int // consumed notices in flight
+	delivered      int // messages delivered so far, in order
 
 	written     []bool // by sequence number: transmitted at least once
 	sackedSeen  []bool // by sequence number: an ACK that reached the sender reported it held
@@ -120,9 +145,39 @@ func newSim(t *testing.T, cfg simConfig) *sim {
 		if size == 0 {
 			size = s.rng.Intn(cfg.maxFrags*cfg.payload + 1)
 		}
-		s.sizes = append(s.sizes, size)
+		s.want = append(s.want, pattern(i, size))
+		s.src = append(s.src, pattern(i, size))
+		s.dst = append(s.dst, make([]byte, size))
 	}
+	s.letGo = make([]bool, cfg.msgs)
+	s.consumed = make([]bool, cfg.msgs)
+	s.giveUpAt = make([]time.Time, cfg.msgs)
 	return s
+}
+
+func kindOf(msg int) Kind {
+	if msg%4 == 3 {
+		return Eager
+	}
+	return Rdv
+}
+
+// letGoOf plays the sender that may touch message msg's buffer again: it
+// overwrites every byte of it.
+func (s *sim) letGoOf(msg int) {
+	s.letGo[msg] = true
+	for i := range s.src[msg] {
+		s.src[msg][i] = ^s.want[msg][i]
+	}
+}
+
+// within reports whether b lies inside buf.
+func within(b, buf []byte) bool {
+	if len(b) == 0 || len(buf) == 0 {
+		return false
+	}
+	p, lo := uintptr(unsafe.Pointer(&b[0])), uintptr(unsafe.Pointer(&buf[0]))
+	return p >= lo && p < lo+uintptr(len(buf))
 }
 
 func (s *sim) fatalf(format string, args ...any) {
@@ -131,7 +186,7 @@ func (s *sim) fatalf(format string, args ...any) {
 }
 
 // transmit puts one datagram on l, applying its faults.
-func (s *sim) transmit(l *link, data bool, b []byte) fate {
+func (s *sim) transmit(l *link, kind arrivalKind, b []byte) fate {
 	roll := s.rng.Float64()
 	at := s.now.Add(l.delay)
 	if l.jitter > 0 {
@@ -152,10 +207,9 @@ func (s *sim) transmit(l *link, data bool, b []byte) fate {
 	if what != reordered {
 		l.last = at
 	}
-	cp := append([]byte(nil), b...)
 	for i := 0; i < copies; i++ {
 		s.ord++
-		heap.Push(&s.net, arrival{at: at, ord: s.ord, data: data, b: cp})
+		heap.Push(&s.net, arrival{at: at, ord: s.ord, what: kind, b: b})
 	}
 	return what
 }
@@ -169,12 +223,23 @@ func mark(set *[]bool, seq uint64) (was bool) {
 	return was
 }
 
-// flush writes what the sender's last method returned, as UDP.flush does.
+// flush writes what the sender's last method returned, as UDP.flush
+// does — reading each slot's payload view as the socket write would.
 func (s *sim) flush() {
 	for _, seq := range s.tx.wlist {
 		sl := s.tx.slot(seq)
 		if seq < uint64(len(s.sackedSeen)) && s.sackedSeen[seq] {
 			s.fatalf("re-sent sequence number %d after an ACK reported the receiver holds it", seq)
+		}
+		h, err := parseHeader(sl.hdr[:])
+		if err != nil {
+			s.fatalf("slot %d carries a header that does not parse: %v", seq, err)
+		}
+		if s.consumed[h.tag] {
+			s.fatalf("slot %d of message %d written after onConsumed returned", seq, h.tag)
+		}
+		if s.letGo[h.tag] && within(sl.payload, s.src[h.tag]) {
+			s.fatalf("slot %d reads message %d's buffer after its sender was let go", seq, h.tag)
 		}
 		first := !mark(&s.written, seq)
 		if first {
@@ -186,7 +251,8 @@ func (s *sim) flush() {
 			s.dataLost++
 			continue
 		}
-		switch s.transmit(&s.cfg.fwd, true, sl.buf.B[:sl.n]) {
+		pkt := append(append(make([]byte, 0, len(sl.hdr)+len(sl.payload)), sl.hdr[:]...), sl.payload...)
+		switch s.transmit(&s.cfg.fwd, dataDatagram, pkt) {
 		case lost:
 			s.dataLost++
 		case reordered:
@@ -203,30 +269,80 @@ func (s *sim) sendAck() {
 	a := s.rx.takeAck()
 	var b [maxAckLen]byte
 	s.acksSent++
-	if s.transmit(&s.cfg.rev, false, b[:putAck(b[:], &a)]) == lost {
+	if s.transmit(&s.cfg.rev, ackDatagram, append([]byte(nil), b[:putAck(b[:], &a)]...)) == lost {
 		s.acksLost++
 	}
 }
 
-// deliver checks one in-order datagram's message, as UDP.deliver hands
-// it to the handler.
-func (s *sim) deliver(pkt []byte) {
-	h, err := parseHeader(pkt)
-	if err != nil {
-		s.fatalf("delivered datagram does not parse: %v", err)
+// simSink is the receiving engine's claimed buffer.
+type simSink []byte
+
+func (d simSink) Place(off int, frag []byte) bool {
+	copy(d[off:], frag)
+	return true
+}
+
+// Claim implements Handler: even messages go straight to a buffer of the
+// receiver's.
+func (s *sim) Claim(m Message, size int) Sink {
+	if size != len(s.want[m.Tag]) {
+		s.fatalf("asked to claim message %d at %d bytes, it has %d", m.Tag, size, len(s.want[m.Tag]))
 	}
-	m, ok := s.rx.reassemble(h, pkt[dataHeaderLen:])
-	if !ok {
-		return
+	if m.Tag%2 != 0 {
+		return nil
 	}
+	return simSink(s.dst[m.Tag])
+}
+
+// Deliver implements Handler: it checks the message and, for a Rdv one,
+// sends the consumed notice on its way after a seeded think time.
+func (s *sim) Deliver(m Message) {
 	defer m.Buf.Release()
 	if m.Tag != s.delivered {
 		s.fatalf("delivered message %d, want %d next (exactly once, in order)", m.Tag, s.delivered)
 	}
-	if !bytes.Equal(m.Data, pattern(m.Tag, s.sizes[m.Tag])) {
-		s.fatalf("message %d delivered with wrong bytes", m.Tag)
+	got, claimed := m.Data, m.Tag%2 == 0 && len(s.want[m.Tag]) > 0
+	if claimed {
+		got = s.dst[m.Tag]
+	}
+	if (m.Sink != nil) != claimed || (m.Buf != nil) == claimed {
+		s.fatalf("message %d: claimed=%v but delivered with Sink=%v Buf=%v", m.Tag, claimed, m.Sink, m.Buf)
+	}
+	if m.Kind != kindOf(m.Tag) || !bytes.Equal(got, s.want[m.Tag]) {
+		s.fatalf("message %d delivered as %v with wrong bytes", m.Tag, m.Kind)
 	}
 	s.delivered++
+	if m.Kind == Rdv {
+		at := s.now.Add(s.cfg.rev.delay + time.Duration(s.rng.Int63n(int64(s.cfg.rev.delay+s.cfg.gap)+1)))
+		s.ord++
+		s.notices++
+		heap.Push(&s.net, arrival{at: at, ord: s.ord, what: consumedNotice, msg: m.Tag})
+	}
+}
+
+// deliver is UDP.deliver on the receiving side.
+func (s *sim) deliver(h header, frag []byte) {
+	if m, ok := s.rx.reassemble(h, frag, s); ok {
+		s.Deliver(m)
+	}
+}
+
+// onConsumed is UDP.deliver on the side an RdvAck comes back to, and the
+// engine behind it: the flow retires the message, then the sender is
+// let go. A sender that already gave up is not there to hear it.
+func (s *sim) onConsumed(msg int) {
+	s.notices--
+	s.tx.onConsumed(uint64(msg + 1))
+	if !s.letGo[msg] {
+		for seq := s.tx.base; seq < s.tx.nextSeq; seq++ {
+			if h, _ := parseHeader(s.tx.slot(seq).hdr[:]); h.tag == msg {
+				s.fatalf("slot %d of message %d still on the scoreboard after onConsumed", seq, msg)
+			}
+		}
+		s.consumed[msg] = true
+		s.letGoOf(msg)
+	}
+	s.flush()
 }
 
 // onData is UDP.handleData without the lock and the counters.
@@ -235,12 +351,13 @@ func (s *sim) onData(pkt []byte) {
 	if err != nil {
 		s.fatalf("data datagram does not parse: %v", err)
 	}
-	inOrder, ackNow := s.rx.onData(h.seq, pkt, s.now, simAckDelay)
+	inOrder, ackNow := s.rx.onData(h, pkt[dataHeaderLen:], s.now, simAckDelay)
 	if inOrder {
-		s.deliver(pkt)
-		for _, held := range s.rx.ready {
-			s.deliver(held.B)
-			held.Release()
+		s.deliver(h, pkt[dataHeaderLen:])
+		for i := range s.rx.ready {
+			d := &s.rx.ready[i]
+			s.deliver(d.h, d.frag())
+			d.buf.Release()
 		}
 	}
 	switch open := s.rx.hold.len() > 0; {
@@ -274,8 +391,15 @@ func (s *sim) onAck(b []byte) {
 	s.flush()
 }
 
-// tick is UDP.retransmitPass plus UDP.ackFlushPass.
+// tick is UDP.retransmitPass plus UDP.ackFlushPass, after the senders
+// whose patience ran out have given up (the engine's abandonRdv).
 func (s *sim) tick() {
+	for msg, at := range s.giveUpAt {
+		if !at.IsZero() && !s.now.Before(at) && !s.letGo[msg] {
+			s.tx.unpin(uint64(msg + 1))
+			s.letGoOf(msg)
+		}
+	}
 	retx, halved := s.tx.onTick(s.now, false)
 	s.rtos += retx
 	if halved {
@@ -307,7 +431,7 @@ func (s *sim) run() {
 	nextSend := s.now
 	nextTick := s.now.Add(s.tickInterval())
 	deadline := s.now.Add(time.Minute)
-	for s.delivered < s.cfg.msgs || s.tx.q.len() > 0 {
+	for s.delivered < s.cfg.msgs || s.tx.q.len() > 0 || s.notices > 0 {
 		if s.now.After(deadline) {
 			s.fatalf("not done after a virtual minute: %d/%d delivered, %d datagrams unacknowledged",
 				s.delivered, s.cfg.msgs, s.tx.q.len())
@@ -315,7 +439,13 @@ func (s *sim) run() {
 		switch {
 		case sent < s.cfg.msgs && !nextSend.After(nextTick) && (len(s.net) == 0 || !nextSend.After(s.net[0].at)):
 			s.now = nextSend
-			s.tx.enqueue(Message{Dst: 1, Tag: sent, Kind: Eager, Data: pattern(sent, s.sizes[sent])}, s.cfg.payload)
+			s.tx.enqueue(Message{Dst: 1, Tag: sent, Kind: kindOf(sent), MsgID: uint64(sent + 1), Data: s.src[sent]}, s.cfg.payload)
+			switch {
+			case kindOf(sent) == Eager:
+				s.letGoOf(sent) // the send completed at enqueue
+			case sent%5 == 2:
+				s.giveUpAt[sent] = s.now.Add(time.Duration(s.rng.Int63n(int64(time.Millisecond))))
+			}
 			s.flush()
 			sent++
 			if s.cfg.gap > 0 {
@@ -324,10 +454,13 @@ func (s *sim) run() {
 		case len(s.net) > 0 && !s.net[0].at.After(nextTick):
 			a := heap.Pop(&s.net).(arrival)
 			s.now = a.at
-			if a.data {
+			switch a.what {
+			case dataDatagram:
 				s.onData(a.b)
-			} else {
+			case ackDatagram:
 				s.onAck(a.b)
+			case consumedNotice:
+				s.onConsumed(a.msg)
 			}
 		default:
 			s.now = nextTick
@@ -340,7 +473,10 @@ func (s *sim) run() {
 			nextTick = t
 		}
 	}
-	if s.rx.hold.len() != 0 || s.rx.asm != nil {
+	if len(s.tx.pins) != 0 {
+		s.fatalf("sender still pins %d messages with nothing left to send", len(s.tx.pins))
+	}
+	if s.rx.hold.len() != 0 || s.rx.asm != nil || s.rx.sink != nil {
 		s.fatalf("receiver retains %d held datagrams / a partial message after the last delivery", s.rx.hold.len())
 	}
 }
@@ -359,10 +495,12 @@ func lossy(seed int64, loss float64) simConfig {
 
 // TestFlowRecoverySeeds is the recovery contract over a thousand seeded
 // fault schedules at each of three loss rates: every message delivered
-// exactly once, in order, byte-identical (checked in deliver); no
-// sequence number re-sent once an ACK reported it held (checked in
-// flush); and the re-send volume bounded by what the path did to the
-// flow. A fourth run repeats the first two checks on a long, jittery
+// exactly once, in order, byte-identical — claimed or pooled, though
+// every sender overwrites its buffer the moment it is let go (checked in
+// Deliver); no sequence number re-sent once an ACK reported it held, no
+// slot of a message written after onConsumed returned for it, and no
+// slot reading a buffer its sender has back (checked in flush); and the
+// re-send volume bounded by what the path did to the flow. A fourth run repeats the first two checks on a long, jittery
 // path, where the estimator and the backoff carry the recovery.
 func TestFlowRecoverySeeds(t *testing.T) {
 	const seeds = 1000

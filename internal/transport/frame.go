@@ -13,14 +13,17 @@ const (
 	ptAck  = 2
 )
 
-// Wire sizes. maxDatagram is the receive-buffer ceiling and the default
-// fragment size: large enough that the per-datagram kernel cost stops
-// dominating bulk flows, still comfortably inside the 64KiB loopback
-// MTU and one bufpool size class. Senders may fragment smaller
-// (UDPConfig.PacketBytes — real paths with a 1500-byte MTU want
-// datagrams that dodge IP fragmentation); receivers always accept up to
-// maxDatagram. Messages larger than a fragment are split into
-// sequential fragments of the same flow.
+// Wire sizes. maxPayload is the default fragment size: large enough
+// that the per-datagram kernel cost stops dominating bulk flows, and a
+// round 32KiB — exactly one bufpool size class, and a divisor of every
+// larger power-of-two message, so a 2^k-byte chunk is 2^k/32KiB full
+// datagrams with no runt behind them. maxDatagram, the receive-buffer
+// ceiling, is that plus the header, still comfortably inside the 64KiB
+// loopback MTU. Senders may fragment smaller (UDPConfig.PacketBytes —
+// real paths with a 1500-byte MTU want datagrams that dodge IP
+// fragmentation); receivers always accept up to maxDatagram. Messages
+// larger than a fragment are split into sequential fragments of the
+// same flow.
 const (
 	dataHeaderLen = 54
 	// An ACK is ackBaseLen bytes plus ackRangeLen per selective range, at
@@ -29,8 +32,8 @@ const (
 	ackRangeLen  = 16
 	maxAckRanges = 4
 	maxAckLen    = ackBaseLen + maxAckRanges*ackRangeLen
-	maxDatagram  = 32 << 10
-	maxPayload   = maxDatagram - dataHeaderLen
+	maxPayload   = 32 << 10
+	maxDatagram  = dataHeaderLen + maxPayload
 	// maxWireMessage caps the totalLen a data header may claim. Untrusted
 	// bytes reach parseHeader straight off the socket, and totalLen sizes
 	// the receiver's reassembly allocation — without a cap, one forged
@@ -53,8 +56,16 @@ type header struct {
 	offset   int
 }
 
-// putHeader encodes h into b[:dataHeaderLen]. b must be caller-owned
-// (a pooled wire buffer) and at least dataHeaderLen long.
+// message is the Message h's datagram is a fragment of, without its
+// payload.
+func (h header) message() Message {
+	return Message{
+		Ctx: h.ctx, Src: h.src, SrcWorld: h.srcWorld, Dst: h.dst,
+		Tag: h.tag, Kind: h.kind, MsgID: h.msgID,
+	}
+}
+
+// putHeader encodes h into b[:dataHeaderLen].
 func putHeader(b []byte, h header) {
 	b[0] = ptData
 	binary.LittleEndian.PutUint64(b[1:9], h.seq)

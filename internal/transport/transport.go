@@ -9,13 +9,36 @@
 //
 // A Transport moves whole engine-level messages (Message), not packets:
 // framing, fragmentation and reliability are the backend's private
-// business. Send is a synchronous, reliable, ordered enqueue — when it
-// returns, the transport has copied the payload out of the caller's
-// buffer and guarantees in-order delivery per (SrcWorld, Dst) pair as
-// long as the peer stays reachable, which is exactly the MPI
-// non-overtaking obligation the engine needs. Delivered messages arrive
-// through the Handler with their payload reassembled into a pooled
-// bufpool buffer whose ownership transfers to the handler.
+// business. Send is a synchronous, reliable, ordered enqueue: when it
+// returns the message has its place in the (SrcWorld, Dst) stream and
+// will be delivered in order as long as the peer stays reachable, which
+// is exactly the MPI non-overtaking obligation the engine needs. What
+// Send does with the payload depends on the kind, because the kinds
+// differ in when their sender may touch its buffer again:
+//
+//   - Eager: the send completed at enqueue time, so Send copies the
+//     payload out before returning and never looks at the caller's
+//     buffer again.
+//   - Rdv: the sender blocks until the matching RdvAck, so Send keeps
+//     the caller's buffer (pins it) and writes datagrams straight from
+//     it — no user-space copy on the way out. The pin has one lifetime
+//     rule: the transport never reads a pinned buffer after the engine
+//     has let the sender go. An arriving RdvAck therefore first retires
+//     every datagram of its message (it proves they were all delivered,
+//     in order) and only then reaches the Handler; and a sender that
+//     stops waiting without an RdvAck (abort, cancellation) calls Unpin
+//     first, which copies whatever is still unacknowledged into pooled
+//     memory.
+//
+// On the receiving side the transport asks the Handler where a message
+// should go before it has it: when the first fragment of a non-empty
+// Eager or Rdv message arrives, Handler.Claim may answer with a Sink —
+// the engine's posted receive — and every fragment is then placed
+// straight into it, the completed message arriving through
+// Handler.Deliver with Message.Sink set and no payload of its own.
+// Without a claim (and for empty messages and RdvAcks) the fragments
+// are reassembled into a pooled bufpool buffer whose ownership
+// transfers to Deliver.
 //
 // Three message kinds cross a transport: Eager carries a payload whose
 // send completed at enqueue time; Rdv carries a rendezvous payload whose
@@ -28,9 +51,9 @@
 //
 // The UDP backend frames messages as length-delimited fragments over
 // datagrams, little-endian throughout, encoded with binary PutUint*/
-// Uint* into caller-owned bufpool buffers (no per-packet allocation in
-// steady state). A data datagram is a 54-byte header followed by the
-// fragment payload:
+// Uint* (no per-packet allocation in steady state). A data datagram is
+// a 54-byte header followed by the fragment payload — at most 32 KiB of
+// it, so a power-of-two message is a whole number of full datagrams:
 //
 //	[0]     packet type (1 = data)
 //	[1:9]   seq       — per-flow sequence number (first packet is 1)
@@ -72,8 +95,8 @@
 //
 // Senders keep every packet on a sequence-indexed scoreboard until the
 // cumulative ACK passes it, and recover selectively. A packet the
-// receiver reported holding is marked, its wire buffer released at
-// once, and it is never sent again. A written packet with at least
+// receiver reported holding is marked, its payload let go of at once,
+// and it is never sent again. A written packet with at least
 // three reported-held sequence numbers above it is lost, not reordered:
 // it is re-sent immediately, once, a round trip after the loss instead
 // of a timeout after it (fast retransmit). Whatever that does not cover
@@ -135,20 +158,24 @@
 // retransmitting or has a hole to fill. AckEvery=1 restores
 // ack-per-datagram.
 //
-// Batched I/O: on Linux, multi-packet flushes go through sendmmsg and
-// the receive loop drains the socket with recvmmsg — one syscall per
+// Batched I/O: on Linux, flushes go through sendmmsg — each datagram a
+// two-element gather of the scoreboard's header and the payload view,
+// so a pinned payload leaves the caller's buffer without being copied —
+// and the receive loop drains the socket with recvmmsg: one syscall per
 // batch instead of per datagram. The batch path engages only when the
 // transport owns a raw *net.UDPConn; wrapped sockets (Faulty), other
 // platforms, or a runtime refusal (ENOSYS) fall back to per-datagram
-// WriteTo/ReadFrom with identical wire behavior. Kernel socket buffers
+// WriteTo/ReadFrom with identical wire behavior, assembling header and
+// payload in one per-flow scratch buffer first. Kernel socket buffers
 // are sized for a full window on any socket that can be sized, wrapped
 // ones included.
 //
 // # Structure
 //
 // The protocol logic lives in methods of the per-flow structs
-// (sendFlow: scoreboard, loss detection, RTT/RTO estimator, congestion
-// window; recvFlow: position, hold, ack schedule, reassembly) that take
+// (sendFlow: scoreboard, pins, loss detection, RTT/RTO estimator,
+// congestion window; recvFlow: position, hold, ack schedule, reassembly
+// and placement) that take
 // the current time and return what to write — no socket, clock,
 // goroutine or metric inside them — so the recovery contract above is
 // tested on a deterministic harness with a virtual clock (flow_test.go).
@@ -206,20 +233,45 @@ type Message struct {
 	Tag      int
 	Kind     Kind
 	MsgID    uint64 // rendezvous correlation id (Rdv and RdvAck)
-	// Data is the payload. On Send the transport copies it before
-	// returning and never retains it; on delivery it aliases Buf.B.
+	// Data is the payload. On Send it is the caller's buffer: copied
+	// before Send returns for Eager, pinned until the RdvAck (or Unpin)
+	// for Rdv — see the package comment's message model. On delivery it
+	// aliases Buf.B, or is nil when the payload went to Sink.
 	Data []byte
 	// Buf backs Data on delivered messages; ownership transfers to the
 	// Handler, which must Release it (directly or through whatever the
-	// payload was handed to). Nil on the Send side.
+	// payload was handed to). Nil on the Send side and on claimed
+	// messages.
 	Buf *bufpool.Buf
+	// Sink, on a delivered message, is what Handler.Claim returned for
+	// it: the payload has been placed there in full. Nil otherwise.
+	Sink Sink
 }
 
-// Handler consumes delivered messages. It is invoked from the
-// transport's receive goroutine in per-flow order, so it must not block
-// on transport progress (enqueuing a reply via Send is fine — Send
-// never waits for the receive loop).
-type Handler func(Message)
+// Handler is the receiving end of the seam. Its methods are invoked
+// from the transport's receive goroutine in per-flow order, so they
+// must not block on transport progress (enqueuing a reply via Send is
+// fine — Send never waits for the receive loop).
+type Handler interface {
+	// Claim is asked once per Eager or Rdv message of size > 0 bytes,
+	// when its first fragment arrives, where the payload should go. m
+	// describes the message and carries no payload. A non-nil Sink takes
+	// every fragment of the message as it arrives; nil leaves the
+	// transport to reassemble into pooled memory.
+	Claim(m Message, size int) Sink
+	// Deliver consumes one complete message.
+	Deliver(m Message)
+}
+
+// Sink is a destination a Handler claimed for exactly one message.
+type Sink interface {
+	// Place copies frag to offset off of the destination; fragments come
+	// in order and together cover the size Claim was told. It reports
+	// false when the destination has been withdrawn (its receiver gave
+	// up): the transport then discards the rest of the message and never
+	// delivers it.
+	Place(off int, frag []byte) bool
+}
 
 // Transport is the engine's pluggable point-to-point substrate.
 //
@@ -235,9 +287,15 @@ type Transport interface {
 	Wire(dst int) bool
 	// Send reliably enqueues m for in-order delivery to the process
 	// hosting m.Dst. It is synchronous (per-sender issue order is
-	// preserved), copies m.Data before returning, and never blocks on
-	// the receive path.
+	// preserved) and never blocks on the receive path. An Eager payload
+	// is copied before Send returns; a Rdv payload stays pinned, as the
+	// package comment's message model describes.
 	Send(m Message) error
+	// Unpin is called by a Rdv sender that stops waiting for its RdvAck:
+	// when it returns, the transport no longer references the buffer
+	// that was sent to dst under msgID. Unknown ids are ignored (the
+	// message may long have been acknowledged).
+	Unpin(dst int, msgID uint64)
 	// Start begins delivering inbound messages to h. Calling Start
 	// again replaces the handler (a fresh world rebinding a live
 	// transport).
@@ -265,6 +323,9 @@ func (Chan) Wire(int) bool { return false }
 func (Chan) Send(m Message) error {
 	return fmt.Errorf("transport: chan transport wires no destinations (got a send to rank %d)", m.Dst)
 }
+
+// Unpin implements Transport (nothing is ever pinned).
+func (Chan) Unpin(int, uint64) {}
 
 // Start implements Transport (nothing to deliver).
 func (Chan) Start(Handler) error { return nil }

@@ -118,6 +118,16 @@ func TestNewFactory(t *testing.T) {
 	}
 }
 
+// deliverFunc is a Handler that claims nothing: every message arrives
+// reassembled in pooled memory.
+type deliverFunc func(Message)
+
+func (deliverFunc) Claim(Message, int) Sink { return nil }
+func (f deliverFunc) Deliver(m Message)     { f(m) }
+
+// discard drops what it is delivered (an endpoint that only sends).
+var discard = deliverFunc(func(m Message) { m.Buf.Release() })
+
 // collector gathers delivered messages in order.
 type collector struct {
 	mu   sync.Mutex
@@ -210,10 +220,10 @@ func newPairWith(t *testing.T, faults *FaultConfig, cfg UDPConfig) (*UDP, *UDP) 
 func TestUDPPairOrderAndFragmentation(t *testing.T) {
 	a, b := newPair(t, nil, 0)
 	var sink collector
-	if err := a.Start(func(Message) {}); err != nil {
+	if err := a.Start(discard); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Start(sink.handle); err != nil {
+	if err := b.Start(deliverFunc(sink.handle)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -253,17 +263,17 @@ func TestUDPPairOrderAndFragmentation(t *testing.T) {
 func TestUDPRendezvousAckFlow(t *testing.T) {
 	a, b := newPair(t, nil, 0)
 	var acks collector
-	if err := a.Start(acks.handle); err != nil {
+	if err := a.Start(deliverFunc(acks.handle)); err != nil {
 		t.Fatal(err)
 	}
-	err := b.Start(func(m Message) {
+	err := b.Start(deliverFunc(func(m Message) {
 		id := m.MsgID
 		m.Buf.Release()
 		// Reply from the delivery path — Send must not block on it.
 		if err := b.Send(Message{Ctx: m.Ctx, Src: 1, SrcWorld: 1, Dst: 0, Kind: RdvAck, MsgID: id}); err != nil {
 			t.Error(err)
 		}
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,10 +308,10 @@ func TestUDPByteIdentityUnderFaults(t *testing.T) {
 	b.BindMetrics(m)
 
 	var sink collector
-	if err := a.Start(func(Message) {}); err != nil {
+	if err := a.Start(discard); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Start(sink.handle); err != nil {
+	if err := b.Start(deliverFunc(sink.handle)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -335,6 +345,142 @@ func TestUDPByteIdentityUnderFaults(t *testing.T) {
 	}
 	if s.WireDatagramsSent == 0 || s.WireDatagramsRecv == 0 || s.WireBytesSent == 0 {
 		t.Errorf("wire counters not threaded: %+v", s)
+	}
+}
+
+// placer is the engine's half of the receive seam, for tests: it claims
+// every message into a buffer of its own, and hands the completed
+// buffer to done.
+type placer struct {
+	done func(m Message, payload []byte)
+}
+
+type placed []byte
+
+func (d placed) Place(off int, frag []byte) bool {
+	copy(d[off:], frag)
+	return true
+}
+
+func (p placer) Claim(_ Message, size int) Sink { return make(placed, size) }
+
+func (p placer) Deliver(m Message) {
+	if m.Sink != nil {
+		p.done(m, m.Sink.(placed))
+		return
+	}
+	p.done(m, m.Data)
+	m.Buf.Release()
+}
+
+// TestUDPPinnedSendScribble is the pin's lifetime rule on real sockets,
+// under the race detector: over 20% loss both ways and with transport
+// ACKs held back (AckEvery far above what is ever in flight, so they
+// leave on the delay timer), a sender is released by the RdvAck alone —
+// and overwrites its buffer the instant it is. The flow must have let go
+// of the buffer by then: every message still arrives with its original
+// bytes, and no retransmission reads a buffer its sender is writing.
+func TestUDPPinnedSendScribble(t *testing.T) {
+	faults := &FaultConfig{Drop: 0.2}
+	a, b := newPairWith(t, faults, UDPConfig{AckEvery: 1 << 20})
+
+	const n, size = 60, 3*maxPayload + 100
+	released := make(chan uint64, 1) // the engine's rdvState.done
+	err := a.Start(deliverFunc(func(m Message) {
+		m.Buf.Release()
+		if m.Kind == RdvAck {
+			released <- m.MsgID
+		}
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan Message, n)
+	err = b.Start(placer{done: func(m Message, payload []byte) {
+		m.Data = append([]byte(nil), payload...)
+		got <- m
+		// Consumed: let the sender go, from the delivery path.
+		if err := b.Send(Message{Ctx: m.Ctx, Src: 1, SrcWorld: 1, Dst: 0, Kind: RdvAck, MsgID: m.MsgID}); err != nil {
+			t.Error(err)
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	buf := make([]byte, size)
+	for i := 0; i < n; i++ {
+		copy(buf, pattern(i, size))
+		id := uint64(100 + i)
+		if err := a.Send(Message{Ctx: 4, Dst: 1, Tag: i, Kind: Rdv, MsgID: id, Data: buf}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case ack := <-released:
+			if ack != id {
+				t.Fatalf("released by the ack of message %d, want %d", ack, id)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("rendezvous %d never acknowledged", i)
+		}
+		for j := range buf {
+			buf[j] = 0xEE // the sender has its buffer back
+		}
+		m := <-got
+		if m.Tag != i || m.Kind != Rdv || !bytes.Equal(m.Data, pattern(i, size)) {
+			t.Fatalf("message %d arrived as tag %d with the sender's later bytes in it", i, m.Tag)
+		}
+	}
+}
+
+// TestUDPUnpin: a rendezvous sender that gives up takes its buffer back
+// with Unpin; what had not been acknowledged still arrives intact from
+// the transport's own copy.
+func TestUDPUnpin(t *testing.T) {
+	u, peer := blackHolePair(t)
+	const size = 2*maxPayload + 10
+	buf := pattern(7, size)
+	if err := u.Send(Message{Dst: 1, Kind: Rdv, MsgID: 9, Data: buf}); err != nil {
+		t.Fatal(err)
+	}
+	f := &peer.send
+	views := func() (pinned, pooled int) {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		for seq := f.base; seq < f.nextSeq; seq++ {
+			if s := f.slot(seq); s.buf == nil {
+				pinned++
+			} else {
+				pooled++
+			}
+		}
+		return
+	}
+	if pinned, pooled := views(); pinned != 3 || pooled != 0 {
+		t.Fatalf("after Send: %d pinned and %d pooled slots, want 3 and 0", pinned, pooled)
+	}
+	u.Unpin(1, 8) // not a message of this flow: nothing happens
+	if pinned, _ := views(); pinned != 3 {
+		t.Fatalf("Unpin of an unknown id unpinned %d slots", 3-pinned)
+	}
+	u.Unpin(1, 9)
+	for i := range buf {
+		buf[i] = 0xEE
+	}
+	if pinned, pooled := views(); pinned != 0 || pooled != 3 {
+		t.Fatalf("after Unpin: %d pinned and %d pooled slots, want 0 and 3", pinned, pooled)
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.pins) != 0 {
+		t.Errorf("flow still lists %d pinned messages", len(f.pins))
+	}
+	var whole []byte
+	for seq := f.base; seq < f.nextSeq; seq++ {
+		whole = append(whole, f.slot(seq).payload...)
+	}
+	if !bytes.Equal(whole, pattern(7, size)) {
+		t.Error("the unpinned slots do not hold the message's original bytes")
 	}
 }
 

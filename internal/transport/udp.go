@@ -49,7 +49,7 @@ const (
 	maxAckDelay = 5 * time.Millisecond
 	// socketBuf is the kernel send/recv buffer size requested for
 	// sockets the transport owns; sized for a full 256-packet window of
-	// maximum datagrams (the kernel clamps to its rmem/wmem ceilings,
+	// maximum payloads (the kernel clamps to its rmem/wmem ceilings,
 	// and retransmit covers whatever still drops).
 	socketBuf = 1 << 23
 	// minDrain is the floor of Close's linger bound. The effective bound
@@ -101,10 +101,11 @@ type UDPConfig struct {
 	// 8). 1 acknowledges every data datagram.
 	AckEvery int
 	// PacketBytes caps outbound datagram size, header included. Zero
-	// selects maxDatagram (32KiB — right for loopback and jumbo-frame
-	// paths); paths with a 1500-byte MTU should set a value that dodges
-	// IP fragmentation. Clamped to [dataHeaderLen+1, maxDatagram];
-	// receivers accept up to maxDatagram regardless.
+	// selects maxDatagram (the 54-byte header plus a 32KiB fragment —
+	// right for loopback and jumbo-frame paths); paths with a 1500-byte
+	// MTU should set a value that dodges IP fragmentation. Clamped to
+	// [dataHeaderLen+1, maxDatagram]; receivers accept up to maxDatagram
+	// regardless.
 	PacketBytes int
 }
 
@@ -202,16 +203,43 @@ func (r *seqRing[T]) pop() {
 	r.n--
 }
 
-// slot is one framed datagram on the sender's scoreboard, from enqueue
-// until the cumulative ACK passes it.
+// slot is one datagram on the sender's scoreboard, from enqueue until
+// the cumulative ACK passes it: the encoded header, inline, and a view
+// of the fragment's payload. The view is pooled memory the slot owns
+// (buf backs it) or, for a fragment of a pinned Rdv message, the
+// caller's own buffer (buf is nil) — see sendFlow.pins.
 type slot struct {
-	buf     *bufpool.Buf // the wire bytes; released and nil once sacked
-	n       int
-	sent    time.Time // last write; meaningful below sendFlow.sendNext
-	retx    bool      // re-sent at least once: no RTT sample (Karn)
-	fast    bool      // already repaired by a fast retransmit: further loss is the RTO's
-	sacked  bool      // the receiver reported holding it: never re-sent
-	backoff uint8     // exponential-backoff shift applied to the next timeout
+	hdr     [dataHeaderLen]byte
+	payload []byte       // nil once sacked
+	buf     *bufpool.Buf // backs payload unless it is pinned or empty
+	sent    time.Time    // last write; meaningful below sendFlow.sendNext
+	retx    bool         // re-sent at least once: no RTT sample (Karn)
+	fast    bool         // already repaired by a fast retransmit: further loss is the RTO's
+	sacked  bool         // the receiver reported holding it: never re-sent
+	backoff uint8        // exponential-backoff shift applied to the next timeout
+}
+
+// sampleAfter folds the slot into an ACK's RTT sample point, the latest
+// first transmission among the slots the ACK newly acknowledges: a slot
+// that was re-sent never counts (Karn).
+func (s *slot) sampleAfter(t time.Time) time.Time {
+	if !s.retx && s.sent.After(t) {
+		return s.sent
+	}
+	return t
+}
+
+// release lets go of the slot's payload: it will not be written again.
+func (s *slot) release() {
+	s.buf.Release()
+	s.buf, s.payload = nil, nil
+}
+
+// pin records a Rdv message whose slots [first, last] view the sender's
+// own buffer rather than a copy of it.
+type pin struct {
+	msgID       uint64
+	first, last uint64
 }
 
 // sendFlow is the sender half of a flow: the scoreboard of datagrams
@@ -231,6 +259,14 @@ type sendFlow struct {
 	q        seqRing[slot] // [base, nextSeq); [sendNext, nextSeq) waits for the window
 	sacked   int           // sacked slots in q
 
+	// pins lists, in sequence order, the Rdv messages with slots still
+	// on the scoreboard that read the caller's buffer. The rendezvous
+	// contract keeps that buffer untouched while its sender waits; the
+	// flow lets go of it before the sender stops waiting, one of three
+	// ways: the cumulative ACK passes the message, its RdvAck arrives
+	// (onConsumed), or the sender gives up (unpin).
+	pins []pin
+
 	// Adaptive RTO state (Jacobson/Karels; frozen when fixedRTO).
 	srtt   time.Duration
 	rttvar time.Duration
@@ -247,9 +283,11 @@ type sendFlow struct {
 
 	wlist []uint64 // sequence numbers to write, set by the last method that returns work
 
-	// Batch-write scratch of the I/O shell.
-	wbufs [][]byte
-	batch batchWriter
+	// Write scratch of the I/O shell: the gather list and sendmmsg state
+	// of the batch path, the assembled datagram of the single-write path.
+	wdgrams []datagram
+	batch   batchWriter
+	scratch []byte
 }
 
 func (f *sendFlow) init(rto time.Duration, fixedRTO bool) {
@@ -272,29 +310,114 @@ func (f *sendFlow) window() uint64 {
 }
 
 // enqueue frames m into sequenced fragments of at most payload bytes at
-// the tail of the scoreboard, copying m.Data, and leaves in wlist the
-// fragments the window admits now.
+// the tail of the scoreboard and leaves in wlist the fragments the
+// window admits now. A Rdv message is pinned — its slots view m.Data
+// itself; an Eager payload is copied, a pooled buffer per fragment.
 func (f *sendFlow) enqueue(m Message, payload int) {
 	f.wlist = f.wlist[:0]
 	total := len(m.Data)
+	pinned := m.Kind == Rdv
+	first := f.nextSeq
 	for off := 0; ; {
 		frag := min(total-off, payload)
-		n := dataHeaderLen + frag
-		pb := bufpool.Get(n)
-		putHeader(pb.B, header{
+		s := f.q.push()
+		putHeader(s.hdr[:], header{
 			seq: f.nextSeq, msgID: m.MsgID, kind: m.Kind, ctx: m.Ctx,
 			src: m.Src, srcWorld: m.SrcWorld, dst: m.Dst, tag: m.Tag,
 			totalLen: total, offset: off,
 		})
-		copy(pb.B[dataHeaderLen:n], m.Data[off:off+frag])
-		*f.q.push() = slot{buf: pb, n: n}
+		switch {
+		case pinned:
+			s.payload = m.Data[off : off+frag]
+		case frag > 0:
+			s.buf = bufpool.Get(frag)
+			s.payload = s.buf.B
+			copy(s.payload, m.Data[off:])
+		}
 		f.nextSeq++
 		off += frag
 		if off >= total {
 			break
 		}
 	}
+	if pinned {
+		f.pins = append(f.pins, pin{msgID: m.MsgID, first: first, last: f.nextSeq - 1})
+	}
 	f.admit()
+}
+
+// pinOf finds msgID among the pinned messages, -1 when it is not there.
+func (f *sendFlow) pinOf(msgID uint64) int {
+	for i := range f.pins {
+		if f.pins[i].msgID == msgID {
+			return i
+		}
+	}
+	return -1
+}
+
+// unpin ends the flow's use of the caller's buffer for message msgID,
+// whose sender is about to stop waiting: every slot of it that may
+// still be written gets a pooled copy of its fragment.
+func (f *sendFlow) unpin(msgID uint64) {
+	i := f.pinOf(msgID)
+	if i < 0 {
+		return
+	}
+	for seq := max(f.pins[i].first, f.base); seq <= f.pins[i].last; seq++ {
+		if s := f.slot(seq); len(s.payload) > 0 {
+			s.buf = bufpool.Get(len(s.payload))
+			copy(s.buf.B, s.payload)
+			s.payload = s.buf.B
+		}
+	}
+	f.pins = append(f.pins[:i], f.pins[i+1:]...)
+}
+
+// onConsumed applies the RdvAck of message msgID, which proves every
+// datagram up to the message's last was delivered in order: it is a
+// cumulative ACK through that sequence number (no RTT sample — the
+// round trip includes the receiver's time to consume). Once it returns
+// no slot of the message is on the scoreboard, so the sender may be let
+// go. It leaves in wlist the queued datagrams the advanced window
+// admits and reports how many slots it retired. An unknown msgID — the
+// transport's own ACK got there first — retires nothing.
+func (f *sendFlow) onConsumed(msgID uint64) (retired int) {
+	f.wlist = f.wlist[:0]
+	if i := f.pinOf(msgID); i >= 0 {
+		retired, _ = f.retire(f.pins[i].last)
+		f.ccOnAck(retired)
+	}
+	f.admit()
+	return retired
+}
+
+// retire pops every slot up to cum (clamped to what was written) off
+// the scoreboard, and the sacked slots right behind them: the receiver
+// holds those and has everything before them, so it has delivered them
+// too — and nothing else would move the base past a slot that is never
+// re-sent. It forgets the pins the new base has passed, and reports how
+// many slots went and the RTT sample point among those not reported
+// held before (see slot.sampleAfter).
+func (f *sendFlow) retire(cum uint64) (retired int, sampleFrom time.Time) {
+	for cum = min(cum, f.sendNext-1); f.base <= cum || (f.q.len() > 0 && f.q.at(0).sacked); f.base++ {
+		if s := f.q.at(0); s.sacked {
+			f.sacked--
+		} else {
+			sampleFrom = s.sampleAfter(sampleFrom)
+			s.release()
+		}
+		f.q.pop()
+		retired++
+	}
+	passed := 0
+	for passed < len(f.pins) && f.pins[passed].last < f.base {
+		passed++
+	}
+	if passed > 0 {
+		f.pins = f.pins[:copy(f.pins, f.pins[passed:])]
+	}
+	return retired, sampleFrom
 }
 
 // admit appends to wlist every queued datagram the window now covers.
@@ -312,7 +435,7 @@ func (f *sendFlow) stampWritten(now time.Time) {
 }
 
 // onAck applies one ACK: it retires everything up to a.cum, marks the
-// ranged slots sacked and releases their wire buffers at once, feeds the
+// ranged slots sacked and lets go of their payloads at once, feeds the
 // estimator and the congestion window, and declares lost — to be re-sent
 // now, once, Karn-marked, without a backoff step — every written,
 // un-sacked slot with at least dupThresh sacked sequence numbers above
@@ -326,31 +449,16 @@ func (f *sendFlow) stampWritten(now time.Time) {
 // a receiver never drops a held datagram before delivering it.
 func (f *sendFlow) onAck(a *ack, now time.Time) (retired, fast int, halved bool) {
 	f.wlist = f.wlist[:0]
-	var sampleFrom time.Time // latest first-transmission among the newly acknowledged
-	sample := func(s *slot) {
-		if !s.retx && s.sent.After(sampleFrom) {
-			sampleFrom = s.sent
-		}
-	}
-	for cum := min(a.cum, f.sendNext-1); f.base <= cum; f.base++ {
-		if s := f.q.at(0); s.sacked {
-			f.sacked--
-		} else {
-			sample(s)
-			s.buf.Release()
-		}
-		f.q.pop()
-		retired++
-	}
+	retired, sampleFrom := f.retire(a.cum)
 	for _, r := range a.ranges[:a.n] {
 		for seq, last := max(r.first, f.base), min(r.last, f.sendNext-1); seq <= last; seq++ {
 			s := f.slot(seq)
 			if s.sacked {
 				continue
 			}
-			sample(s)
-			s.buf.Release()
-			s.buf, s.sacked = nil, true
+			sampleFrom = s.sampleAfter(sampleFrom)
+			s.release()
+			s.sacked = true
 			f.sacked++
 		}
 	}
@@ -488,6 +596,23 @@ func backoffRTO(rto time.Duration, shift uint8) time.Duration {
 	return eff
 }
 
+// held is one out-of-order datagram in the receiver's hold: its parsed
+// header and a pooled copy of its payload alone (nil when empty), so a
+// full fragment stays in the fragment's own size class.
+type held struct {
+	present bool
+	h       header
+	buf     *bufpool.Buf
+}
+
+// frag is the held payload.
+func (d *held) frag() []byte {
+	if d.buf == nil {
+		return nil
+	}
+	return d.buf.B
+}
+
 // recvFlow is the receiver half of a flow: the in-order delivery
 // position, the hold of out-of-order datagrams, the delayed-ack schedule
 // and the message under reassembly. Like sendFlow's, its methods are
@@ -500,13 +625,17 @@ type recvFlow struct {
 
 	ackEvery int
 	nextSeq  uint64
-	// hold element i is the datagram nextSeq+i, nil while missing. When
-	// non-empty it starts with the hole at nextSeq and ends with a held
-	// datagram.
-	hold  seqRing[*bufpool.Buf]
-	ready []*bufpool.Buf // held datagrams the last onData released, in order
+	// hold element i is the datagram nextSeq+i, absent while missing.
+	// When non-empty it starts with the hole at nextSeq and ends with a
+	// held datagram.
+	hold  seqRing[held]
+	ready []held // held datagrams the last onData released, in order
 
+	// The message under reassembly goes to sink when the handler claimed
+	// it, to the pooled asm otherwise; both nil between messages.
+	sink   Sink
 	asm    *bufpool.Buf
+	asmLen int
 	asmGot int
 
 	unacked int       // in-order data datagrams since the last ack sent
@@ -515,29 +644,32 @@ type recvFlow struct {
 
 func (f *recvFlow) init(ackEvery int) { f.ackEvery, f.nextSeq = ackEvery, 1 }
 
-// onData places the data datagram pkt with sequence number seq. When it
-// is the next in order, inOrder is set and the caller delivers pkt and
+// onData places the data datagram with header h and payload frag. When
+// it is the next in order, inOrder is set and the caller delivers it and
 // then every datagram in ready (releasing each); an early datagram is
 // copied into the hold; a duplicate changes nothing. ackNow asks the
 // caller to write takeAck's ACK at once — always for a duplicate or an
 // early arrival (the sender may be timing out or filling a hole), and
 // once ackEvery in-order datagrams are unacknowledged; otherwise the ACK
 // is deferred until now+delay at the latest (see ackDueAt).
-func (f *recvFlow) onData(seq uint64, pkt []byte, now time.Time, delay time.Duration) (inOrder, ackNow bool) {
+func (f *recvFlow) onData(h header, frag []byte, now time.Time, delay time.Duration) (inOrder, ackNow bool) {
 	f.ready = f.ready[:0]
-	if seq < f.nextSeq {
+	if h.seq < f.nextSeq {
 		return false, true
 	}
-	if off := seq - f.nextSeq; off > 0 {
+	if off := h.seq - f.nextSeq; off > 0 {
 		if off >= maxHold {
 			return false, true
 		}
 		for uint64(f.hold.len()) <= off {
 			f.hold.push()
 		}
-		if held := f.hold.at(int(off)); *held == nil {
-			*held = bufpool.Get(len(pkt))
-			copy((*held).B, pkt)
+		if d := f.hold.at(int(off)); !d.present {
+			*d = held{present: true, h: h}
+			if len(frag) > 0 {
+				d.buf = bufpool.Get(len(frag))
+				copy(d.buf.B, frag)
+			}
 		}
 		return false, true
 	}
@@ -545,7 +677,7 @@ func (f *recvFlow) onData(seq uint64, pkt []byte, now time.Time, delay time.Dura
 	f.unacked++
 	if f.hold.len() > 0 {
 		f.hold.pop() // the hole pkt filled
-		for f.hold.len() > 0 && *f.hold.at(0) != nil {
+		for f.hold.len() > 0 && f.hold.at(0).present {
 			f.ready = append(f.ready, *f.hold.at(0))
 			f.hold.pop()
 			f.nextSeq++
@@ -572,11 +704,11 @@ func (f *recvFlow) ackDueAt(now time.Time) bool {
 func (f *recvFlow) takeAck() ack {
 	a := ack{cum: f.nextSeq - 1}
 	for i, n := 1, f.hold.len(); i < n && a.n < maxAckRanges; i++ {
-		if *f.hold.at(i) == nil {
+		if !f.hold.at(i).present {
 			continue
 		}
 		first := i
-		for i+1 < n && *f.hold.at(i + 1) != nil {
+		for i+1 < n && f.hold.at(i+1).present {
 			i++
 		}
 		a.ranges[a.n] = seqRange{f.nextSeq + uint64(first), f.nextSeq + uint64(i)}
@@ -588,33 +720,49 @@ func (f *recvFlow) takeAck() ack {
 }
 
 // reassemble folds one in-sequence fragment into the message under
-// reassembly and returns the message once complete; its payload is a
-// pooled buffer the caller owns. Fragments of a message are contiguous
-// in the flow (enqueue frames them in one go), so offset 0 always opens
-// a fresh message.
-func (f *recvFlow) reassemble(h header, frag []byte) (Message, bool) {
+// reassembly and returns the message once complete. Fragments of a
+// message are contiguous in the flow (enqueue frames them in one go), so
+// offset 0 always opens a fresh message: hnd (when not nil) is asked to
+// claim a non-empty Eager or Rdv one, and the fragments then go straight
+// to its Sink, which the completed message names; everything else is
+// reassembled into a pooled buffer the caller owns. A Sink that refuses
+// a fragment ends its message: the remaining fragments are discarded.
+func (f *recvFlow) reassemble(h header, frag []byte, hnd Handler) (Message, bool) {
 	if h.offset == 0 {
-		if f.asm != nil {
-			f.asm.Release()
+		f.abandon()
+		f.asmLen, f.asmGot = h.totalLen, 0
+		if hnd != nil && h.totalLen > 0 && (h.kind == Eager || h.kind == Rdv) {
+			f.sink = hnd.Claim(h.message(), h.totalLen)
 		}
-		f.asm = bufpool.Get(h.totalLen)
-		f.asmGot = 0
+		if f.sink == nil {
+			f.asm = bufpool.Get(h.totalLen)
+		}
 	}
-	if f.asm == nil || h.offset != f.asmGot || h.totalLen != len(f.asm.B) {
+	if (f.sink == nil && f.asm == nil) || h.offset != f.asmGot || h.totalLen != f.asmLen {
 		return Message{}, false
 	}
-	copy(f.asm.B[h.offset:], frag)
+	if f.sink == nil {
+		copy(f.asm.B[h.offset:], frag)
+	} else if !f.sink.Place(h.offset, frag) {
+		f.abandon()
+		return Message{}, false
+	}
 	f.asmGot += len(frag)
 	if f.asmGot < h.totalLen {
 		return Message{}, false
 	}
-	buf := f.asm
-	f.asm = nil
-	return Message{
-		Ctx: h.ctx, Src: h.src, SrcWorld: h.srcWorld, Dst: h.dst,
-		Tag: h.tag, Kind: h.kind, MsgID: h.msgID,
-		Data: buf.B[:h.totalLen], Buf: buf,
-	}, true
+	m := h.message()
+	if m.Sink = f.sink; m.Sink == nil {
+		m.Data, m.Buf = f.asm.B, f.asm
+	}
+	f.sink, f.asm = nil, nil
+	return m, true
+}
+
+// abandon drops the message under reassembly, if any.
+func (f *recvFlow) abandon() {
+	f.asm.Release()
+	f.sink, f.asm = nil, nil
 }
 
 // sockBuffers is what NewUDP needs of a socket to size its kernel
@@ -823,8 +971,7 @@ func (t *UDP) noteCC(f *sendFlow) {
 
 // Send implements Transport: frames m into sequenced fragments on the
 // destination's flow, then flushes every fragment the congestion window
-// admits in one batched write. It copies m.Data before returning and
-// never blocks on the receive path.
+// admits in one batched write. It never blocks on the receive path.
 func (t *UDP) Send(m Message) error {
 	if m.Dst < 0 || m.Dst >= t.np {
 		return fmt.Errorf("transport: destination rank %d out of range [0,%d)", m.Dst, t.np)
@@ -840,9 +987,10 @@ func (t *UDP) Send(m Message) error {
 	return nil
 }
 
-// flush writes the datagrams p.send.wlist names — one batched sendmmsg
-// when the socket supports it, a write per datagram otherwise — and
-// starts their retransmit clocks. Write errors are ignored: a failed
+// flush writes the datagrams p.send.wlist names — gathered from header
+// and payload view by sendmmsg when the socket supports it, assembled in
+// the flow's scratch and written one by one otherwise — and starts their
+// retransmit clocks. Write errors are ignored: a failed
 // datagram is indistinguishable from a lost one, and retransmit covers
 // both (so datagrams the kernel did not take are stamped too). Callers
 // hold p.send.mu.
@@ -852,17 +1000,17 @@ func (t *UDP) flush(p *peer) {
 		return
 	}
 	batched := false
-	if t.bio != nil && len(f.wlist) > 1 {
-		f.wbufs = f.wbufs[:0]
+	if t.bio != nil {
+		f.wdgrams = f.wdgrams[:0]
 		for _, seq := range f.wlist {
 			s := f.slot(seq)
-			f.wbufs = append(f.wbufs, s.buf.B[:s.n])
+			f.wdgrams = append(f.wdgrams, datagram{s.hdr[:], s.payload})
 		}
 		var sent, calls int
-		if sent, calls, batched = t.bio.writeBatch(&f.batch, f.wbufs, p.addr); sent > 0 {
+		if sent, calls, batched = t.bio.writeBatch(&f.batch, f.wdgrams, p.addr); sent > 0 {
 			var bytes int64
-			for _, b := range f.wbufs[:sent] {
-				bytes += int64(len(b))
+			for _, d := range f.wdgrams[:sent] {
+				bytes += int64(len(d.hdr) + len(d.payload))
 			}
 			t.count(metrics.WireDatagramsSent, int64(sent))
 			t.count(metrics.WireBytesSent, bytes)
@@ -872,13 +1020,29 @@ func (t *UDP) flush(p *peer) {
 	if !batched {
 		for _, seq := range f.wlist {
 			s := f.slot(seq)
-			if t.writeTo(s.buf.B[:s.n], p) == nil {
+			b := s.hdr[:]
+			if len(s.payload) > 0 {
+				f.scratch = append(append(f.scratch[:0], b...), s.payload...)
+				b = f.scratch
+			}
+			if t.writeTo(b, p) == nil {
 				t.count(metrics.WireDatagramsSent, 1)
-				t.count(metrics.WireBytesSent, int64(s.n))
+				t.count(metrics.WireBytesSent, int64(len(b)))
 			}
 		}
 	}
 	f.stampWritten(time.Now())
+}
+
+// Unpin implements Transport.
+func (t *UDP) Unpin(dst int, msgID uint64) {
+	if dst < 0 || dst >= t.np || t.sendTo[dst] == nil {
+		return
+	}
+	f := &t.sendTo[dst].send
+	f.mu.Lock()
+	f.unpin(msgID)
+	f.mu.Unlock()
 }
 
 // writeTo writes one datagram to p, without allocating when the
@@ -894,7 +1058,7 @@ func (t *UDP) writeTo(b []byte, p *peer) error {
 
 // Close implements Transport: drains unacknowledged packets — bounded
 // by drainBound, retransmitting every estimator RTO — then stops the
-// loops, closes the socket, and releases every retained wire buffer.
+// loops, closes the socket, and releases every retained buffer.
 func (t *UDP) Close() error {
 	t.mu.Lock()
 	if t.closed {
@@ -927,21 +1091,15 @@ func (t *UDP) Close() error {
 	for _, p := range *t.peers.Load() {
 		p.send.mu.Lock()
 		for f := &p.send; f.q.len() > 0; f.q.pop() {
-			if s := f.q.at(0); !s.sacked {
-				s.buf.Release()
-			}
+			f.q.at(0).release()
 		}
+		p.send.pins = nil
 		p.send.mu.Unlock()
 		p.recv.mu.Lock()
 		for f := &p.recv; f.hold.len() > 0; f.hold.pop() {
-			if held := *f.hold.at(0); held != nil {
-				held.Release()
-			}
+			f.hold.at(0).buf.Release()
 		}
-		if p.recv.asm != nil {
-			p.recv.asm.Release()
-			p.recv.asm = nil
-		}
+		p.recv.abandon()
 		p.recv.mu.Unlock()
 	}
 	return err
@@ -1077,7 +1235,7 @@ func (t *UDP) dispatch(pkt []byte, addr net.Addr, ackBuf []byte) {
 		}
 		t.count(metrics.WireDatagramsRecv, 1)
 		t.count(metrics.WireBytesRecv, int64(len(pkt)))
-		t.handleData(t.peerFor(addr), h, pkt, ackBuf)
+		t.handleData(t.peerFor(addr), h, pkt[dataHeaderLen:], ackBuf)
 	}
 }
 
@@ -1108,17 +1266,19 @@ func (t *UDP) handleAck(p *peer, a *ack) {
 // handleData feeds one data datagram to the flow's receive half,
 // delivers what it released to the handler (under the flow lock, so
 // messages reach it in flow order), and writes the ACK it asked for.
-func (t *UDP) handleData(p *peer, h header, pkt, ackBuf []byte) {
+func (t *UDP) handleData(p *peer, h header, frag, ackBuf []byte) {
 	f := &p.recv
 	f.mu.Lock()
-	inOrder, ackNow := f.onData(h.seq, pkt, time.Now(), p.ackDelay())
+	inOrder, ackNow := f.onData(h, frag, time.Now(), p.ackDelay())
 	if inOrder {
-		t.deliver(f, h, pkt)
-		for _, held := range f.ready {
-			if h, err := parseHeader(held.B); err == nil { // parsed once already, on arrival
-				t.deliver(f, h, held.B)
-			}
-			held.Release()
+		t.hmu.RLock()
+		hnd := t.handler
+		t.hmu.RUnlock()
+		t.deliver(p, hnd, h, frag)
+		for i := range f.ready {
+			d := &f.ready[i]
+			t.deliver(p, hnd, d.h, d.frag())
+			d.buf.Release()
 		}
 		if !ackNow {
 			t.count(metrics.WireAcksCoalesced, 1)
@@ -1134,21 +1294,29 @@ func (t *UDP) handleData(p *peer, h header, pkt, ackBuf []byte) {
 	}
 }
 
-// deliver hands the handler the message the in-order datagram pkt
-// completes, if any.
-func (t *UDP) deliver(f *recvFlow, h header, pkt []byte) {
-	m, ok := f.reassemble(h, pkt[dataHeaderLen:])
+// deliver hands hnd the message the in-order fragment completes, if any.
+// An RdvAck first retires the datagrams of the message it answers: once
+// the handler has seen it the sender is free to overwrite its buffer,
+// and the flow must hold no view of it by then.
+func (t *UDP) deliver(p *peer, hnd Handler, h header, frag []byte) {
+	m, ok := p.recv.reassemble(h, frag, hnd)
 	if !ok {
 		return
 	}
-	t.hmu.RLock()
-	hnd := t.handler
-	t.hmu.RUnlock()
+	if m.Kind == RdvAck {
+		f := &p.send
+		f.mu.Lock()
+		if f.onConsumed(m.MsgID) > 0 {
+			t.noteCC(f)
+		}
+		t.flush(p)
+		f.mu.Unlock()
+	}
 	if hnd == nil {
 		m.Buf.Release()
 		return
 	}
-	hnd(m)
+	hnd.Deliver(m)
 }
 
 // sendAck writes one ACK datagram.
