@@ -697,6 +697,9 @@ func BenchmarkWireThroughput(b *testing.B) {
 				b.ReportMetric(float64(s.WireAcksSent)/op, "acks/op")
 				b.ReportMetric(float64(s.WireRetransmits)/op, "retx/op")
 				b.ReportMetric(float64(s.WireBatchedWrites)/op, "batched-writes/op")
+				b.ReportMetric(float64(s.WireBatchedReads)/op, "batched-reads/op")
+				b.ReportMetric(float64(s.WireDatagramsRecv)/float64(max(s.WireBatchedReads, 1)), "datagrams/read")
+				b.ReportMetric(float64(s.WireDirectBytes)/float64(max(s.WireBytesRecv, 1)), "direct-share")
 			})
 		}
 	}

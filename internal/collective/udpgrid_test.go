@@ -129,6 +129,58 @@ func TestUDPTransportFaultGrid(t *testing.T) {
 	}
 }
 
+// ringOptRounds broadcasts 1 MiB from rank 0 with ring-opt, rounds times
+// back to back inside one np=8 run over tr — so the flow never idles: an
+// idle transport's coarse tick makes the first burst after it look timed
+// out — and checks the bytes every rank ends up with. It returns the
+// world's counters as they stood after the first warmup rounds (the
+// estimator and the window have settled by then) and at the end.
+func ringOptRounds(t *testing.T, tr transport.Transport, warmup, rounds int) (warm, end metrics.Snapshot) {
+	t.Helper()
+	const (
+		p = 8
+		n = 1 << 20
+	)
+	m := metrics.New(p, 0)
+	err := engine.RunWith(engine.Options{
+		NP: p, Topology: topology.Blocked(p, 4),
+		Timeout: 60 * time.Second, Transport: tr, Metrics: m,
+	}, func(c mpi.Comm) error {
+		// Stamp and spot-check each round, compare in full once: on a
+		// small host eight ranks comparing megabytes every round would
+		// starve the transport's clock into spurious timeouts.
+		want := pattern(n)
+		buf := make([]byte, n)
+		if c.Rank() == 0 {
+			copy(buf, want)
+		}
+		for i := 0; i < rounds; i++ {
+			if i == warmup && c.Rank() == 0 {
+				warm = m.Snapshot()
+			}
+			stamp := byte(i + 1)
+			if c.Rank() == 0 {
+				buf[0], buf[n/2], buf[n-1] = stamp, stamp, stamp
+			}
+			if err := RunDecision(c, buf, 0, tune.Decision{Algorithm: tune.RingOpt}); err != nil {
+				return err
+			}
+			if buf[0] != stamp || buf[n/2] != stamp || buf[n-1] != stamp {
+				return fmt.Errorf("rank %d round %d: stamps %d %d %d, want %d", c.Rank(), i, buf[0], buf[n/2], buf[n-1], stamp)
+			}
+		}
+		want[0], want[n/2], want[n-1] = byte(rounds), byte(rounds), byte(rounds)
+		if !bytes.Equal(buf, want) {
+			return fmt.Errorf("rank %d: buffer mismatch (first diff at %d)", c.Rank(), firstDiff(buf, want))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return warm, m.Snapshot()
+}
+
 // TestUDPWrappedSocketKeepsItsWindow is the regression test for the
 // Faulty socket-buffer trap: NewUDP used to size the kernel buffers only
 // of a socket it saw as *net.UDPConn, so one wrapped in a Faulty kept
@@ -137,12 +189,6 @@ func TestUDPTransportFaultGrid(t *testing.T) {
 // the sizing forwarded through the wrapper, a fault-free wrapped socket
 // behaves like a raw one: under 1 % of its datagrams are re-sent.
 func TestUDPWrappedSocketKeepsItsWindow(t *testing.T) {
-	const (
-		p      = 8
-		n      = 1 << 20
-		warmup = 5 // rounds before counting: the estimator and the window settle
-		rounds = 25
-	)
 	retxShare := func(wrap bool) float64 {
 		conn, err := net.ListenPacket("udp", "127.0.0.1:0")
 		if err != nil {
@@ -151,53 +197,12 @@ func TestUDPWrappedSocketKeepsItsWindow(t *testing.T) {
 		if wrap {
 			conn = transport.NewFaulty(conn, transport.FaultConfig{})
 		}
-		tr, err := transport.NewUDP(transport.UDPConfig{NP: p, Conn: conn, ForceWire: true})
+		tr, err := transport.NewUDP(transport.UDPConfig{NP: 8, Conn: conn, ForceWire: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer tr.Close()
-		m := metrics.New(p, 0)
-		var warm metrics.Snapshot
-		// Back to back inside one run, so the flow never idles: an idle
-		// transport's coarse tick makes the first burst after it look
-		// timed out, which is not what this test is about.
-		err = engine.RunWith(engine.Options{
-			NP: p, Topology: topology.Blocked(p, 4),
-			Timeout: 60 * time.Second, Transport: tr, Metrics: m,
-		}, func(c mpi.Comm) error {
-			// Stamp and spot-check each round, compare in full once: on a
-			// small host eight ranks comparing megabytes every round would
-			// starve the transport's clock into spurious timeouts.
-			want := pattern(n)
-			buf := make([]byte, n)
-			if c.Rank() == 0 {
-				copy(buf, want)
-			}
-			for i := 0; i < rounds; i++ {
-				if i == warmup && c.Rank() == 0 {
-					warm = m.Snapshot()
-				}
-				stamp := byte(i + 1)
-				if c.Rank() == 0 {
-					buf[0], buf[n/2], buf[n-1] = stamp, stamp, stamp
-				}
-				if err := RunDecision(c, buf, 0, tune.Decision{Algorithm: tune.RingOpt}); err != nil {
-					return err
-				}
-				if buf[0] != stamp || buf[n/2] != stamp || buf[n-1] != stamp {
-					return fmt.Errorf("rank %d round %d: stamps %d %d %d, want %d", c.Rank(), i, buf[0], buf[n/2], buf[n-1], stamp)
-				}
-			}
-			want[0], want[n/2], want[n-1] = rounds, rounds, rounds
-			if !bytes.Equal(buf, want) {
-				return fmt.Errorf("rank %d: buffer mismatch (first diff at %d)", c.Rank(), firstDiff(buf, want))
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := m.Snapshot()
+		warm, s := ringOptRounds(t, tr, 5, 25)
 		return float64(s.WireRetransmits-warm.WireRetransmits) / float64(s.WireDatagramsSent-warm.WireDatagramsSent)
 	}
 	raw := retxShare(false)
@@ -209,5 +214,35 @@ func TestUDPWrappedSocketKeepsItsWindow(t *testing.T) {
 	t.Logf("wrapped %.2f%%", 100*wrapped)
 	if wrapped >= 0.01 {
 		t.Errorf("a Faulty-wrapped socket re-sent %.1f%% of its datagrams at 0%% injected loss, want < 1%%", 100*wrapped)
+	}
+}
+
+// TestUDPDirectPlacement is the receive placement end to end: on a clean
+// loopback socket, most of what a 1 MiB ring-opt broadcast receives is
+// written by the kernel straight into the posted receives — every
+// fragment of a 128 KiB chunk, less the chunks that arrived before their
+// receive was posted and whatever an ACK arriving between two fragments
+// knocked out of place (the floor asserted is far below the ~0.9 a quiet
+// host measures: a loaded one interleaves more) — with every rank's
+// bytes intact. A socket without batched reads has no windows to aim at
+// and places nothing directly.
+func TestUDPDirectPlacement(t *testing.T) {
+	tr, err := transport.SelfUDP(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	warm, s := ringOptRounds(t, tr, 2, 10)
+	if s.WireBatchedReads == 0 {
+		if s.WireDirectBytes != 0 {
+			t.Errorf("%d bytes placed directly without a batched read", s.WireDirectBytes)
+		}
+		t.Skip("no batched datagram reads on this platform")
+	}
+	share := float64(s.WireDirectBytes-warm.WireDirectBytes) / float64(s.WireBytesRecv-warm.WireBytesRecv)
+	t.Logf("%.1f%% of the bytes received were placed by the kernel (%.1f datagrams per read)", 100*share,
+		float64(s.WireDatagramsRecv-warm.WireDatagramsRecv)/float64(s.WireBatchedReads-warm.WireBatchedReads))
+	if share < 0.60 {
+		t.Errorf("direct share %.2f on a clean loopback ring, want at least 0.60", share)
 	}
 }

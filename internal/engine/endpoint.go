@@ -44,10 +44,9 @@ type posted struct {
 	src, tag int // may be mpi.AnySource / mpi.AnyTag
 	buf      []byte
 	done     chan recvResult // buffered(1): sender never blocks delivering
-	// aborted is the posting world's abort channel: a transport placing
-	// a remote message into buf fragment by fragment (see remote.go)
-	// stops once it is closed.
-	aborted <-chan struct{}
+	// w is the posting world: a transport placing a remote message into
+	// buf fragment by fragment (see remote.go) stops once it has aborted.
+	w *World
 }
 
 type recvResult struct {

@@ -109,9 +109,9 @@ func putEnvelope(env *envelope) {
 
 // getPosted builds a pooled posted receive. Its done channel is reused
 // across recycles and is empty on return.
-func getPosted(ctx int64, src, tag int, buf []byte, aborted <-chan struct{}) *posted {
+func getPosted(w *World, ctx int64, src, tag int, buf []byte) *posted {
 	pr := postedPool.Get().(*posted)
-	pr.ctx, pr.src, pr.tag, pr.buf, pr.aborted = ctx, src, tag, buf, aborted
+	pr.w, pr.ctx, pr.src, pr.tag, pr.buf = w, ctx, src, tag, buf
 	return pr
 }
 
@@ -119,7 +119,7 @@ func getPosted(ctx int64, src, tag int, buf []byte, aborted <-chan struct{}) *po
 // received the delivery from pr.done — a sender may otherwise still be
 // about to send into the channel.
 func putPosted(pr *posted) {
-	pr.buf = nil
+	pr.buf, pr.w = nil, nil
 	postedPool.Put(pr)
 }
 

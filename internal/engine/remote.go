@@ -217,14 +217,35 @@ func (h remoteHandler) Claim(m transport.Message, size int) transport.Sink {
 	return ep.takePosted(i)
 }
 
-// Place implements transport.Sink on a claimed receive. Once the world
-// has aborted the receive's caller may have returned, so nothing more
-// is written.
-func (pr *posted) Place(off int, frag []byte) bool {
+// withdrawn reports whether the world has aborted: the receive's caller
+// may have returned, so its buffer is no longer the engine's to write.
+func (pr *posted) withdrawn() bool {
 	select {
-	case <-pr.aborted:
-		return false
+	case <-pr.w.aborted:
+		return true
 	default:
+		return false
+	}
+}
+
+// Window implements transport.Sink on a claimed receive: the part of
+// the receive buffer itself, for the kernel to write the fragment into.
+func (pr *posted) Window(off, n int) []byte {
+	if pr.withdrawn() {
+		return nil
+	}
+	return pr.buf[off : off+n : off+n]
+}
+
+// Place implements transport.Sink on a claimed receive. A fragment that
+// arrived in its window is where it belongs already and is only counted.
+func (pr *posted) Place(off int, frag []byte) bool {
+	if pr.withdrawn() {
+		return false
+	}
+	if len(frag) > 0 && &frag[0] == &pr.buf[off] {
+		pr.w.metrics.Add(0, metrics.WireDirectBytes, int64(len(frag)))
+		return true
 	}
 	copy(pr.buf[off:], frag)
 	return true

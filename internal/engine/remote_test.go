@@ -603,6 +603,78 @@ func TestRemoteAbortedWorldTakesNoPayloads(t *testing.T) {
 	}
 }
 
+// TestRemoteWindowPlacement is the kernel's way into a claimed receive.
+// Window hands out the receive buffer itself; a fragment announced from
+// there is in place already — Place charges it to WireDirectBytes and
+// moves nothing — while one announced from anywhere else, another part
+// of the same buffer included, is copied and charged nothing. Once the
+// world has aborted there is no window to be had, and Place still
+// refuses.
+func TestRemoteWindowPlacement(t *testing.T) {
+	const size, half = 8000, 4000
+	payload := wirePattern(4, size)
+	in, late := make([]byte, size), make([]byte, size)
+	var w *World
+	var sink transport.Sink
+	err := claimHarness(t, func(c mpi.Comm, h remoteHandler) error {
+		w = h.w
+		direct := func() int64 { return w.metrics.Snapshot().WireDirectBytes }
+		req, err := c.Irecv(in, 1, 51)
+		if err != nil {
+			return err
+		}
+		m := inbound(c, transport.Rdv, 51, 88)
+		if m.Sink = h.Claim(m, size); m.Sink == nil {
+			return fmt.Errorf("receive not claimed")
+		}
+		// The second half arrives first in the first half's window — a
+		// misprediction — and is moved up to where it belongs.
+		win := m.Sink.Window(0, half)
+		if len(win) != half || cap(win) != half || &win[0] != &in[0] {
+			return fmt.Errorf("Window(0, %d) is %d bytes (cap %d), not the head of the receive buffer", half, len(win), cap(win))
+		}
+		copy(win, payload[half:])
+		if !m.Sink.Place(half, win) || !bytes.Equal(in[half:], payload[half:]) {
+			return fmt.Errorf("fragment in the wrong window was not copied to its place")
+		}
+		if n := direct(); n != 0 {
+			return fmt.Errorf("a copied fragment was charged as %d direct bytes", n)
+		}
+		// The first half then arrives in its own window.
+		copy(win, payload[:half])
+		if !m.Sink.Place(0, win) {
+			return fmt.Errorf("Place refused on a live world")
+		}
+		if n := direct(); n != half {
+			return fmt.Errorf("a fragment placed by the kernel was charged as %d direct bytes, want %d", n, half)
+		}
+		h.Deliver(m)
+		if st, err := req.Wait(); err != nil || st.Count != size || !bytes.Equal(in, payload) {
+			return fmt.Errorf("placed receive: status %+v err %v, payload intact=%v", st, err, bytes.Equal(in, payload))
+		}
+
+		if _, err := c.Irecv(late, 1, 52); err != nil {
+			return err
+		}
+		if sink = h.Claim(inbound(c, transport.Rdv, 52, 89), size); sink == nil {
+			return fmt.Errorf("second receive not claimed")
+		}
+		return errors.New("rank 0 gives up")
+	})
+	if err == nil {
+		t.Fatal("the run was meant to abort")
+	}
+	if win := sink.Window(0, half); win != nil {
+		t.Errorf("an aborted world handed out a %d-byte window of a receive whose caller had returned", len(win))
+	}
+	if sink.Place(0, late[:half]) {
+		t.Error("Place accepted a fragment, in place or not, for an aborted world")
+	}
+	if n := w.metrics.Snapshot().WireDirectBytes; n != half {
+		t.Errorf("direct bytes = %d after the abort, want the %d placed before it", n, half)
+	}
+}
+
 // poolPuts sums bufpool's releases over every class.
 func poolPuts() (puts int64) {
 	classes, _, _ := bufpool.Stats()
@@ -646,7 +718,14 @@ func TestRemoteAbandonedRendezvousLeavesNothing(t *testing.T) {
 		sent := make(chan struct{})
 		err = w.Run(func(c mpi.Comm) error {
 			if c.Rank() == 1 {
+				// Give up only once the send is under way: a blocking send
+				// that finds the world aborted on entry pins nothing.
 				<-sent
+				for pending := 0; pending == 0; time.Sleep(50 * time.Microsecond) {
+					w.remoteMu.Lock()
+					pending = len(w.remoteRdv)
+					w.remoteMu.Unlock()
+				}
 				return errors.New("rank 1 never receives")
 			}
 			buf := make([]byte, wireRdvSz)

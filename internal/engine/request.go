@@ -230,7 +230,7 @@ func (w *World) irecv(ctx int64, myWorld int, buf []byte, src, tag int, cnl canc
 		w.countRecv(myWorld, true)
 		return completedRequest(st, err)
 	}
-	pr := getPosted(ctx, src, tag, buf, w.aborted)
+	pr := getPosted(w, ctx, src, tag, buf)
 	ep.recvs = append(ep.recvs, pr)
 	w.metrics.Max(myWorld, metrics.PostedQueueMax, int64(len(ep.recvs)))
 	ep.mu.Unlock()

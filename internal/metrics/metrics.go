@@ -81,6 +81,11 @@ const (
 	WireBatchedReads
 	WireCwndHalvings
 	WireFastRetransmits
+	// WireDirectBytes counts payload bytes the kernel wrote straight
+	// into a posted receive: fragments read into the window of the
+	// buffer where they belong, charged when placement finds them there
+	// (its share of WireBytesRecv is the placement hit rate).
+	WireDirectBytes
 	// Adaptive wire-path gauges (max over the run): congestion-window
 	// high water in packets, the window's low water encoded inverted as
 	// CwndLowWaterBase-cwnd (max of the inverse is the minimum; Snapshot
@@ -229,6 +234,7 @@ func (m *Metrics) Snapshot() Snapshot {
 	s.WireBatchedReads = merged[WireBatchedReads]
 	s.WireCwndHalvings = merged[WireCwndHalvings]
 	s.WireFastRetransmits = merged[WireFastRetransmits]
+	s.WireDirectBytes = merged[WireDirectBytes]
 	s.WireCwndHighWater = merged[WireCwndHighWater]
 	if inv := merged[WireCwndLowWaterInv]; inv > 0 {
 		s.WireCwndLowWater = CwndLowWaterBase - inv

@@ -169,6 +169,7 @@ func goldenSnapshot() Snapshot {
 		WireBatchedReads:    19,
 		WireCwndHalvings:    2,
 		WireFastRetransmits: 7,
+		WireDirectBytes:     2 << 20,
 		WireCwndHighWater:   256,
 		WireCwndLowWater:    16,
 		WireSRTTMaxMicros:   740,

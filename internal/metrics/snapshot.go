@@ -61,6 +61,9 @@ type Snapshot struct {
 	WireBatchedWrites, WireBatchedReads int64
 	WireCwndHalvings                    int64
 	WireFastRetransmits                 int64
+	// WireDirectBytes is the part of WireBytesRecv that was payload the
+	// kernel wrote straight into a posted receive (no user-space copy).
+	WireDirectBytes int64
 	// Adaptive wire-path gauges: congestion-window high/low water in
 	// packets (0 when congestion control never ran) and the largest
 	// smoothed-RTT / RTO estimate any flow reached, in microseconds.
@@ -111,9 +114,10 @@ func (s Snapshot) String() string {
 	if s.wireActive() {
 		fmt.Fprintf(&b, "  wire: datagrams-sent=%d datagrams-recv=%d bytes-sent=%d bytes-recv=%d retransmits=%d ack-rtts=%d\n",
 			s.WireDatagramsSent, s.WireDatagramsRecv, s.WireBytesSent, s.WireBytesRecv, s.WireRetransmits, s.WireAckRoundTrips)
-		fmt.Fprintf(&b, "  wire-cc: srtt-max-us=%d rto-max-us=%d cwnd-hw=%d cwnd-lw=%d cwnd-halvings=%d fast-retx=%d acks-sent=%d acks-coalesced=%d batched-writes=%d batched-reads=%d\n",
+		fmt.Fprintf(&b, "  wire-cc: srtt-max-us=%d rto-max-us=%d cwnd-hw=%d cwnd-lw=%d cwnd-halvings=%d fast-retx=%d acks-sent=%d acks-coalesced=%d batched-writes=%d batched-reads=%d direct-bytes=%d direct-share=%.2f\n",
 			s.WireSRTTMaxMicros, s.WireRTOMaxMicros, s.WireCwndHighWater, s.WireCwndLowWater,
-			s.WireCwndHalvings, s.WireFastRetransmits, s.WireAcksSent, s.WireAcksCoalesced, s.WireBatchedWrites, s.WireBatchedReads)
+			s.WireCwndHalvings, s.WireFastRetransmits, s.WireAcksSent, s.WireAcksCoalesced, s.WireBatchedWrites, s.WireBatchedReads,
+			s.WireDirectBytes, float64(s.WireDirectBytes)/float64(max(s.WireBytesRecv, 1)))
 	}
 	fmt.Fprintf(&b, "  queues: posted-max=%d arrival-max=%d tag-stream-hw=%d\n",
 		s.PostedQueueMax, s.ArrivalQueueMax, s.TagStreamHighWater)
@@ -240,6 +244,8 @@ func (s Snapshot) WriteProm(w io.Writer) error {
 	p.header("bcast_wire_batched_syscalls_total", "Batched datagram syscalls (sendmmsg/recvmmsg), by direction.", "counter")
 	p.printf("bcast_wire_batched_syscalls_total{direction=\"write\"} %d\n", s.WireBatchedWrites)
 	p.printf("bcast_wire_batched_syscalls_total{direction=\"read\"} %d\n", s.WireBatchedReads)
+	p.header("bcast_wire_direct_bytes_total", "Received payload bytes the kernel wrote straight into a posted receive (no user-space copy).", "counter")
+	p.printf("bcast_wire_direct_bytes_total %d\n", s.WireDirectBytes)
 	p.header("bcast_wire_cwnd_halvings_total", "Congestion-window halvings (one per loss event, detected by timeout or by selective ACKs).", "counter")
 	p.printf("bcast_wire_cwnd_halvings_total %d\n", s.WireCwndHalvings)
 	p.header("bcast_wire_cwnd_packets", "Congestion-window water marks in packets, over every flow.", "gauge")

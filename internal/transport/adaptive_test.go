@@ -399,6 +399,19 @@ func TestFrameRejectsHardened(t *testing.T) {
 		t.Errorf("valid header rejected: %v", err)
 	}
 
+	// The batched receive reads a datagram as its first dataHeaderLen
+	// bytes and the rest: a short first part with anything behind it is
+	// not something the kernel can produce.
+	if _, err := parseSplitHeader(b[:dataHeaderLen], len(b)-dataHeaderLen); err != nil {
+		t.Errorf("valid header rejected in two parts: %v", err)
+	}
+	if _, err := parseSplitHeader(b[:dataHeaderLen-1], len(b)-dataHeaderLen+1); err == nil {
+		t.Error("a data datagram with a truncated header part must be rejected")
+	}
+	if _, err := parseSplitHeader(b[:dataHeaderLen-1], 0); err == nil {
+		t.Error("a data datagram shorter than its header must be rejected")
+	}
+
 	mk := func(cum uint64, rs ...seqRange) []byte {
 		a := ack{cum: cum, n: len(rs)}
 		copy(a.ranges[:], rs)
@@ -408,6 +421,15 @@ func TestFrameRejectsHardened(t *testing.T) {
 	valid := mk(10, seqRange{12, 12}, seqRange{14, 20}, seqRange{22, 22}, seqRange{30, 31})
 	if _, err := parseAck(valid); err != nil {
 		t.Errorf("valid 4-range ack rejected: %v", err)
+	}
+	if a, err := parseSplitAck(valid[:dataHeaderLen], valid[dataHeaderLen:]); err != nil || a.n != 4 || a.ranges[3] != (seqRange{30, 31}) {
+		t.Errorf("valid 4-range ack in two parts: %+v, %v", a, err)
+	}
+	if _, err := parseSplitAck(valid[:dataHeaderLen-1], valid[dataHeaderLen-1:]); err == nil {
+		t.Error("an ack with a truncated header part and bytes behind it must be rejected")
+	}
+	if _, err := parseSplitAck(valid[:dataHeaderLen], make([]byte, maxAckLen)); err == nil {
+		t.Error("an ack with more behind its header part than an ack can hold must be rejected")
 	}
 	overCap := append(append([]byte(nil), valid...), make([]byte, ackRangeLen)...)
 	overCap[9] = maxAckRanges + 1
@@ -454,7 +476,9 @@ func checkAck(t *testing.T, a ack, frameLen int) {
 // exact surface recvLoop exposes to the network — and checks that
 // anything accepted satisfies the invariants reassembly and the
 // scoreboard depend on, and that every ACK the encoder can produce
-// round-trips.
+// round-trips. The batched receive hands the parsers a datagram in two
+// parts, split at dataHeaderLen: that must parse exactly as the
+// datagram in one piece does.
 func FuzzParseFrame(f *testing.F) {
 	valid := make([]byte, dataHeaderLen+16)
 	putHeader(valid, header{seq: 3, msgID: 9, kind: Rdv, src: 1, dst: 0, totalLen: 64, offset: 16})
@@ -465,17 +489,29 @@ func FuzzParseFrame(f *testing.F) {
 	f.Add(append([]byte(nil), ab[:putAck(ab[:], &ranged)]...))
 	touching := ack{cum: 77, n: 2, ranges: [maxAckRanges]seqRange{{79, 80}, {81, 82}}}
 	f.Add(append([]byte(nil), ab[:putAck(ab[:], &touching)]...))
-	f.Add([]byte{ptAck, 1, 0, 0, 0, 0, 0, 0, 0})      // the old 9-byte ack
-	f.Add([]byte{ptData, 0, 0})                       // truncated header
-	f.Add(append([]byte(nil), valid[:ackBaseLen]...)) // data byte, ack length
+	spilling := ack{cum: 77, n: 4, ranges: [maxAckRanges]seqRange{{79, 80}, {90, 90}, {92, 95}, {99, 99}}}
+	f.Add(append([]byte(nil), ab[:putAck(ab[:], &spilling)]...)) // longer than a data header
+	f.Add([]byte{ptAck, 1, 0, 0, 0, 0, 0, 0, 0})                 // the old 9-byte ack
+	f.Add([]byte{ptData, 0, 0})                                  // truncated header
+	f.Add(append([]byte(nil), valid[:ackBaseLen]...))            // data byte, ack length
 	short := append([]byte(nil), valid...)
 	putHeader(short, header{seq: 0, totalLen: 16}) // zero seq
 	f.Add(short)
 	huge := append([]byte(nil), valid...)
-	putHeader(huge, header{seq: 1, totalLen: 1 << 31}) // absurd claimed length
+	putHeader(huge, header{seq: 1})
+	binary.LittleEndian.PutUint32(huge[46:50], 1<<31) // absurd claimed length (no int holds it on 32-bit)
 	f.Add(huge)
 
 	f.Fuzz(func(t *testing.T, b []byte) {
+		cut := min(len(b), dataHeaderLen)
+		sh, serr := parseSplitHeader(b[:cut], len(b)-cut)
+		if h, err := parseHeader(b); (err == nil) != (serr == nil) || h != sh {
+			t.Fatalf("data datagram parses as %+v (%v) whole, %+v (%v) in two parts", h, err, sh, serr)
+		}
+		sa, serr := parseSplitAck(b[:cut], b[cut:])
+		if a, err := parseAck(b); (err == nil) != (serr == nil) || a != sa {
+			t.Fatalf("ack parses as %+v (%v) whole, %+v (%v) in two parts", a, err, sa, serr)
+		}
 		if h, err := parseHeader(b); err == nil {
 			if h.seq == 0 {
 				t.Fatal("parser accepted sequence number 0")

@@ -32,21 +32,39 @@ type rawSockaddr [syscall.SizeofSockaddrInet6]byte
 // scratch is the caller's batchWriter (flows flush concurrently, each
 // under its own lock); receive scratch lives here because readBatch has
 // a single caller, the transport's receive loop.
+//
+// Every receive slot has one shape: a gather of the datagram's first
+// dataHeaderLen bytes into the head of the slot's buffer, then its
+// payload into the slot's target — the rest of that buffer or, when the
+// readPlan names one, a window somewhere else — and, behind a window
+// shorter than a full payload, the buffer's tail, so that no datagram
+// is ever cut short by a window that expected a smaller one.
 type batchIO struct {
 	rc syscall.RawConn
 
-	rbufs  [batchSize][]byte
-	riovs  [batchSize]syscall.Iovec
+	rpkts  [batchSize]batchPkt         // what readBatch returns a prefix of
+	rbufs  [batchSize][]byte           // maxDatagram each: header, then payload
+	rwins  [batchSize][]byte           // the plan's windows; nil where the target is the slot's buffer
+	riovs  [batchSize][3]syscall.Iovec // header, target, spill
 	rhdrs  [batchSize]mmsghdr
 	rnames [batchSize]rawSockaddr
 
 	// recv is the recvmmsg call handed to rc.Read, built once: a fresh
-	// closure per readBatch would be a heap allocation per batch. It
-	// reads rn and leaves its result in rgot and rerr.
+	// closure per readBatch would be a heap allocation per batch. It asks
+	// plan where to read to, and leaves its result in rgot and rerr.
 	recv func(fd uintptr) bool
-	rn   int
+	plan readPlan
 	rgot int
 	rerr syscall.Errno
+
+	// head is peek as the plan gets it, built once like recv; fd is the
+	// socket while recv runs, and empty is set by a peek that found
+	// nothing queued: recv then parks instead of reading.
+	head  peekFunc
+	fd    uintptr
+	empty bool
+	phdr  [dataHeaderLen]byte
+	pname rawSockaddr
 
 	// addrs caches decoded source addresses so steady-state receives
 	// from a known peer allocate nothing.
@@ -74,15 +92,20 @@ func newBatchIO(conn net.PacketConn) *batchIO {
 	b := &batchIO{rc: rc}
 	for i := range b.rbufs {
 		b.rbufs[i] = make([]byte, maxDatagram)
-		b.riovs[i].Base = &b.rbufs[i][0]
-		b.riovs[i].SetLen(maxDatagram)
-		b.rhdrs[i].hdr.Iov = &b.riovs[i]
-		b.rhdrs[i].hdr.Iovlen = 1
+		b.riovs[i][0].Base = &b.rbufs[i][0]
+		b.riovs[i][0].SetLen(dataHeaderLen)
+		b.rhdrs[i].hdr.Iov = &b.riovs[i][0]
 		b.rhdrs[i].hdr.Name = &b.rnames[i][0]
 	}
+	b.head = b.peek
 	b.recv = func(fd uintptr) bool {
+		b.fd, b.empty = fd, false
+		n := b.aim()
+		if b.empty {
+			return false // park on the netpoller until readable
+		}
 		r1, _, e := syscall.Syscall6(sysRecvmmsg, fd,
-			uintptr(unsafe.Pointer(&b.rhdrs[0])), uintptr(b.rn), syscall.MSG_DONTWAIT, 0, 0)
+			uintptr(unsafe.Pointer(&b.rhdrs[0])), uintptr(n), syscall.MSG_DONTWAIT, 0, 0)
 		if e == syscall.EAGAIN {
 			return false // park on the netpoller until readable
 		}
@@ -90,6 +113,48 @@ func newBatchIO(conn net.PacketConn) *batchIO {
 		return true
 	}
 	return b
+}
+
+// peek is the batchIO's peekFunc: a recvfrom that leaves the datagram
+// queued (MSG_PEEK) and reports its real length however little of it was
+// asked for (MSG_TRUNC).
+func (b *batchIO) peek() (hdr []byte, rest int, addr net.Addr, ok bool) {
+	salen := uint32(len(b.pname))
+	r1, _, e := syscall.Syscall6(syscall.SYS_RECVFROM, b.fd,
+		uintptr(unsafe.Pointer(&b.phdr[0])), uintptr(len(b.phdr)),
+		syscall.MSG_PEEK|syscall.MSG_TRUNC|syscall.MSG_DONTWAIT,
+		uintptr(unsafe.Pointer(&b.pname[0])), uintptr(unsafe.Pointer(&salen)))
+	if e != 0 {
+		b.empty = e == syscall.EAGAIN
+		return nil, 0, nil, false
+	}
+	n := min(int(r1), len(b.phdr))
+	return b.phdr[:n], int(r1) - n, b.decodeSockaddr(&b.pname, salen), true
+}
+
+// aim asks the plan how many slots the next recvmmsg may fill and points
+// each at its target, the plan's window or the slot's own buffer.
+func (b *batchIO) aim() int {
+	clear(b.rwins[:])
+	n := max(1, min(b.plan(b.rwins[:], b.head), batchSize))
+	for i := 0; i < n; i++ {
+		hdr, iov := &b.rhdrs[i].hdr, &b.riovs[i]
+		hdr.Namelen = uint32(len(b.rnames[i]))
+		hdr.Iovlen = 2
+		target := b.rbufs[i][dataHeaderLen:]
+		if w := b.rwins[i]; len(w) > 0 {
+			w = w[:min(len(w), maxPayload)]
+			if spill := target[len(w):]; len(spill) > 0 {
+				iov[2].Base = &spill[0]
+				iov[2].SetLen(len(spill))
+				hdr.Iovlen = 3
+			}
+			b.rwins[i], target = w, w
+		}
+		iov[1].Base = &target[0]
+		iov[1].SetLen(len(target))
+	}
+	return n
 }
 
 // encodeSockaddr fills rsa with addr's kernel representation and
@@ -214,32 +279,36 @@ func (b *batchIO) writeBatch(w *batchWriter, dgrams []datagram, addr net.Addr) (
 	return sent, calls, true
 }
 
-// readBatch fills pkts from one recvmmsg call, blocking on the
-// netpoller until at least one datagram is readable. The returned
-// packet slices alias the batchIO's buffers until the next call.
-func (b *batchIO) readBatch(pkts []batchPkt) (int, error) {
-	n := len(pkts)
-	if n > batchSize {
-		n = batchSize
-	}
-	for i := 0; i < n; i++ {
-		b.rhdrs[i].hdr.Namelen = uint32(len(b.rnames[i]))
-		b.riovs[i].SetLen(maxDatagram)
-	}
-	b.rn, b.rgot, b.rerr = n, 0, 0
+// readBatch returns the datagrams of one recvmmsg call aimed by plan,
+// blocking on the netpoller until at least one is readable. A payload
+// that ran past its window is put together again in the slot's buffer.
+func (b *batchIO) readBatch(plan readPlan) ([]batchPkt, error) {
+	b.plan, b.rgot, b.rerr = plan, 0, 0
 	if err := b.rc.Read(b.recv); err != nil {
-		return 0, err
+		return nil, err
 	}
 	if serr := b.rerr; serr != 0 {
 		if serr == syscall.ENOSYS || serr == syscall.EINVAL {
-			return 0, errBatchUnsupported
+			return nil, errBatchUnsupported
 		}
-		return 0, serr
+		return nil, serr
 	}
-	got := b.rgot
-	for i := 0; i < got; i++ {
-		pkts[i].b = b.rbufs[i][:b.rhdrs[i].n]
-		pkts[i].addr = b.decodeSockaddr(&b.rnames[i], b.rhdrs[i].hdr.Namelen)
+	pkts := b.rpkts[:b.rgot]
+	for i := range pkts {
+		buf, n := b.rbufs[i], int(b.rhdrs[i].n)
+		hdrLen := min(n, dataHeaderLen)
+		payload := buf[dataHeaderLen : dataHeaderLen+n-hdrLen]
+		switch w := b.rwins[i]; {
+		case len(w) == 0:
+		case len(payload) <= len(w):
+			payload = w[:len(payload)]
+		default:
+			copy(payload, w)
+		}
+		pkts[i] = batchPkt{
+			hdr: buf[:hdrLen], payload: payload,
+			addr: b.decodeSockaddr(&b.rnames[i], b.rhdrs[i].hdr.Namelen),
+		}
 	}
-	return got, nil
+	return pkts, nil
 }

@@ -15,4 +15,4 @@ type batchWriter struct{}
 
 func (*batchIO) writeBatch(*batchWriter, []datagram, net.Addr) (int, int, bool) { return 0, 0, false }
 
-func (*batchIO) readBatch([]batchPkt) (int, error) { return 0, errBatchUnsupported }
+func (*batchIO) readBatch(readPlan) ([]batchPkt, error) { return nil, errBatchUnsupported }

@@ -20,7 +20,12 @@ import (
 // flows return, feed them what arrives, tick their clocks) and of the
 // engine on both sides of it — a sender that overwrites its buffer the
 // moment it is let go, a receiver that claims some messages into
-// buffers of its own — and checks what the shell's callers rely on.
+// buffers of its own — and checks what the shell's callers rely on. On
+// the receiving side it plays the kernel too: arriving datagrams queue
+// on a socket, the receive loop wakes behind them and reads them in
+// batches as long as recvFlow.horizon allows, and each payload is
+// written where horizon aimed its slot — a window of the claimed buffer
+// or a buffer of the slot's own — before the flow sees the datagram.
 
 // firstSeed rotates the seeded schedules: a stress loop passes a
 // different value each round and so covers schedules no earlier round
@@ -63,6 +68,7 @@ const (
 	dataDatagram arrivalKind = iota
 	ackDatagram
 	consumedNotice
+	rxWake // the receive loop gets to run
 )
 
 type arrivals []arrival
@@ -93,7 +99,15 @@ type simConfig struct {
 	payload  int           // fragment payload bytes
 	gap      time.Duration // messages are enqueued a seeded [0, gap) apart
 	dropNth  int           // when > 0, additionally drop the first transmission of this sequence number
+	rxLag    time.Duration // the receive loop wakes a seeded [0, rxLag] behind the first datagram it finds queued
+	foreign  float64       // per batch slot, the chance that someone else's datagram (an ACK, another flow's) is read first
 }
+
+// simSlot is the window of a claimed buffer one slot of the batch being
+// processed was aimed at: the n bytes at off of dst[msg] that the kernel
+// wrote the slot's datagram into (n is 0 for a slot aimed at its own
+// buffer).
+type simSlot struct{ msg, off, n int }
 
 // sim is one run of the harness.
 type sim struct {
@@ -119,6 +133,17 @@ type sim struct {
 	giveUpAt       []time.Time
 	notices        int // consumed notices in flight
 	delivered      int // messages delivered so far, in order
+
+	// The receiving socket and the batch being processed off it.
+	sock    [][]byte // datagrams queued, in arrival order
+	waking  bool     // an rxWake is in flight
+	win     [batchSize][]byte
+	batch   []simSlot
+	cur     int      // the slot being processed; later ones still hold unprocessed datagrams
+	dirty   [][]bool // by message: bytes of dst the kernel wrote that no placement has covered since
+	direct  int      // claimed payload bytes that were in place when placed ...
+	copied  int      // ... and that had to be copied there
+	clobber int      // bytes written into a window that did not belong there
 
 	written     []bool // by sequence number: transmitted at least once
 	sackedSeen  []bool // by sequence number: an ACK that reached the sender reported it held
@@ -148,6 +173,7 @@ func newSim(t *testing.T, cfg simConfig) *sim {
 		s.want = append(s.want, pattern(i, size))
 		s.src = append(s.src, pattern(i, size))
 		s.dst = append(s.dst, make([]byte, size))
+		s.dirty = append(s.dirty, make([]bool, size))
 	}
 	s.letGo = make([]bool, cfg.msgs)
 	s.consumed = make([]bool, cfg.msgs)
@@ -178,6 +204,11 @@ func within(b, buf []byte) bool {
 	}
 	p, lo := uintptr(unsafe.Pointer(&b[0])), uintptr(unsafe.Pointer(&buf[0]))
 	return p >= lo && p < lo+uintptr(len(buf))
+}
+
+// offsetIn is where in buf b starts; b lies within buf.
+func offsetIn(b, buf []byte) int {
+	return int(uintptr(unsafe.Pointer(&b[0])) - uintptr(unsafe.Pointer(&buf[0])))
 }
 
 func (s *sim) fatalf(format string, args ...any) {
@@ -274,11 +305,40 @@ func (s *sim) sendAck() {
 	}
 }
 
-// simSink is the receiving engine's claimed buffer.
-type simSink []byte
+// simSink is the receiving engine's claimed buffer, dst[msg].
+type simSink struct {
+	s   *sim
+	msg int
+}
 
+func (d simSink) Window(off, n int) []byte { return d.s.dst[d.msg][off : off+n] }
+
+// Place is the engine's: a fragment already where it belongs is left
+// alone, any other is copied. The harness checks, first, that what it
+// writes is not a window where a later slot's datagram still waits to be
+// processed, and that a fragment moved down from its own window ends
+// before that window starts.
 func (d simSink) Place(off int, frag []byte) bool {
-	copy(d[off:], frag)
+	s, dst := d.s, d.s.dst[d.msg]
+	for j := s.cur + 1; j < len(s.batch); j++ {
+		if b := s.batch[j]; b.msg == d.msg && off < b.off+b.n && b.off < off+len(frag) {
+			s.fatalf("placing [%d:%d) of message %d overwrites slot %d's unprocessed window [%d:%d)",
+				off, off+len(frag), d.msg, j, b.off, b.off+b.n)
+		}
+	}
+	switch {
+	case len(frag) == 0:
+	case &frag[0] == &dst[off]:
+		s.direct += len(frag)
+	default:
+		if within(frag, dst) && off+len(frag) > offsetIn(frag, dst) {
+			s.fatalf("fragment [%d:%d) of message %d moved down from a window starting at %d",
+				off, off+len(frag), d.msg, offsetIn(frag, dst))
+		}
+		copy(dst[off:], frag)
+		s.copied += len(frag)
+	}
+	clear(s.dirty[d.msg][off : off+len(frag)])
 	return true
 }
 
@@ -291,7 +351,7 @@ func (s *sim) Claim(m Message, size int) Sink {
 	if m.Tag%2 != 0 {
 		return nil
 	}
-	return simSink(s.dst[m.Tag])
+	return simSink{s, m.Tag}
 }
 
 // Deliver implements Handler: it checks the message and, for a Rdv one,
@@ -306,7 +366,21 @@ func (s *sim) Deliver(m Message) {
 		got = s.dst[m.Tag]
 	}
 	if (m.Sink != nil) != claimed || (m.Buf != nil) == claimed {
-		s.fatalf("message %d: claimed=%v but delivered with Sink=%v Buf=%v", m.Tag, claimed, m.Sink, m.Buf)
+		s.fatalf("message %d: claimed=%v but delivered with Sink set=%v, Buf set=%v", m.Tag, claimed, m.Sink != nil, m.Buf != nil)
+	}
+	if claimed {
+		// The receiver has its buffer back: nothing the kernel wrote into
+		// it may be left uncovered, or still waiting to be processed.
+		for i, d := range s.dirty[m.Tag] {
+			if d {
+				s.fatalf("message %d delivered with byte %d last written by a datagram that did not belong there", m.Tag, i)
+			}
+		}
+		for j := s.cur + 1; j < len(s.batch); j++ {
+			if b := s.batch[j]; b.msg == m.Tag && b.n > 0 {
+				s.fatalf("message %d delivered while slot %d's datagram still sits in its buffer at [%d:%d)", m.Tag, j, b.off, b.off+b.n)
+			}
+		}
 	}
 	if m.Kind != kindOf(m.Tag) || !bytes.Equal(got, s.want[m.Tag]) {
 		s.fatalf("message %d delivered as %v with wrong bytes", m.Tag, m.Kind)
@@ -345,20 +419,116 @@ func (s *sim) onConsumed(msg int) {
 	s.flush()
 }
 
-// onData is UDP.handleData without the lock and the counters.
-func (s *sim) onData(pkt []byte) {
-	h, err := parseHeader(pkt)
+// recvLoop is UDP.recvBatchLoop with the kernel inside: while datagrams
+// are queued it asks the flow how far the next read may go and where to,
+// lets the kernel fill that many slots, and dispatches them in order.
+func (s *sim) recvLoop() {
+	s.waking = false
+	for len(s.sock) > 0 {
+		// next takes the datagram the kernel hands out next: the queue's
+		// first, or (nil) someone else's, a header and junk.
+		next := func() (pkt []byte) {
+			if s.rng.Float64() >= s.cfg.foreign {
+				pkt, s.sock = s.sock[0], s.sock[1:]
+			}
+			return pkt
+		}
+		clear(s.win[:])
+		n, look := s.rx.horizon(s.win[:])
+		pkts := [][]byte{next()}
+		if head := pkts[0]; look && head != nil {
+			// The flow wants to see what comes next before it answers.
+			h, err := parseSplitHeader(head[:dataHeaderLen], len(head)-dataHeaderLen)
+			if err != nil {
+				s.fatalf("data datagram does not parse: %v", err)
+			}
+			n = s.rx.preclaim(h, len(head)-dataHeaderLen, s, s.win[:])
+		}
+		if n < 1 || n > len(s.win) {
+			s.fatalf("horizon asked for %d datagrams", n)
+		}
+		for len(pkts) < n && len(s.sock) > 0 {
+			pkts = append(pkts, next())
+		}
+		s.batch = s.batch[:0]
+		var frags [][]byte
+		for i, pkt := range pkts {
+			frags = append(frags, s.land(i, pkt))
+		}
+		for i, pkt := range pkts {
+			s.cur = i
+			if pkt != nil {
+				s.onData(pkt[:dataHeaderLen], frags[i])
+			}
+		}
+		s.batch, s.cur = s.batch[:0], 0
+	}
+}
+
+// land is the kernel filling slot i with pkt: the payload goes to the
+// slot's window, running on into the slot's own buffer when it is longer
+// (and is then put together again there, as readBatch does), or to the
+// slot's own buffer altogether. It returns where the payload is.
+func (s *sim) land(i int, pkt []byte) (frag []byte) {
+	payload := pkt[min(len(pkt), dataHeaderLen):]
+	if pkt == nil {
+		payload = bytes.Repeat([]byte{0xA5}, s.rng.Intn(s.cfg.payload+20))
+	}
+	w := s.win[i]
+	if len(w) == 0 {
+		s.batch = append(s.batch, simSlot{msg: -1})
+		return append([]byte(nil), payload...)
+	}
+	claim, placed := s.rx.sink, s.rx.asmGot
+	if s.rx.pre != nil {
+		claim, placed = s.rx.pre, 0 // claimed ahead of its first datagram
+	}
+	sink, open := claim.(simSink)
+	if !open || !within(w, s.dst[sink.msg]) {
+		s.fatalf("slot %d aimed at a window with no claimed message open", i)
+	}
+	b := simSlot{msg: sink.msg, off: offsetIn(w, s.dst[sink.msg]), n: copy(w, payload)}
+	if b.off < placed || b.msg < s.delivered {
+		s.fatalf("slot %d aimed at [%d:%d) of message %d, which has %d bytes placed and %d messages delivered before it",
+			i, b.off, b.off+len(w), b.msg, placed, s.delivered)
+	}
+	for j := b.off; j < b.off+b.n; j++ {
+		s.dirty[b.msg][j] = true
+	}
+	s.batch = append(s.batch, b)
+	if len(payload) > len(w) {
+		return append([]byte(nil), payload...)
+	}
+	return w[:len(payload)]
+}
+
+// onData is UDP.dispatch and UDP.handleData without the lock and the
+// counters. A fragment the kernel put exactly where it belongs must get
+// there without a copy.
+func (s *sim) onData(hdr, frag []byte) {
+	h, err := parseSplitHeader(hdr, len(frag))
 	if err != nil {
 		s.fatalf("data datagram does not parse: %v", err)
 	}
-	inOrder, ackNow := s.rx.onData(h, pkt[dataHeaderLen:], s.now, simAckDelay)
+	b := s.batch[s.cur]
+	hit := b.n > 0 && b.n == len(frag) && within(frag, s.dst[b.msg]) &&
+		h.seq == s.rx.nextSeq && h.tag == b.msg && h.offset == b.off
+	if b.n > 0 && !hit {
+		s.clobber += b.n
+	}
+	copied := s.copied
+	inOrder, ackNow := s.rx.onData(h, frag, s.now, simAckDelay)
 	if inOrder {
-		s.deliver(h, pkt[dataHeaderLen:])
+		s.deliver(h, frag)
 		for i := range s.rx.ready {
 			d := &s.rx.ready[i]
 			s.deliver(d.h, d.frag())
 			d.buf.Release()
 		}
+	}
+	if hit && s.copied != copied {
+		s.fatalf("fragment [%d:%d) of message %d arrived in place and %d bytes were copied all the same",
+			b.off, b.off+b.n, b.msg, s.copied-copied)
 	}
 	switch open := s.rx.hold.len() > 0; {
 	case open && s.holeSince.IsZero():
@@ -456,7 +626,15 @@ func (s *sim) run() {
 			s.now = a.at
 			switch a.what {
 			case dataDatagram:
-				s.onData(a.b)
+				s.sock = append(s.sock, a.b)
+				if !s.waking {
+					s.waking = true
+					s.ord++
+					wake := s.now.Add(time.Duration(s.rng.Int63n(int64(s.cfg.rxLag) + 1)))
+					heap.Push(&s.net, arrival{at: wake, ord: s.ord, what: rxWake})
+				}
+			case rxWake:
+				s.recvLoop()
 			case ackDatagram:
 				s.onAck(a.b)
 			case consumedNotice:
@@ -476,7 +654,7 @@ func (s *sim) run() {
 	if len(s.tx.pins) != 0 {
 		s.fatalf("sender still pins %d messages with nothing left to send", len(s.tx.pins))
 	}
-	if s.rx.hold.len() != 0 || s.rx.asm != nil || s.rx.sink != nil {
+	if s.rx.hold.len() != 0 || s.rx.asm != nil || s.rx.sink != nil || s.rx.pre != nil {
 		s.fatalf("receiver retains %d held datagrams / a partial message after the last delivery", s.rx.hold.len())
 	}
 }
@@ -490,23 +668,40 @@ func lossy(seed int64, loss float64) simConfig {
 	return simConfig{
 		seed: seed, fwd: l, rev: l,
 		msgs: 40, maxFrags: 6, payload: 64, gap: 300 * time.Microsecond,
+		rxLag: 20 * time.Microsecond, foreign: 0.03,
 	}
 }
 
 // TestFlowRecoverySeeds is the recovery contract over a thousand seeded
-// fault schedules at each of three loss rates: every message delivered
-// exactly once, in order, byte-identical — claimed or pooled, though
-// every sender overwrites its buffer the moment it is let go (checked in
-// Deliver); no sequence number re-sent once an ACK reported it held, no
-// slot of a message written after onConsumed returned for it, and no
-// slot reading a buffer its sender has back (checked in flush); and the
-// re-send volume bounded by what the path did to the flow. A fourth run repeats the first two checks on a long, jittery
-// path, where the estimator and the backoff carry the recovery.
+// fault schedules at each of four loss rates, none included: every
+// message delivered exactly once, in order, byte-identical — claimed or
+// pooled, though every sender overwrites its buffer the moment it is let
+// go (checked in Deliver); no sequence number re-sent once an ACK
+// reported it held, no slot of a message written after onConsumed
+// returned for it, and no slot reading a buffer its sender has back
+// (checked in flush); and the re-send volume bounded by what the path
+// did to the flow.
+//
+// It is the receive placement's safety argument too. The harness's
+// kernel writes every payload where horizon aimed its slot, so a
+// datagram that was not the one predicted — a duplicate, a late or early
+// one, someone else's — lands in a claimed buffer where it does not
+// belong. Checked as it happens: a window is only ever aimed at a part
+// of a still-open claim that has not been placed yet (land); a fragment
+// that arrived in place is not copied (onData); no placement writes
+// where a later slot's datagram still waits, and a fragment moved down
+// from its window ends before the window starts (simSink.Place); and a
+// message is delivered with every byte the kernel scribbled covered by
+// the fragment that belongs there, and no unprocessed datagram left in
+// its buffer (Deliver).
+//
+// A last run repeats the delivery checks on a long, jittery path, where
+// the estimator and the backoff carry the recovery.
 func TestFlowRecoverySeeds(t *testing.T) {
 	const seeds = 1000
-	for _, loss := range []float64{0.01, 0.05, 0.20} {
+	for _, loss := range []float64{0, 0.01, 0.05, 0.20} {
 		t.Run(fmt.Sprintf("loss=%g", loss), func(t *testing.T) {
-			var resends, fast, lost, acksLost, writes int
+			var resends, fast, lost, acksLost, writes, direct, copied, clobber int
 			for seed := *firstSeed; seed < *firstSeed+seeds; seed++ {
 				s := newSim(t, lossy(seed, loss))
 				s.run()
@@ -529,11 +724,19 @@ func TestFlowRecoverySeeds(t *testing.T) {
 				lost += s.dataLost
 				acksLost += s.acksLost
 				writes += s.firstWrites
+				direct += s.direct
+				copied += s.copied
+				clobber += s.clobber
 			}
 			t.Logf("%d seeds: %d datagrams, %d lost (+%d acks), %d re-sent (%d by fast retransmit)",
 				seeds, writes, lost, acksLost, resends, fast)
-			if fast == 0 {
+			t.Logf("claimed payload: %d bytes arrived in place, %d were copied; %d bytes landed where they did not belong",
+				direct, copied, clobber)
+			if fast == 0 && loss > 0 {
 				t.Error("no fast retransmit in any seed: selective recovery is not engaging")
+			}
+			if direct == 0 || clobber == 0 {
+				t.Errorf("%d bytes placed directly, %d mispredicted: the harness is not exercising both", direct, clobber)
 			}
 		})
 	}
@@ -588,4 +791,114 @@ func TestFlowAckCoalescing(t *testing.T) {
 	if s.resends != 0 {
 		t.Errorf("%d re-sends on a lossless path", s.resends)
 	}
+}
+
+// TestFlowHorizon pins the read horizon state by state: how many
+// datagrams the next batched read may take, and which of them are aimed
+// at a window of the claimed buffer.
+func TestFlowHorizon(t *testing.T) {
+	const frag = 100
+	const needsLook = "nothing open after a message of several datagrams"
+	var f recvFlow
+	f.init(defaultAckEvery)
+	var win [batchSize][]byte
+	check := func(state string, wantN int, wantWin ...int) {
+		t.Helper()
+		clear(win[:])
+		if n, look := f.horizon(win[:]); n != wantN || look != (state == needsLook) {
+			t.Errorf("%s: horizon = %d datagrams (look=%v), want %d", state, n, look, wantN)
+		}
+		for i := range win {
+			want := 0
+			if i < len(wantWin) {
+				want = wantWin[i]
+			}
+			if len(win[i]) != want {
+				t.Errorf("%s: slot %d aimed at a %d-byte window, want %d", state, i, len(win[i]), want)
+			}
+		}
+	}
+	// feed hands the flow message msg's fragment at off as the shell would.
+	feed := func(hnd Handler, kind Kind, total, off, n int) (Message, bool) {
+		h := header{seq: f.nextSeq, kind: kind, totalLen: total, offset: off}
+		if inOrder, _ := f.onData(h, make([]byte, n), simEpoch, simAckDelay); !inOrder {
+			t.Fatalf("fragment at %d not in order", off)
+		}
+		return f.reassemble(h, make([]byte, n), hnd)
+	}
+	claim := placer{}
+
+	check("fresh flow", batchSize)
+	feed(claim, Eager, frag, 0, frag)
+	check("after a one-datagram message", batchSize)
+
+	feed(claim, Rdv, 3*frag+40, 0, frag)
+	check("claimed message open", 3, frag, frag, 40)
+	sink := f.sink.(placed).buf
+	if &win[0][0] != &sink[frag] || &win[2][0] != &sink[3*frag] {
+		t.Error("windows are not the claimed buffer's own memory at the fragments' offsets")
+	}
+	if _, done := feed(claim, Rdv, 3*frag+40, frag, frag-1); done || f.asmGot != frag {
+		t.Errorf("a fragment of the wrong size was taken in (%d bytes placed)", f.asmGot)
+	}
+	feed(claim, Rdv, 3*frag+40, frag, frag)
+	check("two fragments to go", 2, frag, 40)
+
+	f.onData(header{seq: f.nextSeq + 1, kind: Rdv, totalLen: 3*frag + 40, offset: 3 * frag}, make([]byte, 40), simEpoch, simAckDelay)
+	check("a hole before the rest", batchSize)
+	if _, done := feed(claim, Rdv, 3*frag+40, 2*frag, frag); done {
+		t.Error("message complete before its held last fragment was delivered")
+	}
+	for i := range f.ready {
+		d := &f.ready[i]
+		if _, done := f.reassemble(d.h, d.frag(), claim); !done {
+			t.Error("message not complete after its last fragment")
+		}
+		d.buf.Release()
+	}
+	check(needsLook, 1)
+	feed(deliverFunc(nil), RdvAck, 0, 0, 0)
+	if n, look := f.horizon(win[:]); n != 1 || !look {
+		t.Errorf("an empty message in between changed the horizon to %d (look=%v)", n, look)
+	}
+
+	// The look: a datagram that is not the next in order, or opens
+	// nothing, is read alone; one that opens a message has it claimed
+	// before it is read, and every fragment aimed, the first included.
+	opening := header{seq: f.nextSeq, kind: Rdv, totalLen: 2*frag + 10}
+	for name, h := range map[string]header{
+		"a later datagram": {seq: f.nextSeq + 1, kind: Rdv, totalLen: 2*frag + 10},
+		"a later fragment": {seq: f.nextSeq, kind: Rdv, totalLen: 2*frag + 10, offset: frag},
+		"an RdvAck":        {seq: f.nextSeq, kind: RdvAck},
+	} {
+		clear(win[:])
+		if n := f.preclaim(h, frag, claim, win[:]); n != 1 || win[0] != nil || f.pre != nil {
+			t.Errorf("looking at %s: read %d datagrams, claimed=%v", name, n, f.pre != nil)
+		}
+	}
+	if n := f.preclaim(opening, frag, deliverFunc(nil), win[:]); n != 1 || win[0] != nil || f.pre != nil {
+		t.Errorf("looking at a message nobody claims: read %d datagrams, claimed=%v", n, f.pre != nil)
+	}
+	clear(win[:])
+	if n := f.preclaim(opening, frag, claim, win[:]); n != 3 || len(win[0]) != frag || len(win[2]) != 10 || f.pre == nil {
+		t.Errorf("looking at a message's first datagram: read %d datagrams into windows of %d, .., %d bytes, claimed=%v",
+			n, len(win[0]), len(win[2]), f.pre != nil)
+	}
+	if sink := f.pre; f.preclaim(opening, frag, claim, win[:]) != 3 || &f.pre.(placed).buf[0] != &sink.(placed).buf[0] {
+		t.Error("a second look at the same datagram claimed a second receive")
+	}
+	feed(deliverFunc(nil), Rdv, 2*frag+10, 0, frag) // a handler that would not claim: the claim is pre's
+	if f.sink == nil || &f.sink.(placed).buf[0] != &win[0][0] || f.pre != nil {
+		t.Error("the message opened without taking over the claim made for it")
+	}
+	check("message claimed ahead open", 2, frag, 10)
+	f.abandon()
+	f.bulk = false
+
+	feed(deliverFunc(nil), Eager, 40*frag, 0, frag)
+	check("unclaimed message open: its fragments and no further, as they lie", batchSize)
+	f.abandon()
+	feed(deliverFunc(nil), Eager, 3*frag, 0, frag)
+	check("unclaimed message open", 2)
+	f.abandon()
 }

@@ -86,6 +86,19 @@ func parseHeader(b []byte) (header, error) {
 	if len(b) < dataHeaderLen {
 		return header{}, fmt.Errorf("transport: short data datagram (%d bytes)", len(b))
 	}
+	return parseSplitHeader(b[:dataHeaderLen], len(b)-dataHeaderLen)
+}
+
+// parseSplitHeader is parseHeader for a datagram received in two parts,
+// as the batched receive reads it: b, its first dataHeaderLen bytes —
+// all of it, when it is shorter — and a fragment payload of frag bytes,
+// wherever that was put (or still in the socket: a peeked datagram). A
+// short first part cannot have anything behind it.
+func parseSplitHeader(b []byte, frag int) (header, error) {
+	if len(b) != dataHeaderLen {
+		return header{}, fmt.Errorf("transport: data datagram with a %d-byte header part and %d bytes behind it",
+			len(b), frag)
+	}
 	h := header{
 		seq:      binary.LittleEndian.Uint64(b[1:9]),
 		msgID:    binary.LittleEndian.Uint64(b[9:17]),
@@ -105,8 +118,7 @@ func parseHeader(b []byte) (header, error) {
 		return header{}, fmt.Errorf("transport: claimed message length %d exceeds cap %d",
 			h.totalLen, maxWireMessage)
 	}
-	frag := len(b) - dataHeaderLen
-	if h.totalLen < 0 || h.offset < 0 || h.offset+frag > h.totalLen {
+	if h.totalLen < 0 || h.offset < 0 || frag < 0 || h.offset+frag > h.totalLen {
 		return header{}, fmt.Errorf("transport: fragment [%d:%d) exceeds message length %d",
 			h.offset, h.offset+frag, h.totalLen)
 	}
@@ -139,6 +151,23 @@ func putAck(b []byte, a *ack) int {
 		off += ackRangeLen
 	}
 	return off
+}
+
+// parseSplitAck is parseAck for a datagram received in two parts (see
+// parseSplitHeader): an ACK with three or four ranges is longer than a
+// data header, and its tail arrives wherever a fragment payload would
+// have gone. The parts are joined before anything is decoded.
+func parseSplitAck(b, spill []byte) (ack, error) {
+	if len(spill) == 0 {
+		return parseAck(b)
+	}
+	if len(b) != dataHeaderLen || len(spill) > maxAckLen-dataHeaderLen {
+		return ack{}, fmt.Errorf("transport: ack with a %d-byte header part and %d bytes behind it", len(b), len(spill))
+	}
+	var joined [maxAckLen]byte
+	n := copy(joined[:], b)
+	n += copy(joined[n:], spill)
+	return parseAck(joined[:n])
 }
 
 // parseAck decodes an ACK datagram. ACKs arrive straight off the socket

@@ -35,7 +35,13 @@
 // Eager or Rdv message arrives, Handler.Claim may answer with a Sink —
 // the engine's posted receive — and every fragment is then placed
 // straight into it, the completed message arriving through
-// Handler.Deliver with Message.Sink set and no payload of its own.
+// Handler.Deliver with Message.Sink set and no payload of its own. A
+// fragment that arrives somewhere else is copied there (Sink.Place);
+// on a batch-capable socket the UDP backend has the kernel write the
+// fragments of a multi-fragment message where they belong (Sink.Window,
+// see Receive placement), so that a byte of one is copied twice end to
+// end, both times by the kernel: out of the sender's buffer and into
+// the receiver's.
 // Without a claim (and for empty messages and RdvAcks) the fragments
 // are reassembled into a pooled bufpool buffer whose ownership
 // transfers to Deliver.
@@ -66,6 +72,10 @@
 //	[38:46] tag
 //	[46:50] totalLen  — full message payload length
 //	[50:54] offset    — this fragment's offset into the payload
+//
+// A message's fragments are consecutive datagrams of its flow, in offset
+// order, and all carry as many bytes as the first except the last, which
+// carries the rest; a receiver drops a fragment of any other size.
 //
 // An ACK datagram is 10 + 16·n bytes, n ≤ 4:
 //
@@ -161,21 +171,82 @@
 // Batched I/O: on Linux, flushes go through sendmmsg — each datagram a
 // two-element gather of the scoreboard's header and the payload view,
 // so a pinned payload leaves the caller's buffer without being copied —
-// and the receive loop drains the socket with recvmmsg: one syscall per
-// batch instead of per datagram. The batch path engages only when the
-// transport owns a raw *net.UDPConn; wrapped sockets (Faulty), other
-// platforms, or a runtime refusal (ENOSYS) fall back to per-datagram
-// WriteTo/ReadFrom with identical wire behavior, assembling header and
-// payload in one per-flow scratch buffer first. Kernel socket buffers
-// are sized for a full window on any socket that can be sized, wrapped
-// ones included.
+// and the receive loop drains the socket with recvmmsg, every datagram
+// scattered the same way: its first 54 bytes into the head of the
+// slot's buffer, its payload into the slot's target. The batch path
+// engages only when the transport owns a raw *net.UDPConn; wrapped
+// sockets (Faulty), other platforms, or a runtime refusal (ENOSYS) fall
+// back to per-datagram WriteTo/ReadFrom with identical wire behavior,
+// assembling header and payload in one per-flow scratch buffer first.
+// Kernel socket buffers are sized for a full window on any socket that
+// can be sized, wrapped ones included.
+//
+// # Receive placement
+//
+// A recvmmsg slot's target is the rest of its own buffer unless the
+// flow that delivered data last has a claimed message open with nothing
+// missing before it. Then the next datagrams of that flow are, if they
+// arrive in order, the message's remaining fragments — a message's
+// fragments are contiguous in its flow and all of one size but the last
+// — and the read is aimed at exactly those: slot i at the window of the
+// Sink where the i-th of them belongs (recvFlow.horizon). A fragment
+// that lands in its window is in place: Place finds it there, copies
+// nothing, and counts it (metrics.WireDirectBytes).
+//
+// The same rule sets how far a read goes: to the end of an open message
+// and no further, so that the datagram behind it, whose destination is
+// not known yet, is not swallowed into a slot buffer. With nothing open
+// after a message of several fragments, the next one probably has
+// several too, and where they go is written in its first datagram: the
+// loop looks at that datagram before reading it (a 54-byte MSG_PEEK of
+// the socket's head) and, when it is the flow's next in order and opens
+// a message, has the Handler claim the message there and then
+// (recvFlow.preclaim) — the read that follows takes exactly that
+// message, its first fragment aimed like the rest. When the look finds
+// anything else (an ACK, an RdvAck, another flow, a message nobody
+// claims) the read takes that one datagram alone. Single-datagram
+// traffic and a flow repairing a hole are read as before, everything
+// queued at once into the slot buffers, and never looked at.
+//
+// The prediction can be wrong — the slot catches an ACK, another flow's
+// datagram, a duplicate, a datagram from beyond a hole — and nothing
+// depends on it being right. The flow is handed every datagram the way
+// it always was, with its payload wherever it landed: one that is not
+// in place is copied to its place (or into the hold, or ignored), as
+// from a slot buffer. What it scribbled over is harmless: a window lies
+// at or beyond the open message's placed prefix, in a buffer whose
+// receive cannot complete before every fragment has been placed, so
+// each such byte is overwritten by the fragment that belongs there
+// first. Nor can placing destroy a datagram still waiting in a later
+// slot: windows ascend with the slots, a flow with an empty hold
+// delivers at most one datagram per slot, so what is placed while slot
+// i is processed ends where slot i+1's window starts; and a fragment
+// moved down from its own window ends at or before that window (the
+// copy is a memmove regardless). A window shorter than a full payload
+// is backed by the slot buffer's tail, so a longer datagram than
+// predicted is never truncated, only put together again in the slot
+// buffer. flow_test.go plays the kernel against recvFlow.horizon under
+// loss, duplication and reordering and checks each of these statements
+// as it happens.
+//
+// One window is left open, and it is the one Place always had: a Sink
+// refuses (Window returns nil, Place false) once its world has aborted,
+// because the receive's caller may have returned; but the windows are
+// asked for right before each non-blocking recvmmsg attempt — not
+// before the wait for the socket, which is why the aiming (and the
+// look) happen inside the read's callback — and the kernel writes
+// after that. A
+// world that aborts between the check and the write may see a buffer
+// of a failed receive written once more, and a datagram read into it
+// copied out of it; a receive that failed promises nothing about its
+// buffer.
 //
 // # Structure
 //
 // The protocol logic lives in methods of the per-flow structs
 // (sendFlow: scoreboard, pins, loss detection, RTT/RTO estimator,
-// congestion window; recvFlow: position, hold, ack schedule, reassembly
-// and placement) that take
+// congestion window; recvFlow: position, hold, ack schedule, reassembly,
+// placement and the read horizon) that take
 // the current time and return what to write — no socket, clock,
 // goroutine or metric inside them — so the recovery contract above is
 // tested on a deterministic harness with a virtual clock (flow_test.go).
@@ -253,11 +324,12 @@ type Message struct {
 // must not block on transport progress (enqueuing a reply via Send is
 // fine — Send never waits for the receive loop).
 type Handler interface {
-	// Claim is asked once per Eager or Rdv message of size > 0 bytes,
-	// when its first fragment arrives, where the payload should go. m
-	// describes the message and carries no payload. A non-nil Sink takes
-	// every fragment of the message as it arrives; nil leaves the
-	// transport to reassemble into pooled memory.
+	// Claim is asked, for an Eager or Rdv message of size > 0 bytes whose
+	// first fragment has arrived (or is the next thing in the socket),
+	// where the payload should go. m describes the message and carries no
+	// payload. A non-nil Sink is final and takes every fragment of the
+	// message; nil leaves the transport to reassemble into pooled memory,
+	// possibly after asking once more.
 	Claim(m Message, size int) Sink
 	// Deliver consumes one complete message.
 	Deliver(m Message)
@@ -271,6 +343,12 @@ type Sink interface {
 	// up): the transport then discards the rest of the message and never
 	// delivers it.
 	Place(off int, frag []byte) bool
+	// Window returns the n bytes of the destination at offset off, where
+	// that part of the message belongs, so that the transport can have
+	// the kernel write an arriving fragment there; nil when the
+	// destination has been withdrawn. A fragment that did land in its
+	// window is still announced through Place, frag being that memory.
+	Window(off, n int) []byte
 }
 
 // Transport is the engine's pluggable point-to-point substrate.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -352,25 +353,133 @@ func TestUDPByteIdentityUnderFaults(t *testing.T) {
 // every message into a buffer of its own, and hands the completed
 // buffer to done.
 type placer struct {
-	done func(m Message, payload []byte)
+	done   func(m Message, payload []byte)
+	direct *atomic.Int64 // when set, counts the bytes placed found in place already
 }
 
-type placed []byte
+// placed is a buffer placer claimed. Like the engine's posted receive it
+// leaves a fragment alone that is where it belongs already.
+type placed struct {
+	buf    []byte
+	direct *atomic.Int64
+}
+
+func (d placed) Window(off, n int) []byte { return d.buf[off : off+n] }
 
 func (d placed) Place(off int, frag []byte) bool {
-	copy(d[off:], frag)
+	if len(frag) > 0 && &frag[0] == &d.buf[off] {
+		if d.direct != nil {
+			d.direct.Add(int64(len(frag)))
+		}
+		return true
+	}
+	copy(d.buf[off:], frag)
 	return true
 }
 
-func (p placer) Claim(_ Message, size int) Sink { return make(placed, size) }
+func (p placer) Claim(_ Message, size int) Sink { return placed{make([]byte, size), p.direct} }
 
 func (p placer) Deliver(m Message) {
 	if m.Sink != nil {
-		p.done(m, m.Sink.(placed))
+		p.done(m, m.Sink.(placed).buf)
 		return
 	}
 	p.done(m, m.Data)
 	m.Buf.Release()
+}
+
+// TestUDPDirectPlacementTwoFlows aims the batched read's windows on real
+// sockets with two senders at once: whichever flow delivered last has
+// its open message's buffer under the next slots, and the other's
+// datagrams — and both flows' ACK traffic — land in them as
+// mispredictions. Every message must still arrive intact and in its
+// flow's order, the kernel having placed a good part of the bytes
+// itself.
+func TestUDPDirectPlacementTwoFlows(t *testing.T) {
+	const np, msgs = 3, 40
+	conns := make([]net.PacketConn, np)
+	for r := range conns {
+		conn, err := net.ListenPacket("udp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns[r] = conn
+	}
+	trs := make([]*UDP, np)
+	for r := range trs {
+		peers := map[int]string{}
+		for o, c := range conns {
+			if o != r {
+				peers[o] = c.LocalAddr().String()
+			}
+		}
+		tr, err := NewUDP(UDPConfig{NP: np, Hosted: []int{r}, Conn: conns[r], Peers: peers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		trs[r] = tr
+	}
+	sizes := []int{5*maxPayload + 123, 2 * maxPayload, 100, 8 * maxPayload, maxPayload + 1}
+	want := func(src, i int) []byte { return pattern(src*1000+i, sizes[i%len(sizes)]) }
+
+	var direct atomic.Int64
+	var mu sync.Mutex
+	next := [np]int{}
+	var bad []string
+	left := 2 * msgs
+	allIn := make(chan struct{})
+	recv := placer{direct: &direct, done: func(m Message, payload []byte) {
+		mu.Lock()
+		defer mu.Unlock()
+		if m.Tag != next[m.SrcWorld] || !bytes.Equal(payload, want(m.SrcWorld, m.Tag)) {
+			bad = append(bad, fmt.Sprintf("from rank %d: message %d (want %d next), intact=%v",
+				m.SrcWorld, m.Tag, next[m.SrcWorld], bytes.Equal(payload, want(m.SrcWorld, m.Tag))))
+		}
+		next[m.SrcWorld]++
+		if left--; left == 0 {
+			close(allIn)
+		}
+	}}
+	met := metrics.New(1, 0)
+	trs[2].BindMetrics(met)
+	if err := trs[2].Start(recv); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for src := 0; src < 2; src++ {
+		if err := trs[src].Start(discard); err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(src int) {
+			defer wg.Done()
+			for i := 0; i < msgs; i++ {
+				err := trs[src].Send(Message{Ctx: 1, Src: src, SrcWorld: src, Dst: 2, Tag: i, Kind: Eager, Data: want(src, i)})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(src)
+	}
+	wg.Wait()
+	select {
+	case <-allIn:
+	case <-time.After(30 * time.Second):
+		t.Fatal("timed out waiting for both flows' messages")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, b := range bad {
+		t.Error(b)
+	}
+	s := met.Snapshot()
+	t.Logf("%d of %d bytes received were placed by the kernel, in %d reads of %d datagrams",
+		direct.Load(), s.WireBytesRecv, s.WireBatchedReads, s.WireDatagramsRecv)
+	if trs[2].bio != nil && direct.Load() == 0 {
+		t.Error("a batch-capable socket placed nothing directly")
+	}
 }
 
 // TestUDPPinnedSendScribble is the pin's lifetime rule on real sockets,

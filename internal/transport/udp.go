@@ -124,6 +124,10 @@ type UDP struct {
 	payload  int // max fragment payload per datagram
 	bio      *batchIO
 	sendTo   []*peer // by destination rank; nil for ranks without an address
+	// rxLast is the peer whose data datagram the receive loop delivered
+	// last: the flow the next batched read is aimed for. The receive
+	// loop's alone.
+	rxLast *peer
 
 	hmu     sync.RWMutex
 	handler Handler
@@ -632,11 +636,23 @@ type recvFlow struct {
 	ready []held // held datagrams the last onData released, in order
 
 	// The message under reassembly goes to sink when the handler claimed
-	// it, to the pooled asm otherwise; both nil between messages.
-	sink   Sink
-	asm    *bufpool.Buf
-	asmLen int
-	asmGot int
+	// it, to the pooled asm otherwise; both nil between messages. Its
+	// first fragment's length is the sender's fragment size: every
+	// fragment but the last has it.
+	sink    Sink
+	asm     *bufpool.Buf
+	asmLen  int
+	asmGot  int
+	asmFrag int
+	// bulk is set while the last message that had a payload took more
+	// than one datagram: the next message probably does too.
+	bulk bool
+	// pre is the claim of a message whose first datagram, sequence
+	// number preSeq, was seen at the head of the socket's queue but not
+	// read yet (see preclaim); reassemble takes it over when that
+	// datagram arrives.
+	pre    Sink
+	preSeq uint64
 
 	unacked int       // in-order data datagrams since the last ack sent
 	ackDue  time.Time // deadline for the delayed cumulative ack; zero when none pending
@@ -727,18 +743,27 @@ func (f *recvFlow) takeAck() ack {
 // to its Sink, which the completed message names; everything else is
 // reassembled into a pooled buffer the caller owns. A Sink that refuses
 // a fragment ends its message: the remaining fragments are discarded.
+// So is a fragment of another size than the message's first (the last
+// may be shorter): enqueue cuts a message evenly, and horizon's windows
+// rest on that.
 func (f *recvFlow) reassemble(h header, frag []byte, hnd Handler) (Message, bool) {
 	if h.offset == 0 {
 		f.abandon()
-		f.asmLen, f.asmGot = h.totalLen, 0
-		if hnd != nil && h.totalLen > 0 && (h.kind == Eager || h.kind == Rdv) {
+		f.asmLen, f.asmGot, f.asmFrag = h.totalLen, 0, len(frag)
+		if h.totalLen > 0 {
+			f.bulk = len(frag) < h.totalLen
+		}
+		if f.pre != nil && f.preSeq == h.seq {
+			f.sink, f.pre = f.pre, nil
+		} else if claimable(h, hnd) {
 			f.sink = hnd.Claim(h.message(), h.totalLen)
 		}
 		if f.sink == nil {
 			f.asm = bufpool.Get(h.totalLen)
 		}
 	}
-	if (f.sink == nil && f.asm == nil) || h.offset != f.asmGot || h.totalLen != f.asmLen {
+	if (f.sink == nil && f.asm == nil) || h.offset != f.asmGot || h.totalLen != f.asmLen ||
+		len(frag) != min(f.asmFrag, f.asmLen-f.asmGot) {
 		return Message{}, false
 	}
 	if f.sink == nil {
@@ -757,6 +782,68 @@ func (f *recvFlow) reassemble(h header, frag []byte, hnd Handler) (Message, bool
 	}
 	f.sink, f.asm = nil, nil
 	return m, true
+}
+
+// claimable reports whether the message h opens is one hnd is asked to
+// claim: an Eager or Rdv message with a payload.
+func claimable(h header, hnd Handler) bool {
+	return hnd != nil && h.totalLen > 0 && (h.kind == Eager || h.kind == Rdv)
+}
+
+// horizon is the receive placement rule: how many datagrams the next
+// batched read may take before it would swallow one whose destination
+// is not known yet, and, in win, where the payloads of those it does
+// take belong. While a message is open and nothing is missing before it,
+// the next datagrams of the flow are its remaining fragments, in order:
+// the read takes exactly those, each — for a claimed message — aimed at
+// its window of the Sink. With nothing open after a message of several
+// fragments, the next datagram probably opens another, and how far to
+// read depends on it: look asks the caller to peek at it and, when it
+// is this flow's, to let preclaim decide; failing that the read takes
+// that one datagram alone. Otherwise (single-datagram traffic, or a hole
+// being repaired) the read takes all there is, as it lies.
+func (f *recvFlow) horizon(win [][]byte) (n int, look bool) {
+	switch {
+	case f.hold.len() > 0:
+		return len(win), false
+	case (f.sink != nil || f.asm != nil) && f.asmFrag > 0:
+		return aimFragments(f.sink, f.asmGot, f.asmFrag, f.asmLen, win), false
+	case f.bulk:
+		return 1, true
+	default:
+		return len(win), false
+	}
+}
+
+// preclaim is horizon's answer once the next datagram of the flow has
+// been seen (not read): h its header, frag its payload length. If it is
+// the next in order and opens a message, the message is claimed now —
+// reassemble finds the claim in pre — and the read is aimed at all its
+// fragments, the first included. A message nobody claims yet is left to
+// reassemble, which asks again when its first datagram has been read.
+func (f *recvFlow) preclaim(h header, frag int, hnd Handler, win [][]byte) int {
+	if h.seq != f.nextSeq || h.offset != 0 || frag == 0 || !claimable(h, hnd) {
+		return 1
+	}
+	if f.pre == nil || f.preSeq != h.seq { // not seen before (a read that failed looks twice)
+		f.pre, f.preSeq = hnd.Claim(h.message(), h.totalLen), h.seq
+	}
+	if f.pre == nil {
+		return 1
+	}
+	return aimFragments(f.pre, 0, frag, h.totalLen, win)
+}
+
+// aimFragments counts the fragments still to come of a message of total
+// bytes, cut frag bytes apiece, of which got have been placed — at most
+// len(win) of them — and aims win at their windows of sink (if any).
+func aimFragments(sink Sink, got, frag, total int, win [][]byte) int {
+	n := min(len(win), (total-got+frag-1)/frag)
+	for i := 0; sink != nil && i < n; i++ {
+		off := got + i*frag
+		win[i] = sink.Window(off, min(frag, total-off))
+	}
+	return n
 }
 
 // abandon drops the message under reassembly, if any.
@@ -1100,6 +1187,7 @@ func (t *UDP) Close() error {
 			f.hold.at(0).buf.Release()
 		}
 		p.recv.abandon()
+		p.recv.pre = nil
 		p.recv.mu.Unlock()
 	}
 	return err
@@ -1177,17 +1265,47 @@ func (t *UDP) recvLoop() {
 			}
 			continue
 		}
-		t.dispatch(buf[:n], addr, ackBuf)
+		hdrLen := min(n, dataHeaderLen)
+		t.dispatch(buf[:hdrLen], buf[hdrLen:n], addr, ackBuf)
 	}
+}
+
+// aimRead is the receive loop's readPlan: the horizon of the flow that
+// delivered data last (a full batch before any has), after a look at the
+// next datagram when the flow asks for one.
+func (t *UDP) aimRead(win [][]byte, head peekFunc) int {
+	p := t.rxLast
+	if p == nil {
+		return len(win)
+	}
+	f := &p.recv
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n, look := f.horizon(win)
+	if !look {
+		return n
+	}
+	hdr, rest, addr, ok := head()
+	if !ok || len(hdr) < 1 || hdr[0] != ptData || addr == nil || (*t.peers.Load())[keyOf(addr)] != p {
+		return n
+	}
+	h, err := parseSplitHeader(hdr, rest)
+	if err != nil {
+		return n
+	}
+	t.hmu.RLock()
+	hnd := t.handler
+	t.hmu.RUnlock()
+	return f.preclaim(h, rest, hnd, win)
 }
 
 // recvBatchLoop drains the socket with recvmmsg, dispatching every
 // datagram of each batch. It returns true when the transport is done
 // (socket closed), false to fall back to the single-datagram path.
 func (t *UDP) recvBatchLoop(ackBuf []byte) bool {
-	pkts := make([]batchPkt, batchSize)
+	plan := readPlan(t.aimRead)
 	for {
-		n, err := t.bio.readBatch(pkts)
+		pkts, err := t.bio.readBatch(plan)
 		if err != nil {
 			select {
 			case <-t.done:
@@ -1202,40 +1320,41 @@ func (t *UDP) recvBatchLoop(ackBuf []byte) bool {
 			}
 			continue
 		}
-		if n > 0 {
+		if len(pkts) > 0 {
 			t.count(metrics.WireBatchedReads, 1)
 		}
-		for i := 0; i < n; i++ {
-			if pkts[i].addr == nil {
+		for _, pkt := range pkts {
+			if pkt.addr == nil {
 				continue // undecodable source sockaddr
 			}
-			t.dispatch(pkts[i].b, pkts[i].addr, ackBuf)
+			t.dispatch(pkt.hdr, pkt.payload, pkt.addr, ackBuf)
 		}
 	}
 }
 
-// dispatch routes one received datagram by its first byte.
-func (t *UDP) dispatch(pkt []byte, addr net.Addr, ackBuf []byte) {
-	if len(pkt) < 1 {
+// dispatch routes one received datagram, read as its first dataHeaderLen
+// bytes (all of a shorter one) and the rest, by its first byte.
+func (t *UDP) dispatch(hdr, payload []byte, addr net.Addr, ackBuf []byte) {
+	if len(hdr) < 1 {
 		return
 	}
-	switch pkt[0] {
+	switch hdr[0] {
 	case ptAck:
-		a, err := parseAck(pkt)
+		a, err := parseSplitAck(hdr, payload)
 		if err != nil {
 			return
 		}
 		t.count(metrics.WireDatagramsRecv, 1)
-		t.count(metrics.WireBytesRecv, int64(len(pkt)))
+		t.count(metrics.WireBytesRecv, int64(len(hdr)+len(payload)))
 		t.handleAck(t.peerFor(addr), &a)
 	case ptData:
-		h, err := parseHeader(pkt)
+		h, err := parseSplitHeader(hdr, len(payload))
 		if err != nil {
 			return
 		}
 		t.count(metrics.WireDatagramsRecv, 1)
-		t.count(metrics.WireBytesRecv, int64(len(pkt)))
-		t.handleData(t.peerFor(addr), h, pkt[dataHeaderLen:], ackBuf)
+		t.count(metrics.WireBytesRecv, int64(len(hdr)+len(payload)))
+		t.handleData(t.peerFor(addr), h, payload, ackBuf)
 	}
 }
 
@@ -1271,6 +1390,7 @@ func (t *UDP) handleData(p *peer, h header, frag, ackBuf []byte) {
 	f.mu.Lock()
 	inOrder, ackNow := f.onData(h, frag, time.Now(), p.ackDelay())
 	if inOrder {
+		t.rxLast = p
 		t.hmu.RLock()
 		hnd := t.handler
 		t.hmu.RUnlock()
@@ -1329,11 +1449,14 @@ func (t *UDP) sendAck(p *peer, a *ack, ackBuf []byte) {
 	}
 }
 
-// tickLoop is the transport's clock: it retransmits written-but-unacked
-// packets past their (backoff-inflated) timeout, writes queued packets
-// the window admits, and flushes overdue delayed acks. The tick
-// interval tracks the smallest live deadline so a 200µs adaptive RTO
-// gets sub-millisecond resolution while an idle transport sleeps.
+// tickLoop is the transport's clock: it flushes overdue delayed acks,
+// then retransmits written-but-unacked packets past their
+// (backoff-inflated) timeout and writes queued packets the window
+// admits. Acks go first: on a self-addressed socket a deferred ack that
+// is due covers data the same tick would otherwise judge timed out and
+// re-send before writing it. The tick interval tracks the smallest live
+// deadline so a 200µs adaptive RTO gets sub-millisecond resolution while
+// an idle transport sleeps.
 func (t *UDP) tickLoop() {
 	defer t.wg.Done()
 	timer := time.NewTimer(t.tickInterval())
@@ -1344,8 +1467,8 @@ func (t *UDP) tickLoop() {
 		case <-t.done:
 			return
 		case now := <-timer.C:
-			t.retransmitPass(now)
 			t.ackFlushPass(now, ackBuf)
+			t.retransmitPass(now)
 			timer.Reset(t.tickInterval())
 		}
 	}
