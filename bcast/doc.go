@@ -61,8 +61,8 @@
 // without moving a byte; Comm.Bcast runs it. By default the dispatch is
 // stock MPICH3's (binomial below 12 KiB, scatter + recursive-doubling
 // for medium power-of-two, scatter + ring beyond); a TuneTable option
-// loads a JSON table produced by the auto-tuner (bcastbench -autotune or
-// bcastsim -autotune) and replaces those hardcoded thresholds with
+// loads a JSON table produced by the auto-tuner (bcast tune engine or
+// bcast tune sim) and replaces those hardcoded thresholds with
 // measured crossover points.
 //
 // # Persistent handles

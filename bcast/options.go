@@ -119,8 +119,8 @@ func Tuner(fn TunerFunc) Option {
 	}
 }
 
-// TuneTable loads a JSON tuning table — the artifact bcastbench
-// -autotune and bcastsim -autotune emit — and dispatches every
+// TuneTable loads a JSON tuning table — the artifact bcast tune engine
+// and bcast tune sim emit — and dispatches every
 // broadcast through it, falling back to the default MPICH3 selection
 // for environments no rule covers. The table is read and validated
 // here, so a malformed file fails NewCluster, not a broadcast deep in a

@@ -31,7 +31,11 @@ import (
 
 // simCfg is the benchmark-grade simulated harness (short replication).
 func simCfg() bench.SimConfig {
-	return bench.SimConfig{Model: netsim.Hornet(), CoresPerNode: topology.HornetCoresPerNode, Warm: 1, Total: 3}
+	return bench.SimConfig{
+		Model: netsim.Hornet(),
+		Place: tune.Placement{Kind: topology.KindBlocked, CoresPerNode: topology.HornetCoresPerNode},
+		Warm:  1, Total: 3,
+	}
 }
 
 // BenchmarkTableTransferCounts regenerates the Section IV in-text counts

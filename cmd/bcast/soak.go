@@ -1,18 +1,38 @@
-// Command bcastsoak soaks the UDP transport across real process
-// boundaries: a coordinator spawns one child process per rank block,
-// the children bootstrap a shared peer table over loopback UDP, boot
-// one engine world whose ranks are split across the processes, and run
-// a broadcast matrix (native / opt / opt-seg, eager- and
+package main
+
+import (
+	"bufio"
+	"crypto/sha256"
+	"fmt"
+	"io"
+	"net"
+	"os"
+	"os/exec"
+	"sort"
+	"strconv"
+	"strings"
+	"sync"
+	"time"
+
+	"repro/internal/cli"
+	"repro/internal/collective"
+	"repro/internal/engine"
+	"repro/internal/metrics"
+	"repro/internal/mpi"
+	"repro/internal/transport"
+	"repro/internal/tune"
+)
+
+// The soak drives the UDP transport across real process boundaries: a
+// coordinator (soak) spawns one child process (soak-child) per rank
+// block, the children bootstrap a shared peer table over loopback UDP,
+// boot one engine world whose ranks are split across the processes, and
+// run a broadcast matrix (native / opt / opt-seg, eager- and
 // rendezvous-sized messages). Every rank hashes its final buffer, the
 // coordinator re-runs the identical matrix on the in-process chan
 // transport, and the soak passes only if every hash from every process
 // matches the in-process reference — byte-identity of the wire path,
 // asserted end to end.
-//
-// Usage:
-//
-//	bcastsoak -np 8 -procs 4
-//	bcastsoak -np 8 -procs 4 -drop 0.05 -dup 0.02 -reorder 0.02 -metrics
 //
 // The fault flags wrap each child's socket in the transport's fault
 // injector, so datagrams are dropped, duplicated and reordered while
@@ -25,29 +45,6 @@
 // binds a socket and sends "HELLO <ranks>" to the coordinator until it
 // receives "PEERS <rank>=<addr> ..." naming every rank's socket, then
 // hands the socket to the transport and launches the world.
-package main
-
-import (
-	"bufio"
-	"crypto/sha256"
-	"flag"
-	"fmt"
-	"net"
-	"os"
-	"os/exec"
-	"sort"
-	"strconv"
-	"strings"
-	"sync"
-	"time"
-
-	"repro/internal/collective"
-	"repro/internal/engine"
-	"repro/internal/metrics"
-	"repro/internal/mpi"
-	"repro/internal/transport"
-	"repro/internal/tune"
-)
 
 // bootstrapDeadline bounds the HELLO/PEERS exchange; a child that
 // cannot reach the coordinator in this window exits instead of hanging.
@@ -95,7 +92,7 @@ func fill(buf []byte) {
 // runMatrix executes the broadcast matrix inside one world run and
 // records the sha256 of each hosted rank's final buffer per case.
 // hashes[rank] is written only by that rank's goroutine.
-func runMatrix(w *engine.World, np int, hashes [][]string) error {
+func runMatrix(w *engine.World, hashes [][]string) error {
 	cases := matrix()
 	return w.Run(func(c mpi.Comm) error {
 		for _, sc := range cases {
@@ -117,49 +114,11 @@ func runMatrix(w *engine.World, np int, hashes [][]string) error {
 	})
 }
 
-func main() {
-	var (
-		childFlag   = flag.Bool("child", false, "internal: run as a rank-hosting child process")
-		coordFlag   = flag.String("coord", "", "internal: coordinator bootstrap address (child mode)")
-		ranksFlag   = flag.String("ranks", "", "internal: comma-separated hosted ranks (child mode)")
-		npFlag      = flag.Int("np", 8, "total ranks in the world")
-		procsFlag   = flag.Int("procs", 4, "processes to split the ranks across")
-		dropFlag    = flag.Float64("drop", 0, "per-datagram drop probability injected at each child's socket")
-		dupFlag     = flag.Float64("dup", 0, "per-datagram duplication probability")
-		reorderFlag = flag.Float64("reorder", 0, "per-datagram reorder probability")
-		seedFlag    = flag.Int64("seed", 0, "fault-injector seed base (child i uses seed+i)")
-		metricsFlag = flag.Bool("metrics", false, "each child prints its engine metrics snapshot to stderr")
-	)
-	flag.Parse()
-
-	var err error
-	if *childFlag {
-		err = runChild(*coordFlag, *ranksFlag, *npFlag, childFaults(*dropFlag, *dupFlag, *reorderFlag, *seedFlag), *metricsFlag)
-	} else {
-		err = runCoordinator(*npFlag, *procsFlag, *dropFlag, *dupFlag, *reorderFlag, *seedFlag, *metricsFlag)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bcastsoak: %v\n", err)
-		os.Exit(1)
-	}
-}
-
-// childFaults assembles the child's fault configuration; nil means the
-// socket is used bare.
-func childFaults(drop, dup, reorder float64, seed int64) *transport.FaultConfig {
-	if drop == 0 && dup == 0 && reorder == 0 {
-		return nil
-	}
-	return &transport.FaultConfig{Drop: drop, Dup: dup, Reorder: reorder, Seed: seed}
-}
-
-// runCoordinator spawns the children, brokers the peer table, collects
-// every RESULT line, and verdicts the soak against an in-process
-// reference run.
-func runCoordinator(np, procs int, drop, dup, reorder float64, seed int64, metricsOn bool) error {
-	if np < 1 || procs < 1 || procs > np {
-		return fmt.Errorf("need 1 <= procs (%d) <= np (%d)", procs, np)
-	}
+// runSoak is the coordinator: it spawns the children, brokers the peer
+// table, collects every RESULT line, and verdicts the soak against an
+// in-process reference run.
+func runSoak(cfg *cli.Config, stdout io.Writer) error {
+	np, procs := cfg.NP[0], cfg.Procs
 	self, err := os.Executable()
 	if err != nil {
 		return err
@@ -171,46 +130,28 @@ func runCoordinator(np, procs int, drop, dup, reorder float64, seed int64, metri
 	}
 	defer conn.Close()
 
-	// Contiguous rank blocks, remainder spread over the first children.
+	// Contiguous rank blocks whose sizes differ by at most one.
 	blocks := make([][]int, procs)
-	base, rem := np/procs, np%procs
-	next := 0
-	for i := range blocks {
-		n := base
-		if i < rem {
-			n++
-		}
-		for j := 0; j < n; j++ {
-			blocks[i] = append(blocks[i], next)
-			next++
-		}
+	for r := 0; r < np; r++ {
+		blocks[r*procs/np] = append(blocks[r*procs/np], r)
 	}
 
-	fmt.Printf("# bcastsoak: np=%d across %d processes, root=%d, faults drop=%.2f dup=%.2f reorder=%.2f\n",
-		np, procs, soakRoot, drop, dup, reorder)
+	fmt.Fprintf(stdout, "# bcast soak: np=%d across %d processes, root=%d, faults drop=%.2f dup=%.2f reorder=%.2f\n",
+		np, procs, soakRoot, cfg.Drop, cfg.Dup, cfg.Reorder)
 
 	results := make(chan string, 256)
 	waitErrs := make(chan error, procs)
 	var wg sync.WaitGroup
 	for i, block := range blocks {
-		ranks := make([]string, len(block))
-		for j, r := range block {
-			ranks[j] = strconv.Itoa(r)
-		}
-		args := []string{
-			"-child",
+		cmd := exec.Command(self, "soak-child",
 			"-coord", conn.LocalAddr().String(),
-			"-ranks", strings.Join(ranks, ","),
+			"-ranks", cli.JoinInts(block),
 			"-np", strconv.Itoa(np),
-			"-drop", fmt.Sprint(drop),
-			"-dup", fmt.Sprint(dup),
-			"-reorder", fmt.Sprint(reorder),
-			"-seed", strconv.FormatInt(seed+int64(i), 10),
-		}
-		if metricsOn {
-			args = append(args, "-metrics")
-		}
-		cmd := exec.Command(self, args...)
+			"-drop", fmt.Sprint(cfg.Drop),
+			"-dup", fmt.Sprint(cfg.Dup),
+			"-reorder", fmt.Sprint(cfg.Reorder),
+			"-seed", strconv.FormatInt(cfg.Seed+int64(i), 10),
+			"-metrics="+strconv.FormatBool(cfg.Metrics))
 		cmd.Stderr = os.Stderr
 		out, err := cmd.StdoutPipe()
 		if err != nil {
@@ -248,7 +189,7 @@ func runCoordinator(np, procs int, drop, dup, reorder float64, seed int64, metri
 	for line := range results {
 		fields := strings.Fields(line)
 		if len(fields) != 4 || fields[0] != "RESULT" {
-			fmt.Println(line) // pass through anything else a child prints
+			fmt.Fprintln(stdout, line) // pass through anything else a child prints
 			continue
 		}
 		rank, err := strconv.Atoi(fields[2])
@@ -288,12 +229,9 @@ func runCoordinator(np, procs int, drop, dup, reorder float64, seed int64, metri
 	}
 	if len(mismatches) > 0 {
 		sort.Strings(mismatches)
-		for _, m := range mismatches {
-			fmt.Fprintln(os.Stderr, "bcastsoak: MISMATCH", m)
-		}
-		return fmt.Errorf("SOAK FAIL: %d mismatches", len(mismatches))
+		return fmt.Errorf("SOAK FAIL: %d mismatches:\n  %s", len(mismatches), strings.Join(mismatches, "\n  "))
 	}
-	fmt.Printf("SOAK PASS: %d cases x np=%d across %d processes byte-identical with the in-process engine\n",
+	fmt.Fprintf(stdout, "SOAK PASS: %d cases x np=%d across %d processes byte-identical with the in-process engine\n",
 		len(want), np, procs)
 	return nil
 }
@@ -359,7 +297,7 @@ func referenceHashes(np int) (map[string]map[int]string, error) {
 		return nil, err
 	}
 	hashes := make([][]string, np)
-	if err := runMatrix(w, np, hashes); err != nil {
+	if err := runMatrix(w, hashes); err != nil {
 		return nil, err
 	}
 	want := map[string]map[int]string{}
@@ -373,22 +311,12 @@ func referenceHashes(np int) (map[string]map[int]string, error) {
 	return want, nil
 }
 
-// runChild hosts one rank block: bootstrap the peer table, boot the
+// runSoakChild hosts one rank block: bootstrap the peer table, boot the
 // world over the shared-socket UDP transport, run the matrix, and
 // report one RESULT line per hosted rank and case on stdout.
-func runChild(coord, ranksSpec string, np int, faults *transport.FaultConfig, metricsOn bool) error {
-	if coord == "" || ranksSpec == "" {
-		return fmt.Errorf("-child needs -coord and -ranks")
-	}
-	var hosted []int
-	for _, tok := range strings.Split(ranksSpec, ",") {
-		r, err := strconv.Atoi(tok)
-		if err != nil {
-			return fmt.Errorf("bad -ranks %q", ranksSpec)
-		}
-		hosted = append(hosted, r)
-	}
-	coordAddr, err := net.ResolveUDPAddr("udp", coord)
+func runSoakChild(cfg *cli.Config, stdout io.Writer) error {
+	np, hosted := cfg.NP[0], cfg.Ranks
+	coordAddr, err := net.ResolveUDPAddr("udp", cfg.Coord)
 	if err != nil {
 		return err
 	}
@@ -397,7 +325,7 @@ func runChild(coord, ranksSpec string, np int, faults *transport.FaultConfig, me
 	if err != nil {
 		return err
 	}
-	if faults != nil {
+	if faults := cfg.Faults(); faults != nil {
 		// The injector perturbs writes only, HELLO included — the
 		// bootstrap retry loop absorbs a dropped HELLO exactly as the
 		// transport absorbs a dropped datagram.
@@ -431,18 +359,18 @@ func runChild(coord, ranksSpec string, np int, faults *transport.FaultConfig, me
 		return err
 	}
 	hashes := make([][]string, np)
-	if err := runMatrix(w, np, hashes); err != nil {
+	if err := runMatrix(w, hashes); err != nil {
 		return err
 	}
 	for i, sc := range matrix() {
 		for _, r := range hosted {
-			fmt.Printf("RESULT %s/%d %d %s\n", sc.algo, sc.size, r, hashes[r][i])
+			fmt.Fprintf(stdout, "RESULT %s/%d %d %s\n", sc.algo, sc.size, r, hashes[r][i])
 		}
 	}
-	if metricsOn {
+	if cfg.Metrics {
 		s := engine.CollectMetrics(mx)
 		s.Transport = tr.Name()
-		fmt.Fprintf(os.Stderr, "# child ranks %s\n%s\n", ranksSpec, s.String())
+		fmt.Fprintf(os.Stderr, "# child ranks %v\n%s\n", hosted, s.String())
 	}
 	return nil
 }
@@ -453,11 +381,7 @@ func runChild(coord, ranksSpec string, np int, faults *transport.FaultConfig, me
 // that land during the wait are dropped here — the sender's retransmit
 // path redelivers them once the transport owns the socket.
 func bootstrap(conn net.PacketConn, coord net.Addr, hosted []int, np int) (map[int]string, error) {
-	ranks := make([]string, len(hosted))
-	for i, r := range hosted {
-		ranks[i] = strconv.Itoa(r)
-	}
-	hello := []byte("HELLO " + strings.Join(ranks, ","))
+	hello := []byte("HELLO " + cli.JoinInts(hosted))
 	deadline := time.Now().Add(bootstrapDeadline)
 	buf := make([]byte, 2048)
 	for time.Now().Before(deadline) {

@@ -16,8 +16,9 @@
 // MPICH3's hardcoded dispatch (internal/collective's registry +
 // internal/tune), a deterministic cluster simulator that regenerates
 // the paper's figures at full scale (internal/netsim), traffic tracing
-// (internal/trace), the measurement harnesses (internal/bench),
-// command-line tools (cmd/...), and runnable examples (examples/...).
+// (internal/trace), the measurement harnesses (internal/bench), one
+// command-line tool (cmd/bcast, its flag vocabulary in internal/cli), and
+// runnable examples (examples/...).
 // See README.md for the tour, the quickstart and the tuning workflow.
 //
 // Package bcast is how users reach the stack: bcast.NewCluster boots a
@@ -38,15 +39,15 @@
 // and the executor all consume; the default tuner reproduces
 // MPICH3's thresholds bit-for-bit, and tune.AutoTune derives JSON
 // tuning tables from measured crossover points on the simulated cluster
-// (bcastsim -autotune) or the real engine (bcastbench -autotune), which
+// (bcast tune sim) or the real engine (bcast tune engine), which
 // bcast.TuneTable loads back at the API boundary. Segmentation is
 // generalized from the chain broadcast to the whole scatter-ring family
 // (scatter-ring-allgather-seg, scatter-ring-allgather-opt-seg), and
-// tune.AutoTuneSweep re-measures the grid across segment sizes and
+// the same tune.AutoTune re-measures the grid across segment sizes and
 // process placements (blocked vs round-robin at varying cores per node;
-// bcastsim -segs/-placements), emitting placement-keyed rule groups
-// that resolve at run time through the environment derived from
-// Comm.Topology(). See internal/tune's package documentation for the
+// the -segs and -placements flags of both tune subcommands), emitting
+// placement-keyed rule groups that resolve at run time through the
+// environment derived from Comm.Topology(). See internal/tune's package documentation for the
 // architecture.
 //
 // Measurement itself has two interchangeable substrates behind the
@@ -54,16 +55,16 @@
 // — the wall-clock subsystem that boots an engine.World per placement and
 // times the registered implementations between barriers, reducing
 // warmed-up repetitions with robust statistics (min/median/MAD-trimmed
-// mean) and persisting raw samples as JSON. The real-engine auto-tuner
-// (bcastbench -autotune) derives tables from those wall-clock runs, and
-// bench.CrossCheck (bcastbench -crosscheck) derives one table from each
-// substrate over the same grid and reports the cells where the cost model
-// and the wall clock disagree on the winner.
+// mean) and persisting raw samples as JSON. One procedure, bench.AutoTune,
+// derives a table from either measurer, and bench.CrossCheck
+// (bcast crosscheck) calls it once per substrate over the same grid and
+// reports the cells where the cost model and the wall clock disagree on
+// the winner.
 //
 // How ranks execute inside the engine is itself a pluggable layer
 // (engine.Executor): the default substrate runs one goroutine per rank,
 // and the pooled substrate (engine.Options.Executor = engine.Pooled,
-// bcast.ExecPooled, bcastbench -exec pooled) multiplexes ranks
+// bcast.ExecPooled, the tool's -exec pooled) multiplexes ranks
 // cooperatively onto min(GOMAXPROCS, MaxWorkers) workers — ranks park at
 // the engine's blocking points and release their execution slot, so
 // worlds with np in the hundreds (the paper's Figures 5/7 regime) run
@@ -84,9 +85,9 @@
 // datagrams arrived) and a retransmit timeout behind them, so injected
 // loss, duplication and reordering (transport.Faulty) cost latency,
 // never correctness. A transport also decides which ranks a process
-// hosts, letting one world span OS processes: cmd/bcastsoak spawns rank
-// processes over loopback UDP and asserts every rank's result hash
-// matches an in-process reference run. Wire activity (datagrams, bytes,
+// hosts, letting one world span OS processes: the soak (bcast soak)
+// spawns rank processes over loopback UDP and asserts every rank's result
+// hash matches an in-process reference run. Wire activity (datagrams, bytes,
 // retransmits, fast retransmits, ack round-trips) surfaces in the
 // metrics Snapshot, and measurements record their transport in
 // provenance.

@@ -5,19 +5,22 @@ import (
 	"testing"
 
 	"repro/internal/collective"
+	"repro/internal/engine"
+	"repro/internal/mpi"
 	"repro/internal/netsim"
-	"repro/internal/topology"
 	"repro/internal/tune"
 )
 
-func TestMeasureRealProtocol(t *testing.T) {
-	res, err := MeasureReal(RealConfig{NP: 4, Iterations: 5, Algo: tune.RingOpt}, 4096)
+// broadcastOnce runs one broadcast with the options on an 8-rank engine
+// world placed by pl.
+func broadcastOnce(pl tune.Placement, o collective.Options) error {
+	topo, err := pl.Map(8)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
-	if res.Bytes != 4096 || res.Seconds <= 0 || res.MBps <= 0 {
-		t.Fatalf("result = %+v", res)
-	}
+	return engine.RunWith(engine.Options{NP: 8, Topology: topo}, func(c mpi.Comm) error {
+		return collective.Broadcast(c, make([]byte, 2048), 0, o)
+	})
 }
 
 // algoNames is the -algo vocabulary beyond plain registry names.
@@ -28,18 +31,17 @@ var algoNames = []string{"native", "opt", "binomial", "auto", "auto-opt", "smp",
 // environment, simulate on the model — the SMP rows included, on the
 // multi-node placement they need.
 func TestParseAlgoRunsOnBothHarnesses(t *testing.T) {
-	sim := SimConfig{Model: netsim.Hornet(), CoresPerNode: 4, Warm: 1, Total: 3}
+	sim := SimConfig{Model: netsim.Hornet(), Place: blocked(4), Warm: 1, Total: 3}
 	for _, name := range algoNames {
 		o, err := ParseAlgo(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := MeasureReal(RealConfig{NP: 8, CoresPerNode: 4, Iterations: 3, Algo: o.Algorithm, Tuner: o.Tuner}, 2048)
-		if err != nil || res.MBps <= 0 {
-			t.Fatalf("%s on the engine: %+v, %v", name, res, err)
+		if err := broadcastOnce(blocked(4), o); err != nil {
+			t.Fatalf("%s on the engine: %v", name, err)
 		}
-		d := o.Decide(tune.EnvOf(65536, 10, topology.Blocked(10, 4)))
-		if res, err = MeasureSimDecision(sim, d, 10, 65536); err != nil || res.Seconds <= 0 {
+		d := o.Decide(sim.Env(10, 65536))
+		if res, err := MeasureSimDecision(sim, d, 10, 65536); err != nil || res.Seconds <= 0 {
 			t.Fatalf("%s (%+v) on the model: %+v, %v", name, d, res, err)
 		}
 	}
@@ -65,13 +67,10 @@ func TestParseAlgoVocabulary(t *testing.T) {
 	if _, err := ParseAlgo("bogus"); err == nil || !strings.Contains(err.Error(), "unknown algorithm") {
 		t.Errorf("bogus name: %v", err)
 	}
-	if os, err := ParseAlgos("smp-opt, opt,auto"); err != nil || len(os) != 3 || os[1].Algorithm != tune.RingOpt {
-		t.Errorf("ParseAlgos: %+v, %v", os, err)
+	if _, err := ParseAlgo(""); err == nil {
+		t.Error("an empty name must fail")
 	}
-	if _, err := ParseAlgos("opt,,auto"); err == nil {
-		t.Error("an empty list entry must fail")
-	}
-	_, err := MeasureReal(RealConfig{NP: 8, Iterations: 1, Algo: tune.SMP}, 2048)
+	err := broadcastOnce(tune.Placement{}, collective.Options{Algorithm: tune.SMP})
 	if err == nil || !strings.Contains(err.Error(), "cannot run") {
 		t.Errorf("smp on one node: %v, want the registry's capability error", err)
 	}
@@ -99,7 +98,7 @@ func TestAutoFollowsDispatch(t *testing.T) {
 }
 
 func TestFig6SmallSweep(t *testing.T) {
-	cfg := SimConfig{Model: netsim.Hornet(), CoresPerNode: 24, Warm: 1, Total: 3}
+	cfg := SimConfig{Model: netsim.Hornet(), Place: blocked(24), Warm: 1, Total: 3}
 	fig, err := Fig6(cfg, 16, []int{1 << 19, 1 << 20})
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +125,7 @@ func TestFig6SmallSweep(t *testing.T) {
 }
 
 func TestFig7SmallSweep(t *testing.T) {
-	cfg := SimConfig{Model: netsim.Hornet(), CoresPerNode: 24, Warm: 1, Total: 3}
+	cfg := SimConfig{Model: netsim.Hornet(), Place: blocked(24), Warm: 1, Total: 3}
 	fig, err := Fig7(cfg, []int{9, 17}, []int{12288})
 	if err != nil {
 		t.Fatal(err)

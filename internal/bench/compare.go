@@ -5,40 +5,10 @@ import (
 	"strings"
 
 	"repro/internal/collective"
-	"repro/internal/netsim"
+	"repro/internal/sched"
 	"repro/internal/topology"
 	"repro/internal/tune"
 )
-
-// simMeasurer adapts a SimConfig to the auto-tuner's Measurer.
-func (cfg SimConfig) simMeasurer() tune.SimMeasurer {
-	cfg.fill()
-	return tune.SimMeasurer{
-		Model:        cfg.Model,
-		CoresPerNode: cfg.CoresPerNode,
-		Warm:         cfg.Warm,
-		Total:        cfg.Total,
-		Root:         cfg.Root,
-	}
-}
-
-// placedMeasurer is simMeasurer pinned to an explicit placement (the
-// placement-sweep path); a zero placement falls back to the config's
-// blocked default.
-func (cfg SimConfig) placedMeasurer(pl tune.Placement) tune.SimMeasurer {
-	m := cfg.simMeasurer()
-	m.Place = pl
-	return m
-}
-
-// placedMap realizes a placement for p ranks, defaulting to the config's
-// blocked placement when pl is zero.
-func (cfg SimConfig) placedMap(pl tune.Placement, p int) (*topology.Map, error) {
-	if pl.Kind == "" {
-		return topology.Blocked(p, cfg.CoresPerNode), nil
-	}
-	return pl.Map(p)
-}
 
 // FamilyCandidates returns the registry candidates restricted to the
 // scatter-ring dispatch family (binomial, scatter-rdb, the two rings and
@@ -66,47 +36,37 @@ func FamilyCandidates() []tune.Candidate {
 	return out
 }
 
-// AutoTuneSim runs the auto-tuner over the registry on the netsim
-// cluster model, deriving a tuning table from
-// measured crossover points. A nil candidate list tunes over the whole
-// registry (collective.Candidates()).
-func AutoTuneSim(cfg SimConfig, cands []tune.Candidate, procs, sizes []int) (*tune.Table, []tune.Winner, error) {
-	if cands == nil {
-		cands = collective.Candidates()
-	}
-	cfg.fill()
-	t, winners, err := tune.AutoTune(cands, cfg.simMeasurer(), procs, sizes)
-	if err != nil {
-		return nil, nil, err
-	}
-	t.Description = fmt.Sprintf("%s on netsim model %q, %d cores/node", t.Description, cfg.Model.Name, cfg.CoresPerNode)
-	return t, winners, nil
+// Substrate is what the auto-tuner can measure on: the netsim model
+// (SimConfig) or the real engine (measure.EngineMeasurer).
+type Substrate interface {
+	// Factory rebinds the measurer to each swept placement.
+	Factory() func(tune.Placement) tune.Measurer
+	// Describe names the substrate and its protocol for provenance.
+	Describe() string
 }
 
-// AutoTuneSweepSim runs the segment-size and placement sweep on the
-// netsim cluster model: every segmented candidate is measured at every
-// swept segment size, the whole grid repeats per placement, and the
-// resulting table carries one placement-keyed rule group per placement.
-// A nil candidate list sweeps the whole registry.
-func AutoTuneSweepSim(cfg SimConfig, cands []tune.Candidate, sweep tune.SweepConfig) (*tune.Table, []tune.Winner, error) {
+// AutoTune runs the auto-tuner's (procs x sizes x segment sizes x
+// placements) sweep on m and appends m's provenance to the emitted
+// table's description. The grid semantics are tune.AutoTune's whichever
+// substrate measures, so a model-derived and an engine-derived table are
+// comparable cell for cell. A nil candidate list sweeps the whole
+// registry.
+func AutoTune(m Substrate, cands []tune.Candidate, sweep tune.SweepConfig) (*tune.Table, []tune.Winner, error) {
 	if cands == nil {
 		cands = collective.Candidates()
 	}
-	cfg.fill()
-	t, winners, err := tune.AutoTuneSweep(cands, func(pl tune.Placement) tune.Measurer {
-		return cfg.placedMeasurer(pl)
-	}, sweep)
+	t, winners, err := tune.AutoTune(cands, m.Factory(), sweep)
 	if err != nil {
 		return nil, nil, err
 	}
-	t.Description = fmt.Sprintf("%s on netsim model %q", t.Description, cfg.Model.Name)
+	t.Description += " " + m.Describe()
 	return t, winners, nil
 }
 
 // TunedRow is one point of the tuned-versus-native comparison: what the
 // static MPICH3 dispatch picks, what the tuned table picks, and the
 // simulated bandwidth of each. Place identifies the swept placement the
-// point was evaluated under (zero = the config's blocked default).
+// point was evaluated under (zero = the config's own).
 type TunedRow struct {
 	P, N       int
 	Place      tune.Placement
@@ -121,19 +81,12 @@ type TunedRow struct {
 }
 
 // CompareTuned evaluates a tuning table against MPICH3's static native
-// dispatch over a (procs x sizes) grid on the simulated cluster,
-// reporting where the auto-tuned selection beats the hardcoded one.
-func CompareTuned(cfg SimConfig, table *tune.Table, procs, sizes []int) ([]TunedRow, error) {
-	return CompareTunedPlaced(cfg, table, procs, sizes, nil)
-}
-
-// CompareTunedPlaced is CompareTuned swept over placements: every grid
-// point is re-evaluated under each placement, giving the comparison
-// report a per-placement breakdown that mirrors the placement-keyed rule
-// groups of AutoTuneSweepSim tables. A nil or empty placement list
-// evaluates only the config's blocked default.
-func CompareTunedPlaced(cfg SimConfig, table *tune.Table, procs, sizes []int, placements []tune.Placement) ([]TunedRow, error) {
-	cfg.fill()
+// dispatch over a (placements x procs x sizes) grid on the simulated
+// cluster, reporting where the auto-tuned selection beats the hardcoded
+// one. Every grid point is re-evaluated under each placement, mirroring
+// the placement-keyed rule groups of the tables AutoTune emits; an empty
+// placement list evaluates only the config's own.
+func CompareTuned(cfg SimConfig, table *tune.Table, procs, sizes []int, placements []tune.Placement) ([]TunedRow, error) {
 	if len(placements) == 0 {
 		placements = []tune.Placement{{}}
 	}
@@ -142,31 +95,30 @@ func CompareTunedPlaced(cfg SimConfig, table *tune.Table, procs, sizes []int, pl
 
 	var rows []TunedRow
 	for _, pl := range placements {
+		placed := cfg
+		if pl.Kind != "" {
+			placed.Place = pl
+		}
 		for _, p := range procs {
-			topo, err := cfg.placedMap(pl, p)
-			if err != nil {
-				return nil, err
-			}
 			for _, n := range sizes {
-				e := tune.EnvOf(n, p, topo)
+				e := placed.Env(p, n)
 				nd := native.Decide(e)
 				td := tuned.Decide(e)
-				nt, err := simDecisionOn(cfg, nd, p, n, topo)
+				nr, err := MeasureSimDecision(placed, nd, p, n)
 				if err != nil {
 					return nil, fmt.Errorf("bench: native %q at (p=%d, n=%d): %w", nd.Algorithm, p, n, err)
 				}
-				tt, err := simDecisionOn(cfg, td, p, n, topo)
+				tr, err := MeasureSimDecision(placed, td, p, n)
 				if err != nil {
 					return nil, fmt.Errorf("bench: tuned %q at (p=%d, n=%d): %w", td.Algorithm, p, n, err)
 				}
 				row := TunedRow{
 					P: p, N: n, Place: pl,
 					NativeAlgo: nd.Algorithm, TunedAlgo: td.Algorithm, TunedSeg: td.SegSize,
-					NativeMBps: newResult(n, nt).MBps,
-					TunedMBps:  newResult(n, tt).MBps,
+					NativeMBps: nr.MBps, TunedMBps: tr.MBps,
 				}
-				if tt > 0 {
-					row.Speedup = nt / tt
+				if tr.Seconds > 0 {
+					row.Speedup = nr.Seconds / tr.Seconds
 				}
 				rows = append(rows, row)
 			}
@@ -175,47 +127,33 @@ func CompareTunedPlaced(cfg SimConfig, table *tune.Table, procs, sizes []int, pl
 	return rows, nil
 }
 
-// MeasureSimDecision predicts the bandwidth of a registry decision on
-// the modelled cluster under the config's blocked placement.
+// MeasureSimDecision predicts the steady-state bandwidth of a registry
+// decision on the modelled cluster under the config's placement.
 func MeasureSimDecision(cfg SimConfig, d tune.Decision, p, n int) (Result, error) {
-	cfg.fill()
-	dt, err := simDecisionOn(cfg, d, p, n, topology.Blocked(p, cfg.CoresPerNode))
+	dt, err := cfg.Measure(tune.Candidate{
+		Name:    d.Algorithm,
+		SegSize: d.SegSize,
+		Program: func(topo *topology.Map, root, n, seg int) (*sched.Program, error) {
+			return collective.Schedule(tune.Decision{Algorithm: d.Algorithm, SegSize: seg}, topo, root, n)
+		},
+	}, p, n)
 	if err != nil {
 		return Result{}, err
 	}
-	return newResult(n, dt), nil
+	return NewResult(n, dt), nil
 }
 
-// simDecisionOn predicts the steady-state per-iteration time of a
-// decided algorithm on the modelled cluster over an explicit placement.
-func simDecisionOn(cfg SimConfig, d tune.Decision, p, n int, topo *topology.Map) (float64, error) {
-	cfg.fill()
-	pr, err := collective.Schedule(d, topo, cfg.Root, n)
-	if err != nil {
-		return 0, err
-	}
-	return netsim.SteadyStateIterTime(pr, topo, cfg.Model, cfg.Warm, cfg.Total)
-}
-
-// FormatTunedRows renders the comparison as an aligned table, grouped by
-// placement when the rows carry a placement breakdown.
+// FormatTunedRows renders the comparison as an aligned table, one
+// section per placement when the rows carry a placement breakdown.
 func FormatTunedRows(rows []TunedRow) string {
 	var b strings.Builder
-	header := func() {
-		fmt.Fprintf(&b, "%-6s %-10s %-30s %-34s %12s %12s %8s\n",
-			"P", "bytes", "native-dispatch", "tuned-dispatch", "native-MB/s", "tuned-MB/s", "speedup")
-	}
-	lastPlace := ""
-	headed := false
-	for _, r := range rows {
-		if pl := r.Place.String(); r.Place.Kind != "" && pl != lastPlace {
-			fmt.Fprintf(&b, "# placement %s\n", pl)
-			lastPlace = pl
-			header()
-			headed = true
-		} else if !headed {
-			header()
-			headed = true
+	for i, r := range rows {
+		if i == 0 || r.Place != rows[i-1].Place {
+			if r.Place.Kind != "" {
+				fmt.Fprintf(&b, "# placement %s\n", r.Place)
+			}
+			fmt.Fprintf(&b, "%-6s %-10s %-30s %-34s %12s %12s %8s\n",
+				"P", "bytes", "native-dispatch", "tuned-dispatch", "native-MB/s", "tuned-MB/s", "speedup")
 		}
 		marker := ""
 		if r.Speedup > 1.005 && r.TunedAlgo != r.NativeAlgo {
@@ -237,19 +175,23 @@ func decisionLabel(d tune.Decision) string {
 	return d.Algorithm
 }
 
+// placeLabel renders the placement an environment was measured under in
+// the CLI syntax ("-" when the measurer reported none).
+func placeLabel(e tune.Env) string {
+	if e.Placement == "" {
+		return "-"
+	}
+	return tune.Placement{Kind: e.Placement, CoresPerNode: e.CoresPerNode}.String()
+}
+
 // FormatWinners renders the auto-tuner's raw grid decisions, including
 // the winning segment size and the measured placement classification.
 func FormatWinners(ws []tune.Winner) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-6s %-10s %-18s %-34s %14s\n", "P", "bytes", "placement", "winner", "us/iter")
 	for _, w := range ws {
-		pl := tune.Placement{Kind: w.Env.Placement, CoresPerNode: w.Env.CoresPerNode}
-		place := "-"
-		if pl.Kind != "" {
-			place = pl.String()
-		}
 		fmt.Fprintf(&b, "%-6d %-10d %-18s %-34s %14.2f\n",
-			w.Procs, w.Bytes, place, decisionLabel(w.Decision), w.Seconds*1e6)
+			w.Procs, w.Bytes, placeLabel(w.Env), decisionLabel(w.Decision), w.Seconds*1e6)
 	}
 	return b.String()
 }

@@ -18,8 +18,7 @@ import (
 func TestAutoTunePicksPaperRingForLongMessages(t *testing.T) {
 	procs := []int{16, 64, 129}
 	sizes := []int{1 << 18, tune.LongMsgSize, 1 << 20, 1 << 21}
-	cfg := SimConfig{}
-	table, winners, err := AutoTuneSim(cfg, FamilyCandidates(), procs, sizes)
+	table, winners, err := AutoTune(shapeCfg(), FamilyCandidates(), tune.SweepConfig{Procs: procs, Sizes: sizes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,12 +59,12 @@ func TestAutoTunePicksPaperRingForLongMessages(t *testing.T) {
 func TestCompareTunedBeatsNativeDispatch(t *testing.T) {
 	procs := []int{129}
 	sizes := []int{tune.LongMsgSize, 1 << 21}
-	cfg := SimConfig{}
-	table, _, err := AutoTuneSim(cfg, FamilyCandidates(), procs, sizes)
+	cfg := shapeCfg()
+	table, _, err := AutoTune(cfg, FamilyCandidates(), tune.SweepConfig{Procs: procs, Sizes: sizes})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := CompareTuned(cfg, table, procs, sizes)
+	rows, err := CompareTuned(cfg, table, procs, sizes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,35 +87,6 @@ func TestCompareTunedBeatsNativeDispatch(t *testing.T) {
 	}
 }
 
-// TestMeasureRealRegistryPaths drives the real-engine harness through the
-// new Algo and Tuner configuration paths at tiny scale.
-func TestMeasureRealRegistryPaths(t *testing.T) {
-	base := RealConfig{NP: 4, Iterations: 2}
-
-	algoCfg := base
-	algoCfg.Algo = tune.Chain
-	algoCfg.SegSize = 256
-	if _, err := MeasureReal(algoCfg, 1024); err != nil {
-		t.Errorf("Algo path: %v", err)
-	}
-
-	badCfg := base
-	badCfg.Algo = "no-such-algorithm"
-	if _, err := MeasureReal(badCfg, 1024); err == nil {
-		t.Error("unknown Algo must fail")
-	}
-
-	tunerCfg := base
-	tunerCfg.Tuner = tune.TableTuner{
-		Table: &tune.Table{Rules: []tune.Rule{
-			{Decision: tune.Decision{Algorithm: tune.RingOpt}},
-		}},
-	}
-	if _, err := MeasureReal(tunerCfg, 1024); err != nil {
-		t.Errorf("Tuner path: %v", err)
-	}
-}
-
 // recording notes which candidates a measurer was asked to measure.
 type recording struct {
 	tune.Measurer
@@ -133,20 +103,18 @@ func (r recording) Measure(c tune.Candidate, p, n int) (float64, error) {
 // SMP rows included, which the model could not replay while they had no
 // schedule — and each returns a winner.
 func TestBothSubstratesRankEveryRow(t *testing.T) {
-	sim := SimConfig{}
-	sim.fill()
+	sim := shapeCfg()
 	eng := measure.EngineMeasurer{Warmup: 1, Reps: 2, Stat: measure.StatMin}
 	for name, tc := range map[string]struct {
 		mk    func(tune.Placement) tune.Measurer
 		p     int
 		place tune.Placement
 	}{
-		"netsim": {func(pl tune.Placement) tune.Measurer { return sim.placedMeasurer(pl) }, 48,
-			tune.Placement{Kind: topology.KindBlocked, CoresPerNode: topology.HornetCoresPerNode}},
-		"engine": {eng.Factory(), 6, tune.Placement{Kind: topology.KindBlocked, CoresPerNode: 2}},
+		"netsim": {sim.Factory(), 48, blocked(topology.HornetCoresPerNode)},
+		"engine": {eng.Factory(), 6, blocked(2)},
 	} {
 		seen := map[string]bool{}
-		_, winners, err := tune.AutoTuneSweep(collective.Candidates(), func(pl tune.Placement) tune.Measurer {
+		_, winners, err := tune.AutoTune(collective.Candidates(), func(pl tune.Placement) tune.Measurer {
 			return recording{tc.mk(pl), seen}
 		}, tune.SweepConfig{Procs: []int{tc.p}, Sizes: []int{1 << 16}, Placements: []tune.Placement{tc.place}})
 		if err != nil {

@@ -4,29 +4,10 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/collective"
 	"repro/internal/measure"
 	"repro/internal/topology"
 	"repro/internal/tune"
 )
-
-// AutoTuneEngine runs the auto-tuner's segment-size and placement sweep
-// on the real engine: the wall-clock counterpart of AutoTuneSweepSim,
-// sharing the same grid semantics so the two tables are comparable
-// cell-for-cell. A nil candidate list sweeps the whole registry.
-func AutoTuneEngine(m measure.EngineMeasurer, cands []tune.Candidate, sweep tune.SweepConfig) (*tune.Table, []tune.Winner, error) {
-	if cands == nil {
-		cands = collective.Candidates()
-	}
-	t, winners, err := tune.AutoTuneSweep(cands, m.Factory(), sweep)
-	if err != nil {
-		return nil, nil, err
-	}
-	warmup, reps, stat := m.Protocol()
-	t.Description = fmt.Sprintf("%s on the real engine (exec %s, transport %s, warmup %d, reps %d, stat %s)",
-		t.Description, m.ExecLabel(), m.TransportLabel(), warmup, reps, stat)
-	return t, winners, nil
-}
 
 // CrossCell is one grid point of the model-versus-engine comparison:
 // what each measurement substrate declares the winner, and how long each
@@ -71,28 +52,24 @@ func (r *CrossReport) Agreement() float64 {
 // where they diverge called out for investigation. A nil candidate list
 // sweeps the whole registry.
 //
-// The simulated side is measured under the swept placements too (the
-// measurer pinned per placement, exactly like AutoTuneSweepSim), so each
-// cell compares the two substrates on an identical environment.
+// Both sides are measured under the swept placements (each measurer
+// rebound per placement by AutoTune), so each cell compares the two
+// substrates on an identical environment.
 func CrossCheck(sim SimConfig, eng measure.EngineMeasurer, cands []tune.Candidate, sweep tune.SweepConfig) (*CrossReport, error) {
-	if cands == nil {
-		cands = collective.Candidates()
-	}
 	// Both substrates must time the same broadcast: a root mismatch would
 	// make per-cell divergence meaningless.
 	sim.Root = eng.Root
-	// Without an explicit placement sweep the two substrates would measure
-	// different default environments (netsim: the model's blocked
-	// placement; engine: a single node) and no cell would be comparable —
-	// pin both to single-node instead.
+	// Without an explicit placement sweep each substrate would measure
+	// its own default environment and no cell need be comparable — pin
+	// both to single-node instead.
 	if len(sweep.Placements) == 0 {
 		sweep.Placements = []tune.Placement{{Kind: topology.KindSingle}}
 	}
-	simTable, simWinners, err := AutoTuneSweepSim(sim, cands, sweep)
+	simTable, simWinners, err := AutoTune(sim, cands, sweep)
 	if err != nil {
 		return nil, fmt.Errorf("bench: crosscheck netsim side: %w", err)
 	}
-	engTable, engWinners, err := AutoTuneEngine(eng, cands, sweep)
+	engTable, engWinners, err := AutoTune(eng, cands, sweep)
 	if err != nil {
 		return nil, fmt.Errorf("bench: crosscheck engine side: %w", err)
 	}
@@ -139,10 +116,6 @@ func FormatCrossReport(r *CrossReport) string {
 	fmt.Fprintf(&b, "%-6s %-10s %-18s %-34s %-34s %12s %12s %s\n",
 		"P", "bytes", "placement", "netsim-winner", "engine-winner", "sim-us", "eng-us", "agree")
 	for _, c := range r.Cells {
-		place := "-"
-		if c.Env.Placement != "" {
-			place = (tune.Placement{Kind: c.Env.Placement, CoresPerNode: c.Env.CoresPerNode}).String()
-		}
 		agree := "DIVERGE"
 		switch {
 		case c.AgreeExact:
@@ -151,7 +124,7 @@ func FormatCrossReport(r *CrossReport) string {
 			agree = "algo (seg differs)"
 		}
 		fmt.Fprintf(&b, "%-6d %-10d %-18s %-34s %-34s %12.2f %12.2f %s\n",
-			c.P, c.N, place,
+			c.P, c.N, placeLabel(c.Env),
 			decisionLabel(c.Sim), decisionLabel(c.Eng),
 			c.SimSeconds*1e6, c.EngSeconds*1e6, agree)
 	}

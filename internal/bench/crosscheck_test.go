@@ -19,7 +19,7 @@ func TestCrossCheckTinyGrid(t *testing.T) {
 	sweep := tune.SweepConfig{
 		Procs:      []int{4, 8},
 		Sizes:      []int{1 << 12, 1 << 16},
-		Placements: []tune.Placement{{Kind: topology.KindBlocked, CoresPerNode: 2}},
+		Placements: []tune.Placement{blocked(2)},
 	}
 	report, err := CrossCheck(SimConfig{}, eng, FamilyCandidates(), sweep)
 	if err != nil {
@@ -70,7 +70,7 @@ func TestCrossCheckTinyGrid(t *testing.T) {
 // must say it came from the engine and record the protocol.
 func TestAutoTuneEngineDescribesProtocol(t *testing.T) {
 	eng := measure.EngineMeasurer{Warmup: 1, Reps: 2, Stat: measure.StatMin}
-	table, winners, err := AutoTuneEngine(eng, FamilyCandidates(), tune.SweepConfig{
+	table, winners, err := AutoTune(eng, FamilyCandidates(), tune.SweepConfig{
 		Procs: []int{4},
 		Sizes: []int{1 << 12},
 	})
@@ -96,7 +96,7 @@ func TestAutoTuneEngineDescribesExecutor(t *testing.T) {
 		Warmup: 1, Reps: 2, Stat: measure.StatMin,
 		Executor: engine.Pooled, MaxWorkers: 1,
 	}
-	table, _, err := AutoTuneEngine(eng, FamilyCandidates(), tune.SweepConfig{
+	table, _, err := AutoTune(eng, FamilyCandidates(), tune.SweepConfig{
 		Procs: []int{4},
 		Sizes: []int{1 << 12},
 	})

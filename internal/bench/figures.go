@@ -60,6 +60,14 @@ func Fig8Sizes() []int {
 	return sizes
 }
 
+// nativeAndOpt simulates the paper's two broadcasts at one grid point.
+func nativeAndOpt(cfg SimConfig, p, n int) (native, opt Result, err error) {
+	if native, err = MeasureSimDecision(cfg, Native, p, n); err == nil {
+		opt, err = MeasureSimDecision(cfg, Opt, p, n)
+	}
+	return native, opt, err
+}
+
 // Fig6 regenerates one panel of Figure 6: bandwidth versus message size
 // for MPI_Bcast_native and MPI_Bcast_opt at the given process count.
 func Fig6(cfg SimConfig, np int, sizes []int) (Figure, error) {
@@ -75,11 +83,7 @@ func Fig6(cfg SimConfig, np int, sizes []int) (Figure, error) {
 	nat := Series{Label: "MPI_Bcast_native"}
 	opt := Series{Label: "MPI_Bcast_opt"}
 	for _, n := range sizes {
-		rn, err := MeasureSimDecision(cfg, Native, np, n)
-		if err != nil {
-			return fig, err
-		}
-		ro, err := MeasureSimDecision(cfg, Opt, np, n)
+		rn, ro, err := nativeAndOpt(cfg, np, n)
 		if err != nil {
 			return fig, err
 		}
@@ -111,11 +115,7 @@ func Fig7(cfg SimConfig, procs, sizes []int) (Figure, error) {
 	for _, n := range sizes {
 		s := Series{Label: fmt.Sprintf("ms=%d", n)}
 		for _, p := range procs {
-			rn, err := MeasureSimDecision(cfg, Native, p, n)
-			if err != nil {
-				return fig, err
-			}
-			ro, err := MeasureSimDecision(cfg, Opt, p, n)
+			rn, ro, err := nativeAndOpt(cfg, p, n)
 			if err != nil {
 				return fig, err
 			}

@@ -47,14 +47,6 @@ var PaperClaims = []PaperClaim{
 	{
 		Experiment: "user-level",
 		Statement:  "barrier-synchronized, 100 iterations, bandwidth in base-2 MB/s",
-		Check:      "cmd/bcastbench implements the identical protocol on the real engine",
+		Check:      "`bcast bench` implements the identical protocol on the real engine",
 	},
 }
-
-// Paper peak bandwidths for Figure 6(a) (MB/s, base-2), recorded for the
-// EXPERIMENTS.md comparison table. Absolute values are testbed-specific;
-// the reproduction matches their order of magnitude and ordering only.
-const (
-	PaperFig6aPeakNative = 2623.0
-	PaperFig6aPeakOpt    = 2748.0
-)

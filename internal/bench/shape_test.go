@@ -5,7 +5,13 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/topology"
+	"repro/internal/tune"
 )
+
+// blocked is the blocked placement with the given cores per node.
+func blocked(cores int) tune.Placement {
+	return tune.Placement{Kind: topology.KindBlocked, CoresPerNode: cores}
+}
 
 // These tests assert the qualitative claims of the paper's evaluation —
 // the "shape" criteria from DESIGN.md — against the simulated harness.
@@ -15,7 +21,7 @@ import (
 
 // shapeCfg uses moderate replication for stable steady-state numbers.
 func shapeCfg() SimConfig {
-	return SimConfig{Model: netsim.Hornet(), CoresPerNode: topology.HornetCoresPerNode, Warm: 2, Total: 6}
+	return SimConfig{Model: netsim.Hornet(), Place: blocked(topology.HornetCoresPerNode), Warm: 2, Total: 6}
 }
 
 // TestShapeOptNeverLosesOnRingPath: across the evaluation grid, the tuned
@@ -179,7 +185,7 @@ func TestShapeLakiSameTrend(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulated sweeps")
 	}
-	cfg := SimConfig{Model: netsim.Laki(), CoresPerNode: topology.LakiCoresPerNode, Warm: 2, Total: 6}
+	cfg := SimConfig{Model: netsim.Laki(), Place: blocked(topology.LakiCoresPerNode), Warm: 2, Total: 6}
 	for _, p := range []int{9, 16, 33} {
 		for _, n := range []int{12288, 1 << 20} {
 			nat, err := MeasureSimDecision(cfg, Native, p, n)

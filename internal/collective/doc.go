@@ -56,8 +56,8 @@
 // ranks.
 //
 // New algorithms plug in by calling Register (or MustRegister at init
-// time); the CLI tools (bcastbench, bcastsim, transfercount) enumerate
-// the registry rather than keeping private switches, so a registered
+// time); the bcast tool's subcommands (bench, curves, count, tune)
+// enumerate the registry rather than keeping private switches, so a registered
 // algorithm is immediately benchmarkable, simulatable, countable, and
 // auto-tunable.
 //

@@ -50,8 +50,7 @@ func (cp Capabilities) Tags() []string {
 }
 
 // Label renders the flags as one bracketed CLI column ("-" when
-// unconstrained); bcastbench -list and bcastsim -candidates list share
-// it so their listings stay format-identical.
+// unconstrained), the capabilities column of bcast algos.
 func (cp Capabilities) Label() string {
 	tags := cp.Tags()
 	if len(tags) == 0 {

@@ -113,7 +113,7 @@ func TestSelfUDPWiredWorld(t *testing.T) {
 // "processes" in-process: world A hosts ranks 0–2, world B hosts 3–5,
 // each with its own UDP socket, addressing the other's. The ring body
 // must complete with correct bytes on every rank across both worlds —
-// the same structure cmd/bcastsoak runs across real OS processes.
+// the same structure `bcast soak` runs across real OS processes.
 func TestSplitHostedWorlds(t *testing.T) {
 	const np = 6
 	connA, err := net.ListenPacket("udp", "127.0.0.1:0")

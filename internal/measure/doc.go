@@ -16,7 +16,7 @@
 //     timing (every repetition starts from a barrier; the sample is the
 //     slowest rank's completion), discards warmup iterations, and reduces
 //     the repetition samples with a robust statistic. It plugs straight
-//     into tune.AutoTune and tune.AutoTuneSweep's measurer-factory seam.
+//     into tune.AutoTune's measurer-factory seam.
 //   - Summarize is the deterministic statistics kernel: min, max, mean,
 //     median, and a trimmed mean after MAD-based outlier rejection. Stat
 //     selects which of those a measurement reports to the tuner.

@@ -7,7 +7,6 @@ import (
 	"repro/internal/collective"
 	"repro/internal/engine"
 	"repro/internal/mpi"
-	"repro/internal/topology"
 	"repro/internal/transport"
 	"repro/internal/tune"
 )
@@ -30,9 +29,8 @@ const (
 // engine.World whose topology realizes Place, runs the candidate's
 // registered implementation on the configured rank-execution substrate
 // (Executor/MaxWorkers), and times repetitions between barriers. It
-// implements tune.Measurer, so it plugs directly into tune.AutoTune and
-// — via a factory closing over Place — into tune.AutoTuneSweep's
-// placement sweep.
+// implements tune.Measurer and — via Factory, which rebinds Place —
+// plugs into tune.AutoTune's placement sweep.
 //
 // Unlike tune.SimMeasurer this measures wall-clock time on the host
 // actually running the broadcast, so results are machine-dependent and
@@ -76,31 +74,16 @@ type EngineMeasurer struct {
 	Log *SampleLog
 }
 
-// Protocol returns the effective measurement protocol after defaulting —
-// the warmup and repetition counts and statistic a Measure call will
-// actually use. Provenance strings (table descriptions, reports) must be
-// built from this, not from the raw fields, so they cannot drift from
-// the protocol run.
-func (m EngineMeasurer) Protocol() (warmup, reps int, stat Stat) {
+// Describe names the effective measurement substrate and protocol after
+// defaulting — executor with its worker clamp applied, transport, warmup
+// and repetition counts, statistic — for a table's provenance. It is
+// built from what a Measure call will actually use, so it cannot drift
+// from the protocol run.
+func (m EngineMeasurer) Describe() string {
 	m = m.fill()
-	return m.Warmup, m.Reps, statOrDefault(m.Stat)
-}
-
-// ExecLabel names the effective rank-execution substrate a Measure call
-// will boot, worker clamp applied ("goroutine", "pooled(8)") — the
-// executor half of the provenance Protocol covers.
-func (m EngineMeasurer) ExecLabel() string {
-	return engine.ExecLabel(m.Executor, m.MaxWorkers)
-}
-
-// TransportLabel names the effective point-to-point substrate a Measure
-// call will boot ("chan", "udp") — the transport half of the same
-// provenance.
-func (m EngineMeasurer) TransportLabel() string {
-	if m.Transport == "" {
-		return transport.ChanName
-	}
-	return m.Transport
+	stat, _ := ParseStat(string(m.Stat)) // a bad one fails every Measure call
+	return fmt.Sprintf("on the real engine (exec %s, transport %s, warmup %d, reps %d, stat %s)",
+		engine.ExecLabel(m.Executor, m.MaxWorkers), m.Transport, m.Warmup, m.Reps, stat)
 }
 
 func (m EngineMeasurer) fill() EngineMeasurer {
@@ -115,14 +98,10 @@ func (m EngineMeasurer) fill() EngineMeasurer {
 	if m.Timeout <= 0 {
 		m.Timeout = DefaultTimeout
 	}
-	return m
-}
-
-func (m EngineMeasurer) topo(p int) (*topology.Map, error) {
-	if m.Place.Kind == "" {
-		return topology.SingleNode(p), nil
+	if m.Transport == "" {
+		m.Transport = transport.ChanName
 	}
-	return m.Place.Map(p)
+	return m
 }
 
 // Env implements tune.Measurer. The environment is derived from the
@@ -131,7 +110,7 @@ func (m EngineMeasurer) topo(p int) (*topology.Map, error) {
 // reported through this signature: the environment degrades to (Bytes,
 // Procs) and the underlying error surfaces from the next Measure call.
 func (m EngineMeasurer) Env(p, n int) tune.Env {
-	topo, err := m.topo(p)
+	topo, err := m.Place.Map(p)
 	if err != nil {
 		return tune.Env{Bytes: n, Procs: p}
 	}
@@ -164,32 +143,18 @@ func (m EngineMeasurer) Measure(c tune.Candidate, p, n int) (float64, error) {
 			SegSize:   c.SegSize,
 			Procs:     p,
 			Bytes:     n,
-			Placement: m.placementLabel(),
+			Placement: m.Place.String(),
 			Warmup:    m.Warmup,
 			Reps:      m.Reps,
 			Stat:      string(stat),
-			Exec:      m.ExecLabel(),
-			Transport: m.TransportLabel(),
+			Exec:      engine.ExecLabel(m.Executor, m.MaxWorkers),
+			Transport: m.Transport,
 			Seconds:   sec,
 			Samples:   samples,
 			Summary:   sum,
 		})
 	}
 	return sec, nil
-}
-
-func (m EngineMeasurer) placementLabel() string {
-	if m.Place.Kind == "" {
-		return ""
-	}
-	return m.Place.String()
-}
-
-func statOrDefault(s Stat) Stat {
-	if s == "" {
-		return StatTrimmed
-	}
-	return s
 }
 
 // run executes warmup + reps broadcasts on a fresh world and returns one
@@ -209,7 +174,7 @@ func (m EngineMeasurer) run(d tune.Decision, p, n int) ([]float64, error) {
 	if _, ok := collective.Lookup(d.Algorithm); !ok {
 		return nil, fmt.Errorf("unknown algorithm (registered: %v)", collective.Names())
 	}
-	topo, err := m.topo(p)
+	topo, err := m.Place.Map(p)
 	if err != nil {
 		return nil, err
 	}
@@ -272,8 +237,9 @@ func (m EngineMeasurer) run(d tune.Decision, p, n int) ([]float64, error) {
 	return samples, nil
 }
 
-// Factory returns the measurer-factory closure tune.AutoTuneSweep
-// expects, rebinding a copy of m to each swept placement.
+// Factory returns the measurer-factory closure tune.AutoTune expects,
+// rebinding a copy of m to each swept placement (the zero placement of a
+// sweep without placements: a single node).
 func (m EngineMeasurer) Factory() func(tune.Placement) tune.Measurer {
 	return func(pl tune.Placement) tune.Measurer {
 		mm := m

@@ -3,6 +3,7 @@ package measure
 import (
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/collective"
@@ -153,7 +154,7 @@ func TestAutoTuneOnEngine(t *testing.T) {
 			cands = append(cands, c)
 		}
 	}
-	table, winners, err := tune.AutoTuneSweep(cands, m.Factory(), tune.SweepConfig{
+	table, winners, err := tune.AutoTune(cands, m.Factory(), tune.SweepConfig{
 		Procs:      []int{4},
 		Sizes:      []int{1 << 10, 1 << 14},
 		Placements: []tune.Placement{{Kind: topology.KindBlocked, CoresPerNode: 2}},
@@ -195,7 +196,7 @@ func TestAutoTuneOnEngineMeasuresSMP(t *testing.T) {
 	if smp.Name == "" {
 		t.Fatal("smp not in Candidates")
 	}
-	_, winners, err := tune.AutoTuneSweep([]tune.Candidate{smp}, m.Factory(), tune.SweepConfig{
+	_, winners, err := tune.AutoTune([]tune.Candidate{smp}, m.Factory(), tune.SweepConfig{
 		Procs:      []int{4},
 		Sizes:      []int{1 << 12},
 		Placements: []tune.Placement{{Kind: topology.KindBlocked, CoresPerNode: 2}},
@@ -223,8 +224,8 @@ func TestEngineMeasurerPooledExecutor(t *testing.T) {
 	}
 	// The pool is clamped to GOMAXPROCS, so derive the label, don't pin it.
 	want := fmt.Sprintf("pooled(%d)", engine.PooledWorkers(2))
-	if got := m.ExecLabel(); got != want {
-		t.Fatalf("ExecLabel = %q, want %s", got, want)
+	if got := m.Describe(); !strings.Contains(got, "exec "+want) {
+		t.Fatalf("Describe() = %q, want exec %s", got, want)
 	}
 	sec, err := m.Measure(cand(tune.RingOpt, 0), 16, 1<<12)
 	if err != nil {
@@ -239,9 +240,8 @@ func TestEngineMeasurerPooledExecutor(t *testing.T) {
 	}
 
 	// The default substrate must label itself too.
-	d := EngineMeasurer{}
-	if got := d.ExecLabel(); got != "goroutine" {
-		t.Fatalf("default ExecLabel = %q, want goroutine", got)
+	if got := (EngineMeasurer{}).Describe(); !strings.Contains(got, "exec goroutine, transport chan") {
+		t.Fatalf("default Describe() = %q, want exec goroutine, transport chan", got)
 	}
 }
 

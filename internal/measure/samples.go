@@ -19,7 +19,7 @@ type Record struct {
 	// Procs and Bytes are the grid point.
 	Procs int `json:"procs"`
 	Bytes int `json:"bytes"`
-	// Placement is the swept placement in CLI syntax ("" = single node).
+	// Placement is the measured placement in CLI syntax.
 	Placement string `json:"placement,omitempty"`
 	// Warmup and Reps record the measurement protocol.
 	Warmup int `json:"warmup"`

@@ -2,7 +2,7 @@ package tune
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -51,19 +51,18 @@ type Placement struct {
 	CoresPerNode int
 }
 
-// Map realizes the placement for np ranks.
+// Map realizes the placement for np ranks. The zero Placement puts every
+// rank on one node, like KindSingle.
 func (pl Placement) Map(np int) (*topology.Map, error) {
 	switch pl.Kind {
-	case topology.KindSingle:
+	case topology.KindSingle, "":
 		return topology.SingleNode(np), nil
-	case topology.KindBlocked:
+	case topology.KindBlocked, topology.KindRoundRobin:
 		if pl.CoresPerNode <= 0 {
 			return nil, fmt.Errorf("tune: placement %q needs cores per node", pl.Kind)
 		}
-		return topology.Blocked(np, pl.CoresPerNode), nil
-	case topology.KindRoundRobin:
-		if pl.CoresPerNode <= 0 {
-			return nil, fmt.Errorf("tune: placement %q needs cores per node", pl.Kind)
+		if pl.Kind == topology.KindBlocked {
+			return topology.Blocked(np, pl.CoresPerNode), nil
 		}
 		return topology.RoundRobin(np, pl.CoresPerNode), nil
 	default:
@@ -73,7 +72,10 @@ func (pl Placement) Map(np int) (*topology.Map, error) {
 
 // String renders the placement in the CLI syntax ParsePlacement accepts.
 func (pl Placement) String() string {
-	if pl.Kind == topology.KindSingle || pl.CoresPerNode <= 0 {
+	switch {
+	case pl.Kind == "" || pl.Kind == topology.KindSingle:
+		return topology.KindSingle
+	case pl.CoresPerNode <= 0:
 		return pl.Kind
 	}
 	return fmt.Sprintf("%s:%d", pl.Kind, pl.CoresPerNode)
@@ -116,12 +118,8 @@ func ParsePlacement(s string) (Placement, error) {
 type SimMeasurer struct {
 	// Model is the cluster calibration (netsim.Hornet() when nil).
 	Model *netsim.Model
-	// Place selects the rank placement. When its Kind is empty the legacy
-	// CoresPerNode field decides instead.
+	// Place selects the rank placement (zero = single node).
 	Place Placement
-	// CoresPerNode controls the blocked placement (<= 0: single node);
-	// ignored when Place is set.
-	CoresPerNode int
 	// Warm and Total bound the steady-state replication (defaults 2, 6).
 	Warm, Total int
 	// Root is the broadcast root.
@@ -141,26 +139,14 @@ func (m SimMeasurer) fill() SimMeasurer {
 	return m
 }
 
-func (m SimMeasurer) topo(p int) (*topology.Map, error) {
-	if m.Place.Kind != "" {
-		return m.Place.Map(p)
-	}
-	if m.CoresPerNode <= 0 {
-		return topology.SingleNode(p), nil
-	}
-	return topology.Blocked(p, m.CoresPerNode), nil
-}
-
 // Env implements Measurer. The environment is derived from the realized
 // topology map, so placement-swept rules key on the same classification a
 // runtime broadcast over that map would present. An invalid Place cannot
 // be reported through this signature: the environment degrades to
 // (Bytes, Procs) only, and the underlying error surfaces from the next
-// Measure call (AutoTuneSweep additionally pre-validates placements, so
-// the degraded path is reachable only by handing a malformed SimMeasurer
-// straight to AutoTune).
+// Measure call (AutoTune additionally pre-validates swept placements).
 func (m SimMeasurer) Env(p, n int) Env {
-	topo, err := m.topo(p)
+	topo, err := m.Place.Map(p)
 	if err != nil {
 		return Env{Bytes: n, Procs: p}
 	}
@@ -170,7 +156,7 @@ func (m SimMeasurer) Env(p, n int) Env {
 // Measure implements Measurer.
 func (m SimMeasurer) Measure(c Candidate, p, n int) (float64, error) {
 	m = m.fill()
-	topo, err := m.topo(p)
+	topo, err := m.Place.Map(p)
 	if err != nil {
 		return 0, err
 	}
@@ -179,6 +165,25 @@ func (m SimMeasurer) Measure(c Candidate, p, n int) (float64, error) {
 		return 0, fmt.Errorf("tune: candidate %q at (p=%d, n=%d): %w", c.Name, p, n, err)
 	}
 	return netsim.SteadyStateIterTime(pr, topo, m.Model, m.Warm, m.Total)
+}
+
+// Factory returns the measurer factory AutoTune expects: a copy of m
+// rebound to each swept placement; the zero placement of a sweep without
+// placements keeps m's own.
+func (m SimMeasurer) Factory() func(Placement) Measurer {
+	return func(pl Placement) Measurer {
+		mm := m
+		if pl.Kind != "" {
+			mm.Place = pl
+		}
+		return mm
+	}
+}
+
+// Describe names the measurement substrate for a table's provenance.
+func (m SimMeasurer) Describe() string {
+	m = m.fill()
+	return fmt.Sprintf("on netsim model %q (default placement %s)", m.Model.Name, m.Place)
 }
 
 // Winner is one auto-tuned grid point: the fastest applicable candidate,
@@ -225,9 +230,9 @@ func tuneGrid(cands []Candidate, m Measurer, procs, sizes []int) ([]Winner, erro
 // crossoverRules derives first-match rules from grid winners: per process
 // count, adjacent sizes won by the same decision merge into one size-band
 // rule. The first band of each p extends down to 0 bytes and the last to
-// infinity, so the rules are total for tuned process counts. mark, when
-// non-nil, stamps extra constraints (e.g. placement) onto every rule.
-func crossoverRules(winners []Winner, procs []int, mark func(*Rule)) []Rule {
+// infinity, so the rules are total for tuned process counts. constrain
+// keys every rule on the placement its winners were measured under.
+func crossoverRules(winners []Winner, procs []int, constrain bool) []Rule {
 	var rules []Rule
 	for _, p := range procs {
 		var run []Winner
@@ -248,8 +253,8 @@ func crossoverRules(winners []Winner, procs []int, mark func(*Rule)) []Rule {
 			if j+1 < len(run) {
 				r.MaxBytes = run[j+1].Bytes
 			}
-			if mark != nil {
-				mark(&r)
+			if constrain {
+				r.Placement, r.CoresPerNode = run[i].Env.Placement, run[i].Env.CoresPerNode
 			}
 			rules = append(rules, r)
 			i = j + 1
@@ -258,42 +263,7 @@ func crossoverRules(winners []Winner, procs []int, mark func(*Rule)) []Rule {
 	return rules
 }
 
-// AutoTune measures every applicable candidate at every (procs x sizes)
-// grid point and derives a first-match rule Table from the winners,
-// reproducing the crossover-point tables of the measurement-driven tuning
-// literature. The winners themselves are returned alongside for
-// reporting.
-//
-// Candidates whose Applies predicate rejects the measurement
-// environment are skipped at that point; a grid point where no candidate
-// can be measured is an error. For
-// segment-size and placement sweeps, see AutoTuneSweep.
-func AutoTune(cands []Candidate, m Measurer, procs, sizes []int) (*Table, []Winner, error) {
-	if len(cands) == 0 {
-		return nil, nil, fmt.Errorf("tune: no candidates")
-	}
-	if len(procs) == 0 || len(sizes) == 0 {
-		return nil, nil, fmt.Errorf("tune: empty grid (%d procs, %d sizes)", len(procs), len(sizes))
-	}
-	procs = sortedCopy(procs)
-	sizes = sortedCopy(sizes)
-
-	winners, err := tuneGrid(cands, m, procs, sizes)
-	if err != nil {
-		return nil, nil, err
-	}
-	t := &Table{
-		Name:        "auto-tuned",
-		Description: fmt.Sprintf("auto-tuned over %d procs x %d sizes", len(procs), len(sizes)),
-		Rules:       crossoverRules(winners, procs, nil),
-	}
-	if err := t.Validate(); err != nil {
-		return nil, nil, err
-	}
-	return t, winners, nil
-}
-
-// SweepConfig parameterizes AutoTuneSweep.
+// SweepConfig parameterizes AutoTune.
 type SweepConfig struct {
 	// Procs and Sizes span the measurement grid (both required).
 	Procs, Sizes []int
@@ -307,17 +277,26 @@ type SweepConfig struct {
 	Placements []Placement
 }
 
-// AutoTuneSweep generalizes AutoTune along the two axes the paper's
-// Section V crossovers are known to shift with: segment size and process
-// placement. Every Segmented candidate is expanded into one candidate per
-// cfg.SegSizes entry, and the whole grid is re-measured under every
-// cfg.Placements entry via the measurer factory mk. The emitted table
-// concatenates one rule group per placement, each rule constrained to the
-// placement classification and node occupancy actually realized at its
-// process count (a blocked sweep that collapses onto one node at small p
-// emits single-node rules there, matching what a runtime broadcast over
-// that map would look up).
-func AutoTuneSweep(cands []Candidate, mk func(Placement) Measurer, cfg SweepConfig) (*Table, []Winner, error) {
+// AutoTune measures every applicable candidate at every (procs x sizes)
+// grid point and derives a first-match rule Table from the winners,
+// reproducing the crossover-point tables of the measurement-driven tuning
+// literature; the winners themselves are returned alongside for
+// reporting. Candidates whose Applies predicate rejects the measurement
+// environment are skipped at that point; a grid point where no candidate
+// can be measured is an error.
+//
+// The grid extends along the two axes the paper's Section V crossovers
+// are known to shift with: segment size and process placement. Every
+// Segmented candidate is expanded into one candidate per cfg.SegSizes
+// entry, and the whole grid is re-measured under every cfg.Placements
+// entry via the measurer factory mk. The emitted table concatenates one
+// rule group per placement, each rule constrained to the placement
+// classification and node occupancy actually realized at its process
+// count (a blocked sweep that collapses onto one node at small p emits
+// single-node rules there, matching what a runtime broadcast over that
+// map would look up). Without placements the grid is measured once, under
+// mk's default placement, and the rules are unconstrained.
+func AutoTune(cands []Candidate, mk func(Placement) Measurer, cfg SweepConfig) (*Table, []Winner, error) {
 	if len(cands) == 0 {
 		return nil, nil, fmt.Errorf("tune: no candidates")
 	}
@@ -332,38 +311,23 @@ func AutoTuneSweep(cands []Candidate, mk func(Placement) Measurer, cfg SweepConf
 	expanded := expandSegments(cands, cfg.SegSizes)
 
 	placements := cfg.Placements
-	constrain := true
-	if len(placements) == 0 {
+	constrain := len(placements) > 0
+	if !constrain {
 		placements = []Placement{{}}
-		constrain = false
 	}
 
 	t := &Table{Name: "auto-tuned"}
 	var all []Winner
 	for _, pl := range placements {
-		if constrain {
-			if _, err := pl.Map(1); err != nil {
-				return nil, nil, err
-			}
+		if _, err := pl.Map(1); err != nil {
+			return nil, nil, err
 		}
 		winners, err := tuneGrid(expanded, mk(pl), procs, sizes)
 		if err != nil {
 			return nil, nil, fmt.Errorf("tune: placement %s: %w", pl, err)
 		}
 		all = append(all, winners...)
-		byProcs := map[int]Env{}
-		for _, w := range winners {
-			byProcs[w.Procs] = w.Env
-		}
-		rules := crossoverRules(winners, procs, func(r *Rule) {
-			if !constrain {
-				return
-			}
-			e := byProcs[r.MinProcs]
-			r.Placement = e.Placement
-			r.CoresPerNode = e.CoresPerNode
-		})
-		t.Rules = appendNewRules(t.Rules, rules)
+		t.Rules = appendNewRules(t.Rules, crossoverRules(winners, procs, constrain))
 	}
 	t.Description = fmt.Sprintf("auto-tuned over %d procs x %d sizes x %d placements (%d segment sizes)",
 		len(procs), len(sizes), len(placements), len(cfg.SegSizes))
@@ -399,14 +363,7 @@ func expandSegments(cands []Candidate, segSizes []int) []Candidate {
 // at small process counts produce identical groups there).
 func appendNewRules(rules, add []Rule) []Rule {
 	for _, r := range add {
-		dup := false
-		for _, have := range rules {
-			if have == r {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if !slices.Contains(rules, r) {
 			rules = append(rules, r)
 		}
 	}
@@ -414,7 +371,7 @@ func appendNewRules(rules, add []Rule) []Rule {
 }
 
 func sortedCopy(xs []int) []int {
-	out := append([]int(nil), xs...)
-	sort.Ints(out)
+	out := slices.Clone(xs)
+	slices.Sort(out)
 	return out
 }

@@ -21,6 +21,14 @@ func (m fakeMeasurer) Measure(c Candidate, p, n int) (float64, error) {
 	return m.cost(c.Name, p, n), nil
 }
 
+// fixed is the measurer factory of a measurer that ignores placement.
+func fixed(m Measurer) func(Placement) Measurer {
+	return func(Placement) Measurer { return m }
+}
+
+// grid is a SweepConfig with only the two required axes.
+func grid(procs, sizes []int) SweepConfig { return SweepConfig{Procs: procs, Sizes: sizes} }
+
 func trivialProgram(topo *topology.Map, root, n, _ int) (*sched.Program, error) {
 	return core.BinomialBcast(topo.NP(), root, n), nil
 }
@@ -37,7 +45,7 @@ func TestAutoTuneDerivesCrossoverRules(t *testing.T) {
 		}
 		return 2
 	}}
-	table, winners, err := AutoTune(cands, m, []int{4, 8}, []int{256, 512, 1024, 2048})
+	table, winners, err := AutoTune(cands, fixed(m), grid([]int{4, 8}, []int{256, 512, 1024, 2048}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +86,7 @@ func TestAutoTuneRespectsApplicability(t *testing.T) {
 		}
 		return 2
 	}}
-	table, _, err := AutoTune(cands, m, []int{8, 10}, []int{64})
+	table, _, err := AutoTune(cands, fixed(m), grid([]int{8, 10}, []int{64}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +101,7 @@ func TestAutoTuneRespectsApplicability(t *testing.T) {
 func TestAutoTuneCopiesSegSize(t *testing.T) {
 	cands := []Candidate{{Name: "seg", SegSize: 4096, Program: trivialProgram}}
 	m := fakeMeasurer{cost: func(string, int, int) float64 { return 1 }}
-	table, winners, err := AutoTune(cands, m, []int{4}, []int{64})
+	table, winners, err := AutoTune(cands, fixed(m), grid([]int{4}, []int{64}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,21 +115,21 @@ func TestAutoTuneCopiesSegSize(t *testing.T) {
 
 func TestAutoTuneErrors(t *testing.T) {
 	m := fakeMeasurer{cost: func(string, int, int) float64 { return 1 }}
-	if _, _, err := AutoTune(nil, m, []int{4}, []int{64}); err == nil {
+	if _, _, err := AutoTune(nil, fixed(m), grid([]int{4}, []int{64})); err == nil {
 		t.Error("no candidates must fail")
 	}
 	cands := []Candidate{{Name: "a", Program: trivialProgram}}
-	if _, _, err := AutoTune(cands, m, nil, []int{64}); err == nil {
+	if _, _, err := AutoTune(cands, fixed(m), grid(nil, []int{64})); err == nil {
 		t.Error("empty grid must fail")
 	}
 	// No applicable candidate at a grid point.
 	never := []Candidate{{Name: "never", Program: trivialProgram, Applies: func(Env) bool { return false }}}
-	if _, _, err := AutoTune(never, m, []int{4}, []int{64}); err == nil {
+	if _, _, err := AutoTune(never, fixed(m), grid([]int{4}, []int{64})); err == nil {
 		t.Error("unmeasurable grid point must fail")
 	}
 	// Measurement failures propagate.
 	failing := measureError{}
-	if _, _, err := AutoTune(cands, failing, []int{4}, []int{64}); err == nil {
+	if _, _, err := AutoTune(cands, fixed(failing), grid([]int{4}, []int{64})); err == nil {
 		t.Error("measurer error must propagate")
 	}
 }
@@ -136,7 +144,7 @@ func (measureError) Measure(c Candidate, p, n int) (float64, error) {
 func TestSimMeasurerSmoke(t *testing.T) {
 	// End-to-end through netsim on a tiny point: a real virtual-time
 	// measurement of the paper's two rings, and opt must not lose.
-	m := SimMeasurer{CoresPerNode: 4}
+	m := SimMeasurer{Place: Placement{Kind: topology.KindBlocked, CoresPerNode: 4}}
 	native := Candidate{Name: RingNative, Program: func(topo *topology.Map, root, n, _ int) (*sched.Program, error) {
 		return core.BcastNativeProgram(topo.NP(), root, n), nil
 	}}

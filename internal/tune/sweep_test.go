@@ -66,7 +66,10 @@ func TestPlacementMap(t *testing.T) {
 	if m, err := (Placement{Kind: topology.KindRoundRobin, CoresPerNode: 4}).Map(8); err != nil || m.Kind() != topology.KindRoundRobin {
 		t.Errorf("round-robin: (%v, %v)", m, err)
 	}
-	for _, bad := range []Placement{{}, {Kind: "mesh"}, {Kind: topology.KindBlocked}} {
+	if m, err := (Placement{}).Map(8); err != nil || m.NumNodes() != 1 {
+		t.Errorf("zero placement: (%v, %v), want a single node", m, err)
+	}
+	for _, bad := range []Placement{{Kind: "mesh"}, {Kind: topology.KindBlocked}} {
 		if _, err := bad.Map(8); err == nil {
 			t.Errorf("%+v.Map must fail", bad)
 		}
@@ -96,7 +99,7 @@ func TestAutoTuneSweepSegmentSizes(t *testing.T) {
 		SegSizes:   []int{1024, 4096, 16384},
 		Placements: []Placement{{Kind: topology.KindSingle}},
 	}
-	table, winners, err := AutoTuneSweep(cands, mk, cfg)
+	table, winners, err := AutoTune(cands, mk, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +137,7 @@ func TestAutoTuneSweepPerPlacementGroups(t *testing.T) {
 			{Kind: topology.KindRoundRobin, CoresPerNode: 4},
 		},
 	}
-	table, winners, err := AutoTuneSweep(cands, mk, cfg)
+	table, winners, err := AutoTune(cands, mk, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +175,7 @@ func TestAutoTuneSweepCollapsedPlacementsDedup(t *testing.T) {
 			{Kind: topology.KindRoundRobin, CoresPerNode: 24},
 		},
 	}
-	table, winners, err := AutoTuneSweep(cands, mk, cfg)
+	table, winners, err := AutoTune(cands, mk, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,29 +196,29 @@ func TestAutoTuneSweepErrors(t *testing.T) {
 	mk := func(pl Placement) Measurer {
 		return placeMeasurer{pl: pl, cost: func(Candidate, Placement, int, int) float64 { return 1 }}
 	}
-	if _, _, err := AutoTuneSweep(nil, mk, SweepConfig{Procs: []int{4}, Sizes: []int{64}}); err == nil {
+	if _, _, err := AutoTune(nil, mk, SweepConfig{Procs: []int{4}, Sizes: []int{64}}); err == nil {
 		t.Error("no candidates must fail")
 	}
-	if _, _, err := AutoTuneSweep(cands, mk, SweepConfig{Sizes: []int{64}}); err == nil {
+	if _, _, err := AutoTune(cands, mk, SweepConfig{Sizes: []int{64}}); err == nil {
 		t.Error("empty grid must fail")
 	}
-	if _, _, err := AutoTuneSweep(cands, nil, SweepConfig{Procs: []int{4}, Sizes: []int{64}}); err == nil {
+	if _, _, err := AutoTune(cands, nil, SweepConfig{Procs: []int{4}, Sizes: []int{64}}); err == nil {
 		t.Error("nil factory must fail")
 	}
 	bad := SweepConfig{Procs: []int{4}, Sizes: []int{64}, Placements: []Placement{{Kind: "mesh"}}}
-	if _, _, err := AutoTuneSweep(cands, mk, bad); err == nil {
+	if _, _, err := AutoTune(cands, mk, bad); err == nil {
 		t.Error("bad placement must fail")
 	}
 }
 
 // TestAutoTuneSweepNoPlacementsUnconstrained: without a placement list
-// the sweep behaves like AutoTune — one pass, unconstrained rules.
+// the grid is measured once and the rules are unconstrained.
 func TestAutoTuneSweepNoPlacementsUnconstrained(t *testing.T) {
 	cands := []Candidate{{Name: "a", Program: trivialProgram}}
 	mk := func(pl Placement) Measurer {
 		return fakeMeasurer{cost: func(string, int, int) float64 { return 1 }}
 	}
-	table, _, err := AutoTuneSweep(cands, mk, SweepConfig{Procs: []int{4}, Sizes: []int{64}})
+	table, _, err := AutoTune(cands, mk, SweepConfig{Procs: []int{4}, Sizes: []int{64}})
 	if err != nil {
 		t.Fatal(err)
 	}

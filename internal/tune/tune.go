@@ -19,12 +19,11 @@
 //   - AutoTune sweeps Candidates over a (procs x sizes) grid with a
 //     Measurer — virtual-time netsim by default, the real engine via
 //     internal/bench — and derives a Table from the per-point winners,
-//     the measured crossover points of the paper's Section V;
-//   - AutoTuneSweep extends the grid along the two axes those crossovers
-//     are known to shift with: segment sizes (every Segmented candidate
-//     measured at each swept size) and placements (blocked vs round-robin
-//     at varying cores per node), emitting one placement-keyed rule group
-//     per placement.
+//     the measured crossover points of the paper's Section V. The grid
+//     extends along the two axes those crossovers are known to shift
+//     with: segment sizes (every Segmented candidate measured at each
+//     swept size) and placements (blocked vs round-robin at varying cores
+//     per node), emitting one placement-keyed rule group per placement.
 //
 // The executable algorithms live in internal/collective and register
 // themselves into a registry keyed by the names below; internal/collective
@@ -43,7 +42,7 @@
 // checking capabilities. The bench harness and the CLI tools fill the
 // same struct, so "which algorithm runs" has a single answer per
 // (Options, Env) everywhere — the one-selection-path invariant. Nothing below the Options layer hardcodes a choice, and
-// nothing above it re-derives one: a table derived by AutoTuneSweep
+// nothing above it re-derives one: a table derived by AutoTune
 // under a swept placement therefore resolves at run time exactly as it
 // was measured, whether the call came from the facade, a CLI tool, or
 // the measurement subsystem itself.
