@@ -107,48 +107,10 @@ func ringPeers(rank, p int) (left, right int) {
 	return (rank - 1 + p) % p, (rank + 1) % p
 }
 
-// ringOps emits one rank's P-1 ring steps. In step i the rank forwards to
-// its right neighbour the chunk it received in step i-1 (starting from
-// its own) and receives the next one from its left neighbour. With
-// tuned=true it computes (step, flag) as in the paper's Listing 1 and,
-// once i > P - step, drops the half of the exchange nobody needs.
-func ringOps(dst []sched.Op, rank, p, root, n int, tuned bool) []sched.Op {
-	l := NewLayout(n, p)
-	var sf StepFlag // zero value: never degenerate
-	if tuned {
-		sf = ComputeStepFlag(RelRank(rank, root, p), p)
-	}
-	left, right := ringPeers(rank, p)
-	j, jnext := rank, left
-	for i := 1; i < p; i++ {
-		relJ := RelRank(j, root, p)
-		relJnext := RelRank(jnext, root, p)
-		switch {
-		case sf.Step <= p-i:
-			dst = append(dst, sched.Op{
-				Kind: sched.OpSendrecv,
-				To:   right, SendOff: l.Disp(relJ), SendLen: l.Count(relJ),
-				From: left, RecvOff: l.Disp(relJnext), RecvLen: l.Count(relJnext),
-				Tag: TagRing, Step: i,
-			})
-		case sf.RecvOnly:
-			dst = append(dst, sched.Op{
-				Kind: sched.OpRecv,
-				From: left, RecvOff: l.Disp(relJnext), RecvLen: l.Count(relJnext),
-				Tag: TagRing, Step: i,
-			})
-		default:
-			dst = append(dst, sched.Op{
-				Kind: sched.OpSend,
-				To:   right, SendOff: l.Disp(relJ), SendLen: l.Count(relJ),
-				Tag: TagRing, Step: i,
-			})
-		}
-		j = jnext
-		jnext = (jnext - 1 + p) % p
-	}
-	return dst
-}
+// wholeChunks is the segment size at which segRingOps cuts nothing: every
+// chunk of the n-byte, p-rank layout is one segment, so the unsegmented
+// rings are the segmented ones at this size.
+func wholeChunks(n, p int) int { return max(NewLayout(n, p).ScatterSize, 1) }
 
 // RingNativeOps emits the enclosed-ring allgather of Figure 3: every rank
 // runs P-1 Sendrecv steps, forwarding in step i the chunk it received in
@@ -156,7 +118,7 @@ func ringOps(dst []sched.Op, rank, p, root, n int, tuned bool) []sched.Op {
 // owns from the scatter phase. Exactly P messages flow in every step,
 // P*(P-1) in total — the waste the paper eliminates.
 func RingNativeOps(dst []sched.Op, rank, p, root, n, _ int) []sched.Op {
-	return ringOps(dst, rank, p, root, n, false)
+	return segRingOps(dst, rank, p, root, n, wholeChunks(n, p), false)
 }
 
 // RingTunedOps emits the paper's non-enclosed ring allgather (Figures 4
@@ -166,7 +128,7 @@ func RingNativeOps(dst []sched.Op, rank, p, root, n, _ int) []sched.Op {
 // own the incoming chunks) or receive-only (their left neighbours, whose
 // outgoing chunks the subtree root does not need).
 func RingTunedOps(dst []sched.Op, rank, p, root, n, _ int) []sched.Op {
-	return ringOps(dst, rank, p, root, n, true)
+	return segRingOps(dst, rank, p, root, n, wholeChunks(n, p), true)
 }
 
 // RingAllgatherNative generates the whole enclosed ring (see RingNativeOps).

@@ -10,8 +10,8 @@ import "repro/internal/sched"
 // ceil(chunk/segSize) back-to-back segment messages, so large rendezvous
 // transfers become a stream of smaller ones that overlap inside each
 // step's concurrent send/receive halves and across the engine's eager
-// window. With segSize >= ceil(n/P) every chunk is a single segment and
-// the schedules are identical to their unsegmented counterparts.
+// window. With segSize >= ceil(n/P) every chunk is a single segment:
+// that is how the unsegmented rings are emitted (see wholeChunks).
 
 // DefaultRingSegment is the segment size used by the segmented ring
 // allgathers when the caller passes segSize <= 0. It matches the engine's
@@ -43,11 +43,13 @@ func SegSpan(count, segSize, s int) (off, length int) {
 	return off, length
 }
 
-// segRingOps emits one rank's segmented ring allgather. With tuned=false
-// the rank runs the full enclosed exchange; with tuned=true it computes
-// (step, flag) and degenerates to send-only or receive-only for its final
-// step-1 ring steps, exactly like RingTunedOps — the degeneration applies
-// to every segment of the affected steps.
+// segRingOps emits one rank's ring allgather, the one emitter behind all
+// four ring variants: P-1 ring steps, and in step i the rank forwards to
+// its right neighbour the chunk it received in step i-1 (starting from
+// its own) and receives the next one from its left neighbour, each chunk
+// in segSize pieces. With tuned=true it computes (step, flag) as in the
+// paper's Listing 1 and, once i > P - step, drops the half of the
+// exchange nobody needs — for every segment of the affected steps.
 func segRingOps(dst []sched.Op, rank, p, root, n, segSize int, tuned bool) []sched.Op {
 	if segSize <= 0 {
 		segSize = DefaultRingSegment

@@ -75,33 +75,36 @@ func TestSegRingBytesMatchUnsegmented(t *testing.T) {
 	}
 }
 
-// TestSegRingDegeneratesToUnsegmented: a segment size at or above the
-// chunk size yields exactly the unsegmented schedule, message for
-// message.
+// TestSegRingDegeneratesToUnsegmented: the unsegmented rings are the
+// segmented emitter at one segment per chunk, so what is left to pin is
+// that "at or above the chunk size" is one schedule, not several: every
+// such segment size — the chunk, twice the chunk, the whole buffer —
+// emits the ops of the unsegmented ring, message for message. (Figures
+// 3, 4 and 5 as literals and traffic.go's closed forms are the oracle
+// for what those ops are.)
 func TestSegRingDegeneratesToUnsegmented(t *testing.T) {
 	for _, g := range bcastGrid() {
 		p, root, n := g[0], g[1], g[2]
-		seg := NewLayout(n, p).ScatterSize
-		if seg == 0 {
-			seg = 1
-		}
-		cases := []struct {
-			name     string
-			seg, ref *sched.Program
-		}{
-			{"native", RingAllgatherNativeSeg(p, root, n, seg), RingAllgatherNative(p, root, n)},
-			{"tuned", RingAllgatherTunedSeg(p, root, n, seg), RingAllgatherTuned(p, root, n)},
-		}
-		for _, tc := range cases {
-			for r := 0; r < p; r++ {
-				segOps, refOps := tc.seg.OpsOf(r), tc.ref.OpsOf(r)
-				if len(segOps) != len(refOps) {
-					t.Fatalf("%s p=%d root=%d n=%d rank %d: %d ops != %d", tc.name, p, root, n, r, len(segOps), len(refOps))
-				}
-				for i := range segOps {
-					if segOps[i] != refOps[i] {
-						t.Fatalf("%s p=%d root=%d n=%d rank %d op %d: %v != %v",
-							tc.name, p, root, n, r, i, segOps[i], refOps[i])
+		chunk := wholeChunks(n, p)
+		for _, seg := range []int{chunk, 2 * chunk, max(n, chunk)} {
+			cases := []struct {
+				name     string
+				seg, ref *sched.Program
+			}{
+				{"native", RingAllgatherNativeSeg(p, root, n, seg), RingAllgatherNative(p, root, n)},
+				{"tuned", RingAllgatherTunedSeg(p, root, n, seg), RingAllgatherTuned(p, root, n)},
+			}
+			for _, tc := range cases {
+				for r := 0; r < p; r++ {
+					segOps, refOps := tc.seg.OpsOf(r), tc.ref.OpsOf(r)
+					if len(segOps) != len(refOps) {
+						t.Fatalf("%s p=%d root=%d n=%d seg=%d rank %d: %d ops != %d", tc.name, p, root, n, seg, r, len(segOps), len(refOps))
+					}
+					for i := range segOps {
+						if segOps[i] != refOps[i] {
+							t.Fatalf("%s p=%d root=%d n=%d seg=%d rank %d op %d: %v != %v",
+								tc.name, p, root, n, seg, r, i, segOps[i], refOps[i])
+						}
 					}
 				}
 			}

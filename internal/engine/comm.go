@@ -36,15 +36,30 @@ func (cs cancelSignal) fire(w *World) error {
 // entry, so a rank that never blocks still observes cancellation at its
 // next communication call.
 func (cs cancelSignal) fired(w *World) error {
-	if cs.done == nil {
-		return nil
-	}
-	select {
-	case <-cs.done:
+	if closed(cs.done) {
 		return cs.fire(w)
-	default:
-		return nil
 	}
+	return nil
+}
+
+// closed reports whether the signal channel ch has fired (a nil channel
+// never does).
+func closed(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
+}
+
+// enter is every operation's preamble: nothing starts in an aborted
+// world or under a context that has already been cancelled.
+func (w *World) enter(cnl cancelSignal) error {
+	if closed(w.aborted) {
+		return w.abortError()
+	}
+	return cnl.fired(w)
 }
 
 // comm implements mpi.Comm over a World.
@@ -134,7 +149,7 @@ func (c *comm) Send(buf []byte, to, tag int) error {
 	if to == c.rank {
 		return fmt.Errorf("engine: send: %w: self-send unsupported (deadlocks a blocking rank)", mpi.ErrRank)
 	}
-	return c.w.send(c.ctx, c.rank, c.worldRank(), c.worldRankOf(to), buf, c.streamTag(tag), true, c.cancel)
+	return c.w.send(c.ctx, c.rank, c.worldRank(), c.worldRankOf(to), buf, c.streamTag(tag), c.cancel)
 }
 
 func (c *comm) Recv(buf []byte, from, tag int) (mpi.Status, error) {
@@ -144,7 +159,7 @@ func (c *comm) Recv(buf []byte, from, tag int) (mpi.Status, error) {
 	if err := mpi.CheckTag(tag, true); err != nil {
 		return mpi.Status{}, fmt.Errorf("engine: recv: %w", err)
 	}
-	return c.w.recv(c.ctx, c.worldRank(), buf, from, c.streamTag(tag), true, c.cancel)
+	return c.w.recv(c.ctx, c.worldRank(), buf, from, c.streamTag(tag), c.cancel)
 }
 
 func (c *comm) Sendrecv(sendBuf []byte, to, sendTag int, recvBuf []byte, from, recvTag int) (mpi.Status, error) {
@@ -166,10 +181,9 @@ func (c *comm) Sendrecv(sendBuf []byte, to, sendTag int, recvBuf []byte, from, r
 		return mpi.Status{}, fmt.Errorf("engine: sendrecv: %w: self transfer unsupported", mpi.ErrRank)
 	}
 
-	// Post the receive first (a matching rendezvous sender can then
-	// complete against it), start the send, and wait for both. No
-	// goroutine is needed: isend never blocks (large or credit-overflow
-	// payloads are parked as zero-copy envelopes the receiver pulls).
+	// Post the receive first (the peer's send can then complete against
+	// it), start the send, and wait for both — the calls Send and Recv
+	// are made of, so a ring step costs the same whichever it is.
 	rreq := c.w.irecv(c.ctx, c.worldRank(), recvBuf, from, c.streamTag(recvTag), c.cancel)
 	sreq := c.w.isend(c.ctx, c.rank, c.worldRank(), c.worldRankOf(to), sendBuf, c.streamTag(sendTag), c.cancel)
 	_, serr := sreq.Wait()

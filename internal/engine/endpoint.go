@@ -27,7 +27,8 @@ type envelope struct {
 	ackID uint64
 }
 
-// rdvState links a blocked rendezvous sender to the eventual receiver.
+// rdvState links a zero-copy send (rendezvous-sized, or eager past the
+// credit window) to the eventual receiver.
 // The receiver copies directly out of buf (single copy) and signals done
 // with one buffered send — a send, not a close, so the channel survives
 // recycling through rdvPool.
@@ -62,10 +63,8 @@ type endpoint struct {
 	arrivals []*envelope
 	recvs    []*posted
 	// eagerBuffered counts unconsumed eager envelopes per sender world
-	// rank; creditWait holds a blocked sender's wakeup channel (at most
-	// one per sender — a rank has at most one send in flight).
+	// rank: the credit window isend checks before buffering another.
 	eagerBuffered map[int]int
-	creditWait    map[int]chan struct{}
 	// tagStreams holds this rank's current collective tag stream per
 	// communicator context (see mpi.StreamTag). It is touched only by the
 	// owning rank's goroutine during a run — every operation of a comm
@@ -77,7 +76,6 @@ type endpoint struct {
 func newEndpoint() *endpoint {
 	return &endpoint{
 		eagerBuffered: map[int]int{},
-		creditWait:    map[int]chan struct{}{},
 		tagStreams:    map[int64]int{},
 	}
 }
@@ -103,15 +101,11 @@ func (ep *endpoint) resetStreams() {
 }
 
 // releaseEagerCredit is called (with ep.mu held) after an eager envelope
-// from srcWorld has been consumed; it wakes a flow-control-blocked sender.
+// from srcWorld has been consumed: the window has room for one more.
 func (ep *endpoint) releaseEagerCredit(srcWorld int) {
 	ep.eagerBuffered[srcWorld]--
 	if ep.eagerBuffered[srcWorld] <= 0 {
 		delete(ep.eagerBuffered, srcWorld)
-	}
-	if ch, ok := ep.creditWait[srcWorld]; ok {
-		delete(ep.creditWait, srcWorld)
-		close(ch)
 	}
 }
 
@@ -201,7 +195,7 @@ func (ep *endpoint) describePending(rank int) string {
 	}
 	for _, env := range ep.arrivals {
 		if env.rdv != nil {
-			s += fmt.Sprintf(" [rank %d holds blocked rendezvous send from %d tag=%d ctx=%d]", rank, env.src, env.tag, env.ctx)
+			s += fmt.Sprintf(" [rank %d holds blocked send, %d bytes, zero-copy, from %d tag=%d ctx=%d]", rank, len(env.rdv.buf), env.src, env.tag, env.ctx)
 		}
 	}
 	return s

@@ -1,17 +1,24 @@
 // Package engine is the in-process MPI-like runtime: it executes NP rank
 // bodies over a pluggable execution substrate (see Executor) and provides
-// blocking point-to-point messaging with MPI matching semantics
-// ((context, source, tag) with wildcards, pairwise non-overtaking order),
-// an eager protocol for small messages (payload copied into the
-// receiver's unexpected queue) and a rendezvous protocol for large ones
-// (sender blocks until the receiver copies directly from the sender's
-// buffer — the single-copy large-transfer path the paper's platforms use
-// for the message sizes under study).
+// point-to-point messaging with MPI matching semantics ((context, source,
+// tag) with wildcards, pairwise non-overtaking order), an eager protocol
+// for small messages (payload copied into the receiver's unexpected
+// queue, up to a per-sender credit window) and a rendezvous protocol for
+// large ones and for eager ones past the window (the send completes when
+// the receiver has copied directly from the sender's buffer — the
+// single-copy large-transfer path the paper's platforms use for the
+// message sizes under study).
+//
+// There is one way to send and one place to block. isend and irecv start
+// an operation and never block; request.Wait finishes one and is the only
+// blocking point. Send, Recv and Sendrecv are those calls in a row, so
+// the send-only and receive-only ring steps the paper's optimisation
+// produces run the same code as the full exchanges beside them.
 //
 // How ranks run is a layer of its own: the default GoroutineExecutor
 // gives every rank an OS-scheduled goroutine, while the PooledExecutor
 // (Options.Executor = Pooled) multiplexes ranks cooperatively onto a
-// bounded worker pool — the engine owns every blocking point, so a rank
+// bounded worker pool — the engine owns the blocking point, so a rank
 // parks (releasing its execution slot) whenever it would block and
 // re-queues when its operation completes. The pool keeps the runnable
 // set within min(GOMAXPROCS, Options.MaxWorkers), which is what makes
@@ -31,7 +38,7 @@
 // clean world may Run any number of times, and the message path recycles
 // its per-message objects — eager payload copies (via internal/bufpool),
 // unexpected-queue envelopes, posted receives, rendezvous states and the
-// internal blocking paths' requests — through free lists. The ownership
+// blocking calls' requests — through free lists. The ownership
 // rules for those pooled objects (who may hold a pooled buffer, and
 // until when) are spelled out in pool.go; the short version is that
 // ownership follows the message, and only the final consumer returns an
@@ -79,7 +86,9 @@ type Options struct {
 	// forces rendezvous for every message.
 	EagerLimit int
 	// EagerCredits bounds the eager messages one sender may have buffered
-	// at one receiver before further sends block (flow control). Zero
+	// at one receiver (flow control). A send past the window is not
+	// buffered: it stays in the sender's buffer as a zero-copy envelope
+	// and completes when the receiver takes it, like a rendezvous. Zero
 	// selects DefaultEagerCredits; negative means unlimited.
 	EagerCredits int
 	// Timeout aborts the whole run if it exceeds this wall-clock bound.
@@ -297,12 +306,7 @@ func (w *World) ExecutorName() string { return w.exec.Name() }
 // non-nil error of any kind should be discarded even if Reusable still
 // reports true (a strictness failure leaves stale messages behind).
 func (w *World) Reusable() bool {
-	select {
-	case <-w.aborted:
-		return false
-	default:
-	}
-	return !w.running.Load()
+	return !closed(w.aborted) && !w.running.Load()
 }
 
 func (w *World) abort(err error) {
@@ -345,10 +349,8 @@ func (w *World) RunContext(ctx context.Context, fn func(mpi.Comm) error) error {
 		return errors.New("engine: concurrent Run on one World (Runs must be sequential)")
 	}
 	defer w.running.Store(false)
-	select {
-	case <-w.aborted:
+	if closed(w.aborted) {
 		return fmt.Errorf("engine: world is spent: %w (boot a new World after an abort)", w.abortError())
-	default:
 	}
 	// Re-arm per-run state in place: rank states back to running, rank
 	// errors cleared, collective tag-stream counters dropped (the comm

@@ -22,8 +22,8 @@ const (
 	// Pooled multiplexes the ranks cooperatively onto a bounded worker
 	// pool of min(GOMAXPROCS, Options.MaxWorkers) execution slots: a rank
 	// holds a slot only while it runs user code, parks (releasing the
-	// slot) at every blocking point the engine owns — send, receive,
-	// request Wait, eager flow control — and re-queues for a slot when
+	// slot) at the one blocking point the engine owns — request Wait,
+	// which every blocking call ends in — and re-queues for a slot when
 	// its operation completes. Blocked ranks therefore cost nothing but
 	// their parked goroutine, and at most the pool's width of ranks is
 	// runnable at any instant, which keeps np in the hundreds practical
@@ -86,7 +86,7 @@ func ExecLabel(policy ExecPolicy, maxWorkers int) string {
 //   - Launch starts np rank bodies and returns only after every body has
 //     returned. Bodies may run with any concurrency the executor chooses.
 //   - Park(rank) is called by rank's body immediately before it blocks in
-//     an engine operation (the engine owns every blocking point, so user
+//     an engine operation (the engine owns the blocking point, so user
 //     code never needs to call it); Unpark(rank) is called after the
 //     operation's wakeup, before user code resumes. Calls are strictly
 //     paired per rank and always made from that rank's body.
@@ -212,9 +212,9 @@ func newExecutor(policy ExecPolicy, maxWorkers int) (Executor, error) {
 }
 
 // parkRank marks rank blocked for the deadlock detector and releases its
-// execution slot. Every blocking select in the engine is bracketed by
-// parkRank/unparkRank, so a pooled world never wedges on a blocked rank
-// holding a slot.
+// execution slot. The engine's one blocking select (request.harvest, under
+// Wait) is bracketed by parkRank/unparkRank, so a pooled world never
+// wedges on a blocked rank holding a slot.
 func (w *World) parkRank(rank int) {
 	w.metrics.Add(rank, metrics.Parks, 1)
 	w.state[rank].Store(1)

@@ -2,8 +2,10 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -158,6 +160,53 @@ func TestRequestDonePolling(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDonePollObservesAbort: a rank that polls Done instead of waiting
+// must see the world end. Done used to look at the completion channel
+// only, so the polling rank below never left its loop and Run never
+// returned. The end comes as a peer's error (abort) or as the context
+// the operation was bound to being cancelled.
+func TestDonePollObservesAbort(t *testing.T) {
+	boom := errors.New("rank 1 gives up")
+	for _, how := range []string{"abort", "cancel"} {
+		ctx, cancel := context.WithCancelCause(context.Background())
+		posted := make(chan struct{}) // closed once the receive is pending
+		start := time.Now()
+		err := RunWith(Options{NP: 2, Timeout: 2 * time.Second, DeadlockAfter: -1}, func(c mpi.Comm) error {
+			if c.Rank() == 1 {
+				<-posted
+				if how == "abort" {
+					return boom
+				}
+				cancel(boom)
+				return nil
+			}
+			req, err := c.(mpi.Contexter).WithContext(ctx).Irecv(make([]byte, 1), 1, 1) // never sent
+			close(posted)
+			if err != nil {
+				return err
+			}
+			for !req.Done() {
+				if time.Since(start) > 5*time.Second {
+					return errors.New("Done still false 5 s after the world ended")
+				}
+				runtime.Gosched()
+			}
+			_, err = req.Wait()
+			if !errors.Is(err, mpi.ErrAborted) {
+				return fmt.Errorf("polled-out request finished with %v, want mpi.ErrAborted", err)
+			}
+			return err
+		})
+		cancel(nil)
+		if !errors.Is(err, boom) {
+			t.Errorf("%s: Run returned %v, want the cause %v", how, err, boom)
+		}
+		if elapsed := time.Since(start); elapsed > time.Second {
+			t.Errorf("%s: Run took %v; Done should see the end at its next poll, well before the 2 s timeout", how, elapsed)
+		}
 	}
 }
 

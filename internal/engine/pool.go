@@ -10,7 +10,7 @@ import (
 
 // The engine's per-message objects — eager payload copies, unexpected-
 // queue envelopes, posted receives, rendezvous states and the requests
-// of the internal blocking paths — are recycled through the free lists
+// of the engine's own blocking calls — are recycled through the free lists
 // below, so a long-lived world's steady state allocates nothing per
 // message no matter how many segments a pipelined broadcast splits
 // into.
@@ -36,12 +36,12 @@ import (
 //     collector instead.
 //   - rdvStates: created by the sender; the receiver borrows one to
 //     copy out of rdv.buf and signal rdv.done, after which it must not
-//     touch it. The sender recycles it after consuming the done signal
-//     (clean completion only).
+//     touch it. The sender's request recycles it after consuming the
+//     done signal (clean completion only).
 //   - requests: recycled only by the engine's own blocking wrappers
-//     (recv, Sendrecv), which provably drop every reference after
-//     Wait. Requests returned to callers by Isend/Irecv are user-owned
-//     and never recycled.
+//     (send, recv, Sendrecv), which provably drop every reference
+//     after Wait. Requests returned to callers by Isend/Irecv are
+//     user-owned and never recycled.
 //
 // The channels inside posted and rdvState are allocated once per
 // object and reused across recycles: each use moves exactly one value
@@ -133,12 +133,12 @@ func putRdv(rdv *rdvState) {
 // completedRequest returns an already-finished pooled request.
 func completedRequest(st mpi.Status, err error) *request {
 	r := requestPool.Get().(*request)
-	*r = request{complete: true, st: st, err: err, trackRank: -1}
+	*r = request{complete: true, st: st, err: err}
 	return r
 }
 
-// putRequest recycles a finished request. Only the engine's internal
-// blocking paths may call it (they are the sole holders of their
+// putRequest recycles a finished request. Only the engine's own
+// blocking wrappers may call it (they are the sole holders of their
 // requests); requests handed to users via Isend/Irecv are never
 // recycled. Incomplete requests are left to the garbage collector —
 // their completion source may still fire.

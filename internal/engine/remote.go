@@ -1,26 +1,27 @@
 package engine
 
 // The engine's transport seam. A world built with a wired transport
-// (see internal/transport) routes sends whose destination the transport
-// declares wired through Transport.Send instead of the in-process
-// endpoint path, and receives inbound messages through remoteHandler on
-// the transport's delivery goroutine. The protocols map as:
+// (see internal/transport) has isend hand the messages whose destination
+// the transport declares wired to Transport.Send (isendRemote) instead of
+// the in-process endpoint, and receives inbound messages through
+// remoteHandler on the transport's delivery goroutine. A blocking Send
+// to a wired rank is isend + Wait like any other. The protocols map as:
 //
-//   - Eager: the payload crosses the wire and the send completes at
+//   - Eager: the payload crosses the wire and the send is complete at
 //     enqueue time — the transport's copy substitutes for the local
 //     staging copy, so StagedBytes accounting is unchanged. On arrival
 //     the message either completes a posted receive or parks in the
 //     unexpected queue as an ordinary eager envelope (charging the
 //     sender's eager-credit account, which the consuming receive
-//     releases as usual; remote senders are not credit-blocked — the
-//     transport's send window is their flow control).
+//     releases as usual; the account does not hold a remote sender back —
+//     the transport's send window is its flow control).
 //   - Rendezvous: the payload crosses the wire with a correlation id
-//     and the sender blocks on a pooled rdvState registered under that
-//     id. The sender's buffer is the transport's for that long: it is
-//     written to the wire as it lies, never copied (see the transport
-//     package's message model). When the receiver has the payload, a
-//     RdvAck goes back over the same reliable stream and Deliver
-//     signals the sender's rdvState. The "sender blocks until the
+//     and the send's request stays pending on a pooled rdvState
+//     registered under that id. The sender's buffer is the transport's
+//     for that long: it is written to the wire as it lies, never copied
+//     (see the transport package's message model). When the receiver has
+//     the payload, a RdvAck goes back over the same reliable stream and
+//     Deliver signals the rdvState. The "a send completes when the
 //     receiver takes the message" contract survives, and so does the
 //     sender's half of the single-copy property.
 //
@@ -31,13 +32,14 @@ package engine
 // Otherwise the transport reassembles the message in pooled memory and
 // Deliver matches it as a local sender would, one copy later.
 //
-// A rendezvous sender that stops waiting without its RdvAck (abort,
-// cancellation, a failed Send) goes through abandonRdv, which drops the
-// registration — the rdvState is left to the garbage collector, since a
-// late ack may still be heading for it, the same policy pool.go sets
-// for local aborts — and takes the buffer back from the transport. An
-// aborted world accepts no further payloads: its receivers have already
-// returned, so nothing may be written into their buffers.
+// A rendezvous send whose request completes without its RdvAck (abort
+// or cancellation seen by Wait or Done, a failed Transport.Send) goes
+// through abandonRdv, which drops the registration — the rdvState is
+// left to the garbage collector, since a late ack may still be heading
+// for it, the same policy pool.go sets for local aborts — and takes the
+// buffer back from the transport. An aborted world accepts no further
+// payloads: its receivers have already returned, so nothing may be
+// written into their buffers.
 
 import (
 	"repro/internal/metrics"
@@ -79,101 +81,36 @@ func (w *World) sendRdvAck(ctx int64, from, to int, id uint64) {
 	})
 }
 
-// remoteSend is the blocking send for a wired destination.
-func (w *World) remoteSend(ctx int64, srcRank, srcWorld, dstWorld int, buf []byte, tag int, track bool, cnl cancelSignal) error {
-	select {
-	case <-w.aborted:
-		return w.abortError()
-	default:
-	}
-	if err := cnl.fired(w); err != nil {
-		return err
-	}
-	if len(buf) <= w.eagerLimit {
-		err := w.trans.Send(transport.Message{
-			Ctx: ctx, Src: srcRank, SrcWorld: srcWorld, Dst: dstWorld,
-			Tag: tag, Kind: transport.Eager, Data: buf,
-		})
-		if err != nil {
-			w.abort(err)
-			return w.abortError()
-		}
-		w.progress.Add(1)
-		w.metrics.Add(srcWorld, metrics.EagerSends, 1)
-		w.metrics.Add(srcWorld, metrics.StagedBytes, int64(len(buf)))
-		return nil
-	}
-	id, rdv := w.registerRdv()
-	err := w.trans.Send(transport.Message{
+// isendRemote is isend's enqueue for a wired destination. Eager
+// completes at once; rendezvous returns a request pending on the
+// registered rdvState, which Wait treats exactly like a local zero-copy
+// send (the ack signal comes through the same buffered-once channel).
+func (w *World) isendRemote(ctx int64, srcRank, srcWorld, dstWorld int, buf []byte, tag int, cnl cancelSignal) *request {
+	m := transport.Message{
 		Ctx: ctx, Src: srcRank, SrcWorld: srcWorld, Dst: dstWorld,
-		Tag: tag, Kind: transport.Rdv, MsgID: id, Data: buf,
-	})
-	if err != nil {
-		w.abandonRdv(id, dstWorld)
+		Tag: tag, Kind: transport.Eager, Data: buf,
+	}
+	eager := len(buf) <= w.eagerLimit
+	var rdv *rdvState
+	if !eager {
+		m.Kind = transport.Rdv
+		m.MsgID, rdv = w.registerRdv()
+	}
+	if err := w.trans.Send(m); err != nil {
+		if !eager {
+			w.abandonRdv(m.MsgID, dstWorld)
+		}
 		w.abort(err)
-		return w.abortError()
+		return completedRequest(mpi.Status{}, w.abortError())
 	}
 	w.progress.Add(1)
-	w.metrics.Add(srcWorld, metrics.RdvSends, 1)
-	if track {
-		w.parkRank(srcWorld)
-		defer w.unparkRank(srcWorld)
-	}
-	select {
-	case <-rdv.done:
-		putRdv(rdv)
-		return nil
-	case <-w.aborted:
-		w.abandonRdv(id, dstWorld)
-		return w.abortError()
-	case <-cnl.done:
-		w.abandonRdv(id, dstWorld)
-		return cnl.fire(w)
-	}
-}
-
-// isendRemote is the nonblocking send for a wired destination. Eager
-// completes immediately; rendezvous returns a request blocked on the
-// registered rdvState, which request.Wait handles exactly like a local
-// zero-copy send (the ack signal is delivered through the same
-// buffered-once channel).
-func (w *World) isendRemote(ctx int64, srcRank, srcWorld, dstWorld int, buf []byte, tag int, cnl cancelSignal) *request {
-	select {
-	case <-w.aborted:
-		return completedRequest(mpi.Status{}, w.abortError())
-	default:
-	}
-	if err := cnl.fired(w); err != nil {
-		return completedRequest(mpi.Status{}, err)
-	}
-	if len(buf) <= w.eagerLimit {
-		err := w.trans.Send(transport.Message{
-			Ctx: ctx, Src: srcRank, SrcWorld: srcWorld, Dst: dstWorld,
-			Tag: tag, Kind: transport.Eager, Data: buf,
-		})
-		if err != nil {
-			w.abort(err)
-			return completedRequest(mpi.Status{}, w.abortError())
-		}
-		w.progress.Add(1)
-		w.metrics.Add(srcWorld, metrics.EagerSends, 1)
+	w.countSend(srcWorld, eager)
+	if eager {
 		w.metrics.Add(srcWorld, metrics.StagedBytes, int64(len(buf)))
 		return completedRequest(mpi.Status{Count: len(buf)}, nil)
 	}
-	id, rdv := w.registerRdv()
-	err := w.trans.Send(transport.Message{
-		Ctx: ctx, Src: srcRank, SrcWorld: srcWorld, Dst: dstWorld,
-		Tag: tag, Kind: transport.Rdv, MsgID: id, Data: buf,
-	})
-	if err != nil {
-		w.abandonRdv(id, dstWorld)
-		w.abort(err)
-		return completedRequest(mpi.Status{}, w.abortError())
-	}
-	w.progress.Add(1)
-	w.metrics.Add(srcWorld, metrics.RdvSends, 1)
 	r := requestPool.Get().(*request)
-	*r = request{w: w, trackRank: srcWorld, rdv: rdv, rdvID: id, rdvDst: dstWorld, sendN: len(buf), cancel: cnl}
+	*r = request{w: w, rank: srcWorld, rdv: rdv, rdvID: m.MsgID, rdvDst: dstWorld, sendN: len(buf), cancel: cnl}
 	return r
 }
 
@@ -189,12 +126,7 @@ func (w *World) accepts(m *transport.Message) bool {
 		m.Dst < 0 || m.Dst >= w.np || !w.hosted[m.Dst] {
 		return false
 	}
-	select {
-	case <-w.aborted:
-		return false
-	default:
-		return true
-	}
+	return !closed(w.aborted)
 }
 
 // Claim implements transport.Handler: a message whose first fragment
@@ -219,14 +151,7 @@ func (h remoteHandler) Claim(m transport.Message, size int) transport.Sink {
 
 // withdrawn reports whether the world has aborted: the receive's caller
 // may have returned, so its buffer is no longer the engine's to write.
-func (pr *posted) withdrawn() bool {
-	select {
-	case <-pr.w.aborted:
-		return true
-	default:
-		return false
-	}
-}
+func (pr *posted) withdrawn() bool { return closed(pr.w.aborted) }
 
 // Window implements transport.Sink on a claimed receive: the part of
 // the receive buffer itself, for the kernel to write the fragment into.

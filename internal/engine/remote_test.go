@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -699,12 +700,12 @@ func (s *unpinSpy) Unpin(dst int, msgID uint64) {
 }
 
 // TestRemoteAbandonedRendezvousLeavesNothing: a rendezvous sender that
-// stops waiting — blocking or nonblocking, by abort — first takes its
-// buffer back from the transport and leaves no entry in the world's
-// correlation map (the nonblocking path used to leak its entry for the
-// life of the world).
+// stops waiting — in Send, in Wait or polling Done, by abort — first
+// takes its buffer back from the transport and leaves no entry in the
+// world's correlation map (the nonblocking path used to leak its entry
+// for the life of the world).
 func TestRemoteAbandonedRendezvousLeavesNothing(t *testing.T) {
-	for _, nonblocking := range []bool{false, true} {
+	for _, how := range []string{"Send", "Isend+Wait", "Isend+Done"} {
 		udp, err := transport.SelfUDP(2)
 		if err != nil {
 			t.Fatal(err)
@@ -718,18 +719,16 @@ func TestRemoteAbandonedRendezvousLeavesNothing(t *testing.T) {
 		sent := make(chan struct{})
 		err = w.Run(func(c mpi.Comm) error {
 			if c.Rank() == 1 {
-				// Give up only once the send is under way: a blocking send
-				// that finds the world aborted on entry pins nothing.
+				// Give up only once the send is under way: a send that
+				// finds the world aborted on entry pins nothing.
 				<-sent
 				for pending := 0; pending == 0; time.Sleep(50 * time.Microsecond) {
-					w.remoteMu.Lock()
-					pending = len(w.remoteRdv)
-					w.remoteMu.Unlock()
+					pending = w.pendingRdv()
 				}
 				return errors.New("rank 1 never receives")
 			}
 			buf := make([]byte, wireRdvSz)
-			if !nonblocking {
+			if how == "Send" {
 				close(sent)
 				return c.Send(buf, 1, 5)
 			}
@@ -738,20 +737,73 @@ func TestRemoteAbandonedRendezvousLeavesNothing(t *testing.T) {
 				return err
 			}
 			close(sent)
+			for how == "Isend+Done" && !req.Done() {
+				time.Sleep(50 * time.Microsecond)
+			}
 			_, err = req.Wait()
 			return err
 		})
 		if err == nil {
-			t.Fatalf("nonblocking=%v: run did not abort", nonblocking)
+			t.Fatalf("%s: run did not abort", how)
 		}
-		w.remoteMu.Lock()
-		n := len(w.remoteRdv)
-		w.remoteMu.Unlock()
-		if n != 0 {
-			t.Errorf("nonblocking=%v: %d rendezvous still registered after the sender gave up", nonblocking, n)
+		if n := w.pendingRdv(); n != 0 {
+			t.Errorf("%s: %d rendezvous still registered after the sender gave up", how, n)
 		}
 		if len(spy.dsts) != 1 || spy.dsts[0] != 1 {
-			t.Errorf("nonblocking=%v: Unpin calls to ranks %v, want exactly one, to rank 1", nonblocking, spy.dsts)
+			t.Errorf("%s: Unpin calls to ranks %v, want exactly one, to rank 1", how, spy.dsts)
 		}
+	}
+}
+
+// pendingRdv counts the remote rendezvous sends registered and not yet
+// acknowledged or abandoned.
+func (w *World) pendingRdv() int {
+	w.remoteMu.Lock()
+	defer w.remoteMu.Unlock()
+	return len(w.remoteRdv)
+}
+
+// TestRemoteSendCancelReleasesPin: a blocking rendezvous Send to a wired
+// rank is isend + Wait, and Wait's cancel arm is where it ends when the
+// run's context is cancelled under it: the caller gets the cause, and
+// the transport has given the buffer back first.
+func TestRemoteSendCancelReleasesPin(t *testing.T) {
+	udp, err := transport.SelfUDP(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer udp.Close()
+	spy := &unpinSpy{UDP: udp}
+	w, err := NewWorld(Options{NP: 2, EagerLimit: wireLimit, Timeout: 30 * time.Second, Transport: spy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cause := errors.New("operator gave up")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	var sendErr error // written by rank 0, read after RunContext returns
+	err = w.RunContext(ctx, func(c mpi.Comm) error {
+		if c.Rank() == 1 {
+			// Never receives; cancels once the send is pinned and pending.
+			for w.pendingRdv() == 0 {
+				time.Sleep(50 * time.Microsecond)
+			}
+			cancel(cause)
+			return nil
+		}
+		sendErr = c.Send(make([]byte, wireRdvSz), 1, 5)
+		return sendErr
+	})
+	if !errors.Is(err, cause) {
+		t.Errorf("run error does not wrap the cancel cause: %v", err)
+	}
+	if !errors.Is(sendErr, mpi.ErrAborted) || !errors.Is(sendErr, cause) {
+		t.Errorf("blocked send error does not wrap mpi.ErrAborted and the cause: %v", sendErr)
+	}
+	if n := w.pendingRdv(); n != 0 {
+		t.Errorf("%d rendezvous still registered after the cancelled send", n)
+	}
+	if len(spy.dsts) != 1 || spy.dsts[0] != 1 {
+		t.Errorf("Unpin calls to ranks %v, want exactly one, to rank 1", spy.dsts)
 	}
 }

@@ -8,14 +8,14 @@ import (
 
 // request implements mpi.Request. A request is used only by its owning
 // rank's goroutine (like MPI), so completion caching needs no locking.
-// Requests are pooled: the engine's own blocking paths recycle them
+// Requests are pooled: the engine's own blocking calls recycle them
 // through putRequest, while requests returned by Isend/Irecv stay with
 // the caller (see pool.go).
 type request struct {
 	w *World
-	// trackRank, when >= 0, marks that world rank blocked while Wait
-	// waits (deadlock-detector accounting).
-	trackRank int
+	// rank is the owning world rank: the one Wait marks blocked (for the
+	// deadlock detector) and whose execution slot it gives up meanwhile.
+	rank int
 	// cancel is the bound cancellation signal of the communicator that
 	// issued the operation (zero = unbound).
 	cancel cancelSignal
@@ -37,107 +37,100 @@ type request struct {
 
 var _ mpi.Request = (*request)(nil)
 
+// Wait is the engine's one blocking point: every blocking call (Send,
+// Recv, Sendrecv) is its nonblocking form followed by Wait.
 func (r *request) Wait() (mpi.Status, error) {
-	if r.complete {
-		return r.st, r.err
-	}
-	// Poll before parking: an already-delivered result completes without
-	// surrendering the execution slot, so the pooled substrate's hot path
-	// (eager message waiting in the queue) skips a FIFO round-trip
-	// through the pool.
-	if r.Done() {
-		return r.st, r.err
-	}
-	if r.trackRank >= 0 {
-		r.w.parkRank(r.trackRank)
-		defer r.w.unparkRank(r.trackRank)
-	}
-	switch {
-	case r.pr != nil:
-		select {
-		case res := <-r.pr.done:
-			r.st, r.err = res.st, res.err
-			putPosted(r.pr) // drained; the sender is done with it
-		case <-r.w.aborted:
-			r.st, r.err = mpi.Status{}, r.w.abortError()
-		case <-r.cancel.done:
-			r.st, r.err = mpi.Status{}, r.cancel.fire(r.w)
-		}
-	case r.rdv != nil:
-		select {
-		case <-r.rdv.done:
-			r.st, r.err = mpi.Status{Count: r.sendN}, nil
-			putRdv(r.rdv) // signal consumed; the receiver is done with it
-		case <-r.w.aborted:
-			r.abandonRdv()
-			r.st, r.err = mpi.Status{}, r.w.abortError()
-		case <-r.cancel.done:
-			r.abandonRdv()
-			r.st, r.err = mpi.Status{}, r.cancel.fire(r.w)
-		}
-	}
-	r.complete = true
-	r.pr, r.rdv = nil, nil
+	r.harvest(true)
 	return r.st, r.err
 }
 
-// abandonRdv gives up a pending send without its completion signal.
-func (r *request) abandonRdv() {
-	if r.rdvID != 0 {
-		r.w.abandonRdv(r.rdvID, r.rdvDst)
-	}
-}
+func (r *request) Done() bool { return r.harvest(false) }
 
-func (r *request) Done() bool {
+// harvest moves the operation's outcome into the request: the delivery
+// from its completion channel, or the world's abort / the bound
+// context's cancellation, which end a pending operation just as finally.
+// With nothing to take yet it reports false when block is unset and
+// otherwise parks the rank until there is.
+func (r *request) harvest(block bool) bool {
 	if r.complete {
 		return true
 	}
+	var recvd chan recvResult
+	var taken chan struct{}
+	if r.pr != nil {
+		recvd = r.pr.done
+	} else {
+		taken = r.rdv.done
+	}
+	aborted, canceled := r.w.aborted, r.cancel.done
 	switch {
-	case r.pr != nil:
-		select {
-		case res := <-r.pr.done:
-			r.st, r.err = res.st, res.err
-			putPosted(r.pr)
-		default:
-			return false
-		}
-	case r.rdv != nil:
-		select {
-		case <-r.rdv.done:
-			r.st, r.err = mpi.Status{Count: r.sendN}, nil
-			putRdv(r.rdv)
-		default:
-			return false
-		}
+	case len(recvd)+len(taken) > 0:
+		// Delivered already: take it without surrendering the execution
+		// slot (the pooled substrate's hot path skips a FIFO round-trip
+		// through the pool), and ahead of an abort that came after it.
+		aborted, canceled = nil, nil
+	case closed(aborted) || closed(canceled):
+	case !block:
+		return false
+	default:
+		r.w.parkRank(r.rank)
+		defer r.w.unparkRank(r.rank)
+	}
+	select {
+	case res := <-recvd:
+		r.st, r.err = res.st, res.err
+		putPosted(r.pr) // drained; the sender is done with it
+	case <-taken:
+		r.st = mpi.Status{Count: r.sendN}
+		putRdv(r.rdv) // signal consumed; the receiver is done with it
+	case <-aborted:
+		r.abandonRdv()
+		r.err = r.w.abortError()
+	case <-canceled:
+		r.abandonRdv()
+		r.err = r.cancel.fire(r.w)
 	}
 	r.complete = true
 	r.pr, r.rdv = nil, nil
 	return true
 }
 
-// isend starts a nonblocking send. It never blocks: if the eager credit
-// window is full (or the message is rendezvous-sized), the message is
-// enqueued as a zero-copy envelope backed by the caller's buffer — legal
-// because MPI forbids touching the buffer until the request completes —
-// and the request finishes when the receiver copies it out. Envelopes
-// enter the queue synchronously, preserving non-overtaking order.
+// abandonRdv gives up a pending remote send without its completion
+// signal (a no-op for a receive or a local send).
+func (r *request) abandonRdv() {
+	if r.rdvID != 0 {
+		r.w.abandonRdv(r.rdvID, r.rdvDst)
+	}
+}
+
+// isend is the engine's one send entry; the blocking Send is isend
+// followed by Wait. It never blocks. A message that finds its receive
+// posted is delivered on the spot; an eager one within the credit window
+// is buffered at the receiver and the send is complete; anything else —
+// a rendezvous-sized payload, or an eager one the full window refused —
+// is enqueued as a zero-copy envelope backed by the caller's buffer
+// (legal because MPI forbids touching the buffer until the request
+// completes) and the request finishes when the receiver copies it out.
+// Envelopes enter the queue synchronously, preserving non-overtaking
+// order. srcRank is the sender's rank within the ctx communicator
+// (carried in the envelope for matching), srcWorld and dstWorld are world
+// ranks, cnl is the operation's bound cancellation signal.
 func (w *World) isend(ctx int64, srcRank, srcWorld, dstWorld int, buf []byte, tag int, cnl cancelSignal) *request {
+	if err := w.enter(cnl); err != nil {
+		return completedRequest(mpi.Status{}, err)
+	}
 	if w.wired && w.trans.Wire(dstWorld) {
 		return w.isendRemote(ctx, srcRank, srcWorld, dstWorld, buf, tag, cnl)
-	}
-	select {
-	case <-w.aborted:
-		return completedRequest(mpi.Status{}, w.abortError())
-	default:
-	}
-	if err := cnl.fired(w); err != nil {
-		return completedRequest(mpi.Status{}, err)
 	}
 	ep := w.eps[dstWorld]
 	eager := len(buf) <= w.eagerLimit
 
 	ep.mu.Lock()
 	if pr := ep.matchPosted(ctx, srcRank, tag); pr != nil {
+		// A receive is already waiting. Rendezvous delivers with a
+		// single direct copy (the LMT path); eager still pays the
+		// staging copy like MPICH's shared-memory cells do, so the
+		// protocol's cost does not depend on receive timing.
 		var n int
 		var err error
 		if eager {
@@ -157,77 +150,67 @@ func (w *World) isend(ctx int64, srcRank, srcWorld, dstWorld int, buf []byte, ta
 		return completedRequest(mpi.Status{Count: len(buf)}, nil)
 	}
 	if eager && (w.eagerCredits == 0 || ep.eagerBuffered[srcWorld] < w.eagerCredits) {
+		// Eager within the credit window: the engine takes a copy
+		// (pooled) and the send completes immediately. (The
+		// receive-side staging copy this implies is charged by
+		// internal/netsim in simulated time.)
 		ep.arrivals = append(ep.arrivals, newEagerEnvelope(ctx, srcRank, srcWorld, tag, buf))
 		ep.eagerBuffered[srcWorld]++
 		w.metrics.Max(dstWorld, metrics.ArrivalQueueMax, int64(len(ep.arrivals)))
 		ep.mu.Unlock()
 		w.progress.Add(1)
-		w.metrics.Add(srcWorld, metrics.EagerSends, 1)
+		w.countSend(srcWorld, true)
 		w.metrics.Add(srcWorld, metrics.StagedBytes, int64(len(buf)))
 		return completedRequest(mpi.Status{Count: len(buf)}, nil)
 	}
-	// Zero-copy envelope: rendezvous-sized payloads, or eager overflow
-	// past the credit window (the pinned buffer substitutes for the
-	// buffering the receiver refused).
+	// Zero-copy envelope: the pinned buffer substitutes for the buffering
+	// the receiver refused, so its queue stays bounded by the window.
 	env := newRdvEnvelope(ctx, srcRank, srcWorld, tag, buf)
 	rdv := env.rdv
 	ep.arrivals = append(ep.arrivals, env)
 	w.metrics.Max(dstWorld, metrics.ArrivalQueueMax, int64(len(ep.arrivals)))
 	ep.mu.Unlock()
 	w.progress.Add(1)
-	w.metrics.Add(srcWorld, metrics.RdvSends, 1)
+	w.countSend(srcWorld, false)
 	r := requestPool.Get().(*request)
-	*r = request{w: w, trackRank: srcWorld, rdv: rdv, sendN: len(buf), cancel: cnl}
+	*r = request{w: w, rank: srcWorld, rdv: rdv, sendN: len(buf), cancel: cnl}
 	return r
 }
 
-// irecv posts a nonblocking receive. Posting happens synchronously (so a
-// rendezvous sender can match it immediately); the request completes when
-// a matching message is consumed.
+// irecv posts a nonblocking receive for the rank whose world rank is
+// myWorld; src and tag may be wildcards. Posting happens synchronously
+// (so a sender can match it immediately); the request completes when a
+// matching message is consumed.
 func (w *World) irecv(ctx int64, myWorld int, buf []byte, src, tag int, cnl cancelSignal) *request {
-	select {
-	case <-w.aborted:
-		return completedRequest(mpi.Status{}, w.abortError())
-	default:
-	}
-	if err := cnl.fired(w); err != nil {
+	if err := w.enter(cnl); err != nil {
 		return completedRequest(mpi.Status{}, err)
 	}
 	ep := w.eps[myWorld]
 	ep.mu.Lock()
 	if env := ep.matchArrival(ctx, src, tag); env != nil {
-		if env.rdv != nil {
-			rdv := env.rdv
-			n, err := copyPayload(buf, rdv.buf)
-			ep.mu.Unlock()
-			st := mpi.Status{Source: env.src, Tag: env.tag, Count: n}
-			putEnvelope(env)
-			rdv.done <- struct{}{} // sender consumes the signal and recycles rdv
-			w.progress.Add(1)
-			w.countRecv(myWorld, false)
-			return completedRequest(st, err)
+		// Already here: copy out, then let the message's sender go the
+		// way its kind asks. Only a buffered eager message holds a credit
+		// (neither rendezvous kind charged one).
+		data, rdv := env.data, env.rdv
+		if rdv != nil {
+			data = rdv.buf
 		}
-		if env.ackID != 0 {
-			// Remote rendezvous: copy out of the wire payload, then ack
-			// the sender's process. No eager credit to release — remote
-			// rendezvous never charged one.
-			n, err := copyPayload(buf, env.data)
-			ep.mu.Unlock()
-			st := mpi.Status{Source: env.src, Tag: env.tag, Count: n}
-			ctx, to, id := env.ctx, env.srcWorld, env.ackID
-			putEnvelope(env)
-			w.sendRdvAck(ctx, myWorld, to, id)
-			w.progress.Add(1)
-			w.countRecv(myWorld, false)
-			return completedRequest(st, err)
+		eager := rdv == nil && env.ackID == 0
+		n, err := copyPayload(buf, data)
+		if eager {
+			ep.releaseEagerCredit(env.srcWorld)
 		}
-		n, err := copyPayload(buf, env.data)
-		ep.releaseEagerCredit(env.srcWorld)
 		ep.mu.Unlock()
 		st := mpi.Status{Source: env.src, Tag: env.tag, Count: n}
+		if rdv != nil {
+			rdv.done <- struct{}{} // sender consumes the signal and recycles rdv
+		} else if env.ackID != 0 {
+			// Remote rendezvous: the ack unblocks the sender in its process.
+			w.sendRdvAck(env.ctx, myWorld, env.srcWorld, env.ackID)
+		}
 		putEnvelope(env)
 		w.progress.Add(1)
-		w.countRecv(myWorld, true)
+		w.countRecv(myWorld, eager)
 		return completedRequest(st, err)
 	}
 	pr := getPosted(w, ctx, src, tag, buf)
@@ -235,6 +218,6 @@ func (w *World) irecv(ctx int64, myWorld int, buf []byte, src, tag int, cnl canc
 	w.metrics.Max(myWorld, metrics.PostedQueueMax, int64(len(ep.recvs)))
 	ep.mu.Unlock()
 	r := requestPool.Get().(*request)
-	*r = request{w: w, trackRank: myWorld, pr: pr, cancel: cnl}
+	*r = request{w: w, rank: myWorld, pr: pr, cancel: cnl}
 	return r
 }

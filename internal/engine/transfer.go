@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"repro/internal/bufpool"
 	"repro/internal/metrics"
 	"repro/internal/mpi"
 )
@@ -27,129 +26,19 @@ func (w *World) countRecv(dstWorld int, eager bool) {
 	}
 }
 
-// send implements the blocking send. srcRank is the sender's rank within
-// the ctx communicator (carried in the envelope for matching), dstWorld
-// the destination's world rank. track controls whether the sender's rank
-// state is marked blocked while waiting (true for top-level Send on the
-// rank's own goroutine; false for the spawned half of a Sendrecv, whose
-// blocking is accounted by the Sendrecv wrapper). cnl is the operation's
-// bound cancellation signal (zero = unbound).
-func (w *World) send(ctx int64, srcRank, srcWorld, dstWorld int, buf []byte, tag int, track bool, cnl cancelSignal) error {
-	if w.wired && w.trans.Wire(dstWorld) {
-		return w.remoteSend(ctx, srcRank, srcWorld, dstWorld, buf, tag, track, cnl)
-	}
-	ep := w.eps[dstWorld]
-	eager := len(buf) <= w.eagerLimit
-
-	for {
-		select {
-		case <-w.aborted:
-			return w.abortError()
-		default:
-		}
-		if err := cnl.fired(w); err != nil {
-			return err
-		}
-		ep.mu.Lock()
-		if pr := ep.matchPosted(ctx, srcRank, tag); pr != nil {
-			// A receive is already waiting. Rendezvous delivers with a
-			// single direct copy (the LMT path); eager still pays the
-			// staging copy like MPICH's shared-memory cells do, so the
-			// protocol's cost does not depend on receive timing.
-			var n int
-			var err error
-			if eager {
-				staging := bufpool.Get(len(buf))
-				copy(staging.B, buf)
-				n, err = copyPayload(pr.buf, staging.B)
-				staging.Release()
-				w.metrics.Add(srcWorld, metrics.StagedBytes, int64(len(buf)))
-			} else {
-				n, err = copyPayload(pr.buf, buf)
-			}
-			ep.mu.Unlock()
-			pr.done <- recvResult{st: mpi.Status{Source: srcRank, Tag: tag, Count: n}, err: err}
-			w.progress.Add(1)
-			w.countSend(srcWorld, eager)
-			w.countRecv(dstWorld, eager)
-			return nil
-		}
-		if !eager {
-			break // fall through to rendezvous below, still holding the lock
-		}
-		if w.eagerCredits == 0 || ep.eagerBuffered[srcWorld] < w.eagerCredits {
-			// Eager within the credit window: the engine takes a copy
-			// (pooled) and the send completes immediately. (The
-			// receive-side staging copy this implies is charged by
-			// internal/netsim in simulated time.)
-			ep.arrivals = append(ep.arrivals, newEagerEnvelope(ctx, srcRank, srcWorld, tag, buf))
-			ep.eagerBuffered[srcWorld]++
-			w.metrics.Max(dstWorld, metrics.ArrivalQueueMax, int64(len(ep.arrivals)))
-			ep.mu.Unlock()
-			w.progress.Add(1)
-			w.metrics.Add(srcWorld, metrics.EagerSends, 1)
-			w.metrics.Add(srcWorld, metrics.StagedBytes, int64(len(buf)))
-			return nil
-		}
-		// Flow control: the receiver holds a full window of our eager
-		// messages. Block until it drains one, then retry the whole
-		// matching sequence (a receive may have been posted meanwhile).
-		wait := make(chan struct{})
-		ep.creditWait[srcWorld] = wait
-		ep.mu.Unlock()
-		if track {
-			w.parkRank(srcWorld)
-		}
-		var werr error
-		select {
-		case <-wait:
-		case <-w.aborted:
-			werr = w.abortError()
-		case <-cnl.done:
-			werr = cnl.fire(w)
-		}
-		if track {
-			w.unparkRank(srcWorld)
-		}
-		if werr != nil {
-			return werr
-		}
-	}
-
-	// Rendezvous: enqueue a handle to the sender's buffer and block until
-	// the receiver copies from it. ep.mu is held.
-	env := newRdvEnvelope(ctx, srcRank, srcWorld, tag, buf)
-	rdv := env.rdv
-	ep.arrivals = append(ep.arrivals, env)
-	w.metrics.Max(dstWorld, metrics.ArrivalQueueMax, int64(len(ep.arrivals)))
-	ep.mu.Unlock()
-	w.progress.Add(1)
-	w.metrics.Add(srcWorld, metrics.RdvSends, 1)
-
-	if track {
-		w.parkRank(srcWorld)
-		defer w.unparkRank(srcWorld)
-	}
-	select {
-	case <-rdv.done:
-		putRdv(rdv) // signal consumed; the receiver is done with it
-		return nil
-	case <-w.aborted:
-		return w.abortError()
-	case <-cnl.done:
-		return cnl.fire(w)
-	}
+// send is the blocking send: an isend followed by an immediate Wait, so
+// a send the receiver neither matched nor buffered blocks as a zero-copy
+// envelope until the receiver takes it.
+func (w *World) send(ctx int64, srcRank, srcWorld, dstWorld int, buf []byte, tag int, cnl cancelSignal) error {
+	r := w.isend(ctx, srcRank, srcWorld, dstWorld, buf, tag, cnl)
+	_, err := r.Wait()
+	putRequest(r) // send is the sole holder; recycle
+	return err
 }
 
-// recv implements the blocking receive for the rank whose world rank is
-// myWorld: an irecv followed by an immediate Wait. src and tag may be
-// wildcards. track marks the rank blocked while waiting (top-level
-// receives on the rank's goroutine).
-func (w *World) recv(ctx int64, myWorld int, buf []byte, src, tag int, track bool, cnl cancelSignal) (mpi.Status, error) {
+// recv is the blocking receive: an irecv followed by an immediate Wait.
+func (w *World) recv(ctx int64, myWorld int, buf []byte, src, tag int, cnl cancelSignal) (mpi.Status, error) {
 	r := w.irecv(ctx, myWorld, buf, src, tag, cnl)
-	if !track {
-		r.trackRank = -1
-	}
 	st, err := r.Wait()
 	putRequest(r) // recv is the sole holder; recycle
 	return st, err

@@ -29,7 +29,10 @@ type Counter uint8
 
 // The engine's counter set.
 const (
-	// EagerSends / RdvSends count messages issued, split by protocol.
+	// EagerSends / RdvSends count messages issued, split by protocol:
+	// copied into the receiver's hands at send time, or left in the
+	// sender's buffer for the receiver to take (rendezvous-sized ones
+	// and eager-sized ones the receiver's full credit window refused).
 	EagerSends Counter = iota
 	RdvSends
 	// EagerRecvs / RdvRecvs count messages delivered, split by protocol.

@@ -4,15 +4,16 @@
 // Go has no viable MPI bindings, so the paper's user-level broadcast
 // implementations are ported onto this minimal, faithful subset of the
 // MPI point-to-point API: blocking Send/Recv with (source, tag, context)
-// matching and wildcards, combined Sendrecv with concurrent halves, and
-// communicator Split. Two engines implement the interface:
-//
-//   - internal/engine: a real in-process runtime (pluggable rank
-//     execution — goroutine-per-rank or a pooled cooperative scheduler —
-//     eager and rendezvous protocols, real buffer copies) used for
-//     correctness tests, user-level wall-clock benchmarks and the
-//     examples;
-//   - decorators such as internal/trace wrap any Comm to observe traffic.
+// matching and wildcards, combined Sendrecv with concurrent halves,
+// nonblocking Isend/Irecv with Request Wait/Done, and communicator Split.
+// One engine implements the interface: internal/engine, a real runtime
+// (pluggable rank execution — goroutine-per-rank or a pooled cooperative
+// scheduler — eager and rendezvous protocols, real buffer copies, in one
+// process or split across several over internal/transport) used for
+// correctness tests, user-level wall-clock benchmarks and the examples.
+// Its blocking calls are the nonblocking ones followed by Wait, so the
+// two families cannot behave differently. Decorators such as
+// internal/trace wrap any Comm to observe traffic.
 //
 // Buffer semantics follow MPI_BYTE transfers: payloads are byte slices,
 // a receive completes with the actual transferred count in Status, and a
@@ -159,7 +160,9 @@ type Request interface {
 	// Status carries the resolved source, tag and byte count; for sends
 	// it reports the payload size. Wait is idempotent.
 	Wait() (Status, error)
-	// Done reports completion without blocking (MPI_Test).
+	// Done reports completion without blocking (MPI_Test). An operation
+	// ended by the world's abort or a cancelled context is complete —
+	// Wait then returns that error — so a polling loop always terminates.
 	Done() bool
 }
 
