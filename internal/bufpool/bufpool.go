@@ -11,6 +11,17 @@
 // the pool hit path — pooling a bare slice would box its header into an
 // interface on every Put.
 //
+// # Counters
+//
+// Every class counts its gets, puts and misses (Stats). The counts are
+// kept in stripes, one padded cache line each, and summed on read: a
+// caller that passes a stable small integer of its own (the engine
+// passes the calling rank) to GetAt / ReleaseAt writes a line no other
+// caller writes, so a buffer taken on one core and released on another
+// — every eager message — makes neither core wait for the other's
+// counter. Get and Release are stripe 0. Each total is exact: a stripe
+// only ever adds.
+//
 // # Ownership
 //
 // Get transfers exclusive ownership of the wrapper and its buffer to
@@ -42,8 +53,8 @@ const (
 // capacity is the size class.
 type Buf struct {
 	B     []byte
-	pool  *sync.Pool
-	stats *classCounters
+	pool  *sync.Pool     // nil for an oversize buffer
+	stats *classCounters // the class's stripes
 }
 
 // F64 is a pooled float64 buffer. F has exactly the requested length.
@@ -56,15 +67,27 @@ type F64 struct {
 var bytePools [maxShift - minShift + 1]sync.Pool
 var f64Pools [maxShift - minShift + 1]sync.Pool
 
+// stripes is how many counter lines a class has. A power of two at
+// least the rank count of the worlds worth measuring (np=64 gives every
+// rank its own line); 17 classes x 64 x 128 B is 136 KiB of address
+// space, of which only the lines in use are ever touched.
+const stripes = 64
+
+// stripe is one cache-line-padded share of a class's counters (128 B:
+// adjacent-line prefetch pairs 64-byte lines).
+type stripe struct {
+	gets, puts, misses atomic.Int64
+	_                  [128 - 3*8]byte
+}
+
 // classCounters tracks one size class's lifetime activity (byte and
 // float64 pools of the same class share a row — both serve the same
-// collective scratch traffic). A miss is a Get the pool served by
-// allocating (its New ran); hits are gets - misses. The counters are
-// process-global like the pools themselves, atomic so the hot path
-// stays lock- and allocation-free.
-type classCounters struct {
-	gets, puts, misses atomic.Int64
-}
+// collective scratch traffic). A miss is a Get the pool could not serve
+// and allocated for; hits are gets - misses.
+type classCounters [stripes]stripe
+
+// at returns the stripe a caller's hint names; any int is a valid hint.
+func (c *classCounters) at(hint int) *stripe { return &c[uint(hint)%stripes] }
 
 var classStats [maxShift - minShift + 1]classCounters
 
@@ -85,35 +108,17 @@ type ClassStats struct {
 // process-global and monotonic.
 func Stats() (classes []ClassStats, oGets, oPuts int64) {
 	for i := range classStats {
-		c := &classStats[i]
-		g, p, m := c.gets.Load(), c.puts.Load(), c.misses.Load()
+		var g, p, m int64
+		for j := range classStats[i] {
+			st := &classStats[i][j]
+			g, p, m = g+st.gets.Load(), p+st.puts.Load(), m+st.misses.Load()
+		}
 		if g == 0 && p == 0 && m == 0 {
 			continue
 		}
 		classes = append(classes, ClassStats{Size: 1 << (minShift + i), Gets: g, Puts: p, Misses: m})
 	}
 	return classes, oversizeGets.Load(), oversizePuts.Load()
-}
-
-func init() {
-	for i := range bytePools {
-		shift := minShift + i
-		pool := &bytePools[i]
-		stats := &classStats[i]
-		pool.New = func() any {
-			stats.misses.Add(1)
-			return &Buf{B: make([]byte, 1<<shift), pool: pool, stats: stats}
-		}
-	}
-	for i := range f64Pools {
-		shift := minShift + i
-		pool := &f64Pools[i]
-		stats := &classStats[i]
-		pool.New = func() any {
-			stats.misses.Add(1)
-			return &F64{F: make([]float64, 1<<shift), pool: pool, stats: stats}
-		}
-	}
 }
 
 // class returns the pool index for a request of n elements, or -1 when
@@ -136,20 +141,34 @@ func class(n int) int {
 
 // Get returns a buffer of length n (n >= 0). The contents are
 // unspecified.
-func Get(n int) *Buf {
+func Get(n int) *Buf { return GetAt(n, 0) }
+
+// GetAt is Get counted on the stripe hint names (see the package
+// comment): hint is any integer the caller keeps to itself, such as its
+// rank. It changes where the get is counted, nothing else.
+func GetAt(n, hint int) *Buf {
 	c := class(n)
 	if c < 0 {
 		oversizeGets.Add(1)
 		return &Buf{B: make([]byte, n)}
 	}
-	classStats[c].gets.Add(1)
-	b := bytePools[c].Get().(*Buf)
+	st := classStats[c].at(hint)
+	st.gets.Add(1)
+	b, _ := bytePools[c].Get().(*Buf)
+	if b == nil {
+		st.misses.Add(1)
+		b = &Buf{B: make([]byte, 1<<(minShift+c)), pool: &bytePools[c], stats: &classStats[c]}
+	}
 	b.B = b.B[:cap(b.B)][:n]
 	return b
 }
 
 // Release returns b to its pool. b must not be used afterwards.
-func (b *Buf) Release() {
+func (b *Buf) Release() { b.ReleaseAt(0) }
+
+// ReleaseAt is Release counted on the stripe hint names — the
+// releaser's own, which need not be the one the buffer was taken on.
+func (b *Buf) ReleaseAt(hint int) {
 	if b == nil {
 		return
 	}
@@ -157,7 +176,7 @@ func (b *Buf) Release() {
 		oversizePuts.Add(1)
 		return
 	}
-	b.stats.puts.Add(1)
+	b.stats.at(hint).puts.Add(1)
 	b.pool.Put(b)
 }
 
@@ -169,8 +188,13 @@ func GetF64(n int) *F64 {
 		oversizeGets.Add(1)
 		return &F64{F: make([]float64, n)}
 	}
-	classStats[c].gets.Add(1)
-	f := f64Pools[c].Get().(*F64)
+	st := classStats[c].at(0)
+	st.gets.Add(1)
+	f, _ := f64Pools[c].Get().(*F64)
+	if f == nil {
+		st.misses.Add(1)
+		f = &F64{F: make([]float64, 1<<(minShift+c)), pool: &f64Pools[c], stats: &classStats[c]}
+	}
 	f.F = f.F[:cap(f.F)][:n]
 	return f
 }
@@ -184,6 +208,6 @@ func (f *F64) Release() {
 		oversizePuts.Add(1)
 		return
 	}
-	f.stats.puts.Add(1)
+	f.stats.at(0).puts.Add(1)
 	f.pool.Put(f)
 }

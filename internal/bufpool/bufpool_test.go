@@ -1,6 +1,7 @@
 package bufpool
 
 import (
+	"sync"
 	"testing"
 )
 
@@ -115,5 +116,96 @@ func BenchmarkGetRelease(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		buf := Get(8192)
 		buf.Release()
+	}
+}
+
+// classTotals is one class's row of Stats (zero when it has no activity).
+func classTotals(size int) ClassStats {
+	classes, _, _ := Stats()
+	for _, c := range classes {
+		if c.Size == size {
+			return c
+		}
+	}
+	return ClassStats{Size: size}
+}
+
+// TestStripedCountersExact: whatever stripes concurrent callers name —
+// their own, one they all share, a negative hint, one past the stripe
+// count — Stats sums to exactly the gets and puts made, and the plain
+// Get/Release count beside them.
+func TestStripedCountersExact(t *testing.T) {
+	const (
+		workers = 8
+		rounds  = 10000
+		size    = 300 // the 512 B class
+	)
+	for name, hint := range map[string]func(worker, round int) int{
+		"distinct":  func(w, _ int) int { return w },
+		"colliding": func(int, int) int { return 3 },
+		"wild":      func(w, r int) int { return []int{-1 - w, stripes + w, w * stripes, -r}[r%4] },
+	} {
+		before := classTotals(512)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for r := 0; r < rounds; r++ {
+					b := GetAt(size, hint(w, r))
+					b.B[0] = byte(w) // the buffer is this worker's alone
+					b.ReleaseAt(hint(w, r+1))
+				}
+			}(w)
+		}
+		for r := 0; r < rounds; r++ {
+			Get(size).Release()
+		}
+		wg.Wait()
+		after := classTotals(512)
+		want := int64((workers + 1) * rounds)
+		if g, p := after.Gets-before.Gets, after.Puts-before.Puts; g != want || p != want {
+			t.Errorf("%s: gets %+d puts %+d, want %+d each", name, g, p, want)
+		}
+		if m := after.Misses - before.Misses; m < 0 || m > want {
+			t.Errorf("%s: misses %+d of %d gets", name, m, want)
+		}
+	}
+}
+
+// TestMissesCountedOnTheCallersStripe: buffers of a class nothing has
+// ever released into are all misses, each counted where its caller said.
+// (The buffers are dropped, not released, so the class stays empty for
+// a repeated run.)
+func TestMissesCountedOnTheCallersStripe(t *testing.T) {
+	const (
+		size    = 1 << 17 // no other test in this package touches the class
+		holders = 8
+	)
+	cc := &classStats[class(size)]
+	before := classTotals(size)
+	var stripeBefore [holders]int64
+	for h := range stripeBefore {
+		stripeBefore[h] = cc.at(10 + h).misses.Load()
+	}
+	var wg sync.WaitGroup
+	for h := 0; h < holders; h++ {
+		wg.Add(1)
+		go func(h int) {
+			defer wg.Done()
+			if b := GetAt(size, 10+h); len(b.B) != size {
+				t.Errorf("GetAt(%d): len = %d", size, len(b.B))
+			}
+		}(h)
+	}
+	wg.Wait()
+	for h, was := range stripeBefore {
+		if got := cc.at(10+h).misses.Load() - was; got != 1 {
+			t.Errorf("stripe %d: misses %+d, want +1", 10+h, got)
+		}
+	}
+	after := classTotals(size)
+	if g, p, m := after.Gets-before.Gets, after.Puts-before.Puts, after.Misses-before.Misses; g != holders || p != 0 || m != holders {
+		t.Errorf("gets %+d puts %+d misses %+d, want %+d +0 %+d", g, p, m, holders, holders)
 	}
 }

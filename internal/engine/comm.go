@@ -17,7 +17,7 @@ const tagSplit = 0x7F10
 // cancelSignal carries a bound context's cancellation into the engine's
 // blocking operations. The zero value (nil done channel) never fires —
 // receiving from a nil channel blocks forever, so unbound communicators
-// pay nothing in the selects.
+// pay nothing in the selects, and a nil check (closed) at operation entry.
 type cancelSignal struct {
 	done  <-chan struct{}
 	cause func() error // non-nil whenever done is
@@ -42,9 +42,13 @@ func (cs cancelSignal) fired(w *World) error {
 	return nil
 }
 
-// closed reports whether the signal channel ch has fired (a nil channel
-// never does).
+// closed reports whether the signal channel ch has fired. A nil channel
+// never does, and is told apart without entering the select: that is all
+// an unbound cancelSignal costs an operation.
 func closed(ch <-chan struct{}) bool {
+	if ch == nil {
+		return false
+	}
 	select {
 	case <-ch:
 		return true
@@ -56,7 +60,7 @@ func closed(ch <-chan struct{}) bool {
 // enter is every operation's preamble: nothing starts in an aborted
 // world or under a context that has already been cancelled.
 func (w *World) enter(cnl cancelSignal) error {
-	if closed(w.aborted) {
+	if w.isAborted() {
 		return w.abortError()
 	}
 	return cnl.fired(w)
@@ -183,13 +187,13 @@ func (c *comm) Sendrecv(sendBuf []byte, to, sendTag int, recvBuf []byte, from, r
 
 	// Post the receive first (the peer's send can then complete against
 	// it), start the send, and wait for both — the calls Send and Recv
-	// are made of, so a ring step costs the same whichever it is.
-	rreq := c.w.irecv(c.ctx, c.worldRank(), recvBuf, from, c.streamTag(recvTag), c.cancel)
-	sreq := c.w.isend(c.ctx, c.rank, c.worldRank(), c.worldRankOf(to), sendBuf, c.streamTag(sendTag), c.cancel)
+	// are made of, so a ring step costs the same whichever it is. Both
+	// requests live in this frame.
+	var rreq, sreq request
+	c.w.irecv(&rreq, c.ctx, c.worldRank(), recvBuf, from, c.streamTag(recvTag), c.cancel)
+	c.w.isend(&sreq, c.ctx, c.rank, c.worldRank(), c.worldRankOf(to), sendBuf, c.streamTag(sendTag), c.cancel)
 	_, serr := sreq.Wait()
 	st, rerr := rreq.Wait()
-	putRequest(sreq) // Sendrecv is the sole holder of both requests
-	putRequest(rreq)
 	if rerr != nil {
 		return st, rerr
 	}
@@ -206,7 +210,9 @@ func (c *comm) Isend(buf []byte, to, tag int) (mpi.Request, error) {
 	if to == c.rank {
 		return nil, fmt.Errorf("engine: isend: %w: self-send unsupported", mpi.ErrRank)
 	}
-	return c.w.isend(c.ctx, c.rank, c.worldRank(), c.worldRankOf(to), buf, c.streamTag(tag), c.cancel), nil
+	r := new(request) // the caller's from here on
+	c.w.isend(r, c.ctx, c.rank, c.worldRank(), c.worldRankOf(to), buf, c.streamTag(tag), c.cancel)
+	return r, nil
 }
 
 func (c *comm) Irecv(buf []byte, from, tag int) (mpi.Request, error) {
@@ -216,7 +222,9 @@ func (c *comm) Irecv(buf []byte, from, tag int) (mpi.Request, error) {
 	if err := mpi.CheckTag(tag, true); err != nil {
 		return nil, fmt.Errorf("engine: irecv: %w", err)
 	}
-	return c.w.irecv(c.ctx, c.worldRank(), buf, from, c.streamTag(tag), c.cancel), nil
+	r := new(request)
+	c.w.irecv(r, c.ctx, c.worldRank(), buf, from, c.streamTag(tag), c.cancel)
+	return r, nil
 }
 
 // Split partitions the communicator by color, ordering each new

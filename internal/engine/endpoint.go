@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/bufpool"
+	"repro/internal/metrics"
 	"repro/internal/mpi"
 )
 
@@ -64,24 +65,38 @@ type endpoint struct {
 	recvs    []*posted
 	// eagerBuffered counts unconsumed eager envelopes per sender world
 	// rank: the credit window isend checks before buffering another.
-	eagerBuffered map[int]int
+	eagerBuffered []int32
+	// arrivalsMax and recvsMax are the two queues' high-water marks, kept
+	// here (under mu) so the gauges in the rank's metrics shard — a line
+	// its owner writes on every receive — are touched only when one rises.
+	arrivalsMax, recvsMax int
+
 	// tagStreams holds this rank's current collective tag stream per
 	// communicator context (see mpi.StreamTag). It is touched only by the
 	// owning rank's goroutine during a run — every operation of a comm
 	// runs on its owner — and cleared by RunContext between runs (the
 	// executor handoff orders those accesses), so ep.mu is not needed.
+	// (streamCtx, streamID) caches the entry last used: every message of
+	// a collective translates its tag through the same one.
 	tagStreams map[int64]int
+	streamCtx  int64
+	streamID   int
 }
 
-func newEndpoint() *endpoint {
+func newEndpoint(np int) *endpoint {
 	return &endpoint{
-		eagerBuffered: map[int]int{},
+		eagerBuffered: make([]int32, np),
 		tagStreams:    map[int64]int{},
 	}
 }
 
 // stream returns this rank's current collective tag stream for ctx.
-func (ep *endpoint) stream(ctx int64) int { return ep.tagStreams[ctx] }
+func (ep *endpoint) stream(ctx int64) int {
+	if ctx != ep.streamCtx {
+		ep.streamCtx, ep.streamID = ctx, ep.tagStreams[ctx]
+	}
+	return ep.streamID
+}
 
 // nextStream advances the rank's collective tag stream for ctx and
 // returns the new stream id. Stream ids wrap at mpi.NumTagStreams; a
@@ -89,23 +104,35 @@ func (ep *endpoint) stream(ctx int64) int { return ep.tagStreams[ctx] }
 // a comm before entering collective N+1, so live collectives are never
 // a full wrap apart and wrapped ids cannot collide.
 func (ep *endpoint) nextStream(ctx int64) int {
-	s := (ep.tagStreams[ctx] + 1) % mpi.NumTagStreams
-	ep.tagStreams[ctx] = s
+	s := (ep.stream(ctx) + 1) % mpi.NumTagStreams
+	ep.tagStreams[ctx], ep.streamID = s, s
 	return s
 }
 
 // resetStreams clears all stream counters (between runs, so counters —
 // and the per-ctx map footprint from Split — don't grow across runs).
+// The emptied cache agrees with the emptied map: no stream is stream 0.
 func (ep *endpoint) resetStreams() {
 	clear(ep.tagStreams)
+	ep.streamCtx, ep.streamID = 0, 0
 }
 
-// releaseEagerCredit is called (with ep.mu held) after an eager envelope
-// from srcWorld has been consumed: the window has room for one more.
-func (ep *endpoint) releaseEagerCredit(srcWorld int) {
-	ep.eagerBuffered[srcWorld]--
-	if ep.eagerBuffered[srcWorld] <= 0 {
-		delete(ep.eagerBuffered, srcWorld)
+// enqueueArrival appends env to rank's unexpected queue and publishes the
+// queue's high-water gauge if this raised it. Caller holds ep.mu.
+func (w *World) enqueueArrival(ep *endpoint, rank int, env *envelope) {
+	ep.arrivals = append(ep.arrivals, env)
+	if n := len(ep.arrivals); n > ep.arrivalsMax {
+		ep.arrivalsMax = n
+		w.metrics.Max(rank, metrics.ArrivalQueueMax, int64(n))
+	}
+}
+
+// enqueuePosted is enqueueArrival for the posted-receive queue.
+func (w *World) enqueuePosted(ep *endpoint, rank int, pr *posted) {
+	ep.recvs = append(ep.recvs, pr)
+	if n := len(ep.recvs); n > ep.recvsMax {
+		ep.recvsMax = n
+		w.metrics.Max(rank, metrics.PostedQueueMax, int64(n))
 	}
 }
 

@@ -37,14 +37,21 @@
 // the endpoints, executor and per-rank scratch once; after that, a
 // clean world may Run any number of times, and the message path recycles
 // its per-message objects — eager payload copies (via internal/bufpool),
-// unexpected-queue envelopes, posted receives, rendezvous states and the
-// blocking calls' requests — through free lists. The ownership
+// unexpected-queue envelopes, posted receives and rendezvous states —
+// through free lists, while a blocking call's request lives in the
+// call's own frame. The ownership
 // rules for those pooled objects (who may hold a pooled buffer, and
 // until when) are spelled out in pool.go; the short version is that
 // ownership follows the message, and only the final consumer returns an
 // object to its pool, always on a clean completion path — aborted
 // operations abandon their objects to the garbage collector rather than
 // risk recycling something a peer still references.
+//
+// The bookkeeping follows the message too: what a transfer counts — its
+// metrics, its progress for the deadlock watchdog, its bufpool get or put
+// — it counts on a cache line owned by the rank doing the counting, so
+// the only memory a message moves between cores is the destination
+// endpoint and the payload.
 package engine
 
 import (
@@ -165,11 +172,18 @@ type World struct {
 	eps    []*endpoint
 	ctxSeq atomic.Int64
 
+	// aborted is closed, and abortFlag set just before, when the world
+	// aborts: the selects that wait on an abort (harvest, the watchdog)
+	// need the channel, everything that only asks whether one happened
+	// (isAborted) loads the flag.
 	aborted   chan struct{}
+	abortFlag atomic.Bool
 	abortOnce sync.Once
 	abortErr  atomic.Value // error
 
-	progress atomic.Int64
+	// progress[r] counts the completed transfers charged to world rank r
+	// (see progressed); only the watchdog reads them, as a sum.
+	progress []progressShard
 	// state[r]: 0 = running, 1 = blocked in a communication call, 2 = done.
 	state []atomic.Int32
 	// running guards against concurrent Runs on one world; sequential
@@ -182,6 +196,28 @@ type World struct {
 	members []int   // world communicator members (identity), shared by every run
 	comms   []comm  // per-rank world communicators, rewritten per run
 	errs    []error // per-rank run errors, cleared per run
+}
+
+// progressShard is one rank's progress count on a cache line of its own,
+// so a message dirties no line that a third rank writes.
+type progressShard struct {
+	n atomic.Int64
+	_ [128 - 8]byte
+}
+
+// progressed records that a transfer involving world rank rank moved: a
+// message was delivered, buffered or consumed. The caller is that rank's
+// goroutine, or the transport's delivery goroutine acting for it.
+func (w *World) progressed(rank int) { w.progress[rank].n.Add(1) }
+
+// progressSum is the watchdog's reading: it changes whenever any rank's
+// count does (counts only grow, so no two different states sum alike).
+func (w *World) progressSum() int64 {
+	var sum int64
+	for r := range w.progress {
+		sum += w.progress[r].n.Load()
+	}
+	return sum
 }
 
 // NewWorld validates opts and builds a World.
@@ -263,13 +299,14 @@ func NewWorld(opts Options) (*World, error) {
 		remoteRdv:    map[uint64]*rdvState{},
 		eps:          make([]*endpoint, opts.NP),
 		aborted:      make(chan struct{}),
+		progress:     make([]progressShard, opts.NP),
 		state:        make([]atomic.Int32, opts.NP),
 		members:      make([]int, opts.NP),
 		comms:        make([]comm, opts.NP),
 		errs:         make([]error, opts.NP),
 	}
 	for i := range w.eps {
-		w.eps[i] = newEndpoint()
+		w.eps[i] = newEndpoint(opts.NP)
 	}
 	for i := range w.members {
 		w.members[i] = i
@@ -306,13 +343,17 @@ func (w *World) ExecutorName() string { return w.exec.Name() }
 // non-nil error of any kind should be discarded even if Reusable still
 // reports true (a strictness failure leaves stale messages behind).
 func (w *World) Reusable() bool {
-	return !closed(w.aborted) && !w.running.Load()
+	return !w.isAborted() && !w.running.Load()
 }
+
+// isAborted reports whether the world has aborted.
+func (w *World) isAborted() bool { return w.abortFlag.Load() }
 
 func (w *World) abort(err error) {
 	w.abortOnce.Do(func() {
 		w.metrics.Add(0, metrics.AbortedRuns, 1)
 		w.abortErr.Store(err)
+		w.abortFlag.Store(true)
 		close(w.aborted)
 	})
 }
@@ -349,7 +390,7 @@ func (w *World) RunContext(ctx context.Context, fn func(mpi.Comm) error) error {
 		return errors.New("engine: concurrent Run on one World (Runs must be sequential)")
 	}
 	defer w.running.Store(false)
-	if closed(w.aborted) {
+	if w.isAborted() {
 		return fmt.Errorf("engine: world is spent: %w (boot a new World after an abort)", w.abortError())
 	}
 	// Re-arm per-run state in place: rank states back to running, rank
@@ -465,7 +506,7 @@ func (w *World) RunContext(ctx context.Context, fn func(mpi.Comm) error) error {
 
 // watchdog aborts the world on wall-clock timeout or on a detected global
 // deadlock: every live rank blocked in a communication call with the
-// progress counter frozen for at least w.deadlock.
+// progress counters' sum frozen for at least w.deadlock.
 func (w *World) watchdog(done <-chan struct{}) {
 	hard := time.NewTimer(w.timeout)
 	defer hard.Stop()
@@ -487,7 +528,7 @@ func (w *World) watchdog(done <-chan struct{}) {
 			if w.deadlock < 0 {
 				continue
 			}
-			prog := w.progress.Load()
+			prog := w.progressSum()
 			allBlocked := true
 			anyBlocked := false
 			for r := range w.state {

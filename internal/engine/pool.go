@@ -4,16 +4,15 @@ import (
 	"sync"
 
 	"repro/internal/bufpool"
-	"repro/internal/mpi"
 	"repro/internal/transport"
 )
 
-// The engine's per-message objects — eager payload copies, unexpected-
-// queue envelopes, posted receives, rendezvous states and the requests
-// of the engine's own blocking calls — are recycled through the free lists
-// below, so a long-lived world's steady state allocates nothing per
-// message no matter how many segments a pipelined broadcast splits
-// into.
+// The engine's per-message objects that outlive the call that made them
+// — eager payload copies, unexpected-queue envelopes, posted receives and
+// rendezvous states — are recycled through the free lists below, so a
+// long-lived world's steady state allocates nothing per message no
+// matter how many segments a pipelined broadcast splits into. A request
+// does not outlive its caller's interest in it and is not pooled.
 //
 // # Ownership rules
 //
@@ -38,10 +37,13 @@ import (
 //     copy out of rdv.buf and signal rdv.done, after which it must not
 //     touch it. The sender's request recycles it after consuming the
 //     done signal (clean completion only).
-//   - requests: recycled only by the engine's own blocking wrappers
-//     (send, recv, Sendrecv), which provably drop every reference
-//     after Wait. Requests returned to callers by Isend/Irecv are
-//     user-owned and never recycled.
+//   - requests: never pooled. isend and irecv fill a request their
+//     caller owns and keep no reference to it (completion reaches it
+//     through the posted receive's or the rdvState's channel): the
+//     blocking wrappers (send, recv, Sendrecv) pass the address of a
+//     local, which must stay on their stack — the engine's alloc test
+//     holds them to it — and Isend/Irecv allocate the one they hand to
+//     the user.
 //
 // The channels inside posted and rdvState are allocated once per
 // object and reused across recycles: each use moves exactly one value
@@ -58,12 +60,11 @@ var rdvPool = sync.Pool{
 	New: func() any { return &rdvState{done: make(chan struct{}, 1)} },
 }
 
-var requestPool = sync.Pool{New: func() any { return new(request) }}
-
 // newEagerEnvelope builds a pooled envelope carrying a pooled copy of
-// buf (the eager protocol's engine-owned payload).
+// buf (the eager protocol's engine-owned payload), counted on the
+// sender's bufpool stripe.
 func newEagerEnvelope(ctx int64, src, srcWorld, tag int, buf []byte) *envelope {
-	data := bufpool.Get(len(buf))
+	data := bufpool.GetAt(len(buf), srcWorld)
 	copy(data.B, buf)
 	env := envelopePool.Get().(*envelope)
 	env.ctx, env.src, env.srcWorld, env.tag = ctx, src, srcWorld, tag
@@ -96,13 +97,11 @@ func newRemoteEnvelope(m *transport.Message) *envelope {
 }
 
 // putEnvelope recycles a consumed envelope, releasing its eager payload
-// buffer (if any). The caller must have read every field it needs and,
-// for rendezvous envelopes, must recycle the rdvState separately (it
-// belongs to the sender).
-func putEnvelope(env *envelope) {
-	if env.dbuf != nil {
-		env.dbuf.Release()
-	}
+// buffer (if any) on the bufpool stripe of the consuming rank. The caller
+// must have read every field it needs and, for rendezvous envelopes,
+// must recycle the rdvState separately (it belongs to the sender).
+func putEnvelope(env *envelope, rank int) {
+	env.dbuf.ReleaseAt(rank) // a nil dbuf releases nothing
 	env.data, env.dbuf, env.rdv, env.ackID = nil, nil, nil, 0
 	envelopePool.Put(env)
 }
@@ -128,24 +127,4 @@ func putPosted(pr *posted) {
 func putRdv(rdv *rdvState) {
 	rdv.buf = nil
 	rdvPool.Put(rdv)
-}
-
-// completedRequest returns an already-finished pooled request.
-func completedRequest(st mpi.Status, err error) *request {
-	r := requestPool.Get().(*request)
-	*r = request{complete: true, st: st, err: err}
-	return r
-}
-
-// putRequest recycles a finished request. Only the engine's own
-// blocking wrappers may call it (they are the sole holders of their
-// requests); requests handed to users via Isend/Irecv are never
-// recycled. Incomplete requests are left to the garbage collector —
-// their completion source may still fire.
-func putRequest(r *request) {
-	if r == nil || !r.complete {
-		return
-	}
-	*r = request{}
-	requestPool.Put(r)
 }

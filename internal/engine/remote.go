@@ -82,10 +82,10 @@ func (w *World) sendRdvAck(ctx int64, from, to int, id uint64) {
 }
 
 // isendRemote is isend's enqueue for a wired destination. Eager
-// completes at once; rendezvous returns a request pending on the
+// completes at once; rendezvous leaves the request pending on the
 // registered rdvState, which Wait treats exactly like a local zero-copy
 // send (the ack signal comes through the same buffered-once channel).
-func (w *World) isendRemote(ctx int64, srcRank, srcWorld, dstWorld int, buf []byte, tag int, cnl cancelSignal) *request {
+func (w *World) isendRemote(r *request, ctx int64, srcRank, srcWorld, dstWorld int, buf []byte, tag int, cnl cancelSignal) {
 	m := transport.Message{
 		Ctx: ctx, Src: srcRank, SrcWorld: srcWorld, Dst: dstWorld,
 		Tag: tag, Kind: transport.Eager, Data: buf,
@@ -101,17 +101,17 @@ func (w *World) isendRemote(ctx int64, srcRank, srcWorld, dstWorld int, buf []by
 			w.abandonRdv(m.MsgID, dstWorld)
 		}
 		w.abort(err)
-		return completedRequest(mpi.Status{}, w.abortError())
+		r.finish(mpi.Status{}, w.abortError())
+		return
 	}
-	w.progress.Add(1)
+	w.progressed(srcWorld)
 	w.countSend(srcWorld, eager)
 	if eager {
 		w.metrics.Add(srcWorld, metrics.StagedBytes, int64(len(buf)))
-		return completedRequest(mpi.Status{Count: len(buf)}, nil)
+		r.finish(mpi.Status{Count: len(buf)}, nil)
+		return
 	}
-	r := requestPool.Get().(*request)
 	*r = request{w: w, rank: srcWorld, rdv: rdv, rdvID: m.MsgID, rdvDst: dstWorld, sendN: len(buf), cancel: cnl}
-	return r
 }
 
 // remoteHandler is the world's transport.Handler: it runs on the
@@ -119,14 +119,20 @@ func (w *World) isendRemote(ctx int64, srcRank, srcWorld, dstWorld int, buf []by
 // destination endpoint exactly where a local sender would.
 type remoteHandler struct{ w *World }
 
+// hostsRank reports whether r, a rank number off the wire, names a rank
+// of this world that runs in this process.
+func (w *World) hostsRank(r int) bool { return r >= 0 && r < w.np && w.hosted[r] }
+
 // accepts reports whether the data message m may still be taken in: its
-// destination is hosted here and the world has not aborted.
+// destination is hosted here, its source is a rank of this world (it
+// indexes the destination's credit account) and the world has not
+// aborted.
 func (w *World) accepts(m *transport.Message) bool {
 	if (m.Kind != transport.Eager && m.Kind != transport.Rdv) ||
-		m.Dst < 0 || m.Dst >= w.np || !w.hosted[m.Dst] {
+		!w.hostsRank(m.Dst) || m.SrcWorld < 0 || m.SrcWorld >= w.np {
 		return false
 	}
-	return !closed(w.aborted)
+	return !w.isAborted()
 }
 
 // Claim implements transport.Handler: a message whose first fragment
@@ -151,7 +157,7 @@ func (h remoteHandler) Claim(m transport.Message, size int) transport.Sink {
 
 // withdrawn reports whether the world has aborted: the receive's caller
 // may have returned, so its buffer is no longer the engine's to write.
-func (pr *posted) withdrawn() bool { return closed(pr.w.aborted) }
+func (pr *posted) withdrawn() bool { return pr.w.isAborted() }
 
 // Window implements transport.Sink on a claimed receive: the part of
 // the receive buffer itself, for the kernel to write the fragment into.
@@ -181,7 +187,7 @@ func (pr *posted) Place(off int, frag []byte) bool {
 func (w *World) completeRemote(pr *posted, m *transport.Message, n int, err error) {
 	// The receiver may recycle pr once it has the result.
 	pr.done <- recvResult{st: mpi.Status{Source: m.Src, Tag: m.Tag, Count: n}, err: err}
-	w.progress.Add(1)
+	w.progressed(m.Dst)
 	eager := m.Kind == transport.Eager
 	w.countRecv(m.Dst, eager)
 	if !eager {
@@ -197,13 +203,16 @@ func (h remoteHandler) Deliver(m transport.Message) {
 	w := h.w
 	if m.Kind == transport.RdvAck {
 		m.Buf.Release()
+		if !w.hostsRank(m.Dst) {
+			return // answers no sender of ours
+		}
 		w.remoteMu.Lock()
 		rdv := w.remoteRdv[m.MsgID]
 		delete(w.remoteRdv, m.MsgID)
 		w.remoteMu.Unlock()
 		if rdv != nil {
 			rdv.done <- struct{}{}
-			w.progress.Add(1)
+			w.progressed(m.Dst)
 		}
 		return
 	}
@@ -225,11 +234,10 @@ func (h remoteHandler) Deliver(m transport.Message) {
 		w.completeRemote(pr, &m, n, err)
 		return
 	}
-	ep.arrivals = append(ep.arrivals, newRemoteEnvelope(&m))
+	w.enqueueArrival(ep, m.Dst, newRemoteEnvelope(&m))
 	if m.Kind == transport.Eager {
 		ep.eagerBuffered[m.SrcWorld]++
 	}
-	w.metrics.Max(m.Dst, metrics.ArrivalQueueMax, int64(len(ep.arrivals)))
 	ep.mu.Unlock()
-	w.progress.Add(1)
+	w.progressed(m.Dst)
 }

@@ -807,3 +807,45 @@ func TestRemoteSendCancelReleasesPin(t *testing.T) {
 		t.Errorf("Unpin calls to ranks %v, want exactly one, to rank 1", spy.dsts)
 	}
 }
+
+// TestRemoteRankNumbersOffTheWireAreChecked: a message's ranks index
+// per-rank state (the credit account by source, the progress count by
+// destination), so a data message from a source outside the world and
+// an ack addressed to a rank not hosted here are dropped — payload
+// released, nothing parked, nobody signalled — instead of indexing it.
+func TestRemoteRankNumbersOffTheWireAreChecked(t *testing.T) {
+	err := claimHarness(t, func(c mpi.Comm, h remoteHandler) error {
+		w := h.w
+		for _, src := range []int{-1, w.np} {
+			m := inbound(c, transport.Eager, 5, 0)
+			m.SrcWorld = src
+			if h.Claim(m, 8) != nil {
+				return fmt.Errorf("claimed a receive for a message from world rank %d", src)
+			}
+			m.Buf = bufpool.Get(8)
+			m.Data = m.Buf.B
+			putsBefore := poolPuts()
+			h.Deliver(m)
+			if poolPuts() != putsBefore+1 || w.eps[0].pendingArrivals() != 0 {
+				return fmt.Errorf("a message from world rank %d was not dropped", src)
+			}
+		}
+		id, rdv := w.registerRdv()
+		for _, dst := range []int{-1, w.np} {
+			ack := inbound(c, transport.RdvAck, 0, id)
+			ack.Dst = dst
+			h.Deliver(ack)
+			if len(rdv.done) != 0 {
+				return fmt.Errorf("an ack addressed to rank %d released a sender", dst)
+			}
+		}
+		h.Deliver(inbound(c, transport.RdvAck, 0, id))
+		if len(rdv.done) != 1 {
+			return errors.New("the ack addressed to the sender's rank did not release it")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -1,16 +1,15 @@
 package engine
 
 import (
-	"repro/internal/bufpool"
 	"repro/internal/metrics"
 	"repro/internal/mpi"
 )
 
 // request implements mpi.Request. A request is used only by its owning
 // rank's goroutine (like MPI), so completion caching needs no locking.
-// Requests are pooled: the engine's own blocking calls recycle them
-// through putRequest, while requests returned by Isend/Irecv stay with
-// the caller (see pool.go).
+// The caller of isend / irecv owns the request it passes in: a local of
+// the blocking calls, a fresh allocation handed to the user by
+// Isend/Irecv (see pool.go).
 type request struct {
 	w *World
 	// rank is the owning world rank: the one Wait marks blocked (for the
@@ -103,6 +102,11 @@ func (r *request) abandonRdv() {
 	}
 }
 
+// finish completes r on the spot with the operation's outcome.
+func (r *request) finish(st mpi.Status, err error) {
+	r.complete, r.st, r.err = true, st, err
+}
+
 // isend is the engine's one send entry; the blocking Send is isend
 // followed by Wait. It never blocks. A message that finds its receive
 // posted is delivered on the spot; an eager one within the credit window
@@ -112,78 +116,74 @@ func (r *request) abandonRdv() {
 // (legal because MPI forbids touching the buffer until the request
 // completes) and the request finishes when the receiver copies it out.
 // Envelopes enter the queue synchronously, preserving non-overtaking
-// order. srcRank is the sender's rank within the ctx communicator
-// (carried in the envelope for matching), srcWorld and dstWorld are world
-// ranks, cnl is the operation's bound cancellation signal.
-func (w *World) isend(ctx int64, srcRank, srcWorld, dstWorld int, buf []byte, tag int, cnl cancelSignal) *request {
+// order. r is the caller's zero request, which isend fills. srcRank is
+// the sender's rank within the ctx communicator (carried in the envelope
+// for matching), srcWorld and dstWorld are world ranks, cnl is the
+// operation's bound cancellation signal.
+//
+// A send writes only memory its two ranks own: the receiver's endpoint
+// (and, for a delivery on the spot, its receive counter), the sender's
+// metrics shard, progress count and bufpool stripe.
+func (w *World) isend(r *request, ctx int64, srcRank, srcWorld, dstWorld int, buf []byte, tag int, cnl cancelSignal) {
 	if err := w.enter(cnl); err != nil {
-		return completedRequest(mpi.Status{}, err)
+		r.finish(mpi.Status{}, err)
+		return
 	}
 	if w.wired && w.trans.Wire(dstWorld) {
-		return w.isendRemote(ctx, srcRank, srcWorld, dstWorld, buf, tag, cnl)
+		w.isendRemote(r, ctx, srcRank, srcWorld, dstWorld, buf, tag, cnl)
+		return
 	}
 	ep := w.eps[dstWorld]
 	eager := len(buf) <= w.eagerLimit
 
 	ep.mu.Lock()
 	if pr := ep.matchPosted(ctx, srcRank, tag); pr != nil {
-		// A receive is already waiting. Rendezvous delivers with a
-		// single direct copy (the LMT path); eager still pays the
-		// staging copy like MPICH's shared-memory cells do, so the
-		// protocol's cost does not depend on receive timing.
-		var n int
-		var err error
-		if eager {
-			staging := bufpool.Get(len(buf))
-			copy(staging.B, buf)
-			n, err = copyPayload(pr.buf, staging.B)
-			staging.Release()
-			w.metrics.Add(srcWorld, metrics.StagedBytes, int64(len(buf)))
-		} else {
-			n, err = copyPayload(pr.buf, buf)
-		}
+		// A receive is already waiting: one copy, straight into its
+		// buffer, whatever the protocol (the LMT path for a rendezvous
+		// message; an eager one has nothing to be staged for). What
+		// staging costs on a real cluster is internal/netsim's to charge,
+		// in simulated time.
+		n, err := copyPayload(pr.buf, buf)
 		ep.mu.Unlock()
 		pr.done <- recvResult{st: mpi.Status{Source: srcRank, Tag: tag, Count: n}, err: err}
-		w.progress.Add(1)
+		w.progressed(srcWorld)
 		w.countSend(srcWorld, eager)
 		w.countRecv(dstWorld, eager)
-		return completedRequest(mpi.Status{Count: len(buf)}, nil)
+		r.finish(mpi.Status{Count: len(buf)}, nil)
+		return
 	}
-	if eager && (w.eagerCredits == 0 || ep.eagerBuffered[srcWorld] < w.eagerCredits) {
+	if eager && (w.eagerCredits == 0 || int(ep.eagerBuffered[srcWorld]) < w.eagerCredits) {
 		// Eager within the credit window: the engine takes a copy
-		// (pooled) and the send completes immediately. (The
-		// receive-side staging copy this implies is charged by
-		// internal/netsim in simulated time.)
-		ep.arrivals = append(ep.arrivals, newEagerEnvelope(ctx, srcRank, srcWorld, tag, buf))
+		// (pooled) and the send completes immediately.
+		w.enqueueArrival(ep, dstWorld, newEagerEnvelope(ctx, srcRank, srcWorld, tag, buf))
 		ep.eagerBuffered[srcWorld]++
-		w.metrics.Max(dstWorld, metrics.ArrivalQueueMax, int64(len(ep.arrivals)))
 		ep.mu.Unlock()
-		w.progress.Add(1)
+		w.progressed(srcWorld)
 		w.countSend(srcWorld, true)
 		w.metrics.Add(srcWorld, metrics.StagedBytes, int64(len(buf)))
-		return completedRequest(mpi.Status{Count: len(buf)}, nil)
+		r.finish(mpi.Status{Count: len(buf)}, nil)
+		return
 	}
 	// Zero-copy envelope: the pinned buffer substitutes for the buffering
 	// the receiver refused, so its queue stays bounded by the window.
 	env := newRdvEnvelope(ctx, srcRank, srcWorld, tag, buf)
 	rdv := env.rdv
-	ep.arrivals = append(ep.arrivals, env)
-	w.metrics.Max(dstWorld, metrics.ArrivalQueueMax, int64(len(ep.arrivals)))
+	w.enqueueArrival(ep, dstWorld, env)
 	ep.mu.Unlock()
-	w.progress.Add(1)
+	w.progressed(srcWorld)
 	w.countSend(srcWorld, false)
-	r := requestPool.Get().(*request)
 	*r = request{w: w, rank: srcWorld, rdv: rdv, sendN: len(buf), cancel: cnl}
-	return r
 }
 
 // irecv posts a nonblocking receive for the rank whose world rank is
-// myWorld; src and tag may be wildcards. Posting happens synchronously
-// (so a sender can match it immediately); the request completes when a
-// matching message is consumed.
-func (w *World) irecv(ctx int64, myWorld int, buf []byte, src, tag int, cnl cancelSignal) *request {
+// myWorld, filling the caller's zero request r; src and tag may be
+// wildcards. Posting happens synchronously (so a sender can match it
+// immediately); the request completes when a matching message is
+// consumed.
+func (w *World) irecv(r *request, ctx int64, myWorld int, buf []byte, src, tag int, cnl cancelSignal) {
 	if err := w.enter(cnl); err != nil {
-		return completedRequest(mpi.Status{}, err)
+		r.finish(mpi.Status{}, err)
+		return
 	}
 	ep := w.eps[myWorld]
 	ep.mu.Lock()
@@ -198,7 +198,7 @@ func (w *World) irecv(ctx int64, myWorld int, buf []byte, src, tag int, cnl canc
 		eager := rdv == nil && env.ackID == 0
 		n, err := copyPayload(buf, data)
 		if eager {
-			ep.releaseEagerCredit(env.srcWorld)
+			ep.eagerBuffered[env.srcWorld]-- // the window has room for one more
 		}
 		ep.mu.Unlock()
 		st := mpi.Status{Source: env.src, Tag: env.tag, Count: n}
@@ -208,16 +208,14 @@ func (w *World) irecv(ctx int64, myWorld int, buf []byte, src, tag int, cnl canc
 			// Remote rendezvous: the ack unblocks the sender in its process.
 			w.sendRdvAck(env.ctx, myWorld, env.srcWorld, env.ackID)
 		}
-		putEnvelope(env)
-		w.progress.Add(1)
+		putEnvelope(env, myWorld)
+		w.progressed(myWorld)
 		w.countRecv(myWorld, eager)
-		return completedRequest(st, err)
+		r.finish(st, err)
+		return
 	}
 	pr := getPosted(w, ctx, src, tag, buf)
-	ep.recvs = append(ep.recvs, pr)
-	w.metrics.Max(myWorld, metrics.PostedQueueMax, int64(len(ep.recvs)))
+	w.enqueuePosted(ep, myWorld, pr)
 	ep.mu.Unlock()
-	r := requestPool.Get().(*request)
 	*r = request{w: w, rank: myWorld, pr: pr, cancel: cnl}
-	return r
 }

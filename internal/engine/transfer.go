@@ -28,18 +28,18 @@ func (w *World) countRecv(dstWorld int, eager bool) {
 
 // send is the blocking send: an isend followed by an immediate Wait, so
 // a send the receiver neither matched nor buffered blocks as a zero-copy
-// envelope until the receiver takes it.
+// envelope until the receiver takes it. The request never leaves this
+// frame.
 func (w *World) send(ctx int64, srcRank, srcWorld, dstWorld int, buf []byte, tag int, cnl cancelSignal) error {
-	r := w.isend(ctx, srcRank, srcWorld, dstWorld, buf, tag, cnl)
+	var r request
+	w.isend(&r, ctx, srcRank, srcWorld, dstWorld, buf, tag, cnl)
 	_, err := r.Wait()
-	putRequest(r) // send is the sole holder; recycle
 	return err
 }
 
 // recv is the blocking receive: an irecv followed by an immediate Wait.
 func (w *World) recv(ctx int64, myWorld int, buf []byte, src, tag int, cnl cancelSignal) (mpi.Status, error) {
-	r := w.irecv(ctx, myWorld, buf, src, tag, cnl)
-	st, err := r.Wait()
-	putRequest(r) // recv is the sole holder; recycle
-	return st, err
+	var r request
+	w.irecv(&r, ctx, myWorld, buf, src, tag, cnl)
+	return r.Wait()
 }
