@@ -44,11 +44,12 @@ func hasConstraint(info bcast.AlgorithmInfo, label string) bool {
 // cluster must deliver byte-identical buffers every round and identical
 // traced traffic to N x Comm.Bcast on a fresh cluster. The persistent
 // path dispatches through the same registration as the per-call path,
-// so any divergence here is a resolved-once cache gone stale.
+// so any divergence here is a resolved-once cache gone stale. Each cell
+// runs twice: with 512 B chunks and 1 KiB segments, and with 8 KiB of
+// both, where the executor posts the ring's receives at entry.
 func TestPersistentParityGrid(t *testing.T) {
 	const (
 		np   = 16 // power of two: pow2-only algorithms stay applicable
-		n    = 8 << 10
 		runs = 3
 	)
 	ctx := context.Background()
@@ -58,107 +59,110 @@ func TestPersistentParityGrid(t *testing.T) {
 				continue
 			}
 			t.Run(cell.name+"/"+algo.Name, func(t *testing.T) {
-				callOpts := []bcast.CallOption{
-					bcast.WithAlgorithm(algo.Name),
-					bcast.WithSegSize(1 << 10),
-				}
-				clusterOpts := []bcast.Option{
-					bcast.Procs(np),
-					bcast.Placement(cell.placement),
-					bcast.TraceTraffic(),
-				}
-				if cell.pooled {
-					clusterOpts = append(clusterOpts, bcast.ExecPooled(0))
-				}
-
-				// Fresh cluster: runs per-call broadcasts in one Run.
-				fresh, err := bcast.NewCluster(ctx, clusterOpts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				freshOut := make([][][]byte, runs)
-				for i := range freshOut {
-					freshOut[i] = make([][]byte, np)
-				}
-				err = fresh.Run(ctx, func(c bcast.Comm) error {
-					buf := make([]byte, n)
-					for round := 0; round < runs; round++ {
-						if c.Rank() == 0 {
-							persistentPayload(buf, round)
-						}
-						if err := c.Bcast(ctx, buf, 0, callOpts...); err != nil {
-							return fmt.Errorf("round %d: %w", round, err)
-						}
-						freshOut[round][c.Rank()] = append([]byte(nil), buf...)
+				for _, size := range []struct{ n, seg int }{{8 << 10, 1 << 10}, {128 << 10, 8 << 10}} {
+					n := size.n
+					callOpts := []bcast.CallOption{
+						bcast.WithAlgorithm(algo.Name),
+						bcast.WithSegSize(size.seg),
 					}
-					return nil
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				freshTraffic, ok := fresh.Traffic()
-				if !ok {
-					t.Fatal("fresh cluster: no traffic trace")
-				}
+					clusterOpts := []bcast.Option{
+						bcast.Procs(np),
+						bcast.Placement(cell.placement),
+						bcast.TraceTraffic(),
+					}
+					if cell.pooled {
+						clusterOpts = append(clusterOpts, bcast.ExecPooled(0))
+					}
 
-				// Persistent cluster: one BcastInit, runs Start/Wait pairs.
-				pers, err := bcast.NewCluster(ctx, clusterOpts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				persOut := make([][][]byte, runs)
-				for i := range persOut {
-					persOut[i] = make([][]byte, np)
-				}
-				err = pers.Run(ctx, func(c bcast.Comm) error {
-					buf := make([]byte, n)
-					h, err := c.BcastInit(buf, 0, callOpts...)
+					// Fresh cluster: runs per-call broadcasts in one Run.
+					fresh, err := bcast.NewCluster(ctx, clusterOpts...)
 					if err != nil {
-						return err
+						t.Fatal(err)
 					}
-					if got := h.Decision().Algorithm; got != algo.Name {
-						return fmt.Errorf("pinned decision resolved to %q", got)
+					freshOut := make([][][]byte, runs)
+					for i := range freshOut {
+						freshOut[i] = make([][]byte, np)
 					}
+					err = fresh.Run(ctx, func(c bcast.Comm) error {
+						buf := make([]byte, n)
+						for round := 0; round < runs; round++ {
+							if c.Rank() == 0 {
+								persistentPayload(buf, round)
+							}
+							if err := c.Bcast(ctx, buf, 0, callOpts...); err != nil {
+								return fmt.Errorf("n=%d round %d: %w", n, round, err)
+							}
+							freshOut[round][c.Rank()] = append([]byte(nil), buf...)
+						}
+						return nil
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					freshTraffic, ok := fresh.Traffic()
+					if !ok {
+						t.Fatal("fresh cluster: no traffic trace")
+					}
+
+					// Persistent cluster: one BcastInit, runs Start/Wait pairs.
+					pers, err := bcast.NewCluster(ctx, clusterOpts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					persOut := make([][][]byte, runs)
+					for i := range persOut {
+						persOut[i] = make([][]byte, np)
+					}
+					err = pers.Run(ctx, func(c bcast.Comm) error {
+						buf := make([]byte, n)
+						h, err := c.BcastInit(buf, 0, callOpts...)
+						if err != nil {
+							return err
+						}
+						if got := h.Decision().Algorithm; got != algo.Name {
+							return fmt.Errorf("pinned decision resolved to %q", got)
+						}
+						for round := 0; round < runs; round++ {
+							if c.Rank() == 0 {
+								persistentPayload(buf, round)
+							}
+							if err := h.Start(); err != nil {
+								return fmt.Errorf("n=%d round %d: %w", n, round, err)
+							}
+							if err := h.Wait(ctx); err != nil {
+								return fmt.Errorf("n=%d round %d: %w", n, round, err)
+							}
+							persOut[round][c.Rank()] = append([]byte(nil), buf...)
+						}
+						return h.Free()
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+
 					for round := 0; round < runs; round++ {
-						if c.Rank() == 0 {
-							persistentPayload(buf, round)
-						}
-						if err := h.Start(); err != nil {
-							return fmt.Errorf("round %d: %w", round, err)
-						}
-						if err := h.Wait(ctx); err != nil {
-							return fmt.Errorf("round %d: %w", round, err)
-						}
-						persOut[round][c.Rank()] = append([]byte(nil), buf...)
-					}
-					return h.Free()
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				for round := 0; round < runs; round++ {
-					want := make([]byte, n)
-					persistentPayload(want, round)
-					for r := 0; r < np; r++ {
-						if !bytes.Equal(persOut[round][r], want) {
-							t.Fatalf("round %d rank %d: persistent payload corrupt", round, r)
-						}
-						if !bytes.Equal(persOut[round][r], freshOut[round][r]) {
-							t.Fatalf("round %d rank %d: Start/Wait differs from fresh Bcast", round, r)
+						want := make([]byte, n)
+						persistentPayload(want, round)
+						for r := 0; r < np; r++ {
+							if !bytes.Equal(persOut[round][r], want) {
+								t.Fatalf("n=%d round %d rank %d: persistent payload corrupt", n, round, r)
+							}
+							if !bytes.Equal(persOut[round][r], freshOut[round][r]) {
+								t.Fatalf("n=%d round %d rank %d: Start/Wait differs from fresh Bcast", n, round, r)
+							}
 						}
 					}
-				}
 
-				// Traffic identity: the resolved plan must move exactly the
-				// messages the per-call path moves — init-time warming and
-				// schedule caching may not add or drop a single send.
-				persTraffic, ok := pers.Traffic()
-				if !ok {
-					t.Fatal("persistent cluster: no traffic trace")
-				}
-				if !reflect.DeepEqual(persTraffic, freshTraffic) {
-					t.Errorf("traffic diverges: persistent %+v, fresh %+v", persTraffic, freshTraffic)
+					// Traffic identity: the resolved plan must move exactly the
+					// messages the per-call path moves — init-time warming and
+					// schedule caching may not add or drop a single send.
+					persTraffic, ok := pers.Traffic()
+					if !ok {
+						t.Fatal("persistent cluster: no traffic trace")
+					}
+					if !reflect.DeepEqual(persTraffic, freshTraffic) {
+						t.Errorf("n=%d: traffic diverges: persistent %+v, fresh %+v", n, persTraffic, freshTraffic)
+					}
 				}
 			})
 		}

@@ -12,19 +12,17 @@ import (
 	"repro/internal/testutil"
 )
 
-// reuseGridCells is the {executor} x {placement} grid the reuse tests
-// sweep: world reuse must be invisible on every rank-execution
-// substrate and every placement shape.
-func reuseGridCells() []struct {
+type reuseCell struct {
 	name      string
 	placement string
 	pooled    bool
-} {
-	return []struct {
-		name      string
-		placement string
-		pooled    bool
-	}{
+}
+
+// reuseGridCells is the {executor} x {placement} grid the reuse tests
+// sweep: world reuse must be invisible on every rank-execution
+// substrate and every placement shape.
+func reuseGridCells() []reuseCell {
+	return []reuseCell{
 		{"goroutine/single", "single", false},
 		{"goroutine/blocked", "blocked:8", false},
 		{"goroutine/round-robin", "round-robin:8", false},
@@ -54,16 +52,12 @@ func reuseWorkload(ctx context.Context, cl *bcast.Cluster, n int, out [][]byte) 
 	})
 }
 
-func reuseClusterOpts(cell struct {
-	name      string
-	placement string
-	pooled    bool
-}, np int) []bcast.Option {
+func reuseClusterOpts(cell reuseCell, np, seg int) []bcast.Option {
 	opts := []bcast.Option{
 		bcast.Procs(np),
 		bcast.Placement(cell.placement),
 		bcast.Algorithm(bcast.RingOptSeg),
-		bcast.SegSize(1 << 10),
+		bcast.SegSize(seg),
 		bcast.TraceTraffic(),
 	}
 	if cell.pooled {
@@ -76,86 +70,96 @@ func reuseClusterOpts(cell struct {
 // placement cell, the Nth Run on a reused cluster must deliver byte-
 // identical buffers and (per-run) identical traced traffic to a single
 // Run on a fresh cluster — world reuse is a pure optimization with no
-// observable protocol difference.
+// observable protocol difference. Each cell runs with 1 KiB segments and
+// again with 8 KiB chunks and segments, where the executor posts the
+// ring's receives at entry and the traced receive count must still
+// equal the send count.
 func TestClusterReuseParity(t *testing.T) {
 	const (
 		np   = 16
-		n    = 8 << 10
 		runs = 5
 	)
-	ctx := context.Background()
 	for _, cell := range reuseGridCells() {
 		t.Run(cell.name, func(t *testing.T) {
-			// Fresh cluster: exactly one Run.
-			fresh, err := bcast.NewCluster(ctx, reuseClusterOpts(cell, np)...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			freshOut := make([][]byte, np)
-			if err := reuseWorkload(ctx, fresh, n, freshOut); err != nil {
-				t.Fatal(err)
-			}
-			freshTraffic, ok := fresh.Traffic()
-			if !ok {
-				t.Fatal("fresh cluster: no traffic trace")
-			}
-
-			// Reused cluster: the same workload, runs times over.
-			reused, err := bcast.NewCluster(ctx, reuseClusterOpts(cell, np)...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lastOut := make([][]byte, np)
-			for i := 0; i < runs; i++ {
-				if err := reuseWorkload(ctx, reused, n, lastOut); err != nil {
-					t.Fatalf("run %d: %v", i, err)
-				}
-			}
-			if boots := reused.Boots(); boots != 1 {
-				t.Errorf("Boots() = %d after %d clean runs, want 1", boots, runs)
-			}
-
-			for r := 0; r < np; r++ {
-				if !bytes.Equal(freshOut[r], lastOut[r]) {
-					t.Errorf("rank %d: reused run buffer differs from fresh run", r)
-				}
-			}
-
-			// The collector accumulates across runs, so the reused
-			// cluster's totals must be exactly runs x one run's traffic —
-			// which both checks reuse against fresh parity and that no
-			// run leaked extra (or dropped) messages.
-			reusedTraffic, ok := reused.Traffic()
-			if !ok {
-				t.Fatal("reused cluster: no traffic trace")
-			}
-			want := bcast.Traffic{
-				Messages: freshTraffic.Messages * runs, Bytes: freshTraffic.Bytes * runs,
-				IntraMessages: freshTraffic.IntraMessages * runs, IntraBytes: freshTraffic.IntraBytes * runs,
-				InterMessages: freshTraffic.InterMessages * runs, InterBytes: freshTraffic.InterBytes * runs,
-			}
-			if !reflect.DeepEqual(reusedTraffic, want) {
-				t.Errorf("traced traffic after %d reused runs = %+v, want %d x fresh run = %+v",
-					runs, reusedTraffic, runs, want)
-			}
-
-			// Clean runs deliver every sent message: the traced receive
-			// count must equal the send count, on both clusters, through
-			// the metrics snapshot (the one surface that exposes Recvs).
-			for _, c := range []struct {
-				label string
-				cl    *bcast.Cluster
-			}{{"fresh", fresh}, {"reused", reused}} {
-				tr := c.cl.Metrics().Traffic
-				if tr == nil {
-					t.Fatalf("%s cluster: snapshot has no traffic", c.label)
-				}
-				if tr.Recvs != tr.Messages {
-					t.Errorf("%s cluster: traced recvs=%d != messages=%d after clean runs",
-						c.label, tr.Recvs, tr.Messages)
-				}
+			for _, size := range []struct{ n, seg int }{{8 << 10, 1 << 10}, {128 << 10, 8 << 10}} {
+				reuseParity(t, cell, np, runs, size.n, size.seg)
 			}
 		})
+	}
+}
+
+// reuseParity is one cell of TestClusterReuseParity at one (n, seg).
+func reuseParity(t *testing.T, cell reuseCell, np, runs, n, seg int) {
+	t.Helper()
+	ctx := context.Background()
+	// Fresh cluster: exactly one Run.
+	fresh, err := bcast.NewCluster(ctx, reuseClusterOpts(cell, np, seg)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freshOut := make([][]byte, np)
+	if err := reuseWorkload(ctx, fresh, n, freshOut); err != nil {
+		t.Fatal(err)
+	}
+	freshTraffic, ok := fresh.Traffic()
+	if !ok {
+		t.Fatal("fresh cluster: no traffic trace")
+	}
+
+	// Reused cluster: the same workload, runs times over.
+	reused, err := bcast.NewCluster(ctx, reuseClusterOpts(cell, np, seg)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lastOut := make([][]byte, np)
+	for i := 0; i < runs; i++ {
+		if err := reuseWorkload(ctx, reused, n, lastOut); err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+	}
+	if boots := reused.Boots(); boots != 1 {
+		t.Errorf("Boots() = %d after %d clean runs, want 1", boots, runs)
+	}
+
+	for r := 0; r < np; r++ {
+		if !bytes.Equal(freshOut[r], lastOut[r]) {
+			t.Errorf("rank %d: reused run buffer differs from fresh run", r)
+		}
+	}
+
+	// The collector accumulates across runs, so the reused
+	// cluster's totals must be exactly runs x one run's traffic —
+	// which both checks reuse against fresh parity and that no
+	// run leaked extra (or dropped) messages.
+	reusedTraffic, ok := reused.Traffic()
+	if !ok {
+		t.Fatal("reused cluster: no traffic trace")
+	}
+	want := bcast.Traffic{
+		Messages: freshTraffic.Messages * int64(runs), Bytes: freshTraffic.Bytes * int64(runs),
+		IntraMessages: freshTraffic.IntraMessages * int64(runs), IntraBytes: freshTraffic.IntraBytes * int64(runs),
+		InterMessages: freshTraffic.InterMessages * int64(runs), InterBytes: freshTraffic.InterBytes * int64(runs),
+	}
+	if !reflect.DeepEqual(reusedTraffic, want) {
+		t.Errorf("traced traffic after %d reused runs = %+v, want %d x fresh run = %+v",
+			runs, reusedTraffic, runs, want)
+	}
+
+	// Clean runs deliver every sent message: the traced receive
+	// count must equal the send count, on both clusters, through
+	// the metrics snapshot (the one surface that exposes Recvs).
+	for _, c := range []struct {
+		label string
+		cl    *bcast.Cluster
+	}{{"fresh", fresh}, {"reused", reused}} {
+		tr := c.cl.Metrics().Traffic
+		if tr == nil {
+			t.Fatalf("%s cluster: snapshot has no traffic", c.label)
+		}
+		if tr.Recvs != tr.Messages {
+			t.Errorf("%s cluster: traced recvs=%d != messages=%d after clean runs",
+				c.label, tr.Recvs, tr.Messages)
+		}
 	}
 }
 

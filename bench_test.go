@@ -559,7 +559,10 @@ func BenchmarkExecutorWorldBcast(b *testing.B) {
 //	go test -bench=BenchmarkSteadyStateBcast -benchmem .
 //
 // and compare against BENCH_steadystate_allocs.json (the recorded
-// trajectory of the zero-alloc steady-state work).
+// trajectory of the zero-alloc steady-state work). The recorded rows are
+// the 64-byte chunks; at np=64 an 8 KiB-chunk row runs beside them,
+// where the executor posts the ring's receives at entry into requests
+// it re-arms, so the allocation gates cover that path too.
 // ---------------------------------------------------------------------
 
 // ---------------------------------------------------------------------
@@ -573,69 +576,73 @@ func BenchmarkExecutorWorldBcast(b *testing.B) {
 //	go test -bench=BenchmarkPersistentBcast -benchmem .
 //
 // and compare against BENCH_persistent_throughput.json (the recorded
-// trajectory of the persistent-handle work).
+// trajectory of the persistent-handle work; its rows are the 64-byte
+// chunks, and the 8 KiB ones are where the handle's receives are posted
+// at entry).
 // ---------------------------------------------------------------------
 
 func BenchmarkPersistentBcast(b *testing.B) {
 	const np = 64
 	for _, ex := range []string{"goroutine", "pooled"} {
-		b.Run(fmt.Sprintf("exec=%s/np=%d", ex, np), func(b *testing.B) {
-			n := 64 * np
-			opts := []bcast.Option{
-				bcast.Procs(np),
-				bcast.Placement("blocked:32"),
-				bcast.Algorithm(bcast.RingOptSeg),
-				bcast.SegSize(8 << 10),
-				bcast.Timeout(10 * time.Minute),
-			}
-			if ex == "pooled" {
-				opts = append(opts, bcast.ExecPooled(0))
-			}
-			ctx := context.Background()
-			cl, err := bcast.NewCluster(ctx, opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Per-rank buffers live across the whole measurement.
-			bufs := make([][]byte, np)
-			for r := range bufs {
-				bufs[r] = make([]byte, n)
-			}
-			for i := range bufs[0] {
-				bufs[0][i] = byte(i)
-			}
-			workload := func(rounds int) error {
-				return cl.Run(ctx, func(c bcast.Comm) error {
-					ph, err := c.BcastInit(bufs[c.Rank()], 0)
-					if err != nil {
-						return err
-					}
-					for i := 0; i < rounds; i++ {
-						if err := ph.Run(ctx); err != nil {
+		for _, chunk := range []int{64, 8 << 10} {
+			b.Run(fmt.Sprintf("exec=%s/np=%d/chunk=%d", ex, np, chunk), func(b *testing.B) {
+				n := chunk * np
+				opts := []bcast.Option{
+					bcast.Procs(np),
+					bcast.Placement("blocked:32"),
+					bcast.Algorithm(bcast.RingOptSeg),
+					bcast.SegSize(8 << 10),
+					bcast.Timeout(10 * time.Minute),
+				}
+				if ex == "pooled" {
+					opts = append(opts, bcast.ExecPooled(0))
+				}
+				ctx := context.Background()
+				cl, err := bcast.NewCluster(ctx, opts...)
+				if err != nil {
+					b.Fatal(err)
+				}
+				// Per-rank buffers live across the whole measurement.
+				bufs := make([][]byte, np)
+				for r := range bufs {
+					bufs[r] = make([]byte, n)
+				}
+				for i := range bufs[0] {
+					bufs[0][i] = byte(i)
+				}
+				workload := func(rounds int) error {
+					return cl.Run(ctx, func(c bcast.Comm) error {
+						ph, err := c.BcastInit(bufs[c.Rank()], 0)
+						if err != nil {
 							return err
 						}
-					}
-					return ph.Free()
-				})
-			}
-			// Warmup boots the world, resolves a plan once and populates
-			// the pooled staging classes.
-			if err := workload(1); err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(n))
-			b.ResetTimer()
-			start := time.Now()
-			if err := workload(b.N); err != nil {
-				b.Fatal(err)
-			}
-			elapsed := time.Since(start)
-			b.StopTimer()
-			if boots := cl.Boots(); boots != 1 {
-				b.Fatalf("world rebooted during steady state: %d boots", boots)
-			}
-			b.ReportMetric(float64(b.N)/elapsed.Seconds(), "broadcasts/sec")
-		})
+						for i := 0; i < rounds; i++ {
+							if err := ph.Run(ctx); err != nil {
+								return err
+							}
+						}
+						return ph.Free()
+					})
+				}
+				// Warmup boots the world, resolves a plan once and populates
+				// the pooled staging classes.
+				if err := workload(1); err != nil {
+					b.Fatal(err)
+				}
+				b.SetBytes(int64(n))
+				b.ResetTimer()
+				start := time.Now()
+				if err := workload(b.N); err != nil {
+					b.Fatal(err)
+				}
+				elapsed := time.Since(start)
+				b.StopTimer()
+				if boots := cl.Boots(); boots != 1 {
+					b.Fatalf("world rebooted during steady state: %d boots", boots)
+				}
+				b.ReportMetric(float64(b.N)/elapsed.Seconds(), "broadcasts/sec")
+			})
+		}
 	}
 }
 
@@ -715,62 +722,68 @@ func BenchmarkSteadyStateBcast(b *testing.B) {
 		{"opt-seg", bcast.RingOptSeg},
 	}
 	for _, np := range []int{64, 256} {
+		chunks := []int{64}
+		if np == 64 {
+			chunks = append(chunks, 8<<10)
+		}
 		for _, ex := range []string{"goroutine", "pooled"} {
 			for _, al := range algos {
-				b.Run(fmt.Sprintf("exec=%s/np=%d/algo=%s", ex, np, al.name), func(b *testing.B) {
-					n := 64 * np
-					opts := []bcast.Option{
-						bcast.Procs(np),
-						bcast.Placement("blocked:32"),
-						bcast.Algorithm(al.algo),
-						bcast.Timeout(5 * time.Minute),
-					}
-					if al.algo == bcast.RingOptSeg {
-						opts = append(opts, bcast.SegSize(8<<10))
-					}
-					if ex == "pooled" {
-						opts = append(opts, bcast.ExecPooled(0))
-					}
-					ctx := context.Background()
-					cl, err := bcast.NewCluster(ctx, opts...)
-					if err != nil {
-						b.Fatal(err)
-					}
-					// Per-rank buffers live across iterations so the rank
-					// bodies allocate nothing per broadcast.
-					src := make([]byte, n)
-					for i := range src {
-						src[i] = byte(i)
-					}
-					bufs := make([][]byte, np)
-					for r := range bufs {
-						bufs[r] = make([]byte, n)
-					}
-					run := func() error {
-						copy(bufs[0], src)
-						return cl.Run(ctx, func(c bcast.Comm) error {
-							return c.Bcast(ctx, bufs[c.Rank()], 0)
-						})
-					}
-					// Warmup boots the world and populates the pools.
-					if err := run(); err != nil {
-						b.Fatal(err)
-					}
-					b.SetBytes(int64(n))
-					b.ResetTimer()
-					start := time.Now()
-					for i := 0; i < b.N; i++ {
+				for _, chunk := range chunks {
+					b.Run(fmt.Sprintf("exec=%s/np=%d/algo=%s/chunk=%d", ex, np, al.name, chunk), func(b *testing.B) {
+						n := chunk * np
+						opts := []bcast.Option{
+							bcast.Procs(np),
+							bcast.Placement("blocked:32"),
+							bcast.Algorithm(al.algo),
+							bcast.Timeout(5 * time.Minute),
+						}
+						if al.algo == bcast.RingOptSeg {
+							opts = append(opts, bcast.SegSize(8<<10))
+						}
+						if ex == "pooled" {
+							opts = append(opts, bcast.ExecPooled(0))
+						}
+						ctx := context.Background()
+						cl, err := bcast.NewCluster(ctx, opts...)
+						if err != nil {
+							b.Fatal(err)
+						}
+						// Per-rank buffers live across iterations so the rank
+						// bodies allocate nothing per broadcast.
+						src := make([]byte, n)
+						for i := range src {
+							src[i] = byte(i)
+						}
+						bufs := make([][]byte, np)
+						for r := range bufs {
+							bufs[r] = make([]byte, n)
+						}
+						run := func() error {
+							copy(bufs[0], src)
+							return cl.Run(ctx, func(c bcast.Comm) error {
+								return c.Bcast(ctx, bufs[c.Rank()], 0)
+							})
+						}
+						// Warmup boots the world and populates the pools.
 						if err := run(); err != nil {
 							b.Fatal(err)
 						}
-					}
-					elapsed := time.Since(start)
-					b.StopTimer()
-					if boots := cl.Boots(); boots != 1 {
-						b.Fatalf("world rebooted during steady state: %d boots", boots)
-					}
-					b.ReportMetric(float64(b.N)/elapsed.Seconds(), "broadcasts/sec")
-				})
+						b.SetBytes(int64(n))
+						b.ResetTimer()
+						start := time.Now()
+						for i := 0; i < b.N; i++ {
+							if err := run(); err != nil {
+								b.Fatal(err)
+							}
+						}
+						elapsed := time.Since(start)
+						b.StopTimer()
+						if boots := cl.Boots(); boots != 1 {
+							b.Fatalf("world rebooted during steady state: %d boots", boots)
+						}
+						b.ReportMetric(float64(b.N)/elapsed.Seconds(), "broadcasts/sec")
+					})
+				}
 			}
 		}
 	}

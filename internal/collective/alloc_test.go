@@ -130,7 +130,10 @@ func (h *allocHarness) stop(t *testing.T) {
 // the sizes. The paper's segmented ring is the headline cell; the other
 // cells cover each shape of schedule the executor runs per call (tree,
 // scatter + exchange rounds, scatter + unsegmented ring, pipeline, and
-// the SMP rows' three phases over sixteen ranks on four nodes).
+// the SMP rows' three phases over sixteen ranks on four nodes). At the
+// two larger sizes the rings' chunks reach hoistFloor, so the executor
+// posts their receives at entry into the pooled Plan's requests, which
+// the engine re-arms call after call.
 //
 // Every cell also counts what the engine sent: a round is the row's
 // schedule plus the harness's control broadcast and barrier, message for

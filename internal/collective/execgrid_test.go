@@ -16,7 +16,8 @@ import (
 
 // tracedDecision runs one registry broadcast under the trace collector
 // on the given executor, verifies every rank's buffer against the
-// expected pattern, and returns the traffic stats.
+// expected pattern and that every sent message was received once, and
+// returns the traffic stats.
 func tracedDecision(t *testing.T, opts engine.Options, d tune.Decision, root, n int) trace.Stats {
 	t.Helper()
 	col := trace.NewCollector()
@@ -41,7 +42,11 @@ func tracedDecision(t *testing.T, opts engine.Options, d tune.Decision, root, n 
 	if err != nil {
 		t.Fatalf("exec=%v p=%d root=%d n=%d: %v", opts.Executor, opts.NP, root, n, err)
 	}
-	return col.Stats()
+	s := col.Stats()
+	if s.Recvs != s.Total.Messages {
+		t.Fatalf("exec=%v p=%d root=%d n=%d: %d receives for %d messages", opts.Executor, opts.NP, root, n, s.Recvs, s.Total.Messages)
+	}
+	return s
 }
 
 // TestExecutorParityGrid is the executor-parity grid: every registry
@@ -53,7 +58,10 @@ func tracedDecision(t *testing.T, opts engine.Options, d tune.Decision, root, n 
 // message of the communication schedule.
 //
 // The pooled side runs with fewer workers than ranks, so every blocking
-// point of every algorithm exercises park/unpark.
+// point of every algorithm exercises park/unpark. The last size has
+// page-sized chunks and segments, so the executor posts receives at
+// entry there (see rankOps.hoist) and the grid holds it to the same
+// parity.
 func TestExecutorParityGrid(t *testing.T) {
 	const seg = 512 // forced onto segmented algorithms
 	placements := []struct {
@@ -71,14 +79,15 @@ func TestExecutorParityGrid(t *testing.T) {
 			for _, p := range procs {
 				topo := pl.topo(p)
 				root := p / 2
-				for _, n := range []int{seg + 1, 10*p + 3} {
+				for _, size := range []struct{ n, seg int }{{seg + 1, seg}, {10*p + 3, seg}, {p * hoistFloor, hoistFloor}} {
+					n := size.n
 					e := tune.EnvOf(n, p, topo)
 					if !r.Caps.Match(e) {
 						continue // skip only by declared capability
 					}
 					d := tune.Decision{Algorithm: r.Name}
 					if r.Caps.Segmented {
-						d.SegSize = seg
+						d.SegSize = size.seg
 					}
 					base := engine.Options{NP: p, Topology: topo, Timeout: 60 * time.Second}
 					pooled := base

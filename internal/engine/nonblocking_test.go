@@ -377,3 +377,71 @@ func TestIprobeValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPrepostRearmsCompletedRequests is mpi.Preposter's contract on the
+// engine: a request that completed comes back re-armed — the same object
+// — while one still pending is left alone and replaced, and a receive
+// the engine cannot post (self, out of range, wildcard, a tag outside the
+// engine's range) is declined with the caller's request returned as it
+// was.
+func TestPrepostRearmsCompletedRequests(t *testing.T) {
+	err := Run(2, func(c mpi.Comm) error {
+		if c.Rank() == 0 {
+			// Tag 10 goes only once rank 1 says so: its receive is still
+			// pending when the next Prepost is handed it.
+			for i, m := range []struct {
+				b   byte
+				tag int
+			}{{1, 9}, {2, 9}, {3, 10}} {
+				if i == 2 {
+					if _, err := c.Recv(nil, 1, 11); err != nil {
+						return err
+					}
+				}
+				if err := c.Send([]byte{m.b, m.b, m.b}, 1, m.tag); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		pp := c.(mpi.Preposter)
+		for _, bad := range []struct{ from, tag int }{{1, 9}, {2, 9}, {mpi.AnySource, 9}, {0, mpi.AnyTag}, {0, mpi.MaxTag + 1}} {
+			if r, ok := pp.Prepost(nil, make([]byte, 3), bad.from, bad.tag); ok || r != nil {
+				return fmt.Errorf("Prepost(from=%d, tag=%d) = (%v, %v), want a decline", bad.from, bad.tag, r, ok)
+			}
+		}
+		bufs := [3][]byte{make([]byte, 3), make([]byte, 3), make([]byte, 3)}
+		r1, ok := pp.Prepost(nil, bufs[0], 0, 9)
+		if !ok {
+			return errors.New("Prepost declined a local source")
+		}
+		if _, err := r1.Wait(); err != nil {
+			return err
+		}
+		r2, _ := pp.Prepost(r1, bufs[2], 0, 10)
+		if r2 != r1 {
+			return errors.New("a completed request was not re-armed in place")
+		}
+		r3, _ := pp.Prepost(r2, bufs[1], 0, 9)
+		if r3 == r2 {
+			return errors.New("a pending request was re-armed")
+		}
+		if err := c.Send(nil, 0, 11); err != nil {
+			return err
+		}
+		for _, r := range []mpi.Request{r2, r3} {
+			if st, err := r.Wait(); err != nil || st.Count != 3 {
+				return fmt.Errorf("receive: %+v, %v", st, err)
+			}
+		}
+		for i, b := range bufs {
+			if want := byte(i + 1); !bytes.Equal(b, []byte{want, want, want}) {
+				return fmt.Errorf("message %d landed as %v", i+1, b)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -43,7 +43,11 @@ import (
 //     blocking wrappers (send, recv, Sendrecv) pass the address of a
 //     local, which must stay on their stack — the engine's alloc test
 //     holds them to it — and Isend/Irecv allocate the one they hand to
-//     the user.
+//     the user. Prepost (mpi.Preposter) lets a caller that posts the
+//     same receives every collective keep its requests: handed back a
+//     completed one, it re-arms it in place — completion was the
+//     engine's last touch — and allocates only for nil or a request
+//     still pending.
 //
 // The channels inside posted and rdvState are allocated once per
 // object and reused across recycles: each use moves exactly one value

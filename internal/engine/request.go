@@ -63,11 +63,18 @@ func (r *request) harvest(block bool) bool {
 	}
 	aborted, canceled := r.w.aborted, r.cancel.done
 	switch {
-	case len(recvd)+len(taken) > 0:
+	case len(recvd) > 0:
 		// Delivered already: take it without surrendering the execution
 		// slot (the pooled substrate's hot path skips a FIFO round-trip
-		// through the pool), and ahead of an abort that came after it.
-		aborted, canceled = nil, nil
+		// through the pool), ahead of an abort that came after it, and
+		// with a plain receive — a select over the four signals costs
+		// more than handing over a small message.
+		r.received(<-recvd)
+		return true
+	case len(taken) > 0:
+		<-taken
+		r.sent()
+		return true
 	case closed(aborted) || closed(canceled):
 	case !block:
 		return false
@@ -77,11 +84,11 @@ func (r *request) harvest(block bool) bool {
 	}
 	select {
 	case res := <-recvd:
-		r.st, r.err = res.st, res.err
-		putPosted(r.pr) // drained; the sender is done with it
+		r.received(res)
+		return true
 	case <-taken:
-		r.st = mpi.Status{Count: r.sendN}
-		putRdv(r.rdv) // signal consumed; the receiver is done with it
+		r.sent()
+		return true
 	case <-aborted:
 		r.abandonRdv()
 		r.err = r.w.abortError()
@@ -92,6 +99,23 @@ func (r *request) harvest(block bool) bool {
 	r.complete = true
 	r.pr, r.rdv = nil, nil
 	return true
+}
+
+// received completes a receive with its delivery and recycles the posted
+// receive: drained, the sender is done with it.
+func (r *request) received(res recvResult) {
+	putPosted(r.pr)
+	r.complete, r.st, r.err = true, res.st, res.err
+	r.pr = nil
+}
+
+// sent completes a zero-copy send whose receiver has taken the payload
+// and recycles its rendezvous state: signal consumed, the receiver is
+// done with it.
+func (r *request) sent() {
+	putRdv(r.rdv)
+	r.complete, r.st = true, mpi.Status{Count: r.sendN}
+	r.rdv = nil
 }
 
 // abandonRdv gives up a pending remote send without its completion
@@ -142,9 +166,10 @@ func (w *World) isend(r *request, ctx int64, srcRank, srcWorld, dstWorld int, bu
 		// buffer, whatever the protocol (the LMT path for a rendezvous
 		// message; an eager one has nothing to be staged for). What
 		// staging costs on a real cluster is internal/netsim's to charge,
-		// in simulated time.
-		n, err := copyPayload(pr.buf, buf)
+		// in simulated time. Matched, the receive is this sender's alone,
+		// so the copy runs outside the receiver's lock.
 		ep.mu.Unlock()
+		n, err := copyPayload(pr.buf, buf)
 		pr.done <- recvResult{st: mpi.Status{Source: srcRank, Tag: tag, Count: n}, err: err}
 		w.progressed(srcWorld)
 		w.countSend(srcWorld, eager)
@@ -188,19 +213,20 @@ func (w *World) irecv(r *request, ctx int64, myWorld int, buf []byte, src, tag i
 	ep := w.eps[myWorld]
 	ep.mu.Lock()
 	if env := ep.matchArrival(ctx, src, tag); env != nil {
-		// Already here: copy out, then let the message's sender go the
-		// way its kind asks. Only a buffered eager message holds a credit
-		// (neither rendezvous kind charged one).
+		// Already here: copy out — dequeued, the message is this
+		// receiver's alone, so outside the lock — then let its sender go
+		// the way its kind asks. Only a buffered eager message holds a
+		// credit (neither rendezvous kind charged one).
 		data, rdv := env.data, env.rdv
 		if rdv != nil {
 			data = rdv.buf
 		}
 		eager := rdv == nil && env.ackID == 0
-		n, err := copyPayload(buf, data)
 		if eager {
 			ep.eagerBuffered[env.srcWorld]-- // the window has room for one more
 		}
 		ep.mu.Unlock()
+		n, err := copyPayload(buf, data)
 		st := mpi.Status{Source: env.src, Tag: env.tag, Count: n}
 		if rdv != nil {
 			rdv.done <- struct{}{} // sender consumes the signal and recycles rdv

@@ -112,6 +112,21 @@ func AdvanceTagStream(c Comm) {
 	}
 }
 
+// Preposter is the optional capability of communicators that can post a
+// receive into a request the caller keeps across operations, so a
+// collective that posts the same receives every time allocates nothing
+// to do so. Prepost posts a receive of buf from rank from with tag tag,
+// like Irecv. req is nil or a request an earlier Prepost returned; once
+// that request has completed, the communicator re-arms it instead of
+// allocating one. ok is false when the communicator declines — a source
+// it reaches over a wire, a wildcard, an invalid argument — and then
+// nothing is posted and req comes back unchanged, for the caller to keep
+// and to post that receive the ordinary way. Decorator communicators
+// forward the call to the communicator they wrap.
+type Preposter interface {
+	Prepost(req Request, buf []byte, from, tag int) (r Request, ok bool)
+}
+
 // CheckUserTag validates a tag at the application boundary: user code
 // may use [0, MaxUserTag] (plus the AnyTag wildcard when any is true);
 // everything above is reserved for the collective streams.

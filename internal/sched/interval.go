@@ -2,7 +2,7 @@ package sched
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -39,27 +39,37 @@ func NewIntervalSet(ivs ...Interval) *IntervalSet {
 }
 
 // Add inserts [lo, hi) into the set, merging with overlapping or adjacent
-// intervals. Empty ranges are ignored.
+// intervals. Empty ranges are ignored. It works in place: a set that has
+// held as many intervals before allocates nothing.
 func (s *IntervalSet) Add(lo, hi int) {
 	if hi <= lo {
 		return
 	}
 	// Find insertion window: all intervals overlapping or adjacent to [lo,hi).
-	i := sort.Search(len(s.ivs), func(k int) bool { return s.ivs[k].Hi >= lo })
+	i := s.above(lo - 1)
 	j := i
 	for j < len(s.ivs) && s.ivs[j].Lo <= hi {
 		j++
 	}
-	if i < j {
-		if s.ivs[i].Lo < lo {
-			lo = s.ivs[i].Lo
-		}
-		if s.ivs[j-1].Hi > hi {
-			hi = s.ivs[j-1].Hi
-		}
+	if i == j {
+		s.ivs = slices.Insert(s.ivs, i, Interval{lo, hi})
+		return
 	}
-	merged := append(s.ivs[:i:i], Interval{lo, hi})
-	s.ivs = append(merged, s.ivs[j:]...)
+	s.ivs[i] = Interval{min(lo, s.ivs[i].Lo), max(hi, s.ivs[j-1].Hi)}
+	s.ivs = append(s.ivs[:i+1], s.ivs[j:]...)
+}
+
+// Reset empties the set, keeping its storage for reuse.
+func (s *IntervalSet) Reset() { s.ivs = s.ivs[:0] }
+
+// Overlaps reports whether any byte of [lo, hi) is in the set. Empty
+// ranges overlap nothing.
+func (s *IntervalSet) Overlaps(lo, hi int) bool {
+	if hi <= lo {
+		return false
+	}
+	i := s.above(lo)
+	return i < len(s.ivs) && s.ivs[i].Lo < hi
 }
 
 // Contains reports whether the whole range [lo, hi) is in the set.
@@ -68,8 +78,23 @@ func (s *IntervalSet) Contains(lo, hi int) bool {
 	if hi <= lo {
 		return true
 	}
-	i := sort.Search(len(s.ivs), func(k int) bool { return s.ivs[k].Hi > lo })
+	i := s.above(lo)
 	return i < len(s.ivs) && s.ivs[i].Lo <= lo && hi <= s.ivs[i].Hi
+}
+
+// above returns the index of the first interval that ends after x
+// (len(ivs) when none does).
+func (s *IntervalSet) above(x int) int {
+	lo, hi := 0, len(s.ivs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s.ivs[m].Hi > x {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
 }
 
 // ContainsPoint reports whether byte offset x is in the set.

@@ -137,6 +137,14 @@ func TestIntervalSetQuickAgainstBitmap(t *testing.T) {
 				t.Logf("seed %d: Contains(%d,%d) = %v, want %v; set %s", seed, qlo, qhi, !want, want, s)
 				return false
 			}
+			any := false
+			for i := qlo; i < qhi; i++ {
+				any = any || bm[i]
+			}
+			if s.Overlaps(qlo, qhi) != any {
+				t.Logf("seed %d: Overlaps(%d,%d) = %v, want %v; set %s", seed, qlo, qhi, !any, any, s)
+				return false
+			}
 		}
 		// Total must match bitmap population.
 		total := 0
@@ -163,6 +171,28 @@ func TestIntervalSetQuickAgainstBitmap(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestIntervalSetResetReuses: a reset set is empty, and refilling it
+// with no more intervals than it held allocates nothing.
+func TestIntervalSetResetReuses(t *testing.T) {
+	s := NewIntervalSet(Interval{0, 2}, Interval{4, 6}, Interval{8, 10})
+	allocs := testing.AllocsPerRun(100, func() {
+		s.Reset()
+		if s.Total() != 0 || s.Overlaps(0, 100) {
+			t.Fatalf("reset set holds %s", s)
+		}
+		s.Add(8, 10)
+		s.Add(0, 2)
+		s.Add(4, 6)
+		s.Add(2, 4)
+	})
+	if allocs != 0 {
+		t.Errorf("refilling a reset set allocates %.1f times", allocs)
+	}
+	if !s.Equal(NewIntervalSet(Interval{0, 6}, Interval{8, 10})) {
+		t.Errorf("refilled set %s", s)
 	}
 }
 

@@ -50,3 +50,51 @@ func TestMaxCoresPerNode(t *testing.T) {
 		}
 	}
 }
+
+// TestSummariesComputedOnce: the occupancy and kind a Map stores at
+// build equal what its placement says, recomputed from nodeOf alone, for
+// every way a Map is made — including a Subset, which builds anew.
+func TestSummariesComputedOnce(t *testing.T) {
+	irregular, err := Custom([]int{0, 1, 1, 0, 0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	custom, err := Custom([]int{1, 0, 1, 2, 2, 2, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	maps := []*Map{SingleNode(1), SingleNode(9), Blocked(64, 24), Blocked(16, 24), Blocked(4, 1),
+		RoundRobin(64, 24), RoundRobin(10, 4), irregular, custom}
+	for _, members := range [][]int{{6, 1, 7}, {0, 2, 4, 6}, {5}, {7, 6, 5, 4, 3, 2, 1, 0}} {
+		sub, err := Blocked(8, 2).Subset(members)
+		if err != nil {
+			t.Fatal(err)
+		}
+		maps = append(maps, sub)
+	}
+	for _, m := range maps {
+		count := make([]int, m.NumNodes())
+		cores := 0
+		for _, node := range m.nodeOf {
+			count[node]++
+			cores = max(cores, count[node])
+		}
+		blocked, rr := true, true
+		for r, node := range m.nodeOf {
+			blocked = blocked && node == r/cores
+			rr = rr && node == r%m.NumNodes()
+		}
+		kind := KindIrregular
+		switch {
+		case m.NumNodes() == 1:
+			kind = KindSingle
+		case blocked:
+			kind = KindBlocked
+		case rr:
+			kind = KindRoundRobin
+		}
+		if m.MaxCoresPerNode() != cores || m.Kind() != kind {
+			t.Errorf("%s: stored (%d, %q), placement says (%d, %q)", m, m.MaxCoresPerNode(), m.Kind(), cores, kind)
+		}
+	}
+}

@@ -39,11 +39,14 @@ const (
 )
 
 // Map assigns every rank of a job to a node. Maps are immutable after
-// construction.
+// construction, so the summaries the tuner reads on every broadcast
+// (MaxCoresPerNode, Kind) are computed once, in build.
 type Map struct {
 	nodeOf   []int
 	numNodes int
 	byNode   map[int][]int
+	maxCores int
+	kind     string
 }
 
 func build(nodeOf []int) (*Map, error) {
@@ -67,7 +70,12 @@ func build(nodeOf []int) (*Map, error) {
 			return nil, fmt.Errorf("topology: node %d has no ranks (node ids must be dense)", node)
 		}
 	}
-	return &Map{nodeOf: append([]int(nil), nodeOf...), numNodes: maxNode + 1, byNode: byNode}, nil
+	m := &Map{nodeOf: append([]int(nil), nodeOf...), numNodes: maxNode + 1, byNode: byNode}
+	for _, rs := range byNode {
+		m.maxCores = max(m.maxCores, len(rs))
+	}
+	m.kind = m.classify()
+	return m, nil
 }
 
 // Custom builds a Map from an explicit rank-to-node assignment. Node ids
@@ -131,15 +139,7 @@ func (m *Map) NodeOf(rank int) int { return m.nodeOf[rank] }
 
 // MaxCoresPerNode returns the largest number of ranks hosted on one node
 // — the effective node occupancy the tuning subsystem keys rules on.
-func (m *Map) MaxCoresPerNode() int {
-	maxRanks := 0
-	for _, rs := range m.byNode {
-		if len(rs) > maxRanks {
-			maxRanks = len(rs)
-		}
-	}
-	return maxRanks
-}
+func (m *Map) MaxCoresPerNode() int { return m.maxCores }
 
 // Kind classifies the placement pattern: KindSingle when one node hosts
 // everything, KindBlocked when rank r sits on node r/cores (cores =
@@ -147,12 +147,15 @@ func (m *Map) MaxCoresPerNode() int {
 // and KindIrregular otherwise. Blocked and round-robin placements that
 // collapse onto one node classify as KindSingle, so the classification
 // depends only on the realized mapping, never on how it was constructed.
-func (m *Map) Kind() string {
+func (m *Map) Kind() string { return m.kind }
+
+// classify computes Kind once, in build.
+func (m *Map) classify() string {
 	if m.numNodes == 1 {
 		return KindSingle
 	}
 	blocked, rr := true, true
-	cores := m.MaxCoresPerNode()
+	cores := m.maxCores
 	for r, node := range m.nodeOf {
 		if node != r/cores {
 			blocked = false

@@ -176,7 +176,10 @@ type tracedComm struct {
 	col   *Collector
 }
 
-var _ mpi.Comm = (*tracedComm)(nil)
+var (
+	_ mpi.Comm      = (*tracedComm)(nil)
+	_ mpi.Preposter = (*tracedComm)(nil)
+)
 
 // NextTagStream implements mpi.TagStreamer by forwarding to the wrapped
 // communicator when it supports tag streams — a decorator must not
@@ -198,6 +201,33 @@ func (t *tracedComm) NextTagStream() int {
 // operation spans.
 func (t *tracedComm) SpanRing() *metrics.SpanRing {
 	return metrics.RingOf(t.inner)
+}
+
+// Prepost implements mpi.Preposter by forwarding to the wrapped
+// communicator — without it, tracing would turn early-posted receives
+// off and the traced run would no longer be the run it describes. The
+// receive is counted like an Irecv's, once, when its Wait succeeds. A
+// request this method returned earlier is re-armed whole: its wrapper
+// here, the wrapped request underneath.
+func (t *tracedComm) Prepost(req mpi.Request, buf []byte, from, tag int) (mpi.Request, bool) {
+	pp, ok := t.inner.(mpi.Preposter)
+	if !ok {
+		return req, false
+	}
+	tr, _ := req.(*tracedRecvReq)
+	var inner mpi.Request
+	if tr != nil {
+		inner = tr.Request
+	}
+	inner, ok = pp.Prepost(inner, buf, from, tag)
+	if !ok {
+		return req, false
+	}
+	if tr == nil {
+		tr = new(tracedRecvReq)
+	}
+	*tr = tracedRecvReq{Request: inner, rec: t.rec}
+	return tr, true
 }
 
 func (t *tracedComm) Rank() int               { return t.inner.Rank() }

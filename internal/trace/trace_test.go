@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -210,5 +211,57 @@ func TestCollectorCountsNonblocking(t *testing.T) {
 	}
 	if s.Recvs != 1 {
 		t.Fatalf("irecv recvs = %d want 1", s.Recvs)
+	}
+}
+
+// TestPrepostForwardedAndCountedOnce: a traced communicator forwards
+// mpi.Preposter, so tracing does not turn early-posted receives off; it
+// re-arms its own wrapper along with the engine's request beneath it;
+// and it counts each such receive once, when its Wait first succeeds, so
+// a clean run still shows recvs == msgs. Over a communicator without the
+// capability it declines.
+func TestPrepostForwardedAndCountedOnce(t *testing.T) {
+	col := NewCollector()
+	err := engine.Run(2, func(c mpi.Comm) error {
+		tc := col.Wrap(c)
+		if tc.Rank() == 0 {
+			for i := 0; i < 2; i++ {
+				if err := tc.Send(make([]byte, 64), 1, 3); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		pp, ok := tc.(mpi.Preposter)
+		if !ok {
+			return fmt.Errorf("traced comm hides mpi.Preposter")
+		}
+		var req mpi.Request
+		for i := 0; i < 2; i++ {
+			r, ok := pp.Prepost(req, make([]byte, 64), 0, 3)
+			if !ok {
+				return fmt.Errorf("traced Prepost declined a local source")
+			}
+			if req != nil && r != req {
+				return fmt.Errorf("a completed traced request was not re-armed in place")
+			}
+			for j := 0; j < 2; j++ { // Wait is idempotent; so is the count
+				if _, err := r.Wait(); err != nil {
+					return err
+				}
+			}
+			req = r
+		}
+		bare := NewCollector().Wrap(struct{ mpi.Comm }{c}).(mpi.Preposter)
+		if r, ok := bare.Prepost(req, make([]byte, 64), 0, 3); ok || r != req {
+			return fmt.Errorf("Prepost over a comm without the capability = (%v, %v), want a decline", r, ok)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := col.Stats(); s.Recvs != 2 || s.Total.Messages != 2 {
+		t.Fatalf("recvs=%d msgs=%d, want 2 and 2", s.Recvs, s.Total.Messages)
 	}
 }
