@@ -320,7 +320,7 @@ func TestSliceHelpers(t *testing.T) {
 
 func TestAlgorithmsListing(t *testing.T) {
 	algos := bcast.Algorithms()
-	if len(algos) < 10 {
+	if len(algos) < 9 {
 		t.Fatalf("registry listing too short: %d entries", len(algos))
 	}
 	found := map[string]bcast.AlgorithmInfo{}

@@ -46,7 +46,7 @@ func hasConstraint(info bcast.AlgorithmInfo, label string) bool {
 // path dispatches through the same registration as the per-call path,
 // so any divergence here is a resolved-once cache gone stale. Each cell
 // runs twice: with 512 B chunks and 1 KiB segments, and with 8 KiB of
-// both, where the executor posts the ring's receives at entry.
+// both, where the executor posts the ring's receives ahead of their ops.
 func TestPersistentParityGrid(t *testing.T) {
 	const (
 		np   = 16 // power of two: pow2-only algorithms stay applicable

@@ -72,8 +72,8 @@ func reuseClusterOpts(cell reuseCell, np, seg int) []bcast.Option {
 // Run on a fresh cluster — world reuse is a pure optimization with no
 // observable protocol difference. Each cell runs with 1 KiB segments and
 // again with 8 KiB chunks and segments, where the executor posts the
-// ring's receives at entry and the traced receive count must still
-// equal the send count.
+// ring's receives ahead of their ops and the traced receive count must
+// still equal the send count.
 func TestClusterReuseParity(t *testing.T) {
 	const (
 		np   = 16

@@ -24,10 +24,6 @@ const (
 	// RingSeg and RingOptSeg pipeline the two rings in SegSize chunks.
 	RingSeg    = tune.RingSeg
 	RingOptSeg = tune.RingOptSeg
-	// RingSegNB and RingOptSegNB additionally pre-post every segment
-	// receive of a ring step before forwarding (overlap pipeline).
-	RingSegNB    = tune.RingSegNB
-	RingOptSegNB = tune.RingOptSegNB
 	// Chain is the segmented pipeline-chain broadcast.
 	Chain = tune.Chain
 	// SMP and SMPOpt are the multi-core aware broadcasts (intra-node

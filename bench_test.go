@@ -561,8 +561,8 @@ func BenchmarkExecutorWorldBcast(b *testing.B) {
 // and compare against BENCH_steadystate_allocs.json (the recorded
 // trajectory of the zero-alloc steady-state work). The recorded rows are
 // the 64-byte chunks; at np=64 an 8 KiB-chunk row runs beside them,
-// where the executor posts the ring's receives at entry into requests
-// it re-arms, so the allocation gates cover that path too.
+// where the executor posts the ring's receives ahead of their ops into
+// requests it re-arms, so the allocation gates cover that path too.
 // ---------------------------------------------------------------------
 
 // ---------------------------------------------------------------------
@@ -578,7 +578,7 @@ func BenchmarkExecutorWorldBcast(b *testing.B) {
 // and compare against BENCH_persistent_throughput.json (the recorded
 // trajectory of the persistent-handle work; its rows are the 64-byte
 // chunks, and the 8 KiB ones are where the handle's receives are posted
-// at entry).
+// ahead of their ops).
 // ---------------------------------------------------------------------
 
 func BenchmarkPersistentBcast(b *testing.B) {

@@ -53,7 +53,7 @@ func TestParseAlgoRunsOnBothHarnesses(t *testing.T) {
 func TestParseAlgoVocabulary(t *testing.T) {
 	for name, want := range map[string]string{
 		"native": tune.RingNative, "opt": tune.RingOpt, "binomial": tune.Binomial,
-		"smp": tune.SMP, "smp-opt": tune.SMPOpt, tune.RingOptSegNB: tune.RingOptSegNB,
+		"smp": tune.SMP, "smp-opt": tune.SMPOpt, tune.RingOptSeg: tune.RingOptSeg,
 	} {
 		if o, err := ParseAlgo(name); err != nil || o.Algorithm != want || o.Tuner != nil {
 			t.Errorf("ParseAlgo(%q) = %+v, %v; want algorithm %q", name, o, err, want)

@@ -93,7 +93,7 @@ func TestParseYieldsTypedConfig(t *testing.T) {
 				if got := c.Sweep(); !reflect.DeepEqual(got, sweep) {
 					t.Errorf("sweep = %+v\nwant    %+v", got, sweep)
 				}
-				if got := len(c.Candidates()); got != 8 || c.Out != "t.json" {
+				if got := len(c.Candidates()); got != 6 || c.Out != "t.json" {
 					t.Errorf("%d mpich candidates, -o %q", got, c.Out)
 				}
 			}},
@@ -101,7 +101,7 @@ func TestParseYieldsTypedConfig(t *testing.T) {
 			if m := c.EngineMeasurer(); m.Warmup != measure.DefaultWarmup || m.Reps != measure.DefaultReps || m.Log != nil {
 				t.Errorf("default protocol: %+v", m)
 			}
-			if got := len(c.Candidates()); got < 11 {
+			if got := len(c.Candidates()); got < 9 {
 				t.Errorf("the default candidate set is the whole registry, got %d", got)
 			}
 		}},

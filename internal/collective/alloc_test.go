@@ -74,7 +74,7 @@ func startAllocHarness(t *testing.T, topo *topology.Map, exec engine.ExecPolicy,
 				if r == 0 {
 					binary.LittleEndian.PutUint64(ctl, uint64(int64(<-h.jobs)))
 				}
-				if err := runStatic(c, ctl, 0, 0, core.BinomialOps, false); err != nil {
+				if err := runStatic(c, ctl, 0, 0, core.BinomialOps); err != nil {
 					return err
 				}
 				idx := int(int64(binary.LittleEndian.Uint64(ctl)))
@@ -132,8 +132,8 @@ func (h *allocHarness) stop(t *testing.T) {
 // scatter + exchange rounds, scatter + unsegmented ring, pipeline, and
 // the SMP rows' three phases over sixteen ranks on four nodes). At the
 // two larger sizes the rings' chunks reach hoistFloor, so the executor
-// posts their receives at entry into the pooled Plan's requests, which
-// the engine re-arms call after call.
+// posts their receives ahead of their ops into the pooled Plan's
+// requests, which the engine re-arms call after call.
 //
 // Every cell also counts what the engine sent: a round is the row's
 // schedule plus the harness's control broadcast and barrier, message for

@@ -92,14 +92,13 @@ var algorithms = []struct {
 }
 
 // protocolAlgorithms are the broadcasts the eager/rendezvous protocol
-// tests run: the tree, both rings, and the tuned ring in overlap mode
-// with two segments per chunk (pre-posted receives against blocked
-// rendezvous senders).
+// tests run: the tree, both rings, and the segmented tuned ring with two
+// segments per chunk.
 var protocolAlgorithms = append(algorithms[:3:3], struct {
 	name     string
 	fn       bcastFn
 	pow2Only bool
-}{"scatter-ring-opt-seg-nb", pinned(tune.RingOptSegNB, 40), false})
+}{"scatter-ring-opt-seg", pinned(tune.RingOptSeg, 40), false})
 
 func TestBcastCorrectnessGrid(t *testing.T) {
 	for _, alg := range algorithms {

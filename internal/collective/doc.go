@@ -18,8 +18,8 @@
 //   - scatter-ring-allgather-opt — the paper's contribution (binomial
 //     scatter + non-enclosed ring allgather, Listing 1), MPI_Bcast_opt;
 //   - the -seg variants of the two rings, which pipeline the allgather
-//     phase in SegSize pieces, and their -seg-nb rows: the same ops run
-//     in the executor's overlap mode (receives pre-posted per ring step);
+//     phase in SegSize pieces (the executor posts each segment's receive
+//     as early, and completes it as late, as its bytes allow);
 //   - scatter-rdb-allgather — MPICH's medium-message power-of-two
 //     algorithm (binomial scatter + recursive-doubling allgather);
 //   - chain — the segmented pipeline chain (extension baseline);

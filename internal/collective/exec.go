@@ -16,54 +16,60 @@ import (
 // the very same emitter through sched.Generate, so what is verified is
 // what runs.
 //
-// One thing runs out of order, and only when the result cannot tell: a
-// receive whose bytes no earlier op of the rank touches depends on
-// nothing the rank does first, so when the communicator can (the
-// mpi.Preposter capability) the executor posts it as the collective
-// starts — the longest prefix of such receives of at least hoistFloor
-// bytes (see hoist). The sender's message then finds it waiting and is
-// copied once, straight into place, instead of staged in the receiver's
-// queue and copied again. The requests those receives complete into
-// belong to the rankOps: the communicator re-arms each completed one on
-// the next run, so a kept or pooled Plan posts them without allocating.
+// One thing is not done at its op: a receive of at least hoistFloor
+// bytes is posted as early, and completed as late, as its bytes allow
+// (see manage). Posted ahead through mpi.Preposter, it finds the
+// sender's message waiting to be copied once, straight into place,
+// instead of staged and copied again; completed late, it holds up no op
+// that does not need its bytes — the next segments' sends above all. Its
+// request belongs to the rankOps, and the communicator re-arms it on the
+// next run, so a kept or pooled Plan posts without allocating.
+//
+// The loop is deadlock-free wherever blocking execution, op by op, is:
+// it posts no receive later than blocking execution would and starts no
+// send later, so wherever it blocks — on a send, or on a receive whose
+// op is behind it — everything blocking execution had posted and started
+// by then is posted and started. It never reads or sends a byte before
+// the receive that writes it completes and never has two receives of a
+// byte in flight, and it posts receives in op order, none before one
+// that runs at its op: every rank ends with blocking execution's bytes,
+// matched message for message.
 
 // ErrBadOp reports a schedule operation that cannot be executed by the
 // calling rank: an unknown kind, a peer outside the communicator (or the
 // rank itself), or a byte range outside the buffer.
 var ErrBadOp = errors.New("malformed schedule op")
 
-// hoistFloor is the smallest receive the executor posts at entry. Below
-// it early posting loses: a rank posts all its receives before its first
-// send, and a message delivered into a posted receive costs a channel
-// hand-off that outweighs the second copy of so few bytes. An on/off
-// sweep of per-call ring-opt at np 10 and 64, back to back and
-// barrier-separated, lost 6–21 % at 4 KiB chunks (more below) and nothing
-// beyond noise from 8 KiB up (CHANGES.md, ISSUE 25).
+// hoistFloor is the smallest receive the executor posts early. Below it
+// a message delivered into a posted receive costs a channel hand-off
+// that outweighs the second copy of so few bytes: an on/off sweep of
+// per-call ring-opt at np 10 and 64 lost 6–21 % at 4 KiB chunks and
+// nothing beyond noise from 8 KiB up (see CHANGES.md).
 const hoistFloor = 8 << 10
 
 // rankOps is one rank's compiled schedule and the executor's scratch. It
 // lives in a Plan — kept by a persistent handle, borrowed from planPool
 // per call — so steady-state execution allocates nothing either way.
 type rankOps struct {
-	ops  []sched.Op
-	reqs []mpi.Request // operations in flight within one overlapped step
-	// pre[i] is op i's receive when compile hoisted it; len(pre) is one
-	// past the last hoisted op.
-	pre     []early
-	touched sched.IntervalSet // hoist's scratch
+	ops             []sched.Op
+	recvs           []managed // the managed receives, in op order
+	order           []int     // indices into recvs, by completion point
+	cut, open, mark []int     // manage's scratch
 }
 
-// early is a hoisted receive: the request the communicator posts it into
-// (kept across runs to be re-armed) and whether this run posted it — the
-// communicator may decline, and then the receive is posted at its op.
-type early struct {
-	req mpi.Request
-	on  bool
+// managed is a receive posted just before op post and completed just
+// before op done (len(ops): at the end) — or, when the communicator
+// declines to post it early (on is false), run at its own op. Its request
+// is kept across runs to be re-armed; lo and hi are its pieces.
+type managed struct {
+	op, post, done, lo, hi int
+	req                    mpi.Request
+	on                     bool
 }
 
 // compile replaces s.ops with the calling rank's operations for an
 // n-byte broadcast from root, checks each against (size, n, rank) and
-// marks the receives to post at entry. It costs O(own ops): no rank ever
+// places its receives. It costs O(own ops · log own ops): no rank ever
 // builds another rank's list.
 func (s *rankOps) compile(c mpi.Comm, e sched.Emitter, root, n, seg int) error {
 	p, me := c.Size(), c.Rank()
@@ -71,69 +77,115 @@ func (s *rankOps) compile(c mpi.Comm, e sched.Emitter, root, n, seg int) error {
 	if err := checkOps(s.ops, p, n, me); err != nil {
 		return fmt.Errorf("collective: exec: %w", err)
 	}
-	s.hoist()
+	s.manage()
 	return nil
 }
 
-// hoist marks the longest prefix, in op order, of the rank's receive
-// halves that are at least hoistFloor bytes and disjoint from every byte
-// an earlier op of the rank sends or receives. Posting those at entry
-// changes no result: nothing before their op reads or writes their bytes,
-// and matching is blocking execution's — receives sharing a (source, tag)
-// are still posted in op order, the hoisted ones first. The disjointness
-// test is what leaves the native ring's re-receipt of chunks the scatter
-// delivered, and the SMP rows' overlapping phases, at their own op.
-func (s *rankOps) hoist() {
-	// The first receive below the floor ends the prefix at the latest, so
-	// bytes need recording only up to the last receive ahead of it: a rank
-	// with none (a root, a rank of small chunks) records nothing.
-	last := -1
-	for i := range s.ops {
-		if op := &s.ops[i]; op.Kind != sched.OpSend {
-			if op.RecvLen < hoistFloor {
-				break
-			}
-			last = i
+// manage lists the receive halves of at least hoistFloor bytes and gives
+// each its two points:
+//
+//   - done: the first later op that sends or receives any of its bytes,
+//     or the end;
+//   - post: the op after the last earlier op that touches its bytes, but
+//     no earlier than an earlier receive of them completes, than the
+//     previous managed receive posts, or than the op after a smaller
+//     receive, which runs at its op.
+//
+// done keeps every later use of the bytes behind the receive, post every
+// earlier one ahead of it; post's last two bounds keep receives posted
+// in op order, so receives sharing a (source, tag) match as in blocking
+// execution. One pass in op order finds both points. The managed
+// receives' boundaries cut the buffer into pieces; every managed receive
+// is a run of whole pieces, so an op touches it exactly when the op
+// touches one of its pieces. At most one managed receive is in flight
+// over a piece, since the next one to receive it touches it.
+func (s *rankOps) manage() {
+	ops, cut := s.ops, s.cut[:0]
+	for i := range ops {
+		if op := &ops[i]; op.Kind != sched.OpSend && op.RecvLen >= hoistFloor {
+			cut = append(cut, op.RecvOff, op.RecvOff+op.RecvLen)
 		}
 	}
-	s.touched.Reset()
-	end := 0
-	for i := 0; i <= last; i++ {
-		op := &s.ops[i]
-		if op.Kind != sched.OpSend {
-			if s.touched.Overlaps(op.RecvOff, op.RecvOff+op.RecvLen) {
-				break
-			}
-			end = i + 1
-			s.touched.Add(op.RecvOff, op.RecvOff+op.RecvLen)
-		}
-		if op.Kind != sched.OpRecv {
-			s.touched.Add(op.SendOff, op.SendOff+op.SendLen)
-		}
-	}
+	m := len(cut) / 2
 	// Keep the requests already in the backing array for re-arming.
-	s.pre = slices.Grow(s.pre[:0], end)[:end]
-}
-
-// prepost posts the hoisted receives, when c can.
-func (s *rankOps) prepost(c mpi.Comm, buf []byte) {
-	pp, _ := c.(mpi.Preposter)
-	for i := range s.pre {
-		e, op := &s.pre[i], &s.ops[i]
-		e.on = false
-		if pp != nil && op.Kind != sched.OpSend {
-			e.req, e.on = pp.Prepost(e.req, buf[op.RecvOff:op.RecvOff+op.RecvLen], op.From, op.Tag)
+	s.recvs = slices.Grow(s.recvs[:0], m)[:m]
+	s.order = s.order[:0]
+	if m == 0 {
+		return
+	}
+	slices.Sort(cut)
+	cut = slices.Compact(cut)
+	s.cut = cut
+	// pieces returns the pieces [lo, hi) that [off, off+n) overlaps;
+	// piece k is [cut[k], cut[k+1]).
+	pieces := func(off, n int) (lo, hi int) {
+		if n <= 0 {
+			return 0, 0
+		}
+		lo, _ = slices.BinarySearch(cut, off+1)
+		lo = max(lo-1, 0)
+		for hi = lo; hi < len(cut)-1 && cut[hi] < off+n; {
+			hi++
+		}
+		return lo, hi
+	}
+	// Per piece: the managed receive in flight over it, and the earliest
+	// point a receive of it may be posted at.
+	open := slices.Grow(s.open[:0], len(cut))[:len(cut)]
+	mark := slices.Grow(s.mark[:0], len(cut))[:len(cut)]
+	s.open, s.mark = open, mark
+	for k := range open {
+		open[k], mark[k] = -1, 0
+	}
+	// touch completes, just before op i, the receives in flight over
+	// pieces [lo, hi).
+	inflight := 0
+	touch := func(lo, hi, i int) {
+		for k := lo; k < hi; k++ {
+			if r := open[k]; r >= 0 {
+				e := &s.recvs[r]
+				e.done = i
+				for q := e.lo; q < e.hi; q++ {
+					open[q], mark[q] = -1, i
+				}
+				s.order = append(s.order, r)
+				inflight--
+			}
 		}
 	}
-}
-
-// posted returns op i's receive request when this run posted it at
-// entry, nil when the op posts its own.
-func (s *rankOps) posted(i int) mpi.Request {
-	if i < len(s.pre) && s.pre[i].on {
-		return s.pre[i].req
+	floor, r := 0, 0
+	for i := 0; i < len(ops) && (r < m || inflight > 0); i++ {
+		op := &ops[i]
+		var slo, shi int
+		if op.Kind != sched.OpRecv {
+			slo, shi = pieces(op.SendOff, op.SendLen)
+			touch(slo, shi, i)
+		}
+		if op.Kind != sched.OpSend {
+			lo, hi := pieces(op.RecvOff, op.RecvLen)
+			touch(lo, hi, i)
+			if op.RecvLen < hoistFloor {
+				floor = i + 1
+			} else {
+				for k := lo; k < hi; k++ {
+					floor = max(floor, mark[k])
+					open[k] = r
+				}
+				e := &s.recvs[r]
+				e.op, e.post, e.done, e.lo, e.hi = i, floor, len(ops), lo, hi
+				r++
+				inflight++
+			}
+		}
+		for k := slo; k < shi; k++ {
+			mark[k] = max(mark[k], i+1)
+		}
 	}
-	return nil
+	for r := range s.recvs {
+		if s.recvs[r].done == len(ops) {
+			s.order = append(s.order, r)
+		}
+	}
 }
 
 func checkOps(ops []sched.Op, p, n, self int) error {
@@ -146,54 +198,61 @@ func checkOps(ops []sched.Op, p, n, self int) error {
 }
 
 // exec runs the compiled operations on c, moving real bytes in buf
-// (which compile or the caller has checked covers every op). Blocking
-// mode runs them one by one; an op whose receive prepost posted waits for
-// it there (after its send half, for a Sendrecv — the order Sendrecv
-// waits in). Overlap mode — the "-nb" registry rows —
-// runs the same operations, but treats the run of ops sharing one ring
-// step (Step >= 1) as a unit: every receive half is posted, every send
-// half is started, then all are awaited, so segment k+1's receive is
-// already posted while segment k forwards. Per (source, destination,
-// tag) non-overtaking order makes the traffic message-for-message the
-// blocking mode's. It is only sound for schedules whose sends within a
-// step do not carry bytes received in that same step, which holds for
-// the rings and not for the scatter (Step 0, always blocking) or the
-// chain.
-func (s *rankOps) exec(c mpi.Comm, buf []byte, overlap bool) error {
+// (which compile or the caller has checked covers every op). A rank with
+// no managed receive, or a communicator that cannot post early, runs
+// them one by one. Otherwise the loop, before op i, completes the
+// receives due there, posts the ones due there, and runs op i — only its
+// send half when its receive was posted early.
+func (s *rankOps) exec(c mpi.Comm, buf []byte) error {
 	ops := s.ops
-	for i := 0; i < len(ops); {
-		j := i + 1
-		var err error
-		if overlap && ops[i].Step >= 1 {
-			for j < len(ops) && ops[j].Step == ops[i].Step {
-				j++
+	pp, _ := c.(mpi.Preposter)
+	if len(s.recvs) == 0 || pp == nil {
+		for i := range ops {
+			if err := execOp(c, &ops[i], buf, false); err != nil {
+				return opError(c, i, &ops[i], err)
 			}
-			err = s.execOverlapped(c, i, j, buf)
-		} else {
-			err = execOp(c, &ops[i], buf, s.posted(i))
 		}
-		if err != nil {
-			return fmt.Errorf("rank %d op %d (%s): %w", c.Rank(), i, ops[i], err)
-		}
-		i = j
+		return nil
 	}
-	return nil
+	posted, done, mine := 0, 0, 0
+	for i := 0; ; i++ {
+		for ; done < len(s.order) && s.recvs[s.order[done]].done == i; done++ {
+			if e := &s.recvs[s.order[done]]; e.on {
+				st, err := e.req.Wait()
+				if err = checkCount(st, err, &ops[e.op]); err != nil {
+					return opError(c, e.op, &ops[e.op], err)
+				}
+			}
+		}
+		for ; posted < len(s.recvs) && s.recvs[posted].post == i; posted++ {
+			e := &s.recvs[posted]
+			op := &ops[e.op]
+			e.req, e.on = pp.Prepost(e.req, buf[op.RecvOff:op.RecvOff+op.RecvLen], op.From, op.Tag)
+		}
+		if i == len(ops) {
+			return nil
+		}
+		early := mine < len(s.recvs) && s.recvs[mine].op == i
+		if early {
+			early = s.recvs[mine].on
+			mine++
+		}
+		if err := execOp(c, &ops[i], buf, early); err != nil {
+			return opError(c, i, &ops[i], err)
+		}
+	}
 }
 
-// execOp runs one op; pre is its receive when that was posted at entry.
-func execOp(c mpi.Comm, op *sched.Op, buf []byte, pre mpi.Request) error {
+// execOp runs one op, blocking until its halves are done; with early
+// set, its receive half was posted ahead and only its send half runs.
+func execOp(c mpi.Comm, op *sched.Op, buf []byte, early bool) error {
 	var st mpi.Status
 	var err error
 	switch {
-	case pre != nil:
-		if op.Kind == sched.OpSendrecv {
-			if err := c.Send(buf[op.SendOff:op.SendOff+op.SendLen], op.To, op.Tag); err != nil {
-				return err
-			}
-		}
-		st, err = pre.Wait()
-	case op.Kind == sched.OpSend:
+	case op.Kind == sched.OpSend || early && op.Kind == sched.OpSendrecv:
 		return c.Send(buf[op.SendOff:op.SendOff+op.SendLen], op.To, op.Tag)
+	case early:
+		return nil
 	case op.Kind == sched.OpRecv:
 		st, err = c.Recv(buf[op.RecvOff:op.RecvOff+op.RecvLen], op.From, op.Tag)
 	case op.Kind == sched.OpSendrecv:
@@ -201,65 +260,19 @@ func execOp(c mpi.Comm, op *sched.Op, buf []byte, pre mpi.Request) error {
 			buf[op.SendOff:op.SendOff+op.SendLen], op.To, op.Tag,
 			buf[op.RecvOff:op.RecvOff+op.RecvLen], op.From, op.Tag)
 	}
+	return checkCount(st, err, op)
+}
+
+// checkCount holds a completed receive to the byte count op expects.
+func checkCount(st mpi.Status, err error, op *sched.Op) error {
 	if err == nil && st.Count != op.RecvLen {
 		err = fmt.Errorf("received %d bytes, schedule says %d", st.Count, op.RecvLen)
 	}
 	return err
 }
 
-// execOverlapped runs ops [lo, hi), one ring step, with every transfer in
-// flight at once; a receive prepost posted is waited, not posted again.
-// The step boundary is a genuine dependency (the next step forwards what
-// this one received), so it waits for everything.
-func (s *rankOps) execOverlapped(c mpi.Comm, lo, hi int, buf []byte) error {
-	step := s.ops[lo:hi]
-	reqs := s.reqs[:0]
-	for i := range step {
-		op := &step[i]
-		if op.Kind == sched.OpSend {
-			continue
-		}
-		req := s.posted(lo + i)
-		if req == nil {
-			var err error
-			if req, err = c.Irecv(buf[op.RecvOff:op.RecvOff+op.RecvLen], op.From, op.Tag); err != nil {
-				return err
-			}
-		}
-		reqs = append(reqs, req)
-	}
-	for i := range step {
-		if op := &step[i]; op.Kind != sched.OpRecv {
-			req, err := c.Isend(buf[op.SendOff:op.SendOff+op.SendLen], op.To, op.Tag)
-			if err != nil {
-				return err
-			}
-			reqs = append(reqs, req)
-		}
-	}
-	// Receives come first, in op order: reqs[k] is the k-th receiving
-	// op's.
-	var first error
-	k := 0
-	for i := range step {
-		if op := &step[i]; op.Kind != sched.OpSend {
-			st, err := reqs[k].Wait()
-			if err == nil && st.Count != op.RecvLen {
-				err = fmt.Errorf("received %d bytes, schedule says %d", st.Count, op.RecvLen)
-			}
-			if err != nil && first == nil {
-				first = err
-			}
-			k++
-		}
-	}
-	for ; k < len(reqs); k++ {
-		if _, err := reqs[k].Wait(); err != nil && first == nil {
-			first = err
-		}
-	}
-	s.reqs = reqs[:0]
-	return first
+func opError(c mpi.Comm, i int, op *sched.Op, err error) error {
+	return fmt.Errorf("rank %d op %d (%s): %w", c.Rank(), i, op, err)
 }
 
 func checkRoot(c mpi.Comm, root int) error {
@@ -274,7 +287,7 @@ func checkRoot(c mpi.Comm, root int) error {
 // advance the communicator's tag stream and run. It is a Plan without
 // selection, capability check or span, for collectives that embed a
 // fixed broadcast (the allreduce tail).
-func runStatic(c mpi.Comm, buf []byte, root, seg int, e sched.Emitter, overlap bool) error {
+func runStatic(c mpi.Comm, buf []byte, root, seg int, e sched.Emitter) error {
 	if err := checkRoot(c, root); err != nil {
 		return err
 	}
@@ -283,18 +296,16 @@ func runStatic(c mpi.Comm, buf []byte, root, seg int, e sched.Emitter, overlap b
 	if err := p.ops.compile(c, e, root, len(buf), seg); err != nil {
 		return err
 	}
-	return p.ops.run(c, buf, overlap)
+	return p.ops.run(c, buf)
 }
 
 // run is exec behind the per-operation tag stream every collective draws
-// (a one-rank communicator sends nothing and draws none), with the
-// hoisted receives posted on that stream first.
-func (s *rankOps) run(c mpi.Comm, buf []byte, overlap bool) error {
+// (a one-rank communicator sends nothing and draws none).
+func (s *rankOps) run(c mpi.Comm, buf []byte) error {
 	if c.Size() > 1 {
 		mpi.AdvanceTagStream(c)
 	}
-	s.prepost(c, buf)
-	if err := s.exec(c, buf, overlap); err != nil {
+	if err := s.exec(c, buf); err != nil {
 		return fmt.Errorf("collective: exec: %w", err)
 	}
 	return nil
@@ -323,7 +334,8 @@ func ExecProgram(c mpi.Comm, pr *sched.Program, buf []byte) error {
 	if err := checkOps(s.ops, pr.P, pr.N, c.Rank()); err != nil {
 		return fmt.Errorf("collective: exec %q: %w", pr.Name, err)
 	}
-	if err := s.exec(c, buf, false); err != nil {
+	s.manage()
+	if err := s.exec(c, buf); err != nil {
 		return fmt.Errorf("collective: exec %q: %w", pr.Name, err)
 	}
 	return nil

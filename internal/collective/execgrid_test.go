@@ -59,9 +59,9 @@ func tracedDecision(t *testing.T, opts engine.Options, d tune.Decision, root, n 
 //
 // The pooled side runs with fewer workers than ranks, so every blocking
 // point of every algorithm exercises park/unpark. The last size has
-// page-sized chunks and segments, so the executor posts receives at
-// entry there (see rankOps.hoist) and the grid holds it to the same
-// parity.
+// chunks and segments of hoistFloor bytes, so the executor posts and
+// completes receives away from their ops there (see rankOps.manage) and
+// the grid holds it to the same parity.
 func TestExecutorParityGrid(t *testing.T) {
 	const seg = 512 // forced onto segmented algorithms
 	placements := []struct {

@@ -18,34 +18,86 @@ import (
 	"repro/internal/tune"
 )
 
-// overlapsEarlier reports whether op i's receive range shares a byte
-// with anything ops[:i] send or receive — the hoisting rule's
-// disjointness test, written out pairwise.
-func overlapsEarlier(ops []sched.Op, i int) bool {
-	lo, hi := ops[i].RecvOff, ops[i].RecvOff+ops[i].RecvLen
+// touches reports whether op sends or receives any byte of [lo, hi).
+func touches(op *sched.Op, lo, hi int) bool {
 	hit := func(off, n int) bool { return n > 0 && off < hi && lo < off+n }
-	for _, op := range ops[:i] {
-		if (op.Kind != sched.OpRecv && hit(op.SendOff, op.SendLen)) ||
-			(op.Kind != sched.OpSend && hit(op.RecvOff, op.RecvLen)) {
-			return true
-		}
-	}
-	return false
+	return (op.Kind != sched.OpRecv && hit(op.SendOff, op.SendLen)) ||
+		(op.Kind != sched.OpSend && hit(op.RecvOff, op.RecvLen))
 }
 
-// TestHoistRule checks what compile marks for early posting, for every
-// registry row on every rank of p ∈ {2..17, 64}, several roots, chunk
-// sizes on both sides of the floor and segment sizes: every hoisted
-// receive is at least the floor and disjoint from every earlier op's
-// bytes; the hoisted receives are the longest such prefix (the first
-// receive left out fails the rule); the opt rows hoist every receive when
-// all of a rank's receives reach the floor; and the native rows never
-// hoist a receive of bytes the scatter already delivered.
+// checkManaged holds what manage computed for s.ops to the rule, written
+// out op by op: the managed receives are exactly the receive halves of at
+// least hoistFloor bytes, in op order; post points never decrease, none
+// is after its op or before the op after a smaller receive (which runs at
+// its op); no op in [post, i) or (i, done) touches the receive's bytes,
+// op done does (or done is the end), and no earlier managed receive of
+// any of them is still in flight at post; order lists every managed
+// receive by completion point. It returns how many managed receives
+// complete after a later op has run.
+func checkManaged(t *testing.T, where string, s *rankOps) (late int) {
+	t.Helper()
+	ops, k, floor := s.ops, 0, 0
+	for i := range ops {
+		op := &ops[i]
+		if op.Kind == sched.OpSend {
+			continue
+		}
+		if op.RecvLen < hoistFloor {
+			floor = i + 1
+			continue
+		}
+		if k == len(s.recvs) || s.recvs[k].op != i {
+			t.Fatalf("%s: op %d (%s) is not managed", where, i, op)
+		}
+		e := s.recvs[k]
+		if k > 0 {
+			floor = max(floor, s.recvs[k-1].post)
+		}
+		if e.post < floor || e.post > i {
+			t.Fatalf("%s: op %d (%s) posted at %d, want within [%d, %d]", where, i, op, e.post, floor, i)
+		}
+		lo, hi := op.RecvOff, op.RecvOff+op.RecvLen
+		for j := e.post; j < min(e.done, len(ops)); j++ {
+			if j != i && touches(&ops[j], lo, hi) {
+				t.Fatalf("%s: op %d (%s) in flight over [%d, %d), yet op %d (%s) touches its bytes", where, i, op, e.post, e.done, j, &ops[j])
+			}
+		}
+		if e.done <= i || (e.done < len(ops) && !touches(&ops[e.done], lo, hi)) {
+			t.Fatalf("%s: op %d (%s) completed at %d, not where its bytes are next touched", where, i, op, e.done)
+		}
+		for _, f := range s.recvs[:k] {
+			if f.done > e.post && touches(&ops[f.op], lo, hi) {
+				t.Fatalf("%s: op %d (%s) posted at %d while op %d's receive of its bytes is in flight until %d", where, i, op, e.post, f.op, f.done)
+			}
+		}
+		if e.done > i+1 {
+			late++
+		}
+		k++
+	}
+	if k != len(s.recvs) || len(s.order) != k {
+		t.Fatalf("%s: %d receives reach the floor, %d managed, %d ordered", where, k, len(s.recvs), len(s.order))
+	}
+	seen := make([]bool, k)
+	for j, r := range s.order {
+		if seen[r] || (j > 0 && s.recvs[s.order[j-1]].done > s.recvs[r].done) {
+			t.Fatalf("%s: completion order %v is not by completion point", where, s.order)
+		}
+		seen[r] = true
+	}
+	return late
+}
+
+// TestHoistRule checks where compile places the receives the loop
+// manages (checkManaged), for every registry row on every rank of
+// p ∈ {2..17, 64}, several roots, chunk sizes on both sides of the floor
+// and segment sizes; and that on the opt rows, when all of a rank's
+// receives reach the floor, every one is posted at entry, since the tuned
+// ring receives no byte a rank already holds.
 func TestHoistRule(t *testing.T) {
 	procs := []int{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 64}
-	opt := map[string]bool{tune.RingOpt: true, tune.RingOptSeg: true, tune.RingOptSegNB: true}
-	native := map[string]bool{tune.RingNative: true, tune.RingSeg: true, tune.RingSegNB: true}
-	hoisted := 0
+	opt := map[string]bool{tune.RingOpt: true, tune.RingOptSeg: true}
+	managed, late := 0, 0
 	for _, r := range Algorithms() {
 		segs := []int{0}
 		if r.Caps.Segmented {
@@ -60,43 +112,21 @@ func TestHoistRule(t *testing.T) {
 					if !r.Caps.Match(tune.EnvOf(n, p, topo)) {
 						continue
 					}
-					owned := core.ScatterOwnership(p, root, n)
 					for _, seg := range segs {
 						var s rankOps
 						for rank := 0; rank < p; rank++ {
 							s.ops = e(s.ops[:0], rank, p, root, n, seg)
-							s.hoist()
-							ops, end := s.ops, len(s.pre)
+							s.manage()
 							where := fmt.Sprintf("%s p=%d root=%d n=%d seg=%d rank %d", r.Name, p, root, n, seg, rank)
-							if end > 0 && ops[end-1].Kind == sched.OpSend {
-								t.Fatalf("%s: prefix ends on a send (op %d)", where, end-1)
-							}
+							late += checkManaged(t, where, &s)
+							managed += len(s.recvs)
 							allAtFloor := true
-							for i := range ops {
-								op := &ops[i]
-								if op.Kind == sched.OpSend {
-									continue
-								}
-								allAtFloor = allAtFloor && op.RecvLen >= hoistFloor
-								if i < end {
-									hoisted++
-									if op.RecvLen < hoistFloor || overlapsEarlier(ops, i) {
-										t.Fatalf("%s: op %d (%s) hoisted against the rule", where, i, op)
-									}
-									if native[r.Name] && op.Step >= 1 && owned(rank).Overlaps(op.RecvOff, op.RecvOff+op.RecvLen) {
-										t.Fatalf("%s: op %d (%s) re-receives a scatter-owned chunk early", where, i, op)
-									}
-								}
+							for _, op := range s.ops {
+								allAtFloor = allAtFloor && (op.Kind == sched.OpSend || op.RecvLen >= hoistFloor)
 							}
-							for i := end; i < len(ops); i++ {
-								if op := &ops[i]; op.Kind != sched.OpSend {
-									if op.RecvLen >= hoistFloor && !overlapsEarlier(ops, i) {
-										t.Fatalf("%s: op %d (%s) ends the prefix but passes the rule", where, i, op)
-									}
-									if opt[r.Name] && allAtFloor {
-										t.Fatalf("%s: op %d (%s) not hoisted, yet every receive reaches the floor", where, i, op)
-									}
-									break
+							for _, e := range s.recvs {
+								if opt[r.Name] && allAtFloor && e.post != 0 {
+									t.Fatalf("%s: op %d (%s) posted at %d, yet every receive reaches the floor", where, e.op, &s.ops[e.op], e.post)
 								}
 							}
 						}
@@ -105,24 +135,40 @@ func TestHoistRule(t *testing.T) {
 			}
 		}
 	}
-	if hoisted == 0 {
-		t.Fatal("the grid hoisted nothing")
+	if managed == 0 || late == 0 {
+		t.Fatalf("the grid managed %d receives, %d completed after a later op", managed, late)
+	}
+
+	// A partial overlap no registry row has: the second receive shares
+	// half its bytes with the first, which stays in flight until op 2
+	// sends its other half, so the second posts only then — later than
+	// the op after the last op touching its own bytes.
+	s := rankOps{ops: []sched.Op{
+		{Kind: sched.OpRecv, From: 1, RecvLen: 2 * hoistFloor},
+		{Kind: sched.OpSend, To: 2, SendOff: 4 * hoistFloor, SendLen: hoistFloor},
+		{Kind: sched.OpSend, To: 2, SendLen: hoistFloor},
+		{Kind: sched.OpRecv, From: 1, RecvOff: hoistFloor, RecvLen: 2 * hoistFloor},
+	}}
+	s.manage()
+	checkManaged(t, "partial overlap", &s)
+	if e := s.recvs[1]; e.post != 2 || e.done != 4 {
+		t.Fatalf("partial overlap: second receive posted at %d, completed at %d; want 2 and 4", e.post, e.done)
 	}
 }
 
 // hidePrepost wraps a communicator without passing on mpi.Preposter:
-// every receive is posted at its op, the executor's behaviour before
-// early posting.
+// every receive runs at its op, blocking execution.
 type hidePrepost struct {
 	mpi.Comm
 	mpi.TagStreamer
 }
 
 // TestHoistStopsAtBelowFloorTail: on a segmented opt ring whose chunks
-// end in a segment below the floor, the prefix ends at the first such
-// tail, so the full segments that follow from the same neighbour are
-// posted at their own op — and the run with early posting delivers the
-// bytes and the traffic of the run without it.
+// end in a segment below the floor, that tail runs at its op, so every
+// managed receive after it — the full segments that follow from the same
+// neighbour among them — is posted after the tail's op. The run with
+// early posting delivers the bytes and the traffic of the run without
+// it, with eager messages and with every message rendezvous.
 func TestHoistStopsAtBelowFloorTail(t *testing.T) {
 	const (
 		p     = 4
@@ -133,39 +179,42 @@ func TestHoistStopsAtBelowFloorTail(t *testing.T) {
 	for rank := 0; rank < p; rank++ {
 		var s rankOps
 		s.ops = core.BcastOptSegOps(s.ops, rank, p, 0, n, d.SegSize)
-		s.hoist()
-		tail := -1
+		s.manage()
+		tail, later := -1, false
 		for i, op := range s.ops {
-			if op.Kind != sched.OpSend && op.RecvLen < hoistFloor {
-				tail = i
-				break
+			if op.Kind == sched.OpSend || op.RecvLen >= hoistFloor {
+				continue
+			}
+			tail = i
+			for _, e := range s.recvs {
+				if e.op > i && e.post <= i {
+					t.Fatalf("rank %d: op %d (%s) posted at %d, before the tail at op %d", rank, e.op, &s.ops[e.op], e.post, i)
+				}
+				later = later || (e.op > i && s.ops[e.op].From == op.From)
 			}
 		}
 		if rank == 0 {
-			if tail >= 0 || len(s.pre) != 0 {
-				t.Fatalf("root: tail at op %d, %d ops hoisted; the root receives nothing", tail, len(s.pre))
+			if tail >= 0 || len(s.recvs) != 0 {
+				t.Fatalf("root: tail at op %d, %d receives managed; the root receives nothing", tail, len(s.recvs))
 			}
 			continue
 		}
-		if tail < 0 || len(s.pre) > tail {
-			t.Fatalf("rank %d: tail at op %d, prefix runs to op %d", rank, tail, len(s.pre))
-		}
-		later := false
-		for _, op := range s.ops[tail+1:] {
-			later = later || (op.Kind != sched.OpSend && op.From == s.ops[tail].From && op.RecvLen >= hoistFloor)
-		}
 		if !later {
-			t.Fatalf("rank %d: no full segment from op %d's source after it — the case is not exercised", rank, tail)
+			t.Fatalf("rank %d: no full segment from a tail's source after it — the case is not exercised", rank)
 		}
 	}
 
 	want := pattern(n)
-	var stats [2]trace.Stats
-	for k, hide := range []bool{false, true} {
+	var stats [3]trace.Stats
+	for k, v := range []struct{ hide, rdv bool }{{true, false}, {false, false}, {false, true}} {
+		opts := engine.Options{NP: p, Timeout: 30 * time.Second}
+		if v.rdv {
+			opts.EagerLimit = -1
+		}
 		col := trace.NewCollector()
-		err := engine.RunWith(engine.Options{NP: p, Timeout: 30 * time.Second}, func(c mpi.Comm) error {
+		err := engine.RunWith(opts, func(c mpi.Comm) error {
 			tc := col.Wrap(c)
-			if hide {
+			if v.hide {
 				tc = hidePrepost{tc, tc.(mpi.TagStreamer)}
 			}
 			buf := make([]byte, n)
@@ -183,12 +232,12 @@ func TestHoistStopsAtBelowFloorTail(t *testing.T) {
 			return nil
 		})
 		if err != nil {
-			t.Fatalf("hidden=%v: %v", hide, err)
+			t.Fatalf("%+v: %v", v, err)
 		}
 		stats[k] = col.Stats()
-	}
-	if !reflect.DeepEqual(stats[0], stats[1]) {
-		t.Fatalf("early posting changed the traffic:\nwith:    %+v\nwithout: %+v", stats[0], stats[1])
+		if !reflect.DeepEqual(stats[k], stats[0]) {
+			t.Fatalf("early posting changed the traffic (%+v):\nwith:    %+v\nwithout: %+v", v, stats[k], stats[0])
+		}
 	}
 	if stats[0].Recvs != stats[0].Total.Messages {
 		t.Fatalf("recvs=%d != msgs=%d", stats[0].Recvs, stats[0].Total.Messages)

@@ -140,7 +140,7 @@ func (p *Plan) Execute(c mpi.Comm, buf []byte) error {
 		return fmt.Errorf("collective: plan executed with %d bytes, built for %d (Rebind first)", len(buf), p.n)
 	}
 	ring, start := spanStart(c)
-	if err := p.ops.run(c, buf, p.reg.Overlap); err != nil {
+	if err := p.ops.run(c, buf); err != nil {
 		return err
 	}
 	if ring != nil {

@@ -100,12 +100,6 @@ type Registration struct {
 	// TopoOps returns the emitter for the communicator whose ranks topo
 	// places (topo.NP() ranks, numbered as in topo).
 	TopoOps func(topo *topology.Map) sched.Emitter
-	// Overlap selects the executor's overlap mode: within one ring step
-	// every receive is pre-posted and every send started before any is
-	// awaited (see rankOps.exec for when that is sound). It is a fixed
-	// property of the row — the "-nb" rows are their blocking rows' Ops
-	// with Overlap set — never a per-call choice.
-	Overlap bool
 	// Program is Schedule without a node map, derived by Register for Ops
 	// rows only (nil on TopoOps rows); it is kept for callers that have no
 	// topology at hand. In-tree consumers use Schedule, which serves every
@@ -280,9 +274,8 @@ func RunDecision(c mpi.Comm, buf []byte, root int, d tune.Decision) error {
 }
 
 // The built-in broadcast family. Each row is its emitter from
-// internal/core and nothing else; the two overlap rows are their blocking
-// rows' emitters in the executor's overlap mode, and the two SMP rows are
-// emitters composed over the node map.
+// internal/core and nothing else; the two SMP rows are emitters composed
+// over the node map.
 func init() {
 	MustRegister(Registration{
 		Name:    tune.Binomial,
@@ -316,20 +309,6 @@ func init() {
 		Summary: "binomial scatter + segmented non-enclosed ring allgather (pipelined MPI_Bcast_opt)",
 		Caps:    Capabilities{Segmented: true},
 		Ops:     core.BcastOptSegOps,
-	})
-	MustRegister(Registration{
-		Name:    tune.RingSegNB,
-		Summary: "segmented enclosed ring with pre-posted nonblocking segment transfers (overlap pipeline)",
-		Caps:    Capabilities{Segmented: true},
-		Ops:     core.BcastNativeSegOps,
-		Overlap: true,
-	})
-	MustRegister(Registration{
-		Name:    tune.RingOptSegNB,
-		Summary: "segmented non-enclosed ring with pre-posted nonblocking segment transfers (overlap pipeline)",
-		Caps:    Capabilities{Segmented: true},
-		Ops:     core.BcastOptSegOps,
-		Overlap: true,
 	})
 	MustRegister(Registration{
 		Name:    tune.Chain,

@@ -21,7 +21,6 @@ func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		tune.Binomial, tune.Chain, tune.ScatterRdb,
 		tune.RingNative, tune.RingOpt, tune.RingSeg, tune.RingOptSeg,
-		tune.RingSegNB, tune.RingOptSegNB,
 		tune.SMP, tune.SMPOpt,
 	}
 	for _, name := range want {
@@ -187,7 +186,6 @@ func TestRegisterRejects(t *testing.T) {
 	for name, r := range map[string]Registration{
 		"empty name":           {Ops: core.BinomialOps},
 		"no emitter":           {Name: "x"},
-		"no emitter, overlap":  {Name: "x", Overlap: true},
 		"both emitters":        {Name: "x", Ops: core.BinomialOps, TopoOps: topoOps},
 		"hand-paired Program":  {Name: "x", Ops: core.BinomialOps, Program: program},
 		"Program alone":        {Name: "x", Program: program},

@@ -14,10 +14,10 @@
 // blocking point. Send, Recv and Sendrecv are those calls in a row, so
 // the send-only and receive-only ring steps the paper's optimisation
 // produces run the same code as the full exchanges beside them. A caller
-// that knows its receives ahead — a collective's executor, at entry —
-// posts them with Prepost (mpi.Preposter): irecv into a completed request
-// the caller owns and the engine re-arms, so a sender finds them waiting
-// and copies once, straight into place.
+// that knows its receives ahead — a collective's executor, ops before it
+// runs them — posts them with Prepost (mpi.Preposter): irecv into a
+// completed request the caller owns and the engine re-arms, so a sender
+// finds them waiting and copies once, straight into place.
 //
 // How ranks run is a layer of its own: the default GoroutineExecutor
 // gives every rank an OS-scheduled goroutine, while the PooledExecutor

@@ -67,14 +67,15 @@ func TestEngineMeasurerHonorsPlacement(t *testing.T) {
 	}
 }
 
-// TestEngineMeasurerSegmented runs a segmented candidate with an awkward
-// segment size end to end.
+// TestEngineMeasurerSegmented runs a segmented candidate end to end with
+// an awkward segment size, and with segments large enough that the
+// executor posts their receives early.
 func TestEngineMeasurerSegmented(t *testing.T) {
 	m := EngineMeasurer{Warmup: 1, Reps: 2, Stat: StatMedian}
 	if _, err := m.Measure(cand(tune.RingOptSeg, 512), 5, 4096+3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Measure(cand(tune.RingOptSegNB, 512), 5, 4096+3); err != nil {
+	if _, err := m.Measure(cand(tune.RingOptSeg, 8<<10), 5, 5*(16<<10)+3); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -74,13 +74,6 @@ const (
 	// RingOptSeg is the segmented tuned ring broadcast: the non-enclosed
 	// ring allgather pipelined in SegSize chunks.
 	RingOptSeg = "scatter-ring-allgather-opt-seg"
-	// RingSegNB and RingOptSegNB are the overlap-aware segmented rings:
-	// the same pipelined schedules as RingSeg/RingOptSeg, but every
-	// segment receive of a ring step is pre-posted through Irecv before
-	// any segment is forwarded, so the transport can land segment k+1
-	// while segment k is still being sent.
-	RingSegNB    = "scatter-ring-allgather-seg-nb"
-	RingOptSegNB = "scatter-ring-allgather-opt-seg-nb"
 	// Chain is the segmented pipeline-chain broadcast (extension
 	// baseline; takes a segment-size parameter).
 	Chain = "chain"
