@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -84,48 +85,71 @@ func TestUDPTransportRegistryGrid(t *testing.T) {
 	}
 }
 
+// noSyscallConn hides a socket's file descriptor: a transport over it
+// has nothing to hand recvmmsg and reads with ReadFrom.
+type noSyscallConn struct{ net.PacketConn }
+
 // TestUDPTransportFaultGrid proves the acceptance criterion for the
 // fault-injection satellite at the collective level: native, opt and
 // opt-seg broadcasts over a loopback UDP transport whose socket drops
 // 5% of datagrams (plus duplication and reordering) must still produce
 // byte-identical buffers, with the recovery visible as retransmits in
-// the metrics snapshot.
+// the metrics snapshot. Each row runs over two sockets: a Faulty around
+// a raw socket, which the transport reads in batches (on Linux) while
+// every write still meets the Faulty, and a Faulty around a wrapper
+// without SyscallConn, which keeps the portable read path under loss.
 func TestUDPTransportFaultGrid(t *testing.T) {
 	const (
 		p   = 8
 		n   = 24 << 10
 		seg = 4096
 	)
+	batchable := runtime.GOOS == "linux" && (runtime.GOARCH == "amd64" || runtime.GOARCH == "arm64")
 	topo := topology.Blocked(p, 4)
-	m := metrics.New(p, 0)
-	for _, algo := range []string{tune.RingNative, tune.RingOpt, tune.RingOptSeg} {
-		conn, err := net.ListenPacket("udp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
+	for _, sock := range []struct {
+		name    string
+		wrap    func(net.PacketConn) net.PacketConn
+		batched bool
+	}{
+		{"raw", func(c net.PacketConn) net.PacketConn { return c }, batchable},
+		{"no-syscallconn", func(c net.PacketConn) net.PacketConn { return noSyscallConn{c} }, false},
+	} {
+		m := metrics.New(p, 0)
+		for _, algo := range []string{tune.RingNative, tune.RingOpt, tune.RingOptSeg} {
+			conn, err := net.ListenPacket("udp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			faulty := transport.NewFaulty(sock.wrap(conn), transport.FaultConfig{Drop: 0.05, Dup: 0.02, Reorder: 0.02})
+			tr, err := transport.NewUDP(transport.UDPConfig{
+				NP: p, Conn: faulty, ForceWire: true, RetransmitEvery: 5 * time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := tune.Decision{Algorithm: algo}
+			if algo == tune.RingOptSeg {
+				d.SegSize = seg
+			}
+			runDecisionWired(t, engine.Options{
+				NP: p, Topology: topo, EagerLimit: 2 << 10,
+				Timeout: 120 * time.Second, Transport: tr, Metrics: m,
+			}, d, 0, n)
+			tr.Close()
 		}
-		faulty := transport.NewFaulty(conn, transport.FaultConfig{Drop: 0.05, Dup: 0.02, Reorder: 0.02})
-		tr, err := transport.NewUDP(transport.UDPConfig{
-			NP: p, Conn: faulty, ForceWire: true, RetransmitEvery: 5 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
+		s := m.Snapshot()
+		if s.WireRetransmits == 0 {
+			t.Errorf("%s: 5%% datagram loss must surface as retransmits in the snapshot", sock.name)
 		}
-		d := tune.Decision{Algorithm: algo}
-		if algo == tune.RingOptSeg {
-			d.SegSize = seg
+		if s.WireDatagramsSent == 0 || s.WireDatagramsRecv == 0 {
+			t.Errorf("%s: wire counters dark under the fault grid: %+v", sock.name, s)
 		}
-		runDecisionWired(t, engine.Options{
-			NP: p, Topology: topo, EagerLimit: 2 << 10,
-			Timeout: 120 * time.Second, Transport: tr, Metrics: m,
-		}, d, 0, n)
-		tr.Close()
-	}
-	s := m.Snapshot()
-	if s.WireRetransmits == 0 {
-		t.Error("5% datagram loss must surface as retransmits in the snapshot")
-	}
-	if s.WireDatagramsSent == 0 || s.WireDatagramsRecv == 0 {
-		t.Errorf("wire counters dark under the fault grid: %+v", s)
+		if s.WireBatchedWrites != 0 {
+			t.Errorf("%s: %d batched writes went around the Faulty's injected faults", sock.name, s.WireBatchedWrites)
+		}
+		if got := s.WireBatchedReads > 0; got != sock.batched {
+			t.Errorf("%s: %d batched reads; batched reads expected: %v", sock.name, s.WireBatchedReads, sock.batched)
+		}
 	}
 }
 

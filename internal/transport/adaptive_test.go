@@ -333,6 +333,60 @@ func TestUDPAckCoalescing(t *testing.T) {
 	}
 }
 
+// TestUDPAckLeavesWhenReadLoopDrains: a deferred ACK leaves once the
+// receive loop has read everything queued, not when the delayed-ack
+// timer fires. A fixed 40ms RTO puts that timer at its 5ms ceiling and
+// AckEvery is far above a message's three datagrams, so nothing but the
+// flush on drain can empty the sender's scoreboard well inside the
+// timer — and nothing may time out meanwhile. The best of a few rounds
+// is judged, so one descheduled goroutine on a loaded host does not
+// decide it.
+func TestUDPAckLeavesWhenReadLoopDrains(t *testing.T) {
+	a, b := newPairWith(t, nil, UDPConfig{RetransmitEvery: 40 * time.Millisecond, AckEvery: 1 << 20})
+	if b.bio == nil {
+		t.Skip("no batched reads on this platform: the delayed-ack timer is the only flush")
+	}
+	m := metrics.New(1, 0)
+	a.BindMetrics(m)
+	delivered := make(chan time.Time, 1)
+	if err := a.Start(discard); err != nil {
+		t.Fatal(err)
+	}
+	err := b.Start(deliverFunc(func(msg Message) {
+		msg.Buf.Release()
+		delivered <- time.Now()
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	best := time.Hour
+	for i := 0; i < 5; i++ {
+		if err := a.Send(Message{Ctx: 1, Dst: 1, Tag: i, Kind: Eager, Data: pattern(i, 2*maxPayload+100)}); err != nil {
+			t.Fatal(err)
+		}
+		var at time.Time
+		select {
+		case at = <-delivered:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("message %d never delivered", i)
+		}
+		for a.hasPending() {
+			if time.Since(at) > 10*time.Second {
+				t.Fatalf("message %d never acknowledged", i)
+			}
+			time.Sleep(20 * time.Microsecond)
+		}
+		best = min(best, time.Since(at))
+	}
+	t.Logf("scoreboard empty %v after delivery at best", best)
+	if best >= maxAckDelay/2 {
+		t.Errorf("the sender's scoreboard emptied %v after delivery at best, want well inside the %v ack timer", best, maxAckDelay)
+	}
+	if s := m.Snapshot(); s.WireRetransmits != 0 {
+		t.Errorf("%d timeout re-sends on a clean pair", s.WireRetransmits)
+	}
+}
+
 // TestUDPAdaptiveRTOWithLatency injects realistic one-way latency and
 // jitter (satellite: FaultConfig.Delay/Jitter) and checks the estimator
 // tracks it: with ≥2ms each way the SRTT gauge must report a

@@ -28,10 +28,11 @@ type mmsghdr struct {
 // rawSockaddr is scratch space big enough for any UDP sockaddr.
 type rawSockaddr [syscall.SizeofSockaddrInet6]byte
 
-// batchIO provides sendmmsg/recvmmsg access to one UDP socket. Write
-// scratch is the caller's batchWriter (flows flush concurrently, each
-// under its own lock); receive scratch lives here because readBatch has
-// a single caller, the transport's receive loop.
+// batchIO provides recvmmsg access to one UDP socket, and sendmmsg
+// access when the socket is a raw one. Write scratch is the caller's
+// batchWriter (flows flush concurrently, each under its own lock);
+// receive scratch lives here because readBatch has a single caller, the
+// transport's receive loop.
 //
 // Every receive slot has one shape: a gather of the datagram's first
 // dataHeaderLen bytes into the head of the slot's buffer, then its
@@ -41,6 +42,14 @@ type rawSockaddr [syscall.SizeofSockaddrInet6]byte
 // is ever cut short by a window that expected a smaller one.
 type batchIO struct {
 	rc syscall.RawConn
+	// writes is set when the socket is a raw *net.UDPConn: a wrapper's
+	// WriteTo (a Faulty's injected faults) must see every datagram.
+	writes bool
+
+	// idle runs each time a read finds the socket empty, right before the
+	// receive loop parks on the netpoller. The loop sets it before its
+	// first read.
+	idle func()
 
 	rpkts  [batchSize]batchPkt         // what readBatch returns a prefix of
 	rbufs  [batchSize][]byte           // maxDatagram each: header, then payload
@@ -77,19 +86,22 @@ type cachedAddr struct {
 	addr *net.UDPAddr
 }
 
-// newBatchIO returns a batchIO for conn, or nil when conn is not a raw
-// UDP socket (e.g. wrapped in a Faulty) — callers then use the portable
-// single-datagram path.
+// newBatchIO returns a batchIO for conn, or nil when conn offers no
+// socket to read through (no SyscallConn, or one that fails) — callers
+// then use the portable single-datagram path. A wrapper that forwards
+// SyscallConn (Faulty) is read around, so it must leave reads alone; its
+// writes still go through its WriteTo.
 func newBatchIO(conn net.PacketConn) *batchIO {
-	uc, ok := conn.(*net.UDPConn)
+	sc, ok := conn.(syscall.Conn)
 	if !ok {
 		return nil
 	}
-	rc, err := uc.SyscallConn()
+	rc, err := sc.SyscallConn()
 	if err != nil {
 		return nil
 	}
-	b := &batchIO{rc: rc}
+	_, raw := conn.(*net.UDPConn)
+	b := &batchIO{rc: rc, writes: raw}
 	for i := range b.rbufs {
 		b.rbufs[i] = make([]byte, maxDatagram)
 		b.riovs[i][0].Base = &b.rbufs[i][0]
@@ -100,17 +112,16 @@ func newBatchIO(conn net.PacketConn) *batchIO {
 	b.head = b.peek
 	b.recv = func(fd uintptr) bool {
 		b.fd, b.empty = fd, false
-		n := b.aim()
-		if b.empty {
-			return false // park on the netpoller until readable
+		if n := b.aim(); !b.empty {
+			r1, _, e := syscall.Syscall6(sysRecvmmsg, fd,
+				uintptr(unsafe.Pointer(&b.rhdrs[0])), uintptr(n), syscall.MSG_DONTWAIT, 0, 0)
+			if e != syscall.EAGAIN {
+				b.rerr, b.rgot = e, int(r1)
+				return true
+			}
 		}
-		r1, _, e := syscall.Syscall6(sysRecvmmsg, fd,
-			uintptr(unsafe.Pointer(&b.rhdrs[0])), uintptr(n), syscall.MSG_DONTWAIT, 0, 0)
-		if e == syscall.EAGAIN {
-			return false // park on the netpoller until readable
-		}
-		b.rerr, b.rgot = e, int(r1)
-		return true
+		b.idle()
+		return false // park on the netpoller until readable
 	}
 	return b
 }
@@ -232,11 +243,14 @@ type batchWriter struct {
 // writeBatch sends dgrams to addr in sendmmsg chunks, each datagram a
 // gather of its header and its payload view, reporting how many
 // datagrams the kernel accepted and how many syscalls that took. ok is
-// false when the batch path cannot be used at all (callers fall back to
-// WriteTo); a short or failed send after the first accepted datagram
-// still reports ok, and the unaccepted tail is left to the retransmit
-// clock.
+// false when the batch path cannot be used at all — a wrapped socket, or
+// an address it cannot encode (callers fall back to WriteTo); a short or
+// failed send after the first accepted datagram still reports ok, and
+// the unaccepted tail is left to the retransmit clock.
 func (b *batchIO) writeBatch(w *batchWriter, dgrams []datagram, addr net.Addr) (sent, calls int, ok bool) {
+	if !b.writes {
+		return 0, 0, false
+	}
 	salen, ok := encodeSockaddr(addr, &w.rsa)
 	if !ok {
 		return 0, 0, false

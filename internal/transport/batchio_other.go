@@ -6,8 +6,9 @@ import "net"
 
 // batchIO is unavailable on this platform: newBatchIO reports no batch
 // capability and the transport uses its WriteTo/ReadFrom path. The
-// method set exists so the portable code compiles unchanged.
-type batchIO struct{}
+// method set, and the idle hook the receive loop installs, exist so the
+// portable code compiles unchanged.
+type batchIO struct{ idle func() }
 
 func newBatchIO(net.PacketConn) *batchIO { return nil }
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"syscall"
 	"time"
 )
 
@@ -26,8 +27,9 @@ type FaultConfig struct {
 }
 
 // Faulty wraps a PacketConn and injects datagram loss, duplication and
-// reordering on the write side. Reads pass through untouched, so
-// wrapping one endpoint of a pair perturbs exactly one direction.
+// reordering on the write side. Reads are not faulted — a UDP transport
+// reads a wrapped raw socket around the wrapper, through SyscallConn —
+// so wrapping one endpoint of a pair perturbs exactly one direction.
 // The retransmit contract makes all three faults invisible to the
 // Transport's callers — tests wrap a UDP transport's socket in a Faulty
 // to prove byte-identity under loss.
@@ -72,6 +74,16 @@ func (f *Faulty) SetWriteBuffer(bytes int) error {
 		return sb.SetWriteBuffer(bytes)
 	}
 	return errors.ErrUnsupported
+}
+
+// SyscallConn forwards to the wrapped socket, so a transport over a
+// Faulty reads in batches like one over a raw socket. Writes never go
+// around WriteTo: the transport batches them only on a raw socket.
+func (f *Faulty) SyscallConn() (syscall.RawConn, error) {
+	if sc, ok := f.PacketConn.(syscall.Conn); ok {
+		return sc.SyscallConn()
+	}
+	return nil, errors.ErrUnsupported
 }
 
 // WriteTo implements net.PacketConn with fault injection. Dropped

@@ -161,25 +161,36 @@
 // reopen it.
 //
 // ACK coalescing: in-order data datagrams defer their cumulative ACK
-// until either UDPConfig.AckEvery of them accumulate (default 8) or a
-// flush timer of ~RTO/4 of the reverse flow (clamped to [100µs, 5ms])
-// expires; duplicates and out-of-order arrivals are acknowledged
-// immediately, with the held ranges, since the sender is evidently
-// retransmitting or has a hole to fill. AckEvery=1 restores
-// ack-per-datagram.
+// until UDPConfig.AckEvery of them accumulate (default 8), the batched
+// receive loop finds the socket empty, or a flush timer of ~RTO/4 of the
+// reverse flow (clamped to [100µs, 5ms]) expires, whichever comes first;
+// duplicates and out-of-order arrivals are acknowledged immediately,
+// with the held ranges, since the sender is evidently retransmitting or
+// has a hole to fill. AckEvery=1 restores ack-per-datagram. The flush on
+// drain is what keeps a deferred ACK from racing its sender's RTO: the
+// runtime sleeps in whole milliseconds when the process is idle, so a
+// sub-millisecond timer fires late, and a late ACK is a spurious
+// timeout, a needless re-send and a halved window. The timer stays as
+// the backstop: it alone serves the ReadFrom path, and a flow below
+// AckEvery whose peers keep the loop busy. Lock rule: the drain flush
+// runs on the receive goroutine inside the read's callback and takes
+// each flow's recv.mu in turn; it never runs while aimRead holds one.
 //
-// Batched I/O: on Linux, flushes go through sendmmsg — each datagram a
+// Batched I/O: on Linux, the receive loop drains the socket with
+// recvmmsg, every datagram scattered into two parts: its first 54 bytes
+// into the head of the slot's buffer, its payload into the slot's
+// target. It does so on any socket that hands out its file descriptor
+// (SyscallConn): a raw *net.UDPConn, or a Faulty around one, which reads
+// do not pass through. Flushes go through sendmmsg — each datagram a
 // two-element gather of the scoreboard's header and the payload view,
 // so a pinned payload leaves the caller's buffer without being copied —
-// and the receive loop drains the socket with recvmmsg, every datagram
-// scattered the same way: its first 54 bytes into the head of the
-// slot's buffer, its payload into the slot's target. The batch path
-// engages only when the transport owns a raw *net.UDPConn; wrapped
-// sockets (Faulty), other platforms, or a runtime refusal (ENOSYS) fall
-// back to per-datagram WriteTo/ReadFrom with identical wire behavior,
-// assembling header and payload in one per-flow scratch buffer first.
-// Kernel socket buffers are sized for a full window on any socket that
-// can be sized, wrapped ones included.
+// only on a raw *net.UDPConn, so that every datagram a wrapper writes
+// meets its WriteTo (a Faulty's faults). The rest — wrapped writes, a
+// wrapper without SyscallConn, other platforms, or a runtime refusal
+// (ENOSYS) — falls back to per-datagram WriteTo/ReadFrom with identical
+// wire behavior, assembling header and payload in one per-flow scratch
+// buffer first. Kernel socket buffers are sized for a full window on
+// any socket that can be sized, wrapped ones included.
 //
 // # Receive placement
 //

@@ -1300,10 +1300,14 @@ func (t *UDP) aimRead(win [][]byte, head peekFunc) int {
 }
 
 // recvBatchLoop drains the socket with recvmmsg, dispatching every
-// datagram of each batch. It returns true when the transport is done
-// (socket closed), false to fall back to the single-datagram path.
+// datagram of each batch. Whenever the socket runs dry it sends every
+// flow's deferred ACK before parking, rather than leave it to the
+// delayed-ack timer (see the package comment's ACK coalescing). It
+// returns true when the transport is done (socket closed), false to
+// fall back to the single-datagram path.
 func (t *UDP) recvBatchLoop(ackBuf []byte) bool {
 	plan := readPlan(t.aimRead)
+	t.bio.idle = func() { t.ackFlushPass(time.Now().Add(maxAckDelay), ackBuf) }
 	for {
 		pkts, err := t.bio.readBatch(plan)
 		if err != nil {
@@ -1452,11 +1456,13 @@ func (t *UDP) sendAck(p *peer, a *ack, ackBuf []byte) {
 // tickLoop is the transport's clock: it flushes overdue delayed acks,
 // then retransmits written-but-unacked packets past their
 // (backoff-inflated) timeout and writes queued packets the window
-// admits. Acks go first: on a self-addressed socket a deferred ack that
-// is due covers data the same tick would otherwise judge timed out and
-// re-send before writing it. The tick interval tracks the smallest live
-// deadline so a 200µs adaptive RTO gets sub-millisecond resolution while
-// an idle transport sleeps.
+// admits. The ack flush is the backstop behind the batched receive
+// loop's flush on drain: it alone serves the ReadFrom path, and a flow
+// that holds fewer than AckEvery unacknowledged datagrams while other
+// peers keep the loop busy. An ack it writes is not read before the
+// same tick's retransmit pass, so it spares no re-send of that tick. The
+// tick interval tracks the smallest live deadline so a 200µs adaptive
+// RTO gets sub-millisecond resolution while an idle transport sleeps.
 func (t *UDP) tickLoop() {
 	defer t.wg.Done()
 	timer := time.NewTimer(t.tickInterval())
@@ -1516,7 +1522,8 @@ func (t *UDP) retransmitPass(now time.Time) {
 }
 
 // ackFlushPass sends the delayed cumulative ack of every recv flow
-// whose flush deadline has passed.
+// whose flush deadline has passed by now; a now maxAckDelay ahead flushes
+// every deferred ack.
 func (t *UDP) ackFlushPass(now time.Time, ackBuf []byte) {
 	for _, p := range *t.peers.Load() {
 		f := &p.recv
