@@ -223,7 +223,7 @@ func (cl *Cluster) Run(ctx context.Context, fn func(Comm) error) error {
 	cl.runs++
 	err := w.RunContext(ctx, func(mc mpiComm) error {
 		if cl.collector != nil {
-			// Per-rank recorder slots keep the collector's memory
+			// Per-rank traffic rows keep the collector's memory
 			// constant however many runs reuse this world.
 			mc = cl.collector.WrapSlot(mc.Rank(), mc)
 		}

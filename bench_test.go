@@ -203,11 +203,11 @@ func BenchmarkAblationNoContention(b *testing.B) {
 				m.NoContention = !contention
 				var gain float64
 				for i := 0; i < b.N; i++ {
-					nat, err := netsim.SteadyStateIterTime(core.BcastNativeProgram(np, 0, n), topo, m, 1, 3)
+					nat, err := netsim.SteadyStateIterTime(sched.Generate("bcast-native", core.BcastNativeOps, np, 0, n, 0), topo, m, 1, 3)
 					if err != nil {
 						b.Fatal(err)
 					}
-					opt, err := netsim.SteadyStateIterTime(core.BcastOptProgram(np, 0, n), topo, m, 1, 3)
+					opt, err := netsim.SteadyStateIterTime(sched.Generate("bcast-opt", core.BcastOptOps, np, 0, n, 0), topo, m, 1, 3)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -232,11 +232,11 @@ func BenchmarkAblationPlacement(b *testing.B) {
 			m := netsim.Hornet()
 			var gain float64
 			for i := 0; i < b.N; i++ {
-				nat, err := netsim.SteadyStateIterTime(core.BcastNativeProgram(np, 0, n), topo, m, 1, 3)
+				nat, err := netsim.SteadyStateIterTime(sched.Generate("bcast-native", core.BcastNativeOps, np, 0, n, 0), topo, m, 1, 3)
 				if err != nil {
 					b.Fatal(err)
 				}
-				opt, err := netsim.SteadyStateIterTime(core.BcastOptProgram(np, 0, n), topo, m, 1, 3)
+				opt, err := netsim.SteadyStateIterTime(sched.Generate("bcast-opt", core.BcastOptOps, np, 0, n, 0), topo, m, 1, 3)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -259,11 +259,11 @@ func BenchmarkAblationEagerCredits(b *testing.B) {
 			m.EagerCredits = credits
 			var speedup float64
 			for i := 0; i < b.N; i++ {
-				nat, err := netsim.SteadyStateIterTime(core.BcastNativeProgram(np, 0, n), topo, m, 2, 6)
+				nat, err := netsim.SteadyStateIterTime(sched.Generate("bcast-native", core.BcastNativeOps, np, 0, n, 0), topo, m, 2, 6)
 				if err != nil {
 					b.Fatal(err)
 				}
-				opt, err := netsim.SteadyStateIterTime(core.BcastOptProgram(np, 0, n), topo, m, 2, 6)
+				opt, err := netsim.SteadyStateIterTime(sched.Generate("bcast-opt", core.BcastOptOps, np, 0, n, 0), topo, m, 2, 6)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -374,7 +374,7 @@ func BenchmarkEngineBarrier(b *testing.B) {
 // BenchmarkNetsimThroughput measures the simulator's own speed: simulated
 // schedule operations processed per second at np=256.
 func BenchmarkNetsimThroughput(b *testing.B) {
-	pr := core.BcastNativeProgram(256, 0, 1<<20)
+	pr := sched.Generate("bcast-native", core.BcastNativeOps, 256, 0, 1<<20, 0)
 	topo := topology.Blocked(256, topology.HornetCoresPerNode)
 	m := netsim.Hornet()
 	ops := 0
@@ -396,7 +396,7 @@ func BenchmarkScheduleGeneration(b *testing.B) {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
 			var pr *sched.Program
 			for i := 0; i < b.N; i++ {
-				pr = core.BcastOptProgram(p, 0, 1<<20)
+				pr = sched.Generate("bcast-opt", core.BcastOptOps, p, 0, 1<<20, 0)
 			}
 			_ = pr
 		})
@@ -415,8 +415,10 @@ func BenchmarkExtensionNodeAwareRing(b *testing.B) {
 	topo := topology.RoundRobin(np, topology.HornetCoresPerNode)
 	m := netsim.Hornet()
 	cases := map[string]func() *sched.Program{
-		"plain-opt":     func() *sched.Program { return core.BcastOptProgram(np, 0, n) },
-		"nodeaware-opt": func() *sched.Program { return core.BcastOptNodeAware(topo, 0, n) },
+		"plain-opt": func() *sched.Program { return sched.Generate("bcast-opt", core.BcastOptOps, np, 0, n, 0) },
+		"nodeaware-opt": func() *sched.Program {
+			return sched.Generate("bcast-opt-nodeaware", core.NodeAwareOps(topo, core.BcastOptOps), topo.NP(), 0, n, 0)
+		},
 	}
 	for name, gen := range cases {
 		b.Run(name, func(b *testing.B) {
@@ -441,9 +443,9 @@ func BenchmarkExtensionChainVsRing(b *testing.B) {
 	m := netsim.Hornet()
 	for _, n := range []int{1 << 19, 1 << 22} {
 		gens := map[string]*sched.Program{
-			"ring-opt": core.BcastOptProgram(np, 0, n),
-			"chain":    core.ChainBcast(np, 0, n, 64<<10),
-			"binomial": core.BinomialBcast(np, 0, n),
+			"ring-opt": sched.Generate("bcast-opt", core.BcastOptOps, np, 0, n, 0),
+			"chain":    sched.Generate("chain-bcast", core.ChainOps, np, 0, n, 64<<10),
+			"binomial": sched.Generate("binomial-bcast", core.BinomialOps, np, 0, n, 0),
 		}
 		for name, pr := range gens {
 			b.Run(fmt.Sprintf("%s/size=%d", name, n), func(b *testing.B) {

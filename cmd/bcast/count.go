@@ -110,7 +110,7 @@ func runRing(cfg *cli.Config, out io.Writer) error {
 func tracedRing(algo string, p, n int) (int64, error) {
 	col := trace.NewCollector()
 	err := engine.Run(p, func(c mpi.Comm) error {
-		return collective.Broadcast(col.Wrap(c), make([]byte, n), 0, collective.Options{Algorithm: algo})
+		return collective.Broadcast(col.WrapSlot(c.Rank(), c), make([]byte, n), 0, collective.Options{Algorithm: algo})
 	})
 	return col.Stats().ByTag[core.TagRing].Messages, err
 }

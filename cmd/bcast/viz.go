@@ -24,12 +24,12 @@ func runViz(cfg *cli.Config, out io.Writer) error {
 	for _, p := range cfg.NP {
 		drawScatter(out, p, cfg.Root)
 		for _, s := range sels {
-			ring := core.RingAllgatherNative
+			name, ring := "ring-allgather-native", core.RingNativeOps
 			if s.Algorithm == tune.RingOpt {
-				ring = core.RingAllgatherTuned
+				name, ring = "ring-allgather-tuned", core.RingTunedOps
 			}
 			// One unit byte per chunk, so offsets read as chunk indices.
-			drawRing(out, ring(p, cfg.Root, p), p, cfg.Root)
+			drawRing(out, sched.Generate(name, ring, p, cfg.Root, p, 0), p, cfg.Root)
 		}
 	}
 	return nil

@@ -15,10 +15,11 @@
 // pluggable algorithm registry and auto-tuning subsystem that replaces
 // MPICH3's hardcoded dispatch (internal/collective's registry +
 // internal/tune), a deterministic cluster simulator that regenerates
-// the paper's figures at full scale (internal/netsim), traffic tracing
-// (internal/trace), the measurement harnesses (internal/bench), one
-// command-line tool (cmd/bcast, its flag vocabulary in internal/cli), and
-// runnable examples (examples/...).
+// the paper's figures at full scale (internal/netsim), traffic totals
+// the engine's communicator records and internal/trace sums, the
+// measurement harnesses (internal/bench), one command-line tool
+// (cmd/bcast, its flag vocabulary in internal/cli), and runnable
+// examples (examples/...).
 // See README.md for the tour, the quickstart and the tuning workflow.
 //
 // Package bcast is how users reach the stack: bcast.NewCluster boots a

@@ -66,9 +66,9 @@ func TestCrossCheckTinyGrid(t *testing.T) {
 	}
 }
 
-// TestAutoTuneEngineDescribesProtocol: the emitted table's provenance
-// must say it came from the engine and record the protocol.
-func TestAutoTuneEngineDescribesProtocol(t *testing.T) {
+// TestAutoTuneOverEngineMeasurerDescribesProtocol: the emitted table's
+// provenance must say it came from the engine and record the protocol.
+func TestAutoTuneOverEngineMeasurerDescribesProtocol(t *testing.T) {
 	eng := measure.EngineMeasurer{Warmup: 1, Reps: 2, Stat: measure.StatMin}
 	table, winners, err := AutoTune(eng, FamilyCandidates(), tune.SweepConfig{
 		Procs: []int{4},
@@ -88,10 +88,11 @@ func TestAutoTuneEngineDescribesProtocol(t *testing.T) {
 	}
 }
 
-// TestAutoTuneEngineDescribesExecutor: a pooled-substrate sweep must
-// record the pool (with its clamped worker count) in the emitted table's
-// provenance — tables from different substrates are different artifacts.
-func TestAutoTuneEngineDescribesExecutor(t *testing.T) {
+// TestAutoTuneOverEngineMeasurerDescribesExecutor: a pooled-substrate
+// sweep must record the pool (with its clamped worker count) in the
+// emitted table's provenance — tables from different substrates are
+// different artifacts.
+func TestAutoTuneOverEngineMeasurerDescribesExecutor(t *testing.T) {
 	eng := measure.EngineMeasurer{
 		Warmup: 1, Reps: 2, Stat: measure.StatMin,
 		Executor: engine.Pooled, MaxWorkers: 1,

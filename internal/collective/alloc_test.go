@@ -10,6 +10,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/mpi"
+	"repro/internal/sched"
 	"repro/internal/testutil"
 	"repro/internal/topology"
 	"repro/internal/tune"
@@ -233,7 +234,7 @@ func TestBcastOptSegSteadyStateAllocs(t *testing.T) {
 					// the row's schedule plus the control broadcast and the
 					// dissemination barrier, and one last control broadcast.
 					h.stop(t)
-					ctl := core.BinomialBcast(np, 0, 8).Messages()
+					ctl := sched.Generate("binomial-bcast", core.BinomialOps, np, 0, 8, 0).Messages()
 					want := ctl
 					for _, n := range sizes {
 						pr, err := Schedule(o.Decide(tune.EnvOf(n, np, cell.topo)), cell.topo, 0, n)

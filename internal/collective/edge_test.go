@@ -38,7 +38,7 @@ func TestZeroChunkEdgePaths(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/p=%d", op.name, p), func(t *testing.T) {
 				col := trace.NewCollector()
 				err := engine.Run(p, func(c mpi.Comm) error {
-					return op.run(col.Wrap(c), p)
+					return op.run(col.WrapSlot(c.Rank(), c), p)
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -57,7 +57,7 @@ func TestSingleRankEdgePaths(t *testing.T) {
 	const chunk = 37
 	col := trace.NewCollector()
 	err := engine.Run(1, func(c mpi.Comm) error {
-		tc := col.Wrap(c)
+		tc := col.WrapSlot(c.Rank(), c)
 		src := pattern(chunk)
 		dst := make([]byte, chunk)
 		if err := Scatter(tc, src, chunk, dst, 0); err != nil {

@@ -49,13 +49,13 @@ func TestExecGeneratedPrograms(t *testing.T) {
 		for _, root := range []int{0, p - 1} {
 			n := 32*p + 3
 			programs := []*sched.Program{
-				core.BcastNativeProgram(p, root, n),
-				core.BcastOptProgram(p, root, n),
-				core.BinomialBcast(p, root, n),
-				core.ChainBcast(p, root, n, 64),
+				sched.Generate("bcast-native", core.BcastNativeOps, p, root, n, 0),
+				sched.Generate("bcast-opt", core.BcastOptOps, p, root, n, 0),
+				sched.Generate("binomial-bcast", core.BinomialOps, p, root, n, 0),
+				sched.Generate("chain-bcast", core.ChainOps, p, root, n, 64),
 			}
 			if core.IsPow2(p) {
-				programs = append(programs, core.BcastRdbProgram(p, root, n))
+				programs = append(programs, sched.Generate("bcast-scatter-rdb", core.BcastRdbOps, p, root, n, 0))
 			}
 			for _, pr := range programs {
 				runProgram(t, pr, engine.Options{NP: p})
@@ -66,17 +66,17 @@ func TestExecGeneratedPrograms(t *testing.T) {
 
 func TestExecNodeAwareProgramOnEngine(t *testing.T) {
 	topo := topology.RoundRobin(9, 3)
-	pr := core.BcastOptNodeAware(topo, 4, 300)
+	pr := sched.Generate("bcast-opt-nodeaware", core.NodeAwareOps(topo, core.BcastOptOps), topo.NP(), 4, 300, 0)
 	runProgram(t, pr, engine.Options{NP: 9, Topology: topo})
 }
 
 func TestExecValidation(t *testing.T) {
 	err := engine.Run(2, func(c mpi.Comm) error {
-		pr := core.BinomialBcast(3, 0, 8) // wrong size
+		pr := sched.Generate("binomial-bcast", core.BinomialOps, 3, 0, 8, 0) // wrong size
 		if err := ExecProgram(c, pr, make([]byte, 8)); err == nil {
 			return fmt.Errorf("rank-count mismatch must fail")
 		}
-		pr2 := core.BinomialBcast(2, 0, 8)
+		pr2 := sched.Generate("binomial-bcast", core.BinomialOps, 2, 0, 8, 0)
 		if err := ExecProgram(c, pr2, make([]byte, 4)); err == nil {
 			return fmt.Errorf("short buffer must fail")
 		}

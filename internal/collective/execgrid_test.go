@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/topology"
 	"repro/internal/trace"
@@ -17,13 +18,16 @@ import (
 // tracedDecision runs one registry broadcast under the trace collector
 // on the given executor, verifies every rank's buffer against the
 // expected pattern and that every sent message was received once, and
-// returns the traffic stats.
+// returns the traffic stats. The two probe sets must agree: the traced
+// messages and receives are the engine's own send and receive counters
+// (the run has no Split, whose handshake only the engine counts).
 func tracedDecision(t *testing.T, opts engine.Options, d tune.Decision, root, n int) trace.Stats {
 	t.Helper()
 	col := trace.NewCollector()
+	opts.Metrics = metrics.New(opts.NP, 0)
 	want := pattern(n)
 	err := engine.RunWith(opts, func(c mpi.Comm) error {
-		tc := col.Wrap(c)
+		tc := col.WrapSlot(c.Rank(), c)
 		buf := make([]byte, n)
 		for i := range buf {
 			buf[i] = byte(0xA0 + c.Rank()) // distinct garbage per rank
@@ -46,6 +50,10 @@ func tracedDecision(t *testing.T, opts engine.Options, d tune.Decision, root, n 
 	if s.Recvs != s.Total.Messages {
 		t.Fatalf("exec=%v p=%d root=%d n=%d: %d receives for %d messages", opts.Executor, opts.NP, root, n, s.Recvs, s.Total.Messages)
 	}
+	if m := engine.CollectMetrics(opts.Metrics); s.Total.Messages != m.EagerSends+m.RdvSends || s.Recvs != m.EagerRecvs+m.RdvRecvs {
+		t.Fatalf("exec=%v p=%d root=%d n=%d: traced %d msgs / %d recvs, engine counted %d+%d sends / %d+%d recvs",
+			opts.Executor, opts.NP, root, n, s.Total.Messages, s.Recvs, m.EagerSends, m.RdvSends, m.EagerRecvs, m.RdvRecvs)
+	}
 	return s
 }
 
@@ -53,9 +61,10 @@ func tracedDecision(t *testing.T, opts engine.Options, d tune.Decision, root, n 
 // algorithm runs over {goroutine, pooled} x {single, blocked,
 // round-robin}, and for each cell the two executors must produce
 // byte-identical buffers (asserted inside the run) and identical traced
-// traffic — total, intra/inter split, and the per-tag breakdown. The
-// execution substrate schedules ranks; it must not change a single
-// message of the communication schedule.
+// traffic — total, intra/inter split, and the per-tag breakdown — which
+// on each executor equals the engine's own send and receive counters
+// (see tracedDecision). The execution substrate schedules ranks; it must
+// not change a single message of the communication schedule.
 //
 // The pooled side runs with fewer workers than ranks, so every blocking
 // point of every algorithm exercises park/unpark. The last size has

@@ -213,7 +213,7 @@ func TestHoistStopsAtBelowFloorTail(t *testing.T) {
 		}
 		col := trace.NewCollector()
 		err := engine.RunWith(opts, func(c mpi.Comm) error {
-			tc := col.Wrap(c)
+			tc := col.WrapSlot(c.Rank(), c)
 			if v.hide {
 				tc = hidePrepost{tc, tc.(mpi.TagStreamer)}
 			}

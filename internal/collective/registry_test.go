@@ -171,7 +171,7 @@ func TestBroadcastWithTableTuner(t *testing.T) {
 	o := Options{Tuner: tune.TableTuner{Table: table, Fallback: tune.MPICH3{}}}
 	const n, root = 2048, 1
 	got := measureBcast(t, with(o), engine.Options{NP: 5}, root, n)
-	if want := core.ChainBcast(5, root, n, 128).Stats(); got.Total.Messages != int64(want.Messages) || got.ByTag[core.TagChain].Messages != int64(want.Messages) {
+	if want := sched.Generate("chain-bcast", core.ChainOps, 5, root, n, 128).Stats(); got.Total.Messages != int64(want.Messages) || got.ByTag[core.TagChain].Messages != int64(want.Messages) {
 		t.Fatalf("traced %s, want the chain's %d messages", got, want.Messages)
 	}
 	runBcast(t, "table-tuner", with(o), engine.Options{NP: 5}, root, n)
@@ -182,7 +182,9 @@ func TestBroadcastWithTableTuner(t *testing.T) {
 // duplicates. There is no way to register a row that has no schedule.
 func TestRegisterRejects(t *testing.T) {
 	topoOps := func(*topology.Map) sched.Emitter { return core.BinomialOps }
-	program := func(p, root, n, seg int) (*sched.Program, error) { return core.BinomialBcast(p, root, n), nil }
+	program := func(p, root, n, seg int) (*sched.Program, error) {
+		return sched.Generate("binomial-bcast", core.BinomialOps, p, root, n, 0), nil
+	}
 	for name, r := range map[string]Registration{
 		"empty name":           {Ops: core.BinomialOps},
 		"no emitter":           {Name: "x"},

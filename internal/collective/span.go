@@ -30,9 +30,10 @@ const (
 // only pollute the timeline). The whole disabled-spans cost is one
 // interface assertion and a nil check.
 func spanStart(c mpi.Comm) (*metrics.SpanRing, time.Time) {
-	ring := metrics.RingOf(c)
-	if ring == nil {
-		return nil, time.Time{}
+	if src, ok := c.(metrics.SpanSource); ok {
+		if ring := src.SpanRing(); ring != nil {
+			return ring, time.Now()
+		}
 	}
-	return ring, time.Now()
+	return nil, time.Time{}
 }

@@ -16,7 +16,7 @@ func measureBcast(t *testing.T, algo bcastFn, opts engine.Options, root, n int) 
 	t.Helper()
 	col := trace.NewCollector()
 	err := engine.RunWith(opts, func(c mpi.Comm) error {
-		tc := col.Wrap(c)
+		tc := col.WrapSlot(c.Rank(), c)
 		buf := make([]byte, n)
 		if tc.Rank() == root {
 			copy(buf, pattern(n))

@@ -36,23 +36,8 @@ func NodeAwareOps(topo *topology.Map, e sched.Emitter) sched.Emitter {
 	}
 }
 
-// BcastOptNodeAware is the tuned broadcast with a node-aware ring order —
-// an extension beyond the paper that composes its bandwidth saving with
-// placement awareness. On blocked placements it equals BcastOptProgram;
-// on scattered placements (e.g. round-robin) it restores the blocked
-// ring's inter-node profile.
-func BcastOptNodeAware(topo *topology.Map, root, n int) *sched.Program {
-	return sched.Generate("bcast-opt-nodeaware", NodeAwareOps(topo, BcastOptOps), topo.NP(), root, n, 0)
-}
-
-// BcastNativeNodeAware is the native broadcast with a node-aware ring
-// order, isolating the reordering gain from the tuned-ring gain.
-func BcastNativeNodeAware(topo *topology.Map, root, n int) *sched.Program {
-	return sched.Generate("bcast-native-nodeaware", NodeAwareOps(topo, BcastNativeOps), topo.NP(), root, n, 0)
-}
-
-// DefaultChainSegment is the segment size used by ChainBcast when the
-// caller passes segSize <= 0 (a typical pipeline depth trade-off).
+// DefaultChainSegment is the segment size ChainOps uses when the caller
+// passes segSize <= 0 (a typical pipeline depth trade-off).
 const DefaultChainSegment = 8 << 10
 
 // ChainOps emits the segmented pipeline-chain broadcast: the buffer is
@@ -85,9 +70,4 @@ func ChainOps(dst []sched.Op, rank, p, root, n, segSize int) []sched.Op {
 		}
 	}
 	return dst
-}
-
-// ChainBcast generates the whole pipeline-chain broadcast (see ChainOps).
-func ChainBcast(p, root, n, segSize int) *sched.Program {
-	return sched.Generate("chain-bcast", ChainOps, p, root, n, segSize)
 }

@@ -69,7 +69,7 @@ func TestBcastOptNodeAwareVerifies(t *testing.T) {
 	} {
 		for _, root := range []int{0, topo.NP() - 1} {
 			n := 16 * topo.NP()
-			pr := BcastOptNodeAware(topo, root, n)
+			pr := sched.Generate("bcast-opt-nodeaware", NodeAwareOps(topo, BcastOptOps), topo.NP(), root, n, 0)
 			res, err := sched.Verify(pr, sched.VerifyConfig{WantFinal: sched.FullBuffer(n)})
 			if err != nil {
 				t.Fatalf("%s root=%d: %v", topo, root, err)
@@ -83,7 +83,7 @@ func TestBcastOptNodeAwareVerifies(t *testing.T) {
 
 func TestBcastNativeNodeAwareVerifies(t *testing.T) {
 	topo := topology.RoundRobin(8, 3)
-	pr := BcastNativeNodeAware(topo, 2, 64)
+	pr := sched.Generate("bcast-native-nodeaware", NodeAwareOps(topo, BcastNativeOps), topo.NP(), 2, 64, 0)
 	if _, err := sched.Verify(pr, sched.VerifyConfig{WantFinal: sched.FullBuffer(64)}); err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +92,8 @@ func TestBcastNativeNodeAwareVerifies(t *testing.T) {
 func TestNodeAwareKeepsTrafficCounts(t *testing.T) {
 	// A full-size group permutes endpoints but not message or byte counts.
 	topo := topology.RoundRobin(10, 3)
-	pr := BcastOptNodeAware(topo, 0, 100)
-	base := BcastOptProgram(10, 0, 100).Stats()
+	pr := sched.Generate("bcast-opt-nodeaware", NodeAwareOps(topo, BcastOptOps), topo.NP(), 0, 100, 0)
+	base := sched.Generate("bcast-opt", BcastOptOps, 10, 0, 100, 0).Stats()
 	got := pr.Stats()
 	if got.Messages != base.Messages || got.Bytes != base.Bytes {
 		t.Fatalf("relabelled stats %+v != base %+v", got, base)
@@ -104,7 +104,7 @@ func TestChainBcastVerifies(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 8, 10} {
 		for _, n := range []int{0, 1, 100, 4096} {
 			for _, seg := range []int{0, 1, 7, 1024} {
-				pr := ChainBcast(p, p/2, n, seg)
+				pr := sched.Generate("chain-bcast", ChainOps, p, p/2, n, seg)
 				if _, err := sched.Verify(pr, sched.VerifyConfig{WantFinal: sched.FullBuffer(n)}); err != nil {
 					t.Fatalf("p=%d n=%d seg=%d: %v", p, n, seg, err)
 				}
@@ -117,7 +117,7 @@ func TestChainBcastTraffic(t *testing.T) {
 	// Each non-tail rank forwards every segment exactly once:
 	// (p-1) * ceil(n/seg) messages, (p-1)*n bytes.
 	const p, n, seg = 5, 1000, 128
-	pr := ChainBcast(p, 0, n, seg)
+	pr := sched.Generate("chain-bcast", ChainOps, p, 0, n, seg)
 	segs := (n + seg - 1) / seg
 	st := pr.Stats()
 	if st.Messages != (p-1)*segs {
@@ -134,7 +134,7 @@ func TestChainBcastTraffic(t *testing.T) {
 func TestChainBcastInterleavesForPipelining(t *testing.T) {
 	// A middle rank's op order must alternate recv(seg k), send(seg k):
 	// receiving everything before forwarding would kill the pipeline.
-	pr := ChainBcast(4, 0, 1000, 100)
+	pr := sched.Generate("chain-bcast", ChainOps, 4, 0, 1000, 100)
 	ops := pr.OpsOf(1) // relative rank 1: both receives and sends
 	for i := 0; i+1 < len(ops); i += 2 {
 		if ops[i].Kind != sched.OpRecv || ops[i+1].Kind != sched.OpSend {

@@ -78,7 +78,7 @@ func FuzzBcastProgramsVerify(f *testing.F) {
 			t.Skip()
 		}
 		root = ((root % p) + p) % p
-		opt := BcastOptProgram(p, root, n)
+		opt := sched.Generate("bcast-opt", BcastOptOps, p, root, n, 0)
 		res, err := sched.Verify(opt, sched.VerifyConfig{WantFinal: sched.FullBuffer(n)})
 		if err != nil {
 			t.Fatalf("opt p=%d root=%d n=%d: %v", p, root, n, err)
@@ -86,7 +86,7 @@ func FuzzBcastProgramsVerify(f *testing.F) {
 		if res.RedundantMessages != 0 {
 			t.Fatalf("opt p=%d root=%d n=%d: %d redundant messages", p, root, n, res.RedundantMessages)
 		}
-		nat := BcastNativeProgram(p, root, n)
+		nat := sched.Generate("bcast-native", BcastNativeOps, p, root, n, 0)
 		if _, err := sched.Verify(nat, sched.VerifyConfig{WantFinal: sched.FullBuffer(n)}); err != nil {
 			t.Fatalf("native p=%d root=%d n=%d: %v", p, root, n, err)
 		}
@@ -106,7 +106,7 @@ func FuzzChainBcastVerify(f *testing.F) {
 			t.Skip()
 		}
 		root = ((root % p) + p) % p
-		pr := ChainBcast(p, root, n, seg)
+		pr := sched.Generate("chain-bcast", ChainOps, p, root, n, seg)
 		if _, err := sched.Verify(pr, sched.VerifyConfig{WantFinal: sched.FullBuffer(n)}); err != nil {
 			t.Fatalf("p=%d root=%d n=%d seg=%d: %v", p, root, n, seg, err)
 		}

@@ -26,11 +26,11 @@ const (
 )
 
 // Every algorithm in this package is written once, as a sched.Emitter
-// that lists one rank's operations (the *Ops functions). The
-// whole-program generators beside them are sched.Generate over that
-// emitter, and the executor in internal/collective calls the same
-// emitter for the calling rank — so the schedule the verifier, simulator
-// and tuner see and the operations a rank runs are the same code.
+// that lists one rank's operations (the *Ops functions). Its whole
+// program is sched.Generate over that emitter, and the executor in
+// internal/collective calls the same emitter for the calling rank — so
+// the schedule the verifier, simulator and tuner see and the operations a
+// rank runs are the same code.
 
 // The composed broadcasts: a binomial scatter followed by an allgather.
 var (
@@ -97,11 +97,6 @@ func ScatterOps(dst []sched.Op, rank, p, root, n, _ int) []sched.Op {
 	return dst
 }
 
-// ScatterSchedule generates the whole binomial scatter (see ScatterOps).
-func ScatterSchedule(p, root, n int) *sched.Program {
-	return sched.Generate("binomial-scatter", ScatterOps, p, root, n, 0)
-}
-
 // ringPeers returns the ring neighbours of rank in a P-rank communicator.
 func ringPeers(rank, p int) (left, right int) {
 	return (rank - 1 + p) % p, (rank + 1) % p
@@ -129,17 +124,6 @@ func RingNativeOps(dst []sched.Op, rank, p, root, n, _ int) []sched.Op {
 // outgoing chunks the subtree root does not need).
 func RingTunedOps(dst []sched.Op, rank, p, root, n, _ int) []sched.Op {
 	return segRingOps(dst, rank, p, root, n, wholeChunks(n, p), true)
-}
-
-// RingAllgatherNative generates the whole enclosed ring (see RingNativeOps).
-func RingAllgatherNative(p, root, n int) *sched.Program {
-	return sched.Generate("ring-allgather-native", RingNativeOps, p, root, n, 0)
-}
-
-// RingAllgatherTuned generates the whole non-enclosed ring (see
-// RingTunedOps).
-func RingAllgatherTuned(p, root, n int) *sched.Program {
-	return sched.Generate("ring-allgather-tuned", RingTunedOps, p, root, n, 0)
 }
 
 // RdbOps emits the recursive-doubling allgather MPICH uses for medium
@@ -172,12 +156,6 @@ func RdbOps(dst []sched.Op, rank, p, root, n, _ int) []sched.Op {
 	return dst
 }
 
-// RdbAllgather generates the whole recursive-doubling allgather (see
-// RdbOps).
-func RdbAllgather(p, root, n int) *sched.Program {
-	return sched.Generate("rdb-allgather", RdbOps, p, root, n, 0)
-}
-
 // BinomialOps emits the whole-buffer binomial-tree broadcast MPICH uses
 // for short messages (and for communicators smaller than MinRingProcs):
 // every message carries all n bytes.
@@ -204,27 +182,4 @@ func BinomialOps(dst []sched.Op, rank, p, root, n, _ int) []sched.Op {
 		})
 	}
 	return dst
-}
-
-// BinomialBcast generates the whole binomial broadcast (see BinomialOps).
-func BinomialBcast(p, root, n int) *sched.Program {
-	return sched.Generate("binomial-bcast", BinomialOps, p, root, n, 0)
-}
-
-// BcastNativeProgram is the full native long-message broadcast: binomial
-// scatter followed by the enclosed ring allgather (MPI_Bcast_native).
-func BcastNativeProgram(p, root, n int) *sched.Program {
-	return sched.Generate("bcast-native", BcastNativeOps, p, root, n, 0)
-}
-
-// BcastOptProgram is the paper's tuned broadcast: binomial scatter
-// followed by the non-enclosed ring allgather (MPI_Bcast_opt).
-func BcastOptProgram(p, root, n int) *sched.Program {
-	return sched.Generate("bcast-opt", BcastOptOps, p, root, n, 0)
-}
-
-// BcastRdbProgram is MPICH's medium-message power-of-two broadcast:
-// binomial scatter followed by recursive-doubling allgather.
-func BcastRdbProgram(p, root, n int) *sched.Program {
-	return sched.Generate("bcast-scatter-rdb", BcastRdbOps, p, root, n, 0)
 }

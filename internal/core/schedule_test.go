@@ -20,7 +20,7 @@ func opsOfKind(pr *sched.Program, rank int, kind sched.OpKind) []sched.Op {
 // TestScatterScheduleFig1 asserts the exact binomial scatter of Figure 1:
 // 8 processes, root 0, one unit byte per chunk.
 func TestScatterScheduleFig1(t *testing.T) {
-	pr := ScatterSchedule(8, 0, 8)
+	pr := sched.Generate("binomial-scatter", ScatterOps, 8, 0, 8, 0)
 	if err := pr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestScatterScheduleFig1(t *testing.T) {
 // TestScatterScheduleFig2 asserts Figure 2: 10 processes; same tree as
 // Figure 1 plus an additional branch rooted at process 8.
 func TestScatterScheduleFig2(t *testing.T) {
-	pr := ScatterSchedule(10, 0, 10)
+	pr := sched.Generate("binomial-scatter", ScatterOps, 10, 0, 10, 0)
 	if err := pr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestScatterScheduleVerifies(t *testing.T) {
 				continue
 			}
 			for _, n := range []int{0, 1, p, 3*p + 1, 64 * p} {
-				pr := ScatterSchedule(p, root, n)
+				pr := sched.Generate("binomial-scatter", ScatterOps, p, root, n, 0)
 				want := ScatterOwnership(p, root, n)
 				res, err := sched.Verify(pr, sched.VerifyConfig{
 					WantFinal: want,
@@ -133,7 +133,7 @@ func TestScatterScheduleVerifies(t *testing.T) {
 // (r - i + 1 mod 8) and receives chunk (r - i mod 8); 56 messages total.
 func TestNativeRingFig3(t *testing.T) {
 	const p = 8
-	pr := RingAllgatherNative(p, 0, p)
+	pr := sched.Generate("ring-allgather-native", RingNativeOps, p, 0, p, 0)
 	if err := pr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestNativeRingFig3(t *testing.T) {
 // afterwards; rank 0 never receives; rank 7 never sends; 44 messages.
 func TestTunedRingFig4(t *testing.T) {
 	const p = 8
-	pr := RingAllgatherTuned(p, 0, p)
+	pr := sched.Generate("ring-allgather-tuned", RingTunedOps, p, 0, p, 0)
 	if err := pr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestTunedRingFig4(t *testing.T) {
 // after step 6; rank 8 completes its buffer after step 8; 75 messages.
 func TestTunedRingFig5(t *testing.T) {
 	const p = 10
-	pr := RingAllgatherTuned(p, 0, p)
+	pr := sched.Generate("ring-allgather-tuned", RingTunedOps, p, 0, p, 0)
 	if err := pr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func bcastGrid() [][3]int {
 func TestBcastNativeProgramVerifies(t *testing.T) {
 	for _, g := range bcastGrid() {
 		p, root, n := g[0], g[1], g[2]
-		pr := BcastNativeProgram(p, root, n)
+		pr := sched.Generate("bcast-native", BcastNativeOps, p, root, n, 0)
 		res, err := sched.Verify(pr, sched.VerifyConfig{WantFinal: sched.FullBuffer(n)})
 		if err != nil {
 			t.Fatalf("p=%d root=%d n=%d: %v", p, root, n, err)
@@ -301,7 +301,7 @@ func TestBcastNativeProgramVerifies(t *testing.T) {
 func TestBcastOptProgramVerifies(t *testing.T) {
 	for _, g := range bcastGrid() {
 		p, root, n := g[0], g[1], g[2]
-		pr := BcastOptProgram(p, root, n)
+		pr := sched.Generate("bcast-opt", BcastOptOps, p, root, n, 0)
 		res, err := sched.Verify(pr, sched.VerifyConfig{WantFinal: sched.FullBuffer(n)})
 		if err != nil {
 			t.Fatalf("p=%d root=%d n=%d: %v", p, root, n, err)
@@ -321,7 +321,7 @@ func TestBcastRdbProgramVerifies(t *testing.T) {
 				continue
 			}
 			for _, n := range []int{0, 1, p, 16*p + 3} {
-				pr := BcastRdbProgram(p, root, n)
+				pr := sched.Generate("bcast-scatter-rdb", BcastRdbOps, p, root, n, 0)
 				if _, err := sched.Verify(pr, sched.VerifyConfig{WantFinal: sched.FullBuffer(n)}); err != nil {
 					t.Fatalf("p=%d root=%d n=%d: %v", p, root, n, err)
 				}
@@ -336,13 +336,13 @@ func TestRdbAllgatherRejectsNonPow2(t *testing.T) {
 			t.Fatal("RdbAllgather(10) must panic")
 		}
 	}()
-	RdbAllgather(10, 0, 10)
+	sched.Generate("rdb-allgather", RdbOps, 10, 0, 10, 0)
 }
 
 func TestRdbMessageCount(t *testing.T) {
 	// Recursive doubling: every rank sends once per round, log2(p) rounds.
 	for _, p := range []int{2, 4, 8, 16, 32} {
-		pr := RdbAllgather(p, 0, 64*p)
+		pr := sched.Generate("rdb-allgather", RdbOps, p, 0, 64*p, 0)
 		want := p * FloorLog2(p)
 		if pr.Messages() != want {
 			t.Fatalf("p=%d: rdb messages = %d want %d", p, pr.Messages(), want)
@@ -356,7 +356,7 @@ func TestBinomialBcastVerifies(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 5, 8, 13, 16, 33} {
 		for _, root := range []int{0, p / 2} {
 			for _, n := range []int{0, 1, 1024} {
-				pr := BinomialBcast(p, root, n)
+				pr := sched.Generate("binomial-bcast", BinomialOps, p, root, n, 0)
 				if _, err := sched.Verify(pr, sched.VerifyConfig{WantFinal: sched.FullBuffer(n)}); err != nil {
 					t.Fatalf("p=%d root=%d n=%d: %v", p, root, n, err)
 				}
@@ -377,7 +377,7 @@ func TestBinomialBcastVerifies(t *testing.T) {
 // position of this child in the parent's (descending-mask) send order.
 func TestBinomialBcastRounds(t *testing.T) {
 	for _, p := range []int{2, 3, 4, 8, 9, 10, 16, 17, 33, 64, 100} {
-		pr := BinomialBcast(p, 0, p)
+		pr := sched.Generate("binomial-bcast", BinomialOps, p, 0, p, 0)
 		round := make([]int, p) // receive round per relative rank; root = 0
 		maxRound := 0
 		// Ranks are processed in increasing rel order; parent < child, so
@@ -420,8 +420,8 @@ func TestBinomialBcastRounds(t *testing.T) {
 // (the paper: "using the same steps as the native ring allgather").
 func TestRingStepsEqual(t *testing.T) {
 	for _, p := range []int{2, 5, 8, 10, 17} {
-		nat := RingAllgatherNative(p, 0, 8*p).Stats()
-		tun := RingAllgatherTuned(p, 0, 8*p).Stats()
+		nat := sched.Generate("ring-allgather-native", RingNativeOps, p, 0, 8*p, 0).Stats()
+		tun := sched.Generate("ring-allgather-tuned", RingTunedOps, p, 0, 8*p, 0).Stats()
 		if nat.MaxStep != p-1 || tun.MaxStep != p-1 {
 			t.Fatalf("p=%d: maxStep native %d tuned %d want %d", p, nat.MaxStep, tun.MaxStep, p-1)
 		}

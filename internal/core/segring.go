@@ -115,25 +115,3 @@ func RingNativeSegOps(dst []sched.Op, rank, p, root, n, segSize int) []sched.Op 
 func RingTunedSegOps(dst []sched.Op, rank, p, root, n, segSize int) []sched.Op {
 	return segRingOps(dst, rank, p, root, n, segSize, true)
 }
-
-// RingAllgatherNativeSeg generates the whole segmented enclosed ring.
-func RingAllgatherNativeSeg(p, root, n, segSize int) *sched.Program {
-	return sched.Generate("ring-allgather-native-seg", RingNativeSegOps, p, root, n, segSize)
-}
-
-// RingAllgatherTunedSeg generates the whole segmented non-enclosed ring.
-func RingAllgatherTunedSeg(p, root, n, segSize int) *sched.Program {
-	return sched.Generate("ring-allgather-tuned-seg", RingTunedSegOps, p, root, n, segSize)
-}
-
-// BcastNativeSegProgram is the segmented native broadcast: binomial
-// scatter followed by the segmented enclosed ring allgather.
-func BcastNativeSegProgram(p, root, n, segSize int) *sched.Program {
-	return sched.Generate("bcast-native-seg", BcastNativeSegOps, p, root, n, segSize)
-}
-
-// BcastOptSegProgram is the segmented tuned broadcast: binomial scatter
-// followed by the segmented non-enclosed ring allgather.
-func BcastOptSegProgram(p, root, n, segSize int) *sched.Program {
-	return sched.Generate("bcast-opt-seg", BcastOptSegOps, p, root, n, segSize)
-}

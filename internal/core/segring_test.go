@@ -18,7 +18,7 @@ func TestBcastNativeSegProgramVerifies(t *testing.T) {
 	for _, g := range bcastGrid() {
 		p, root, n := g[0], g[1], g[2]
 		for _, seg := range segGrid() {
-			pr := BcastNativeSegProgram(p, root, n, seg)
+			pr := sched.Generate("bcast-native-seg", BcastNativeSegOps, p, root, n, seg)
 			if err := pr.Validate(); err != nil {
 				t.Fatalf("p=%d root=%d n=%d seg=%d: %v", p, root, n, seg, err)
 			}
@@ -36,7 +36,7 @@ func TestBcastOptSegProgramVerifies(t *testing.T) {
 	for _, g := range bcastGrid() {
 		p, root, n := g[0], g[1], g[2]
 		for _, seg := range segGrid() {
-			pr := BcastOptSegProgram(p, root, n, seg)
+			pr := sched.Generate("bcast-opt-seg", BcastOptSegOps, p, root, n, seg)
 			if err := pr.Validate(); err != nil {
 				t.Fatalf("p=%d root=%d n=%d seg=%d: %v", p, root, n, seg, err)
 			}
@@ -58,16 +58,16 @@ func TestSegRingBytesMatchUnsegmented(t *testing.T) {
 	for _, g := range bcastGrid() {
 		p, root, n := g[0], g[1], g[2]
 		for _, seg := range segGrid() {
-			natSeg := RingAllgatherNativeSeg(p, root, n, seg).Stats()
-			nat := RingAllgatherNative(p, root, n).Stats()
+			natSeg := sched.Generate("ring-allgather-native-seg", RingNativeSegOps, p, root, n, seg).Stats()
+			nat := sched.Generate("ring-allgather-native", RingNativeOps, p, root, n, 0).Stats()
 			if natSeg.Bytes != nat.Bytes {
 				t.Fatalf("p=%d n=%d seg=%d: native seg bytes %d != %d", p, n, seg, natSeg.Bytes, nat.Bytes)
 			}
 			if natSeg.Messages < nat.Messages {
 				t.Fatalf("p=%d n=%d seg=%d: native seg messages %d < %d", p, n, seg, natSeg.Messages, nat.Messages)
 			}
-			optSeg := RingAllgatherTunedSeg(p, root, n, seg).Stats()
-			opt := RingAllgatherTuned(p, root, n).Stats()
+			optSeg := sched.Generate("ring-allgather-tuned-seg", RingTunedSegOps, p, root, n, seg).Stats()
+			opt := sched.Generate("ring-allgather-tuned", RingTunedOps, p, root, n, 0).Stats()
 			if optSeg.Bytes != opt.Bytes {
 				t.Fatalf("p=%d n=%d seg=%d: tuned seg bytes %d != %d", p, n, seg, optSeg.Bytes, opt.Bytes)
 			}
@@ -91,8 +91,8 @@ func TestSegRingDegeneratesToUnsegmented(t *testing.T) {
 				name     string
 				seg, ref *sched.Program
 			}{
-				{"native", RingAllgatherNativeSeg(p, root, n, seg), RingAllgatherNative(p, root, n)},
-				{"tuned", RingAllgatherTunedSeg(p, root, n, seg), RingAllgatherTuned(p, root, n)},
+				{"native", sched.Generate("ring-allgather-native-seg", RingNativeSegOps, p, root, n, seg), sched.Generate("ring-allgather-native", RingNativeOps, p, root, n, 0)},
+				{"tuned", sched.Generate("ring-allgather-tuned-seg", RingTunedSegOps, p, root, n, seg), sched.Generate("ring-allgather-tuned", RingTunedOps, p, root, n, 0)},
 			}
 			for _, tc := range cases {
 				for r := 0; r < p; r++ {
@@ -120,8 +120,8 @@ func TestSegRingTunedSavesMessages(t *testing.T) {
 	for _, p := range []int{2, 4, 8, 10, 16, 17} {
 		n := 64 * p
 		for _, seg := range []int{8, 64} {
-			nat := RingAllgatherNativeSeg(p, 0, n, seg).Stats()
-			opt := RingAllgatherTunedSeg(p, 0, n, seg).Stats()
+			nat := sched.Generate("ring-allgather-native-seg", RingNativeSegOps, p, 0, n, seg).Stats()
+			opt := sched.Generate("ring-allgather-tuned-seg", RingTunedSegOps, p, 0, n, seg).Stats()
 			if opt.Messages > nat.Messages {
 				t.Fatalf("p=%d seg=%d: tuned seg messages %d > native %d", p, seg, opt.Messages, nat.Messages)
 			}

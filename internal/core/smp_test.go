@@ -84,7 +84,7 @@ func TestSMPOnOneNodeIsTheBinomialTree(t *testing.T) {
 	for _, p := range []int{1, 2, 6, 9} {
 		topo := topology.SingleNode(p)
 		for _, root := range []int{0, p / 2, p - 1} {
-			want := BinomialBcast(p, root, 100)
+			want := sched.Generate("binomial-bcast", BinomialOps, p, root, 100, 0)
 			for _, ops := range []sched.Emitter{SMPNativeOps(topo), SMPOptOps(topo)} {
 				got := sched.Generate("smp", ops, p, root, 100, 0)
 				if !reflect.DeepEqual(got.Ranks, want.Ranks) {

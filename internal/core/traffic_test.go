@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/sched"
 )
 
 // TestTrafficPaperClaims checks the exact in-text numbers from Section IV:
@@ -40,19 +42,19 @@ func TestTrafficMatchesSchedules(t *testing.T) {
 				if root < 0 || root >= p {
 					continue
 				}
-				natStats := RingAllgatherNative(p, root, n).Stats()
+				natStats := sched.Generate("ring-allgather-native", RingNativeOps, p, root, n, 0).Stats()
 				nat := RingTrafficNative(p, n)
 				if natStats.Messages != nat.Messages || natStats.Bytes != nat.Bytes ||
 					natStats.NonEmptyMessages != nat.NonEmptyMessages {
 					t.Fatalf("p=%d n=%d root=%d: native model %+v != schedule %+v", p, n, root, nat, natStats)
 				}
-				tunStats := RingAllgatherTuned(p, root, n).Stats()
+				tunStats := sched.Generate("ring-allgather-tuned", RingTunedOps, p, root, n, 0).Stats()
 				tun := RingTrafficTuned(p, n)
 				if tunStats.Messages != tun.Messages || tunStats.Bytes != tun.Bytes ||
 					tunStats.NonEmptyMessages != tun.NonEmptyMessages {
 					t.Fatalf("p=%d n=%d root=%d: tuned model %+v != schedule %+v", p, n, root, tun, tunStats)
 				}
-				scatStats := ScatterSchedule(p, root, n).Stats()
+				scatStats := sched.Generate("binomial-scatter", ScatterOps, p, root, n, 0).Stats()
 				scat := ScatterTraffic(p, n)
 				if scatStats.Messages != scat.Messages || scatStats.Bytes != scat.Bytes {
 					t.Fatalf("p=%d n=%d root=%d: scatter model %+v != schedule %+v", p, n, root, scat, scatStats)
@@ -131,8 +133,8 @@ func TestBcastTrafficTotals(t *testing.T) {
 		n := 16 * p
 		nat := BcastTrafficNative(p, n)
 		opt := BcastTrafficOpt(p, n)
-		natProg := BcastNativeProgram(p, 0, n).Stats()
-		optProg := BcastOptProgram(p, 0, n).Stats()
+		natProg := sched.Generate("bcast-native", BcastNativeOps, p, 0, n, 0).Stats()
+		optProg := sched.Generate("bcast-opt", BcastOptOps, p, 0, n, 0).Stats()
 		if nat.Messages != natProg.Messages || nat.Bytes != natProg.Bytes {
 			t.Fatalf("p=%d: native total %+v != program %+v", p, nat, natProg)
 		}

@@ -74,6 +74,7 @@ type comm struct {
 	rank    int   // my comm rank
 	topo    *topology.Map
 	cancel  cancelSignal
+	rec     *metrics.TrafficRow // nil unless the traffic is being recorded
 }
 
 var (
@@ -99,11 +100,27 @@ func (c *comm) NextTagStream() int {
 
 // SpanRing exposes this rank's operation-span ring (nil when the
 // world's Metrics has spans disabled). Collectives discover it through
-// the metrics.SpanSource-shaped type assertion, and decorators like
-// trace's traced communicator forward it — the same capability pattern
+// the metrics.SpanSource type assertion — the same capability pattern
 // as mpi.Contexter and mpi.TagStreamer.
 func (c *comm) SpanRing() *metrics.SpanRing {
 	return c.w.metrics.Ring(c.worldRank())
+}
+
+// WithTraffic returns a view of this communicator, and of the views
+// WithContext and Split make from it, that records into row every send
+// that succeeds (under the caller's tag, before streamTag) and every
+// receive that completes.
+func (c *comm) WithTraffic(row *metrics.TrafficRow) mpi.Comm {
+	cc := *c
+	cc.rec = row
+	return &cc
+}
+
+// sent records a successful n-byte send to rank to (a no-op unrecorded).
+func (c *comm) sent(to, tag, n int) {
+	if c.rec != nil {
+		c.rec.Sent(tag, n, c.topo.SameNode(c.rank, to))
+	}
 }
 
 // streamTag maps a reserved-block collective tag onto the rank's
@@ -154,7 +171,15 @@ func (c *comm) Send(buf []byte, to, tag int) error {
 	if to == c.rank {
 		return fmt.Errorf("engine: send: %w: self-send unsupported (deadlocks a blocking rank)", mpi.ErrRank)
 	}
-	return c.w.send(c.ctx, c.rank, c.worldRank(), c.worldRankOf(to), buf, c.streamTag(tag), c.cancel)
+	// isend + Wait: a send the receiver neither matched nor buffered
+	// blocks as a zero-copy envelope until the receiver takes it.
+	var r request
+	c.w.isend(&r, c.ctx, c.rank, c.worldRank(), c.worldRankOf(to), buf, c.streamTag(tag), c.cancel)
+	if _, err := r.Wait(); err != nil {
+		return err
+	}
+	c.sent(to, tag, len(buf))
+	return nil
 }
 
 func (c *comm) Recv(buf []byte, from, tag int) (mpi.Status, error) {
@@ -164,7 +189,10 @@ func (c *comm) Recv(buf []byte, from, tag int) (mpi.Status, error) {
 	if err := mpi.CheckTag(tag, true); err != nil {
 		return mpi.Status{}, fmt.Errorf("engine: recv: %w", err)
 	}
-	return c.w.recv(c.ctx, c.worldRank(), buf, from, c.streamTag(tag), c.cancel)
+	var r request // irecv + Wait
+	c.w.irecv(&r, c.ctx, c.worldRank(), buf, from, c.streamTag(tag), c.cancel)
+	r.rec = c.rec
+	return r.Wait()
 }
 
 func (c *comm) Sendrecv(sendBuf []byte, to, sendTag int, recvBuf []byte, from, recvTag int) (mpi.Status, error) {
@@ -198,6 +226,10 @@ func (c *comm) Sendrecv(sendBuf []byte, to, sendTag int, recvBuf []byte, from, r
 	if rerr != nil {
 		return st, rerr
 	}
+	if serr == nil && c.rec != nil {
+		c.rec.Sent(sendTag, len(sendBuf), c.topo.SameNode(c.rank, to))
+		c.rec.Recvs++
+	}
 	return st, serr
 }
 
@@ -213,6 +245,7 @@ func (c *comm) Isend(buf []byte, to, tag int) (mpi.Request, error) {
 	}
 	r := new(request) // the caller's from here on
 	c.w.isend(r, c.ctx, c.rank, c.worldRank(), c.worldRankOf(to), buf, c.streamTag(tag), c.cancel)
+	c.sent(to, tag, len(buf)) // at issue: a started send is delivered
 	return r, nil
 }
 
@@ -225,6 +258,7 @@ func (c *comm) Irecv(buf []byte, from, tag int) (mpi.Request, error) {
 	}
 	r := new(request)
 	c.w.irecv(r, c.ctx, c.worldRank(), buf, from, c.streamTag(tag), c.cancel)
+	r.rec = c.rec
 	return r, nil
 }
 
@@ -248,6 +282,7 @@ func (c *comm) Prepost(req mpi.Request, buf []byte, from, tag int) (mpi.Request,
 	}
 	*r = request{}
 	c.w.irecv(r, c.ctx, c.worldRank(), buf, from, c.streamTag(tag), c.cancel)
+	r.rec = c.rec
 	return r, true
 }
 
@@ -260,6 +295,7 @@ func (c *comm) Split(color, key int) (mpi.Comm, error) {
 		return nil, fmt.Errorf("engine: split: negative color %d (use mpi.Undefined to opt out)", color)
 	}
 	p := len(c.members)
+	h := c.WithTraffic(nil) // the handshake is the engine's traffic, not the program's
 
 	if c.rank == 0 {
 		colors := make([]int, p)
@@ -267,7 +303,7 @@ func (c *comm) Split(color, key int) (mpi.Comm, error) {
 		colors[0], keys[0] = color, key
 		buf := make([]byte, 16)
 		for r := 1; r < p; r++ {
-			if _, err := c.Recv(buf, r, tagSplit); err != nil {
+			if _, err := h.Recv(buf, r, tagSplit); err != nil {
 				return nil, fmt.Errorf("engine: split gather from %d: %w", r, err)
 			}
 			vals := decodeInts(buf, 2)
@@ -278,18 +314,18 @@ func (c *comm) Split(color, key int) (mpi.Comm, error) {
 			return nil, err
 		}
 		for r := 1; r < p; r++ {
-			if err := c.Send(replies[r], r, tagSplit); err != nil {
+			if err := h.Send(replies[r], r, tagSplit); err != nil {
 				return nil, fmt.Errorf("engine: split scatter to %d: %w", r, err)
 			}
 		}
 		return c.commFromReply(replies[0])
 	}
 
-	if err := c.Send(encodeInts(color, key), 0, tagSplit); err != nil {
+	if err := h.Send(encodeInts(color, key), 0, tagSplit); err != nil {
 		return nil, fmt.Errorf("engine: split send: %w", err)
 	}
 	reply := make([]byte, (3+p)*8)
-	st, err := c.Recv(reply, 0, tagSplit)
+	st, err := h.Recv(reply, 0, tagSplit)
 	if err != nil {
 		return nil, fmt.Errorf("engine: split recv: %w", err)
 	}
@@ -357,8 +393,8 @@ func (c *comm) commFromReply(reply []byte) (mpi.Comm, error) {
 	if err != nil {
 		return nil, fmt.Errorf("engine: split topology: %w", err)
 	}
-	// The sub-communicator inherits the parent's context binding.
-	return &comm{w: c.w, ctx: ctx, members: members, rank: newRank, topo: topo, cancel: c.cancel}, nil
+	// The sub-communicator inherits the parent's context binding and row.
+	return &comm{w: c.w, ctx: ctx, members: members, rank: newRank, topo: topo, cancel: c.cancel, rec: c.rec}, nil
 }
 
 // encodeInts packs ints as little-endian int64s.

@@ -18,6 +18,8 @@ type request struct {
 	// cancel is the bound cancellation signal of the communicator that
 	// issued the operation (zero = unbound).
 	cancel cancelSignal
+	// rec is a recorded receive's traffic row until it is counted.
+	rec *metrics.TrafficRow
 
 	// Pending completion sources (exactly one is non-nil while pending):
 	pr    *posted   // posted receive (completion delivered via pr.done)
@@ -40,10 +42,25 @@ var _ mpi.Request = (*request)(nil)
 // Recv, Sendrecv) is its nonblocking form followed by Wait.
 func (r *request) Wait() (mpi.Status, error) {
 	r.harvest(true)
+	r.count()
 	return r.st, r.err
 }
 
-func (r *request) Done() bool { return r.harvest(false) }
+func (r *request) Done() bool {
+	if !r.harvest(false) {
+		return false
+	}
+	r.count()
+	return true
+}
+
+// count charges a receive's first successful completion to its row.
+func (r *request) count() {
+	if r.rec != nil && r.err == nil {
+		r.rec.Recvs++
+		r.rec = nil
+	}
+}
 
 // harvest moves the operation's outcome into the request: the delivery
 // from its completion channel, or the world's abort / the bound

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -123,21 +124,21 @@ func TestSpanRingNilSafe(t *testing.T) {
 	}
 }
 
-// TestRingOf checks the SpanSource capability discovery used by the
-// collectives: a source yields its ring, anything else yields nil.
-func TestRingOf(t *testing.T) {
-	m := New(1, 8)
-	if RingOf(spanSourceStub{m.Ring(0)}) != m.Ring(0) {
-		t.Error("RingOf must extract the ring through SpanSource")
+// TestTrafficRowSent: a zero row takes sends, each charged to the total,
+// to exactly one of intra and inter, and to its tag.
+func TestTrafficRowSent(t *testing.T) {
+	var r TrafficRow
+	r.Sent(5, 100, true)
+	r.Sent(5, 0, false)
+	r.Sent(7, 20, false)
+	want := TrafficRow{
+		Total: Counts{3, 120}, Intra: Counts{1, 100}, Inter: Counts{2, 20},
+		ByTag: map[int]*Counts{5: {2, 100}, 7: {1, 20}},
 	}
-	if RingOf(42) != nil || RingOf(nil) != nil {
-		t.Error("RingOf of a non-source must be nil")
+	if !reflect.DeepEqual(r, want) {
+		t.Fatalf("row = %+v, want %+v", r, want)
 	}
 }
-
-type spanSourceStub struct{ r *SpanRing }
-
-func (s spanSourceStub) SpanRing() *SpanRing { return s.r }
 
 // goldenSnapshot is a fully-populated Snapshot literal. The golden test
 // builds it directly rather than running an engine: the bufpool counters

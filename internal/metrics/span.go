@@ -22,22 +22,12 @@ type Span struct {
 
 // SpanSource is the capability interface of communicators that expose
 // a per-rank span ring: the engine's communicator implements it (nil
-// ring when spans are disabled), decorators forward it, and collectives
-// type-assert against it at emission sites — the same discovery pattern
-// as mpi.Contexter and mpi.TagStreamer, kept here so the capability's
-// type lives next to the data it hands out.
+// ring when spans are disabled), and collectives type-assert against it
+// at emission sites — the same discovery pattern as mpi.Contexter and
+// mpi.TagStreamer, kept here so the capability's type lives next to the
+// data it hands out.
 type SpanSource interface {
 	SpanRing() *SpanRing
-}
-
-// RingOf extracts c's span ring through the SpanSource capability,
-// returning nil (record becomes a no-op) when the communicator has no
-// spans. The assertion is allocation-free.
-func RingOf(c any) *SpanRing {
-	if src, ok := c.(SpanSource); ok {
-		return src.SpanRing()
-	}
-	return nil
 }
 
 // SpanRing is a fixed-capacity, drop-oldest buffer of operation spans

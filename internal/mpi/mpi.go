@@ -12,8 +12,8 @@
 // process or split across several over internal/transport) used for
 // correctness tests, user-level wall-clock benchmarks and the examples.
 // Its blocking calls are the nonblocking ones followed by Wait, so the
-// two families cannot behave differently. Decorators such as
-// internal/trace wrap any Comm to observe traffic.
+// two families cannot behave differently, and its communicator records
+// its own traffic when internal/trace asks it to.
 //
 // Buffer semantics follow MPI_BYTE transfers: payloads are byte slices,
 // a receive completes with the actual transferred count in Status, and a
@@ -97,8 +97,7 @@ func BaseTag(tag int) int {
 // the stream id the next collective should run under; every rank of the
 // communicator must call it in the same collective order (which the MPI
 // collective-call ordering rule already guarantees), so all ranks agree
-// on each operation's stream without communicating. Decorator
-// communicators forward the call to the communicator they wrap.
+// on each operation's stream without communicating.
 type TagStreamer interface {
 	NextTagStream() int
 }
@@ -121,8 +120,7 @@ func AdvanceTagStream(c Comm) {
 // allocating one. ok is false when the communicator declines — a source
 // it reaches over a wire, a wildcard, an invalid argument — and then
 // nothing is posted and req comes back unchanged, for the caller to keep
-// and to post that receive the ordinary way. Decorator communicators
-// forward the call to the communicator they wrap.
+// and to post that receive the ordinary way.
 type Preposter interface {
 	Prepost(req Request, buf []byte, from, tag int) (r Request, ok bool)
 }

@@ -203,10 +203,10 @@ func TestBcastProgramsComplete(t *testing.T) {
 	for _, p := range []int{2, 3, 8, 10, 17} {
 		topo := topology.Blocked(p, 4)
 		for _, n := range []int{0, 1, 100, 100000} {
-			for _, gen := range []func(int, int, int) *sched.Program{
-				core.BcastNativeProgram, core.BcastOptProgram, core.BinomialBcast,
+			for name, ops := range map[string]sched.Emitter{
+				"bcast-native": core.BcastNativeOps, "bcast-opt": core.BcastOptOps, "binomial-bcast": core.BinomialOps,
 			} {
-				pr := gen(p, 0, n)
+				pr := sched.Generate(name, ops, p, 0, n, 0)
 				res, err := Simulate(pr, topo, m)
 				if err != nil {
 					t.Fatalf("p=%d n=%d %s: %v", p, n, pr.Name, err)
@@ -236,11 +236,11 @@ func TestTunedNeverSlowerOnBcast(t *testing.T) {
 		{10, 4, 4096},
 	} {
 		topo := topology.Blocked(cfg.p, cfg.cores)
-		nat, err := SteadyStateIterTime(core.BcastNativeProgram(cfg.p, 0, cfg.n), topo, m, 2, 5)
+		nat, err := SteadyStateIterTime(sched.Generate("bcast-native", core.BcastNativeOps, cfg.p, 0, cfg.n, 0), topo, m, 2, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt, err := SteadyStateIterTime(core.BcastOptProgram(cfg.p, 0, cfg.n), topo, m, 2, 5)
+		opt, err := SteadyStateIterTime(sched.Generate("bcast-opt", core.BcastOptOps, cfg.p, 0, cfg.n, 0), topo, m, 2, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +255,7 @@ func TestMakespanMonotoneInSize(t *testing.T) {
 	topo := topology.Blocked(16, 8)
 	prev := -1.0
 	for _, n := range []int{1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20} {
-		res, err := Simulate(core.BcastNativeProgram(16, 0, n), topo, m)
+		res, err := Simulate(sched.Generate("bcast-native", core.BcastNativeOps, 16, 0, n, 0), topo, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,12 +271,12 @@ func TestRootRotationInvariance(t *testing.T) {
 	// change the makespan (the schedule is rotation-symmetric).
 	m := Hornet()
 	topo := topology.SingleNode(12)
-	base, err := Simulate(core.BcastOptProgram(12, 0, 60000), topo, m)
+	base, err := Simulate(sched.Generate("bcast-opt", core.BcastOptOps, 12, 0, 60000, 0), topo, m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, root := range []int{3, 7, 11} {
-		res, err := Simulate(core.BcastOptProgram(12, root, 60000), topo, m)
+		res, err := Simulate(sched.Generate("bcast-opt", core.BcastOptOps, 12, root, 60000, 0), topo, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -367,19 +367,19 @@ func TestPipeliningAdvantageForTunedRoot(t *testing.T) {
 	m := Hornet()
 	const p, n = 9, 12288
 	topo := topology.Blocked(p, 24)
-	natOnce, err := Simulate(core.BcastNativeProgram(p, 0, n), topo, m)
+	natOnce, err := Simulate(sched.Generate("bcast-native", core.BcastNativeOps, p, 0, n, 0), topo, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	optOnce, err := Simulate(core.BcastOptProgram(p, 0, n), topo, m)
+	optOnce, err := Simulate(sched.Generate("bcast-opt", core.BcastOptOps, p, 0, n, 0), topo, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	natIter, err := SteadyStateIterTime(core.BcastNativeProgram(p, 0, n), topo, m, 2, 8)
+	natIter, err := SteadyStateIterTime(sched.Generate("bcast-native", core.BcastNativeOps, p, 0, n, 0), topo, m, 2, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	optIter, err := SteadyStateIterTime(core.BcastOptProgram(p, 0, n), topo, m, 2, 8)
+	optIter, err := SteadyStateIterTime(sched.Generate("bcast-opt", core.BcastOptOps, p, 0, n, 0), topo, m, 2, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +449,7 @@ func TestCreditsDampSmallMessagePipelining(t *testing.T) {
 	// With one credit the broadcast loop cannot run far ahead: the
 	// steady-state time must be at least as large as with open credits.
 	m := Hornet()
-	pr := core.BcastOptProgram(17, 0, 12288)
+	pr := sched.Generate("bcast-opt", core.BcastOptOps, 17, 0, 12288, 0)
 	topo := topology.Blocked(17, 24)
 	open, err := SteadyStateIterTime(pr, topo, m, 2, 8)
 	if err != nil {
@@ -473,11 +473,11 @@ func TestNodeAwareRingRecoversBlockedProfile(t *testing.T) {
 	const np, n = 24, 1 << 20
 	m := Hornet()
 	topo := topology.RoundRobin(np, 8) // 3 nodes, scattered ranks
-	plain, err := SteadyStateIterTime(core.BcastOptProgram(np, 0, n), topo, m, 2, 5)
+	plain, err := SteadyStateIterTime(sched.Generate("bcast-opt", core.BcastOptOps, np, 0, n, 0), topo, m, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aware, err := SteadyStateIterTime(core.BcastOptNodeAware(topo, 0, n), topo, m, 2, 5)
+	aware, err := SteadyStateIterTime(sched.Generate("bcast-opt-nodeaware", core.NodeAwareOps(topo, core.BcastOptOps), topo.NP(), 0, n, 0), topo, m, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,7 +505,7 @@ func TestSMPOptKeepsTheRingOffTheNetwork(t *testing.T) {
 		}
 		return bytes
 	}
-	flat := core.BcastOptProgram(np, 0, n)
+	flat := sched.Generate("bcast-opt", core.BcastOptOps, np, 0, n, 0)
 	smp := sched.Generate("smp-opt", core.SMPOptOps(topo), np, 0, n, 0)
 	fr, err := Simulate(flat, topo, m)
 	if err != nil {
@@ -534,11 +534,11 @@ func TestChainVsRingCrossover(t *testing.T) {
 	m := Hornet()
 	const np, n = 24, 1 << 20
 	topo := topology.Blocked(np, 24)
-	ring, err := SteadyStateIterTime(core.BcastOptProgram(np, 0, n), topo, m, 2, 5)
+	ring, err := SteadyStateIterTime(sched.Generate("bcast-opt", core.BcastOptOps, np, 0, n, 0), topo, m, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain, err := SteadyStateIterTime(core.ChainBcast(np, 0, n, 64<<10), topo, m, 2, 5)
+	chain, err := SteadyStateIterTime(sched.Generate("chain-bcast", core.ChainOps, np, 0, n, 64<<10), topo, m, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,7 +558,7 @@ func TestSimulationIsDeterministic(t *testing.T) {
 	// the simulator is a pure function (heap ties broken by sequence).
 	m := Hornet()
 	topo := topology.Blocked(33, 8)
-	pr := core.BcastOptProgram(33, 5, 123457)
+	pr := sched.Generate("bcast-opt", core.BcastOptOps, 33, 5, 123457, 0)
 	a, err := Simulate(pr, topo, m)
 	if err != nil {
 		t.Fatal(err)

@@ -30,7 +30,7 @@ func fixed(m Measurer) func(Placement) Measurer {
 func grid(procs, sizes []int) SweepConfig { return SweepConfig{Procs: procs, Sizes: sizes} }
 
 func trivialProgram(topo *topology.Map, root, n, _ int) (*sched.Program, error) {
-	return core.BinomialBcast(topo.NP(), root, n), nil
+	return sched.Generate("binomial-bcast", core.BinomialOps, topo.NP(), root, n, 0), nil
 }
 
 func TestAutoTuneDerivesCrossoverRules(t *testing.T) {
@@ -146,10 +146,10 @@ func TestSimMeasurerSmoke(t *testing.T) {
 	// measurement of the paper's two rings, and opt must not lose.
 	m := SimMeasurer{Place: Placement{Kind: topology.KindBlocked, CoresPerNode: 4}}
 	native := Candidate{Name: RingNative, Program: func(topo *topology.Map, root, n, _ int) (*sched.Program, error) {
-		return core.BcastNativeProgram(topo.NP(), root, n), nil
+		return sched.Generate("bcast-native", core.BcastNativeOps, topo.NP(), root, n, 0), nil
 	}}
 	opt := Candidate{Name: RingOpt, Program: func(topo *topology.Map, root, n, _ int) (*sched.Program, error) {
-		return core.BcastOptProgram(topo.NP(), root, n), nil
+		return sched.Generate("bcast-opt", core.BcastOptOps, topo.NP(), root, n, 0), nil
 	}}
 	const p, n = 10, 1 << 19
 	tn, err := m.Measure(native, p, n)

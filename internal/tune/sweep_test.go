@@ -76,9 +76,9 @@ func TestPlacementMap(t *testing.T) {
 	}
 }
 
-// TestAutoTuneSweepSegmentSizes: a segmented candidate is expanded over
+// TestAutoTuneSegmentSizes: a segmented candidate is expanded over
 // the swept sizes and the best segment size lands in the decision.
-func TestAutoTuneSweepSegmentSizes(t *testing.T) {
+func TestAutoTuneSegmentSizes(t *testing.T) {
 	cands := []Candidate{
 		{Name: "plain", Program: trivialProgram},
 		{Name: "seg", Segmented: true, Program: trivialProgram},
@@ -113,10 +113,10 @@ func TestAutoTuneSweepSegmentSizes(t *testing.T) {
 	}
 }
 
-// TestAutoTuneSweepPerPlacementGroups: different winners under blocked
+// TestAutoTunePerPlacementGroups: different winners under blocked
 // and round-robin placements yield distinct rule groups, each matching
 // only its own placement's runtime environment.
-func TestAutoTuneSweepPerPlacementGroups(t *testing.T) {
+func TestAutoTunePerPlacementGroups(t *testing.T) {
 	cands := []Candidate{
 		{Name: "likes-blocked", Program: trivialProgram},
 		{Name: "likes-rr", Program: trivialProgram},
@@ -159,10 +159,10 @@ func TestAutoTuneSweepPerPlacementGroups(t *testing.T) {
 	}
 }
 
-// TestAutoTuneSweepCollapsedPlacementsDedup: at process counts where
+// TestAutoTuneCollapsedPlacementsDedup: at process counts where
 // blocked and round-robin collapse onto one node, both passes realize the
 // same single-node environment; the table must not repeat the group.
-func TestAutoTuneSweepCollapsedPlacementsDedup(t *testing.T) {
+func TestAutoTuneCollapsedPlacementsDedup(t *testing.T) {
 	cands := []Candidate{{Name: "only", Program: trivialProgram}}
 	mk := func(pl Placement) Measurer {
 		return placeMeasurer{pl: pl, cost: func(Candidate, Placement, int, int) float64 { return 1 }}
@@ -190,8 +190,8 @@ func TestAutoTuneSweepCollapsedPlacementsDedup(t *testing.T) {
 	}
 }
 
-// TestAutoTuneSweepErrors covers the sweep-specific failure modes.
-func TestAutoTuneSweepErrors(t *testing.T) {
+// TestAutoTunePlacementErrors covers the failure modes of a placement sweep.
+func TestAutoTunePlacementErrors(t *testing.T) {
 	cands := []Candidate{{Name: "a", Program: trivialProgram}}
 	mk := func(pl Placement) Measurer {
 		return placeMeasurer{pl: pl, cost: func(Candidate, Placement, int, int) float64 { return 1 }}
@@ -211,9 +211,9 @@ func TestAutoTuneSweepErrors(t *testing.T) {
 	}
 }
 
-// TestAutoTuneSweepNoPlacementsUnconstrained: without a placement list
+// TestAutoTuneNoPlacementsUnconstrained: without a placement list
 // the grid is measured once and the rules are unconstrained.
-func TestAutoTuneSweepNoPlacementsUnconstrained(t *testing.T) {
+func TestAutoTuneNoPlacementsUnconstrained(t *testing.T) {
 	cands := []Candidate{{Name: "a", Program: trivialProgram}}
 	mk := func(pl Placement) Measurer {
 		return fakeMeasurer{cost: func(string, int, int) float64 { return 1 }}
