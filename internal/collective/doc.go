@@ -61,9 +61,16 @@
 // algorithm is immediately benchmarkable, simulatable, countable, and
 // auto-tunable.
 //
-// Supporting collectives (Barrier, Scatter, Gather, Allgather, Reduce,
-// Allreduce) exist because the examples and the benchmark protocol need
-// them, mirroring how a real MPI application would use the library.
+// Supporting collectives (Barrier, Scatter, Gather, Allgather, Alltoall,
+// Reduce, Allreduce) exist because the examples and the benchmark
+// protocol need them, mirroring how a real MPI application would use the
+// library. Those that move a pattern the broadcast already has run its
+// schedule through the same executor: Scatter is the binomial scatter
+// phase, Gather that tree reversed (sched.Emitter.Reverse), Allgather the
+// enclosed ring from root 0, and Allreduce's tail the binomial
+// broadcast. Still hand-written: Reduce, which needs an op that combines
+// what it receives; Alltoall, which needs a send and a receive buffer;
+// and Barrier, whose dissemination pattern no broadcast shares.
 //
 // All byte-buffer collectives follow MPI_BYTE semantics. Every function
 // is collective: all ranks of the communicator must call it with
@@ -72,13 +79,10 @@ package collective
 
 import "repro/internal/core"
 
-// Reserved tags for collectives not covered by internal/core's phase tags.
-const (
-	tagReduce    = 0x7F06
-	tagGather    = 0x7F07
-	tagScatter   = 0x7F08
-	tagAllgather = 0x7F09
-)
+// tagReduce is the hand-written reduce's tag (alltoall.go defines
+// Alltoall's). A collective that runs a schedule sends with its
+// emitter's phase tags instead.
+const tagReduce = 0x7F06
 
 // Re-exported phase tags (defined next to the schedule generators so that
 // traces can be matched against generated programs).

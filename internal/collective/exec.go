@@ -9,12 +9,14 @@ import (
 	"repro/internal/sched"
 )
 
-// This file is the one place a broadcast touches the wire. Every
-// broadcast is a sched.Emitter (internal/core); the executor asks it for
-// the calling rank's operations, checks them, and runs them in order on
-// the communicator. The verifier, the simulator and the tuner consume
-// the very same emitter through sched.Generate, so what is verified is
-// what runs.
+// This file is the one place a schedule touches the wire: every
+// broadcast, and the collectives that run one of its phases (Scatter,
+// Gather, Allgather; see gather.go). Each is a sched.Emitter
+// (internal/core); the executor asks it for the calling rank's
+// operations, shifts them into the part of the program's buffer the rank
+// holds, checks them, and runs them in order on the communicator. The
+// verifier, the simulator and the tuner consume the very same emitter
+// through sched.Generate, so what is verified is what runs.
 //
 // One thing is not done at its op: a receive of at least hoistFloor
 // bytes is posted as early, and completed as late, as its bytes allow
@@ -67,15 +69,24 @@ type managed struct {
 	on                     bool
 }
 
-// compile replaces s.ops with the calling rank's operations for an
-// n-byte broadcast from root, checks each against (size, n, rank) and
-// places its receives. It costs O(own ops · log own ops): no rank ever
-// builds another rank's list.
-func (s *rankOps) compile(c mpi.Comm, e sched.Emitter, root, n, seg int) error {
+// compile replaces s.ops with the calling rank's operations in an n-byte
+// collective from root, shifted by -lo into the rank's size-byte window
+// of the program's buffer (lo 0 and size n: all of it), checks each
+// against (communicator size, window, rank) and places its receives. It
+// costs O(own ops · log own ops): no rank ever builds another rank's
+// list.
+func (s *rankOps) compile(c mpi.Comm, e sched.Emitter, root, n, seg, lo, size int) error {
 	p, me := c.Size(), c.Rank()
 	s.ops = e(s.ops[:0], me, p, root, n, seg)
-	if err := checkOps(s.ops, p, n, me); err != nil {
-		return fmt.Errorf("collective: exec: %w", err)
+	for i := range s.ops {
+		op := &s.ops[i]
+		if lo != 0 {
+			op.SendOff -= lo
+			op.RecvOff -= lo
+		}
+		if err := op.Check(p, size, me); err != nil {
+			return fmt.Errorf("collective: exec: %w: rank %d op %d (%s): %v", ErrBadOp, me, i, op, err)
+		}
 	}
 	s.manage()
 	return nil
@@ -188,15 +199,6 @@ func (s *rankOps) manage() {
 	}
 }
 
-func checkOps(ops []sched.Op, p, n, self int) error {
-	for i := range ops {
-		if err := ops[i].Check(p, n, self); err != nil {
-			return fmt.Errorf("%w: rank %d op %d (%s): %v", ErrBadOp, self, i, ops[i], err)
-		}
-	}
-	return nil
-}
-
 // exec runs the compiled operations on c, moving real bytes in buf
 // (which compile or the caller has checked covers every op). A rank with
 // no managed receive, or a communicator that cannot post early, runs
@@ -282,18 +284,21 @@ func checkRoot(c mpi.Comm, root int) error {
 	return nil
 }
 
-// runStatic broadcasts buf from root with the algorithm e describes:
-// emit the calling rank's ops into a pooled Plan's scratch, check them,
-// advance the communicator's tag stream and run. It is a Plan without
-// selection, capability check or span, for collectives that embed a
-// fixed broadcast (the allreduce tail).
-func runStatic(c mpi.Comm, buf []byte, root, seg int, e sched.Emitter) error {
+// runStatic runs the n-byte collective e describes from root: emit the
+// calling rank's ops into a pooled Plan's scratch, shift them into buf,
+// which holds bytes [lo, lo+len(buf)) of the program's buffer, check
+// them against it, advance the communicator's tag stream and run. It is
+// a Plan without selection, capability check or span, for the
+// collectives that run a fixed schedule: the allreduce tail's broadcast,
+// and Scatter, Gather and Allgather, whose non-root ranks hold only
+// their subtree's bytes.
+func runStatic(c mpi.Comm, buf []byte, lo, n, root, seg int, e sched.Emitter) error {
 	if err := checkRoot(c, root); err != nil {
 		return err
 	}
 	p := planPool.Get().(*Plan)
 	defer planPool.Put(p)
-	if err := p.ops.compile(c, e, root, len(buf), seg); err != nil {
+	if err := p.ops.compile(c, e, root, n, seg, lo, len(buf)); err != nil {
 		return err
 	}
 	return p.ops.run(c, buf)
@@ -330,12 +335,14 @@ func ExecProgram(c mpi.Comm, pr *sched.Program, buf []byte) error {
 	if len(buf) < pr.N {
 		return fmt.Errorf("collective: exec: buffer %d bytes, program needs %d", len(buf), pr.N)
 	}
-	s := rankOps{ops: pr.OpsOf(c.Rank())}
-	if err := checkOps(s.ops, pr.P, pr.N, c.Rank()); err != nil {
-		return fmt.Errorf("collective: exec %q: %w", pr.Name, err)
+	p := planPool.Get().(*Plan)
+	defer planPool.Put(p)
+	// Copied into the Plan's scratch: compile never writes into pr.
+	ops := func(dst []sched.Op, rank, _, _, _, _ int) []sched.Op { return append(dst, pr.OpsOf(rank)...) }
+	if err := p.ops.compile(c, ops, pr.Root, pr.N, 0, 0, pr.N); err != nil {
+		return err
 	}
-	s.manage()
-	if err := s.exec(c, buf); err != nil {
+	if err := p.ops.exec(c, buf); err != nil {
 		return fmt.Errorf("collective: exec %q: %w", pr.Name, err)
 	}
 	return nil

@@ -121,7 +121,7 @@ func TestCompileRejectsBadEmitter(t *testing.T) {
 		return append(dst, sched.Op{Kind: sched.OpSend, To: (rank + 1) % p, SendOff: n, SendLen: 1})
 	}
 	err := engine.Run(2, func(c mpi.Comm) error {
-		if err := runStatic(c, make([]byte, 8), 0, 0, outOfRange); !errors.Is(err, ErrBadOp) {
+		if err := runStatic(c, make([]byte, 8), 0, 8, 0, 0, outOfRange); !errors.Is(err, ErrBadOp) {
 			return fmt.Errorf("want ErrBadOp, got %v", err)
 		}
 		return nil

@@ -7,14 +7,32 @@ import (
 	"repro/internal/bufpool"
 	"repro/internal/core"
 	"repro/internal/mpi"
+	"repro/internal/sched"
 )
+
+// Scatter, Gather and Allgather run the broadcast's own phase schedules
+// through the executor (runStatic), over a p·chunk-byte program buffer
+// in which chunk k belongs to relative rank k. Scatter and Gather hold
+// their part of it in pooled scratch: the whole buffer on the root,
+// rotated from or into rank order, and its subtree's Extent·chunk bytes
+// on every other rank. The scratch is released only on the clean path:
+// an error means the world aborted, and a peer may still be copying
+// through the buffer, so it is abandoned to the GC rather than recycled
+// (the rule the engine's own pools follow — see internal/engine/pool.go).
+// A zero chunk returns at once on every rank: no zero-byte messages, no
+// zero-length scratch.
+
+// gatherOps is the binomial scatter tree run backwards: every rank
+// receives its children's subtree blocks, smallest first, then sends its
+// own block to its parent.
+var gatherOps = sched.Emitter(core.ScatterOps).Reverse()
 
 // Scatter distributes equal chunk-byte slices of sendBuf from root: rank
 // i receives sendBuf[i*chunk : (i+1)*chunk] into recvBuf. Only the root's
 // sendBuf is read; every rank's recvBuf must be at least chunk bytes.
-// The implementation is MPICH's binomial tree: interior ranks receive
-// their whole subtree block into a temporary buffer and forward
-// sub-blocks downward, so the root is not a serial bottleneck.
+// It runs the broadcast's binomial scatter (core.ScatterOps): interior
+// ranks receive their whole subtree block and forward sub-blocks
+// downward, so the root is not a serial bottleneck.
 func Scatter(c mpi.Comm, sendBuf []byte, chunk int, recvBuf []byte, root int) error {
 	ring, start := spanStart(c)
 	if err := scatter(c, sendBuf, chunk, recvBuf, root); err != nil {
@@ -41,64 +59,19 @@ func scatter(c mpi.Comm, sendBuf []byte, chunk int, recvBuf []byte, root int) er
 		return fmt.Errorf("collective: scatter: send buffer %d bytes < %d", len(sendBuf), p*chunk)
 	}
 	if chunk == 0 {
-		// Nothing to move: skip the tree rather than threading zero-byte
-		// messages and zero-length pool scratch through it. Every rank
-		// sees the same chunk, so all take this path together.
 		return nil
 	}
-	if p == 1 {
-		copy(recvBuf[:chunk], sendBuf[:chunk])
-		return nil
-	}
-	mpi.AdvanceTagStream(c)
-
 	rel := core.RelRank(rank, root, p)
-	extent := core.Extent(rel, p)
-
-	// tmp holds this rank's subtree block in relative-chunk order:
-	// relative chunk k lives at tmp[(k-rel)*chunk : ...). The scratch
-	// comes from the shared buffer pool, so repeated scatters on a
-	// long-lived world allocate nothing here in the steady state. It is
-	// released only on the clean path: an errored Send/Recv means the
-	// world aborted, and a peer may still be copying through this buffer,
-	// so it must be abandoned to the GC rather than recycled (the same
-	// rule the engine's own pools follow — see internal/engine/pool.go).
-	var tmp []byte
-	var scratch *bufpool.Buf
-	if rank == root {
-		// Rotate the source into relative order so subtree blocks are
-		// contiguous (root's own chunk first).
-		scratch = bufpool.Get(p * chunk)
-		tmp = scratch.B
+	scratch := bufpool.Get(core.Extent(rel, p) * chunk)
+	tmp := scratch.B
+	if rel == 0 {
 		for k := 0; k < p; k++ {
 			src := core.AbsRank(k, root, p)
 			copy(tmp[k*chunk:(k+1)*chunk], sendBuf[src*chunk:(src+1)*chunk])
 		}
-	} else {
-		scratch = bufpool.Get(extent * chunk)
-		tmp = scratch.B
-		recvMask := rel & (-rel)
-		parent := core.AbsRank(rel-recvMask, root, p)
-		if _, err := c.Recv(tmp, parent, tagScatter); err != nil {
-			return fmt.Errorf("collective: scatter recv: %w", err)
-		}
 	}
-
-	recvMask := core.CeilPow2(p)
-	if rel != 0 {
-		recvMask = rel & (-rel)
-	}
-	for mask := recvMask >> 1; mask > 0; mask >>= 1 {
-		child := rel + mask
-		if child >= p {
-			continue
-		}
-		childExtent := core.Extent(child, p)
-		off := (child - rel) * chunk
-		dst := core.AbsRank(child, root, p)
-		if err := c.Send(tmp[off:off+childExtent*chunk], dst, tagScatter); err != nil {
-			return fmt.Errorf("collective: scatter send: %w", err)
-		}
+	if err := runStatic(c, tmp, rel*chunk, p*chunk, root, 0, core.ScatterOps); err != nil {
+		return fmt.Errorf("collective: scatter: %w", err)
 	}
 	copy(recvBuf[:chunk], tmp[:chunk])
 	scratch.Release()
@@ -107,8 +80,8 @@ func scatter(c mpi.Comm, sendBuf []byte, chunk int, recvBuf []byte, root int) er
 
 // Gather collects chunk bytes from every rank's sendBuf into the root's
 // recvBuf (rank i's contribution lands at recvBuf[i*chunk:(i+1)*chunk]).
-// It is the mirror of Scatter: leaves send up the binomial tree, interior
-// ranks assemble their subtree block before forwarding.
+// It runs Scatter's tree backwards (sched.Emitter.Reverse): leaves send
+// up, interior ranks assemble their subtree block before forwarding it.
 func Gather(c mpi.Comm, sendBuf []byte, chunk int, recvBuf []byte, root int) error {
 	ring, start := spanStart(c)
 	if err := gather(c, sendBuf, chunk, recvBuf, root); err != nil {
@@ -135,67 +108,32 @@ func gather(c mpi.Comm, sendBuf []byte, chunk int, recvBuf []byte, root int) err
 		return fmt.Errorf("collective: gather: recv buffer %d bytes < %d", len(recvBuf), p*chunk)
 	}
 	if chunk == 0 {
-		// Mirror of Scatter's zero-chunk fast path.
 		return nil
 	}
-	if p == 1 {
-		copy(recvBuf[:chunk], sendBuf[:chunk])
-		return nil
-	}
-	mpi.AdvanceTagStream(c)
-
 	rel := core.RelRank(rank, root, p)
-	extent := core.Extent(rel, p)
-
-	// Pooled like Scatter's scratch, with the same discipline: released
-	// only on the clean paths, abandoned to the GC when a Send/Recv errors
-	// (an aborted peer may still be copying through it).
-	scratch := bufpool.Get(extent * chunk)
+	scratch := bufpool.Get(core.Extent(rel, p) * chunk)
 	tmp := scratch.B
 	copy(tmp[:chunk], sendBuf[:chunk])
-
-	// Receive children's subtree blocks, smallest mask first (the reverse
-	// of the scatter send order, so children that finish early match).
-	recvMask := core.CeilPow2(p)
-	if rel != 0 {
-		recvMask = rel & (-rel)
+	if err := runStatic(c, tmp, rel*chunk, p*chunk, root, 0, gatherOps); err != nil {
+		return fmt.Errorf("collective: gather: %w", err)
 	}
-	for mask := 1; mask < recvMask; mask <<= 1 {
-		child := rel + mask
-		if child >= p {
-			continue
+	if rel == 0 {
+		for k := 0; k < p; k++ {
+			dst := core.AbsRank(k, root, p)
+			copy(recvBuf[dst*chunk:(dst+1)*chunk], tmp[k*chunk:(k+1)*chunk])
 		}
-		childExtent := core.Extent(child, p)
-		off := (child - rel) * chunk
-		src := core.AbsRank(child, root, p)
-		if _, err := c.Recv(tmp[off:off+childExtent*chunk], src, tagGather); err != nil {
-			return fmt.Errorf("collective: gather recv: %w", err)
-		}
-	}
-	if rel != 0 {
-		parentMask := rel & (-rel)
-		parent := core.AbsRank(rel-parentMask, root, p)
-		if err := c.Send(tmp, parent, tagGather); err != nil {
-			return fmt.Errorf("collective: gather send: %w", err)
-		}
-		scratch.Release()
-		return nil
-	}
-	// Root: un-rotate the relative-order block into absolute rank order.
-	for k := 0; k < p; k++ {
-		dst := core.AbsRank(k, root, p)
-		copy(recvBuf[dst*chunk:(dst+1)*chunk], tmp[k*chunk:(k+1)*chunk])
 	}
 	scratch.Release()
 	return nil
 }
 
 // Allgather concatenates every rank's chunk-byte sendBuf into every
-// rank's recvBuf (size-p*chunk, rank i's data at offset i*chunk) using
-// the classic ring: P-1 steps, each rank forwarding the block it received
-// in the previous step. This is the textbook setting where the ring
-// allgather is bandwidth-optimal — unlike inside the broadcast, where the
-// scatter phase's subtree ownership makes the enclosed ring wasteful.
+// rank's recvBuf (size-p*chunk, rank i's data at offset i*chunk). It runs
+// the native broadcast's enclosed ring (core.RingNativeOps) from root 0:
+// p-1 steps, each rank forwarding the block it received in the previous
+// step. This is the textbook setting where the ring allgather is
+// bandwidth-optimal — unlike inside the broadcast, where the scatter
+// phase's subtree ownership makes the enclosed ring wasteful.
 func Allgather(c mpi.Comm, sendBuf []byte, chunk int, recvBuf []byte) error {
 	ring, start := spanStart(c)
 	if err := allgather(c, sendBuf, chunk, recvBuf); err != nil {
@@ -222,21 +160,8 @@ func allgather(c mpi.Comm, sendBuf []byte, chunk int, recvBuf []byte) error {
 		return nil
 	}
 	copy(recvBuf[rank*chunk:(rank+1)*chunk], sendBuf[:chunk])
-	if p == 1 {
-		return nil
-	}
-	mpi.AdvanceTagStream(c)
-	left := (rank - 1 + p) % p
-	right := (rank + 1) % p
-	j, jnext := rank, left
-	for i := 1; i < p; i++ {
-		sb := recvBuf[j*chunk : (j+1)*chunk]
-		rb := recvBuf[jnext*chunk : (jnext+1)*chunk]
-		if _, err := c.Sendrecv(sb, right, tagAllgather, rb, left, tagAllgather); err != nil {
-			return fmt.Errorf("collective: allgather step %d: %w", i, err)
-		}
-		j = jnext
-		jnext = (jnext - 1 + p) % p
+	if err := runStatic(c, recvBuf[:p*chunk], 0, p*chunk, 0, 0, core.RingNativeOps); err != nil {
+		return fmt.Errorf("collective: allgather: %w", err)
 	}
 	return nil
 }

@@ -97,7 +97,7 @@ func (p *Plan) bind(c mpi.Comm, n int, d tune.Decision) error {
 	if r != p.reg || topo != p.topo {
 		e = r.emitter(topo)
 	}
-	if err := p.ops.compile(c, e, p.root, n, d.SegSize); err != nil {
+	if err := p.ops.compile(c, e, p.root, n, d.SegSize, 0, n); err != nil {
 		return err
 	}
 	p.n, p.dec, p.reg, p.topo, p.emit = n, d, r, topo, e

@@ -189,7 +189,7 @@ func allreduceFloat64(c mpi.Comm, in, out []float64, op Op) error {
 	if c.Rank() == 0 {
 		encodeFloat64sInto(buf, out[:len(in)])
 	}
-	if err := runStatic(c, buf, 0, 0, core.BinomialOps); err != nil {
+	if err := runStatic(c, buf, 0, len(buf), 0, 0, core.BinomialOps); err != nil {
 		return err
 	}
 	decodeFloat64s(buf, out[:len(in)])

@@ -100,10 +100,10 @@ type Registration struct {
 	// TopoOps returns the emitter for the communicator whose ranks topo
 	// places (topo.NP() ranks, numbered as in topo).
 	TopoOps func(topo *topology.Map) sched.Emitter
-	// Program is Schedule without a node map, derived by Register for Ops
-	// rows only (nil on TopoOps rows); it is kept for callers that have no
-	// topology at hand. In-tree consumers use Schedule, which serves every
-	// row.
+	// Program is Schedule on one node of p ranks, derived by Register for
+	// Ops rows only (nil on TopoOps rows); it is kept for callers that have
+	// no topology at hand. In-tree consumers use Schedule, which serves
+	// every row.
 	Program func(p, root, n, segSize int) (*sched.Program, error)
 }
 
@@ -143,12 +143,10 @@ func Register(r Registration) error {
 	if r.Program != nil {
 		return fmt.Errorf("collective: register %q: Program is derived; supply the emitter alone", r.Name)
 	}
-	if ops, name, caps := r.Ops, r.Name, r.Caps; ops != nil {
+	if r.Ops != nil {
+		row := &r
 		r.Program = func(p, root, n, segSize int) (*sched.Program, error) {
-			if p < caps.MinProcs || (caps.Pow2Only && !core.IsPow2(p)) {
-				return nil, fmt.Errorf("collective: %s has no schedule for %d ranks %s", name, p, caps.Label())
-			}
-			return sched.Generate(name, ops, p, root, n, segSize), nil
+			return row.Schedule(topology.SingleNode(p), root, n, segSize)
 		}
 	}
 	regMu.Lock()

@@ -8,8 +8,12 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/mpi"
+	"repro/internal/sched"
+	"repro/internal/topology"
+	"repro/internal/trace"
 )
 
 func TestBarrierCompletes(t *testing.T) {
@@ -90,6 +94,91 @@ func TestScatterGatherRoundTrip(t *testing.T) {
 				})
 				if err != nil {
 					t.Fatalf("p=%d root=%d chunk=%d: %v", p, root, chunk, err)
+				}
+			}
+		}
+	}
+}
+
+// TestScatterGatherAllgatherRunTheirSchedules: Scatter, Gather and
+// Allgather move exactly the messages of the schedule each runs — the
+// binomial scatter, that tree reversed, the enclosed ring from root 0.
+// On both executors, over a round-robin placement, the traced total
+// equals Program.Stats(), the intra-/inter-node split equals the
+// program's sends on the map, every message is received once, and every
+// rank ends with the right bytes; at a small chunk, and at one whose
+// receives the executor posts ahead of their ops.
+func TestScatterGatherAllgatherRunTheirSchedules(t *testing.T) {
+	for _, exec := range []engine.ExecPolicy{engine.Goroutine, engine.Pooled} {
+		for _, p := range []int{2, 5, 8, 9, 13} {
+			topo := topology.RoundRobin(p, 3)
+			for _, chunk := range []int{7, hoistFloor + 5} {
+				n, root := p*chunk, p/2
+				all := pattern(n)
+				mine := func(c mpi.Comm) []byte { return all[c.Rank()*chunk : (c.Rank()+1)*chunk] }
+				for _, tc := range []struct {
+					name string
+					pr   *sched.Program
+					run  func(c mpi.Comm) error
+				}{
+					{"scatter", sched.Generate("scatter", core.ScatterOps, p, root, n, 0), func(c mpi.Comm) error {
+						got := make([]byte, chunk)
+						if err := Scatter(c, all, chunk, got, root); err != nil {
+							return err
+						}
+						if !bytes.Equal(got, mine(c)) {
+							return fmt.Errorf("rank %d: wrong chunk", c.Rank())
+						}
+						return nil
+					}},
+					{"gather", sched.Generate("gather", gatherOps, p, root, n, 0), func(c mpi.Comm) error {
+						got := make([]byte, n)
+						if err := Gather(c, mine(c), chunk, got, root); err != nil {
+							return err
+						}
+						if c.Rank() == root && !bytes.Equal(got, all) {
+							return fmt.Errorf("root: mismatch at %d", firstDiff(got, all))
+						}
+						return nil
+					}},
+					{"allgather", sched.Generate("allgather", core.RingNativeOps, p, 0, n, 0), func(c mpi.Comm) error {
+						got := make([]byte, n)
+						if err := Allgather(c, mine(c), chunk, got); err != nil {
+							return err
+						}
+						if !bytes.Equal(got, all) {
+							return fmt.Errorf("rank %d: mismatch at %d", c.Rank(), firstDiff(got, all))
+						}
+						return nil
+					}},
+				} {
+					label := fmt.Sprintf("%s/%v/p=%d/chunk=%d", tc.name, exec, p, chunk)
+					col := trace.NewCollector()
+					err := engine.RunWith(engine.Options{NP: p, Topology: topo, Executor: exec}, func(c mpi.Comm) error {
+						return tc.run(col.WrapSlot(c.Rank(), c))
+					})
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					var intra, inter trace.Counts
+					for r, ops := range tc.pr.Ranks {
+						for _, op := range ops {
+							if op.Kind == sched.OpRecv {
+								continue
+							}
+							side := &inter
+							if topo.SameNode(r, op.To) {
+								side = &intra
+							}
+							side.Add(trace.Counts{Messages: 1, Bytes: int64(op.SendLen)})
+						}
+					}
+					got, want := col.Stats(), tc.pr.Stats()
+					if got.Total != (trace.Counts{Messages: int64(want.Messages), Bytes: int64(want.Bytes)}) ||
+						got.Intra != intra || got.Inter != inter || got.Recvs != got.Total.Messages {
+						t.Fatalf("%s: traced %s, schedule says %d msgs / %d B, intra %+v inter %+v",
+							label, got, want.Messages, want.Bytes, intra, inter)
+					}
 				}
 			}
 		}

@@ -16,7 +16,8 @@
 //   - Then and OnGroup compose emitters into larger ones: one phase after
 //     another, and a phase run on an ordered sub-group of the ranks (the
 //     multi-core aware broadcasts are three such phases over the node
-//     map; a node-aware ring is a ring on a permutation);
+//     map; a node-aware ring is a ring on a permutation); Reverse runs
+//     one backwards (a scatter reversed is a gather);
 //   - Generate loops an Emitter over all ranks into a Program;
 //   - the schedule verifier in this package checks a Program's
 //     deadlock-freedom and data validity (no transfer may carry bytes the
@@ -30,6 +31,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -181,6 +183,32 @@ type Emitter func(dst []Op, rank, p, root, n, seg int) []Op
 func (e Emitter) Then(next Emitter) Emitter {
 	return func(dst []Op, rank, p, root, n, seg int) []Op {
 		return next(e(dst, rank, p, root, n, seg), rank, p, root, n, seg)
+	}
+}
+
+// Reverse returns the emitter of e run backwards: every rank runs e's
+// operations in reverse order, each with its send and receive halves
+// swapped, so the data that flowed along an edge flows back along it —
+// a scatter reversed is a gather.
+func (e Emitter) Reverse() Emitter {
+	return func(dst []Op, rank, p, root, n, seg int) []Op {
+		start := len(dst)
+		dst = e(dst, rank, p, root, n, seg)
+		ops := dst[start:]
+		slices.Reverse(ops)
+		for i := range ops {
+			o := &ops[i]
+			switch o.Kind {
+			case OpSend:
+				o.Kind = OpRecv
+			case OpRecv:
+				o.Kind = OpSend
+			}
+			o.To, o.From = o.From, o.To
+			o.SendOff, o.RecvOff = o.RecvOff, o.SendOff
+			o.SendLen, o.RecvLen = o.RecvLen, o.SendLen
+		}
+		return dst
 	}
 }
 

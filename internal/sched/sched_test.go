@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -126,6 +127,30 @@ func TestGenerateRunsTheEmitterPerRank(t *testing.T) {
 	}
 	if err := pr.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReverse: reversing runs a rank's ops backwards with each op's
+// halves swapped, leaves what dst already held alone, and undoes itself.
+func TestReverse(t *testing.T) {
+	prefix := Op{Kind: OpSend, To: 9, SendLen: 99, Tag: 9}
+	fwd := []Op{
+		{Kind: OpRecv, From: 1, RecvOff: 0, RecvLen: 4, Tag: 1, Step: 0},
+		{Kind: OpSendrecv, To: 2, SendOff: 4, SendLen: 2, From: 3, RecvOff: 6, RecvLen: 1, Tag: 2, Step: 1},
+		{Kind: OpSend, To: 4, SendOff: 7, SendLen: 1, Tag: 3, Step: 2},
+	}
+	e := Emitter(func(dst []Op, rank, p, root, n, seg int) []Op { return append(dst, fwd...) })
+	want := []Op{
+		{Kind: OpRecv, From: 4, RecvOff: 7, RecvLen: 1, Tag: 3, Step: 2},
+		{Kind: OpSendrecv, To: 3, SendOff: 6, SendLen: 1, From: 2, RecvOff: 4, RecvLen: 2, Tag: 2, Step: 1},
+		{Kind: OpSend, To: 1, SendOff: 0, SendLen: 4, Tag: 1, Step: 0},
+	}
+	got := e.Reverse()([]Op{prefix}, 0, 5, 0, 8, 0)
+	if !slices.Equal(got, append([]Op{prefix}, want...)) {
+		t.Fatalf("reversed once: %v, want %v after the prefix", got, want)
+	}
+	if twice := e.Reverse().Reverse()(nil, 0, 5, 0, 8, 0); !slices.Equal(twice, fwd) {
+		t.Fatalf("reversed twice: %v, want %v", twice, fwd)
 	}
 }
 
