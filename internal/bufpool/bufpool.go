@@ -18,9 +18,10 @@
 // caller that passes a stable small integer of its own (the engine
 // passes the calling rank) to GetAt / ReleaseAt writes a line no other
 // caller writes, so a buffer taken on one core and released on another
-// — every eager message — makes neither core wait for the other's
-// counter. Get and Release are stripe 0. Each total is exact: a stripe
-// only ever adds.
+// — every staged eager message above the engine's inline size (smaller
+// ones travel inside their envelope and never come here) — makes
+// neither core wait for the other's counter. Get and Release are stripe
+// 0. Each total is exact: a stripe only ever adds.
 //
 // # Ownership
 //

@@ -9,6 +9,12 @@ import (
 	"repro/internal/mpi"
 )
 
+// inlinePayload is the largest eager payload staged inside its envelope
+// (envelope.small) rather than in a bufpool buffer: a staged tiny message
+// is then one pooled object, not two. Every envelope carries the array,
+// so raising it costs resident memory on every queue.
+const inlinePayload = 256
+
 // envelope is a message that arrived before a matching receive was posted
 // (MPI's "unexpected message queue" entry). Envelopes are pooled; see
 // pool.go for the ownership rules.
@@ -17,15 +23,23 @@ type envelope struct {
 	src      int // sender's rank within the ctx communicator
 	srcWorld int // sender's world rank (for flow-control accounting)
 	tag      int
-	data     []byte       // eager payload (engine-owned copy); nil for rendezvous
-	dbuf     *bufpool.Buf // pool handle backing data; released on consumption
-	rdv      *rdvState    // non-nil for local rendezvous
+	// data is the eager payload, an engine-owned copy: small[:n] for a
+	// local one of at most inlinePayload bytes, dbuf.B above it or when
+	// it came over a transport; nil for rendezvous.
+	data []byte
+	// dbuf is the pool handle backing data, released on consumption;
+	// nil for an inline payload.
+	dbuf *bufpool.Buf
+	rdv  *rdvState // non-nil for local rendezvous
 	// ackID, when nonzero, marks a remote rendezvous payload: the
 	// consuming receive (after copying out) sends the RdvAck carrying it
 	// back to srcWorld, which unblocks the sender in its process. Remote
-	// eager envelopes are indistinguishable from local ones (data +
-	// dbuf, no ackID).
+	// eager envelopes are indistinguishable from local pooled ones (data
+	// + dbuf, no ackID).
 	ackID uint64
+	// small holds an inline payload. It comes last, so the fields every
+	// match and receive reads sit together ahead of it.
+	small [inlinePayload]byte
 }
 
 // rdvState links a zero-copy send (rendezvous-sized, or eager past the

@@ -40,7 +40,8 @@
 // A World separates boot cost from per-operation cost. Boot allocates
 // the endpoints, executor and per-rank scratch once; after that, a
 // clean world may Run any number of times, and the message path recycles
-// its per-message objects — eager payload copies (via internal/bufpool),
+// its per-message objects — eager payload copies (inside the envelope up
+// to inlinePayload bytes, via internal/bufpool above it),
 // unexpected-queue envelopes, posted receives and rendezvous states —
 // through free lists, while a blocking call's request lives in the
 // call's own frame. The ownership

@@ -16,7 +16,8 @@ import (
 
 // What a message costs and whom it touches: the blocking calls keep their
 // requests on the stack, a send that finds its receive posted copies once
-// and takes nothing from bufpool, the watchdog reads every rank's
+// and takes nothing from bufpool, a staged tiny message travels inside
+// its envelope and is the engine's own copy, the watchdog reads every rank's
 // progress, and the credit window is kept per sender world rank.
 
 // TestBlockingCallsKeepRequestsOnStack: a warm 2-rank world allocates
@@ -95,73 +96,177 @@ func poolActivity() (gets, puts int64) {
 
 // TestMatchedPostedEagerSendCopiesOnce: an eager send whose receive is
 // already posted moves no bufpool counter and stages nothing; the same
-// send with no receive posted takes one buffer and stages len(buf) bytes,
-// and the receive that consumes it gives the buffer back.
+// send with no receive posted stages len(buf) bytes at every size. Only
+// a payload above inlinePayload takes a bufpool buffer, which the
+// receive that consumes it gives back; one that fits travels inside its
+// envelope and neither takes nor returns one.
 func TestMatchedPostedEagerSendCopiesOnce(t *testing.T) {
-	const size = 1000
+	for _, size := range []int{64, inlinePayload, inlinePayload + 1, 1000} {
+		t.Run(fmt.Sprint(size), func(t *testing.T) {
+			var pooled int64 // bufpool buffers one staged message takes
+			if size > inlinePayload {
+				pooled = 1
+			}
+			w, err := NewWorld(testOpts(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			staged := func() int64 { return w.Metrics().Snapshot().StagedBytes }
+			payload := bytes.Repeat([]byte{0xC3}, size)
+			// The ranks take turns through these, not through messages,
+			// which would move the counters under test.
+			posted, sent := make(chan struct{}), make(chan struct{})
+			err = w.Run(func(c mpi.Comm) error {
+				buf := make([]byte, size)
+				if c.Rank() == 1 {
+					req, err := c.Irecv(buf, 0, 5)
+					if err != nil {
+						return err
+					}
+					close(posted)
+					if _, err := req.Wait(); err != nil {
+						return err
+					}
+					if !bytes.Equal(buf, payload) {
+						return errors.New("matched-posted payload corrupt")
+					}
+					<-sent
+					gets0, puts0 := poolActivity()
+					clear(buf)
+					if _, err := c.Recv(buf, 0, 6); err != nil {
+						return err
+					}
+					gets1, puts1 := poolActivity()
+					if gets1 != gets0 || puts1 != puts0+pooled || !bytes.Equal(buf, payload) {
+						return fmt.Errorf("consuming receive: gets %+d puts %+d, want +0 +%d", gets1-gets0, puts1-puts0, pooled)
+					}
+					return nil
+				}
+				// Closed however rank 0 returns: a rank 1 still waiting
+				// on it would hold the run open.
+				defer close(sent)
+				<-posted
+				gets0, puts0 := poolActivity()
+				staged0 := staged()
+				if err := c.Send(payload, 1, 5); err != nil {
+					return err
+				}
+				gets1, puts1 := poolActivity()
+				staged1 := staged()
+				if gets1 != gets0 || puts1 != puts0 || staged1 != staged0 {
+					return fmt.Errorf("matched-posted send: gets %+d puts %+d staged %+d, want none",
+						gets1-gets0, puts1-puts0, staged1-staged0)
+				}
+				if err := c.Send(payload, 1, 6); err != nil { // nothing posted: buffered
+					return err
+				}
+				gets2, puts2 := poolActivity()
+				if gets2 != gets1+pooled || puts2 != puts1 || staged()-staged1 != int64(size) {
+					return fmt.Errorf("buffered send: gets %+d puts %+d staged %+d, want +%d +0 +%d",
+						gets2-gets1, puts2-puts1, staged()-staged1, pooled, size)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s := w.Metrics().Snapshot(); s.EagerSends != 2 || s.EagerRecvs != 2 || s.RdvSends != 0 {
+				t.Errorf("eager sends=%d recvs=%d rendezvous sends=%d, want 2 2 0", s.EagerSends, s.EagerRecvs, s.RdvSends)
+			}
+		})
+	}
+}
+
+// TestInlineStagedPayloadIsTheEngines: a payload staged inside its
+// envelope is the engine's copy. The sender scribbles its buffer as soon
+// as Send returns; messages of several sizes, all queued before the
+// first is consumed, arrive with exact bytes and counts and nothing of a
+// recycled envelope's earlier, longer payload; Iprobe and a truncating
+// receive see the inline message as they see any other.
+func TestInlineStagedPayloadIsTheEngines(t *testing.T) {
+	const (
+		probed   = 200 // the size Iprobe and the truncating receive see
+		truncTag = 99
+		short    = 100 // the truncating receive's buffer
+	)
+	sizes := []int{inlinePayload, probed, 1, 0}
+	pattern := func(tag, n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(tag*31 + i + 1)
+		}
+		return b
+	}
 	w, err := NewWorld(testOpts(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	staged := func() int64 { return w.Metrics().Snapshot().StagedBytes }
-	payload := bytes.Repeat([]byte{0xC3}, size)
-	// The ranks take turns through these, not through messages, which
-	// would move the counters under test.
-	posted, sent := make(chan struct{}), make(chan struct{})
+	queued := make(chan struct{})
 	err = w.Run(func(c mpi.Comm) error {
-		buf := make([]byte, size)
-		if c.Rank() == 1 {
-			req, err := c.Irecv(buf, 0, 5)
-			if err != nil {
+		if c.Rank() == 0 {
+			defer close(queued) // on an early error too, or rank 1 waits forever
+			out := make([]byte, inlinePayload)
+			send := func(tag, n int) error {
+				copy(out, pattern(tag, n))
+				err := c.Send(out[:n], 1, tag)
+				for i := range out { // the engine's copy must not see this
+					out[i] = 0xEE
+				}
 				return err
 			}
-			close(posted)
-			if _, err := req.Wait(); err != nil {
-				return err
+			// Two rounds: the second's envelopes are likely the first's,
+			// recycled with their payloads still in them.
+			for round := 0; round < 2; round++ {
+				for i, n := range sizes {
+					if err := send(round*len(sizes)+i, n); err != nil {
+						return err
+					}
+				}
 			}
-			if !bytes.Equal(buf, payload) {
-				return errors.New("matched-posted payload corrupt")
+			return send(truncTag, probed)
+		}
+		<-queued
+		st, ok, err := c.Iprobe(0, 1) // round 0's probed-size message
+		if err != nil || !ok || st.Count != probed {
+			return fmt.Errorf("iprobe: %+v found=%v err=%v, want Count %d", st, ok, err, probed)
+		}
+		in := make([]byte, inlinePayload)
+		for round := 0; round < 2; round++ {
+			for i, n := range sizes {
+				tag := round*len(sizes) + i
+				for j := range in {
+					in[j] = 0x5A
+				}
+				st, err := c.Recv(in, 0, tag)
+				if err != nil {
+					return err
+				}
+				if st.Count != n || !bytes.Equal(in[:n], pattern(tag, n)) {
+					return fmt.Errorf("tag %d: Count %d, bytes %x, want %d bytes %x", tag, st.Count, in[:st.Count], n, pattern(tag, n))
+				}
+				if j := slices.IndexFunc(in[n:], func(b byte) bool { return b != 0x5A }); j >= 0 {
+					return fmt.Errorf("tag %d: %d-byte message wrote byte %d of the buffer", tag, n, n+j)
+				}
 			}
-			<-sent
-			gets0, puts0 := poolActivity()
-			clear(buf)
-			if _, err := c.Recv(buf, 0, 6); err != nil {
-				return err
-			}
-			gets1, puts1 := poolActivity()
-			if gets1 != gets0 || puts1 != puts0+1 || !bytes.Equal(buf, payload) {
-				return fmt.Errorf("consuming receive: gets %+d puts %+d, want +0 +1", gets1-gets0, puts1-puts0)
-			}
-			return nil
 		}
-		<-posted
-		gets0, puts0 := poolActivity()
-		staged0 := staged()
-		if err := c.Send(payload, 1, 5); err != nil {
-			return err
+		trunc := make([]byte, short)
+		if _, err := c.Recv(trunc, 0, truncTag); !errors.Is(err, mpi.ErrTruncate) {
+			return fmt.Errorf("%d-byte message into %d bytes: err %v, want mpi.ErrTruncate", probed, short, err)
 		}
-		gets1, puts1 := poolActivity()
-		staged1 := staged()
-		if gets1 != gets0 || puts1 != puts0 || staged1 != staged0 {
-			return fmt.Errorf("matched-posted send: gets %+d puts %+d staged %+d, want none",
-				gets1-gets0, puts1-puts0, staged1-staged0)
+		if want := pattern(truncTag, probed)[:short]; !bytes.Equal(trunc, want) {
+			return fmt.Errorf("truncated receive delivered %x, want %x", trunc, want)
 		}
-		if err := c.Send(payload, 1, 6); err != nil { // nothing posted: buffered
-			return err
-		}
-		gets2, puts2 := poolActivity()
-		if gets2 != gets1+1 || puts2 != puts1 || staged()-staged1 != size {
-			return fmt.Errorf("buffered send: gets %+d puts %+d staged %+d, want +1 +0 +%d",
-				gets2-gets1, puts2-puts1, staged()-staged1, size)
-		}
-		close(sent)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := w.Metrics().Snapshot(); s.EagerSends != 2 || s.EagerRecvs != 2 || s.RdvSends != 0 {
-		t.Errorf("eager sends=%d recvs=%d rendezvous sends=%d, want 2 2 0", s.EagerSends, s.EagerRecvs, s.RdvSends)
+	s := w.Metrics().Snapshot()
+	if want := int64(2*len(sizes) + 1); s.EagerSends != want || s.EagerRecvs != want || s.RdvSends != 0 {
+		t.Errorf("eager sends=%d recvs=%d rendezvous sends=%d, want %d %d 0", s.EagerSends, s.EagerRecvs, s.RdvSends, want, want)
+	}
+	if want := int64(2*(inlinePayload+probed+1) + probed); s.StagedBytes != want {
+		t.Errorf("staged bytes = %d, want %d", s.StagedBytes, want)
 	}
 }
 
@@ -229,8 +334,10 @@ func TestCreditWindowPerSenderWorldRank(t *testing.T) {
 	}
 	// overrun has every rank of c but rank 0 issue msgs sends to rank 0
 	// before rank 0 receives any, and rank 0 compare its credit account
-	// with want. issued is how rank 0 learns the sends are all out.
-	overrun := func(c mpi.Comm, issued *sync.WaitGroup, want []int32) error {
+	// with want. issued is how rank 0 learns the sends are all out;
+	// checked holds the senders until rank 0 has read its drained
+	// account, which their next messages (Split's) would otherwise charge.
+	overrun := func(c mpi.Comm, issued *sync.WaitGroup, checked chan struct{}, want []int32) error {
 		if c.Rank() != 0 {
 			reqs := make([]mpi.Request, msgs)
 			for i := range reqs {
@@ -241,8 +348,10 @@ func TestCreditWindowPerSenderWorldRank(t *testing.T) {
 			}
 			issued.Done()
 			_, err := mpi.WaitAll(reqs...)
+			<-checked
 			return err
 		}
+		defer close(checked)
 		issued.Wait()
 		if got := buffered(); !slices.Equal(got, want) {
 			return fmt.Errorf("buffered per sender world rank = %v, want %v", got, want)
@@ -264,10 +373,11 @@ func TestCreditWindowPerSenderWorldRank(t *testing.T) {
 		return nil
 	}
 	var worldIssued, childIssued sync.WaitGroup
+	worldChecked, childChecked := make(chan struct{}), make(chan struct{})
 	worldIssued.Add(np - 1)
 	childIssued.Add(np - 2)
 	err = w.Run(func(c mpi.Comm) error {
-		if err := overrun(c, &worldIssued, []int32{0, window, window, window}); err != nil {
+		if err := overrun(c, &worldIssued, worldChecked, []int32{0, window, window, window}); err != nil {
 			return fmt.Errorf("world: %w", err)
 		}
 		color := 0
@@ -278,7 +388,7 @@ func TestCreditWindowPerSenderWorldRank(t *testing.T) {
 		if err != nil || child == nil {
 			return err
 		}
-		if err := overrun(child, &childIssued, []int32{0, 0, window, window}); err != nil {
+		if err := overrun(child, &childIssued, childChecked, []int32{0, 0, window, window}); err != nil {
 			return fmt.Errorf("split child: %w", err)
 		}
 		return nil

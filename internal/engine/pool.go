@@ -19,12 +19,17 @@ import (
 // Every pooled object has exactly one owner at a time, and only the
 // owner may return it:
 //
-//   - Eager payload buffers (bufpool.Buf): the sender acquires and
-//     fills one; ownership transfers to the receiver with the envelope;
-//     the receiver releases it after copying the payload out.
+//   - Eager payload buffers (bufpool.Buf; a local payload takes one
+//     only above inlinePayload): the sender acquires and fills one;
+//     ownership transfers to the receiver with the envelope; the
+//     receiver releases it after copying the payload out. A local
+//     payload of at most inlinePayload bytes is copied into the
+//     envelope itself and has no owner of its own: it is the
+//     envelope's, and goes where it goes.
 //   - envelopes: owned by the destination endpoint's queue; the
 //     receiver that dequeues one (matchArrival) releases it after
-//     reading its fields.
+//     reading its fields — an inline payload included, which the next
+//     user of the envelope overwrites.
 //   - posted receives: enqueued by the receiver; a matching sender
 //     borrows one only long enough to deliver into pr.done — a remote
 //     message placed fragment by fragment (remoteHandler.Claim) from
@@ -64,15 +69,21 @@ var rdvPool = sync.Pool{
 	New: func() any { return &rdvState{done: make(chan struct{}, 1)} },
 }
 
-// newEagerEnvelope builds a pooled envelope carrying a pooled copy of
-// buf (the eager protocol's engine-owned payload), counted on the
-// sender's bufpool stripe.
+// newEagerEnvelope builds a pooled envelope carrying a copy of buf (the
+// eager protocol's engine-owned payload): inside the envelope when it
+// fits inlinePayload, else in a bufpool buffer counted on the sender's
+// stripe.
 func newEagerEnvelope(ctx int64, src, srcWorld, tag int, buf []byte) *envelope {
-	data := bufpool.GetAt(len(buf), srcWorld)
-	copy(data.B, buf)
 	env := envelopePool.Get().(*envelope)
 	env.ctx, env.src, env.srcWorld, env.tag = ctx, src, srcWorld, tag
-	env.data, env.dbuf, env.rdv = data.B, data, nil
+	env.rdv = nil
+	if len(buf) <= inlinePayload {
+		env.data, env.dbuf = append(env.small[:0], buf...), nil // fits: no growth
+		return env
+	}
+	data := bufpool.GetAt(len(buf), srcWorld)
+	copy(data.B, buf)
+	env.data, env.dbuf = data.B, data
 	return env
 }
 

@@ -38,8 +38,10 @@ const (
 	// EagerRecvs / RdvRecvs count messages delivered, split by protocol.
 	EagerRecvs
 	RdvRecvs
-	// StagedBytes counts payload bytes copied through pooled staging
-	// buffers (the eager protocol's engine-side copy).
+	// StagedBytes counts payload bytes of the eager protocol's
+	// engine-side copy: into the pooled envelope itself for a tiny
+	// payload, into a pooled staging buffer above that, or across a
+	// transport.
 	StagedBytes
 	// Parks / Unparks count executor park/unpark transitions (every
 	// blocking point in the engine is bracketed by exactly one pair).
