@@ -68,11 +68,11 @@ type TunerFunc func(Env) Decision
 
 // MPICH3Tuner returns the library's default dispatch as a TunerFunc:
 // stock MPICH3's size and rank-count thresholds, with the paper's
-// non-enclosed ring on the long-message paths when tuned is true. It is
+// non-enclosed ring on the long-message paths when opt is true. It is
 // exported so callers can wrap or fall back to the default selection
 // inside their own tuners.
-func MPICH3Tuner(tuned bool) TunerFunc {
-	t := tune.MPICH3{Tuned: tuned}
+func MPICH3Tuner(opt bool) TunerFunc {
+	t := tune.MPICH3{Tuned: opt}
 	return func(e Env) Decision {
 		return decisionOut(t.Decide(envIn(e)))
 	}

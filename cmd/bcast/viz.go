@@ -24,12 +24,12 @@ func runViz(cfg *cli.Config, out io.Writer) error {
 	for _, p := range cfg.NP {
 		drawScatter(out, p, cfg.Root)
 		for _, s := range sels {
-			name, ring := "ring-allgather-native", core.RingNativeOps
+			name, bcast := "ring-allgather-native", core.BcastNativeOps
 			if s.Algorithm == tune.RingOpt {
-				name, ring = "ring-allgather-tuned", core.RingTunedOps
+				name, bcast = "ring-allgather-tuned", core.BcastOptOps
 			}
 			// One unit byte per chunk, so offsets read as chunk indices.
-			drawRing(out, sched.Generate(name, ring, p, cfg.Root, p, 0), p, cfg.Root)
+			drawRing(out, sched.Generate(name, bcast, p, cfg.Root, p, 0), p, cfg.Root)
 		}
 	}
 	return nil
@@ -56,9 +56,10 @@ func drawScatter(out io.Writer, p, root int) {
 	fmt.Fprintln(out)
 }
 
-// drawRing prints one line per ring step with each rank's events, like
-// the figures: "s5" = sends chunk 5 to the right, "r3" = receives chunk 3
-// from the left, "." = no event (the tuned ring's saved transfers).
+// drawRing prints one line per ring step (Step >= 1; the scatter's ops
+// are step 0) of a broadcast with each rank's events, like the figures:
+// "s5" = sends chunk 5 to the right, "r3" = receives chunk 3 from the
+// left, "." = no event (the tuned ring's saved transfers).
 func drawRing(out io.Writer, pr *sched.Program, p, root int) {
 	fmt.Fprintf(out, "%s, P=%d, root=%d (s<chunk> = send right, r<chunk> = recv left):\n", pr.Name, p, root)
 	fmt.Fprintf(out, "  %-6s", "step")

@@ -6,7 +6,9 @@
 // allgather phase runs an enclosed ring in which every rank re-receives
 // chunks it already holds from the binomial scatter; the tuned ring makes
 // each rank ownership-aware and skips those transfers, saving bandwidth
-// with the same step count.
+// with the same step count. Here that saving is one schedule pass
+// (sched.Emitter.Elide): the tuned broadcasts are the native ones with
+// every transfer of bytes the receiver already holds removed.
 //
 // This module contains the complete system: the public API facade
 // (package bcast — the module's importable surface), an MPI-like

@@ -73,8 +73,8 @@ type managed struct {
 // collective from root, shifted by -lo into the rank's size-byte window
 // of the program's buffer (lo 0 and size n: all of it), checks each
 // against (communicator size, window, rank) and places its receives. It
-// costs O(own ops · log own ops): no rank ever builds another rank's
-// list.
+// costs O(own ops · log own ops) beyond the emitter, which for an elided
+// row also emits each of the rank's destinations' lists once.
 func (s *rankOps) compile(c mpi.Comm, e sched.Emitter, root, n, seg, lo, size int) error {
 	p, me := c.Size(), c.Rank()
 	s.ops = e(s.ops[:0], me, p, root, n, seg)

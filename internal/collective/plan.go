@@ -70,9 +70,9 @@ func (p *Plan) resolve(c mpi.Comm, n int) error {
 // bind validates decision d for an n-byte broadcast from p.root on c —
 // the algorithm is registered, the segment size is not negative, the
 // capabilities admit the environment — and compiles the calling rank's
-// operations from the row's emitter on c's topology: O(own ops), never
-// the other ranks' lists. A rejected decision leaves the previous binding
-// intact.
+// operations from the row's emitter on c's topology (an elided row also
+// emits each of its destinations' lists once). A rejected decision leaves
+// the previous binding intact.
 func (p *Plan) bind(c mpi.Comm, n int, d tune.Decision) error {
 	if err := checkRoot(c, p.root); err != nil {
 		return err

@@ -6,14 +6,14 @@
 //     (ceil(n/P)-byte chunks with short or empty tails);
 //   - the binomial scatter tree (Figures 1 and 2) and the resulting
 //     per-rank data ownership intervals;
-//   - the (step, flag) computation from the paper's Listing 1, which is
-//     the heart of the tuned non-enclosed ring allgather;
 //   - one per-rank op emitter (sched.Emitter) for every algorithm
 //     involved: binomial scatter, native enclosed ring allgather
-//     (Figure 3), tuned non-enclosed ring allgather (Figures 4 and 5),
-//     their segmented variants, recursive-doubling allgather (the MPICH
-//     medium-message power-of-two path), whole-buffer binomial broadcast
-//     (the short-message path) and the pipelined chain;
+//     (Figure 3) and its segmented variant, recursive-doubling allgather
+//     (the MPICH medium-message power-of-two path), whole-buffer binomial
+//     broadcast (the short-message path) and the pipelined chain;
+//   - the tuned non-enclosed ring (Figures 4 and 5) as no emitter of its
+//     own: the native broadcasts elided (sched.Emitter.Elide), with the
+//     (step, flag) computation of Listing 1 kept as their oracle;
 //   - the emitters that depend on the node map (topology.Map), built from
 //     the ones above with sched.OnGroup: the multi-core aware broadcasts
 //     (a tree per node around a scatter-ring among the node leaders) and

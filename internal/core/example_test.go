@@ -29,7 +29,7 @@ func ExampleComputeStepFlag() {
 			mode = "recv-only tail"
 		}
 		fmt.Printf("rel %d: step=%d %s (%d full sendrecv steps)\n",
-			rel, sf.Step, mode, sf.SendrecvSteps(8))
+			rel, sf.Step, mode, max(8-sf.Step, 0))
 	}
 	// Output:
 	// rel 0: step=8 send-only tail (0 full sendrecv steps)

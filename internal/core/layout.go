@@ -8,8 +8,8 @@ import "fmt"
 // MPICH computes scatter_size = ceil(n/P); chunk i (indexed by rank
 // relative to the root) occupies bytes [i*scatter_size, (i+1)*scatter_size)
 // clamped to n. With uneven division the last chunks are short, and when
-// n < (P-1)*scatter_size some tail chunks are empty; the ring algorithms
-// still execute their full step structure with zero-byte transfers, which
+// n < (P-1)*scatter_size some tail chunks are empty; the enclosed ring
+// still sends them as zero-byte transfers (the elided one does not), which
 // is why the traffic model distinguishes messages from non-empty messages.
 type Layout struct {
 	// N is the total buffer size in bytes.

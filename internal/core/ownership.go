@@ -44,18 +44,3 @@ func ScatterOwnership(p, root, n int) func(rank int) *sched.IntervalSet {
 		return sched.NewIntervalSet(sched.Interval{Lo: l.Disp(lo), Hi: l.Disp(hi)})
 	}
 }
-
-// MissingBytesAfterScatter returns the total number of bytes that all
-// ranks together still lack after the scatter phase — the minimum volume
-// any allgather phase must deliver. The tuned ring allgather transfers
-// exactly this volume; the native enclosed ring transfers (P-1)*n bytes.
-func MissingBytesAfterScatter(p, n int) int {
-	l := NewLayout(n, p)
-	total := 0
-	for rel := 0; rel < p; rel++ {
-		lo, hi := OwnedChunks(rel, p)
-		owned := l.Disp(hi) - l.Disp(lo)
-		total += n - owned
-	}
-	return total
-}

@@ -101,13 +101,26 @@ func TestScatterOwnershipRootRotation(t *testing.T) {
 	}
 }
 
+// missingBytes returns the total number of bytes that all ranks together
+// still lack after the scatter phase — the minimum volume any allgather
+// phase must deliver, and the oracle for the tuned ring's bytes.
+func missingBytes(p, n int) int {
+	l := NewLayout(n, p)
+	total := 0
+	for rel := 0; rel < p; rel++ {
+		lo, hi := OwnedChunks(rel, p)
+		total += n - (l.Disp(hi) - l.Disp(lo))
+	}
+	return total
+}
+
 func TestMissingBytesAfterScatter(t *testing.T) {
 	// P=8, n=8: ownerships 8,1,2,1,4,1,2,1 -> missing 0+7+6+7+4+7+6+7 = 44.
-	if got := MissingBytesAfterScatter(8, 8); got != 44 {
+	if got := missingBytes(8, 8); got != 44 {
 		t.Fatalf("missing bytes (8,8) = %d want 44", got)
 	}
 	// P=10, n=10: missing 0+9+8+9+6+9+8+9+8+9 = 75.
-	if got := MissingBytesAfterScatter(10, 10); got != 75 {
+	if got := missingBytes(10, 10); got != 75 {
 		t.Fatalf("missing bytes (10,10) = %d want 75", got)
 	}
 }
@@ -120,7 +133,7 @@ func TestMissingBytesEqualsTunedRingBytes(t *testing.T) {
 			if n < 0 {
 				continue
 			}
-			want := MissingBytesAfterScatter(p, n)
+			want := missingBytes(p, n)
 			got := RingTrafficTuned(p, n).Bytes
 			if got != want {
 				t.Errorf("p=%d n=%d: tuned ring bytes %d != missing bytes %d", p, n, got, want)

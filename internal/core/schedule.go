@@ -36,15 +36,16 @@ const (
 var (
 	// BcastNativeOps is MPI_Bcast_native: scatter + enclosed ring.
 	BcastNativeOps = sched.Emitter(ScatterOps).Then(RingNativeOps)
-	// BcastOptOps is the paper's MPI_Bcast_opt: scatter + non-enclosed ring.
-	BcastOptOps = sched.Emitter(ScatterOps).Then(RingTunedOps)
+	// BcastOptOps is the paper's MPI_Bcast_opt (Figures 4 and 5): the
+	// native broadcast elided, so no rank receives a chunk it holds.
+	BcastOptOps = BcastNativeOps.Elide()
 	// BcastRdbOps is MPICH's medium-message power-of-two broadcast:
 	// scatter + recursive doubling.
 	BcastRdbOps = sched.Emitter(ScatterOps).Then(RdbOps)
 	// BcastNativeSegOps is scatter + segmented enclosed ring.
 	BcastNativeSegOps = sched.Emitter(ScatterOps).Then(RingNativeSegOps)
-	// BcastOptSegOps is scatter + segmented non-enclosed ring.
-	BcastOptSegOps = sched.Emitter(ScatterOps).Then(RingTunedSegOps)
+	// BcastOptSegOps is the segmented native broadcast elided.
+	BcastOptSegOps = BcastNativeSegOps.Elide()
 )
 
 // coverEnd returns the byte offset just past the last chunk relative rank
@@ -102,9 +103,9 @@ func ringPeers(rank, p int) (left, right int) {
 	return (rank - 1 + p) % p, (rank + 1) % p
 }
 
-// wholeChunks is the segment size at which segRingOps cuts nothing: every
-// chunk of the n-byte, p-rank layout is one segment, so the unsegmented
-// rings are the segmented ones at this size.
+// wholeChunks is the segment size at which RingNativeSegOps cuts
+// nothing: every chunk of the n-byte, p-rank layout is one segment, so
+// the unsegmented ring is the segmented one at this size.
 func wholeChunks(n, p int) int { return max(NewLayout(n, p).ScatterSize, 1) }
 
 // RingNativeOps emits the enclosed-ring allgather of Figure 3: every rank
@@ -113,17 +114,7 @@ func wholeChunks(n, p int) int { return max(NewLayout(n, p).ScatterSize, 1) }
 // owns from the scatter phase. Exactly P messages flow in every step,
 // P*(P-1) in total — the waste the paper eliminates.
 func RingNativeOps(dst []sched.Op, rank, p, root, n, _ int) []sched.Op {
-	return segRingOps(dst, rank, p, root, n, wholeChunks(n, p), false)
-}
-
-// RingTunedOps emits the paper's non-enclosed ring allgather (Figures 4
-// and 5, Listing 1): the same P-1-step ring as RingNativeOps, except that
-// each rank computes (step, flag) with ComputeStepFlag and, once
-// i > P - step, degenerates to send-only (subtree roots, which already
-// own the incoming chunks) or receive-only (their left neighbours, whose
-// outgoing chunks the subtree root does not need).
-func RingTunedOps(dst []sched.Op, rank, p, root, n, _ int) []sched.Op {
-	return segRingOps(dst, rank, p, root, n, wholeChunks(n, p), true)
+	return RingNativeSegOps(dst, rank, p, root, n, wholeChunks(n, p))
 }
 
 // RdbOps emits the recursive-doubling allgather MPICH uses for medium

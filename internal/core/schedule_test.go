@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/sched"
@@ -163,15 +164,27 @@ func TestNativeRingFig3(t *testing.T) {
 	}
 }
 
+// tunedRing returns the ring phase (the ops of Step >= 1) of the p-rank
+// opt broadcast of p one-byte chunks from root 0, after checking the
+// whole broadcast is well-formed.
+func tunedRing(t *testing.T, p int) *sched.Program {
+	t.Helper()
+	pr := sched.Generate("ring-allgather-tuned", BcastOptOps, p, 0, p, 0)
+	if err := pr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for r, ops := range pr.Ranks {
+		pr.Ranks[r] = slices.DeleteFunc(ops, func(op sched.Op) bool { return op.Step == 0 })
+	}
+	return pr
+}
+
 // TestTunedRingFig4 asserts the non-enclosed ring of Figure 4 (P = 8):
 // rank 4 receives chunks 3,2,1,0 in steps 1-4 and has no receives
 // afterwards; rank 0 never receives; rank 7 never sends; 44 messages.
 func TestTunedRingFig4(t *testing.T) {
 	const p = 8
-	pr := sched.Generate("ring-allgather-tuned", RingTunedOps, p, 0, p, 0)
-	if err := pr.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	pr := tunedRing(t, p)
 	// Rank 4: steps 1-4 sendrecv (receiving chunks 3,2,1,0), steps 5-7 send-only.
 	ops4 := pr.OpsOf(4)
 	wantRecvChunks := []int{3, 2, 1, 0}
@@ -223,10 +236,7 @@ func TestTunedRingFig4(t *testing.T) {
 // after step 6; rank 8 completes its buffer after step 8; 75 messages.
 func TestTunedRingFig5(t *testing.T) {
 	const p = 10
-	pr := sched.Generate("ring-allgather-tuned", RingTunedOps, p, 0, p, 0)
-	if err := pr.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	pr := tunedRing(t, p)
 	ops4 := pr.OpsOf(4)
 	// Steps 1-6: sendrecv receiving chunks 3,2,1,0,9,8; steps 7-9 send-only.
 	wantRecv := []int{3, 2, 1, 0, 9, 8}
@@ -421,7 +431,7 @@ func TestBinomialBcastRounds(t *testing.T) {
 func TestRingStepsEqual(t *testing.T) {
 	for _, p := range []int{2, 5, 8, 10, 17} {
 		nat := sched.Generate("ring-allgather-native", RingNativeOps, p, 0, 8*p, 0).Stats()
-		tun := sched.Generate("ring-allgather-tuned", RingTunedOps, p, 0, 8*p, 0).Stats()
+		tun := sched.Generate("bcast-opt", BcastOptOps, p, 0, 8*p, 0).Stats()
 		if nat.MaxStep != p-1 || tun.MaxStep != p-1 {
 			t.Fatalf("p=%d: maxStep native %d tuned %d want %d", p, nat.MaxStep, tun.MaxStep, p-1)
 		}

@@ -3,15 +3,15 @@ package core
 import "repro/internal/sched"
 
 // This file generalizes segmentation from the chain broadcast to the
-// scatter-ring family: segmented variants of the enclosed (native) and
-// non-enclosed (tuned) ring allgathers that pipeline each ring step in
-// segSize pieces. The ring structure — P-1 steps, each circulating one
-// chunk per rank — is unchanged; every chunk transfer is split into
-// ceil(chunk/segSize) back-to-back segment messages, so large rendezvous
-// transfers become a stream of smaller ones that overlap inside each
-// step's concurrent send/receive halves and across the engine's eager
-// window. With segSize >= ceil(n/P) every chunk is a single segment:
-// that is how the unsegmented rings are emitted (see wholeChunks).
+// scatter-ring family: a segmented enclosed ring allgather that pipelines
+// each ring step in segSize pieces. The ring structure — P-1 steps, each
+// circulating one chunk per rank — is unchanged; every chunk transfer is
+// split into ceil(chunk/segSize) back-to-back segment messages, so large
+// rendezvous transfers become a stream of smaller ones that overlap
+// inside each step's concurrent send/receive halves and across the
+// engine's eager window. With segSize >= ceil(n/P) every chunk is a
+// single segment: that is how the unsegmented ring is emitted (see
+// wholeChunks). The tuned rings are its broadcasts elided (BcastOptOps).
 
 // DefaultRingSegment is the segment size used by the segmented ring
 // allgathers when the caller passes segSize <= 0. It matches the engine's
@@ -43,22 +43,15 @@ func SegSpan(count, segSize, s int) (off, length int) {
 	return off, length
 }
 
-// segRingOps emits one rank's ring allgather, the one emitter behind all
-// four ring variants: P-1 ring steps, and in step i the rank forwards to
-// its right neighbour the chunk it received in step i-1 (starting from
-// its own) and receives the next one from its left neighbour, each chunk
-// in segSize pieces. With tuned=true it computes (step, flag) as in the
-// paper's Listing 1 and, once i > P - step, drops the half of the
-// exchange nobody needs — for every segment of the affected steps.
-func segRingOps(dst []sched.Op, rank, p, root, n, segSize int, tuned bool) []sched.Op {
+// RingNativeSegOps emits the segmented enclosed ring allgather: P-1 ring
+// steps, and in step i the rank forwards to its right neighbour the chunk
+// it received in step i-1 (starting from its own) and receives the next
+// one from its left neighbour, each chunk in segSize pieces.
+func RingNativeSegOps(dst []sched.Op, rank, p, root, n, segSize int) []sched.Op {
 	if segSize <= 0 {
 		segSize = DefaultRingSegment
 	}
 	l := NewLayout(n, p)
-	var sf StepFlag
-	if tuned {
-		sf = ComputeStepFlag(RelRank(rank, root, p), p)
-	}
 	left, right := ringPeers(rank, p)
 	j, jnext := rank, left
 	for i := 1; i < p; i++ {
@@ -66,16 +59,8 @@ func segRingOps(dst []sched.Op, rank, p, root, n, segSize int, tuned bool) []sch
 		relJnext := RelRank(jnext, root, p)
 		sendCnt, recvCnt := l.Count(relJ), l.Count(relJnext)
 		sendDisp, recvDisp := l.Disp(relJ), l.Disp(relJnext)
-
-		// Segment rounds of each half; a dropped half has none.
+		// A short chunk's half runs out of segments before the other's.
 		sendSegs, recvSegs := RingSegments(sendCnt, segSize), RingSegments(recvCnt, segSize)
-		if tuned && sf.Step > p-i {
-			if sf.RecvOnly {
-				sendSegs = 0
-			} else {
-				recvSegs = 0
-			}
-		}
 		for s := 0; s < max(sendSegs, recvSegs); s++ {
 			op := sched.Op{Tag: TagRing, Step: i}
 			if s < sendSegs {
@@ -100,18 +85,4 @@ func segRingOps(dst []sched.Op, rank, p, root, n, segSize int, tuned bool) []sch
 		jnext = (jnext - 1 + p) % p
 	}
 	return dst
-}
-
-// RingNativeSegOps emits the segmented enclosed ring allgather:
-// RingNativeOps with every chunk transfer pipelined in segSize pieces.
-func RingNativeSegOps(dst []sched.Op, rank, p, root, n, segSize int) []sched.Op {
-	return segRingOps(dst, rank, p, root, n, segSize, false)
-}
-
-// RingTunedSegOps emits the segmented non-enclosed ring allgather: the
-// paper's tuned ring with every retained chunk transfer pipelined in
-// segSize pieces. The ownership-aware skips apply to whole steps, so the
-// tuned saving carries over segment by segment.
-func RingTunedSegOps(dst []sched.Op, rank, p, root, n, segSize int) []sched.Op {
-	return segRingOps(dst, rank, p, root, n, segSize, true)
 }

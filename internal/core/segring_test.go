@@ -66,8 +66,8 @@ func TestSegRingBytesMatchUnsegmented(t *testing.T) {
 			if natSeg.Messages < nat.Messages {
 				t.Fatalf("p=%d n=%d seg=%d: native seg messages %d < %d", p, n, seg, natSeg.Messages, nat.Messages)
 			}
-			optSeg := sched.Generate("ring-allgather-tuned-seg", RingTunedSegOps, p, root, n, seg).Stats()
-			opt := sched.Generate("ring-allgather-tuned", RingTunedOps, p, root, n, 0).Stats()
+			optSeg := sched.Generate("bcast-opt-seg", BcastOptSegOps, p, root, n, seg).Stats()
+			opt := sched.Generate("bcast-opt", BcastOptOps, p, root, n, 0).Stats()
 			if optSeg.Bytes != opt.Bytes {
 				t.Fatalf("p=%d n=%d seg=%d: tuned seg bytes %d != %d", p, n, seg, optSeg.Bytes, opt.Bytes)
 			}
@@ -92,7 +92,7 @@ func TestSegRingDegeneratesToUnsegmented(t *testing.T) {
 				seg, ref *sched.Program
 			}{
 				{"native", sched.Generate("ring-allgather-native-seg", RingNativeSegOps, p, root, n, seg), sched.Generate("ring-allgather-native", RingNativeOps, p, root, n, 0)},
-				{"tuned", sched.Generate("ring-allgather-tuned-seg", RingTunedSegOps, p, root, n, seg), sched.Generate("ring-allgather-tuned", RingTunedOps, p, root, n, 0)},
+				{"tuned", sched.Generate("bcast-opt-seg", BcastOptSegOps, p, root, n, seg), sched.Generate("bcast-opt", BcastOptOps, p, root, n, 0)},
 			}
 			for _, tc := range cases {
 				for r := 0; r < p; r++ {
@@ -120,8 +120,8 @@ func TestSegRingTunedSavesMessages(t *testing.T) {
 	for _, p := range []int{2, 4, 8, 10, 16, 17} {
 		n := 64 * p
 		for _, seg := range []int{8, 64} {
-			nat := sched.Generate("ring-allgather-native-seg", RingNativeSegOps, p, 0, n, seg).Stats()
-			opt := sched.Generate("ring-allgather-tuned-seg", RingTunedSegOps, p, 0, n, seg).Stats()
+			nat := sched.Generate("bcast-native-seg", BcastNativeSegOps, p, 0, n, seg).Stats()
+			opt := sched.Generate("bcast-opt-seg", BcastOptSegOps, p, 0, n, seg).Stats()
 			if opt.Messages > nat.Messages {
 				t.Fatalf("p=%d seg=%d: tuned seg messages %d > native %d", p, seg, opt.Messages, nat.Messages)
 			}

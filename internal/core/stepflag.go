@@ -1,7 +1,8 @@
 package core
 
 // StepFlag is the per-rank pair computed by the tuned ring allgather
-// (the "added code" of the paper's Listing 1).
+// (the "added code" of the paper's Listing 1). No schedule runs it:
+// BcastOptOps elides the native ring, and the tests hold that to this.
 //
 // In ring step i (1-based, i = 1 .. P-1) a rank executes a full
 // MPI_Sendrecv while i <= P - Step; for the remaining Step-1 iterations it
@@ -55,23 +56,4 @@ func ComputeStepFlag(rel, p int) StepFlag {
 		}
 	}
 	panic("core: ComputeStepFlag: mask loop fell through (unreachable for p >= 2)")
-}
-
-// SendrecvSteps returns how many of the P-1 ring iterations the rank
-// executes as a full Sendrecv under the tuned algorithm.
-func (sf StepFlag) SendrecvSteps(p int) int {
-	full := p - sf.Step
-	if full < 0 {
-		full = 0
-	}
-	if full > p-1 {
-		full = p - 1
-	}
-	return full
-}
-
-// DegenerateSteps returns how many iterations run send-only or
-// receive-only: (P-1) - SendrecvSteps.
-func (sf StepFlag) DegenerateSteps(p int) int {
-	return (p - 1) - sf.SendrecvSteps(p)
 }

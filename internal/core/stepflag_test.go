@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/sched"
 )
 
 func TestStepFlagPaperP8(t *testing.T) {
@@ -120,10 +122,13 @@ func TestStepFlagStepOneBoundary(t *testing.T) {
 	if sf := ComputeStepFlag(120, 121); !sf.RecvOnly || sf.Step != 121 {
 		t.Fatalf("ComputeStepFlag(120,121) = %+v want {121 true}", sf)
 	}
-	// Step 1 means zero degenerate iterations.
-	sf := ComputeStepFlag(119, 121)
-	if sf.DegenerateSteps(121) != 0 {
-		t.Fatalf("step-1 rank must have no degenerate steps, got %d", sf.DegenerateSteps(121))
+	// Step 1 means zero degenerate iterations: the elided ring keeps
+	// every one of rank 119's exchanges whole.
+	pr := sched.Generate("bcast-opt", BcastOptOps, 121, 0, 121, 0)
+	for _, op := range pr.OpsOf(119) {
+		if op.Step >= 1 && op.Kind != sched.OpSendrecv {
+			t.Fatalf("step-1 rank must have no degenerate steps, got %s at step %d", op, op.Step)
+		}
 	}
 }
 
@@ -140,26 +145,7 @@ func TestStepFlagRootAndLeftOfRoot(t *testing.T) {
 
 func TestStepFlagDegenerateComm(t *testing.T) {
 	sf := ComputeStepFlag(0, 1)
-	if sf.RecvOnly {
+	if sf != (StepFlag{Step: 1}) {
 		t.Fatalf("p=1: %+v", sf)
-	}
-	if sf.SendrecvSteps(1) != 0 || sf.DegenerateSteps(1) != 0 {
-		t.Fatalf("p=1 steps: %d/%d", sf.SendrecvSteps(1), sf.DegenerateSteps(1))
-	}
-}
-
-func TestSendrecvStepsPartition(t *testing.T) {
-	// Full + degenerate steps always sum to the P-1 ring iterations.
-	for p := 2; p <= 128; p++ {
-		for rel := 0; rel < p; rel++ {
-			sf := ComputeStepFlag(rel, p)
-			if sf.SendrecvSteps(p)+sf.DegenerateSteps(p) != p-1 {
-				t.Fatalf("p=%d rel=%d: %d + %d != %d", p, rel,
-					sf.SendrecvSteps(p), sf.DegenerateSteps(p), p-1)
-			}
-			if sf.SendrecvSteps(p) < 0 || sf.DegenerateSteps(p) < 0 {
-				t.Fatalf("p=%d rel=%d: negative step split", p, rel)
-			}
-		}
 	}
 }

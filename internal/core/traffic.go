@@ -11,15 +11,6 @@ type Traffic struct {
 	Bytes int
 }
 
-// Saved returns how many messages and bytes t saves relative to base.
-func (t Traffic) Saved(base Traffic) Traffic {
-	return Traffic{
-		Messages:         base.Messages - t.Messages,
-		NonEmptyMessages: base.NonEmptyMessages - t.NonEmptyMessages,
-		Bytes:            base.Bytes - t.Bytes,
-	}
-}
-
 // TunedSavedMessages returns the closed-form number of ring messages the
 // tuned allgather removes relative to the native enclosed ring: every
 // receive-only rank r skips its final step_r - 1 sends, so the saving is
@@ -68,33 +59,22 @@ func RingTrafficNative(p, n int) Traffic {
 }
 
 // RingTrafficTuned returns the traffic of the paper's non-enclosed ring
-// allgather, computed exactly from the per-rank (step, flag) pairs: each
-// rank sends in steps 1..P-1 except that receive-only ranks skip their
-// final step-1 sends.
+// allgather: every rank receives each non-empty chunk outside its scatter
+// subtree once, so its bytes are what the ranks lack after the scatter
+// and, when no chunk is empty, its messages are Listing 1's.
 func RingTrafficTuned(p, n int) Traffic {
-	if p <= 1 {
-		return Traffic{}
-	}
 	l := NewLayout(n, p)
 	var t Traffic
-	for rank := 0; rank < p; rank++ {
-		// Traffic counts are root-invariant (relative ranks only), so
-		// compute with root 0: rel == rank.
-		sf := ComputeStepFlag(rank, p)
-		lastSendStep := p - 1
-		if sf.RecvOnly {
-			lastSendStep = p - sf.Step
-		}
-		for i := 1; i <= lastSendStep; i++ {
-			relJ := ((rank-(i-1))%p + p) % p
-			c := l.Count(relJ)
-			t.Messages++
-			if c > 0 {
-				t.NonEmptyMessages++
+	for rel := 0; rel < p; rel++ {
+		lo, hi := OwnedChunks(rel, p)
+		for c := 0; c < p; c++ {
+			if k := l.Count(c); k > 0 && (c < lo || c >= hi) {
+				t.Messages++
+				t.Bytes += k
 			}
-			t.Bytes += c
 		}
 	}
+	t.NonEmptyMessages = t.Messages
 	return t
 }
 
@@ -112,26 +92,4 @@ func ScatterTraffic(p, n int) Traffic {
 		}
 	}
 	return t
-}
-
-// BcastTrafficNative returns scatter + native ring traffic
-// (MPI_Bcast_native's total).
-func BcastTrafficNative(p, n int) Traffic {
-	s, r := ScatterTraffic(p, n), RingTrafficNative(p, n)
-	return Traffic{
-		Messages:         s.Messages + r.Messages,
-		NonEmptyMessages: s.NonEmptyMessages + r.NonEmptyMessages,
-		Bytes:            s.Bytes + r.Bytes,
-	}
-}
-
-// BcastTrafficOpt returns scatter + tuned ring traffic
-// (MPI_Bcast_opt's total).
-func BcastTrafficOpt(p, n int) Traffic {
-	s, r := ScatterTraffic(p, n), RingTrafficTuned(p, n)
-	return Traffic{
-		Messages:         s.Messages + r.Messages,
-		NonEmptyMessages: s.NonEmptyMessages + r.NonEmptyMessages,
-		Bytes:            s.Bytes + r.Bytes,
-	}
 }

@@ -17,7 +17,8 @@
 //     another, and a phase run on an ordered sub-group of the ranks (the
 //     multi-core aware broadcasts are three such phases over the node
 //     map; a node-aware ring is a ring on a permutation); Reverse runs
-//     one backwards (a scatter reversed is a gather);
+//     one backwards (a scatter reversed is a gather), and Elide drops its
+//     redundant transfers (the tuned ring is the enclosed one elided);
 //   - Generate loops an Emitter over all ranks into a Program;
 //   - the schedule verifier in this package checks a Program's
 //     deadlock-freedom and data validity (no transfer may carry bytes the

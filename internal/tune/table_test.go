@@ -183,13 +183,13 @@ func TestTableValidateRejects(t *testing.T) {
 }
 
 // TestMPICH3Golden pins MPICH3's broadcast dispatch as a literal
-// (n, p, tuned) -> algorithm table straight from the paper's Section V
+// (n, p, opt) -> algorithm table straight from the paper's Section V
 // description, with a row on each side of every threshold seam.
 func TestMPICH3Golden(t *testing.T) {
 	cases := []struct {
-		n, p  int
-		tuned bool
-		want  string
+		n, p int
+		opt  bool
+		want string
 	}{
 		// Short messages: always binomial.
 		{0, 64, false, Binomial},
@@ -218,9 +218,9 @@ func TestMPICH3Golden(t *testing.T) {
 		{1 << 25, 256, true, RingOpt},
 	}
 	for _, tc := range cases {
-		d := MPICH3{Tuned: tc.tuned}.Decide(Env{Bytes: tc.n, Procs: tc.p})
+		d := MPICH3{Tuned: tc.opt}.Decide(Env{Bytes: tc.n, Procs: tc.p})
 		if d.Algorithm != tc.want {
-			t.Errorf("MPICH3{%v}.Decide(n=%d, p=%d) = %q want %q", tc.tuned, tc.n, tc.p, d.Algorithm, tc.want)
+			t.Errorf("MPICH3{%v}.Decide(n=%d, p=%d) = %q want %q", tc.opt, tc.n, tc.p, d.Algorithm, tc.want)
 		}
 	}
 }
