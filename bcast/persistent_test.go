@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -27,144 +26,68 @@ func persistentPayload(buf []byte, round int) {
 	}
 }
 
-// hasConstraint reports whether the registered algorithm carries the
-// given capability label.
-func hasConstraint(info bcast.AlgorithmInfo, label string) bool {
-	for _, c := range info.Constraints {
-		if c == label {
-			return true
-		}
-	}
-	return false
-}
-
-// TestPersistentParityGrid is the registry-wide reuse-parity grid for
-// persistent handles: for every executor x placement cell and every
-// applicable registered algorithm, BcastInit + N x Start/Wait on one
-// cluster must deliver byte-identical buffers every round and identical
-// traced traffic to N x Comm.Bcast on a fresh cluster. The persistent
-// path dispatches through the same registration as the per-call path,
-// so any divergence here is a resolved-once cache gone stale. Each cell
-// runs twice: with 512 B chunks and 1 KiB segments, and with 8 KiB of
-// both, where the executor posts the ring's receives ahead of their ops.
-func TestPersistentParityGrid(t *testing.T) {
+// TestPersistentMatchesBcast holds what the facade adds to the
+// collective Plan under a persistent handle (TestParityMatrix holds every
+// row's kept Plan to its schedule, round after round): for every row,
+// BcastInit resolves the decision Comm.Decision reports, and one
+// Start/Wait round delivers the bytes and moves the traffic of one
+// Comm.Bcast.
+func TestPersistentMatchesBcast(t *testing.T) {
 	const (
-		np   = 16 // power of two: pow2-only algorithms stay applicable
-		runs = 3
+		np = 16 // two nodes of a power of two: every row applies
+		n  = 8 << 10
 	)
 	ctx := context.Background()
-	for _, cell := range reuseGridCells() {
-		for _, algo := range bcast.Algorithms() {
-			if cell.placement == "single" && hasConstraint(algo, "multi-node-only") {
-				continue
+	want := make([]byte, n)
+	persistentPayload(want, 0)
+	for _, algo := range bcast.Algorithms() {
+		opts := []bcast.CallOption{bcast.WithAlgorithm(algo.Name), bcast.WithSegSize(1 << 10)}
+		traffic := func(persistent bool) bcast.Traffic {
+			cl, err := bcast.NewCluster(ctx, bcast.Procs(np), bcast.Placement("blocked:8"), bcast.TraceTraffic())
+			if err != nil {
+				t.Fatal(err)
 			}
-			t.Run(cell.name+"/"+algo.Name, func(t *testing.T) {
-				for _, size := range []struct{ n, seg int }{{8 << 10, 1 << 10}, {128 << 10, 8 << 10}} {
-					n := size.n
-					callOpts := []bcast.CallOption{
-						bcast.WithAlgorithm(algo.Name),
-						bcast.WithSegSize(size.seg),
-					}
-					clusterOpts := []bcast.Option{
-						bcast.Procs(np),
-						bcast.Placement(cell.placement),
-						bcast.TraceTraffic(),
-					}
-					if cell.pooled {
-						clusterOpts = append(clusterOpts, bcast.ExecPooled(0))
-					}
-
-					// Fresh cluster: runs per-call broadcasts in one Run.
-					fresh, err := bcast.NewCluster(ctx, clusterOpts...)
-					if err != nil {
-						t.Fatal(err)
-					}
-					freshOut := make([][][]byte, runs)
-					for i := range freshOut {
-						freshOut[i] = make([][]byte, np)
-					}
-					err = fresh.Run(ctx, func(c bcast.Comm) error {
-						buf := make([]byte, n)
-						for round := 0; round < runs; round++ {
-							if c.Rank() == 0 {
-								persistentPayload(buf, round)
-							}
-							if err := c.Bcast(ctx, buf, 0, callOpts...); err != nil {
-								return fmt.Errorf("n=%d round %d: %w", n, round, err)
-							}
-							freshOut[round][c.Rank()] = append([]byte(nil), buf...)
-						}
-						return nil
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					freshTraffic, ok := fresh.Traffic()
-					if !ok {
-						t.Fatal("fresh cluster: no traffic trace")
-					}
-
-					// Persistent cluster: one BcastInit, runs Start/Wait pairs.
-					pers, err := bcast.NewCluster(ctx, clusterOpts...)
-					if err != nil {
-						t.Fatal(err)
-					}
-					persOut := make([][][]byte, runs)
-					for i := range persOut {
-						persOut[i] = make([][]byte, np)
-					}
-					err = pers.Run(ctx, func(c bcast.Comm) error {
-						buf := make([]byte, n)
-						h, err := c.BcastInit(buf, 0, callOpts...)
-						if err != nil {
-							return err
-						}
-						if got := h.Decision().Algorithm; got != algo.Name {
-							return fmt.Errorf("pinned decision resolved to %q", got)
-						}
-						for round := 0; round < runs; round++ {
-							if c.Rank() == 0 {
-								persistentPayload(buf, round)
-							}
-							if err := h.Start(); err != nil {
-								return fmt.Errorf("n=%d round %d: %w", n, round, err)
-							}
-							if err := h.Wait(ctx); err != nil {
-								return fmt.Errorf("n=%d round %d: %w", n, round, err)
-							}
-							persOut[round][c.Rank()] = append([]byte(nil), buf...)
-						}
-						return h.Free()
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-
-					for round := 0; round < runs; round++ {
-						want := make([]byte, n)
-						persistentPayload(want, round)
-						for r := 0; r < np; r++ {
-							if !bytes.Equal(persOut[round][r], want) {
-								t.Fatalf("n=%d round %d rank %d: persistent payload corrupt", n, round, r)
-							}
-							if !bytes.Equal(persOut[round][r], freshOut[round][r]) {
-								t.Fatalf("n=%d round %d rank %d: Start/Wait differs from fresh Bcast", n, round, r)
-							}
-						}
-					}
-
-					// Traffic identity: the resolved plan must move exactly the
-					// messages the per-call path moves — init-time warming and
-					// schedule caching may not add or drop a single send.
-					persTraffic, ok := pers.Traffic()
-					if !ok {
-						t.Fatal("persistent cluster: no traffic trace")
-					}
-					if !reflect.DeepEqual(persTraffic, freshTraffic) {
-						t.Errorf("n=%d: traffic diverges: persistent %+v, fresh %+v", n, persTraffic, freshTraffic)
-					}
+			err = cl.Run(ctx, func(c bcast.Comm) error {
+				buf := bytes.Repeat([]byte{byte(0xA0 + c.Rank())}, n)
+				if c.Rank() == 0 {
+					copy(buf, want)
 				}
+				if persistent {
+					h, err := c.BcastInit(buf, 0, opts...)
+					if err != nil {
+						return err
+					}
+					if got, want := h.Decision(), c.Decision(n, opts...); got != want {
+						return fmt.Errorf("BcastInit resolved %+v, Comm.Decision %+v", got, want)
+					}
+					if err := h.Start(); err != nil {
+						return err
+					}
+					if err := h.Wait(ctx); err != nil {
+						return err
+					}
+					if err := h.Free(); err != nil {
+						return err
+					}
+				} else if err := c.Bcast(ctx, buf, 0, opts...); err != nil {
+					return err
+				}
+				if !bytes.Equal(buf, want) {
+					return fmt.Errorf("rank %d: payload corrupt", c.Rank())
+				}
+				return nil
 			})
+			if err != nil {
+				t.Fatalf("%s persistent=%v: %v", algo.Name, persistent, err)
+			}
+			tr, ok := cl.Traffic()
+			if !ok {
+				t.Fatal("no traffic trace")
+			}
+			return tr
+		}
+		if pers, call := traffic(true), traffic(false); pers != call {
+			t.Errorf("%s: one Start/Wait moved %+v, one Bcast %+v", algo.Name, pers, call)
 		}
 	}
 }

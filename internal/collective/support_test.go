@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -103,11 +104,11 @@ func TestScatterGatherRoundTrip(t *testing.T) {
 // TestScatterGatherAllgatherRunTheirSchedules: Scatter, Gather and
 // Allgather move exactly the messages of the schedule each runs — the
 // binomial scatter, that tree reversed, the enclosed ring from root 0.
-// On both executors, over a round-robin placement, the traced total
-// equals Program.Stats(), the intra-/inter-node split equals the
-// program's sends on the map, every message is received once, and every
-// rank ends with the right bytes; at a small chunk, and at one whose
-// receives the executor posts ahead of their ops.
+// On both executors, over a round-robin placement, the traced traffic
+// equals the program's sends — in total, split on the map and by tag —
+// every message is received once, and every rank ends with the right
+// bytes; at a small chunk, and at one whose receives the executor posts
+// ahead of their ops.
 func TestScatterGatherAllgatherRunTheirSchedules(t *testing.T) {
 	for _, exec := range []engine.ExecPolicy{engine.Goroutine, engine.Pooled} {
 		for _, p := range []int{2, 5, 8, 9, 13} {
@@ -160,24 +161,8 @@ func TestScatterGatherAllgatherRunTheirSchedules(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
-					var intra, inter trace.Counts
-					for r, ops := range tc.pr.Ranks {
-						for _, op := range ops {
-							if op.Kind == sched.OpRecv {
-								continue
-							}
-							side := &inter
-							if topo.SameNode(r, op.To) {
-								side = &intra
-							}
-							side.Add(trace.Counts{Messages: 1, Bytes: int64(op.SendLen)})
-						}
-					}
-					got, want := col.Stats(), tc.pr.Stats()
-					if got.Total != (trace.Counts{Messages: int64(want.Messages), Bytes: int64(want.Bytes)}) ||
-						got.Intra != intra || got.Inter != inter || got.Recvs != got.Total.Messages {
-						t.Fatalf("%s: traced %s, schedule says %d msgs / %d B, intra %+v inter %+v",
-							label, got, want.Messages, want.Bytes, intra, inter)
+					if got, want := col.Stats(), scheduleTraffic(tc.pr, topo, 1); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: traced %s\nthe schedule moves %s", label, got, want)
 					}
 				}
 			}

@@ -29,43 +29,6 @@ func measureBcast(t *testing.T, algo bcastFn, opts engine.Options, root, n int) 
 	return col.Stats()
 }
 
-// TestMeasuredTrafficMatchesAnalyticModel is the central cross-validation:
-// the broadcasts as executed on the engine must produce exactly the
-// per-phase message and byte counts that the analytic model in
-// internal/core predicts — for both ring variants, across process
-// counts, roots, and uneven chunk sizes.
-func TestMeasuredTrafficMatchesAnalyticModel(t *testing.T) {
-	for _, p := range []int{2, 3, 5, 8, 9, 10, 16, 17} {
-		for _, root := range []int{0, p - 1} {
-			for _, n := range []int{p, 8*p + 3, 1 << 10} {
-				natStats := measureBcast(t, pinned(tune.RingNative, 0), engine.Options{NP: p}, root, n)
-				optStats := measureBcast(t, pinned(tune.RingOpt, 0), engine.Options{NP: p}, root, n)
-
-				scat := core.ScatterTraffic(p, n)
-				nat := core.RingTrafficNative(p, n)
-				opt := core.RingTrafficTuned(p, n)
-
-				if got := natStats.ByTag[core.TagScatter]; got.Messages != int64(scat.Messages) || got.Bytes != int64(scat.Bytes) {
-					t.Fatalf("p=%d root=%d n=%d: scatter traffic %+v want %+v", p, root, n, got, scat)
-				}
-				if got := natStats.ByTag[core.TagRing]; got.Messages != int64(nat.Messages) || got.Bytes != int64(nat.Bytes) {
-					t.Fatalf("p=%d root=%d n=%d: native ring traffic %+v want %+v", p, root, n, got, nat)
-				}
-				if got := optStats.ByTag[core.TagRing]; got.Messages != int64(opt.Messages) || got.Bytes != int64(opt.Bytes) {
-					t.Fatalf("p=%d root=%d n=%d: tuned ring traffic %+v want %+v", p, root, n, got, opt)
-				}
-				// Every message sent was received.
-				if natStats.Recvs != natStats.Total.Messages {
-					t.Fatalf("p=%d root=%d n=%d: native recvs %d != sends %d", p, root, n, natStats.Recvs, natStats.Total.Messages)
-				}
-				if optStats.Recvs != optStats.Total.Messages {
-					t.Fatalf("p=%d root=%d n=%d: opt recvs %d != sends %d", p, root, n, optStats.Recvs, optStats.Total.Messages)
-				}
-			}
-		}
-	}
-}
-
 // TestMeasuredPaperCounts reproduces the paper's Section IV counts with
 // the real executable collectives: P=8 ring 56 vs 44, P=10 ring 90 vs 75.
 func TestMeasuredPaperCounts(t *testing.T) {

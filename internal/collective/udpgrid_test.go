@@ -16,139 +16,50 @@ import (
 	"repro/internal/tune"
 )
 
-// runDecisionWired runs one registry broadcast on a world bound to the
-// given transport and verifies every rank's buffer inside the run.
-func runDecisionWired(t *testing.T, opts engine.Options, d tune.Decision, root, n int) {
-	t.Helper()
-	want := pattern(n)
-	err := engine.RunWith(opts, func(c mpi.Comm) error {
-		buf := make([]byte, n)
-		for i := range buf {
-			buf[i] = byte(0xA0 + c.Rank())
-		}
-		if c.Rank() == root {
-			copy(buf, want)
-		}
-		if err := RunDecision(c, buf, root, d); err != nil {
-			return err
-		}
-		if !bytes.Equal(buf, want) {
-			return fmt.Errorf("rank %d: buffer mismatch (first diff at %d)", c.Rank(), firstDiff(buf, want))
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("%s exec=%v n=%d: %v", d.Algorithm, opts.Executor, n, err)
-	}
-}
-
-// TestUDPTransportRegistryGrid is the transport acceptance grid: every
-// registry algorithm at np=8 on a force-wired loopback UDP transport —
-// all traffic really framed into datagrams, acked, reassembled — on
-// both executors, at an eager and a rendezvous message size. Buffers
-// must match the in-process result exactly (same pattern oracle the
-// chan-transport grids assert against).
-func TestUDPTransportRegistryGrid(t *testing.T) {
-	const (
-		p     = 8
-		seg   = 512
-		eager = 2 << 10 // EagerLimit: n=seg+1 eager, n=32KiB rendezvous
-	)
-	topo := topology.Blocked(p, 4)
-	root := p / 2
-	for _, r := range Algorithms() {
-		for _, execPolicy := range []engine.ExecPolicy{engine.Goroutine, engine.Pooled} {
-			for _, n := range []int{seg + 1, 32 << 10} {
-				e := tune.EnvOf(n, p, topo)
-				if !r.Caps.Match(e) {
-					continue
-				}
-				d := tune.Decision{Algorithm: r.Name}
-				if r.Caps.Segmented {
-					d.SegSize = seg
-				}
-				tr, err := transport.SelfUDP(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				opts := engine.Options{
-					NP: p, Topology: topo, EagerLimit: eager,
-					Timeout: 60 * time.Second, Transport: tr, Executor: execPolicy,
-				}
-				if execPolicy == engine.Pooled {
-					opts.MaxWorkers = 2
-				}
-				runDecisionWired(t, opts, d, root, n)
-				tr.Close()
-			}
-		}
-	}
-}
-
-// noSyscallConn hides a socket's file descriptor: a transport over it
-// has nothing to hand recvmmsg and reads with ReadFrom.
-type noSyscallConn struct{ net.PacketConn }
-
 // TestUDPTransportFaultGrid proves the acceptance criterion for the
 // fault-injection satellite at the collective level: native, opt and
 // opt-seg broadcasts over a loopback UDP transport whose socket drops
-// 5% of datagrams (plus duplication and reordering) must still produce
-// byte-identical buffers, with the recovery visible as retransmits in
-// the metrics snapshot. Each row runs over two sockets: a Faulty around
-// a raw socket, which the transport reads in batches (on Linux) while
-// every write still meets the Faulty, and a Faulty around a wrapper
-// without SyscallConn, which keeps the portable read path under loss.
+// 5% of datagrams (plus duplication and reordering) are matrix cells like
+// any other — byte-identical buffers, the schedule's traffic — with the
+// recovery visible as retransmits in the metrics snapshot. Each row runs
+// over two sockets: a Faulty around a raw socket, which the transport
+// reads in batches (on Linux) while every write still meets the Faulty,
+// and a Faulty around a wrapper without SyscallConn, which keeps the
+// portable read path under loss.
 func TestUDPTransportFaultGrid(t *testing.T) {
-	const (
-		p   = 8
-		n   = 24 << 10
-		seg = 4096
-	)
 	batchable := runtime.GOOS == "linux" && (runtime.GOARCH == "amd64" || runtime.GOARCH == "arm64")
-	topo := topology.Blocked(p, 4)
 	for _, sock := range []struct {
-		name    string
-		wrap    func(net.PacketConn) net.PacketConn
-		batched bool
+		transport string
+		batched   bool
 	}{
-		{"raw", func(c net.PacketConn) net.PacketConn { return c }, batchable},
-		{"no-syscallconn", func(c net.PacketConn) net.PacketConn { return noSyscallConn{c} }, false},
+		{wireLossy, batchable},
+		{wireLossyPortable, false},
 	} {
-		m := metrics.New(p, 0)
-		for _, algo := range []string{tune.RingNative, tune.RingOpt, tune.RingOptSeg} {
-			conn, err := net.ListenPacket("udp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			faulty := transport.NewFaulty(sock.wrap(conn), transport.FaultConfig{Drop: 0.05, Dup: 0.02, Reorder: 0.02})
-			tr, err := transport.NewUDP(transport.UDPConfig{
-				NP: p, Conn: faulty, ForceWire: true, RetransmitEvery: 5 * time.Millisecond,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			d := tune.Decision{Algorithm: algo}
-			if algo == tune.RingOptSeg {
-				d.SegSize = seg
-			}
-			runDecisionWired(t, engine.Options{
-				NP: p, Topology: topo, EagerLimit: 2 << 10,
-				Timeout: 120 * time.Second, Transport: tr, Metrics: m,
-			}, d, 0, n)
-			tr.Close()
+		var retx, sent, recv, batchedWrites, batchedReads int64
+		for _, c := range []cell{
+			{row: tune.RingNative},
+			{row: tune.RingOpt},
+			{row: tune.RingOptSeg, seg: 4096},
+		} {
+			c.place, c.p, c.n, c.transport, c.style, c.rounds = "blocked:4", 8, 24<<10, sock.transport, styleCall, 1
+			s := runCell(t, c)
+			retx += s.WireRetransmits
+			sent += s.WireDatagramsSent
+			recv += s.WireDatagramsRecv
+			batchedWrites += s.WireBatchedWrites
+			batchedReads += s.WireBatchedReads
 		}
-		s := m.Snapshot()
-		if s.WireRetransmits == 0 {
-			t.Errorf("%s: 5%% datagram loss must surface as retransmits in the snapshot", sock.name)
+		if retx == 0 {
+			t.Errorf("%s: 5%% datagram loss must surface as retransmits in the snapshot", sock.transport)
 		}
-		if s.WireDatagramsSent == 0 || s.WireDatagramsRecv == 0 {
-			t.Errorf("%s: wire counters dark under the fault grid: %+v", sock.name, s)
+		if sent == 0 || recv == 0 {
+			t.Errorf("%s: wire counters dark under the fault grid: %d datagrams sent, %d received", sock.transport, sent, recv)
 		}
-		if s.WireBatchedWrites != 0 {
-			t.Errorf("%s: %d batched writes went around the Faulty's injected faults", sock.name, s.WireBatchedWrites)
+		if batchedWrites != 0 {
+			t.Errorf("%s: %d batched writes went around the Faulty's injected faults", sock.transport, batchedWrites)
 		}
-		if got := s.WireBatchedReads > 0; got != sock.batched {
-			t.Errorf("%s: %d batched reads; batched reads expected: %v", sock.name, s.WireBatchedReads, sock.batched)
+		if got := batchedReads > 0; got != sock.batched {
+			t.Errorf("%s: %d batched reads; batched reads expected: %v", sock.transport, batchedReads, sock.batched)
 		}
 	}
 }
