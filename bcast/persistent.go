@@ -54,8 +54,11 @@ type Persistent struct {
 // BcastInit builds a persistent broadcast of buf from root: it resolves
 // the cluster defaults merged with opts into a tuner decision, binds
 // and validates the registry dispatch, compiles this rank's operations
-// of the static schedule when the algorithm has one, and pre-registers pooled staging for the
-// payload so the first Start/Wait already runs allocation-free.
+// of the static schedule when the algorithm has one, binds the edges
+// its in-process messages of at most 256 bytes travel on (no matching
+// per message; see the README's persistent section), and pre-registers
+// pooled staging for the payload so the first Start/Wait already runs
+// allocation-free.
 // Collective: every rank must call it with the same root, length and
 // options, like the Bcast it replaces.
 func (c Comm) BcastInit(buf []byte, root int, opts ...CallOption) (*Persistent, error) {
@@ -130,8 +133,9 @@ func (h *Persistent) Run(ctx context.Context) error {
 // Rebind points the handle at a new buffer. Same length: free — the
 // memoized decision and schedule are reused untouched (the
 // double-buffered serving pattern). Different length: the decision is
-// re-resolved and re-validated, like a fresh Init. Only an inactive
-// handle may be rebound.
+// re-resolved and re-validated, like a fresh Init, and the new
+// schedule's edges are bound (the old ones are released when the Run
+// ends). Only an inactive handle may be rebound.
 func (h *Persistent) Rebind(buf []byte) error {
 	if h.freed {
 		return fmt.Errorf("bcast: rebind: handle already freed")

@@ -110,30 +110,35 @@ func TestPersistentStartWaitAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
-	const (
-		n = 64 << 10
-		// perOpBudget is the acceptance gate: allocations per Start/Wait
-		// per rank in the steady state.
-		perOpBudget = 2.0
-	)
+	// perOpBudget is the acceptance gate: allocations per Start/Wait per
+	// rank in the steady state.
+	const perOpBudget = 2.0
 	ctx := context.Background()
 	for _, cell := range []struct {
 		algo      string
-		np        int
+		np, n     int
 		placement string
 		pooled    bool
 	}{
-		{bcast.RingOptSeg, 8, "single", false},
-		{bcast.RingOptSeg, 8, "single", true},
-		{bcast.SMP, 16, "blocked:4", false},
-		{bcast.SMP, 16, "blocked:4", true},
-		{bcast.SMPOpt, 16, "blocked:4", false},
-		{bcast.SMPOpt, 16, "blocked:4", true},
+		{bcast.RingOptSeg, 8, 64 << 10, "single", false},
+		{bcast.RingOptSeg, 8, 64 << 10, "single", true},
+		{bcast.SMP, 16, 64 << 10, "blocked:4", false},
+		{bcast.SMP, 16, 64 << 10, "blocked:4", true},
+		{bcast.SMPOpt, 16, 64 << 10, "blocked:4", false},
+		{bcast.SMPOpt, 16, 64 << 10, "blocked:4", true},
+		// msgrate-np64's shape: ~3900 messages of at most 64 B per
+		// broadcast, every one on an edge the handle bound at Init.
+		{bcast.RingOptSeg, 64, 4 << 10, "blocked:32", false},
+		{bcast.RingOptSeg, 64, 4 << 10, "blocked:32", true},
 	} {
-		np, pooled := cell.np, cell.pooled
-		name := cell.algo + "/goroutine"
+		np, n, pooled := cell.np, cell.n, cell.pooled
+		exec := "goroutine"
 		if pooled {
-			name = cell.algo + "/pooled"
+			exec = "pooled"
+		}
+		name := cell.algo + "/" + exec
+		if n != 64<<10 {
+			name = fmt.Sprintf("%s/np%d-%dKiB/%s", cell.algo, np, n>>10, exec)
 		}
 		t.Run(name, func(t *testing.T) {
 			opts := []bcast.Option{

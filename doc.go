@@ -71,8 +71,8 @@
 // cooperatively onto min(GOMAXPROCS, MaxWorkers) workers — ranks park at
 // the engine's blocking points and release their execution slot, so
 // worlds with np in the hundreds (the paper's Figures 5/7 regime) run
-// with a bounded runnable set and wall-clock grids stay meaningful. The
-// executor-parity grid test asserts both substrates produce
+// with a bounded runnable set and wall-clock grids stay meaningful.
+// TestParityMatrix (internal/collective) holds both substrates to
 // byte-identical buffers and identical traced traffic for every
 // registered algorithm, and every table or sample log records which
 // substrate measured it.

@@ -46,7 +46,9 @@ var ErrBadOp = errors.New("malformed schedule op")
 // a message delivered into a posted receive costs a channel hand-off
 // that outweighs the second copy of so few bytes: an on/off sweep of
 // per-call ring-opt at np 10 and 64 lost 6–21 % at 4 KiB chunks and
-// nothing beyond noise from 8 KiB up (see CHANGES.md).
+// nothing beyond noise from 8 KiB up (see CHANGES.md). It is far above
+// the engine's inlinePayload (256 B), the largest message a kept Plan's
+// bound edge carries (bindEdges), so the two never meet.
 const hoistFloor = 8 << 10
 
 // rankOps is one rank's compiled schedule and the executor's scratch. It
@@ -54,9 +56,10 @@ const hoistFloor = 8 << 10
 // per call — so steady-state execution allocates nothing either way.
 type rankOps struct {
 	ops             []sched.Op
-	recvs           []managed // the managed receives, in op order
-	order           []int     // indices into recvs, by completion point
-	cut, open, mark []int     // manage's scratch
+	recvs           []managed   // the managed receives, in op order
+	order           []int       // indices into recvs, by completion point
+	cut, open, mark []int       // manage's scratch
+	bound           mpi.Binding // a kept Plan's edges (bindEdges); nil per call
 }
 
 // managed is a receive posted just before op post and completed just
@@ -199,6 +202,40 @@ func (s *rankOps) manage() {
 	}
 }
 
+// bindEdges hands a kept Plan's edges to a communicator that can bind
+// them (mpi.Binder): each (direction, peer, tag) of the ops, with how
+// many messages cross it per run and the longest. The engine carries an
+// edge of tiny messages (at most its inlinePayload) on a ring of cells
+// of its own, and the rest as before.
+func (s *rankOps) bindEdges(c mpi.Comm) {
+	s.bound = nil
+	b, ok := c.(mpi.Binder)
+	if !ok {
+		return
+	}
+	var edges []mpi.Edge
+	add := func(e mpi.Edge, n int) {
+		for i := range edges {
+			if x := &edges[i]; x.Peer == e.Peer && x.Tag == e.Tag && x.Send == e.Send {
+				x.Count, x.MaxLen = x.Count+1, max(x.MaxLen, n)
+				return
+			}
+		}
+		e.Count, e.MaxLen = 1, n
+		edges = append(edges, e)
+	}
+	for i := range s.ops {
+		op := &s.ops[i]
+		if op.Kind != sched.OpRecv {
+			add(mpi.Edge{Peer: op.To, Tag: op.Tag, Send: true}, op.SendLen)
+		}
+		if op.Kind != sched.OpSend {
+			add(mpi.Edge{Peer: op.From, Tag: op.Tag}, op.RecvLen)
+		}
+	}
+	s.bound = b.Bind(edges)
+}
+
 // exec runs the compiled operations on c, moving real bytes in buf
 // (which compile or the caller has checked covers every op). A rank with
 // no managed receive, or a communicator that cannot post early, runs
@@ -309,6 +346,9 @@ func runStatic(c mpi.Comm, buf []byte, lo, n, root, seg int, e sched.Emitter) er
 func (s *rankOps) run(c mpi.Comm, buf []byte) error {
 	if c.Size() > 1 {
 		mpi.AdvanceTagStream(c)
+	}
+	if s.bound != nil && s.bound.Engage(c) {
+		defer s.bound.Disengage()
 	}
 	if err := s.exec(c, buf); err != nil {
 		return fmt.Errorf("collective: exec: %w", err)

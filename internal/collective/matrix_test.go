@@ -169,6 +169,20 @@ func matrixCells() []cell {
 				add(pooled(c, 0))
 			}
 		}
+		// Kept plans whose messages the engine binds to per-edge slot
+		// rings (at most 256 B, in-process), at the message rate of
+		// msgrate-np64: empty chunks, every message bound, and bound ring
+		// segments beside unbound scatter messages; then one over the
+		// wire, where nothing may be bound.
+		for _, p := range []int{16, 64} {
+			for _, n := range []int{3, p * 64, p * 64 * 8} {
+				c := planned(cell{row: row, place: fmt.Sprintf("blocked:%d", p/2), p: p, root: p/2 + 1, n: n, seg: 64})
+				add(c)
+				add(pooled(c, 0))
+				add(pooled(c, 2))
+			}
+		}
+		add(planned(cell{row: row, place: "blocked:4", p: 8, root: 4, n: 8 * 64, seg: 64, transport: wireUDP}))
 		// Where the axes meet, with receives posted ahead of their ops: a
 		// kept plan over the wire, a kept plan on the pooled executor, the
 		// wire on the pooled executor.
@@ -201,7 +215,11 @@ func TestParityMatrix(t *testing.T) {
 //   - the traced traffic is rounds times the schedule's: messages and
 //     bytes in total, split intra/inter node on the cell's map, and by
 //     tag; every message is received once; and the traced messages and
-//     receives are the engine's own send and receive counters;
+//     receives are the engine's own send and receive counters, read as
+//     Run returns;
+//   - a kept plan whose messages all fit the engine's bound edges leaves
+//     its queues untouched, where every other cell uses them; over a
+//     wire, every message crossed it;
 //   - for the unsegmented rings, the scatter and ring phases equal the
 //     closed forms of core/traffic.go, and for the SMP rows the intra/
 //     inter split equals the closed form of the three phases: one
@@ -295,20 +313,37 @@ func runCell(t *testing.T, c cell) metrics.Snapshot {
 		t.Fatalf("%s: %v", c, err)
 	}
 
-	// The transport's receive loop counts a wired receive just after
-	// completing it: the engine's counters are final once the loop is
-	// joined.
-	if tr != nil {
-		tr.Close()
-	}
+	// The engine counts a wired receive before completing it, so its
+	// counters are final when Run returns, with the transport still open.
+	s := engine.CollectMetrics(m)
 	got := col.Stats()
 	if want := scheduleTraffic(pr, topo, c.rounds); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: traced %s\nthe schedule moves %s", c, got, want)
 	}
-	s := engine.CollectMetrics(m)
 	if got.Total.Messages != s.EagerSends+s.RdvSends || got.Recvs != s.EagerRecvs+s.RdvRecvs {
 		t.Fatalf("%s: traced %d msgs / %d recvs, engine counted %d+%d sends / %d+%d recvs",
 			c, got.Total.Messages, got.Recvs, s.EagerSends, s.RdvSends, s.EagerRecvs, s.RdvRecvs)
+	}
+	// A kept plan's in-process messages of at most 256 B (the engine's
+	// inline payload) travel on the edges bound for them, past both
+	// queues; any other message, and every one a per-call broadcast
+	// sends, passes one of them.
+	if tr == nil && pr.Messages() > 0 {
+		bound := c.style == stylePlan && largestMessage(pr) <= boundMax
+		if queued := s.ArrivalQueueMax+s.PostedQueueMax != 0; queued == bound {
+			t.Fatalf("%s: every message bound: %v, yet the queues held %d arrivals / %d receives",
+				c, bound, s.ArrivalQueueMax, s.PostedQueueMax)
+		}
+	}
+	// Over a wire every message crossed it, in a datagram of its own at
+	// least: none went by an in-process path, a kept plan's tiny edges
+	// included. The transport counts a datagram after writing it, so
+	// this reads its counters once it is closed.
+	if tr != nil {
+		tr.Close()
+		if w := engine.CollectMetrics(m); w.WireDatagramsSent-w.WireAcksSent < got.Total.Messages {
+			t.Fatalf("%s: %d data datagrams for %d messages", c, w.WireDatagramsSent-w.WireAcksSent, got.Total.Messages)
+		}
 	}
 	times := func(f core.Traffic) trace.Counts {
 		return trace.Counts{Messages: int64(c.rounds * f.Messages), Bytes: int64(c.rounds * f.Bytes)}
@@ -336,6 +371,21 @@ func runCell(t *testing.T, c cell) metrics.Snapshot {
 		}
 	}
 	return s
+}
+
+// boundMax is the largest message the engine carries on a kept plan's
+// bound edge.
+const boundMax = 256
+
+// largestMessage is the longest send of pr.
+func largestMessage(pr *sched.Program) int {
+	n := 0
+	for _, ops := range pr.Ranks {
+		for _, op := range ops {
+			n = max(n, op.SendLen)
+		}
+	}
+	return n
 }
 
 // scheduleTraffic is what rounds runs of pr move on topo: every send

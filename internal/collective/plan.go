@@ -37,6 +37,9 @@ type Plan struct {
 	// environment: double-buffered serving (two buffers, same length)
 	// re-resolves for free, while a length change genuinely re-decides.
 	cache tune.CachedDecision
+	// kept marks a NewPlan's Plan, which binds its edges at every bind
+	// (see bindEdges); the per-call Plans of planPool never do.
+	kept bool
 }
 
 // planPool holds the Plans per-call broadcasts borrow (RunDecision for
@@ -55,7 +58,7 @@ func NewPlan(c mpi.Comm, n, root int, o Options) (*Plan, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	p := &Plan{root: root, opts: o}
+	p := &Plan{root: root, opts: o, kept: true}
 	if err := p.resolve(c, n); err != nil {
 		return nil, err
 	}
@@ -101,6 +104,9 @@ func (p *Plan) bind(c mpi.Comm, n int, d tune.Decision) error {
 		return err
 	}
 	p.n, p.dec, p.reg, p.topo, p.emit = n, d, r, topo, e
+	if p.kept {
+		p.ops.bindEdges(c)
+	}
 	return nil
 }
 

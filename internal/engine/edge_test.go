@@ -1,0 +1,296 @@
+package engine
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/mpi"
+)
+
+// The bound path end to end on two ranks, rank 0 sending to rank 1 over
+// one edge bound the way a kept plan binds it (collective.NewPlan hands
+// the edges of its ops to comm.Bind; each run engages them). Both
+// executors, the pooled one with a single slot, where a rank that
+// blocked anywhere but in harvest would keep its peer from ever running.
+
+// boundTag is the base collective tag of the edge under test.
+const boundTag = mpi.CollTagBase + 1
+
+func boundWorlds(t *testing.T) map[string]*World {
+	t.Helper()
+	worlds := map[string]*World{}
+	for name, opts := range map[string]Options{
+		"goroutine": {},
+		"pooled(1)": {Executor: Pooled, MaxWorkers: 1},
+	} {
+		opts.NP, opts.Timeout, opts.DeadlockAfter = 2, 20*time.Second, 100*time.Millisecond
+		w, err := NewWorld(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		worlds[name] = w
+	}
+	return worlds
+}
+
+// bindEdge binds c's end of the edge from rank 0 to rank 1: k messages
+// per run of at most size bytes.
+func bindEdge(c mpi.Comm, k, size int) mpi.Binding {
+	e := mpi.Edge{Peer: 1, Tag: boundTag, Send: true, Count: k, MaxLen: size}
+	if c.Rank() == 1 {
+		e.Peer, e.Send = 0, false
+	}
+	return c.(mpi.Binder).Bind([]mpi.Edge{e})
+}
+
+// boundRun is one run of a kept schedule: its own tag stream, with b
+// engaged.
+func boundRun(c mpi.Comm, b mpi.Binding, body func() error) error {
+	mpi.AdvanceTagStream(c)
+	if b == nil || !b.Engage(c) {
+		return errors.New("edge not bound")
+	}
+	defer b.Disengage()
+	return body()
+}
+
+// parked waits, on the goroutine executor, until rank is parked. (With
+// one slot the caller runs only once everyone else has parked.)
+func (w *World) parked(rank int) error {
+	for w.ExecutorName() == "goroutine" && w.state[rank].Load() != 1 {
+		if w.state[rank].Load() == 2 {
+			return fmt.Errorf("rank %d finished without parking", rank)
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	return nil
+}
+
+// boundPayload is message i of run r: its length and bytes differ.
+func boundPayload(r, i int) []byte {
+	return bytes.Repeat([]byte{byte(16*r + i + 1)}, []int{1, 64, 256}[i])
+}
+
+// TestBoundAbortWhileParked: a receiver parked on its edge returns the
+// abort of a peer's failure.
+func TestBoundAbortWhileParked(t *testing.T) {
+	boom := errors.New("boom")
+	for name, w := range boundWorlds(t) {
+		var recvErr error
+		err := w.Run(func(c mpi.Comm) error {
+			b := bindEdge(c, 1, 8)
+			if c.Rank() == 0 {
+				// Rank 1 is on its way to the edge once this arrives.
+				if _, err := c.Recv(make([]byte, 1), 1, 5); err != nil {
+					return err
+				}
+				if err := w.parked(1); err != nil {
+					return err
+				}
+				return boom
+			}
+			if err := c.Send([]byte{1}, 0, 5); err != nil {
+				return err
+			}
+			return boundRun(c, b, func() error {
+				_, recvErr = c.Recv(make([]byte, 8), 0, boundTag)
+				return recvErr
+			})
+		})
+		if !errors.Is(err, boom) || !errors.Is(recvErr, mpi.ErrAborted) {
+			t.Errorf("%s: run %v, parked receive %v; want the failure, and the abort", name, err, recvErr)
+		}
+	}
+}
+
+// TestBoundCancelWhileParked: a bound wait sees its context's
+// cancellation.
+func TestBoundCancelWhileParked(t *testing.T) {
+	for name, w := range boundWorlds(t) {
+		ctx, cancel := context.WithCancel(context.Background())
+		var recvErr error
+		err := w.RunContext(ctx, func(c mpi.Comm) error {
+			b := bindEdge(c, 1, 8)
+			if c.Rank() == 0 {
+				if _, err := c.Recv(make([]byte, 1), 1, 5); err != nil {
+					return err
+				}
+				err := w.parked(1)
+				cancel()
+				return err
+			}
+			if err := c.Send([]byte{1}, 0, 5); err != nil {
+				return err
+			}
+			return boundRun(c, b, func() error {
+				_, recvErr = c.Recv(make([]byte, 8), 0, boundTag)
+				return recvErr
+			})
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) || !errors.Is(recvErr, context.Canceled) || !errors.Is(recvErr, mpi.ErrAborted) {
+			t.Errorf("%s: run %v, parked receive %v; want both canceled", name, err, recvErr)
+		}
+	}
+}
+
+// TestBoundSenderRunsAhead: a sender four runs into a schedule whose
+// receiver starts late fills the edge's cells with its first run and
+// waits for the receiver to free them; every run arrives intact, is
+// counted once, and never touches the queues.
+func TestBoundSenderRunsAhead(t *testing.T) {
+	const runs, k = 4, 3
+	for name, w := range boundWorlds(t) {
+		err := w.Run(func(c mpi.Comm) error {
+			b := bindEdge(c, k, 256)
+			for r := 0; r < runs; r++ {
+				err := boundRun(c, b, func() error {
+					for i := 0; i < k; i++ {
+						want := boundPayload(r, i)
+						if c.Rank() == 0 {
+							if err := c.Send(want, 1, boundTag); err != nil {
+								return err
+							}
+							continue
+						}
+						if r == 0 && i == 0 {
+							if err := w.parked(0); err != nil { // a run ahead, waiting on this rank
+								return err
+							}
+						}
+						buf := make([]byte, 256)
+						st, err := c.Recv(buf, 0, boundTag)
+						if err != nil {
+							return err
+						}
+						if !bytes.Equal(buf[:st.Count], want) || st.Source != 0 {
+							return fmt.Errorf("run %d message %d: %d bytes from %d, first %d", r, i, st.Count, st.Source, buf[0])
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					return fmt.Errorf("rank %d run %d: %w", c.Rank(), r, err)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		s := w.Metrics().Snapshot()
+		if s.EagerSends != runs*k || s.EagerRecvs != runs*k || s.RdvSends+s.RdvRecvs != 0 ||
+			s.StagedBytes != runs*(1+64+256) || s.Parks == 0 || s.ArrivalQueueMax+s.PostedQueueMax != 0 {
+			t.Errorf("%s: %d/%d eager sends/receives, %d staged bytes, %d parks, queues %d/%d; want %d, %d, some, none",
+				name, s.EagerSends, s.EagerRecvs, s.StagedBytes, s.Parks, s.ArrivalQueueMax, s.PostedQueueMax,
+				runs*k, runs*(1+64+256))
+		}
+	}
+}
+
+// TestBoundRebindWhileDraining: a sender that rebinds for a new length
+// and runs on, into its new edge's second run, before its receiver has
+// drained the old edge: each binding has an edge of its own, and every
+// run's messages arrive on it.
+func TestBoundRebindWhileDraining(t *testing.T) {
+	for name, w := range boundWorlds(t) {
+		err := w.Run(func(c mpi.Comm) error {
+			if c.Rank() == 1 {
+				if err := w.parked(0); err != nil {
+					return err
+				}
+			}
+			var b mpi.Binding
+			last := 0
+			for r, n := range []int{16, 32, 32} {
+				if n != last { // a kept plan rebinds only for a new length
+					b, last = bindEdge(c, 2, n), n
+				}
+				err := boundRun(c, b, func() error {
+					for i := 0; i < 2; i++ {
+						want := bytes.Repeat([]byte{byte(10*r + i)}, n)
+						if c.Rank() == 0 {
+							if err := c.Send(want, 1, boundTag); err != nil {
+								return err
+							}
+							continue
+						}
+						buf := make([]byte, n)
+						if st, err := c.Recv(buf, 0, boundTag); err != nil || st.Count != n || !bytes.Equal(buf, want) {
+							return fmt.Errorf("run %d message %d: %d of %d bytes, %v", r, i, st.Count, n, err)
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					return fmt.Errorf("rank %d: %w", c.Rank(), err)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestBoundMismatchedSchedules: ranks that bound different schedules
+// end in an error — a truncation, the watchdog's deadlock (naming a
+// bound wait), or the run-end check — never in a hang.
+func TestBoundMismatchedSchedules(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		sendLen, recvLen int
+		sent, received   int
+		want             error
+		report           string
+	}{
+		// Each end makes the edge's cells its own size, if first: the
+		// receiver's buffer is too short, or the sender's message
+		// misses the edge.
+		{"longer message", 24, 16, 1, 1, mpi.ErrTruncate, ""},
+		// Too long to bind on the receiver's side: its receive waits in
+		// the queue for a message that went onto the edge.
+		{"one end unbound", 8, 300, 1, 1, mpi.ErrDeadlock, "rank 1 waiting recv src=0"},
+		{"missing message", 8, 8, 1, 2, mpi.ErrDeadlock, "rank 1 waiting on bound edge from 0"},
+		{"extra message", 8, 8, 2, 1, nil, "1 unconsumed messages"},
+	} {
+		for name, w := range boundWorlds(t) {
+			err := w.Run(func(c mpi.Comm) error {
+				n, msgs := tc.sendLen, tc.sent
+				if c.Rank() == 1 {
+					n, msgs = tc.recvLen, tc.received
+				}
+				b := c.(mpi.Binder).Bind([]mpi.Edge{{Peer: 1 - c.Rank(), Tag: boundTag, Send: c.Rank() == 0, Count: 2, MaxLen: n}})
+				mpi.AdvanceTagStream(c)
+				if b != nil && b.Engage(c) {
+					defer b.Disengage()
+				}
+				for i := 0; i < msgs; i++ {
+					var err error
+					if c.Rank() == 0 {
+						err = c.Send(make([]byte, n), 1, boundTag)
+					} else {
+						_, err = c.Recv(make([]byte, n), 0, boundTag)
+					}
+					if err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			switch {
+			case err == nil || !strings.Contains(err.Error(), tc.report):
+				t.Errorf("%s, %s: %v, want it to say %q", tc.name, name, err, tc.report)
+			case tc.want == mpi.ErrTruncate && errors.Is(err, mpi.ErrDeadlock): // the message missed the edge
+			case tc.want != nil && !errors.Is(err, tc.want):
+				t.Errorf("%s, %s: %v, want %v", tc.name, name, err, tc.want)
+			}
+		}
+	}
+}

@@ -12,7 +12,10 @@ import (
 // inlinePayload is the largest eager payload staged inside its envelope
 // (envelope.small) rather than in a bufpool buffer: a staged tiny message
 // is then one pooled object, not two. Every envelope carries the array,
-// so raising it costs resident memory on every queue.
+// so raising it costs resident memory on every queue. It also bounds the
+// messages of a kept plan's bound edges (edge.go), which stays far under
+// the collective executor's hoistFloor (8 KiB): no bound receive is one
+// the executor posts ahead of its op.
 const inlinePayload = 256
 
 // envelope is a message that arrived before a matching receive was posted
@@ -95,6 +98,15 @@ type endpoint struct {
 	tagStreams map[int64]int
 	streamCtx  int64
 	streamID   int
+	// live is the binding of the kept schedule this rank is running, nil
+	// between runs of one; plans counts the rank's kept schedules per
+	// ctx (their ordinal keys their edges). Owner-only, like the streams.
+	live  *binding
+	plans map[int64]int
+	// edges holds the bound edges ending at this rank, by key, for the
+	// sender to meet at bind time and the run-end check to drain. Under
+	// mu.
+	edges map[edgeKey]*edge
 }
 
 func newEndpoint(np int) *endpoint {
@@ -126,9 +138,11 @@ func (ep *endpoint) nextStream(ctx int64) int {
 // resetStreams clears all stream counters (between runs, so counters —
 // and the per-ctx map footprint from Split — don't grow across runs).
 // The emptied cache agrees with the emptied map: no stream is stream 0.
+// The run's kept-plan ordinals and bound edges go with them.
 func (ep *endpoint) resetStreams() {
 	clear(ep.tagStreams)
 	ep.streamCtx, ep.streamID = 0, 0
+	ep.plans, ep.edges = nil, nil
 }
 
 // enqueueArrival appends env to rank's unexpected queue and publishes the
@@ -237,6 +251,14 @@ func (ep *endpoint) describePending(rank int) string {
 	for _, env := range ep.arrivals {
 		if env.rdv != nil {
 			s += fmt.Sprintf(" [rank %d holds blocked send, %d bytes, zero-copy, from %d tag=%d ctx=%d]", rank, len(env.rdv.buf), env.src, env.tag, env.ctx)
+		}
+	}
+	for k, e := range ep.edges {
+		if e.recvWaits.armed.Load() {
+			s += fmt.Sprintf(" [rank %d waiting on bound edge from %d tag=%d ctx=%d]", rank, k.srcWorld, k.tag, k.ctx)
+		}
+		if e.sendWaits.armed.Load() {
+			s += fmt.Sprintf(" [rank %d waiting on full bound edge to %d tag=%d ctx=%d]", k.srcWorld, rank, k.tag, k.ctx)
 		}
 	}
 	return s

@@ -17,7 +17,11 @@
 // that knows its receives ahead — a collective's executor, ops before it
 // runs them — posts them with Prepost (mpi.Preposter): irecv into a
 // completed request the caller owns and the engine re-arms, so a sender
-// finds them waiting and copies once, straight into place.
+// finds them waiting and copies once, straight into place. A caller that
+// knows its whole schedule ahead — a kept collective Plan — binds its
+// edges with Bind (mpi.Binder): a message of at most inlinePayload bytes
+// between two ranks of this process then goes through a ring of cells
+// its edge owns, past the queues (edge.go), still by isend and irecv.
 //
 // How ranks run is a layer of its own: the default GoroutineExecutor
 // gives every rank an OS-scheduled goroutine, while the PooledExecutor
@@ -499,7 +503,7 @@ func (w *World) RunContext(ctx context.Context, fn func(mpi.Comm) error) error {
 		return nil
 	}
 	for rank, ep := range w.eps {
-		if n := ep.pendingArrivals(); n > 0 {
+		if n := ep.pendingArrivals() + ep.pendingEdges(); n > 0 {
 			return fmt.Errorf("engine: rank %d finished with %d unconsumed messages", rank, n)
 		}
 		if n := ep.pendingRecvs(); n > 0 {

@@ -183,13 +183,15 @@ func (pr *posted) Place(off int, frag []byte) bool {
 }
 
 // completeRemote finishes the posted receive pr with the n bytes it took
-// of remote message m, and lets a rendezvous sender go.
+// of remote message m, and lets a rendezvous sender go. It counts the
+// receive before it signals: the receiver's Run may return as soon as it
+// has the result, and its counters must have moved by then.
 func (w *World) completeRemote(pr *posted, m *transport.Message, n int, err error) {
-	// The receiver may recycle pr once it has the result.
-	pr.done <- recvResult{st: mpi.Status{Source: m.Src, Tag: m.Tag, Count: n}, err: err}
 	w.progressed(m.Dst)
 	eager := m.Kind == transport.Eager
 	w.countRecv(m.Dst, eager)
+	// The receiver may recycle pr once it has the result.
+	pr.done <- recvResult{st: mpi.Status{Source: m.Src, Tag: m.Tag, Count: n}, err: err}
 	if !eager {
 		w.sendRdvAck(m.Ctx, m.Dst, m.SrcWorld, m.MsgID)
 	}

@@ -24,11 +24,14 @@ type request struct {
 	// Pending completion sources (exactly one is non-nil while pending):
 	pr    *posted   // posted receive (completion delivered via pr.done)
 	rdv   *rdvState // zero-copy send awaiting its receiver
+	e     *edge     // bound send (esend) or receive of ebuf (see edge.go)
 	sendN int       // payload size for the send status
+	ebuf  []byte
 	// rdvID, when nonzero, marks rdv as a remote rendezvous to world rank
 	// rdvDst, registered under that correlation id (see remote.go).
 	rdvID  uint64
 	rdvDst int
+	esend  bool
 
 	// Cached result once complete.
 	complete bool
@@ -63,20 +66,27 @@ func (r *request) count() {
 }
 
 // harvest moves the operation's outcome into the request: the delivery
-// from its completion channel, or the world's abort / the bound
-// context's cancellation, which end a pending operation just as finally.
-// With nothing to take yet it reports false when block is unset and
-// otherwise parks the rank until there is.
+// from its completion channel or its bound edge, or the world's abort /
+// the bound context's cancellation, which end a pending operation just
+// as finally. With nothing to take yet it reports false when block is
+// unset and otherwise parks the rank until there is.
 func (r *request) harvest(block bool) bool {
 	if r.complete {
 		return true
 	}
 	var recvd chan recvResult
-	var taken chan struct{}
-	if r.pr != nil {
+	var taken, woke chan struct{}
+	switch {
+	case r.pr != nil:
 		recvd = r.pr.done
-	} else {
+	case r.e == nil:
 		taken = r.rdv.done
+	case r.edgeTry():
+		return true
+	case r.esend:
+		woke = r.e.sendWaits.ch
+	default:
+		woke = r.e.recvWaits.ch
 	}
 	aborted, canceled := r.w.aborted, r.cancel.done
 	switch {
@@ -84,8 +94,8 @@ func (r *request) harvest(block bool) bool {
 		// Delivered already: take it without surrendering the execution
 		// slot (the pooled substrate's hot path skips a FIFO round-trip
 		// through the pool), ahead of an abort that came after it, and
-		// with a plain receive — a select over the four signals costs
-		// more than handing over a small message.
+		// with a plain receive — a select over the signals costs more
+		// than handing over a small message.
 		r.received(<-recvd)
 		return true
 	case len(taken) > 0:
@@ -99,22 +109,33 @@ func (r *request) harvest(block bool) bool {
 		r.w.parkRank(r.rank)
 		defer r.w.unparkRank(r.rank)
 	}
-	select {
-	case res := <-recvd:
-		r.received(res)
-		return true
-	case <-taken:
-		r.sent()
-		return true
-	case <-aborted:
-		r.abandonRdv()
-		r.err = r.w.abortError()
-	case <-canceled:
-		r.abandonRdv()
-		r.err = r.cancel.fire(r.w)
+	for {
+		if woke != nil && r.edgeArm() {
+			// The edges count nothing per message: a rank that parked
+			// and moved on shows the watchdog its progress here.
+			r.w.progressed(r.rank)
+			return true
+		}
+		select {
+		case res := <-recvd:
+			r.received(res)
+			return true
+		case <-taken:
+			r.sent()
+			return true
+		case <-woke:
+			continue
+		case <-aborted:
+			r.abandonRdv()
+			r.err = r.w.abortError()
+		case <-canceled:
+			r.abandonRdv()
+			r.err = r.cancel.fire(r.w)
+		}
+		break
 	}
 	r.complete = true
-	r.pr, r.rdv = nil, nil
+	r.pr, r.rdv, r.e = nil, nil, nil
 	return true
 }
 
@@ -169,6 +190,15 @@ func (w *World) isend(r *request, ctx int64, srcRank, srcWorld, dstWorld int, bu
 	if err := w.enter(cnl); err != nil {
 		r.finish(mpi.Status{}, err)
 		return
+	}
+	if b := w.eps[srcWorld].live; b != nil {
+		// A message too long for the edge's cells (ranks that bound
+		// different schedules) goes the ordinary way, to be missed.
+		if e := find(b.out, dstWorld, tag); e != nil && len(buf) <= e.size {
+			r.w, r.rank, r.e, r.ebuf, r.esend, r.cancel = w, srcWorld, e, buf, true, cnl
+			r.edgeTry()
+			return
+		}
 	}
 	if w.wired && w.trans.Wire(dstWorld) {
 		w.isendRemote(r, ctx, srcRank, srcWorld, dstWorld, buf, tag, cnl)
@@ -228,6 +258,14 @@ func (w *World) irecv(r *request, ctx int64, myWorld int, buf []byte, src, tag i
 		return
 	}
 	ep := w.eps[myWorld]
+	if b := ep.live; b != nil {
+		if e := find(b.in, src, tag); e != nil {
+			r.w, r.rank, r.e, r.ebuf, r.cancel = w, myWorld, e, buf, cnl
+			r.st.Source, r.st.Tag = src, tag
+			r.edgeTry()
+			return
+		}
+	}
 	ep.mu.Lock()
 	if env := ep.matchArrival(ctx, src, tag); env != nil {
 		// Already here: copy out — dequeued, the message is this

@@ -125,6 +125,34 @@ type Preposter interface {
 	Prepost(req Request, buf []byte, from, tag int) (r Request, ok bool)
 }
 
+// Binder is the optional capability of communicators that can set up,
+// once, the edges a kept schedule sends and receives on, so that each
+// run of it moves their messages without matching them. Bind takes every
+// edge of the calling rank's schedule and returns the Binding to engage
+// around each run, or nil when it bound none; the rest travel as
+// ordinary messages. Every rank must Bind its kept schedules on a
+// communicator in the same order, as it calls the collectives they run.
+type Binder interface {
+	Bind(edges []Edge) Binding
+}
+
+// Edge is one (direction, peer, base collective tag) of a rank's
+// schedule, which moves Count messages of at most MaxLen bytes per run.
+type Edge struct {
+	Peer, Tag     int
+	Send          bool
+	Count, MaxLen int
+}
+
+// Binding is what Bind returns. Engage routes the rank's sends and
+// receives on the bound edges, their tags in c's current stream, over
+// them until Disengage; it reports false, and routes nothing, for a
+// communicator or run the binding was not made on.
+type Binding interface {
+	Engage(c Comm) bool
+	Disengage()
+}
+
 // CheckUserTag validates a tag at the application boundary: user code
 // may use [0, MaxUserTag] (plus the AnyTag wildcard when any is true);
 // everything above is reserved for the collective streams.
