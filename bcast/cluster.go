@@ -227,7 +227,9 @@ func (cl *Cluster) Run(ctx context.Context, fn func(Comm) error) error {
 			// constant however many runs reuse this world.
 			mc = cl.collector.WrapSlot(mc.Rank(), mc)
 		}
-		return fn(Comm{mc: mc, defaults: cl.opts, epoch: epoch})
+		rank := new(rankCalls)
+		defer rank.release()
+		return fn(Comm{mc: mc, defaults: cl.opts, epoch: epoch, calls: &rank.world, rank: rank})
 	})
 	// Retire everything minted during the run — escaped Persistent
 	// handles now fail with ErrStaleHandle (carrying this run's outcome

@@ -42,8 +42,13 @@ type Status struct {
 // callDefaults carries a cluster's selection defaults into each Comm.
 type callDefaults struct{ o collective.Options }
 
-// merge applies per-call options over the defaults.
+// merge applies per-call options over the defaults. With none it
+// returns the defaults as they are: applying an option takes o's address
+// through an unknown function, which moves o to the heap.
 func (d callDefaults) merge(opts []CallOption) collective.Options {
+	if len(opts) == 0 {
+		return d.o
+	}
 	o := d.o
 	for _, opt := range opts {
 		if opt != nil {
@@ -86,16 +91,44 @@ func WithTuner(fn TunerFunc) CallOption {
 
 // Comm is one rank's view of a running cluster. It is valid only inside
 // the Run invocation that received it, and only on that rank's
-// goroutine. Every communicating method is collective unless stated
-// otherwise (all ranks must call it with compatible arguments) and
-// takes a context whose cancellation unwinds the whole run (see the
-// package documentation).
+// goroutine; once that Run has returned, every communicating method
+// fails with ErrStaleHandle. Every communicating method is collective
+// unless stated otherwise (all ranks must call it with compatible
+// arguments) and takes a context whose cancellation unwinds the whole
+// run (see the package documentation).
 type Comm struct {
 	mc       mpi.Comm
 	defaults callDefaults
 	// epoch is the Run this Comm (and every Persistent handle built on
 	// it) belongs to; nil only for the zero value.
 	epoch *runEpoch
+	// calls holds the Plans this communicator's per-call Bcasts bound on
+	// this rank; rank holds every such cache of the rank's communicators
+	// in this Run, for release when the rank body returns.
+	calls *collective.Calls
+	rank  *rankCalls
+}
+
+// rankCalls is one rank's per-call Plan caches in one Run: its world
+// communicator's and one per Split child.
+type rankCalls struct {
+	world collective.Calls
+	split []*collective.Calls
+}
+
+// open returns a fresh cache for a Split child.
+func (r *rankCalls) open() *collective.Calls {
+	k := new(collective.Calls)
+	r.split = append(r.split, k)
+	return k
+}
+
+// release returns every cached Plan to the pool.
+func (r *rankCalls) release() {
+	r.world.Release()
+	for _, k := range r.split {
+		k.Release()
+	}
 }
 
 // epochAlive reports whether this Comm's Run is still in progress —
@@ -142,13 +175,22 @@ func (c Comm) Decision(n int, opts ...CallOption) Decision {
 // Bcast broadcasts buf from root: on the root the buffer is the
 // message, everywhere else it is overwritten with it. The algorithm is
 // selected by the cluster options merged with opts — see the package
-// documentation for the selection path.
+// documentation for the selection path. The selection runs on every
+// call; the schedule it names is compiled once per (length, root,
+// decision) in a Run and kept by this rank for the calls that repeat
+// them.
 func (c Comm) Bcast(ctx context.Context, buf []byte, root int, opts ...CallOption) error {
-	return collective.Broadcast(c.bind(ctx), buf, root, c.defaults.merge(opts))
+	if err := c.epochAlive(); err != nil {
+		return fmt.Errorf("bcast: bcast: %w", err)
+	}
+	return c.calls.Broadcast(c.bind(ctx), buf, root, c.defaults.merge(opts))
 }
 
 // Barrier synchronizes all ranks.
 func (c Comm) Barrier(ctx context.Context) error {
+	if err := c.epochAlive(); err != nil {
+		return fmt.Errorf("bcast: barrier: %w", err)
+	}
 	return collective.Barrier(c.bind(ctx))
 }
 
@@ -157,6 +199,9 @@ func (c Comm) Barrier(ctx context.Context) error {
 // blocking until the buffer may be reused. Not collective — the peer
 // must post a matching Recv.
 func (c Comm) Send(ctx context.Context, buf []byte, to, tag int) error {
+	if err := c.epochAlive(); err != nil {
+		return fmt.Errorf("bcast: send: %w", err)
+	}
 	if err := mpi.CheckUserTag(tag, false); err != nil {
 		return fmt.Errorf("bcast: send: %w", err)
 	}
@@ -167,6 +212,9 @@ func (c Comm) Send(ctx context.Context, buf []byte, to, tag int) error {
 // AnySource and AnyTag allowed; tags above MaxUserTag rejected —
 // arrives and is copied into buf. Not collective.
 func (c Comm) Recv(ctx context.Context, buf []byte, from, tag int) (Status, error) {
+	if err := c.epochAlive(); err != nil {
+		return Status{}, fmt.Errorf("bcast: recv: %w", err)
+	}
 	if err := mpi.CheckUserTag(tag, true); err != nil {
 		return Status{}, fmt.Errorf("bcast: recv: %w", err)
 	}
@@ -183,6 +231,9 @@ func (c Comm) Recv(ctx context.Context, buf []byte, from, tag int) (Status, erro
 // the parent and of sibling groups, which is how independent broadcasts
 // on disjoint groups pipeline through one cluster.
 func (c Comm) Split(ctx context.Context, color, key int) (Comm, bool, error) {
+	if err := c.epochAlive(); err != nil {
+		return Comm{}, false, fmt.Errorf("bcast: split: %w", err)
+	}
 	sub, err := c.bind(ctx).Split(color, key)
 	if err != nil {
 		return Comm{}, false, fmt.Errorf("bcast: split: %w", err)
@@ -190,13 +241,16 @@ func (c Comm) Split(ctx context.Context, color, key int) (Comm, bool, error) {
 	if sub == nil {
 		return Comm{}, false, nil
 	}
-	return Comm{mc: sub, defaults: c.defaults, epoch: c.epoch}, true, nil
+	return Comm{mc: sub, defaults: c.defaults, epoch: c.epoch, calls: c.rank.open(), rank: c.rank}, true, nil
 }
 
 // Scatter distributes consecutive chunk-byte pieces of send (significant
 // only on the root, length Size*chunk) so rank i receives piece i into
 // recv (length chunk).
 func (c Comm) Scatter(ctx context.Context, send []byte, chunk int, recv []byte, root int) error {
+	if err := c.epochAlive(); err != nil {
+		return fmt.Errorf("bcast: scatter: %w", err)
+	}
 	return collective.Scatter(c.bind(ctx), send, chunk, recv, root)
 }
 
@@ -204,12 +258,18 @@ func (c Comm) Scatter(ctx context.Context, send []byte, chunk int, recv []byte, 
 // root (length Size*chunk, significant only there), rank i's
 // contribution at offset i*chunk.
 func (c Comm) Gather(ctx context.Context, send []byte, chunk int, recv []byte, root int) error {
+	if err := c.epochAlive(); err != nil {
+		return fmt.Errorf("bcast: gather: %w", err)
+	}
 	return collective.Gather(c.bind(ctx), send, chunk, recv, root)
 }
 
 // Allgather is Gather delivered to every rank: recv (length Size*chunk)
 // holds rank i's send at offset i*chunk on all ranks.
 func (c Comm) Allgather(ctx context.Context, send []byte, chunk int, recv []byte) error {
+	if err := c.epochAlive(); err != nil {
+		return fmt.Errorf("bcast: allgather: %w", err)
+	}
 	return collective.Allgather(c.bind(ctx), send, chunk, recv)
 }
 
@@ -244,6 +304,9 @@ func opIn(op Op) (collective.Op, error) {
 // leaves the identical result in out on all ranks. len(in) must equal
 // len(out) and match across ranks.
 func (c Comm) AllreduceFloat64(ctx context.Context, in, out []float64, op Op) error {
+	if err := c.epochAlive(); err != nil {
+		return fmt.Errorf("bcast: allreduce: %w", err)
+	}
 	cop, err := opIn(op)
 	if err != nil {
 		return err
@@ -254,6 +317,9 @@ func (c Comm) AllreduceFloat64(ctx context.Context, in, out []float64, op Op) er
 // ReduceFloat64 combines every rank's in element-wise with op into out
 // on the root (significant only there).
 func (c Comm) ReduceFloat64(ctx context.Context, in, out []float64, op Op, root int) error {
+	if err := c.epochAlive(); err != nil {
+		return fmt.Errorf("bcast: reduce: %w", err)
+	}
 	cop, err := opIn(op)
 	if err != nil {
 		return err

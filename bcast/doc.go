@@ -58,7 +58,11 @@
 // size, rank count, node count and placement classification, all derived
 // from the cluster's topology — into a Decision naming a registered
 // algorithm and its segment size. Comm.Decision reports the resolution
-// without moving a byte; Comm.Bcast runs it. By default the dispatch is
+// without moving a byte; Comm.Bcast runs it. Comm.Bcast resolves on
+// every call, so a tuner sees every call, but compiles the schedule a
+// Decision names once per (length, root, Decision) in a Run: each rank
+// keeps the few it used last for its communicator, and a call that
+// repeats one runs it with no registry lookup and no schedule emission. By default the dispatch is
 // stock MPICH3's (binomial below 12 KiB, scatter + recursive-doubling
 // for medium power-of-two, scatter + ring beyond); a TuneTable option
 // loads a JSON table produced by the auto-tuner (bcast tune engine or
@@ -92,11 +96,12 @@
 // and its buffers and traced traffic are identical to the equivalent
 // sequence of per-call Bcasts.
 //
-// A handle is bound to the Run that created it. When that Run returns —
-// cleanly, by error, or by cancellation — the handle is retired and
-// every later use fails with an error wrapping ErrStaleHandle together
-// with the run's own outcome, so a stale handle can never silently
-// broadcast onto the fresh world a failed run boots.
+// A handle is bound to the Run that created it, and so is a Comm. When
+// that Run returns — cleanly, by error, or by cancellation — the handle
+// is retired and every later use of it, or of a communicating method of
+// the Comm, fails with an error wrapping ErrStaleHandle together with
+// the run's own outcome, so neither can silently broadcast onto the
+// world the next Run uses.
 //
 // # Concurrent collectives
 //

@@ -9,10 +9,14 @@ import (
 	"repro/internal/collective"
 )
 
-// ErrStaleHandle reports use of a Persistent handle (or a Comm) after
-// the Run that created it ended. Errors wrap it together with the run's
-// own outcome, so a handle orphaned by a canceled run explains both
-// what it is and why its run died.
+// ErrStaleHandle reports use of a Persistent handle, or of a
+// communicating Comm method (every one but Rank, Size, NumNodes,
+// Placement and Decision), after the Run that created it ended. Errors
+// wrap it together with the run's own outcome, so a handle orphaned by a
+// canceled run explains both what it is and why its run died. The check
+// comes before anything else, so a stale Comm never sends, never waits
+// for a message, and never reaches the Plans its rank cached, which went
+// back to the pool when the rank body returned.
 var ErrStaleHandle = errors.New("bcast: persistent handle outlived its run")
 
 // Persistent is a persistent broadcast: the tuner decision, the

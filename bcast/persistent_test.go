@@ -94,13 +94,7 @@ func TestPersistentMatchesBcast(t *testing.T) {
 
 // TestPersistentStartWaitAllocs is the serving-workload allocation gate:
 // inside one live world, a steady-state Start/Wait must cost at most 2
-// allocations per operation per rank. The harness mirrors the collective
-// package's alloc harness — only rank 0 talks to the host and relays the
-// round through a persistent control broadcast, so pooled ranks block
-// exclusively inside engine operations — but every measured operation
-// here runs through the public Persistent handle. The cluster runs with
-// span recording enabled (and counters are always on), so the budget
-// also proves the observability layer's zero-allocation claim.
+// allocations per operation per rank (see allocRounds for the harness).
 //
 // The SMP cells hold a topology-composed schedule to the same gate and
 // count the engine's sends against it: a round is the handle's schedule,
@@ -113,13 +107,7 @@ func TestPersistentStartWaitAllocs(t *testing.T) {
 	// perOpBudget is the acceptance gate: allocations per Start/Wait per
 	// rank in the steady state.
 	const perOpBudget = 2.0
-	ctx := context.Background()
-	for _, cell := range []struct {
-		algo      string
-		np, n     int
-		placement string
-		pooled    bool
-	}{
+	for _, cell := range []allocCell{
 		{bcast.RingOptSeg, 8, 64 << 10, "single", false},
 		{bcast.RingOptSeg, 8, 64 << 10, "single", true},
 		{bcast.SMP, 16, 64 << 10, "blocked:4", false},
@@ -131,151 +119,226 @@ func TestPersistentStartWaitAllocs(t *testing.T) {
 		{bcast.RingOptSeg, 64, 4 << 10, "blocked:32", false},
 		{bcast.RingOptSeg, 64, 4 << 10, "blocked:32", true},
 	} {
-		np, n, pooled := cell.np, cell.n, cell.pooled
-		exec := "goroutine"
-		if pooled {
-			exec = "pooled"
-		}
-		name := cell.algo + "/" + exec
-		if n != 64<<10 {
-			name = fmt.Sprintf("%s/np%d-%dKiB/%s", cell.algo, np, n>>10, exec)
-		}
-		t.Run(name, func(t *testing.T) {
-			opts := []bcast.Option{
-				bcast.Procs(np),
-				bcast.Placement(cell.placement),
-				bcast.Timeout(10 * time.Minute),
-				// Small on purpose: the measured rounds wrap the ring many
-				// times over, so the gate also covers drop-oldest overwrites.
-				bcast.WithSpans(16),
-			}
-			if pooled {
-				opts = append(opts, bcast.ExecPooled(0))
-			}
-			cl, err := bcast.NewCluster(ctx, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// All buffers live before the world launches; rank bodies and
-			// the host never allocate per round.
-			bufs := make([][]byte, np)
-			for r := range bufs {
-				bufs[r] = make([]byte, n)
-			}
-			bufs[0][0], bufs[0][n-1] = 0xAB, 0xCD
-			ctls := make([][]byte, np)
-			for r := range ctls {
-				ctls[r] = make([]byte, 8)
-			}
-			jobs := make(chan int)
-			done := make(chan error, 1)
-			runDone := make(chan error, 1)
-			go func() {
-				runDone <- cl.Run(ctx, func(c bcast.Comm) error {
-					r := c.Rank()
-					ctl := ctls[r]
-					ph, err := c.BcastInit(bufs[r], 0,
-						bcast.WithAlgorithm(cell.algo), bcast.WithSegSize(8<<10))
-					if err != nil {
-						return err
-					}
-					ch, err := c.BcastInit(ctl, 0, bcast.WithAlgorithm(bcast.Binomial))
-					if err != nil {
-						return err
-					}
-					for {
-						if r == 0 {
-							binary.LittleEndian.PutUint64(ctl, uint64(int64(<-jobs)))
-						}
-						if err := ch.Run(ctx); err != nil {
-							return err
-						}
-						if int(int64(binary.LittleEndian.Uint64(ctl))) < 0 {
-							return errors.Join(ph.Free(), ch.Free())
-						}
-						err := ph.Run(ctx)
-						if berr := c.Barrier(ctx); err == nil {
-							err = berr
-						}
-						if r == 0 {
-							done <- err
-						}
-						if err != nil {
-							return err
-						}
-					}
-				})
-			}()
-			round := func() error {
-				jobs <- 0
-				return <-done
-			}
-			// Warm: the first rounds populate the pooled staging classes.
-			for i := 0; i < 3; i++ {
-				if err := round(); err != nil {
-					t.Fatal(err)
+		t.Run(cell.String(), func(t *testing.T) {
+			perOp := allocRounds(t, cell, func(c bcast.Comm, buf []byte) (func() error, error) {
+				ph, err := c.BcastInit(buf, 0)
+				if err != nil {
+					return nil, err
 				}
-			}
-			perRound := testing.AllocsPerRun(20, func() {
-				if err := round(); err != nil {
-					t.Fatal(err)
-				}
+				return func() error { return ph.Run(context.Background()) }, nil
 			})
-			// One round is two Start/Wait pairs (control + payload) on each
-			// of np ranks, plus a barrier; attribute everything to the 2*np
-			// persistent operations — the gate holds even with the barrier
-			// counted against it.
-			perOp := perRound / float64(2*np)
-			t.Logf("allocs: %.1f per round, %.2f per Start/Wait per rank", perRound, perOp)
+			t.Logf("%.2f allocs per Start/Wait per rank", perOp)
 			if perOp > perOpBudget {
 				t.Errorf("%.2f allocs per Start/Wait per rank, budget %.1f", perOp, perOpBudget)
 			}
-			jobs <- -1
-			if err := <-runDone; err != nil {
-				t.Fatal(err)
+		})
+	}
+}
+
+// TestPerCallBcastAllocs holds a per-call Comm.Bcast to a stricter gate
+// than the persistent one: in the steady state its schedule is a Plan the
+// rank bound on the first call, so with no options it allocates less
+// than once per rank (a merged copy of the defaults on the heap, or a
+// bind, is one allocation at least), and one option costs it at most one
+// allocation more.
+func TestPerCallBcastAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	for _, cell := range []allocCell{
+		// short-percall-np16's shape: a 1 KiB binomial tree.
+		{bcast.Binomial, 16, 1 << 10, "single", false},
+		{bcast.Binomial, 16, 1 << 10, "single", true},
+		// Receives posted ahead of their ops.
+		{bcast.RingOptSeg, 8, 64 << 10, "single", false},
+		{bcast.RingOptSeg, 8, 64 << 10, "single", true},
+	} {
+		t.Run(cell.String(), func(t *testing.T) {
+			per := func(opts ...bcast.CallOption) float64 {
+				return allocRounds(t, cell, func(c bcast.Comm, buf []byte) (func() error, error) {
+					return func() error { return c.Bcast(context.Background(), buf, 0, opts...) }, nil
+				})
 			}
-			for r := 1; r < np; r++ {
-				if bufs[r][0] != 0xAB || bufs[r][n-1] != 0xCD {
-					t.Fatalf("rank %d: payload not broadcast", r)
-				}
+			plain, option := per(), per(bcast.WithSegSize(8<<10))
+			// allocRounds spreads a round over two broadcasts per rank;
+			// charge it all to the payload Bcast.
+			plain, extra := 2*plain, 2*(option-plain)
+			t.Logf("%.2f allocs per Bcast per rank with no option, %.2f more with one", plain, extra)
+			if plain >= 1 {
+				t.Errorf("%.2f allocs per Bcast per rank, want fewer than 1", plain)
 			}
-			// The measured rounds must have exercised the full span
-			// machinery: recording, retention bounded by the ring size,
-			// and drop-oldest wraparound.
-			m := cl.Metrics()
-			// The run is over, so the send counters are final: 3 warm-up
-			// rounds and AllocsPerRun's 21, each the payload schedule plus
-			// the control tree and the dissemination barrier, and the
-			// control tree once more to shut down.
-			pl, err := tune.ParsePlacement(cell.placement)
-			if err != nil {
-				t.Fatal(err)
-			}
-			topo, err := pl.Map(np)
-			if err != nil {
-				t.Fatal(err)
-			}
-			payload, err := collective.Schedule(tune.Decision{Algorithm: cell.algo, SegSize: 8 << 10}, topo, 0, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctl := np - 1
-			want := 24*(payload.Messages()+ctl+np*bits.Len(uint(np-1))) + ctl
-			if sent := m.EagerSends + m.RdvSends; sent != int64(want) {
-				t.Errorf("engine sent %d messages; the schedule says %d per payload broadcast, %d with the harness's own traffic",
-					sent, payload.Messages(), want)
-			}
-			if m.SpansRecorded == 0 {
-				t.Error("no spans recorded with WithSpans enabled")
-			}
-			if got, max := len(m.Spans), 16*np; got > max {
-				t.Errorf("retained %d spans, ring capacity bounds it at %d", got, max)
-			}
-			if m.SpanDrops == 0 {
-				t.Error("rings never wrapped: the gate did not cover drop-oldest overwrites")
+			if extra > 1 {
+				t.Errorf("one option costs %.2f allocs per Bcast per rank, budget 1", extra)
 			}
 		})
 	}
+}
+
+// allocCell is one shape of the alloc tests: a registry row broadcasting
+// n bytes over np ranks on a placement, on either executor.
+type allocCell struct {
+	algo      string
+	np, n     int
+	placement string
+	pooled    bool
+}
+
+func (c allocCell) String() string {
+	exec := "goroutine"
+	if c.pooled {
+		exec = "pooled"
+	}
+	if c.n == 64<<10 {
+		return c.algo + "/" + exec
+	}
+	return fmt.Sprintf("%s/np%d-%dKiB/%s", c.algo, c.np, c.n>>10, exec)
+}
+
+// allocRounds measures the allocations of a steady-state round and
+// returns them per broadcast per rank. The harness mirrors the
+// collective package's alloc harness — only rank 0 talks to the host and
+// relays the round through a persistent control broadcast, so pooled
+// ranks block exclusively inside engine operations. A round is the
+// control broadcast, the payload broadcast that start builds for the
+// rank, and a barrier; everything is attributed to the two broadcasts,
+// so the gate holds even with the barrier counted against it. The
+// cluster's defaults pin cell's row with 8 KiB segments, and it runs
+// with span recording enabled (counters are always on), so the budget
+// also proves the observability layer's zero-allocation claim.
+//
+// It also checks the round's traffic: the engine's sends are the
+// payload's schedule, the control tree and the barrier, message for
+// message; and the span rings wrapped.
+func allocRounds(t *testing.T, cell allocCell, start func(c bcast.Comm, buf []byte) (func() error, error)) float64 {
+	t.Helper()
+	ctx := context.Background()
+	np, n := cell.np, cell.n
+	opts := []bcast.Option{
+		bcast.Procs(np),
+		bcast.Placement(cell.placement),
+		bcast.Algorithm(cell.algo),
+		bcast.SegSize(8 << 10),
+		bcast.Timeout(10 * time.Minute),
+		// Small on purpose: the measured rounds wrap the ring many
+		// times over, so the gate also covers drop-oldest overwrites.
+		bcast.WithSpans(16),
+	}
+	if cell.pooled {
+		opts = append(opts, bcast.ExecPooled(0))
+	}
+	cl, err := bcast.NewCluster(ctx, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// All buffers live before the world launches; rank bodies and the
+	// host never allocate per round.
+	bufs := make([][]byte, np)
+	for r := range bufs {
+		bufs[r] = make([]byte, n)
+	}
+	bufs[0][0], bufs[0][n-1] = 0xAB, 0xCD
+	ctls := make([][]byte, np)
+	for r := range ctls {
+		ctls[r] = make([]byte, 8)
+	}
+	jobs := make(chan int)
+	done := make(chan error, 1)
+	runDone := make(chan error, 1)
+	go func() {
+		runDone <- cl.Run(ctx, func(c bcast.Comm) error {
+			r := c.Rank()
+			ctl := ctls[r]
+			payload, err := start(c, bufs[r])
+			if err != nil {
+				return err
+			}
+			ch, err := c.BcastInit(ctl, 0, bcast.WithAlgorithm(bcast.Binomial))
+			if err != nil {
+				return err
+			}
+			for {
+				if r == 0 {
+					binary.LittleEndian.PutUint64(ctl, uint64(int64(<-jobs)))
+				}
+				if err := ch.Run(ctx); err != nil {
+					return err
+				}
+				if int(int64(binary.LittleEndian.Uint64(ctl))) < 0 {
+					return ch.Free()
+				}
+				err := payload()
+				if berr := c.Barrier(ctx); err == nil {
+					err = berr
+				}
+				if r == 0 {
+					done <- err
+				}
+				if err != nil {
+					return err
+				}
+			}
+		})
+	}()
+	round := func() error {
+		jobs <- 0
+		return <-done
+	}
+	// Warm: the first rounds populate the pooled staging classes.
+	for i := 0; i < 3; i++ {
+		if err := round(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perRound := testing.AllocsPerRun(20, func() {
+		if err := round(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	jobs <- -1
+	if err := <-runDone; err != nil {
+		t.Fatal(err)
+	}
+	for r := 1; r < np; r++ {
+		if bufs[r][0] != 0xAB || bufs[r][n-1] != 0xCD {
+			t.Fatalf("rank %d: payload not broadcast", r)
+		}
+	}
+	// The measured rounds must have exercised the full span machinery:
+	// recording, retention bounded by the ring size, and drop-oldest
+	// wraparound.
+	m := cl.Metrics()
+	// The run is over, so the send counters are final: 3 warm-up rounds
+	// and AllocsPerRun's 21, each the payload schedule plus the control
+	// tree and the dissemination barrier, and the control tree once more
+	// to shut down.
+	pl, err := tune.ParsePlacement(cell.placement)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := pl.Map(np)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := collective.Schedule(tune.Decision{Algorithm: cell.algo, SegSize: 8 << 10}, topo, 0, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl := np - 1
+	want := 24*(payload.Messages()+ctl+np*bits.Len(uint(np-1))) + ctl
+	if sent := m.EagerSends + m.RdvSends; sent != int64(want) {
+		t.Errorf("engine sent %d messages; the schedule says %d per payload broadcast, %d with the harness's own traffic",
+			sent, payload.Messages(), want)
+	}
+	if m.SpansRecorded == 0 {
+		t.Error("no spans recorded with WithSpans enabled")
+	}
+	if got, max := len(m.Spans), 16*np; got > max {
+		t.Errorf("retained %d spans, ring capacity bounds it at %d", got, max)
+	}
+	if m.SpanDrops == 0 {
+		t.Error("rings never wrapped: the gate did not cover drop-oldest overwrites")
+	}
+	return perRound / float64(2*np)
 }
 
 // TestPersistentStaleAfterCleanRun pins the epoch contract: a handle

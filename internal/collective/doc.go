@@ -46,7 +46,10 @@
 // tune.Decision and hands it to RunDecision. The public bcast facade,
 // the bench harness and the CLI tools all build that struct, so "which
 // algorithm runs" has a single answer per (Options, Env) everywhere in
-// the system.
+// the system. The facade's per-call Bcast calls Calls.Broadcast on its
+// rank's cache instead: the same Decide on every call, then a Plan the
+// rank bound earlier for the same (bytes, root, decision), or
+// RunDecision's bind, with its errors, for one it has not.
 // tune.MPICH3 reproduces MPICH3's hardcoded dispatch bit-for-bit
 // (pinned by a literal golden table in internal/tune), and tune.TableTuner
 // dispatches through a JSON tuning table derived by the auto-tuner from

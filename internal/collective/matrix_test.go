@@ -20,11 +20,14 @@ import (
 	"repro/internal/tune"
 )
 
-// Call styles: one RunDecision per round, or one kept Plan Executed once
-// per round (the engine half of the facade's persistent handles).
+// Call styles: one RunDecision per round, one kept Plan Executed once
+// per round (the engine half of the facade's persistent handles), or one
+// Calls.Broadcast per round through the rank's own Calls (the engine
+// half of the facade's per-call Bcast).
 const (
-	styleCall = "call"
-	stylePlan = "plan"
+	styleCall   = "call"
+	stylePlan   = "plan"
+	styleCached = "cached"
 )
 
 // Transports: the in-process channels, a loopback UDP socket every
@@ -95,6 +98,13 @@ func matrixCells() []cell {
 		c.style, c.rounds = stylePlan, 3
 		return c
 	}
+	// kept adds c as a kept plan and as cached calls: three rounds each,
+	// the last two of them hits.
+	kept := func(c cell) {
+		add(planned(c))
+		c.style, c.rounds = styleCached, 3
+		add(c)
+	}
 	for _, r := range Algorithms() {
 		row := r.Name
 		// Every placement shape, power-of-two and not, above and below
@@ -159,38 +169,39 @@ func matrixCells() []cell {
 			add(c)
 			add(pooled(c, 2))
 		}
-		// One kept plan, three rounds, on both executors and on one and
-		// two nodes, at 512 B chunks with 1 KiB segments and at 8 KiB of
-		// both.
+		// One kept plan, and one Calls per rank, three rounds, on both
+		// executors and on one and two nodes, at 512 B chunks with 1 KiB
+		// segments and at 8 KiB of both.
 		for _, place := range []string{"single", "blocked:8", "round-robin:8"} {
 			for _, size := range []struct{ n, seg int }{{8 << 10, 1 << 10}, {128 << 10, 8 << 10}} {
-				c := planned(cell{row: row, place: place, p: 16, n: size.n, seg: size.seg})
-				add(c)
-				add(pooled(c, 0))
+				c := cell{row: row, place: place, p: 16, n: size.n, seg: size.seg}
+				kept(c)
+				kept(pooled(c, 0))
 			}
 		}
 		// Kept plans whose messages the engine binds to per-edge slot
 		// rings (at most 256 B, in-process), at the message rate of
 		// msgrate-np64: empty chunks, every message bound, and bound ring
 		// segments beside unbound scatter messages; then one over the
-		// wire, where nothing may be bound.
+		// wire, where nothing may be bound. A cached Plan is never kept,
+		// so the same shapes through a Calls bind nothing.
 		for _, p := range []int{16, 64} {
 			for _, n := range []int{3, p * 64, p * 64 * 8} {
-				c := planned(cell{row: row, place: fmt.Sprintf("blocked:%d", p/2), p: p, root: p/2 + 1, n: n, seg: 64})
-				add(c)
-				add(pooled(c, 0))
-				add(pooled(c, 2))
+				c := cell{row: row, place: fmt.Sprintf("blocked:%d", p/2), p: p, root: p/2 + 1, n: n, seg: 64}
+				kept(c)
+				kept(pooled(c, 0))
+				kept(pooled(c, 2))
 			}
 		}
-		add(planned(cell{row: row, place: "blocked:4", p: 8, root: 4, n: 8 * 64, seg: 64, transport: wireUDP}))
+		kept(cell{row: row, place: "blocked:4", p: 8, root: 4, n: 8 * 64, seg: 64, transport: wireUDP})
 		// Where the axes meet, with receives posted ahead of their ops: a
 		// kept plan over the wire, a kept plan on the pooled executor, the
 		// wire on the pooled executor.
 		c := cell{row: row, place: "blocked:4", p: 8, root: 4, n: 8 * hoistFloor, seg: hoistFloor}
 		udp := c
 		udp.transport = wireUDP
-		add(planned(udp))
-		add(planned(pooled(c, 2)))
+		kept(udp)
+		kept(pooled(c, 2))
 		add(pooled(udp, 2))
 	}
 	return cells
@@ -220,6 +231,8 @@ func TestParityMatrix(t *testing.T) {
 //   - a kept plan whose messages all fit the engine's bound edges leaves
 //     its queues untouched, where every other cell uses them; over a
 //     wire, every message crossed it;
+//   - a cached cell's Calls binds one Plan, in the first round: every
+//     later round is a hit on it;
 //   - for the unsegmented rings, the scatter and ring phases equal the
 //     closed forms of core/traffic.go, and for the SMP rows the intra/
 //     inter split equals the closed form of the three phases: one
@@ -247,8 +260,24 @@ func runCell(t *testing.T, c cell) metrics.Snapshot {
 	}
 	d := tune.Decision{Algorithm: c.row, SegSize: c.seg}
 	start := func(comm mpi.Comm, buf []byte) (func() error, error) {
-		if c.style == styleCall {
+		switch c.style {
+		case styleCall:
 			return func() error { return RunDecision(comm, buf, c.root, d) }, nil
+		case styleCached:
+			calls, o := new(Calls), Options{Algorithm: c.row, SegSize: c.seg}
+			var first *Plan
+			return func() error {
+				if err := calls.Broadcast(comm, buf, c.root, o); err != nil {
+					return err
+				}
+				if first == nil {
+					first = calls.plans[0]
+				}
+				if calls.n != 1 || calls.plans[0] != first {
+					return fmt.Errorf("a repeated call bound a Plan of its own (%d held)", calls.n)
+				}
+				return nil
+			}, nil
 		}
 		plan, err := NewPlan(comm, c.n, c.root, Options{Algorithm: c.row, SegSize: c.seg})
 		if err != nil {
@@ -327,7 +356,7 @@ func runCell(t *testing.T, c cell) metrics.Snapshot {
 	// A kept plan's in-process messages of at most 256 B (the engine's
 	// inline payload) travel on the edges bound for them, past both
 	// queues; any other message, and every one a per-call broadcast
-	// sends, passes one of them.
+	// sends, cached Plans' included, passes one of them.
 	if tr == nil && pr.Messages() > 0 {
 		bound := c.style == stylePlan && largestMessage(pr) <= boundMax
 		if queued := s.ArrivalQueueMax+s.PostedQueueMax != 0; queued == bound {

@@ -16,7 +16,8 @@ import (
 // and validated once so repeated executions skip selection and emission
 // entirely. It is the engine-side half of the
 // facade's persistent handles — and, bound for a single call, it is
-// RunDecision: per-call and persistent broadcasts are one
+// RunDecision, and, held for the calls that repeat its (bytes, root,
+// decision), a Calls entry: per-call and persistent broadcasts are one
 // bind-validate-run-span path.
 //
 // A Plan belongs to one rank of one communicator group (every rank of
@@ -43,9 +44,76 @@ type Plan struct {
 }
 
 // planPool holds the Plans per-call broadcasts borrow (RunDecision for
-// the whole plan, runStatic for its ops scratch), so in the steady state
-// they allocate as little as a kept Plan does.
+// one call, a Calls until it evicts or releases them, runStatic for the
+// ops scratch), so in the steady state they allocate as little as a kept
+// Plan does.
 var planPool = sync.Pool{New: func() any { return new(Plan) }}
+
+// callsCap is how many bound Plans a Calls holds: a per-call program
+// repeats a handful of (size, root) shapes, not dozens.
+const callsCap = 8
+
+// Calls is one rank's cache of the Plans its per-call broadcasts on one
+// communicator have bound, keyed by what a bound Plan already stores:
+// byte count, root and decision. Broadcast decides every call, as the
+// package-level Broadcast does, so a tuner still sees every call; only a
+// decision it has not bound yet pays the registry lookup, the emit and
+// manage. Its Plans come from planPool and go back to it, the least
+// recently used one when a callsCap+1st key arrives and all of them at
+// Release. They are never kept, so they bind no edges, and what a rank
+// holds is its own business: ranks need not agree on evictions.
+//
+// A Calls belongs to one rank of one communicator and is not safe for
+// concurrent use. The zero value is empty and ready.
+type Calls struct {
+	plans [callsCap]*Plan // most recently used first
+	n     int
+}
+
+// Broadcast is Broadcast through the cache: on a miss it binds a pooled
+// Plan as RunDecision does, with the same errors, and caches it only
+// once the bind succeeded.
+func (k *Calls) Broadcast(c mpi.Comm, buf []byte, root int, o Options) error {
+	n := len(buf)
+	d := o.Decide(envOf(c, n))
+	i := 0
+	for ; i < k.n; i++ {
+		if p := k.plans[i]; p.n == n && p.root == root && p.dec == d {
+			break
+		}
+	}
+	var p *Plan
+	if i < k.n {
+		p = k.plans[i]
+	} else {
+		p = planPool.Get().(*Plan)
+		p.root = root
+		if err := p.bind(c, n, d); err != nil {
+			planPool.Put(p)
+			return err
+		}
+		if k.n == callsCap {
+			i--
+			planPool.Put(k.plans[i])
+		} else {
+			k.n++
+		}
+	}
+	copy(k.plans[1:i+1], k.plans[:i])
+	k.plans[0] = p
+	return p.Execute(c, buf)
+}
+
+// Len reports how many bound Plans the cache holds.
+func (k *Calls) Len() int { return k.n }
+
+// Release returns every held Plan to planPool and empties the cache.
+func (k *Calls) Release() {
+	for _, p := range k.plans[:k.n] {
+		planPool.Put(p)
+	}
+	*k = Calls{}
+}
 
 // NewPlan resolves o against (c, n, root) and validates the outcome the
 // same way RunDecision would, so an Init-time Plan failure is exactly
