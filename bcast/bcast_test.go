@@ -27,6 +27,11 @@ func mustCluster(t *testing.T, opts ...bcast.Option) *bcast.Cluster {
 
 func TestNewClusterValidation(t *testing.T) {
 	ctx := context.Background()
+	// A table whose rule names no registry row is malformed too.
+	typo := filepath.Join(t.TempDir(), "typo.json")
+	if err := writeFile(typo, `{"name": "typo", "rules": [{"decision": {"algorithm": "`+bcast.RingOpt+`t"}}]}`); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		opts []bcast.Option
@@ -43,6 +48,7 @@ func TestNewClusterValidation(t *testing.T) {
 		{"negative seg", []bcast.Option{bcast.Procs(4), bcast.SegSize(-1)}, "negative segment size"},
 		{"custom placement length", []bcast.Option{bcast.Procs(4), bcast.CustomPlacement(0, 0, 1)}, "custom placement has 3 ranks"},
 		{"missing table", []bcast.Option{bcast.Procs(4), bcast.TuneTable("/no/such/table.json")}, "load table"},
+		{"table naming no row", []bcast.Option{bcast.Procs(4), bcast.TuneTable(typo)}, `rule 0: unknown algorithm "scatter-ring-allgather-optt"`},
 	}
 	for _, tc := range cases {
 		_, err := bcast.NewCluster(ctx, tc.opts...)

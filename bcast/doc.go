@@ -1,6 +1,6 @@
 // Package bcast is the public, importable API of the broadcast system:
 // a context-aware, option-driven facade over the in-process MPI-like
-// engine, the pluggable broadcast-algorithm registry, and the
+// engine, the broadcast-algorithm registry, and the
 // auto-tuning stack underneath (the reproduction of "A Bandwidth-Saving
 // Optimization for MPI Broadcast Collective Operation", ICPP 2015).
 //

@@ -123,14 +123,14 @@ func Tuner(fn TunerFunc) Option {
 // and bcast tune sim emit — and dispatches every
 // broadcast through it, falling back to the default MPICH3 selection
 // for environments no rule covers. The table is read and validated
-// here, so a malformed file fails NewCluster, not a broadcast deep in a
-// run. Mutually exclusive with Algorithm and Tuner.
+// here, its rules against the registered algorithms too, so a malformed
+// file fails NewCluster, not a broadcast deep in a run. Mutually exclusive with Algorithm and Tuner.
 func TuneTable(path string) Option {
 	return func(c *config) error {
 		if c.hasTuner {
 			return fmt.Errorf("bcast: a tuner is already configured (give Tuner or TuneTable at most once)")
 		}
-		t, err := tune.LoadTable(path)
+		t, err := collective.LoadTable(path)
 		if err != nil {
 			return fmt.Errorf("bcast: %w", err)
 		}

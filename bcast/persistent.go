@@ -135,7 +135,7 @@ func (h *Persistent) Run(ctx context.Context) error {
 }
 
 // Rebind points the handle at a new buffer. Same length: free — the
-// memoized decision and schedule are reused untouched (the
+// bound decision and schedule are reused untouched (the
 // double-buffered serving pattern). Different length: the decision is
 // re-resolved and re-validated, like a fresh Init, and the new
 // schedule's edges are bound (the old ones are released when the Run

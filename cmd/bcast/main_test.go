@@ -71,8 +71,17 @@ func TestEveryCommandHasARunner(t *testing.T) {
 }
 
 // TestExitStatus: help is 0, a bad command line is 2 and says why on
-// stderr, a command that fails is 1.
+// stderr, a command that fails is 1. A tuning table whose rule names no
+// registry row fails where it is loaded, naming the rule.
 func TestExitStatus(t *testing.T) {
+	typo := filepath.Join(t.TempDir(), "typo.json")
+	err := tune.SaveTable(&tune.Table{Name: "typo", Rules: []tune.Rule{
+		{Decision: tune.Decision{Algorithm: tune.RingOpt + "t"}},
+	}}, typo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const unknown = `rule 0: unknown algorithm "scatter-ring-allgather-optt"`
 	for _, tc := range []struct {
 		line   string
 		status int
@@ -87,12 +96,15 @@ func TestExitStatus(t *testing.T) {
 		{"spans /nonexistent/trace.json", 1, "no such file"},
 		{"compare -tune-table /nonexistent/table.json", 1, "no such file"},
 		{"bench -np 8 -algo smp -min 1024 -max 1024 -iters 1", 1, "cannot run"},
+		{"bench -np 4 -min 1024 -max 1024 -iters 2 -tune-table " + typo, 1, unknown},
+		{"count -np 4 -cores 2 -tune-table " + typo, 1, unknown},
+		{"compare -np 4 -min 16384 -max 16384 -tune-table " + typo, 1, unknown},
 	} {
 		status, out, errOut := tool(strings.Fields(tc.line)...)
 		if status != tc.status || !strings.Contains(errOut, tc.stderr) {
 			t.Errorf("bcast %s: status %d, stderr %q; want %d and %q", tc.line, status, errOut, tc.status, tc.stderr)
 		}
-		if status != 0 && out != "" && tc.status == 2 {
+		if status != 0 && out != "" && (tc.status == 2 || tc.stderr == unknown) {
 			t.Errorf("bcast %s: a rejected command line printed to stdout: %q", tc.line, out)
 		}
 	}

@@ -6,7 +6,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/cli"
-	"repro/internal/tune"
+	"repro/internal/collective"
 )
 
 // runFigs regenerates the paper's evaluation figures on the modelled
@@ -87,7 +87,7 @@ func runCurves(cfg *cli.Config, out io.Writer) error {
 // -placements.
 func runCompare(cfg *cli.Config, out io.Writer) error {
 	sim := cfg.SimConfig()
-	table, err := tune.LoadTable(cfg.Table)
+	table, err := collective.LoadTable(cfg.Table)
 	if err != nil {
 		return err
 	}

@@ -14,7 +14,7 @@
 // (package bcast — the module's importable surface), an MPI-like
 // runtime (internal/engine), the broadcast algorithm family and its
 // analytic traffic model (internal/core, internal/collective), the
-// pluggable algorithm registry and auto-tuning subsystem that replaces
+// algorithm registry and auto-tuning subsystem that replaces
 // MPICH3's hardcoded dispatch (internal/collective's registry +
 // internal/tune), a deterministic cluster simulator that regenerates
 // the paper's figures at full scale (internal/netsim), traffic totals

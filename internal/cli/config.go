@@ -264,7 +264,7 @@ func (c *Config) Selections() ([]Selection, error) {
 	if c.Table == "" {
 		return c.sel, nil
 	}
-	t, err := tune.LoadTable(c.Table)
+	t, err := collective.LoadTable(c.Table)
 	if err != nil {
 		return nil, err
 	}

@@ -32,8 +32,7 @@
 // # Registry and tuning
 //
 // A Registration is a stable name (the tune.* name constants),
-// capability predicates (power-of-two-only, minimum processes,
-// multi-node-only, segmented) and the algorithm's emitter — given
+// capability predicates (power-of-two-only, multi-node-only, segmented) and the algorithm's emitter — given
 // directly, or, for the SMP rows, as the function from the node map to
 // it. There is no other row form: Schedule generates any row's whole
 // program on a topology, and a Plan compiles the calling rank's ops from
@@ -58,41 +57,29 @@
 // table fails loudly instead of hanging a pow2-only algorithm on 129
 // ranks.
 //
-// New algorithms plug in by calling Register (or MustRegister at init
-// time); the bcast tool's subcommands (bench, curves, count, tune)
-// enumerate the registry rather than keeping private switches, so a registered
-// algorithm is immediately benchmarkable, simulatable, countable, and
-// auto-tunable.
+// The registry is a fixed table built once at init: a new algorithm is
+// one more row in registry.go. The bcast tool's subcommands (bench,
+// curves, count, tune) enumerate the registry rather than keeping private
+// switches, so a new row is immediately benchmarkable, simulatable,
+// countable, and auto-tunable. A tuning table is checked against the rows
+// where it is loaded (LoadTable), so a rule naming no row fails there.
 //
-// Supporting collectives (Barrier, Scatter, Gather, Allgather, Alltoall,
-// Reduce, Allreduce) exist because the examples and the benchmark
+// Supporting collectives (Barrier, Scatter, Gather, Allgather, Reduce,
+// Allreduce) exist because the examples and the benchmark
 // protocol need them, mirroring how a real MPI application would use the
 // library. Those that move a pattern the broadcast already has run its
 // schedule through the same executor: Scatter is the binomial scatter
 // phase, Gather that tree reversed (sched.Emitter.Reverse), Allgather the
 // enclosed ring from root 0, and Allreduce's tail the binomial
 // broadcast. Still hand-written: Reduce, which needs an op that combines
-// what it receives; Alltoall, which needs a send and a receive buffer;
-// and Barrier, whose dissemination pattern no broadcast shares.
+// what it receives, and Barrier, whose dissemination pattern no
+// broadcast shares.
 //
 // All byte-buffer collectives follow MPI_BYTE semantics. Every function
 // is collective: all ranks of the communicator must call it with
 // compatible arguments.
 package collective
 
-import "repro/internal/core"
-
-// tagReduce is the hand-written reduce's tag (alltoall.go defines
-// Alltoall's). A collective that runs a schedule sends with its
-// emitter's phase tags instead.
+// tagReduce is the hand-written reduce's tag. A collective that runs a
+// schedule sends with its emitter's phase tags (core.Tag*) instead.
 const tagReduce = 0x7F06
-
-// Re-exported phase tags (defined next to the schedule generators so that
-// traces can be matched against generated programs).
-const (
-	TagScatter  = core.TagScatter
-	TagRing     = core.TagRing
-	TagRdb      = core.TagRdb
-	TagBinomial = core.TagBinomial
-	TagBarrier  = core.TagBarrier
-)

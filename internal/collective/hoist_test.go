@@ -259,18 +259,18 @@ func TestPrepostSkipsWiredSources(t *testing.T) {
 		err := engine.RunWith(engine.Options{NP: p, Timeout: 60 * time.Second, Transport: tr, Metrics: m}, func(c mpi.Comm) error {
 			left, right := (c.Rank()+p-1)%p, (c.Rank()+1)%p
 			in, out := make([]byte, hoistFloor), make([]byte, hoistFloor)
-			r, ok := c.(mpi.Preposter).Prepost(nil, in, left, TagRing)
+			r, ok := c.(mpi.Preposter).Prepost(nil, in, left, core.TagRing)
 			if ok != (tr == nil) {
 				return fmt.Errorf("rank %d: Prepost from rank %d = %v over %v", c.Rank(), left, ok, c)
 			}
-			if err := c.Send(out, right, TagRing); err != nil {
+			if err := c.Send(out, right, core.TagRing); err != nil {
 				return err
 			}
 			if ok {
 				if _, err := r.Wait(); err != nil {
 					return err
 				}
-			} else if _, err := c.Recv(in, left, TagRing); err != nil {
+			} else if _, err := c.Recv(in, left, core.TagRing); err != nil {
 				return err
 			}
 			buf := make([]byte, n)

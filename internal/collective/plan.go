@@ -33,11 +33,6 @@ type Plan struct {
 	topo *topology.Map // the communicator's node map at the last bind
 	emit sched.Emitter // reg's emitter on topo
 	ops  rankOps       // the rank's compiled schedule
-
-	// cache memoizes the tuner decision across Rebinds keyed on the full
-	// environment: double-buffered serving (two buffers, same length)
-	// re-resolves for free, while a length change genuinely re-decides.
-	cache tune.CachedDecision
 	// kept marks a NewPlan's Plan, which binds its edges at every bind
 	// (see bindEdges); the per-call Plans of planPool never do.
 	kept bool
@@ -135,7 +130,7 @@ func NewPlan(c mpi.Comm, n, root int, o Options) (*Plan, error) {
 
 // resolve decides for a byte count and binds the decision.
 func (p *Plan) resolve(c mpi.Comm, n int) error {
-	return p.bind(c, n, p.cache.Get(envOf(c, n), p.opts.Decide))
+	return p.bind(c, n, p.opts.Decide(envOf(c, n)))
 }
 
 // bind validates decision d for an n-byte broadcast from p.root on c —
@@ -179,8 +174,7 @@ func (p *Plan) bind(c mpi.Comm, n int, d tune.Decision) error {
 }
 
 // Rebind re-resolves the plan for a new byte count (a new buffer of the
-// same length is free: the memoized decision wins an equality check and
-// nothing else changes).
+// same length is free: the bound decision and ops stay as they are).
 func (p *Plan) Rebind(c mpi.Comm, n int) error {
 	if n == p.n {
 		return nil
@@ -189,18 +183,6 @@ func (p *Plan) Rebind(c mpi.Comm, n int) error {
 		return fmt.Errorf("collective: plan: negative length %d", n)
 	}
 	return p.resolve(c, n)
-}
-
-// SetOptions replaces the selection options and invalidates the
-// decision memo — an override must force a fresh decision even for an
-// unchanged environment.
-func (p *Plan) SetOptions(c mpi.Comm, o Options) error {
-	if err := o.Validate(); err != nil {
-		return err
-	}
-	p.opts = o
-	p.cache.Invalidate()
-	return p.resolve(c, p.n)
 }
 
 // Execute runs the planned broadcast on c. The buffer must have the

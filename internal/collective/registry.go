@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/mpi"
@@ -17,9 +16,6 @@ import (
 // it needs to run correctly, as opposed to when it is fast (the tuner's
 // concern).
 type Capabilities struct {
-	// MinProcs is the smallest communicator the algorithm accepts
-	// (0 = no minimum).
-	MinProcs int
 	// Pow2Only restricts the algorithm to power-of-two communicators.
 	Pow2Only bool
 	// MultiNodeOnly restricts the algorithm to placements spanning more
@@ -34,9 +30,6 @@ type Capabilities struct {
 // (e.g. "pow2-only", "segmented"); an unconstrained algorithm yields nil.
 func (cp Capabilities) Tags() []string {
 	var tags []string
-	if cp.MinProcs > 0 {
-		tags = append(tags, fmt.Sprintf("min-procs=%d", cp.MinProcs))
-	}
 	if cp.Pow2Only {
 		tags = append(tags, "pow2-only")
 	}
@@ -61,9 +54,6 @@ func (cp Capabilities) Label() string {
 
 // Match reports whether the environment satisfies the constraints.
 func (cp Capabilities) Match(e tune.Env) bool {
-	if cp.MinProcs > 0 && e.Procs < cp.MinProcs {
-		return false
-	}
 	if cp.Pow2Only && !e.Pow2() {
 		return false
 	}
@@ -73,8 +63,8 @@ func (cp Capabilities) Match(e tune.Env) bool {
 	return true
 }
 
-// Registration is one pluggable broadcast algorithm: a stable name, its
-// capability constraints, and its schedule.
+// Registration is one broadcast algorithm: a stable name, its capability
+// constraints, and its schedule.
 //
 // There is one row form: the row supplies the per-rank emitter of its
 // schedule, and everything else is derived from it. An algorithm whose
@@ -86,8 +76,7 @@ func (cp Capabilities) Match(e tune.Env) bool {
 // compiles the calling rank's ops from the same emitter, so a row cannot
 // describe one algorithm and run another.
 type Registration struct {
-	// Name is the registry key (one of the tune.* algorithm names for the
-	// built-ins; extensions pick fresh names).
+	// Name is the registry key, one of the tune.* algorithm names.
 	Name string
 	// Summary is a one-line human description, shown by the CLI tools.
 	Summary string
@@ -100,7 +89,7 @@ type Registration struct {
 	// TopoOps returns the emitter for the communicator whose ranks topo
 	// places (topo.NP() ranks, numbered as in topo).
 	TopoOps func(topo *topology.Map) sched.Emitter
-	// Program is Schedule on one node of p ranks, derived by Register for
+	// Program is Schedule on one node of p ranks, derived at init for
 	// Ops rows only (nil on TopoOps rows); it is kept for callers that have
 	// no topology at hand. In-tree consumers use Schedule, which serves
 	// every row.
@@ -126,43 +115,20 @@ func (r *Registration) Schedule(topo *topology.Map, root, n, segSize int) (*sche
 	return sched.Generate(r.Name, r.emitter(topo), topo.NP(), root, n, segSize), nil
 }
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]*Registration{} // rows are immutable once registered
-)
+// registry indexes rows by name. init fills it and nothing writes it
+// again, so lookups take no lock.
+var registry = make(map[string]*Registration, len(rows))
 
-// Register adds an algorithm to the registry. Names must be unique and
-// non-empty, and a row supplies exactly one of Ops and TopoOps.
-func Register(r Registration) error {
-	if r.Name == "" {
-		return fmt.Errorf("collective: register: empty name")
-	}
-	if (r.Ops == nil) == (r.TopoOps == nil) {
-		return fmt.Errorf("collective: register %q: a row is exactly one of Ops and TopoOps", r.Name)
-	}
-	if r.Program != nil {
-		return fmt.Errorf("collective: register %q: Program is derived; supply the emitter alone", r.Name)
-	}
-	if r.Ops != nil {
-		row := &r
-		r.Program = func(p, root, n, segSize int) (*sched.Program, error) {
-			return row.Schedule(topology.SingleNode(p), root, n, segSize)
+// init indexes the rows and derives Program for the Ops rows.
+func init() {
+	for i := range rows {
+		r := &rows[i]
+		if r.Ops != nil {
+			r.Program = func(p, root, n, segSize int) (*sched.Program, error) {
+				return r.Schedule(topology.SingleNode(p), root, n, segSize)
+			}
 		}
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[r.Name]; dup {
-		return fmt.Errorf("collective: register %q: duplicate name", r.Name)
-	}
-	registry[r.Name] = &r
-	return nil
-}
-
-// MustRegister is Register that panics on error; the built-in algorithms
-// use it at init time.
-func MustRegister(r Registration) {
-	if err := Register(r); err != nil {
-		panic(err)
+		registry[r.Name] = r
 	}
 }
 
@@ -176,11 +142,7 @@ func Lookup(name string) (Registration, bool) {
 
 // lookup returns the registered row itself (nil when unknown), sparing
 // the per-broadcast paths a copy of the struct.
-func lookup(name string) *Registration {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return registry[name]
-}
+func lookup(name string) *Registration { return registry[name] }
 
 // find is lookup with the error every caller reports for a bad name.
 func find(name string) (*Registration, error) {
@@ -188,6 +150,23 @@ func find(name string) (*Registration, error) {
 		return r, nil
 	}
 	return nil, fmt.Errorf("collective: unknown algorithm %q (registered: %v)", name, Names())
+}
+
+// LoadTable is tune.LoadTable that also refuses a rule naming no
+// registry row, so a mistyped algorithm fails where the table is loaded
+// instead of at the first broadcast the rule selects.
+func LoadTable(path string) (*tune.Table, error) {
+	t, err := tune.LoadTable(path)
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range t.Rules {
+		if lookup(r.Decision.Algorithm) == nil {
+			return nil, fmt.Errorf("collective: table %q rule %d: unknown algorithm %q (registered: %v)",
+				t.Name, i, r.Decision.Algorithm, Names())
+		}
+	}
+	return t, nil
 }
 
 // Schedule generates the whole static schedule of a decision over the
@@ -203,8 +182,6 @@ func Schedule(d tune.Decision, topo *topology.Map, root, n int) (*sched.Program,
 
 // Names returns every registered algorithm name, sorted.
 func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	out := make([]string, 0, len(registry))
 	for name := range registry {
 		out = append(out, name)
@@ -215,13 +192,11 @@ func Names() []string {
 
 // Algorithms returns every registration, sorted by name.
 func Algorithms() []Registration {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]Registration, 0, len(registry))
-	for _, r := range registry {
-		out = append(out, *r)
+	names := Names()
+	out := make([]Registration, len(names))
+	for i, name := range names {
+		out[i] = *registry[name]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
@@ -229,18 +204,17 @@ func Algorithms() []Registration {
 // tune.Candidate whose applicability is its capability predicate and
 // whose schedule generator is its Schedule.
 func Candidates() []tune.Candidate {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]tune.Candidate, 0, len(registry))
-	for _, r := range registry {
-		out = append(out, tune.Candidate{
+	names := Names()
+	out := make([]tune.Candidate, len(names))
+	for i, name := range names {
+		r := registry[name]
+		out[i] = tune.Candidate{
 			Name:      r.Name,
 			Segmented: r.Caps.Segmented,
 			Applies:   r.Caps.Match,
 			Program:   r.Schedule,
-		})
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
@@ -271,59 +245,60 @@ func RunDecision(c mpi.Comm, buf []byte, root int, d tune.Decision) error {
 	return p.Execute(c, buf)
 }
 
-// The built-in broadcast family. Each row is its emitter from
+// rows is the built-in broadcast family, the registry's only rows: a new
+// algorithm is one more row here. Each row is its emitter from
 // internal/core and nothing else; the two SMP rows are emitters composed
 // over the node map.
-func init() {
-	MustRegister(Registration{
+var rows = []Registration{
+	{
 		Name:    tune.Binomial,
 		Summary: "whole-buffer binomial tree (MPICH short-message)",
 		Ops:     core.BinomialOps,
-	})
-	MustRegister(Registration{
+	},
+	{
 		Name:    tune.ScatterRdb,
 		Summary: "binomial scatter + recursive-doubling allgather (MPICH medium-message, pow2 only)",
 		Caps:    Capabilities{Pow2Only: true},
 		Ops:     core.BcastRdbOps,
-	})
-	MustRegister(Registration{
+	},
+	{
 		Name:    tune.RingNative,
 		Summary: "binomial scatter + enclosed ring allgather (MPI_Bcast_native)",
 		Ops:     core.BcastNativeOps,
-	})
-	MustRegister(Registration{
+	},
+	{
 		Name:    tune.RingOpt,
 		Summary: "binomial scatter + non-enclosed ring allgather (the paper's MPI_Bcast_opt)",
 		Ops:     core.BcastOptOps,
-	})
-	MustRegister(Registration{
+	},
+	{
 		Name:    tune.RingSeg,
 		Summary: "binomial scatter + segmented enclosed ring allgather (pipelined native)",
 		Caps:    Capabilities{Segmented: true},
 		Ops:     core.BcastNativeSegOps,
-	})
-	MustRegister(Registration{
+	},
+	{
 		Name:    tune.RingOptSeg,
 		Summary: "binomial scatter + segmented non-enclosed ring allgather (pipelined MPI_Bcast_opt)",
 		Caps:    Capabilities{Segmented: true},
 		Ops:     core.BcastOptSegOps,
-	})
-	MustRegister(Registration{
+	},
+	{
 		Name:    tune.Chain,
 		Summary: "segmented pipeline-chain broadcast (extension baseline)",
 		Caps:    Capabilities{Segmented: true},
 		Ops:     core.ChainOps,
-	})
-	MustRegister(Registration{
+	},
+	{
 		Name:    tune.SMP,
 		Summary: "multi-core aware: intra-node binomial + native inter-node ring between leaders",
 		Caps:    Capabilities{MultiNodeOnly: true},
 		TopoOps: core.SMPNativeOps,
-	})
-	MustRegister(Registration{
+	},
+	{
 		Name:    tune.SMPOpt,
 		Summary: "multi-core aware: intra-node binomial + tuned inter-node ring between leaders",
 		Caps:    Capabilities{MultiNodeOnly: true},
 		TopoOps: core.SMPOptOps,
-	})
+	},
 }

@@ -16,7 +16,6 @@ const (
 	opScatter   = "scatter"
 	opGather    = "gather"
 	opAllgather = "allgather"
-	opAlltoall  = "alltoall"
 	opBarrier   = "barrier"
 	opReduce    = "reduce"
 	opAllreduce = "allreduce"

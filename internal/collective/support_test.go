@@ -326,53 +326,3 @@ func TestOpString(t *testing.T) {
 		t.Fatal("unknown op name wrong")
 	}
 }
-
-func TestAlltoall(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 4, 8, 9, 13} {
-		for _, chunk := range []int{0, 1, 5, 64} {
-			err := engine.Run(p, func(c mpi.Comm) error {
-				// Rank i's chunk for rank j is filled with i*16+j.
-				send := make([]byte, p*chunk)
-				for j := 0; j < p; j++ {
-					for b := 0; b < chunk; b++ {
-						send[j*chunk+b] = byte(c.Rank()*16 + j)
-					}
-				}
-				recv := make([]byte, p*chunk)
-				if err := Alltoall(c, send, chunk, recv); err != nil {
-					return err
-				}
-				for j := 0; j < p; j++ {
-					for b := 0; b < chunk; b++ {
-						if recv[j*chunk+b] != byte(j*16+c.Rank()) {
-							return fmt.Errorf("rank %d slot %d byte %d = %d want %d",
-								c.Rank(), j, b, recv[j*chunk+b], byte(j*16+c.Rank()))
-						}
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("p=%d chunk=%d: %v", p, chunk, err)
-			}
-		}
-	}
-}
-
-func TestAlltoallValidation(t *testing.T) {
-	err := engine.Run(2, func(c mpi.Comm) error {
-		if err := Alltoall(c, nil, -1, nil); err == nil {
-			return errors.New("negative chunk must fail")
-		}
-		if err := Alltoall(c, make([]byte, 2), 4, make([]byte, 8)); err == nil {
-			return errors.New("short send buffer must fail")
-		}
-		if err := Alltoall(c, make([]byte, 8), 4, make([]byte, 2)); err == nil {
-			return errors.New("short recv buffer must fail")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}

@@ -82,8 +82,7 @@ func StreamTag(tag, s int) int {
 
 // BaseTag folds a streamed collective tag back to its base-block phase
 // tag (the inverse of StreamTag for any stream); tags outside the
-// reserved space are returned unchanged. Observability layers use it so
-// per-phase traffic breakdowns stay keyed by the stable phase tags.
+// reserved space are returned unchanged.
 func BaseTag(tag int) int {
 	if tag < CollTagBase || tag > MaxTag {
 		return tag

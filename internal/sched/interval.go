@@ -97,9 +97,6 @@ func (s *IntervalSet) above(x int) int {
 	return lo
 }
 
-// ContainsPoint reports whether byte offset x is in the set.
-func (s *IntervalSet) ContainsPoint(x int) bool { return s.Contains(x, x+1) }
-
 // Total returns the total number of bytes covered.
 func (s *IntervalSet) Total() int {
 	t := 0

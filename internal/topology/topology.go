@@ -186,9 +186,6 @@ func (m *Map) RanksOnNode(node int) []int { return m.byNode[node] }
 // SMP-aware collectives.
 func (m *Map) Leader(node int) int { return m.byNode[node][0] }
 
-// IsLeader reports whether rank is its node's leader.
-func (m *Map) IsLeader(rank int) bool { return m.Leader(m.nodeOf[rank]) == rank }
-
 // Leaders returns every node's leader, indexed by node.
 func (m *Map) Leaders() []int {
 	out := make([]int, m.numNodes)
@@ -228,9 +225,6 @@ func (m *Map) Subset(members []int) (*Map, error) {
 	}
 	return build(nodeOf)
 }
-
-// Classify reports whether a transfer between two ranks is intra-node.
-func (m *Map) Classify(src, dst int) (intra bool) { return m.SameNode(src, dst) }
 
 // String summarizes the map, e.g. "topology{np=64 nodes=3 [24 24 16]}".
 func (m *Map) String() string {

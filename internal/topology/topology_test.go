@@ -60,7 +60,7 @@ func TestLeaders(t *testing.T) {
 	if got := m.Leaders(); got[0] != 0 || got[1] != 3 || got[2] != 6 {
 		t.Fatalf("leaders = %v", got)
 	}
-	if !m.IsLeader(3) || m.IsLeader(4) {
+	if m.Leader(m.NodeOf(3)) != 3 || m.Leader(m.NodeOf(4)) == 4 {
 		t.Fatal("leader detection wrong")
 	}
 }
@@ -153,9 +153,9 @@ func TestQuickBlockedProperties(t *testing.T) {
 	}
 }
 
-func TestClassify(t *testing.T) {
+func TestSameNode(t *testing.T) {
 	m := Blocked(4, 2)
-	if !m.Classify(0, 1) || m.Classify(1, 2) {
+	if !m.SameNode(0, 1) || m.SameNode(1, 2) {
 		t.Fatal("classification wrong")
 	}
 }

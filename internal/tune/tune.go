@@ -25,8 +25,8 @@
 //     swept size) and placements (blocked vs round-robin at varying cores
 //     per node), emitting one placement-keyed rule group per placement.
 //
-// The executable algorithms live in internal/collective and register
-// themselves into a registry keyed by the names below; internal/collective
+// The executable algorithms live in internal/collective, in a registry
+// table keyed by the names below; internal/collective
 // depends on this package (for Env/Decision/Tuner), never the reverse.
 //
 // # Where selection happens: the facade architecture
