@@ -3,6 +3,8 @@ package collective
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -109,27 +111,84 @@ func TestRunDecisionExecutesEveryAlgorithm(t *testing.T) {
 	topo := topology.Blocked(p, 4) // 2 nodes: admits the SMP variants
 	want := pattern(n)
 	for _, r := range Algorithms() {
-		d := tune.Decision{Algorithm: r.Name}
-		if r.Caps.Segmented {
-			d.SegSize = 512
-		}
-		err := engine.RunWith(engine.Options{NP: p, Topology: topo}, func(c mpi.Comm) error {
-			buf := make([]byte, n)
-			if c.Rank() == root {
-				copy(buf, want)
+		t.Run(r.Name, func(t *testing.T) {
+			d := tune.Decision{Algorithm: r.Name}
+			if r.Caps.Segmented {
+				d.SegSize = 512
 			}
-			if err := RunDecision(c, buf, root, d); err != nil {
-				return err
+			err := engine.RunWith(engine.Options{NP: p, Topology: topo}, func(c mpi.Comm) error {
+				buf := make([]byte, n)
+				if c.Rank() == root {
+					copy(buf, want)
+				}
+				if err := RunDecision(c, buf, root, d); err != nil {
+					return err
+				}
+				if !bytes.Equal(buf, want) {
+					return fmt.Errorf("rank %d: buffer mismatch", c.Rank())
+				}
+				return nil
+			})
+			if err != nil {
+				t.Errorf("RunDecision(%q): %v", r.Name, err)
 			}
-			if !bytes.Equal(buf, want) {
-				return fmt.Errorf("rank %d: buffer mismatch", c.Rank())
-			}
-			return nil
 		})
-		if err != nil {
-			t.Errorf("RunDecision(%q): %v", r.Name, err)
-		}
 	}
+}
+
+// TestLoadTable: a table whose every rule names a registry row loads as
+// tune.LoadTable reads it; one rule naming no row fails the load,
+// naming the rule and the registered algorithms; and what tune.LoadTable
+// refuses stays refused.
+func TestLoadTable(t *testing.T) {
+	save := func(t *testing.T, table *tune.Table) string {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "table.json")
+		if err := tune.SaveTable(table, path); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	everyRow := &tune.Table{Name: "every-row"}
+	for i, name := range Names() {
+		everyRow.Rules = append(everyRow.Rules, tune.Rule{MinProcs: i + 1, MaxProcs: i + 1, Decision: tune.Decision{Algorithm: name}})
+	}
+
+	t.Run("every-row", func(t *testing.T) {
+		got, err := LoadTable(save(t, everyRow))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, everyRow) {
+			t.Errorf("loaded %+v, saved %+v", got, everyRow)
+		}
+	})
+	t.Run("unknown-algorithm", func(t *testing.T) {
+		typo := *everyRow
+		typo.Rules = append([]tune.Rule(nil), everyRow.Rules...)
+		typo.Rules[2].Decision.Algorithm = tune.RingOpt + "t"
+		_, err := LoadTable(save(t, &typo))
+		if err == nil {
+			t.Fatal("a rule naming no registry row loaded")
+		}
+		for _, want := range []string{"rule 2", fmt.Sprintf("%q", tune.RingOpt+"t"), fmt.Sprint(Names())} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not name %s", err, want)
+			}
+		}
+	})
+	t.Run("malformed", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "table.json")
+		if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadTable(path); err == nil || !strings.Contains(err.Error(), "tune: parse table") {
+			t.Errorf("bad JSON: got %v, want tune's parse error", err)
+		}
+		if _, err := LoadTable(filepath.Join(t.TempDir(), "missing.json")); err == nil {
+			t.Error("missing file loaded")
+		}
+	})
 }
 
 // TestRunDecisionRejects covers the failure modes a bad tuning table can

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"os"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -122,13 +125,20 @@ func ringOptRounds(t *testing.T, tr transport.Transport, warmup, rounds int) (wa
 // the ~208 KiB default, a 256 × 32 KiB window overflowed it, and a
 // 1 MiB broadcast at 0 % injected loss spent 360 ms in timeouts. With
 // the sizing forwarded through the wrapper, a fault-free wrapped socket
-// behaves like a raw one: under 1 % of its datagrams are re-sent.
+// behaves like a raw one: the kernel drops under 1 % of its datagrams
+// for want of buffer room. The drops are read from the socket's own
+// kernel counter where the platform has one: retransmits also count the
+// spurious timeouts of a busy host, which come and go between two runs
+// on raw and wrapped sockets alike, while the trap shows as some 6 % of
+// the datagrams dropped on every run. Without the counter the
+// retransmits stand in for the drops.
 func TestUDPWrappedSocketKeepsItsWindow(t *testing.T) {
-	retxShare := func(wrap bool) float64 {
+	lossShare := func(wrap bool) (float64, string) {
 		conn, err := net.ListenPacket("udp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
+		raw := conn
 		if wrap {
 			conn = transport.NewFaulty(conn, transport.FaultConfig{})
 		}
@@ -138,18 +148,46 @@ func TestUDPWrappedSocketKeepsItsWindow(t *testing.T) {
 		}
 		defer tr.Close()
 		warm, s := ringOptRounds(t, tr, 5, 25)
-		return float64(s.WireRetransmits-warm.WireRetransmits) / float64(s.WireDatagramsSent-warm.WireDatagramsSent)
+		if drops, ok := kernelDrops(raw); ok {
+			return float64(drops) / float64(s.WireDatagramsSent), "dropped by the kernel"
+		}
+		return float64(s.WireRetransmits-warm.WireRetransmits) / float64(s.WireDatagramsSent-warm.WireDatagramsSent), "re-sent"
 	}
-	raw := retxShare(false)
-	t.Logf("raw %.2f%%", 100*raw)
+	raw, what := lossShare(false)
+	t.Logf("raw: %.2f%% %s", 100*raw, what)
 	if raw >= 0.005 {
-		t.Skipf("a raw socket already re-sends %.1f%% of its datagrams here (kernel buffer cap?): nothing to compare", 100*raw)
+		t.Skipf("a raw socket already has %.1f%% of its datagrams %s here (kernel buffer cap?): nothing to compare", 100*raw, what)
 	}
-	wrapped := retxShare(true)
-	t.Logf("wrapped %.2f%%", 100*wrapped)
+	wrapped, what := lossShare(true)
+	t.Logf("wrapped: %.2f%% %s", 100*wrapped, what)
 	if wrapped >= 0.01 {
-		t.Errorf("a Faulty-wrapped socket re-sent %.1f%% of its datagrams at 0%% injected loss, want < 1%%", 100*wrapped)
+		t.Errorf("a Faulty-wrapped socket had %.1f%% of its datagrams %s at 0%% injected loss, want < 1%%", 100*wrapped, what)
 	}
+}
+
+// kernelDrops returns how many datagrams the kernel has dropped on
+// conn's socket for want of receive-buffer room: the drops column of
+// the socket's /proc/net/udp line. ok is false where the platform
+// keeps no such table.
+func kernelDrops(conn net.PacketConn) (drops int64, ok bool) {
+	addr, isUDP := conn.LocalAddr().(*net.UDPAddr)
+	if !isUDP {
+		return 0, false
+	}
+	table, err := os.ReadFile("/proc/net/udp")
+	if err != nil {
+		return 0, false
+	}
+	local := fmt.Sprintf(":%04X", addr.Port)
+	for _, line := range strings.Split(string(table), "\n")[1:] {
+		f := strings.Fields(line)
+		if len(f) < 13 || !strings.HasSuffix(f[1], local) {
+			continue
+		}
+		n, err := strconv.ParseInt(f[len(f)-1], 10, 64)
+		return n, err == nil
+	}
+	return 0, false
 }
 
 // TestUDPDirectPlacement is the receive placement end to end: on a clean
