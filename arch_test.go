@@ -1,12 +1,15 @@
 package repro
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -18,13 +21,19 @@ import (
 // included) with go/parser, and a rule is a predicate over the parsed
 // files plus the list of the violations it lets stand, each with its
 // reason. A rule fails by name when it finds a violation not on its list,
-// and when an entry on its list is no longer a violation.
+// and when an entry on its list is no longer a violation. The CI workflow
+// is loaded beside the sources, as text, for the rules that read it.
 
-// srcFile is one parsed source file.
+// ciWorkflow is the CI workflow file, relative to the repository root.
+const ciWorkflow = ".github/workflows/ci.yml"
+
+// srcFile is one source file: a parsed .go file, or the text of another.
 type srcFile struct {
+	path string // slash path from the repository root
 	pkg  string // slash directory of the package, "" for the root package
 	test bool
-	ast  *ast.File
+	ast  *ast.File // nil for a file that is not Go
+	text string    // the contents of a file that is not Go
 }
 
 // archRule is one architecture rule.
@@ -58,9 +67,26 @@ var archRules = []archRule{
 			"internal/transport.parseHeader":   "whole-datagram decoder the fuzz test holds parseSplitHeader to",
 		},
 	},
+	{
+		// The UDP flow core is protocol logic alone: the shell (udp.go)
+		// reads the clock, counts and does the I/O, so the core can run
+		// under any clock — a test's, or a simulator's.
+		name:  "the flow core is pure",
+		check: impureFlowCore,
+	},
+	{
+		// A -run pattern that matches nothing passes, so a test deleted
+		// or renamed would drop out of a CI step unseen. Every
+		// alternative of every -run pattern must name a top-level test
+		// (the part before a '/') in the packages its line names. A -run
+		// beside -bench keeps the tests out on purpose.
+		name:  "every -run pattern in ci.yml names a test",
+		check: unmatchedRunPatterns,
+	},
 }
 
-// loadRepo parses every .go file under the repository root.
+// loadRepo parses every .go file under the repository root and reads
+// the CI workflow.
 func loadRepo(t testing.TB) []srcFile {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -82,21 +108,25 @@ func loadRepo(t testing.TB) []srcFile {
 		if err != nil {
 			return err
 		}
-		files = append(files, newSrcFile(filepath.ToSlash(p), f))
+		files = append(files, newSrcFile(filepath.ToSlash(p), f, ""))
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return files
+	ci, err := os.ReadFile(ciWorkflow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(files, newSrcFile(ciWorkflow, nil, string(ci)))
 }
 
-func newSrcFile(rel string, f *ast.File) srcFile {
+func newSrcFile(rel string, f *ast.File, text string) srcFile {
 	pkg := path.Dir(rel)
 	if pkg == "." {
 		pkg = ""
 	}
-	return srcFile{pkg: pkg, test: strings.HasSuffix(rel, "_test.go"), ast: f}
+	return srcFile{path: rel, pkg: pkg, test: strings.HasSuffix(rel, "_test.go"), ast: f, text: text}
 }
 
 // importDir maps an import path of this repository (module repro, and
@@ -117,7 +147,7 @@ func importDir(importPath string) string {
 func unreferencedDecls(files []srcFile) []string {
 	declared := map[string]bool{}
 	for _, f := range files {
-		if f.test || !strings.HasPrefix(f.pkg, "internal/") {
+		if f.ast == nil || f.test || !strings.HasPrefix(f.pkg, "internal/") {
 			continue
 		}
 		for _, d := range f.ast.Decls {
@@ -130,7 +160,7 @@ func unreferencedDecls(files []srcFile) []string {
 	}
 	used := map[string]bool{}
 	for _, f := range files {
-		if f.test {
+		if f.ast == nil || f.test {
 			continue
 		}
 		imports := map[string]string{}
@@ -236,6 +266,120 @@ func declBody(d ast.Decl) []ast.Node {
 	return out
 }
 
+// flowCore is the UDP flow core's file; flowImports are the imports it
+// may have and clockReads the time functions it may not refer to.
+const flowCore = "internal/transport/flow.go"
+
+var (
+	flowImports = map[string]bool{
+		"errors": true, "fmt": true, "sync": true, "sync/atomic": true, "time": true,
+		"repro/internal/bufpool": true,
+	}
+	clockReads = map[string]bool{
+		"Now": true, "Since": true, "Until": true, "Sleep": true, "After": true,
+		"AfterFunc": true, "NewTimer": true, "NewTicker": true,
+	}
+)
+
+// impureFlowCore reports every import of the flow core outside
+// flowImports and every reference it makes to a clock read — a call or
+// a function value alike.
+func impureFlowCore(files []srcFile) []string {
+	var out []string
+	for _, f := range files {
+		if f.path != flowCore || f.ast == nil {
+			continue
+		}
+		timeName := ""
+		for _, im := range f.ast.Imports {
+			p, _ := strconv.Unquote(im.Path.Value)
+			if !flowImports[p] {
+				out = append(out, f.path+" imports "+p)
+			}
+			if p == "time" {
+				timeName = "time"
+				if im.Name != nil {
+					timeName = im.Name.Name
+				}
+			}
+		}
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && timeName != "" && x.Name == timeName && clockReads[sel.Sel.Name] {
+					out = append(out, f.path+" reads the clock: time."+sel.Sel.Name)
+				}
+			}
+			return true
+		})
+	}
+	return out
+}
+
+var (
+	// testFunc is a name go test runs or lists.
+	testFunc = regexp.MustCompile(`^(Test|Example|Fuzz|Benchmark)`)
+	// goTestRun is a workflow line that runs go test with -run; runArg
+	// captures its (last) -run pattern and pkgArg its package arguments.
+	goTestRun = regexp.MustCompile(`^ *go test .* -run `)
+	runArg    = regexp.MustCompile(` -run '?([^' ]+)'?`)
+	pkgArg    = regexp.MustCompile(`\./[^ ]*`)
+)
+
+// unmatchedRunPatterns resolves every alternative of every -run pattern
+// in the workflow files against the top-level test functions of the
+// parsed _test.go files of the packages its line names, and reports each
+// alternative that names none.
+func unmatchedRunPatterns(files []srcFile) []string {
+	tests := map[string][]string{} // package directory -> test function names
+	for _, f := range files {
+		if f.ast == nil || !f.test {
+			continue
+		}
+		for _, d := range f.ast.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && testFunc.MatchString(fd.Name.Name) {
+				tests[f.pkg] = append(tests[f.pkg], fd.Name.Name)
+			}
+		}
+	}
+	var out []string
+	for _, f := range files {
+		if !strings.HasSuffix(f.path, ".yml") {
+			continue
+		}
+		for _, line := range strings.Split(f.text, "\n") {
+			if !goTestRun.MatchString(line) || strings.Contains(line, " -bench ") {
+				continue
+			}
+			runs := runArg.FindAllStringSubmatch(line, -1)
+			pat := runs[len(runs)-1][1]
+			pkgs := pkgArg.FindAllString(line, -1)
+			for _, alt := range strings.Split(pat, "|") {
+				alt, _, _ = strings.Cut(alt, "/")
+				re, err := regexp.Compile(alt)
+				if err == nil && !namesATest(re, pkgs, tests) {
+					err = fmt.Errorf("%s names no test", alt)
+				}
+				if err != nil {
+					out = append(out, fmt.Sprintf("%s: -run '%s' in %s: %v", f.path, pat, strings.Join(pkgs, " "), err))
+				}
+			}
+		}
+	}
+	return out
+}
+
+// namesATest reports whether re matches a test function of one of pkgs.
+func namesATest(re *regexp.Regexp, pkgs []string, tests map[string][]string) bool {
+	for _, p := range pkgs {
+		for _, name := range tests[strings.TrimPrefix(p, "./")] {
+			if re.MatchString(name) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // TestArchitecture holds the repository to every rule.
 func TestArchitecture(t *testing.T) {
 	files := loadRepo(t)
@@ -260,11 +404,14 @@ func TestArchitecture(t *testing.T) {
 func TestArchitectureRulesFire(t *testing.T) {
 	repo := loadRepo(t)
 	parse := func(rel, src string) srcFile {
+		if !strings.HasSuffix(rel, ".go") {
+			return newSrcFile(rel, nil, src)
+		}
 		f, err := parser.ParseFile(token.NewFileSet(), rel, src, parser.SkipObjectResolution)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return newSrcFile(rel, f)
+		return newSrcFile(rel, f, "")
 	}
 	for _, tc := range []struct {
 		rule  string
@@ -306,6 +453,37 @@ import s "repro/internal/sched"
 func main() { s.PlantedExported() }
 `,
 			},
+		},
+		{
+			rule: "the flow core is pure",
+			plant: map[string]string{
+				flowCore: `package transport
+import "time"
+func plantedStamp() time.Time { return time.Now() }
+`,
+			},
+			want: []string{flowCore + " reads the clock: time.Now"},
+		},
+		{
+			rule: "the flow core is pure",
+			plant: map[string]string{
+				flowCore: `package transport
+import "net"
+var _ net.Addr
+`,
+			},
+			want: []string{flowCore + " imports net"},
+		},
+		{
+			rule: "every -run pattern in ci.yml names a test",
+			plant: map[string]string{
+				".github/workflows/planted.yml": `
+          go test -race ./internal/engine -run 'PooledBounds|TestNoSuchTest/sub'
+          go test ./bcast ./internal/engine -run TestPooledCountsSlotWaits
+          go test -run XXX -bench 'BenchmarkNoSuchBench' ./internal/engine
+`,
+			},
+			want: []string{".github/workflows/planted.yml: -run 'PooledBounds|TestNoSuchTest/sub' in ./internal/engine: TestNoSuchTest names no test"},
 		},
 	} {
 		var rule *archRule

@@ -93,6 +93,7 @@ func TestExitStatus(t *testing.T) {
 		{"bench -frobnicate", 2, "flag provided but not defined: -frobnicate"},
 		{"tune engine -iters 5", 2, "flag provided but not defined: -iters"},
 		{"bench -algo opt -seg 4096", 2, "cannot act on -algo opt"},
+		{"soak -np 2 -procs 2 -drop 0.6 -dup 0.6 -reorder 0.6", 2, "their sum must not exceed 1"},
 		{"spans /nonexistent/trace.json", 1, "no such file"},
 		{"compare -tune-table /nonexistent/table.json", 1, "no such file"},
 		{"bench -np 8 -algo smp -min 1024 -max 1024 -iters 1", 1, "cannot run"},

@@ -64,12 +64,12 @@
 // reports the cells where the cost model and the wall clock disagree on
 // the winner.
 //
-// How ranks execute inside the engine is itself a pluggable layer
-// (engine.Executor): the default substrate runs one goroutine per rank,
+// How ranks execute inside the engine is the world's choice of
+// substrate (engine.ExecPolicy): the default runs one goroutine per rank,
 // and the pooled substrate (engine.Options.Executor = engine.Pooled,
 // bcast.ExecPooled, the tool's -exec pooled) multiplexes ranks
-// cooperatively onto min(GOMAXPROCS, MaxWorkers) workers — ranks park at
-// the engine's blocking points and release their execution slot, so
+// cooperatively onto min(GOMAXPROCS, MaxWorkers) execution slots — ranks
+// park at the engine's blocking point and release their slot, so
 // worlds with np in the hundreds (the paper's Figures 5/7 regime) run
 // with a bounded runnable set and wall-clock grids stay meaningful.
 // TestParityMatrix (internal/collective) holds both substrates to

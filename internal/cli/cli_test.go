@@ -274,6 +274,7 @@ func TestParseRejects(t *testing.T) {
 		"soak -np 8 -procs 9":                 "need a single -np and 1 <= -procs",
 		"soak -np 4,8":                        "need a single -np",
 		"soak -drop 1.5":                      "-drop must be a probability",
+		"soak -drop .6 -dup .6 -reorder .6":   "-drop, -dup and -reorder are one roll per datagram",
 		"soak-child -np 8":                    "needs a single -np, -coord and -ranks",
 		"soak-child -np 8 -coord x -ranks -1": "bad value",
 		"bogus":                               `unknown subcommand "bogus"`,

@@ -134,6 +134,9 @@ func (c *Config) validate() error {
 			return fmt.Errorf("%s must be a probability in [0, 1), got %g", name, p)
 		}
 	}
+	if sum := c.Drop + c.Dup + c.Reorder; sum > 1+1e-9 {
+		return fmt.Errorf("-drop, -dup and -reorder are one roll per datagram: their sum must not exceed 1, got %.4g", sum)
+	}
 	if err := c.resolveAlgo(); err != nil {
 		return err
 	}

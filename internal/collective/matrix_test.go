@@ -487,9 +487,7 @@ func (c cell) wire(t *testing.T) transport.Transport {
 			conn = noSyscallConn{conn}
 		}
 		faulty := transport.NewFaulty(conn, transport.FaultConfig{Drop: 0.05, Dup: 0.02, Reorder: 0.02})
-		tr, err = transport.NewUDP(transport.UDPConfig{
-			NP: c.p, Conn: faulty, ForceWire: true, RetransmitEvery: 5 * time.Millisecond,
-		})
+		tr, err = transport.NewUDP(transport.UDPConfig{NP: c.p, Conn: faulty, ForceWire: true})
 	default:
 		err = fmt.Errorf("unknown transport %q", c.transport)
 	}

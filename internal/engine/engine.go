@@ -1,5 +1,5 @@
 // Package engine is the in-process MPI-like runtime: it executes NP rank
-// bodies over a pluggable execution substrate (see Executor) and provides
+// bodies over one of two execution substrates (see ExecPolicy) and provides
 // point-to-point messaging with MPI matching semantics ((context, source,
 // tag) with wildcards, pairwise non-overtaking order), an eager protocol
 // for small messages (payload copied into the receiver's unexpected
@@ -23,15 +23,15 @@
 // between two ranks of this process then goes through a ring of cells
 // its edge owns, past the queues (edge.go), still by isend and irecv.
 //
-// How ranks run is a layer of its own: the default GoroutineExecutor
-// gives every rank an OS-scheduled goroutine, while the PooledExecutor
+// How ranks run is the world's choice of substrate: the default
+// (Goroutine) gives every rank an OS-scheduled goroutine, while Pooled
 // (Options.Executor = Pooled) multiplexes ranks cooperatively onto a
-// bounded worker pool — the engine owns the blocking point, so a rank
-// parks (releasing its execution slot) whenever it would block and
-// re-queues when its operation completes. The pool keeps the runnable
-// set within min(GOMAXPROCS, Options.MaxWorkers), which is what makes
-// wall-clock measurement of worlds with np in the hundreds meaningful
-// instead of scheduler noise.
+// bounded set of execution slots, a channel the World holds — the
+// engine owns the blocking point, so a rank parks (releasing its slot)
+// whenever it would block and re-queues when its operation completes.
+// The pool keeps the runnable set within min(GOMAXPROCS,
+// Options.MaxWorkers), which is what makes wall-clock measurement of
+// worlds with np in the hundreds meaningful instead of scheduler noise.
 //
 // The engine substitutes for a real MPI library plus cluster: every
 // algorithm really moves its bytes through shared memory, so correctness
@@ -157,7 +157,10 @@ type World struct {
 	timeout      time.Duration
 	deadlock     time.Duration
 
-	exec Executor
+	// slots holds the pooled substrate's execution slots (executor.go);
+	// nil on the goroutine substrate. execName labels the substrate.
+	slots    chan struct{}
+	execName string
 
 	// metrics is never nil: NewWorld wires the caller's Metrics or
 	// creates a counters-only one, so every counter site updates
@@ -280,7 +283,7 @@ func NewWorld(opts Options) (*World, error) {
 		// ordinary latency. The hard wall-clock timeout still guards.
 		dl = -1
 	}
-	exec, err := newExecutor(opts.Executor, opts.MaxWorkers)
+	slots, err := execSlots(opts.Executor, opts.MaxWorkers)
 	if err != nil {
 		return nil, err
 	}
@@ -290,11 +293,9 @@ func NewWorld(opts Options) (*World, error) {
 	} else if mx.NP() != opts.NP {
 		return nil, fmt.Errorf("engine: Metrics sized for %d ranks, want %d", mx.NP(), opts.NP)
 	}
-	if pe, ok := exec.(*PooledExecutor); ok {
-		pe.metrics = mx
-	}
 	w := &World{
-		exec:         exec,
+		slots:        slots,
+		execName:     ExecLabel(opts.Executor, opts.MaxWorkers),
 		metrics:      mx,
 		np:           opts.NP,
 		topo:         topo,
@@ -343,7 +344,7 @@ func (w *World) EagerLimit() int { return w.eagerLimit }
 
 // ExecutorName labels the world's rank-execution substrate for
 // provenance ("goroutine", "pooled(8)").
-func (w *World) ExecutorName() string { return w.exec.Name() }
+func (w *World) ExecutorName() string { return w.execName }
 
 // Reusable reports whether the world can host another Run: no Run is in
 // progress and the world has not aborted. It is advisory — callers like
@@ -472,7 +473,7 @@ func (w *World) RunContext(ctx context.Context, fn func(mpi.Comm) error) error {
 		w.watchdog(watchdogDone)
 	}()
 
-	w.exec.Launch(w.np, body)
+	w.launch(body)
 	close(watchdogDone)
 	watchdogWG.Wait()
 

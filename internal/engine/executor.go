@@ -80,121 +80,13 @@ func ExecLabel(policy ExecPolicy, maxWorkers int) string {
 	return policy.String()
 }
 
-// Executor abstracts how rank bodies execute, so "how ranks run" is a
-// pluggable layer under the engine's messaging core. The contract:
-//
-//   - Launch starts np rank bodies and returns only after every body has
-//     returned. Bodies may run with any concurrency the executor chooses.
-//   - Park(rank) is called by rank's body immediately before it blocks in
-//     an engine operation (the engine owns the blocking point, so user
-//     code never needs to call it); Unpark(rank) is called after the
-//     operation's wakeup, before user code resumes. Calls are strictly
-//     paired per rank and always made from that rank's body.
-//
-// An executor that bounds concurrency must release capacity in Park and
-// reacquire it in Unpark, or blocked ranks would starve runnable ones.
-type Executor interface {
-	// Name labels the executor for provenance ("goroutine", "pooled(8)").
-	Name() string
-	Launch(np int, body func(rank int))
-	Park(rank int)
-	Unpark(rank int)
-}
-
-// GoroutineExecutor is the default substrate: one goroutine per rank,
-// scheduling left entirely to the Go runtime. Park and Unpark are no-ops
-// because a blocked goroutine already costs nothing to the scheduler.
-type GoroutineExecutor struct{}
-
-// Name implements Executor.
-func (GoroutineExecutor) Name() string { return "goroutine" }
-
-// Launch implements Executor.
-func (GoroutineExecutor) Launch(np int, body func(rank int)) {
-	var wg sync.WaitGroup
-	for r := 0; r < np; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			body(rank)
-		}(r)
-	}
-	wg.Wait()
-}
-
-// Park implements Executor.
-func (GoroutineExecutor) Park(int) {}
-
-// Unpark implements Executor.
-func (GoroutineExecutor) Unpark(int) {}
-
-// PooledExecutor runs rank bodies over a fixed number of execution
-// slots. Each rank still owns a goroutine (its stack holds the user
-// code's locals across blocking calls), but only slot holders are
-// runnable: Park releases the slot before the rank blocks, Unpark
-// re-queues for one after the wakeup. Queued ranks are served in FIFO
-// order (channel semantics), so no rank starves.
-type PooledExecutor struct {
-	workers int
-	slots   chan struct{}
-	// metrics, when non-nil, receives slot-wait counts (an Unpark that
-	// found no free slot and had to queue). NewWorld binds it; a bare
-	// executor runs uninstrumented.
-	metrics *metrics.Metrics
-}
-
-// NewPooledExecutor builds a pool of PooledWorkers(maxWorkers) slots.
-func NewPooledExecutor(maxWorkers int) *PooledExecutor {
-	n := PooledWorkers(maxWorkers)
-	return &PooledExecutor{workers: n, slots: make(chan struct{}, n)}
-}
-
-// Workers returns the pool width.
-func (p *PooledExecutor) Workers() int { return p.workers }
-
-// Name implements Executor.
-func (p *PooledExecutor) Name() string { return ExecLabel(Pooled, p.workers) }
-
-func (p *PooledExecutor) acquire() { p.slots <- struct{}{} }
-func (p *PooledExecutor) release() { <-p.slots }
-
-// Launch implements Executor: every body waits for a slot before its
-// first instruction and holds one whenever it runs user code.
-func (p *PooledExecutor) Launch(np int, body func(rank int)) {
-	var wg sync.WaitGroup
-	for r := 0; r < np; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			p.acquire()
-			defer p.release()
-			body(rank)
-		}(r)
-	}
-	wg.Wait()
-}
-
-// Park implements Executor.
-func (p *PooledExecutor) Park(int) { p.release() }
-
-// Unpark implements Executor. The fast path is a non-blocking slot
-// grab; falling through to the blocking acquire means the pool was
-// saturated and this rank queued for a slot — the contention signal
-// the SlotWaits counter exposes.
-func (p *PooledExecutor) Unpark(rank int) {
-	select {
-	case p.slots <- struct{}{}:
-		return
-	default:
-	}
-	if p.metrics != nil {
-		p.metrics.Add(rank, metrics.SlotWaits, 1)
-	}
-	p.acquire()
-}
-
-// newExecutor realizes the Options' executor choice.
-func newExecutor(policy ExecPolicy, maxWorkers int) (Executor, error) {
+// execSlots realizes the Options' executor choice: nil on the goroutine
+// substrate, where a blocked goroutine already costs the scheduler
+// nothing, and a channel of PooledWorkers(maxWorkers) execution slots on
+// the pooled one, where a rank holds a slot (a value in the channel)
+// exactly while it runs user code. Queued ranks are served in FIFO order
+// (channel semantics), so no rank starves.
+func execSlots(policy ExecPolicy, maxWorkers int) (chan struct{}, error) {
 	if maxWorkers < 0 {
 		return nil, fmt.Errorf("engine: MaxWorkers must be non-negative, got %d (0 = GOMAXPROCS)", maxWorkers)
 	}
@@ -203,12 +95,31 @@ func newExecutor(policy ExecPolicy, maxWorkers int) (Executor, error) {
 		if maxWorkers != 0 {
 			return nil, fmt.Errorf("engine: MaxWorkers is pooled-only (set Options.Executor = Pooled)")
 		}
-		return GoroutineExecutor{}, nil
+		return nil, nil
 	case Pooled:
-		return NewPooledExecutor(maxWorkers), nil
+		return make(chan struct{}, PooledWorkers(maxWorkers)), nil
 	default:
 		return nil, fmt.Errorf("engine: unknown executor policy %d", int(policy))
 	}
+}
+
+// launch starts the np rank bodies and returns once every one has
+// returned. On the pooled substrate a body takes a slot before its first
+// instruction and holds one whenever it runs user code.
+func (w *World) launch(body func(rank int)) {
+	var wg sync.WaitGroup
+	for r := 0; r < w.np; r++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			if w.slots != nil {
+				w.slots <- struct{}{}
+				defer func() { <-w.slots }()
+			}
+			body(rank)
+		}(r)
+	}
+	wg.Wait()
 }
 
 // parkRank marks rank blocked for the deadlock detector and releases its
@@ -218,15 +129,27 @@ func newExecutor(policy ExecPolicy, maxWorkers int) (Executor, error) {
 func (w *World) parkRank(rank int) {
 	w.metrics.Add(rank, metrics.Parks, 1)
 	w.state[rank].Store(1)
-	w.exec.Park(rank)
+	if w.slots != nil {
+		<-w.slots
+	}
 }
 
 // unparkRank reacquires an execution slot and marks rank running again.
 // The slot comes first: the rank is not runnable until it holds one, and
 // keeping state blocked meanwhile preserves the watchdog's invariant
-// that only slot holders can be mid-user-code.
+// that only slot holders can be mid-user-code. The fast path is a
+// non-blocking grab; falling through to the blocking send means the pool
+// was saturated and this rank queued for a slot — the contention signal
+// the SlotWaits counter exposes.
 func (w *World) unparkRank(rank int) {
-	w.exec.Unpark(rank)
+	if w.slots != nil {
+		select {
+		case w.slots <- struct{}{}:
+		default:
+			w.metrics.Add(rank, metrics.SlotWaits, 1)
+			w.slots <- struct{}{}
+		}
+	}
 	w.state[rank].Store(0)
 	w.metrics.Add(rank, metrics.Unparks, 1)
 }

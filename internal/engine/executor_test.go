@@ -230,3 +230,48 @@ func TestPooledPanicAborts(t *testing.T) {
 	}
 	testutil.WaitGoroutines(t, base)
 }
+
+// TestPooledCountsSlotWaits: a rank that wakes to a full pool queues for
+// a slot, and the world counts that wait — the figure the benchmark
+// reports per broadcast. Sixteen ranks exchanging around a ring on two
+// slots, each holding its slot a moment in user code between rounds,
+// wake to a full pool again and again; the same body on the goroutine
+// substrate has no pool to wait for. Either way every park is matched
+// by an unpark.
+func TestPooledCountsSlotWaits(t *testing.T) {
+	const np, rounds = 16, 8
+	for _, tc := range []struct {
+		opts  Options
+		waits bool
+	}{
+		{Options{NP: np, Executor: Pooled, MaxWorkers: 2}, true},
+		{Options{NP: np}, false},
+	} {
+		w, err := NewWorld(tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = w.Run(func(c mpi.Comm) error {
+			out, in := make([]byte, 8), make([]byte, 8)
+			next, prev := (c.Rank()+1)%np, (c.Rank()+np-1)%np
+			for i := 0; i < rounds; i++ {
+				time.Sleep(100 * time.Microsecond) // hold the slot in user code
+				if _, err := c.Sendrecv(out, next, i, in, prev, i); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := w.Metrics().Snapshot()
+		name := w.ExecutorName()
+		if s.Parks == 0 || s.Parks != s.Unparks {
+			t.Errorf("%s: %d parks, %d unparks; want equal and nonzero", name, s.Parks, s.Unparks)
+		}
+		if got := s.SlotWaits > 0; got != tc.waits {
+			t.Errorf("%s: %d slot waits; want them counted only on a pool", name, s.SlotWaits)
+		}
+	}
+}

@@ -10,9 +10,10 @@
 //   - EngineMeasurer implements tune.Measurer: per measurement it boots
 //     one engine.World whose topology realizes a tune.Placement, runs the
 //     named broadcast on the configured rank-execution substrate (the
-//     Executor/MaxWorkers fields select the engine's goroutine-per-rank
-//     default or the pooled cooperative scheduler — the latter is what
-//     keeps np-in-the-hundreds grids measurable) with barrier-synchronized
+//     Executor/MaxWorkers fields pass an engine.ExecPolicy and a slot
+//     count to engine.Options: goroutine-per-rank by default, or pooled
+//     execution slots, which keep np-in-the-hundreds grids measurable)
+//     with barrier-synchronized
 //     timing (every repetition starts from a barrier; the sample is the
 //     slowest rank's completion), discards warmup iterations, and reduces
 //     the repetition samples with a robust statistic. It plugs straight

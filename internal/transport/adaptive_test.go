@@ -72,7 +72,7 @@ func TestBackoffRTO(t *testing.T) {
 // floor under sustained loss.
 func TestCongestionWindowDynamics(t *testing.T) {
 	f := &sendFlow{}
-	f.init(initialRTO, false)
+	f.init()
 
 	// Slow start: +1 per acked packet up to the threshold.
 	f.ccOnAck(16)
@@ -254,7 +254,7 @@ func TestDrainBound(t *testing.T) {
 // is the only thing standing between the caller and silent loss).
 func TestUDPCloseDrainsUnderBackoff(t *testing.T) {
 	faults := &FaultConfig{Drop: 0.4}
-	a, b := newPair(t, faults, 0) // adaptive RTO, so backoff is live
+	a, b := newPair(t, faults)
 	var sink collector
 	if err := a.Start(discard); err != nil {
 		t.Fatal(err)
@@ -291,7 +291,7 @@ func TestUDPCloseDrainsUnderBackoff(t *testing.T) {
 // timer early); TestFlowAckCoalescing asserts the ratio on the
 // deterministic harness instead.
 func TestUDPAckCoalescing(t *testing.T) {
-	a, b := newPair(t, nil, 0)
+	a, b := newPair(t, nil)
 	ma, mb := metrics.New(1, 0), metrics.New(1, 0)
 	a.BindMetrics(ma)
 	b.BindMetrics(mb)
@@ -335,14 +335,16 @@ func TestUDPAckCoalescing(t *testing.T) {
 
 // TestUDPAckLeavesWhenReadLoopDrains: a deferred ACK leaves once the
 // receive loop has read everything queued, not when the delayed-ack
-// timer fires. A fixed 40ms RTO puts that timer at its 5ms ceiling and
-// AckEvery is far above a message's three datagrams, so nothing but the
-// flush on drain can empty the sender's scoreboard well inside the
-// timer — and nothing may time out meanwhile. The best of a few rounds
+// timer fires. b sends no data, so its reverse flow keeps initialRTO and
+// the timer, ~RTO/4 of that flow's estimate, sits at its 5ms ceiling;
+// and b's delayed-ack threshold is far above a message's three
+// datagrams. So nothing but the flush on drain can empty the sender's
+// scoreboard well inside the timer — and nothing may time out
+// meanwhile. The best of a few rounds
 // is judged, so one descheduled goroutine on a loaded host does not
 // decide it.
 func TestUDPAckLeavesWhenReadLoopDrains(t *testing.T) {
-	a, b := newPairWith(t, nil, UDPConfig{RetransmitEvery: 40 * time.Millisecond, AckEvery: 1 << 20})
+	a, b := newPairWith(t, nil, 1<<20)
 	if b.bio == nil {
 		t.Skip("no batched reads on this platform: the delayed-ack timer is the only flush")
 	}
@@ -393,7 +395,7 @@ func TestUDPAckLeavesWhenReadLoopDrains(t *testing.T) {
 // multi-millisecond estimate, not loopback microseconds.
 func TestUDPAdaptiveRTOWithLatency(t *testing.T) {
 	faults := &FaultConfig{Delay: 2 * time.Millisecond, Jitter: time.Millisecond}
-	a, b := newPair(t, faults, 0)
+	a, b := newPair(t, faults)
 	m := metrics.New(1, 0)
 	a.BindMetrics(m)
 	var sink collector
@@ -621,12 +623,13 @@ func FuzzParseFrame(f *testing.F) {
 // to find the flow, no scoreboard entry on the heap, no per-write
 // sockaddr or syscall closure. It covers both transports' send, receive
 // and tick goroutines, since AllocsPerRun counts the whole process.
-// (AckEvery 1 only spares each round the delayed-ack wait.)
+// (A delayed-ack threshold of 1 only spares each round the delayed-ack
+// wait.)
 func TestUDPSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop buffers at random, so bufpool allocates")
 	}
-	a, b := newPairWith(t, nil, UDPConfig{AckEvery: 1})
+	a, b := newPairWith(t, nil, 1)
 	if a.bio == nil {
 		t.Skip("no batched datagram I/O on this platform: ReadFrom allocates an address per datagram")
 	}

@@ -163,8 +163,8 @@ var simEpoch = time.Unix(1_000_000, 0)
 
 func newSim(t *testing.T, cfg simConfig) *sim {
 	s := &sim{t: t, cfg: cfg, rng: rand.New(rand.NewSource(cfg.seed)), now: simEpoch}
-	s.tx.init(initialRTO, false)
-	s.rx.init(defaultAckEvery)
+	s.tx.init()
+	s.rx.init(ackEvery)
 	for i := 0; i < cfg.msgs; i++ {
 		size := cfg.size
 		if size == 0 {
@@ -714,7 +714,7 @@ func TestFlowRecoverySeeds(t *testing.T) {
 				// only it acknowledged, at most the ackEvery datagrams since
 				// the ACK before it. Replaying the window behind a loss, as
 				// go-back-N did, breaks this budget on one seed in four.
-				budget := 2*s.dataLost + s.dataLate + defaultAckEvery*s.acksLost
+				budget := 2*s.dataLost + s.dataLate + ackEvery*s.acksLost
 				if s.resends > budget {
 					t.Errorf("seed %d: %d re-sends (%d fast, %d timeout) for %d lost and %d late data datagrams and %d lost acks: over the budget of %d",
 						seed, s.resends, s.fast, s.rtos, s.dataLost, s.dataLate, s.acksLost, budget)
@@ -800,7 +800,7 @@ func TestFlowHorizon(t *testing.T) {
 	const frag = 100
 	const needsLook = "nothing open after a message of several datagrams"
 	var f recvFlow
-	f.init(defaultAckEvery)
+	f.init(ackEvery)
 	var win [batchSize][]byte
 	check := func(state string, wantN int, wantWin ...int) {
 		t.Helper()

@@ -19,11 +19,11 @@ const (
 // larger power-of-two message, so a 2^k-byte chunk is 2^k/32KiB full
 // datagrams with no runt behind them. maxDatagram, the receive-buffer
 // ceiling, is that plus the header, still comfortably inside the 64KiB
-// loopback MTU. Senders may fragment smaller (UDPConfig.PacketBytes —
-// real paths with a 1500-byte MTU want datagrams that dodge IP
-// fragmentation); receivers always accept up to maxDatagram. Messages
-// larger than a fragment are split into sequential fragments of the
-// same flow.
+// loopback MTU. A sender fragments smaller when UDPConfig.PacketBytes
+// says so (a real path with a 1500-byte MTU wants datagrams that dodge
+// IP fragmentation); receivers always accept up to maxDatagram.
+// sendFlow.enqueue (flow.go) splits a message larger than a fragment
+// into sequential fragments of the same flow.
 const (
 	dataHeaderLen = 54
 	// An ACK is ackBaseLen bytes plus ackRangeLen per selective range, at

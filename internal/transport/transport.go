@@ -148,9 +148,9 @@
 // 4·RTTVAR, clamped to [200µs, 1s]. A selectively acknowledged packet
 // is sampled when the ACK naming it arrives, not when the cumulative
 // position finally passes it. A packet that times out repeatedly backs
-// off exponentially (RTO·2^n, capped). UDPConfig.RetransmitEvery
-// pins a fixed timeout and disables estimation and backoff — the
-// deterministic escape hatch for Faulty-based tests.
+// off exponentially (RTO·2^n, capped). Tests run this path too; the
+// flow harness (flow_test.go) drives it under a virtual clock where a
+// test needs determinism.
 //
 // Congestion window: the send window starts at 32 packets in slow start
 // (+1 per acked packet), crosses into AIMD additive growth at the
@@ -161,18 +161,18 @@
 // reopen it.
 //
 // ACK coalescing: in-order data datagrams defer their cumulative ACK
-// until UDPConfig.AckEvery of them accumulate (default 8), the batched
-// receive loop finds the socket empty, or a flush timer of ~RTO/4 of the
-// reverse flow (clamped to [100µs, 5ms]) expires, whichever comes first;
-// duplicates and out-of-order arrivals are acknowledged immediately,
-// with the held ranges, since the sender is evidently retransmitting or
-// has a hole to fill. AckEvery=1 restores ack-per-datagram. The flush on
-// drain is what keeps a deferred ACK from racing its sender's RTO: the
+// until 8 of them accumulate (ackEvery), the batched receive loop finds
+// the socket empty, or a flush timer of ~RTO/4 of the reverse flow
+// (clamped to [100µs, 5ms]) expires, whichever comes first; duplicates
+// and out-of-order arrivals are acknowledged immediately, with the held
+// ranges, since the sender is evidently retransmitting or has a hole to
+// fill. The flush on drain is what keeps a deferred ACK from racing its
+// sender's RTO: the
 // runtime sleeps in whole milliseconds when the process is idle, so a
 // sub-millisecond timer fires late, and a late ACK is a spurious
 // timeout, a needless re-send and a halved window. The timer stays as
 // the backstop: it alone serves the ReadFrom path, and a flow below
-// AckEvery whose peers keep the loop busy. Lock rule: the drain flush
+// ackEvery whose peers keep the loop busy. Lock rule: the drain flush
 // runs on the receive goroutine inside the read's callback and takes
 // each flow's recv.mu in turn; it never runs while aimRead holds one.
 //
@@ -254,14 +254,14 @@
 //
 // # Structure
 //
-// The protocol logic lives in methods of the per-flow structs
-// (sendFlow: scoreboard, pins, loss detection, RTT/RTO estimator,
-// congestion window; recvFlow: position, hold, ack schedule, reassembly,
-// placement and the read horizon) that take
-// the current time and return what to write — no socket, clock,
-// goroutine or metric inside them — so the recovery contract above is
-// tested on a deterministic harness with a virtual clock (flow_test.go).
-// The UDP type around them keeps the locks, the I/O and the counters.
+// The protocol logic lives in flow.go, in methods of the per-flow
+// structs (sendFlow: scoreboard, pins, loss detection, RTT/RTO
+// estimator, congestion window; recvFlow: position, hold, ack schedule,
+// reassembly, placement and the read horizon) that take the current time
+// and return what to write — no socket, clock, goroutine or metric
+// inside them — so the recovery contract above is tested on a
+// deterministic harness with a virtual clock (flow_test.go). The UDP
+// type around them (udp.go) keeps the locks, the I/O and the counters.
 package transport
 
 import (

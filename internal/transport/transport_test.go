@@ -177,14 +177,14 @@ func pattern(i, n int) []byte {
 
 // newPair builds two single-rank-hosted UDP transports addressing each
 // other, with an optional fault wrapper around each side's socket.
-func newPair(t *testing.T, faults *FaultConfig, rto time.Duration) (*UDP, *UDP) {
+func newPair(t *testing.T, faults *FaultConfig) (*UDP, *UDP) {
 	t.Helper()
-	return newPairWith(t, faults, UDPConfig{RetransmitEvery: rto})
+	return newPairWith(t, faults, ackEvery)
 }
 
-// newPairWith is newPair with both ends' protocol settings taken from
-// cfg (its NP, Hosted, Conn and Peers are overwritten).
-func newPairWith(t *testing.T, faults *FaultConfig, cfg UDPConfig) (*UDP, *UDP) {
+// newPairWith is newPair with both ends' delayed-ack threshold set to
+// every: a hook on the flows the pair starts with, not a setting.
+func newPairWith(t *testing.T, faults *FaultConfig, every int) (*UDP, *UDP) {
 	t.Helper()
 	mkConn := func(seed int64) net.PacketConn {
 		conn, err := net.ListenPacket("udp", "127.0.0.1:0")
@@ -199,18 +199,16 @@ func newPairWith(t *testing.T, faults *FaultConfig, cfg UDPConfig) (*UDP, *UDP) 
 		return NewFaulty(conn, cfg)
 	}
 	connA, connB := mkConn(7), mkConn(11)
-	cfg.NP = 2
-	cfg.Hosted, cfg.Conn, cfg.Peers = []int{1}, connB, map[int]string{0: connA.LocalAddr().String()}
-	b, err := NewUDP(cfg)
+	b, err := NewUDP(UDPConfig{NP: 2, Hosted: []int{1}, Conn: connB, Peers: map[int]string{0: connA.LocalAddr().String()}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Hosted, cfg.Conn, cfg.Peers = []int{0}, connA, map[int]string{1: connB.LocalAddr().String()}
-	a, err := NewUDP(cfg)
+	a, err := NewUDP(UDPConfig{NP: 2, Hosted: []int{0}, Conn: connA, Peers: map[int]string{1: connB.LocalAddr().String()}})
 	if err != nil {
 		b.Close()
 		t.Fatal(err)
 	}
+	a.sendTo[1].recv.ackEvery, b.sendTo[0].recv.ackEvery = every, every
 	t.Cleanup(func() { a.Close(); b.Close() })
 	return a, b
 }
@@ -219,7 +217,7 @@ func newPairWith(t *testing.T, faults *FaultConfig, cfg UDPConfig) (*UDP, *UDP) 
 // zero-length, sub-fragment, and multi-fragment — one way and checks
 // order and bytes.
 func TestUDPPairOrderAndFragmentation(t *testing.T) {
-	a, b := newPair(t, nil, 0)
+	a, b := newPair(t, nil)
 	var sink collector
 	if err := a.Start(discard); err != nil {
 		t.Fatal(err)
@@ -262,7 +260,7 @@ func TestUDPPairOrderAndFragmentation(t *testing.T) {
 // B acks every rendezvous payload it sees, and A must observe acks with
 // matching correlation ids.
 func TestUDPRendezvousAckFlow(t *testing.T) {
-	a, b := newPair(t, nil, 0)
+	a, b := newPair(t, nil)
 	var acks collector
 	if err := a.Start(deliverFunc(acks.handle)); err != nil {
 		t.Fatal(err)
@@ -303,7 +301,7 @@ func TestUDPRendezvousAckFlow(t *testing.T) {
 // in the metrics snapshot.
 func TestUDPByteIdentityUnderFaults(t *testing.T) {
 	faults := &FaultConfig{Drop: 0.05, Dup: 0.03, Reorder: 0.03}
-	a, b := newPair(t, faults, 5*time.Millisecond)
+	a, b := newPair(t, faults)
 	m := metrics.New(1, 0)
 	a.BindMetrics(m)
 	b.BindMetrics(m)
@@ -484,14 +482,14 @@ func TestUDPDirectPlacementTwoFlows(t *testing.T) {
 
 // TestUDPPinnedSendScribble is the pin's lifetime rule on real sockets,
 // under the race detector: over 20% loss both ways and with transport
-// ACKs held back (AckEvery far above what is ever in flight, so they
-// leave on the delay timer), a sender is released by the RdvAck alone —
+// ACKs held back (a delayed-ack threshold far above what is ever in
+// flight, so they leave on the delay timer), a sender is released by the RdvAck alone —
 // and overwrites its buffer the instant it is. The flow must have let go
 // of the buffer by then: every message still arrives with its original
 // bytes, and no retransmission reads a buffer its sender is writing.
 func TestUDPPinnedSendScribble(t *testing.T) {
 	faults := &FaultConfig{Drop: 0.2}
-	a, b := newPairWith(t, faults, UDPConfig{AckEvery: 1 << 20})
+	a, b := newPairWith(t, faults, 1<<20)
 
 	const n, size = 60, 3*maxPayload + 100
 	released := make(chan uint64, 1) // the engine's rdvState.done
