@@ -83,6 +83,39 @@ var archRules = []archRule{
 		name:  "every -run pattern in ci.yml names a test",
 		check: unmatchedRunPatterns,
 	},
+	{
+		// The facade re-exports the stack's types: a struct or an enum
+		// declared again in bcast/ is a second copy that needs
+		// converters and drifts from the first. Only the facade's own
+		// types are declared here.
+		name:  "the facade mirrors no internal type",
+		check: facadeMirrors,
+		allow: map[string]string{
+			"bcast.AlgorithmInfo": "a registry row without its emitters, for listing",
+			"bcast.CallOption":    "the per-call option function over the internal options",
+			"bcast.Cluster":       "the configured group of ranks and its reused world",
+			"bcast.Comm":          "one rank's view of a run, bound to its run's epoch",
+			"bcast.Option":        "the cluster option function over the private config",
+			"bcast.Persistent":    "the persistent request with its MPI lifecycle",
+			"bcast.Scalar":        "the typed helpers' element constraint",
+			"bcast.TunerFunc":     "a tuner as a plain function; its Decide makes it a tune.Tuner",
+		},
+	},
+	{
+		// The engine's communicator records its own traffic and is the
+		// only type offering the engine's capabilities; a communicator
+		// that forwards them to one it wraps is the deleted tracing
+		// decorator growing back.
+		name:  "one set of probes",
+		check: secondProbes,
+	},
+	{
+		// The examples are the facade's contract: they must compile
+		// against repro/bcast alone. An internal import there means the
+		// public API grew a hole.
+		name:  "examples stay on the public API",
+		check: internalImportsInExamples,
+	},
 }
 
 // loadRepo parses every .go file under the repository root and reads
@@ -315,6 +348,81 @@ func impureFlowCore(files []srcFile) []string {
 	return out
 }
 
+// facadeMirrors reports every exported type a non-test file of bcast/
+// declares that is not an alias.
+func facadeMirrors(files []srcFile) []string {
+	var out []string
+	for _, f := range files {
+		if f.ast == nil || f.test || f.pkg != "bcast" {
+			continue
+		}
+		for _, d := range f.ast.Decls {
+			if g, ok := d.(*ast.GenDecl); ok && g.Tok == token.TYPE {
+				for _, s := range g.Specs {
+					if ts := s.(*ast.TypeSpec); ts.Name.IsExported() && !ts.Assign.IsValid() {
+						out = append(out, f.pkg+"."+ts.Name.Name)
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+var (
+	// engineMethods are the engine communicator's capabilities, which no
+	// type outside internal/engine/ may offer; decoratorNames are the
+	// identifiers of the deleted tracing decorator.
+	engineMethods = map[string]bool{
+		"NextTagStream": true, "Prepost": true, "Bind": true, "SpanRing": true, "WithContext": true,
+	}
+	decoratorNames = map[string]bool{"tracedComm": true, "tracedRecvReq": true, "RingOf": true}
+)
+
+// secondProbes reports every method named in engineMethods that a
+// non-test file outside internal/engine/ declares, and every identifier
+// named in decoratorNames in any file.
+func secondProbes(files []srcFile) []string {
+	var out []string
+	for _, f := range files {
+		if f.ast == nil {
+			continue
+		}
+		if !f.test && !strings.HasPrefix(f.path, "internal/engine/") {
+			for _, d := range f.ast.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil && engineMethods[fd.Name.Name] {
+					out = append(out, f.path+" declares method "+fd.Name.Name)
+				}
+			}
+		}
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && decoratorNames[id.Name] {
+				out = append(out, f.path+" names "+id.Name)
+			}
+			return true
+		})
+	}
+	sort.Strings(out)
+	return out
+}
+
+// internalImportsInExamples reports every import of a repro/internal/
+// package by a file under examples/.
+func internalImportsInExamples(files []srcFile) []string {
+	var out []string
+	for _, f := range files {
+		if f.ast == nil || !strings.HasPrefix(f.path, "examples/") {
+			continue
+		}
+		for _, im := range f.ast.Imports {
+			if p, _ := strconv.Unquote(im.Path.Value); strings.HasPrefix(p, "repro/internal/") {
+				out = append(out, f.path+" imports "+p)
+			}
+		}
+	}
+	return out
+}
+
 var (
 	// testFunc is a name go test runs or lists.
 	testFunc = regexp.MustCompile(`^(Test|Example|Fuzz|Benchmark)`)
@@ -484,6 +592,61 @@ var _ net.Addr
 `,
 			},
 			want: []string{".github/workflows/planted.yml: -run 'PooledBounds|TestNoSuchTest/sub' in ./internal/engine: TestNoSuchTest names no test"},
+		},
+		{
+			rule: "the facade mirrors no internal type",
+			plant: map[string]string{
+				"bcast/planted.go": `package bcast
+import "repro/internal/mpi"
+type Status struct{ Source int }
+type plantedLocal struct{}
+type PlantedAlias = mpi.Status
+`,
+				"bcast/planted_test.go": `package bcast
+type PlantedTestOnly struct{}
+`,
+			},
+			want: []string{"bcast.Status"},
+		},
+		{
+			rule: "one set of probes",
+			plant: map[string]string{
+				"internal/collective/planted.go": `package collective
+import "repro/internal/mpi"
+type plantedWrap struct{ mpi.Comm }
+func (w plantedWrap) NextTagStream() int { return 0 }
+func (w *plantedWrap) WithContext() {}
+// a comment may say tracedComm, and a string "RingOf"
+func Bind() {}
+`,
+				"internal/engine/planted.go": `package engine
+func (c *comm) SpanRing() {}
+`,
+				"internal/collective/planted_test.go": `package collective
+func (w plantedWrap) Prepost() {}
+var _ = RingOf
+`,
+			},
+			want: []string{
+				"internal/collective/planted.go declares method NextTagStream",
+				"internal/collective/planted.go declares method WithContext",
+				"internal/collective/planted_test.go names RingOf",
+			},
+		},
+		{
+			rule: "examples stay on the public API",
+			plant: map[string]string{
+				"examples/planted/main.go": `package main
+import (
+	"repro/bcast"
+	t "repro/internal/tune"
+)
+// "repro/internal/mpi" in a comment is no import
+var _, _ = bcast.RingOpt, t.RingOpt
+func main() {}
+`,
+			},
+			want: []string{"examples/planted/main.go imports repro/internal/tune"},
 		},
 	} {
 		var rule *archRule

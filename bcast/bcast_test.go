@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -157,7 +158,7 @@ func TestDecisionResolution(t *testing.T) {
 	if d := cl2.Decision(4096); d.Algorithm != bcast.Binomial {
 		t.Errorf("custom tuner decision = %+v", d)
 	}
-	if seen.Procs != 8 || seen.Bytes != 4096 || seen.NumNodes != 2 || seen.Placement != "blocked" || seen.CoresPerNode != 4 {
+	if seen.Procs != 8 || seen.Bytes != 4096 || seen.NumNodes != 2 || seen.Placement != "blocked" || seen.CoresPerNode != 4 || !seen.MultiNode() {
 		t.Errorf("tuner env = %+v, want procs=8 bytes=4096 nodes=2 blocked cores=4", seen)
 	}
 	// WithTuner(nil) restores the default dispatch rather than
@@ -321,6 +322,26 @@ func TestSliceHelpers(t *testing.T) {
 	})
 	if err == nil {
 		t.Error("mismatched ScatterSlice run reported no error")
+	}
+}
+
+// TestReduceUnknownOp: an operator outside OpSum..OpMin fails both
+// reductions on every rank instead of leaving an unreduced result.
+func TestReduceUnknownOp(t *testing.T) {
+	ctx := context.Background()
+	cl := mustCluster(t, bcast.Procs(4))
+	err := cl.Run(ctx, func(c bcast.Comm) error {
+		in, out := []float64{1}, make([]float64, 1)
+		if err := c.AllreduceFloat64(ctx, in, out, bcast.Op(42)); err == nil {
+			return fmt.Errorf("rank %d: AllreduceFloat64 accepted Op(42)", c.Rank())
+		}
+		if err := c.ReduceFloat64(ctx, in, out, bcast.Op(42), 0); err == nil {
+			return fmt.Errorf("rank %d: ReduceFloat64 accepted Op(42)", c.Rank())
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

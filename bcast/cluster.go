@@ -157,7 +157,7 @@ func (cl *Cluster) Executor() string {
 // same resolution for that rank's communicator.
 func (cl *Cluster) Decision(n int, opts ...CallOption) Decision {
 	o := cl.opts.merge(opts)
-	return decisionOut(o.Decide(tune.EnvOf(n, cl.np, cl.topo)))
+	return o.Decide(tune.EnvOf(n, cl.np, cl.topo))
 }
 
 // Run executes fn once per rank, concurrently, and waits for all ranks.
@@ -290,12 +290,8 @@ func (cl *Cluster) Boots() int { return cl.boots }
 // Traffic describes the message traffic of a cluster's runs, classified
 // through the placement: Inter counts messages whose sender and
 // receiver sit on different nodes — the traffic the paper's
-// optimization saves.
-type Traffic struct {
-	Messages, Bytes           int64
-	IntraMessages, IntraBytes int64
-	InterMessages, InterBytes int64
-}
+// optimization saves — and Recvs the completed receives.
+type Traffic = metrics.TrafficTotals
 
 // Traffic returns the totals accumulated over the cluster's finished
 // runs. It reports false unless the cluster was built with
@@ -309,5 +305,6 @@ func (cl *Cluster) Traffic() (Traffic, bool) {
 		Messages: s.Total.Messages, Bytes: s.Total.Bytes,
 		IntraMessages: s.Intra.Messages, IntraBytes: s.Intra.Bytes,
 		InterMessages: s.Inter.Messages, InterBytes: s.Inter.Bytes,
+		Recvs: s.Recvs,
 	}, true
 }

@@ -28,16 +28,10 @@ const (
 	Undefined = mpi.Undefined
 )
 
-// Status describes a completed receive.
-type Status struct {
-	// Source is the rank that sent the message (resolved even for
-	// AnySource receives).
-	Source int
-	// Tag is the message tag (resolved even for AnyTag receives).
-	Tag int
-	// Count is the number of payload bytes transferred.
-	Count int
-}
+// Status describes a completed receive: the Source and Tag it matched
+// (resolved even for AnySource and AnyTag receives) and the Count of
+// payload bytes transferred.
+type Status = mpi.Status
 
 // callDefaults carries a cluster's selection defaults into each Comm.
 type callDefaults struct{ o collective.Options }
@@ -85,7 +79,7 @@ func WithTuner(fn TunerFunc) CallOption {
 			o.Tuner = nil
 			return
 		}
-		o.Tuner = tunerAdapter{fn: fn}
+		o.Tuner = fn
 	}
 }
 
@@ -169,7 +163,7 @@ func (c Comm) env(n int) tune.Env {
 // Decision reports which algorithm an n-byte Bcast with the same
 // options would run, without moving a byte. Not collective.
 func (c Comm) Decision(n int, opts ...CallOption) Decision {
-	return decisionOut(c.defaults.merge(opts).Decide(c.env(n)))
+	return c.defaults.merge(opts).Decide(c.env(n))
 }
 
 // Bcast broadcasts buf from root: on the root the buffer is the
@@ -218,8 +212,7 @@ func (c Comm) Recv(ctx context.Context, buf []byte, from, tag int) (Status, erro
 	if err := mpi.CheckUserTag(tag, true); err != nil {
 		return Status{}, fmt.Errorf("bcast: recv: %w", err)
 	}
-	st, err := c.bind(ctx).Recv(buf, from, tag)
-	return Status{Source: st.Source, Tag: st.Tag, Count: st.Count}, err
+	return c.bind(ctx).Recv(buf, from, tag)
 }
 
 // Split partitions the communicator: ranks passing equal colors form a
@@ -274,31 +267,15 @@ func (c Comm) Allgather(ctx context.Context, send []byte, chunk int, recv []byte
 }
 
 // Op is a reduction operator over float64 vectors.
-type Op int
+type Op = collective.Op
 
 // Reduction operators.
 const (
-	OpSum Op = iota
-	OpProd
-	OpMax
-	OpMin
+	OpSum  = collective.OpSum
+	OpProd = collective.OpProd
+	OpMax  = collective.OpMax
+	OpMin  = collective.OpMin
 )
-
-// opIn maps the public operator onto the executable one.
-func opIn(op Op) (collective.Op, error) {
-	switch op {
-	case OpSum:
-		return collective.OpSum, nil
-	case OpProd:
-		return collective.OpProd, nil
-	case OpMax:
-		return collective.OpMax, nil
-	case OpMin:
-		return collective.OpMin, nil
-	default:
-		return 0, fmt.Errorf("bcast: unknown reduction operator %d", int(op))
-	}
-}
 
 // AllreduceFloat64 combines every rank's in element-wise with op and
 // leaves the identical result in out on all ranks. len(in) must equal
@@ -307,11 +284,7 @@ func (c Comm) AllreduceFloat64(ctx context.Context, in, out []float64, op Op) er
 	if err := c.epochAlive(); err != nil {
 		return fmt.Errorf("bcast: allreduce: %w", err)
 	}
-	cop, err := opIn(op)
-	if err != nil {
-		return err
-	}
-	return collective.AllreduceFloat64(c.bind(ctx), in, out, cop)
+	return collective.AllreduceFloat64(c.bind(ctx), in, out, op)
 }
 
 // ReduceFloat64 combines every rank's in element-wise with op into out
@@ -320,9 +293,5 @@ func (c Comm) ReduceFloat64(ctx context.Context, in, out []float64, op Op, root 
 	if err := c.epochAlive(); err != nil {
 		return fmt.Errorf("bcast: reduce: %w", err)
 	}
-	cop, err := opIn(op)
-	if err != nil {
-		return err
-	}
-	return collective.ReduceFloat64(c.bind(ctx), in, out, cop, root)
+	return collective.ReduceFloat64(c.bind(ctx), in, out, op, root)
 }

@@ -57,8 +57,11 @@
 // the merged options resolve against the call's environment — message
 // size, rank count, node count and placement classification, all derived
 // from the cluster's topology — into a Decision naming a registered
-// algorithm and its segment size. Comm.Decision reports the resolution
-// without moving a byte; Comm.Bcast runs it. Comm.Bcast resolves on
+// algorithm and its segment size. Env and Decision are the selection
+// subsystem's own types, re-exported, and a TunerFunc is one of its
+// tuners: its Decide method is what the dispatch calls, so a custom
+// tuner runs with no conversion in between. Comm.Decision reports the
+// resolution without moving a byte; Comm.Bcast runs it. Comm.Bcast resolves on
 // every call, so a tuner sees every call, but compiles the schedule a
 // Decision names once per (length, root, Decision) in a Run: each rank
 // keeps the few it used last for its communicator, and a call that

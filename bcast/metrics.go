@@ -28,10 +28,6 @@ type Span = metrics.Span
 // cluster in the process.
 type PoolClassStats = metrics.PoolClassStats
 
-// TrafficTotals is the traced traffic summary embedded in a Snapshot
-// when the cluster was built with TraceTraffic.
-type TrafficTotals = metrics.TrafficTotals
-
 // Metrics snapshots the cluster's instrumentation. Counters are always
 // on and cost one atomic add per event on the rank that caused it;
 // spans appear only when the cluster was built with WithSpans. The
@@ -52,14 +48,8 @@ func (cl *Cluster) Metrics() Snapshot {
 		}
 		s.RetiredWorlds = retired
 	}
-	if cl.collector != nil {
-		st := cl.collector.Stats()
-		s.Traffic = &metrics.TrafficTotals{
-			Messages: st.Total.Messages, Bytes: st.Total.Bytes,
-			IntraMessages: st.Intra.Messages, IntraBytes: st.Intra.Bytes,
-			InterMessages: st.Inter.Messages, InterBytes: st.Inter.Bytes,
-			Recvs: st.Recvs,
-		}
+	if t, ok := cl.Traffic(); ok {
+		s.Traffic = &t
 	}
 	return s
 }

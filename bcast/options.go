@@ -113,7 +113,7 @@ func Tuner(fn TunerFunc) Option {
 		if c.hasTuner {
 			return fmt.Errorf("bcast: a tuner is already configured (give Tuner or TuneTable at most once)")
 		}
-		c.opts.Tuner = tunerAdapter{fn: fn}
+		c.opts.Tuner = fn
 		c.hasTuner = true
 		return nil
 	}

@@ -171,5 +171,5 @@ func (h *Persistent) Free() error {
 
 // Decision reports the resolved algorithm selection the handle executes.
 func (h *Persistent) Decision() Decision {
-	return decisionOut(h.plan.Decision())
+	return h.plan.Decision()
 }

@@ -139,6 +139,7 @@ func reuseParity(t *testing.T, cell reuseCell, np, runs, n, seg int) {
 		Messages: freshTraffic.Messages * int64(runs), Bytes: freshTraffic.Bytes * int64(runs),
 		IntraMessages: freshTraffic.IntraMessages * int64(runs), IntraBytes: freshTraffic.IntraBytes * int64(runs),
 		InterMessages: freshTraffic.InterMessages * int64(runs), InterBytes: freshTraffic.InterBytes * int64(runs),
+		Recvs: freshTraffic.Recvs * int64(runs),
 	}
 	if !reflect.DeepEqual(reusedTraffic, want) {
 		t.Errorf("traced traffic after %d reused runs = %+v, want %d x fresh run = %+v",
@@ -147,7 +148,7 @@ func reuseParity(t *testing.T, cell reuseCell, np, runs, n, seg int) {
 
 	// Clean runs deliver every sent message: the traced receive
 	// count must equal the send count, on both clusters, through
-	// the metrics snapshot (the one surface that exposes Recvs).
+	// the metrics snapshot as well as Traffic.
 	for _, c := range []struct {
 		label string
 		cl    *bcast.Cluster

@@ -34,31 +34,15 @@ const (
 )
 
 // Env is the selection environment a tuner decides on: everything known
-// about a broadcast call before any byte moves. NumNodes, CoresPerNode
-// and Placement derive from the cluster's rank placement.
-type Env struct {
-	// Bytes is the broadcast message size.
-	Bytes int
-	// Procs is the communicator size.
-	Procs int
-	// NumNodes is the number of distinct nodes hosting the ranks.
-	NumNodes int
-	// CoresPerNode is the largest number of ranks on one node.
-	CoresPerNode int
-	// Placement classifies the rank-to-node mapping: "single",
-	// "blocked", "round-robin" or "irregular".
-	Placement string
-}
+// about a broadcast call before any byte moves. It is the selection
+// subsystem's own type; NumNodes, CoresPerNode and Placement derive from
+// the cluster's rank placement, and Pow2 and MultiNode classify it.
+type Env = tune.Env
 
 // Decision is a resolved selection: the registered algorithm to run and
-// its segment size (0 for unsegmented algorithms or their default).
-type Decision struct {
-	// Algorithm is the registry name (one of the constants above, or a
-	// registered extension).
-	Algorithm string
-	// SegSize is the pipeline segment size in bytes.
-	SegSize int
-}
+// its segment size (0 for unsegmented algorithms or their default). It
+// marshals to JSON with a tuning table's keys.
+type Decision = tune.Decision
 
 // TunerFunc maps a selection environment to a Decision. Implementations
 // must be pure — the same Env always yields the same Decision — because
@@ -66,52 +50,17 @@ type Decision struct {
 // agree on the algorithm.
 type TunerFunc func(Env) Decision
 
+// Decide calls f, which makes a TunerFunc a tuner of the selection
+// subsystem.
+func (f TunerFunc) Decide(e Env) Decision { return f(e) }
+
 // MPICH3Tuner returns the library's default dispatch as a TunerFunc:
 // stock MPICH3's size and rank-count thresholds, with the paper's
 // non-enclosed ring on the long-message paths when opt is true. It is
 // exported so callers can wrap or fall back to the default selection
 // inside their own tuners.
 func MPICH3Tuner(opt bool) TunerFunc {
-	t := tune.MPICH3{Tuned: opt}
-	return func(e Env) Decision {
-		return decisionOut(t.Decide(envIn(e)))
-	}
-}
-
-// envOut converts the internal selection environment to the public one.
-func envOut(e tune.Env) Env {
-	return Env{
-		Bytes:        e.Bytes,
-		Procs:        e.Procs,
-		NumNodes:     e.NumNodes,
-		CoresPerNode: e.CoresPerNode,
-		Placement:    e.Placement,
-	}
-}
-
-// envIn is the inverse of envOut.
-func envIn(e Env) tune.Env {
-	return tune.Env{
-		Bytes:        e.Bytes,
-		Procs:        e.Procs,
-		NumNodes:     e.NumNodes,
-		CoresPerNode: e.CoresPerNode,
-		Placement:    e.Placement,
-	}
-}
-
-// decisionOut converts an internal decision to the public type.
-func decisionOut(d tune.Decision) Decision {
-	return Decision{Algorithm: d.Algorithm, SegSize: d.SegSize}
-}
-
-// tunerAdapter lets a public TunerFunc stand where the selection
-// subsystem expects a tune.Tuner.
-type tunerAdapter struct{ fn TunerFunc }
-
-func (a tunerAdapter) Decide(e tune.Env) tune.Decision {
-	d := a.fn(envOut(e))
-	return tune.Decision{Algorithm: d.Algorithm, SegSize: d.SegSize}
+	return tune.MPICH3{Tuned: opt}.Decide
 }
 
 // AlgorithmInfo describes one registered broadcast algorithm.

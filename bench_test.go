@@ -30,8 +30,8 @@ import (
 // ---------------------------------------------------------------------
 
 // simCfg is the benchmark-grade simulated harness (short replication).
-func simCfg() bench.SimConfig {
-	return bench.SimConfig{
+func simCfg() tune.SimMeasurer {
+	return tune.SimMeasurer{
 		Model: netsim.Hornet(),
 		Place: tune.Placement{Kind: topology.KindBlocked, CoresPerNode: topology.HornetCoresPerNode},
 		Warm:  1, Total: 3,

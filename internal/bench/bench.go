@@ -70,9 +70,3 @@ func ParseAlgo(name string) (collective.Options, error) {
 	}
 	return o, nil
 }
-
-// SimConfig configures a simulated measurement: the cluster model, the
-// rank placement (zero = single node), the steady-state replication
-// bounds and the root. It is the tuner's netsim measurer, so the figures
-// and the auto-tuner replay schedules under one configuration.
-type SimConfig = tune.SimMeasurer

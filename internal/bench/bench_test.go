@@ -31,7 +31,7 @@ var algoNames = []string{"native", "opt", "binomial", "auto", "auto-opt", "smp",
 // environment, simulate on the model — the SMP rows included, on the
 // multi-node placement they need.
 func TestParseAlgoRunsOnBothHarnesses(t *testing.T) {
-	sim := SimConfig{Model: netsim.Hornet(), Place: blocked(4), Warm: 1, Total: 3}
+	sim := tune.SimMeasurer{Model: netsim.Hornet(), Place: blocked(4), Warm: 1, Total: 3}
 	for _, name := range algoNames {
 		o, err := ParseAlgo(name)
 		if err != nil {
@@ -98,7 +98,7 @@ func TestAutoFollowsDispatch(t *testing.T) {
 }
 
 func TestFig6SmallSweep(t *testing.T) {
-	cfg := SimConfig{Model: netsim.Hornet(), Place: blocked(24), Warm: 1, Total: 3}
+	cfg := tune.SimMeasurer{Model: netsim.Hornet(), Place: blocked(24), Warm: 1, Total: 3}
 	fig, err := Fig6(cfg, 16, []int{1 << 19, 1 << 20})
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestFig6SmallSweep(t *testing.T) {
 }
 
 func TestFig7SmallSweep(t *testing.T) {
-	cfg := SimConfig{Model: netsim.Hornet(), Place: blocked(24), Warm: 1, Total: 3}
+	cfg := tune.SimMeasurer{Model: netsim.Hornet(), Place: blocked(24), Warm: 1, Total: 3}
 	fig, err := Fig7(cfg, []int{9, 17}, []int{12288})
 	if err != nil {
 		t.Fatal(err)

@@ -34,7 +34,7 @@ func FamilyCandidates() []tune.Candidate {
 }
 
 // Substrate is what the auto-tuner can measure on: the netsim model
-// (SimConfig) or the real engine (measure.EngineMeasurer).
+// (tune.SimMeasurer) or the real engine (measure.EngineMeasurer).
 type Substrate interface {
 	// Factory rebinds the measurer to each swept placement.
 	Factory() func(tune.Placement) tune.Measurer
@@ -83,7 +83,7 @@ type TunedRow struct {
 // one. Every grid point is re-evaluated under each placement, mirroring
 // the placement-keyed rule groups of the tables AutoTune emits; an empty
 // placement list evaluates only the config's own.
-func CompareTuned(cfg SimConfig, table *tune.Table, procs, sizes []int, placements []tune.Placement) ([]TunedRow, error) {
+func CompareTuned(cfg tune.SimMeasurer, table *tune.Table, procs, sizes []int, placements []tune.Placement) ([]TunedRow, error) {
 	if len(placements) == 0 {
 		placements = []tune.Placement{{}}
 	}
@@ -126,7 +126,7 @@ func CompareTuned(cfg SimConfig, table *tune.Table, procs, sizes []int, placemen
 
 // MeasureSimDecision predicts the steady-state bandwidth of a registry
 // decision on the modelled cluster under the config's placement.
-func MeasureSimDecision(cfg SimConfig, d tune.Decision, p, n int) (Result, error) {
+func MeasureSimDecision(cfg tune.SimMeasurer, d tune.Decision, p, n int) (Result, error) {
 	dt, err := cfg.Measure(tune.Candidate{
 		Name:    d.Algorithm,
 		SegSize: d.SegSize,

@@ -55,7 +55,7 @@ func (r *CrossReport) Agreement() float64 {
 // Both sides are measured under the swept placements (each measurer
 // rebound per placement by AutoTune), so each cell compares the two
 // substrates on an identical environment.
-func CrossCheck(sim SimConfig, eng measure.EngineMeasurer, cands []tune.Candidate, sweep tune.SweepConfig) (*CrossReport, error) {
+func CrossCheck(sim tune.SimMeasurer, eng measure.EngineMeasurer, cands []tune.Candidate, sweep tune.SweepConfig) (*CrossReport, error) {
 	// Both substrates must time the same broadcast: a root mismatch would
 	// make per-cell divergence meaningless.
 	sim.Root = eng.Root

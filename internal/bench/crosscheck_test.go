@@ -21,7 +21,7 @@ func TestCrossCheckTinyGrid(t *testing.T) {
 		Sizes:      []int{1 << 12, 1 << 16},
 		Placements: []tune.Placement{blocked(2)},
 	}
-	report, err := CrossCheck(SimConfig{}, eng, FamilyCandidates(), sweep)
+	report, err := CrossCheck(tune.SimMeasurer{}, eng, FamilyCandidates(), sweep)
 	if err != nil {
 		t.Fatal(err)
 	}

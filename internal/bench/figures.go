@@ -61,7 +61,7 @@ func Fig8Sizes() []int {
 }
 
 // nativeAndOpt simulates the paper's two broadcasts at one grid point.
-func nativeAndOpt(cfg SimConfig, p, n int) (native, opt Result, err error) {
+func nativeAndOpt(cfg tune.SimMeasurer, p, n int) (native, opt Result, err error) {
 	if native, err = MeasureSimDecision(cfg, Native, p, n); err == nil {
 		opt, err = MeasureSimDecision(cfg, Opt, p, n)
 	}
@@ -70,7 +70,7 @@ func nativeAndOpt(cfg SimConfig, p, n int) (native, opt Result, err error) {
 
 // Fig6 regenerates one panel of Figure 6: bandwidth versus message size
 // for MPI_Bcast_native and MPI_Bcast_opt at the given process count.
-func Fig6(cfg SimConfig, np int, sizes []int) (Figure, error) {
+func Fig6(cfg tune.SimMeasurer, np int, sizes []int) (Figure, error) {
 	if sizes == nil {
 		sizes = Fig6Sizes()
 	}
@@ -99,7 +99,7 @@ func Fig6(cfg SimConfig, np int, sizes []int) (Figure, error) {
 // Fig7 regenerates Figure 7: the throughput speedup of MPI_Bcast_opt
 // over MPI_Bcast_native across non-power-of-two process counts, one
 // series per message size.
-func Fig7(cfg SimConfig, procs, sizes []int) (Figure, error) {
+func Fig7(cfg tune.SimMeasurer, procs, sizes []int) (Figure, error) {
 	if procs == nil {
 		procs = Fig7Procs()
 	}
@@ -129,7 +129,7 @@ func Fig7(cfg SimConfig, procs, sizes []int) (Figure, error) {
 
 // Fig8 regenerates Figure 8: bandwidth versus message size for 129
 // processes from medium (12288) into long (2560000) messages.
-func Fig8(cfg SimConfig, sizes []int) (Figure, error) {
+func Fig8(cfg tune.SimMeasurer, sizes []int) (Figure, error) {
 	if sizes == nil {
 		sizes = Fig8Sizes()
 	}

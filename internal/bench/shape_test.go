@@ -20,8 +20,8 @@ func blocked(cores int) tune.Placement {
 // the paper reports, these fail.
 
 // shapeCfg uses moderate replication for stable steady-state numbers.
-func shapeCfg() SimConfig {
-	return SimConfig{Model: netsim.Hornet(), Place: blocked(topology.HornetCoresPerNode), Warm: 2, Total: 6}
+func shapeCfg() tune.SimMeasurer {
+	return tune.SimMeasurer{Model: netsim.Hornet(), Place: blocked(topology.HornetCoresPerNode), Warm: 2, Total: 6}
 }
 
 // TestShapeOptNeverLosesOnRingPath: across the evaluation grid, the tuned
@@ -166,7 +166,7 @@ func TestShapeContentionDrivesIntraNodeGain(t *testing.T) {
 	}
 }
 
-func fig6Gain(t *testing.T, cfg SimConfig, np, n int) float64 {
+func fig6Gain(t *testing.T, cfg tune.SimMeasurer, np, n int) float64 {
 	t.Helper()
 	nat, err := MeasureSimDecision(cfg, Native, np, n)
 	if err != nil {
@@ -185,7 +185,7 @@ func TestShapeLakiSameTrend(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulated sweeps")
 	}
-	cfg := SimConfig{Model: netsim.Laki(), Place: blocked(topology.LakiCoresPerNode), Warm: 2, Total: 6}
+	cfg := tune.SimMeasurer{Model: netsim.Laki(), Place: blocked(topology.LakiCoresPerNode), Warm: 2, Total: 6}
 	for _, p := range []int{9, 16, 33} {
 		for _, n := range []int{12288, 1 << 20} {
 			nat, err := MeasureSimDecision(cfg, Native, p, n)

@@ -291,8 +291,7 @@ func (c *Config) ClusterOptions(np int, sel Selection) []bcast.Option {
 	if sel.Algorithm != "" {
 		opts = append(opts, bcast.Algorithm(sel.Algorithm))
 	} else {
-		t := sel.Tuner
-		opts = append(opts, bcast.Tuner(func(e bcast.Env) bcast.Decision { return bcast.Decision(t.Decide(tune.Env(e))) }))
+		opts = append(opts, bcast.Tuner(sel.Tuner.Decide))
 	}
 	if c.Exec == engine.Pooled {
 		opts = append(opts, bcast.ExecPooled(c.Workers))
@@ -329,7 +328,7 @@ func (c *Config) EngineMeasurer() measure.EngineMeasurer {
 
 // SimConfig is the simulated cluster the model flags describe, placed
 // blocked over nodes of -cores cores (default: the model's preset).
-func (c *Config) SimConfig() bench.SimConfig {
+func (c *Config) SimConfig() tune.SimMeasurer {
 	model, cores := netsim.Hornet(), topology.HornetCoresPerNode
 	if c.Model == "laki" {
 		model, cores = netsim.Laki(), topology.LakiCoresPerNode
@@ -338,7 +337,7 @@ func (c *Config) SimConfig() bench.SimConfig {
 	if c.Cores > 0 {
 		cores = c.Cores
 	}
-	return bench.SimConfig{
+	return tune.SimMeasurer{
 		Model: model,
 		Place: tune.Placement{Kind: topology.KindBlocked, CoresPerNode: cores},
 		Warm:  c.Warm,

@@ -94,6 +94,9 @@ func ReduceFloat64(c mpi.Comm, in, out []float64, op Op, root int) error {
 }
 
 func reduceFloat64(c mpi.Comm, in, out []float64, op Op, root int) error {
+	if op < OpSum || op > OpMin {
+		return fmt.Errorf("collective: reduce: unknown reduction operator %v", op)
+	}
 	if err := checkRoot(c, root); err != nil {
 		return err
 	}

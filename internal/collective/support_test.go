@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -295,6 +296,32 @@ func TestAllreduceEveryRankGetsResult(t *testing.T) {
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
+	}
+}
+
+// TestReduceUnknownOp: an operator outside OpSum..OpMin fails both
+// reductions on every rank, naming the operator, before anything is sent,
+// so the communicator stays usable for the next reduction.
+func TestReduceUnknownOp(t *testing.T) {
+	const p = 4
+	err := engine.Run(p, func(c mpi.Comm) error {
+		in, out := []float64{1}, make([]float64, 1)
+		if err := AllreduceFloat64(c, in, out, Op(42)); err == nil || !strings.Contains(err.Error(), "Op(42)") {
+			return fmt.Errorf("rank %d: allreduce with Op(42): got %v", c.Rank(), err)
+		}
+		if err := ReduceFloat64(c, in, out, Op(42), 0); err == nil || !strings.Contains(err.Error(), "Op(42)") {
+			return fmt.Errorf("rank %d: reduce with Op(42): got %v", c.Rank(), err)
+		}
+		if err := AllreduceFloat64(c, in, out, OpSum); err != nil {
+			return err
+		}
+		if out[0] != p {
+			return fmt.Errorf("rank %d: allreduce sum after the rejected calls = %v want %d", c.Rank(), out[0], p)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
