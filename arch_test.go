@@ -110,6 +110,15 @@ var archRules = []archRule{
 		check: secondProbes,
 	},
 	{
+		// A rank blocks in one place: request.harvest, the only caller
+		// of parkRank (declared in executor.go), which brackets its
+		// select with parkRank/unparkRank. A second caller is a second
+		// blocking path growing back, as are the names of the ones that
+		// were folded away.
+		name:  "one blocking site",
+		check: blockingSites,
+	},
+	{
 		// The examples are the facade's contract: they must compile
 		// against repro/bcast alone. An internal import there means the
 		// public API grew a hole.
@@ -406,6 +415,85 @@ func secondProbes(files []srcFile) []string {
 	return out
 }
 
+var (
+	// parkSite is where parkRank is declared and parkCaller the one
+	// function that may refer to it; foldedPaths are the identifiers of
+	// the blocking paths folded into it.
+	parkSite    = "internal/engine/executor.go"
+	parkCaller  = "(*request).harvest"
+	foldedPaths = map[string]bool{"remoteSend": true, "creditWait": true}
+)
+
+// blockingSites reports, in internal/engine/ (test files included), a
+// parkRank declared outside parkSite or not at all, every reference to
+// parkRank outside parkCaller — a call or a method value alike — every
+// identifier in foldedPaths, and every bool field or parameter named
+// track.
+func blockingSites(files []srcFile) []string {
+	var out []string
+	declared := false
+	for _, f := range files {
+		if f.ast == nil || f.pkg != "internal/engine" {
+			continue
+		}
+		for _, d := range f.ast.Decls {
+			where := "a declaration"
+			if fd, ok := d.(*ast.FuncDecl); ok {
+				where = funcName(fd)
+				if fd.Recv != nil && fd.Name.Name == "parkRank" {
+					if f.path == parkSite {
+						declared = true
+					} else {
+						out = append(out, f.path+" declares parkRank")
+					}
+				}
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					if n.Sel.Name == "parkRank" && where != parkCaller {
+						out = append(out, f.path+": "+where+" refers to parkRank")
+					}
+				case *ast.Ident:
+					if foldedPaths[n.Name] {
+						out = append(out, f.path+" names "+n.Name)
+					}
+				case *ast.Field:
+					if id, ok := n.Type.(*ast.Ident); ok && id.Name == "bool" {
+						for _, name := range n.Names {
+							if name.Name == "track" {
+								out = append(out, f.path+" has a bool named track")
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	if !declared {
+		out = append(out, parkSite+" declares no parkRank")
+	}
+	sort.Strings(out)
+	return out
+}
+
+// funcName names a function declaration as a reader would: F, or
+// (T).M and (*T).M for a method.
+func funcName(fd *ast.FuncDecl) string {
+	if fd.Recv == nil || len(fd.Recv.List) == 0 {
+		return fd.Name.Name
+	}
+	t, star := fd.Recv.List[0].Type, ""
+	if p, ok := t.(*ast.StarExpr); ok {
+		t, star = p.X, "*"
+	}
+	if id, ok := t.(*ast.Ident); ok {
+		return "(" + star + id.Name + ")." + fd.Name.Name
+	}
+	return fd.Name.Name
+}
+
 // internalImportsInExamples reports every import of a repro/internal/
 // package by a file under examples/.
 func internalImportsInExamples(files []srcFile) []string {
@@ -631,6 +719,37 @@ var _ = RingOf
 				"internal/collective/planted.go declares method NextTagStream",
 				"internal/collective/planted.go declares method WithContext",
 				"internal/collective/planted_test.go names RingOf",
+			},
+		},
+		{
+			rule: "one blocking site",
+			plant: map[string]string{
+				"internal/engine/planted.go": `package engine
+func (b *binding) Move() { b.w.parkRank(b.rank) }
+var plantedPark = (*World).parkRank
+`,
+				"internal/engine/planted_test.go": `package engine
+func (w *World) parkRank(rank int) {}
+type plantedReq struct{ track bool }
+func (r *request) plantedWait(track bool) { r.w.creditWait() }
+`,
+			},
+			want: []string{
+				"internal/engine/planted.go: (*binding).Move refers to parkRank",
+				"internal/engine/planted.go: a declaration refers to parkRank",
+				"internal/engine/planted_test.go declares parkRank",
+				"internal/engine/planted_test.go has a bool named track",
+				"internal/engine/planted_test.go has a bool named track",
+				"internal/engine/planted_test.go names creditWait",
+			},
+		},
+		{
+			rule: "one blocking site",
+			plant: map[string]string{
+				"internal/engine/planted.go": `package engine
+// Move must not call creditWait, nor remoteSend, nor track bool state.
+func (b *binding) plantedMove() string { return "parkRank" }
+`,
 			},
 		},
 		{

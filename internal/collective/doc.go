@@ -29,6 +29,13 @@
 //     an intra-node binomial tree on every other node, composed over the
 //     communicator's node map into one schedule.
 //
+// # The executor
+//
+// The executor (exec.go) runs the rank's ops in order, posting large
+// receives early (manage). A kept Plan binds its edges once (mpi.Binder)
+// and runs each op as one call to the binding's Move, its halves named
+// by edge index; a per-call Plan runs on Send, Recv and Sendrecv.
+//
 // # Registry and tuning
 //
 // A Registration is a stable name (the tune.* name constants),

@@ -60,6 +60,7 @@ type rankOps struct {
 	order           []int       // indices into recvs, by completion point
 	cut, open, mark []int       // manage's scratch
 	bound           mpi.Binding // a kept Plan's edges (bindEdges); nil per call
+	halves          [][2]int    // per op: its send and receive edges' indices in bound, -1 for none
 }
 
 // managed is a receive posted just before op post and completed just
@@ -204,9 +205,9 @@ func (s *rankOps) manage() {
 
 // bindEdges hands a kept Plan's edges to a communicator that can bind
 // them (mpi.Binder): each (direction, peer, tag) of the ops, with how
-// many messages cross it per run and the longest. The engine carries an
-// edge of tiny messages (at most its inlinePayload) on a ring of cells
-// of its own, and the rest as before.
+// many messages cross it per run and the longest, and notes in halves
+// each op's two for Move. The engine carries an edge of tiny messages (at
+// most its inlinePayload) on a ring of cells of its own.
 func (s *rankOps) bindEdges(c mpi.Comm) {
 	s.bound = nil
 	b, ok := c.(mpi.Binder)
@@ -214,40 +215,43 @@ func (s *rankOps) bindEdges(c mpi.Comm) {
 		return
 	}
 	var edges []mpi.Edge
-	add := func(e mpi.Edge, n int) {
+	add := func(e mpi.Edge, n int) int {
 		for i := range edges {
 			if x := &edges[i]; x.Peer == e.Peer && x.Tag == e.Tag && x.Send == e.Send {
 				x.Count, x.MaxLen = x.Count+1, max(x.MaxLen, n)
-				return
+				return i
 			}
 		}
 		e.Count, e.MaxLen = 1, n
 		edges = append(edges, e)
+		return len(edges) - 1
 	}
+	s.halves = make([][2]int, len(s.ops))
 	for i := range s.ops {
-		op := &s.ops[i]
+		op, h := &s.ops[i], &s.halves[i]
+		h[0], h[1] = -1, -1
 		if op.Kind != sched.OpRecv {
-			add(mpi.Edge{Peer: op.To, Tag: op.Tag, Send: true}, op.SendLen)
+			h[0] = add(mpi.Edge{Peer: op.To, Tag: op.Tag, Send: true}, op.SendLen)
 		}
 		if op.Kind != sched.OpSend {
-			add(mpi.Edge{Peer: op.From, Tag: op.Tag}, op.RecvLen)
+			h[1] = add(mpi.Edge{Peer: op.From, Tag: op.Tag}, op.RecvLen)
 		}
 	}
 	s.bound = b.Bind(edges)
 }
 
-// exec runs the compiled operations on c, moving real bytes in buf
-// (which compile or the caller has checked covers every op). A rank with
-// no managed receive, or a communicator that cannot post early, runs
-// them one by one. Otherwise the loop, before op i, completes the
-// receives due there, posts the ones due there, and runs op i — only its
-// send half when its receive was posted early.
-func (s *rankOps) exec(c mpi.Comm, buf []byte) error {
+// exec runs the compiled operations on c, or on its engaged binding mv,
+// moving real bytes in buf (which compile or the caller has checked
+// covers every op). A rank with no managed receive, or a communicator
+// that cannot post early, runs them one by one. Otherwise the loop,
+// before op i, completes the receives due there, posts the ones due
+// there, and runs op i: only its send half if its receive is posted.
+func (s *rankOps) exec(c mpi.Comm, mv mpi.Binding, buf []byte) error {
 	ops := s.ops
 	pp, _ := c.(mpi.Preposter)
 	if len(s.recvs) == 0 || pp == nil {
 		for i := range ops {
-			if err := execOp(c, &ops[i], buf, false); err != nil {
+			if err := s.execOp(c, mv, i, buf, false); err != nil {
 				return opError(c, i, &ops[i], err)
 			}
 		}
@@ -276,28 +280,42 @@ func (s *rankOps) exec(c mpi.Comm, buf []byte) error {
 			early = s.recvs[mine].on
 			mine++
 		}
-		if err := execOp(c, &ops[i], buf, early); err != nil {
+		if err := s.execOp(c, mv, i, buf, early); err != nil {
 			return opError(c, i, &ops[i], err)
 		}
 	}
 }
 
-// execOp runs one op, blocking until its halves are done; with early
-// set, its receive half was posted ahead and only its send half runs.
-func execOp(c mpi.Comm, op *sched.Op, buf []byte, early bool) error {
+// execOp runs op i, blocking until its halves are done; with early set,
+// its receive half was posted ahead and only its send half runs.
+func (s *rankOps) execOp(c mpi.Comm, mv mpi.Binding, i int, buf []byte, early bool) error {
+	op := &s.ops[i]
+	send, recv := op.Kind != sched.OpRecv, op.Kind != sched.OpSend && !early
+	var sb, rb []byte
+	if send {
+		sb = buf[op.SendOff : op.SendOff+op.SendLen]
+	}
+	if recv {
+		rb = buf[op.RecvOff : op.RecvOff+op.RecvLen]
+	}
 	var st mpi.Status
 	var err error
 	switch {
-	case op.Kind == sched.OpSend || early && op.Kind == sched.OpSendrecv:
-		return c.Send(buf[op.SendOff:op.SendOff+op.SendLen], op.To, op.Tag)
-	case early:
-		return nil
-	case op.Kind == sched.OpRecv:
-		st, err = c.Recv(buf[op.RecvOff:op.RecvOff+op.RecvLen], op.From, op.Tag)
-	case op.Kind == sched.OpSendrecv:
-		st, err = c.Sendrecv(
-			buf[op.SendOff:op.SendOff+op.SendLen], op.To, op.Tag,
-			buf[op.RecvOff:op.RecvOff+op.RecvLen], op.From, op.Tag)
+	case mv != nil && (send || recv):
+		h := s.halves[i]
+		if !recv {
+			h[1] = -1
+		}
+		st, err = mv.Move(h[0], sb, h[1], rb)
+	case send && recv:
+		st, err = c.Sendrecv(sb, op.To, op.Tag, rb, op.From, op.Tag)
+	case send:
+		err = c.Send(sb, op.To, op.Tag)
+	case recv:
+		st, err = c.Recv(rb, op.From, op.Tag)
+	}
+	if !recv {
+		return err
 	}
 	return checkCount(st, err, op)
 }
@@ -347,10 +365,12 @@ func (s *rankOps) run(c mpi.Comm, buf []byte) error {
 	if c.Size() > 1 {
 		mpi.AdvanceTagStream(c)
 	}
+	var mv mpi.Binding
 	if s.bound != nil && s.bound.Engage(c) {
-		defer s.bound.Disengage()
+		mv = s.bound
+		defer mv.Disengage()
 	}
-	if err := s.exec(c, buf); err != nil {
+	if err := s.exec(c, mv, buf); err != nil {
 		return fmt.Errorf("collective: exec: %w", err)
 	}
 	return nil
@@ -382,7 +402,7 @@ func ExecProgram(c mpi.Comm, pr *sched.Program, buf []byte) error {
 	if err := p.ops.compile(c, ops, pr.Root, pr.N, 0, 0, pr.N); err != nil {
 		return err
 	}
-	if err := p.ops.exec(c, buf); err != nil {
+	if err := p.ops.exec(c, nil, buf); err != nil {
 		return fmt.Errorf("collective: exec %q: %w", pr.Name, err)
 	}
 	return nil

@@ -19,15 +19,16 @@ import (
 // sender a run ahead finds its cell still full and waits for the
 // receiver: the edge's flow control, in place of the credit window.
 //
-// A bound operation is still an isend or irecv; one that cannot finish
-// at once completes in request.harvest, which parks the rank until the
-// other end's wake. It does not spin first: 16 yields before the park
-// cost a kept np-64 opt-seg plan of 4 KiB (msgrate-np64's shape, two
-// cores) ~15 % on the goroutine executor and 2.3x on the pooled one. A
-// bound message's counters (EagerSends,
-// StagedBytes, EagerRecvs) are charged when the rank's run of the
-// schedule ends (Disengage), from the edges' own counts: atomic adds per
-// message were a tenth of the path.
+// The executor runs each op with one call, binding.Move, naming its
+// halves by their edges' indices: nothing is looked up per message, and
+// a bound message has no other route. A half that cannot finish at once
+// completes in request.harvest, which parks the rank until the other
+// end's wake. It does not spin first: 16 yields before the park cost a
+// kept np-64 opt-seg plan of 4 KiB (msgrate-np64's shape, two cores)
+// ~15 % on the goroutine executor and 2.3x on the pooled one. A bound
+// message's counters (EagerSends, StagedBytes, EagerRecvs) are charged
+// when the rank's run ends (Disengage), from the edges' own counts:
+// atomic adds per message were a tenth of the path.
 
 // edge is one bound (source → destination, tag). The sender stamps cell
 // p mod k with p+1 and the message's length once message p is in it; the
@@ -97,17 +98,21 @@ type edgeKey struct {
 	srcWorld, tag int
 }
 
-// binding is one rank's bound edges of one kept schedule.
+// binding is one rank's edges of one kept schedule, bound or not, at
+// their index in the slice Bind took.
 type binding struct {
-	w       *World
-	ctx     int64
-	rank    int     // the binding rank's world rank
-	out, in []bound // out: peer is a world rank; in: a rank of the comm
+	w      *World
+	ctx    int64
+	rank   int // the binding rank's world rank
+	edges  []bound
+	c      *comm   // the engaged communicator, nil between runs
+	sq, rq request // where a Move's send and receive wait
 }
 
 type bound struct {
-	peer, base, tag int // tag: base in the engaged run's stream
-	e               *edge
+	peer, base, tag int // peer: a rank of the comm; tag: base in the engaged run's stream
+	send            bool
+	e               *edge  // nil: not bound
 	counted, bytes  uint64 // what Disengage has charged of the edge's counts
 }
 
@@ -127,8 +132,11 @@ func (c *comm) Bind(edges []mpi.Edge) mpi.Binding {
 	}
 	ord := ep.plans[c.ctx]
 	ep.plans[c.ctx] = ord + 1
-	b := &binding{w: w, ctx: c.ctx, rank: me}
-	for _, ed := range edges {
+	b := &binding{w: w, ctx: c.ctx, rank: me, edges: make([]bound, len(edges))}
+	n := 0
+	for i, ed := range edges {
+		x := &b.edges[i]
+		x.peer, x.base, x.send = ed.Peer, ed.Tag, ed.Send
 		if ed.Peer < 0 || ed.Peer >= len(c.members) || ed.Peer == c.rank || ed.Count <= 0 ||
 			ed.MaxLen > inlinePayload || ed.MaxLen > w.eagerLimit {
 			continue
@@ -138,14 +146,13 @@ func (c *comm) Bind(edges []mpi.Edge) mpi.Binding {
 			continue
 		}
 		if ed.Send {
-			e := w.meet(peer, edgeKey{c.ctx, ord, me, ed.Tag}, ed.Count, ed.MaxLen)
-			b.out = append(b.out, bound{peer: peer, base: ed.Tag, e: e})
+			x.e = w.meet(peer, edgeKey{c.ctx, ord, me, ed.Tag}, ed.Count, ed.MaxLen)
 		} else {
-			e := w.meet(me, edgeKey{c.ctx, ord, peer, ed.Tag}, ed.Count, ed.MaxLen)
-			b.in = append(b.in, bound{peer: ed.Peer, base: ed.Tag, e: e})
+			x.e = w.meet(me, edgeKey{c.ctx, ord, peer, ed.Tag}, ed.Count, ed.MaxLen)
 		}
+		n++
 	}
-	if len(b.out)+len(b.in) == 0 {
+	if n == 0 {
 		return nil
 	}
 	return b
@@ -174,13 +181,66 @@ func (b *binding) Engage(c mpi.Comm) bool {
 	if !ok || cc.w != b.w || cc.ctx != b.ctx || cc.worldRank() != b.rank {
 		return false
 	}
-	for _, bs := range [2][]bound{b.out, b.in} {
-		for i := range bs {
-			bs[i].tag = cc.streamTag(bs[i].base)
+	for i := range b.edges {
+		b.edges[i].tag = cc.streamTag(b.edges[i].base)
+	}
+	b.c = cc
+	return true
+}
+
+// Move implements mpi.Binding. A bound half copies into or out of its
+// edge's next cell, waiting in request.harvest only when that is not
+// ready; an unbound half, or a message too long for its edge's cells
+// (ranks that bound different schedules), is an isend or irecv. Like
+// Sendrecv, it charges the comm's traffic row once both halves succeed.
+func (b *binding) Move(send int, sbuf []byte, recv int, rbuf []byte) (mpi.Status, error) {
+	c, w := b.c, b.w
+	if err := w.enter(c.cancel); err != nil {
+		return mpi.Status{}, err
+	}
+	var st mpi.Status
+	var sr, rr *request // the halves left to wait for
+	if recv >= 0 {
+		in := &b.edges[recv]
+		st.Source, st.Tag = in.peer, in.tag
+		if in.e == nil {
+			b.rq, rr = request{}, &b.rq
+			w.irecv(rr, c.ctx, b.rank, rbuf, in.peer, in.tag, c.cancel)
 		}
 	}
-	b.w.eps[b.rank].live = b
-	return true
+	if send >= 0 {
+		if out := &b.edges[send]; out.e == nil || len(sbuf) > out.e.size {
+			b.sq, sr = request{}, &b.sq
+			w.isend(sr, c.ctx, c.rank, b.rank, c.worldRankOf(out.peer), sbuf, out.tag, c.cancel)
+		} else if !out.e.put(sbuf) {
+			b.sq, sr = request{w: w, rank: b.rank, cancel: c.cancel, e: out.e, ebuf: sbuf, esend: true}, &b.sq
+		}
+	}
+	var err, serr error
+	if recv >= 0 && rr == nil {
+		e, ok := b.edges[recv].e, false
+		if st.Count, ok, err = e.take(rbuf); !ok {
+			b.rq, rr = request{w: w, rank: b.rank, cancel: c.cancel, e: e, ebuf: rbuf, st: st}, &b.rq
+		}
+	}
+	if sr != nil {
+		_, serr = sr.Wait()
+	}
+	if rr != nil {
+		st, err = rr.Wait()
+	}
+	if err == nil {
+		err = serr
+	}
+	if err == nil && c.rec != nil {
+		if send >= 0 {
+			c.sent(b.edges[send].peer, b.edges[send].base, len(sbuf))
+		}
+		if recv >= 0 {
+			c.rec.Recvs++
+		}
+	}
+	return st, err
 }
 
 // Disengage implements mpi.Binding: the rank's messages on the edges
@@ -188,63 +248,69 @@ func (b *binding) Engage(c mpi.Comm) bool {
 // stand for.
 func (b *binding) Disengage() {
 	w, r := b.w, b.rank
-	w.eps[r].live = nil
-	for i := range b.out {
-		o := &b.out[i]
-		w.metrics.Add(r, metrics.EagerSends, int64(o.e.sent-o.counted))
-		w.metrics.Add(r, metrics.StagedBytes, int64(o.e.staged-o.bytes))
-		o.counted, o.bytes = o.e.sent, o.e.staged
-	}
-	for i := range b.in {
-		in := &b.in[i]
-		taken := in.e.taken.Load()
-		w.metrics.Add(r, metrics.EagerRecvs, int64(taken-in.counted))
-		in.counted = taken
-	}
-}
-
-// find returns the edge bound to (peer, tag) in bs, nil for none.
-func find(bs []bound, peer, tag int) *edge {
-	for i := range bs {
-		if bs[i].peer == peer && bs[i].tag == tag {
-			return bs[i].e
+	b.c = nil
+	for i := range b.edges {
+		x := &b.edges[i]
+		switch {
+		case x.e == nil:
+		case x.send:
+			w.metrics.Add(r, metrics.EagerSends, int64(x.e.sent-x.counted))
+			w.metrics.Add(r, metrics.StagedBytes, int64(x.e.staged-x.bytes))
+			x.counted, x.bytes = x.e.sent, x.e.staged
+		default:
+			taken := x.e.taken.Load()
+			w.metrics.Add(r, metrics.EagerRecvs, int64(taken-x.counted))
+			x.counted = taken
 		}
 	}
-	return nil
 }
 
-// edgeTry runs r's pending bound operation if its edge has a free cell
-// (a send: the message k before has been taken) or a message (a
-// receive), and completes r.
-func (r *request) edgeTry() bool {
-	e, buf := r.e, r.ebuf
+// put copies buf into the edge's next cell if it is free (the message k
+// before has been taken), and reports whether it did.
+func (e *edge) put(buf []byte) bool {
 	k := uint64(len(e.stamps))
-	if r.esend {
-		p := e.sent
-		if p-e.seenTaken >= k {
-			if e.seenTaken = e.taken.Load(); p-e.seenTaken >= k {
-				return false
-			}
-		}
-		copy(e.cells[e.putAt*e.size:], buf)
-		e.stamps[e.putAt].Store((p+1)<<stampShift | uint64(len(buf)))
-		e.sent, e.staged, e.putAt = p+1, e.staged+uint64(len(buf)), next(e.putAt, k)
-		e.recvWaits.wake()
-		r.finish(mpi.Status{Count: len(buf)}, nil)
-	} else {
-		p, st := e.taken.Load(), e.stamps[e.takeAt].Load()
-		if st>>stampShift != p+1 {
+	p := e.sent
+	if p-e.seenTaken >= k {
+		if e.seenTaken = e.taken.Load(); p-e.seenTaken >= k {
 			return false
 		}
-		at := e.takeAt * e.size
-		n, err := copyPayload(buf, e.cells[at:at+int(st&(1<<stampShift-1))])
-		e.taken.Store(p + 1)
-		e.takeAt = next(e.takeAt, k)
-		e.sendWaits.wake()
-		r.finish(mpi.Status{Source: r.st.Source, Tag: r.st.Tag, Count: n}, err)
 	}
-	r.e, r.ebuf = nil, nil
+	copy(e.cells[e.putAt*e.size:], buf)
+	e.stamps[e.putAt].Store((p+1)<<stampShift | uint64(len(buf)))
+	e.sent, e.staged, e.putAt = p+1, e.staged+uint64(len(buf)), next(e.putAt, k)
+	e.recvWaits.wake()
 	return true
+}
+
+// take copies the edge's next message into buf if it has arrived, and
+// reports whether it did and the message's length.
+func (e *edge) take(buf []byte) (n int, ok bool, err error) {
+	p, st := e.taken.Load(), e.stamps[e.takeAt].Load()
+	if st>>stampShift != p+1 {
+		return 0, false, nil
+	}
+	at := e.takeAt * e.size
+	n, err = copyPayload(buf, e.cells[at:at+int(st&(1<<stampShift-1))])
+	e.taken.Store(p + 1)
+	e.takeAt = next(e.takeAt, uint64(len(e.stamps)))
+	e.sendWaits.wake()
+	return n, true, err
+}
+
+// edgeTry runs r's pending bound half if its edge is ready (see put and
+// take), and completes r.
+func (r *request) edgeTry() bool {
+	n, ok, err := len(r.ebuf), false, error(nil)
+	if r.esend {
+		ok = r.e.put(r.ebuf)
+	} else {
+		n, ok, err = r.e.take(r.ebuf)
+	}
+	if ok {
+		r.finish(mpi.Status{Source: r.st.Source, Tag: r.st.Tag, Count: n}, err)
+		r.e, r.ebuf = nil, nil
+	}
+	return ok
 }
 
 // edgeArm arms r's end of its edge and tries once more, so that either

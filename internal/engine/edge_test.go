@@ -14,9 +14,10 @@ import (
 
 // The bound path end to end on two ranks, rank 0 sending to rank 1 over
 // one edge bound the way a kept plan binds it (collective.NewPlan hands
-// the edges of its ops to comm.Bind; each run engages them). Both
-// executors, the pooled one with a single slot, where a rank that
-// blocked anywhere but in harvest would keep its peer from ever running.
+// the edges of its ops to comm.Bind; each run engages them, and the
+// executor moves every op through the binding's Move). Both executors,
+// the pooled one with a single slot, where a rank that blocked anywhere
+// but in harvest would keep its peer from ever running.
 
 // boundTag is the base collective tag of the edge under test.
 const boundTag = mpi.CollTagBase + 1
@@ -39,13 +40,22 @@ func boundWorlds(t *testing.T) map[string]*World {
 }
 
 // bindEdge binds c's end of the edge from rank 0 to rank 1: k messages
-// per run of at most size bytes.
+// per run of at most size bytes. It is edge 0 of the binding.
 func bindEdge(c mpi.Comm, k, size int) mpi.Binding {
 	e := mpi.Edge{Peer: 1, Tag: boundTag, Send: true, Count: k, MaxLen: size}
 	if c.Rank() == 1 {
 		e.Peer, e.Send = 0, false
 	}
 	return c.(mpi.Binder).Bind([]mpi.Edge{e})
+}
+
+// move moves one message of buf on edge 0 of b: rank 0 sends it, rank 1
+// receives it.
+func move(c mpi.Comm, b mpi.Binding, buf []byte) (mpi.Status, error) {
+	if c.Rank() == 0 {
+		return b.Move(0, buf, -1, nil)
+	}
+	return b.Move(-1, nil, 0, buf)
 }
 
 // boundRun is one run of a kept schedule: its own tag stream, with b
@@ -98,7 +108,7 @@ func TestBoundAbortWhileParked(t *testing.T) {
 				return err
 			}
 			return boundRun(c, b, func() error {
-				_, recvErr = c.Recv(make([]byte, 8), 0, boundTag)
+				_, recvErr = move(c, b, make([]byte, 8))
 				return recvErr
 			})
 		})
@@ -128,7 +138,7 @@ func TestBoundCancelWhileParked(t *testing.T) {
 				return err
 			}
 			return boundRun(c, b, func() error {
-				_, recvErr = c.Recv(make([]byte, 8), 0, boundTag)
+				_, recvErr = move(c, b, make([]byte, 8))
 				return recvErr
 			})
 		})
@@ -153,7 +163,7 @@ func TestBoundSenderRunsAhead(t *testing.T) {
 					for i := 0; i < k; i++ {
 						want := boundPayload(r, i)
 						if c.Rank() == 0 {
-							if err := c.Send(want, 1, boundTag); err != nil {
+							if _, err := move(c, b, want); err != nil {
 								return err
 							}
 							continue
@@ -164,7 +174,7 @@ func TestBoundSenderRunsAhead(t *testing.T) {
 							}
 						}
 						buf := make([]byte, 256)
-						st, err := c.Recv(buf, 0, boundTag)
+						st, err := move(c, b, buf)
 						if err != nil {
 							return err
 						}
@@ -215,13 +225,13 @@ func TestBoundRebindWhileDraining(t *testing.T) {
 					for i := 0; i < 2; i++ {
 						want := bytes.Repeat([]byte{byte(10*r + i)}, n)
 						if c.Rank() == 0 {
-							if err := c.Send(want, 1, boundTag); err != nil {
+							if _, err := move(c, b, want); err != nil {
 								return err
 							}
 							continue
 						}
 						buf := make([]byte, n)
-						if st, err := c.Recv(buf, 0, boundTag); err != nil || st.Count != n || !bytes.Equal(buf, want) {
+						if st, err := move(c, b, buf); err != nil || st.Count != n || !bytes.Equal(buf, want) {
 							return fmt.Errorf("run %d message %d: %d of %d bytes, %v", r, i, st.Count, n, err)
 						}
 					}
@@ -241,7 +251,9 @@ func TestBoundRebindWhileDraining(t *testing.T) {
 
 // TestBoundMismatchedSchedules: ranks that bound different schedules
 // end in an error — a truncation, the watchdog's deadlock (naming a
-// bound wait), or the run-end check — never in a hang.
+// bound wait), or the run-end check — never in a hang. A rank whose
+// Bind bound nothing runs its schedule on the communicator, as the
+// executor does.
 func TestBoundMismatchedSchedules(t *testing.T) {
 	for _, tc := range []struct {
 		name             string
@@ -268,14 +280,18 @@ func TestBoundMismatchedSchedules(t *testing.T) {
 				}
 				b := c.(mpi.Binder).Bind([]mpi.Edge{{Peer: 1 - c.Rank(), Tag: boundTag, Send: c.Rank() == 0, Count: 2, MaxLen: n}})
 				mpi.AdvanceTagStream(c)
-				if b != nil && b.Engage(c) {
+				engaged := b != nil && b.Engage(c)
+				if engaged {
 					defer b.Disengage()
 				}
 				for i := 0; i < msgs; i++ {
 					var err error
-					if c.Rank() == 0 {
+					switch {
+					case engaged:
+						_, err = move(c, b, make([]byte, n))
+					case c.Rank() == 0:
 						err = c.Send(make([]byte, n), 1, boundTag)
-					} else {
+					default:
 						_, err = c.Recv(make([]byte, n), 0, boundTag)
 					}
 					if err != nil {
@@ -291,6 +307,110 @@ func TestBoundMismatchedSchedules(t *testing.T) {
 			case tc.want != nil && !errors.Is(err, tc.want):
 				t.Errorf("%s, %s: %v, want %v", tc.name, name, err, tc.want)
 			}
+		}
+	}
+}
+
+// TestBoundOneHalfUnbound: an op whose one half is bound and whose other
+// is too long to be moves both, byte for byte: rank 0 runs each run's
+// exchange as one op, rank 1 as a send and then a receive. With the
+// bound half a send, rank 0 finds its cell still full a run ahead, and
+// its unbound receive is posted before it parks there.
+func TestBoundOneHalfUnbound(t *testing.T) {
+	const runs = 3
+	for _, tc := range []struct {
+		name        string
+		sent, recvd int // rank 0's message lengths
+	}{
+		{"bound send, unbound receive", 64, 300},
+		{"unbound send, bound receive", 300, 64},
+	} {
+		for name, w := range boundWorlds(t) {
+			err := w.Run(func(c mpi.Comm) error {
+				me, peer := c.Rank(), 1-c.Rank()
+				out, in := tc.sent, tc.recvd
+				if me == 1 {
+					out, in = in, out
+				}
+				b := c.(mpi.Binder).Bind([]mpi.Edge{
+					{Peer: peer, Tag: boundTag, Send: true, Count: 1, MaxLen: out},
+					{Peer: peer, Tag: boundTag, Count: 1, MaxLen: in},
+				})
+				full := me == 1 && tc.sent <= inlinePayload && w.ExecutorName() == "goroutine"
+				for r := 0; r < runs; r++ {
+					want := bytes.Repeat([]byte{byte(10*r + peer + 1)}, in)
+					sbuf, rbuf := bytes.Repeat([]byte{byte(10*r + me + 1)}, out), make([]byte, in)
+					err := boundRun(c, b, func() error {
+						var st mpi.Status
+						var err error
+						if me == 0 {
+							st, err = b.Move(0, sbuf, 1, rbuf)
+						} else {
+							if _, err = b.Move(0, sbuf, -1, nil); err != nil {
+								return err
+							}
+							if full && r == 0 {
+								// Rank 0 is a run ahead: parked on its full cell,
+								// its next receive already posted.
+								for !b.(*binding).edges[1].e.sendWaits.armed.Load() {
+									time.Sleep(50 * time.Microsecond)
+								}
+								if n := w.eps[0].pendingRecvs(); n != 1 {
+									return fmt.Errorf("rank 0 parked on its edge with %d receives posted, want 1", n)
+								}
+							}
+							st, err = b.Move(-1, nil, 1, rbuf)
+						}
+						if err == nil && (st.Count != in || st.Source != peer || !bytes.Equal(rbuf, want)) {
+							err = fmt.Errorf("%d of %d bytes from %d, first %d", st.Count, in, st.Source, rbuf[0])
+						}
+						return err
+					})
+					if err != nil {
+						return fmt.Errorf("rank %d run %d: %w", me, r, err)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Errorf("%s, %s: %v", tc.name, name, err)
+			}
+		}
+	}
+}
+
+// TestBoundMoveAfterAbort: a Move in an aborted world returns the abort
+// and leaves its cells alone, a free one to send into and a full one to
+// take from alike.
+func TestBoundMoveAfterAbort(t *testing.T) {
+	boom := errors.New("boom")
+	for name, w := range boundWorlds(t) {
+		var moveErr [2]error
+		var moved [2]uint64
+		err := w.Run(func(c mpi.Comm) error {
+			b := bindEdge(c, 2, 8)
+			return boundRun(c, b, func() error {
+				e := b.(*binding).edges[0].e
+				if c.Rank() == 0 {
+					if _, err := move(c, b, []byte{1}); err != nil {
+						return err
+					}
+					w.abort(boom)
+					_, moveErr[0] = move(c, b, []byte{2})
+					moved[0] = e.sent
+					return boom
+				}
+				// Ended by the abort, wherever it finds the world.
+				if _, err := c.Recv(make([]byte, 1), 0, 5); !errors.Is(err, mpi.ErrAborted) {
+					return fmt.Errorf("recv %v, want the abort", err)
+				}
+				_, moveErr[1] = move(c, b, make([]byte, 8))
+				moved[1] = e.taken.Load()
+				return moveErr[1]
+			})
+		})
+		if !errors.Is(err, boom) || !errors.Is(moveErr[0], boom) || !errors.Is(moveErr[1], boom) || moved != [2]uint64{1, 0} {
+			t.Errorf("%s: run %v, moves %v, %d sent and %d taken; want the abort, 1 sent and none taken", name, err, moveErr, moved[0], moved[1])
 		}
 	}
 }

@@ -98,10 +98,8 @@ type endpoint struct {
 	tagStreams map[int64]int
 	streamCtx  int64
 	streamID   int
-	// live is the binding of the kept schedule this rank is running, nil
-	// between runs of one; plans counts the rank's kept schedules per
-	// ctx (their ordinal keys their edges). Owner-only, like the streams.
-	live  *binding
+	// plans counts the rank's kept schedules per ctx (their ordinal keys
+	// their edges). Owner-only, like the streams.
 	plans map[int64]int
 	// edges holds the bound edges ending at this rank, by key, for the
 	// sender to meet at bind time and the run-end check to drain. Under

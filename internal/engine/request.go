@@ -169,10 +169,12 @@ func (r *request) finish(st mpi.Status, err error) {
 	r.complete, r.st, r.err = true, st, err
 }
 
-// isend is the engine's one send entry; the blocking Send is isend
-// followed by Wait. It never blocks. A message that finds its receive
-// posted is delivered on the spot; an eager one within the credit window
-// is buffered at the receiver and the send is complete; anything else —
+// isend is the engine's send entry for every message but those on a kept
+// schedule's bound edges, which binding.Move copies into their cells
+// (edge.go); the blocking Send is isend followed by Wait. It never
+// blocks. A message that finds its receive posted is delivered on the
+// spot; an eager one within the credit window is buffered at the
+// receiver and the send is complete; anything else —
 // a rendezvous-sized payload, or an eager one the full window refused —
 // is enqueued as a zero-copy envelope backed by the caller's buffer
 // (legal because MPI forbids touching the buffer until the request
@@ -190,15 +192,6 @@ func (w *World) isend(r *request, ctx int64, srcRank, srcWorld, dstWorld int, bu
 	if err := w.enter(cnl); err != nil {
 		r.finish(mpi.Status{}, err)
 		return
-	}
-	if b := w.eps[srcWorld].live; b != nil {
-		// A message too long for the edge's cells (ranks that bound
-		// different schedules) goes the ordinary way, to be missed.
-		if e := find(b.out, dstWorld, tag); e != nil && len(buf) <= e.size {
-			r.w, r.rank, r.e, r.ebuf, r.esend, r.cancel = w, srcWorld, e, buf, true, cnl
-			r.edgeTry()
-			return
-		}
 	}
 	if w.wired && w.trans.Wire(dstWorld) {
 		w.isendRemote(r, ctx, srcRank, srcWorld, dstWorld, buf, tag, cnl)
@@ -258,14 +251,6 @@ func (w *World) irecv(r *request, ctx int64, myWorld int, buf []byte, src, tag i
 		return
 	}
 	ep := w.eps[myWorld]
-	if b := ep.live; b != nil {
-		if e := find(b.in, src, tag); e != nil {
-			r.w, r.rank, r.e, r.ebuf, r.cancel = w, myWorld, e, buf, cnl
-			r.st.Source, r.st.Tag = src, tag
-			r.edgeTry()
-			return
-		}
-	}
 	ep.mu.Lock()
 	if env := ep.matchArrival(ctx, src, tag); env != nil {
 		// Already here: copy out — dequeued, the message is this

@@ -128,9 +128,9 @@ type Preposter interface {
 // once, the edges a kept schedule sends and receives on, so that each
 // run of it moves their messages without matching them. Bind takes every
 // edge of the calling rank's schedule and returns the Binding to engage
-// around each run, or nil when it bound none; the rest travel as
-// ordinary messages. Every rank must Bind its kept schedules on a
-// communicator in the same order, as it calls the collectives they run.
+// around each run, or nil when it bound none; then the schedule runs on
+// the communicator as before. Every rank must Bind its kept schedules on
+// a communicator in the same order, as it calls the collectives they run.
 type Binder interface {
 	Bind(edges []Edge) Binding
 }
@@ -143,12 +143,15 @@ type Edge struct {
 	Count, MaxLen int
 }
 
-// Binding is what Bind returns. Engage routes the rank's sends and
-// receives on the bound edges, their tags in c's current stream, over
-// them until Disengage; it reports false, and routes nothing, for a
-// communicator or run the binding was not made on.
+// Binding is what Bind returns. Engage readies it for one run on c, its
+// tags in c's current stream, and reports false for a communicator or
+// run it was not made on. Until Disengage, Move runs one op like
+// Sendrecv: a send of sbuf on edge send and a receive into rbuf on edge
+// recv, named by their index in Bind's slice, -1 for none. Unbound edges
+// carry ordinary messages, the receive posted before the send starts.
 type Binding interface {
 	Engage(c Comm) bool
+	Move(send int, sbuf []byte, recv int, rbuf []byte) (Status, error)
 	Disengage()
 }
 
