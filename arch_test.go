@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path"
@@ -117,6 +118,17 @@ var archRules = []archRule{
 		// were folded away.
 		name:  "one blocking site",
 		check: blockingSites,
+	},
+	{
+		// A message writes only what its two ranks own. The request
+		// pool's names must not come back (a request is its caller's: a
+		// local of the blocking calls, a fresh one from Isend/Irecv),
+		// the per-rank progress counts are written through
+		// World.progressed alone (progressFile), and an operation's
+		// preamble, World.enter, asks whether the world aborted with a
+		// load, not a channel select.
+		name:  "nothing shared on the message path",
+		check: sharedMessagePath,
 	},
 	{
 		// The examples are the facade's contract: they must compile
@@ -478,6 +490,59 @@ func blockingSites(files []srcFile) []string {
 	return out
 }
 
+var (
+	// pooledRequestNames are the identifiers of the deleted request
+	// pool; progressFile is the one engine file that may touch the
+	// progress counts; enterFunc is the operation preamble, which must
+	// not call closed.
+	pooledRequestNames = map[string]bool{"requestPool": true, "completedRequest": true, "putRequest": true}
+	progressFile       = "internal/engine/engine.go"
+	enterFunc          = "(*World).enter"
+)
+
+// sharedMessagePath reports, in internal/engine/, every identifier in
+// pooledRequestNames (test files included); every selector of a field
+// named progress (w.progress, c.w.progress) and every progress.Add in a
+// non-test file other than progressFile; and every call of closed
+// inside enterFunc.
+func sharedMessagePath(files []srcFile) []string {
+	var out []string
+	for _, f := range files {
+		if f.ast == nil || f.pkg != "internal/engine" {
+			continue
+		}
+		for _, d := range f.ast.Decls {
+			where := "a declaration"
+			if fd, ok := d.(*ast.FuncDecl); ok {
+				where = funcName(fd)
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.Ident:
+					if pooledRequestNames[n.Name] {
+						out = append(out, f.path+" names "+n.Name)
+					}
+				case *ast.SelectorExpr:
+					if f.test || f.path == progressFile {
+						break
+					}
+					x, _ := n.X.(*ast.Ident)
+					if n.Sel.Name == "progress" || x != nil && x.Name == "progress" && n.Sel.Name == "Add" {
+						out = append(out, f.path+": "+where+" touches "+types.ExprString(n))
+					}
+				case *ast.CallExpr:
+					if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "closed" && where == enterFunc {
+						out = append(out, f.path+": "+enterFunc+" calls closed")
+					}
+				}
+				return true
+			})
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
 // funcName names a function declaration as a reader would: F, or
 // (T).M and (*T).M for a method.
 func funcName(fd *ast.FuncDecl) string {
@@ -749,6 +814,48 @@ func (r *request) plantedWait(track bool) { r.w.creditWait() }
 				"internal/engine/planted.go": `package engine
 // Move must not call creditWait, nor remoteSend, nor track bool state.
 func (b *binding) plantedMove() string { return "parkRank" }
+`,
+			},
+		},
+		{
+			rule: "nothing shared on the message path",
+			plant: map[string]string{
+				"internal/engine/planted.go": `package engine
+var plantedPool = requestPool
+func (w *World) plantedCount(rank int) { w.progress[rank].n.Add(1) }
+func (c *comm) plantedNested() { c.w.progress[c.rank].n.Add(1) }
+func plantedAdd(progress *counter) { progress.Add(1) }
+func (w *World) enter(cnl cancelSignal) error {
+	if closed(cnl.done) {
+		return nil
+	}
+	return nil
+}
+`,
+				"internal/engine/planted_test.go": `package engine
+func plantedPut(r *request) { putRequest(r); w.progress = nil; progress.Add(1) }
+`,
+			},
+			want: []string{
+				"internal/engine/planted.go names requestPool",
+				"internal/engine/planted.go: (*World).enter calls closed",
+				"internal/engine/planted.go: (*World).plantedCount touches w.progress",
+				"internal/engine/planted.go: (*comm).plantedNested touches c.w.progress",
+				"internal/engine/planted.go: plantedAdd touches progress.Add",
+				"internal/engine/planted_test.go names putRequest",
+			},
+		},
+		{
+			rule: "nothing shared on the message path",
+			plant: map[string]string{
+				"internal/engine/engine.go": `package engine
+func (w *World) progressed(rank int) { w.progress[rank].n.Add(1) }
+func plantedAdd(progress *counter) { progress.Add(1) }
+`,
+				"internal/engine/planted.go": `package engine
+// requestPool, putRequest and closed( in a comment; "w.progress" in a string
+func (w *World) plantedEnter() bool { return closed(w.done) }
+func (c *comm) plantedProgressed() { c.w.progressed(c.rank) }
 `,
 			},
 		},

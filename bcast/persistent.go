@@ -137,9 +137,9 @@ func (h *Persistent) Run(ctx context.Context) error {
 // Rebind points the handle at a new buffer. Same length: free — the
 // bound decision and schedule are reused untouched (the
 // double-buffered serving pattern). Different length: the decision is
-// re-resolved and re-validated, like a fresh Init, and the new
-// schedule's edges are bound (the old ones are released when the Run
-// ends). Only an inactive handle may be rebound.
+// re-resolved and re-validated, like a fresh Init, the new schedule's
+// edges are bound and the old ones released. Only an inactive handle may
+// be rebound.
 func (h *Persistent) Rebind(buf []byte) error {
 	if h.freed {
 		return fmt.Errorf("bcast: rebind: handle already freed")
@@ -158,12 +158,17 @@ func (h *Persistent) Rebind(buf []byte) error {
 	return nil
 }
 
-// Free retires the handle. Freeing an active operation is an error
-// (Wait it first); freeing an already-freed handle is a no-op. Free is
-// local and never touches the buffer.
+// Free retires the handle and releases the edges it bound. Freeing an
+// active operation is an error (Wait it first); freeing an already-freed
+// handle is a no-op. Free is local and never touches the buffer.
 func (h *Persistent) Free() error {
 	if h.active {
 		return fmt.Errorf("bcast: free: operation in flight (Wait it first)")
+	}
+	// A handle whose Run has ended has nothing to release: the Run's end
+	// dropped its edges, and its world may be running the next Run.
+	if !h.freed && h.c.epochAlive() == nil {
+		h.plan.Release()
 	}
 	h.freed = true
 	return nil

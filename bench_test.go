@@ -582,7 +582,10 @@ func BenchmarkExecutorWorldBcast(b *testing.B) {
 // chunks, and the 8 KiB ones are where the handle's receives are posted
 // ahead of their ops). msgs/bcast and ns/msg divide the timed run by the
 // engine's send counters over it, so a change to the per-message path
-// shows as ns/msg at an unchanged msgs/bcast.
+// shows as ns/msg at an unchanged msgs/bcast; parks/bcast divides the
+// executor's parks over it, the waits of a rank whose peer is behind
+// (at 64-byte chunks, mostly a sender finding its bound edge's cells
+// full).
 // ---------------------------------------------------------------------
 
 func BenchmarkPersistentBcast(b *testing.B) {
@@ -634,7 +637,7 @@ func BenchmarkPersistentBcast(b *testing.B) {
 					b.Fatal(err)
 				}
 				sends := func() int64 { m := cl.Metrics(); return m.EagerSends + m.RdvSends }
-				before := sends()
+				before, parksBefore := sends(), cl.Metrics().Parks
 				b.SetBytes(int64(n))
 				b.ResetTimer()
 				start := time.Now()
@@ -648,10 +651,11 @@ func BenchmarkPersistentBcast(b *testing.B) {
 				}
 				// Every message the engine moved, the run's own control
 				// traffic included: the per-message cost of the whole stack.
-				msgs := sends() - before
+				msgs, parks := sends()-before, cl.Metrics().Parks-parksBefore
 				b.ReportMetric(float64(b.N)/elapsed.Seconds(), "broadcasts/sec")
 				b.ReportMetric(float64(msgs)/float64(b.N), "msgs/bcast")
 				b.ReportMetric(float64(elapsed.Nanoseconds())/float64(msgs), "ns/msg")
+				b.ReportMetric(float64(parks)/float64(b.N), "parks/bcast")
 			})
 		}
 	}

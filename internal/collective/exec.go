@@ -207,9 +207,10 @@ func (s *rankOps) manage() {
 // them (mpi.Binder): each (direction, peer, tag) of the ops, with how
 // many messages cross it per run and the longest, and notes in halves
 // each op's two for Move. The engine carries an edge of tiny messages (at
-// most its inlinePayload) on a ring of cells of its own.
+// most its inlinePayload) on a ring of cells of its own. The edges bound
+// before, if any, are released first.
 func (s *rankOps) bindEdges(c mpi.Comm) {
-	s.bound = nil
+	s.releaseEdges()
 	b, ok := c.(mpi.Binder)
 	if !ok {
 		return
@@ -238,6 +239,14 @@ func (s *rankOps) bindEdges(c mpi.Comm) {
 		}
 	}
 	s.bound = b.Bind(edges)
+}
+
+// releaseEdges gives back the edges bindEdges bound.
+func (s *rankOps) releaseEdges() {
+	if s.bound != nil {
+		s.bound.Release()
+		s.bound = nil
+	}
 }
 
 // exec runs the compiled operations on c, or on its engaged binding mv,

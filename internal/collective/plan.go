@@ -185,6 +185,10 @@ func (p *Plan) Rebind(c mpi.Comm, n int) error {
 	return p.resolve(c, n)
 }
 
+// Release gives back the edges a kept Plan bound, so that the engine can
+// drop them before the Run ends. The Plan must not run again.
+func (p *Plan) Release() { p.ops.releaseEdges() }
+
 // Execute runs the planned broadcast on c. The buffer must have the
 // planned length (use Rebind for a different size). The compiled
 // operations run in the executor's loop, allocation-free. On success it

@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/collective"
 	"repro/internal/mpi"
+	"repro/internal/tune"
 )
 
 // The bound path end to end on two ranks, rank 0 sending to rank 1 over
@@ -150,8 +152,8 @@ func TestBoundCancelWhileParked(t *testing.T) {
 }
 
 // TestBoundSenderRunsAhead: a sender four runs into a schedule whose
-// receiver starts late fills the edge's cells with its first run and
-// waits for the receiver to free them; every run arrives intact, is
+// receiver starts late fills the edge's cells with its first two runs
+// and waits for the receiver to free them; every run arrives intact, is
 // counted once, and never touches the queues.
 func TestBoundSenderRunsAhead(t *testing.T) {
 	const runs, k = 4, 3
@@ -169,7 +171,7 @@ func TestBoundSenderRunsAhead(t *testing.T) {
 							continue
 						}
 						if r == 0 && i == 0 {
-							if err := w.parked(0); err != nil { // a run ahead, waiting on this rank
+							if err := w.parked(0); err != nil { // two runs ahead, waiting on this rank
 								return err
 							}
 						}
@@ -203,8 +205,74 @@ func TestBoundSenderRunsAhead(t *testing.T) {
 	}
 }
 
+// TestBoundSenderTwoRunsAhead: an edge holds two runs of its messages.
+// A sender whose receiver takes nothing yet completes two runs without
+// parking — the plain Send it makes after them arrives — and parks on
+// its third; then all three arrive intact.
+func TestBoundSenderTwoRunsAhead(t *testing.T) {
+	const runs, k = 3, 3
+	for name, w := range boundWorlds(t) {
+		err := w.Run(func(c mpi.Comm) error {
+			b := bindEdge(c, k, 256)
+			if c.Rank() == 0 {
+				for r := 0; r < runs; r++ {
+					if r == 2 {
+						if err := c.Send([]byte{1}, 1, 5); err != nil {
+							return err
+						}
+					}
+					err := boundRun(c, b, func() error {
+						for i := 0; i < k; i++ {
+							if _, err := move(c, b, boundPayload(r, i)); err != nil {
+								return err
+							}
+						}
+						return nil
+					})
+					if err != nil {
+						return fmt.Errorf("rank 0 run %d: %w", r, err)
+					}
+				}
+				return nil
+			}
+			if _, err := c.Recv(make([]byte, 1), 0, 5); err != nil {
+				return fmt.Errorf("waiting for two runs to be sent: %w", err)
+			}
+			e := b.(*binding).edges[0].e
+			for !e.sendWaits.armed.Load() {
+				time.Sleep(50 * time.Microsecond)
+			}
+			if e.sent != 2*k || e.taken.Load() != 0 {
+				return fmt.Errorf("sender parked with %d sent and %d taken, want %d and none", e.sent, e.taken.Load(), 2*k)
+			}
+			for r := 0; r < runs; r++ {
+				err := boundRun(c, b, func() error {
+					for i := 0; i < k; i++ {
+						buf := make([]byte, 256)
+						st, err := move(c, b, buf)
+						if err != nil {
+							return err
+						}
+						if want := boundPayload(r, i); !bytes.Equal(buf[:st.Count], want) {
+							return fmt.Errorf("message %d: %d bytes, first %d", i, st.Count, buf[0])
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					return fmt.Errorf("rank 1 run %d: %w", r, err)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
 // TestBoundRebindWhileDraining: a sender that rebinds for a new length
-// and runs on, into its new edge's second run, before its receiver has
+// and runs on, into its new edge's third run, before its receiver has
 // drained the old edge: each binding has an edge of its own, and every
 // run's messages arrive on it.
 func TestBoundRebindWhileDraining(t *testing.T) {
@@ -217,7 +285,7 @@ func TestBoundRebindWhileDraining(t *testing.T) {
 			}
 			var b mpi.Binding
 			last := 0
-			for r, n := range []int{16, 32, 32} {
+			for r, n := range []int{16, 32, 32, 32} {
 				if n != last { // a kept plan rebinds only for a new length
 					b, last = bindEdge(c, 2, n), n
 				}
@@ -245,6 +313,132 @@ func TestBoundRebindWhileDraining(t *testing.T) {
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}
+
+// boundEdges counts the bound edges the world's endpoints hold.
+func (w *World) boundEdges() (n int) {
+	for _, ep := range w.eps {
+		ep.mu.Lock()
+		n += len(ep.edges)
+		ep.mu.Unlock()
+	}
+	return n
+}
+
+// TestBoundRebindsReleaseTheirEdges: a kept Plan that rebinds releases
+// the edges it bound before, so 1000 rebinds between two lengths in one
+// Run leave the endpoints holding one binding's edges, and a released
+// Plan none.
+func TestBoundRebindsReleaseTheirEdges(t *testing.T) {
+	const np, rebinds = 8, 1000
+	lens := []int{512, 1024}
+	o := collective.Options{Algorithm: tune.RingOptSeg}
+	for _, opts := range []Options{{NP: np}, {NP: np, Executor: Pooled, MaxWorkers: 2}} {
+		w, err := NewWorld(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := w.ExecutorName()
+		// run broadcasts n bytes on a kept Plan, then rebinds it to each
+		// length of then in turn, broadcasting after each; edges holds
+		// the bound edges once every rank is done, and after the Plans
+		// are released.
+		run := func(n int, then []int) (edges [2]int, err error) {
+			err = w.Run(func(c mpi.Comm) error {
+				p, err := collective.NewPlan(c, n, 0, o)
+				if err != nil {
+					return err
+				}
+				buf := make([]byte, 1024)
+				if err := p.Execute(c, buf[:n]); err != nil {
+					return err
+				}
+				for _, n := range then {
+					if err := p.Rebind(c, n); err != nil {
+						return err
+					}
+					if err := p.Execute(c, buf[:n]); err != nil {
+						return err
+					}
+				}
+				// count notes edges[i] while every rank waits.
+				count := func(i int) error {
+					if err := collective.Barrier(c); err != nil {
+						return err
+					}
+					if c.Rank() == 0 {
+						edges[i] = w.boundEdges()
+					}
+					return collective.Barrier(c)
+				}
+				if err := count(0); err != nil {
+					return err
+				}
+				p.Release()
+				return count(1)
+			})
+			return edges, err
+		}
+		one := 0
+		for _, n := range lens {
+			e, err := run(n, nil)
+			if err != nil {
+				t.Fatalf("%s, %d bytes: %v", name, n, err)
+			}
+			one = max(one, e[0])
+		}
+		then := make([]int, rebinds)
+		for i := range then {
+			then[i] = lens[(i+1)%2]
+		}
+		e, err := run(lens[0], then)
+		if err != nil {
+			t.Fatalf("%s, %d rebinds: %v", name, rebinds, err)
+		}
+		t.Logf("%s: one binding holds %d edges; %d after %d rebinds, %d once released", name, one, e[0], rebinds, e[1])
+		if one == 0 || e[0] > one || e[1] != 0 {
+			t.Errorf("%s: %d bound edges after %d rebinds, %d once released; want at most one binding's %d (and some), then none",
+				name, e[0], rebinds, e[1], one)
+		}
+	}
+}
+
+// TestBoundReleaseKeepsUndrained: an edge whose receiver did not take
+// every message stays bound when both ends release it, and the Run-end
+// check reports what is left in it.
+func TestBoundReleaseKeepsUndrained(t *testing.T) {
+	for name, w := range boundWorlds(t) {
+		var left int
+		err := w.Run(func(c mpi.Comm) error {
+			b := bindEdge(c, 2, 8)
+			err := boundRun(c, b, func() error {
+				if c.Rank() == 1 {
+					_, err := move(c, b, make([]byte, 8))
+					return err
+				}
+				for i := 0; i < 2; i++ {
+					if _, err := move(c, b, []byte{byte(i)}); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				return err
+			}
+			b.Release()
+			if err := collective.Barrier(c); err != nil {
+				return err
+			}
+			if c.Rank() == 0 {
+				left = w.boundEdges()
+			}
+			return nil
+		})
+		if left != 1 || err == nil || !strings.Contains(err.Error(), "rank 1 finished with 1 unconsumed messages") {
+			t.Errorf("%s: %d edges left bound, run %v; want 1, and the message reported", name, left, err)
 		}
 	}
 }
@@ -314,7 +508,8 @@ func TestBoundMismatchedSchedules(t *testing.T) {
 // TestBoundOneHalfUnbound: an op whose one half is bound and whose other
 // is too long to be moves both, byte for byte: rank 0 runs each run's
 // exchange as one op, rank 1 as a send and then a receive. With the
-// bound half a send, rank 0 finds its cell still full a run ahead, and
+// bound half a send and rank 1 taking its first run's message only in
+// its second run, rank 0 finds its cell still full two runs ahead, and
 // its unbound receive is posted before it parks there.
 func TestBoundOneHalfUnbound(t *testing.T) {
 	const runs = 3
@@ -337,34 +532,43 @@ func TestBoundOneHalfUnbound(t *testing.T) {
 					{Peer: peer, Tag: boundTag, Count: 1, MaxLen: in},
 				})
 				full := me == 1 && tc.sent <= inlinePayload && w.ExecutorName() == "goroutine"
-				for r := 0; r < runs; r++ {
+				rbuf := make([]byte, in)
+				// recv receives run r's message.
+				recv := func(r int, move func() (mpi.Status, error)) error {
+					st, err := move()
 					want := bytes.Repeat([]byte{byte(10*r + peer + 1)}, in)
-					sbuf, rbuf := bytes.Repeat([]byte{byte(10*r + me + 1)}, out), make([]byte, in)
+					if err == nil && (st.Count != in || st.Source != peer || !bytes.Equal(rbuf, want)) {
+						err = fmt.Errorf("%d of %d bytes from %d, first %d", st.Count, in, st.Source, rbuf[0])
+					}
+					return err
+				}
+				for r := 0; r < runs; r++ {
+					sbuf := bytes.Repeat([]byte{byte(10*r + me + 1)}, out)
 					err := boundRun(c, b, func() error {
-						var st mpi.Status
-						var err error
 						if me == 0 {
-							st, err = b.Move(0, sbuf, 1, rbuf)
-						} else {
-							if _, err = b.Move(0, sbuf, -1, nil); err != nil {
+							return recv(r, func() (mpi.Status, error) { return b.Move(0, sbuf, 1, rbuf) })
+						}
+						if _, err := b.Move(0, sbuf, -1, nil); err != nil {
+							return err
+						}
+						take := func() (mpi.Status, error) { return b.Move(-1, nil, 1, rbuf) }
+						if full && r == 0 {
+							return nil // taken in the next run, before that run's message
+						}
+						if full && r == 1 {
+							// Rank 0 is two runs ahead: parked on its full cell,
+							// its next receive already posted.
+							for !b.(*binding).edges[1].e.sendWaits.armed.Load() {
+								time.Sleep(50 * time.Microsecond)
+							}
+							if n := w.eps[0].pendingRecvs(); n != 1 {
+								return fmt.Errorf("rank 0 parked on its edge with %d receives posted, want 1", n)
+							}
+							if err := recv(0, take); err != nil {
 								return err
 							}
-							if full && r == 0 {
-								// Rank 0 is a run ahead: parked on its full cell,
-								// its next receive already posted.
-								for !b.(*binding).edges[1].e.sendWaits.armed.Load() {
-									time.Sleep(50 * time.Microsecond)
-								}
-								if n := w.eps[0].pendingRecvs(); n != 1 {
-									return fmt.Errorf("rank 0 parked on its edge with %d receives posted, want 1", n)
-								}
-							}
-							st, err = b.Move(-1, nil, 1, rbuf)
 						}
-						if err == nil && (st.Count != in || st.Source != peer || !bytes.Equal(rbuf, want)) {
-							err = fmt.Errorf("%d of %d bytes from %d, first %d", st.Count, in, st.Source, rbuf[0])
-						}
-						return err
+						return recv(r, take)
 					})
 					if err != nil {
 						return fmt.Errorf("rank %d run %d: %w", me, r, err)

@@ -21,7 +21,7 @@
 // knows its whole schedule ahead — a kept collective Plan — binds its
 // edges with Bind (mpi.Binder): a message of at most inlinePayload bytes
 // between two ranks of this process then goes through a ring of cells
-// its edge owns, past the queues (edge.go), still by isend and irecv.
+// its edge owns, past the queues, moved by the binding's Move (edge.go).
 //
 // How ranks run is the world's choice of substrate: the default
 // (Goroutine) gives every rank an OS-scheduled goroutine, while Pooled

@@ -43,12 +43,15 @@ import (
 //     touch it. The sender's request recycles it after consuming the
 //     done signal (clean completion only).
 //   - edge cells (a kept plan's bound edges, edge.go): never pooled.
-//     Bind allocates an edge's cells once and the Run's end drops them.
-//     A cell is its sender's from the moment the receiver publishes it
-//     has taken the message k before, until the sender stamps the next
-//     one into it; from the stamp on it is the receiver's, until it
-//     publishes that it has taken it. Neither end touches a cell out of
-//     turn, so a cell needs no other owner and no lock.
+//     Bind allocates an edge's cells once, k of them for two runs of
+//     its messages (cellRuns). The endpoint drops the edge when both
+//     ends have released their bindings (a kept Plan rebinding or
+//     freed) and it is drained, or else when the Run ends. A cell is
+//     its sender's from the moment the receiver publishes it has taken
+//     the message k before, until the sender stamps the next one into
+//     it; from the stamp on it is the receiver's, until it publishes
+//     that it has taken it. Neither end touches a cell out of turn, so a
+//     cell needs no other owner and no lock.
 //   - requests: never pooled. isend and irecv fill a request their
 //     caller owns and keep no reference to it (completion reaches it
 //     through the posted receive's or the rdvState's channel): the

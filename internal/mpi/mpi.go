@@ -149,10 +149,13 @@ type Edge struct {
 // Sendrecv: a send of sbuf on edge send and a receive into rbuf on edge
 // recv, named by their index in Bind's slice, -1 for none. Unbound edges
 // carry ordinary messages, the receive posted before the send starts.
+// Release, between runs, gives the edges back for good: a schedule that
+// rebinds or is freed releases its old Binding and uses it no more.
 type Binding interface {
 	Engage(c Comm) bool
 	Move(send int, sbuf []byte, recv int, rbuf []byte) (Status, error)
 	Disengage()
+	Release()
 }
 
 // CheckUserTag validates a tag at the application boundary: user code
