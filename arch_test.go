@@ -3,38 +3,48 @@ package repro
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"io/fs"
+	"maps"
 	"os"
 	"path"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// The architecture rules are Go tests over the module's own syntax: the
-// loader parses every .go file of the repository (the benchmark/ module
-// included) with go/parser, and a rule is a predicate over the parsed
-// files plus the list of the violations it lets stand, each with its
-// reason. A rule fails by name when it finds a violation not on its list,
-// and when an entry on its list is no longer a violation. The CI workflow
-// is loaded beside the sources, as text, for the rules that read it.
+// The architecture rules are Go tests over the repository itself: the
+// loader reads every .go file (the benchmark/ module included), parsed
+// with go/parser, and the text of the other files the rules grep and of
+// the CI workflow. A rule is a predicate over those files — their text,
+// their syntax, or, for the dead-declaration rule, the non-test files
+// type-checked with go/types — plus the list of the violations it lets
+// stand, each with its reason. A rule fails by name when it finds a
+// violation not on its list, and when an entry on its list is no longer
+// a violation.
 
 // ciWorkflow is the CI workflow file, relative to the repository root.
 const ciWorkflow = ".github/workflows/ci.yml"
 
-// srcFile is one source file: a parsed .go file, or the text of another.
+// srcFile is one file of the repository: its text, and its syntax when it
+// is Go.
 type srcFile struct {
 	path string // slash path from the repository root
 	pkg  string // slash directory of the package, "" for the root package
 	test bool
-	ast  *ast.File // nil for a file that is not Go
-	text string    // the contents of a file that is not Go
+	// other marks a Go file this platform's build leaves out by its
+	// name or its build constraint.
+	other bool
+	ast   *ast.File // nil for a file that is not Go or lies in testdata
+	text  string    // the file's contents
 }
 
 // archRule is one architecture rule.
@@ -49,23 +59,27 @@ var archRules = []archRule{
 		// Code only tests reach is weight every reader carries and no
 		// program needs: delete it, or say here why it stays.
 		name:  "internal declarations have a non-test caller",
-		check: unreferencedDecls,
+		check: deadMembers,
 		allow: map[string]string{
-			"internal/bench.PaperClaims":       "the index of the paper's claims the tests check one by one",
-			"internal/core.FloorLog2":          "closed-form tree depth the schedule tests count messages with",
-			"internal/core.NodeAwareOps":       "NodeAwareOps awaits a row",
-			"internal/core.ScatterOwnership":   "the scatter's byte ownership the verifier tests start from",
-			"internal/core.ScatterTraffic":     "closed-form scatter traffic the parity oracle compares against",
-			"internal/core.TunedSavedMessages": "closed-form saving the traffic tests compare against",
-			"internal/engine.RunWith":          "the shared test harness that boots a world with options",
-			"internal/measure.LoadSampleLog":   "reader half of the sample-log format; the round-trip test holds Save to it",
-			"internal/mpi.BaseTag":             "inverse of StreamTag; the tag-stream tests check StreamTag with it",
-			"internal/mpi.WaitAll":             "the engine's request tests complete their requests through it",
-			"internal/sched.FullBuffer":        "verifier oracle: every rank ends with the whole buffer",
-			"internal/sched.Verify":            "the schedule verifier the tests prove every emitter with",
-			"internal/testutil.RaceEnabled":    "shared test harness",
-			"internal/testutil.WaitGoroutines": "shared test harness",
-			"internal/transport.parseHeader":   "whole-datagram decoder the fuzz test holds parseSplitHeader to",
+			"internal/bench.PaperClaims":          "the index of the paper's claims the tests check one by one",
+			"internal/collective.Calls.Len":       "the facade's Plan-cache tests count the Plans a rank holds with it",
+			"internal/core.FloorLog2":             "closed-form tree depth the schedule tests count messages with",
+			"internal/core.NodeAwareOps":          "NodeAwareOps awaits a row",
+			"internal/core.ScatterOwnership":      "the scatter's byte ownership the verifier tests start from",
+			"internal/core.ScatterTraffic":        "closed-form scatter traffic the parity oracle compares against",
+			"internal/core.TunedSavedMessages":    "closed-form saving the traffic tests compare against",
+			"internal/engine.RunWith":             "the shared test harness that boots a world with options",
+			"internal/measure.LoadSampleLog":      "reader half of the sample-log format; the round-trip test holds Save to it",
+			"internal/metrics.Snapshot.WriteProm": "public through the facade's alias bcast.Snapshot",
+			"internal/mpi.BaseTag":                "inverse of StreamTag; the tag-stream tests check StreamTag with it",
+			"internal/sched.FullBuffer":           "verifier oracle: every rank ends with the whole buffer",
+			"internal/sched.IntervalSet.Total":    "the verifier and ownership tests count the bytes a rank ends with by it",
+			"internal/sched.Program.Add":          "the verifier, executor and simulator tests build programs op by op with it",
+			"internal/sched.Program.Dump":         "the schedule tests print the programs a failed comparison shows with it",
+			"internal/sched.Verify":               "the schedule verifier the tests prove every emitter with",
+			"internal/testutil.RaceEnabled":       "shared test harness",
+			"internal/testutil.WaitGoroutines":    "shared test harness",
+			"internal/transport.parseHeader":      "whole-datagram decoder the fuzz test holds parseSplitHeader to",
 		},
 	},
 	{
@@ -122,7 +136,7 @@ var archRules = []archRule{
 	{
 		// A message writes only what its two ranks own. The request
 		// pool's names must not come back (a request is its caller's: a
-		// local of the blocking calls, a fresh one from Isend/Irecv),
+		// local of the blocking calls, or one Prepost keeps for it),
 		// the per-rank progress counts are written through
 		// World.progressed alone (progressFile), and an operation's
 		// preamble, World.enter, asks whether the world aborted with a
@@ -137,33 +151,79 @@ var archRules = []archRule{
 		name:  "examples stay on the public API",
 		check: internalImportsInExamples,
 	},
+	{
+		// The five tools were folded into cmd/bcast; a second entry
+		// under cmd/ is a second flag vocabulary growing back.
+		name:  "one tool",
+		check: secondTools,
+	},
+	{
+		// The collective executor has one rule for when a receive is
+		// posted and completed (rankOps.manage) and one loop that runs
+		// it. The step-wise overlap mode and the two "-nb" registry rows
+		// it served were folded into that rule; their names must not
+		// come back, in code, comment or golden file.
+		name:  "one executor loop",
+		check: foldedOverlap,
+	},
+	{
+		// Scatter, Gather and Allgather run the broadcast's scatter tree,
+		// that tree reversed and its enclosed ring through the executor.
+		// A point-to-point call in gather.go, or one of the tags the
+		// hand-written versions sent with, is a second copy growing back.
+		name:  "one schedule per pattern",
+		check: handWrittenPatterns,
+	},
+	{
+		// The paper's saving is one schedule pass: the opt rows run their
+		// native schedules through sched.Emitter.Elide. A (step, flag)
+		// branch in an emitter, or the emitters and step counts that
+		// wrapped it, is a second statement growing back; Listing 1's
+		// port (ComputeStepFlag) stays only as the closed form's oracle.
+		name:  "one statement of the saving",
+		check: secondSavings,
+	},
 }
 
-// loadRepo parses every .go file under the repository root and reads
-// the CI workflow.
+// textDirs are the directories every file of which the loader reads, Go
+// or not; archFile is the file of the rules themselves.
+var (
+	textDirs = []string{"internal/", "bcast/", "cmd/"}
+	archFile = "arch_test.go"
+)
+
+// loadRepo reads the repository: it keeps the text of every .go file and
+// of every other file under textDirs, parses every .go file outside a
+// testdata directory, and reads the CI workflow.
 func loadRepo(t testing.TB) []srcFile {
 	t.Helper()
-	fset := token.NewFileSet()
 	var files []srcFile
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			if p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			if p != "." && strings.HasPrefix(d.Name(), ".") {
 				return filepath.SkipDir
 			}
 			return nil
 		}
-		if !strings.HasSuffix(p, ".go") {
+		rel := filepath.ToSlash(p)
+		if !strings.HasSuffix(rel, ".go") && !underAny(rel, textDirs) {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		src, err := os.ReadFile(p)
 		if err != nil {
 			return err
 		}
-		files = append(files, newSrcFile(filepath.ToSlash(p), f, ""))
-		return nil
+		sf, err := readSrcFile(rel, string(src))
+		if err == nil && sf.ast != nil {
+			var built bool
+			built, err = build.Default.MatchFile(filepath.Dir(p), filepath.Base(p))
+			sf.other = !built
+		}
+		files = append(files, sf)
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -175,6 +235,21 @@ func loadRepo(t testing.TB) []srcFile {
 	return append(files, newSrcFile(ciWorkflow, nil, string(ci)))
 }
 
+// readSrcFile makes a srcFile of the file at rel with contents src,
+// parsed when it is a .go file outside a testdata directory.
+func readSrcFile(rel, src string) (srcFile, error) {
+	if !strings.HasSuffix(rel, ".go") || slices.Contains(strings.Split(rel, "/"), "testdata") {
+		return newSrcFile(rel, nil, src), nil
+	}
+	f, err := parser.ParseFile(archFset, rel, src, parser.SkipObjectResolution)
+	return newSrcFile(rel, f, src), err
+}
+
+// underAny reports whether rel lies under one of dirs.
+func underAny(rel string, dirs []string) bool {
+	return slices.ContainsFunc(dirs, func(d string) bool { return strings.HasPrefix(rel, d) })
+}
+
 func newSrcFile(rel string, f *ast.File, text string) srcFile {
 	pkg := path.Dir(rel)
 	if pkg == "." {
@@ -183,81 +258,179 @@ func newSrcFile(rel string, f *ast.File, text string) srcFile {
 	return srcFile{path: rel, pkg: pkg, test: strings.HasSuffix(rel, "_test.go"), ast: f, text: text}
 }
 
-// importDir maps an import path of this repository (module repro, and
-// repro/benchmark inside it) to its directory; other paths map to "".
-func importDir(importPath string) string {
-	if dir, ok := strings.CutPrefix(importPath, "repro/"); ok {
-		return dir
+// archFset positions every parsed file, the repository's and the planted
+// ones alike, so that one type checker reads them together.
+var archFset = token.NewFileSet()
+
+// stdImporter type-checks the standard library from source. It keeps
+// every package it checked, so each is checked once per test binary
+// however often the rules type-check the module.
+var stdImporter = importer.ForCompiler(archFset, "source", nil)
+
+// importPath is the import path of the package in directory dir of this
+// repository (module repro, and repro/benchmark inside it).
+func importPath(dir string) string {
+	if dir == "" {
+		return "repro"
 	}
-	return ""
+	return "repro/" + dir
 }
 
-// unreferencedDecls reports every top-level func, type, const and var of
-// a non-test file under internal/ that no non-test file refers to. A
-// reference is a qualified pkg.Name from an importing file, or a bare
-// Name in the declaring package outside the declaration itself; methods
-// are reached through values, so they are not checked, and a receiver
-// does not count as a reference to its type.
-func unreferencedDecls(files []srcFile) []string {
-	declared := map[string]bool{}
+// typedModule is the non-test files of both modules, type-checked
+// together: the module's packages from their parsed files, every other
+// import through stdImporter.
+type typedModule struct {
+	files map[string][]*ast.File    // import path -> non-test files
+	pkgs  map[string]*types.Package // import path -> checked package
+	info  *types.Info
+	conf  types.Config
+	errs  []string
+}
+
+func typeCheck(files []srcFile) *typedModule {
+	m := &typedModule{
+		files: map[string][]*ast.File{},
+		pkgs:  map[string]*types.Package{},
+		info: &types.Info{
+			Types:     map[ast.Expr]types.TypeAndValue{},
+			Defs:      map[*ast.Ident]types.Object{},
+			Uses:      map[*ast.Ident]types.Object{},
+			Instances: map[*ast.Ident]types.Instance{},
+		},
+	}
+	m.conf = types.Config{Importer: m, Error: func(err error) { m.errs = append(m.errs, "type error: "+err.Error()) }}
 	for _, f := range files {
-		if f.ast == nil || f.test || !strings.HasPrefix(f.pkg, "internal/") {
-			continue
+		if f.ast != nil && !f.test && !f.other {
+			p := importPath(f.pkg)
+			m.files[p] = append(m.files[p], f.ast)
 		}
-		for _, d := range f.ast.Decls {
-			for _, name := range topLevelNames(d) {
-				if name != "_" && name != "init" {
-					declared[f.pkg+"."+name] = true
+	}
+	for _, p := range slices.Sorted(maps.Keys(m.files)) {
+		m.Import(p)
+	}
+	return m
+}
+
+// Import checks a module package once, after the packages it imports.
+func (m *typedModule) Import(p string) (*types.Package, error) {
+	if pkg, ok := m.pkgs[p]; ok {
+		return pkg, nil
+	}
+	files, ok := m.files[p]
+	if !ok {
+		return stdImporter.Import(p)
+	}
+	pkg, _ := m.conf.Check(p, archFset, files, m.info) // errors go to m.errs
+	m.pkgs[p] = pkg
+	return pkg, nil
+}
+
+// uses marks every object that n refers to outside own: the identifiers
+// it uses, selected fields and methods included, and the fields of the
+// structs it builds with positional composite literals.
+func (m *typedModule) uses(n ast.Node, own map[types.Object]bool, used map[types.Object]bool) {
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.Ident:
+			if obj := m.info.Uses[n]; obj != nil && !own[origin(obj)] {
+				used[origin(obj)] = true
+			}
+		case *ast.CompositeLit:
+			if len(n.Elts) == 0 {
+				break
+			}
+			if _, keyed := n.Elts[0].(*ast.KeyValueExpr); keyed {
+				break
+			}
+			if st, ok := m.info.TypeOf(n).Underlying().(*types.Struct); ok {
+				for i := range st.NumFields() {
+					used[st.Field(i).Origin()] = true
 				}
 			}
 		}
+		return true
+	})
+}
+
+// origin is the generic declaration of a field or method of an
+// instantiated type, and obj itself otherwise.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
 	}
-	used := map[string]bool{}
+	return obj
+}
+
+// deadMembers reports every declaration of a non-test file under
+// internal/ that no non-test file of either module uses: a top-level func,
+// type, const or var, a method, an interface member, or a struct field
+// (embedded and blank fields aside). A use inside the declaration itself
+// does not count, nor does a method's receiver count as a use of its
+// type. A member is used when code selects it, when a positional
+// composite literal sets it, or when it implements a method of an
+// interface that code selects (an anonymous one included) or of any
+// interface declared outside the module. Files the type checker rejects
+// are reported as type errors instead.
+func deadMembers(files []srcFile) []string {
+	m := typeCheck(files)
+	if len(m.errs) > 0 {
+		return m.errs
+	}
+	declared := map[types.Object]string{}
+	used := map[types.Object]bool{}
+	declare := func(internal bool, key string, id *ast.Ident) {
+		if internal && id.Name != "_" && id.Name != "init" {
+			declared[m.info.Defs[id]] = key
+		}
+	}
 	for _, f := range files {
-		if f.ast == nil || f.test {
+		if f.ast == nil || f.test || f.other {
 			continue
 		}
-		imports := map[string]string{}
-		for _, im := range f.ast.Imports {
-			p, _ := strconv.Unquote(im.Path.Value)
-			name := path.Base(p)
-			if im.Name != nil {
-				name = im.Name.Name
-			}
-			imports[name] = importDir(p)
-		}
+		internal := strings.HasPrefix(f.pkg, "internal/")
 		for _, d := range f.ast.Decls {
-			own := map[string]bool{}
-			for _, name := range topLevelNames(d) {
-				own[name] = true
-			}
-			var visit func(n ast.Node) bool
-			visit = func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.SelectorExpr:
-					if x, ok := n.X.(*ast.Ident); ok {
-						if dir, ok := imports[x.Name]; ok {
-							used[dir+"."+n.Sel.Name] = true
-							return false
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				name := d.Name.Name
+				if d.Recv != nil {
+					name = recvTypeName(d) + "." + name
+				}
+				declare(internal, f.pkg+"."+name, d.Name)
+				own := map[types.Object]bool{m.info.Defs[d.Name]: true}
+				m.uses(d.Type, own, used)
+				if d.Body != nil {
+					m.uses(d.Body, own, used)
+				}
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					own := map[types.Object]bool{}
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						declare(internal, f.pkg+"."+s.Name.Name, s.Name)
+						own[m.info.Defs[s.Name]] = true
+						if !s.Assign.IsValid() {
+							for _, id := range memberNames(s.Type) {
+								declare(internal, f.pkg+"."+s.Name.Name+"."+id.Name, id)
+							}
+						}
+					case *ast.ValueSpec:
+						for _, id := range s.Names {
+							declare(internal, f.pkg+"."+id.Name, id)
+							own[m.info.Defs[id]] = true
 						}
 					}
-					ast.Inspect(n.X, visit) // n.Sel is a field or method
-					return false
-				case *ast.Ident:
-					if !own[n.Name] {
-						used[f.pkg+"."+n.Name] = true
-					}
+					m.uses(s, own, used)
 				}
-				return true
-			}
-			for _, n := range declBody(d) {
-				ast.Inspect(n, visit)
 			}
 		}
 	}
+	m.implemented(used)
 	var out []string
-	for key := range declared {
-		if !used[key] {
+	for obj, key := range declared {
+		if !used[obj] {
 			out = append(out, key)
 		}
 	}
@@ -265,59 +438,126 @@ func unreferencedDecls(files []srcFile) []string {
 	return out
 }
 
-// topLevelNames returns the package-level names a declaration declares
-// (none for a method or an import).
-func topLevelNames(d ast.Decl) []string {
-	var names []string
-	switch d := d.(type) {
-	case *ast.FuncDecl:
-		if d.Recv == nil {
-			names = append(names, d.Name.Name)
-		}
-	case *ast.GenDecl:
-		for _, s := range d.Specs {
-			switch s := s.(type) {
-			case *ast.TypeSpec:
-				names = append(names, s.Name.Name)
-			case *ast.ValueSpec:
-				for _, n := range s.Names {
-					names = append(names, n.Name)
-				}
-			}
-		}
+// recvTypeName is the name of a method's receiver type.
+func recvTypeName(fd *ast.FuncDecl) string {
+	t := ast.Unparen(fd.Recv.List[0].Type)
+	if p, ok := t.(*ast.StarExpr); ok {
+		t = ast.Unparen(p.X)
 	}
-	return names
+	switch g := t.(type) {
+	case *ast.IndexExpr:
+		t = g.X
+	case *ast.IndexListExpr:
+		t = g.X
+	}
+	return t.(*ast.Ident).Name
 }
 
-// declBody returns the parts of a declaration that can refer to other
-// declarations: everything but its own names and a method's receiver.
-func declBody(d ast.Decl) []ast.Node {
-	var out []ast.Node
-	switch d := d.(type) {
-	case *ast.FuncDecl:
-		out = append(out, d.Type)
-		if d.Body != nil {
-			out = append(out, d.Body)
+// memberNames are the named fields of a struct type literal and the
+// methods of an interface type literal.
+func memberNames(t ast.Expr) []*ast.Ident {
+	var list *ast.FieldList
+	switch t := t.(type) {
+	case *ast.StructType:
+		list = t.Fields
+	case *ast.InterfaceType:
+		list = t.Methods
+	default:
+		return nil
+	}
+	var out []*ast.Ident
+	for _, field := range list.List {
+		out = append(out, field.Names...)
+	}
+	return out
+}
+
+// implemented marks, on every named type of the module, the methods that
+// implement a used method of an interface the type implements, and those
+// that implement any method of an exported interface of a package outside
+// the module (error included).
+func (m *typedModule) implemented(used map[types.Object]bool) {
+	live := map[*types.Interface][]*types.Func{} // interface -> its methods that count
+	for obj := range used {
+		if f, ok := obj.(*types.Func); ok && f.Signature().Recv() != nil {
+			if it, ok := f.Signature().Recv().Type().Underlying().(*types.Interface); ok {
+				live[it] = append(live[it], f)
+			}
 		}
-	case *ast.GenDecl:
-		for _, s := range d.Specs {
-			switch s := s.(type) {
-			case *ast.TypeSpec:
-				if s.TypeParams != nil {
-					out = append(out, s.TypeParams)
+	}
+	outside := func(it *types.Interface) {
+		for i := range it.NumMethods() {
+			live[it] = append(live[it], it.Method(i))
+		}
+	}
+	outside(types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	seen := map[*types.Package]bool{}
+	var visit func(p *types.Package)
+	visit = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		if _, mod := m.files[p.Path()]; !mod {
+			for _, name := range p.Scope().Names() {
+				if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok && tn.Exported() {
+					if it, ok := tn.Type().Underlying().(*types.Interface); ok && !isGeneric(tn.Type()) {
+						outside(it)
+					}
 				}
-				out = append(out, s.Type)
-			case *ast.ValueSpec:
-				if s.Type != nil {
-					out = append(out, s.Type)
+			}
+		}
+		for _, q := range p.Imports() {
+			visit(q)
+		}
+	}
+	for _, p := range m.pkgs {
+		visit(p)
+	}
+	byFirst := map[string][]*types.Interface{} // first method's name -> interfaces
+	for it := range live {
+		if it.NumMethods() > 0 {
+			byFirst[it.Method(0).Name()] = append(byFirst[it.Method(0).Name()], it)
+		}
+	}
+	var named []*types.Named
+	for _, p := range m.pkgs {
+		for _, name := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok && !tn.IsAlias() && !isGeneric(tn.Type()) {
+				named = append(named, tn.Type().(*types.Named))
+			}
+		}
+	}
+	for _, inst := range m.info.Instances {
+		if n, ok := inst.Type.(*types.Named); ok && n.Obj().Pkg() != nil && m.pkgs[n.Obj().Pkg().Path()] != nil {
+			named = append(named, n)
+		}
+	}
+	for _, n := range named {
+		var typ types.Type = n
+		if !types.IsInterface(n) {
+			typ = types.NewPointer(n)
+		}
+		ms := types.NewMethodSet(typ)
+		for i := range ms.Len() {
+			for _, it := range byFirst[ms.At(i).Obj().Name()] {
+				if !types.Implements(typ, it) {
+					continue
 				}
-				for _, v := range s.Values {
-					out = append(out, v)
+				for _, f := range live[it] {
+					if obj, _, _ := types.LookupFieldOrMethod(typ, false, f.Pkg(), f.Name()); obj != nil {
+						used[origin(obj)] = true
+					}
 				}
 			}
 		}
 	}
-	return out
+}
+
+// isGeneric reports whether t is a named type with type parameters.
+func isGeneric(t types.Type) bool {
+	n, ok := t.(*types.Named)
+	return ok && n.TypeParams().Len() > 0
 }
 
 // flowCore is the UDP flow core's file; flowImports are the imports it
@@ -546,17 +786,14 @@ func sharedMessagePath(files []srcFile) []string {
 // funcName names a function declaration as a reader would: F, or
 // (T).M and (*T).M for a method.
 func funcName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
+	if fd.Recv == nil {
 		return fd.Name.Name
 	}
-	t, star := fd.Recv.List[0].Type, ""
-	if p, ok := t.(*ast.StarExpr); ok {
-		t, star = p.X, "*"
+	star := ""
+	if _, ok := ast.Unparen(fd.Recv.List[0].Type).(*ast.StarExpr); ok {
+		star = "*"
 	}
-	if id, ok := t.(*ast.Ident); ok {
-		return "(" + star + id.Name + ")." + fd.Name.Name
-	}
-	return fd.Name.Name
+	return "(" + star + recvTypeName(fd) + ")." + fd.Name.Name
 }
 
 // internalImportsInExamples reports every import of a repro/internal/
@@ -572,6 +809,101 @@ func internalImportsInExamples(files []srcFile) []string {
 				out = append(out, f.path+" imports "+p)
 			}
 		}
+	}
+	return out
+}
+
+// secondTools reports every entry of cmd/ other than bcast, and a
+// cmd/bcast that holds no file.
+func secondTools(files []srcFile) []string {
+	entries := map[string]bool{}
+	for _, f := range files {
+		if rest, ok := strings.CutPrefix(f.path, "cmd/"); ok {
+			entry, _, _ := strings.Cut(rest, "/")
+			entries["cmd/"+entry] = true
+		}
+	}
+	var out []string
+	if !entries["cmd/bcast"] {
+		out = append(out, "cmd/bcast is gone")
+	}
+	for _, e := range slices.Sorted(maps.Keys(entries)) {
+		if e != "cmd/bcast" {
+			out = append(out, e+" is a second tool")
+		}
+	}
+	return out
+}
+
+var (
+	// overlapNames are the folded overlap mode's and its rows' names;
+	// pointToPoint is a point-to-point call in gatherFile; patternTags
+	// are the hand-written Scatter, Gather and Allgather's tags;
+	// wrappedSaving the emitters, step counts and flag that stated the
+	// saving a second time; stepFlag names Listing 1's port, which
+	// stepFlagFiles alone of the non-test files may name.
+	overlapNames  = regexp.MustCompile(`execOverlapped|Overlap:|SegNB|seg-nb`)
+	pointToPoint  = regexp.MustCompile(`c\.(Send|Recv|Sendrecv)\(`)
+	gatherFile    = "internal/collective/gather.go"
+	patternTags   = regexp.MustCompile(`\b(tagScatter|tagGather|tagAllgather)\b`)
+	wrappedSaving = regexp.MustCompile(`\b(RingTunedOps|RingTunedSegOps|SendrecvSteps|DegenerateSteps|tuned bool)\b`)
+	stepFlag      = regexp.MustCompile(`\bComputeStepFlag\b`)
+	stepFlagFiles = []string{"internal/core/stepflag.go", "internal/core/traffic.go"}
+)
+
+// grepLines reports every line of the files keep selects that re
+// matches, as path:line: text — code, comment and string alike.
+func grepLines(files []srcFile, re *regexp.Regexp, keep func(f srcFile) bool) []string {
+	var out []string
+	for _, f := range files {
+		if !keep(f) {
+			continue
+		}
+		for i, line := range strings.Split(f.text, "\n") {
+			if re.MatchString(line) {
+				out = append(out, fmt.Sprintf("%s:%d: %s", f.path, i+1, strings.TrimSpace(line)))
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// foldedOverlap reports every line under textDirs that names the folded
+// overlap mode or its rows.
+func foldedOverlap(files []srcFile) []string {
+	return grepLines(files, overlapNames, func(f srcFile) bool { return underAny(f.path, textDirs) })
+}
+
+// handWrittenPatterns reports every point-to-point call in gatherFile
+// and every line under internal/ that names a hand-written pattern's tag.
+func handWrittenPatterns(files []srcFile) []string {
+	out := grepLines(files, pointToPoint, func(f srcFile) bool { return f.path == gatherFile })
+	return append(out, grepLines(files, patternTags, func(f srcFile) bool { return strings.HasPrefix(f.path, "internal/") })...)
+}
+
+// secondSavings reports every line of a .go file but archFile (whose
+// plants name them) that names a wrapper of the saving, every non-test
+// .go file outside stepFlagFiles that names ComputeStepFlag, and each of
+// stepFlagFiles that no longer does.
+func secondSavings(files []srcFile) []string {
+	out := grepLines(files, wrappedSaving, func(f srcFile) bool {
+		return strings.HasSuffix(f.path, ".go") && f.path != archFile
+	})
+	named := map[string]bool{}
+	for _, f := range files {
+		if strings.HasSuffix(f.path, ".go") && !f.test && stepFlag.MatchString(f.text) {
+			named[f.path] = true
+		}
+	}
+	for _, p := range stepFlagFiles {
+		if !named[p] {
+			out = append(out, p+" no longer names ComputeStepFlag")
+		}
+		delete(named, p)
+	}
+	for _, p := range slices.Sorted(maps.Keys(named)) {
+		out = append(out, p+" names ComputeStepFlag")
 	}
 	return out
 }
@@ -660,29 +992,26 @@ func TestArchitecture(t *testing.T) {
 	}
 }
 
-// TestArchitectureRulesFire plants violations, parsed in memory next to
-// the real repository, and checks each rule reports them by name.
+// TestArchitectureRulesFire plants violations, read in memory in place of
+// or next to the real repository's files, and checks each rule reports
+// them by name.
 func TestArchitectureRulesFire(t *testing.T) {
 	repo := loadRepo(t)
-	parse := func(rel, src string) srcFile {
-		if !strings.HasSuffix(rel, ".go") {
-			return newSrcFile(rel, nil, src)
-		}
-		f, err := parser.ParseFile(token.NewFileSet(), rel, src, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return newSrcFile(rel, f, "")
-	}
 	for _, tc := range []struct {
 		rule  string
 		plant map[string]string // file -> source
 		want  []string
 	}{
 		{
+			// Every kind of dead declaration fires; below the blank
+			// line stand the uses the rule must see: through an
+			// anonymous interface, an instantiation (called directly
+			// and through an interface), a positional literal and the
+			// standard library's interfaces.
 			rule: "internal declarations have a non-test caller",
 			plant: map[string]string{
 				"internal/collective/planted.go": `package collective
+import "fmt"
 func plantedOrphan() {}
 func plantedRecursive(n int) int { if n > 0 { return plantedRecursive(n - 1) }; return 0 }
 type plantedType struct{}
@@ -690,17 +1019,52 @@ func (plantedType) method() {}
 const plantedConst, plantedUsed = 1, 2
 func plantedTestOnly() {}
 var _ = plantedUsed
+type plantedNode struct{}
+func (n plantedNode) recurse(k int) { if k > 0 { n.recurse(k - 1) } }
+var _ = plantedNode{}
+type plantedIface interface{ Used(); Unused() }
+func plantedCall(i plantedIface) { i.Used() }
+var _ = plantedCall
+type plantedStruct struct{ used, unused int }
+var _ = plantedStruct{used: 1}
+
+type plantedBinder struct{}
+func (plantedBinder) BindPlanted() {}
+func plantedBind(x any) { if b, ok := x.(interface{ BindPlanted() }); ok { b.BindPlanted() } }
+type plantedRing[T any] struct{ items []T }
+func (r *plantedRing[T]) push(x T) { r.items = append(r.items, x) }
+type plantedBox[T any] struct{ v T }
+func (b plantedBox[T]) Get() any { return b.v }
+type plantedKey struct{ src, dst, tag int }
+type plantedErr struct{}
+func (plantedErr) Error() string { return "" }
+func (plantedErr) String() string { return "" }
+func init() {
+	plantedBind(plantedBinder{})
+	var r plantedRing[int]
+	r.push(1)
+	var g interface{ Get() any } = plantedBox[int]{}
+	g.Get()
+	_ = map[plantedKey]bool{plantedKey{1, 2, 3}: true}
+	fmt.Println(error(plantedErr{}))
+}
 `,
 				"internal/collective/planted_test.go": `package collective
 var _ = plantedTestOnly
+func (plantedType) testOnly() {}
+var _ = plantedStruct{unused: 1}
 `,
 			},
 			want: []string{
 				"internal/collective.plantedConst",
+				"internal/collective.plantedIface.Unused",
+				"internal/collective.plantedNode.recurse",
 				"internal/collective.plantedOrphan",
 				"internal/collective.plantedRecursive",
+				"internal/collective.plantedStruct.unused",
 				"internal/collective.plantedTestOnly",
 				"internal/collective.plantedType",
+				"internal/collective.plantedType.method",
 			},
 		},
 		{
@@ -874,28 +1238,94 @@ func main() {}
 			},
 			want: []string{"examples/planted/main.go imports repro/internal/tune"},
 		},
+		{
+			rule: "one tool",
+			plant: map[string]string{
+				"cmd/bcastsim/main.go": "package main\nfunc main() {}\n",
+				"cmd/README.md":        "the tools\n",
+				"cmd/bcast/planted.go": "package main\n",
+			},
+			want: []string{"cmd/README.md is a second tool", "cmd/bcastsim is a second tool"},
+		},
+		{
+			rule: "one executor loop",
+			plant: map[string]string{
+				"internal/collective/planted.go":         "package collective\n// execOverlapped is back\nvar _ = Options{Overlap: true}\n",
+				"cmd/bcast/testdata/planted.golden":      "scatter-ring-allgather-seg-nb 4096\n",
+				"bcast/planted_test.go":                  "package bcast\nconst plantedSegNB = 1\n",
+				"examples/planted/main.go":               "package main\n// SegNB outside the checked directories\n",
+				"internal/collective/planted_nb_test.go": "package collective\n// segNb, Overlap = and overlapped are other words\n",
+			},
+			want: []string{
+				"bcast/planted_test.go:2: const plantedSegNB = 1",
+				"cmd/bcast/testdata/planted.golden:1: scatter-ring-allgather-seg-nb 4096",
+				"internal/collective/planted.go:2: // execOverlapped is back",
+				"internal/collective/planted.go:3: var _ = Options{Overlap: true}",
+			},
+		},
+		{
+			rule: "one schedule per pattern",
+			plant: map[string]string{
+				gatherFile:                       "package collective\nfunc plantedGather(c mpi.Comm) { c.Sendrecv(nil, 0, 0, nil, 0, 0) }\n// c.SendAll( is another call\n",
+				"internal/core/planted_test.go":  "package core\nconst tagGather = 3\nvar tagScatterX = 4\n",
+				"bcast/planted.go":               "package bcast\nconst tagAllgather = 5\n",
+				"internal/collective/planted.go": "package collective\nfunc plantedSend(c mpi.Comm) { c.Send(nil, 0, 0) }\n",
+			},
+			want: []string{
+				gatherFile + ":2: func plantedGather(c mpi.Comm) { c.Sendrecv(nil, 0, 0, nil, 0, 0) }",
+				"internal/core/planted_test.go:2: const tagGather = 3",
+			},
+		},
+		{
+			rule: "one statement of the saving",
+			plant: map[string]string{
+				"internal/core/planted.go":        "package core\nfunc RingTunedSegOps() {}\ntype plantedEmit struct{ tuned bool }\nvar _ = ComputeStepFlag\n",
+				"benchmark/planted_test.go":       "package main\n// DegenerateSteps, in a comment\nvar _ = core.ComputeStepFlag\n",
+				"internal/core/traffic.go":        "package core\n",
+				"internal/collective/planted.go":  "package collective\nvar tunedBool, RingTunedOpsX, SendrecvStepsOf = 1, 2, 3\n",
+				"internal/core/stepflag_other.go": "package core\n// ComputeStepFlagged is another word\n",
+			},
+			want: []string{
+				"benchmark/planted_test.go:2: // DegenerateSteps, in a comment",
+				"internal/core/planted.go:2: func RingTunedSegOps() {}",
+				"internal/core/planted.go:3: type plantedEmit struct{ tuned bool }",
+				"internal/core/traffic.go no longer names ComputeStepFlag",
+				"internal/core/planted.go names ComputeStepFlag",
+			},
+		},
 	} {
-		var rule *archRule
-		for i := range archRules {
-			if archRules[i].name == tc.rule {
-				rule = &archRules[i]
+		t.Run(tc.rule, func(t *testing.T) {
+			var rule *archRule
+			for i := range archRules {
+				if archRules[i].name == tc.rule {
+					rule = &archRules[i]
+				}
 			}
-		}
-		if rule == nil {
-			t.Fatalf("no rule %q", tc.rule)
-		}
-		files := append([]srcFile(nil), repo...)
-		for rel, src := range tc.plant {
-			files = append(files, parse(rel, src))
-		}
-		var got []string
-		for _, v := range rule.check(files) {
-			if _, ok := rule.allow[v]; !ok {
-				got = append(got, v)
+			if rule == nil {
+				t.Fatalf("no rule %q", tc.rule)
 			}
-		}
-		if strings.Join(got, " ") != strings.Join(tc.want, " ") {
-			t.Errorf("rule %q on %d planted files: got %v, want %v", tc.rule, len(tc.plant), got, tc.want)
-		}
+			var files []srcFile
+			for _, f := range repo {
+				if _, planted := tc.plant[f.path]; !planted {
+					files = append(files, f)
+				}
+			}
+			for rel, src := range tc.plant {
+				f, err := readSrcFile(rel, src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				files = append(files, f)
+			}
+			var got []string
+			for _, v := range rule.check(files) {
+				if _, ok := rule.allow[v]; !ok {
+					got = append(got, v)
+				}
+			}
+			if strings.Join(got, " ") != strings.Join(tc.want, " ") {
+				t.Errorf("rule %q on %d planted files: got %v, want %v", tc.rule, len(tc.plant), got, tc.want)
+			}
+		})
 	}
 }

@@ -324,10 +324,10 @@ func allocRounds(t *testing.T, cell allocCell, start func(c bcast.Comm, buf []by
 		t.Fatal(err)
 	}
 	ctl := np - 1
-	want := 24*(payload.Messages()+ctl+np*bits.Len(uint(np-1))) + ctl
+	want := 24*(payload.Stats().Messages+ctl+np*bits.Len(uint(np-1))) + ctl
 	if sent := m.EagerSends + m.RdvSends; sent != int64(want) {
 		t.Errorf("engine sent %d messages; the schedule says %d per payload broadcast, %d with the harness's own traffic",
-			sent, payload.Messages(), want)
+			sent, payload.Stats().Messages, want)
 	}
 	if m.SpansRecorded == 0 {
 		t.Error("no spans recorded with WithSpans enabled")

@@ -369,7 +369,7 @@ func runSoakChild(cfg *cli.Config, stdout io.Writer) error {
 	}
 	if cfg.Metrics {
 		s := engine.CollectMetrics(mx)
-		s.Transport = tr.Name()
+		s.Transport = transport.UDPName
 		fmt.Fprintf(os.Stderr, "# child ranks %v\n%s\n", hosted, s.String())
 	}
 	return nil

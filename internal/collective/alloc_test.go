@@ -234,14 +234,14 @@ func TestBcastOptSegSteadyStateAllocs(t *testing.T) {
 					// the row's schedule plus the control broadcast and the
 					// dissemination barrier, and one last control broadcast.
 					h.stop(t)
-					ctl := sched.Generate("binomial-bcast", core.BinomialOps, np, 0, 8, 0).Messages()
+					ctl := sched.Generate("binomial-bcast", core.BinomialOps, np, 0, 8, 0).Stats().Messages
 					want := ctl
 					for _, n := range sizes {
 						pr, err := Schedule(o.Decide(tune.EnvOf(n, np, cell.topo)), cell.topo, 0, n)
 						if err != nil {
 							t.Fatal(err)
 						}
-						want += 22 * (pr.Messages() + ctl + np*bits.Len(uint(np-1)))
+						want += 22 * (pr.Stats().Messages + ctl + np*bits.Len(uint(np-1)))
 					}
 					snap := mx.Snapshot()
 					if sent := snap.EagerSends + snap.RdvSends; sent != int64(want) {

@@ -357,7 +357,7 @@ func runCell(t *testing.T, c cell) metrics.Snapshot {
 	// inline payload) travel on the edges bound for them, past both
 	// queues; any other message, and every one a per-call broadcast
 	// sends, cached Plans' included, passes one of them.
-	if tr == nil && pr.Messages() > 0 {
+	if tr == nil && pr.Stats().Messages > 0 {
 		bound := c.style == stylePlan && largestMessage(pr) <= boundMax
 		if queued := s.ArrivalQueueMax+s.PostedQueueMax != 0; queued == bound {
 			t.Fatalf("%s: every message bound: %v, yet the queues held %d arrivals / %d receives",

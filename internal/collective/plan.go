@@ -209,11 +209,5 @@ func (p *Plan) Execute(c mpi.Comm, buf []byte) error {
 	return nil
 }
 
-// Bytes returns the byte count the plan is currently bound to.
-func (p *Plan) Bytes() int { return p.n }
-
-// Root returns the broadcast root the plan was built for.
-func (p *Plan) Root() int { return p.root }
-
 // Decision returns the resolved tuner decision.
 func (p *Plan) Decision() tune.Decision { return p.dec }

@@ -94,7 +94,7 @@ func FuzzBcastProgramsVerify(f *testing.F) {
 			t.Fatalf("p=%d n=%d: opt traffic %+v, ring bytes want %d", p, n, st, missingBytes(p, n))
 		}
 		// With no empty chunk, the saving is Listing 1's closed form.
-		if NewLayout(n, p).Count(p-1) > 0 && nat.Messages()-opt.Messages() != TunedSavedMessages(p) {
+		if NewLayout(n, p).Count(p-1) > 0 && nat.Stats().Messages-opt.Stats().Messages != TunedSavedMessages(p) {
 			t.Fatalf("p=%d n=%d: savings mismatch", p, n)
 		}
 	})

@@ -61,8 +61,8 @@ func TestScatterScheduleFig1(t *testing.T) {
 			t.Fatalf("rank %d recv = %s want [%d,%d)", rank, recvs[0], lo, hi)
 		}
 	}
-	if pr.Messages() != 7 {
-		t.Fatalf("scatter messages = %d want 7", pr.Messages())
+	if pr.Stats().Messages != 7 {
+		t.Fatalf("scatter messages = %d want 7", pr.Stats().Messages)
 	}
 }
 
@@ -91,8 +91,8 @@ func TestScatterScheduleFig2(t *testing.T) {
 	if len(sends8) != 1 || sends8[0].To != 9 || sends8[0].SendOff != 9 || sends8[0].SendLen != 1 {
 		t.Fatalf("rank 8 sends = %v", sends8)
 	}
-	if pr.Messages() != 9 {
-		t.Fatalf("scatter messages = %d want 9", pr.Messages())
+	if pr.Stats().Messages != 9 {
+		t.Fatalf("scatter messages = %d want 9", pr.Stats().Messages)
 	}
 }
 
@@ -119,7 +119,7 @@ func TestScatterScheduleVerifies(t *testing.T) {
 				}
 				// Ownership must be exactly the subtree (not more).
 				for r := 0; r < p; r++ {
-					if !res.Final[r].Equal(want(r)) {
+					if !slices.Equal(res.Final[r].Intervals(), want(r).Intervals()) {
 						t.Fatalf("p=%d root=%d n=%d rank %d: final %s want %s",
 							p, root, n, r, res.Final[r], want(r))
 					}
@@ -159,8 +159,8 @@ func TestNativeRingFig3(t *testing.T) {
 			}
 		}
 	}
-	if pr.Messages() != p*(p-1) {
-		t.Fatalf("messages = %d want %d", pr.Messages(), p*(p-1))
+	if pr.Stats().Messages != p*(p-1) {
+		t.Fatalf("messages = %d want %d", pr.Stats().Messages, p*(p-1))
 	}
 }
 
@@ -227,7 +227,7 @@ func TestTunedRingFig4(t *testing.T) {
 			t.Fatalf("rank %d step 7: %s want recv-only", r, ops[6])
 		}
 	}
-	if got := pr.Messages(); got != 44 {
+	if got := pr.Stats().Messages; got != 44 {
 		t.Fatalf("tuned ring messages = %d want 44 (paper: 56 reduced by 12)", got)
 	}
 }
@@ -260,7 +260,7 @@ func TestTunedRingFig5(t *testing.T) {
 	if ops8[8].Kind != sched.OpSend {
 		t.Fatalf("rank 8 step 9: %s want send-only", ops8[8])
 	}
-	if got := pr.Messages(); got != 75 {
+	if got := pr.Stats().Messages; got != 75 {
 		t.Fatalf("tuned ring messages = %d want 75 (paper: 90 reduced by 15)", got)
 	}
 }
@@ -354,8 +354,8 @@ func TestRdbMessageCount(t *testing.T) {
 	for _, p := range []int{2, 4, 8, 16, 32} {
 		pr := sched.Generate("rdb-allgather", RdbOps, p, 0, 64*p, 0)
 		want := p * FloorLog2(p)
-		if pr.Messages() != want {
-			t.Fatalf("p=%d: rdb messages = %d want %d", p, pr.Messages(), want)
+		if pr.Stats().Messages != want {
+			t.Fatalf("p=%d: rdb messages = %d want %d", p, pr.Stats().Messages, want)
 		}
 	}
 }
@@ -370,11 +370,11 @@ func TestBinomialBcastVerifies(t *testing.T) {
 				if _, err := sched.Verify(pr, sched.VerifyConfig{WantFinal: sched.FullBuffer(n)}); err != nil {
 					t.Fatalf("p=%d root=%d n=%d: %v", p, root, n, err)
 				}
-				if pr.Messages() != p-1 {
-					t.Fatalf("p=%d: binomial messages = %d want %d", p, pr.Messages(), p-1)
+				if pr.Stats().Messages != p-1 {
+					t.Fatalf("p=%d: binomial messages = %d want %d", p, pr.Stats().Messages, p-1)
 				}
-				if pr.Bytes() != (p-1)*n {
-					t.Fatalf("p=%d n=%d: binomial bytes = %d want %d", p, n, pr.Bytes(), (p-1)*n)
+				if pr.Stats().Bytes != (p-1)*n {
+					t.Fatalf("p=%d n=%d: binomial bytes = %d want %d", p, n, pr.Stats().Bytes, (p-1)*n)
 				}
 			}
 		}

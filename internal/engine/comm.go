@@ -233,36 +233,8 @@ func (c *comm) Sendrecv(sendBuf []byte, to, sendTag int, recvBuf []byte, from, r
 	return st, serr
 }
 
-func (c *comm) Isend(buf []byte, to, tag int) (mpi.Request, error) {
-	if err := mpi.CheckPeer(to, len(c.members), false); err != nil {
-		return nil, fmt.Errorf("engine: isend: %w", err)
-	}
-	if err := mpi.CheckTag(tag, false); err != nil {
-		return nil, fmt.Errorf("engine: isend: %w", err)
-	}
-	if to == c.rank {
-		return nil, fmt.Errorf("engine: isend: %w: self-send unsupported", mpi.ErrRank)
-	}
-	r := new(request) // the caller's from here on
-	c.w.isend(r, c.ctx, c.rank, c.worldRank(), c.worldRankOf(to), buf, c.streamTag(tag), c.cancel)
-	c.sent(to, tag, len(buf)) // at issue: a started send is delivered
-	return r, nil
-}
-
-func (c *comm) Irecv(buf []byte, from, tag int) (mpi.Request, error) {
-	if err := mpi.CheckPeer(from, len(c.members), true); err != nil {
-		return nil, fmt.Errorf("engine: irecv: %w", err)
-	}
-	if err := mpi.CheckTag(tag, true); err != nil {
-		return nil, fmt.Errorf("engine: irecv: %w", err)
-	}
-	r := new(request)
-	c.w.irecv(r, c.ctx, c.worldRank(), buf, from, c.streamTag(tag), c.cancel)
-	r.rec = c.rec
-	return r, nil
-}
-
-// Prepost implements mpi.Preposter: Irecv into a request the caller owns.
+// Prepost implements mpi.Preposter: it posts a receive as Recv does, into
+// a request the caller owns, and leaves the Wait to the caller.
 // A completed request of this engine is re-armed in place (the engine
 // keeps no reference to a request once it has completed); anything else
 // is replaced by a fresh one. It declines a source the transport wires:
@@ -413,29 +385,4 @@ func decodeInts(b []byte, n int) []int {
 		out[i] = int(int64(binary.LittleEndian.Uint64(b[8*i:])))
 	}
 	return out
-}
-
-// Iprobe reports whether a matching message has arrived without
-// consuming it.
-func (c *comm) Iprobe(from, tag int) (mpi.Status, bool, error) {
-	if err := mpi.CheckPeer(from, len(c.members), true); err != nil {
-		return mpi.Status{}, false, fmt.Errorf("engine: iprobe: %w", err)
-	}
-	if err := mpi.CheckTag(tag, true); err != nil {
-		return mpi.Status{}, false, fmt.Errorf("engine: iprobe: %w", err)
-	}
-	tag = c.streamTag(tag)
-	ep := c.w.eps[c.worldRank()]
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	for _, env := range ep.arrivals {
-		if env.ctx == c.ctx && matchSrc(from, env.src) && matchTag(tag, env.tag) {
-			n := len(env.data)
-			if env.rdv != nil {
-				n = len(env.rdv.buf)
-			}
-			return mpi.Status{Source: env.src, Tag: env.tag, Count: n}, true, nil
-		}
-	}
-	return mpi.Status{}, false, nil
 }

@@ -79,7 +79,7 @@ func TestCreditOverflowBlockingSend(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		s := w.Metrics().Snapshot()
+		s := w.metrics.Snapshot()
 		if s.RdvSends == 0 || s.EagerSends+s.RdvSends != creditMsgs {
 			t.Errorf("%s: eager=%d zero-copy=%d sends, want %d in all and the overflow zero-copy",
 				name, s.EagerSends, s.RdvSends, creditMsgs)

@@ -74,7 +74,7 @@ func boundRun(c mpi.Comm, b mpi.Binding, body func() error) error {
 // parked waits, on the goroutine executor, until rank is parked. (With
 // one slot the caller runs only once everyone else has parked.)
 func (w *World) parked(rank int) error {
-	for w.ExecutorName() == "goroutine" && w.state[rank].Load() != 1 {
+	for w.slots == nil && w.state[rank].Load() != 1 {
 		if w.state[rank].Load() == 2 {
 			return fmt.Errorf("rank %d finished without parking", rank)
 		}
@@ -195,7 +195,7 @@ func TestBoundSenderRunsAhead(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		s := w.Metrics().Snapshot()
+		s := w.metrics.Snapshot()
 		if s.EagerSends != runs*k || s.EagerRecvs != runs*k || s.RdvSends+s.RdvRecvs != 0 ||
 			s.StagedBytes != runs*(1+64+256) || s.Parks == 0 || s.ArrivalQueueMax+s.PostedQueueMax != 0 {
 			t.Errorf("%s: %d/%d eager sends/receives, %d staged bytes, %d parks, queues %d/%d; want %d, %d, some, none",
@@ -340,7 +340,7 @@ func TestBoundRebindsReleaseTheirEdges(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		name := w.ExecutorName()
+		name := ExecLabel(opts.Executor, opts.MaxWorkers)
 		// run broadcasts n bytes on a kept Plan, then rebinds it to each
 		// length of then in turn, broadcasting after each; edges holds
 		// the bound edges once every rank is done, and after the Plans
@@ -531,7 +531,7 @@ func TestBoundOneHalfUnbound(t *testing.T) {
 					{Peer: peer, Tag: boundTag, Send: true, Count: 1, MaxLen: out},
 					{Peer: peer, Tag: boundTag, Count: 1, MaxLen: in},
 				})
-				full := me == 1 && tc.sent <= inlinePayload && w.ExecutorName() == "goroutine"
+				full := me == 1 && tc.sent <= inlinePayload && w.slots == nil
 				rbuf := make([]byte, in)
 				// recv receives run r's message.
 				recv := func(r int, move func() (mpi.Status, error)) error {

@@ -158,9 +158,8 @@ type World struct {
 	deadlock     time.Duration
 
 	// slots holds the pooled substrate's execution slots (executor.go);
-	// nil on the goroutine substrate. execName labels the substrate.
-	slots    chan struct{}
-	execName string
+	// nil on the goroutine substrate.
+	slots chan struct{}
 
 	// metrics is never nil: NewWorld wires the caller's Metrics or
 	// creates a counters-only one, so every counter site updates
@@ -295,7 +294,6 @@ func NewWorld(opts Options) (*World, error) {
 	}
 	w := &World{
 		slots:        slots,
-		execName:     ExecLabel(opts.Executor, opts.MaxWorkers),
 		metrics:      mx,
 		np:           opts.NP,
 		topo:         topo,
@@ -331,20 +329,6 @@ func NewWorld(opts Options) (*World, error) {
 	}
 	return w, nil
 }
-
-// NP returns the world size.
-func (w *World) NP() int { return w.np }
-
-// Topology returns the world's rank placement.
-func (w *World) Topology() *topology.Map { return w.topo }
-
-// EagerLimit returns the effective eager/rendezvous threshold (-1 when
-// rendezvous is forced).
-func (w *World) EagerLimit() int { return w.eagerLimit }
-
-// ExecutorName labels the world's rank-execution substrate for
-// provenance ("goroutine", "pooled(8)").
-func (w *World) ExecutorName() string { return w.execName }
 
 // Reusable reports whether the world can host another Run: no Run is in
 // progress and the world has not aborted. It is advisory — callers like

@@ -689,11 +689,7 @@ func TestIrecvWildcards(t *testing.T) {
 		got := map[int]bool{}
 		for i := 0; i < 2; i++ {
 			buf := make([]byte, 1)
-			req, err := c.Irecv(buf, mpi.AnySource, mpi.AnyTag)
-			if err != nil {
-				return err
-			}
-			st, err := req.Wait()
+			st, err := irecv(c, buf, mpi.AnySource, mpi.AnyTag).Wait()
 			if err != nil {
 				return err
 			}

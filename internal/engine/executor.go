@@ -71,8 +71,7 @@ func PooledWorkers(maxWorkers int) int {
 // would run, worker clamp applied — "goroutine", or "pooled(8)". Every
 // provenance string in the stack (table descriptions, sample logs,
 // benchmark headers, the facade's Cluster.Executor) is built through
-// this one helper so they cannot drift from each other or from
-// World.ExecutorName.
+// this one helper so they cannot drift from each other.
 func ExecLabel(policy ExecPolicy, maxWorkers int) string {
 	if policy == Pooled {
 		return fmt.Sprintf("pooled(%d)", PooledWorkers(maxWorkers))

@@ -33,16 +33,15 @@ func TestOptionsExecutorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := w.ExecutorName(); got != "goroutine" {
-		t.Errorf("default executor name = %q, want goroutine", got)
+	if w.slots != nil {
+		t.Errorf("default executor has %d slots, want the goroutine substrate's none", cap(w.slots))
 	}
 	w, err = NewWorld(Options{NP: 2, Executor: Pooled})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fmt.Sprintf("pooled(%d)", runtime.GOMAXPROCS(0))
-	if got := w.ExecutorName(); got != want {
-		t.Errorf("pooled default name = %q, want %q", got, want)
+	if got, want := cap(w.slots), runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("pooled default has %d slots, want GOMAXPROCS %d", got, want)
 	}
 }
 
@@ -265,8 +264,8 @@ func TestPooledCountsSlotWaits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := w.Metrics().Snapshot()
-		name := w.ExecutorName()
+		s := w.metrics.Snapshot()
+		name := ExecLabel(tc.opts.Executor, tc.opts.MaxWorkers)
 		if s.Parks == 0 || s.Parks != s.Unparks {
 			t.Errorf("%s: %d parks, %d unparks; want equal and nonzero", name, s.Parks, s.Unparks)
 		}

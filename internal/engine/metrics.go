@@ -5,10 +5,6 @@ import (
 	"repro/internal/metrics"
 )
 
-// Metrics returns the world's instrumentation (never nil — a world
-// without a caller-supplied Metrics creates a counters-only one).
-func (w *World) Metrics() *metrics.Metrics { return w.metrics }
-
 // CollectMetrics merges m into a Snapshot and folds in the
 // process-global buffer-pool activity, which the metrics package itself
 // cannot reach (it is a leaf; bufpool sits beside it). Every snapshot

@@ -111,7 +111,7 @@ func TestMatchedPostedEagerSendCopiesOnce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			staged := func() int64 { return w.Metrics().Snapshot().StagedBytes }
+			staged := func() int64 { return w.metrics.Snapshot().StagedBytes }
 			payload := bytes.Repeat([]byte{0xC3}, size)
 			// The ranks take turns through these, not through messages,
 			// which would move the counters under test.
@@ -119,10 +119,7 @@ func TestMatchedPostedEagerSendCopiesOnce(t *testing.T) {
 			err = w.Run(func(c mpi.Comm) error {
 				buf := make([]byte, size)
 				if c.Rank() == 1 {
-					req, err := c.Irecv(buf, 0, 5)
-					if err != nil {
-						return err
-					}
+					req := irecv(c, buf, 0, 5)
 					close(posted)
 					if _, err := req.Wait(); err != nil {
 						return err
@@ -170,7 +167,7 @@ func TestMatchedPostedEagerSendCopiesOnce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s := w.Metrics().Snapshot(); s.EagerSends != 2 || s.EagerRecvs != 2 || s.RdvSends != 0 {
+			if s := w.metrics.Snapshot(); s.EagerSends != 2 || s.EagerRecvs != 2 || s.RdvSends != 0 {
 				t.Errorf("eager sends=%d recvs=%d rendezvous sends=%d, want 2 2 0", s.EagerSends, s.EagerRecvs, s.RdvSends)
 			}
 		})
@@ -181,15 +178,15 @@ func TestMatchedPostedEagerSendCopiesOnce(t *testing.T) {
 // envelope is the engine's copy. The sender scribbles its buffer as soon
 // as Send returns; messages of several sizes, all queued before the
 // first is consumed, arrive with exact bytes and counts and nothing of a
-// recycled envelope's earlier, longer payload; Iprobe and a truncating
-// receive see the inline message as they see any other.
+// recycled envelope's earlier, longer payload; a truncating receive
+// sees the inline message as it sees any other.
 func TestInlineStagedPayloadIsTheEngines(t *testing.T) {
 	const (
-		probed   = 200 // the size Iprobe and the truncating receive see
+		cut      = 200 // the size of the message the truncating receive cuts
 		truncTag = 99
 		short    = 100 // the truncating receive's buffer
 	)
-	sizes := []int{inlinePayload, probed, 1, 0}
+	sizes := []int{inlinePayload, cut, 1, 0}
 	pattern := func(tag, n int) []byte {
 		b := make([]byte, n)
 		for i := range b {
@@ -223,13 +220,9 @@ func TestInlineStagedPayloadIsTheEngines(t *testing.T) {
 					}
 				}
 			}
-			return send(truncTag, probed)
+			return send(truncTag, cut)
 		}
 		<-queued
-		st, ok, err := c.Iprobe(0, 1) // round 0's probed-size message
-		if err != nil || !ok || st.Count != probed {
-			return fmt.Errorf("iprobe: %+v found=%v err=%v, want Count %d", st, ok, err, probed)
-		}
 		in := make([]byte, inlinePayload)
 		for round := 0; round < 2; round++ {
 			for i, n := range sizes {
@@ -251,9 +244,9 @@ func TestInlineStagedPayloadIsTheEngines(t *testing.T) {
 		}
 		trunc := make([]byte, short)
 		if _, err := c.Recv(trunc, 0, truncTag); !errors.Is(err, mpi.ErrTruncate) {
-			return fmt.Errorf("%d-byte message into %d bytes: err %v, want mpi.ErrTruncate", probed, short, err)
+			return fmt.Errorf("%d-byte message into %d bytes: err %v, want mpi.ErrTruncate", cut, short, err)
 		}
-		if want := pattern(truncTag, probed)[:short]; !bytes.Equal(trunc, want) {
+		if want := pattern(truncTag, cut)[:short]; !bytes.Equal(trunc, want) {
 			return fmt.Errorf("truncated receive delivered %x, want %x", trunc, want)
 		}
 		return nil
@@ -261,11 +254,11 @@ func TestInlineStagedPayloadIsTheEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := w.Metrics().Snapshot()
+	s := w.metrics.Snapshot()
 	if want := int64(2*len(sizes) + 1); s.EagerSends != want || s.EagerRecvs != want || s.RdvSends != 0 {
 		t.Errorf("eager sends=%d recvs=%d rendezvous sends=%d, want %d %d 0", s.EagerSends, s.EagerRecvs, s.RdvSends, want, want)
 	}
-	if want := int64(2*(inlinePayload+probed+1) + probed); s.StagedBytes != want {
+	if want := int64(2*(inlinePayload+cut+1) + cut); s.StagedBytes != want {
 		t.Errorf("staged bytes = %d, want %d", s.StagedBytes, want)
 	}
 }
@@ -339,15 +332,12 @@ func TestCreditWindowPerSenderWorldRank(t *testing.T) {
 	// account, which their next messages (Split's) would otherwise charge.
 	overrun := func(c mpi.Comm, issued *sync.WaitGroup, checked chan struct{}, want []int32) error {
 		if c.Rank() != 0 {
-			reqs := make([]mpi.Request, msgs)
+			reqs := make([]*request, msgs)
 			for i := range reqs {
-				var err error
-				if reqs[i], err = c.Isend(bytes.Repeat([]byte{byte(c.Rank())}, size), 0, i); err != nil {
-					return err
-				}
+				reqs[i] = isend(c, bytes.Repeat([]byte{byte(c.Rank())}, size), 0, i)
 			}
 			issued.Done()
-			_, err := mpi.WaitAll(reqs...)
+			err := waitAll(reqs)
 			<-checked
 			return err
 		}
@@ -398,7 +388,7 @@ func TestCreditWindowPerSenderWorldRank(t *testing.T) {
 	}
 	eager := int64((np - 1 + np - 2) * window)
 	all := int64((np - 1 + np - 2) * msgs)
-	s := w.Metrics().Snapshot()
+	s := w.metrics.Snapshot()
 	// Split's own handshake is eager traffic too; the zero-copy count is
 	// the overrun's alone.
 	if s.RdvSends != all-eager {

@@ -12,14 +12,40 @@ import (
 	"repro/internal/mpi"
 )
 
+// isend and irecv start a send or post a receive on c as Send and Recv
+// do, and hand back its request instead of waiting on it: how the tests
+// stage a matching state — a receive posted before its message arrives
+// or after, a wildcard claim, sends queued past the credit window or
+// behind one another, a receive pending when the world ends.
+func isend(c mpi.Comm, buf []byte, to, tag int) *request {
+	cc := c.(*comm)
+	r := new(request)
+	cc.w.isend(r, cc.ctx, cc.rank, cc.worldRank(), cc.worldRankOf(to), buf, cc.streamTag(tag), cc.cancel)
+	return r
+}
+
+func irecv(c mpi.Comm, buf []byte, from, tag int) *request {
+	cc := c.(*comm)
+	r := new(request)
+	cc.w.irecv(r, cc.ctx, cc.worldRank(), buf, from, cc.streamTag(tag), cc.cancel)
+	return r
+}
+
+// waitAll waits on every request and returns the first error.
+func waitAll(reqs []*request) error {
+	var first error
+	for _, r := range reqs {
+		if _, err := r.Wait(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
 func TestIsendIrecvRoundTrip(t *testing.T) {
 	err := Run(2, func(c mpi.Comm) error {
 		if c.Rank() == 0 {
-			req, err := c.Isend([]byte("async"), 1, 4)
-			if err != nil {
-				return err
-			}
-			st, err := req.Wait()
+			st, err := isend(c, []byte("async"), 1, 4).Wait()
 			if err != nil {
 				return err
 			}
@@ -29,10 +55,7 @@ func TestIsendIrecvRoundTrip(t *testing.T) {
 			return nil
 		}
 		buf := make([]byte, 8)
-		req, err := c.Irecv(buf, 0, 4)
-		if err != nil {
-			return err
-		}
+		req := irecv(c, buf, 0, 4)
 		st, err := req.Wait()
 		if err != nil {
 			return err
@@ -59,21 +82,16 @@ func TestIsendNonOvertaking(t *testing.T) {
 	err := RunWith(Options{NP: 2, EagerLimit: 64, DeadlockAfter: time.Second}, func(c mpi.Comm) error {
 		if c.Rank() == 0 {
 			bufs := make([][]byte, k)
-			reqs := make([]mpi.Request, k)
+			reqs := make([]*request, k)
 			for i := 0; i < k; i++ {
 				size := 8
 				if i%2 == 1 {
 					size = 256 // beyond eager: zero-copy envelope
 				}
 				bufs[i] = bytes.Repeat([]byte{byte(i)}, size)
-				req, err := c.Isend(bufs[i], 1, 3)
-				if err != nil {
-					return err
-				}
-				reqs[i] = req
+				reqs[i] = isend(c, bufs[i], 1, 3)
 			}
-			_, err := mpi.WaitAll(reqs...)
-			return err
+			return waitAll(reqs)
 		}
 		for i := 0; i < k; i++ {
 			buf := make([]byte, 256)
@@ -99,10 +117,7 @@ func TestIrecvPostedBeforeSendGetsZeroCopy(t *testing.T) {
 		payload := bytes.Repeat([]byte{7}, 1024)
 		if c.Rank() == 1 {
 			buf := make([]byte, 1024)
-			req, err := c.Irecv(buf, 0, 9)
-			if err != nil {
-				return err
-			}
+			req := irecv(c, buf, 0, 9)
 			// Tell rank 0 the receive is posted.
 			if err := c.Send(nil, 0, 1); err != nil {
 				return err
@@ -119,15 +134,12 @@ func TestIrecvPostedBeforeSendGetsZeroCopy(t *testing.T) {
 		if _, err := c.Recv(nil, 1, 1); err != nil {
 			return err
 		}
-		req, err := c.Isend(payload, 1, 9)
-		if err != nil {
-			return err
-		}
-		if !req.Done() {
+		req := isend(c, payload, 1, 9)
+		if !req.complete {
 			// The posted receive existed, so the send matched instantly.
 			return errors.New("isend against posted recv should complete immediately")
 		}
-		_, err = req.Wait()
+		_, err := req.Wait()
 		return err
 	})
 	if err != nil {
@@ -135,102 +147,55 @@ func TestIrecvPostedBeforeSendGetsZeroCopy(t *testing.T) {
 	}
 }
 
-func TestRequestDonePolling(t *testing.T) {
-	err := RunWith(testOpts(2), func(c mpi.Comm) error {
-		if c.Rank() == 0 {
-			time.Sleep(20 * time.Millisecond)
-			return c.Send([]byte{1}, 1, 1)
-		}
-		buf := make([]byte, 1)
-		req, err := c.Irecv(buf, 0, 1)
-		if err != nil {
-			return err
-		}
-		if req.Done() {
-			return errors.New("request done before any send")
-		}
-		for !req.Done() {
-			time.Sleep(time.Millisecond)
-		}
-		st, err := req.Wait()
-		if err != nil || st.Count != 1 {
-			return fmt.Errorf("after Done: %+v %v", st, err)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestDonePollObservesAbort: a rank that polls Done instead of waiting
-// must see the world end. Done used to look at the completion channel
-// only, so the polling rank below never left its loop and Run never
-// returned. The end comes as a peer's error (abort) or as the context
-// the operation was bound to being cancelled.
-func TestDonePollObservesAbort(t *testing.T) {
+// TestPendingRecvAcrossAbort: a receive still pending when the world
+// ends completes with the end, however the rank gets to its Wait. The
+// end comes as a peer's error (abort) or as the context the operation was
+// bound to being cancelled; the rank waits on its receive either only
+// once it has seen the end (Wait must not park for a message that cannot
+// come) or before the end, parked until it.
+func TestPendingRecvAcrossAbort(t *testing.T) {
 	boom := errors.New("rank 1 gives up")
 	for _, how := range []string{"abort", "cancel"} {
-		ctx, cancel := context.WithCancelCause(context.Background())
-		posted := make(chan struct{}) // closed once the receive is pending
-		start := time.Now()
-		err := RunWith(Options{NP: 2, Timeout: 2 * time.Second, DeadlockAfter: -1}, func(c mpi.Comm) error {
-			if c.Rank() == 1 {
-				<-posted
-				if how == "abort" {
-					return boom
-				}
-				cancel(boom)
-				return nil
+		t.Run(how, func(t *testing.T) {
+			for _, late := range []bool{true, false} {
+				t.Run(fmt.Sprintf("late=%v", late), func(t *testing.T) {
+					ctx, cancel := context.WithCancelCause(context.Background())
+					defer cancel(nil)
+					posted := make(chan struct{}) // closed once the receive is pending
+					start := time.Now()
+					var w *World
+					err := RunWith(Options{NP: 2, Timeout: 2 * time.Second, DeadlockAfter: -1}, func(c mpi.Comm) error {
+						if c.Rank() == 1 {
+							<-posted
+							if how == "abort" {
+								return boom
+							}
+							cancel(boom)
+							return nil
+						}
+						w = c.(*comm).w
+						req := irecv(c.(mpi.Contexter).WithContext(ctx), make([]byte, 1), 1, 1) // never sent
+						close(posted)
+						if late {
+							for !closed(w.aborted) && !closed(ctx.Done()) {
+								runtime.Gosched()
+							}
+						}
+						_, err := req.Wait()
+						if !errors.Is(err, mpi.ErrAborted) {
+							return fmt.Errorf("pending request finished with %v, want mpi.ErrAborted", err)
+						}
+						return err
+					})
+					if !errors.Is(err, boom) {
+						t.Errorf("Run returned %v, want the cause %v", err, boom)
+					}
+					if elapsed := time.Since(start); elapsed > time.Second {
+						t.Errorf("Run took %v; Wait should see the end at once, well before the 2 s timeout", elapsed)
+					}
+				})
 			}
-			req, err := c.(mpi.Contexter).WithContext(ctx).Irecv(make([]byte, 1), 1, 1) // never sent
-			close(posted)
-			if err != nil {
-				return err
-			}
-			for !req.Done() {
-				if time.Since(start) > 5*time.Second {
-					return errors.New("Done still false 5 s after the world ended")
-				}
-				runtime.Gosched()
-			}
-			_, err = req.Wait()
-			if !errors.Is(err, mpi.ErrAborted) {
-				return fmt.Errorf("polled-out request finished with %v, want mpi.ErrAborted", err)
-			}
-			return err
 		})
-		cancel(nil)
-		if !errors.Is(err, boom) {
-			t.Errorf("%s: Run returned %v, want the cause %v", how, err, boom)
-		}
-		if elapsed := time.Since(start); elapsed > time.Second {
-			t.Errorf("%s: Run took %v; Done should see the end at its next poll, well before the 2 s timeout", how, elapsed)
-		}
-	}
-}
-
-func TestIsendValidation(t *testing.T) {
-	err := Run(2, func(c mpi.Comm) error {
-		if c.Rank() != 0 {
-			return nil
-		}
-		if _, err := c.Isend(nil, 9, 1); !errors.Is(err, mpi.ErrRank) {
-			return fmt.Errorf("peer: %v", err)
-		}
-		if _, err := c.Isend(nil, 0, 1); !errors.Is(err, mpi.ErrRank) {
-			return fmt.Errorf("self: %v", err)
-		}
-		if _, err := c.Isend(nil, 1, -1); !errors.Is(err, mpi.ErrTag) {
-			return fmt.Errorf("tag: %v", err)
-		}
-		if _, err := c.Irecv(nil, -9, 1); !errors.Is(err, mpi.ErrRank) {
-			return fmt.Errorf("irecv peer: %v", err)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -241,17 +206,12 @@ func TestIsendOverflowBeyondCreditsCompletes(t *testing.T) {
 	err := RunWith(Options{NP: 2, EagerLimit: 1 << 10, EagerCredits: 2, DeadlockAfter: time.Second}, func(c mpi.Comm) error {
 		if c.Rank() == 0 {
 			bufs := make([][]byte, k)
-			reqs := make([]mpi.Request, k)
+			reqs := make([]*request, k)
 			for i := range reqs {
 				bufs[i] = bytes.Repeat([]byte{byte(i + 1)}, 64)
-				req, err := c.Isend(bufs[i], 1, 2)
-				if err != nil {
-					return err
-				}
-				reqs[i] = req
+				reqs[i] = isend(c, bufs[i], 1, 2)
 			}
-			_, err := mpi.WaitAll(reqs...)
-			return err
+			return waitAll(reqs)
 		}
 		time.Sleep(10 * time.Millisecond) // let the sender queue up
 		for i := 0; i < k; i++ {
@@ -270,9 +230,15 @@ func TestIsendOverflowBeyondCreditsCompletes(t *testing.T) {
 	}
 }
 
+// TestWaitAllCollectsFirstError: of two receives posted before their
+// messages arrive, the first is truncated; its error is the one waitAll
+// reports, and the second still completes with its message.
 func TestWaitAllCollectsFirstError(t *testing.T) {
 	err := Run(2, func(c mpi.Comm) error {
 		if c.Rank() == 0 {
+			if _, err := c.Recv(nil, 1, 3); err != nil { // both receives are posted
+				return err
+			}
 			if err := c.Send([]byte{1, 2, 3, 4}, 1, 1); err != nil {
 				return err
 			}
@@ -280,20 +246,16 @@ func TestWaitAllCollectsFirstError(t *testing.T) {
 		}
 		small := make([]byte, 1) // will truncate tag 1
 		ok := make([]byte, 1)
-		r1, err := c.Irecv(small, 0, 1)
-		if err != nil {
+		r1 := irecv(c, small, 0, 1)
+		r2 := irecv(c, ok, 0, 2)
+		if err := c.Send(nil, 0, 3); err != nil {
 			return err
 		}
-		r2, err := c.Irecv(ok, 0, 2)
-		if err != nil {
-			return err
-		}
-		sts, err := mpi.WaitAll(r1, r2)
-		if !errors.Is(err, mpi.ErrTruncate) {
+		if err := waitAll([]*request{r1, r2}); !errors.Is(err, mpi.ErrTruncate) {
 			return fmt.Errorf("want truncate, got %v", err)
 		}
-		if sts[1].Count != 1 || ok[0] != 5 {
-			return fmt.Errorf("second request not completed: %+v", sts[1])
+		if st, err := r2.Wait(); err != nil || st.Count != 1 || ok[0] != 5 {
+			return fmt.Errorf("second request not completed: %+v %v", st, err)
 		}
 		return nil
 	})
@@ -317,59 +279,6 @@ func TestSendrecvStillWorksAfterRefactor(t *testing.T) {
 			if in[0] != byte(left) {
 				return fmt.Errorf("step %d: got %d want %d", step, in[0], left)
 			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIprobe(t *testing.T) {
-	err := RunWith(testOpts(2), func(c mpi.Comm) error {
-		if c.Rank() == 0 {
-			if err := c.Send([]byte{1, 2, 3}, 1, 7); err != nil {
-				return err
-			}
-			// Signal that the message is definitely enqueued.
-			return c.Send(nil, 1, 8)
-		}
-		if _, err := c.Recv(nil, 0, 8); err != nil {
-			return err
-		}
-		st, ok, err := c.Iprobe(0, 7)
-		if err != nil {
-			return err
-		}
-		if !ok || st.Count != 3 || st.Source != 0 || st.Tag != 7 {
-			return fmt.Errorf("iprobe = %+v ok=%v", st, ok)
-		}
-		// Probing must not consume: the receive still succeeds.
-		buf := make([]byte, 3)
-		if _, err := c.Recv(buf, 0, 7); err != nil {
-			return err
-		}
-		// Nothing left now.
-		if _, ok, err := c.Iprobe(mpi.AnySource, mpi.AnyTag); err != nil || ok {
-			return fmt.Errorf("iprobe after drain: ok=%v err=%v", ok, err)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIprobeValidation(t *testing.T) {
-	err := Run(2, func(c mpi.Comm) error {
-		if c.Rank() != 0 {
-			return nil
-		}
-		if _, _, err := c.Iprobe(-9, 1); !errors.Is(err, mpi.ErrRank) {
-			return fmt.Errorf("peer: %v", err)
-		}
-		if _, _, err := c.Iprobe(1, -5); !errors.Is(err, mpi.ErrTag) {
-			return fmt.Errorf("tag: %v", err)
 		}
 		return nil
 	})

@@ -55,14 +55,13 @@ import (
 //   - requests: never pooled. isend and irecv fill a request their
 //     caller owns and keep no reference to it (completion reaches it
 //     through the posted receive's or the rdvState's channel): the
-//     blocking wrappers (send, recv, Sendrecv) pass the address of a
+//     blocking calls (Send, Recv, Sendrecv) pass the address of a
 //     local, which must stay on their stack — the engine's alloc test
-//     holds them to it — and Isend/Irecv allocate the one they hand to
-//     the user. Prepost (mpi.Preposter) lets a caller that posts the
-//     same receives every collective keep its requests: handed back a
-//     completed one, it re-arms it in place — completion was the
-//     engine's last touch — and allocates only for nil or a request
-//     still pending.
+//     holds them to it. Prepost (mpi.Preposter), the one call that hands
+//     a request out, lets a caller that posts the same receives every
+//     collective keep its requests: handed back a completed one, it
+//     re-arms it in place — completion was the engine's last touch —
+//     and allocates only for nil or a request still pending.
 //
 // The channels inside posted and rdvState are allocated once per
 // object and reused across recycles: each use moves exactly one value

@@ -33,7 +33,7 @@ package engine
 // Deliver matches it as a local sender would, one copy later.
 //
 // A rendezvous send whose request completes without its RdvAck (abort
-// or cancellation seen by Wait or Done, a failed Transport.Send) goes
+// or cancellation seen by Wait, a failed Transport.Send) goes
 // through abandonRdv, which drops the registration — the rdvState is
 // left to the garbage collector, since a late ack may still be heading
 // for it, the same policy pool.go sets for local aborts — and takes the
@@ -46,10 +46,6 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/transport"
 )
-
-// TransportName labels the world's transport for provenance
-// ("chan", "udp").
-func (w *World) TransportName() string { return w.trans.Name() }
 
 // registerRdv allocates a correlation id and parks a pooled rdvState
 // under it for a remote rendezvous in flight.

@@ -26,9 +26,9 @@ func wirePattern(seed, n int) []byte {
 }
 
 // wireRing is a rank body exercising both wire protocols: a blocking
-// Sendrecv ring at an eager size and a rendezvous size, then a
-// nonblocking Irecv/Isend ring at a rendezvous size. EagerLimit in the
-// world options must sit between eagerSz and rdvSz.
+// Sendrecv ring at an eager size and a rendezvous size, then a ring at a
+// rendezvous size whose receives are posted before their sends start.
+// EagerLimit in the world options must sit between eagerSz and rdvSz.
 const (
 	wireEagerSz = 128
 	wireRdvSz   = 8 << 10
@@ -54,14 +54,8 @@ func wireRing(c mpi.Comm) error {
 	}
 	out := wirePattern(me+100, wireRdvSz)
 	in := make([]byte, wireRdvSz)
-	rr, err := c.Irecv(in, prev, 9)
-	if err != nil {
-		return err
-	}
-	sr, err := c.Isend(out, next, 9)
-	if err != nil {
-		return err
-	}
+	rr := irecv(c, in, prev, 9)
+	sr := isend(c, out, next, 9)
 	if _, err := rr.Wait(); err != nil {
 		return err
 	}
@@ -92,8 +86,8 @@ func TestSelfUDPWiredWorld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.TransportName() != transport.UDPName {
-		t.Errorf("TransportName = %q, want udp", w.TransportName())
+	if _, ok := w.trans.(*transport.UDP); !ok {
+		t.Errorf("world transport is a %T, want *transport.UDP", w.trans)
 	}
 	// Two sequential runs: world reuse must survive the wire path.
 	for run := 0; run < 2; run++ {
@@ -219,8 +213,8 @@ func TestChanTransportDefaultUnwired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.TransportName() != transport.ChanName {
-		t.Errorf("TransportName = %q, want chan", w.TransportName())
+	if _, ok := w.trans.(transport.Chan); !ok {
+		t.Errorf("world transport is a %T, want transport.Chan", w.trans)
 	}
 	err = w.Run(func(c mpi.Comm) error {
 		if c.Rank() == 0 {
@@ -284,10 +278,7 @@ func TestRemotePostedBeforeArrivalPlacesDirectly(t *testing.T) {
 		err := w.Run(func(c mpi.Comm) error {
 			if c.Rank() == 1 {
 				in := make([]byte, tc.size)
-				req, err := c.Irecv(in, 0, 3)
-				if err != nil {
-					return err
-				}
+				req := irecv(c, in, 0, 3)
 				before = largeGets()
 				close(posted)
 				st, err := req.Wait()
@@ -389,10 +380,7 @@ func TestRemoteClaimMatching(t *testing.T) {
 
 		// Wildcards.
 		in := make([]byte, size)
-		req, err := c.Irecv(in, mpi.AnySource, mpi.AnyTag)
-		if err != nil {
-			return err
-		}
+		req := irecv(c, in, mpi.AnySource, mpi.AnyTag)
 		m := inbound(c, transport.Eager, 21, 0)
 		sink := h.Claim(m, size)
 		if sink == nil {
@@ -404,7 +392,7 @@ func TestRemoteClaimMatching(t *testing.T) {
 		if !sink.Place(0, payload[:4000]) || !sink.Place(4000, payload[4000:]) {
 			return fmt.Errorf("Place refused on a live world")
 		}
-		if req.Done() {
+		if len(req.pr.done) > 0 {
 			return fmt.Errorf("receive completed before the last fragment was delivered")
 		}
 		m.Sink = sink
@@ -416,10 +404,7 @@ func TestRemoteClaimMatching(t *testing.T) {
 
 		// Too short: not claimed, truncation reported by the copy path.
 		short := make([]byte, size-1)
-		req, err = c.Irecv(short, 1, 22)
-		if err != nil {
-			return err
-		}
+		req = irecv(c, short, 1, 22)
 		m = inbound(c, transport.Eager, 22, 0)
 		if h.Claim(m, size) != nil {
 			return fmt.Errorf("truncating receive was claimed")
@@ -431,9 +416,7 @@ func TestRemoteClaimMatching(t *testing.T) {
 
 		// Too long: not claimed either, completed by copy.
 		long := make([]byte, size+1)
-		if req, err = c.Irecv(long, 1, 23); err != nil {
-			return err
-		}
+		req = irecv(c, long, 1, 23)
 		m = inbound(c, transport.Eager, 23, 0)
 		if h.Claim(m, size) != nil {
 			return fmt.Errorf("oversized receive was claimed")
@@ -445,13 +428,8 @@ func TestRemoteClaimMatching(t *testing.T) {
 
 		// Matching order: the first matching receive decides, even when a
 		// later one would fit.
-		if req, err = c.Irecv(short, 1, 24); err != nil {
-			return err
-		}
-		req2, err := c.Irecv(in, 1, 24)
-		if err != nil {
-			return err
-		}
+		req = irecv(c, short, 1, 24)
+		req2 := irecv(c, in, 1, 24)
 		m = inbound(c, transport.Eager, 24, 0)
 		if h.Claim(m, size) != nil {
 			return fmt.Errorf("claim skipped the first matching receive for a later, fitting one")
@@ -504,14 +482,8 @@ func TestRemoteInterleavedFlows(t *testing.T) {
 		const size, frag = 9000, 3000
 		pa, pb := wirePattern(1, size), wirePattern(2, size)
 		ina, inb := make([]byte, size), make([]byte, size)
-		ra, err := c.Irecv(ina, 1, 31)
-		if err != nil {
-			return err
-		}
-		rb, err := c.Irecv(inb, 1, 32)
-		if err != nil {
-			return err
-		}
+		ra := irecv(c, ina, 1, 31)
+		rb := irecv(c, inb, 1, 32)
 		ma, mb := inbound(c, transport.Rdv, 31, 9001), inbound(c, transport.Eager, 32, 0)
 		// b's first fragment arrives first, though a's receive is older.
 		mb.Sink = h.Claim(mb, size)
@@ -558,9 +530,7 @@ func TestRemoteAbortedWorldTakesNoPayloads(t *testing.T) {
 	var m transport.Message
 	err := claimHarness(t, func(c mpi.Comm, h remoteHandler) error {
 		w = h.w
-		if _, err := c.Irecv(in, 1, 41); err != nil {
-			return err
-		}
+		irecv(c, in, 1, 41)
 		m = inbound(c, transport.Rdv, 41, 77)
 		if sink = h.Claim(m, size); sink == nil {
 			return fmt.Errorf("receive not claimed")
@@ -568,9 +538,7 @@ func TestRemoteAbortedWorldTakesNoPayloads(t *testing.T) {
 		if !sink.Place(0, payload[:half]) {
 			return fmt.Errorf("Place refused on a live world")
 		}
-		if _, err := c.Irecv(late, 1, 42); err != nil {
-			return err
-		}
+		irecv(c, late, 1, 42)
 		return errors.New("rank 0 gives up")
 	})
 	if err == nil {
@@ -620,10 +588,7 @@ func TestRemoteWindowPlacement(t *testing.T) {
 	err := claimHarness(t, func(c mpi.Comm, h remoteHandler) error {
 		w = h.w
 		direct := func() int64 { return w.metrics.Snapshot().WireDirectBytes }
-		req, err := c.Irecv(in, 1, 51)
-		if err != nil {
-			return err
-		}
+		req := irecv(c, in, 1, 51)
 		m := inbound(c, transport.Rdv, 51, 88)
 		if m.Sink = h.Claim(m, size); m.Sink == nil {
 			return fmt.Errorf("receive not claimed")
@@ -654,9 +619,7 @@ func TestRemoteWindowPlacement(t *testing.T) {
 			return fmt.Errorf("placed receive: status %+v err %v, payload intact=%v", st, err, bytes.Equal(in, payload))
 		}
 
-		if _, err := c.Irecv(late, 1, 52); err != nil {
-			return err
-		}
+		irecv(c, late, 1, 52)
 		if sink = h.Claim(inbound(c, transport.Rdv, 52, 89), size); sink == nil {
 			return fmt.Errorf("second receive not claimed")
 		}
@@ -700,12 +663,13 @@ func (s *unpinSpy) Unpin(dst int, msgID uint64) {
 }
 
 // TestRemoteAbandonedRendezvousLeavesNothing: a rendezvous sender that
-// stops waiting — in Send, in Wait or polling Done, by abort — first
+// stops waiting — in Send, or in a Wait begun before the abort or
+// after it — first
 // takes its buffer back from the transport and leaves no entry in the
 // world's correlation map (the nonblocking path used to leak its entry
 // for the life of the world).
 func TestRemoteAbandonedRendezvousLeavesNothing(t *testing.T) {
-	for _, how := range []string{"Send", "Isend+Wait", "Isend+Done"} {
+	for _, how := range []string{"Send", "isend+Wait", "isend+Wait after the abort"} {
 		udp, err := transport.SelfUDP(2)
 		if err != nil {
 			t.Fatal(err)
@@ -732,12 +696,9 @@ func TestRemoteAbandonedRendezvousLeavesNothing(t *testing.T) {
 				close(sent)
 				return c.Send(buf, 1, 5)
 			}
-			req, err := c.Isend(buf, 1, 5)
-			if err != nil {
-				return err
-			}
+			req := isend(c, buf, 1, 5)
 			close(sent)
-			for how == "Isend+Done" && !req.Done() {
+			for how == "isend+Wait after the abort" && !closed(w.aborted) {
 				time.Sleep(50 * time.Microsecond)
 			}
 			_, err = req.Wait()

@@ -8,8 +8,7 @@ import (
 // request implements mpi.Request. A request is used only by its owning
 // rank's goroutine (like MPI), so completion caching needs no locking.
 // The caller of isend / irecv owns the request it passes in: a local of
-// the blocking calls, a fresh allocation handed to the user by
-// Isend/Irecv (see pool.go).
+// the blocking calls, or one Prepost keeps for its caller (see pool.go).
 type request struct {
 	w *World
 	// rank is the owning world rank: the one Wait marks blocked (for the
@@ -44,17 +43,9 @@ var _ mpi.Request = (*request)(nil)
 // Wait is the engine's one blocking point: every blocking call (Send,
 // Recv, Sendrecv) is its nonblocking form followed by Wait.
 func (r *request) Wait() (mpi.Status, error) {
-	r.harvest(true)
+	r.harvest()
 	r.count()
 	return r.st, r.err
-}
-
-func (r *request) Done() bool {
-	if !r.harvest(false) {
-		return false
-	}
-	r.count()
-	return true
 }
 
 // count charges a receive's first successful completion to its row.
@@ -68,11 +59,10 @@ func (r *request) count() {
 // harvest moves the operation's outcome into the request: the delivery
 // from its completion channel or its bound edge, or the world's abort /
 // the bound context's cancellation, which end a pending operation just
-// as finally. With nothing to take yet it reports false when block is
-// unset and otherwise parks the rank until there is.
-func (r *request) harvest(block bool) bool {
+// as finally. With nothing to take yet it parks the rank until there is.
+func (r *request) harvest() {
 	if r.complete {
-		return true
+		return
 	}
 	var recvd chan recvResult
 	var taken, woke chan struct{}
@@ -82,7 +72,7 @@ func (r *request) harvest(block bool) bool {
 	case r.e == nil:
 		taken = r.rdv.done
 	case r.edgeTry():
-		return true
+		return
 	case r.esend:
 		woke = r.e.sendWaits.ch
 	default:
@@ -97,14 +87,12 @@ func (r *request) harvest(block bool) bool {
 		// with a plain receive — a select over the signals costs more
 		// than handing over a small message.
 		r.received(<-recvd)
-		return true
+		return
 	case len(taken) > 0:
 		<-taken
 		r.sent()
-		return true
+		return
 	case closed(aborted) || closed(canceled):
-	case !block:
-		return false
 	default:
 		r.w.parkRank(r.rank)
 		defer r.w.unparkRank(r.rank)
@@ -114,15 +102,15 @@ func (r *request) harvest(block bool) bool {
 			// The edges count nothing per message: a rank that parked
 			// and moved on shows the watchdog its progress here.
 			r.w.progressed(r.rank)
-			return true
+			return
 		}
 		select {
 		case res := <-recvd:
 			r.received(res)
-			return true
+			return
 		case <-taken:
 			r.sent()
-			return true
+			return
 		case <-woke:
 			continue
 		case <-aborted:
@@ -136,7 +124,6 @@ func (r *request) harvest(block bool) bool {
 	}
 	r.complete = true
 	r.pr, r.rdv, r.e = nil, nil, nil
-	return true
 }
 
 // received completes a receive with its delivery and recycles the posted

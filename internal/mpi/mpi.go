@@ -4,16 +4,18 @@
 // Go has no viable MPI bindings, so the paper's user-level broadcast
 // implementations are ported onto this minimal, faithful subset of the
 // MPI point-to-point API: blocking Send/Recv with (source, tag, context)
-// matching and wildcards, combined Sendrecv with concurrent halves,
-// nonblocking Isend/Irecv with Request Wait/Done, and communicator Split.
+// matching and wildcards, combined Sendrecv with concurrent halves, and
+// communicator Split. Optional capabilities beside them serve the
+// collectives: early-posted receives (Preposter, whose Request a caller
+// Waits on), kept edges (Binder), tag streams and bound contexts.
 // One engine implements the interface: internal/engine, a real runtime
 // (pluggable rank execution — goroutine-per-rank or a pooled cooperative
 // scheduler — eager and rendezvous protocols, real buffer copies, in one
 // process or split across several over internal/transport) used for
 // correctness tests, user-level wall-clock benchmarks and the examples.
-// Its blocking calls are the nonblocking ones followed by Wait, so the
-// two families cannot behave differently, and its communicator records
-// its own traffic when internal/trace asks it to.
+// Its blocking calls start a request and Wait on it, as an early-posted
+// receive does, so the two cannot behave differently, and its
+// communicator records its own traffic when internal/trace asks it to.
 //
 // Buffer semantics follow MPI_BYTE transfers: payloads are byte slices,
 // a receive completes with the actual transferred count in Status, and a
@@ -113,10 +115,10 @@ func AdvanceTagStream(c Comm) {
 // Preposter is the optional capability of communicators that can post a
 // receive into a request the caller keeps across operations, so a
 // collective that posts the same receives every time allocates nothing
-// to do so. Prepost posts a receive of buf from rank from with tag tag,
-// like Irecv. req is nil or a request an earlier Prepost returned; once
-// that request has completed, the communicator re-arms it instead of
-// allocating one. ok is false when the communicator declines — a source
+// to do so. Prepost posts a receive of buf from rank from with tag tag
+// and returns its request, to Wait on. req is nil or a request an
+// earlier Prepost returned; once that request has completed, the
+// communicator re-arms it instead of allocating one. ok is false when the communicator declines — a source
 // it reaches over a wire, a wildcard, an invalid argument — and then
 // nothing is posted and req comes back unchanged, for the caller to keep
 // and to post that receive the ordinary way.
@@ -200,16 +202,14 @@ var (
 	ErrDeadlock = errors.New("deadlock detected")
 )
 
-// Request is a pending nonblocking operation, like MPI_Request.
+// Request is a pending operation, like MPI_Request.
 type Request interface {
 	// Wait blocks until the operation completes. For receives, the
 	// Status carries the resolved source, tag and byte count; for sends
-	// it reports the payload size. Wait is idempotent.
+	// it reports the payload size. An operation ended by the world's
+	// abort or a cancelled context completes with that error. Wait is
+	// idempotent.
 	Wait() (Status, error)
-	// Done reports completion without blocking (MPI_Test). An operation
-	// ended by the world's abort or a cancelled context is complete —
-	// Wait then returns that error — so a polling loop always terminates.
-	Done() bool
 }
 
 // Comm is a communicator: an isolated message-passing context over a
@@ -236,18 +236,6 @@ type Comm interface {
 	// Sendrecv executes a send and a receive concurrently and returns
 	// when both complete, like MPI_Sendrecv.
 	Sendrecv(sendBuf []byte, to, sendTag int, recvBuf []byte, from, recvTag int) (Status, error)
-
-	// Isend starts a nonblocking send. The buffer must not be modified
-	// until the request completes. Messages between one (sender,
-	// receiver, tag) triple are non-overtaking in issue order.
-	Isend(buf []byte, to, tag int) (Request, error)
-	// Irecv posts a nonblocking receive; the buffer must not be read
-	// until the request completes.
-	Irecv(buf []byte, from, tag int) (Request, error)
-	// Iprobe reports, without consuming it, whether a message matching
-	// (from, tag; wildcards allowed) has arrived, and its envelope if so
-	// (MPI_Iprobe).
-	Iprobe(from, tag int) (Status, bool, error)
 
 	// Split partitions the communicator: ranks passing equal colors join
 	// a new communicator, ordered by (key, old rank). A color of
@@ -283,22 +271,6 @@ func WithContext(ctx context.Context, c Comm) Comm {
 		return cc.WithContext(ctx)
 	}
 	return c
-}
-
-// WaitAll waits for every request, returning the statuses and the first
-// error encountered (all requests are waited regardless, like
-// MPI_Waitall's error semantics).
-func WaitAll(reqs ...Request) ([]Status, error) {
-	sts := make([]Status, len(reqs))
-	var firstErr error
-	for i, r := range reqs {
-		st, err := r.Wait()
-		sts[i] = st
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return sts, firstErr
 }
 
 // CheckPeer validates a peer rank against a communicator size, allowing

@@ -515,8 +515,8 @@ func TestSMPOptKeepsTheRingOffTheNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sr.Makespan <= 0 || sr.Messages != smp.Messages() {
-		t.Fatalf("smp-opt replay: %+v, program has %d messages", sr, smp.Messages())
+	if sr.Makespan <= 0 || sr.Messages != smp.Stats().Messages {
+		t.Fatalf("smp-opt replay: %+v, program has %d messages", sr, smp.Stats().Messages)
 	}
 	if fb, sb := interBytes(flat), interBytes(smp); sb >= fb || sr.InterMessages >= fr.InterMessages || sr.NICBusy >= fr.NICBusy {
 		t.Fatalf("smp-opt must cross nodes less: inter bytes %d vs flat %d, inter messages %d vs %d, NIC busy %g vs %g",

@@ -62,16 +62,6 @@ func (s *IntervalSet) Add(lo, hi int) {
 // Reset empties the set, keeping its storage for reuse.
 func (s *IntervalSet) Reset() { s.ivs = s.ivs[:0] }
 
-// Overlaps reports whether any byte of [lo, hi) is in the set. Empty
-// ranges overlap nothing.
-func (s *IntervalSet) Overlaps(lo, hi int) bool {
-	if hi <= lo {
-		return false
-	}
-	i := s.above(lo)
-	return i < len(s.ivs) && s.ivs[i].Lo < hi
-}
-
 // Contains reports whether the whole range [lo, hi) is in the set.
 // Empty ranges are trivially contained.
 func (s *IntervalSet) Contains(lo, hi int) bool {
@@ -116,19 +106,6 @@ func (s *IntervalSet) Intervals() []Interval {
 // Clone returns an independent copy of the set.
 func (s *IntervalSet) Clone() *IntervalSet {
 	return &IntervalSet{ivs: s.Intervals()}
-}
-
-// Equal reports whether two sets cover exactly the same bytes.
-func (s *IntervalSet) Equal(o *IntervalSet) bool {
-	if len(s.ivs) != len(o.ivs) {
-		return false
-	}
-	for i := range s.ivs {
-		if s.ivs[i] != o.ivs[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the set like "{[0,4) [8,12)}".

@@ -88,19 +88,21 @@ func TestIntervalSetCloneIndependence(t *testing.T) {
 	if s.Contains(4, 8) {
 		t.Fatal("Clone must be independent of the original")
 	}
-	if !s.Equal(NewIntervalSet(Interval{0, 4})) {
+	if s.String() != NewIntervalSet(Interval{0, 4}).String() {
 		t.Fatalf("original mutated: %s", s)
 	}
 }
 
-func TestIntervalSetEqual(t *testing.T) {
+// TestIntervalSetOrderFree: a set is the bytes it covers, whatever order
+// its intervals came in.
+func TestIntervalSetOrderFree(t *testing.T) {
 	a := NewIntervalSet(Interval{0, 4}, Interval{8, 12})
 	b := NewIntervalSet(Interval{8, 12}, Interval{0, 4})
-	if !a.Equal(b) {
+	if a.String() != b.String() {
 		t.Fatalf("%s != %s", a, b)
 	}
 	b.Add(4, 5)
-	if a.Equal(b) {
+	if a.String() == b.String() {
 		t.Fatalf("%s == %s", a, b)
 	}
 }
@@ -135,14 +137,6 @@ func TestIntervalSetQuickAgainstBitmap(t *testing.T) {
 			}
 			if s.Contains(qlo, qhi) != want {
 				t.Logf("seed %d: Contains(%d,%d) = %v, want %v; set %s", seed, qlo, qhi, !want, want, s)
-				return false
-			}
-			any := false
-			for i := qlo; i < qhi; i++ {
-				any = any || bm[i]
-			}
-			if s.Overlaps(qlo, qhi) != any {
-				t.Logf("seed %d: Overlaps(%d,%d) = %v, want %v; set %s", seed, qlo, qhi, !any, any, s)
 				return false
 			}
 		}
@@ -180,7 +174,7 @@ func TestIntervalSetResetReuses(t *testing.T) {
 	s := NewIntervalSet(Interval{0, 2}, Interval{4, 6}, Interval{8, 10})
 	allocs := testing.AllocsPerRun(100, func() {
 		s.Reset()
-		if s.Total() != 0 || s.Overlaps(0, 100) {
+		if s.Total() != 0 {
 			t.Fatalf("reset set holds %s", s)
 		}
 		s.Add(8, 10)
@@ -191,7 +185,7 @@ func TestIntervalSetResetReuses(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("refilling a reset set allocates %.1f times", allocs)
 	}
-	if !s.Equal(NewIntervalSet(Interval{0, 6}, Interval{8, 10})) {
+	if s.String() != NewIntervalSet(Interval{0, 6}, Interval{8, 10}).String() {
 		t.Errorf("refilled set %s", s)
 	}
 }

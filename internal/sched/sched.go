@@ -266,12 +266,6 @@ func (pr *Program) Stats() Stats {
 	return s
 }
 
-// Messages returns the total number of message transfers (send halves).
-func (pr *Program) Messages() int { return pr.Stats().Messages }
-
-// Bytes returns the total payload volume in bytes.
-func (pr *Program) Bytes() int { return pr.Stats().Bytes }
-
 // OpsOf returns rank's operation list (nil if rank is out of range).
 func (pr *Program) OpsOf(rank int) []Op {
 	if rank < 0 || rank >= len(pr.Ranks) {

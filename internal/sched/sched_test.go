@@ -85,9 +85,6 @@ func TestStats(t *testing.T) {
 	if s.Messages != 2 || s.NonEmptyMessages != 2 || s.Bytes != 8 || s.MaxStep != 2 {
 		t.Fatalf("stats = %+v", s)
 	}
-	if pr.Messages() != 2 || pr.Bytes() != 8 {
-		t.Fatalf("convenience accessors wrong: %d msgs %d bytes", pr.Messages(), pr.Bytes())
-	}
 }
 
 func TestStatsCountsSendrecvOnceAndEmpties(t *testing.T) {

@@ -3,7 +3,6 @@ package trace
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -245,47 +244,11 @@ func TestFailedSendNotCounted(t *testing.T) {
 	}
 }
 
-func TestCollectorCountsNonblocking(t *testing.T) {
-	col := NewCollector()
-	err := engine.Run(2, func(c mpi.Comm) error {
-		tc := col.WrapSlot(c.Rank(), c)
-		if tc.Rank() == 0 {
-			req, err := tc.Isend(make([]byte, 12), 1, 4)
-			if err != nil {
-				return err
-			}
-			_, err = req.Wait()
-			return err
-		}
-		buf := make([]byte, 12)
-		req, err := tc.Irecv(buf, 0, 4)
-		if err != nil {
-			return err
-		}
-		if _, err := req.Wait(); err != nil {
-			return err
-		}
-		// Second Wait must not double-count the receive.
-		_, err = req.Wait()
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := col.Stats()
-	if s.Total.Messages != 1 || s.Total.Bytes != 12 {
-		t.Fatalf("isend not counted: %+v", s.Total)
-	}
-	if s.Recvs != 1 {
-		t.Fatalf("irecv recvs = %d want 1", s.Recvs)
-	}
-}
-
 // TestPrepostForwardedAndCountedOnce: a traced communicator still offers
 // mpi.Preposter, so tracing does not turn early-posted receives off; a
 // completed request is re-armed in place; and each receive it carries is
-// counted once, at the first completion Wait or Done observes, so a
-// clean run still shows recvs == msgs.
+// counted once, at the first Wait that sees it complete, so a clean run
+// still shows recvs == msgs.
 func TestPrepostForwardedAndCountedOnce(t *testing.T) {
 	col := NewCollector()
 	err := engine.Run(2, func(c mpi.Comm) error {
@@ -310,11 +273,6 @@ func TestPrepostForwardedAndCountedOnce(t *testing.T) {
 			}
 			if req != nil && r != req {
 				return fmt.Errorf("a completed traced request was not re-armed in place")
-			}
-			if i == 1 { // the second arm completes under Done
-				for !r.Done() {
-					runtime.Gosched()
-				}
 			}
 			for j := 0; j < 2; j++ { // Wait is idempotent; so is the count
 				if _, err := r.Wait(); err != nil {

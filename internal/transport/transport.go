@@ -370,8 +370,6 @@ type Sink interface {
 // engine consults Wire per send and never calls Send for unwired
 // destinations, so the default in-process path pays one boolean branch.
 type Transport interface {
-	// Name labels the transport for provenance ("chan", "udp").
-	Name() string
 	Hosted(rank int) bool
 	Wire(dst int) bool
 	// Send reliably enqueues m for in-order delivery to the process
@@ -397,9 +395,6 @@ type Transport interface {
 // — byte- and traffic-identical to the pre-seam engine by construction
 // (the engine never reaches Send when Wire is false everywhere).
 type Chan struct{}
-
-// Name implements Transport.
-func (Chan) Name() string { return ChanName }
 
 // Hosted implements Transport: every rank runs in this process.
 func (Chan) Hosted(int) bool { return true }

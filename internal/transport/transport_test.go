@@ -71,9 +71,6 @@ func TestFrameRejectsMalformed(t *testing.T) {
 // hosted, nothing wired, Send unreachable by contract.
 func TestChanTransport(t *testing.T) {
 	var tr Transport = Chan{}
-	if tr.Name() != ChanName {
-		t.Errorf("Name = %q", tr.Name())
-	}
 	if !tr.Hosted(0) || !tr.Hosted(7) {
 		t.Error("chan transport must host every rank")
 	}
@@ -653,6 +650,6 @@ func TestUDPConfigValidation(t *testing.T) {
 
 func ExampleNew() {
 	tr, _ := New("chan", 4)
-	fmt.Println(tr.Name(), tr.Hosted(2), tr.Wire(2))
-	// Output: chan true false
+	fmt.Printf("%T %v %v\n", tr, tr.Hosted(2), tr.Wire(2))
+	// Output: transport.Chan true false
 }

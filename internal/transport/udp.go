@@ -208,9 +208,6 @@ func SelfUDP(np int) (*UDP, error) {
 	return NewUDP(UDPConfig{NP: np, ForceWire: true})
 }
 
-// Name implements Transport.
-func (t *UDP) Name() string { return UDPName }
-
 // Hosted implements Transport.
 func (t *UDP) Hosted(rank int) bool {
 	return rank >= 0 && rank < t.np && t.hosted[rank]
