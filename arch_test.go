@@ -19,6 +19,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/testutil"
 )
 
 // The architecture rules are Go tests over the repository itself: the
@@ -118,9 +120,10 @@ var archRules = []archRule{
 	},
 	{
 		// The engine's communicator records its own traffic and is the
-		// only type offering the engine's capabilities; a communicator
-		// that forwards them to one it wraps is the deleted tracing
-		// decorator growing back.
+		// only type implementing mpi.Comm's collective methods; a type
+		// outside internal/engine/ that declares them forwards them to a
+		// communicator it wraps: the deleted tracing decorator growing
+		// back.
 		name:  "one set of probes",
 		check: secondProbes,
 	},
@@ -631,8 +634,9 @@ func facadeMirrors(files []srcFile) []string {
 }
 
 var (
-	// engineMethods are the engine communicator's capabilities, which no
-	// type outside internal/engine/ may offer; decoratorNames are the
+	// engineMethods are mpi.Comm methods the engine's communicator
+	// alone serves the collectives with, which a type outside
+	// internal/engine/ may not declare; decoratorNames are the
 	// identifiers of the deleted tracing decorator.
 	engineMethods = map[string]bool{
 		"NextTagStream": true, "Prepost": true, "Bind": true, "SpanRing": true, "WithContext": true,
@@ -973,8 +977,19 @@ func namesATest(re *regexp.Regexp, pkgs []string, tests map[string][]string) boo
 	return false
 }
 
+// skipUnderRace skips an architecture test under the race detector: no
+// rule depends on it, and type-checking the standard library from
+// source in an instrumented binary takes several times as long. CI runs
+// both tests without -race in a step of their own.
+func skipUnderRace(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the rules read source and do not depend on -race; CI runs them in a step without it")
+	}
+}
+
 // TestArchitecture holds the repository to every rule.
 func TestArchitecture(t *testing.T) {
+	skipUnderRace(t)
 	files := loadRepo(t)
 	for _, r := range archRules {
 		got := map[string]bool{}
@@ -996,6 +1011,7 @@ func TestArchitecture(t *testing.T) {
 // or next to the real repository's files, and checks each rule reports
 // them by name.
 func TestArchitectureRulesFire(t *testing.T) {
+	skipUnderRace(t)
 	repo := loadRepo(t)
 	for _, tc := range []struct {
 		rule  string

@@ -29,7 +29,7 @@ func barrier(c mpi.Comm) error {
 	if p == 1 {
 		return nil
 	}
-	mpi.AdvanceTagStream(c)
+	c.NextTagStream()
 	for mask := 1; mask < p; mask <<= 1 {
 		dst := (rank + mask) % p
 		src := (rank - mask + p) % p

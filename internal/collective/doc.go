@@ -32,7 +32,7 @@
 // # The executor
 //
 // The executor (exec.go) runs the rank's ops in order, posting large
-// receives early (manage). A kept Plan binds its edges once (mpi.Binder)
+// receives early (manage). A kept Plan binds its edges once (Comm.Bind)
 // and runs each op as one call to the binding's Move, its halves named
 // by edge index; a per-call Plan runs on Send, Recv and Sendrecv.
 //

@@ -138,19 +138,15 @@ func TestConcurrentAllgatherOnSplitComms(t *testing.T) {
 }
 
 // TestTagStreamsAdvancePerCollective pins the stream allocator's
-// contract: engine communicators expose mpi.TagStreamer, streams
-// advance once per collective entry identically on every rank, and the
-// counters restart when a world is reused for a new run.
+// contract: streams advance once per collective entry identically on
+// every rank, and the counters restart when a world is reused for a new
+// run.
 func TestTagStreamsAdvancePerCollective(t *testing.T) {
 	w, err := engine.NewWorld(engine.Options{NP: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	body := func(c mpi.Comm) error {
-		ts, ok := c.(mpi.TagStreamer)
-		if !ok {
-			return fmt.Errorf("engine comm must implement mpi.TagStreamer")
-		}
 		buf := make([]byte, 256)
 		// Two collectives consume streams 1 and 2; the probe then draws 3.
 		if err := pinned(tune.Binomial, 0)(c, buf, 0); err != nil {
@@ -159,7 +155,7 @@ func TestTagStreamsAdvancePerCollective(t *testing.T) {
 		if err := Barrier(c); err != nil {
 			return err
 		}
-		if got := ts.NextTagStream(); got != 3 {
+		if got := c.NextTagStream(); got != 3 {
 			return fmt.Errorf("rank %d: stream after two collectives = %d, want 3", c.Rank(), got)
 		}
 		return nil

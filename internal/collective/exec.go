@@ -20,12 +20,13 @@ import (
 //
 // One thing is not done at its op: a receive of at least hoistFloor
 // bytes is posted as early, and completed as late, as its bytes allow
-// (see manage). Posted ahead through mpi.Preposter, it finds the
-// sender's message waiting to be copied once, straight into place,
-// instead of staged and copied again; completed late, it holds up no op
-// that does not need its bytes — the next segments' sends above all. Its
-// request belongs to the rankOps, and the communicator re-arms it on the
-// next run, so a kept or pooled Plan posts without allocating.
+// (see manage). Posted ahead through the communicator's Prepost, it
+// finds the sender's message waiting to be copied once, straight into
+// place, instead of staged and copied again; completed late, it holds
+// up no op that does not need its bytes — the next segments' sends
+// above all. Its request belongs to the rankOps, and the communicator
+// re-arms it on the next run, so a kept or pooled Plan posts without
+// allocating.
 //
 // The loop is deadlock-free wherever blocking execution, op by op, is:
 // it posts no receive later than blocking execution would and starts no
@@ -203,18 +204,14 @@ func (s *rankOps) manage() {
 	}
 }
 
-// bindEdges hands a kept Plan's edges to a communicator that can bind
-// them (mpi.Binder): each (direction, peer, tag) of the ops, with how
-// many messages cross it per run and the longest, and notes in halves
-// each op's two for Move. The engine carries an edge of tiny messages (at
-// most its inlinePayload) on a ring of cells of its own. The edges bound
-// before, if any, are released first.
+// bindEdges hands a kept Plan's edges to the communicator's Bind: each
+// (direction, peer, tag) of the ops, with how many messages cross it per
+// run and the longest, and notes in halves each op's two for Move. The
+// engine carries an edge of tiny messages (at most its inlinePayload) on
+// a ring of cells of its own. The edges bound before, if any, are
+// released first.
 func (s *rankOps) bindEdges(c mpi.Comm) {
 	s.releaseEdges()
-	b, ok := c.(mpi.Binder)
-	if !ok {
-		return
-	}
 	var edges []mpi.Edge
 	add := func(e mpi.Edge, n int) int {
 		for i := range edges {
@@ -238,7 +235,7 @@ func (s *rankOps) bindEdges(c mpi.Comm) {
 			h[1] = add(mpi.Edge{Peer: op.From, Tag: op.Tag}, op.RecvLen)
 		}
 	}
-	s.bound = b.Bind(edges)
+	s.bound = c.Bind(edges)
 }
 
 // releaseEdges gives back the edges bindEdges bound.
@@ -251,14 +248,13 @@ func (s *rankOps) releaseEdges() {
 
 // exec runs the compiled operations on c, or on its engaged binding mv,
 // moving real bytes in buf (which compile or the caller has checked
-// covers every op). A rank with no managed receive, or a communicator
-// that cannot post early, runs them one by one. Otherwise the loop,
-// before op i, completes the receives due there, posts the ones due
-// there, and runs op i: only its send half if its receive is posted.
+// covers every op). A rank with no managed receive runs them one by
+// one. Otherwise the loop, before op i, completes the receives due
+// there, posts the ones due there, and runs op i: only its send half if
+// its receive is posted.
 func (s *rankOps) exec(c mpi.Comm, mv mpi.Binding, buf []byte) error {
 	ops := s.ops
-	pp, _ := c.(mpi.Preposter)
-	if len(s.recvs) == 0 || pp == nil {
+	if len(s.recvs) == 0 {
 		for i := range ops {
 			if err := s.execOp(c, mv, i, buf, false); err != nil {
 				return opError(c, i, &ops[i], err)
@@ -279,7 +275,7 @@ func (s *rankOps) exec(c mpi.Comm, mv mpi.Binding, buf []byte) error {
 		for ; posted < len(s.recvs) && s.recvs[posted].post == i; posted++ {
 			e := &s.recvs[posted]
 			op := &ops[e.op]
-			e.req, e.on = pp.Prepost(e.req, buf[op.RecvOff:op.RecvOff+op.RecvLen], op.From, op.Tag)
+			e.req, e.on = c.Prepost(e.req, buf[op.RecvOff:op.RecvOff+op.RecvLen], op.From, op.Tag)
 		}
 		if i == len(ops) {
 			return nil
@@ -372,7 +368,7 @@ func runStatic(c mpi.Comm, buf []byte, lo, n, root, seg int, e sched.Emitter) er
 // (a one-rank communicator sends nothing and draws none).
 func (s *rankOps) run(c mpi.Comm, buf []byte) error {
 	if c.Size() > 1 {
-		mpi.AdvanceTagStream(c)
+		c.NextTagStream()
 	}
 	var mv mpi.Binding
 	if s.bound != nil && s.bound.Engage(c) {

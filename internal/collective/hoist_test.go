@@ -156,11 +156,12 @@ func TestHoistRule(t *testing.T) {
 	}
 }
 
-// hidePrepost wraps a communicator without passing on mpi.Preposter:
-// every receive runs at its op, blocking execution.
-type hidePrepost struct {
-	mpi.Comm
-	mpi.TagStreamer
+// hidePrepost wraps a communicator whose Prepost declines every
+// receive: each runs at its op, blocking execution.
+type hidePrepost struct{ mpi.Comm }
+
+func (hidePrepost) Prepost(req mpi.Request, _ []byte, _, _ int) (mpi.Request, bool) {
+	return req, false
 }
 
 // TestHoistStopsAtBelowFloorTail: on a segmented opt ring whose chunks
@@ -215,7 +216,7 @@ func TestHoistStopsAtBelowFloorTail(t *testing.T) {
 		err := engine.RunWith(opts, func(c mpi.Comm) error {
 			tc := col.WrapSlot(c.Rank(), c)
 			if v.hide {
-				tc = hidePrepost{tc, tc.(mpi.TagStreamer)}
+				tc = hidePrepost{tc}
 			}
 			buf := make([]byte, n)
 			if c.Rank() == 0 {
@@ -259,7 +260,7 @@ func TestPrepostSkipsWiredSources(t *testing.T) {
 		err := engine.RunWith(engine.Options{NP: p, Timeout: 60 * time.Second, Transport: tr, Metrics: m}, func(c mpi.Comm) error {
 			left, right := (c.Rank()+p-1)%p, (c.Rank()+1)%p
 			in, out := make([]byte, hoistFloor), make([]byte, hoistFloor)
-			r, ok := c.(mpi.Preposter).Prepost(nil, in, left, core.TagRing)
+			r, ok := c.Prepost(nil, in, left, core.TagRing)
 			if ok != (tr == nil) {
 				return fmt.Errorf("rank %d: Prepost from rank %d = %v over %v", c.Rank(), left, ok, c)
 			}

@@ -33,9 +33,6 @@ type Plan struct {
 	topo *topology.Map // the communicator's node map at the last bind
 	emit sched.Emitter // reg's emitter on topo
 	ops  rankOps       // the rank's compiled schedule
-	// kept marks a NewPlan's Plan, which binds its edges at every bind
-	// (see bindEdges); the per-call Plans of planPool never do.
-	kept bool
 }
 
 // planPool holds the Plans per-call broadcasts borrow (RunDecision for
@@ -121,16 +118,22 @@ func NewPlan(c mpi.Comm, n, root int, o Options) (*Plan, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	p := &Plan{root: root, opts: o, kept: true}
+	p := &Plan{root: root, opts: o}
 	if err := p.resolve(c, n); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-// resolve decides for a byte count and binds the decision.
+// resolve decides for a byte count, binds the decision and binds the
+// kept Plan's edges (see bindEdges); the per-call Plans of planPool bind
+// decisions only, never edges.
 func (p *Plan) resolve(c mpi.Comm, n int) error {
-	return p.bind(c, n, p.opts.Decide(envOf(c, n)))
+	if err := p.bind(c, n, p.opts.Decide(envOf(c, n))); err != nil {
+		return err
+	}
+	p.ops.bindEdges(c)
+	return nil
 }
 
 // bind validates decision d for an n-byte broadcast from p.root on c —
@@ -167,9 +170,6 @@ func (p *Plan) bind(c mpi.Comm, n int, d tune.Decision) error {
 		return err
 	}
 	p.n, p.dec, p.reg, p.topo, p.emit = n, d, r, topo, e
-	if p.kept {
-		p.ops.bindEdges(c)
-	}
 	return nil
 }
 

@@ -105,7 +105,7 @@ func reduceFloat64(c mpi.Comm, in, out []float64, op Op, root int) error {
 		return fmt.Errorf("collective: reduce: out %d < in %d", len(out), len(in))
 	}
 	if p > 1 {
-		mpi.AdvanceTagStream(c)
+		c.NextTagStream()
 	}
 	// All scratch — the accumulator, the decode staging and the wire
 	// buffer — is pooled, so steady-state reductions on a long-lived

@@ -77,21 +77,16 @@ type comm struct {
 	rec     *metrics.TrafficRow // nil unless the traffic is being recorded
 }
 
-var (
-	_ mpi.Comm        = (*comm)(nil)
-	_ mpi.Contexter   = (*comm)(nil)
-	_ mpi.TagStreamer = (*comm)(nil)
-	_ mpi.Preposter   = (*comm)(nil)
-)
+var _ mpi.Comm = (*comm)(nil)
 
-// NextTagStream implements mpi.TagStreamer: it advances this rank's
-// collective tag stream for the communicator's context and returns the
-// new stream id. Collectives call it once on entry (all ranks in the
-// same order, per the MPI collective ordering rule), after which every
-// reserved-block tag the operation sends or receives is transparently
-// offset into that stream by streamTag — so two collectives in flight
-// on one communicator can never match each other's messages, even
-// though both were written against the same fixed phase-tag constants.
+// NextTagStream advances this rank's collective tag stream for the
+// communicator's context and returns the new stream id. Collectives
+// call it once on entry (all ranks in the same order, per the MPI
+// collective ordering rule), after which every reserved-block tag the
+// operation sends or receives is transparently offset into that stream
+// by streamTag — so two collectives in flight on one communicator can
+// never match each other's messages, even though both were written
+// against the same fixed phase-tag constants.
 func (c *comm) NextTagStream() int {
 	s := c.w.eps[c.worldRank()].nextStream(c.ctx)
 	c.w.metrics.Max(c.worldRank(), metrics.TagStreamHighWater, int64(s))
@@ -99,9 +94,7 @@ func (c *comm) NextTagStream() int {
 }
 
 // SpanRing exposes this rank's operation-span ring (nil when the
-// world's Metrics has spans disabled). Collectives discover it through
-// the metrics.SpanSource type assertion — the same capability pattern
-// as mpi.Contexter and mpi.TagStreamer.
+// world's Metrics has spans disabled).
 func (c *comm) SpanRing() *metrics.SpanRing {
 	return c.w.metrics.Ring(c.worldRank())
 }
@@ -137,11 +130,11 @@ func (c *comm) streamTag(tag int) int {
 	return mpi.StreamTag(tag, c.w.eps[c.worldRank()].stream(c.ctx))
 }
 
-// WithContext implements mpi.Contexter: it returns a view of this
-// communicator whose blocking operations additionally observe ctx. A
-// fired context aborts the world (see mpi.Contexter for why), so the
-// returned errors wrap both mpi.ErrAborted and the context's cause.
-// Binding is a cheap struct copy; per-call binding is fine.
+// WithContext returns a view of this communicator whose blocking
+// operations additionally observe ctx. A fired context aborts the world
+// (see mpi.Comm's WithContext for why), so the returned errors wrap both
+// mpi.ErrAborted and the context's cause. Binding is a cheap struct
+// copy; per-call binding is fine.
 func (c *comm) WithContext(ctx context.Context) mpi.Comm {
 	cc := *c
 	if ctx == nil || ctx.Done() == nil {
@@ -233,14 +226,14 @@ func (c *comm) Sendrecv(sendBuf []byte, to, sendTag int, recvBuf []byte, from, r
 	return st, serr
 }
 
-// Prepost implements mpi.Preposter: it posts a receive as Recv does, into
-// a request the caller owns, and leaves the Wait to the caller.
-// A completed request of this engine is re-armed in place (the engine
-// keeps no reference to a request once it has completed); anything else
-// is replaced by a fresh one. It declines a source the transport wires:
-// the transport already lands a message in a receive posted at its op
-// (Claim), and posting wired receives early measured only more memory
-// (lmsg-udp-np8 peak RSS 33 → 42 MB, p50 unchanged).
+// Prepost posts a receive as Recv does, into a request the caller owns,
+// and leaves the Wait to the caller. A completed request of this engine
+// is re-armed in place (the engine keeps no reference to a request once
+// it has completed); anything else is replaced by a fresh one. It
+// declines a source the transport wires: the transport already lands a
+// message in a receive posted at its op (Claim), and posting wired
+// receives early measured only more memory (lmsg-udp-np8 peak RSS
+// 33 → 42 MB, p50 unchanged).
 func (c *comm) Prepost(req mpi.Request, buf []byte, from, tag int) (mpi.Request, bool) {
 	if from < 0 || from >= len(c.members) || from == c.rank || mpi.CheckTag(tag, false) != nil {
 		return req, false

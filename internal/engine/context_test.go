@@ -75,7 +75,7 @@ func TestRunContextDeadlineUnblocksSend(t *testing.T) {
 }
 
 // TestWithContextPerOperation binds a context to a single operation via
-// the mpi.Contexter capability: a blocked Recv must return
+// the communicator's WithContext: a blocked Recv must return
 // when that context fires, even though the run context never does.
 func TestWithContextPerOperation(t *testing.T) {
 	base := runtime.NumGoroutine()

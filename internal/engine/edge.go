@@ -8,7 +8,7 @@ import (
 )
 
 // A kept schedule (collective.NewPlan) hands the engine every edge it
-// will use (mpi.Binder). An edge whose messages all fit inlinePayload
+// will use (Comm.Bind). An edge whose messages all fit inlinePayload
 // (and the eager limit) between two hosted, unwired ranks is bound: both
 // ends meet at bind time on one edge object under the receiver's
 // endpoint, keyed by (ctx, the rank's kept-plan ordinal on ctx, source,
@@ -129,14 +129,11 @@ type bound struct {
 	counted, bytes  uint64 // what Disengage has charged of the edge's counts
 }
 
-var (
-	_ mpi.Binder  = (*comm)(nil)
-	_ mpi.Binding = (*binding)(nil)
-)
+var _ mpi.Binding = (*binding)(nil)
 
-// Bind implements mpi.Binder: it binds each edge of at most inlinePayload
-// (and eager) bytes whose two ranks are hosted and unwired, meeting the
-// peer's end of it under the receiver's endpoint.
+// Bind binds each edge of at most inlinePayload (and eager) bytes whose
+// two ranks are hosted and unwired, meeting the peer's end of it under
+// the receiver's endpoint.
 func (c *comm) Bind(edges []mpi.Edge) mpi.Binding {
 	w, me := c.w, c.worldRank()
 	ep := w.eps[me]

@@ -48,7 +48,7 @@ func bindEdge(c mpi.Comm, k, size int) mpi.Binding {
 	if c.Rank() == 1 {
 		e.Peer, e.Send = 0, false
 	}
-	return c.(mpi.Binder).Bind([]mpi.Edge{e})
+	return c.Bind([]mpi.Edge{e})
 }
 
 // move moves one message of buf on edge 0 of b: rank 0 sends it, rank 1
@@ -63,7 +63,7 @@ func move(c mpi.Comm, b mpi.Binding, buf []byte) (mpi.Status, error) {
 // boundRun is one run of a kept schedule: its own tag stream, with b
 // engaged.
 func boundRun(c mpi.Comm, b mpi.Binding, body func() error) error {
-	mpi.AdvanceTagStream(c)
+	c.NextTagStream()
 	if b == nil || !b.Engage(c) {
 		return errors.New("edge not bound")
 	}
@@ -472,8 +472,8 @@ func TestBoundMismatchedSchedules(t *testing.T) {
 				if c.Rank() == 1 {
 					n, msgs = tc.recvLen, tc.received
 				}
-				b := c.(mpi.Binder).Bind([]mpi.Edge{{Peer: 1 - c.Rank(), Tag: boundTag, Send: c.Rank() == 0, Count: 2, MaxLen: n}})
-				mpi.AdvanceTagStream(c)
+				b := c.Bind([]mpi.Edge{{Peer: 1 - c.Rank(), Tag: boundTag, Send: c.Rank() == 0, Count: 2, MaxLen: n}})
+				c.NextTagStream()
 				engaged := b != nil && b.Engage(c)
 				if engaged {
 					defer b.Disengage()
@@ -527,7 +527,7 @@ func TestBoundOneHalfUnbound(t *testing.T) {
 				if me == 1 {
 					out, in = in, out
 				}
-				b := c.(mpi.Binder).Bind([]mpi.Edge{
+				b := c.Bind([]mpi.Edge{
 					{Peer: peer, Tag: boundTag, Send: true, Count: 1, MaxLen: out},
 					{Peer: peer, Tag: boundTag, Count: 1, MaxLen: in},
 				})

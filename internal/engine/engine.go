@@ -15,13 +15,13 @@
 // the send-only and receive-only ring steps the paper's optimisation
 // produces run the same code as the full exchanges beside them. A caller
 // that knows its receives ahead — a collective's executor, ops before it
-// runs them — posts them with Prepost (mpi.Preposter): irecv into a
-// completed request the caller owns and the engine re-arms, so a sender
-// finds them waiting and copies once, straight into place. A caller that
-// knows its whole schedule ahead — a kept collective Plan — binds its
-// edges with Bind (mpi.Binder): a message of at most inlinePayload bytes
-// between two ranks of this process then goes through a ring of cells
-// its edge owns, past the queues, moved by the binding's Move (edge.go).
+// runs them — posts them with Prepost: irecv into a completed request
+// the caller owns and the engine re-arms, so a sender finds them waiting
+// and copies once, straight into place. A caller that knows its whole
+// schedule ahead — a kept collective Plan — binds its edges with Bind:
+// a message of at most inlinePayload bytes between two ranks of this
+// process then goes through a ring of cells its edge owns, past the
+// queues, moved by the binding's Move (edge.go).
 //
 // How ranks run is the world's choice of substrate: the default
 // (Goroutine) gives every rank an OS-scheduled goroutine, while Pooled

@@ -174,7 +174,7 @@ func TestPendingRecvAcrossAbort(t *testing.T) {
 							return nil
 						}
 						w = c.(*comm).w
-						req := irecv(c.(mpi.Contexter).WithContext(ctx), make([]byte, 1), 1, 1) // never sent
+						req := irecv(c.WithContext(ctx), make([]byte, 1), 1, 1) // never sent
 						close(posted)
 						if late {
 							for !closed(w.aborted) && !closed(ctx.Done()) {
@@ -287,7 +287,7 @@ func TestSendrecvStillWorksAfterRefactor(t *testing.T) {
 	}
 }
 
-// TestPrepostRearmsCompletedRequests is mpi.Preposter's contract on the
+// TestPrepostRearmsCompletedRequests is Prepost's contract on the
 // engine: a request that completed comes back re-armed — the same object
 // — while one still pending is left alone and replaced, and a receive
 // the engine cannot post (self, out of range, wildcard, a tag outside the
@@ -313,25 +313,24 @@ func TestPrepostRearmsCompletedRequests(t *testing.T) {
 			}
 			return nil
 		}
-		pp := c.(mpi.Preposter)
 		for _, bad := range []struct{ from, tag int }{{1, 9}, {2, 9}, {mpi.AnySource, 9}, {0, mpi.AnyTag}, {0, mpi.MaxTag + 1}} {
-			if r, ok := pp.Prepost(nil, make([]byte, 3), bad.from, bad.tag); ok || r != nil {
+			if r, ok := c.Prepost(nil, make([]byte, 3), bad.from, bad.tag); ok || r != nil {
 				return fmt.Errorf("Prepost(from=%d, tag=%d) = (%v, %v), want a decline", bad.from, bad.tag, r, ok)
 			}
 		}
 		bufs := [3][]byte{make([]byte, 3), make([]byte, 3), make([]byte, 3)}
-		r1, ok := pp.Prepost(nil, bufs[0], 0, 9)
+		r1, ok := c.Prepost(nil, bufs[0], 0, 9)
 		if !ok {
 			return errors.New("Prepost declined a local source")
 		}
 		if _, err := r1.Wait(); err != nil {
 			return err
 		}
-		r2, _ := pp.Prepost(r1, bufs[2], 0, 10)
+		r2, _ := c.Prepost(r1, bufs[2], 0, 10)
 		if r2 != r1 {
 			return errors.New("a completed request was not re-armed in place")
 		}
-		r3, _ := pp.Prepost(r2, bufs[1], 0, 9)
+		r3, _ := c.Prepost(r2, bufs[1], 0, 9)
 		if r3 == r2 {
 			return errors.New("a pending request was re-armed")
 		}

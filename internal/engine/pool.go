@@ -57,11 +57,11 @@ import (
 //     through the posted receive's or the rdvState's channel): the
 //     blocking calls (Send, Recv, Sendrecv) pass the address of a
 //     local, which must stay on their stack — the engine's alloc test
-//     holds them to it. Prepost (mpi.Preposter), the one call that hands
-//     a request out, lets a caller that posts the same receives every
-//     collective keep its requests: handed back a completed one, it
-//     re-arms it in place — completion was the engine's last touch —
-//     and allocates only for nil or a request still pending.
+//     holds them to it. Prepost, the one call that hands a request
+//     out, lets a caller that posts the same receives every collective
+//     keep its requests: handed back a completed one, it re-arms it in
+//     place — completion was the engine's last touch — and allocates
+//     only for nil or a request still pending.
 //
 // The channels inside posted and rdvState are allocated once per
 // object and reused across recycles: each use moves exactly one value

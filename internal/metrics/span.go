@@ -20,20 +20,11 @@ type Span struct {
 	Dur       time.Duration
 }
 
-// SpanSource is the capability interface of communicators that expose
-// a per-rank span ring: the engine's communicator implements it (nil
-// ring when spans are disabled), and collectives type-assert against it
-// at emission sites — the same discovery pattern as mpi.Contexter and
-// mpi.TagStreamer, kept here so the capability's type lives next to the
-// data it hands out.
-type SpanSource interface {
-	SpanRing() *SpanRing
-}
-
 // SpanRing is a fixed-capacity, drop-oldest buffer of operation spans
-// for one rank. Record is called only from contexts serialized per rank
-// (a rank issues its collectives one at a time), so the ring needs no
-// atomics; reading happens between runs via Spans/Recorded/Dropped.
+// for one rank; a communicator hands it out (internal/mpi's
+// Comm.SpanRing). Record is called only from contexts serialized per
+// rank (a rank issues its collectives one at a time), so the ring needs
+// no atomics; reading happens between runs via Spans/Recorded/Dropped.
 type SpanRing struct {
 	rank int
 	buf  []Span

@@ -5,10 +5,10 @@
 // implementations are ported onto this minimal, faithful subset of the
 // MPI point-to-point API: blocking Send/Recv with (source, tag, context)
 // matching and wildcards, combined Sendrecv with concurrent halves, and
-// communicator Split. Optional capabilities beside them serve the
-// collectives: early-posted receives (Preposter, whose Request a caller
-// Waits on), kept edges (Binder), tag streams and bound contexts.
-// One engine implements the interface: internal/engine, a real runtime
+// communicator Split. The methods beside them serve the collectives:
+// early-posted receives (Prepost, whose Request a caller Waits on), kept
+// edges (Bind), tag streams, bound contexts, operation spans and traffic
+// rows. One engine implements the interface: internal/engine, a real runtime
 // (pluggable rank execution — goroutine-per-rank or a pooled cooperative
 // scheduler — eager and rendezvous protocols, real buffer copies, in one
 // process or split across several over internal/transport) used for
@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/metrics"
 	"repro/internal/topology"
 )
 
@@ -92,50 +93,10 @@ func BaseTag(tag int) int {
 	return CollTagBase + (tag-CollTagBase)%TagStreamStride
 }
 
-// TagStreamer is the optional capability of communicators that
-// namespace collective operations into per-operation tag streams.
-// NextTagStream advances the communicator's stream counter and returns
-// the stream id the next collective should run under; every rank of the
-// communicator must call it in the same collective order (which the MPI
-// collective-call ordering rule already guarantees), so all ranks agree
-// on each operation's stream without communicating.
-type TagStreamer interface {
-	NextTagStream() int
-}
-
-// AdvanceTagStream moves c to the next collective tag stream when the
-// communicator supports streams, and is a no-op otherwise. Collective
-// implementations call it once on entry.
-func AdvanceTagStream(c Comm) {
-	if ts, ok := c.(TagStreamer); ok {
-		ts.NextTagStream()
-	}
-}
-
-// Preposter is the optional capability of communicators that can post a
-// receive into a request the caller keeps across operations, so a
-// collective that posts the same receives every time allocates nothing
-// to do so. Prepost posts a receive of buf from rank from with tag tag
-// and returns its request, to Wait on. req is nil or a request an
-// earlier Prepost returned; once that request has completed, the
-// communicator re-arms it instead of allocating one. ok is false when the communicator declines — a source
-// it reaches over a wire, a wildcard, an invalid argument — and then
-// nothing is posted and req comes back unchanged, for the caller to keep
-// and to post that receive the ordinary way.
-type Preposter interface {
-	Prepost(req Request, buf []byte, from, tag int) (r Request, ok bool)
-}
-
-// Binder is the optional capability of communicators that can set up,
-// once, the edges a kept schedule sends and receives on, so that each
-// run of it moves their messages without matching them. Bind takes every
-// edge of the calling rank's schedule and returns the Binding to engage
-// around each run, or nil when it bound none; then the schedule runs on
-// the communicator as before. Every rank must Bind its kept schedules on
-// a communicator in the same order, as it calls the collectives they run.
-type Binder interface {
-	Bind(edges []Edge) Binding
-}
+// AdvanceTagStream moves c to the next collective tag stream. It is
+// c.NextTagStream() without the stream id, kept for the benchmark
+// module, which calls it.
+func AdvanceTagStream(c Comm) { c.NextTagStream() }
 
 // Edge is one (direction, peer, base collective tag) of a rank's
 // schedule, which moves Count messages of at most MaxLen bytes per run.
@@ -145,7 +106,7 @@ type Edge struct {
 	Count, MaxLen int
 }
 
-// Binding is what Bind returns. Engage readies it for one run on c, its
+// Binding is what Comm.Bind returns. Engage readies it for one run on c, its
 // tags in c's current stream, and reports false for a communicator or
 // run it was not made on. Until Disengage, Move runs one op like
 // Sendrecv: a send of sbuf on edge send and a receive into rbuf on edge
@@ -246,31 +207,59 @@ type Comm interface {
 	// Topology returns the node placement of this communicator's ranks
 	// (indexed by communicator rank).
 	Topology() *topology.Map
-}
 
-// Contexter is the optional capability of communicators that can bind a
-// context.Context to their operations. WithContext returns a view of the
-// same communicator whose blocking calls additionally observe ctx:
-// cancellation or deadline expiry unblocks them promptly. Because a
-// collective left half-finished poisons every participant, a fired
-// context tears the whole world down (all ranks' pending operations
-// return an error wrapping ErrAborted and the context's cause) rather
-// than abandoning one rank's operation in place.
-type Contexter interface {
+	// NextTagStream advances the communicator's collective tag stream
+	// and returns the stream id the next collective runs under. Every
+	// rank of the communicator must call it in the same collective order
+	// (which the MPI collective-call ordering rule already guarantees),
+	// so all ranks agree on each operation's stream without
+	// communicating.
+	NextTagStream() int
+	// Prepost posts a receive of buf from rank from with tag tag into a
+	// request the caller keeps across operations, and returns it to Wait
+	// on, so a collective that posts the same receives every time
+	// allocates nothing to do so. req is nil or a request an earlier
+	// Prepost returned; once that request has completed, the
+	// communicator re-arms it instead of allocating one. Prepost may
+	// decline — a source it reaches over a wire, a wildcard, an invalid
+	// argument — and then ok is false, nothing is posted and req comes
+	// back unchanged, for the caller to keep and to post that receive
+	// the ordinary way.
+	Prepost(req Request, buf []byte, from, tag int) (r Request, ok bool)
+	// Bind sets up, once, the edges a kept schedule sends and receives
+	// on, so that each run of it moves their messages without matching
+	// them. It takes every edge of the calling rank's schedule and
+	// returns the Binding to engage around each run, or nil when it
+	// bound none; then the schedule runs on the communicator as before.
+	// Every rank must Bind its kept schedules on a communicator in the
+	// same order, as it calls the collectives they run.
+	Bind(edges []Edge) Binding
+	// WithContext returns a view of the same communicator whose blocking
+	// calls additionally observe ctx: cancellation or deadline expiry
+	// unblocks them promptly. Because a collective left half-finished
+	// poisons every participant, a fired context tears the whole world
+	// down (all ranks' pending operations return an error wrapping
+	// ErrAborted and the context's cause) rather than abandoning one
+	// rank's operation in place.
 	WithContext(ctx context.Context) Comm
+	// SpanRing returns the calling rank's operation-span ring, where the
+	// collectives record one span per completed operation; nil when
+	// spans are disabled.
+	SpanRing() *metrics.SpanRing
+	// WithTraffic returns a view of the communicator that counts into
+	// row every message it sends and every receive it completes, as do
+	// the views later made from that one (WithContext, Split); a nil row
+	// counts nothing.
+	WithTraffic(row *metrics.TrafficRow) Comm
 }
 
-// WithContext binds ctx to c when the communicator supports it and
-// returns c unchanged otherwise (including for a nil or never-canceled
-// context, which needs no binding).
+// WithContext binds ctx to c, and returns c unchanged for a nil or
+// never-canceled context, which needs no binding.
 func WithContext(ctx context.Context, c Comm) Comm {
 	if ctx == nil || ctx.Done() == nil {
 		return c
 	}
-	if cc, ok := c.(Contexter); ok {
-		return cc.WithContext(ctx)
-	}
-	return c
+	return c.WithContext(ctx)
 }
 
 // CheckPeer validates a peer rank against a communicator size, allowing

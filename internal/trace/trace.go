@@ -57,14 +57,6 @@ func (s Stats) String() string {
 	return b.String()
 }
 
-// recorder is the capability of a communicator that records its own
-// traffic: WithTraffic returns a view of it that counts into row, as do
-// the views later made from that one (WithContext, Split). The engine's
-// communicator implements it.
-type recorder interface {
-	WithTraffic(row *metrics.TrafficRow) mpi.Comm
-}
-
 // Collector owns one traffic row per slot (one slot per rank) and sums
 // them. Stats must only be called after the ranks have finished.
 type Collector struct {
@@ -80,13 +72,8 @@ func NewCollector() *Collector { return &Collector{} }
 // on a reused world while the collector's memory stays constant. Like any
 // Comm, the returned communicator — and therefore the slot's row — must
 // be driven by one rank goroutine at a time; distinct slots may be
-// wrapped concurrently. It panics when c cannot record its traffic:
-// tracing must never silently count nothing.
+// wrapped concurrently.
 func (col *Collector) WrapSlot(slot int, c mpi.Comm) mpi.Comm {
-	rc, ok := c.(recorder)
-	if !ok {
-		panic(fmt.Sprintf("trace: %T cannot record its traffic", c))
-	}
 	col.mu.Lock()
 	for len(col.rows) <= slot {
 		col.rows = append(col.rows, nil)
@@ -97,7 +84,7 @@ func (col *Collector) WrapSlot(slot int, c mpi.Comm) mpi.Comm {
 		col.rows[slot] = row
 	}
 	col.mu.Unlock()
-	return rc.WithTraffic(row)
+	return c.WithTraffic(row)
 }
 
 // Stats sums every row. Call only after the traced program finished.

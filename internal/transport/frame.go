@@ -13,17 +13,15 @@ const (
 	ptAck  = 2
 )
 
-// Wire sizes. maxPayload is the default fragment size: large enough
-// that the per-datagram kernel cost stops dominating bulk flows, and a
-// round 32KiB — exactly one bufpool size class, and a divisor of every
-// larger power-of-two message, so a 2^k-byte chunk is 2^k/32KiB full
-// datagrams with no runt behind them. maxDatagram, the receive-buffer
-// ceiling, is that plus the header, still comfortably inside the 64KiB
-// loopback MTU. A sender fragments smaller when UDPConfig.PacketBytes
-// says so (a real path with a 1500-byte MTU wants datagrams that dodge
-// IP fragmentation); receivers always accept up to maxDatagram.
-// sendFlow.enqueue (flow.go) splits a message larger than a fragment
-// into sequential fragments of the same flow.
+// Wire sizes. maxPayload is the fragment size: large enough that the
+// per-datagram kernel cost stops dominating bulk flows, and a round
+// 32KiB — exactly one bufpool size class, and a divisor of every larger
+// power-of-two message, so a 2^k-byte chunk is 2^k/32KiB full datagrams
+// with no runt behind them. maxDatagram, the largest datagram sent and
+// the receive-buffer ceiling, is that plus the header, still comfortably
+// inside the 64KiB loopback MTU. sendFlow.enqueue (flow.go) splits a
+// message larger than a fragment into sequential fragments of the same
+// flow.
 const (
 	dataHeaderLen = 54
 	// An ACK is ackBaseLen bytes plus ackRangeLen per selective range, at

@@ -47,27 +47,19 @@ type UDPConfig struct {
 	// socket. Single-process benchmarks use this to exercise the real
 	// datagram path without spawning processes.
 	ForceWire bool
-	// PacketBytes caps outbound datagram size, header included. Zero
-	// selects maxDatagram (the 54-byte header plus a 32KiB fragment —
-	// right for loopback and jumbo-frame paths); paths with a 1500-byte
-	// MTU should set a value that dodges IP fragmentation. Clamped to
-	// [dataHeaderLen+1, maxDatagram]; receivers accept up to maxDatagram
-	// regardless.
-	PacketBytes int
 }
 
 // UDP is the datagram transport backend: reliable, in-order message
 // delivery over unreliable packets, per the package-level framing and
 // retransmit contract. One UDP value serves every world booted on it.
 type UDP struct {
-	np      int
-	hosted  []bool
-	force   bool
-	conn    net.PacketConn
-	uc      *net.UDPConn // conn when it is a raw UDP socket: allocation-free single writes
-	payload int          // max fragment payload per datagram
-	bio     *batchIO
-	sendTo  []*peer // by destination rank; nil for ranks without an address
+	np     int
+	hosted []bool
+	force  bool
+	conn   net.PacketConn
+	uc     *net.UDPConn // conn when it is a raw UDP socket: allocation-free single writes
+	bio    *batchIO
+	sendTo []*peer // by destination rank; nil for ranks without an address
 	// rxLast is the peer whose data datagram the receive loop delivered
 	// last: the flow the next batched read is aimed for. The receive
 	// loop's alone.
@@ -142,18 +134,13 @@ func NewUDP(cfg UDPConfig) (*UDP, error) {
 		_ = sb.SetReadBuffer(socketBuf)
 		_ = sb.SetWriteBuffer(socketBuf)
 	}
-	pkt := cfg.PacketBytes
-	if pkt <= dataHeaderLen || pkt > maxDatagram {
-		pkt = maxDatagram
-	}
 	t := &UDP{
-		np:      cfg.NP,
-		force:   cfg.ForceWire,
-		conn:    conn,
-		payload: pkt - dataHeaderLen,
-		hosted:  make([]bool, cfg.NP),
-		sendTo:  make([]*peer, cfg.NP),
-		done:    make(chan struct{}),
+		np:     cfg.NP,
+		force:  cfg.ForceWire,
+		conn:   conn,
+		hosted: make([]bool, cfg.NP),
+		sendTo: make([]*peer, cfg.NP),
+		done:   make(chan struct{}),
 	}
 	t.uc, _ = conn.(*net.UDPConn)
 	t.peers.Store(&map[peerKey]*peer{})
@@ -309,7 +296,7 @@ func (t *UDP) Send(m Message) error {
 	}
 	p.send.mu.Lock()
 	defer p.send.mu.Unlock()
-	p.send.enqueue(m, t.payload)
+	p.send.enqueue(m, maxPayload)
 	t.flush(p)
 	return nil
 }
