@@ -187,6 +187,27 @@ func TestRecordingFollowsTheCommunicator(t *testing.T) {
 	}
 }
 
+// TestWrapSlotCountsThroughAWrapper: every mpi.Comm records its traffic,
+// so a communicator that only wraps another is traced like the one it
+// wraps; tracing never silently counts nothing.
+func TestWrapSlotCountsThroughAWrapper(t *testing.T) {
+	col := NewCollector()
+	err := engine.Run(2, func(c mpi.Comm) error {
+		tc := col.WrapSlot(c.Rank(), struct{ mpi.Comm }{c})
+		if tc.Rank() == 0 {
+			return tc.Send(make([]byte, 7), 1, 4)
+		}
+		_, err := tc.Recv(make([]byte, 7), 0, 4)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := col.Stats(); s.Total != (Counts{Messages: 1, Bytes: 7}) || s.Recvs != 1 {
+		t.Fatalf("wrapped comm traced as %+v, %d receives; want 1 message of 7 bytes, 1 receive", s.Total, s.Recvs)
+	}
+}
+
 func TestStatsString(t *testing.T) {
 	col := NewCollector()
 	err := engine.Run(2, func(c mpi.Comm) error {
