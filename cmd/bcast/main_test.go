@@ -302,6 +302,9 @@ func TestOutputParity(t *testing.T) {
 		{"figs -fig counts,6a", "figs_counts_6a.golden"},
 		// bcastsim -algo native,opt -np 16 -min 65536 -max 262144
 		{"curves -algo native,opt -np 16 -min 65536 -max 262144", "curves.golden"},
+		// over the table tune_sim_placements.golden emits
+		{"compare -tune-table testdata/tune_sim_placements.json -np 8,16 -min 16384 -max 262144 -placements blocked:4,round-robin:4",
+			"compare_placements.golden"},
 	} {
 		if got, want := afterProvenance(mustRun(t, tc.line)), afterProvenance(golden(tc.file)); got != want {
 			t.Errorf("bcast %s differs from %s:\n--- got\n%s--- want\n%s", tc.line, tc.file, got, want)
@@ -330,5 +333,11 @@ func TestOutputParity(t *testing.T) {
 	if got, want := noDescription(mustRun(t, "tune sim -candidates mpich -np 8,16 -min 16384 -max 262144")),
 		noDescription(golden("tune_sim_mpich.golden")); got != want {
 		t.Errorf("tune sim differs from tune_sim_mpich.golden:\n--- got\n%s--- want\n%s", got, want)
+	}
+	// The same grid swept over segment sizes and two placements: one rule
+	// group per placement.
+	if got, want := noDescription(mustRun(t, "tune sim -candidates mpich -np 8,16 -min 16384 -max 262144 -segs 8192,32768 -placements blocked:4,round-robin:4")),
+		noDescription(golden("tune_sim_placements.golden")); got != want {
+		t.Errorf("tune sim differs from tune_sim_placements.golden:\n--- got\n%s--- want\n%s", got, want)
 	}
 }
