@@ -155,6 +155,16 @@ var archRules = []archRule{
 		check: internalImportsInExamples,
 	},
 	{
+		// internal/tune is the selection policy: AutoTune builds each grid
+		// point's topology and asks a tune.Measurer for the time of a
+		// decision on it. The measurers (the netsim model's in
+		// internal/bench, the engine's in internal/measure) live outside
+		// it; a schedule (core's emitters or sched's programs), simulator,
+		// engine or transport import here is a measurer moving back in.
+		name:  "the tuning policy measures nothing",
+		check: measuringTuner,
+	},
+	{
 		// The five tools were folded into cmd/bcast; a second entry
 		// under cmd/ is a second flag vocabulary growing back.
 		name:  "one tool",
@@ -803,13 +813,30 @@ func funcName(fd *ast.FuncDecl) string {
 // internalImportsInExamples reports every import of a repro/internal/
 // package by a file under examples/.
 func internalImportsInExamples(files []srcFile) []string {
+	return importsWhere(files, func(f srcFile) bool { return strings.HasPrefix(f.path, "examples/") },
+		func(p string) bool { return strings.HasPrefix(p, "repro/internal/") })
+}
+
+// measuringTuner reports every import of a package that measures or
+// replays a broadcast by a non-test file of internal/tune.
+func measuringTuner(files []srcFile) []string {
+	measuring := map[string]bool{}
+	for _, pkg := range []string{"core", "netsim", "sched", "engine", "transport", "measure"} {
+		measuring["repro/internal/"+pkg] = true
+	}
+	return importsWhere(files, func(f srcFile) bool { return f.pkg == "internal/tune" && !f.test },
+		func(p string) bool { return measuring[p] })
+}
+
+// importsWhere reports every import bad names in a Go file keep selects.
+func importsWhere(files []srcFile, keep func(srcFile) bool, bad func(path string) bool) []string {
 	var out []string
 	for _, f := range files {
-		if f.ast == nil || !strings.HasPrefix(f.path, "examples/") {
+		if f.ast == nil || !keep(f) {
 			continue
 		}
 		for _, im := range f.ast.Imports {
-			if p, _ := strconv.Unquote(im.Path.Value); strings.HasPrefix(p, "repro/internal/") {
+			if p, _ := strconv.Unquote(im.Path.Value); bad(p) {
 				out = append(out, f.path+" imports "+p)
 			}
 		}
@@ -1253,6 +1280,14 @@ func main() {}
 `,
 			},
 			want: []string{"examples/planted/main.go imports repro/internal/tune"},
+		},
+		{
+			rule: "the tuning policy measures nothing",
+			plant: map[string]string{
+				"internal/tune/planted.go":      "package tune\nimport (\n\t\"repro/internal/netsim\"\n\t\"repro/internal/topology\"\n)\nvar _, _ = netsim.Hornet, topology.SingleNode\n",
+				"internal/tune/planted_test.go": "package tune\nimport \"repro/internal/netsim\"\nvar _ = netsim.Hornet\n",
+			},
+			want: []string{"internal/tune/planted.go imports repro/internal/netsim"},
 		},
 		{
 			rule: "one tool",

@@ -7,14 +7,14 @@ import (
 	"testing"
 
 	"repro/bcast"
-	"repro/internal/bench"
+	"repro/internal/collective"
 	"repro/internal/measure"
 	"repro/internal/tune"
 )
 
 // TestAutoTuneTableRoundTrip drives the full loop the CLI workflow
 // promises: auto-tune on the real engine exactly as `bcast tune engine`
-// does (same bench.AutoTune entry point), save the
+// does (same tune.AutoTune entry point), save the
 // JSON table, load it back through the public bcast.TuneTable option,
 // and check the facade's selection is the table's verdict cell by cell.
 func TestAutoTuneTableRoundTrip(t *testing.T) {
@@ -24,7 +24,7 @@ func TestAutoTuneTableRoundTrip(t *testing.T) {
 	const np = 4
 	sizes := []int{1 << 13, 1 << 14}
 	eng := measure.EngineMeasurer{Warmup: 1, Reps: 2, Stat: measure.StatMin}
-	table, winners, err := bench.AutoTune(eng, nil, tune.SweepConfig{
+	table, winners, err := tune.AutoTune(collective.Candidates(), eng, tune.SweepConfig{
 		Procs: []int{np}, Sizes: sizes,
 	})
 	if err != nil {

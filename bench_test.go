@@ -30,13 +30,12 @@ import (
 // ---------------------------------------------------------------------
 
 // simCfg is the benchmark-grade simulated harness (short replication).
-func simCfg() tune.SimMeasurer {
-	return tune.SimMeasurer{
-		Model: netsim.Hornet(),
-		Place: tune.Placement{Kind: topology.KindBlocked, CoresPerNode: topology.HornetCoresPerNode},
-		Warm:  1, Total: 3,
-	}
+func simCfg() bench.SimMeasurer {
+	return bench.SimMeasurer{Model: netsim.Hornet(), Warm: 1, Total: 3}
 }
+
+// hornet places np ranks blocked over Hornet's nodes, as the figures do.
+func hornet(np int) *topology.Map { return topology.Blocked(np, topology.HornetCoresPerNode) }
 
 // BenchmarkTableTransferCounts regenerates the Section IV in-text counts
 // (P=8: 56 -> 44, P=10: 90 -> 75) plus larger process counts.
@@ -58,14 +57,14 @@ func BenchmarkTableTransferCounts(b *testing.B) {
 // benchFig6 runs one Figure 6 panel: a size sweep at a fixed process
 // count, native vs opt, reporting simulated bandwidth.
 func benchFig6(b *testing.B, np int, sizes []int) {
-	cfg := simCfg()
+	cfg, topo := simCfg(), hornet(np)
 	for name, d := range map[string]tune.Decision{"MPI_Bcast_native": bench.Native, "MPI_Bcast_opt": bench.Opt} {
 		for _, n := range sizes {
 			b.Run(fmt.Sprintf("%s/size=%d", name, n), func(b *testing.B) {
 				var res bench.Result
 				var err error
 				for i := 0; i < b.N; i++ {
-					res, err = bench.MeasureSimDecision(cfg, d, np, n)
+					res, err = bench.MeasureSimDecision(cfg, d, topo, n)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -93,13 +92,14 @@ func BenchmarkFig7(b *testing.B) {
 	for _, n := range bench.Fig7Sizes() {
 		for _, p := range bench.Fig7Procs() {
 			b.Run(fmt.Sprintf("ms=%d/np=%d", n, p), func(b *testing.B) {
+				topo := hornet(p)
 				var speedup float64
 				for i := 0; i < b.N; i++ {
-					nat, err := bench.MeasureSimDecision(cfg, bench.Native, p, n)
+					nat, err := bench.MeasureSimDecision(cfg, bench.Native, topo, n)
 					if err != nil {
 						b.Fatal(err)
 					}
-					opt, err := bench.MeasureSimDecision(cfg, bench.Opt, p, n)
+					opt, err := bench.MeasureSimDecision(cfg, bench.Opt, topo, n)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cli"
 	"repro/internal/collective"
+	"repro/internal/tune"
 )
 
 // runFigs regenerates the paper's evaluation figures on the modelled
@@ -14,7 +15,7 @@ import (
 // throughput-speedup series of Figure 7 and the Section IV
 // transfer-count table.
 func runFigs(cfg *cli.Config, out io.Writer) error {
-	sim := cfg.SimConfig()
+	sim, sweep := cfg.SimConfig()
 	for _, id := range cfg.Figs {
 		if id == "counts" {
 			fmt.Fprintln(out, "# Section IV transfer counts (ring allgather phase, n = 16 KiB)")
@@ -30,11 +31,11 @@ func runFigs(cfg *cli.Config, out io.Writer) error {
 		)
 		switch id {
 		case "7":
-			fig, err = bench.Fig7(sim, nil, nil)
+			fig, err = bench.Fig7(sim, sweep.Place, nil, nil)
 		case "8":
-			fig, err = bench.Fig8(sim, nil)
+			fig, err = bench.Fig8(sim, sweep.Place, nil)
 		default:
-			fig, err = bench.Fig6(sim, map[string]int{"6a": 16, "6b": 64, "6c": 256}[id], nil)
+			fig, err = bench.Fig6(sim, sweep.Place, map[string]int{"6a": 16, "6b": 64, "6c": 256}[id], nil)
 		}
 		if err != nil {
 			return err
@@ -54,22 +55,26 @@ func runFigs(cfg *cli.Config, out io.Writer) error {
 
 // runCurves prints simulated bandwidth curves per -algo name.
 func runCurves(cfg *cli.Config, out io.Writer) error {
-	sim := cfg.SimConfig()
+	sim, sweep := cfg.SimConfig()
 	sels, err := cfg.Selections()
 	if err != nil {
 		return err
 	}
-	for _, p := range cfg.NP {
+	for _, p := range sweep.Procs {
+		topo, err := sweep.Place.Map(p)
+		if err != nil {
+			return err
+		}
 		fmt.Fprintf(out, "# simulated bandwidth (MB/s), model %q, np=%d\n", sim.Model.Name, p)
 		fmt.Fprintf(out, "%-12s", "bytes")
 		for _, s := range sels {
 			fmt.Fprintf(out, " %30s", s.Label)
 		}
 		fmt.Fprintln(out)
-		for _, n := range cfg.Sizes() {
+		for _, n := range sweep.Sizes {
 			fmt.Fprintf(out, "%-12d", n)
 			for _, s := range sels {
-				r, err := bench.MeasureSimDecision(sim, s.Decide(sim.Env(p, n)), p, n)
+				r, err := bench.MeasureSimDecision(sim, s.Decide(tune.EnvOf(n, p, topo)), topo, n)
 				if err != nil {
 					return err
 				}
@@ -86,12 +91,12 @@ func runCurves(cfg *cli.Config, out io.Writer) error {
 // static one on the model, with a per-placement breakdown under
 // -placements.
 func runCompare(cfg *cli.Config, out io.Writer) error {
-	sim := cfg.SimConfig()
+	sim, sweep := cfg.SimConfig()
 	table, err := collective.LoadTable(cfg.Table)
 	if err != nil {
 		return err
 	}
-	rows, err := bench.CompareTuned(sim, table, cfg.NP, cfg.Sizes(), cfg.Placements)
+	rows, err := bench.CompareTuned(sim, table, sweep)
 	if err != nil {
 		return err
 	}

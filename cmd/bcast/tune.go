@@ -15,7 +15,7 @@ import (
 // repetitions between barriers, robust statistic over the samples).
 func runTuneEngine(cfg *cli.Config, out io.Writer) error {
 	eng := cfg.EngineMeasurer()
-	if err := autoTune(cfg, eng, out); err != nil {
+	if err := autoTune(cfg, eng, cfg.Sweep(), out); err != nil {
 		return err
 	}
 	return saveSamples(cfg, eng, out)
@@ -23,18 +23,19 @@ func runTuneEngine(cfg *cli.Config, out io.Writer) error {
 
 // runTuneSim derives a tuning table on the netsim cluster model.
 func runTuneSim(cfg *cli.Config, out io.Writer) error {
-	return autoTune(cfg, cfg.SimConfig(), out)
+	sim, sweep := cfg.SimConfig()
+	return autoTune(cfg, sim, sweep, out)
 }
 
 // autoTune sweeps the grid on m and emits the winners and the table.
-func autoTune(cfg *cli.Config, m bench.Substrate, out io.Writer) error {
+func autoTune(cfg *cli.Config, m tune.Measurer, sweep tune.SweepConfig, out io.Writer) error {
 	cands := cfg.Candidates()
 	fmt.Fprint(out, "# candidates measured wherever their capabilities admit the grid point:")
 	for _, c := range cands {
 		fmt.Fprint(out, " ", c.Name)
 	}
 	fmt.Fprintln(out)
-	table, winners, err := bench.AutoTune(m, cands, cfg.Sweep())
+	table, winners, err := tune.AutoTune(cands, m, sweep)
 	if err != nil {
 		return err
 	}
@@ -47,7 +48,8 @@ func autoTune(cfg *cli.Config, m bench.Substrate, out io.Writer) error {
 // the engine over the same grid, reports the cells where the model and
 // the wall clock disagree on the winner, and emits the engine's table.
 func runCrossCheck(cfg *cli.Config, out io.Writer) error {
-	eng, sim := cfg.EngineMeasurer(), cfg.SimConfig()
+	eng := cfg.EngineMeasurer()
+	sim, _ := cfg.SimConfig()
 	report, err := bench.CrossCheck(sim, eng, cfg.Candidates(), cfg.Sweep())
 	if err != nil {
 		return err

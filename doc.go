@@ -54,15 +54,17 @@
 // architecture.
 //
 // Measurement itself has two interchangeable substrates behind the
-// tune.Measurer seam: the netsim virtual-time model, and internal/measure
-// — the wall-clock subsystem that boots an engine.World per placement and
-// times the registered implementations between barriers, reducing
-// warmed-up repetitions with robust statistics (min/median/MAD-trimmed
-// mean) and persisting raw samples as JSON. One procedure, bench.AutoTune,
-// derives a table from either measurer, and bench.CrossCheck
-// (bcast crosscheck) calls it once per substrate over the same grid and
-// reports the cells where the cost model and the wall clock disagree on
-// the winner.
+// tune.Measurer seam, one method that times a decision on a topology:
+// the netsim virtual-time model (bench.SimMeasurer, which replays the
+// decision's collective.Schedule), and internal/measure — the wall-clock
+// subsystem that boots an engine.World over the topology and times the
+// registered implementations between barriers, reducing warmed-up
+// repetitions with robust statistics (min/median/MAD-trimmed mean) and
+// persisting raw samples as JSON. One procedure, tune.AutoTune, builds
+// each grid point's topology once and derives a table from either
+// measurer, and bench.CrossCheck (bcast crosscheck) calls it once per
+// substrate over the same grid and reports the cells where the cost model
+// and the wall clock disagree on the winner.
 //
 // How ranks execute inside the engine is the world's choice of
 // substrate (engine.ExecPolicy): the default runs one goroutine per rank,

@@ -1,14 +1,16 @@
 // Package bench implements the paper's measurement protocol and the
 // parameter sweeps behind every figure of the evaluation section.
 //
-// The simulated harness replays the algorithms' schedules on the netsim
-// cluster model at full paper scale (up to 256 ranks and 32 MB messages),
-// regenerating the series of Figures 6(a-c), 7 and 8; AutoTune and
-// CrossCheck drive the auto-tuner from that model and from wall-clock
-// runs on the real engine (internal/measure). The paper's user-level
-// wall-clock protocol itself (barrier, a loop of broadcasts, barrier,
-// bandwidth = message size over mean iteration time, in base-2 MB/s) is
-// `bcast bench`, which shares this package's Result and -algo vocabulary.
+// The simulated harness, SimMeasurer, replays a decision's whole
+// schedule (collective.Schedule) on the netsim cluster model at full
+// paper scale (up to 256 ranks and 32 MB messages), regenerating the
+// series of Figures 6(a-c), 7 and 8. It is one of the auto-tuner's two
+// tune.Measurers; the other is the real engine's (internal/measure), and
+// CrossCheck runs tune.AutoTune with both over one grid. The paper's
+// user-level wall-clock protocol itself (barrier, a loop of broadcasts,
+// barrier, bandwidth = message size over mean iteration time, in base-2
+// MB/s) is `bcast bench`, which shares this package's Result and -algo
+// vocabulary.
 package bench
 
 import (

@@ -8,6 +8,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/mpi"
 	"repro/internal/netsim"
+	"repro/internal/topology"
 	"repro/internal/tune"
 )
 
@@ -31,7 +32,7 @@ var algoNames = []string{"native", "opt", "binomial", "auto", "auto-opt", "smp",
 // environment, simulate on the model — the SMP rows included, on the
 // multi-node placement they need.
 func TestParseAlgoRunsOnBothHarnesses(t *testing.T) {
-	sim := tune.SimMeasurer{Model: netsim.Hornet(), Place: blocked(4), Warm: 1, Total: 3}
+	sim, topo := SimMeasurer{Model: netsim.Hornet(), Warm: 1, Total: 3}, topology.Blocked(10, 4)
 	for _, name := range algoNames {
 		o, err := ParseAlgo(name)
 		if err != nil {
@@ -40,8 +41,8 @@ func TestParseAlgoRunsOnBothHarnesses(t *testing.T) {
 		if err := broadcastOnce(blocked(4), o); err != nil {
 			t.Fatalf("%s on the engine: %v", name, err)
 		}
-		d := o.Decide(sim.Env(10, 65536))
-		if res, err := MeasureSimDecision(sim, d, 10, 65536); err != nil || res.Seconds <= 0 {
+		d := o.Decide(tune.EnvOf(65536, 10, topo))
+		if res, err := MeasureSimDecision(sim, d, topo, 65536); err != nil || res.Seconds <= 0 {
 			t.Fatalf("%s (%+v) on the model: %+v, %v", name, d, res, err)
 		}
 	}
@@ -98,8 +99,8 @@ func TestAutoFollowsDispatch(t *testing.T) {
 }
 
 func TestFig6SmallSweep(t *testing.T) {
-	cfg := tune.SimMeasurer{Model: netsim.Hornet(), Place: blocked(24), Warm: 1, Total: 3}
-	fig, err := Fig6(cfg, 16, []int{1 << 19, 1 << 20})
+	cfg := SimMeasurer{Model: netsim.Hornet(), Warm: 1, Total: 3}
+	fig, err := Fig6(cfg, blocked(24), 16, []int{1 << 19, 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +126,8 @@ func TestFig6SmallSweep(t *testing.T) {
 }
 
 func TestFig7SmallSweep(t *testing.T) {
-	cfg := tune.SimMeasurer{Model: netsim.Hornet(), Place: blocked(24), Warm: 1, Total: 3}
-	fig, err := Fig7(cfg, []int{9, 17}, []int{12288})
+	cfg := SimMeasurer{Model: netsim.Hornet(), Warm: 1, Total: 3}
+	fig, err := Fig7(cfg, blocked(24), []int{9, 17}, []int{12288})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,12 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
 	"repro/internal/collective"
-	"repro/internal/sched"
+	"repro/internal/netsim"
 	"repro/internal/topology"
 	"repro/internal/tune"
 )
@@ -33,37 +34,51 @@ func FamilyCandidates() []tune.Candidate {
 	return out
 }
 
-// Substrate is what the auto-tuner can measure on: the netsim model
-// (tune.SimMeasurer) or the real engine (measure.EngineMeasurer).
-type Substrate interface {
-	// Factory rebinds the measurer to each swept placement.
-	Factory() func(tune.Placement) tune.Measurer
-	// Describe names the substrate and its protocol for provenance.
-	Describe() string
+// SimMeasurer measures decisions on the netsim virtual-time cluster
+// model — fast enough for paper-scale grids (hundreds of ranks, tens of
+// megabytes) on a laptop. It implements tune.Measurer.
+type SimMeasurer struct {
+	// Model is the cluster calibration (netsim.Hornet() when nil).
+	Model *netsim.Model
+	// Warm and Total bound the steady-state replication (defaults 2, 6).
+	Warm, Total int
+	// Root is the broadcast root.
+	Root int
 }
 
-// AutoTune runs the auto-tuner's (procs x sizes x segment sizes x
-// placements) sweep on m and appends m's provenance to the emitted
-// table's description. The grid semantics are tune.AutoTune's whichever
-// substrate measures, so a model-derived and an engine-derived table are
-// comparable cell for cell. A nil candidate list sweeps the whole
-// registry.
-func AutoTune(m Substrate, cands []tune.Candidate, sweep tune.SweepConfig) (*tune.Table, []tune.Winner, error) {
-	if cands == nil {
-		cands = collective.Candidates()
+func (m SimMeasurer) fill() SimMeasurer {
+	if m.Model == nil {
+		m.Model = netsim.Hornet()
 	}
-	t, winners, err := tune.AutoTune(cands, m.Factory(), sweep)
+	if m.Warm <= 0 {
+		m.Warm = 2
+	}
+	if m.Total <= m.Warm {
+		m.Total = m.Warm + 4
+	}
+	return m
+}
+
+// Measure implements tune.Measurer: the modelled steady-state time of
+// the decision's whole schedule (collective.Schedule) over topo.
+func (m SimMeasurer) Measure(d tune.Decision, topo *topology.Map, n int) (float64, error) {
+	m = m.fill()
+	pr, err := collective.Schedule(d, topo, m.Root, n)
 	if err != nil {
-		return nil, nil, err
+		return 0, fmt.Errorf("bench: %q at (p=%d, n=%d): %w", d.Algorithm, topo.NP(), n, err)
 	}
-	t.Description += " " + m.Describe()
-	return t, winners, nil
+	return netsim.SteadyStateIterTime(pr, topo, m.Model, m.Warm, m.Total)
+}
+
+// Describe names the measurement substrate for a table's provenance.
+func (m SimMeasurer) Describe() string {
+	return fmt.Sprintf("on netsim model %q", m.fill().Model.Name)
 }
 
 // TunedRow is one point of the tuned-versus-native comparison: what the
 // static MPICH3 dispatch picks, what the tuned table picks, and the
 // simulated bandwidth of each. Place identifies the swept placement the
-// point was evaluated under (zero = the config's own).
+// point was evaluated under (zero = the grid's unswept Place).
 type TunedRow struct {
 	P, N       int
 	Place      tune.Placement
@@ -78,12 +93,13 @@ type TunedRow struct {
 }
 
 // CompareTuned evaluates a tuning table against MPICH3's static native
-// dispatch over a (placements x procs x sizes) grid on the simulated
-// cluster, reporting where the auto-tuned selection beats the hardcoded
-// one. Every grid point is re-evaluated under each placement, mirroring
-// the placement-keyed rule groups of the tables AutoTune emits; an empty
-// placement list evaluates only the config's own.
-func CompareTuned(cfg tune.SimMeasurer, table *tune.Table, procs, sizes []int, placements []tune.Placement) ([]TunedRow, error) {
+// dispatch over the (placements x procs x sizes) grid of sweep on the
+// simulated cluster, reporting where the auto-tuned selection beats the
+// hardcoded one. Every grid point is re-evaluated under each placement,
+// mirroring the placement-keyed rule groups of the tables AutoTune
+// emits; without placements only sweep.Place is evaluated.
+func CompareTuned(m SimMeasurer, table *tune.Table, sweep tune.SweepConfig) ([]TunedRow, error) {
+	placements := sweep.Placements
 	if len(placements) == 0 {
 		placements = []tune.Placement{{}}
 	}
@@ -92,20 +108,20 @@ func CompareTuned(cfg tune.SimMeasurer, table *tune.Table, procs, sizes []int, p
 
 	var rows []TunedRow
 	for _, pl := range placements {
-		placed := cfg
-		if pl.Kind != "" {
-			placed.Place = pl
-		}
-		for _, p := range procs {
-			for _, n := range sizes {
-				e := placed.Env(p, n)
+		for _, p := range sweep.Procs {
+			topo, err := cmp.Or(pl, sweep.Place).Map(p)
+			if err != nil {
+				return nil, err
+			}
+			for _, n := range sweep.Sizes {
+				e := tune.EnvOf(n, p, topo)
 				nd := native.Decide(e)
 				td := tuned.Decide(e)
-				nr, err := MeasureSimDecision(placed, nd, p, n)
+				nr, err := MeasureSimDecision(m, nd, topo, n)
 				if err != nil {
 					return nil, fmt.Errorf("bench: native %q at (p=%d, n=%d): %w", nd.Algorithm, p, n, err)
 				}
-				tr, err := MeasureSimDecision(placed, td, p, n)
+				tr, err := MeasureSimDecision(m, td, topo, n)
 				if err != nil {
 					return nil, fmt.Errorf("bench: tuned %q at (p=%d, n=%d): %w", td.Algorithm, p, n, err)
 				}
@@ -125,15 +141,9 @@ func CompareTuned(cfg tune.SimMeasurer, table *tune.Table, procs, sizes []int, p
 }
 
 // MeasureSimDecision predicts the steady-state bandwidth of a registry
-// decision on the modelled cluster under the config's placement.
-func MeasureSimDecision(cfg tune.SimMeasurer, d tune.Decision, p, n int) (Result, error) {
-	dt, err := cfg.Measure(tune.Candidate{
-		Name:    d.Algorithm,
-		SegSize: d.SegSize,
-		Program: func(topo *topology.Map, root, n, seg int) (*sched.Program, error) {
-			return collective.Schedule(tune.Decision{Algorithm: d.Algorithm, SegSize: seg}, topo, root, n)
-		},
-	}, p, n)
+// decision on the modelled cluster over topo.
+func MeasureSimDecision(m SimMeasurer, d tune.Decision, topo *topology.Map, n int) (Result, error) {
+	dt, err := m.Measure(d, topo, n)
 	if err != nil {
 		return Result{}, err
 	}

@@ -18,7 +18,8 @@ import (
 func TestAutoTunePicksPaperRingForLongMessages(t *testing.T) {
 	procs := []int{16, 64, 129}
 	sizes := []int{1 << 18, tune.LongMsgSize, 1 << 20, 1 << 21}
-	table, winners, err := AutoTune(shapeCfg(), FamilyCandidates(), tune.SweepConfig{Procs: procs, Sizes: sizes})
+	table, winners, err := tune.AutoTune(FamilyCandidates(), shapeCfg(),
+		tune.SweepConfig{Procs: procs, Sizes: sizes, Place: blocked(topology.HornetCoresPerNode)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +61,12 @@ func TestCompareTunedBeatsNativeDispatch(t *testing.T) {
 	procs := []int{129}
 	sizes := []int{tune.LongMsgSize, 1 << 21}
 	cfg := shapeCfg()
-	table, _, err := AutoTune(cfg, FamilyCandidates(), tune.SweepConfig{Procs: procs, Sizes: sizes})
+	sweep := tune.SweepConfig{Procs: procs, Sizes: sizes, Place: blocked(topology.HornetCoresPerNode)}
+	table, _, err := tune.AutoTune(FamilyCandidates(), cfg, sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := CompareTuned(cfg, table, procs, sizes, nil)
+	rows, err := CompareTuned(cfg, table, sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,15 +89,15 @@ func TestCompareTunedBeatsNativeDispatch(t *testing.T) {
 	}
 }
 
-// recording notes which candidates a measurer was asked to measure.
+// recording notes which algorithms a measurer was asked to measure.
 type recording struct {
 	tune.Measurer
 	seen map[string]bool
 }
 
-func (r recording) Measure(c tune.Candidate, p, n int) (float64, error) {
-	r.seen[c.Name] = true
-	return r.Measurer.Measure(c, p, n)
+func (r recording) Measure(d tune.Decision, topo *topology.Map, n int) (float64, error) {
+	r.seen[d.Algorithm] = true
+	return r.Measurer.Measure(d, topo, n)
 }
 
 // TestBothSubstratesRankEveryRow: on a multi-node placement the model and
@@ -106,17 +108,16 @@ func TestBothSubstratesRankEveryRow(t *testing.T) {
 	sim := shapeCfg()
 	eng := measure.EngineMeasurer{Warmup: 1, Reps: 2, Stat: measure.StatMin}
 	for name, tc := range map[string]struct {
-		mk    func(tune.Placement) tune.Measurer
+		m     tune.Measurer
 		p     int
 		place tune.Placement
 	}{
-		"netsim": {sim.Factory(), 48, blocked(topology.HornetCoresPerNode)},
-		"engine": {eng.Factory(), 6, blocked(2)},
+		"netsim": {sim, 48, blocked(topology.HornetCoresPerNode)},
+		"engine": {eng, 6, blocked(2)},
 	} {
 		seen := map[string]bool{}
-		_, winners, err := tune.AutoTune(collective.Candidates(), func(pl tune.Placement) tune.Measurer {
-			return recording{tc.mk(pl), seen}
-		}, tune.SweepConfig{Procs: []int{tc.p}, Sizes: []int{1 << 16}, Placements: []tune.Placement{tc.place}})
+		_, winners, err := tune.AutoTune(collective.Candidates(), recording{tc.m, seen},
+			tune.SweepConfig{Procs: []int{tc.p}, Sizes: []int{1 << 16}, Placements: []tune.Placement{tc.place}})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -128,5 +129,38 @@ func TestBothSubstratesRankEveryRow(t *testing.T) {
 				t.Errorf("%s: measured %s = %v, want %v", name, r.Name, seen[r.Name], want)
 			}
 		}
+	}
+}
+
+// TestSimMeasurerSmoke: a real virtual-time measurement of the paper's
+// two rings on a tiny point, where opt must not lose, and a
+// topology-composed schedule measured on the map it is given.
+func TestSimMeasurerSmoke(t *testing.T) {
+	var m SimMeasurer
+	const n = 1 << 19
+	topo := topology.Blocked(10, 4)
+	tn, err := m.Measure(Native, topo, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	to, err := m.Measure(Opt, topo, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tn <= 0 || to <= 0 {
+		t.Fatalf("non-positive times: native %g, opt %g", tn, to)
+	}
+	if to > tn*1.05 {
+		t.Errorf("tuned ring slower than native: %g vs %g", to, tn)
+	}
+	smp := tune.Decision{Algorithm: tune.SMPOpt}
+	if ts, err := m.Measure(smp, topo, n); err != nil || ts <= 0 {
+		t.Errorf("smp-opt over 3 nodes: %g, %v", ts, err)
+	}
+	if _, err := m.Measure(smp, topology.SingleNode(10), n); err == nil {
+		t.Error("smp-opt on one node: want the capability error")
+	}
+	if got := m.Describe(); got != `on netsim model "hornet"` {
+		t.Errorf("Describe() = %q", got)
 	}
 }

@@ -49,27 +49,24 @@ func (r *CrossReport) Agreement() float64 {
 // the same (procs x sizes x segments x placements) grid, and reports
 // per-cell agreement — the measurement-grounded answer to "does the
 // model pick the same winners the real substrate does", with the cells
-// where they diverge called out for investigation. A nil candidate list
-// sweeps the whole registry.
+// where they diverge called out for investigation.
 //
-// Both sides are measured under the swept placements (each measurer
-// rebound per placement by AutoTune), so each cell compares the two
-// substrates on an identical environment.
-func CrossCheck(sim tune.SimMeasurer, eng measure.EngineMeasurer, cands []tune.Candidate, sweep tune.SweepConfig) (*CrossReport, error) {
+// Both sides are measured on the topologies AutoTune builds for the same
+// sweep, so each cell compares the two substrates on an identical
+// environment. An unswept grid is measured on a single node, its rules
+// keyed on that placement.
+func CrossCheck(sim SimMeasurer, eng measure.EngineMeasurer, cands []tune.Candidate, sweep tune.SweepConfig) (*CrossReport, error) {
 	// Both substrates must time the same broadcast: a root mismatch would
 	// make per-cell divergence meaningless.
 	sim.Root = eng.Root
-	// Without an explicit placement sweep each substrate would measure
-	// its own default environment and no cell need be comparable — pin
-	// both to single-node instead.
 	if len(sweep.Placements) == 0 {
 		sweep.Placements = []tune.Placement{{Kind: topology.KindSingle}}
 	}
-	simTable, simWinners, err := AutoTune(sim, cands, sweep)
+	simTable, simWinners, err := tune.AutoTune(cands, sim, sweep)
 	if err != nil {
 		return nil, fmt.Errorf("bench: crosscheck netsim side: %w", err)
 	}
-	engTable, engWinners, err := AutoTune(eng, cands, sweep)
+	engTable, engWinners, err := tune.AutoTune(cands, eng, sweep)
 	if err != nil {
 		return nil, fmt.Errorf("bench: crosscheck engine side: %w", err)
 	}

@@ -21,7 +21,7 @@ func TestCrossCheckTinyGrid(t *testing.T) {
 		Sizes:      []int{1 << 12, 1 << 16},
 		Placements: []tune.Placement{blocked(2)},
 	}
-	report, err := CrossCheck(tune.SimMeasurer{}, eng, FamilyCandidates(), sweep)
+	report, err := CrossCheck(SimMeasurer{}, eng, FamilyCandidates(), sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestCrossCheckTinyGrid(t *testing.T) {
 // provenance must say it came from the engine and record the protocol.
 func TestAutoTuneOverEngineMeasurerDescribesProtocol(t *testing.T) {
 	eng := measure.EngineMeasurer{Warmup: 1, Reps: 2, Stat: measure.StatMin}
-	table, winners, err := AutoTune(eng, FamilyCandidates(), tune.SweepConfig{
+	table, winners, err := tune.AutoTune(FamilyCandidates(), eng, tune.SweepConfig{
 		Procs: []int{4},
 		Sizes: []int{1 << 12},
 	})
@@ -97,7 +97,7 @@ func TestAutoTuneOverEngineMeasurerDescribesExecutor(t *testing.T) {
 		Warmup: 1, Reps: 2, Stat: measure.StatMin,
 		Executor: engine.Pooled, MaxWorkers: 1,
 	}
-	table, _, err := AutoTune(eng, FamilyCandidates(), tune.SweepConfig{
+	table, _, err := tune.AutoTune(FamilyCandidates(), eng, tune.SweepConfig{
 		Procs: []int{4},
 		Sizes: []int{1 << 12},
 	})

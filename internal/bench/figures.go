@@ -60,17 +60,23 @@ func Fig8Sizes() []int {
 	return sizes
 }
 
-// nativeAndOpt simulates the paper's two broadcasts at one grid point.
-func nativeAndOpt(cfg tune.SimMeasurer, p, n int) (native, opt Result, err error) {
-	if native, err = MeasureSimDecision(cfg, Native, p, n); err == nil {
-		opt, err = MeasureSimDecision(cfg, Opt, p, n)
+// nativeAndOpt simulates the paper's two broadcasts at one grid point,
+// p ranks placed by pl.
+func nativeAndOpt(m SimMeasurer, pl tune.Placement, p, n int) (native, opt Result, err error) {
+	topo, err := pl.Map(p)
+	if err == nil {
+		native, err = MeasureSimDecision(m, Native, topo, n)
+	}
+	if err == nil {
+		opt, err = MeasureSimDecision(m, Opt, topo, n)
 	}
 	return native, opt, err
 }
 
 // Fig6 regenerates one panel of Figure 6: bandwidth versus message size
-// for MPI_Bcast_native and MPI_Bcast_opt at the given process count.
-func Fig6(cfg tune.SimMeasurer, np int, sizes []int) (Figure, error) {
+// for MPI_Bcast_native and MPI_Bcast_opt at the given process count,
+// placed by pl.
+func Fig6(m SimMeasurer, pl tune.Placement, np int, sizes []int) (Figure, error) {
 	if sizes == nil {
 		sizes = Fig6Sizes()
 	}
@@ -83,7 +89,7 @@ func Fig6(cfg tune.SimMeasurer, np int, sizes []int) (Figure, error) {
 	nat := Series{Label: "MPI_Bcast_native"}
 	opt := Series{Label: "MPI_Bcast_opt"}
 	for _, n := range sizes {
-		rn, ro, err := nativeAndOpt(cfg, np, n)
+		rn, ro, err := nativeAndOpt(m, pl, np, n)
 		if err != nil {
 			return fig, err
 		}
@@ -99,7 +105,7 @@ func Fig6(cfg tune.SimMeasurer, np int, sizes []int) (Figure, error) {
 // Fig7 regenerates Figure 7: the throughput speedup of MPI_Bcast_opt
 // over MPI_Bcast_native across non-power-of-two process counts, one
 // series per message size.
-func Fig7(cfg tune.SimMeasurer, procs, sizes []int) (Figure, error) {
+func Fig7(m SimMeasurer, pl tune.Placement, procs, sizes []int) (Figure, error) {
 	if procs == nil {
 		procs = Fig7Procs()
 	}
@@ -115,7 +121,7 @@ func Fig7(cfg tune.SimMeasurer, procs, sizes []int) (Figure, error) {
 	for _, n := range sizes {
 		s := Series{Label: fmt.Sprintf("ms=%d", n)}
 		for _, p := range procs {
-			rn, ro, err := nativeAndOpt(cfg, p, n)
+			rn, ro, err := nativeAndOpt(m, pl, p, n)
 			if err != nil {
 				return fig, err
 			}
@@ -129,11 +135,11 @@ func Fig7(cfg tune.SimMeasurer, procs, sizes []int) (Figure, error) {
 
 // Fig8 regenerates Figure 8: bandwidth versus message size for 129
 // processes from medium (12288) into long (2560000) messages.
-func Fig8(cfg tune.SimMeasurer, sizes []int) (Figure, error) {
+func Fig8(m SimMeasurer, pl tune.Placement, sizes []int) (Figure, error) {
 	if sizes == nil {
 		sizes = Fig8Sizes()
 	}
-	fig, err := Fig6(cfg, 129, sizes)
+	fig, err := Fig6(m, pl, 129, sizes)
 	if err != nil {
 		return fig, err
 	}

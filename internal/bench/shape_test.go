@@ -13,6 +13,9 @@ func blocked(cores int) tune.Placement {
 	return tune.Placement{Kind: topology.KindBlocked, CoresPerNode: cores}
 }
 
+// hornet places p ranks blocked over Hornet's nodes, as the figures do.
+func hornet(p int) *topology.Map { return topology.Blocked(p, topology.HornetCoresPerNode) }
+
 // These tests assert the qualitative claims of the paper's evaluation —
 // the "shape" criteria from DESIGN.md — against the simulated harness.
 // They are regression guards for the model calibration: if a future
@@ -20,8 +23,8 @@ func blocked(cores int) tune.Placement {
 // the paper reports, these fail.
 
 // shapeCfg uses moderate replication for stable steady-state numbers.
-func shapeCfg() tune.SimMeasurer {
-	return tune.SimMeasurer{Model: netsim.Hornet(), Place: blocked(topology.HornetCoresPerNode), Warm: 2, Total: 6}
+func shapeCfg() SimMeasurer {
+	return SimMeasurer{Model: netsim.Hornet(), Warm: 2, Total: 6}
 }
 
 // TestShapeOptNeverLosesOnRingPath: across the evaluation grid, the tuned
@@ -34,11 +37,11 @@ func TestShapeOptNeverLosesOnRingPath(t *testing.T) {
 	cfg := shapeCfg()
 	for _, p := range []int{9, 16, 64, 129} {
 		for _, n := range []int{12288, 524288, 1 << 21} {
-			nat, err := MeasureSimDecision(cfg, Native, p, n)
+			nat, err := MeasureSimDecision(cfg, Native, hornet(p), n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			opt, err := MeasureSimDecision(cfg, Opt, p, n)
+			opt, err := MeasureSimDecision(cfg, Opt, hornet(p), n)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,7 +61,7 @@ func TestShapeFig6PeakGainOrdering(t *testing.T) {
 	cfg := shapeCfg()
 	var peakGains []float64
 	for _, np := range []int{16, 64, 256} {
-		fig, err := Fig6(cfg, np, Fig6Sizes())
+		fig, err := Fig6(cfg, blocked(topology.HornetCoresPerNode), np, Fig6Sizes())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,11 +86,11 @@ func TestShapeFig6aCapacityDrop(t *testing.T) {
 		t.Skip("simulated sweeps")
 	}
 	cfg := shapeCfg()
-	before, err := MeasureSimDecision(cfg, Opt, 16, 1<<21) // 2 MB: inside capacity
+	before, err := MeasureSimDecision(cfg, Opt, hornet(16), 1<<21) // 2 MB: inside capacity
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := MeasureSimDecision(cfg, Opt, 16, 1<<23) // 8 MB: beyond capacity
+	after, err := MeasureSimDecision(cfg, Opt, hornet(16), 1<<23) // 8 MB: beyond capacity
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +107,7 @@ func TestShapeFig7SmallMessagesDominate(t *testing.T) {
 		t.Skip("simulated sweeps")
 	}
 	cfg := shapeCfg()
-	fig, err := Fig7(cfg, Fig7Procs(), Fig7Sizes())
+	fig, err := Fig7(cfg, blocked(topology.HornetCoresPerNode), Fig7Procs(), Fig7Sizes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,13 +169,13 @@ func TestShapeContentionDrivesIntraNodeGain(t *testing.T) {
 	}
 }
 
-func fig6Gain(t *testing.T, cfg tune.SimMeasurer, np, n int) float64 {
+func fig6Gain(t *testing.T, cfg SimMeasurer, np, n int) float64 {
 	t.Helper()
-	nat, err := MeasureSimDecision(cfg, Native, np, n)
+	nat, err := MeasureSimDecision(cfg, Native, hornet(np), n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := MeasureSimDecision(cfg, Opt, np, n)
+	opt, err := MeasureSimDecision(cfg, Opt, hornet(np), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,14 +188,15 @@ func TestShapeLakiSameTrend(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulated sweeps")
 	}
-	cfg := tune.SimMeasurer{Model: netsim.Laki(), Place: blocked(topology.LakiCoresPerNode), Warm: 2, Total: 6}
+	cfg := SimMeasurer{Model: netsim.Laki(), Warm: 2, Total: 6}
 	for _, p := range []int{9, 16, 33} {
 		for _, n := range []int{12288, 1 << 20} {
-			nat, err := MeasureSimDecision(cfg, Native, p, n)
+			topo := topology.Blocked(p, topology.LakiCoresPerNode)
+			nat, err := MeasureSimDecision(cfg, Native, topo, n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			opt, err := MeasureSimDecision(cfg, Opt, p, n)
+			opt, err := MeasureSimDecision(cfg, Opt, topo, n)
 			if err != nil {
 				t.Fatal(err)
 			}

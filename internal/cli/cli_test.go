@@ -106,19 +106,19 @@ func TestParseYieldsTypedConfig(t *testing.T) {
 			}
 		}},
 		{"tune sim -model laki -nocontention -warm 1 -total 3", "tune sim", func(t *testing.T, c *Config) {
-			sim := c.SimConfig()
-			if sim.Model.Name != "laki" || !sim.Model.NoContention || sim.Place != blocked(topology.LakiCoresPerNode) || sim.Warm != 1 || sim.Total != 3 {
-				t.Errorf("sim = %+v (model %+v)", sim, sim.Model)
+			sim, sweep := c.SimConfig()
+			if sim.Model.Name != "laki" || !sim.Model.NoContention || sweep.Place != blocked(topology.LakiCoresPerNode) || sim.Warm != 1 || sim.Total != 3 {
+				t.Errorf("sim = %+v (model %+v) on %v", sim, sim.Model, sweep.Place)
 			}
 		}},
 		{"crosscheck -np 4 -model hornet -reps 2", "crosscheck", func(t *testing.T, c *Config) {
-			if sim := c.SimConfig(); sim.Model.Name != "hornet" || sim.Place != blocked(topology.HornetCoresPerNode) {
-				t.Errorf("sim = %+v", sim)
+			if sim, sweep := c.SimConfig(); sim.Model.Name != "hornet" || sweep.Place != blocked(topology.HornetCoresPerNode) {
+				t.Errorf("sim = %+v on %v", sim, sweep.Place)
 			}
 		}},
 		{"figs -fig counts,6a -cores 4", "figs", func(t *testing.T, c *Config) {
-			if !reflect.DeepEqual(c.Figs, []string{"counts", "6a"}) || c.SimConfig().Place != blocked(4) {
-				t.Errorf("figs %v on %v", c.Figs, c.SimConfig().Place)
+			if _, sweep := c.SimConfig(); !reflect.DeepEqual(c.Figs, []string{"counts", "6a"}) || sweep.Place != blocked(4) {
+				t.Errorf("figs %v on %v", c.Figs, sweep.Place)
 			}
 		}},
 		{"figs", "figs", func(t *testing.T, c *Config) {

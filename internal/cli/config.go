@@ -326,9 +326,10 @@ func (c *Config) EngineMeasurer() measure.EngineMeasurer {
 	return m
 }
 
-// SimConfig is the simulated cluster the model flags describe, placed
+// SimConfig is the simulated cluster the model flags describe, and the
+// grid the grid and size flags span on it: unswept, its ranks are placed
 // blocked over nodes of -cores cores (default: the model's preset).
-func (c *Config) SimConfig() tune.SimMeasurer {
+func (c *Config) SimConfig() (bench.SimMeasurer, tune.SweepConfig) {
 	model, cores := netsim.Hornet(), topology.HornetCoresPerNode
 	if c.Model == "laki" {
 		model, cores = netsim.Laki(), topology.LakiCoresPerNode
@@ -337,16 +338,13 @@ func (c *Config) SimConfig() tune.SimMeasurer {
 	if c.Cores > 0 {
 		cores = c.Cores
 	}
-	return tune.SimMeasurer{
-		Model: model,
-		Place: tune.Placement{Kind: topology.KindBlocked, CoresPerNode: cores},
-		Warm:  c.Warm,
-		Total: c.Total,
-		Root:  c.Root,
-	}
+	sweep := c.Sweep()
+	sweep.Place = tune.Placement{Kind: topology.KindBlocked, CoresPerNode: cores}
+	return bench.SimMeasurer{Model: model, Warm: c.Warm, Total: c.Total, Root: c.Root}, sweep
 }
 
-// Sweep is the tuning grid the grid and size flags span.
+// Sweep is the tuning grid the grid and size flags span; unswept, its
+// ranks share one node.
 func (c *Config) Sweep() tune.SweepConfig {
 	return tune.SweepConfig{Procs: c.NP, Sizes: c.Sizes(), SegSizes: c.Segs, Placements: c.Placements}
 }

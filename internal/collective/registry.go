@@ -201,19 +201,13 @@ func Algorithms() []Registration {
 }
 
 // Candidates adapts the registry to the auto-tuner: every row becomes a
-// tune.Candidate whose applicability is its capability predicate and
-// whose schedule generator is its Schedule.
+// tune.Candidate whose applicability is its capability predicate.
 func Candidates() []tune.Candidate {
 	names := Names()
 	out := make([]tune.Candidate, len(names))
 	for i, name := range names {
 		r := registry[name]
-		out[i] = tune.Candidate{
-			Name:      r.Name,
-			Segmented: r.Caps.Segmented,
-			Applies:   r.Caps.Match,
-			Program:   r.Schedule,
-		}
+		out[i] = tune.Candidate{Name: r.Name, Segmented: r.Caps.Segmented, Applies: r.Caps.Match}
 	}
 	return out
 }

@@ -8,16 +8,16 @@
 // The pieces:
 //
 //   - EngineMeasurer implements tune.Measurer: per measurement it boots
-//     one engine.World whose topology realizes a tune.Placement, runs the
-//     named broadcast on the configured rank-execution substrate (the
-//     Executor/MaxWorkers fields pass an engine.ExecPolicy and a slot
-//     count to engine.Options: goroutine-per-rank by default, or pooled
-//     execution slots, which keep np-in-the-hundreds grids measurable)
-//     with barrier-synchronized
-//     timing (every repetition starts from a barrier; the sample is the
-//     slowest rank's completion), discards warmup iterations, and reduces
-//     the repetition samples with a robust statistic. It plugs straight
-//     into tune.AutoTune's measurer-factory seam.
+//     one engine.World over the topology tune.AutoTune built for the grid
+//     point, runs the decided broadcast on the configured rank-execution
+//     substrate (the Executor/MaxWorkers fields pass an engine.ExecPolicy
+//     and a slot count to engine.Options: goroutine-per-rank by default,
+//     or pooled execution slots, which keep np-in-the-hundreds grids
+//     measurable) through each rank's collective.Calls, the per-call path
+//     a facade Comm.Bcast takes, with barrier-synchronized timing (every
+//     repetition starts from a barrier; the sample is the slowest rank's
+//     completion), discards warmup iterations, and reduces the repetition
+//     samples with a robust statistic.
 //   - Summarize is the deterministic statistics kernel: min, max, mean,
 //     median, and a trimmed mean after MAD-based outlier rejection. Stat
 //     selects which of those a measurement reports to the tuner.

@@ -7,6 +7,7 @@ import (
 	"repro/internal/collective"
 	"repro/internal/engine"
 	"repro/internal/mpi"
+	"repro/internal/topology"
 	"repro/internal/transport"
 	"repro/internal/tune"
 )
@@ -24,23 +25,18 @@ const (
 	DefaultTimeout = 2 * time.Minute
 )
 
-// EngineMeasurer measures candidates by executing them on the real
+// EngineMeasurer measures decisions by executing them on the real
 // in-process engine (internal/engine): every Measure call boots a fresh
-// engine.World whose topology realizes Place, runs the candidate's
+// engine.World over the topology it is given, runs the decision's
 // registered implementation on the configured rank-execution substrate
 // (Executor/MaxWorkers), and times repetitions between barriers. It
-// implements tune.Measurer and — via Factory, which rebinds Place —
-// plugs into tune.AutoTune's placement sweep.
+// implements tune.Measurer.
 //
-// Unlike tune.SimMeasurer this measures wall-clock time on the host
+// Unlike bench.SimMeasurer this measures wall-clock time on the host
 // actually running the broadcast, so results are machine-dependent and
 // noisy; Warmup, Reps and Stat control the protocol that tames the
-// noise. The zero value measures on a single node with the default
-// protocol.
+// noise. The zero value measures with the default protocol.
 type EngineMeasurer struct {
-	// Place selects the rank placement; a zero Place (empty Kind) puts
-	// every rank on one node.
-	Place tune.Placement
 	// Warmup and Reps are the untimed and timed iteration counts
 	// (defaults DefaultWarmup, DefaultReps; a negative Warmup means
 	// none).
@@ -104,23 +100,11 @@ func (m EngineMeasurer) fill() EngineMeasurer {
 	return m
 }
 
-// Env implements tune.Measurer. The environment is derived from the
-// realized topology map, exactly as a runtime broadcast over that map
-// would present it. As with tune.SimMeasurer, an invalid Place cannot be
-// reported through this signature: the environment degrades to (Bytes,
-// Procs) and the underlying error surfaces from the next Measure call.
-func (m EngineMeasurer) Env(p, n int) tune.Env {
-	topo, err := m.Place.Map(p)
-	if err != nil {
-		return tune.Env{Bytes: n, Procs: p}
-	}
-	return tune.EnvOf(n, p, topo)
-}
-
-// Measure implements tune.Measurer: it executes the candidate's registry
-// row (resolved by name, through RunDecision like any broadcast) and
-// returns the selected robust statistic over the timed repetitions.
-func (m EngineMeasurer) Measure(c tune.Candidate, p, n int) (float64, error) {
+// Measure implements tune.Measurer: it executes the decision's registry
+// row over topo (resolved by name, through a rank's collective.Calls like
+// a facade Comm.Bcast) and returns the selected robust statistic over the
+// timed repetitions.
+func (m EngineMeasurer) Measure(d tune.Decision, topo *topology.Map, n int) (float64, error) {
 	m = m.fill()
 	// An unknown statistic must fail here, not silently measure as the
 	// default while the sample log and provenance record the bogus name.
@@ -128,9 +112,10 @@ func (m EngineMeasurer) Measure(c tune.Candidate, p, n int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	samples, err := m.run(tune.Decision{Algorithm: c.Name, SegSize: c.SegSize}, p, n)
+	p := topo.NP()
+	samples, err := m.run(d, topo, n)
 	if err != nil {
-		return 0, fmt.Errorf("measure: %q at (p=%d, n=%d): %w", c.Name, p, n, err)
+		return 0, fmt.Errorf("measure: %q at (p=%d, n=%d): %w", d.Algorithm, p, n, err)
 	}
 	sum, err := Summarize(samples)
 	if err != nil {
@@ -139,11 +124,11 @@ func (m EngineMeasurer) Measure(c tune.Candidate, p, n int) (float64, error) {
 	sec := stat.Of(sum)
 	if m.Log != nil {
 		m.Log.Add(Record{
-			Algorithm: c.Name,
-			SegSize:   c.SegSize,
+			Algorithm: d.Algorithm,
+			SegSize:   d.SegSize,
 			Procs:     p,
 			Bytes:     n,
-			Placement: m.Place.String(),
+			Placement: tune.Placement{Kind: topo.Kind(), CoresPerNode: topo.MaxCoresPerNode()}.String(),
 			Warmup:    m.Warmup,
 			Reps:      m.Reps,
 			Stat:      string(stat),
@@ -163,21 +148,18 @@ func (m EngineMeasurer) Measure(c tune.Candidate, p, n int) (float64, error) {
 // together and the maximum over ranks measures the collective's global
 // completion — per-rank completion times differ (the root finishes its
 // sends before leaves finish receiving), and timing only the root would
-// systematically favor root-early algorithms.
-func (m EngineMeasurer) run(d tune.Decision, p, n int) ([]float64, error) {
-	if p <= 0 {
-		return nil, fmt.Errorf("bad process count %d", p)
-	}
+// systematically favor root-early algorithms. Each rank times its
+// broadcasts through one collective.Calls, as a facade Comm.Bcast does,
+// so the warmup binds the decision's Plan and the timed repetitions reuse
+// it.
+func (m EngineMeasurer) run(d tune.Decision, topo *topology.Map, n int) ([]float64, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("bad message size %d", n)
 	}
 	if _, ok := collective.Lookup(d.Algorithm); !ok {
 		return nil, fmt.Errorf("unknown algorithm (registered: %v)", collective.Names())
 	}
-	topo, err := m.Place.Map(p)
-	if err != nil {
-		return nil, err
-	}
+	p := topo.NP()
 	trans, err := transport.New(m.Transport, p)
 	if err != nil {
 		return nil, err
@@ -199,7 +181,10 @@ func (m EngineMeasurer) run(d tune.Decision, p, n int) ([]float64, error) {
 	// perRank[r] is written only by rank r's goroutine and read after
 	// Run returns.
 	perRank := make([][]float64, p)
+	o := collective.Options{Algorithm: d.Algorithm, SegSize: d.SegSize}
 	err = w.Run(func(c mpi.Comm) error {
+		var calls collective.Calls
+		defer calls.Release()
 		buf := make([]byte, n)
 		if c.Rank() == m.Root {
 			for i := range buf {
@@ -212,7 +197,7 @@ func (m EngineMeasurer) run(d tune.Decision, p, n int) ([]float64, error) {
 				return err
 			}
 			start := time.Now()
-			if err := collective.RunDecision(c, buf, m.Root, d); err != nil {
+			if err := calls.Broadcast(c, buf, m.Root, o); err != nil {
 				return err
 			}
 			if it >= m.Warmup {
@@ -235,15 +220,4 @@ func (m EngineMeasurer) run(d tune.Decision, p, n int) ([]float64, error) {
 		}
 	}
 	return samples, nil
-}
-
-// Factory returns the measurer-factory closure tune.AutoTune expects,
-// rebinding a copy of m to each swept placement (the zero placement of a
-// sweep without placements: a single node).
-func (m EngineMeasurer) Factory() func(tune.Placement) tune.Measurer {
-	return func(pl tune.Placement) tune.Measurer {
-		mm := m
-		mm.Place = pl
-		return mm
-	}
 }

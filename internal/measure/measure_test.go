@@ -12,10 +12,9 @@ import (
 	"repro/internal/tune"
 )
 
-// cand builds a minimal candidate for a registry name; EngineMeasurer
-// resolves by name, so no Program is needed.
-func cand(name string, seg int) tune.Candidate {
-	return tune.Candidate{Name: name, SegSize: seg}
+// dec is the decision for a registry name and segment size.
+func dec(name string, seg int) tune.Decision {
+	return tune.Decision{Algorithm: name, SegSize: seg}
 }
 
 // TestEngineMeasurerSmoke measures a real broadcast at tiny scale and
@@ -24,11 +23,11 @@ func cand(name string, seg int) tune.Candidate {
 // 1 KiB broadcast slower than a 256 KiB one under the min statistic).
 func TestEngineMeasurerSmoke(t *testing.T) {
 	m := EngineMeasurer{Warmup: 1, Reps: 3, Stat: StatMin}
-	small, err := m.Measure(cand(tune.RingOpt, 0), 4, 1<<10)
+	small, err := m.Measure(dec(tune.RingOpt, 0), topology.SingleNode(4), 1<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, err := m.Measure(cand(tune.RingOpt, 0), 4, 256<<10)
+	large, err := m.Measure(dec(tune.RingOpt, 0), topology.SingleNode(4), 256<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,29 +39,21 @@ func TestEngineMeasurerSmoke(t *testing.T) {
 	}
 }
 
-// TestEngineMeasurerHonorsPlacement: the measurement environment must
-// reflect the realized placement, and a placed measurement must run
+// TestEngineMeasurerHonorsPlacement: a placed measurement must run
 // (multi-node placements route through the engine's topology).
 func TestEngineMeasurerHonorsPlacement(t *testing.T) {
-	m := EngineMeasurer{
-		Place:  tune.Placement{Kind: topology.KindBlocked, CoresPerNode: 2},
-		Warmup: 1, Reps: 2, Stat: StatMin,
-	}
-	e := m.Env(4, 1<<10)
-	if e.Placement != topology.KindBlocked || e.NumNodes != 2 || e.CoresPerNode != 2 {
-		t.Fatalf("Env = %+v, want blocked placement over 2 nodes", e)
-	}
-	if _, err := m.Measure(cand(tune.RingNative, 0), 4, 1<<10); err != nil {
+	m := EngineMeasurer{Warmup: 1, Reps: 2, Stat: StatMin}
+	blocked := topology.Blocked(4, 2)
+	if _, err := m.Measure(dec(tune.RingNative, 0), blocked, 1<<10); err != nil {
 		t.Fatal(err)
 	}
 
 	// The placement must also gate capability-constrained algorithms:
 	// an SMP broadcast is runnable here but not on a single node.
-	if _, err := m.Measure(cand(tune.SMP, 0), 4, 1<<10); err != nil {
+	if _, err := m.Measure(dec(tune.SMP, 0), blocked, 1<<10); err != nil {
 		t.Errorf("smp on 2 nodes: %v", err)
 	}
-	single := EngineMeasurer{Warmup: 1, Reps: 2}
-	if _, err := single.Measure(cand(tune.SMP, 0), 4, 1<<10); err == nil {
+	if _, err := m.Measure(dec(tune.SMP, 0), topology.SingleNode(4), 1<<10); err == nil {
 		t.Error("smp on a single node: want capability error")
 	}
 }
@@ -72,29 +63,22 @@ func TestEngineMeasurerHonorsPlacement(t *testing.T) {
 // executor posts their receives early.
 func TestEngineMeasurerSegmented(t *testing.T) {
 	m := EngineMeasurer{Warmup: 1, Reps: 2, Stat: StatMedian}
-	if _, err := m.Measure(cand(tune.RingOptSeg, 512), 5, 4096+3); err != nil {
+	if _, err := m.Measure(dec(tune.RingOptSeg, 512), topology.SingleNode(5), 4096+3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Measure(cand(tune.RingOptSeg, 8<<10), 5, 5*(16<<10)+3); err != nil {
+	if _, err := m.Measure(dec(tune.RingOptSeg, 8<<10), topology.SingleNode(5), 5*(16<<10)+3); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestEngineMeasurerErrors(t *testing.T) {
 	m := EngineMeasurer{Warmup: 1, Reps: 2}
-	if _, err := m.Measure(cand("no-such-algorithm", 0), 4, 64); err == nil {
+	if _, err := m.Measure(dec("no-such-algorithm", 0), topology.SingleNode(4), 64); err == nil {
 		t.Error("unknown algorithm: want error")
 	}
 	badStat := EngineMeasurer{Warmup: 1, Reps: 2, Stat: "mean"}
-	if _, err := badStat.Measure(cand(tune.RingOpt, 0), 4, 64); err == nil {
+	if _, err := badStat.Measure(dec(tune.RingOpt, 0), topology.SingleNode(4), 64); err == nil {
 		t.Error("unknown statistic: want error, not a silent default")
-	}
-	bad := EngineMeasurer{Place: tune.Placement{Kind: "blocked"}} // missing cores
-	if _, err := bad.Measure(cand(tune.RingOpt, 0), 4, 64); err == nil {
-		t.Error("invalid placement: want error")
-	}
-	if e := bad.Env(4, 64); e.Procs != 4 || e.Bytes != 64 || e.Placement != "" {
-		t.Errorf("degraded Env = %+v, want bare (Bytes, Procs)", e)
 	}
 }
 
@@ -103,11 +87,8 @@ func TestEngineMeasurerErrors(t *testing.T) {
 // reported to the tuner.
 func TestSampleLogRoundTrip(t *testing.T) {
 	log := &SampleLog{}
-	m := EngineMeasurer{
-		Place:  tune.Placement{Kind: topology.KindBlocked, CoresPerNode: 2},
-		Warmup: 1, Reps: 3, Stat: StatMin, Log: log,
-	}
-	sec, err := m.Measure(cand(tune.RingOpt, 0), 4, 1<<10)
+	m := EngineMeasurer{Warmup: 1, Reps: 3, Stat: StatMin, Log: log}
+	sec, err := m.Measure(dec(tune.RingOpt, 0), topology.Blocked(4, 2), 1<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,8 +125,8 @@ func TestSampleLogRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAutoTuneOnEngine drives the real tuner loop end to end through the
-// measurer-factory seam at tiny scale: the emitted table must validate
+// TestAutoTuneOnEngine drives the real tuner loop end to end at tiny
+// scale: the emitted table must validate
 // and resolve, proving EngineMeasurer is a drop-in tune.Measurer.
 func TestAutoTuneOnEngine(t *testing.T) {
 	m := EngineMeasurer{Warmup: 1, Reps: 2, Stat: StatMin}
@@ -155,7 +136,7 @@ func TestAutoTuneOnEngine(t *testing.T) {
 			cands = append(cands, c)
 		}
 	}
-	table, winners, err := tune.AutoTune(cands, m.Factory(), tune.SweepConfig{
+	table, winners, err := tune.AutoTune(cands, m, tune.SweepConfig{
 		Procs:      []int{4},
 		Sizes:      []int{1 << 10, 1 << 14},
 		Placements: []tune.Placement{{Kind: topology.KindBlocked, CoresPerNode: 2}},
@@ -197,7 +178,7 @@ func TestAutoTuneOnEngineMeasuresSMP(t *testing.T) {
 	if smp.Name == "" {
 		t.Fatal("smp not in Candidates")
 	}
-	_, winners, err := tune.AutoTune([]tune.Candidate{smp}, m.Factory(), tune.SweepConfig{
+	_, winners, err := tune.AutoTune([]tune.Candidate{smp}, m, tune.SweepConfig{
 		Procs:      []int{4},
 		Sizes:      []int{1 << 12},
 		Placements: []tune.Placement{{Kind: topology.KindBlocked, CoresPerNode: 2}},
@@ -228,7 +209,7 @@ func TestEngineMeasurerPooledExecutor(t *testing.T) {
 	if got := m.Describe(); !strings.Contains(got, "exec "+want) {
 		t.Fatalf("Describe() = %q, want exec %s", got, want)
 	}
-	sec, err := m.Measure(cand(tune.RingOpt, 0), 16, 1<<12)
+	sec, err := m.Measure(dec(tune.RingOpt, 0), topology.SingleNode(16), 1<<12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +231,7 @@ func TestEngineMeasurerPooledExecutor(t *testing.T) {
 // the measurement loudly, not fall back to a different substrate.
 func TestEngineMeasurerRejectsBadWorkers(t *testing.T) {
 	m := EngineMeasurer{Executor: engine.Pooled, MaxWorkers: -3}
-	if _, err := m.Measure(cand(tune.RingOpt, 0), 4, 1<<10); err == nil {
+	if _, err := m.Measure(dec(tune.RingOpt, 0), topology.SingleNode(4), 1<<10); err == nil {
 		t.Fatal("negative MaxWorkers measured successfully")
 	}
 }

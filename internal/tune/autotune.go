@@ -6,16 +6,12 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/netsim"
-	"repro/internal/sched"
 	"repro/internal/topology"
 )
 
-// Candidate is one algorithm the auto-tuner may select: a registry name,
-// an applicability predicate, and a schedule generator the measurer can
-// replay. The collective registry adapts every row to this shape
-// (collective.Candidates), keeping this package free of a dependency on
-// the executable implementations.
+// Candidate is one algorithm the auto-tuner may select: a registry name
+// and an applicability predicate. The collective registry adapts every
+// row to this shape (collective.Candidates).
 type Candidate struct {
 	// Name is the registry name recorded in emitted decisions.
 	Name string
@@ -28,18 +24,15 @@ type Candidate struct {
 	Segmented bool
 	// Applies reports whether the algorithm can run in e (nil = always).
 	Applies func(e Env) bool
-	// Program generates the algorithm's communication schedule over the
-	// ranks topo places (the topology the measurer measures under).
-	Program func(topo *topology.Map, root, n, segSize int) (*sched.Program, error)
 }
 
-// Measurer estimates the steady-state per-iteration time of a candidate
-// broadcast at one (p, n) grid point. Env reports the environment the
-// measurement runs in, so AutoTune can evaluate applicability predicates
-// consistently with the measurement topology.
+// Measurer estimates the steady-state per-iteration time of an n-byte
+// broadcast that runs decision d over the ranks topo places. Describe
+// names the measurement substrate and its protocol for a table's
+// provenance.
 type Measurer interface {
-	Measure(c Candidate, p, n int) (float64, error)
-	Env(p, n int) Env
+	Measure(d Decision, topo *topology.Map, n int) (float64, error)
+	Describe() string
 }
 
 // Placement names one rank-to-node mapping shape for placement sweeps.
@@ -112,80 +105,6 @@ func ParsePlacement(s string) (Placement, error) {
 	return pl, nil
 }
 
-// SimMeasurer measures candidates on the netsim virtual-time cluster
-// model — fast enough for paper-scale grids (hundreds of ranks, tens of
-// megabytes) on a laptop.
-type SimMeasurer struct {
-	// Model is the cluster calibration (netsim.Hornet() when nil).
-	Model *netsim.Model
-	// Place selects the rank placement (zero = single node).
-	Place Placement
-	// Warm and Total bound the steady-state replication (defaults 2, 6).
-	Warm, Total int
-	// Root is the broadcast root.
-	Root int
-}
-
-func (m SimMeasurer) fill() SimMeasurer {
-	if m.Model == nil {
-		m.Model = netsim.Hornet()
-	}
-	if m.Warm <= 0 {
-		m.Warm = 2
-	}
-	if m.Total <= m.Warm {
-		m.Total = m.Warm + 4
-	}
-	return m
-}
-
-// Env implements Measurer. The environment is derived from the realized
-// topology map, so placement-swept rules key on the same classification a
-// runtime broadcast over that map would present. An invalid Place cannot
-// be reported through this signature: the environment degrades to
-// (Bytes, Procs) only, and the underlying error surfaces from the next
-// Measure call (AutoTune additionally pre-validates swept placements).
-func (m SimMeasurer) Env(p, n int) Env {
-	topo, err := m.Place.Map(p)
-	if err != nil {
-		return Env{Bytes: n, Procs: p}
-	}
-	return EnvOf(n, p, topo)
-}
-
-// Measure implements Measurer.
-func (m SimMeasurer) Measure(c Candidate, p, n int) (float64, error) {
-	m = m.fill()
-	topo, err := m.Place.Map(p)
-	if err != nil {
-		return 0, err
-	}
-	pr, err := c.Program(topo, m.Root, n, c.SegSize)
-	if err != nil {
-		return 0, fmt.Errorf("tune: candidate %q at (p=%d, n=%d): %w", c.Name, p, n, err)
-	}
-	return netsim.SteadyStateIterTime(pr, topo, m.Model, m.Warm, m.Total)
-}
-
-// Factory returns the measurer factory AutoTune expects: a copy of m
-// rebound to each swept placement; the zero placement of a sweep without
-// placements keeps m's own.
-func (m SimMeasurer) Factory() func(Placement) Measurer {
-	return func(pl Placement) Measurer {
-		mm := m
-		if pl.Kind != "" {
-			mm.Place = pl
-		}
-		return mm
-	}
-}
-
-// Describe names the measurement substrate for a table's provenance.
-func (m SimMeasurer) Describe() string {
-	m = m.fill()
-	return fmt.Sprintf("on netsim model %q (default placement %s)", m.Model.Name, m.Place)
-}
-
 // Winner is one auto-tuned grid point: the fastest applicable candidate,
 // its measured per-iteration time, and the environment it was measured in
 // (placement classification included).
@@ -197,25 +116,31 @@ type Winner struct {
 }
 
 // tuneGrid measures every applicable candidate at every (procs x sizes)
-// point and returns the per-point winners. procs and sizes must be
-// sorted.
-func tuneGrid(cands []Candidate, m Measurer, procs, sizes []int) ([]Winner, error) {
+// point under placement pl and returns the per-point winners. Each
+// process count's topology is built once: the measurements run on it and
+// the applicability predicates see its environment. procs and sizes must
+// be sorted.
+func tuneGrid(cands []Candidate, m Measurer, pl Placement, procs, sizes []int) ([]Winner, error) {
 	var winners []Winner
 	for _, p := range procs {
+		topo, err := pl.Map(p)
+		if err != nil {
+			return nil, err
+		}
 		for _, n := range sizes {
-			e := m.Env(p, n)
+			e := EnvOf(n, p, topo)
 			best := Winner{Procs: p, Bytes: n, Env: e, Seconds: -1}
 			for _, c := range cands {
 				if c.Applies != nil && !c.Applies(e) {
 					continue
 				}
-				dt, err := m.Measure(c, p, n)
+				d := Decision{Algorithm: c.Name, SegSize: c.SegSize}
+				dt, err := m.Measure(d, topo, n)
 				if err != nil {
 					return nil, err
 				}
 				if best.Seconds < 0 || dt < best.Seconds {
-					best.Seconds = dt
-					best.Decision = Decision{Algorithm: c.Name, SegSize: c.SegSize}
+					best.Seconds, best.Decision = dt, d
 				}
 			}
 			if best.Seconds < 0 {
@@ -272,16 +197,18 @@ type SweepConfig struct {
 	SegSizes []int
 	// Placements are the rank placements swept; one rule group is emitted
 	// per placement, keyed on the realized topology's classification.
-	// Empty = the measurer factory's default placement, unconstrained
-	// rules.
+	// Empty = Place alone, unconstrained rules.
 	Placements []Placement
+	// Place is the placement an unswept grid is measured under (zero =
+	// one node).
+	Place Placement
 }
 
 // AutoTune measures every applicable candidate at every (procs x sizes)
 // grid point and derives a first-match rule Table from the winners,
 // reproducing the crossover-point tables of the measurement-driven tuning
 // literature; the winners themselves are returned alongside for
-// reporting. Candidates whose Applies predicate rejects the measurement
+// reporting, and the table's description ends with m.Describe(). Candidates whose Applies predicate rejects the measurement
 // environment are skipped at that point; a grid point where no candidate
 // can be measured is an error.
 //
@@ -289,22 +216,22 @@ type SweepConfig struct {
 // are known to shift with: segment size and process placement. Every
 // Segmented candidate is expanded into one candidate per cfg.SegSizes
 // entry, and the whole grid is re-measured under every cfg.Placements
-// entry via the measurer factory mk. The emitted table concatenates one
+// entry. The emitted table concatenates one
 // rule group per placement, each rule constrained to the placement
 // classification and node occupancy actually realized at its process
 // count (a blocked sweep that collapses onto one node at small p emits
 // single-node rules there, matching what a runtime broadcast over that
 // map would look up). Without placements the grid is measured once, under
-// mk's default placement, and the rules are unconstrained.
-func AutoTune(cands []Candidate, mk func(Placement) Measurer, cfg SweepConfig) (*Table, []Winner, error) {
+// cfg.Place, and the rules are unconstrained.
+func AutoTune(cands []Candidate, m Measurer, cfg SweepConfig) (*Table, []Winner, error) {
 	if len(cands) == 0 {
 		return nil, nil, fmt.Errorf("tune: no candidates")
 	}
 	if len(cfg.Procs) == 0 || len(cfg.Sizes) == 0 {
 		return nil, nil, fmt.Errorf("tune: empty grid (%d procs, %d sizes)", len(cfg.Procs), len(cfg.Sizes))
 	}
-	if mk == nil {
-		return nil, nil, fmt.Errorf("tune: nil measurer factory")
+	if m == nil {
+		return nil, nil, fmt.Errorf("tune: nil measurer")
 	}
 	procs := sortedCopy(cfg.Procs)
 	sizes := sortedCopy(cfg.Sizes)
@@ -313,24 +240,21 @@ func AutoTune(cands []Candidate, mk func(Placement) Measurer, cfg SweepConfig) (
 	placements := cfg.Placements
 	constrain := len(placements) > 0
 	if !constrain {
-		placements = []Placement{{}}
+		placements = []Placement{cfg.Place}
 	}
 
 	t := &Table{Name: "auto-tuned"}
 	var all []Winner
 	for _, pl := range placements {
-		if _, err := pl.Map(1); err != nil {
-			return nil, nil, err
-		}
-		winners, err := tuneGrid(expanded, mk(pl), procs, sizes)
+		winners, err := tuneGrid(expanded, m, pl, procs, sizes)
 		if err != nil {
 			return nil, nil, fmt.Errorf("tune: placement %s: %w", pl, err)
 		}
 		all = append(all, winners...)
 		t.Rules = appendNewRules(t.Rules, crossoverRules(winners, procs, constrain))
 	}
-	t.Description = fmt.Sprintf("auto-tuned over %d procs x %d sizes x %d placements (%d segment sizes)",
-		len(procs), len(sizes), len(placements), len(cfg.SegSizes))
+	t.Description = fmt.Sprintf("auto-tuned over %d procs x %d sizes x placements %v (%d segment sizes) %s",
+		len(procs), len(sizes), placements, len(cfg.SegSizes), m.Describe())
 	if err := t.Validate(); err != nil {
 		return nil, nil, err
 	}

@@ -1,30 +1,22 @@
 package tune
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/topology"
 )
 
-// placeMeasurer scores candidates from a fixed cost function that also
-// sees the placement, so sweep tests can force different winners per
-// placement and per segment size.
-type placeMeasurer struct {
-	pl   Placement
-	cost func(c Candidate, pl Placement, p, n int) float64
+// placeMeasurer scores decisions from a fixed cost function that also
+// sees the placement kind of the topology measured on, so sweep tests can
+// force different winners per placement and per segment size.
+type placeMeasurer func(d Decision, kind string, p, n int) float64
+
+func (m placeMeasurer) Measure(d Decision, topo *topology.Map, n int) (float64, error) {
+	return m(d, topo.Kind(), topo.NP(), n), nil
 }
 
-func (m placeMeasurer) Env(p, n int) Env {
-	topo, err := m.pl.Map(p)
-	if err != nil {
-		return Env{Bytes: n, Procs: p}
-	}
-	return EnvOf(n, p, topo)
-}
-
-func (m placeMeasurer) Measure(c Candidate, p, n int) (float64, error) {
-	return m.cost(c, m.pl, p, n), nil
-}
+func (placeMeasurer) Describe() string { return "on a fake" }
 
 func TestParsePlacement(t *testing.T) {
 	good := []struct {
@@ -80,26 +72,24 @@ func TestPlacementMap(t *testing.T) {
 // the swept sizes and the best segment size lands in the decision.
 func TestAutoTuneSegmentSizes(t *testing.T) {
 	cands := []Candidate{
-		{Name: "plain", Program: trivialProgram},
-		{Name: "seg", Segmented: true, Program: trivialProgram},
+		{Name: "plain"},
+		{Name: "seg", Segmented: true},
 	}
-	mk := func(pl Placement) Measurer {
-		return placeMeasurer{pl: pl, cost: func(c Candidate, _ Placement, p, n int) float64 {
-			// seg@4096 is the global winner; other segment sizes and the
-			// plain candidate lose.
-			if c.Name == "seg" && c.SegSize == 4096 {
-				return 1
-			}
-			return 2
-		}}
-	}
+	m := placeMeasurer(func(d Decision, _ string, p, n int) float64 {
+		// seg@4096 is the global winner; other segment sizes and the
+		// plain candidate lose.
+		if d == (Decision{Algorithm: "seg", SegSize: 4096}) {
+			return 1
+		}
+		return 2
+	})
 	cfg := SweepConfig{
 		Procs:      []int{8},
 		Sizes:      []int{1 << 20},
 		SegSizes:   []int{1024, 4096, 16384},
 		Placements: []Placement{{Kind: topology.KindSingle}},
 	}
-	table, winners, err := AutoTune(cands, mk, cfg)
+	table, winners, err := AutoTune(cands, m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,17 +108,15 @@ func TestAutoTuneSegmentSizes(t *testing.T) {
 // only its own placement's runtime environment.
 func TestAutoTunePerPlacementGroups(t *testing.T) {
 	cands := []Candidate{
-		{Name: "likes-blocked", Program: trivialProgram},
-		{Name: "likes-rr", Program: trivialProgram},
+		{Name: "likes-blocked"},
+		{Name: "likes-rr"},
 	}
-	mk := func(pl Placement) Measurer {
-		return placeMeasurer{pl: pl, cost: func(c Candidate, pl Placement, p, n int) float64 {
-			if (pl.Kind == topology.KindBlocked) == (c.Name == "likes-blocked") {
-				return 1
-			}
-			return 2
-		}}
-	}
+	m := placeMeasurer(func(d Decision, kind string, p, n int) float64 {
+		if (kind == topology.KindBlocked) == (d.Algorithm == "likes-blocked") {
+			return 1
+		}
+		return 2
+	})
 	cfg := SweepConfig{
 		Procs: []int{12},
 		Sizes: []int{1 << 16},
@@ -137,7 +125,7 @@ func TestAutoTunePerPlacementGroups(t *testing.T) {
 			{Kind: topology.KindRoundRobin, CoresPerNode: 4},
 		},
 	}
-	table, winners, err := AutoTune(cands, mk, cfg)
+	table, winners, err := AutoTune(cands, m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,10 +151,8 @@ func TestAutoTunePerPlacementGroups(t *testing.T) {
 // blocked and round-robin collapse onto one node, both passes realize the
 // same single-node environment; the table must not repeat the group.
 func TestAutoTuneCollapsedPlacementsDedup(t *testing.T) {
-	cands := []Candidate{{Name: "only", Program: trivialProgram}}
-	mk := func(pl Placement) Measurer {
-		return placeMeasurer{pl: pl, cost: func(Candidate, Placement, int, int) float64 { return 1 }}
-	}
+	cands := []Candidate{{Name: "only"}}
+	m := placeMeasurer(func(Decision, string, int, int) float64 { return 1 })
 	cfg := SweepConfig{
 		Procs: []int{4}, // 4 ranks on 24-core nodes: both placements collapse
 		Sizes: []int{64},
@@ -175,7 +161,7 @@ func TestAutoTuneCollapsedPlacementsDedup(t *testing.T) {
 			{Kind: topology.KindRoundRobin, CoresPerNode: 24},
 		},
 	}
-	table, winners, err := AutoTune(cands, mk, cfg)
+	table, winners, err := AutoTune(cands, m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,33 +178,35 @@ func TestAutoTuneCollapsedPlacementsDedup(t *testing.T) {
 
 // TestAutoTunePlacementErrors covers the failure modes of a placement sweep.
 func TestAutoTunePlacementErrors(t *testing.T) {
-	cands := []Candidate{{Name: "a", Program: trivialProgram}}
-	mk := func(pl Placement) Measurer {
-		return placeMeasurer{pl: pl, cost: func(Candidate, Placement, int, int) float64 { return 1 }}
-	}
-	if _, _, err := AutoTune(nil, mk, SweepConfig{Procs: []int{4}, Sizes: []int{64}}); err == nil {
+	cands := []Candidate{{Name: "a"}}
+	m := placeMeasurer(func(Decision, string, int, int) float64 { return 1 })
+	if _, _, err := AutoTune(nil, m, SweepConfig{Procs: []int{4}, Sizes: []int{64}}); err == nil {
 		t.Error("no candidates must fail")
 	}
-	if _, _, err := AutoTune(cands, mk, SweepConfig{Sizes: []int{64}}); err == nil {
+	if _, _, err := AutoTune(cands, m, SweepConfig{Sizes: []int{64}}); err == nil {
 		t.Error("empty grid must fail")
 	}
 	if _, _, err := AutoTune(cands, nil, SweepConfig{Procs: []int{4}, Sizes: []int{64}}); err == nil {
-		t.Error("nil factory must fail")
+		t.Error("nil measurer must fail")
 	}
 	bad := SweepConfig{Procs: []int{4}, Sizes: []int{64}, Placements: []Placement{{Kind: "mesh"}}}
-	if _, _, err := AutoTune(cands, mk, bad); err == nil {
+	if _, _, err := AutoTune(cands, m, bad); err == nil {
 		t.Error("bad placement must fail")
+	}
+	// The placement of an unswept grid is built like a swept one: one
+	// that cannot be built fails by name instead of measuring elsewhere.
+	noCores := SweepConfig{Procs: []int{4}, Sizes: []int{64}, Place: Placement{Kind: topology.KindBlocked}}
+	if _, _, err := AutoTune(cands, m, noCores); err == nil || !strings.Contains(err.Error(), "placement blocked") {
+		t.Errorf("unbuildable default placement: got %v, want an error naming it", err)
 	}
 }
 
 // TestAutoTuneNoPlacementsUnconstrained: without a placement list
 // the grid is measured once and the rules are unconstrained.
 func TestAutoTuneNoPlacementsUnconstrained(t *testing.T) {
-	cands := []Candidate{{Name: "a", Program: trivialProgram}}
-	mk := func(pl Placement) Measurer {
-		return fakeMeasurer{cost: func(string, int, int) float64 { return 1 }}
-	}
-	table, _, err := AutoTune(cands, mk, SweepConfig{Procs: []int{4}, Sizes: []int{64}})
+	cands := []Candidate{{Name: "a"}}
+	m := fakeMeasurer{cost: func(string, int, int) float64 { return 1 }}
+	table, _, err := AutoTune(cands, m, SweepConfig{Procs: []int{4}, Sizes: []int{64}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,10 +16,12 @@
 //   - Table is a JSON-serializable rule list (size/procs/topology/
 //     placement-keyed, first match wins) and TableTuner dispatches
 //     through one;
-//   - AutoTune sweeps Candidates over a (procs x sizes) grid with a
-//     Measurer — virtual-time netsim by default, the real engine via
-//     internal/bench — and derives a Table from the per-point winners,
-//     the measured crossover points of the paper's Section V. The grid
+//   - AutoTune sweeps Candidates over a (procs x sizes) grid and derives
+//     a Table from the per-point winners, the measured crossover points
+//     of the paper's Section V. It builds each grid point's topology
+//     once and asks a Measurer for the time of a Decision on it; this
+//     package measures nothing itself (the netsim model's measurer is
+//     internal/bench's, the real engine's internal/measure's). The grid
 //     extends along the two axes those crossovers are known to shift
 //     with: segment sizes (every Segmented candidate measured at each
 //     swept size) and placements (blocked vs round-robin at varying cores
@@ -48,10 +50,7 @@
 // the measurement subsystem itself.
 package tune
 
-import (
-	"repro/internal/core"
-	"repro/internal/topology"
-)
+import "repro/internal/topology"
 
 // Registered broadcast algorithm names. The collective registry and every
 // tuning table use these strings; they are the stable, CLI-friendly
@@ -134,7 +133,7 @@ func EnvOf(n, procs int, topo *topology.Map) Env {
 }
 
 // Pow2 reports whether the process count is a power of two.
-func (e Env) Pow2() bool { return core.IsPow2(e.Procs) }
+func (e Env) Pow2() bool { return e.Procs > 0 && e.Procs&(e.Procs-1) == 0 }
 
 // MultiNode reports whether the communicator spans more than one node.
 func (e Env) MultiNode() bool { return e.NumNodes > 1 }

@@ -37,11 +37,11 @@ func TestSmokePaperCounts(t *testing.T) {
 func TestSmokeSimHarness(t *testing.T) {
 	cfg := simCfg()
 	const np, n = 64, 1 << 20
-	nat, err := bench.MeasureSimDecision(cfg, bench.Native, np, n)
+	nat, err := bench.MeasureSimDecision(cfg, bench.Native, hornet(np), n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := bench.MeasureSimDecision(cfg, bench.Opt, np, n)
+	opt, err := bench.MeasureSimDecision(cfg, bench.Opt, hornet(np), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestSmokeSimHarness(t *testing.T) {
 func TestSmokeSegmentedRingDecision(t *testing.T) {
 	cfg := simCfg()
 	d := tune.Decision{Algorithm: tune.RingOptSeg, SegSize: 8192}
-	r, err := bench.MeasureSimDecision(cfg, d, 64, 1<<20)
+	r, err := bench.MeasureSimDecision(cfg, d, hornet(64), 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
