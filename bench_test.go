@@ -371,6 +371,31 @@ func BenchmarkEngineBarrier(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineAllreduce measures a 1024-element float64 sum-allreduce
+// (binomial reduce to rank 0, then binomial broadcast).
+func BenchmarkEngineAllreduce(b *testing.B) {
+	const np = 16
+	b.Run(fmt.Sprintf("np=%d", np), func(b *testing.B) {
+		w, err := engine.NewWorld(engine.Options{NP: np, Timeout: 10 * time.Minute})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		err = w.Run(func(c mpi.Comm) error {
+			in, out := make([]float64, 1024), make([]float64, 1024)
+			for i := 0; i < b.N; i++ {
+				if err := collective.AllreduceFloat64(c, in, out, collective.OpSum); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	})
+}
+
 // BenchmarkNetsimThroughput measures the simulator's own speed: simulated
 // schedule operations processed per second at np=256.
 func BenchmarkNetsimThroughput(b *testing.B) {

@@ -97,7 +97,8 @@ type TunedRow struct {
 // simulated cluster, reporting where the auto-tuned selection beats the
 // hardcoded one. Every grid point is re-evaluated under each placement,
 // mirroring the placement-keyed rule groups of the tables AutoTune
-// emits; without placements only sweep.Place is evaluated.
+// emits; without placements only sweep.Place is evaluated. A tuned
+// decision equal to the native one is simulated once.
 func CompareTuned(m SimMeasurer, table *tune.Table, sweep tune.SweepConfig) ([]TunedRow, error) {
 	placements := sweep.Placements
 	if len(placements) == 0 {
@@ -121,9 +122,11 @@ func CompareTuned(m SimMeasurer, table *tune.Table, sweep tune.SweepConfig) ([]T
 				if err != nil {
 					return nil, fmt.Errorf("bench: native %q at (p=%d, n=%d): %w", nd.Algorithm, p, n, err)
 				}
-				tr, err := MeasureSimDecision(m, td, topo, n)
-				if err != nil {
-					return nil, fmt.Errorf("bench: tuned %q at (p=%d, n=%d): %w", td.Algorithm, p, n, err)
+				tr := nr
+				if td != nd {
+					if tr, err = MeasureSimDecision(m, td, topo, n); err != nil {
+						return nil, fmt.Errorf("bench: tuned %q at (p=%d, n=%d): %w", td.Algorithm, p, n, err)
+					}
 				}
 				row := TunedRow{
 					P: p, N: n, Place: pl,

@@ -6,7 +6,7 @@
 // pools makes the steady state allocation-free regardless of segment
 // count or message size.
 //
-// Buffers travel inside a wrapper (Buf, F64) whose pointer is what the
+// Buffers travel inside a wrapper (Buf) whose pointer is what the
 // underlying sync.Pool stores, so neither Get nor Release allocates on
 // the pool hit path — pooling a bare slice would box its header into an
 // interface on every Put.
@@ -58,15 +58,7 @@ type Buf struct {
 	stats *classCounters // the class's stripes
 }
 
-// F64 is a pooled float64 buffer. F has exactly the requested length.
-type F64 struct {
-	F     []float64
-	pool  *sync.Pool
-	stats *classCounters
-}
-
 var bytePools [maxShift - minShift + 1]sync.Pool
-var f64Pools [maxShift - minShift + 1]sync.Pool
 
 // stripes is how many counter lines a class has. A power of two at
 // least the rank count of the worlds worth measuring (np=64 gives every
@@ -81,10 +73,8 @@ type stripe struct {
 	_                  [128 - 3*8]byte
 }
 
-// classCounters tracks one size class's lifetime activity (byte and
-// float64 pools of the same class share a row — both serve the same
-// collective scratch traffic). A miss is a Get the pool could not serve
-// and allocated for; hits are gets - misses.
+// classCounters tracks one size class's lifetime activity. A miss is a
+// Get the pool could not serve and allocated for; hits are gets - misses.
 type classCounters [stripes]stripe
 
 // at returns the stripe a caller's hint names; any int is a valid hint.
@@ -98,7 +88,7 @@ var oversizeGets, oversizePuts atomic.Int64
 
 // ClassStats is one size class's activity for Stats.
 type ClassStats struct {
-	Size   int // class capacity (bytes, or elements for float64 buffers)
+	Size   int // class capacity in bytes
 	Gets   int64
 	Puts   int64
 	Misses int64
@@ -122,7 +112,7 @@ func Stats() (classes []ClassStats, oGets, oPuts int64) {
 	return classes, oversizeGets.Load(), oversizePuts.Load()
 }
 
-// class returns the pool index for a request of n elements, or -1 when
+// class returns the pool index for a request of n bytes, or -1 when
 // n exceeds the largest class. Negative n panics here with a clear
 // message — without the check it would surface as a bare reslice panic
 // deep in Get, after handing out a pooled buffer it then leaks.
@@ -179,36 +169,4 @@ func (b *Buf) ReleaseAt(hint int) {
 	}
 	b.stats.at(hint).puts.Add(1)
 	b.pool.Put(b)
-}
-
-// GetF64 returns a float64 buffer of length n (n >= 0). The contents
-// are unspecified.
-func GetF64(n int) *F64 {
-	c := class(n)
-	if c < 0 {
-		oversizeGets.Add(1)
-		return &F64{F: make([]float64, n)}
-	}
-	st := classStats[c].at(0)
-	st.gets.Add(1)
-	f, _ := f64Pools[c].Get().(*F64)
-	if f == nil {
-		st.misses.Add(1)
-		f = &F64{F: make([]float64, 1<<(minShift+c)), pool: &f64Pools[c], stats: &classStats[c]}
-	}
-	f.F = f.F[:cap(f.F)][:n]
-	return f
-}
-
-// Release returns f to its pool. f must not be used afterwards.
-func (f *F64) Release() {
-	if f == nil {
-		return
-	}
-	if f.pool == nil {
-		oversizePuts.Add(1)
-		return
-	}
-	f.stats.at(0).puts.Add(1)
-	f.pool.Put(f)
 }

@@ -39,27 +39,15 @@ func TestZeroLength(t *testing.T) {
 		t.Fatalf("Get(0): len = %d", len(b.B))
 	}
 	b.Release()
-	f := GetF64(0)
-	if len(f.F) != 0 {
-		t.Fatalf("GetF64(0): len = %d", len(f.F))
-	}
-	f.Release()
 }
 
 func TestNegativeLengthPanics(t *testing.T) {
-	for name, get := range map[string]func(){
-		"Get":    func() { Get(-1) },
-		"GetF64": func() { GetF64(-5) },
-	} {
-		func() {
-			defer func() {
-				if rec := recover(); rec == nil {
-					t.Errorf("%s with negative length must panic", name)
-				}
-			}()
-			get()
-		}()
-	}
+	defer func() {
+		if rec := recover(); rec == nil {
+			t.Error("Get with negative length must panic")
+		}
+	}()
+	Get(-1)
 }
 
 func TestReuseRoundTrip(t *testing.T) {
@@ -82,21 +70,10 @@ func TestReuseRoundTrip(t *testing.T) {
 	c.Release()
 }
 
-func TestF64RoundTrip(t *testing.T) {
-	f := GetF64(33)
-	if len(f.F) != 33 {
-		t.Fatalf("GetF64(33): len = %d", len(f.F))
-	}
-	f.Release()
-	g := GetF64((1 << 22) + 5)
-	if g.pool != nil {
-		t.Fatal("oversize float64 buffer must not carry a pool")
-	}
-	g.Release()
-	var nilB *Buf
-	var nilF *F64
-	nilB.Release() // nil receivers are tolerated
-	nilF.Release()
+func TestNilRelease(t *testing.T) {
+	var b *Buf
+	b.Release() // nil receivers are tolerated
+	b.ReleaseAt(3)
 }
 
 func TestClassBoundaries(t *testing.T) {

@@ -2,7 +2,6 @@ package collective
 
 import (
 	"encoding/binary"
-	"math/bits"
 	"testing"
 	"time"
 
@@ -235,13 +234,14 @@ func TestBcastOptSegSteadyStateAllocs(t *testing.T) {
 					// dissemination barrier, and one last control broadcast.
 					h.stop(t)
 					ctl := sched.Generate("binomial-bcast", core.BinomialOps, np, 0, 8, 0).Stats().Messages
+					barrier := sched.Generate("barrier", core.DisseminationOps, np, 0, 0, 0).Stats().Messages
 					want := ctl
 					for _, n := range sizes {
 						pr, err := Schedule(o.Decide(tune.EnvOf(n, np, cell.topo)), cell.topo, 0, n)
 						if err != nil {
 							t.Fatal(err)
 						}
-						want += 22 * (pr.Stats().Messages + ctl + np*bits.Len(uint(np-1)))
+						want += 22 * (pr.Stats().Messages + ctl + barrier)
 					}
 					snap := mx.Snapshot()
 					if sent := snap.EagerSends + snap.RdvSends; sent != int64(want) {

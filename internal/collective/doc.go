@@ -74,19 +74,21 @@
 // Supporting collectives (Barrier, Scatter, Gather, Allgather, Reduce,
 // Allreduce) exist because the examples and the benchmark
 // protocol need them, mirroring how a real MPI application would use the
-// library. Those that move a pattern the broadcast already has run its
-// schedule through the same executor: Scatter is the binomial scatter
-// phase, Gather that tree reversed (sched.Emitter.Reverse), Allgather the
-// enclosed ring from root 0, and Allreduce's tail the binomial
-// broadcast. Still hand-written: Reduce, which needs an op that combines
-// what it receives, and Barrier, whose dissemination pattern no
-// broadcast shares.
+// library. Each takes its pattern from an emitter in internal/core, and
+// all but Reduce run it through the same executor: Scatter is the
+// binomial scatter phase, Gather that tree reversed
+// (sched.Emitter.Reverse), Allgather the enclosed ring from root 0,
+// Allreduce's tail the binomial broadcast and Barrier the dissemination
+// rounds (core.DisseminationOps). Reduce walks the binomial broadcast
+// reversed itself, because the executor has no op that combines what it
+// receives.
 //
 // All byte-buffer collectives follow MPI_BYTE semantics. Every function
 // is collective: all ranks of the communicator must call it with
 // compatible arguments.
 package collective
 
-// tagReduce is the hand-written reduce's tag. A collective that runs a
-// schedule sends with its emitter's phase tags (core.Tag*) instead.
+// tagReduce is the tag Reduce sends and receives with. Reduce walks its
+// emitter's ops itself, not through the executor, and keeps a tag of its
+// own rather than theirs (core.TagBinomial).
 const tagReduce = 0x7F06

@@ -10,8 +10,8 @@ import (
 )
 
 // This file is the one place a schedule touches the wire: every
-// broadcast, and the collectives that run one of its phases (Scatter,
-// Gather, Allgather; see gather.go). Each is a sched.Emitter
+// broadcast, the collectives that run one of its phases (Scatter,
+// Gather, Allgather; see gather.go) and Barrier. Each is a sched.Emitter
 // (internal/core); the executor asks it for the calling rank's
 // operations, shifts them into the part of the program's buffer the rank
 // holds, checks them, and runs them in order on the communicator. The
@@ -256,7 +256,7 @@ func (s *rankOps) exec(c mpi.Comm, mv mpi.Binding, buf []byte) error {
 	ops := s.ops
 	if len(s.recvs) == 0 {
 		for i := range ops {
-			if err := s.execOp(c, mv, i, buf, false); err != nil {
+			if err := s.execOp(c, mv, i, &ops[i], buf, false); err != nil {
 				return opError(c, i, &ops[i], err)
 			}
 		}
@@ -267,7 +267,7 @@ func (s *rankOps) exec(c mpi.Comm, mv mpi.Binding, buf []byte) error {
 		for ; done < len(s.order) && s.recvs[s.order[done]].done == i; done++ {
 			if e := &s.recvs[s.order[done]]; e.on {
 				st, err := e.req.Wait()
-				if err = checkCount(st, err, &ops[e.op]); err != nil {
+				if err = checkCount(st, err, ops[e.op].RecvLen); err != nil {
 					return opError(c, e.op, &ops[e.op], err)
 				}
 			}
@@ -285,17 +285,18 @@ func (s *rankOps) exec(c mpi.Comm, mv mpi.Binding, buf []byte) error {
 			early = s.recvs[mine].on
 			mine++
 		}
-		if err := s.execOp(c, mv, i, buf, early); err != nil {
+		if err := s.execOp(c, mv, i, &ops[i], buf, early); err != nil {
 			return opError(c, i, &ops[i], err)
 		}
 	}
 }
 
-// execOp runs op i, blocking until its halves are done; with early set,
-// its receive half was posted ahead and only its send half runs.
-func (s *rankOps) execOp(c mpi.Comm, mv mpi.Binding, i int, buf []byte, early bool) error {
-	op := &s.ops[i]
+// execOp runs op i (op is &s.ops[i]), blocking until its halves are
+// done; with early set, its receive half was posted ahead and only its
+// send half runs. What it needs of op is read before it blocks.
+func (s *rankOps) execOp(c mpi.Comm, mv mpi.Binding, i int, op *sched.Op, buf []byte, early bool) error {
 	send, recv := op.Kind != sched.OpRecv, op.Kind != sched.OpSend && !early
+	want := op.RecvLen
 	var sb, rb []byte
 	if send {
 		sb = buf[op.SendOff : op.SendOff+op.SendLen]
@@ -322,13 +323,13 @@ func (s *rankOps) execOp(c mpi.Comm, mv mpi.Binding, i int, buf []byte, early bo
 	if !recv {
 		return err
 	}
-	return checkCount(st, err, op)
+	return checkCount(st, err, want)
 }
 
-// checkCount holds a completed receive to the byte count op expects.
-func checkCount(st mpi.Status, err error, op *sched.Op) error {
-	if err == nil && st.Count != op.RecvLen {
-		err = fmt.Errorf("received %d bytes, schedule says %d", st.Count, op.RecvLen)
+// checkCount holds a completed receive to the byte count its op expects.
+func checkCount(st mpi.Status, err error, want int) error {
+	if err == nil && st.Count != want {
+		err = fmt.Errorf("received %d bytes, schedule says %d", st.Count, want)
 	}
 	return err
 }
@@ -350,8 +351,8 @@ func checkRoot(c mpi.Comm, root int) error {
 // them against it, advance the communicator's tag stream and run. It is
 // a Plan without selection, capability check or span, for the
 // collectives that run a fixed schedule: the allreduce tail's broadcast,
-// and Scatter, Gather and Allgather, whose non-root ranks hold only
-// their subtree's bytes.
+// Barrier's zero-byte rounds, and Scatter, Gather and Allgather, whose
+// non-root ranks hold only their subtree's bytes.
 func runStatic(c mpi.Comm, buf []byte, lo, n, root, seg int, e sched.Emitter) error {
 	if err := checkRoot(c, root); err != nil {
 		return err

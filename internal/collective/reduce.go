@@ -9,6 +9,7 @@ import (
 	"repro/internal/bufpool"
 	"repro/internal/core"
 	"repro/internal/mpi"
+	"repro/internal/sched"
 )
 
 // Op is a reduction operator over float64 vectors.
@@ -38,29 +39,27 @@ func (op Op) String() string {
 	}
 }
 
-// combine accumulates src into dst element-wise.
-func (op Op) combine(dst, src []float64) {
-	switch op {
-	case OpSum:
-		for i := range dst {
-			dst[i] += src[i]
-		}
-	case OpProd:
-		for i := range dst {
-			dst[i] *= src[i]
-		}
-	case OpMax:
-		for i := range dst {
-			if src[i] > dst[i] {
-				dst[i] = src[i]
+// combine accumulates the float64 vector src into dst element-wise,
+// both encoded as encodeFloat64sInto writes them.
+func (op Op) combine(dst, src []byte) {
+	for i := 0; i < len(dst); i += 8 {
+		a := math.Float64frombits(binary.LittleEndian.Uint64(dst[i:]))
+		b := math.Float64frombits(binary.LittleEndian.Uint64(src[i:]))
+		switch op {
+		case OpSum:
+			a += b
+		case OpProd:
+			a *= b
+		case OpMax:
+			if b > a {
+				a = b
+			}
+		case OpMin:
+			if b < a {
+				a = b
 			}
 		}
-	case OpMin:
-		for i := range dst {
-			if src[i] < dst[i] {
-				dst[i] = src[i]
-			}
-		}
+		binary.LittleEndian.PutUint64(dst[i:], math.Float64bits(a))
 	}
 }
 
@@ -78,6 +77,11 @@ func decodeFloat64s(b []byte, out []float64) {
 	}
 }
 
+// reduceOps is the binomial broadcast tree run backwards: every rank
+// receives its children's vectors, smallest subtree first, then sends its
+// own, combined with theirs, to its parent.
+var reduceOps = sched.Emitter(core.BinomialOps).Reverse()
+
 // ReduceFloat64 reduces every rank's `in` vector element-wise with op
 // into the root's `out` vector along a binomial tree (all operators are
 // commutative and associative up to floating-point rounding). Non-root
@@ -93,6 +97,9 @@ func ReduceFloat64(c mpi.Comm, in, out []float64, op Op, root int) error {
 	return nil
 }
 
+// reduceFloat64 walks the calling rank's reduceOps, combining each
+// child's vector straight from the wire bytes into an encoded
+// accumulator, which is what it sends on.
 func reduceFloat64(c mpi.Comm, in, out []float64, op Op, root int) error {
 	if op < OpSum || op > OpMin {
 		return fmt.Errorf("collective: reduce: unknown reduction operator %v", op)
@@ -104,57 +111,36 @@ func reduceFloat64(c mpi.Comm, in, out []float64, op Op, root int) error {
 	if rank == root && len(out) < len(in) {
 		return fmt.Errorf("collective: reduce: out %d < in %d", len(out), len(in))
 	}
-	if p > 1 {
-		c.NextTagStream()
-	}
-	// All scratch — the accumulator, the decode staging and the wire
-	// buffer — is pooled, so steady-state reductions on a long-lived
-	// world allocate nothing here. Scratch is released only on the clean
-	// path: when a Send/Recv errors the world aborted and a peer may
-	// still be copying through the wire buffer, so everything is
-	// abandoned to the GC instead (the engine pools' abort rule).
-	accBuf := bufpool.GetF64(len(in))
-	acc := accBuf.F
-	copy(acc, in)
-	var tmpBuf *bufpool.F64
+	// All scratch — the ops, the accumulator and the wire buffer — is
+	// pooled, so steady-state reductions on a long-lived world allocate
+	// nothing here. The buffers are released only on the clean path: when
+	// a Send/Recv errors the world aborted and a peer may still be copying
+	// through them, so they are abandoned to the GC instead (the engine
+	// pools' abort rule).
+	acc := bufpool.Get(8 * len(in))
+	encodeFloat64sInto(acc.B, in)
 	var wire *bufpool.Buf
 	if p > 1 {
-		rel := core.RelRank(rank, root, p)
-		// Children are exactly the binomial-bcast children; receive them
-		// smallest-first (reverse of bcast send order).
-		recvMask := core.CeilPow2(p)
-		if rel != 0 {
-			recvMask = rel & (-rel)
-		}
-		tmpBuf = bufpool.GetF64(len(in))
-		tmp := tmpBuf.F
-		wire = bufpool.Get(8 * len(in))
-		buf := wire.B
-		for mask := 1; mask < recvMask; mask <<= 1 {
-			child := rel + mask
-			if child >= p {
-				continue
-			}
-			src := core.AbsRank(child, root, p)
-			if _, err := c.Recv(buf, src, tagReduce); err != nil {
-				return fmt.Errorf("collective: reduce recv: %w", err)
-			}
-			decodeFloat64s(buf, tmp)
-			op.combine(acc, tmp)
-		}
-		if rel != 0 {
-			parent := core.AbsRank(rel-(rel&(-rel)), root, p)
-			encodeFloat64sInto(buf, acc)
-			if err := c.Send(buf, parent, tagReduce); err != nil {
+		c.NextTagStream()
+		pl := planPool.Get().(*Plan)
+		defer planPool.Put(pl)
+		pl.ops.ops = reduceOps(pl.ops.ops[:0], rank, p, root, len(acc.B), 0)
+		wire = bufpool.Get(len(acc.B))
+		for _, o := range pl.ops.ops {
+			if o.Kind == sched.OpRecv {
+				if _, err := c.Recv(wire.B, o.From, tagReduce); err != nil {
+					return fmt.Errorf("collective: reduce recv: %w", err)
+				}
+				op.combine(acc.B, wire.B)
+			} else if err := c.Send(acc.B, o.To, tagReduce); err != nil {
 				return fmt.Errorf("collective: reduce send: %w", err)
 			}
 		}
 	}
 	if rank == root {
-		copy(out, acc)
+		decodeFloat64s(acc.B, out[:len(in)])
 	}
-	accBuf.Release()
-	tmpBuf.Release()
+	acc.Release()
 	wire.Release()
 	return nil
 }

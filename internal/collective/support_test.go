@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/bufpool"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/mpi"
@@ -296,6 +297,37 @@ func TestAllreduceEveryRankGetsResult(t *testing.T) {
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
+	}
+}
+
+// TestAllreduceScratchCountedInItsByteClass: a reduction's scratch is
+// counted in the byte class it occupies. 1000 float64s are 8000 bytes,
+// so an allreduce of them at np 4 adds gets to the 8 KiB class and none
+// to the 1 KiB class. The counts are process-wide, so the test reads
+// them by delta and must not run beside another test.
+func TestAllreduceScratchCountedInItsByteClass(t *testing.T) {
+	gets := func(size int) int64 {
+		classes, _, _ := bufpool.Stats()
+		for _, c := range classes {
+			if c.Size == size {
+				return c.Gets
+			}
+		}
+		return 0
+	}
+	kib, kib8 := gets(1<<10), gets(8<<10)
+	err := engine.Run(4, func(c mpi.Comm) error {
+		in, out := make([]float64, 1000), make([]float64, 1000)
+		return AllreduceFloat64(c, in, out, OpSum)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := gets(1<<10) - kib; d != 0 {
+		t.Errorf("1 KiB class: %d gets, want none", d)
+	}
+	if d := gets(8<<10) - kib8; d == 0 {
+		t.Error("8 KiB class: no gets")
 	}
 }
 

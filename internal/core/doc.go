@@ -10,7 +10,8 @@
 //     involved: binomial scatter, native enclosed ring allgather
 //     (Figure 3) and its segmented variant, recursive-doubling allgather
 //     (the MPICH medium-message power-of-two path), whole-buffer binomial
-//     broadcast (the short-message path) and the pipelined chain;
+//     broadcast (the short-message path, and reversed the reduction
+//     tree), the pipelined chain and the dissemination barrier;
 //   - the tuned non-enclosed ring (Figures 4 and 5) as no emitter of its
 //     own: the native broadcasts elided (sched.Emitter.Elide), with the
 //     (step, flag) computation of Listing 1 kept as their oracle;

@@ -174,3 +174,19 @@ func BinomialOps(dst []sched.Op, rank, p, root, n, _ int) []sched.Op {
 	}
 	return dst
 }
+
+// DisseminationOps emits the dissemination barrier: ceil(log2 p) rounds
+// in which rank r signals (r + 2^k) mod p and waits for (r - 2^k) mod p,
+// so after round k every rank has heard, directly or through others,
+// from the 2^(k+1)-1 ranks before it. Its messages carry no bytes; root,
+// n and the segment size play no part.
+func DisseminationOps(dst []sched.Op, rank, p, _, _, _ int) []sched.Op {
+	for mask, step := 1, 1; mask < p; mask, step = mask<<1, step+1 {
+		dst = append(dst, sched.Op{
+			Kind: sched.OpSendrecv,
+			To:   (rank + mask) % p, From: (rank - mask + p) % p,
+			Tag: TagBarrier, Step: step,
+		})
+	}
+	return dst
+}

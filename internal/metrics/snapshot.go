@@ -11,7 +11,7 @@ import (
 // not hit a recycled buffer appear in Misses, so the hit count is
 // Gets - Misses.
 type PoolClassStats struct {
-	Size   int // class capacity in bytes (or elements for float64 pools)
+	Size   int // class capacity in bytes
 	Gets   int64
 	Puts   int64
 	Misses int64

@@ -2,6 +2,7 @@ package sched_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -61,4 +62,63 @@ func TestScatterGatherAllgatherProgramsVerify(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDisseminationBarrierVerifies proves the schedule Barrier runs at
+// every p from 1 to 300: deadlock-free, and causal — a rank leaves the
+// barrier only after every rank has entered it. The second property is
+// checked by propagating "has heard from" sets round by round: a rank's
+// round-k message carries everything it had heard before round k, and
+// every rank must end having heard from all p ranks.
+func TestDisseminationBarrierVerifies(t *testing.T) {
+	for p := 1; p <= 300; p++ {
+		pr := sched.Generate(fmt.Sprintf("barrier/p=%d", p), core.DisseminationOps, p, 0, 0, 0)
+		if _, err := sched.Verify(pr, sched.VerifyConfig{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := heardFromAll(pr); err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
+	}
+}
+
+// heardFromAll runs a program of lock-step Sendrecv rounds — op k of
+// every rank is round k — propagating which ranks each rank has heard
+// from, and reports the first rank that has not heard from every rank.
+func heardFromAll(pr *sched.Program) error {
+	words := (pr.P + 63) / 64
+	heard := make([][]uint64, pr.P)
+	for r := range heard {
+		heard[r] = make([]uint64, words)
+		heard[r][r/64] |= 1 << (r % 64)
+	}
+	for r, ops := range pr.Ranks {
+		if len(ops) != len(pr.Ranks[0]) {
+			return fmt.Errorf("rank %d runs %d rounds, rank 0 %d", r, len(ops), len(pr.Ranks[0]))
+		}
+	}
+	for k := range pr.Ranks[0] {
+		next := make([][]uint64, pr.P)
+		for r := range next {
+			next[r] = slices.Clone(heard[r])
+		}
+		for r, ops := range pr.Ranks {
+			op := ops[k]
+			if op.Kind != sched.OpSendrecv || pr.Ranks[op.To][k].From != r {
+				return fmt.Errorf("round %d: rank %d's %s is no lock-step exchange", k, r, op)
+			}
+			for w, bits := range heard[r] {
+				next[op.To][w] |= bits
+			}
+		}
+		heard = next
+	}
+	for r, set := range heard {
+		for q := 0; q < pr.P; q++ {
+			if set[q/64]&(1<<(q%64)) == 0 {
+				return fmt.Errorf("rank %d leaves without hearing from rank %d", r, q)
+			}
+		}
+	}
+	return nil
 }
