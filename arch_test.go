@@ -180,14 +180,14 @@ var archRules = []archRule{
 		check: foldedOverlap,
 	},
 	{
-		// Scatter, Gather and Allgather run the broadcast's scatter tree,
-		// that tree reversed and its enclosed ring through the executor,
-		// and Barrier runs core's dissemination emitter. A point-to-point
-		// call in gather.go or barrier.go, or one of the tags the
-		// hand-written versions sent with, is a second copy growing back.
-		// reduce.go is the one collective file still allowed them: the
-		// executor has no op that combines what it receives, so Reduce
-		// walks its emitter's ops itself.
+		// Every collective runs its emitter through the executor:
+		// Scatter, Gather and Allgather the broadcast's scatter tree,
+		// that tree reversed and its enclosed ring, Barrier core's
+		// dissemination rounds, Reduce and Allreduce core's reduction
+		// tree, whose Fold receives combine what arrives. A
+		// point-to-point call in a collective file other than exec.go,
+		// or one of the tags the hand-written versions sent with, is a
+		// second copy growing back.
 		name:  "one schedule per pattern",
 		check: handWrittenPatterns,
 	},
@@ -872,15 +872,15 @@ func secondTools(files []srcFile) []string {
 
 var (
 	// overlapNames are the folded overlap mode's and its rows' names;
-	// pointToPoint is a point-to-point call in patternFiles; patternTags
-	// are the hand-written Scatter, Gather and Allgather's tags;
+	// pointToPoint is a point-to-point call outside execFile; patternTags
+	// are the hand-written Scatter, Gather, Allgather and Reduce's tags;
 	// wrappedSaving the emitters, step counts and flag that stated the
 	// saving a second time; stepFlag names Listing 1's port, which
 	// stepFlagFiles alone of the non-test files may name.
 	overlapNames  = regexp.MustCompile(`execOverlapped|Overlap:|SegNB|seg-nb`)
 	pointToPoint  = regexp.MustCompile(`c\.(Send|Recv|Sendrecv)\(`)
-	patternFiles  = []string{"internal/collective/gather.go", "internal/collective/barrier.go"}
-	patternTags   = regexp.MustCompile(`\b(tagScatter|tagGather|tagAllgather)\b`)
+	execFile      = "internal/collective/exec.go"
+	patternTags   = regexp.MustCompile(`\b(tagScatter|tagGather|tagAllgather|tagReduce)\b`)
 	wrappedSaving = regexp.MustCompile(`\b(RingTunedOps|RingTunedSegOps|SendrecvSteps|DegenerateSteps|tuned bool)\b`)
 	stepFlag      = regexp.MustCompile(`\bComputeStepFlag\b`)
 	stepFlagFiles = []string{"internal/core/stepflag.go", "internal/core/traffic.go"}
@@ -910,10 +910,13 @@ func foldedOverlap(files []srcFile) []string {
 	return grepLines(files, overlapNames, func(f srcFile) bool { return underAny(f.path, textDirs) })
 }
 
-// handWrittenPatterns reports every point-to-point call in patternFiles
-// and every line under internal/ that names a hand-written pattern's tag.
+// handWrittenPatterns reports every point-to-point call in a non-test
+// .go file of internal/collective but execFile, and every line under
+// internal/ that names a hand-written pattern's tag.
 func handWrittenPatterns(files []srcFile) []string {
-	out := grepLines(files, pointToPoint, func(f srcFile) bool { return slices.Contains(patternFiles, f.path) })
+	out := grepLines(files, pointToPoint, func(f srcFile) bool {
+		return f.pkg == "internal/collective" && strings.HasSuffix(f.path, ".go") && !f.test && f.path != execFile
+	})
 	return append(out, grepLines(files, patternTags, func(f srcFile) bool { return strings.HasPrefix(f.path, "internal/") })...)
 }
 
@@ -1321,15 +1324,21 @@ func main() {}
 		{
 			rule: "one schedule per pattern",
 			plant: map[string]string{
-				patternFiles[0]:                  "package collective\nfunc plantedGather(c mpi.Comm) { c.Sendrecv(nil, 0, 0, nil, 0, 0) }\n// c.SendAll( is another call\n",
-				patternFiles[1]:                  "package collective\nfunc plantedBarrier(c mpi.Comm) { c.Sendrecv(nil, 1, 0, nil, 1, 0) }\n",
-				"internal/core/planted_test.go":  "package core\nconst tagGather = 3\nvar tagScatterX = 4\n",
-				"bcast/planted.go":               "package bcast\nconst tagAllgather = 5\n",
-				"internal/collective/planted.go": "package collective\nfunc plantedSend(c mpi.Comm) { c.Send(nil, 0, 0) }\n",
+				"internal/collective/gather.go":       "package collective\nfunc plantedGather(c mpi.Comm) { c.Sendrecv(nil, 0, 0, nil, 0, 0) }\n// c.SendAll( is another call\n",
+				"internal/collective/barrier.go":      "package collective\nfunc plantedBarrier(c mpi.Comm) { c.Sendrecv(nil, 1, 0, nil, 1, 0) }\n",
+				"internal/collective/reduce.go":       "package collective\nfunc plantedReduce(c mpi.Comm) { c.Recv(nil, 0, tagReduce) }\n",
+				execFile:                              "package collective\nfunc plantedExec(c mpi.Comm) { c.Recv(nil, 0, 0) }\n",
+				"internal/collective/planted_test.go": "package collective\nfunc plantedTest(c mpi.Comm) { c.Send(nil, 0, 0) }\n",
+				"internal/core/planted_test.go":       "package core\nconst tagGather = 3\nvar tagScatterX = 4\n",
+				"bcast/planted.go":                    "package bcast\nconst tagAllgather = 5\n",
+				"internal/collective/planted.go":      "package collective\nfunc plantedSend(c mpi.Comm) { c.Send(nil, 0, 0) }\n",
 			},
 			want: []string{
-				patternFiles[1] + ":2: func plantedBarrier(c mpi.Comm) { c.Sendrecv(nil, 1, 0, nil, 1, 0) }",
-				patternFiles[0] + ":2: func plantedGather(c mpi.Comm) { c.Sendrecv(nil, 0, 0, nil, 0, 0) }",
+				"internal/collective/barrier.go:2: func plantedBarrier(c mpi.Comm) { c.Sendrecv(nil, 1, 0, nil, 1, 0) }",
+				"internal/collective/gather.go:2: func plantedGather(c mpi.Comm) { c.Sendrecv(nil, 0, 0, nil, 0, 0) }",
+				"internal/collective/planted.go:2: func plantedSend(c mpi.Comm) { c.Send(nil, 0, 0) }",
+				"internal/collective/reduce.go:2: func plantedReduce(c mpi.Comm) { c.Recv(nil, 0, tagReduce) }",
+				"internal/collective/reduce.go:2: func plantedReduce(c mpi.Comm) { c.Recv(nil, 0, tagReduce) }",
 				"internal/core/planted_test.go:2: const tagGather = 3",
 			},
 		},

@@ -195,9 +195,10 @@ func TraceTraffic() Option {
 	}
 }
 
-// WithSpans enables operation spans: every collective a rank completes
-// is recorded — operation, algorithm, segment size, byte count, start
-// and duration — into a fixed per-rank ring of n entries that drops the
+// WithSpans enables operation spans: every run of a collective's
+// schedule a rank completes is recorded (a zero-chunk Scatter, Gather or
+// Allgather runs none) — operation, algorithm, segment size, byte count,
+// start and duration — into a fixed per-rank ring of n entries that drops the
 // oldest span when full (the Snapshot reports how many were dropped).
 // Recording is allocation-free, so the steady-state guarantees hold
 // with spans on. Cluster.Metrics returns the retained spans;

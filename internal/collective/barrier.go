@@ -2,7 +2,6 @@ package collective
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/mpi"
@@ -15,12 +14,8 @@ import (
 // processes are synchronized with a MPI barrier before reaching the
 // broadcast interface") uses it.
 func Barrier(c mpi.Comm) error {
-	ring, start := spanStart(c)
-	if err := runStatic(c, nil, 0, 0, 0, 0, core.DisseminationOps); err != nil {
+	if err := runStatic(c, opBarrier, nil, 0, 0, 0, core.DisseminationOps, OpSum); err != nil {
 		return fmt.Errorf("collective: barrier: %w", err)
-	}
-	if ring != nil {
-		ring.Record(opBarrier, "", 0, 0, start, time.Since(start))
 	}
 	return nil
 }

@@ -74,21 +74,18 @@
 // Supporting collectives (Barrier, Scatter, Gather, Allgather, Reduce,
 // Allreduce) exist because the examples and the benchmark
 // protocol need them, mirroring how a real MPI application would use the
-// library. Each takes its pattern from an emitter in internal/core, and
-// all but Reduce run it through the same executor: Scatter is the
-// binomial scatter phase, Gather that tree reversed
-// (sched.Emitter.Reverse), Allgather the enclosed ring from root 0,
-// Allreduce's tail the binomial broadcast and Barrier the dissemination
-// rounds (core.DisseminationOps). Reduce walks the binomial broadcast
-// reversed itself, because the executor has no op that combines what it
-// receives.
+// library. Each takes its pattern from an emitter in internal/core and
+// runs it through the same executor: Scatter is the binomial scatter
+// phase, Gather that tree reversed (sched.Emitter.Reverse), Allgather
+// the enclosed ring from root 0, Barrier the dissemination rounds
+// (core.DisseminationOps), Reduce the binomial broadcast reversed with
+// every receive a Fold (core.ReduceOps), which combines what arrives,
+// and Allreduce that reduction followed by the binomial broadcast, over
+// one buffer. The executor's two entries, Plan.Execute and runStatic,
+// record the spans: one per run of a schedule, so a collective that
+// runs none (a zero chunk) records none.
 //
 // All byte-buffer collectives follow MPI_BYTE semantics. Every function
 // is collective: all ranks of the communicator must call it with
 // compatible arguments.
 package collective
-
-// tagReduce is the tag Reduce sends and receives with. Reduce walks its
-// emitter's ops itself, not through the executor, and keeps a tag of its
-// own rather than theirs (core.TagBinomial).
-const tagReduce = 0x7F06

@@ -4,21 +4,24 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/mpi"
 	"repro/internal/sched"
 )
 
 // This file is the one place a schedule touches the wire: every
 // broadcast, the collectives that run one of its phases (Scatter,
-// Gather, Allgather; see gather.go) and Barrier. Each is a sched.Emitter
+// Gather, Allgather; see gather.go), Barrier, and Reduce and Allreduce,
+// whose Fold receives combine what arrives. Each is a sched.Emitter
 // (internal/core); the executor asks it for the calling rank's
 // operations, shifts them into the part of the program's buffer the rank
 // holds, checks them, and runs them in order on the communicator. The
 // verifier, the simulator and the tuner consume the very same emitter
 // through sched.Generate, so what is verified is what runs.
 //
-// One thing is not done at its op: a receive of at least hoistFloor
+// One thing is not done at its op: a plain receive of at least hoistFloor
 // bytes is posted as early, and completed as late, as its bytes allow
 // (see manage). Posted ahead through the communicator's Prepost, it
 // finds the sender's message waiting to be copied once, straight into
@@ -62,6 +65,7 @@ type rankOps struct {
 	cut, open, mark []int       // manage's scratch
 	bound           mpi.Binding // a kept Plan's edges (bindEdges); nil per call
 	halves          [][2]int    // per op: its send and receive edges' indices in bound, -1 for none
+	red             Op          // how a Fold receive combines (runStatic sets it)
 }
 
 // managed is a receive posted just before op post and completed just
@@ -97,15 +101,21 @@ func (s *rankOps) compile(c mpi.Comm, e sched.Emitter, root, n, seg, lo, size in
 	return nil
 }
 
-// manage lists the receive halves of at least hoistFloor bytes and gives
-// each its two points:
+// hoisted reports whether op has a receive half manage may post early:
+// one of at least hoistFloor bytes that lands as it arrives. A Fold
+// receive combines into bytes it must first read, so it runs at its op.
+func hoisted(op *sched.Op) bool {
+	return op.Kind != sched.OpSend && !op.Fold && op.RecvLen >= hoistFloor
+}
+
+// manage lists the hoisted receive halves and gives each its two points:
 //
 //   - done: the first later op that sends or receives any of its bytes,
 //     or the end;
 //   - post: the op after the last earlier op that touches its bytes, but
 //     no earlier than an earlier receive of them completes, than the
-//     previous managed receive posts, or than the op after a smaller
-//     receive, which runs at its op.
+//     previous managed receive posts, or than the op after a receive
+//     that is not hoisted, which runs at its op.
 //
 // done keeps every later use of the bytes behind the receive, post every
 // earlier one ahead of it; post's last two bounds keep receives posted
@@ -118,7 +128,7 @@ func (s *rankOps) compile(c mpi.Comm, e sched.Emitter, root, n, seg, lo, size in
 func (s *rankOps) manage() {
 	ops, cut := s.ops, s.cut[:0]
 	for i := range ops {
-		if op := &ops[i]; op.Kind != sched.OpSend && op.RecvLen >= hoistFloor {
+		if op := &ops[i]; hoisted(op) {
 			cut = append(cut, op.RecvOff, op.RecvOff+op.RecvLen)
 		}
 	}
@@ -180,7 +190,7 @@ func (s *rankOps) manage() {
 		if op.Kind != sched.OpSend {
 			lo, hi := pieces(op.RecvOff, op.RecvLen)
 			touch(lo, hi, i)
-			if op.RecvLen < hoistFloor {
+			if !hoisted(op) {
 				floor = i + 1
 			} else {
 				for k := lo; k < hi; k++ {
@@ -295,6 +305,9 @@ func (s *rankOps) exec(c mpi.Comm, mv mpi.Binding, buf []byte) error {
 // done; with early set, its receive half was posted ahead and only its
 // send half runs. What it needs of op is read before it blocks.
 func (s *rankOps) execOp(c mpi.Comm, mv mpi.Binding, i int, op *sched.Op, buf []byte, early bool) error {
+	if op.Fold {
+		return s.foldOp(c, op, buf)
+	}
 	send, recv := op.Kind != sched.OpRecv, op.Kind != sched.OpSend && !early
 	want := op.RecvLen
 	var sb, rb []byte
@@ -326,6 +339,22 @@ func (s *rankOps) execOp(c mpi.Comm, mv mpi.Binding, i int, op *sched.Op, buf []
 	return checkCount(st, err, want)
 }
 
+// foldOp runs a Fold receive, which only runStatic's and ExecProgram's
+// unbound Plans carry: its bytes arrive in pooled scratch and s.red
+// combines them into their range of buf. On an error the world aborted
+// and the sender may still be copying, so the scratch is abandoned to
+// the GC rather than recycled.
+func (s *rankOps) foldOp(c mpi.Comm, op *sched.Op, buf []byte) error {
+	in := bufpool.Get(op.RecvLen)
+	st, err := c.Recv(in.B, op.From, op.Tag)
+	if err = checkCount(st, err, op.RecvLen); err != nil {
+		return err
+	}
+	s.red.combine(buf[op.RecvOff:op.RecvOff+op.RecvLen], in.B)
+	in.Release()
+	return nil
+}
+
 // checkCount holds a completed receive to the byte count its op expects.
 func checkCount(st mpi.Status, err error, want int) error {
 	if err == nil && st.Count != want {
@@ -348,21 +377,30 @@ func checkRoot(c mpi.Comm, root int) error {
 // runStatic runs the n-byte collective e describes from root: emit the
 // calling rank's ops into a pooled Plan's scratch, shift them into buf,
 // which holds bytes [lo, lo+len(buf)) of the program's buffer, check
-// them against it, advance the communicator's tag stream and run. It is
-// a Plan without selection, capability check or span, for the
-// collectives that run a fixed schedule: the allreduce tail's broadcast,
-// Barrier's zero-byte rounds, and Scatter, Gather and Allgather, whose
-// non-root ranks hold only their subtree's bytes.
-func runStatic(c mpi.Comm, buf []byte, lo, n, root, seg int, e sched.Emitter) error {
+// them against it, advance the communicator's tag stream and run, red
+// combining every Fold receive; on success it records one span, name, of
+// n bytes. It is a Plan without selection or capability check, for the
+// collectives that run a fixed schedule: Barrier, Reduce, Allreduce, and
+// Scatter, Gather and Allgather, whose non-root ranks hold only their
+// subtree's bytes.
+func runStatic(c mpi.Comm, name string, buf []byte, lo, n, root int, e sched.Emitter, red Op) error {
 	if err := checkRoot(c, root); err != nil {
 		return err
 	}
+	ring, start := spanStart(c)
 	p := planPool.Get().(*Plan)
 	defer planPool.Put(p)
-	if err := p.ops.compile(c, e, root, n, seg, lo, len(buf)); err != nil {
+	if err := p.ops.compile(c, e, root, n, 0, lo, len(buf)); err != nil {
 		return err
 	}
-	return p.ops.run(c, buf)
+	p.ops.red = red
+	if err := p.ops.run(c, buf); err != nil {
+		return err
+	}
+	if ring != nil {
+		ring.Record(name, "", 0, n, start, time.Since(start))
+	}
+	return nil
 }
 
 // run is exec behind the per-operation tag stream every collective draws
@@ -408,6 +446,7 @@ func ExecProgram(c mpi.Comm, pr *sched.Program, buf []byte) error {
 	if err := p.ops.compile(c, ops, pr.Root, pr.N, 0, 0, pr.N); err != nil {
 		return err
 	}
+	p.ops.red = OpSum // a hand-built program's Fold receives add
 	if err := p.ops.exec(c, nil, buf); err != nil {
 		return fmt.Errorf("collective: exec %q: %w", pr.Name, err)
 	}

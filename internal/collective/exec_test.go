@@ -92,6 +92,8 @@ func TestExecValidation(t *testing.T) {
 			"self send":                   {Kind: sched.OpSend, To: c.Rank(), SendLen: 8},
 			"self receive":                {Kind: sched.OpSendrecv, To: peer, From: c.Rank(), SendLen: 8, RecvLen: 8},
 			"unknown kind":                {Kind: sched.OpSendrecv + 1, To: peer, From: peer},
+			"fold on a send":              {Kind: sched.OpSend, To: peer, SendLen: 8, Fold: true},
+			"fold on a sendrecv":          {Kind: sched.OpSendrecv, To: peer, From: peer, SendLen: 8, RecvLen: 8, Fold: true},
 		}
 		for name, op := range bad {
 			op.Tag = core.TagBinomial
@@ -117,7 +119,7 @@ func TestCompileRejectsBadEmitter(t *testing.T) {
 		return append(dst, sched.Op{Kind: sched.OpSend, To: (rank + 1) % p, SendOff: n, SendLen: 1})
 	}
 	err := engine.Run(2, func(c mpi.Comm) error {
-		if err := runStatic(c, make([]byte, 8), 0, 8, 0, 0, outOfRange); !errors.Is(err, ErrBadOp) {
+		if err := runStatic(c, opBcast, make([]byte, 8), 0, 8, 0, outOfRange, OpSum); !errors.Is(err, ErrBadOp) {
 			return fmt.Errorf("want ErrBadOp, got %v", err)
 		}
 		return nil

@@ -2,7 +2,6 @@ package collective
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/bufpool"
 	"repro/internal/core"
@@ -20,7 +19,7 @@ import (
 // through the buffer, so it is abandoned to the GC rather than recycled
 // (the rule the engine's own pools follow — see internal/engine/pool.go).
 // A zero chunk returns at once on every rank: no zero-byte messages, no
-// zero-length scratch.
+// zero-length scratch, no span.
 
 // gatherOps is the binomial scatter tree run backwards: every rank
 // receives its children's subtree blocks, smallest first, then sends its
@@ -34,17 +33,6 @@ var gatherOps = sched.Emitter(core.ScatterOps).Reverse()
 // ranks receive their whole subtree block and forward sub-blocks
 // downward, so the root is not a serial bottleneck.
 func Scatter(c mpi.Comm, sendBuf []byte, chunk int, recvBuf []byte, root int) error {
-	ring, start := spanStart(c)
-	if err := scatter(c, sendBuf, chunk, recvBuf, root); err != nil {
-		return err
-	}
-	if ring != nil {
-		ring.Record(opScatter, "", 0, c.Size()*chunk, start, time.Since(start))
-	}
-	return nil
-}
-
-func scatter(c mpi.Comm, sendBuf []byte, chunk int, recvBuf []byte, root int) error {
 	if err := checkRoot(c, root); err != nil {
 		return err
 	}
@@ -70,7 +58,7 @@ func scatter(c mpi.Comm, sendBuf []byte, chunk int, recvBuf []byte, root int) er
 			copy(tmp[k*chunk:(k+1)*chunk], sendBuf[src*chunk:(src+1)*chunk])
 		}
 	}
-	if err := runStatic(c, tmp, rel*chunk, p*chunk, root, 0, core.ScatterOps); err != nil {
+	if err := runStatic(c, opScatter, tmp, rel*chunk, p*chunk, root, core.ScatterOps, OpSum); err != nil {
 		return fmt.Errorf("collective: scatter: %w", err)
 	}
 	copy(recvBuf[:chunk], tmp[:chunk])
@@ -83,17 +71,6 @@ func scatter(c mpi.Comm, sendBuf []byte, chunk int, recvBuf []byte, root int) er
 // It runs Scatter's tree backwards (sched.Emitter.Reverse): leaves send
 // up, interior ranks assemble their subtree block before forwarding it.
 func Gather(c mpi.Comm, sendBuf []byte, chunk int, recvBuf []byte, root int) error {
-	ring, start := spanStart(c)
-	if err := gather(c, sendBuf, chunk, recvBuf, root); err != nil {
-		return err
-	}
-	if ring != nil {
-		ring.Record(opGather, "", 0, c.Size()*chunk, start, time.Since(start))
-	}
-	return nil
-}
-
-func gather(c mpi.Comm, sendBuf []byte, chunk int, recvBuf []byte, root int) error {
 	if err := checkRoot(c, root); err != nil {
 		return err
 	}
@@ -114,7 +91,7 @@ func gather(c mpi.Comm, sendBuf []byte, chunk int, recvBuf []byte, root int) err
 	scratch := bufpool.Get(core.Extent(rel, p) * chunk)
 	tmp := scratch.B
 	copy(tmp[:chunk], sendBuf[:chunk])
-	if err := runStatic(c, tmp, rel*chunk, p*chunk, root, 0, gatherOps); err != nil {
+	if err := runStatic(c, opGather, tmp, rel*chunk, p*chunk, root, gatherOps, OpSum); err != nil {
 		return fmt.Errorf("collective: gather: %w", err)
 	}
 	if rel == 0 {
@@ -135,17 +112,6 @@ func gather(c mpi.Comm, sendBuf []byte, chunk int, recvBuf []byte, root int) err
 // bandwidth-optimal — unlike inside the broadcast, where the scatter
 // phase's subtree ownership makes the enclosed ring wasteful.
 func Allgather(c mpi.Comm, sendBuf []byte, chunk int, recvBuf []byte) error {
-	ring, start := spanStart(c)
-	if err := allgather(c, sendBuf, chunk, recvBuf); err != nil {
-		return err
-	}
-	if ring != nil {
-		ring.Record(opAllgather, "", 0, c.Size()*chunk, start, time.Since(start))
-	}
-	return nil
-}
-
-func allgather(c mpi.Comm, sendBuf []byte, chunk int, recvBuf []byte) error {
 	p, rank := c.Size(), c.Rank()
 	if chunk < 0 {
 		return fmt.Errorf("collective: allgather: negative chunk %d", chunk)
@@ -160,7 +126,7 @@ func allgather(c mpi.Comm, sendBuf []byte, chunk int, recvBuf []byte) error {
 		return nil
 	}
 	copy(recvBuf[rank*chunk:(rank+1)*chunk], sendBuf[:chunk])
-	if err := runStatic(c, recvBuf[:p*chunk], 0, p*chunk, 0, 0, core.RingNativeOps); err != nil {
+	if err := runStatic(c, opAllgather, recvBuf[:p*chunk], 0, p*chunk, 0, core.RingNativeOps, OpSum); err != nil {
 		return fmt.Errorf("collective: allgather: %w", err)
 	}
 	return nil

@@ -3,6 +3,8 @@ package collective
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"math/rand/v2"
 	"reflect"
 	"testing"
 	"time"
@@ -26,14 +28,15 @@ func touches(op *sched.Op, lo, hi int) bool {
 }
 
 // checkManaged holds what manage computed for s.ops to the rule, written
-// out op by op: the managed receives are exactly the receive halves of at
-// least hoistFloor bytes, in op order; post points never decrease, none
-// is after its op or before the op after a smaller receive (which runs at
-// its op); no op in [post, i) or (i, done) touches the receive's bytes,
-// op done does (or done is the end), and no earlier managed receive of
-// any of them is still in flight at post; order lists every managed
-// receive by completion point. It returns how many managed receives
-// complete after a later op has run.
+// out op by op: the managed receives are exactly the plain (not Fold)
+// receive halves of at least hoistFloor bytes, in op order; post points
+// never decrease, none is after its op or before the op after a smaller
+// or Fold receive (which runs at its op); no op in [post, i) or
+// (i, done) touches the receive's bytes, op done does (or done is the
+// end), and no earlier managed receive of any of them is still in
+// flight at post; order lists every managed receive by completion
+// point. It returns how many managed receives complete after a later
+// op has run.
 func checkManaged(t *testing.T, where string, s *rankOps) (late int) {
 	t.Helper()
 	ops, k, floor := s.ops, 0, 0
@@ -42,7 +45,7 @@ func checkManaged(t *testing.T, where string, s *rankOps) (late int) {
 		if op.Kind == sched.OpSend {
 			continue
 		}
-		if op.RecvLen < hoistFloor {
+		if op.Fold || op.RecvLen < hoistFloor {
 			floor = i + 1
 			continue
 		}
@@ -300,4 +303,93 @@ func TestPrepostSkipsWiredSources(t *testing.T) {
 		t.Errorf("wired world: %d receives posted at once, want 1 at a time", s.PostedQueueMax)
 	}
 	run(nil)
+}
+
+// TestHoistSkipsFoldReceives runs Reduce and Allreduce of 4096 float64s
+// (32 KiB, above hoistFloor) at p ∈ {2, 3, 5, 8, 13}: manage never
+// hoists a Fold receive, which must read the bytes it combines into, so
+// a reduction manages no receive and an allreduce rank only its
+// broadcast-phase one; and the results equal, bit for bit, an oracle
+// that adds the vectors in the order the generated ops fold them.
+func TestHoistSkipsFoldReceives(t *testing.T) {
+	const m = 4096
+	input := func(rank int) []float64 {
+		rng := rand.New(rand.NewPCG(uint64(rank), m))
+		v := make([]float64, m)
+		for i := range v {
+			v[i] = rng.NormFloat64() * math.Ldexp(1, rng.IntN(60)-30)
+		}
+		return v
+	}
+	for _, p := range []int{2, 3, 5, 8, 13} {
+		for _, root := range []int{0, p - 1} {
+			for rank := 0; rank < p; rank++ {
+				for _, e := range []struct {
+					name    string
+					emit    sched.Emitter
+					root    int
+					managed int
+				}{{"reduce", core.ReduceOps, root, 0}, {"allreduce", allreduceOps, 0, min(rank, 1)}} {
+					var s rankOps
+					s.ops = e.emit(s.ops, rank, p, e.root, 8*m, 0)
+					s.manage()
+					where := fmt.Sprintf("%s p=%d root=%d rank %d", e.name, p, e.root, rank)
+					checkManaged(t, where, &s)
+					if len(s.recvs) != e.managed {
+						t.Fatalf("%s: %d receives managed, want %d", where, len(s.recvs), e.managed)
+					}
+				}
+			}
+			want := foldOracle(sched.Generate("reduce", core.ReduceOps, p, root, 8*m, 0), input)
+			wantAll := foldOracle(sched.Generate("reduce", core.ReduceOps, p, 0, 8*m, 0), input)
+			err := engine.Run(p, func(c mpi.Comm) error {
+				r := c.Rank()
+				out := make([]float64, m)
+				if err := ReduceFloat64(c, input(r), out, OpSum, root); err != nil {
+					return err
+				}
+				if r == root {
+					if err := sameBits("reduce", r, out, want); err != nil {
+						return err
+					}
+				}
+				if err := AllreduceFloat64(c, input(r), out, OpSum); err != nil {
+					return err
+				}
+				return sameBits("allreduce", r, out, wantAll)
+			})
+			if err != nil {
+				t.Fatalf("p=%d root=%d: %v", p, root, err)
+			}
+		}
+	}
+}
+
+// foldOracle returns what the root of pr, a reduction tree whose ranks
+// send once, last, ends with: each rank's input with the vectors of the
+// ranks it receives from added in, in its op order.
+func foldOracle(pr *sched.Program, input func(rank int) []float64) []float64 {
+	var reduced func(r int) []float64
+	reduced = func(r int) []float64 {
+		acc := input(r)
+		for _, op := range pr.Ranks[r] {
+			if op.Kind == sched.OpRecv {
+				for i, v := range reduced(op.From) {
+					acc[i] += v
+				}
+			}
+		}
+		return acc
+	}
+	return reduced(pr.Root)
+}
+
+// sameBits compares a rank's result with the oracle's bit for bit.
+func sameBits(name string, rank int, got, want []float64) error {
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return fmt.Errorf("%s rank %d: element %d = %v, the ops' fold order gives %v", name, rank, i, got[i], want[i])
+		}
+	}
+	return nil
 }

@@ -36,8 +36,8 @@ type Plan struct {
 }
 
 // planPool holds the Plans per-call broadcasts borrow (RunDecision for
-// one call, a Calls until it evicts or releases them, runStatic and
-// Reduce for the ops scratch), so in the steady state they allocate as
+// one call, a Calls until it evicts or releases them, runStatic for
+// the ops scratch), so in the steady state they allocate as
 // little as a kept Plan does.
 var planPool = sync.Pool{New: func() any { return new(Plan) }}
 

@@ -7,8 +7,9 @@ import (
 	"repro/internal/mpi"
 )
 
-// Span op names. These are the interned constants every emission site
-// passes to SpanRing.Record, so recording never builds a string. The
+// Span op names. These are the interned constants the two emission
+// sites, Plan.Execute and runStatic, pass to SpanRing.Record, so
+// recording never builds a string. A span is one run of a schedule. The
 // broadcast op carries the registry algorithm name alongside; the
 // fixed-algorithm collectives leave it empty.
 const (
@@ -21,9 +22,9 @@ const (
 	opAllreduce = "allreduce"
 )
 
-// spanStart opens the span bracket for a collective entry: it reads
-// c's ring and the clock only when spans are actually enabled. Sites
-// close the bracket with ring.Record on the success path (failed
+// spanStart opens the span bracket around a run of a schedule: it reads
+// c's ring and the clock only when spans are actually enabled. Both
+// sites close the bracket with ring.Record on the success path (failed
 // operations abort the world — the AbortedRuns counter covers them; a
 // half-run span would only pollute the timeline). The whole
 // disabled-spans cost is one method call and a nil check.

@@ -13,6 +13,7 @@ import (
 	"repro/internal/bufpool"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/sched"
 	"repro/internal/topology"
@@ -383,5 +384,58 @@ func TestOpString(t *testing.T) {
 	}
 	if Op(42).String() != "Op(42)" {
 		t.Fatal("unknown op name wrong")
+	}
+}
+
+// TestSupportingCollectivesRecordOneSpan: a span is one run of a
+// schedule. Each supporting collective records exactly one per call on
+// every rank, with its op name and the bytes of its program buffer — an
+// Allreduce no nested "reduce" — and a zero-chunk call, which runs no
+// schedule, records none.
+func TestSupportingCollectivesRecordOneSpan(t *testing.T) {
+	const p, chunk = 5, 24
+	vec := []float64{1, 2, 3}
+	err := engine.RunWith(engine.Options{NP: p, Metrics: metrics.New(p, 64)}, func(c mpi.Comm) error {
+		all := make([]byte, p*chunk)
+		out := make([]float64, len(vec))
+		for _, tc := range []struct {
+			op    string
+			bytes int // -1: no span
+			call  func() error
+		}{
+			{opBarrier, 0, func() error { return Barrier(c) }},
+			{opScatter, p * chunk, func() error { return Scatter(c, all, chunk, all, 1) }},
+			{opGather, p * chunk, func() error { return Gather(c, all, chunk, all, 2) }},
+			{opAllgather, p * chunk, func() error { return Allgather(c, all[:chunk], chunk, all) }},
+			{opReduce, 8 * len(vec), func() error { return ReduceFloat64(c, vec, out, OpMax, 3) }},
+			{opAllreduce, 8 * len(vec), func() error { return AllreduceFloat64(c, vec, out, OpSum) }},
+			{opScatter, -1, func() error { return Scatter(c, all, 0, all, 0) }},
+			{opGather, -1, func() error { return Gather(c, all, 0, all, 0) }},
+			{opAllgather, -1, func() error { return Allgather(c, all, 0, all) }},
+		} {
+			ring := c.SpanRing()
+			before := ring.Recorded()
+			if err := tc.call(); err != nil {
+				return err
+			}
+			got := ring.Recorded() - before
+			if tc.bytes < 0 {
+				if got != 0 {
+					return fmt.Errorf("rank %d: zero-chunk %s recorded %d spans", c.Rank(), tc.op, got)
+				}
+				continue
+			}
+			if got != 1 {
+				return fmt.Errorf("rank %d: %s recorded %d spans, want 1", c.Rank(), tc.op, got)
+			}
+			spans := ring.Spans()
+			if last := spans[len(spans)-1]; last.Op != tc.op || last.Bytes != tc.bytes || last.Algorithm != "" {
+				return fmt.Errorf("rank %d: %s recorded %+v, want a %q span of %d bytes", c.Rank(), tc.op, last, tc.op, tc.bytes)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

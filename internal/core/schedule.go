@@ -175,6 +175,24 @@ func BinomialOps(dst []sched.Op, rank, p, root, n, _ int) []sched.Op {
 	return dst
 }
 
+// binomialReversed is the binomial broadcast tree run backwards: every
+// rank receives its children's buffers, smallest subtree first, then
+// sends its own to its parent.
+var binomialReversed = sched.Emitter(BinomialOps).Reverse()
+
+// ReduceOps emits the binomial reduction: BinomialOps reversed, with
+// every receive a Fold, so each rank combines its children's vectors
+// into its own before it sends the result on and the root ends with
+// every rank's contribution folded in once.
+func ReduceOps(dst []sched.Op, rank, p, root, n, seg int) []sched.Op {
+	start := len(dst)
+	dst = binomialReversed(dst, rank, p, root, n, seg)
+	for i := start; i < len(dst); i++ {
+		dst[i].Fold = dst[i].Kind == sched.OpRecv
+	}
+	return dst
+}
+
 // DisseminationOps emits the dissemination barrier: ceil(log2 p) rounds
 // in which rank r signals (r + 2^k) mod p and waits for (r - 2^k) mod p,
 // so after round k every rank has heard, directly or through others,

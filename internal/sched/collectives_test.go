@@ -122,3 +122,124 @@ func heardFromAll(pr *sched.Program) error {
 	}
 	return nil
 }
+
+// TestReduceProgramsVerify proves the schedules Reduce and Allreduce
+// run, at every p from 1 to 300 and roots 0, p/2 and p-1: the binomial
+// reduction (core.ReduceOps) and that reduction followed by the binomial
+// broadcast. Every rank starts holding its whole buffer, its
+// contribution, so Verify checks deadlock-freedom; foldedOnce checks
+// that the root (for the reduction) or every rank (for the allreduce)
+// ends with every rank's contribution folded in exactly once.
+func TestReduceProgramsVerify(t *testing.T) {
+	allreduce := sched.Emitter(core.ReduceOps).Then(core.BinomialOps)
+	for p := 1; p <= 300; p++ {
+		for _, root := range []int{0, p / 2, p - 1} {
+			const n = 16
+			for _, tc := range []struct {
+				name  string
+				e     sched.Emitter
+				whole func(rank int) bool
+			}{
+				{"reduce", core.ReduceOps, func(rank int) bool { return rank == root }},
+				{"allreduce", allreduce, func(int) bool { return true }},
+			} {
+				pr := sched.Generate(fmt.Sprintf("%s/p=%d/root=%d", tc.name, p, root), tc.e, p, root, n, 0)
+				if _, err := sched.Verify(pr, sched.VerifyConfig{Initial: sched.FullBuffer(n)}); err != nil {
+					t.Fatal(err)
+				}
+				if err := foldedOnce(pr, tc.whole); err != nil {
+					t.Fatalf("%s: %v", pr.Name, err)
+				}
+			}
+		}
+	}
+}
+
+// TestFoldedOnceCatchesMisfolds: the contributions check rejects a
+// reduction one of whose receives overwrites instead of folding (the
+// contributions gathered below it are lost), and an allreduce whose
+// broadcast tail folds (a rank counts its own subtree twice).
+func TestFoldedOnceCatchesMisfolds(t *testing.T) {
+	allreduce := sched.Emitter(core.ReduceOps).Then(core.BinomialOps)
+	for _, p := range []int{2, 3, 8, 13} {
+		for _, root := range []int{0, p - 1} {
+			pr := sched.Generate("reduce", core.ReduceOps, p, root, 8, 0)
+			ops := pr.Ranks[root]
+			ops[len(ops)-1].Fold = false
+			if err := foldedOnce(pr, func(rank int) bool { return rank == root }); err == nil {
+				t.Errorf("p=%d root=%d: a root receive without Fold passes", p, root)
+			}
+		}
+		pr := sched.Generate("allreduce", allreduce, p, 0, 8, 0)
+		for r := 1; r < p; r++ {
+			ops := pr.Ranks[r]
+			for i := range ops {
+				ops[i].Fold = ops[i].Kind == sched.OpRecv
+			}
+		}
+		if err := foldedOnce(pr, func(int) bool { return true }); err == nil {
+			t.Errorf("p=%d: a folding broadcast tail passes", p)
+		}
+	}
+}
+
+// foldedOnce runs a program of sends and receives on multisets of
+// contributions: every rank starts with its own, a send carries the
+// sender's current multiset, a Fold receive adds the message's to the
+// receiver's and a plain receive replaces the receiver's with it. It
+// reports the first rank whole selects that does not end with every
+// rank's contribution exactly once.
+func foldedOnce(pr *sched.Program, whole func(rank int) bool) error {
+	type chanKey struct{ src, dst, tag int }
+	sets := make([][]int, pr.P)
+	for r := range sets {
+		sets[r] = make([]int, pr.P)
+		sets[r][r] = 1
+	}
+	queues := map[chanKey][][]int{}
+	pc := make([]int, pr.P)
+	for progressed := true; progressed; {
+		progressed = false
+		for r, ops := range pr.Ranks {
+			for ; pc[r] < len(ops); pc[r]++ {
+				op := ops[pc[r]]
+				if op.Kind == sched.OpSendrecv {
+					return fmt.Errorf("rank %d: %s in a reduction", r, op)
+				}
+				if op.Kind == sched.OpSend {
+					k := chanKey{r, op.To, op.Tag}
+					queues[k] = append(queues[k], slices.Clone(sets[r]))
+					progressed = true
+					continue
+				}
+				k := chanKey{op.From, r, op.Tag}
+				if len(queues[k]) == 0 {
+					break
+				}
+				msg := queues[k][0]
+				queues[k] = queues[k][1:]
+				if !op.Fold {
+					clear(sets[r])
+				}
+				for q, n := range msg {
+					sets[r][q] += n
+				}
+				progressed = true
+			}
+		}
+	}
+	for r, ops := range pr.Ranks {
+		if pc[r] < len(ops) {
+			return fmt.Errorf("rank %d blocks at op %d (%s)", r, pc[r], ops[pc[r]])
+		}
+		if !whole(r) {
+			continue
+		}
+		for q, n := range sets[r] {
+			if n != 1 {
+				return fmt.Errorf("rank %d ends with rank %d's contribution %d times", r, q, n)
+			}
+		}
+	}
+	return nil
+}

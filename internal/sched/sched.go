@@ -28,6 +28,11 @@
 //     auto-tuner in internal/tune measures;
 //   - the executor in internal/collective calls the Emitter for the
 //     calling rank alone and runs those operations on the real engine.
+//
+// A receive marked Fold combines what arrives into its bytes instead of
+// overwriting them, which turns a tree run backwards into a reduction.
+// The verifier and netsim treat it as a plain receive: a Fold moves the
+// same message, and the time it spends combining is not modelled.
 package sched
 
 import (
@@ -76,6 +81,12 @@ func (k OpKind) String() string {
 type Op struct {
 	Kind OpKind
 
+	// Fold marks an OpRecv whose bytes are combined into
+	// [RecvOff, RecvOff+RecvLen) with the collective's reduction
+	// operator rather than written over it. Verify and netsim treat it
+	// as a plain receive and do not model the combine's time.
+	Fold bool
+
 	// To is the destination rank of the send half.
 	To int
 	// SendOff is the byte offset of the outgoing data in the collective's
@@ -117,10 +128,14 @@ func (o Op) String() string {
 
 // Check reports whether the op is well-formed for rank self of a p-rank
 // collective over an n-byte buffer: a known kind, peers inside the
-// communicator and distinct from self, byte ranges inside the buffer.
+// communicator and distinct from self, byte ranges inside the buffer,
+// and Fold on a plain receive only.
 func (o *Op) Check(p, n, self int) error {
 	if o.Kind > OpSendrecv {
 		return fmt.Errorf("unknown kind %d", o.Kind)
+	}
+	if o.Fold && o.Kind != OpRecv {
+		return fmt.Errorf("fold on a %s", o.Kind)
 	}
 	if o.Kind != OpRecv {
 		switch {
