@@ -74,8 +74,7 @@ var archRules = []archRule{
 			"internal/measure.LoadSampleLog":      "reader half of the sample-log format; the round-trip test holds Save to it",
 			"internal/metrics.Snapshot.WriteProm": "public through the facade's alias bcast.Snapshot",
 			"internal/mpi.BaseTag":                "inverse of StreamTag; the tag-stream tests check StreamTag with it",
-			"internal/sched.FullBuffer":           "verifier oracle: every rank ends with the whole buffer",
-			"internal/sched.IntervalSet.Total":    "the verifier and ownership tests count the bytes a rank ends with by it",
+			"internal/sched.IntervalSet.Total":    "the interval and scatter-ownership tests count the bytes a set covers with it",
 			"internal/sched.Program.Add":          "the verifier, executor and simulator tests build programs op by op with it",
 			"internal/sched.Program.Dump":         "the schedule tests print the programs a failed comparison shows with it",
 			"internal/sched.Verify":               "the schedule verifier the tests prove every emitter with",

@@ -118,7 +118,7 @@ func TestElideOnTheOtherRows(t *testing.T) {
 			t.Errorf("p=%d: scatter-rdb %d msgs %d B elided to %d msgs %d B, want %d/%d -> %d/%d",
 				c.p, rdb.Messages, rdb.Bytes, st.Messages, st.Bytes, c.msgs, c.bytes, c.elidedMsgs, c.elidedBytes)
 		}
-		res, err := sched.Verify(pr, sched.VerifyConfig{WantFinal: sched.FullBuffer(1000)})
+		res, err := sched.Verify(pr, "bcast")
 		if err != nil || res.RedundantMessages != 0 {
 			t.Errorf("p=%d: elided scatter-rdb: %v, %+v", c.p, err, res)
 		}

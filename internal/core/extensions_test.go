@@ -70,7 +70,7 @@ func TestBcastOptNodeAwareVerifies(t *testing.T) {
 		for _, root := range []int{0, topo.NP() - 1} {
 			n := 16 * topo.NP()
 			pr := sched.Generate("bcast-opt-nodeaware", NodeAwareOps(topo, BcastOptOps), topo.NP(), root, n, 0)
-			res, err := sched.Verify(pr, sched.VerifyConfig{WantFinal: sched.FullBuffer(n)})
+			res, err := sched.Verify(pr, "bcast")
 			if err != nil {
 				t.Fatalf("%s root=%d: %v", topo, root, err)
 			}
@@ -84,7 +84,7 @@ func TestBcastOptNodeAwareVerifies(t *testing.T) {
 func TestBcastNativeNodeAwareVerifies(t *testing.T) {
 	topo := topology.RoundRobin(8, 3)
 	pr := sched.Generate("bcast-native-nodeaware", NodeAwareOps(topo, BcastNativeOps), topo.NP(), 2, 64, 0)
-	if _, err := sched.Verify(pr, sched.VerifyConfig{WantFinal: sched.FullBuffer(64)}); err != nil {
+	if _, err := sched.Verify(pr, "bcast"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -105,7 +105,7 @@ func TestChainBcastVerifies(t *testing.T) {
 		for _, n := range []int{0, 1, 100, 4096} {
 			for _, seg := range []int{0, 1, 7, 1024} {
 				pr := sched.Generate("chain-bcast", ChainOps, p, p/2, n, seg)
-				if _, err := sched.Verify(pr, sched.VerifyConfig{WantFinal: sched.FullBuffer(n)}); err != nil {
+				if _, err := sched.Verify(pr, "bcast"); err != nil {
 					t.Fatalf("p=%d n=%d seg=%d: %v", p, n, seg, err)
 				}
 			}

@@ -76,7 +76,7 @@ func FuzzBcastProgramsVerify(f *testing.F) {
 		}
 		root = ((root % p) + p) % p
 		opt := sched.Generate("bcast-opt", BcastOptOps, p, root, n, 0)
-		res, err := sched.Verify(opt, sched.VerifyConfig{WantFinal: sched.FullBuffer(n)})
+		res, err := sched.Verify(opt, "bcast")
 		if err != nil {
 			t.Fatalf("opt p=%d root=%d n=%d: %v", p, root, n, err)
 		}
@@ -84,7 +84,7 @@ func FuzzBcastProgramsVerify(f *testing.F) {
 			t.Fatalf("opt p=%d root=%d n=%d: %d redundant messages", p, root, n, res.RedundantMessages)
 		}
 		nat := sched.Generate("bcast-native", BcastNativeOps, p, root, n, 0)
-		if _, err := sched.Verify(nat, sched.VerifyConfig{WantFinal: sched.FullBuffer(n)}); err != nil {
+		if _, err := sched.Verify(nat, "bcast"); err != nil {
 			t.Fatalf("native p=%d root=%d n=%d: %v", p, root, n, err)
 		}
 		// For every n the opt broadcast sends no empty message, and its
@@ -110,7 +110,7 @@ func FuzzChainBcastVerify(f *testing.F) {
 		}
 		root = ((root % p) + p) % p
 		pr := sched.Generate("chain-bcast", ChainOps, p, root, n, seg)
-		if _, err := sched.Verify(pr, sched.VerifyConfig{WantFinal: sched.FullBuffer(n)}); err != nil {
+		if _, err := sched.Verify(pr, "bcast"); err != nil {
 			t.Fatalf("p=%d root=%d n=%d seg=%d: %v", p, root, n, seg, err)
 		}
 	})

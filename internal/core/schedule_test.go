@@ -108,9 +108,7 @@ func TestScatterScheduleVerifies(t *testing.T) {
 			for _, n := range []int{0, 1, p, 3*p + 1, 64 * p} {
 				pr := sched.Generate("binomial-scatter", ScatterOps, p, root, n, 0)
 				want := ScatterOwnership(p, root, n)
-				res, err := sched.Verify(pr, sched.VerifyConfig{
-					WantFinal: want,
-				})
+				res, err := sched.Verify(pr, "")
 				if err != nil {
 					t.Fatalf("p=%d root=%d n=%d: %v", p, root, n, err)
 				}
@@ -119,7 +117,7 @@ func TestScatterScheduleVerifies(t *testing.T) {
 				}
 				// Ownership must be exactly the subtree (not more).
 				for r := 0; r < p; r++ {
-					if !slices.Equal(res.Final[r].Intervals(), want(r).Intervals()) {
+					if res.Final[r].String() != want(r).String() {
 						t.Fatalf("p=%d root=%d n=%d rank %d: final %s want %s",
 							p, root, n, r, res.Final[r], want(r))
 					}
@@ -292,7 +290,7 @@ func TestBcastNativeProgramVerifies(t *testing.T) {
 	for _, g := range bcastGrid() {
 		p, root, n := g[0], g[1], g[2]
 		pr := sched.Generate("bcast-native", BcastNativeOps, p, root, n, 0)
-		res, err := sched.Verify(pr, sched.VerifyConfig{WantFinal: sched.FullBuffer(n)})
+		res, err := sched.Verify(pr, "bcast")
 		if err != nil {
 			t.Fatalf("p=%d root=%d n=%d: %v", p, root, n, err)
 		}
@@ -312,7 +310,7 @@ func TestBcastOptProgramVerifies(t *testing.T) {
 	for _, g := range bcastGrid() {
 		p, root, n := g[0], g[1], g[2]
 		pr := sched.Generate("bcast-opt", BcastOptOps, p, root, n, 0)
-		res, err := sched.Verify(pr, sched.VerifyConfig{WantFinal: sched.FullBuffer(n)})
+		res, err := sched.Verify(pr, "bcast")
 		if err != nil {
 			t.Fatalf("p=%d root=%d n=%d: %v", p, root, n, err)
 		}
@@ -332,7 +330,7 @@ func TestBcastRdbProgramVerifies(t *testing.T) {
 			}
 			for _, n := range []int{0, 1, p, 16*p + 3} {
 				pr := sched.Generate("bcast-scatter-rdb", BcastRdbOps, p, root, n, 0)
-				if _, err := sched.Verify(pr, sched.VerifyConfig{WantFinal: sched.FullBuffer(n)}); err != nil {
+				if _, err := sched.Verify(pr, "bcast"); err != nil {
 					t.Fatalf("p=%d root=%d n=%d: %v", p, root, n, err)
 				}
 			}
@@ -367,7 +365,7 @@ func TestBinomialBcastVerifies(t *testing.T) {
 		for _, root := range []int{0, p / 2} {
 			for _, n := range []int{0, 1, 1024} {
 				pr := sched.Generate("binomial-bcast", BinomialOps, p, root, n, 0)
-				if _, err := sched.Verify(pr, sched.VerifyConfig{WantFinal: sched.FullBuffer(n)}); err != nil {
+				if _, err := sched.Verify(pr, "bcast"); err != nil {
 					t.Fatalf("p=%d root=%d n=%d: %v", p, root, n, err)
 				}
 				if pr.Stats().Messages != p-1 {

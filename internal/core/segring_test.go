@@ -22,7 +22,7 @@ func TestBcastNativeSegProgramVerifies(t *testing.T) {
 			if err := pr.Validate(); err != nil {
 				t.Fatalf("p=%d root=%d n=%d seg=%d: %v", p, root, n, seg, err)
 			}
-			if _, err := sched.Verify(pr, sched.VerifyConfig{WantFinal: sched.FullBuffer(n)}); err != nil {
+			if _, err := sched.Verify(pr, "bcast"); err != nil {
 				t.Fatalf("p=%d root=%d n=%d seg=%d: %v", p, root, n, seg, err)
 			}
 		}
@@ -40,7 +40,7 @@ func TestBcastOptSegProgramVerifies(t *testing.T) {
 			if err := pr.Validate(); err != nil {
 				t.Fatalf("p=%d root=%d n=%d seg=%d: %v", p, root, n, seg, err)
 			}
-			res, err := sched.Verify(pr, sched.VerifyConfig{WantFinal: sched.FullBuffer(n)})
+			res, err := sched.Verify(pr, "bcast")
 			if err != nil {
 				t.Fatalf("p=%d root=%d n=%d seg=%d: %v", p, root, n, seg, err)
 			}

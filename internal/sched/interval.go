@@ -21,8 +21,9 @@ func (iv Interval) Len() int {
 
 // IntervalSet is a normalized set of disjoint, sorted, non-adjacent
 // half-open intervals. It tracks which byte ranges of the collective
-// buffer a rank holds valid data for; the schedule verifier uses it to
-// prove that no operation ever forwards bytes the sender does not own.
+// buffer a rank holds valid data for: Elide decides with it which
+// transfers bring a rank nothing new, and Verify reports with it the
+// bytes each rank ends holding.
 //
 // The zero value is an empty set ready for use.
 type IntervalSet struct {
@@ -94,18 +95,6 @@ func (s *IntervalSet) Total() int {
 		t += iv.Len()
 	}
 	return t
-}
-
-// Intervals returns a copy of the normalized interval list.
-func (s *IntervalSet) Intervals() []Interval {
-	out := make([]Interval, len(s.ivs))
-	copy(out, s.ivs)
-	return out
-}
-
-// Clone returns an independent copy of the set.
-func (s *IntervalSet) Clone() *IntervalSet {
-	return &IntervalSet{ivs: s.Intervals()}
 }
 
 // String renders the set like "{[0,4) [8,12)}".

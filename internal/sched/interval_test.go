@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -24,7 +25,7 @@ func TestIntervalSetMergeAdjacent(t *testing.T) {
 	s := NewIntervalSet()
 	s.Add(0, 4)
 	s.Add(4, 8) // adjacent: must merge
-	if got := len(s.Intervals()); got != 1 {
+	if got := len(s.ivs); got != 1 {
 		t.Fatalf("adjacent intervals not merged: %s", s)
 	}
 	if !s.Contains(0, 8) {
@@ -37,14 +38,14 @@ func TestIntervalSetMergeOverlap(t *testing.T) {
 	s.Add(0, 10)
 	s.Add(5, 15)
 	s.Add(20, 30)
-	if got := len(s.Intervals()); got != 2 {
+	if got := len(s.ivs); got != 2 {
 		t.Fatalf("want 2 intervals before bridge, got %s", s)
 	}
 	if s.Contains(15, 20) {
 		t.Fatalf("gap [15,20) must not be covered: %s", s)
 	}
 	s.Add(12, 22) // bridges the gap: everything merges into [0,30)
-	if got := len(s.Intervals()); got != 1 {
+	if got := len(s.ivs); got != 1 {
 		t.Fatalf("want 1 interval after bridge, got %s", s)
 	}
 	if !s.Contains(0, 30) {
@@ -54,15 +55,8 @@ func TestIntervalSetMergeOverlap(t *testing.T) {
 
 func TestIntervalSetDisjoint(t *testing.T) {
 	s := NewIntervalSet(Interval{0, 2}, Interval{8, 10}, Interval{4, 6})
-	ivs := s.Intervals()
-	want := []Interval{{0, 2}, {4, 6}, {8, 10}}
-	if len(ivs) != len(want) {
-		t.Fatalf("got %s", s)
-	}
-	for i := range want {
-		if ivs[i] != want[i] {
-			t.Fatalf("interval %d = %v want %v", i, ivs[i], want[i])
-		}
+	if want := []Interval{{0, 2}, {4, 6}, {8, 10}}; !slices.Equal(s.ivs, want) {
+		t.Fatalf("got %s, want %v", s, want)
 	}
 	if s.Contains(1, 5) {
 		t.Fatalf("gap should not be contained: %s", s)
@@ -78,18 +72,6 @@ func TestIntervalSetEmptyAdd(t *testing.T) {
 	}
 	if !s.Contains(3, 3) {
 		t.Fatal("empty range must be trivially contained")
-	}
-}
-
-func TestIntervalSetCloneIndependence(t *testing.T) {
-	s := NewIntervalSet(Interval{0, 4})
-	c := s.Clone()
-	c.Add(4, 8)
-	if s.Contains(4, 8) {
-		t.Fatal("Clone must be independent of the original")
-	}
-	if s.String() != NewIntervalSet(Interval{0, 4}).String() {
-		t.Fatalf("original mutated: %s", s)
 	}
 }
 
@@ -152,7 +134,7 @@ func TestIntervalSetQuickAgainstBitmap(t *testing.T) {
 			return false
 		}
 		// Normalization: sorted, disjoint, non-adjacent.
-		ivs := s.Intervals()
+		ivs := s.ivs
 		for i := range ivs {
 			if ivs[i].Hi <= ivs[i].Lo {
 				return false

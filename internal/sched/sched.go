@@ -20,9 +20,12 @@
 //     one backwards (a scatter reversed is a gather), and Elide drops its
 //     redundant transfers (the tuned ring is the enclosed one elided);
 //   - Generate loops an Emitter over all ranks into a Program;
-//   - the schedule verifier in this package checks a Program's
-//     deadlock-freedom and data validity (no transfer may carry bytes the
-//     sender does not hold);
+//   - Verify runs a Program abstractly as a named collective, tracking
+//     which ranks' contributions every byte of every rank holds, and
+//     checks that it is deadlock-free, that no transfer carries a byte
+//     its sender holds nothing at, and that it ends as the collective
+//     must (a broadcast delivers the root's bytes everywhere, a reduction
+//     every contribution exactly once, a barrier news of every rank);
 //   - internal/netsim replays Programs against a virtual-time network
 //     model to predict completion times at paper scale, which is what the
 //     auto-tuner in internal/tune measures;
@@ -31,8 +34,8 @@
 //
 // A receive marked Fold combines what arrives into its bytes instead of
 // overwriting them, which turns a tree run backwards into a reduction.
-// The verifier and netsim treat it as a plain receive: a Fold moves the
-// same message, and the time it spends combining is not modelled.
+// Verify adds the contributions a Fold brings to those already held;
+// netsim moves it as a plain receive and does not charge the combine.
 package sched
 
 import (
@@ -83,8 +86,9 @@ type Op struct {
 
 	// Fold marks an OpRecv whose bytes are combined into
 	// [RecvOff, RecvOff+RecvLen) with the collective's reduction
-	// operator rather than written over it. Verify and netsim treat it
-	// as a plain receive and do not model the combine's time.
+	// operator rather than written over it. Verify adds the message's
+	// contributions to the receiver's; netsim moves it as a plain
+	// receive and does not charge the combine's time.
 	Fold bool
 
 	// To is the destination rank of the send half.

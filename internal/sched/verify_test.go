@@ -5,23 +5,8 @@ import (
 	"testing"
 )
 
-func initialOwner(owners map[int]Interval) func(int) *IntervalSet {
-	return func(rank int) *IntervalSet {
-		if iv, ok := owners[rank]; ok {
-			return NewIntervalSet(iv)
-		}
-		return NewIntervalSet()
-	}
-}
-
 func TestVerifyPingPong(t *testing.T) {
-	pr := pingPong()
-	res, err := Verify(pr, VerifyConfig{
-		Initial: initialOwner(map[int]Interval{0: {0, 4}, 1: {4, 8}}),
-		WantFinal: func(int) *IntervalSet {
-			return NewIntervalSet(Interval{0, 8})
-		},
-	})
+	res, err := Verify(pingPong(), "allgather")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,44 +22,43 @@ func TestVerifyDetectsDeadlock(t *testing.T) {
 	pr.Add(0, Op{Kind: OpSend, To: 1, SendOff: 0, SendLen: 4, Tag: 1})
 	pr.Add(1, Op{Kind: OpRecv, From: 0, RecvOff: 0, RecvLen: 4, Tag: 1})
 	pr.Add(1, Op{Kind: OpSend, To: 0, SendOff: 0, SendLen: 4, Tag: 1})
-	_, err := Verify(pr, VerifyConfig{Initial: initialOwner(map[int]Interval{0: {0, 8}, 1: {0, 8}})})
+	_, err := Verify(pr, "reduce")
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("want deadlock error, got %v", err)
 	}
 }
 
 func TestVerifySendrecvRingDoesNotDeadlock(t *testing.T) {
-	// A 3-rank Sendrecv ring: blocking sends would deadlock, MPI_Sendrecv
-	// semantics must not.
+	// A 3-rank Sendrecv ring allgather: blocking sends would deadlock,
+	// MPI_Sendrecv semantics must not.
 	const p, n = 3, 3
 	pr := New("sr-ring", p, n, 0)
-	for r := 0; r < p; r++ {
-		right := (r + 1) % p
-		left := (r + p - 1) % p
-		pr.Add(r, Op{
-			Kind: OpSendrecv,
-			To:   right, SendOff: r, SendLen: 1,
-			From: left, RecvOff: left, RecvLen: 1,
-			Tag: 1, Step: 1,
-		})
+	for step := 1; step < p; step++ {
+		for r := 0; r < p; r++ {
+			right, left := (r+1)%p, (r+p-1)%p
+			pr.Add(r, Op{
+				Kind: OpSendrecv,
+				To:   right, SendOff: (r - step + 1 + p) % p, SendLen: 1,
+				From: left, RecvOff: (r - step + p) % p, RecvLen: 1,
+				Tag: 1, Step: step,
+			})
+		}
 	}
-	res, err := Verify(pr, VerifyConfig{
-		Initial: func(rank int) *IntervalSet { return NewIntervalSet(Interval{rank, rank + 1}) },
-	})
+	res, err := Verify(pr, "allgather")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Delivered != p {
-		t.Fatalf("delivered %d want %d", res.Delivered, p)
+	if res.Delivered != p*(p-1) {
+		t.Fatalf("delivered %d want %d", res.Delivered, p*(p-1))
 	}
 }
 
 func TestVerifyDetectsInvalidTransfer(t *testing.T) {
-	// Rank 0 sends bytes it never owned.
+	// Rank 0 holds [0,4) and sends [4,8).
 	pr := New("invalid", 2, 8, 0)
 	pr.Add(0, Op{Kind: OpSend, To: 1, SendOff: 4, SendLen: 4, Tag: 1})
 	pr.Add(1, Op{Kind: OpRecv, From: 0, RecvOff: 4, RecvLen: 4, Tag: 1})
-	res, err := Verify(pr, VerifyConfig{Initial: initialOwner(map[int]Interval{0: {0, 4}})})
+	res, err := Verify(pr, "gather")
 	if err == nil || !strings.Contains(err.Error(), "did not own") {
 		t.Fatalf("want invalid-transfer error, got %v", err)
 	}
@@ -84,30 +68,29 @@ func TestVerifyDetectsInvalidTransfer(t *testing.T) {
 }
 
 func TestVerifyInvalidDataDoesNotGrantOwnership(t *testing.T) {
-	// Rank 0 forwards unowned bytes to rank 1; rank 1 must not be treated
-	// as owning them afterwards, so WantFinal fails before the invalid
-	// transfer error would even be reported... the invalid-transfer error
-	// takes precedence; check the recorded ownership directly instead.
+	// Rank 0 holds [0,4) and sends [0,8) over rank 1's own [4,8): the
+	// plain receive replaces rank 1's bytes with what the message
+	// carries, which is nothing at [4,8).
 	pr := New("invalid-own", 2, 8, 0)
 	pr.Add(0, Op{Kind: OpSend, To: 1, SendOff: 0, SendLen: 8, Tag: 1})
 	pr.Add(1, Op{Kind: OpRecv, From: 0, RecvOff: 0, RecvLen: 8, Tag: 1})
-	res, _ := Verify(pr, VerifyConfig{Initial: initialOwner(map[int]Interval{0: {0, 4}})})
+	res, _ := Verify(pr, "gather")
 	if res == nil {
 		t.Fatal("expected a result alongside the error")
 	}
-	if res.Final[1].Total() != 0 {
-		t.Fatalf("receiver gained ownership from invalid data: %s", res.Final[1])
+	if got := res.Final[1].String(); got != "{[0,4)}" {
+		t.Fatalf("receiver ends holding %s, want {[0,4)}", got)
 	}
 }
 
 func TestVerifyCountsRedundantMessages(t *testing.T) {
-	// Rank 0 owns everything and receives a chunk it already has.
+	// Rank 1 sends back to the root a chunk the root sent it.
 	pr := New("redundant", 2, 8, 0)
-	pr.Add(1, Op{Kind: OpSend, To: 0, SendOff: 0, SendLen: 4, Tag: 1})
+	pr.Add(0, Op{Kind: OpSend, To: 1, SendOff: 0, SendLen: 4, Tag: 1})
 	pr.Add(0, Op{Kind: OpRecv, From: 1, RecvOff: 0, RecvLen: 4, Tag: 1})
-	res, err := Verify(pr, VerifyConfig{
-		Initial: initialOwner(map[int]Interval{0: {0, 8}, 1: {0, 4}}),
-	})
+	pr.Add(1, Op{Kind: OpRecv, From: 0, RecvOff: 0, RecvLen: 4, Tag: 1})
+	pr.Add(1, Op{Kind: OpSend, To: 0, SendOff: 0, SendLen: 4, Tag: 1})
+	res, err := Verify(pr, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,26 +99,23 @@ func TestVerifyCountsRedundantMessages(t *testing.T) {
 	}
 }
 
-func TestVerifyWantFinalFailure(t *testing.T) {
-	pr := New("nofinal", 2, 8, 0)
+// TestVerifyBcastEndCondition: a broadcast starts with the root holding
+// the buffer, and fails unless every rank ends holding all of it.
+func TestVerifyBcastEndCondition(t *testing.T) {
+	pr := New("half", 2, 8, 0)
 	pr.Add(0, Op{Kind: OpSend, To: 1, SendOff: 0, SendLen: 4, Tag: 1})
 	pr.Add(1, Op{Kind: OpRecv, From: 0, RecvOff: 0, RecvLen: 4, Tag: 1})
-	_, err := Verify(pr, VerifyConfig{WantFinal: FullBuffer(8)})
-	if err == nil || !strings.Contains(err.Error(), "missing") {
+	_, err := Verify(pr, "bcast")
+	if err == nil || !strings.Contains(err.Error(), "rank 1 ends holding [] at [4,8), want [0]") {
 		t.Fatalf("want final-coverage error, got %v", err)
 	}
-}
-
-func TestVerifyDefaultInitialIsRootOwnsAll(t *testing.T) {
-	pr := New("default-initial", 2, 8, 0)
-	pr.Add(0, Op{Kind: OpSend, To: 1, SendOff: 0, SendLen: 8, Tag: 1})
-	pr.Add(1, Op{Kind: OpRecv, From: 0, RecvOff: 0, RecvLen: 8, Tag: 1})
-	res, err := Verify(pr, VerifyConfig{WantFinal: FullBuffer(8)})
+	pr.Ranks[0][0].SendLen, pr.Ranks[1][0].RecvLen = 8, 8
+	res, err := Verify(pr, "bcast")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.InvalidTransfers != 0 {
-		t.Fatalf("root must own the full buffer by default: %+v", res)
+		t.Fatalf("root must hold the full buffer: %+v", res)
 	}
 }
 
@@ -148,7 +128,7 @@ func TestVerifyFIFOMatchingLengthConflict(t *testing.T) {
 	pr.Add(0, Op{Kind: OpSend, To: 1, SendOff: 0, SendLen: 8, Tag: 1})
 	pr.Add(1, Op{Kind: OpRecv, From: 0, RecvOff: 0, RecvLen: 8, Tag: 1})
 	pr.Add(1, Op{Kind: OpRecv, From: 0, RecvOff: 0, RecvLen: 4, Tag: 1})
-	_, err := Verify(pr, VerifyConfig{Initial: initialOwner(map[int]Interval{0: {0, 16}})})
+	_, err := Verify(pr, "")
 	if err == nil || !strings.Contains(err.Error(), "send 4 bytes, recv 8 bytes") {
 		t.Fatalf("want FIFO mismatch error, got %v", err)
 	}
@@ -162,7 +142,7 @@ func TestVerifyDistinctTagsMatchIndependently(t *testing.T) {
 	pr.Add(0, Op{Kind: OpSend, To: 1, SendOff: 4, SendLen: 8, Tag: 2})
 	pr.Add(1, Op{Kind: OpRecv, From: 0, RecvOff: 4, RecvLen: 8, Tag: 2})
 	pr.Add(1, Op{Kind: OpRecv, From: 0, RecvOff: 0, RecvLen: 4, Tag: 1})
-	if _, err := Verify(pr, VerifyConfig{Initial: initialOwner(map[int]Interval{0: {0, 16}})}); err != nil {
+	if _, err := Verify(pr, ""); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -170,7 +150,20 @@ func TestVerifyDistinctTagsMatchIndependently(t *testing.T) {
 func TestVerifyRejectsInvalidProgram(t *testing.T) {
 	pr := New("invalid-prog", 2, 8, 0)
 	pr.Add(0, Op{Kind: OpSend, To: 9, SendLen: 1, Tag: 1})
-	if _, err := Verify(pr, VerifyConfig{}); err == nil {
+	if _, err := Verify(pr, ""); err == nil {
 		t.Fatal("Verify must reject structurally invalid programs")
+	}
+}
+
+// TestVerifyRejectsUnknownCollectives: an op Verify has no start and end
+// for, and a chunked collective whose chunks would be unequal.
+func TestVerifyRejectsUnknownCollectives(t *testing.T) {
+	for _, tc := range []struct{ op, want string }{
+		{"alltoall", `unknown collective "alltoall"`},
+		{"gather", "chunks must be equal"},
+	} {
+		if _, err := Verify(New("x", 3, 8, 0), tc.op); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want %q", tc.op, err, tc.want)
+		}
 	}
 }
