@@ -181,3 +181,49 @@ func TestSplitCommsCacheApart(t *testing.T) {
 		}
 	}
 }
+
+// TestPerCallCollectivesShareTheCache calls each of the Comm's seven
+// per-call collectives twice on one shape: the first round binds one Plan
+// per collective in the rank's cache, and the second binds nothing more.
+func TestPerCallCollectivesShareTheCache(t *testing.T) {
+	const np, chunk = 4, 16
+	ctx := context.Background()
+	cl, err := NewCluster(ctx, Procs(np), Timeout(time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = cl.Run(ctx, func(c Comm) error {
+		mine, all := make([]byte, chunk), make([]byte, np*chunk)
+		in, out := make([]float64, 4), make([]float64, 4)
+		ops := []struct {
+			name string
+			call func() error
+		}{
+			{"bcast", func() error { return c.Bcast(ctx, all, 0) }},
+			{"barrier", func() error { return c.Barrier(ctx) }},
+			{"scatter", func() error { return c.Scatter(ctx, all, chunk, mine, 0) }},
+			{"gather", func() error { return c.Gather(ctx, mine, chunk, all, 0) }},
+			{"allgather", func() error { return c.Allgather(ctx, mine, chunk, all) }},
+			{"reduce", func() error { return c.ReduceFloat64(ctx, in, out, OpSum, 0) }},
+			{"allreduce", func() error { return c.AllreduceFloat64(ctx, in, out, OpSum) }},
+		}
+		for round := range 2 {
+			for i, op := range ops {
+				if err := op.call(); err != nil {
+					return fmt.Errorf("%s: %w", op.name, err)
+				}
+				want := i + 1
+				if round == 1 {
+					want = len(ops)
+				}
+				if held := c.calls.Len(); held != want {
+					return fmt.Errorf("rank %d round %d: %d Plans cached after %s, want %d", c.Rank(), round, held, op.name, want)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -96,9 +96,9 @@ type Comm struct {
 	// epoch is the Run this Comm (and every Persistent handle built on
 	// it) belongs to; nil only for the zero value.
 	epoch *runEpoch
-	// calls holds the Plans this communicator's per-call Bcasts bound on
-	// this rank; rank holds every such cache of the rank's communicators
-	// in this Run, for release when the rank body returns.
+	// calls holds the Plans this communicator's per-call collectives
+	// bound on this rank; rank holds every such cache of the rank's
+	// communicators in this Run, for release when the rank body returns.
 	calls *collective.Calls
 	rank  *rankCalls
 }
@@ -180,12 +180,13 @@ func (c Comm) Bcast(ctx context.Context, buf []byte, root int, opts ...CallOptio
 	return c.calls.Broadcast(c.bind(ctx), buf, root, c.defaults.merge(opts))
 }
 
-// Barrier synchronizes all ranks.
+// Barrier synchronizes all ranks. Like every collective of a Comm, it
+// compiles its schedule once per shape in a Run, as Bcast does.
 func (c Comm) Barrier(ctx context.Context) error {
 	if err := c.epochAlive(); err != nil {
 		return fmt.Errorf("bcast: barrier: %w", err)
 	}
-	return collective.Barrier(c.bind(ctx))
+	return c.calls.Barrier(c.bind(ctx))
 }
 
 // Send delivers buf to rank to with the given tag (at most MaxUserTag;
@@ -244,7 +245,7 @@ func (c Comm) Scatter(ctx context.Context, send []byte, chunk int, recv []byte, 
 	if err := c.epochAlive(); err != nil {
 		return fmt.Errorf("bcast: scatter: %w", err)
 	}
-	return collective.Scatter(c.bind(ctx), send, chunk, recv, root)
+	return c.calls.Scatter(c.bind(ctx), send, chunk, recv, root)
 }
 
 // Gather collects each rank's chunk-byte send buffer into recv on the
@@ -254,7 +255,7 @@ func (c Comm) Gather(ctx context.Context, send []byte, chunk int, recv []byte, r
 	if err := c.epochAlive(); err != nil {
 		return fmt.Errorf("bcast: gather: %w", err)
 	}
-	return collective.Gather(c.bind(ctx), send, chunk, recv, root)
+	return c.calls.Gather(c.bind(ctx), send, chunk, recv, root)
 }
 
 // Allgather is Gather delivered to every rank: recv (length Size*chunk)
@@ -263,7 +264,7 @@ func (c Comm) Allgather(ctx context.Context, send []byte, chunk int, recv []byte
 	if err := c.epochAlive(); err != nil {
 		return fmt.Errorf("bcast: allgather: %w", err)
 	}
-	return collective.Allgather(c.bind(ctx), send, chunk, recv)
+	return c.calls.Allgather(c.bind(ctx), send, chunk, recv)
 }
 
 // Op is a reduction operator over float64 vectors.
@@ -284,7 +285,7 @@ func (c Comm) AllreduceFloat64(ctx context.Context, in, out []float64, op Op) er
 	if err := c.epochAlive(); err != nil {
 		return fmt.Errorf("bcast: allreduce: %w", err)
 	}
-	return collective.AllreduceFloat64(c.bind(ctx), in, out, op)
+	return c.calls.AllreduceFloat64(c.bind(ctx), in, out, op)
 }
 
 // ReduceFloat64 combines every rank's in element-wise with op into out
@@ -293,5 +294,5 @@ func (c Comm) ReduceFloat64(ctx context.Context, in, out []float64, op Op, root 
 	if err := c.epochAlive(); err != nil {
 		return fmt.Errorf("bcast: reduce: %w", err)
 	}
-	return collective.ReduceFloat64(c.bind(ctx), in, out, op, root)
+	return c.calls.ReduceFloat64(c.bind(ctx), in, out, op, root)
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -172,6 +173,113 @@ func TestPerCallBcastAllocs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestPerCallCollectiveAllocs holds the facade's other per-call
+// collectives to their steady-state allocations at np 16: a Barrier, an
+// Allgather of a 1 KiB result (64 B per rank) and an AllreduceFloat64 of
+// 128 elements, each called on one shape over and over, so that every
+// call after the first runs the Plan its rank's cache bound then. The
+// budget is the worst the per-call path measured before these
+// collectives shared the broadcast's cache (0.013, noise: the calls
+// allocate nothing of their own), so one allocation per 50 calls per
+// rank fails it.
+func TestPerCallCollectiveAllocs(t *testing.T) {
+	const budget = 0.015
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	for _, op := range perCallOps {
+		t.Run(op.name, func(t *testing.T) {
+			allocs, _ := perCallRounds(t, op, 16, 500)
+			t.Logf("%.3f allocs per %s per rank", allocs, op.name)
+			if allocs > budget {
+				t.Errorf("%.3f allocs per %s per rank, budget %.3f", allocs, op.name, budget)
+			}
+		})
+	}
+}
+
+// BenchmarkPerCallCollectives times the calls TestPerCallCollectiveAllocs
+// gates, per call on rank 0.
+func BenchmarkPerCallCollectives(b *testing.B) {
+	for _, op := range perCallOps {
+		b.Run(op.name+"/np=16", func(b *testing.B) {
+			allocs, per := perCallRounds(b, op, 16, b.N)
+			b.ReportMetric(float64(per.Nanoseconds()), "ns/op")
+			b.ReportMetric(allocs, "allocs/rank/op")
+		})
+	}
+}
+
+// perCallOp is a per-call collective of the facade: start returns one
+// rank's call, over buffers it allocates once.
+type perCallOp struct {
+	name  string
+	start func(ctx context.Context, c bcast.Comm) func() error
+}
+
+var perCallOps = []perCallOp{
+	{"barrier", func(ctx context.Context, c bcast.Comm) func() error {
+		return func() error { return c.Barrier(ctx) }
+	}},
+	{"allgather", func(ctx context.Context, c bcast.Comm) func() error {
+		const chunk = 64
+		send, recv := make([]byte, chunk), make([]byte, c.Size()*chunk)
+		return func() error { return c.Allgather(ctx, send, chunk, recv) }
+	}},
+	{"allreduce", func(ctx context.Context, c bcast.Comm) func() error {
+		in, out := make([]float64, 128), make([]float64, 128)
+		return func() error { return c.AllreduceFloat64(ctx, in, out, bcast.OpSum) }
+	}},
+}
+
+// perCallRounds runs op on every rank of an np-rank cluster: three warm
+// calls, then rounds measured ones between two barriers. It returns the
+// allocations per call per rank and rank 0's wall time per call.
+func perCallRounds(tb testing.TB, op perCallOp, np, rounds int) (float64, time.Duration) {
+	tb.Helper()
+	ctx := context.Background()
+	cl, err := bcast.NewCluster(ctx, bcast.Procs(np), bcast.Timeout(10*time.Minute))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var allocs float64
+	var per time.Duration
+	err = cl.Run(ctx, func(c bcast.Comm) error {
+		call := op.start(ctx, c)
+		for range 3 {
+			if err := call(); err != nil {
+				return err
+			}
+		}
+		var before, after runtime.MemStats
+		if err := c.Barrier(ctx); err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			runtime.ReadMemStats(&before)
+		}
+		start := time.Now()
+		for range rounds {
+			if err := call(); err != nil {
+				return err
+			}
+		}
+		if err := c.Barrier(ctx); err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			per = time.Since(start) / time.Duration(rounds)
+			runtime.ReadMemStats(&after)
+			allocs = float64(after.Mallocs-before.Mallocs) / float64(rounds*np)
+		}
+		return nil
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return allocs, per
 }
 
 // allocCell is one shape of the alloc tests: a registry row broadcasting

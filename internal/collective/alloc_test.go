@@ -74,7 +74,7 @@ func startAllocHarness(t *testing.T, topo *topology.Map, exec engine.ExecPolicy,
 				if r == 0 {
 					binary.LittleEndian.PutUint64(ctl, uint64(int64(<-h.jobs)))
 				}
-				if err := runStatic(c, opBcast, ctl, 0, len(ctl), 0, core.BinomialOps, OpSum); err != nil {
+				if err := uncached.run(c, opBcast, core.BinomialOps, tune.Decision{}, ctl, 0, len(ctl), 0, OpSum); err != nil {
 					return err
 				}
 				idx := int(int64(binary.LittleEndian.Uint64(ctl)))

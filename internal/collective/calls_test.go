@@ -2,7 +2,9 @@ package collective
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,6 +13,10 @@ import (
 	"repro/internal/topology"
 	"repro/internal/tune"
 )
+
+// uncached is the nil Calls: every collective called through it binds a
+// Plan for that call only, as the package-level Broadcast does.
+var uncached *Calls
 
 // TestCallsEvictsLeastRecentlyUsed cycles one rank loop through more
 // (n, root, algorithm, seg) keys than a Calls holds, with a hot key
@@ -121,3 +127,156 @@ func TestCallsBindErrorCachesNothing(t *testing.T) {
 type fixedTuner tune.Decision
 
 func (f fixedTuner) Decide(tune.Env) tune.Decision { return tune.Decision(f) }
+
+// TestCallsKeyEveryOperation holds one Calls to its key across
+// operations. Six collectives of the same 64 bytes from root 0 — a
+// broadcast, an allgather, a scatter, a gather, a reduce and an
+// allreduce — and a barrier hold seven Plans, although all but the
+// broadcast share the zero decision; calling each again binds nothing;
+// eviction takes the least recently used Plan whatever its operation;
+// and a scatter from a root outside the communicator caches nothing.
+// Every call also checks its bytes, so a Plan run for the wrong
+// operation fails here as well.
+func TestCallsKeyEveryOperation(t *testing.T) {
+	const p, chunk = 4, 16
+	err := engine.RunWith(engine.Options{NP: p, Timeout: time.Minute}, func(c mpi.Comm) error {
+		var k Calls
+		defer k.Release()
+		me := c.Rank()
+		bcast := func(n int) func() error {
+			return func() error {
+				buf := bytes.Repeat([]byte{byte(me)}, n)
+				if err := k.Broadcast(c, buf, 0, Options{Algorithm: tune.Binomial}); err != nil {
+					return err
+				}
+				if !bytes.Equal(buf, bytes.Repeat([]byte{0}, n)) {
+					return errors.New("broadcast: wrong bytes")
+				}
+				return nil
+			}
+		}
+		scatter := func(chunk int) func() error {
+			return func() error {
+				all, got := pattern(p*chunk), make([]byte, chunk)
+				if err := k.Scatter(c, all, chunk, got, 0); err != nil {
+					return err
+				}
+				if !bytes.Equal(got, all[me*chunk:(me+1)*chunk]) {
+					return errors.New("scatter: wrong chunk")
+				}
+				return nil
+			}
+		}
+		all := pattern(p * chunk)
+		vec := make([]float64, chunk/2) // 64 bytes
+		for i := range vec {
+			vec[i] = float64(me + i)
+		}
+		// sum is what the ranks' vectors add up to at element 0.
+		const sum = p * (p - 1) / 2
+		ops := []struct {
+			name string
+			call func() error
+		}{
+			{"bcast", bcast(p * chunk)},
+			{"allgather", func() error {
+				got := make([]byte, p*chunk)
+				if err := k.Allgather(c, all[me*chunk:(me+1)*chunk], chunk, got); err != nil {
+					return err
+				}
+				if !bytes.Equal(got, all) {
+					return errors.New("allgather: wrong bytes")
+				}
+				return nil
+			}},
+			{"scatter", scatter(chunk)},
+			{"gather", func() error {
+				got := make([]byte, p*chunk)
+				if err := k.Gather(c, all[me*chunk:(me+1)*chunk], chunk, got, 0); err != nil {
+					return err
+				}
+				if me == 0 && !bytes.Equal(got, all) {
+					return errors.New("gather: wrong bytes")
+				}
+				return nil
+			}},
+			{"reduce", func() error {
+				out := make([]float64, len(vec))
+				if err := k.ReduceFloat64(c, vec, out, OpSum, 0); err != nil {
+					return err
+				}
+				if me == 0 && out[0] != sum {
+					return fmt.Errorf("reduce: %v, want %d", out[0], sum)
+				}
+				return nil
+			}},
+			{"allreduce", func() error {
+				out := make([]float64, len(vec))
+				if err := k.AllreduceFloat64(c, vec, out, OpSum); err != nil {
+					return err
+				}
+				if out[0] != sum {
+					return fmt.Errorf("allreduce: %v, want %d", out[0], sum)
+				}
+				return nil
+			}},
+			{"barrier", func() error { return k.Barrier(c) }},
+		}
+		plans := map[string]*Plan{} // the Plan each call ran, by name
+		call := func(name string, f func() error) error {
+			if err := f(); err != nil {
+				return fmt.Errorf("%s: %w", name, err)
+			}
+			plans[name] = k.plans[0]
+			return nil
+		}
+		for round := range 2 {
+			for i, op := range ops {
+				before := plans[op.name]
+				if err := call(op.name, op.call); err != nil {
+					return err
+				}
+				if want := i + 1; round == 0 && k.Len() != want {
+					return fmt.Errorf("rank %d: %d Plans held after %s, want %d", me, k.Len(), op.name, want)
+				}
+				if round == 1 && (k.Len() != len(ops) || plans[op.name] != before) {
+					return fmt.Errorf("rank %d: calling %s again bound a new Plan (%d held)", me, op.name, k.Len())
+				}
+			}
+		}
+		// Fill the cache, touch its oldest Plan, and overflow it: the
+		// allgather's Plan, now the least recently used, goes.
+		for _, step := range []struct {
+			name string
+			f    func() error
+		}{{"bcast 2x", bcast(2 * p * chunk)}, {"bcast", ops[0].call}, {"scatter 2x", scatter(2 * chunk)}} {
+			if err := call(step.name, step.f); err != nil {
+				return err
+			}
+		}
+		if k.Len() != callsCap {
+			return fmt.Errorf("rank %d: %d Plans held, want a full cache of %d", me, k.Len(), callsCap)
+		}
+		for _, q := range k.plans {
+			if q.op == opAllgather {
+				return fmt.Errorf("rank %d: the least recently used Plan, the allgather's, was not evicted", me)
+			}
+		}
+		for name, q := range plans {
+			if name != "allgather" && !slices.Contains(k.plans[:], q) {
+				return fmt.Errorf("rank %d: %s's Plan was evicted before the least recently used one", me, name)
+			}
+		}
+		held := k.plans
+		if err := k.Scatter(c, all, chunk, make([]byte, chunk), p); !errors.Is(err, mpi.ErrRank) {
+			return fmt.Errorf("rank %d: a scatter from root %d: got %v, want mpi.ErrRank", me, p, err)
+		}
+		if k.plans != held || k.Len() != callsCap {
+			return fmt.Errorf("rank %d: a scatter that failed its root check changed the cache", me)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

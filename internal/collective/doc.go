@@ -52,10 +52,10 @@
 // tune.Decision and hands it to RunDecision. The public bcast facade,
 // the bench harness and the CLI tools all build that struct, so "which
 // algorithm runs" has a single answer per (Options, Env) everywhere in
-// the system. The facade's per-call Bcast calls Calls.Broadcast on its
-// rank's cache instead: the same Decide on every call, then a Plan the
-// rank bound earlier for the same (bytes, root, decision), or
-// RunDecision's bind, with its errors, for one it has not.
+// the system. The facade's per-call collectives run through their rank's
+// cache, a Calls, instead: Bcast makes the same Decide on every call,
+// then runs a Plan the rank bound earlier for the same (bytes, root,
+// decision), or RunDecision's bind, with its errors, for one it has not.
 // tune.MPICH3 reproduces MPICH3's hardcoded dispatch bit-for-bit
 // (pinned by a literal golden table in internal/tune), and tune.TableTuner
 // dispatches through a JSON tuning table derived by the auto-tuner from
@@ -81,9 +81,14 @@
 // (core.DisseminationOps), Reduce the binomial broadcast reversed with
 // every receive a Fold (core.ReduceOps), which combines what arrives,
 // and Allreduce that reduction followed by the binomial broadcast, over
-// one buffer. The executor's two entries, Plan.Execute and runStatic,
-// record the spans: one per run of a schedule, so a collective that
-// runs none (a zero chunk) records none.
+// one buffer. Every collective, the broadcast included, runs the same
+// way: a Plan bound for its (op, bytes, root, decision) through a Calls
+// — a rank's cache, as in the facade, where a repeated shape pays no
+// emit, compile or manage; or a nil one, binding for one call — and run
+// by Plan.Execute, which records the span: one per run of a schedule,
+// so a collective that runs none (a zero chunk) records none. Only a
+// broadcast resolves its emitter through the registry; the others pass
+// their fixed one.
 //
 // All byte-buffer collectives follow MPI_BYTE semantics. Every function
 // is collective: all ranks of the communicator must call it with

@@ -21,13 +21,13 @@ func TestZeroChunkEdgePaths(t *testing.T) {
 		run  func(c mpi.Comm, p int) error
 	}{
 		{"scatter", func(c mpi.Comm, p int) error {
-			return Scatter(c, make([]byte, 0), 0, []byte{}, 0)
+			return uncached.Scatter(c, make([]byte, 0), 0, []byte{}, 0)
 		}},
 		{"gather", func(c mpi.Comm, p int) error {
-			return Gather(c, []byte{}, 0, make([]byte, 0), 0)
+			return uncached.Gather(c, []byte{}, 0, make([]byte, 0), 0)
 		}},
 		{"allgather", func(c mpi.Comm, p int) error {
-			return Allgather(c, []byte{}, 0, make([]byte, 0))
+			return uncached.Allgather(c, []byte{}, 0, make([]byte, 0))
 		}},
 	}
 	for _, op := range ops {
@@ -57,21 +57,21 @@ func TestSingleRankEdgePaths(t *testing.T) {
 		tc := col.WrapSlot(c.Rank(), c)
 		src := pattern(chunk)
 		dst := make([]byte, chunk)
-		if err := Scatter(tc, src, chunk, dst, 0); err != nil {
+		if err := uncached.Scatter(tc, src, chunk, dst, 0); err != nil {
 			return fmt.Errorf("scatter: %w", err)
 		}
 		if !bytes.Equal(dst, src) {
 			return fmt.Errorf("scatter p=1 copy mismatch")
 		}
 		dst = make([]byte, chunk)
-		if err := Gather(tc, src, chunk, dst, 0); err != nil {
+		if err := uncached.Gather(tc, src, chunk, dst, 0); err != nil {
 			return fmt.Errorf("gather: %w", err)
 		}
 		if !bytes.Equal(dst, src) {
 			return fmt.Errorf("gather p=1 copy mismatch")
 		}
 		dst = make([]byte, chunk)
-		if err := Allgather(tc, src, chunk, dst); err != nil {
+		if err := uncached.Allgather(tc, src, chunk, dst); err != nil {
 			return fmt.Errorf("allgather: %w", err)
 		}
 		if !bytes.Equal(dst, src) {
@@ -117,7 +117,7 @@ func TestConcurrentAllgatherOnSplitComms(t *testing.T) {
 			for i := range recv {
 				recv[i] = 0xEE
 			}
-			if err := Allgather(sub, send, chunk, recv); err != nil {
+			if err := uncached.Allgather(sub, send, chunk, recv); err != nil {
 				return fmt.Errorf("round %d: %w", round, err)
 			}
 			for src := 0; src < sp; src++ {

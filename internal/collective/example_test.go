@@ -32,12 +32,17 @@ func ExampleBroadcast() {
 	// rank 3 received [10 20 30 40]
 }
 
-// Allreduce gives every rank the global sum.
-func ExampleAllreduceFloat64() {
+// Allreduce gives every rank the global sum. Through a rank's Calls, a
+// repeated call runs the schedule the first one bound.
+func ExampleCalls_AllreduceFloat64() {
 	err := engine.Run(5, func(c mpi.Comm) error {
+		var calls collective.Calls
+		defer calls.Release()
 		out := make([]float64, 1)
-		if err := collective.AllreduceFloat64(c, []float64{float64(c.Rank())}, out, collective.OpSum); err != nil {
-			return err
+		for range 2 {
+			if err := calls.AllreduceFloat64(c, []float64{float64(c.Rank())}, out, collective.OpSum); err != nil {
+				return err
+			}
 		}
 		if c.Rank() == 0 {
 			fmt.Println("sum of ranks:", out[0])

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"time"
 
 	"repro/internal/bufpool"
 	"repro/internal/mpi"
@@ -15,11 +14,12 @@ import (
 // broadcast, the collectives that run one of its phases (Scatter,
 // Gather, Allgather; see gather.go), Barrier, and Reduce and Allreduce,
 // whose Fold receives combine what arrives. Each is a sched.Emitter
-// (internal/core); the executor asks it for the calling rank's
-// operations, shifts them into the part of the program's buffer the rank
-// holds, checks them, and runs them in order on the communicator. The
-// verifier, the simulator and the tuner consume the very same emitter
-// through sched.Generate, so what is verified is what runs.
+// (internal/core) bound into a Plan (plan.go) the one way, per call or
+// kept; binding asks the emitter for the calling rank's operations,
+// shifts them into the part of the program's buffer the rank holds and
+// checks them, and Plan.Execute runs them in order on the communicator.
+// The verifier, the simulator and the tuner consume the very same
+// emitter through sched.Generate, so what is verified is what runs.
 //
 // One thing is not done at its op: a plain receive of at least hoistFloor
 // bytes is posted as early, and completed as late, as its bytes allow
@@ -65,7 +65,7 @@ type rankOps struct {
 	cut, open, mark []int       // manage's scratch
 	bound           mpi.Binding // a kept Plan's edges (bindEdges); nil per call
 	halves          [][2]int    // per op: its send and receive edges' indices in bound, -1 for none
-	red             Op          // how a Fold receive combines (runStatic sets it)
+	red             Op          // how a Fold receive combines (set per run: Calls.run, ExecProgram)
 }
 
 // managed is a receive posted just before op post and completed just
@@ -339,11 +339,12 @@ func (s *rankOps) execOp(c mpi.Comm, mv mpi.Binding, i int, op *sched.Op, buf []
 	return checkCount(st, err, want)
 }
 
-// foldOp runs a Fold receive, which only runStatic's and ExecProgram's
-// unbound Plans carry: its bytes arrive in pooled scratch and s.red
-// combines them into their range of buf. On an error the world aborted
-// and the sender may still be copying, so the scratch is abandoned to
-// the GC rather than recycled.
+// foldOp runs a Fold receive, which only the per-call Plans of Reduce,
+// Allreduce and ExecProgram carry, never a kept one's bound edges: its
+// bytes arrive in pooled scratch and s.red combines them into their
+// range of buf. On an error the world aborted and the sender may still
+// be copying, so the scratch is abandoned to the GC rather than
+// recycled.
 func (s *rankOps) foldOp(c mpi.Comm, op *sched.Op, buf []byte) error {
 	in := bufpool.Get(op.RecvLen)
 	st, err := c.Recv(in.B, op.From, op.Tag)
@@ -370,52 +371,6 @@ func opError(c mpi.Comm, i int, op *sched.Op, err error) error {
 func checkRoot(c mpi.Comm, root int) error {
 	if root < 0 || root >= c.Size() {
 		return fmt.Errorf("collective: %w: root %d (size %d)", mpi.ErrRank, root, c.Size())
-	}
-	return nil
-}
-
-// runStatic runs the n-byte collective e describes from root: emit the
-// calling rank's ops into a pooled Plan's scratch, shift them into buf,
-// which holds bytes [lo, lo+len(buf)) of the program's buffer, check
-// them against it, advance the communicator's tag stream and run, red
-// combining every Fold receive; on success it records one span, name, of
-// n bytes. It is a Plan without selection or capability check, for the
-// collectives that run a fixed schedule: Barrier, Reduce, Allreduce, and
-// Scatter, Gather and Allgather, whose non-root ranks hold only their
-// subtree's bytes.
-func runStatic(c mpi.Comm, name string, buf []byte, lo, n, root int, e sched.Emitter, red Op) error {
-	if err := checkRoot(c, root); err != nil {
-		return err
-	}
-	ring, start := spanStart(c)
-	p := planPool.Get().(*Plan)
-	defer planPool.Put(p)
-	if err := p.ops.compile(c, e, root, n, 0, lo, len(buf)); err != nil {
-		return err
-	}
-	p.ops.red = red
-	if err := p.ops.run(c, buf); err != nil {
-		return err
-	}
-	if ring != nil {
-		ring.Record(name, "", 0, n, start, time.Since(start))
-	}
-	return nil
-}
-
-// run is exec behind the per-operation tag stream every collective draws
-// (a one-rank communicator sends nothing and draws none).
-func (s *rankOps) run(c mpi.Comm, buf []byte) error {
-	if c.Size() > 1 {
-		c.NextTagStream()
-	}
-	var mv mpi.Binding
-	if s.bound != nil && s.bound.Engage(c) {
-		mv = s.bound
-		defer mv.Disengage()
-	}
-	if err := s.exec(c, mv, buf); err != nil {
-		return fmt.Errorf("collective: exec: %w", err)
 	}
 	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/sched"
 	"repro/internal/topology"
+	"repro/internal/tune"
 )
 
 // runProgram executes a generated schedule on the real engine and checks
@@ -119,7 +120,7 @@ func TestCompileRejectsBadEmitter(t *testing.T) {
 		return append(dst, sched.Op{Kind: sched.OpSend, To: (rank + 1) % p, SendOff: n, SendLen: 1})
 	}
 	err := engine.Run(2, func(c mpi.Comm) error {
-		if err := runStatic(c, opBcast, make([]byte, 8), 0, 8, 0, outOfRange, OpSum); !errors.Is(err, ErrBadOp) {
+		if err := uncached.run(c, opBcast, outOfRange, tune.Decision{}, make([]byte, 8), 0, 8, 0, OpSum); !errors.Is(err, ErrBadOp) {
 			return fmt.Errorf("want ErrBadOp, got %v", err)
 		}
 		return nil

@@ -345,7 +345,7 @@ func TestHoistSkipsFoldReceives(t *testing.T) {
 			err := engine.Run(p, func(c mpi.Comm) error {
 				r := c.Rank()
 				out := make([]float64, m)
-				if err := ReduceFloat64(c, input(r), out, OpSum, root); err != nil {
+				if err := uncached.ReduceFloat64(c, input(r), out, OpSum, root); err != nil {
 					return err
 				}
 				if r == root {
@@ -353,7 +353,7 @@ func TestHoistSkipsFoldReceives(t *testing.T) {
 						return err
 					}
 				}
-				if err := AllreduceFloat64(c, input(r), out, OpSum); err != nil {
+				if err := uncached.AllreduceFloat64(c, input(r), out, OpSum); err != nil {
 					return err
 				}
 				return sameBits("allreduce", r, out, wantAll)

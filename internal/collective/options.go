@@ -65,5 +65,5 @@ func (o Options) Validate() error {
 // select for this communicator and message — the single selecting entry
 // point.
 func Broadcast(c mpi.Comm, buf []byte, root int, o Options) error {
-	return RunDecision(c, buf, root, o.Decide(envOf(c, len(buf))))
+	return (*Calls)(nil).Broadcast(c, buf, root, o)
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/sched"
+	"repro/internal/tune"
 )
 
 // Op is a reduction operator over float64 vectors.
@@ -84,7 +85,7 @@ var allreduceOps = sched.Emitter(core.ReduceOps).Then(core.BinomialOps)
 // into the root's `out` vector along a binomial tree (core.ReduceOps;
 // all operators are commutative and associative up to floating-point
 // rounding). Non-root ranks may pass a nil out.
-func ReduceFloat64(c mpi.Comm, in, out []float64, op Op, root int) error {
+func (k *Calls) ReduceFloat64(c mpi.Comm, in, out []float64, op Op, root int) error {
 	if err := checkRoot(c, root); err != nil {
 		return err
 	}
@@ -93,17 +94,17 @@ func ReduceFloat64(c mpi.Comm, in, out []float64, op Op, root int) error {
 	} else if len(out) < len(in) {
 		return fmt.Errorf("collective: reduce: out %d < in %d", len(out), len(in))
 	}
-	return fold(c, opReduce, core.ReduceOps, in, out, op, root)
+	return k.fold(c, opReduce, core.ReduceOps, in, out, op, root)
 }
 
 // AllreduceFloat64 reduces element-wise with op and delivers the result
 // to every rank's out vector: a reduce to rank 0 and a binomial
 // broadcast from it, run as one schedule.
-func AllreduceFloat64(c mpi.Comm, in, out []float64, op Op) error {
+func (k *Calls) AllreduceFloat64(c mpi.Comm, in, out []float64, op Op) error {
 	if len(out) < len(in) {
 		return fmt.Errorf("collective: allreduce: out %d < in %d", len(out), len(in))
 	}
-	return fold(c, opAllreduce, allreduceOps, in, out, op, 0)
+	return k.fold(c, opAllreduce, allreduceOps, in, out, op, 0)
 }
 
 // fold encodes in into a pooled accumulator, runs e from root over it
@@ -112,13 +113,13 @@ func AllreduceFloat64(c mpi.Comm, in, out []float64, op Op) error {
 // path: when the run errors the world aborted and a peer may still be
 // copying through it, so it is abandoned to the GC instead (the engine
 // pools' abort rule).
-func fold(c mpi.Comm, name string, e sched.Emitter, in, out []float64, op Op, root int) error {
+func (k *Calls) fold(c mpi.Comm, name string, e sched.Emitter, in, out []float64, op Op, root int) error {
 	if op < OpSum || op > OpMin {
 		return fmt.Errorf("collective: %s: unknown reduction operator %v", name, op)
 	}
 	acc := bufpool.Get(8 * len(in))
 	encodeFloat64sInto(acc.B, in)
-	if err := runStatic(c, name, acc.B, 0, len(acc.B), root, e, op); err != nil {
+	if err := k.run(c, name, e, tune.Decision{}, acc.B, 0, len(acc.B), root, op); err != nil {
 		return fmt.Errorf("collective: %s: %w", name, err)
 	}
 	if out != nil {

@@ -224,19 +224,14 @@ func envOf(c mpi.Comm, n int) tune.Env {
 // checking the decided algorithm exists and its capabilities admit the
 // environment (a mis-keyed tuning table fails loudly, not with a hang or
 // a wrong answer deep inside an algorithm). It is a Plan bound for one
-// call: the same bind-then-Execute path a persistent handle takes, with
-// the rank's ops emitted into a pooled Plan instead of a kept one — so the
-// per-call and persistent broadcasts cannot drift apart, and both record
-// the same {rank, op, algorithm, seg, bytes, start, duration} span when
-// the communicator carries a span ring.
+// call, through a nil Calls: the same bind-then-Execute path a
+// persistent handle takes, with the rank's ops emitted into a pooled
+// Plan instead of a kept one — so the per-call and persistent
+// broadcasts cannot drift apart, and both record the same {rank, op,
+// algorithm, seg, bytes, start, duration} span when the communicator
+// carries a span ring.
 func RunDecision(c mpi.Comm, buf []byte, root int, d tune.Decision) error {
-	p := planPool.Get().(*Plan)
-	defer planPool.Put(p)
-	p.root = root
-	if err := p.bind(c, len(buf), d); err != nil {
-		return err
-	}
-	return p.Execute(c, buf)
+	return (*Calls)(nil).run(c, opBcast, nil, d, buf, 0, len(buf), root, OpSum)
 }
 
 // rows is the built-in broadcast family, the registry's only rows: a new

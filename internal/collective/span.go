@@ -7,11 +7,11 @@ import (
 	"repro/internal/mpi"
 )
 
-// Span op names. These are the interned constants the two emission
-// sites, Plan.Execute and runStatic, pass to SpanRing.Record, so
-// recording never builds a string. A span is one run of a schedule. The
-// broadcast op carries the registry algorithm name alongside; the
-// fixed-algorithm collectives leave it empty.
+// Span op names. A Plan carries one, and Plan.Execute, the one emission
+// site, passes it to SpanRing.Record, so recording never builds a
+// string. A span is one run of a schedule. The broadcast op carries the
+// registry algorithm name alongside; the fixed-algorithm collectives
+// leave it empty.
 const (
 	opBcast     = "bcast"
 	opScatter   = "scatter"
@@ -23,8 +23,8 @@ const (
 )
 
 // spanStart opens the span bracket around a run of a schedule: it reads
-// c's ring and the clock only when spans are actually enabled. Both
-// sites close the bracket with ring.Record on the success path (failed
+// c's ring and the clock only when spans are actually enabled.
+// Plan.Execute closes the bracket with ring.Record on the success path (failed
 // operations abort the world — the AbortedRuns counter covers them; a
 // half-run span would only pollute the timeline). The whole
 // disabled-spans cost is one method call and a nil check.

@@ -67,7 +67,7 @@ func TestScatterGatherRoundTrip(t *testing.T) {
 						src = pattern(p * chunk)
 					}
 					mine := make([]byte, chunk)
-					if err := Scatter(c, src, chunk, mine, root); err != nil {
+					if err := uncached.Scatter(c, src, chunk, mine, root); err != nil {
 						return err
 					}
 					want := pattern(p * chunk)[c.Rank()*chunk : (c.Rank()+1)*chunk]
@@ -82,7 +82,7 @@ func TestScatterGatherRoundTrip(t *testing.T) {
 					if c.Rank() == root {
 						dst = make([]byte, p*chunk)
 					}
-					if err := Gather(c, mine, chunk, dst, root); err != nil {
+					if err := uncached.Gather(c, mine, chunk, dst, root); err != nil {
 						return err
 					}
 					if c.Rank() == root {
@@ -111,7 +111,8 @@ func TestScatterGatherRoundTrip(t *testing.T) {
 // equals the program's sends — in total, split on the map and by tag —
 // every message is received once, and every rank ends with the right
 // bytes; at a small chunk, and at one whose receives the executor posts
-// ahead of their ops.
+// ahead of their ops; once through a nil Calls, and twice through a
+// rank-held one, whose second call runs the Plan the first bound.
 func TestScatterGatherAllgatherRunTheirSchedules(t *testing.T) {
 	for _, exec := range []engine.ExecPolicy{engine.Goroutine, engine.Pooled} {
 		for _, p := range []int{2, 5, 8, 9, 13} {
@@ -123,11 +124,11 @@ func TestScatterGatherAllgatherRunTheirSchedules(t *testing.T) {
 				for _, tc := range []struct {
 					name string
 					pr   *sched.Program
-					run  func(c mpi.Comm) error
+					run  func(c mpi.Comm, k *Calls) error
 				}{
-					{"scatter", sched.Generate("scatter", core.ScatterOps, p, root, n, 0), func(c mpi.Comm) error {
+					{"scatter", sched.Generate("scatter", core.ScatterOps, p, root, n, 0), func(c mpi.Comm, k *Calls) error {
 						got := make([]byte, chunk)
-						if err := Scatter(c, all, chunk, got, root); err != nil {
+						if err := k.Scatter(c, all, chunk, got, root); err != nil {
 							return err
 						}
 						if !bytes.Equal(got, mine(c)) {
@@ -135,9 +136,9 @@ func TestScatterGatherAllgatherRunTheirSchedules(t *testing.T) {
 						}
 						return nil
 					}},
-					{"gather", sched.Generate("gather", gatherOps, p, root, n, 0), func(c mpi.Comm) error {
+					{"gather", sched.Generate("gather", gatherOps, p, root, n, 0), func(c mpi.Comm, k *Calls) error {
 						got := make([]byte, n)
-						if err := Gather(c, mine(c), chunk, got, root); err != nil {
+						if err := k.Gather(c, mine(c), chunk, got, root); err != nil {
 							return err
 						}
 						if c.Rank() == root && !bytes.Equal(got, all) {
@@ -145,9 +146,9 @@ func TestScatterGatherAllgatherRunTheirSchedules(t *testing.T) {
 						}
 						return nil
 					}},
-					{"allgather", sched.Generate("allgather", core.RingNativeOps, p, 0, n, 0), func(c mpi.Comm) error {
+					{"allgather", sched.Generate("allgather", core.RingNativeOps, p, 0, n, 0), func(c mpi.Comm, k *Calls) error {
 						got := make([]byte, n)
-						if err := Allgather(c, mine(c), chunk, got); err != nil {
+						if err := k.Allgather(c, mine(c), chunk, got); err != nil {
 							return err
 						}
 						if !bytes.Equal(got, all) {
@@ -156,16 +157,32 @@ func TestScatterGatherAllgatherRunTheirSchedules(t *testing.T) {
 						return nil
 					}},
 				} {
-					label := fmt.Sprintf("%s/%v/p=%d/chunk=%d", tc.name, exec, p, chunk)
-					col := trace.NewCollector()
-					err := engine.RunWith(engine.Options{NP: p, Topology: topo, Executor: exec}, func(c mpi.Comm) error {
-						return tc.run(col.WrapSlot(c.Rank(), c))
-					})
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					if got, want := col.Stats(), scheduleTraffic(tc.pr, topo, 1); !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s: traced %s\nthe schedule moves %s", label, got, want)
+					for _, held := range []bool{false, true} {
+						label := fmt.Sprintf("%s/%v/p=%d/chunk=%d/held=%v", tc.name, exec, p, chunk, held)
+						calls := 1
+						if held {
+							calls = 2
+						}
+						col := trace.NewCollector()
+						err := engine.RunWith(engine.Options{NP: p, Topology: topo, Executor: exec}, func(c mpi.Comm) error {
+							k := uncached
+							if held {
+								k = new(Calls)
+								defer k.Release()
+							}
+							for range calls {
+								if err := tc.run(col.WrapSlot(c.Rank(), c), k); err != nil {
+									return err
+								}
+							}
+							return nil
+						})
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						if got, want := col.Stats(), scheduleTraffic(tc.pr, topo, calls); !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s: traced %s\nthe schedule moves %s", label, got, want)
+						}
 					}
 				}
 			}
@@ -175,14 +192,14 @@ func TestScatterGatherAllgatherRunTheirSchedules(t *testing.T) {
 
 func TestScatterValidation(t *testing.T) {
 	err := engine.Run(2, func(c mpi.Comm) error {
-		if err := Scatter(c, nil, -1, nil, 0); err == nil {
+		if err := uncached.Scatter(c, nil, -1, nil, 0); err == nil {
 			return errors.New("negative chunk must fail")
 		}
-		if err := Scatter(c, nil, 4, make([]byte, 2), 0); err == nil {
+		if err := uncached.Scatter(c, nil, 4, make([]byte, 2), 0); err == nil {
 			return errors.New("short recv buffer must fail")
 		}
 		if c.Rank() == 0 {
-			if err := Scatter(c, make([]byte, 4), 4, make([]byte, 4), 0); err == nil {
+			if err := uncached.Scatter(c, make([]byte, 4), 4, make([]byte, 4), 0); err == nil {
 				return errors.New("short send buffer must fail on root")
 			}
 		}
@@ -202,7 +219,7 @@ func TestAllgatherRing(t *testing.T) {
 			err := engine.Run(p, func(c mpi.Comm) error {
 				mine := bytes.Repeat([]byte{byte(c.Rank() + 1)}, chunk)
 				all := make([]byte, p*chunk)
-				if err := Allgather(c, mine, chunk, all); err != nil {
+				if err := uncached.Allgather(c, mine, chunk, all); err != nil {
 					return err
 				}
 				for r := 0; r < p; r++ {
@@ -230,7 +247,7 @@ func TestReduceFloat64Sum(t *testing.T) {
 				if c.Rank() == root {
 					out = make([]float64, 3)
 				}
-				if err := ReduceFloat64(c, in, out, OpSum, root); err != nil {
+				if err := uncached.ReduceFloat64(c, in, out, OpSum, root); err != nil {
 					return err
 				}
 				if c.Rank() == root {
@@ -253,19 +270,19 @@ func TestReduceFloat64MaxMinProd(t *testing.T) {
 	err := engine.Run(p, func(c mpi.Comm) error {
 		r := float64(c.Rank())
 		out := make([]float64, 1)
-		if err := AllreduceFloat64(c, []float64{r}, out, OpMax); err != nil {
+		if err := uncached.AllreduceFloat64(c, []float64{r}, out, OpMax); err != nil {
 			return err
 		}
 		if out[0] != float64(p-1) {
 			return fmt.Errorf("max = %v", out[0])
 		}
-		if err := AllreduceFloat64(c, []float64{r}, out, OpMin); err != nil {
+		if err := uncached.AllreduceFloat64(c, []float64{r}, out, OpMin); err != nil {
 			return err
 		}
 		if out[0] != 0 {
 			return fmt.Errorf("min = %v", out[0])
 		}
-		if err := AllreduceFloat64(c, []float64{r + 1}, out, OpProd); err != nil {
+		if err := uncached.AllreduceFloat64(c, []float64{r + 1}, out, OpProd); err != nil {
 			return err
 		}
 		want := 1.0
@@ -287,7 +304,7 @@ func TestAllreduceEveryRankGetsResult(t *testing.T) {
 		err := engine.Run(p, func(c mpi.Comm) error {
 			in := []float64{1}
 			out := make([]float64, 1)
-			if err := AllreduceFloat64(c, in, out, OpSum); err != nil {
+			if err := uncached.AllreduceFloat64(c, in, out, OpSum); err != nil {
 				return err
 			}
 			if out[0] != float64(p) {
@@ -319,7 +336,7 @@ func TestAllreduceScratchCountedInItsByteClass(t *testing.T) {
 	kib, kib8 := gets(1<<10), gets(8<<10)
 	err := engine.Run(4, func(c mpi.Comm) error {
 		in, out := make([]float64, 1000), make([]float64, 1000)
-		return AllreduceFloat64(c, in, out, OpSum)
+		return uncached.AllreduceFloat64(c, in, out, OpSum)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -339,13 +356,13 @@ func TestReduceUnknownOp(t *testing.T) {
 	const p = 4
 	err := engine.Run(p, func(c mpi.Comm) error {
 		in, out := []float64{1}, make([]float64, 1)
-		if err := AllreduceFloat64(c, in, out, Op(42)); err == nil || !strings.Contains(err.Error(), "Op(42)") {
+		if err := uncached.AllreduceFloat64(c, in, out, Op(42)); err == nil || !strings.Contains(err.Error(), "Op(42)") {
 			return fmt.Errorf("rank %d: allreduce with Op(42): got %v", c.Rank(), err)
 		}
-		if err := ReduceFloat64(c, in, out, Op(42), 0); err == nil || !strings.Contains(err.Error(), "Op(42)") {
+		if err := uncached.ReduceFloat64(c, in, out, Op(42), 0); err == nil || !strings.Contains(err.Error(), "Op(42)") {
 			return fmt.Errorf("rank %d: reduce with Op(42): got %v", c.Rank(), err)
 		}
-		if err := AllreduceFloat64(c, in, out, OpSum); err != nil {
+		if err := uncached.AllreduceFloat64(c, in, out, OpSum); err != nil {
 			return err
 		}
 		if out[0] != p {
@@ -360,15 +377,15 @@ func TestReduceUnknownOp(t *testing.T) {
 
 func TestReduceValidation(t *testing.T) {
 	err := engine.Run(2, func(c mpi.Comm) error {
-		if err := ReduceFloat64(c, []float64{1}, nil, OpSum, 9); !errors.Is(err, mpi.ErrRank) {
+		if err := uncached.ReduceFloat64(c, []float64{1}, nil, OpSum, 9); !errors.Is(err, mpi.ErrRank) {
 			return fmt.Errorf("bad root: got %v", err)
 		}
 		if c.Rank() == 0 {
-			if err := ReduceFloat64(c, []float64{1, 2}, make([]float64, 1), OpSum, 0); err == nil {
+			if err := uncached.ReduceFloat64(c, []float64{1, 2}, make([]float64, 1), OpSum, 0); err == nil {
 				return errors.New("short out must fail on root")
 			}
 		}
-		if err := AllreduceFloat64(c, []float64{1, 2}, make([]float64, 1), OpSum); err == nil {
+		if err := uncached.AllreduceFloat64(c, []float64{1, 2}, make([]float64, 1), OpSum); err == nil {
 			return errors.New("short out must fail in allreduce")
 		}
 		return nil
@@ -391,51 +408,66 @@ func TestOpString(t *testing.T) {
 // schedule. Each supporting collective records exactly one per call on
 // every rank, with its op name and the bytes of its program buffer — an
 // Allreduce no nested "reduce" — and a zero-chunk call, which runs no
-// schedule, records none.
+// schedule, records none. It holds both for a Plan bound for the call
+// (a nil Calls) and, in the second of two rounds, for the Plan a
+// rank-held Calls bound in the first.
 func TestSupportingCollectivesRecordOneSpan(t *testing.T) {
 	const p, chunk = 5, 24
 	vec := []float64{1, 2, 3}
-	err := engine.RunWith(engine.Options{NP: p, Metrics: metrics.New(p, 64)}, func(c mpi.Comm) error {
-		all := make([]byte, p*chunk)
-		out := make([]float64, len(vec))
-		for _, tc := range []struct {
-			op    string
-			bytes int // -1: no span
-			call  func() error
-		}{
-			{opBarrier, 0, func() error { return Barrier(c) }},
-			{opScatter, p * chunk, func() error { return Scatter(c, all, chunk, all, 1) }},
-			{opGather, p * chunk, func() error { return Gather(c, all, chunk, all, 2) }},
-			{opAllgather, p * chunk, func() error { return Allgather(c, all[:chunk], chunk, all) }},
-			{opReduce, 8 * len(vec), func() error { return ReduceFloat64(c, vec, out, OpMax, 3) }},
-			{opAllreduce, 8 * len(vec), func() error { return AllreduceFloat64(c, vec, out, OpSum) }},
-			{opScatter, -1, func() error { return Scatter(c, all, 0, all, 0) }},
-			{opGather, -1, func() error { return Gather(c, all, 0, all, 0) }},
-			{opAllgather, -1, func() error { return Allgather(c, all, 0, all) }},
-		} {
-			ring := c.SpanRing()
-			before := ring.Recorded()
-			if err := tc.call(); err != nil {
-				return err
+	for _, held := range []bool{false, true} {
+		err := engine.RunWith(engine.Options{NP: p, Metrics: metrics.New(p, 64)}, func(c mpi.Comm) error {
+			k := uncached
+			if held {
+				k = new(Calls)
+				defer k.Release()
 			}
-			got := ring.Recorded() - before
-			if tc.bytes < 0 {
-				if got != 0 {
-					return fmt.Errorf("rank %d: zero-chunk %s recorded %d spans", c.Rank(), tc.op, got)
+			all := make([]byte, p*chunk)
+			out := make([]float64, len(vec))
+			for round := range 2 {
+				for _, tc := range []struct {
+					op    string
+					bytes int // -1: no span
+					call  func() error
+				}{
+					{opBarrier, 0, func() error { return k.Barrier(c) }},
+					{opScatter, p * chunk, func() error { return k.Scatter(c, all, chunk, all, 1) }},
+					{opGather, p * chunk, func() error { return k.Gather(c, all, chunk, all, 2) }},
+					{opAllgather, p * chunk, func() error { return k.Allgather(c, all[:chunk], chunk, all) }},
+					{opReduce, 8 * len(vec), func() error { return k.ReduceFloat64(c, vec, out, OpMax, 3) }},
+					{opAllreduce, 8 * len(vec), func() error { return k.AllreduceFloat64(c, vec, out, OpSum) }},
+					{opScatter, -1, func() error { return k.Scatter(c, all, 0, all, 0) }},
+					{opGather, -1, func() error { return k.Gather(c, all, 0, all, 0) }},
+					{opAllgather, -1, func() error { return k.Allgather(c, all, 0, all) }},
+				} {
+					where := fmt.Sprintf("rank %d, held %v, round %d", c.Rank(), held, round)
+					ring := c.SpanRing()
+					before := ring.Recorded()
+					if err := tc.call(); err != nil {
+						return err
+					}
+					got := ring.Recorded() - before
+					if tc.bytes < 0 {
+						if got != 0 {
+							return fmt.Errorf("%s: zero-chunk %s recorded %d spans", where, tc.op, got)
+						}
+						continue
+					}
+					if got != 1 {
+						return fmt.Errorf("%s: %s recorded %d spans, want 1", where, tc.op, got)
+					}
+					spans := ring.Spans()
+					if last := spans[len(spans)-1]; last.Op != tc.op || last.Bytes != tc.bytes || last.Algorithm != "" {
+						return fmt.Errorf("%s: %s recorded %+v, want a %q span of %d bytes", where, tc.op, last, tc.op, tc.bytes)
+					}
 				}
-				continue
 			}
-			if got != 1 {
-				return fmt.Errorf("rank %d: %s recorded %d spans, want 1", c.Rank(), tc.op, got)
+			if held && k.Len() != 6 {
+				return fmt.Errorf("rank %d: %d Plans held, want one per collective that ran a schedule", c.Rank(), k.Len())
 			}
-			spans := ring.Spans()
-			if last := spans[len(spans)-1]; last.Op != tc.op || last.Bytes != tc.bytes || last.Algorithm != "" {
-				return fmt.Errorf("rank %d: %s recorded %+v, want a %q span of %d bytes", c.Rank(), tc.op, last, tc.op, tc.bytes)
-			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }

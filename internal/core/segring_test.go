@@ -19,9 +19,6 @@ func TestBcastNativeSegProgramVerifies(t *testing.T) {
 		p, root, n := g[0], g[1], g[2]
 		for _, seg := range segGrid() {
 			pr := sched.Generate("bcast-native-seg", BcastNativeSegOps, p, root, n, seg)
-			if err := pr.Validate(); err != nil {
-				t.Fatalf("p=%d root=%d n=%d seg=%d: %v", p, root, n, seg, err)
-			}
 			if _, err := sched.Verify(pr, "bcast"); err != nil {
 				t.Fatalf("p=%d root=%d n=%d seg=%d: %v", p, root, n, seg, err)
 			}
@@ -37,9 +34,6 @@ func TestBcastOptSegProgramVerifies(t *testing.T) {
 		p, root, n := g[0], g[1], g[2]
 		for _, seg := range segGrid() {
 			pr := sched.Generate("bcast-opt-seg", BcastOptSegOps, p, root, n, seg)
-			if err := pr.Validate(); err != nil {
-				t.Fatalf("p=%d root=%d n=%d seg=%d: %v", p, root, n, seg, err)
-			}
 			res, err := sched.Verify(pr, "bcast")
 			if err != nil {
 				t.Fatalf("p=%d root=%d n=%d seg=%d: %v", p, root, n, seg, err)

@@ -293,28 +293,18 @@ func (pr *Program) OpsOf(rank int) []Op {
 	return pr.Ranks[rank]
 }
 
-// Validate performs structural checks: rank indices in range, offsets and
-// lengths within the buffer, and globally that every send half has exactly
-// one matching receive half with equal payload length (matched FIFO per
-// (src, dst, tag) channel, mirroring MPI's non-overtaking rule).
+// Validate performs structural checks: those of checkOps, and globally
+// that every send half has exactly one matching receive half with equal
+// payload length (matched FIFO per (src, dst, tag) channel, mirroring
+// MPI's non-overtaking rule).
 func (pr *Program) Validate() error {
-	if pr.P <= 0 {
-		return fmt.Errorf("sched: program %q: nonpositive P=%d", pr.Name, pr.P)
+	if err := pr.checkOps(); err != nil {
+		return err
 	}
-	if len(pr.Ranks) != pr.P {
-		return fmt.Errorf("sched: program %q: len(Ranks)=%d want %d", pr.Name, len(pr.Ranks), pr.P)
-	}
-	if pr.Root < 0 || pr.Root >= pr.P {
-		return fmt.Errorf("sched: program %q: root %d out of range", pr.Name, pr.Root)
-	}
-	type chanKey struct{ src, dst, tag int }
 	sends := map[chanKey][]int{} // payload lengths in program order
 	recvs := map[chanKey][]int{}
 	for r := 0; r < pr.P; r++ {
-		for i, op := range pr.Ranks[r] {
-			if err := op.Check(pr.P, pr.N, r); err != nil {
-				return fmt.Errorf("sched: program %q rank %d op %d (%s): %w", pr.Name, r, i, op, err)
-			}
+		for _, op := range pr.Ranks[r] {
 			if op.Kind != OpRecv {
 				k := chanKey{r, op.To, op.Tag}
 				sends[k] = append(sends[k], op.SendLen)
@@ -342,6 +332,28 @@ func (pr *Program) Validate() error {
 	for k := range recvs {
 		return fmt.Errorf("sched: program %q: channel %d->%d tag %d has recvs without sends",
 			pr.Name, k.src, k.dst, k.tag)
+	}
+	return nil
+}
+
+// checkOps checks the program's shape and each op against (P, N, rank):
+// the part of Validate that matches no channels.
+func (pr *Program) checkOps() error {
+	if pr.P <= 0 {
+		return fmt.Errorf("sched: program %q: nonpositive P=%d", pr.Name, pr.P)
+	}
+	if len(pr.Ranks) != pr.P {
+		return fmt.Errorf("sched: program %q: len(Ranks)=%d want %d", pr.Name, len(pr.Ranks), pr.P)
+	}
+	if pr.Root < 0 || pr.Root >= pr.P {
+		return fmt.Errorf("sched: program %q: root %d out of range", pr.Name, pr.Root)
+	}
+	for r, ops := range pr.Ranks {
+		for i, op := range ops {
+			if err := op.Check(pr.P, pr.N, r); err != nil {
+				return fmt.Errorf("sched: program %q rank %d op %d (%s): %w", pr.Name, r, i, op, err)
+			}
+		}
 	}
 	return nil
 }

@@ -132,13 +132,16 @@ func sum(hs [][]piece, n int) []piece {
 	return fold(nil, sum(hs[:len(hs)/2], n), sum(hs[len(hs)/2:], n), n)
 }
 
-// message is an in-flight send half: what its sender held over its range,
-// at offsets relative to it, and whom the sender had heard from.
+// message is an in-flight send half: its length, what its sender held
+// over its range, at offsets relative to it, and whom the sender had
+// heard from.
 type message struct {
+	n      int
 	pieces []piece
 	heard  []uint64
 }
 
+// chanKey names a channel: messages on it match FIFO.
 type chanKey struct{ src, dst, tag int }
 
 // queue holds a channel's in-flight messages from head on, rewinding when empty.
@@ -192,9 +195,12 @@ type verifier struct {
 // Sends complete at once and receives block until matched (a Sendrecv's
 // send half is issued when the op is reached, as MPI_Sendrecv's halves
 // run concurrently). Matching is FIFO per (source, destination, tag),
-// mirroring MPI's non-overtaking rule for single-threaded ranks.
+// mirroring MPI's non-overtaking rule for single-threaded ranks. A
+// receive must be as long as the message it matches, and a program that
+// ends with a message unmatched fails, so Verify rejects every program
+// Validate does.
 func Verify(pr *Program, op string) (*VerifyResult, error) {
-	if err := pr.Validate(); err != nil {
+	if err := pr.checkOps(); err != nil {
 		return nil, err
 	}
 	if (op == "scatter" || op == "gather" || op == "allgather") && pr.N%pr.P != 0 {
@@ -288,17 +294,21 @@ func (v *verifier) send(r int, op Op) {
 		q = &queue{}
 		v.inflight[k] = q
 	}
-	q.msgs = append(q.msgs, message{v.slab[start:len(v.slab):len(v.slab)], v.heard[r]})
+	q.msgs = append(q.msgs, message{op.SendLen, v.slab[start:len(v.slab):len(v.slab)], v.heard[r]})
 }
 
 // recv tries to match the receive half of op on rank r, and applies the
-// message it matches.
-func (v *verifier) recv(r int, op Op) bool {
+// message it matches, which must be as long as the receive.
+func (v *verifier) recv(r int, op Op) (bool, error) {
 	q := v.inflight[chanKey{op.From, r, op.Tag}]
 	if q == nil || q.head == len(q.msgs) {
-		return false
+		return false, nil
 	}
 	m := q.msgs[q.head]
+	if m.n != op.RecvLen {
+		return false, fmt.Errorf("sched: verify %q: channel %d->%d tag %d: send %d bytes, recv %d bytes",
+			v.pr.Name, op.From, r, op.Tag, m.n, op.RecvLen)
+	}
 	if q.head++; q.head == len(q.msgs) {
 		q.msgs, q.head = q.msgs[:0], 0
 	}
@@ -327,10 +337,11 @@ func (v *verifier) recv(r int, op Op) bool {
 		}
 	}
 	v.res.Delivered++
-	return true
+	return true, nil
 }
 
-// run executes the program to its end, or to a deadlock.
+// run executes the program to its end, or to a deadlock, and then
+// rejects a message no receive matched.
 func (v *verifier) run() error {
 	pr := v.pr
 	pc := make([]int, pr.P)      // next op index per rank
@@ -349,7 +360,11 @@ func (v *verifier) run() error {
 					v.send(r, op)
 					issued[r], progressed = true, true
 				}
-				if !v.recv(r, op) {
+				ok, err := v.recv(r, op)
+				if err != nil {
+					return err
+				}
+				if !ok {
 					break
 				}
 				issued[r], progressed = false, true
@@ -357,6 +372,12 @@ func (v *verifier) run() error {
 			done = done && pc[r] == len(ops)
 		}
 		if done {
+			for k, q := range v.inflight {
+				if left := len(q.msgs) - q.head; left > 0 {
+					return fmt.Errorf("sched: verify %q: channel %d->%d tag %d has %d sends without recvs",
+						pr.Name, k.src, k.dst, k.tag, left)
+				}
+			}
 			return nil
 		}
 		if progressed {

@@ -167,3 +167,40 @@ func TestVerifyRejectsUnknownCollectives(t *testing.T) {
 		}
 	}
 }
+
+// TestVerifyRejectsUnmatchedMessages: Verify matches each channel once, as
+// it runs, so it must still reject what Validate's channel pass rejects —
+// a receive of another length than its message, a send no receive
+// matches, and a receive no send matches.
+func TestVerifyRejectsUnmatchedMessages(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		ops        [2][]Op
+	}{
+		{"length mismatch", "channel 0->1 tag 1: send 4 bytes, recv 3 bytes", [2][]Op{
+			{{Kind: OpSend, To: 1, SendLen: 4, Tag: 1}},
+			{{Kind: OpRecv, From: 0, RecvLen: 3, Tag: 1}},
+		}},
+		{"send without receive", "channel 0->1 tag 2 has 1 sends without recvs", [2][]Op{
+			{{Kind: OpSend, To: 1, SendLen: 4, Tag: 1}, {Kind: OpSend, To: 1, SendLen: 4, Tag: 2}},
+			{{Kind: OpRecv, From: 0, RecvLen: 4, Tag: 1}},
+		}},
+		{"receive without send", "deadlock", [2][]Op{
+			{{Kind: OpSend, To: 1, SendLen: 4, Tag: 1}},
+			{{Kind: OpRecv, From: 0, RecvLen: 4, Tag: 1}, {Kind: OpRecv, From: 0, RecvLen: 4, Tag: 2}},
+		}},
+	} {
+		pr := New(tc.name, 2, 8, 0)
+		for r, ops := range tc.ops {
+			for _, op := range ops {
+				pr.Add(r, op)
+			}
+		}
+		if pr.Validate() == nil {
+			t.Fatalf("%s: Validate accepts the program", tc.name)
+		}
+		if _, err := Verify(pr, ""); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
