@@ -40,40 +40,49 @@ func (op Op) String() string {
 }
 
 // combine accumulates the float64 vector src into dst element-wise,
-// both encoded as encodeFloat64sInto writes them.
+// both encoded as encodeFloat64sInto writes them. It picks the
+// operator's loop once per call, not once per element.
 func (op Op) combine(dst, src []byte) {
-	for i := 0; i < len(dst); i += 8 {
-		a := math.Float64frombits(binary.LittleEndian.Uint64(dst[i:]))
-		b := math.Float64frombits(binary.LittleEndian.Uint64(src[i:]))
-		switch op {
-		case OpSum:
-			a += b
-		case OpProd:
-			a *= b
-		case OpMax:
-			if b > a {
-				a = b
-			}
-		case OpMin:
-			if b < a {
-				a = b
+	switch op {
+	case OpSum:
+		for i := 0; i < len(dst); i += 8 {
+			putFloat64(dst[i:], float64At(dst[i:])+float64At(src[i:]))
+		}
+	case OpProd:
+		for i := 0; i < len(dst); i += 8 {
+			putFloat64(dst[i:], float64At(dst[i:])*float64At(src[i:]))
+		}
+	case OpMax:
+		for i := 0; i < len(dst); i += 8 {
+			if b := float64At(src[i:]); b > float64At(dst[i:]) {
+				putFloat64(dst[i:], b)
 			}
 		}
-		binary.LittleEndian.PutUint64(dst[i:], math.Float64bits(a))
+	case OpMin:
+		for i := 0; i < len(dst); i += 8 {
+			if b := float64At(src[i:]); b < float64At(dst[i:]) {
+				putFloat64(dst[i:], b)
+			}
+		}
 	}
 }
+
+// float64At and putFloat64 read and write one encoded element.
+func float64At(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
+
+func putFloat64(b []byte, v float64) { binary.LittleEndian.PutUint64(b, math.Float64bits(v)) }
 
 // encodeFloat64sInto writes vals into b (which must hold 8*len(vals)
 // bytes), so callers with pooled scratch encode without allocating.
 func encodeFloat64sInto(b []byte, vals []float64) {
 	for i, v := range vals {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+		putFloat64(b[8*i:], v)
 	}
 }
 
 func decodeFloat64s(b []byte, out []float64) {
 	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		out[i] = float64At(b[8*i:])
 	}
 }
 

@@ -93,8 +93,9 @@ type endpoint struct {
 	// owning rank's goroutine during a run — every operation of a comm
 	// runs on its owner — and cleared by RunContext between runs (the
 	// executor handoff orders those accesses), so ep.mu is not needed.
-	// (streamCtx, streamID) caches the entry last used: every message of
-	// a collective translates its tag through the same one.
+	// (streamCtx, streamID) is the entry last used, kept out of the map:
+	// every message of a collective translates its tag through the same
+	// one, so the map is written only when the rank switches context.
 	tagStreams map[int64]int
 	streamCtx  int64
 	streamID   int
@@ -117,6 +118,7 @@ func newEndpoint(np int) *endpoint {
 // stream returns this rank's current collective tag stream for ctx.
 func (ep *endpoint) stream(ctx int64) int {
 	if ctx != ep.streamCtx {
+		ep.tagStreams[ep.streamCtx] = ep.streamID
 		ep.streamCtx, ep.streamID = ctx, ep.tagStreams[ctx]
 	}
 	return ep.streamID
@@ -128,9 +130,8 @@ func (ep *endpoint) stream(ctx int64) int {
 // a comm before entering collective N+1, so live collectives are never
 // a full wrap apart and wrapped ids cannot collide.
 func (ep *endpoint) nextStream(ctx int64) int {
-	s := (ep.stream(ctx) + 1) % mpi.NumTagStreams
-	ep.tagStreams[ctx], ep.streamID = s, s
-	return s
+	ep.streamID = (ep.stream(ctx) + 1) % mpi.NumTagStreams
+	return ep.streamID
 }
 
 // resetStreams clears all stream counters (between runs, so counters —

@@ -33,6 +33,19 @@
 // Options.MaxWorkers), which is what makes wall-clock measurement of
 // worlds with np in the hundreds meaningful instead of scheduler noise.
 //
+// Which core a woken rank runs on is the Go scheduler's choice, and its
+// choice is local: a channel send that wakes a parked goroutine (ready)
+// puts it in the sender's runnext slot, where it waits until the sender
+// blocks; an idle core rarely steals it first. For a rank that copied a
+// large message that means the rank it released waits out the copier's
+// next copy too, and a ring of large copies runs on one core. So a
+// local delivery of at least yieldFloor bytes that wakes a parked rank
+// ends with runtime.Gosched (handOff, request.go), which puts the copier
+// on the global run queue: the woken rank runs on this core, and an
+// idle one takes the copier. Smaller deliveries keep the locality, which
+// is cheaper than a yield for them; remote deliveries and bound edges
+// never yield.
+//
 // The engine substitutes for a real MPI library plus cluster: every
 // algorithm really moves its bytes through shared memory, so correctness
 // tests and user-level wall-clock benchmarks run against it. Timing of

@@ -571,6 +571,57 @@ func TestSplitContextIsolation(t *testing.T) {
 	}
 }
 
+// TestSplitCollectivesKeepTheirStreams interleaves collectives on a
+// communicator and on its Split child, a ring exchange on one reserved
+// tag each, every one issued before the other's messages are taken. The
+// rank's stream cache follows the communicator it last used, so each
+// switch writes one communicator's stream back and reads the other's:
+// both must keep counting from where they were, across the wrap, and no
+// message may land in the other's collective.
+func TestSplitCollectivesKeepTheirStreams(t *testing.T) {
+	const np, rounds = 4, mpi.NumTagStreams + 10
+	err := RunWith(testOpts(np), func(c mpi.Comm) error {
+		// The child holds every rank, in reverse order: its ring runs
+		// against the parent's.
+		sub, err := c.Split(0, np-1-c.Rank())
+		if err != nil {
+			return err
+		}
+		comms := []mpi.Comm{c, sub}
+		var first [2]int
+		for round := 0; round < rounds; round++ {
+			var sends [2]*request
+			for i, cm := range comms {
+				s := cm.NextTagStream()
+				if round == 0 {
+					first[i] = s
+				} else if want := (first[i] + round) % mpi.NumTagStreams; s != want {
+					return fmt.Errorf("comm %d round %d: stream %d, want %d", i, round, s, want)
+				}
+				to := (cm.Rank() + 1) % np
+				sends[i] = isend(cm, []byte{byte(i), byte(round)}, to, mpi.CollTagBase)
+			}
+			for i := len(comms) - 1; i >= 0; i-- {
+				cm := comms[i]
+				buf := make([]byte, 2)
+				if _, err := cm.Recv(buf, (cm.Rank()+np-1)%np, mpi.CollTagBase); err != nil {
+					return err
+				}
+				if buf[0] != byte(i) || buf[1] != byte(round) {
+					return fmt.Errorf("comm %d round %d received comm %d round %d's message", i, round, buf[0], buf[1])
+				}
+			}
+			if err := waitAll(sends[:]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSplitTopologySubset(t *testing.T) {
 	topo := topology.Blocked(4, 2) // nodes: {0,1}, {2,3}
 	opts := testOpts(4)

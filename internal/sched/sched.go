@@ -245,9 +245,16 @@ func Generate(name string, e Emitter, p, root, n, seg int) *Program {
 	if n < 0 {
 		panic(fmt.Sprintf("sched: schedule requires n >= 0, got %d", n))
 	}
+	// Every rank emits into one scratch slice, which keeps the capacity
+	// the largest rank and Elide's walks of its peers grew it to, and
+	// keeps an exact-size copy of its own ops.
 	pr := New(name, p, n, root)
+	var scratch []Op
 	for rank := range pr.Ranks {
-		pr.Ranks[rank] = e(nil, rank, p, root, n, seg)
+		scratch = e(scratch[:0], rank, p, root, n, seg)
+		if len(scratch) > 0 {
+			pr.Ranks[rank] = slices.Clone(scratch)
+		}
 	}
 	return pr
 }
