@@ -138,7 +138,8 @@ var archRules = []archRule{
 	{
 		// A message writes only what its two ranks own. The request
 		// pool's names must not come back (a request is its caller's: a
-		// local of the blocking calls, or one Prepost keeps for it),
+		// local of the blocking calls, one Prepost keeps for it, or a
+		// slot of the rank's late-send ring),
 		// the per-rank progress counts are written through
 		// World.progressed alone (progressFile), and an operation's
 		// preamble, World.enter, asks whether the world aborted with a
@@ -652,7 +653,8 @@ var (
 	// internal/engine/ may not declare; decoratorNames are the
 	// identifiers of the deleted tracing decorator.
 	engineMethods = map[string]bool{
-		"NextTagStream": true, "Prepost": true, "Bind": true, "SpanRing": true, "WithContext": true,
+		"NextTagStream": true, "Prepost": true, "Presend": true, "WaitPresends": true, "Bind": true,
+		"SpanRing": true, "WithContext": true,
 	}
 	decoratorNames = map[string]bool{"tracedComm": true, "tracedRecvReq": true, "RingOf": true}
 )

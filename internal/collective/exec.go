@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -21,38 +22,47 @@ import (
 // The verifier, the simulator and the tuner consume the very same
 // emitter through sched.Generate, so what is verified is what runs.
 //
-// One thing is not done at its op: a plain receive of at least hoistFloor
-// bytes is posted as early, and completed as late, as its bytes allow
-// (see manage). Posted ahead through the communicator's Prepost, it
-// finds the sender's message waiting to be copied once, straight into
-// place, instead of staged and copied again; completed late, it holds
-// up no op that does not need its bytes — the next segments' sends
-// above all. Its request belongs to the rankOps, and the communicator
-// re-arms it on the next run, so a kept or pooled Plan posts without
-// allocating.
+// Two things are not done at their op. A plain receive of at least
+// hoistFloor bytes is posted as early, and completed as late, as its
+// bytes allow (see manage). Posted ahead through the communicator's
+// Prepost, it finds the sender's message waiting to be copied once,
+// straight into place, instead of staged and copied again; completed
+// late, it holds up no op that does not need its bytes — the next
+// segments' sends above all. Its request belongs to the rankOps, and
+// the communicator re-arms it on the next run, so a kept or pooled Plan
+// posts without allocating. And a send of at least hoistFloor bytes
+// that comes before the rank's last receive, and whose bytes no later
+// op receives into, is started at its op through the communicator's
+// Presend and completed only at the end of the run (see markLate): the
+// communicator never stages it, and the receiver copies it once,
+// straight out of the sender's buffer, whenever it posts the receive.
+// A send the communicator would not have staged anyway — one it sends
+// by rendezvous or over a wire — it declines, and that runs at its op.
 //
-// The loop is deadlock-free wherever blocking execution, op by op, is:
-// it posts no receive later than blocking execution would and starts no
-// send later, so wherever it blocks — on a send, or on a receive whose
-// op is behind it — everything blocking execution had posted and started
-// by then is posted and started. It never reads or sends a byte before
-// the receive that writes it completes and never has two receives of a
-// byte in flight, and it posts receives in op order, none before one
-// that runs at its op: every rank ends with blocking execution's bytes,
-// matched message for message.
+// The loop is deadlock-free wherever blocking execution, op by op, with
+// synchronous sends is: it posts no receive later than blocking
+// execution would, starts no send later and waits for none earlier, so
+// wherever it blocks — on a send, or on a receive whose op is behind it
+// — everything blocking execution had posted and started by then is
+// posted and started. It never reads or sends a byte before the receive
+// that writes it completes, never writes a byte a send still in flight
+// reads, and never has two receives of a byte in flight, and it posts
+// receives in op order, none before one that runs at its op: every rank
+// ends with blocking execution's bytes, matched message for message.
 
 // ErrBadOp reports a schedule operation that cannot be executed by the
 // calling rank: an unknown kind, a peer outside the communicator (or the
 // rank itself), or a byte range outside the buffer.
 var ErrBadOp = errors.New("malformed schedule op")
 
-// hoistFloor is the smallest receive the executor posts early. Below it
-// a message delivered into a posted receive costs a channel hand-off
-// that outweighs the second copy of so few bytes: an on/off sweep of
-// per-call ring-opt at np 10 and 64 lost 6–21 % at 4 KiB chunks and
-// nothing beyond noise from 8 KiB up (see CHANGES.md). It is far above
-// the engine's inlinePayload (256 B), the largest message a kept Plan's
-// bound edge carries (bindEdges), so the two never meet.
+// hoistFloor is the smallest receive the executor posts early, and the
+// smallest send it starts late. Below it a message delivered into a
+// posted receive costs a channel hand-off that outweighs the second copy
+// of so few bytes: an on/off sweep of per-call ring-opt at np 10 and 64
+// lost 6–21 % at 4 KiB chunks and nothing beyond noise from 8 KiB up
+// (see CHANGES.md). It is far above the engine's inlinePayload (256 B),
+// the largest message a kept Plan's bound edge carries (bindEdges), so
+// neither half ever meets a bound edge.
 const hoistFloor = 8 << 10
 
 // rankOps is one rank's compiled schedule and the executor's scratch. It
@@ -63,6 +73,8 @@ type rankOps struct {
 	recvs           []managed   // the managed receives, in op order
 	order           []int       // indices into recvs, by completion point
 	cut, open, mark []int       // manage's scratch
+	late            []int       // the ops whose send half is late, in op order (markLate)
+	held            []span      // markLate's scratch
 	bound           mpi.Binding // a kept Plan's edges (bindEdges); nil per call
 	halves          [][2]int    // per op: its send and receive edges' indices in bound, -1 for none
 	red             Op          // how a Fold receive combines (set per run: Calls.run, ExecProgram)
@@ -98,6 +110,7 @@ func (s *rankOps) compile(c mpi.Comm, e sched.Emitter, root, n, seg, lo, size in
 		}
 	}
 	s.manage()
+	s.markLate()
 	return nil
 }
 
@@ -214,6 +227,58 @@ func (s *rankOps) manage() {
 	}
 }
 
+// span is a byte range [lo, hi) of the rank's window.
+type span struct{ lo, hi int }
+
+// markLate lists the ops whose send half runs late: a send of at least
+// hoistFloor bytes that comes before the rank's last receive op and
+// whose bytes no later op receives into. Started through the
+// communicator's Presend, it is never staged, and exec waits for it
+// only at the end. Every other send runs at its op: a send after the
+// last receive (a broadcast root's, a rank's trailing ones) holds up
+// nothing by waiting there, and completing at its op lets the rank run
+// ahead into the next call; a send whose bytes a later receive
+// overwrites must be gone before that receive is posted.
+//
+// One pass from the end finds them, keeping the bytes the later ops
+// receive into as sorted, disjoint spans.
+func (s *rankOps) markLate() {
+	ops, held, late := s.ops, s.held[:0], s.late[:0]
+	recvAfter := false // a later op receives
+	for i := len(ops) - 1; i >= 0; i-- {
+		op := &ops[i]
+		if recvAfter && op.Kind != sched.OpRecv && op.SendLen >= hoistFloor && !overlaps(held, op.SendOff, op.SendOff+op.SendLen) {
+			late = append(late, i)
+		}
+		if op.Kind != sched.OpSend {
+			recvAfter = true
+			if op.RecvLen > 0 {
+				held = addSpan(held, op.RecvOff, op.RecvOff+op.RecvLen)
+			}
+		}
+	}
+	slices.Reverse(late)
+	s.held, s.late = held, late
+}
+
+// overlaps reports whether [lo, hi) meets one of the sorted, disjoint
+// spans in set.
+func overlaps(set []span, lo, hi int) bool {
+	j, _ := slices.BinarySearchFunc(set, lo, func(x span, lo int) int { return cmp.Compare(x.hi, lo+1) })
+	return j < len(set) && set[j].lo < hi
+}
+
+// addSpan merges [lo, hi) into the sorted, disjoint spans in set, joining
+// those it overlaps or abuts.
+func addSpan(set []span, lo, hi int) []span {
+	j, _ := slices.BinarySearchFunc(set, lo, func(x span, lo int) int { return cmp.Compare(x.hi, lo) })
+	k, _ := slices.BinarySearchFunc(set, hi, func(x span, hi int) int { return cmp.Compare(x.lo, hi+1) })
+	if j < k {
+		lo, hi = min(lo, set[j].lo), max(hi, set[k-1].hi)
+	}
+	return slices.Replace(set, j, k, span{lo, hi})
+}
+
 // bindEdges hands a kept Plan's edges to the communicator's Bind: each
 // (direction, peer, tag) of the ops, with how many messages cross it per
 // run and the longest, and notes in halves each op's two for Move. The
@@ -258,15 +323,36 @@ func (s *rankOps) releaseEdges() {
 
 // exec runs the compiled operations on c, or on its engaged binding mv,
 // moving real bytes in buf (which compile or the caller has checked
-// covers every op). A rank with no managed receive runs them one by
+// covers every op), and then waits for the late sends they started —
+// after an error too, since until then a receiver may still copy out of
+// buf.
+func (s *rankOps) exec(c mpi.Comm, mv mpi.Binding, buf []byte) error {
+	err := s.run(c, mv, buf)
+	if len(s.late) > 0 {
+		if werr := c.WaitPresends(); err == nil && werr != nil {
+			err = fmt.Errorf("rank %d: late send: %w", c.Rank(), werr)
+		}
+	}
+	return err
+}
+
+// run is exec's loop. A rank with no managed receive runs the ops one by
 // one. Otherwise the loop, before op i, completes the receives due
 // there, posts the ones due there, and runs op i: only its send half if
-// its receive is posted.
-func (s *rankOps) exec(c mpi.Comm, mv mpi.Binding, buf []byte) error {
-	ops := s.ops
+// its receive is posted. Either way a late send half only starts.
+func (s *rankOps) run(c mpi.Comm, mv mpi.Binding, buf []byte) error {
+	ops, late := s.ops, 0
+	// isLate reports whether op i's send half is late, stepping past it.
+	isLate := func(i int) bool {
+		if late < len(s.late) && s.late[late] == i {
+			late++
+			return true
+		}
+		return false
+	}
 	if len(s.recvs) == 0 {
 		for i := range ops {
-			if err := s.execOp(c, mv, i, &ops[i], buf, false); err != nil {
+			if err := s.execOp(c, mv, i, &ops[i], buf, false, isLate(i)); err != nil {
 				return opError(c, i, &ops[i], err)
 			}
 		}
@@ -295,7 +381,7 @@ func (s *rankOps) exec(c mpi.Comm, mv mpi.Binding, buf []byte) error {
 			early = s.recvs[mine].on
 			mine++
 		}
-		if err := s.execOp(c, mv, i, &ops[i], buf, early); err != nil {
+		if err := s.execOp(c, mv, i, &ops[i], buf, early, isLate(i)); err != nil {
 			return opError(c, i, &ops[i], err)
 		}
 	}
@@ -303,8 +389,10 @@ func (s *rankOps) exec(c mpi.Comm, mv mpi.Binding, buf []byte) error {
 
 // execOp runs op i (op is &s.ops[i]), blocking until its halves are
 // done; with early set, its receive half was posted ahead and only its
-// send half runs. What it needs of op is read before it blocks.
-func (s *rankOps) execOp(c mpi.Comm, mv mpi.Binding, i int, op *sched.Op, buf []byte, early bool) error {
+// send half runs; with late set, its send half is started through
+// Presend and left to exec's wait, unless the communicator declines.
+// What it needs of op is read before it blocks.
+func (s *rankOps) execOp(c mpi.Comm, mv mpi.Binding, i int, op *sched.Op, buf []byte, early, late bool) error {
 	if op.Fold {
 		return s.foldOp(c, op, buf)
 	}
@@ -313,6 +401,7 @@ func (s *rankOps) execOp(c mpi.Comm, mv mpi.Binding, i int, op *sched.Op, buf []
 	var sb, rb []byte
 	if send {
 		sb = buf[op.SendOff : op.SendOff+op.SendLen]
+		send = !late || !c.Presend(sb, op.To, op.Tag)
 	}
 	if recv {
 		rb = buf[op.RecvOff : op.RecvOff+op.RecvLen]
@@ -322,6 +411,9 @@ func (s *rankOps) execOp(c mpi.Comm, mv mpi.Binding, i int, op *sched.Op, buf []
 	switch {
 	case mv != nil && (send || recv):
 		h := s.halves[i]
+		if !send {
+			h[0] = -1
+		}
 		if !recv {
 			h[1] = -1
 		}

@@ -2,6 +2,7 @@ package collective
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -159,6 +160,295 @@ func TestHoistRule(t *testing.T) {
 	}
 }
 
+// stayReason writes out the late-send rule for the send half of ops[i]:
+// it is late exactly when it is at least hoistFloor bytes, a later op
+// receives, and no later op receives into any of its bytes. It returns
+// "" for a late send, else the first reason the send stays at its op.
+func stayReason(ops []sched.Op, i int) string {
+	op, recvAfter, overwritten := &ops[i], false, false
+	for j := i + 1; j < len(ops); j++ {
+		if r := &ops[j]; r.Kind != sched.OpSend {
+			recvAfter = true
+			overwritten = overwritten || (r.RecvLen > 0 && op.SendLen > 0 &&
+				r.RecvOff < op.SendOff+op.SendLen && op.SendOff < r.RecvOff+r.RecvLen)
+		}
+	}
+	switch {
+	case op.SendLen < hoistFloor:
+		return "small"
+	case !recvAfter:
+		return "trailing"
+	case overwritten:
+		return "overwritten"
+	}
+	return ""
+}
+
+// checkLate holds what markLate computed for s.ops to the rule
+// (stayReason), op by op, and counts why each other send stays.
+func checkLate(t *testing.T, where string, s *rankOps) (stay lateStays) {
+	t.Helper()
+	ops, k := s.ops, 0
+	for i := range ops {
+		op := &ops[i]
+		if op.Kind == sched.OpRecv {
+			continue
+		}
+		switch stayReason(ops, i) {
+		case "small":
+			stay.small++
+		case "trailing":
+			stay.trailing++
+		case "overwritten":
+			stay.overwritten++
+		default:
+			if k == len(s.late) || s.late[k] != i {
+				t.Fatalf("%s: op %d (%s) sends late by the rule, markLate has %v", where, i, op, s.late)
+			}
+			k++
+			continue
+		}
+		if k < len(s.late) && s.late[k] == i {
+			t.Fatalf("%s: op %d (%s) marked late against the rule", where, i, op)
+		}
+	}
+	if k != len(s.late) {
+		t.Fatalf("%s: markLate lists %v, the rule %d of them", where, s.late, k)
+	}
+	return stay
+}
+
+// lateStays counts the sends that stay at their op, by the first reason
+// the rule gives.
+type lateStays struct{ small, trailing, overwritten int }
+
+// TestLateSendRule checks which send halves compile marks late
+// (checkLate), over TestHoistRule's grid: every registry row on every
+// rank of p ∈ {2..17, 64}, several roots, chunk sizes on both sides of
+// the floor and segment sizes. Every reason to stay at the op shows up
+// in it: a broadcast root's sends (a tree's or a ring's root receives
+// nothing) and a rank's sends after its last receive, sends the
+// non-elided ring later receives into again, and sends below the floor. At np 10, every
+// non-root ring-opt send before the rank's last receive is late.
+func TestLateSendRule(t *testing.T) {
+	procs := []int{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 64}
+	var stay lateStays
+	lates, rootSends, nativeOverwritten := 0, 0, 0
+	for _, r := range Algorithms() {
+		segs := []int{0}
+		if r.Caps.Segmented {
+			segs = []int{hoistFloor, hoistFloor / 2}
+		}
+		for _, p := range procs {
+			topo := topology.Blocked(p, 4)
+			e := r.emitter(topo)
+			for _, root := range []int{0, p / 2, p - 1} {
+				for _, chunk := range []int{1 << 10, hoistFloor, hoistFloor + 1000} {
+					n := p * chunk
+					if !r.Caps.Match(tune.EnvOf(n, p, topo)) {
+						continue
+					}
+					for _, seg := range segs {
+						var s rankOps
+						for rank := 0; rank < p; rank++ {
+							s.ops = e(s.ops[:0], rank, p, root, n, seg)
+							s.markLate()
+							where := fmt.Sprintf("%s p=%d root=%d n=%d seg=%d rank %d", r.Name, p, root, n, seg, rank)
+							st := checkLate(t, where, &s)
+							stay.small += st.small
+							stay.trailing += st.trailing
+							stay.overwritten += st.overwritten
+							lates += len(s.late)
+							if rank == root {
+								rootSends += st.trailing
+							}
+							if r.Name == tune.RingNative {
+								nativeOverwritten += st.overwritten
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if lates == 0 || stay.small == 0 || stay.trailing == 0 || stay.overwritten == 0 || rootSends == 0 || nativeOverwritten == 0 {
+		t.Fatalf("the grid marked %d sends late and kept %+v at their op (%d of the roots', %d overwritten in the non-elided ring)",
+			lates, stay, rootSends, nativeOverwritten)
+	}
+
+	const p = 10
+	for _, chunk := range []int{hoistFloor, 256 << 10 / p} {
+		for rank := 1; rank < p; rank++ {
+			var s rankOps
+			s.ops = core.BcastOptOps(s.ops, rank, p, 0, p*chunk, 0)
+			s.markLate()
+			last := -1
+			for i, op := range s.ops {
+				if op.Kind != sched.OpSend {
+					last = i
+				}
+			}
+			k := 0
+			for i, op := range s.ops[:last] {
+				if op.Kind == sched.OpRecv {
+					continue
+				}
+				if k == len(s.late) || s.late[k] != i {
+					t.Fatalf("ring-opt p=%d n=%d rank %d: op %d (%s) is before the last receive, yet not late", p, p*chunk, rank, i, &op)
+				}
+				k++
+			}
+		}
+	}
+}
+
+// hidePresend wraps a communicator whose Presend declines every send:
+// each runs at its op.
+type hidePresend struct{ mpi.Comm }
+
+func (hidePresend) Presend([]byte, int, int) bool { return false }
+
+// TestLateSendsBoundStaging: np 10 ranks run 50 back-to-back per-call
+// ring-opt broadcasts of 256 KiB, the paper's mmsg-npof2 case. However
+// the ranks interleave, a rank stages only sends that run at its op, so
+// no rank may stage more bytes than those sends carry — none at all on
+// the ranks that send everything late. Staging the late sends too, as
+// every eager send within the credit window once was, breaks the bound.
+func TestLateSendsBoundStaging(t *testing.T) {
+	const (
+		p      = 10
+		n      = 256 << 10
+		rounds = 50
+	)
+	bound := make([]int64, p)
+	for rank := range bound {
+		ops := core.BcastOptOps(nil, rank, p, 0, n, 0)
+		for i, op := range ops {
+			if op.Kind != sched.OpRecv && stayReason(ops, i) != "" {
+				bound[rank] += rounds * int64(op.SendLen)
+			}
+		}
+	}
+	m := metrics.New(p, 0)
+	want := pattern(n)
+	err := engine.RunWith(engine.Options{NP: p, Metrics: m, Timeout: 60 * time.Second}, func(c mpi.Comm) error {
+		buf := make([]byte, n)
+		if c.Rank() == 0 {
+			copy(buf, want)
+		}
+		for round := 0; round < rounds; round++ {
+			if err := Broadcast(c, buf, 0, Options{Algorithm: tune.RingOpt}); err != nil {
+				return err
+			}
+		}
+		if !bytes.Equal(buf, want) {
+			return fmt.Errorf("rank %d: first diff at %d", c.Rank(), firstDiff(buf, want))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rank, b := range bound {
+		if got := m.Load(rank, metrics.StagedBytes); got > b {
+			t.Errorf("rank %d staged %d bytes in %d broadcasts, more than the %d bytes of its sends that run at their op", rank, got, rounds, b)
+		}
+	}
+}
+
+// failLastRecv wraps a rank's communicator: it declines early receives,
+// so each runs at its op through Recv or Sendrecv, fails the rank's last
+// receive op without running it, and counts the late sends started and
+// not yet waited for.
+type failLastRecv struct {
+	mpi.Comm
+	recvs, left, late int // receive ops to go; late sends in flight, and in all
+}
+
+var errLastRecv = errors.New("the last receive fails")
+
+// last counts a receive op and reports whether it is the last.
+func (f *failLastRecv) last() bool {
+	f.recvs--
+	return f.recvs == 0
+}
+
+func (f *failLastRecv) Prepost(req mpi.Request, _ []byte, _, _ int) (mpi.Request, bool) {
+	return req, false
+}
+
+func (f *failLastRecv) Recv(buf []byte, from, tag int) (mpi.Status, error) {
+	if f.last() {
+		return mpi.Status{}, errLastRecv
+	}
+	return f.Comm.Recv(buf, from, tag)
+}
+
+func (f *failLastRecv) Sendrecv(sbuf []byte, to, stag int, rbuf []byte, from, rtag int) (mpi.Status, error) {
+	if f.last() {
+		return mpi.Status{}, errLastRecv
+	}
+	return f.Comm.Sendrecv(sbuf, to, stag, rbuf, from, rtag)
+}
+
+func (f *failLastRecv) Presend(buf []byte, to, tag int) bool {
+	ok := f.Comm.Presend(buf, to, tag)
+	if ok {
+		f.left++
+		f.late++
+	}
+	return ok
+}
+
+func (f *failLastRecv) WaitPresends() error {
+	f.left = 0
+	return f.Comm.WaitPresends()
+}
+
+// TestLateSendsWaitedOnError: a rank whose op fails after it started
+// late sends still waits for them before the broadcast returns its
+// error — until then a receiver may copy out of the buffer the caller
+// gets back.
+func TestLateSendsWaitedOnError(t *testing.T) {
+	const (
+		p    = 4
+		n    = p * 2 * hoistFloor
+		fail = 2
+	)
+	var s rankOps
+	s.ops = core.BcastOptOps(s.ops, fail, p, 0, n, 0)
+	s.markLate()
+	recvs := 0
+	for _, op := range s.ops {
+		if op.Kind != sched.OpSend {
+			recvs++
+		}
+	}
+	if len(s.late) == 0 {
+		t.Fatalf("rank %d sends nothing late — the case is not exercised", fail)
+	}
+	left, late := -1, 0
+	err := engine.RunWith(engine.Options{NP: p, Timeout: 30 * time.Second, DeadlockAfter: 200 * time.Millisecond}, func(c mpi.Comm) error {
+		buf := make([]byte, n)
+		if c.Rank() != fail {
+			return Broadcast(c, buf, 0, Options{Algorithm: tune.RingOpt})
+		}
+		f := &failLastRecv{Comm: c, recvs: recvs}
+		err := Broadcast(f, buf, 0, Options{Algorithm: tune.RingOpt})
+		left, late = f.left, f.late
+		return err
+	})
+	if !errors.Is(err, errLastRecv) {
+		t.Fatalf("Run = %v, want the failed receive's error", err)
+	}
+	if late != len(s.late) {
+		t.Fatalf("rank %d started %d late sends before its last receive, want %d", fail, late, len(s.late))
+	}
+	if left != 0 {
+		t.Fatalf("the broadcast returned its error with %d late sends in flight", left)
+	}
+}
+
 // hidePrepost wraps a communicator whose Prepost declines every
 // receive: each runs at its op, blocking execution.
 type hidePrepost struct{ mpi.Comm }
@@ -170,9 +460,10 @@ func (hidePrepost) Prepost(req mpi.Request, _ []byte, _, _ int) (mpi.Request, bo
 // TestHoistStopsAtBelowFloorTail: on a segmented opt ring whose chunks
 // end in a segment below the floor, that tail runs at its op, so every
 // managed receive after it — the full segments that follow from the same
-// neighbour among them — is posted after the tail's op. The run with
-// early posting delivers the bytes and the traffic of the run without
-// it, with eager messages and with every message rendezvous.
+// neighbour among them — is posted after the tail's op. With eager
+// messages and with every message rendezvous, the runs that post
+// receives early, and those that also send late, deliver the bytes and
+// the traffic of the run that does neither.
 func TestHoistStopsAtBelowFloorTail(t *testing.T) {
 	const (
 		p     = 4
@@ -180,10 +471,13 @@ func TestHoistStopsAtBelowFloorTail(t *testing.T) {
 		n     = p * chunk
 	)
 	d := tune.Decision{Algorithm: tune.RingOptSeg, SegSize: hoistFloor}
+	lates := 0
 	for rank := 0; rank < p; rank++ {
 		var s rankOps
 		s.ops = core.BcastOptSegOps(s.ops, rank, p, 0, n, d.SegSize)
 		s.manage()
+		s.markLate()
+		lates += len(s.late)
 		tail, later := -1, false
 		for i, op := range s.ops {
 			if op.Kind == sched.OpSend || op.RecvLen >= hoistFloor {
@@ -208,44 +502,61 @@ func TestHoistStopsAtBelowFloorTail(t *testing.T) {
 		}
 	}
 
+	if lates == 0 {
+		t.Fatal("no send is late — the case is not exercised")
+	}
+
 	want := pattern(n)
-	var stats [3]trace.Stats
-	for k, v := range []struct{ hide, rdv bool }{{true, false}, {false, false}, {false, true}} {
-		opts := engine.Options{NP: p, Timeout: 30 * time.Second}
-		if v.rdv {
-			opts.EagerLimit = -1
-		}
-		col := trace.NewCollector()
-		err := engine.RunWith(opts, func(c mpi.Comm) error {
-			tc := col.WrapSlot(c.Rank(), c)
-			if v.hide {
-				tc = hidePrepost{tc}
+	var stats []trace.Stats
+	for _, rdv := range []bool{false, true} {
+		for _, hide := range []struct{ recvs, sends bool }{{true, true}, {false, true}, {false, false}} {
+			stats = append(stats, tailRun(t, p, n, d, want, rdv, hide.recvs, hide.sends))
+			if k := len(stats) - 1; !reflect.DeepEqual(stats[k], stats[0]) {
+				t.Fatalf("early posting or late sending changed the traffic (rdv %v, declined %+v):\nwith:    %+v\nwithout: %+v", rdv, hide, stats[k], stats[0])
 			}
-			buf := make([]byte, n)
-			if c.Rank() == 0 {
-				copy(buf, want)
-			}
-			for round := 0; round < 3; round++ {
-				if err := RunDecision(tc, buf, 0, d); err != nil {
-					return err
-				}
-				if !bytes.Equal(buf, want) {
-					return fmt.Errorf("rank %d round %d: first diff at %d", c.Rank(), round, firstDiff(buf, want))
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("%+v: %v", v, err)
-		}
-		stats[k] = col.Stats()
-		if !reflect.DeepEqual(stats[k], stats[0]) {
-			t.Fatalf("early posting changed the traffic (%+v):\nwith:    %+v\nwithout: %+v", v, stats[k], stats[0])
 		}
 	}
 	if stats[0].Recvs != stats[0].Total.Messages {
 		t.Fatalf("recvs=%d != msgs=%d", stats[0].Recvs, stats[0].Total.Messages)
 	}
+}
+
+// tailRun broadcasts want three times with decision d on a traced world
+// of p ranks, eager or every message rendezvous, its communicators
+// declining early receives, late sends, or both, and returns the traffic.
+func tailRun(t *testing.T, p, n int, d tune.Decision, want []byte, rdv, hideRecvs, hideSends bool) trace.Stats {
+	t.Helper()
+	opts := engine.Options{NP: p, Timeout: 30 * time.Second}
+	if rdv {
+		opts.EagerLimit = -1
+	}
+	col := trace.NewCollector()
+	err := engine.RunWith(opts, func(c mpi.Comm) error {
+		tc := col.WrapSlot(c.Rank(), c)
+		if hideRecvs {
+			tc = hidePrepost{tc}
+		}
+		if hideSends {
+			tc = hidePresend{tc}
+		}
+		buf := make([]byte, n)
+		if c.Rank() == 0 {
+			copy(buf, want)
+		}
+		for round := 0; round < 3; round++ {
+			if err := RunDecision(tc, buf, 0, d); err != nil {
+				return err
+			}
+			if !bytes.Equal(buf, want) {
+				return fmt.Errorf("rank %d round %d: first diff at %d", c.Rank(), round, firstDiff(buf, want))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("rdv %v, declined receives %v, sends %v: %v", rdv, hideRecvs, hideSends, err)
+	}
+	return col.Stats()
 }
 
 // TestPrepostSkipsWiredSources: on a force-wired UDP world every source

@@ -167,7 +167,7 @@ func (c *comm) Send(buf []byte, to, tag int) error {
 	// isend + Wait: a send the receiver neither matched nor buffered
 	// blocks as a zero-copy envelope until the receiver takes it.
 	var r request
-	c.w.isend(&r, c.ctx, c.rank, c.worldRank(), c.worldRankOf(to), buf, c.streamTag(tag), c.cancel)
+	c.w.isend(&r, c.ctx, c.rank, c.worldRank(), c.worldRankOf(to), buf, c.streamTag(tag), c.cancel, nil)
 	if _, err := r.Wait(); err != nil {
 		return err
 	}
@@ -213,7 +213,7 @@ func (c *comm) Sendrecv(sendBuf []byte, to, sendTag int, recvBuf []byte, from, r
 	// requests live in this frame.
 	var rreq, sreq request
 	c.w.irecv(&rreq, c.ctx, c.worldRank(), recvBuf, from, c.streamTag(recvTag), c.cancel)
-	c.w.isend(&sreq, c.ctx, c.rank, c.worldRank(), c.worldRankOf(to), sendBuf, c.streamTag(sendTag), c.cancel)
+	c.w.isend(&sreq, c.ctx, c.rank, c.worldRank(), c.worldRankOf(to), sendBuf, c.streamTag(sendTag), c.cancel, nil)
 	_, serr := sreq.Wait()
 	st, rerr := rreq.Wait()
 	if rerr != nil {
@@ -245,7 +245,11 @@ func (c *comm) Prepost(req mpi.Request, buf []byte, from, tag int) (mpi.Request,
 	if !ok || !r.complete {
 		r = new(request)
 	}
-	*r = request{}
+	own := r.own
+	if own == nil {
+		own = &posted{done: make(chan recvResult, 1), kept: true}
+	}
+	*r = request{own: own}
 	c.w.irecv(r, c.ctx, c.worldRank(), buf, from, c.streamTag(tag), c.cancel)
 	r.rec = c.rec
 	return r, true

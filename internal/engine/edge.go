@@ -242,7 +242,7 @@ func (b *binding) Move(send int, sbuf []byte, recv int, rbuf []byte) (mpi.Status
 	if send >= 0 {
 		if out := &b.edges[send]; out.e == nil || len(sbuf) > out.e.size {
 			b.sq, sr = request{}, &b.sq
-			w.isend(sr, c.ctx, c.rank, b.rank, c.worldRankOf(out.peer), sbuf, out.tag, c.cancel)
+			w.isend(sr, c.ctx, c.rank, b.rank, c.worldRankOf(out.peer), sbuf, out.tag, c.cancel, nil)
 		} else if !out.e.put(sbuf) {
 			b.sq, sr = request{w: w, rank: b.rank, cancel: c.cancel, e: out.e, ebuf: sbuf, esend: true}, &b.sq
 		}

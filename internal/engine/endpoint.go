@@ -53,6 +53,9 @@ type envelope struct {
 type rdvState struct {
 	buf  []byte
 	done chan struct{} // buffered(1); exactly one signal per use
+	// late marks the state, and the envelope that carries it, as a
+	// late-send slot's own (late.go): neither ever enters a pool.
+	late bool
 }
 
 // posted is a receive waiting for a matching message. Pooled; the done
@@ -66,6 +69,9 @@ type posted struct {
 	// w is the posting world: a transport placing a remote message into
 	// buf fragment by fragment (see remote.go) stops once it has aborted.
 	w *World
+	// kept marks a Prepost request's own posted receive, which never
+	// enters the pool.
+	kept bool
 }
 
 type recvResult struct {
@@ -106,6 +112,9 @@ type endpoint struct {
 	// sender to meet at bind time and the run-end check to drain. Under
 	// mu.
 	edges map[edgeKey]*edge
+	// late holds the rank's late sends in flight (late.go); nil until
+	// its first. Owner-only, like the streams.
+	late *lateRing
 }
 
 func newEndpoint(np int) *endpoint {

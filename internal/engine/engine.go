@@ -17,8 +17,13 @@
 // that knows its receives ahead — a collective's executor, ops before it
 // runs them — posts them with Prepost: irecv into a completed request
 // the caller owns and the engine re-arms, so a sender finds them waiting
-// and copies once, straight into place. A caller that knows its whole
-// schedule ahead — a kept collective Plan — binds its edges with Bind:
+// and copies once, straight into place. The same caller starts the
+// eager-sized sends whose buffers it will not write again before the end
+// with Presend and completes them all with WaitPresends: isend, told the
+// buffer stays put, never stages the payload, so a receiver that posts
+// late still copies once, straight out of the sender's buffer (late.go).
+// A caller that knows its whole schedule ahead — a kept collective Plan
+// — binds its edges with Bind:
 // a message of at most inlinePayload bytes between two ranks of this
 // process then goes through a ring of cells its edge owns, past the
 // queues, moved by the binding's Move (edge.go).
@@ -61,7 +66,9 @@
 // to inlinePayload bytes, via internal/bufpool above it),
 // unexpected-queue envelopes, posted receives and rendezvous states —
 // through free lists, while a blocking call's request lives in the
-// call's own frame. The ownership
+// call's own frame, and an early-posted receive's request and a late
+// send's ring slot each keep the object their message meets in. The
+// ownership
 // rules for those pooled objects (who may hold a pooled buffer, and
 // until when) are spelled out in pool.go; the short version is that
 // ownership follows the message, and only the final consumer returns an

@@ -20,7 +20,7 @@ import (
 func isend(c mpi.Comm, buf []byte, to, tag int) *request {
 	cc := c.(*comm)
 	r := new(request)
-	cc.w.isend(r, cc.ctx, cc.rank, cc.worldRank(), cc.worldRankOf(to), buf, cc.streamTag(tag), cc.cancel)
+	cc.w.isend(r, cc.ctx, cc.rank, cc.worldRank(), cc.worldRankOf(to), buf, cc.streamTag(tag), cc.cancel, nil)
 	return r
 }
 

@@ -36,12 +36,17 @@ import (
 //     its first fragment to its last. The receiver's request recycles
 //     it after consuming the result from the channel — and only then,
 //     because until that receive the sender may still be mid-delivery.
-//     On the abort/cancel paths the object is abandoned to the garbage
-//     collector instead.
+//     A Prepost request instead keeps one of its own (kept), made with
+//     the request and posted again at each re-arm, so the receives a
+//     collective posts early draw nothing from the pool and grow it by
+//     nothing however the ranks interleave. On the abort/cancel paths
+//     the object is abandoned to the garbage collector instead.
 //   - rdvStates: created by the sender; the receiver borrows one to
 //     copy out of rdv.buf and signal rdv.done, after which it must not
 //     touch it. The sender's request recycles it after consuming the
-//     done signal (clean completion only).
+//     done signal (clean completion only). A late send's rdvState and
+//     envelope are its ring slot's own (late): the receiver releases
+//     the envelope before the signal, and neither enters a pool.
 //   - edge cells (a kept plan's bound edges, edge.go): never pooled.
 //     Bind allocates an edge's cells once, k of them for two runs of
 //     its messages (cellRuns). The endpoint drops the edge when both
@@ -61,7 +66,10 @@ import (
 //     out, lets a caller that posts the same receives every collective
 //     keep its requests: handed back a completed one, it re-arms it in
 //     place — completion was the engine's last touch — and allocates
-//     only for nil or a request still pending.
+//     only for nil or a request still pending. Presend fills a slot of
+//     the sending rank's late-send ring (late.go), allocated once per
+//     rank and world; the rank's next Presend into a full ring, or its
+//     WaitPresends, completes it.
 //
 // The channels inside posted and rdvState are allocated once per
 // object and reused across recycles: each use moves exactly one value
@@ -126,8 +134,11 @@ func newRemoteEnvelope(m *transport.Message) *envelope {
 // must recycle the rdvState separately (it belongs to the sender).
 func putEnvelope(env *envelope, rank int) {
 	env.dbuf.ReleaseAt(rank) // a nil dbuf releases nothing
+	pooled := env.rdv == nil || !env.rdv.late
 	env.data, env.dbuf, env.rdv, env.ackID = nil, nil, nil, 0
-	envelopePool.Put(env)
+	if pooled {
+		envelopePool.Put(env)
+	}
 }
 
 // getPosted builds a pooled posted receive. Its done channel is reused
@@ -143,12 +154,16 @@ func getPosted(w *World, ctx int64, src, tag int, buf []byte) *posted {
 // about to send into the channel.
 func putPosted(pr *posted) {
 	pr.buf, pr.w = nil, nil
-	postedPool.Put(pr)
+	if !pr.kept {
+		postedPool.Put(pr)
+	}
 }
 
 // putRdv recycles a rendezvous state. Legal only for the sender, after
 // it consumed the done signal.
 func putRdv(rdv *rdvState) {
 	rdv.buf = nil
-	rdvPool.Put(rdv)
+	if !rdv.late {
+		rdvPool.Put(rdv)
+	}
 }

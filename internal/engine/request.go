@@ -43,6 +43,9 @@ type request struct {
 	cancel cancelSignal
 	// rec is a recorded receive's traffic row until it is counted.
 	rec *metrics.TrafficRow
+	// own is the posted receive a Prepost request keeps across re-arms
+	// (pool.go); nil for any other request.
+	own *posted
 
 	// Pending completion sources (exactly one is non-nil while pending):
 	pr    *posted   // posted receive (completion delivered via pr.done)
@@ -147,7 +150,9 @@ func (r *request) harvest() {
 		break
 	}
 	r.complete = true
-	r.pr, r.rdv, r.e = nil, nil, nil
+	// A sender may still hold the posted receive: it is not this
+	// request's to re-arm any more.
+	r.pr, r.rdv, r.e, r.own = nil, nil, nil, nil
 }
 
 // received completes a receive with its delivery and recycles the posted
@@ -185,11 +190,14 @@ func (r *request) finish(st mpi.Status, err error) {
 // (edge.go); the blocking Send is isend followed by Wait. It never
 // blocks. A message that finds its receive posted is delivered on the
 // spot; an eager one within the credit window is buffered at the
-// receiver and the send is complete; anything else —
-// a rendezvous-sized payload, or an eager one the full window refused —
-// is enqueued as a zero-copy envelope backed by the caller's buffer
-// (legal because MPI forbids touching the buffer until the request
-// completes) and the request finishes when the receiver copies it out.
+// receiver and the send is complete, unless it is late; anything else —
+// a rendezvous-sized payload, an eager one the full window refused, or
+// a late send (Presend, late.go: late is its ring slot, nil for any
+// other), whose caller leaves buf untouched until its wait and so needs
+// no copy — is enqueued as a zero-copy envelope backed by the caller's
+// buffer (legal because MPI forbids touching the buffer until the
+// request completes) and the request finishes when the receiver copies
+// it out.
 // A delivery on the spot of yieldFloor bytes or more to a parked
 // receiver ends with handOff: the woken receiver takes this core, and
 // the sender moves to an idle one.
@@ -202,7 +210,7 @@ func (r *request) finish(st mpi.Status, err error) {
 // A send writes only memory its two ranks own: the receiver's endpoint
 // (and, for a delivery on the spot, its receive counter), the sender's
 // metrics shard, progress count and bufpool stripe.
-func (w *World) isend(r *request, ctx int64, srcRank, srcWorld, dstWorld int, buf []byte, tag int, cnl cancelSignal) {
+func (w *World) isend(r *request, ctx int64, srcRank, srcWorld, dstWorld int, buf []byte, tag int, cnl cancelSignal, late *lateSend) {
 	if err := w.enter(cnl); err != nil {
 		r.finish(mpi.Status{}, err)
 		return
@@ -232,7 +240,7 @@ func (w *World) isend(r *request, ctx int64, srcRank, srcWorld, dstWorld int, bu
 		r.finish(mpi.Status{Count: len(buf)}, nil)
 		return
 	}
-	if eager && (w.eagerCredits == 0 || int(ep.eagerBuffered[srcWorld]) < w.eagerCredits) {
+	if eager && late == nil && (w.eagerCredits == 0 || int(ep.eagerBuffered[srcWorld]) < w.eagerCredits) {
 		// Eager within the credit window: the engine takes a copy
 		// (pooled) and the send completes immediately.
 		w.enqueueArrival(ep, dstWorld, newEagerEnvelope(ctx, srcRank, srcWorld, tag, buf))
@@ -245,8 +253,15 @@ func (w *World) isend(r *request, ctx int64, srcRank, srcWorld, dstWorld int, bu
 		return
 	}
 	// Zero-copy envelope: the pinned buffer substitutes for the buffering
-	// the receiver refused, so its queue stays bounded by the window.
-	env := newRdvEnvelope(ctx, srcRank, srcWorld, tag, buf)
+	// the receiver refused (or a late send did not ask for), so its queue
+	// stays bounded by the window and the late-send ring. A late send
+	// waits in its slot's own envelope.
+	var env *envelope
+	if late != nil {
+		env = late.envelope(ctx, srcRank, srcWorld, tag, buf)
+	} else {
+		env = newRdvEnvelope(ctx, srcRank, srcWorld, tag, buf)
+	}
 	rdv := env.rdv
 	w.enqueueArrival(ep, dstWorld, env)
 	ep.mu.Unlock()
@@ -256,12 +271,14 @@ func (w *World) isend(r *request, ctx int64, srcRank, srcWorld, dstWorld int, bu
 }
 
 // irecv posts a nonblocking receive for the rank whose world rank is
-// myWorld, filling the caller's zero request r; src and tag may be
-// wildcards. Posting happens synchronously (so a sender can match it
-// immediately); the request completes when a matching message is
-// consumed. Taking a zero-copy envelope of yieldFloor bytes or more from
-// a parked sender ends with handOff, as isend's delivery on the spot
-// does: the released sender runs here, the receiver moves on elsewhere.
+// myWorld, filling the caller's zero request r (a Prepost request is
+// zero but for the posted receive it owns, which irecv posts); src and
+// tag may be wildcards. Posting happens synchronously (so a sender can
+// match it immediately); the request completes when a matching message
+// is consumed. Taking a zero-copy envelope of yieldFloor bytes or more
+// from a parked sender ends with handOff, as isend's delivery on the
+// spot does: the released sender runs here, the receiver moves on
+// elsewhere.
 func (w *World) irecv(r *request, ctx int64, myWorld int, buf []byte, src, tag int, cnl cancelSignal) {
 	if err := w.enter(cnl); err != nil {
 		r.finish(mpi.Status{}, err)
@@ -285,21 +302,30 @@ func (w *World) irecv(r *request, ctx int64, myWorld int, buf []byte, src, tag i
 		ep.mu.Unlock()
 		n, err := copyPayload(buf, data)
 		st := mpi.Status{Source: env.src, Tag: env.tag, Count: n}
+		sender := env.srcWorld
+		if env.ackID != 0 {
+			// Remote rendezvous: the ack unblocks the sender in its process.
+			w.sendRdvAck(env.ctx, myWorld, sender, env.ackID)
+		}
+		// Released before the signal: a late send's envelope is its
+		// sender's again from then on (late.go).
+		putEnvelope(env, myWorld)
 		if rdv != nil {
 			rdv.done <- struct{}{} // sender consumes the signal and recycles rdv
-			w.handOff(env.srcWorld, n)
-		} else if env.ackID != 0 {
-			// Remote rendezvous: the ack unblocks the sender in its process.
-			w.sendRdvAck(env.ctx, myWorld, env.srcWorld, env.ackID)
+			w.handOff(sender, n)
 		}
-		putEnvelope(env, myWorld)
 		w.progressed(myWorld)
 		w.countRecv(myWorld, eager)
 		r.finish(st, err)
 		return
 	}
-	pr := getPosted(w, ctx, src, tag, buf)
+	pr := r.own
+	if pr != nil {
+		pr.w, pr.ctx, pr.src, pr.tag, pr.buf = w, ctx, src, tag, buf
+	} else {
+		pr = getPosted(w, ctx, src, tag, buf)
+	}
 	w.enqueuePosted(ep, myWorld, pr)
 	ep.mu.Unlock()
-	*r = request{w: w, rank: myWorld, pr: pr, cancel: cnl}
+	*r = request{w: w, rank: myWorld, pr: pr, own: r.own, cancel: cnl}
 }

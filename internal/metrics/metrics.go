@@ -31,8 +31,9 @@ type Counter uint8
 const (
 	// EagerSends / RdvSends count messages issued, split by protocol:
 	// copied into the receiver's hands at send time, or left in the
-	// sender's buffer for the receiver to take (rendezvous-sized ones
-	// and eager-sized ones the receiver's full credit window refused).
+	// sender's buffer for the receiver to take (rendezvous-sized ones,
+	// eager-sized ones the receiver's full credit window refused, and
+	// late sends that found no receive posted).
 	EagerSends Counter = iota
 	RdvSends
 	// EagerRecvs / RdvRecvs count messages delivered, split by protocol.
@@ -187,6 +188,12 @@ func (m *Metrics) Max(rank int, c Counter, v int64) {
 	}
 }
 
+// Load reads rank's counter or gauge c, which Snapshot merges over the
+// ranks.
+func (m *Metrics) Load(rank int, c Counter) int64 {
+	return m.shards[rank].c[c].Load()
+}
+
 // Ring returns rank's span ring, or nil when spans are disabled — the
 // nil check is the whole cost of disabled spans at an emission site.
 func (m *Metrics) Ring(rank int) *SpanRing {
@@ -205,7 +212,7 @@ func (m *Metrics) Snapshot() Snapshot {
 	var merged [numCounters]int64
 	for r := range m.shards {
 		for c := Counter(0); c < numCounters; c++ {
-			v := m.shards[r].c[c].Load()
+			v := m.Load(r, c)
 			if maxGauge(c) {
 				if v > merged[c] {
 					merged[c] = v

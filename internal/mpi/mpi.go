@@ -6,9 +6,9 @@
 // MPI point-to-point API: blocking Send/Recv with (source, tag, context)
 // matching and wildcards, combined Sendrecv with concurrent halves, and
 // communicator Split. The methods beside them serve the collectives:
-// early-posted receives (Prepost, whose Request a caller Waits on), kept
-// edges (Bind), tag streams, bound contexts, operation spans and traffic
-// rows. One engine implements the interface: internal/engine, a real runtime
+// early-posted receives (Prepost, whose Request a caller Waits on), late
+// sends (Presend, completed together by WaitPresends), kept edges
+// (Bind), tag streams, bound contexts, operation spans and traffic rows. One engine implements the interface: internal/engine, a real runtime
 // (pluggable rank execution — goroutine-per-rank or a pooled cooperative
 // scheduler — eager and rendezvous protocols, real buffer copies, in one
 // process or split across several over internal/transport) used for
@@ -226,6 +226,21 @@ type Comm interface {
 	// back unchanged, for the caller to keep and to post that receive
 	// the ordinary way.
 	Prepost(req Request, buf []byte, from, tag int) (r Request, ok bool)
+	// Presend starts a send of buf to rank to with tag tag and leaves
+	// its completion to WaitPresends. The caller promises not to write
+	// buf until then, so the communicator never copies the payload
+	// aside: the receiver copies it once, straight out of buf, whenever
+	// it posts the receive. The send counts in the traffic row once it
+	// completes. Presend may decline — a message it would not copy aside
+	// anyway (one it sends by rendezvous, or to a destination it reaches
+	// over a wire), an invalid argument — and then reports false, sends
+	// nothing, and the caller sends that message the ordinary way.
+	Presend(buf []byte, to, tag int) bool
+	// WaitPresends blocks until every send Presend started on the
+	// calling rank has completed, and returns the first error among
+	// them; the buffers are then the caller's again. A rank calls it
+	// before its body returns.
+	WaitPresends() error
 	// Bind sets up, once, the edges a kept schedule sends and receives
 	// on, so that each run of it moves their messages without matching
 	// them. It takes every edge of the calling rank's schedule and
