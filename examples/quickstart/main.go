@@ -32,6 +32,9 @@ func main() {
 	}
 	fmt.Println()
 
+	// Each rank notes its line; they print after the run, in rank order
+	// rather than in whatever order the ranks finish.
+	got := make([]string, np)
 	err = cl.Run(ctx, func(c bcast.Comm) error {
 		buf := make([]byte, len(message))
 		if c.Rank() == root {
@@ -47,10 +50,13 @@ func main() {
 		if string(buf) != string(message) {
 			return fmt.Errorf("rank %d: corrupted broadcast: %q", c.Rank(), buf)
 		}
-		fmt.Printf("rank %d received: %s\n", c.Rank(), buf)
+		got[c.Rank()] = fmt.Sprintf("rank %d received: %s", c.Rank(), buf)
 		return nil
 	})
 	if err != nil {
 		log.Fatal(err)
+	}
+	for _, line := range got {
+		fmt.Println(line)
 	}
 }

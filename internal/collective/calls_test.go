@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/topology"
 	"repro/internal/tune"
@@ -132,7 +133,8 @@ func (f fixedTuner) Decide(tune.Env) tune.Decision { return tune.Decision(f) }
 // operations. Six collectives of the same 64 bytes from root 0 — a
 // broadcast, an allgather, a scatter, a gather, a reduce and an
 // allreduce — and a barrier hold seven Plans, although all but the
-// broadcast share the zero decision; calling each again binds nothing;
+// broadcast share the zero decision, and only the broadcast's binds its
+// edges; calling each again binds nothing;
 // eviction takes the least recently used Plan whatever its operation;
 // and a scatter from a root outside the communicator caches nothing.
 // Every call also checks its bytes, so a Plan run for the wrong
@@ -244,6 +246,13 @@ func TestCallsKeyEveryOperation(t *testing.T) {
 				}
 			}
 		}
+		// Only the broadcast's Plan binds edges: no Fold receive, and no
+		// schedule but a broadcast's, meets a bound edge.
+		for _, q := range k.plans[:k.n] {
+			if bound := q.ops.bound != nil; bound != (q.op == opBcast) {
+				return fmt.Errorf("rank %d: the %s Plan binds edges: %v", me, q.op, bound)
+			}
+		}
 		// Fill the cache, touch its oldest Plan, and overflow it: the
 		// allgather's Plan, now the least recently used, goes.
 		for _, step := range []struct {
@@ -278,5 +287,163 @@ func TestCallsKeyEveryOperation(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// alternating is one rank's tuner: call after call it decides ds[0],
+// ds[1], ds[0], ..., whatever the environment.
+type alternating struct {
+	ds [2]tune.Decision
+	n  int
+}
+
+func (a *alternating) Decide(tune.Env) tune.Decision {
+	d := a.ds[a.n%2]
+	a.n++
+	return d
+}
+
+// bindSpy is a communicator whose Bind wraps each Binding it returns in a
+// spiedBinding, which notes its Release.
+type bindSpy struct{ mpi.Comm }
+
+type spiedBinding struct {
+	mpi.Binding
+	released bool
+}
+
+func (s bindSpy) Bind(edges []mpi.Edge) mpi.Binding {
+	if b := s.Comm.Bind(edges); b != nil {
+		return &spiedBinding{Binding: b}
+	}
+	return nil
+}
+
+func (b *spiedBinding) Engage(c mpi.Comm) bool { return b.Binding.Engage(c.(bindSpy).Comm) }
+
+func (b *spiedBinding) Release() {
+	b.released = true
+	b.Binding.Release()
+}
+
+// TestCallsBindInAgreement holds per-call broadcasts that bind their
+// edges to the order the ranks bind in. Each rank broadcasts more
+// distinct shapes than a Calls holds, on the world and (two calls of
+// three) on its Split child, under one alternating tuner of its own (a
+// binomial tree, whose ranks get a tree's cells, and a ring, whose do
+// not), so the keys miss, hit and are evicted; the ranks' logs of misses
+// and evictions must be identical, every call byte-identical to its
+// root, every held broadcast Plan bound, and every evicted one's Binding
+// released. A broadcast through a nil Calls binds nothing: its messages
+// pass the engine's queues.
+func TestCallsBindInAgreement(t *testing.T) {
+	const p = 8
+	type shape struct{ n, root int }
+	var shapes []shape
+	for _, n := range []int{100, 700} {
+		for _, root := range []int{0, 1, 3} {
+			shapes = append(shapes, shape{n, root})
+		}
+	}
+	// Three passes, each over the shapes with the first between them:
+	// with two decisions, 12 keys for a cache of callsCap.
+	var seq []shape
+	for range 3 {
+		for _, s := range shapes[1:] {
+			seq = append(seq, s, shapes[0])
+		}
+	}
+	if 2*len(shapes) <= callsCap {
+		t.Fatalf("%d keys fit a cache of %d", 2*len(shapes), callsCap)
+	}
+	payload := pattern(1<<10 + len(seq))
+	logs := make([][2][]string, p) // per world rank: the world's and the child's
+	err := engine.RunWith(engine.Options{NP: p, Timeout: time.Minute}, func(c mpi.Comm) error {
+		me := c.Rank()
+		sub, err := c.Split(me%2, me)
+		if err != nil {
+			return err
+		}
+		o := Options{Tuner: &alternating{ds: [2]tune.Decision{{Algorithm: tune.Binomial}, {Algorithm: tune.RingOpt}}}}
+		var calls [2]Calls
+		defer calls[0].Release()
+		defer calls[1].Release()
+		for i, s := range seq {
+			for j, comm := range []mpi.Comm{bindSpy{c}, bindSpy{sub}} {
+				if j == 1 && i%3 == 0 {
+					continue // so that neither communicator sees one decision only
+				}
+				k := &calls[j]
+				before := k.plans
+				var was [callsCap]mpi.Binding
+				for x, q := range before[:k.n] {
+					was[x] = q.ops.bound
+				}
+				buf := bytes.Repeat([]byte{byte(me)}, s.n)
+				want := payload[i : i+s.n]
+				if comm.Rank() == s.root {
+					copy(buf, want)
+				}
+				if err := k.Broadcast(comm, buf, s.root, o); err != nil {
+					return fmt.Errorf("round %d comm %d: %w", i, j, err)
+				}
+				if !bytes.Equal(buf, want) {
+					return fmt.Errorf("rank %d round %d comm %d: buffer mismatch (first diff at %d)", me, i, j, firstDiff(buf, want))
+				}
+				name := func(q *Plan) string { return fmt.Sprintf("%d from %d by %s", q.n, q.root, q.dec.Algorithm) }
+				if q := k.plans[0]; !slices.Contains(before[:], q) {
+					logs[me][j] = append(logs[me][j], "miss "+name(q))
+				}
+				for x, q := range before {
+					if q == nil || slices.Contains(k.plans[:], q) {
+						continue
+					}
+					logs[me][j] = append(logs[me][j], "evict")
+					if b, ok := was[x].(*spiedBinding); !ok || !b.released {
+						return fmt.Errorf("rank %d round %d comm %d: an evicted Plan kept its edges", me, i, j)
+					}
+				}
+				for _, q := range k.plans[:k.n] {
+					if _, ok := q.ops.bound.(*spiedBinding); !ok {
+						return fmt.Errorf("rank %d round %d comm %d: the Plan of %s binds no edge", me, i, j, name(q))
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, comm := range []string{"world", "child"} {
+		misses, evictions := 0, 0
+		for _, e := range logs[0][j] {
+			if e == "evict" {
+				evictions++
+			} else {
+				misses++
+			}
+		}
+		t.Logf("%s: %d misses, %d evictions", comm, misses, evictions)
+		if misses <= callsCap || evictions == 0 {
+			t.Errorf("%s: %d misses and %d evictions, want more than %d and some", comm, misses, evictions, callsCap)
+		}
+		for r := 1; r < p; r++ {
+			if !slices.Equal(logs[r][j], logs[0][j]) {
+				t.Errorf("%s: rank %d logged %q\nrank 0 logged %q", comm, r, logs[r][j], logs[0][j])
+			}
+		}
+	}
+
+	// The same tiny broadcast through a nil Calls: its messages queue.
+	m := metrics.New(p, 0)
+	err = engine.RunWith(engine.Options{NP: p, Timeout: time.Minute, Metrics: m}, func(c mpi.Comm) error {
+		return uncached.Broadcast(bindSpy{c}, make([]byte, 100), 0, Options{Algorithm: tune.Binomial})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := engine.CollectMetrics(m); s.ArrivalQueueMax+s.PostedQueueMax == 0 {
+		t.Fatal("a broadcast through a nil Calls left the queues untouched: it rode bound edges")
 	}
 }

@@ -32,9 +32,11 @@
 // # The executor
 //
 // The executor (exec.go) runs the rank's ops in order, posting large
-// receives early (manage). A kept Plan binds its edges once (Comm.Bind)
-// and runs each op as one call to the binding's Move, its halves named
-// by edge index; a per-call Plan runs on Send, Recv and Sendrecv.
+// receives early (manage). A broadcast Plan that outlives its call — kept,
+// or held by a Calls — binds its edges once (Comm.Bind) and runs each op
+// as one call to the binding's Move, its halves named by edge index; a
+// Plan bound for one call, and every other collective's, runs on Send,
+// Recv and Sendrecv.
 //
 // # Registry and tuning
 //

@@ -60,9 +60,9 @@ var ErrBadOp = errors.New("malformed schedule op")
 // posted receive costs a channel hand-off that outweighs the second copy
 // of so few bytes: an on/off sweep of per-call ring-opt at np 10 and 64
 // lost 6–21 % at 4 KiB chunks and nothing beyond noise from 8 KiB up
-// (see CHANGES.md). It is far above the engine's inlinePayload (256 B),
-// the largest message a kept Plan's bound edge carries (bindEdges), so
-// neither half ever meets a bound edge.
+// (see CHANGES.md). It is far above the engine's bind limit (1 KiB), the
+// largest message a bound edge carries (bindEdges), so neither half ever
+// meets a bound edge.
 const hoistFloor = 8 << 10
 
 // rankOps is one rank's compiled schedule and the executor's scratch. It
@@ -75,7 +75,7 @@ type rankOps struct {
 	cut, open, mark []int       // manage's scratch
 	late            []int       // the ops whose send half is late, in op order (markLate)
 	held            []span      // markLate's scratch
-	bound           mpi.Binding // a kept Plan's edges (bindEdges); nil per call
+	bound           mpi.Binding // a kept or cached broadcast Plan's edges (bindEdges); nil for one call
 	halves          [][2]int    // per op: its send and receive edges' indices in bound, -1 for none
 	red             Op          // how a Fold receive combines (set per run: Calls.run, ExecProgram)
 }
@@ -279,12 +279,13 @@ func addSpan(set []span, lo, hi int) []span {
 	return slices.Replace(set, j, k, span{lo, hi})
 }
 
-// bindEdges hands a kept Plan's edges to the communicator's Bind: each
-// (direction, peer, tag) of the ops, with how many messages cross it per
-// run and the longest, and notes in halves each op's two for Move. The
-// engine carries an edge of tiny messages (at most its inlinePayload) on
-// a ring of cells of its own. The edges bound before, if any, are
-// released first.
+// bindEdges hands a broadcast Plan's edges — a kept Plan's, or one a
+// Calls holds — to the communicator's Bind: each (direction, peer, tag)
+// of the ops, with how many messages cross it per run and the longest,
+// and notes in halves each op's two for Move. The engine carries an
+// edge of tiny messages (at most its 1 KiB bind limit) on a ring of
+// cells of its own, as many as its rule gives the edge. The edges bound
+// before, if any, are released first.
 func (s *rankOps) bindEdges(c mpi.Comm) {
 	s.releaseEdges()
 	var edges []mpi.Edge
@@ -431,8 +432,8 @@ func (s *rankOps) execOp(c mpi.Comm, mv mpi.Binding, i int, op *sched.Op, buf []
 	return checkCount(st, err, want)
 }
 
-// foldOp runs a Fold receive, which only the per-call Plans of Reduce,
-// Allreduce and ExecProgram carry, never a kept one's bound edges: its
+// foldOp runs a Fold receive, which only the Plans of Reduce, Allreduce
+// and ExecProgram carry, never a broadcast's bound edges: its
 // bytes arrive in pooled scratch and s.red combines them into their
 // range of buf. On an error the world aborted and the sender may still
 // be copying, so the scratch is abandoned to the GC rather than

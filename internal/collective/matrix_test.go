@@ -179,12 +179,11 @@ func matrixCells() []cell {
 				kept(pooled(c, 0))
 			}
 		}
-		// Kept plans whose messages the engine binds to per-edge slot
-		// rings (at most 256 B, in-process), at the message rate of
-		// msgrate-np64: empty chunks, every message bound, and bound ring
-		// segments beside unbound scatter messages; then one over the
-		// wire, where nothing may be bound. A cached Plan is never kept,
-		// so the same shapes through a Calls bind nothing.
+		// Kept and cached Plans whose messages the engine binds to
+		// per-edge rings of cells (at most 1 KiB, in-process), at the
+		// message rate of msgrate-np64: empty chunks, every message
+		// bound, and bound ring segments beside unbound scatter messages;
+		// then one over the wire, where nothing may be bound.
 		for _, p := range []int{16, 64} {
 			for _, n := range []int{3, p * 64, p * 64 * 8} {
 				c := cell{row: row, place: fmt.Sprintf("blocked:%d", p/2), p: p, root: p/2 + 1, n: n, seg: 64}
@@ -228,9 +227,9 @@ func TestParityMatrix(t *testing.T) {
 //     tag; every message is received once; and the traced messages and
 //     receives are the engine's own send and receive counters, read as
 //     Run returns;
-//   - a kept plan whose messages all fit the engine's bound edges leaves
-//     its queues untouched, where every other cell uses them; over a
-//     wire, every message crossed it;
+//   - a kept plan or a cached Plan whose messages all fit the engine's
+//     bound edges leaves its queues untouched, where every other cell
+//     uses them; over a wire, every message crossed it;
 //   - a cached cell's Calls binds one Plan, in the first round: every
 //     later round is a hit on it;
 //   - for the unsegmented rings, the scatter and ring phases equal the
@@ -353,12 +352,12 @@ func runCell(t *testing.T, c cell) metrics.Snapshot {
 		t.Fatalf("%s: traced %d msgs / %d recvs, engine counted %d+%d sends / %d+%d recvs",
 			c, got.Total.Messages, got.Recvs, s.EagerSends, s.RdvSends, s.EagerRecvs, s.RdvRecvs)
 	}
-	// A kept plan's in-process messages of at most 256 B (the engine's
-	// inline payload) travel on the edges bound for them, past both
-	// queues; any other message, and every one a per-call broadcast
-	// sends, cached Plans' included, passes one of them.
+	// The in-process messages of at most 1 KiB (the engine's bind
+	// limit) of a kept plan or a cached Plan travel on the edges bound
+	// for them, past both queues; any other message, and every one a
+	// Plan bound for one call sends, passes one of them.
 	if tr == nil && pr.Stats().Messages > 0 {
-		bound := c.style == stylePlan && largestMessage(pr) <= boundMax
+		bound := c.style != styleCall && largestMessage(pr) <= boundMax
 		if queued := s.ArrivalQueueMax+s.PostedQueueMax != 0; queued == bound {
 			t.Fatalf("%s: every message bound: %v, yet the queues held %d arrivals / %d receives",
 				c, bound, s.ArrivalQueueMax, s.PostedQueueMax)
@@ -402,9 +401,9 @@ func runCell(t *testing.T, c cell) metrics.Snapshot {
 	return s
 }
 
-// boundMax is the largest message the engine carries on a kept plan's
-// bound edge.
-const boundMax = 256
+// boundMax is the largest message the engine carries on a bound edge
+// (its bindLimit).
+const boundMax = 1 << 10
 
 // largestMessage is the longest send of pr.
 func largestMessage(pr *sched.Program) int {

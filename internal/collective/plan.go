@@ -55,13 +55,27 @@ const callsCap = 8
 // only a shape it has not bound yet pays the registry lookup, the emit
 // and manage. Its Plans come from planPool and go back to it, the least
 // recently used one when a callsCap+1st key arrives and all of them at
-// Release. They are never kept, so they bind no edges, and what a rank
-// holds is its own business: ranks need not agree on evictions.
+// Release.
 //
-// A nil *Calls caches nothing: each call through it binds a Plan for that
-// call only, which is what the package-level Broadcast, RunDecision and
-// Barrier do. A Calls belongs to one rank of one communicator and is not
-// safe for concurrent use. The zero value is empty and ready.
+// A broadcast's Plan binds its edges (bindEdges) when it enters the
+// cache, as a kept Plan does, and releases them when it leaves, so a
+// repeated tiny broadcast moves its messages through cells of its own
+// instead of the engine's queues. The two ends of an edge meet by the
+// order in which their ranks bind on the communicator, so every rank
+// must miss and evict in the same order: the ranks' caches must hold
+// the same keys, which MPI's rule that every rank calls the collectives
+// of a communicator in the same order, with the same (length, root) and
+// a decision they agree on, gives. A rank that runs a broadcast through
+// a Calls while its peers run it through a nil one, or through another
+// Calls, binds edges its peers do not: its messages go into cells no
+// receive reads, and the run ends in the deadlock watchdog's report.
+// Other collectives bind nothing.
+//
+// A nil *Calls caches nothing and binds no edges: each call through it
+// binds a Plan for that call only, which is what the package-level
+// Broadcast, RunDecision and Barrier do. A Calls belongs to one rank of
+// one communicator and is not safe for concurrent use. The zero value
+// is empty and ready.
 type Calls struct {
 	plans [callsCap]*Plan // most recently used first
 	n     int
@@ -72,7 +86,8 @@ type Calls struct {
 // receives. It is the one place a per-call Plan is bound: k's Plan for
 // (op, n, root, d) runs again, and on a miss a pooled Plan binds (e, or
 // for a broadcast d's registry row; see bind), with bind's errors, and k
-// keeps it once the bind succeeded. A nil k binds for this call only.
+// keeps it once the bind succeeded, a broadcast's with its edges bound
+// (see Calls). A nil k binds for this call only.
 func (k *Calls) run(c mpi.Comm, op string, e sched.Emitter, d tune.Decision, buf []byte, lo, n, root int, red Op) error {
 	var p *Plan
 	i := 0
@@ -94,9 +109,13 @@ func (k *Calls) run(c mpi.Comm, op string, e sched.Emitter, d tune.Decision, buf
 			defer planPool.Put(p)
 		case k.n == callsCap:
 			i--
+			k.plans[i].ops.releaseEdges()
 			planPool.Put(k.plans[i])
 		default:
 			k.n++
+		}
+		if k != nil && op == opBcast {
+			p.ops.bindEdges(c)
 		}
 	}
 	if k != nil {
@@ -116,9 +135,11 @@ func (k *Calls) Broadcast(c mpi.Comm, buf []byte, root int, o Options) error {
 // Len reports how many bound Plans the cache holds.
 func (k *Calls) Len() int { return k.n }
 
-// Release returns every held Plan to planPool and empties the cache.
+// Release releases every held Plan's edges, returns the Plans to
+// planPool and empties the cache.
 func (k *Calls) Release() {
 	for _, p := range k.plans[:k.n] {
+		p.ops.releaseEdges()
 		planPool.Put(p)
 	}
 	*k = Calls{}
@@ -143,8 +164,8 @@ func NewPlan(c mpi.Comm, n, root int, o Options) (*Plan, error) {
 }
 
 // resolve decides for a byte count, binds the decision and binds the
-// kept Plan's edges (see bindEdges); the per-call Plans of planPool bind
-// decisions only, never edges.
+// kept Plan's edges (see bindEdges). A per-call Plan binds its edges in
+// Calls.run, and only while a Calls holds it.
 func (p *Plan) resolve(c mpi.Comm, n int) error {
 	if err := p.bind(c, nil, p.opts.Decide(envOf(c, n)), n, n); err != nil {
 		return err

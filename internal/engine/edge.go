@@ -3,23 +3,25 @@ package engine
 import (
 	"sync/atomic"
 
+	"repro/internal/bufpool"
 	"repro/internal/metrics"
 	"repro/internal/mpi"
 )
 
-// A kept schedule (collective.NewPlan) hands the engine every edge it
-// will use (Comm.Bind). An edge whose messages all fit inlinePayload
-// (and the eager limit) between two hosted, unwired ranks is bound: both
-// ends meet at bind time on one edge object under the receiver's
-// endpoint, keyed by (ctx, the rank's kept-plan ordinal on ctx, source,
-// base tag). It holds k cells, two per message the schedule moves on it
-// per run (cellRuns); the sender copies message p into cell p mod k and
-// stamps it, the receiver copies it out and publishes that it has. No
-// endpoint lock, no queue scan, no envelope. A sender one run ahead of
-// its receiver still finds free cells; one two runs ahead finds its cell
+// A schedule a broadcast Plan holds across calls (a kept one,
+// collective.NewPlan, or one a per-call collective.Calls cached) hands
+// the engine every edge it will use (Comm.Bind). An edge whose messages
+// all fit bindLimit (and the eager limit) between two hosted, unwired
+// ranks is bound: both ends meet at bind time on one edge object under
+// the receiver's endpoint, keyed by (ctx, the rank's Bind ordinal on
+// ctx, source, base tag). It holds the cells edgeCells gives it (the
+// first end to bind sizes it); the sender copies message p into cell p
+// mod k and stamps it, the receiver copies it out and publishes that it
+// has. No endpoint lock, no queue scan, no envelope. A sender that has
+// filled every cell its receiver has not emptied finds its next one
 // still full and waits for the receiver: the edge's flow control, in
 // place of the credit window. An edge lives until both ends have
-// released their bindings (a kept Plan rebinding or freed) and it is
+// released their bindings (a Plan rebinding, evicted or freed) and it is
 // drained, or until the Run ends.
 //
 // The executor runs each op with one call, binding.Move, naming its
@@ -56,20 +58,53 @@ type edge struct {
 
 	stamps []atomic.Uint64 // cell i: (p+1)<<stampShift | length of message p, 0 before the first
 	size   int
-	cells  []byte // cell i is cells[i*size:(i+1)*size]
+	cells  []byte       // cell i is cells[i*size:(i+1)*size]
+	buf    *bufpool.Buf // cells' pooled buffer; nil for no bytes
 
 	dst      *endpoint // the receiver's, where the edge is kept
 	key      edgeKey
 	released atomic.Int32 // ends whose binding let the edge go
 }
 
-const stampShift = 9 // a stamp's low bits hold the length, ≤ inlinePayload
+const stampShift = 11 // a stamp's low bits hold the length, ≤ bindLimit
 
-// cellRuns is how many runs of its messages an edge holds, so that a
-// sender one run ahead does not park. On msgrate-np64's shape two runs
-// cut the parks per broadcast from 80 (one run) to 46 for a few percent
-// of peak RSS; four cut them to 23 but cost up to 27 % more RSS.
+// bindLimit is the longest message a bound edge carries: high enough
+// for short-percall-np16's 1 KiB tree, and far under the collective
+// executor's hoistFloor (8 KiB), so no bound receive is one the executor
+// posts ahead of its op, nor a bound send one it starts late.
+const bindLimit = 1 << 10
+
+// cellRuns is how many runs of its messages an edge holds on a rank
+// whose edges are not all one message per run, so that a sender one run
+// ahead does not park. On msgrate-np64's shape two runs cut the parks
+// per broadcast from 80 (one run) to 46 for a few percent of peak RSS;
+// four cut them to 23 but cost up to 27 % more RSS.
 const cellRuns = 2
+
+// treeBytes caps the cells of an edge of a tree rank (edgeCells).
+const treeBytes = 32 << 10
+
+// edgeCells is the bind rule: how many cells an edge of count messages
+// per run, the longest maxLen bytes, gets — 0 when it is not bound
+// (longer than bindLimit, or no message). On a tree rank (tree: every
+// edge of the rank's schedule carries one message per run) cellRuns
+// runs are two broadcasts of slack where the credit window gave a root
+// DefaultEagerCredits: a kept 256 B binomial tree at np 16 ran 3x slower
+// than per call with two cells, so a tree edge gets a credit window of
+// them, up to treeBytes of cells. Any other rank's edge gets cellRuns
+// runs of its messages: a ring edge carries dozens per run, and a
+// one-message edge beside it (a scatter's) would buy cells it never
+// fills — a window on every one-message edge (bound up to 4 KiB) raised
+// msgrate-np64's peak RSS from 13.3 MB to 16–19 MB.
+func edgeCells(tree bool, count, maxLen int) int {
+	switch {
+	case count <= 0 || maxLen > bindLimit:
+		return 0
+	case tree:
+		return min(DefaultEagerCredits, max(cellRuns, treeBytes/max(maxLen, 1)))
+	}
+	return cellRuns * count
+}
 
 // waiter is where one end of an edge parks: it arms the flag, checks
 // once more, and blocks on ch (buffered(1)) for the other end's wake.
@@ -90,8 +125,17 @@ func (wt *waiter) wake() {
 	}
 }
 
+// newEdge makes an edge of k cells of size bytes. The cells come from
+// bufpool, unzeroed (a cell is read only once a stamp says it was
+// written): a per-call broadcast binds on its first call, so every world
+// that runs one pays its edges' cells, ~0.5 MB for short-percall-np16's
+// tree, and fresh zeroed cells raised that workload's setup_s by ~27 %.
 func newEdge(k, size int) *edge {
-	e := &edge{stamps: make([]atomic.Uint64, k), size: size, cells: make([]byte, k*size)}
+	e := &edge{stamps: make([]atomic.Uint64, k), size: size}
+	if n := k * size; n > 0 {
+		e.buf = bufpool.Get(n)
+		e.cells = e.buf.B
+	}
 	e.recvWaits.ch, e.sendWaits.ch = make(chan struct{}, 1), make(chan struct{}, 1)
 	return e
 }
@@ -131,9 +175,9 @@ type bound struct {
 
 var _ mpi.Binding = (*binding)(nil)
 
-// Bind binds each edge of at most inlinePayload (and eager) bytes whose
-// two ranks are hosted and unwired, meeting the peer's end of it under
-// the receiver's endpoint.
+// Bind binds each edge edgeCells gives cells to, of at most eager bytes,
+// whose two ranks are hosted and unwired, meeting the peer's end of it
+// under the receiver's endpoint.
 func (c *comm) Bind(edges []mpi.Edge) mpi.Binding {
 	w, me := c.w, c.worldRank()
 	ep := w.eps[me]
@@ -142,13 +186,17 @@ func (c *comm) Bind(edges []mpi.Edge) mpi.Binding {
 	}
 	ord := ep.plans[c.ctx]
 	ep.plans[c.ctx] = ord + 1
+	tree := true
+	for _, ed := range edges {
+		tree = tree && ed.Count == 1
+	}
 	b := &binding{w: w, ctx: c.ctx, rank: me, edges: make([]bound, len(edges))}
 	n := 0
 	for i, ed := range edges {
 		x := &b.edges[i]
 		x.peer, x.base, x.send = ed.Peer, ed.Tag, ed.Send
-		if ed.Peer < 0 || ed.Peer >= len(c.members) || ed.Peer == c.rank || ed.Count <= 0 ||
-			ed.MaxLen > inlinePayload || ed.MaxLen > w.eagerLimit {
+		k := edgeCells(tree, ed.Count, ed.MaxLen)
+		if ed.Peer < 0 || ed.Peer >= len(c.members) || ed.Peer == c.rank || k == 0 || ed.MaxLen > w.eagerLimit {
 			continue
 		}
 		peer := c.worldRankOf(ed.Peer)
@@ -156,9 +204,9 @@ func (c *comm) Bind(edges []mpi.Edge) mpi.Binding {
 			continue
 		}
 		if ed.Send {
-			x.e = w.meet(peer, edgeKey{c.ctx, ord, me, ed.Tag}, cellRuns*ed.Count, ed.MaxLen)
+			x.e = w.meet(peer, edgeKey{c.ctx, ord, me, ed.Tag}, k, ed.MaxLen)
 		} else {
-			x.e = w.meet(me, edgeKey{c.ctx, ord, peer, ed.Tag}, cellRuns*ed.Count, ed.MaxLen)
+			x.e = w.meet(me, edgeKey{c.ctx, ord, peer, ed.Tag}, k, ed.MaxLen)
 		}
 		n++
 	}
@@ -188,9 +236,10 @@ func (w *World) meet(dst int, key edgeKey, k, size int) *edge {
 
 // Release implements mpi.Binding: the rank is done with b's edges. The
 // second end to let an edge go deletes it from its receiver's endpoint
-// if it is drained; by then neither end writes it, so the sender's count
-// is safe to read. An undrained edge stays for the Run-end check to
-// report.
+// if it is drained, and returns its cells to bufpool; by then neither
+// end touches it, so the sender's count is safe to read. An undrained
+// edge stays for the Run-end check to report, and its cells go to the
+// garbage collector with it.
 func (b *binding) Release() {
 	for i := range b.edges {
 		e := b.edges[i].e
@@ -200,6 +249,10 @@ func (b *binding) Release() {
 		e.dst.mu.Lock()
 		if e.dst.edges[e.key] == e {
 			delete(e.dst.edges, e.key)
+			if e.buf != nil {
+				e.buf.Release()
+				e.buf, e.cells = nil, nil
+			}
 		}
 		e.dst.mu.Unlock()
 	}

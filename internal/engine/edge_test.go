@@ -239,8 +239,8 @@ func TestBoundSenderTwoRunsAhead(t *testing.T) {
 				return fmt.Errorf("waiting for two runs to be sent: %w", err)
 			}
 			e := b.(*binding).edges[0].e
-			for !e.sendWaits.armed.Load() {
-				time.Sleep(50 * time.Microsecond)
+			if err := parkedOnEdge(&e.sendWaits, "rank 0 two runs ahead"); err != nil {
+				return err
 			}
 			if e.sent != 2*k || e.taken.Load() != 0 {
 				return fmt.Errorf("sender parked with %d sent and %d taken, want %d and none", e.sent, e.taken.Load(), 2*k)
@@ -462,7 +462,7 @@ func TestBoundMismatchedSchedules(t *testing.T) {
 		{"longer message", 24, 16, 1, 1, mpi.ErrTruncate, ""},
 		// Too long to bind on the receiver's side: its receive waits in
 		// the queue for a message that went onto the edge.
-		{"one end unbound", 8, 300, 1, 1, mpi.ErrDeadlock, "rank 1 waiting recv src=0"},
+		{"one end unbound", 8, bindLimit + 1, 1, 1, mpi.ErrDeadlock, "rank 1 waiting recv src=0"},
 		{"missing message", 8, 8, 1, 2, mpi.ErrDeadlock, "rank 1 waiting on bound edge from 0"},
 		{"extra message", 8, 8, 2, 1, nil, "1 unconsumed messages"},
 	} {
@@ -507,18 +507,21 @@ func TestBoundMismatchedSchedules(t *testing.T) {
 
 // TestBoundOneHalfUnbound: an op whose one half is bound and whose other
 // is too long to be moves both, byte for byte: rank 0 runs each run's
-// exchange as one op, rank 1 as a send and then a receive. With the
-// bound half a send and rank 1 taking its first run's message only in
-// its second run, rank 0 finds its cell still full two runs ahead, and
-// its unbound receive is posted before it parks there.
+// exchange as one op, rank 1 as a send and then a receive. Each rank's
+// two edges carry one message per run, so the bound edge holds a tree's
+// k cells. With the bound half a send and rank 1 taking nothing before
+// its kth run, rank 0 finds its cell still full k runs ahead, and its
+// unbound receive is posted before it parks there.
 func TestBoundOneHalfUnbound(t *testing.T) {
-	const runs = 3
+	const small, long = 64, bindLimit + 1
+	k := edgeCells(true, 1, small)
+	runs := k + 1
 	for _, tc := range []struct {
 		name        string
 		sent, recvd int // rank 0's message lengths
 	}{
-		{"bound send, unbound receive", 64, 300},
-		{"unbound send, bound receive", 300, 64},
+		{"bound send, unbound receive", small, long},
+		{"unbound send, bound receive", long, small},
 	} {
 		for name, w := range boundWorlds(t) {
 			err := w.Run(func(c mpi.Comm) error {
@@ -531,7 +534,7 @@ func TestBoundOneHalfUnbound(t *testing.T) {
 					{Peer: peer, Tag: boundTag, Send: true, Count: 1, MaxLen: out},
 					{Peer: peer, Tag: boundTag, Count: 1, MaxLen: in},
 				})
-				full := me == 1 && tc.sent <= inlinePayload && w.slots == nil
+				full := me == 1 && tc.sent <= bindLimit && w.slots == nil
 				rbuf := make([]byte, in)
 				// recv receives run r's message.
 				recv := func(r int, move func() (mpi.Status, error)) error {
@@ -552,20 +555,22 @@ func TestBoundOneHalfUnbound(t *testing.T) {
 							return err
 						}
 						take := func() (mpi.Status, error) { return b.Move(-1, nil, 1, rbuf) }
-						if full && r == 0 {
-							return nil // taken in the next run, before that run's message
+						if full && r < k-1 {
+							return nil // taken in run k-1, before that run's message
 						}
-						if full && r == 1 {
-							// Rank 0 is two runs ahead: parked on its full cell,
+						if full && r == k-1 {
+							// Rank 0 is k runs ahead: parked on its full cell,
 							// its next receive already posted.
-							for !b.(*binding).edges[1].e.sendWaits.armed.Load() {
-								time.Sleep(50 * time.Microsecond)
+							if err := parkedOnEdge(&b.(*binding).edges[1].e.sendWaits, fmt.Sprintf("rank 0 %d runs ahead", k)); err != nil {
+								return err
 							}
 							if n := w.eps[0].pendingRecvs(); n != 1 {
 								return fmt.Errorf("rank 0 parked on its edge with %d receives posted, want 1", n)
 							}
-							if err := recv(0, take); err != nil {
-								return err
+							for j := 0; j < r; j++ {
+								if err := recv(j, take); err != nil {
+									return err
+								}
 							}
 						}
 						return recv(r, take)
@@ -582,6 +587,20 @@ func TestBoundOneHalfUnbound(t *testing.T) {
 		}
 	}
 }
+
+// parkedOnEdge waits until wt is armed — its end of an edge parked — and
+// fails, naming who, if that takes longer than parkWait.
+func parkedOnEdge(wt *waiter, who string) error {
+	for deadline := time.Now().Add(parkWait); !wt.armed.Load(); time.Sleep(50 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("%s: not parked on its edge after %v", who, parkWait)
+		}
+	}
+	return nil
+}
+
+// parkWait bounds parkedOnEdge, well inside boundWorlds' Timeout.
+const parkWait = 5 * time.Second
 
 // TestBoundMoveAfterAbort: a Move in an aborted world returns the abort
 // and leaves its cells alone, a free one to send into and a full one to
@@ -615,6 +634,121 @@ func TestBoundMoveAfterAbort(t *testing.T) {
 		})
 		if !errors.Is(err, boom) || !errors.Is(moveErr[0], boom) || !errors.Is(moveErr[1], boom) || moved != [2]uint64{1, 0} {
 			t.Errorf("%s: run %v, moves %v, %d sent and %d taken; want the abort, 1 sent and none taken", name, err, moveErr, moved[0], moved[1])
+		}
+	}
+}
+
+// TestEdgeCellsRule holds the bind rule to its table, and Bind to the
+// rule: a tree rank's edge gets a credit window of cells up to treeBytes,
+// any other rank's cellRuns runs of its messages, and an edge longer than
+// bindLimit none.
+func TestEdgeCellsRule(t *testing.T) {
+	if bindLimit>>stampShift != 0 {
+		t.Fatalf("a stamp's %d length bits cannot hold bindLimit (%d)", stampShift, bindLimit)
+	}
+	for _, tc := range []struct {
+		tree          bool
+		count, maxLen int
+		cells         int
+	}{
+		{true, 1, 0, 64},
+		{true, 1, 64, 64},
+		{true, 1, 256, 64},
+		{true, 1, 1 << 10, 32},
+		{true, 1, bindLimit + 1, 0},
+		{false, 1, 0, 2},
+		{false, 1, 64, 2},
+		{false, 1, 256, 2},
+		{false, 1, 1 << 10, 2},
+		{false, 1, bindLimit + 1, 0},
+		{false, 63, 0, 126},
+		{false, 63, 64, 126},
+		{false, 63, 256, 126},
+		{false, 63, 1 << 10, 126},
+		{false, 63, bindLimit + 1, 0},
+	} {
+		name := fmt.Sprintf("tree=%v count=%d maxLen=%d", tc.tree, tc.count, tc.maxLen)
+		if got := edgeCells(tc.tree, tc.count, tc.maxLen); got != tc.cells {
+			t.Errorf("%s: %d cells, want %d", name, got, tc.cells)
+		}
+		// Rank 0 binds the edge to rank 1, beside one of two messages
+		// per run unless the rank is a tree; the edge it meets has the
+		// rule's cells.
+		edges := []mpi.Edge{{Peer: 1, Tag: boundTag, Send: true, Count: tc.count, MaxLen: tc.maxLen}}
+		if !tc.tree {
+			edges = append(edges, mpi.Edge{Peer: 1, Tag: boundTag + 1, Send: true, Count: 2, MaxLen: 8})
+		}
+		err := Run(2, func(c mpi.Comm) error {
+			if c.Rank() == 1 {
+				return nil
+			}
+			b := c.Bind(edges)
+			cells := 0
+			if b != nil {
+				if e := b.(*binding).edges[0].e; e != nil {
+					cells = len(e.stamps)
+				}
+				b.Release()
+			}
+			if cells != tc.cells {
+				return fmt.Errorf("Bind gave the edge %d cells, want %d", cells, tc.cells)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestCallsReleaseEvictedEdges: a collective.Calls binds each broadcast
+// Plan's edges when the Plan enters it and releases them when it is
+// evicted, so twenty distinct tiny broadcast shapes in one Run leave the
+// endpoints holding only the edges of the Plans still cached — a binomial
+// tree's p-1 per Plan — and Release leaves none.
+func TestCallsReleaseEvictedEdges(t *testing.T) {
+	const np, shapes = 8, 20
+	for _, opts := range []Options{{NP: np}, {NP: np, Executor: Pooled, MaxWorkers: 2}} {
+		name := ExecLabel(opts.Executor, opts.MaxWorkers)
+		w, err := NewWorld(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var held, left, cached int
+		err = w.Run(func(c mpi.Comm) error {
+			var k collective.Calls
+			o := collective.Options{Algorithm: tune.Binomial}
+			for i := range shapes {
+				if err := k.Broadcast(c, make([]byte, 16*(i+1)), i%np, o); err != nil {
+					return err
+				}
+			}
+			// count notes n while every rank waits.
+			count := func(n *int) error {
+				if err := collective.Barrier(c); err != nil {
+					return err
+				}
+				if c.Rank() == 0 {
+					*n = w.boundEdges()
+				}
+				return collective.Barrier(c)
+			}
+			if c.Rank() == 0 {
+				cached = k.Len()
+			}
+			if err := count(&held); err != nil {
+				return err
+			}
+			k.Release()
+			return count(&left)
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		t.Logf("%s: %d Plans cached of %d shapes hold %d edges, %d once released", name, cached, shapes, held, left)
+		if cached >= shapes || held != cached*(np-1) || left != 0 {
+			t.Errorf("%s: %d Plans cached hold %d edges, %d once released; want %d, then none",
+				name, cached, held, left, cached*(np-1))
 		}
 	}
 }

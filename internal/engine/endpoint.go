@@ -12,10 +12,9 @@ import (
 // inlinePayload is the largest eager payload staged inside its envelope
 // (envelope.small) rather than in a bufpool buffer: a staged tiny message
 // is then one pooled object, not two. Every envelope carries the array,
-// so raising it costs resident memory on every queue. It also bounds the
-// messages of a kept plan's bound edges (edge.go), which stays far under
-// the collective executor's hoistFloor (8 KiB): no bound receive is one
-// the executor posts ahead of its op.
+// so raising it costs resident memory on every queue. A bound edge's
+// messages have their own, larger bound (bindLimit, edge.go): they travel
+// in the edge's cells, never in an envelope.
 const inlinePayload = 256
 
 // envelope is a message that arrived before a matching receive was posted

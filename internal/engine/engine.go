@@ -22,11 +22,14 @@
 // with Presend and completes them all with WaitPresends: isend, told the
 // buffer stays put, never stages the payload, so a receiver that posts
 // late still copies once, straight out of the sender's buffer (late.go).
-// A caller that knows its whole schedule ahead — a kept collective Plan
-// — binds its edges with Bind:
-// a message of at most inlinePayload bytes between two ranks of this
-// process then goes through a ring of cells its edge owns, past the
-// queues, moved by the binding's Move (edge.go).
+// A caller that runs one schedule again and again — a collective
+// broadcast Plan, kept or held by a per-call cache — binds its edges
+// with Bind: a message of at most bindLimit (1 KiB) bytes between two
+// ranks of this process then goes through a ring of cells its edge
+// owns, past the queues, moved by the binding's Move. One rule,
+// edgeCells, gives an edge its cells: a credit window of them on a rank
+// whose edges carry one message per run (a tree), two runs' worth on
+// any other (edge.go).
 //
 // How ranks run is the world's choice of substrate: the default
 // (Goroutine) gives every rank an OS-scheduled goroutine, while Pooled

@@ -47,11 +47,13 @@ import (
 //     done signal (clean completion only). A late send's rdvState and
 //     envelope are its ring slot's own (late): the receiver releases
 //     the envelope before the signal, and neither enters a pool.
-//   - edge cells (a kept plan's bound edges, edge.go): never pooled.
-//     Bind allocates an edge's cells once, k of them for two runs of
-//     its messages (cellRuns). The endpoint drops the edge when both
-//     ends have released their bindings (a kept Plan rebinding or
-//     freed) and it is drained, or else when the Run ends. A cell is
+//   - edge cells (a bound edge's, edge.go): one bufpool buffer per
+//     edge, taken when Bind makes the edge, with the cells edgeCells
+//     gives it. The endpoint drops the edge when both ends have
+//     released their bindings (a Plan rebinding, evicted or freed) and
+//     it is drained — the second end to release it then returns the
+//     buffer, since neither end touches the edge again — or else when
+//     the Run ends, and then the buffer goes to the GC with it. A cell is
 //     its sender's from the moment the receiver publishes it has taken
 //     the message k before, until the sender stamps the next one into
 //     it; from the stamp on it is the receiver's, until it publishes

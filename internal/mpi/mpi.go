@@ -241,13 +241,15 @@ type Comm interface {
 	// them; the buffers are then the caller's again. A rank calls it
 	// before its body returns.
 	WaitPresends() error
-	// Bind sets up, once, the edges a kept schedule sends and receives
-	// on, so that each run of it moves their messages without matching
-	// them. It takes every edge of the calling rank's schedule and
-	// returns the Binding to engage around each run, or nil when it
-	// bound none; then the schedule runs on the communicator as before.
-	// Every rank must Bind its kept schedules on a communicator in the
-	// same order, as it calls the collectives they run.
+	// Bind sets up, once, the edges a kept schedule (a persistent one,
+	// or one a per-call cache holds) sends and receives on, so that each
+	// run of it moves their messages without matching them. It takes
+	// every edge of the calling rank's schedule and returns the Binding
+	// to engage around each run, or nil when it bound none; then the
+	// schedule runs on the communicator as before. Every rank must Bind
+	// its kept schedules on a communicator in the same order, as it
+	// calls the collectives they run: the two ends of an edge meet by
+	// that order.
 	Bind(edges []Edge) Binding
 	// WithContext returns a view of the same communicator whose blocking
 	// calls additionally observe ctx: cancellation or deadline expiry
