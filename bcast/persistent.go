@@ -59,10 +59,10 @@ type Persistent struct {
 // the cluster defaults merged with opts into a tuner decision, binds
 // and validates the registry dispatch, compiles this rank's operations
 // of the static schedule when the algorithm has one, binds the edges
-// its in-process messages of at most 256 bytes travel on (no matching
-// per message; see the README's persistent section), and pre-registers
-// pooled staging for the payload so the first Start/Wait already runs
-// allocation-free.
+// its in-process messages of at most 1 KiB (the engine's bindLimit)
+// travel on (no matching per message; see the README's persistent
+// section), and pre-registers pooled staging for the payload so the
+// first Start/Wait already runs allocation-free.
 // Collective: every rank must call it with the same root, length and
 // options, like the Bcast it replaces.
 func (c Comm) BcastInit(buf []byte, root int, opts ...CallOption) (*Persistent, error) {

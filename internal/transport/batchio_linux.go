@@ -13,6 +13,7 @@ package transport
 
 import (
 	"net"
+	"sync"
 	"syscall"
 	"unsafe"
 )
@@ -30,9 +31,12 @@ type rawSockaddr [syscall.SizeofSockaddrInet6]byte
 
 // batchIO provides recvmmsg access to one UDP socket, and sendmmsg
 // access when the socket is a raw one. Write scratch is the caller's
-// batchWriter (flows flush concurrently, each under its own lock);
-// receive scratch lives here because readBatch has a single caller, the
-// transport's receive loop.
+// batchWriter (flows flush concurrently, each under its own lock).
+// Receive scratch is rx, borrowed from scratchPool for the transport's
+// lifetime: readBatch has a single caller, the transport's receive
+// loop, so one set of slots serves it, and once that loop has stopped
+// the next transport of the process may as well read into the same
+// slots.
 //
 // Every receive slot has one shape: a gather of the datagram's first
 // dataHeaderLen bytes into the head of the slot's buffer, then its
@@ -51,12 +55,8 @@ type batchIO struct {
 	// first read.
 	idle func()
 
-	rpkts  [batchSize]batchPkt         // what readBatch returns a prefix of
-	rbufs  [batchSize][]byte           // maxDatagram each: header, then payload
-	rwins  [batchSize][]byte           // the plan's windows; nil where the target is the slot's buffer
-	riovs  [batchSize][3]syscall.Iovec // header, target, spill
-	rhdrs  [batchSize]mmsghdr
-	rnames [batchSize]rawSockaddr
+	// rx is the receive scratch; nil once release has handed it back.
+	rx *recvScratch
 
 	// recv is the recvmmsg call handed to rc.Read, built once: a fresh
 	// closure per readBatch would be a heap allocation per batch. It asks
@@ -74,11 +74,43 @@ type batchIO struct {
 	empty bool
 	phdr  [dataHeaderLen]byte
 	pname rawSockaddr
+}
+
+// recvScratch is what a batchIO reads into: the recvmmsg slots, each
+// wired once to its own header, name and first iovec, and the address
+// cache. Its slot buffers are ~1.3 MB (32 of Go's 40 KiB size class),
+// the bulk of what a transport costs to set up, so it is pooled across
+// transports (scratchPool). It holds nothing of the write side: a Send
+// after Close must not find another transport's socket through it.
+// No view into it outlives a batch's dispatch — held fragments and
+// reassembly copy their bytes out, and a claimed window is the Sink's
+// own memory — so the next owner may overwrite all of it.
+type recvScratch struct {
+	pkts  [batchSize]batchPkt         // what readBatch returns a prefix of
+	bufs  [batchSize][]byte           // maxDatagram each: header, then payload
+	wins  [batchSize][]byte           // the plan's windows; nil where the target is the slot's buffer
+	iovs  [batchSize][3]syscall.Iovec // header, target, spill
+	hdrs  [batchSize]mmsghdr
+	names [batchSize]rawSockaddr
 
 	// addrs caches decoded source addresses so steady-state receives
-	// from a known peer allocate nothing.
+	// from a known peer allocate nothing. It starts empty for each
+	// transport: the addresses it caches are that transport's peers.
 	addrs []cachedAddr
 }
+
+// scratchPool holds the receive scratch of transports that have closed.
+var scratchPool = sync.Pool{New: func() any {
+	rx := new(recvScratch)
+	for i := range rx.bufs {
+		rx.bufs[i] = make([]byte, maxDatagram)
+		rx.iovs[i][0].Base = &rx.bufs[i][0]
+		rx.iovs[i][0].SetLen(dataHeaderLen)
+		rx.hdrs[i].hdr.Iov = &rx.iovs[i][0]
+		rx.hdrs[i].hdr.Name = &rx.names[i][0]
+	}
+	return rx
+}}
 
 type cachedAddr struct {
 	raw  rawSockaddr
@@ -101,20 +133,13 @@ func newBatchIO(conn net.PacketConn) *batchIO {
 		return nil
 	}
 	_, raw := conn.(*net.UDPConn)
-	b := &batchIO{rc: rc, writes: raw}
-	for i := range b.rbufs {
-		b.rbufs[i] = make([]byte, maxDatagram)
-		b.riovs[i][0].Base = &b.rbufs[i][0]
-		b.riovs[i][0].SetLen(dataHeaderLen)
-		b.rhdrs[i].hdr.Iov = &b.riovs[i][0]
-		b.rhdrs[i].hdr.Name = &b.rnames[i][0]
-	}
+	b := &batchIO{rc: rc, writes: raw, rx: scratchPool.Get().(*recvScratch)}
 	b.head = b.peek
 	b.recv = func(fd uintptr) bool {
 		b.fd, b.empty = fd, false
 		if n := b.aim(); !b.empty {
 			r1, _, e := syscall.Syscall6(sysRecvmmsg, fd,
-				uintptr(unsafe.Pointer(&b.rhdrs[0])), uintptr(n), syscall.MSG_DONTWAIT, 0, 0)
+				uintptr(unsafe.Pointer(&b.rx.hdrs[0])), uintptr(n), syscall.MSG_DONTWAIT, 0, 0)
 			if e != syscall.EAGAIN {
 				b.rerr, b.rgot = e, int(r1)
 				return true
@@ -124,6 +149,25 @@ func newBatchIO(conn net.PacketConn) *batchIO {
 		return false // park on the netpoller until readable
 	}
 	return b
+}
+
+// release hands the receive scratch back to scratchPool, emptied of
+// what it held of this transport: the last batch's views, the plan's
+// windows and the cached peer addresses. Its caller has stopped the
+// receive loop, the scratch's one reader; the write side stays here, so
+// a late Send still writes through this transport's own socket. A nil
+// batchIO releases nothing.
+func (b *batchIO) release() {
+	if b == nil || b.rx == nil {
+		return
+	}
+	rx := b.rx
+	b.rx = nil
+	clear(rx.pkts[:])
+	clear(rx.wins[:])
+	clear(rx.addrs)
+	rx.addrs = rx.addrs[:0]
+	scratchPool.Put(rx)
 }
 
 // peek is the batchIO's peekFunc: a recvfrom that leaves the datagram
@@ -146,21 +190,22 @@ func (b *batchIO) peek() (hdr []byte, rest int, addr net.Addr, ok bool) {
 // aim asks the plan how many slots the next recvmmsg may fill and points
 // each at its target, the plan's window or the slot's own buffer.
 func (b *batchIO) aim() int {
-	clear(b.rwins[:])
-	n := max(1, min(b.plan(b.rwins[:], b.head), batchSize))
+	rx := b.rx
+	clear(rx.wins[:])
+	n := max(1, min(b.plan(rx.wins[:], b.head), batchSize))
 	for i := 0; i < n; i++ {
-		hdr, iov := &b.rhdrs[i].hdr, &b.riovs[i]
-		hdr.Namelen = uint32(len(b.rnames[i]))
+		hdr, iov := &rx.hdrs[i].hdr, &rx.iovs[i]
+		hdr.Namelen = uint32(len(rx.names[i]))
 		hdr.Iovlen = 2
-		target := b.rbufs[i][dataHeaderLen:]
-		if w := b.rwins[i]; len(w) > 0 {
+		target := rx.bufs[i][dataHeaderLen:]
+		if w := rx.wins[i]; len(w) > 0 {
 			w = w[:min(len(w), maxPayload)]
 			if spill := target[len(w):]; len(spill) > 0 {
 				iov[2].Base = &spill[0]
 				iov[2].SetLen(len(spill))
 				hdr.Iovlen = 3
 			}
-			b.rwins[i], target = w, w
+			rx.wins[i], target = w, w
 		}
 		iov[1].Base = &target[0]
 		iov[1].SetLen(len(target))
@@ -195,8 +240,9 @@ func encodeSockaddr(addr net.Addr, rsa *rawSockaddr) (uint32, bool) {
 // decodeSockaddr resolves a kernel-filled sockaddr through the address
 // cache, adding an entry on first sight of a peer.
 func (b *batchIO) decodeSockaddr(raw *rawSockaddr, n uint32) net.Addr {
-	for i := range b.addrs {
-		c := &b.addrs[i]
+	rx := b.rx
+	for i := range rx.addrs {
+		c := &rx.addrs[i]
 		if c.n == n && c.raw == *raw {
 			return c.addr
 		}
@@ -220,8 +266,8 @@ func (b *batchIO) decodeSockaddr(raw *rawSockaddr, n uint32) net.Addr {
 		return nil
 	}
 	// Bound the cache; a rotating peer set beyond this just allocates.
-	if len(b.addrs) < 256 {
-		b.addrs = append(b.addrs, cachedAddr{raw: *raw, n: n, addr: ua})
+	if len(rx.addrs) < 256 {
+		rx.addrs = append(rx.addrs, cachedAddr{raw: *raw, n: n, addr: ua})
 	}
 	return ua
 }
@@ -307,12 +353,13 @@ func (b *batchIO) readBatch(plan readPlan) ([]batchPkt, error) {
 		}
 		return nil, serr
 	}
-	pkts := b.rpkts[:b.rgot]
+	rx := b.rx
+	pkts := rx.pkts[:b.rgot]
 	for i := range pkts {
-		buf, n := b.rbufs[i], int(b.rhdrs[i].n)
+		buf, n := rx.bufs[i], int(rx.hdrs[i].n)
 		hdrLen := min(n, dataHeaderLen)
 		payload := buf[dataHeaderLen : dataHeaderLen+n-hdrLen]
-		switch w := b.rwins[i]; {
+		switch w := rx.wins[i]; {
 		case len(w) == 0:
 		case len(payload) <= len(w):
 			payload = w[:len(payload)]
@@ -321,7 +368,7 @@ func (b *batchIO) readBatch(plan readPlan) ([]batchPkt, error) {
 		}
 		pkts[i] = batchPkt{
 			hdr: buf[:hdrLen], payload: payload,
-			addr: b.decodeSockaddr(&b.rnames[i], b.rhdrs[i].hdr.Namelen),
+			addr: b.decodeSockaddr(&rx.names[i], rx.hdrs[i].hdr.Namelen),
 		}
 	}
 	return pkts, nil

@@ -12,6 +12,8 @@ type batchIO struct{ idle func() }
 
 func newBatchIO(net.PacketConn) *batchIO { return nil }
 
+func (*batchIO) release() {}
+
 type batchWriter struct{}
 
 func (*batchIO) writeBatch(*batchWriter, []datagram, net.Addr) (int, int, bool) { return 0, 0, false }

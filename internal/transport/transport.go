@@ -132,7 +132,17 @@
 // still there gets 64 chances to acknowledge, and one that already
 // exited costs the bound once rather than a backoff-inflated multiple
 // of it. Close also sends its own deferred ACKs before the socket goes,
-// so a peer draining at the same time is not left waiting for them.
+// so a peer draining at the same time is not left waiting for them. The
+// linger waits on the ACKs, not on a clock: the receive loop wakes it
+// whenever an ACK or an RdvAck retires packets, so a Close whose last
+// ACK is a loopback round trip away returns in tens of microseconds (a
+// millisecond timer only backs up a wake that went missing).
+//
+// What a transport costs to set up is mostly its receive scratch, the
+// recvmmsg slot buffers (~1.3 MB). Close hands it to a process-wide
+// pool once the receive loop has stopped, and the next transport the
+// process builds reads into it; nothing of the write side is pooled, so
+// a Send after Close still writes through its own, closed socket.
 //
 // # Adaptive behavior
 //

@@ -78,8 +78,11 @@ type UDP struct {
 	// draining is set by Close for its linger: retransmit at the
 	// estimator RTO, without per-packet backoff.
 	draining atomic.Bool
-	done     chan struct{}
-	wg       sync.WaitGroup
+	// retired wakes Close's linger (buffered, 1): sent by the receive
+	// loop while draining whenever an ACK or an RdvAck retires packets.
+	retired chan struct{}
+	done    chan struct{}
+	wg      sync.WaitGroup
 
 	met atomic.Pointer[metrics.Metrics]
 }
@@ -135,16 +138,16 @@ func NewUDP(cfg UDPConfig) (*UDP, error) {
 		_ = sb.SetWriteBuffer(socketBuf)
 	}
 	t := &UDP{
-		np:     cfg.NP,
-		force:  cfg.ForceWire,
-		conn:   conn,
-		hosted: make([]bool, cfg.NP),
-		sendTo: make([]*peer, cfg.NP),
-		done:   make(chan struct{}),
+		np:      cfg.NP,
+		force:   cfg.ForceWire,
+		conn:    conn,
+		hosted:  make([]bool, cfg.NP),
+		sendTo:  make([]*peer, cfg.NP),
+		done:    make(chan struct{}),
+		retired: make(chan struct{}, 1),
 	}
 	t.uc, _ = conn.(*net.UDPConn)
 	t.peers.Store(&map[peerKey]*peer{})
-	t.bio = newBatchIO(conn)
 	if cfg.Hosted == nil {
 		for r := range t.hosted {
 			t.hosted[r] = true
@@ -184,6 +187,7 @@ func NewUDP(cfg UDPConfig) (*UDP, error) {
 			return nil, fmt.Errorf("transport: rank %d is neither hosted nor addressed", r)
 		}
 	}
+	t.bio = newBatchIO(conn)
 	return t, nil
 }
 
@@ -372,7 +376,10 @@ func (t *UDP) writeTo(b []byte, p *peer) error {
 
 // Close implements Transport: drains unacknowledged packets — bounded
 // by drainBound, retransmitting every estimator RTO — then stops the
-// loops, closes the socket, and releases every retained buffer.
+// loops, closes the socket, and releases every retained buffer and the
+// receive scratch, which the next transport of the process reads into.
+// The drain returns as soon as the ACK that retires the last packet has
+// been read, not on the next turn of a clock.
 func (t *UDP) Close() error {
 	t.mu.Lock()
 	if t.closed {
@@ -385,23 +392,33 @@ func (t *UDP) Close() error {
 	if started {
 		// The loops are still running here, so retransmits keep flowing
 		// and inbound acks keep retiring packets while we wait. Our own
-		// deferred ACKs leave at once meanwhile: the peer may be draining
-		// too, and an ACK that dies with this socket costs it its whole
-		// linger.
+		// deferred ACKs leave at once meanwhile, on every turn: the peer
+		// may be draining too, and an ACK that dies with this socket
+		// costs it its whole linger. A turn ends when the receive loop
+		// retires packets (t.retired), or after a millisecond at most, so
+		// a wake that went missing delays the drain, never wedges it.
 		t.draining.Store(true)
 		ackBuf := make([]byte, maxAckLen)
-		for start := time.Now(); ; time.Sleep(time.Millisecond) {
+		wake := time.NewTimer(time.Millisecond)
+		for start := time.Now(); ; wake.Reset(time.Millisecond) {
 			t.ackFlushPass(time.Now().Add(maxAckDelay), ackBuf)
 			if !t.hasPending() || time.Since(start) >= t.drainBound() {
 				break
 			}
+			select {
+			case <-t.retired:
+			case <-wake.C:
+			}
 		}
+		wake.Stop()
 	}
 	close(t.done)
 	err := t.conn.Close()
 	if started {
 		t.wg.Wait()
 	}
+	// The receive loop has stopped: nothing reads the scratch any more.
+	t.bio.release()
 	for _, p := range *t.peers.Load() {
 		p.send.mu.Lock()
 		for f := &p.send; f.q.len() > 0; f.q.pop() {
@@ -610,7 +627,22 @@ func (t *UDP) handleAck(p *peer, a *ack) {
 	if retired > 0 || halved {
 		t.noteCC(f)
 	}
+	if retired > 0 {
+		t.wakeDrain()
+	}
 	t.flush(p)
+}
+
+// wakeDrain tells a draining Close that packets were retired, so it
+// looks again at once. Outside a drain it does nothing.
+func (t *UDP) wakeDrain() {
+	if !t.draining.Load() {
+		return
+	}
+	select {
+	case t.retired <- struct{}{}:
+	default: // a wake is already pending
+	}
 }
 
 // handleData feeds one data datagram to the flow's receive half,
@@ -659,6 +691,7 @@ func (t *UDP) deliver(p *peer, hnd Handler, h header, frag []byte) {
 		f.mu.Lock()
 		if f.onConsumed(m.MsgID) > 0 {
 			t.noteCC(f)
+			t.wakeDrain()
 		}
 		t.flush(p)
 		f.mu.Unlock()
