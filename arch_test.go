@@ -113,7 +113,6 @@ var archRules = []archRule{
 			"bcast.Comm":          "one rank's view of a run, bound to its run's epoch",
 			"bcast.Option":        "the cluster option function over the private config",
 			"bcast.Persistent":    "the persistent request with its MPI lifecycle",
-			"bcast.Scalar":        "the typed helpers' element constraint",
 			"bcast.TunerFunc":     "a tuner as a plain function; its Decide makes it a tune.Tuner",
 		},
 	},
@@ -199,6 +198,15 @@ var archRules = []archRule{
 		// port (ComputeStepFlag) stays only as the closed form's oracle.
 		name:  "one statement of the saving",
 		check: secondSavings,
+	},
+	{
+		// Memory is viewed as another type in two places: the
+		// collectives' element views (unsafeFiles[0]), which the
+		// facade's typed helpers and the reductions share, and the
+		// batched socket I/O's system-call arguments. An unsafe import
+		// in any other non-test file is a second view growing back.
+		name:  "unsafe in two files",
+		check: unsafeImports,
 	},
 }
 
@@ -885,6 +893,7 @@ var (
 	wrappedSaving = regexp.MustCompile(`\b(RingTunedOps|RingTunedSegOps|SendrecvSteps|DegenerateSteps|tuned bool)\b`)
 	stepFlag      = regexp.MustCompile(`\bComputeStepFlag\b`)
 	stepFlagFiles = []string{"internal/core/stepflag.go", "internal/core/traffic.go"}
+	unsafeFiles   = []string{"internal/collective/view.go", "internal/transport/batchio_linux.go"}
 )
 
 // grepLines reports every line of the files keep selects that re
@@ -956,6 +965,13 @@ var (
 	runArg    = regexp.MustCompile(` -run '?([^' ]+)'?`)
 	pkgArg    = regexp.MustCompile(`\./[^ ]*`)
 )
+
+// unsafeImports reports every import of unsafe by a non-test file
+// outside unsafeFiles.
+func unsafeImports(files []srcFile) []string {
+	return importsWhere(files, func(f srcFile) bool { return !f.test && !slices.Contains(unsafeFiles, f.path) },
+		func(p string) bool { return p == "unsafe" })
+}
 
 // unmatchedRunPatterns resolves every alternative of every -run pattern
 // in the workflow files against the top-level test functions of the
@@ -1359,6 +1375,15 @@ func main() {}
 				"internal/core/traffic.go no longer names ComputeStepFlag",
 				"internal/core/planted.go names ComputeStepFlag",
 			},
+		},
+		{
+			rule: "unsafe in two files",
+			plant: map[string]string{
+				"internal/collective/planted.go":      "package collective\nimport \"unsafe\"\nvar _ = unsafe.Sizeof(0)\n",
+				"internal/collective/planted_test.go": "package collective\nimport \"unsafe\"\nvar _ = unsafe.Sizeof(0)\n",
+				unsafeFiles[0]:                        "package collective\nimport \"unsafe\"\nvar _ = unsafe.Sizeof(0)\n",
+			},
+			want: []string{"internal/collective/planted.go imports unsafe"},
 		},
 	} {
 		t.Run(tc.rule, func(t *testing.T) {

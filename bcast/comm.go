@@ -280,7 +280,7 @@ const (
 
 // AllreduceFloat64 combines every rank's in element-wise with op and
 // leaves the identical result in out on all ranks. len(in) must equal
-// len(out) and match across ranks.
+// len(out) and match across ranks. out may be in.
 func (c Comm) AllreduceFloat64(ctx context.Context, in, out []float64, op Op) error {
 	if err := c.epochAlive(); err != nil {
 		return fmt.Errorf("bcast: allreduce: %w", err)
@@ -289,7 +289,7 @@ func (c Comm) AllreduceFloat64(ctx context.Context, in, out []float64, op Op) er
 }
 
 // ReduceFloat64 combines every rank's in element-wise with op into out
-// on the root (significant only there).
+// on the root (significant only there), where out may be in.
 func (c Comm) ReduceFloat64(ctx context.Context, in, out []float64, op Op, root int) error {
 	if err := c.epochAlive(); err != nil {
 		return fmt.Errorf("bcast: reduce: %w", err)

@@ -3,31 +3,20 @@ package bcast
 import (
 	"context"
 	"fmt"
-	"unsafe"
+
+	"repro/internal/collective"
 )
 
-// Scalar constrains the element types of the typed collective helpers
-// to fixed-layout numerics, so a slice can travel as its raw bytes.
-// (The engine is in-process shared memory — there is no endianness or
-// ABI boundary to cross.)
-type Scalar interface {
-	~int8 | ~int16 | ~int32 | ~int64 | ~int |
-		~uint8 | ~uint16 | ~uint32 | ~uint64 | ~uint |
-		~float32 | ~float64
-}
-
-// asBytes reinterprets a scalar slice as its backing bytes (zero copy).
-func asBytes[T Scalar](s []T) []byte {
-	if len(s) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(s[0])))
-}
+// Scalar constrains the typed helpers' elements to fixed-layout
+// numerics, which travel as their raw bytes. The typed collectives and
+// the reductions send native byte order: a mixed-endian world is
+// unsupported.
+type Scalar = collective.Scalar
 
 // BcastSlice broadcasts s from root: the root's elements overwrite
 // every other rank's. All ranks must pass slices of equal length.
 func BcastSlice[T Scalar](ctx context.Context, c Comm, s []T, root int, opts ...CallOption) error {
-	return c.Bcast(ctx, asBytes(s), root, opts...)
+	return c.Bcast(ctx, collective.AsBytes(s), root, opts...)
 }
 
 // ScatterSlice distributes consecutive len(recv)-element pieces of send
@@ -37,8 +26,8 @@ func ScatterSlice[T Scalar](ctx context.Context, c Comm, send, recv []T, root in
 	if c.Rank() == root && len(send) != c.Size()*len(recv) {
 		return fmt.Errorf("bcast: scatter send has %d elements, want Size*len(recv) = %d", len(send), c.Size()*len(recv))
 	}
-	chunk := len(recv) * int(unsafe.Sizeof(*new(T)))
-	return c.Scatter(ctx, asBytes(send), chunk, asBytes(recv), root)
+	piece := collective.AsBytes(recv)
+	return c.Scatter(ctx, collective.AsBytes(send), len(piece), piece, root)
 }
 
 // GatherSlice collects each rank's send into recv on the root (length
@@ -48,8 +37,8 @@ func GatherSlice[T Scalar](ctx context.Context, c Comm, send, recv []T, root int
 	if c.Rank() == root && len(recv) != c.Size()*len(send) {
 		return fmt.Errorf("bcast: gather recv has %d elements, want Size*len(send) = %d", len(recv), c.Size()*len(send))
 	}
-	chunk := len(send) * int(unsafe.Sizeof(*new(T)))
-	return c.Gather(ctx, asBytes(send), chunk, asBytes(recv), root)
+	piece := collective.AsBytes(send)
+	return c.Gather(ctx, piece, len(piece), collective.AsBytes(recv), root)
 }
 
 // AllgatherSlice is GatherSlice delivered to every rank; recv must have
@@ -58,6 +47,6 @@ func AllgatherSlice[T Scalar](ctx context.Context, c Comm, send, recv []T) error
 	if len(recv) != c.Size()*len(send) {
 		return fmt.Errorf("bcast: allgather recv has %d elements, want Size*len(send) = %d", len(recv), c.Size()*len(send))
 	}
-	chunk := len(send) * int(unsafe.Sizeof(*new(T)))
-	return c.Allgather(ctx, asBytes(send), chunk, asBytes(recv))
+	piece := collective.AsBytes(send)
+	return c.Allgather(ctx, piece, len(piece), collective.AsBytes(recv))
 }

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"fmt"
+	"syscall"
 	"testing"
 	"time"
 
@@ -371,30 +372,48 @@ func BenchmarkEngineBarrier(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineAllreduce measures a 1024-element float64 sum-allreduce
-// (binomial reduce to rank 0, then binomial broadcast).
+// BenchmarkEngineAllreduce measures a float64 sum-allreduce (binomial
+// reduce to rank 0, then binomial broadcast) of 1024 elements and of
+// 131072 (1 MiB). Beside the wall time per operation it reports
+// cpu-ns/op, the process's user plus system CPU time over the timed
+// loop (getrusage) per operation, which spreads less than the wall time
+// on a shared host.
 func BenchmarkEngineAllreduce(b *testing.B) {
 	const np = 16
-	b.Run(fmt.Sprintf("np=%d", np), func(b *testing.B) {
-		w, err := engine.NewWorld(engine.Options{NP: np, Timeout: 10 * time.Minute})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		err = w.Run(func(c mpi.Comm) error {
-			var calls *collective.Calls // nil: each call binds its own Plan
-			in, out := make([]float64, 1024), make([]float64, 1024)
-			for i := 0; i < b.N; i++ {
-				if err := calls.AllreduceFloat64(c, in, out, collective.OpSum); err != nil {
-					return err
-				}
+	for _, m := range []int{1024, 131072} {
+		b.Run(fmt.Sprintf("np=%d/m=%d", np, m), func(b *testing.B) {
+			w, err := engine.NewWorld(engine.Options{NP: np, Timeout: 10 * time.Minute})
+			if err != nil {
+				b.Fatal(err)
 			}
-			return nil
+			b.ResetTimer()
+			cpu0 := cpuTime(b)
+			err = w.Run(func(c mpi.Comm) error {
+				var calls *collective.Calls // nil: each call binds its own Plan
+				in, out := make([]float64, m), make([]float64, m)
+				for i := 0; i < b.N; i++ {
+					if err := calls.AllreduceFloat64(c, in, out, collective.OpSum); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			cpu := cpuTime(b) - cpu0
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(cpu.Nanoseconds())/float64(b.N), "cpu-ns/op")
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	})
+	}
+}
+
+// cpuTime is the process's user plus system CPU time so far.
+func cpuTime(b *testing.B) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		b.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // BenchmarkNetsimThroughput measures the simulator's own speed: simulated

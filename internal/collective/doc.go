@@ -83,8 +83,9 @@
 // (core.DisseminationOps), Reduce the binomial broadcast reversed with
 // every receive a Fold (core.ReduceOps), which combines what arrives,
 // and Allreduce that reduction followed by the binomial broadcast, over
-// one buffer. Every collective, the broadcast included, runs the same
-// way: a Plan bound for its (op, bytes, root, decision) through a Calls
+// the caller's out vector as its native bytes (view.go), with no codec.
+// Every collective, the broadcast included, runs the same way: a Plan
+// bound for its (op, bytes, root, decision) through a Calls
 // — a rank's cache, as in the facade, where a repeated shape pays no
 // emit, compile or manage; or a nil one, binding for one call — and run
 // by Plan.Execute, which records the span: one per run of a schedule,

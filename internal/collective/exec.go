@@ -77,7 +77,7 @@ type rankOps struct {
 	held            []span      // markLate's scratch
 	bound           mpi.Binding // a kept or cached broadcast Plan's edges (bindEdges); nil for one call
 	halves          [][2]int    // per op: its send and receive edges' indices in bound, -1 for none
-	red             Op          // how a Fold receive combines (set per run: Calls.run, ExecProgram)
+	red             Op          // how a Fold receive combines (set per run by Calls.run)
 }
 
 // managed is a receive posted just before op post and completed just
@@ -432,11 +432,11 @@ func (s *rankOps) execOp(c mpi.Comm, mv mpi.Binding, i int, op *sched.Op, buf []
 	return checkCount(st, err, want)
 }
 
-// foldOp runs a Fold receive, which only the Plans of Reduce, Allreduce
-// and ExecProgram carry, never a broadcast's bound edges: its
-// bytes arrive in pooled scratch and s.red combines them into their
-// range of buf. On an error the world aborted and the sender may still
-// be copying, so the scratch is abandoned to the GC rather than
+// foldOp runs a Fold receive, which only the Plans of Reduce and
+// Allreduce carry, never a broadcast's bound edges: its bytes arrive in
+// pooled scratch and s.red combines them into their range of buf, both
+// viewed as float64s. On an error the world aborted and the sender may
+// still be copying, so the scratch is abandoned to the GC rather than
 // recycled.
 func (s *rankOps) foldOp(c mpi.Comm, op *sched.Op, buf []byte) error {
 	in := bufpool.Get(op.RecvLen)
@@ -474,7 +474,8 @@ func checkRoot(c mpi.Comm, root int) error {
 // do not come from a registry row (extensions like the node-aware
 // ring, hand-built test programs). The rank's ops are checked
 // against (pr.P, pr.N, rank) first, so a malformed program fails with
-// ErrBadOp instead of panicking inside a rank body.
+// ErrBadOp instead of panicking inside a rank body; so is a Fold
+// receive, which only a reduction's float64 vector can combine.
 //
 // Every rank of the communicator must call ExecProgram with the same
 // program. The buffer must be at least pr.N bytes. The caller advances
@@ -494,7 +495,9 @@ func ExecProgram(c mpi.Comm, pr *sched.Program, buf []byte) error {
 	if err := p.ops.compile(c, ops, pr.Root, pr.N, 0, 0, pr.N); err != nil {
 		return err
 	}
-	p.ops.red = OpSum // a hand-built program's Fold receives add
+	if i := slices.IndexFunc(p.ops.ops, func(op sched.Op) bool { return op.Fold }); i >= 0 {
+		return fmt.Errorf("collective: exec: %w: rank %d op %d (%s): a Fold receive runs only in a reduction", ErrBadOp, c.Rank(), i, &p.ops.ops[i])
+	}
 	if err := p.ops.exec(c, nil, buf); err != nil {
 		return fmt.Errorf("collective: exec %q: %w", pr.Name, err)
 	}

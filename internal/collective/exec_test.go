@@ -95,6 +95,7 @@ func TestExecValidation(t *testing.T) {
 			"unknown kind":                {Kind: sched.OpSendrecv + 1, To: peer, From: peer},
 			"fold on a send":              {Kind: sched.OpSend, To: peer, SendLen: 8, Fold: true},
 			"fold on a sendrecv":          {Kind: sched.OpSendrecv, To: peer, From: peer, SendLen: 8, RecvLen: 8, Fold: true},
+			"fold on a recv":              {Kind: sched.OpRecv, From: peer, RecvLen: 8, Fold: true},
 		}
 		for name, op := range bad {
 			op.Tag = core.TagBinomial

@@ -1,9 +1,7 @@
 package collective
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"repro/internal/bufpool"
 	"repro/internal/core"
@@ -40,49 +38,32 @@ func (op Op) String() string {
 }
 
 // combine accumulates the float64 vector src into dst element-wise,
-// both encoded as encodeFloat64sInto writes them. It picks the
-// operator's loop once per call, not once per element.
+// both viewed in place as float64s. It picks the operator's loop once
+// per call, not once per element.
 func (op Op) combine(dst, src []byte) {
+	d, s := asFloat64s(dst), asFloat64s(src)
+	s = s[:len(d)]
 	switch op {
 	case OpSum:
-		for i := 0; i < len(dst); i += 8 {
-			putFloat64(dst[i:], float64At(dst[i:])+float64At(src[i:]))
+		for i := range d {
+			d[i] += s[i]
 		}
 	case OpProd:
-		for i := 0; i < len(dst); i += 8 {
-			putFloat64(dst[i:], float64At(dst[i:])*float64At(src[i:]))
+		for i := range d {
+			d[i] *= s[i]
 		}
 	case OpMax:
-		for i := 0; i < len(dst); i += 8 {
-			if b := float64At(src[i:]); b > float64At(dst[i:]) {
-				putFloat64(dst[i:], b)
+		for i, b := range s {
+			if b > d[i] {
+				d[i] = b
 			}
 		}
 	case OpMin:
-		for i := 0; i < len(dst); i += 8 {
-			if b := float64At(src[i:]); b < float64At(dst[i:]) {
-				putFloat64(dst[i:], b)
+		for i, b := range s {
+			if b < d[i] {
+				d[i] = b
 			}
 		}
-	}
-}
-
-// float64At and putFloat64 read and write one encoded element.
-func float64At(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
-
-func putFloat64(b []byte, v float64) { binary.LittleEndian.PutUint64(b, math.Float64bits(v)) }
-
-// encodeFloat64sInto writes vals into b (which must hold 8*len(vals)
-// bytes), so callers with pooled scratch encode without allocating.
-func encodeFloat64sInto(b []byte, vals []float64) {
-	for i, v := range vals {
-		putFloat64(b[8*i:], v)
-	}
-}
-
-func decodeFloat64s(b []byte, out []float64) {
-	for i := range out {
-		out[i] = float64At(b[8*i:])
 	}
 }
 
@@ -93,7 +74,8 @@ var allreduceOps = sched.Emitter(core.ReduceOps).Then(core.BinomialOps)
 // ReduceFloat64 reduces every rank's `in` vector element-wise with op
 // into the root's `out` vector along a binomial tree (core.ReduceOps;
 // all operators are commutative and associative up to floating-point
-// rounding). Non-root ranks may pass a nil out.
+// rounding). Non-root ranks may pass a nil out; the root's out may be
+// its in. No rank's in is written otherwise.
 func (k *Calls) ReduceFloat64(c mpi.Comm, in, out []float64, op Op, root int) error {
 	if err := checkRoot(c, root); err != nil {
 		return err
@@ -107,8 +89,8 @@ func (k *Calls) ReduceFloat64(c mpi.Comm, in, out []float64, op Op, root int) er
 }
 
 // AllreduceFloat64 reduces element-wise with op and delivers the result
-// to every rank's out vector: a reduce to rank 0 and a binomial
-// broadcast from it, run as one schedule.
+// to every rank's out vector, which may be its in: a reduce to rank 0
+// and a binomial broadcast from it, run as one schedule.
 func (k *Calls) AllreduceFloat64(c mpi.Comm, in, out []float64, op Op) error {
 	if len(out) < len(in) {
 		return fmt.Errorf("collective: allreduce: out %d < in %d", len(out), len(in))
@@ -116,24 +98,26 @@ func (k *Calls) AllreduceFloat64(c mpi.Comm, in, out []float64, op Op) error {
 	return k.fold(c, opAllreduce, allreduceOps, in, out, op, 0)
 }
 
-// fold encodes in into a pooled accumulator, runs e from root over it
-// with op combining every Fold receive, and decodes the accumulator into
-// out unless out is nil. The accumulator is released only on the clean
+// fold runs e from root over the rank's working vector, as its bytes,
+// with op combining every Fold receive into it in place. That vector is
+// out (which may be in) with in copied into it, or, on a non-root reduce
+// rank, whose out is nil, pooled scratch, released only on the clean
 // path: when the run errors the world aborted and a peer may still be
-// copying through it, so it is abandoned to the GC instead (the engine
-// pools' abort rule).
+// copying through it, so it is abandoned to the GC instead.
 func (k *Calls) fold(c mpi.Comm, name string, e sched.Emitter, in, out []float64, op Op, root int) error {
 	if op < OpSum || op > OpMin {
 		return fmt.Errorf("collective: %s: unknown reduction operator %v", name, op)
 	}
-	acc := bufpool.Get(8 * len(in))
-	encodeFloat64sInto(acc.B, in)
-	if err := k.run(c, name, e, tune.Decision{}, acc.B, 0, len(acc.B), root, op); err != nil {
+	var scratch *bufpool.Buf
+	if out == nil {
+		scratch = bufpool.Get(8 * len(in))
+		out = asFloat64s(scratch.B)
+	}
+	copy(out, in)
+	buf := AsBytes(out[:len(in)])
+	if err := k.run(c, name, e, tune.Decision{}, buf, 0, len(buf), root, op); err != nil {
 		return fmt.Errorf("collective: %s: %w", name, err)
 	}
-	if out != nil {
-		decodeFloat64s(acc.B, out[:len(in)])
-	}
-	acc.Release()
+	scratch.Release() // a nil scratch releases nothing
 	return nil
 }

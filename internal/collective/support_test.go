@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -392,6 +393,67 @@ func TestReduceValidation(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReductionsLeaveInUntouched: a reduction works in out — or, on a
+// non-root reduce rank, in scratch — and never writes a rank's in: after
+// every call each rank's in holds the bits it passed, whatever the
+// operator and root. Where out is in (every rank of an allreduce, the
+// root of a reduce) the result lands there, bit for bit the tree's fold
+// order, and a non-root reduce rank's in still stays as it was.
+func TestReductionsLeaveInUntouched(t *testing.T) {
+	const m = 256
+	input := func(rank int) []float64 {
+		rng := rand.New(rand.NewPCG(uint64(rank), 7))
+		v := make([]float64, m)
+		for i := range v {
+			v[i] = rng.NormFloat64() * math.Ldexp(1, rng.IntN(40)-20)
+		}
+		return v
+	}
+	for _, p := range []int{1, 2, 3, 5, 8} {
+		for _, root := range []int{0, p - 1} {
+			want := foldOracle(sched.Generate("reduce", core.ReduceOps, p, root, 8*m, 0), input)
+			wantAll := foldOracle(sched.Generate("reduce", core.ReduceOps, p, 0, 8*m, 0), input)
+			err := engine.Run(p, func(c mpi.Comm) error {
+				r := c.Rank()
+				for _, op := range []Op{OpSum, OpProd, OpMax, OpMin} {
+					in, out := input(r), make([]float64, m)
+					if err := uncached.ReduceFloat64(c, in, out, op, root); err != nil {
+						return err
+					}
+					if err := sameBits("reduce "+op.String()+": in", r, in, input(r)); err != nil {
+						return err
+					}
+					if err := uncached.AllreduceFloat64(c, in, out, op); err != nil {
+						return err
+					}
+					if err := sameBits("allreduce "+op.String()+": in", r, in, input(r)); err != nil {
+						return err
+					}
+				}
+				v := input(r)
+				if err := uncached.ReduceFloat64(c, v, v, OpSum, root); err != nil {
+					return err
+				}
+				wantV := want
+				if r != root {
+					wantV = input(r)
+				}
+				if err := sameBits("reduce into in", r, v, wantV); err != nil {
+					return err
+				}
+				v = input(r)
+				if err := uncached.AllreduceFloat64(c, v, v, OpSum); err != nil {
+					return err
+				}
+				return sameBits("allreduce into in", r, v, wantAll)
+			})
+			if err != nil {
+				t.Fatalf("p=%d root=%d: %v", p, root, err)
+			}
+		}
 	}
 }
 

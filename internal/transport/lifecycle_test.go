@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"errors"
 	"net"
 	"runtime"
 	"runtime/debug"
@@ -115,12 +116,13 @@ func TestUDPReusesReceiveScratch(t *testing.T) {
 	}
 }
 
-// TestUDPLateSendStaysOnItsSocket: a Send after Close writes through
-// the closed transport's own socket, which takes nothing — never
-// through the socket of the transport that took over its receive
-// scratch. The late sends race new transports starting and running
-// sessions on that scratch; the race detector sees any write-side
-// state the two share, and the observer any datagram that got out.
+// TestUDPLateSendStaysOnItsSocket: a Send after Close fails with
+// net.ErrClosed and enqueues nothing — it writes neither through the
+// closed transport's own socket nor through the socket of the transport
+// that took over its receive scratch. The late sends race new
+// transports starting and running sessions on that scratch; the race
+// detector sees any write-side state the two share, and the observer
+// any datagram that got out.
 func TestUDPLateSendStaysOnItsSocket(t *testing.T) {
 	observer, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
@@ -149,8 +151,8 @@ func TestUDPLateSendStaysOnItsSocket(t *testing.T) {
 				return
 			default:
 			}
-			if err := a.Send(Message{Ctx: 1, Dst: 1, Tag: i, Kind: Eager, Data: pattern(i, 100)}); err != nil {
-				t.Error(err)
+			if err := a.Send(Message{Ctx: 1, Dst: 1, Tag: i, Kind: Eager, Data: pattern(i, 100)}); !errors.Is(err, net.ErrClosed) {
+				t.Errorf("Send %d after Close: got %v, want net.ErrClosed", i, err)
 				return
 			}
 			time.Sleep(20 * time.Microsecond)
@@ -164,6 +166,13 @@ func TestUDPLateSendStaysOnItsSocket(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	f := &a.sendTo[1].send
+	f.mu.Lock()
+	queued := f.q.len()
+	f.mu.Unlock()
+	if queued != 0 {
+		t.Errorf("Sends after Close left %d packets in the flow's queue", queued)
+	}
 
 	buf := make([]byte, maxDatagram)
 	observer.SetReadDeadline(time.Now().Add(50 * time.Millisecond))

@@ -141,8 +141,9 @@
 // What a transport costs to set up is mostly its receive scratch, the
 // recvmmsg slot buffers (~1.3 MB). Close hands it to a process-wide
 // pool once the receive loop has stopped, and the next transport the
-// process builds reads into it; nothing of the write side is pooled, so
-// a Send after Close still writes through its own, closed socket.
+// process builds reads into it; nothing of the write side is pooled. A
+// Send once Close has begun enqueues nothing and fails with an error
+// wrapping net.ErrClosed.
 //
 // # Adaptive behavior
 //

@@ -68,9 +68,12 @@ type UDP struct {
 	hmu     sync.RWMutex
 	handler Handler
 
-	mu      sync.Mutex // guards started, closed and writes to peers
+	mu      sync.Mutex // guards started, setting closed and writes to peers
 	started bool
-	closed  bool
+	// closed is set by Close, under mu, before it releases any flow;
+	// Send reads it under the flow's send lock, so no message is
+	// enqueued into a flow whose loops have stopped.
+	closed atomic.Bool
 	// peers is copy-on-write: the per-datagram paths read it without a
 	// lock, and the rare first sight of an address republishes a copy
 	// under mu.
@@ -238,7 +241,7 @@ func (t *UDP) Start(h Handler) error {
 	t.hmu.Unlock()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.closed {
+	if t.closed.Load() {
 		return errors.New("transport: udp transport is closed")
 	}
 	if !t.started {
@@ -290,6 +293,8 @@ func (t *UDP) noteCC(f *sendFlow) {
 // Send implements Transport: frames m into sequenced fragments on the
 // destination's flow, then flushes every fragment the congestion window
 // admits in one batched write. It never blocks on the receive path.
+// Once Close has begun it enqueues nothing and returns an error that
+// wraps net.ErrClosed.
 func (t *UDP) Send(m Message) error {
 	if m.Dst < 0 || m.Dst >= t.np {
 		return fmt.Errorf("transport: destination rank %d out of range [0,%d)", m.Dst, t.np)
@@ -300,6 +305,9 @@ func (t *UDP) Send(m Message) error {
 	}
 	p.send.mu.Lock()
 	defer p.send.mu.Unlock()
+	if t.closed.Load() {
+		return fmt.Errorf("transport: send to rank %d: %w", m.Dst, net.ErrClosed)
+	}
 	p.send.enqueue(m, maxPayload)
 	t.flush(p)
 	return nil
@@ -382,11 +390,11 @@ func (t *UDP) writeTo(b []byte, p *peer) error {
 // been read, not on the next turn of a clock.
 func (t *UDP) Close() error {
 	t.mu.Lock()
-	if t.closed {
+	if t.closed.Load() {
 		t.mu.Unlock()
 		return nil
 	}
-	t.closed = true
+	t.closed.Store(true)
 	started := t.started
 	t.mu.Unlock()
 	if started {
