@@ -103,11 +103,13 @@ type Comm struct {
 	rank  *rankCalls
 }
 
-// rankCalls is one rank's per-call Plan caches in one Run: its world
-// communicator's and one per Split child.
+// rankCalls is one rank's per-call Plan caches in one Run, its world
+// communicator's and one per Split child, and the rank's Persistent
+// handles not yet freed.
 type rankCalls struct {
 	world collective.Calls
 	split []*collective.Calls
+	kept  []*Persistent
 }
 
 // open returns a fresh cache for a Split child.
@@ -117,11 +119,17 @@ func (r *rankCalls) open() *collective.Calls {
 	return k
 }
 
-// release returns every cached Plan to the pool.
+// release returns every cached Plan to the pool and releases the edges
+// of every handle not freed, as Free would: the Run's end retires the
+// handle anyway, and its drained edges' cells go back to bufpool for the
+// next world's binds instead of to the garbage collector.
 func (r *rankCalls) release() {
 	r.world.Release()
 	for _, k := range r.split {
 		k.Release()
+	}
+	for _, h := range r.kept {
+		h.plan.Release()
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/bufpool"
 	"repro/internal/collective"
@@ -44,8 +45,11 @@ var ErrStaleHandle = errors.New("bcast: persistent handle outlived its run")
 // A handle is bound to the Run it was created in. When that Run returns
 // — cleanly, by error, or by cancellation mid-Start — the handle is
 // retired and every later use fails with an error wrapping
-// ErrStaleHandle and the run's outcome. Handles are per-rank-goroutine
-// objects, like the Comm they came from: not safe for concurrent use.
+// ErrStaleHandle and the run's outcome. A handle not freed has its edges
+// released when its rank body returns, as Free would, so their cells go
+// back to the buffer pool for the next world's binds. Handles are
+// per-rank-goroutine objects, like the Comm they came from: not safe
+// for concurrent use.
 type Persistent struct {
 	c    Comm
 	buf  []byte
@@ -62,7 +66,11 @@ type Persistent struct {
 // its in-process messages of at most 1 KiB (the engine's bindLimit)
 // travel on (no matching per message; see the README's persistent
 // section), and pre-registers pooled staging for the payload so the
-// first Start/Wait already runs allocation-free.
+// first Start/Wait already runs allocation-free. It allocates little
+// beyond what the handle keeps: the rank's ops once, at their length,
+// and the edges' bookkeeping, their cells coming from the buffer pool
+// (at np 64, 4 KiB, ~11 KiB per rank of a cold cluster;
+// TestColdBcastInitAllocs).
 // Collective: every rank must call it with the same root, length and
 // options, like the Bcast it replaces.
 func (c Comm) BcastInit(buf []byte, root int, opts ...CallOption) (*Persistent, error) {
@@ -74,7 +82,9 @@ func (c Comm) BcastInit(buf []byte, root int, opts ...CallOption) (*Persistent, 
 		return nil, fmt.Errorf("bcast: bcast init: %w", err)
 	}
 	warmStaging(len(buf), c.Size(), plan.Decision().SegSize)
-	return &Persistent{c: c, buf: buf, plan: plan}, nil
+	h := &Persistent{c: c, buf: buf, plan: plan}
+	c.rank.kept = append(c.rank.kept, h)
+	return h, nil
 }
 
 // warmStaging touches the pool size classes a broadcast of n bytes over
@@ -160,15 +170,19 @@ func (h *Persistent) Rebind(buf []byte) error {
 
 // Free retires the handle and releases the edges it bound. Freeing an
 // active operation is an error (Wait it first); freeing an already-freed
-// handle is a no-op. Free is local and never touches the buffer.
+// handle is a no-op. Free is local and never touches the buffer. A
+// handle not freed is released when its rank body returns; Free lets
+// its edges go sooner, and a freed handle is not released again.
 func (h *Persistent) Free() error {
 	if h.active {
 		return fmt.Errorf("bcast: free: operation in flight (Wait it first)")
 	}
-	// A handle whose Run has ended has nothing to release: the Run's end
-	// dropped its edges, and its world may be running the next Run.
+	// A handle whose Run has ended has nothing to release: its rank's
+	// end released its edges, and its world may be running the next Run.
 	if !h.freed && h.c.epochAlive() == nil {
 		h.plan.Release()
+		r := h.c.rank
+		r.kept = slices.DeleteFunc(r.kept, func(k *Persistent) bool { return k == h })
 	}
 	h.freed = true
 	return nil

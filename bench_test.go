@@ -706,6 +706,52 @@ func BenchmarkPersistentBcast(b *testing.B) {
 	}
 }
 
+// BenchmarkBcastInit is what a persistent broadcast costs to set up on
+// msgrate-np64's shape: one op is a cold cluster — NewCluster, a Run
+// whose ranks only call BcastInit, Close. Run it with
+//
+//	go test -run '^$' -bench BenchmarkBcastInit -benchmem .
+//
+// B/op and allocs/op are the set-up's garbage: a kept Plan's ops and
+// edges, the world's boot, and whatever else compiling the schedule
+// drops on the way.
+func BenchmarkBcastInit(b *testing.B) {
+	const np = 64
+	b.Run(fmt.Sprintf("np=%d", np), func(b *testing.B) {
+		ctx := context.Background()
+		bufs := make([][]byte, np)
+		for r := range bufs {
+			bufs[r] = make([]byte, 4<<10)
+		}
+		setup := func() {
+			cl, err := bcast.NewCluster(ctx,
+				bcast.Procs(np),
+				bcast.Placement("blocked:32"),
+				bcast.Algorithm(bcast.RingOptSeg),
+				bcast.SegSize(8<<10),
+				bcast.Timeout(10*time.Minute))
+			if err != nil {
+				b.Fatal(err)
+			}
+			err = cl.Run(ctx, func(c bcast.Comm) error {
+				_, err := c.BcastInit(bufs[c.Rank()], 0)
+				return err
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := cl.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		setup()
+		b.ResetTimer()
+		for range b.N {
+			setup()
+		}
+	})
+}
+
 // ---------------------------------------------------------------------
 // Wire-path throughput: the adaptive UDP transport against its own
 // pinned baseline. Every rank is hosted in-process but ForceWire routes

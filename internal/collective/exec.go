@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/bufpool"
 	"repro/internal/mpi"
@@ -95,10 +96,16 @@ type managed struct {
 // of the program's buffer (lo 0 and size n: all of it), checks each
 // against (communicator size, window, rank) and places its receives. It
 // costs O(own ops · log own ops) beyond the emitter, which for an elided
-// row also emits each of the rank's destinations' lists once.
+// row also emits each of the rank's destinations' lists once. The
+// emitter writes into pooled scratch, and s gets a copy: on a first
+// compile one allocation at the ops' length, where growing them in place
+// would leave every doubling on the way as garbage of a kept Plan.
 func (s *rankOps) compile(c mpi.Comm, e sched.Emitter, root, n, seg, lo, size int) error {
 	p, me := c.Size(), c.Rank()
-	s.ops = e(s.ops[:0], me, p, root, n, seg)
+	scratch := opsPool.Get().(*[]sched.Op)
+	*scratch = e((*scratch)[:0], me, p, root, n, seg)
+	s.ops = append(s.ops[:0], *scratch...)
+	opsPool.Put(scratch)
 	for i := range s.ops {
 		op := &s.ops[i]
 		if lo != 0 {
@@ -113,6 +120,9 @@ func (s *rankOps) compile(c mpi.Comm, e sched.Emitter, root, n, seg, lo, size in
 	s.markLate()
 	return nil
 }
+
+// opsPool holds the scratch compile emits into.
+var opsPool = sync.Pool{New: func() any { return new([]sched.Op) }}
 
 // hoisted reports whether op has a receive half manage may post early:
 // one of at least hoistFloor bytes that lands as it arrives. A Fold
@@ -241,9 +251,14 @@ type span struct{ lo, hi int }
 // overwrites must be gone before that receive is posted.
 //
 // One pass from the end finds them, keeping the bytes the later ops
-// receive into as sorted, disjoint spans.
+// receive into as sorted, disjoint spans. A rank none of whose ops sends
+// hoistFloor bytes (a 64 B chunk's ring) has none and builds no spans.
 func (s *rankOps) markLate() {
-	ops, held, late := s.ops, s.held[:0], s.late[:0]
+	s.late = s.late[:0]
+	if !slices.ContainsFunc(s.ops, func(op sched.Op) bool { return op.Kind != sched.OpRecv && op.SendLen >= hoistFloor }) {
+		return
+	}
+	ops, held, late := s.ops, s.held[:0], s.late
 	recvAfter := false // a later op receives
 	for i := len(ops) - 1; i >= 0; i-- {
 		op := &ops[i]
@@ -288,7 +303,8 @@ func addSpan(set []span, lo, hi int) []span {
 // before, if any, are released first.
 func (s *rankOps) bindEdges(c mpi.Comm) {
 	s.releaseEdges()
-	var edges []mpi.Edge
+	scratch := edgesPool.Get().(*[]mpi.Edge)
+	edges := (*scratch)[:0]
 	add := func(e mpi.Edge, n int) int {
 		for i := range edges {
 			if x := &edges[i]; x.Peer == e.Peer && x.Tag == e.Tag && x.Send == e.Send {
@@ -300,7 +316,7 @@ func (s *rankOps) bindEdges(c mpi.Comm) {
 		edges = append(edges, e)
 		return len(edges) - 1
 	}
-	s.halves = make([][2]int, len(s.ops))
+	s.halves = slices.Grow(s.halves[:0], len(s.ops))[:len(s.ops)]
 	for i := range s.ops {
 		op, h := &s.ops[i], &s.halves[i]
 		h[0], h[1] = -1, -1
@@ -312,7 +328,12 @@ func (s *rankOps) bindEdges(c mpi.Comm) {
 		}
 	}
 	s.bound = c.Bind(edges)
+	*scratch = edges
+	edgesPool.Put(scratch)
 }
+
+// edgesPool holds bindEdges' list of edges, which Bind does not keep.
+var edgesPool = sync.Pool{New: func() any { return new([]mpi.Edge) }}
 
 // releaseEdges gives back the edges bindEdges bound.
 func (s *rankOps) releaseEdges() {

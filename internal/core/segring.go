@@ -22,7 +22,7 @@ const DefaultRingSegment = 64 << 10
 // at the given segment size. Empty chunks still occupy one zero-byte
 // round, mirroring the enclosed ring's zero-byte envelopes.
 func RingSegments(count, segSize int) int {
-	if count <= 0 {
+	if count <= segSize {
 		return 1
 	}
 	return (count + segSize - 1) / segSize
@@ -53,10 +53,14 @@ func RingNativeSegOps(dst []sched.Op, rank, p, root, n, segSize int) []sched.Op 
 	}
 	l := NewLayout(n, p)
 	left, right := ringPeers(rank, p)
-	j, jnext := rank, left
+	// The chunk sent in step i is the one received in step i-1, so the
+	// relative ranks step down the ring together.
+	relJ := RelRank(rank, root, p)
+	relJnext := relJ - 1
 	for i := 1; i < p; i++ {
-		relJ := RelRank(j, root, p)
-		relJnext := RelRank(jnext, root, p)
+		if relJnext < 0 {
+			relJnext += p
+		}
 		sendCnt, recvCnt := l.Count(relJ), l.Count(relJnext)
 		sendDisp, recvDisp := l.Disp(relJ), l.Disp(relJnext)
 		// A short chunk's half runs out of segments before the other's.
@@ -81,8 +85,7 @@ func RingNativeSegOps(dst []sched.Op, rank, p, root, n, segSize int) []sched.Op 
 			}
 			dst = append(dst, op)
 		}
-		j = jnext
-		jnext = (jnext - 1 + p) % p
+		relJ, relJnext = relJnext, relJnext-1
 	}
 	return dst
 }

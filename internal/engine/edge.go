@@ -21,8 +21,8 @@ import (
 // filled every cell its receiver has not emptied finds its next one
 // still full and waits for the receiver: the edge's flow control, in
 // place of the credit window. An edge lives until both ends have
-// released their bindings (a Plan rebinding, evicted or freed) and it is
-// drained, or until the Run ends.
+// released their bindings (a Plan rebinding, evicted or freed, or its
+// rank body returning) and it is drained, or until the Run ends.
 //
 // The executor runs each op with one call, binding.Move, naming its
 // halves by their edges' indices: nothing is looked up per message, and
@@ -130,6 +130,9 @@ func (wt *waiter) wake() {
 // written): a per-call broadcast binds on its first call, so every world
 // that runs one pays its edges' cells, ~0.5 MB for short-percall-np16's
 // tree, and fresh zeroed cells raised that workload's setup_s by ~27 %.
+// The facade releases a rank's bindings when its body returns at the
+// latest (a kept handle's too, freed or not), so a new world's edges
+// find the cells the last one's drained edges gave back.
 func newEdge(k, size int) *edge {
 	e := &edge{stamps: make([]atomic.Uint64, k), size: size}
 	if n := k * size; n > 0 {
@@ -237,9 +240,10 @@ func (w *World) meet(dst int, key edgeKey, k, size int) *edge {
 // Release implements mpi.Binding: the rank is done with b's edges. The
 // second end to let an edge go deletes it from its receiver's endpoint
 // if it is drained, and returns its cells to bufpool; by then neither
-// end touches it, so the sender's count is safe to read. An undrained
-// edge stays for the Run-end check to report, and its cells go to the
-// garbage collector with it.
+// end touches it, so the sender's count is safe to read. The facade
+// releases every binding by the time its rank body returns, so only an
+// undrained edge stays for the Run-end check to report, and only its
+// cells go to the garbage collector with it.
 func (b *binding) Release() {
 	for i := range b.edges {
 		e := b.edges[i].e

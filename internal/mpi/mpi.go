@@ -249,7 +249,7 @@ type Comm interface {
 	// schedule runs on the communicator as before. Every rank must Bind
 	// its kept schedules on a communicator in the same order, as it
 	// calls the collectives they run: the two ends of an edge meet by
-	// that order.
+	// that order. Bind does not keep edges.
 	Bind(edges []Edge) Binding
 	// WithContext returns a view of the same communicator whose blocking
 	// calls additionally observe ctx: cancellation or deadline expiry

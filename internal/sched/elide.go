@@ -14,37 +14,37 @@ import (
 // receive, paired FIFO per (destination, tag), and a Sendrecv that loses
 // one half becomes a Send or a Recv with that half's fields zeroed.
 //
-// A rank learns its destinations' verdicts by emitting each one's ops
-// once into dst's spare capacity. It keeps no state between calls and,
-// once dst and its pooled scratch have grown, allocates nothing.
+// A rank learns its destinations' verdicts by emitting its own ops and
+// each destination's once, into scratch of its own, and appends to dst
+// only the ops it keeps: dst past the returned length is left as it was.
+// It keeps no state between calls and, once dst and its pooled scratch
+// have grown, allocates nothing.
 func (e Emitter) Elide() Emitter {
 	return func(dst []Op, rank, p, root, n, seg int) []Op {
-		start := len(dst)
-		dst = e(dst, rank, p, root, n, seg)
 		s := elisionPool.Get().(*elision)
 		defer elisionPool.Put(s)
-		s.drop = append(s.drop[:0], make([]bool, len(dst)-start)...)
+		s.mine = e(s.mine[:0], rank, p, root, n, seg)
+		mine := s.mine
+		s.drop = append(s.drop[:0], make([]bool, len(mine))...)
 		s.peers = s.peers[:0]
-		for i := start; i < len(dst); i++ {
-			to := dst[i].To
-			if dst[i].Kind == OpRecv || slices.Contains(s.peers, to) {
+		for i := range mine {
+			to := mine[i].To
+			if mine[i].Kind == OpRecv || slices.Contains(s.peers, to) {
 				continue
 			}
 			s.peers = append(s.peers, to)
 			s.start(to, root, n)
-			theirs := e(dst, to, p, root, n, seg)
-			dst = theirs[:len(dst)]
-			for _, op := range theirs[len(dst):] {
+			s.theirs = e(s.theirs[:0], to, p, root, n, seg)
+			for _, op := range s.theirs {
 				if op.Kind != OpSend {
 					if kept := s.keep(op.RecvOff, op.RecvLen); op.From == rank {
-						s.pair(dst[start:], to, op.Tag, kept)
+						s.pair(mine, to, op.Tag, kept)
 					}
 				}
 			}
 		}
 		s.start(rank, root, n)
-		out := dst[:start]
-		for i, op := range dst[start:] {
+		for i, op := range mine {
 			if s.drop[i] {
 				if op.Kind == OpSend {
 					continue
@@ -57,18 +57,20 @@ func (e Emitter) Elide() Emitter {
 				}
 				op.Kind, op.From, op.RecvOff, op.RecvLen = OpSend, 0, 0, 0
 			}
-			out = append(out, op)
+			dst = append(dst, op)
 		}
-		return out
+		return dst
 	}
 }
 
 // elision is Elide's scratch for one call.
 type elision struct {
-	own   IntervalSet // what the walked rank holds so far
-	drop  []bool      // per op of the emitting rank: its send half goes
-	peers []int       // destinations already walked
-	next  []cursor    // per tag: where the search for its next send resumes
+	mine   []Op        // the emitting rank's ops
+	theirs []Op        // the walked destination's ops
+	own    IntervalSet // what the walked rank holds so far
+	drop   []bool      // per op of the emitting rank: its send half goes
+	peers  []int       // destinations already walked
+	next   []cursor    // per tag: where the search for its next send resumes
 }
 
 type cursor struct{ tag, at int }

@@ -246,8 +246,8 @@ func Generate(name string, e Emitter, p, root, n, seg int) *Program {
 		panic(fmt.Sprintf("sched: schedule requires n >= 0, got %d", n))
 	}
 	// Every rank emits into one scratch slice, which keeps the capacity
-	// the largest rank and Elide's walks of its peers grew it to, and
-	// keeps an exact-size copy of its own ops.
+	// the largest rank grew it to, and keeps an exact-size copy of its
+	// own ops.
 	pr := New(name, p, n, root)
 	var scratch []Op
 	for rank := range pr.Ranks {
