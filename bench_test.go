@@ -752,6 +752,116 @@ func BenchmarkBcastInit(b *testing.B) {
 	})
 }
 
+// coldShapes are the facade worlds BenchmarkColdSetup boots cold:
+// short-percall-np16's (np 16, 1 KiB per-call broadcasts, MPICH3 dispatch
+// with the tuned ring) and msgrate-np64's (np 64, blocked:32, a 4 KiB
+// persistent opt-seg broadcast in 8 KiB segments).
+var coldShapes = []struct {
+	name       string
+	np, n      int
+	persistent bool
+	opts       []bcast.Option
+}{
+	{"percall-np16", 16, 1 << 10, false, []bcast.Option{bcast.Tuner(bcast.MPICH3Tuner(true))}},
+	{"persistent-np64", 64, 4 << 10, true, []bcast.Option{
+		bcast.Placement("blocked:32"), bcast.Algorithm(bcast.RingOptSeg), bcast.SegSize(8 << 10)}},
+}
+
+// BenchmarkColdSetup is what a fresh world costs before it broadcasts
+// warm, the benchmark's setup_s: one op is NewCluster, a Run of the
+// first broadcast and three more (per call, or BcastInit and four runs
+// of the handle), and Close. Run it with
+//
+//	go test -run '^$' -bench BenchmarkColdSetup -benchmem -cpuprofile cold.prof .
+//
+// A cold world pays its rank goroutines' stacks and its schedules'
+// compile; in the profile, runtime.newstack stays a few percent and the
+// elision walk (sched's build) appears once per shape, not per world.
+func BenchmarkColdSetup(b *testing.B) {
+	ctx := context.Background()
+	for _, w := range coldShapes {
+		b.Run(w.name, func(b *testing.B) {
+			bufs := make([][]byte, w.np)
+			for r := range bufs {
+				bufs[r] = make([]byte, w.n)
+			}
+			setup := func() {
+				cl, err := bcast.NewCluster(ctx, append(w.opts, bcast.Procs(w.np), bcast.Timeout(10*time.Minute))...)
+				if err != nil {
+					b.Fatal(err)
+				}
+				err = cl.Run(ctx, func(c bcast.Comm) error {
+					buf := bufs[c.Rank()]
+					if !w.persistent {
+						for range 4 {
+							if err := c.Bcast(ctx, buf, 0); err != nil {
+								return err
+							}
+						}
+						return nil
+					}
+					ph, err := c.BcastInit(buf, 0)
+					if err != nil {
+						return err
+					}
+					for range 4 {
+						if err := ph.Run(ctx); err != nil {
+							return err
+						}
+					}
+					return ph.Free()
+				})
+				if cerr := cl.Close(); err == nil {
+					err = cerr
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			setup()
+			b.ResetTimer()
+			for range b.N {
+				setup()
+			}
+		})
+	}
+}
+
+// BenchmarkWarmRun is what a Run on a booted world pays again: one op is
+// a Run whose ranks each make one per-call 4 KiB opt-seg broadcast on a
+// warm np-64 cluster (blocked:32, 8 KiB segments). Every Run starts
+// fresh rank goroutines with an empty per-call cache, so each compiles
+// and binds its Plan again; the elided program is a copy out of the
+// emitter's memo from the second Run on. Run it with
+//
+//	go test -run '^$' -bench BenchmarkWarmRun -benchmem .
+func BenchmarkWarmRun(b *testing.B) {
+	const np = 64
+	b.Run(fmt.Sprintf("np=%d", np), func(b *testing.B) {
+		ctx := context.Background()
+		cl, err := bcast.NewCluster(ctx, bcast.Procs(np), bcast.Placement("blocked:32"),
+			bcast.Algorithm(bcast.RingOptSeg), bcast.SegSize(8<<10), bcast.Timeout(10*time.Minute))
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer cl.Close()
+		bufs := make([][]byte, np)
+		for r := range bufs {
+			bufs[r] = make([]byte, 4<<10)
+		}
+		run := func() {
+			if err := cl.Run(ctx, func(c bcast.Comm) error { return c.Bcast(ctx, bufs[c.Rank()], 0) }); err != nil {
+				b.Fatal(err)
+			}
+		}
+		run()
+		b.ResetTimer()
+		for range b.N {
+			run()
+		}
+	})
+}
+
 // ---------------------------------------------------------------------
 // Wire-path throughput: the adaptive UDP transport against its own
 // pinned baseline. Every rank is hosted in-process but ForceWire routes

@@ -95,9 +95,10 @@ type managed struct {
 // collective from root, shifted by -lo into the rank's size-byte window
 // of the program's buffer (lo 0 and size n: all of it), checks each
 // against (communicator size, window, rank) and places its receives. It
-// costs O(own ops · log own ops) beyond the emitter, which for an elided
-// row also emits each of the rank's destinations' lists once. The
-// emitter writes into pooled scratch, and s gets a copy: on a first
+// costs O(own ops · log own ops) beyond the emitter. An elided row's
+// emitter walks the whole program once per shape, on the first rank to
+// ask in this process, and copies out the rank's slice of it from then
+// on. The emitter writes into pooled scratch, and s gets a copy: on a first
 // compile one allocation at the ops' length, where growing them in place
 // would leave every doubling on the way as garbage of a kept Plan.
 func (s *rankOps) compile(c mpi.Comm, e sched.Emitter, root, n, seg, lo, size int) error {

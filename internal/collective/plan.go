@@ -180,7 +180,7 @@ func (p *Plan) resolve(c mpi.Comm, n int) error {
 // decision d. A broadcast passes a nil e: its emitter is the row d names,
 // on c's topology, once d is checked — the algorithm is registered, the
 // segment size is not negative, the capabilities admit the environment
-// (an elided row also emits each of its destinations' lists once). A
+// (an elided row's program is walked once per shape in a process). A
 // rejected decision leaves the previous binding intact.
 func (p *Plan) bind(c mpi.Comm, e sched.Emitter, d tune.Decision, n, size int) error {
 	if err := checkRoot(c, p.root); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -123,4 +124,40 @@ func TestElideOnTheOtherRows(t *testing.T) {
 			t.Errorf("p=%d: elided scatter-rdb: %v, %+v", c.p, err, res)
 		}
 	}
+}
+
+// BenchmarkElidedEmit: every rank of msgrate-np64's shape (np 64, 4 KiB,
+// 8 KiB segments) emits its opt-seg ops once, through an elided emitter
+// no rank has asked before (elided: one op is a cold build and 64
+// slices of it), through one whose memo holds the shape (elided-hot: 64
+// slices), and natively (native, the broadcast elision starts from).
+// Run it with
+//
+//	go test -run '^$' -bench BenchmarkElidedEmit -benchmem ./internal/core
+func BenchmarkElidedEmit(b *testing.B) {
+	const p, n, seg = 64, 4 << 10, 8 << 10
+	var dst []sched.Op
+	emitAll := func(e sched.Emitter) {
+		for rank := range p {
+			dst = e(dst[:0], rank, p, 0, n, seg)
+		}
+	}
+	b.Run(fmt.Sprintf("np=%d/native", p), func(b *testing.B) {
+		for range b.N {
+			emitAll(BcastNativeSegOps)
+		}
+	})
+	b.Run(fmt.Sprintf("np=%d/elided", p), func(b *testing.B) {
+		for range b.N {
+			emitAll(BcastNativeSegOps.Elide())
+		}
+	})
+	b.Run(fmt.Sprintf("np=%d/elided-hot", p), func(b *testing.B) {
+		elided := BcastNativeSegOps.Elide()
+		emitAll(elided)
+		b.ResetTimer()
+		for range b.N {
+			emitAll(elided)
+		}
+	})
 }

@@ -41,6 +41,32 @@
 // Options.MaxWorkers), which is what makes wall-clock measurement of
 // worlds with np in the hundreds meaningful instead of scheduler noise.
 //
+// Every Run starts one goroutine per rank (launch), and a goroutine
+// starts on a small stack: 2 KiB, unless the runtime's running average
+// of stack use says more. A rank body needs 4–8 KiB by the time it
+// parks in request.harvest's select, so the runtime used to copy each
+// rank's stack there, twenty frames deep, once or twice per world:
+// runtime.newstack was 23 % of a cold short-percall-np16 set-up's CPU.
+// Now a rank goroutine first calls growStack, whose one frame of
+// rankStack bytes (4 KiB) grows the stack to 8 KiB with two frames on
+// it, and no rank of a cold per-call np-16 or persistent np-64 world
+// grows it again (TestRankStacksStayPut). runtime.newstack is now ~7 %
+// of the per-call set-up's CPU and ~4 % of the np-64 one's, all of it
+// this one growth. The sweep behind the size, BenchmarkColdSetup
+// medians on 2 vCPUs (six alternated rounds of 400 set-ups; per call
+// also eight of 2000, a busier host), per-call np-16 and persistent
+// np-64:
+//
+//	no pre-grow                      109 (146) µs  1.54 ms
+//	2 KiB: a 4 KiB stack, outgrown    98 (142) µs  1.48 ms
+//	4 KiB: an 8 KiB stack             81 (127) µs  1.49 ms
+//	8 KiB: a 16 KiB stack             90 (121) µs  1.52 ms
+//	12 KiB: a 16 KiB stack            88 (121) µs  1.62 ms
+//
+// A 16 KiB stack buys the per-call world nothing the noise can show and
+// costs the np-64 one; 4 KiB is the smallest frame that lands on 8 KiB
+// with room to spare either way.
+//
 // Which core a woken rank runs on is the Go scheduler's choice, and its
 // choice is local: a channel send that wakes a parked goroutine (ready)
 // puts it in the sender's runnext slot, where it waits until the sender

@@ -103,23 +103,47 @@ func execSlots(policy ExecPolicy, maxWorkers int) (chan struct{}, error) {
 }
 
 // launch starts the np rank bodies and returns once every one has
-// returned. On the pooled substrate a body takes a slot before its first
-// instruction and holds one whenever it runs user code.
+// returned. A rank goroutine grows its stack before its body runs
+// (growStack). On the pooled substrate a body takes a slot before its
+// first instruction and holds one whenever it runs user code.
 func (w *World) launch(body func(rank int)) {
 	var wg sync.WaitGroup
 	for r := 0; r < w.np; r++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
+			growStack()
+			stackProbe(rank)
 			if w.slots != nil {
 				w.slots <- struct{}{}
 				defer func() { <-w.slots }()
 			}
 			body(rank)
+			stackProbe(rank)
 		}(r)
 	}
 	wg.Wait()
 }
+
+// rankStack is the frame growStack pushes: any size from about 3 to 7
+// KiB grows a 2 KiB stack to 8 KiB in one step, and 4 KiB is the middle
+// of that band. The package doc has the sweep that picked it.
+const rankStack = 4 << 10
+
+// growStack grows the calling goroutine's stack to fit a rankStack frame.
+//
+//go:noinline
+func growStack() {
+	var frame [rankStack]byte
+	keep(frame[:])
+}
+
+//go:noinline
+func keep([]byte) {}
+
+// stackProbe is called by every rank goroutine after growStack and again
+// when its body returns; a test sees from it whether the stack moved.
+var stackProbe = func(rank int) {}
 
 // parkRank marks rank blocked for the deadlock detector and releases its
 // execution slot. The engine's one blocking select (request.harvest, under

@@ -102,8 +102,8 @@ func TestElideLeavesEarlierOpsAlone(t *testing.T) {
 	}
 }
 
-// TestElideAllocatesNothing: once dst and the pooled scratch have grown,
-// an elided emit allocates nothing.
+// TestElideAllocatesNothing: once dst has grown and the memo holds the
+// shape, an elided emit allocates nothing.
 func TestElideAllocatesNothing(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -119,5 +119,67 @@ func TestElideAllocatesNothing(t *testing.T) {
 	emit()
 	if allocs := testing.AllocsPerRun(100, emit); allocs != 0 {
 		t.Fatalf("elided emit allocates %.1f times per run", allocs)
+	}
+}
+
+// TestElideMemoBound: an elided emitter's memo holds at most memoCap
+// ops once every rank has taken its slice, least recently used out
+// first, and a program larger than the cap is built once, reaches all
+// its ranks, and is then dropped.
+func TestElideMemoBound(t *testing.T) {
+	const p = 8
+	builds := 0
+	// One-byte segments down a chain from rank 0: 2·(p−1)·seg ops.
+	chain := Emitter(func(dst []Op, rank, p, _, _, seg int) []Op {
+		if rank == 0 {
+			builds++
+		}
+		for s := range seg {
+			if rank > 0 {
+				dst = append(dst, recv(rank-1, s, 1, 1))
+			}
+			if rank < p-1 {
+				dst = append(dst, send(rank+1, s, 1, 1))
+			}
+		}
+		return dst
+	})
+	var m memo
+	ask := func(seg, rank int) []Op { return m.get(chain, shape{p, 0, seg, seg}, rank) }
+	const shapes, small = 40, 140 // ~2,000 ops each: more than the cap holds
+	for k := range shapes {
+		for rank := range p {
+			ask(small+k, rank)
+		}
+		held := 0
+		for _, pr := range m.progs {
+			held += len(pr.ops) + 1
+		}
+		if held != m.held || held > memoCap {
+			t.Fatalf("after %d shapes the memo holds %d ops and counts %d, cap %d", k+1, held, m.held, memoCap)
+		}
+	}
+	if builds != shapes || len(m.progs) == shapes || m.progs[0].seg != small+shapes-1 {
+		t.Fatalf("%d builds, %d programs held, the newest first: %+v", builds, len(m.progs), m.progs[0].shape)
+	}
+	ask(small+shapes-2, 0)
+	if builds != shapes || m.progs[0].seg != small+shapes-2 {
+		t.Fatalf("a held shape was rebuilt (%d builds) or not moved to the front", builds)
+	}
+
+	big := memoCap/(2*(p-1)) + 1
+	builds = 0
+	got := make([][]Op, p)
+	for rank := range p {
+		got[rank] = ask(big, rank)
+	}
+	if builds != 1 || m.held > memoCap {
+		t.Fatalf("a program above the cap: %d builds, %d ops held after its ranks took their slices", builds, m.held)
+	}
+	oracle := ElidePerRank(chain)
+	for rank := range p {
+		if want := oracle(nil, rank, p, 0, big, big); !slices.Equal(got[rank], want) {
+			t.Fatalf("rank %d of the program above the cap: %d ops, want %d", rank, len(got[rank]), len(want))
+		}
 	}
 }

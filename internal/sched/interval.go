@@ -57,7 +57,9 @@ func (s *IntervalSet) Add(lo, hi int) {
 		return
 	}
 	s.ivs[i] = Interval{min(lo, s.ivs[i].Lo), max(hi, s.ivs[j-1].Hi)}
-	s.ivs = append(s.ivs[:i+1], s.ivs[j:]...)
+	if j > i+1 {
+		s.ivs = append(s.ivs[:i+1], s.ivs[j:]...)
+	}
 }
 
 // Reset empties the set, keeping its storage for reuse.
